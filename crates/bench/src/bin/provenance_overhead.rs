@@ -21,18 +21,13 @@
 use std::time::Instant;
 
 use adya_bench::{
-    banner, note, report_header, report_path_from_args, u64_from_args, verdict, Table,
+    banner, note, overhead_history, overhead_pct, report_header, report_path_from_args,
+    time_ingest, u64_from_args, verdict, Table, OVERHEAD_REPS,
 };
 use adya_forensics::extract_all;
 use adya_history::parse_history_completed;
 use adya_obs::json::JsonWriter;
 use adya_online::{GcConfig, OnlineChecker};
-use adya_workloads::histgen::{random_history, HistGenConfig};
-
-/// Timing repetitions per (size, configuration); best-of is reported.
-/// Generous because each rep is only milliseconds and the best-of
-/// floor is what the overhead comparison hinges on.
-const REPS: usize = 15;
 
 struct SizeRun {
     txns: usize,
@@ -42,12 +37,10 @@ struct SizeRun {
     fired_agree: bool,
 }
 
-/// Best-of-[`REPS`] ingest time over `h`'s events with provenance
-/// `on`, plus the final fired set for the parity check.
-fn time_ingest(h: &adya_history::History, on: bool) -> (u128, Vec<adya_core::PhenomenonKind>) {
-    let mut best = u128::MAX;
-    let mut fired = Vec::new();
-    for _ in 0..REPS {
+/// Best-of-[`OVERHEAD_REPS`] ingest time over `h`'s events with
+/// provenance `on`, plus the final fired set for the parity check.
+fn time_provenance(h: &adya_history::History, on: bool) -> (u128, Vec<adya_core::PhenomenonKind>) {
+    time_ingest(|| {
         let mut c = OnlineChecker::with_gc(GcConfig::default());
         c.set_provenance(on);
         let start = Instant::now();
@@ -55,26 +48,14 @@ fn time_ingest(h: &adya_history::History, on: bool) -> (u128, Vec<adya_core::Phe
             c.ingest(e);
         }
         let fin = c.finish();
-        best = best.min(start.elapsed().as_nanos());
-        fired = fin.fired;
-    }
-    (best, fired)
+        (start.elapsed().as_nanos(), fin.fired)
+    })
 }
 
 fn run_size(txns: usize, seed: u64) -> SizeRun {
-    let cfg = HistGenConfig {
-        txns,
-        objects: 8,
-        ops_per_txn: 4,
-        write_prob: 0.5,
-        dirty_read_prob: 0.1,
-        abort_prob: 0.1,
-        shuffle_order_prob: 0.0,
-        max_concurrent: 8,
-    };
-    let h = random_history(&cfg, seed);
-    let (on_ns, on_fired) = time_ingest(&h, true);
-    let (off_ns, off_fired) = time_ingest(&h, false);
+    let h = overhead_history(txns, seed);
+    let (on_ns, on_fired) = time_provenance(&h, true);
+    let (off_ns, off_fired) = time_provenance(&h, false);
     SizeRun {
         txns,
         events: h.events().len(),
@@ -84,17 +65,13 @@ fn run_size(txns: usize, seed: u64) -> SizeRun {
     }
 }
 
-fn overhead_pct(on: u128, off: u128) -> f64 {
-    (on as f64 - off as f64) / off.max(1) as f64 * 100.0
-}
-
 fn write_report(path: &str, seed: u64, runs: &[SizeRun], extract_ns: u128) -> std::io::Result<()> {
     let mut w = JsonWriter::new();
     report_header(
         &mut w,
         "provenance_overhead",
         seed,
-        &[("reps", REPS as u64)],
+        &[("reps", OVERHEAD_REPS as u64)],
     );
     w.open_array(Some("runs"));
     for r in runs {

@@ -27,235 +27,14 @@
 //! for CI smoke runs; `--seed/--sessions/--txns` make any run
 //! reproducible from its report.
 
-use std::io::{BufRead, BufReader, Read as _, Write as _};
-use std::net::TcpStream;
-use std::path::PathBuf;
-use std::process::{Child, Command, Stdio};
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
 use adya_bench::{
-    banner, note, report_header, report_path_from_args, u64_from_args, verdict, Table,
+    banner, http_get, note, replication_health, report_header, report_path_from_args, run_session,
+    serve_bin, spawn_server, u64_from_args, verdict, SessionRun, Table,
 };
 use adya_obs::json::JsonWriter;
-use adya_online::{GcConfig, OnlineChecker, StreamParser};
-use adya_workloads::{ClientError, RetryPolicy, ServeClient};
-
-/// A spawned server; killed on drop so a panicking bench never leaks
-/// a listener.
-struct Server(Child);
-
-impl Drop for Server {
-    fn drop(&mut self) {
-        let _ = self.0.kill();
-        let _ = self.0.wait();
-    }
-}
-
-/// `adya-serve` lands in the same target directory as this bench
-/// binary, so the sibling path is the default; `ADYA_SERVE_BIN`
-/// overrides it for out-of-tree runs.
-fn serve_bin() -> PathBuf {
-    if let Ok(p) = std::env::var("ADYA_SERVE_BIN") {
-        return PathBuf::from(p);
-    }
-    let mut p = std::env::current_exe().expect("current_exe");
-    p.pop();
-    p.push("adya-serve");
-    p
-}
-
-/// Spawns the server over `data` on `listen` with `extra` role flags,
-/// returning the process and the bound address.
-fn spawn_server(
-    bin: &std::path::Path,
-    data: &std::path::Path,
-    listen: &str,
-    extra: &[&str],
-) -> (Server, String) {
-    for attempt in 0..50 {
-        let mut child = Command::new(bin)
-            .arg("--data")
-            .arg(data)
-            .args([
-                "--listen",
-                listen,
-                "--snapshot-every",
-                "32",
-                "--rotate-events",
-                "64",
-            ])
-            .args(extra)
-            .stdin(Stdio::null())
-            .stdout(Stdio::null())
-            .stderr(Stdio::piped())
-            .spawn()
-            .unwrap_or_else(|e| panic!("spawn {}: {e}", bin.display()));
-        let stderr = child.stderr.take().expect("piped stderr");
-        let mut reader = BufReader::new(stderr);
-        let mut line = String::new();
-        reader.read_line(&mut line).expect("read first stderr line");
-        if let Some((_, addr)) = line.rsplit_once("listening on ") {
-            std::thread::spawn(move || {
-                let _ = std::io::copy(&mut reader, &mut std::io::sink());
-            });
-            return (Server(child), addr.trim().to_string());
-        }
-        let _ = child.kill();
-        let _ = child.wait();
-        assert!(attempt < 49, "adya-serve kept failing to bind: {line:?}");
-        std::thread::sleep(Duration::from_millis(100));
-    }
-    unreachable!()
-}
-
-fn http_get(addr: &str, path: &str) -> (u16, String) {
-    let mut s = TcpStream::connect(addr).expect("connect service port");
-    write!(
-        s,
-        "GET {path} HTTP/1.1\r\nHost: adya\r\nConnection: close\r\n\r\n"
-    )
-    .expect("send");
-    let mut response = String::new();
-    s.read_to_string(&mut response).expect("read response");
-    let status: u16 = response
-        .split_whitespace()
-        .nth(1)
-        .and_then(|c| c.parse().ok())
-        .unwrap_or_else(|| panic!("bad status line: {response:?}"));
-    let body = response
-        .split_once("\r\n\r\n")
-        .map(|(_, b)| b.to_string())
-        .unwrap_or_default();
-    (status, body)
-}
-
-/// Extracts the number after `"key": ` in a flat JSON body.
-fn u64_field(body: &str, key: &str) -> Option<u64> {
-    let at = body.find(&format!("\"{key}\": "))?;
-    let digits: String = body[at + key.len() + 4..]
-        .chars()
-        .skip_while(|c| !c.is_ascii_digit())
-        .take_while(char::is_ascii_digit)
-        .collect();
-    digits.parse().ok()
-}
-
-/// A deterministic token stream for one session: interleaved begins,
-/// version-correct reads, writes and commits over eight objects. The
-/// seed perturbs the object choices so sessions diverge run to run
-/// while staying reproducible.
-fn session_tokens(session: u64, seed: u64, txns: u64) -> Vec<String> {
-    let mut tokens = Vec::new();
-    let mut last_writer = [None::<u64>; 8];
-    let obj = |i: usize| (b'a' + i as u8) as char;
-    let salt = (seed ^ session.wrapping_mul(0x9E37_79B9_7F4A_7C15)) as usize;
-    for t in 1..=txns {
-        let wobj = ((t as usize) * 7 + salt) % 8;
-        let robj = ((t as usize) * 3 + salt / 8) % 8;
-        tokens.push(format!("b{t}"));
-        if let Some(w) = last_writer[robj] {
-            tokens.push(format!("r{t}(k{}{w})", obj(robj)));
-        }
-        tokens.push(format!("w{t}(k{},{t})", obj(wobj)));
-        tokens.push(format!("c{t}"));
-        last_writer[wobj] = Some(t);
-    }
-    tokens
-}
-
-/// The uninterrupted in-process reference: same tokens, same checker
-/// configuration as a server session — (verdict lines, final line).
-fn reference(tokens: &[String]) -> (Vec<String>, String) {
-    let mut parser = StreamParser::new();
-    let mut checker = OnlineChecker::with_gc(GcConfig::default());
-    let mut verdicts = Vec::new();
-    for tok in tokens {
-        let ev = parser.parse_token(tok).expect("reference tokens parse");
-        if let Some(v) = checker.ingest(&ev) {
-            verdicts.push(v.to_json());
-        }
-    }
-    (verdicts, checker.finish().to_json())
-}
-
-/// One session's outcome, as reported.
-struct SessionRun {
-    name: String,
-    events: u64,
-    verdicts: u64,
-    failovers: u32,
-    /// Client-observed failover latency (endpoint rotation, not_leader
-    /// redirects and promotion included), summed over all failovers.
-    failover_micros: u128,
-    stream_ok: bool,
-    final_ok: bool,
-}
-
-impl SessionRun {
-    fn ok(&self) -> bool {
-        self.stream_ok && self.final_ok
-    }
-}
-
-/// Streams a whole session around the leader kill: half the tokens,
-/// two barrier waits while the leader dies (for good), the rest, then
-/// close. Transport errors anywhere turn into a timed failover resume
-/// against the endpoint list.
-fn run_session(
-    endpoints: &str,
-    session: u64,
-    seed: u64,
-    txns: u64,
-    barrier: &Barrier,
-) -> SessionRun {
-    let tokens = session_tokens(session, seed, txns);
-    let name = format!("tenant-{session}");
-    let mut client = ServeClient::hello(endpoints, &name).expect("hello");
-    let mut failovers = 0u32;
-    let mut failover_micros = 0u128;
-    let policy = RetryPolicy {
-        deadline_ops: Some(4_000),
-        ..RetryPolicy::default()
-    };
-    let mut send = |client: &mut ServeClient, tok: &str| match client.send_token(tok) {
-        Ok(()) => {}
-        Err(ClientError::Io(_)) => {
-            let t0 = Instant::now();
-            client
-                .resume(&policy, seed ^ session)
-                .unwrap_or_else(|e| panic!("{name}: failover resume failed: {e}"));
-            failover_micros += t0.elapsed().as_micros();
-            failovers += 1;
-        }
-        Err(e) => panic!("{name}: protocol error on {tok:?}: {e}"),
-    };
-
-    let half = tokens.len() / 2;
-    for tok in &tokens[..half] {
-        send(&mut client, tok);
-    }
-    barrier.wait(); // everyone is mid-stream
-    barrier.wait(); // the leader is dead — no replacement coming
-    for tok in &tokens[half..] {
-        send(&mut client, tok);
-    }
-
-    let (want_verdicts, want_final) = reference(&tokens);
-    let stream_ok = client.verdicts() == &want_verdicts[..];
-    let events = client.tokens_sent() as u64;
-    let verdicts = client.verdicts().len() as u64;
-    let fin = client.close().expect("close");
-    SessionRun {
-        name,
-        events,
-        verdicts,
-        failovers,
-        failover_micros,
-        stream_ok,
-        final_ok: fin == want_final,
-    }
-}
 
 #[allow(clippy::too_many_arguments)]
 fn write_report(
@@ -271,8 +50,8 @@ fn write_report(
 ) -> std::io::Result<()> {
     let total_events: u64 = runs.iter().map(|r| r.events).sum();
     let total_verdicts: u64 = runs.iter().map(|r| r.verdicts).sum();
-    let total_failovers: u64 = runs.iter().map(|r| u64::from(r.failovers)).sum();
-    let max_failover: u128 = runs.iter().map(|r| r.failover_micros).max().unwrap_or(0);
+    let total_failovers: u64 = runs.iter().map(|r| u64::from(r.resumes)).sum();
+    let max_failover: u128 = runs.iter().map(|r| r.resume_micros).max().unwrap_or(0);
     let secs = elapsed.as_secs_f64().max(1e-9);
     let mut w = JsonWriter::new();
     report_header(
@@ -301,8 +80,8 @@ fn write_report(
         w.str_field("session", &r.name);
         w.u64_field("events", r.events);
         w.u64_field("verdicts", r.verdicts);
-        w.u64_field("failovers", u64::from(r.failovers));
-        w.u64_field("failover_micros", r.failover_micros as u64);
+        w.u64_field("failovers", u64::from(r.resumes));
+        w.u64_field("failover_micros", r.resume_micros as u64);
         w.bool_field("stream_parity", r.stream_ok);
         w.bool_field("final_parity", r.final_ok);
         w.close_object();
@@ -364,8 +143,8 @@ fn main() {
                     // Sample the acknowledged replication lag the follower will have
                     // to absorb, then SIGKILL the leader — and never bring it back.
     let (_, health) = http_get(&laddr, "/health");
-    let lag_records_at_kill = u64_field(&health, "max_lag_records").unwrap_or(0);
-    let lag_bytes_at_kill = u64_field(&health, "max_lag_bytes").unwrap_or(0);
+    let lag_records_at_kill = replication_health(&health, "max_lag_records").unwrap_or(0);
+    let lag_bytes_at_kill = replication_health(&health, "max_lag_bytes").unwrap_or(0);
     drop(leader); // SIGKILL — no flush, no goodbye
     note(&format!(
         "leader killed mid-stream; acknowledged lag {lag_records_at_kill} records / {lag_bytes_at_kill} bytes"
@@ -396,8 +175,8 @@ fn main() {
             r.name.clone(),
             r.events.to_string(),
             r.verdicts.to_string(),
-            r.failovers.to_string(),
-            format!("{:.1}", r.failover_micros as f64 / 1000.0),
+            r.resumes.to_string(),
+            format!("{:.1}", r.resume_micros as f64 / 1000.0),
             if r.stream_ok { "ok" } else { "FAIL" }.to_string(),
             if r.final_ok { "ok" } else { "FAIL" }.to_string(),
         ]);
@@ -405,8 +184,8 @@ fn main() {
     println!("{}", table.render());
 
     let total_events: u64 = runs.iter().map(|r| r.events).sum();
-    let total_failovers: u32 = runs.iter().map(|r| r.failovers).sum();
-    let max_failover: u128 = runs.iter().map(|r| r.failover_micros).max().unwrap_or(0);
+    let total_failovers: u32 = runs.iter().map(|r| r.resumes).sum();
+    let max_failover: u128 = runs.iter().map(|r| r.resume_micros).max().unwrap_or(0);
     let secs = elapsed.as_secs_f64().max(1e-9);
     note(&format!(
         "{:.0} events/sec, {total_failovers} failovers, worst client-observed failover {:.1} ms",
@@ -415,7 +194,7 @@ fn main() {
     ));
 
     let parity = runs.iter().all(SessionRun::ok);
-    let all_failed_over = runs.iter().all(|r| r.failovers >= 1);
+    let all_failed_over = runs.iter().all(|r| r.resumes >= 1);
     if !all_failed_over {
         note("  a session never failed over — the kill missed it; run is vacuous");
     }

@@ -23,190 +23,14 @@
 //! `--seed/--sessions/--txns` make any run reproducible from its
 //! report.
 
-use std::io::{BufRead, BufReader};
-use std::path::PathBuf;
-use std::process::{Child, Command, Stdio};
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
 use adya_bench::{
-    banner, note, report_header, report_path_from_args, u64_from_args, verdict, Table,
+    banner, note, report_header, report_path_from_args, run_session, serve_bin, spawn_server,
+    u64_from_args, verdict, SessionRun, Table,
 };
 use adya_obs::json::JsonWriter;
-use adya_online::{GcConfig, OnlineChecker, StreamParser};
-use adya_workloads::{ClientError, RetryPolicy, ServeClient};
-
-/// The spawned server; killed on drop so a panicking bench never
-/// leaks a listener.
-struct Server(Child);
-
-impl Drop for Server {
-    fn drop(&mut self) {
-        let _ = self.0.kill();
-        let _ = self.0.wait();
-    }
-}
-
-/// `adya-serve` lands in the same target directory as this bench
-/// binary, so the sibling path is the default; `ADYA_SERVE_BIN`
-/// overrides it for out-of-tree runs.
-fn serve_bin() -> PathBuf {
-    if let Ok(p) = std::env::var("ADYA_SERVE_BIN") {
-        return PathBuf::from(p);
-    }
-    let mut p = std::env::current_exe().expect("current_exe");
-    p.pop();
-    p.push("adya-serve");
-    p
-}
-
-/// Spawns the server over `data` on `listen`, returning the process
-/// and the bound address. Retries briefly so the restart can rebind
-/// the port its killed predecessor just held.
-fn spawn_server(bin: &std::path::Path, data: &std::path::Path, listen: &str) -> (Server, String) {
-    for attempt in 0..50 {
-        let mut child = Command::new(bin)
-            .arg("--data")
-            .arg(data)
-            .args([
-                "--listen",
-                listen,
-                "--snapshot-every",
-                "32",
-                "--rotate-events",
-                "64",
-            ])
-            .stdin(Stdio::null())
-            .stdout(Stdio::null())
-            .stderr(Stdio::piped())
-            .spawn()
-            .unwrap_or_else(|e| panic!("spawn {}: {e}", bin.display()));
-        let stderr = child.stderr.take().expect("piped stderr");
-        let mut reader = BufReader::new(stderr);
-        let mut line = String::new();
-        reader.read_line(&mut line).expect("read first stderr line");
-        if let Some((_, addr)) = line.rsplit_once("listening on ") {
-            std::thread::spawn(move || {
-                let _ = std::io::copy(&mut reader, &mut std::io::sink());
-            });
-            return (Server(child), addr.trim().to_string());
-        }
-        let _ = child.kill();
-        let _ = child.wait();
-        assert!(attempt < 49, "adya-serve kept failing to bind: {line:?}");
-        std::thread::sleep(Duration::from_millis(100));
-    }
-    unreachable!()
-}
-
-/// A deterministic token stream for one session: interleaved begins,
-/// version-correct reads, writes and commits over eight objects. The
-/// seed perturbs the object choices so sessions diverge run to run
-/// while staying reproducible.
-fn session_tokens(session: u64, seed: u64, txns: u64) -> Vec<String> {
-    let mut tokens = Vec::new();
-    let mut last_writer = [None::<u64>; 8];
-    let obj = |i: usize| (b'a' + i as u8) as char;
-    let salt = (seed ^ session.wrapping_mul(0x9E37_79B9_7F4A_7C15)) as usize;
-    for t in 1..=txns {
-        let wobj = ((t as usize) * 7 + salt) % 8;
-        let robj = ((t as usize) * 3 + salt / 8) % 8;
-        tokens.push(format!("b{t}"));
-        if let Some(w) = last_writer[robj] {
-            tokens.push(format!("r{t}(k{}{w})", obj(robj)));
-        }
-        tokens.push(format!("w{t}(k{},{t})", obj(wobj)));
-        tokens.push(format!("c{t}"));
-        last_writer[wobj] = Some(t);
-    }
-    tokens
-}
-
-/// The uninterrupted in-process reference: same tokens, same checker
-/// configuration as a server session — (verdict lines, final line).
-fn reference(tokens: &[String]) -> (Vec<String>, String) {
-    let mut parser = StreamParser::new();
-    let mut checker = OnlineChecker::with_gc(GcConfig::default());
-    let mut verdicts = Vec::new();
-    for tok in tokens {
-        let ev = parser.parse_token(tok).expect("reference tokens parse");
-        if let Some(v) = checker.ingest(&ev) {
-            verdicts.push(v.to_json());
-        }
-    }
-    (verdicts, checker.finish().to_json())
-}
-
-/// One session's outcome, as reported.
-struct SessionRun {
-    name: String,
-    events: u64,
-    verdicts: u64,
-    resumes: u32,
-    /// Client-observed recovery latency (reconnect backoff included),
-    /// summed over all resumes.
-    recovery_micros: u128,
-    stream_ok: bool,
-    final_ok: bool,
-}
-
-impl SessionRun {
-    fn ok(&self) -> bool {
-        self.stream_ok && self.final_ok
-    }
-}
-
-/// Streams a whole session around the kill: half the tokens, two
-/// barrier waits while the server is replaced, the rest, then close.
-/// Transport errors anywhere turn into a timed resume.
-fn run_session(addr: &str, session: u64, seed: u64, txns: u64, barrier: &Barrier) -> SessionRun {
-    let tokens = session_tokens(session, seed, txns);
-    let name = format!("tenant-{session}");
-    let mut client = ServeClient::hello(addr, &name).expect("hello");
-    let mut resumes = 0u32;
-    let mut recovery_micros = 0u128;
-    let policy = RetryPolicy {
-        deadline_ops: Some(4_000),
-        ..RetryPolicy::default()
-    };
-    let mut send = |client: &mut ServeClient, tok: &str| match client.send_token(tok) {
-        Ok(()) => {}
-        Err(ClientError::Io(_)) => {
-            let t0 = Instant::now();
-            client
-                .resume(&policy, seed ^ session)
-                .unwrap_or_else(|e| panic!("{name}: resume failed: {e}"));
-            recovery_micros += t0.elapsed().as_micros();
-            resumes += 1;
-        }
-        Err(e) => panic!("{name}: protocol error on {tok:?}: {e}"),
-    };
-
-    let half = tokens.len() / 2;
-    for tok in &tokens[..half] {
-        send(&mut client, tok);
-    }
-    barrier.wait(); // everyone is mid-stream
-    barrier.wait(); // the server has been killed and restarted
-    for tok in &tokens[half..] {
-        send(&mut client, tok);
-    }
-
-    let (want_verdicts, want_final) = reference(&tokens);
-    let stream_ok = client.verdicts() == &want_verdicts[..];
-    let events = client.tokens_sent() as u64;
-    let verdicts = client.verdicts().len() as u64;
-    let fin = client.close().expect("close");
-    SessionRun {
-        name,
-        events,
-        verdicts,
-        resumes,
-        recovery_micros,
-        stream_ok,
-        final_ok: fin == want_final,
-    }
-}
 
 #[allow(clippy::too_many_arguments)]
 fn write_report(
@@ -251,7 +75,7 @@ fn write_report(
         w.u64_field("events", r.events);
         w.u64_field("verdicts", r.verdicts);
         w.u64_field("resumes", u64::from(r.resumes));
-        w.u64_field("recovery_micros", r.recovery_micros as u64);
+        w.u64_field("recovery_micros", r.resume_micros as u64);
         w.bool_field("stream_parity", r.stream_ok);
         w.bool_field("final_parity", r.final_ok);
         w.close_object();
@@ -283,7 +107,7 @@ fn main() {
     );
     let data = std::env::temp_dir().join(format!("adya-serve-soak-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&data);
-    let (server, addr) = spawn_server(&bin, &data, "127.0.0.1:0");
+    let (server, addr) = spawn_server(&bin, &data, "127.0.0.1:0", &[]);
     note(&format!(
         "adya-serve pid {} on {addr}, data {}",
         server.0.id(),
@@ -304,7 +128,7 @@ fn main() {
     barrier.wait(); // every session is mid-stream
     drop(server); // SIGKILL — no flush, no goodbye
     let t_restart = Instant::now();
-    let (_server2, addr2) = spawn_server(&bin, &data, &addr);
+    let (_server2, addr2) = spawn_server(&bin, &data, &addr, &[]);
     let restart_micros = t_restart.elapsed().as_micros();
     assert_eq!(
         addr2, addr,
@@ -334,7 +158,7 @@ fn main() {
             r.events.to_string(),
             r.verdicts.to_string(),
             r.resumes.to_string(),
-            format!("{:.1}", r.recovery_micros as f64 / 1000.0),
+            format!("{:.1}", r.resume_micros as f64 / 1000.0),
             if r.stream_ok { "ok" } else { "FAIL" }.to_string(),
             if r.final_ok { "ok" } else { "FAIL" }.to_string(),
         ]);

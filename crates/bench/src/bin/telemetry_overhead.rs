@@ -16,14 +16,11 @@
 use std::time::Instant;
 
 use adya_bench::{
-    banner, note, report_header, report_path_from_args, u64_from_args, verdict, Table,
+    banner, note, overhead_history, overhead_pct, report_header, report_path_from_args,
+    time_ingest, u64_from_args, verdict, Table, OVERHEAD_REPS,
 };
 use adya_obs::json::JsonWriter;
 use adya_online::{CheckerMonitor, GcConfig, HealthPolicy, OnlineChecker};
-use adya_workloads::histgen::{random_history, HistGenConfig};
-
-/// Timing repetitions per (size, configuration); best-of is reported.
-const REPS: usize = 15;
 
 /// Telemetry sampling period under test — the same 1-in-32 the
 /// `adya-check --stream` obs plane uses.
@@ -37,13 +34,12 @@ struct SizeRun {
     verdicts_identical: bool,
 }
 
-/// Best-of-[`REPS`] ingest time over `h`'s events with the telemetry
-/// plane `on` (sampled spans + per-event monitor SLIs) or fully off,
-/// plus the complete verdict NDJSON stream for the parity check.
-fn time_ingest(h: &adya_history::History, on: bool) -> (u128, Vec<String>) {
-    let mut best = u128::MAX;
-    let mut lines = Vec::new();
-    for _ in 0..REPS {
+/// Best-of-[`OVERHEAD_REPS`] ingest time over `h`'s events with the
+/// telemetry plane `on` (sampled spans + per-event monitor SLIs) or
+/// fully off, plus the complete verdict NDJSON stream for the parity
+/// check.
+fn time_telemetry(h: &adya_history::History, on: bool) -> (u128, Vec<String>) {
+    time_ingest(|| {
         let mut c = OnlineChecker::with_gc(GcConfig::default());
         let monitor = on.then(|| CheckerMonitor::new(HealthPolicy::default()));
         if on {
@@ -74,28 +70,14 @@ fn time_ingest(h: &adya_history::History, on: bool) -> (u128, Vec<String>) {
             m.observe_verdict(&fin);
         }
         cur.push(fin.to_json());
-        best = best.min(start.elapsed().as_nanos());
-        lines = cur;
-    }
-    (best, lines)
+        (start.elapsed().as_nanos(), cur)
+    })
 }
 
 fn run_size(txns: usize, seed: u64) -> SizeRun {
-    // The E14/E16 workload: conflict-heavy, aborts in the mix, bounded
-    // concurrency — the regime where checker hot-path costs show.
-    let cfg = HistGenConfig {
-        txns,
-        objects: 8,
-        ops_per_txn: 4,
-        write_prob: 0.5,
-        dirty_read_prob: 0.1,
-        abort_prob: 0.1,
-        shuffle_order_prob: 0.0,
-        max_concurrent: 8,
-    };
-    let h = random_history(&cfg, seed);
-    let (on_ns, on_lines) = time_ingest(&h, true);
-    let (off_ns, off_lines) = time_ingest(&h, false);
+    let h = overhead_history(txns, seed);
+    let (on_ns, on_lines) = time_telemetry(&h, true);
+    let (off_ns, off_lines) = time_telemetry(&h, false);
     SizeRun {
         txns,
         events: h.events().len(),
@@ -105,10 +87,6 @@ fn run_size(txns: usize, seed: u64) -> SizeRun {
     }
 }
 
-fn overhead_pct(on: u128, off: u128) -> f64 {
-    (on as f64 - off as f64) / off.max(1) as f64 * 100.0
-}
-
 fn write_report(path: &str, seed: u64, runs: &[SizeRun]) -> std::io::Result<()> {
     let mut w = JsonWriter::new();
     report_header(
@@ -116,7 +94,7 @@ fn write_report(path: &str, seed: u64, runs: &[SizeRun]) -> std::io::Result<()> 
         "telemetry_overhead",
         seed,
         &[
-            ("reps", REPS as u64),
+            ("reps", OVERHEAD_REPS as u64),
             ("sample_every", u64::from(SAMPLE_EVERY)),
         ],
     );

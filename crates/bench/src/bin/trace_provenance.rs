@@ -33,26 +33,20 @@
 //! CI runners.
 
 use std::collections::BTreeMap;
-use std::io::{BufRead, BufReader, Read as _, Write as _};
-use std::net::TcpStream;
-use std::path::PathBuf;
-use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
 use adya_bench::{
-    banner, note, report_header, report_path_from_args, u64_from_args, verdict, Table,
+    banner, http_get, note, overhead_history, overhead_pct, reference, replication_health,
+    report_header, report_path_from_args, serve_bin, session_tokens, spawn_server, time_ingest,
+    u64_from_args, verdict, Table, OVERHEAD_REPS,
 };
 use adya_obs::json::JsonWriter;
 use adya_obs::trace::{
     merge_segments, parse_segment, trace_id, Stage, TraceSegment, DEFAULT_TRACE_SAMPLE,
 };
 use adya_obs::TracePlane;
-use adya_online::{GcConfig, OnlineChecker, StreamParser};
-use adya_workloads::histgen::{random_history, HistGenConfig};
+use adya_online::{GcConfig, OnlineChecker};
 use adya_workloads::ServeClient;
-
-/// Timing repetitions per (size, configuration); best-of is reported.
-const REPS: usize = 15;
 
 struct SizeRun {
     txns: usize,
@@ -62,15 +56,13 @@ struct SizeRun {
     verdicts_identical: bool,
 }
 
-/// Best-of-[`REPS`] ingest time over `h`'s events with a trace plane
-/// stamping the stream stages (tap/ring/seq before ingest, apply
-/// after, verdict on emission — the `adya-check --stream` path) at the
-/// default 1-in-[`DEFAULT_TRACE_SAMPLE`] cadence, or with no plane at
-/// all, plus the verdict NDJSON stream for the parity gate.
-fn time_ingest(h: &adya_history::History, on: bool) -> (u128, Vec<String>) {
-    let mut best = u128::MAX;
-    let mut lines = Vec::new();
-    for _ in 0..REPS {
+/// Best-of-[`OVERHEAD_REPS`] ingest time over `h`'s events with a
+/// trace plane stamping the stream stages (tap/ring/seq before ingest,
+/// apply after, verdict on emission — the `adya-check --stream` path)
+/// at the default 1-in-[`DEFAULT_TRACE_SAMPLE`] cadence, or with no
+/// plane at all, plus the verdict NDJSON stream for the parity gate.
+fn time_traced(h: &adya_history::History, on: bool) -> (u128, Vec<String>) {
+    time_ingest(|| {
         let mut c = OnlineChecker::with_gc(GcConfig::default());
         let plane = on.then(|| TracePlane::new("bench", "leader"));
         let mut cur = Vec::new();
@@ -97,28 +89,14 @@ fn time_ingest(h: &adya_history::History, on: bool) -> (u128, Vec<String>) {
             }
         }
         cur.push(c.finish().to_json());
-        best = best.min(start.elapsed().as_nanos());
-        lines = cur;
-    }
-    (best, lines)
+        (start.elapsed().as_nanos(), cur)
+    })
 }
 
 fn run_size(txns: usize, seed: u64) -> SizeRun {
-    // The E14/E16/E17 workload: conflict-heavy, aborts in the mix,
-    // bounded concurrency — the regime where hot-path costs show.
-    let cfg = HistGenConfig {
-        txns,
-        objects: 8,
-        ops_per_txn: 4,
-        write_prob: 0.5,
-        dirty_read_prob: 0.1,
-        abort_prob: 0.1,
-        shuffle_order_prob: 0.0,
-        max_concurrent: 8,
-    };
-    let h = random_history(&cfg, seed);
-    let (on_ns, on_lines) = time_ingest(&h, true);
-    let (off_ns, off_lines) = time_ingest(&h, false);
+    let h = overhead_history(txns, seed);
+    let (on_ns, on_lines) = time_traced(&h, true);
+    let (off_ns, off_lines) = time_traced(&h, false);
     SizeRun {
         txns,
         events: h.events().len(),
@@ -126,144 +104,6 @@ fn run_size(txns: usize, seed: u64) -> SizeRun {
         off_ns,
         verdicts_identical: on_lines == off_lines,
     }
-}
-
-fn overhead_pct(on: u128, off: u128) -> f64 {
-    (on as f64 - off as f64) / off.max(1) as f64 * 100.0
-}
-
-/// A spawned server; killed on drop so a panicking bench never leaks
-/// a listener.
-struct Server(Child);
-
-impl Drop for Server {
-    fn drop(&mut self) {
-        let _ = self.0.kill();
-        let _ = self.0.wait();
-    }
-}
-
-/// `adya-serve` lands in the same target directory as this bench
-/// binary, so the sibling path is the default; `ADYA_SERVE_BIN`
-/// overrides it for out-of-tree runs.
-fn serve_bin() -> PathBuf {
-    if let Ok(p) = std::env::var("ADYA_SERVE_BIN") {
-        return PathBuf::from(p);
-    }
-    let mut p = std::env::current_exe().expect("current_exe");
-    p.pop();
-    p.push("adya-serve");
-    p
-}
-
-/// Spawns the server over `data` with `extra` flags, returning the
-/// process and the bound address.
-fn spawn_server(bin: &std::path::Path, data: &std::path::Path, extra: &[&str]) -> (Server, String) {
-    for attempt in 0..50 {
-        let mut child = Command::new(bin)
-            .arg("--data")
-            .arg(data)
-            .args([
-                "--listen",
-                "127.0.0.1:0",
-                "--snapshot-every",
-                "32",
-                "--rotate-events",
-                "64",
-                "--trace-propagate",
-                "--trace-sample",
-                "1",
-            ])
-            .args(extra)
-            .stdin(Stdio::null())
-            .stdout(Stdio::null())
-            .stderr(Stdio::piped())
-            .spawn()
-            .unwrap_or_else(|e| panic!("spawn {}: {e}", bin.display()));
-        let stderr = child.stderr.take().expect("piped stderr");
-        let mut reader = BufReader::new(stderr);
-        let mut line = String::new();
-        reader.read_line(&mut line).expect("read first stderr line");
-        if let Some((_, addr)) = line.rsplit_once("listening on ") {
-            std::thread::spawn(move || {
-                let _ = std::io::copy(&mut reader, &mut std::io::sink());
-            });
-            return (Server(child), addr.trim().to_string());
-        }
-        let _ = child.kill();
-        let _ = child.wait();
-        assert!(attempt < 49, "adya-serve kept failing to bind: {line:?}");
-        std::thread::sleep(Duration::from_millis(100));
-    }
-    unreachable!()
-}
-
-fn http_get(addr: &str, path: &str) -> (u16, String) {
-    let mut s = TcpStream::connect(addr).expect("connect service port");
-    write!(
-        s,
-        "GET {path} HTTP/1.1\r\nHost: adya\r\nConnection: close\r\n\r\n"
-    )
-    .expect("send");
-    let mut response = String::new();
-    s.read_to_string(&mut response).expect("read response");
-    let status: u16 = response
-        .split_whitespace()
-        .nth(1)
-        .and_then(|c| c.parse().ok())
-        .unwrap_or_else(|| panic!("bad status line: {response:?}"));
-    let body = response
-        .split_once("\r\n\r\n")
-        .map(|(_, b)| b.to_string())
-        .unwrap_or_default();
-    (status, body)
-}
-
-/// Extracts the number after `"key": ` in a flat JSON body.
-fn u64_body_field(body: &str, key: &str) -> Option<u64> {
-    let at = body.find(&format!("\"{key}\": "))?;
-    let digits: String = body[at + key.len() + 4..]
-        .chars()
-        .skip_while(|c| !c.is_ascii_digit())
-        .take_while(char::is_ascii_digit)
-        .collect();
-    digits.parse().ok()
-}
-
-/// A deterministic token stream: interleaved begins, version-correct
-/// reads, writes and commits over eight objects (the E19/E20 shape).
-fn session_tokens(seed: u64, txns: u64) -> Vec<String> {
-    let mut tokens = Vec::new();
-    let mut last_writer = [None::<u64>; 8];
-    let obj = |i: usize| (b'a' + i as u8) as char;
-    let salt = seed as usize;
-    for t in 1..=txns {
-        let wobj = ((t as usize) * 7 + salt) % 8;
-        let robj = ((t as usize) * 3 + salt / 8) % 8;
-        tokens.push(format!("b{t}"));
-        if let Some(w) = last_writer[robj] {
-            tokens.push(format!("r{t}(k{}{w})", obj(robj)));
-        }
-        tokens.push(format!("w{t}(k{},{t})", obj(wobj)));
-        tokens.push(format!("c{t}"));
-        last_writer[wobj] = Some(t);
-    }
-    tokens
-}
-
-/// The untraced in-process reference: same tokens, same checker
-/// configuration as a server session — (verdict lines, final line).
-fn reference(tokens: &[String]) -> (Vec<String>, String) {
-    let mut parser = StreamParser::new();
-    let mut checker = OnlineChecker::with_gc(GcConfig::default());
-    let mut verdicts = Vec::new();
-    for tok in tokens {
-        let ev = parser.parse_token(tok).expect("reference tokens parse");
-        if let Some(v) = checker.ingest(&ev) {
-            verdicts.push(v.to_json());
-        }
-    }
-    (verdicts, checker.finish().to_json())
 }
 
 /// p50/p99 over a latency sample (nanoseconds).
@@ -324,15 +164,19 @@ fn run_replicated(seed: u64, txns: u64) -> Provenance {
     );
     let base = std::env::temp_dir().join(format!("adya-trace-provenance-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&base);
+    // Every event sampled, on both nodes.
+    let traced = ["--trace-propagate", "--trace-sample", "1"];
     let (follower, faddr) = spawn_server(
         &bin,
         &base.join("follower"),
-        &["--follower", "--node", "follower"],
+        "127.0.0.1:0",
+        &[&traced[..], &["--follower", "--node", "follower"]].concat(),
     );
     let (leader, laddr) = spawn_server(
         &bin,
         &base.join("leader"),
-        &["--replicate-to", &faddr, "--node", "leader"],
+        "127.0.0.1:0",
+        &[&traced[..], &["--replicate-to", &faddr, "--node", "leader"]].concat(),
     );
     note(&format!(
         "leader pid {} on {laddr} -> follower pid {} on {faddr}, tracing 1-in-1",
@@ -340,7 +184,7 @@ fn run_replicated(seed: u64, txns: u64) -> Provenance {
         follower.0.id(),
     ));
 
-    let tokens = session_tokens(seed, txns);
+    let tokens = session_tokens(0, seed, txns);
     let mut client = ServeClient::hello_traced(&laddr, "e21", true).expect("hello");
     for tok in &tokens {
         client.send_token(tok).expect("send token");
@@ -357,7 +201,7 @@ fn run_replicated(seed: u64, txns: u64) -> Provenance {
     let deadline = Instant::now() + Duration::from_secs(10);
     loop {
         let (_, health) = http_get(&laddr, "/health");
-        if u64_body_field(&health, "max_lag_records") == Some(0) {
+        if replication_health(&health, "max_lag_records") == Some(0) {
             break;
         }
         assert!(
@@ -449,7 +293,7 @@ fn write_report(
         "trace_provenance",
         seed,
         &[
-            ("reps", REPS as u64),
+            ("reps", OVERHEAD_REPS as u64),
             ("sample_every", DEFAULT_TRACE_SAMPLE),
             ("budget_pct", budget_pct),
         ],

@@ -27,6 +27,9 @@
 
 use std::fmt::Display;
 
+use adya_workloads::harness;
+pub use adya_workloads::harness::{http_get, reference, Server};
+
 /// A minimal fixed-width table printer for the report binaries.
 pub struct Table {
     header: Vec<String>,
@@ -184,6 +187,199 @@ pub fn verdict(name: &str, ok: bool) {
         println!("[{name}] reproduction OK");
     } else {
         panic!("[{name}] MISMATCH with the paper's claims");
+    }
+}
+
+// ----------------------------------------------------------------------
+// Shared by the on/off overhead experiments (E14, E16, E17, E21)
+// ----------------------------------------------------------------------
+
+/// Timing repetitions per (size, configuration) in the overhead
+/// experiments; best-of is reported. Generous because each rep is only
+/// milliseconds and the best-of floor is what the comparison hinges on.
+pub const OVERHEAD_REPS: usize = 15;
+
+/// Best-of-[`OVERHEAD_REPS`] over `rep`, which runs one repetition and
+/// returns its own timed nanoseconds (setup and teardown stay outside
+/// the clock) plus an output; the last repetition's output is kept for
+/// the experiment's parity check.
+pub fn time_ingest<T>(mut rep: impl FnMut() -> (u128, T)) -> (u128, T) {
+    let mut best = u128::MAX;
+    let mut last = None;
+    for _ in 0..OVERHEAD_REPS {
+        let (ns, out) = rep();
+        best = best.min(ns);
+        last = Some(out);
+    }
+    (best, last.expect("OVERHEAD_REPS > 0"))
+}
+
+/// Relative cost of `on` over `off`, in percent.
+pub fn overhead_pct(on: u128, off: u128) -> f64 {
+    (on as f64 - off as f64) / off.max(1) as f64 * 100.0
+}
+
+/// The overhead experiments' workload: conflict-heavy, aborts in the
+/// mix, bounded concurrency — the regime where checker hot-path costs
+/// show.
+pub fn overhead_history(txns: usize, seed: u64) -> adya_history::History {
+    let cfg = adya_workloads::histgen::HistGenConfig {
+        txns,
+        objects: 8,
+        ops_per_txn: 4,
+        write_prob: 0.5,
+        dirty_read_prob: 0.1,
+        abort_prob: 0.1,
+        shuffle_order_prob: 0.0,
+        max_concurrent: 8,
+    };
+    adya_workloads::histgen::random_history(&cfg, seed)
+}
+
+// ----------------------------------------------------------------------
+// Shared by the experiments that drive a real `adya-serve` (E18, E20,
+// E21)
+// ----------------------------------------------------------------------
+
+/// `adya-serve` lands in the same target directory as the bench
+/// binaries, so the sibling path is the default; `ADYA_SERVE_BIN`
+/// overrides it for out-of-tree runs.
+pub fn serve_bin() -> std::path::PathBuf {
+    if let Ok(p) = std::env::var("ADYA_SERVE_BIN") {
+        return p.into();
+    }
+    let mut p = std::env::current_exe().expect("current_exe");
+    p.pop();
+    p.push("adya-serve");
+    p
+}
+
+/// [`harness::spawn_server`] at the experiments' log cadence.
+pub fn spawn_server(
+    bin: &std::path::Path,
+    data: &std::path::Path,
+    listen: &str,
+    extra: &[&str],
+) -> (Server, String) {
+    let cadence = ["--snapshot-every", "32", "--rotate-events", "64"];
+    harness::spawn_server(bin, data, listen, &[&cadence[..], extra].concat())
+}
+
+/// Field `key` of the `replication` object in a fleet `/health` body.
+pub fn replication_health(health: &str, key: &str) -> Option<u64> {
+    adya_obs::json::parse(health)
+        .ok()?
+        .get("replication")?
+        .u64_at(key)
+}
+
+/// A deterministic token stream for one session: interleaved begins,
+/// version-correct reads, writes and commits over eight objects. The
+/// seed perturbs the object choices so sessions diverge run to run
+/// while staying reproducible.
+pub fn session_tokens(session: u64, seed: u64, txns: u64) -> Vec<String> {
+    let mut tokens = Vec::new();
+    let mut last_writer = [None::<u64>; 8];
+    let obj = |i: usize| (b'a' + i as u8) as char;
+    let salt = (seed ^ session.wrapping_mul(0x9E37_79B9_7F4A_7C15)) as usize;
+    for t in 1..=txns {
+        let wobj = ((t as usize) * 7 + salt) % 8;
+        let robj = ((t as usize) * 3 + salt / 8) % 8;
+        tokens.push(format!("b{t}"));
+        if let Some(w) = last_writer[robj] {
+            tokens.push(format!("r{t}(k{}{w})", obj(robj)));
+        }
+        tokens.push(format!("w{t}(k{},{t})", obj(wobj)));
+        tokens.push(format!("c{t}"));
+        last_writer[wobj] = Some(t);
+    }
+    tokens
+}
+
+/// One session's outcome in a kill-and-resume experiment.
+pub struct SessionRun {
+    /// Session name.
+    pub name: String,
+    /// Event tokens sent.
+    pub events: u64,
+    /// Verdict lines received.
+    pub verdicts: u64,
+    /// Resumes (after a restart, or failing over to another endpoint).
+    pub resumes: u32,
+    /// Client-observed recovery latency — reconnect backoff, endpoint
+    /// rotation, redirects and promotion included — summed over all
+    /// resumes.
+    pub resume_micros: u128,
+    /// The verdict ledger matched the uninterrupted reference.
+    pub stream_ok: bool,
+    /// So did the final verdict.
+    pub final_ok: bool,
+}
+
+impl SessionRun {
+    /// Byte-identical to the reference, final verdict included.
+    pub fn ok(&self) -> bool {
+        self.stream_ok && self.final_ok
+    }
+}
+
+/// Streams a whole session around a server kill: half the tokens, two
+/// waits on `barrier` while the caller kills (and maybe replaces) the
+/// server, the rest, then close. Transport errors anywhere turn into a
+/// timed resume against `endpoints`.
+pub fn run_session(
+    endpoints: &str,
+    session: u64,
+    seed: u64,
+    txns: u64,
+    barrier: &std::sync::Barrier,
+) -> SessionRun {
+    use adya_workloads::{ClientError, RetryPolicy, ServeClient};
+    let tokens = session_tokens(session, seed, txns);
+    let name = format!("tenant-{session}");
+    let mut client = ServeClient::hello(endpoints, &name).expect("hello");
+    let mut resumes = 0u32;
+    let mut resume_micros = 0u128;
+    let policy = RetryPolicy {
+        deadline_ops: Some(4_000),
+        ..RetryPolicy::default()
+    };
+    let mut send = |client: &mut ServeClient, tok: &str| match client.send_token(tok) {
+        Ok(()) => {}
+        Err(ClientError::Io(_)) => {
+            let t0 = std::time::Instant::now();
+            client
+                .resume(&policy, seed ^ session)
+                .unwrap_or_else(|e| panic!("{name}: resume failed: {e}"));
+            resume_micros += t0.elapsed().as_micros();
+            resumes += 1;
+        }
+        Err(e) => panic!("{name}: protocol error on {tok:?}: {e}"),
+    };
+
+    let half = tokens.len() / 2;
+    for tok in &tokens[..half] {
+        send(&mut client, tok);
+    }
+    barrier.wait(); // everyone is mid-stream
+    barrier.wait(); // the server has been killed
+    for tok in &tokens[half..] {
+        send(&mut client, tok);
+    }
+
+    let (want_verdicts, want_final) = reference(&tokens);
+    let stream_ok = client.verdicts() == &want_verdicts[..];
+    let events = client.tokens_sent() as u64;
+    let verdicts = client.verdicts().len() as u64;
+    let fin = client.close().expect("close");
+    SessionRun {
+        name,
+        events,
+        verdicts,
+        resumes,
+        resume_micros,
+        stream_ok,
+        final_ok: fin == want_final,
     }
 }
 

@@ -11,10 +11,9 @@
 //! event's position in the history, scaled to 1 ms per event — event
 //! *order*, which is what the model defines, not wall-clock time.
 
-use std::fmt::Write as _;
-
 use adya_core::Analysis;
 use adya_history::{History, TxnId};
+use adya_obs::json::esc;
 
 /// Track id for the anomaly markers (far above any transaction id).
 const ANOMALY_TID: u64 = 1_000_000;
@@ -151,24 +150,5 @@ pub fn trace_json_with_journal(
     }
 
     out.push_str("\n],\"displayTimeUnit\":\"ms\"}\n");
-    out
-}
-
-/// Minimal JSON string escaping (quotes, backslashes, control chars).
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
     out
 }

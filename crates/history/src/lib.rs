@@ -58,6 +58,7 @@ mod error;
 mod event;
 mod history;
 mod ids;
+mod lexer;
 mod parser;
 mod txn;
 mod value;
@@ -67,6 +68,7 @@ pub use error::HistoryError;
 pub use event::{Event, PredicateReadEvent, ReadEvent, WriteEvent};
 pub use history::{History, HistoryParts, ObjectInfo, PredicateInfo, RelationInfo};
 pub use ids::{ObjectId, PredicateId, RelationId, TxnId, VersionId};
+pub use lexer::{lex, split_version_target, LexError, Token, VersionRef};
 pub use parser::{parse_history, parse_history_completed, ParseError};
 pub use txn::{RequestedLevel, TxnInfo, TxnStatus};
 pub use value::{Row, Value, VersionKind};

@@ -44,6 +44,7 @@ use crate::builder::HistoryBuilder;
 use crate::error::HistoryError;
 use crate::history::History;
 use crate::ids::{ObjectId, TxnId, VersionId};
+use crate::lexer::{lex, split_version_target, LexError, Token, VersionRef};
 use crate::value::Value;
 
 /// A failure to parse the textual notation.
@@ -242,54 +243,20 @@ impl Parser {
                 }
             }
         }
-        // b1 / c1 / a1
-        if let Some(rest) = token.strip_prefix('c') {
-            if let Ok(n) = rest.parse::<u32>() {
-                self.b.commit(TxnId(n));
-                return Ok(());
+        // Everything else is the vocabulary shared with the streaming
+        // parser: b1 / c1 / a1 / w1(...) / r1(...) / rc1(...).
+        let unexpected = || ParseError::UnexpectedToken(token.to_string());
+        let op = lex(token).map_err(|e| match e {
+            LexError::Unrecognized | LexError::BadTxn | LexError::Unclosed => unexpected(),
+            LexError::NoTarget | LexError::BadVersionTarget(_) => {
+                ParseError::BadTarget(token.to_string())
             }
-        }
-        if let Some(rest) = token.strip_prefix('a') {
-            if let Ok(n) = rest.parse::<u32>() {
-                self.b.abort(TxnId(n));
-                return Ok(());
-            }
-        }
-        if let Some(rest) = token.strip_prefix('b') {
-            if let Ok(n) = rest.parse::<u32>() {
-                self.b.begin(TxnId(n));
-                return Ok(());
-            }
-        }
-        // w1(...) / r1(...) / rc1(...)
-        let (kind, rest) = if let Some(r) = token.strip_prefix("rc") {
-            (OpKind::CursorRead, r)
-        } else if let Some(r) = token.strip_prefix('r') {
-            (OpKind::Read, r)
-        } else if let Some(r) = token.strip_prefix('w') {
-            (OpKind::Write, r)
-        } else {
-            return Err(ParseError::UnexpectedToken(token.to_string()));
-        };
-        let open = rest
-            .find('(')
-            .ok_or_else(|| ParseError::UnexpectedToken(token.to_string()))?;
-        let txn_num: u32 = rest[..open]
-            .parse()
-            .map_err(|_| ParseError::UnexpectedToken(token.to_string()))?;
-        let txn = TxnId(txn_num);
-        let inner = rest[open + 1..]
-            .strip_suffix(')')
-            .ok_or_else(|| ParseError::UnexpectedToken(token.to_string()))?;
-        let mut args = inner.split(',').map(str::trim);
-        let target = args
-            .next()
-            .filter(|t| !t.is_empty())
-            .ok_or_else(|| ParseError::BadTarget(token.to_string()))?;
-        let value = args.next();
-
-        match kind {
-            OpKind::Write => {
+        })?;
+        match op {
+            Token::Begin(t) => self.b.begin(t),
+            Token::Commit(t) => self.b.commit(t),
+            Token::Abort(t) => self.b.abort(t),
+            Token::Write { txn, target, value } => {
                 let obj = self.object(target, Value::Int(0));
                 match value {
                     Some("dead") => {
@@ -307,9 +274,13 @@ impl Parser {
                     }
                 }
             }
-            OpKind::Read | OpKind::CursorRead => {
-                let (name, version) = split_version_target(target)
-                    .ok_or_else(|| ParseError::BadTarget(token.to_string()))?;
+            Token::Read {
+                txn,
+                cursor,
+                object,
+                version,
+                value,
+            } => {
                 // Preload with the value of an init read when given, so
                 // `r2(xinit,5)` round-trips the paper's notation.
                 let preload = match (version, value) {
@@ -318,7 +289,7 @@ impl Parser {
                     }
                     _ => Value::Int(0),
                 };
-                let obj = self.object(name, preload);
+                let obj = self.object(object, preload);
                 let vid = match version {
                     VersionRef::Init => VersionId::INIT,
                     VersionRef::Latest(writer) => {
@@ -330,9 +301,10 @@ impl Parser {
                     }
                     VersionRef::Exact(writer, seq) => VersionId::new(writer, seq),
                 };
-                match kind {
-                    OpKind::CursorRead => self.b.cursor_read_version(txn, obj, vid),
-                    _ => self.b.read_version(txn, obj, vid),
+                if cursor {
+                    self.b.cursor_read_version(txn, obj, vid);
+                } else {
+                    self.b.read_version(txn, obj, vid);
                 }
             }
         }
@@ -376,49 +348,6 @@ impl Parser {
         }
         Ok(())
     }
-}
-
-enum OpKind {
-    Write,
-    Read,
-    CursorRead,
-}
-
-#[derive(Clone, Copy)]
-enum VersionRef {
-    Init,
-    Latest(TxnId),
-    Exact(TxnId, u32),
-}
-
-/// Splits `x1`, `x1:2`, `xinit` into object name and version
-/// reference. The object name is the maximal prefix that does not end
-/// in a digit.
-fn split_version_target(target: &str) -> Option<(&str, VersionRef)> {
-    if let Some(name) = target.strip_suffix("init") {
-        if !name.is_empty() {
-            return Some((name, VersionRef::Init));
-        }
-    }
-    let (base, seq) = match target.split_once(':') {
-        Some((b, s)) => (b, Some(s.parse::<u32>().ok()?)),
-        None => (target, None),
-    };
-    let digits_at = base
-        .char_indices()
-        .rev()
-        .take_while(|(_, c)| c.is_ascii_digit())
-        .last()
-        .map(|(i, _)| i)?;
-    let (name, writer) = base.split_at(digits_at);
-    if name.is_empty() {
-        return None;
-    }
-    let writer: u32 = writer.parse().ok()?;
-    Some(match seq {
-        Some(s) => (name, VersionRef::Exact(TxnId(writer), s)),
-        None => (name, VersionRef::Latest(TxnId(writer))),
-    })
 }
 
 #[cfg(test)]

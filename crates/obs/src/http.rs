@@ -10,13 +10,18 @@
 //! rendering live in the handler the caller supplies, which maps a
 //! request path to a [`Response`]; the handler runs on the
 //! per-connection thread and must therefore be `Send + Sync`.
+//!
+//! The request/response half is [`serve_request`], a function over any
+//! `BufRead`/`Write` pair: `adya-serve` answers scrapes on its service
+//! port through the same code, so there is one reason-phrase table,
+//! one size limit and one deadline in the workspace.
 
-use std::io::{self, BufRead, BufReader, Read, Write};
+use std::io::{self, BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// An HTTP response produced by an obs-endpoint handler.
 #[derive(Debug, Clone)]
@@ -147,71 +152,146 @@ impl Drop for ObsServer {
 }
 
 /// Longest request line answered; anything longer is a 400.
-const MAX_REQUEST_LINE: u64 = 8 * 1024;
+const MAX_REQUEST_LINE: usize = 8 * 1024;
 /// Total header bytes drained before the request is refused. Headers
 /// are ignored either way — the bound exists so a hostile peer cannot
-/// pin a connection thread (and the 5s read timeout) behind an
-/// endless header stream.
+/// pin a connection thread behind an endless header stream.
 const MAX_HEADER_BYTES: usize = 32 * 1024;
+/// How long a peer gets to deliver its whole request head. Checked
+/// between reads, so it bounds a one-byte-a-second peer as well as a
+/// silent one — as long as the reader's own read timeout (if any) is
+/// no longer than this.
+pub const REQUEST_DEADLINE: Duration = Duration::from_secs(5);
 
-/// Serves exactly one request on `stream` and closes it. Malformed
-/// input — no request line, an unterminated or oversized one, header
-/// floods, bodies on non-GET methods — is answered with 400/405 (or a
-/// plain close when the peer sent nothing) rather than trusted; the
-/// socket arrives off the network.
+/// Serves exactly one request on `stream` and closes it.
 fn serve_connection(stream: TcpStream, handler: Handler) {
-    let _ = stream.set_read_timeout(Some(Duration::from_secs(5)));
+    let _ = stream.set_read_timeout(Some(REQUEST_DEADLINE));
     let _ = stream.set_write_timeout(Some(Duration::from_secs(5)));
-    let mut reader = BufReader::new(match stream.try_clone() {
-        Ok(s) => s,
-        Err(_) => return,
+    let Ok(read_half) = stream.try_clone() else {
+        return;
+    };
+    serve_request(&mut BufReader::new(read_half), &mut &stream, |path| {
+        handler(path)
     });
+}
+
+/// The one HTTP responder: reads a request head from `reader`, maps
+/// its path (query string stripped) through `route`, and writes the
+/// response to `writer`. `GET`-only, `Connection: close`.
+///
+/// The head arrives off the network and is not trusted: no request
+/// line, an unterminated or oversized one, header floods and non-GET
+/// methods are answered with 400/405 (or a plain close when the peer
+/// sent nothing), and at [`REQUEST_DEADLINE`] the wait is over: a peer
+/// still inside its request line is dropped unanswered, one still
+/// sending headers is answered and closed. `WouldBlock`/`TimedOut`
+/// reads are retried until that deadline, so the reader may sit on a
+/// socket with a short polling read timeout.
+pub fn serve_request(
+    reader: &mut impl BufRead,
+    writer: &mut impl Write,
+    route: impl FnOnce(&str) -> Response,
+) {
+    serve_request_by(Instant::now() + REQUEST_DEADLINE, reader, writer, route);
+}
+
+fn serve_request_by(
+    deadline: Instant,
+    reader: &mut impl BufRead,
+    writer: &mut impl Write,
+    route: impl FnOnce(&str) -> Response,
+) {
     let mut request_line = Vec::new();
-    match (&mut reader)
-        .take(MAX_REQUEST_LINE)
-        .read_until(b'\n', &mut request_line)
-    {
-        // Peer connected and said nothing (or vanished): no request
-        // to answer, close cleanly.
-        Ok(0) | Err(_) => return,
-        Ok(_) if !request_line.ends_with(b"\n") => {
-            return write_response(stream, &Response::status(400, "request line too long\n"));
+    match read_line(reader, MAX_REQUEST_LINE, deadline, &mut request_line) {
+        LineEnd::Newline => {}
+        // Peer connected and said nothing (or vanished, or stalled):
+        // no request to answer, close cleanly.
+        LineEnd::Eof if request_line.is_empty() => return,
+        LineEnd::Abandoned => return,
+        LineEnd::Eof | LineEnd::TooLong => {
+            return write_response(writer, &Response::status(400, "request line too long\n"));
         }
-        Ok(_) => {}
     }
-    // Lossy: a mangled method/target routes to the 400/405 arms below
-    // instead of silently dropping the connection.
-    let request_line = String::from_utf8_lossy(&request_line).into_owned();
     // Drain headers so well-behaved clients see a clean close; bodies
-    // on GET are ignored. Bounded: a header flood gets a 400, not an
-    // unbounded read loop.
+    // on GET are ignored.
     let mut drained = 0usize;
     loop {
         let mut line = Vec::new();
-        match (&mut reader)
-            .take(MAX_HEADER_BYTES as u64 + 1)
-            .read_until(b'\n', &mut line)
-        {
-            Ok(0) | Err(_) => break,
-            Ok(n) => {
-                if line == b"\r\n" || line == b"\n" {
-                    break;
-                }
-                drained += n;
-                if drained > MAX_HEADER_BYTES {
-                    return write_response(stream, &Response::status(400, "headers too large\n"));
-                }
+        match read_line(reader, MAX_HEADER_BYTES - drained, deadline, &mut line) {
+            LineEnd::Newline if line == b"\r\n" || line == b"\n" => break,
+            LineEnd::Newline => drained += line.len(),
+            // The request line is whole: a peer that closes, stalls or
+            // trickles past the deadline gets its answer now and is
+            // dropped, rather than holding the thread any longer.
+            LineEnd::Eof | LineEnd::Abandoned => break,
+            LineEnd::TooLong => {
+                return write_response(writer, &Response::status(400, "headers too large\n"));
             }
         }
     }
-    let response = route_request(&request_line, &handler);
-    write_response(stream, &response);
+    // Lossy: a mangled method/target routes to the 400/405 arms
+    // instead of silently dropping the connection.
+    let response = route_request(&String::from_utf8_lossy(&request_line), route);
+    write_response(writer, &response);
 }
 
-/// Parses the request line and dispatches to the handler. Query
-/// strings are stripped before routing so `/health?verbose=1` still
-/// hits `/health`.
-fn route_request(request_line: &str, handler: &Handler) -> Response {
+enum LineEnd {
+    /// `line` ends with the newline.
+    Newline,
+    /// The peer closed first; `line` holds what it sent.
+    Eof,
+    /// More than the allowed bytes arrived without a newline.
+    TooLong,
+    /// The deadline passed or the transport failed.
+    Abandoned,
+}
+
+/// Appends bytes through the next `\n` to `line`, at most `limit` of
+/// them, giving up at `deadline`.
+fn read_line(
+    reader: &mut impl BufRead,
+    limit: usize,
+    deadline: Instant,
+    line: &mut Vec<u8>,
+) -> LineEnd {
+    loop {
+        if Instant::now() >= deadline {
+            return LineEnd::Abandoned;
+        }
+        let chunk = match reader.fill_buf() {
+            Ok(chunk) => chunk,
+            Err(e)
+                if matches!(
+                    e.kind(),
+                    io::ErrorKind::WouldBlock
+                        | io::ErrorKind::TimedOut
+                        | io::ErrorKind::Interrupted
+                ) =>
+            {
+                continue
+            }
+            Err(_) => return LineEnd::Abandoned,
+        };
+        if chunk.is_empty() {
+            return LineEnd::Eof;
+        }
+        let newline = chunk.iter().position(|&b| b == b'\n');
+        let take = newline.map_or(chunk.len(), |i| i + 1);
+        if line.len() + take > limit {
+            return LineEnd::TooLong;
+        }
+        line.extend_from_slice(&chunk[..take]);
+        reader.consume(take);
+        if newline.is_some() {
+            return LineEnd::Newline;
+        }
+    }
+}
+
+/// Parses the request line and dispatches to the route. Query strings
+/// are stripped before routing so `/health?verbose=1` still hits
+/// `/health`.
+fn route_request(request_line: &str, route: impl FnOnce(&str) -> Response) -> Response {
     let mut parts = request_line.split_whitespace();
     let method = parts.next().unwrap_or("");
     let target = parts.next().unwrap_or("");
@@ -222,10 +302,10 @@ fn route_request(request_line: &str, handler: &Handler) -> Response {
         return Response::status(405, "only GET is supported\n");
     }
     let path = target.split('?').next().unwrap_or(target);
-    handler(path)
+    route(path)
 }
 
-fn write_response(mut stream: TcpStream, r: &Response) {
+fn write_response(writer: &mut impl Write, r: &Response) {
     let head = format!(
         "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
         r.status,
@@ -233,10 +313,10 @@ fn write_response(mut stream: TcpStream, r: &Response) {
         r.content_type,
         r.body.len()
     );
-    if stream.write_all(head.as_bytes()).is_ok() {
-        let _ = stream.write_all(&r.body);
+    if writer.write_all(head.as_bytes()).is_ok() {
+        let _ = writer.write_all(&r.body);
     }
-    let _ = stream.flush();
+    let _ = writer.flush();
 }
 
 #[cfg(test)]
@@ -361,6 +441,103 @@ mod tests {
         assert!(out.starts_with("HTTP/1.1 405"), "{out}");
         let out = request(addr, "PUT /health HTTP/1.1\r\n\r\n{\"x\": 1}");
         assert!(out.starts_with("HTTP/1.1 405"), "{out}");
+    }
+
+    /// `serve_request` over in-memory halves, as a non-socket caller
+    /// (or one that already consumed the request line) drives it.
+    fn respond(deadline: Duration, mut input: impl BufRead) -> String {
+        let mut out = Vec::new();
+        serve_request_by(Instant::now() + deadline, &mut input, &mut out, |path| {
+            test_handler()(path)
+        });
+        String::from_utf8(out).unwrap()
+    }
+
+    #[test]
+    fn responder_works_over_any_bufread_and_write() {
+        let far = Duration::from_secs(60);
+        // A request line the caller already holds, chained onto the
+        // rest of the stream: the shape `adya-serve` uses.
+        let head = io::Cursor::new(&b"GET /health?x=1 HTTP/1.1\r\n"[..]);
+        let rest = io::Cursor::new(&b"Host: x\r\n\r\nignored body"[..]);
+        let out = respond(far, head.chain(rest));
+        assert!(out.starts_with("HTTP/1.1 200 OK\r\n"), "{out}");
+        assert!(out.ends_with("{\"healthy\":true}"), "{out}");
+        // HEAD is not GET.
+        let out = respond(far, &b"HEAD /metrics HTTP/1.1\r\n\r\n"[..]);
+        assert!(
+            out.starts_with("HTTP/1.1 405 Method Not Allowed\r\n"),
+            "{out}"
+        );
+        // Headers may end at EOF instead of a blank line.
+        let out = respond(far, &b"GET /metrics HTTP/1.1\r\nHost: x\r\n"[..]);
+        assert!(out.starts_with("HTTP/1.1 200"), "{out}");
+        // One header line past the drain bound, never terminated.
+        let mut flood = b"GET /metrics HTTP/1.1\r\nX-Pad: ".to_vec();
+        flood.resize(flood.len() + MAX_HEADER_BYTES, b'y');
+        let out = respond(far, &flood[..]);
+        assert!(out.starts_with("HTTP/1.1 400 Bad Request\r\n"), "{out}");
+        // Nothing at all: nothing back.
+        assert_eq!(respond(far, &b""[..]), "");
+    }
+
+    /// A peer that trickles one header byte per read and never
+    /// finishes: every read makes progress, so only a deadline on the
+    /// whole head can end it.
+    struct Trickle {
+        head: io::Cursor<&'static [u8]>,
+        reads: usize,
+    }
+
+    impl io::Read for Trickle {
+        fn read(&mut self, _: &mut [u8]) -> io::Result<usize> {
+            unreachable!("the responder reads through BufRead")
+        }
+    }
+
+    impl BufRead for Trickle {
+        fn fill_buf(&mut self) -> io::Result<&[u8]> {
+            if self.head.fill_buf()?.is_empty() {
+                self.reads += 1;
+                thread::sleep(Duration::from_millis(5));
+                return match self.reads % 2 {
+                    0 => Ok(b"y"),
+                    _ => Err(io::ErrorKind::WouldBlock.into()),
+                };
+            }
+            self.head.fill_buf()
+        }
+        fn consume(&mut self, n: usize) {
+            if self.head.fill_buf().is_ok_and(|b| !b.is_empty()) {
+                self.head.consume(n);
+            }
+        }
+    }
+
+    #[test]
+    fn a_trickling_head_ends_at_the_deadline() {
+        for (head, answer) in [
+            // Still inside the request line: nothing to answer.
+            (&b"GET /metr"[..], ""),
+            // Request line whole, headers endless: answered, dropped.
+            (&b"GET /metrics HTTP/1.1\r\nX-Slow: "[..], "HTTP/1.1 200"),
+        ] {
+            let peer = Trickle {
+                head: io::Cursor::new(head),
+                reads: 0,
+            };
+            let t0 = Instant::now();
+            let out = respond(Duration::from_millis(200), peer);
+            assert!(
+                out.starts_with(answer) && (out.is_empty() == answer.is_empty()),
+                "{out}"
+            );
+            let took = t0.elapsed();
+            assert!(
+                took >= Duration::from_millis(200) && took < Duration::from_secs(5),
+                "{took:?}"
+            );
+        }
     }
 
     #[test]

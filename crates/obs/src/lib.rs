@@ -30,6 +30,7 @@ pub mod journal;
 pub mod json;
 pub mod metrics;
 pub mod registry;
+pub mod ring;
 pub mod spans;
 pub mod trace;
 

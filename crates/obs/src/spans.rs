@@ -14,13 +14,9 @@
 //!
 //! Design constraints, in order:
 //!
-//! 1. **Recording must be lock-free.** The ring is an array of slots,
-//!    each a fixed set of `AtomicU64` words guarded by a sequence
-//!    word. Writers claim a ticket with one `fetch_add` and publish
-//!    with a release store of the sequence; a reader that observes a
-//!    torn slot (sequence changed across its copy, or an in-progress
-//!    odd value) simply skips it. No `unsafe`, no mutex, no
-//!    allocation on the hot path.
+//! 1. **Recording must be lock-free.** The ring is a
+//!    [`SeqRing`]: no `unsafe`, no mutex, no
+//!    allocation on the hot path; torn slots are skipped by readers.
 //! 2. **Bounded memory.** The ring overwrites the oldest spans; the
 //!    overwritten count is exported so exporters can say "N spans
 //!    rotated out" instead of silently truncating.
@@ -36,6 +32,8 @@
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
+
+use crate::ring::SeqRing;
 
 /// Default span-ring capacity (records retained before overwrite).
 pub const DEFAULT_SPAN_CAPACITY: usize = 4096;
@@ -59,92 +57,38 @@ pub struct SpanRecord {
     pub tid: u64,
 }
 
-/// Words per slot: seq + (id, parent, name|tid, t0, dur).
-const WORDS: usize = 5;
-
-struct Slot {
-    /// 0 = never written; odd = write in progress; even, nonzero =
-    /// `(ticket + 1) << 1` of the resident record.
-    seq: AtomicU64,
-    data: [AtomicU64; WORDS],
-}
-
-impl Slot {
-    const fn new() -> Slot {
-        Slot {
-            seq: AtomicU64::new(0),
-            data: [const { AtomicU64::new(0) }; WORDS],
-        }
-    }
-}
-
-/// The lock-free bounded span ring.
+/// The lock-free bounded span ring: a typed view over a five-word
+/// [`SeqRing`] — (id, parent, name|tid, t0, dur) per record.
+#[derive(Debug)]
 pub struct SpanRing {
-    slots: Box<[Slot]>,
-    head: AtomicU64,
-    /// Writes abandoned because another writer held the slot (ring
-    /// wrapped within one in-flight write) — drops, not corruption.
-    contended: AtomicU64,
-}
-
-impl std::fmt::Debug for SpanRing {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SpanRing")
-            .field("capacity", &self.slots.len())
-            .field("recorded", &self.head.load(Ordering::Relaxed))
-            .finish()
-    }
+    ring: SeqRing<5>,
 }
 
 impl SpanRing {
     /// A ring retaining at most `capacity` spans.
     pub fn new(capacity: usize) -> SpanRing {
-        let cap = capacity.max(1);
         SpanRing {
-            slots: (0..cap).map(|_| Slot::new()).collect(),
-            head: AtomicU64::new(0),
-            contended: AtomicU64::new(0),
+            ring: SeqRing::new(capacity),
         }
     }
 
     /// Total spans ever recorded (including overwritten ones).
     pub fn recorded(&self) -> u64 {
-        self.head.load(Ordering::Relaxed)
+        self.ring.recorded()
     }
 
     /// Spans no longer retrievable: overwritten by the capacity bound
     /// or abandoned to a contended slot.
     pub fn dropped(&self) -> u64 {
-        let recorded = self.recorded();
-        recorded.saturating_sub(self.slots.len() as u64) + self.contended.load(Ordering::Relaxed)
+        self.ring.dropped()
     }
 
     /// Deposits one record. Lock-free; on the rare slot contention
     /// (the ring wrapped around faster than one write completed) the
     /// record is dropped and counted, never torn.
     pub fn record(&self, id: u64, parent: u64, name_id: u32, tid: u64, t0_ns: u64, dur_ns: u64) {
-        let ticket = self.head.fetch_add(1, Ordering::Relaxed);
-        let slot = &self.slots[(ticket % self.slots.len() as u64) as usize];
-        let stable = (ticket + 1) << 1;
-        let cur = slot.seq.load(Ordering::Acquire);
-        if cur & 1 == 1
-            || slot
-                .seq
-                .compare_exchange(cur, stable | 1, Ordering::Acquire, Ordering::Relaxed)
-                .is_err()
-        {
-            self.contended.fetch_add(1, Ordering::Relaxed);
-            return;
-        }
-        slot.data[0].store(id, Ordering::Relaxed);
-        slot.data[1].store(parent, Ordering::Relaxed);
-        slot.data[2].store(
-            (u64::from(name_id) << 32) | (tid & 0xffff_ffff),
-            Ordering::Relaxed,
-        );
-        slot.data[3].store(t0_ns, Ordering::Relaxed);
-        slot.data[4].store(dur_ns, Ordering::Relaxed);
-        slot.seq.store(stable, Ordering::Release);
+        let name_tid = (u64::from(name_id) << 32) | (tid & 0xffff_ffff);
+        self.ring.record([id, parent, name_tid, t0_ns, dur_ns]);
     }
 
     /// Copies out every retained span, oldest first. `names` is the
@@ -152,38 +96,25 @@ impl SpanRing {
     /// a concurrent overwrite is skipped (it will have been recounted
     /// as dropped by the next collect).
     pub fn collect(&self, names: &[&'static str]) -> Vec<SpanRecord> {
-        let mut out: Vec<SpanRecord> = Vec::with_capacity(self.slots.len());
-        for slot in self.slots.iter() {
-            let s1 = slot.seq.load(Ordering::Acquire);
-            if s1 == 0 || s1 & 1 == 1 {
-                continue;
-            }
-            let words: [u64; WORDS] = std::array::from_fn(|i| slot.data[i].load(Ordering::Relaxed));
-            if slot.seq.load(Ordering::Acquire) != s1 {
-                continue; // overwritten mid-copy
-            }
-            let name_id = (words[2] >> 32) as usize;
-            out.push(SpanRecord {
-                seq: (s1 >> 1) - 1,
-                id: words[0],
-                parent: words[1],
-                name: names.get(name_id).copied().unwrap_or("?"),
-                tid: words[2] & 0xffff_ffff,
-                t0_ns: words[3],
-                dur_ns: words[4],
-            });
-        }
-        out.sort_unstable_by_key(|r| r.seq);
-        out
+        self.ring
+            .collect()
+            .into_iter()
+            .map(|(seq, [id, parent, name_tid, t0_ns, dur_ns])| SpanRecord {
+                seq,
+                id,
+                parent,
+                name: names.get((name_tid >> 32) as usize).copied().unwrap_or("?"),
+                tid: name_tid & 0xffff_ffff,
+                t0_ns,
+                dur_ns,
+            })
+            .collect()
     }
 
     /// Empties the ring in place (tickets keep counting, so `seq`
     /// values never repeat across a reset).
     pub fn reset(&self) {
-        for slot in self.slots.iter() {
-            slot.seq.store(0, Ordering::Release);
-        }
-        self.contended.store(0, Ordering::Relaxed);
+        self.ring.reset();
     }
 }
 
@@ -353,37 +284,6 @@ mod tests {
         assert_eq!(ring.recorded(), 10);
         ring.reset();
         assert!(ring.collect(&names).is_empty());
-    }
-
-    #[test]
-    fn ring_is_safe_under_concurrent_writers() {
-        use std::sync::Arc;
-        let ring = Arc::new(SpanRing::new(64));
-        let mut handles = Vec::new();
-        for t in 0..4u64 {
-            let r = Arc::clone(&ring);
-            handles.push(std::thread::spawn(move || {
-                for i in 0..1000u64 {
-                    r.record(t * 10_000 + i + 1, 0, 0, t, i, 1);
-                }
-            }));
-        }
-        let names = ["n"];
-        for _ in 0..50 {
-            let _ = ring.collect(&names); // readers race the writers
-        }
-        for h in handles {
-            h.join().unwrap();
-        }
-        let got = ring.collect(&names);
-        assert!(got.len() <= 64);
-        assert!(!got.is_empty());
-        // Retained records are untorn: each slot's payload matches a
-        // value some writer actually produced (id encodes writer+i).
-        for r in &got {
-            assert_eq!(r.t0_ns, (r.id - 1) % 10_000);
-        }
-        assert_eq!(ring.recorded(), 4000);
     }
 
     #[test]

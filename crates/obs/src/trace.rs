@@ -7,10 +7,10 @@
 //!
 //! The design mirrors the span plane ([`SpanRing`](crate::SpanRing)):
 //!
-//! - **Stamping is lock-free.** A [`StampRing`] slot is a fixed set of
-//!   `AtomicU64` words guarded by a sequence word; writers claim a
-//!   ticket with one `fetch_add` and publish with a release store. A
-//!   torn slot is skipped by readers and counted as dropped.
+//! - **Stamping is lock-free.** A [`StampRing`] is a
+//!   [`SeqRing`]: writers claim a ticket with one `fetch_add` and
+//!   publish with a release store. A torn slot is skipped by readers
+//!   and counted as dropped.
 //! - **Sampling is deterministic.** One in `sample_every` events by
 //!   dense sequence number, so the leader and a follower replaying the
 //!   same durable stream pick the *same* events, and the trace id —
@@ -36,6 +36,7 @@ use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use crate::metrics::Histogram;
+use crate::ring::SeqRing;
 
 /// Default 1-in-N sampling cadence for trace stamping.
 pub const DEFAULT_TRACE_SAMPLE: u64 = 32;
@@ -156,107 +157,51 @@ pub struct Stamp {
     pub t_ns: u64,
 }
 
-/// Words per slot: seq + (trace, stage, t_ns).
-const WORDS: usize = 3;
-
-struct Slot {
-    /// 0 = never written; odd = in progress; even = resident.
-    seq: AtomicU64,
-    data: [AtomicU64; WORDS],
-}
-
-/// The lock-free bounded stamp ring (same seqlock discipline as
-/// [`SpanRing`](crate::SpanRing)).
+/// The lock-free bounded stamp ring: a typed view over a three-word
+/// [`SeqRing`] — (trace, stage, t_ns) per record.
+#[derive(Debug)]
 pub struct StampRing {
-    slots: Box<[Slot]>,
-    head: AtomicU64,
-    contended: AtomicU64,
-}
-
-impl std::fmt::Debug for StampRing {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("StampRing")
-            .field("capacity", &self.slots.len())
-            .field("recorded", &self.head.load(Ordering::Relaxed))
-            .finish()
-    }
+    ring: SeqRing<3>,
 }
 
 impl StampRing {
     /// A ring retaining at most `capacity` stamps.
     pub fn new(capacity: usize) -> StampRing {
         StampRing {
-            slots: (0..capacity.max(1))
-                .map(|_| Slot {
-                    seq: AtomicU64::new(0),
-                    data: [const { AtomicU64::new(0) }; WORDS],
-                })
-                .collect(),
-            head: AtomicU64::new(0),
-            contended: AtomicU64::new(0),
+            ring: SeqRing::new(capacity),
         }
     }
 
     /// Total stamps ever recorded (including overwritten ones).
     pub fn recorded(&self) -> u64 {
-        self.head.load(Ordering::Relaxed)
+        self.ring.recorded()
     }
 
     /// Stamps no longer retrievable (overwritten or contended away).
     pub fn dropped(&self) -> u64 {
-        self.recorded().saturating_sub(self.slots.len() as u64)
-            + self.contended.load(Ordering::Relaxed)
+        self.ring.dropped()
     }
 
     /// Deposits one stamp; lock-free, dropped (never torn) on the rare
     /// slot contention.
     pub fn record(&self, trace: u64, stage: Stage, t_ns: u64) {
-        let ticket = self.head.fetch_add(1, Ordering::Relaxed);
-        let slot = &self.slots[(ticket % self.slots.len() as u64) as usize];
-        let stable = (ticket + 1) << 1;
-        let cur = slot.seq.load(Ordering::Acquire);
-        if cur & 1 == 1
-            || slot
-                .seq
-                .compare_exchange(cur, stable | 1, Ordering::Acquire, Ordering::Relaxed)
-                .is_err()
-        {
-            self.contended.fetch_add(1, Ordering::Relaxed);
-            return;
-        }
-        slot.data[0].store(trace, Ordering::Relaxed);
-        slot.data[1].store(stage as u64, Ordering::Relaxed);
-        slot.data[2].store(t_ns, Ordering::Relaxed);
-        slot.seq.store(stable, Ordering::Release);
+        self.ring.record([trace, stage as u64, t_ns]);
     }
 
     /// Copies out every retained stamp, oldest first; torn slots are
     /// skipped.
     pub fn collect(&self) -> Vec<Stamp> {
-        let mut out: Vec<(u64, Stamp)> = Vec::with_capacity(self.slots.len());
-        for slot in self.slots.iter() {
-            let s1 = slot.seq.load(Ordering::Acquire);
-            if s1 == 0 || s1 & 1 == 1 {
-                continue;
-            }
-            let words: [u64; WORDS] = std::array::from_fn(|i| slot.data[i].load(Ordering::Relaxed));
-            if slot.seq.load(Ordering::Acquire) != s1 {
-                continue;
-            }
-            let Some(stage) = Stage::from_u8(words[1]) else {
-                continue;
-            };
-            out.push((
-                (s1 >> 1) - 1,
-                Stamp {
-                    trace: words[0],
-                    stage,
-                    t_ns: words[2],
-                },
-            ));
-        }
-        out.sort_unstable_by_key(|(seq, _)| *seq);
-        out.into_iter().map(|(_, s)| s).collect()
+        self.ring
+            .collect()
+            .into_iter()
+            .filter_map(|(_, [trace, stage, t_ns])| {
+                Some(Stamp {
+                    trace,
+                    stage: Stage::from_u8(stage)?,
+                    t_ns,
+                })
+            })
+            .collect()
     }
 }
 
@@ -448,96 +393,29 @@ pub struct TraceSegment {
 ///
 /// [`segment_json`]: TracePlane::segment_json
 pub fn parse_segment(text: &str) -> Result<TraceSegment, String> {
-    let text = match extract_provenance(text) {
-        Some(inner) => inner,
-        None => text,
-    };
-    let str_field = |key: &str| -> Option<&str> {
-        let pat = format!("\"{key}\": \"");
-        let at = text.find(&pat)? + pat.len();
-        let rest = &text[at..];
-        Some(&rest[..rest.find('"')?])
-    };
-    let node = str_field("node")
-        .ok_or("segment has no \"node\" field")?
-        .to_string();
-    let role = str_field("role")
-        .ok_or("segment has no \"role\" field")?
-        .to_string();
-    let dropped = {
-        let pat = "\"dropped\": ";
-        let at = text.find(pat).ok_or("segment has no \"dropped\" field")? + pat.len();
-        let rest = &text[at..];
-        let end = rest
-            .find(|c: char| !c.is_ascii_digit())
-            .unwrap_or(rest.len());
-        rest[..end]
-            .parse::<u64>()
-            .map_err(|_| "bad \"dropped\" value".to_string())?
-    };
+    let doc = crate::json::parse(text)?;
+    let seg = doc.get("provenance").unwrap_or(&doc);
+    let field = |key: &str| format!("segment has no {key:?} field");
     let mut stamps = Vec::new();
-    let mut rest = text;
-    while let Some(at) = rest.find("{\"trace\": \"") {
-        let obj = &rest[at..];
-        let end = obj.find('}').ok_or("unterminated stamp object")?;
-        let obj = &obj[..=end];
-        let grab = |key: &str| -> Result<&str, String> {
-            let pat = format!("\"{key}\": ");
-            let at = obj
-                .find(&pat)
-                .ok_or_else(|| format!("stamp has no {key:?}"))?
-                + pat.len();
-            Ok(&obj[at..])
-        };
-        let trace_txt = grab("trace")?;
-        let trace_txt = trace_txt
-            .strip_prefix('"')
-            .and_then(|r| r.split('"').next())
-            .ok_or("bad trace value")?;
-        let trace = parse_trace_id(trace_txt).ok_or_else(|| format!("bad id {trace_txt:?}"))?;
-        let stage_txt = grab("stage")?
-            .strip_prefix('"')
-            .and_then(|r| r.split('"').next())
-            .ok_or("bad stage value")?;
-        let stage = Stage::parse(stage_txt).ok_or_else(|| format!("bad stage {stage_txt:?}"))?;
-        let t_txt = grab("t_ns")?;
-        let t_end = t_txt
-            .find(|c: char| !c.is_ascii_digit())
-            .unwrap_or(t_txt.len());
-        let t_ns = t_txt[..t_end]
-            .parse::<u64>()
-            .map_err(|_| "bad t_ns value".to_string())?;
-        stamps.push(Stamp { trace, stage, t_ns });
-        rest = &rest[at + end + 1..];
+    for st in seg
+        .get("stamps")
+        .and_then(|s| s.as_array())
+        .ok_or_else(|| field("stamps"))?
+    {
+        let id = st.str_at("trace").ok_or("stamp has no \"trace\"")?;
+        let stage = st.str_at("stage").ok_or("stamp has no \"stage\"")?;
+        stamps.push(Stamp {
+            trace: parse_trace_id(id).ok_or_else(|| format!("bad id {id:?}"))?,
+            stage: Stage::parse(stage).ok_or_else(|| format!("bad stage {stage:?}"))?,
+            t_ns: st.u64_at("t_ns").ok_or("bad t_ns value")?,
+        });
     }
     Ok(TraceSegment {
-        node,
-        role,
-        dropped,
+        node: seg.str_at("node").ok_or_else(|| field("node"))?.to_string(),
+        role: seg.str_at("role").ok_or_else(|| field("role"))?.to_string(),
+        dropped: seg.u64_at("dropped").ok_or_else(|| field("dropped"))?,
         stamps,
     })
-}
-
-/// Finds the `"provenance"` object embedded in a `/trace` response and
-/// returns its exact byte range, by brace matching (segment documents
-/// contain no braces inside strings).
-fn extract_provenance(text: &str) -> Option<&str> {
-    let at = text.find("\"provenance\": {")? + "\"provenance\": ".len();
-    let bytes = text.as_bytes();
-    let mut depth = 0usize;
-    for (i, b) in bytes.iter().enumerate().skip(at) {
-        match b {
-            b'{' => depth += 1,
-            b'}' => {
-                depth -= 1;
-                if depth == 0 {
-                    return Some(&text[at..=i]);
-                }
-            }
-            _ => {}
-        }
-    }
-    None
 }
 
 /// Splices a trace segment into a Chrome-trace document as its

@@ -2,8 +2,11 @@
 //! handles and the journal while a reader thread takes snapshots.
 //! Counters must not lose increments, histograms must not lose
 //! samples, and concurrent snapshots must never observe impossible
-//! states (count inflated beyond what was recorded).
+//! states (count inflated beyond what was recorded). The seqlock ring
+//! behind the span and stamp planes gets the same treatment at both
+//! slot widths in use.
 
+use adya_obs::ring::SeqRing;
 use adya_obs::{Field, Registry};
 
 const THREADS: usize = 8;
@@ -112,4 +115,50 @@ fn reset_during_recording_never_corrupts() {
     let snap = reg.snapshot();
     assert_eq!(snap.counter("reset.c"), 0);
     assert_eq!(snap.histogram("reset.h").unwrap().count, 0);
+}
+
+/// Writers racing each other around a ring much smaller than their
+/// output while a reader keeps collecting: every record a reader ever
+/// sees must be one some writer produced whole. Each word of a record
+/// is derived from its first word, so a slot stitched together from
+/// two writes cannot pass.
+fn ring_records_are_never_torn<const W: usize>() {
+    const WRITERS: u64 = 4;
+    const PER_WRITER: u64 = 1_000;
+    let record = |id: u64| -> [u64; W] { std::array::from_fn(|k| id.wrapping_mul(k as u64 + 1)) };
+    let ring = SeqRing::<W>::new(64);
+    crossbeam::thread::scope(|s| {
+        for t in 0..WRITERS {
+            let ring = &ring;
+            s.spawn(move |_| {
+                for i in 0..PER_WRITER {
+                    ring.record(record(t * 10_000 + i + 1));
+                }
+            });
+        }
+        let ring = &ring;
+        s.spawn(move |_| {
+            for _ in 0..50 {
+                for (_, words) in ring.collect() {
+                    assert_eq!(words, record(words[0]), "torn slot, W = {W}");
+                }
+                std::thread::yield_now();
+            }
+        });
+    })
+    .expect("no panics in ring threads");
+    let got = ring.collect();
+    assert!(!got.is_empty() && got.len() <= 64, "W = {W}: {}", got.len());
+    assert!(got.windows(2).all(|w| w[0].0 < w[1].0), "oldest first");
+    for (_, words) in &got {
+        assert_eq!(*words, record(words[0]), "torn slot, W = {W}");
+    }
+    assert_eq!(ring.recorded(), WRITERS * PER_WRITER);
+    assert!(ring.dropped() >= WRITERS * PER_WRITER - 64);
+}
+
+#[test]
+fn seqlock_ring_survives_contention_at_both_slot_widths() {
+    ring_records_are_never_torn::<3>(); // StampRing
+    ring_records_are_never_torn::<5>(); // SpanRing
 }

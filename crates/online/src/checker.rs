@@ -8,6 +8,7 @@ use std::time::Instant;
 use adya_core::{IsolationLevel, PhenomenonKind};
 use adya_graph::{DagParts, IncrementalDag, Insert, SlotParts};
 use adya_history::{Event, ObjectId, TxnId, VersionId};
+use adya_obs::json::write_escaped;
 
 use crate::wire::{crc32, Dec, Enc, WireError};
 
@@ -251,17 +252,16 @@ impl Verdict {
             }
             s.push(']');
         }
-        match &self.witness {
-            Some(w) => {
-                let _ = write!(s, ", \"witness\": \"{}\"", esc(w));
+        for (key, text) in [("witness", &self.witness), ("witness_id", &self.witness_id)] {
+            let _ = write!(s, ", \"{key}\": ");
+            match text {
+                Some(t) => {
+                    s.push('"');
+                    write_escaped(&mut s, t);
+                    s.push('"');
+                }
+                None => s.push_str("null"),
             }
-            None => s.push_str(", \"witness\": null"),
-        }
-        match &self.witness_id {
-            Some(id) => {
-                let _ = write!(s, ", \"witness_id\": \"{}\"", esc(id));
-            }
-            None => s.push_str(", \"witness_id\": null"),
         }
         match &self.cycle {
             Some(c) => {
@@ -272,12 +272,13 @@ impl Verdict {
                     }
                     let _ = write!(
                         s,
-                        "{{\"from\": {}, \"to\": {}, \"label\": \"{}\", \"via\": \"{}\"}}",
+                        "{{\"from\": {}, \"to\": {}, \"label\": \"{}\", \"via\": \"",
                         e.from.0,
                         e.to.0,
                         if e.anti { "rw" } else { "ww/wr" },
-                        esc(&e.via)
                     );
+                    write_escaped(&mut s, &e.via);
+                    s.push_str("\"}");
                 }
                 s.push(']');
             }
@@ -290,22 +291,6 @@ impl Verdict {
         );
         s
     }
-}
-
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]

@@ -12,7 +12,8 @@
 //!
 //! The binary log ([`EventLogWriter`] / [`EventLogReader`]) is the
 //! crash-safe on-disk form: a magic header followed by
-//! length-prefixed, CRC-32-checksummed records, one [`Event`] each. A
+//! length-prefixed, CRC-32-checksummed records ([`wire::frame`]), one
+//! [`Event`] each. A
 //! process killed mid-append leaves a *torn tail* — a final record
 //! whose bytes ran out or whose checksum fails — which the reader
 //! reports as [`LogError::TornTail`] with the exact byte offset of
@@ -22,9 +23,12 @@
 use std::collections::HashMap;
 use std::io::Write;
 
-use adya_history::{Event, ObjectId, ReadEvent, TxnId, Value, VersionId, VersionKind, WriteEvent};
+use adya_history::{
+    lex, Event, LexError, ObjectId, ReadEvent, Token, TxnId, Value, VersionId, VersionKind,
+    VersionRef, WriteEvent,
+};
 
-use crate::wire::{self, WireError};
+use crate::wire::{self, FrameError, WireError};
 
 /// Streaming token parser. Stateful: it interns object names and
 /// tracks each transaction's per-object write counters so that `r2(x1)`
@@ -157,131 +161,76 @@ impl StreamParser {
                  (install order is commit order)"
             ));
         }
-        for (prefix, make) in [
-            ("b", Event::Begin as fn(TxnId) -> Event),
-            ("c", Event::Commit as fn(TxnId) -> Event),
-            ("a", Event::Abort as fn(TxnId) -> Event),
-        ] {
-            if let Some(rest) = tok.strip_prefix(prefix) {
-                if let Ok(n) = rest.parse::<u32>() {
-                    return Ok(make(TxnId(n)));
+        // The token itself is read by the lexer the batch parser uses;
+        // only what a token *means* to a streaming session lives here.
+        let op = lex(tok).map_err(|e| match e {
+            LexError::Unrecognized => format!("unrecognized token {tok:?}"),
+            LexError::BadTxn => format!("{tok:?}: bad transaction number"),
+            LexError::Unclosed => format!("{tok:?}: missing closing paren"),
+            LexError::NoTarget => format!("{tok:?}: missing target"),
+            LexError::BadVersionTarget(target) => {
+                format!("{tok:?}: bad read target {target:?}")
+            }
+        })?;
+        Ok(match op {
+            Token::Begin(t) => Event::Begin(t),
+            Token::Commit(t) => Event::Commit(t),
+            Token::Abort(t) => Event::Abort(t),
+            Token::Write { txn, target, value } => {
+                if target.chars().any(|c| c.is_ascii_digit()) {
+                    return Err(format!(
+                        "{tok:?}: write targets are object names without version suffixes"
+                    ));
                 }
+                let object = self.object(target);
+                let seq = self.last_seq.entry((txn, object)).or_insert(0);
+                *seq += 1;
+                let seq = *seq;
+                let (kind, value) = match value {
+                    Some("dead") => (VersionKind::Dead, None),
+                    Some(v) => (
+                        VersionKind::Visible,
+                        Some(
+                            v.parse::<i64>()
+                                .map(Value::Int)
+                                .unwrap_or_else(|_| Value::str(v)),
+                        ),
+                    ),
+                    None => (VersionKind::Visible, None),
+                };
+                Event::Write(WriteEvent {
+                    txn,
+                    object,
+                    seq,
+                    kind,
+                    value,
+                })
             }
-        }
-        let (cursor, rest) = if let Some(r) = tok.strip_prefix("rc") {
-            (true, r)
-        } else if let Some(r) = tok.strip_prefix('r') {
-            (false, r)
-        } else if let Some(r) = tok.strip_prefix('w') {
-            return self.parse_write(tok, r);
-        } else {
-            return Err(format!("unrecognized token {tok:?}"));
-        };
-        let (txn, target, _value) = split_call(tok, rest)?;
-        let (name, vref) = split_version_target(target)
-            .ok_or_else(|| format!("{tok:?}: bad read target {target:?}"))?;
-        let object = self.object(name);
-        let version = match vref {
-            VersionRef::Init => VersionId::INIT,
-            VersionRef::Latest(w) => {
-                let seq = self.last_seq.get(&(w, object)).copied().unwrap_or(1);
-                VersionId::new(w, seq)
+            Token::Read {
+                txn,
+                cursor,
+                object,
+                version,
+                value: _,
+            } => {
+                let object = self.object(object);
+                let version = match version {
+                    VersionRef::Init => VersionId::INIT,
+                    VersionRef::Latest(w) => {
+                        let seq = self.last_seq.get(&(w, object)).copied().unwrap_or(1);
+                        VersionId::new(w, seq)
+                    }
+                    VersionRef::Exact(w, seq) => VersionId::new(w, seq),
+                };
+                Event::Read(ReadEvent {
+                    txn,
+                    object,
+                    version,
+                    through_cursor: cursor,
+                })
             }
-            VersionRef::Exact(w, seq) => VersionId::new(w, seq),
-        };
-        Ok(Event::Read(ReadEvent {
-            txn,
-            object,
-            version,
-            through_cursor: cursor,
-        }))
+        })
     }
-
-    fn parse_write(&mut self, tok: &str, rest: &str) -> Result<Event, String> {
-        let (txn, target, value) = split_call(tok, rest)?;
-        if target.chars().any(|c| c.is_ascii_digit()) {
-            return Err(format!(
-                "{tok:?}: write targets are object names without version suffixes"
-            ));
-        }
-        let object = self.object(target);
-        let seq = self.last_seq.entry((txn, object)).or_insert(0);
-        *seq += 1;
-        let seq = *seq;
-        let (kind, value) = match value {
-            Some("dead") => (VersionKind::Dead, None),
-            Some(v) => (
-                VersionKind::Visible,
-                Some(
-                    v.parse::<i64>()
-                        .map(Value::Int)
-                        .unwrap_or_else(|_| Value::str(v)),
-                ),
-            ),
-            None => (VersionKind::Visible, None),
-        };
-        Ok(Event::Write(WriteEvent {
-            txn,
-            object,
-            seq,
-            kind,
-            value,
-        }))
-    }
-}
-
-/// Splits `12(x,5)` into `(TxnId(12), "x", Some("5"))`.
-fn split_call<'a>(tok: &str, rest: &'a str) -> Result<(TxnId, &'a str, Option<&'a str>), String> {
-    let open = rest
-        .find('(')
-        .ok_or_else(|| format!("unrecognized token {tok:?}"))?;
-    let txn: u32 = rest[..open]
-        .parse()
-        .map_err(|_| format!("{tok:?}: bad transaction number"))?;
-    let inner = rest[open + 1..]
-        .strip_suffix(')')
-        .ok_or_else(|| format!("{tok:?}: missing closing paren"))?;
-    let mut args = inner.split(',').map(str::trim);
-    let target = args
-        .next()
-        .filter(|t| !t.is_empty())
-        .ok_or_else(|| format!("{tok:?}: missing target"))?;
-    Ok((TxnId(txn), target, args.next()))
-}
-
-enum VersionRef {
-    Init,
-    Latest(TxnId),
-    Exact(TxnId, u32),
-}
-
-/// Mirrors the batch parser: the object name is the maximal prefix not
-/// ending in a digit; `xinit` selects the initial version.
-fn split_version_target(target: &str) -> Option<(&str, VersionRef)> {
-    if let Some(name) = target.strip_suffix("init") {
-        if !name.is_empty() {
-            return Some((name, VersionRef::Init));
-        }
-    }
-    let (base, seq) = match target.split_once(':') {
-        Some((b, s)) => (b, Some(s.parse::<u32>().ok()?)),
-        None => (target, None),
-    };
-    let digits_at = base
-        .char_indices()
-        .rev()
-        .take_while(|(_, c)| c.is_ascii_digit())
-        .last()
-        .map(|(i, _)| i)?;
-    let (name, writer) = base.split_at(digits_at);
-    if name.is_empty() {
-        return None;
-    }
-    let writer: u32 = writer.parse().ok()?;
-    Some(match seq {
-        Some(s) => (name, VersionRef::Exact(TxnId(writer), s)),
-        None => (name, VersionRef::Latest(TxnId(writer))),
-    })
 }
 
 // ----------------------------------------------------------------------
@@ -333,33 +282,41 @@ impl std::error::Error for LogError {}
 
 /// Appends framed events to any [`Write`] sink.
 ///
-/// Each record is `[len: u32 LE][crc32(payload): u32 LE][payload]`;
-/// the payload is [`wire::encode_event`]. The writer does not buffer:
-/// call sites that need durability decide when to flush/sync.
+/// Each record is one [`wire::frame`] around a [`wire::encode_event`]
+/// payload. The writer does not buffer: every record reaches the sink
+/// in a single `write_all`, and call sites that need durability decide
+/// when to flush/sync.
 #[derive(Debug)]
 pub struct EventLogWriter<W: Write> {
     sink: W,
+    /// The record most recently appended (reused across appends).
+    rec: Vec<u8>,
 }
 
 impl<W: Write> EventLogWriter<W> {
     /// Starts a fresh log on `sink`, writing the magic header.
     pub fn create(mut sink: W) -> std::io::Result<EventLogWriter<W>> {
         sink.write_all(&LOG_MAGIC)?;
-        Ok(EventLogWriter { sink })
+        Ok(EventLogWriter::append_to(sink))
     }
 
     /// Resumes appending to a sink already positioned at the end of an
     /// intact log (no header is written).
     pub fn append_to(sink: W) -> EventLogWriter<W> {
-        EventLogWriter { sink }
+        EventLogWriter {
+            sink,
+            rec: Vec::new(),
+        }
     }
 
-    /// Appends one event record.
-    pub fn append(&mut self, ev: &Event) -> std::io::Result<()> {
-        let payload = wire::encode_event(ev);
-        self.sink.write_all(&(payload.len() as u32).to_le_bytes())?;
-        self.sink.write_all(&wire::crc32(&payload).to_le_bytes())?;
-        self.sink.write_all(&payload)
+    /// Appends one event record and hands back the exact bytes it
+    /// wrote, so a caller mirroring the log elsewhere (replication)
+    /// never has to re-derive the framing.
+    pub fn append(&mut self, ev: &Event) -> std::io::Result<&[u8]> {
+        self.rec.clear();
+        wire::frame(&mut self.rec, &wire::encode_event(ev));
+        self.sink.write_all(&self.rec)?;
+        Ok(&self.rec)
     }
 
     /// Flushes and returns the underlying sink.
@@ -448,38 +405,40 @@ impl<'a> EventLogReader<'a> {
         }
         let start = self.pos;
         let rest = &self.buf[start..];
-        if rest.len() < 8 {
-            return Some(Err(self.torn(format!(
-                "{} header bytes of a record frame (need 8)",
-                rest.len()
-            ))));
-        }
-        let len = u32::from_le_bytes(rest[..4].try_into().unwrap()) as usize;
-        let crc = u32::from_le_bytes(rest[4..8].try_into().unwrap());
-        if rest.len() - 8 < len {
-            return Some(Err(self.torn(format!(
-                "record declares {len} payload bytes, {} present",
-                rest.len() - 8
-            ))));
-        }
-        let payload = &rest[8..8 + len];
-        let end = start + 8 + len;
-        if wire::crc32(payload) != crc {
-            // A checksum failure on the very last record is a torn
-            // (partially overwritten) append; earlier it is corruption.
-            self.failed = true;
-            return Some(Err(if end == self.buf.len() {
-                LogError::TornTail {
-                    good_len: start,
-                    detail: "final record failed its checksum".into(),
-                }
-            } else {
-                LogError::Corrupt {
-                    offset: start,
-                    detail: "record failed its checksum".into(),
-                }
-            }));
-        }
+        let payload = match wire::unframe(rest) {
+            Ok(payload) => payload,
+            Err(FrameError::ShortHeader) => {
+                return Some(Err(self.torn(format!(
+                    "{} header bytes of a record frame (need {})",
+                    rest.len(),
+                    wire::FRAME_HEADER
+                ))));
+            }
+            Err(FrameError::ShortPayload { len }) => {
+                return Some(Err(self.torn(format!(
+                    "record declares {len} payload bytes, {} present",
+                    rest.len() - wire::FRAME_HEADER
+                ))));
+            }
+            Err(FrameError::Checksum { len }) => {
+                // A checksum failure on the very last record is a torn
+                // (partially overwritten) append; earlier it is
+                // corruption.
+                self.failed = true;
+                return Some(Err(if rest.len() == wire::FRAME_HEADER + len {
+                    LogError::TornTail {
+                        good_len: start,
+                        detail: "final record failed its checksum".into(),
+                    }
+                } else {
+                    LogError::Corrupt {
+                        offset: start,
+                        detail: "record failed its checksum".into(),
+                    }
+                }));
+            }
+        };
+        let end = start + wire::FRAME_HEADER + payload.len();
         match wire::decode_event(payload) {
             Ok(ev) => {
                 self.pos = end;

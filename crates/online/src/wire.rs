@@ -1,6 +1,8 @@
 //! Low-level byte codec shared by the durable event log
-//! ([`EventLogWriter`](crate::EventLogWriter)) and the checker's
-//! crash/restore snapshots.
+//! ([`EventLogWriter`](crate::EventLogWriter)), the checker's
+//! crash/restore snapshots and the session store of `adya-serve`:
+//! field encoders, event payloads, and the one definition of the
+//! checksummed [`frame`] / [`seal`]ed-container layouts.
 //!
 //! Everything is little-endian, length-prefixed, and checksummed with
 //! CRC-32 (IEEE) so torn writes and bit rot are detected rather than
@@ -41,6 +43,74 @@ pub fn crc32(bytes: &[u8]) -> u32 {
         crc = TABLE[((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
     }
     !crc
+}
+
+// ----------------------------------------------------------------------
+// Checksummed framing
+// ----------------------------------------------------------------------
+
+/// Bytes of frame header before the payload: `[len: u32 LE]
+/// [crc32(payload): u32 LE]`.
+pub const FRAME_HEADER: usize = 8;
+
+/// Appends `[len][crc32(payload)][payload]` to `out`: one record of
+/// the durable event log, and the body of a [`seal`]ed container.
+pub fn frame(out: &mut Vec<u8>, payload: &[u8]) {
+    let len = u32::try_from(payload.len()).expect("frame payloads stay far below 4 GiB");
+    out.reserve(FRAME_HEADER + payload.len());
+    out.extend_from_slice(&len.to_le_bytes());
+    out.extend_from_slice(&crc32(payload).to_le_bytes());
+    out.extend_from_slice(payload);
+}
+
+/// Why the bytes at the head of a buffer are not an intact frame.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FrameError {
+    /// Fewer than [`FRAME_HEADER`] bytes are left.
+    ShortHeader,
+    /// The header declares `len` payload bytes; fewer are present.
+    ShortPayload {
+        /// Declared payload length.
+        len: usize,
+    },
+    /// All `len` payload bytes are present but fail the checksum.
+    Checksum {
+        /// Declared payload length.
+        len: usize,
+    },
+}
+
+/// Verifies the frame at the head of `buf` and returns its payload;
+/// the frame occupies `FRAME_HEADER + payload.len()` bytes.
+pub fn unframe(buf: &[u8]) -> Result<&[u8], FrameError> {
+    let Some((header, rest)) = buf.split_first_chunk::<FRAME_HEADER>() else {
+        return Err(FrameError::ShortHeader);
+    };
+    let len = u32::from_le_bytes(header[..4].try_into().unwrap()) as usize;
+    let crc = u32::from_le_bytes(header[4..].try_into().unwrap());
+    let payload = rest.get(..len).ok_or(FrameError::ShortPayload { len })?;
+    if crc32(payload) != crc {
+        return Err(FrameError::Checksum { len });
+    }
+    Ok(payload)
+}
+
+/// Seals `payload` into a self-validating container:
+/// `[magic][len][crc32(payload)][payload]` — the on-disk form of a
+/// session snapshot.
+pub fn seal(magic: &[u8; 8], payload: &[u8]) -> Vec<u8> {
+    let mut out = Vec::with_capacity(magic.len() + FRAME_HEADER + payload.len());
+    out.extend_from_slice(magic);
+    frame(&mut out, payload);
+    out
+}
+
+/// Opens a [`seal`]ed container, returning the payload only when the
+/// magic matches, the checksum holds and the container is exactly as
+/// long as it declares — anything else cannot be trusted.
+pub fn open<'a>(magic: &[u8; 8], bytes: &'a [u8]) -> Option<&'a [u8]> {
+    let payload = unframe(bytes.strip_prefix(magic)?).ok()?;
+    (bytes.len() == magic.len() + FRAME_HEADER + payload.len()).then_some(payload)
 }
 
 /// Decode failure: the input ended early or held an impossible value.
@@ -419,6 +489,63 @@ mod tests {
         // The classic check value for CRC-32/IEEE.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    /// The on-disk formats, byte for byte. A session directory written
+    /// by any earlier build must keep recovering, so a change that
+    /// moves one of these bytes is a format break, not a refactor.
+    #[test]
+    fn sealed_bytes_are_pinned() {
+        let hex = |bytes: &[u8]| -> String { bytes.iter().map(|b| format!("{b:02x}")).collect() };
+        // One event-log record: `w1(x,5)` as T1's first write of
+        // object 0.
+        let ev = Event::Write(WriteEvent {
+            txn: TxnId(1),
+            object: ObjectId(0),
+            seq: 1,
+            kind: VersionKind::Visible,
+            value: Some(Value::Int(5)),
+        });
+        let mut rec = Vec::new();
+        frame(&mut rec, &encode_event(&ev));
+        assert_eq!(
+            hex(&rec),
+            "17000000d6e93b3e03010000000000000001000000010105000000\
+             00000000"
+        );
+        assert_eq!(unframe(&rec), Ok(&encode_event(&ev)[..]));
+        // One container, under the session-snapshot magic.
+        let sealed = seal(b"ADYASRV\x01", b"adya");
+        assert_eq!(hex(&sealed), "414459415352560104000000f7bf482961647961");
+        assert_eq!(open(b"ADYASRV\x01", &sealed), Some(&b"adya"[..]));
+    }
+
+    #[test]
+    fn damaged_frames_and_containers_are_refused() {
+        let mut rec = Vec::new();
+        frame(&mut rec, b"payload");
+        assert_eq!(unframe(&rec[..7]), Err(FrameError::ShortHeader));
+        assert_eq!(
+            unframe(&rec[..rec.len() - 1]),
+            Err(FrameError::ShortPayload { len: 7 })
+        );
+        let mut flipped = rec.clone();
+        *flipped.last_mut().unwrap() ^= 1;
+        assert_eq!(unframe(&flipped), Err(FrameError::Checksum { len: 7 }));
+        // Trailing bytes belong to the next frame, not this one.
+        rec.extend_from_slice(b"next");
+        assert_eq!(unframe(&rec), Ok(&b"payload"[..]));
+
+        let sealed = seal(b"ADYASRV\x01", b"adya");
+        assert_eq!(open(b"ADYALOG\x01", &sealed), None, "wrong magic");
+        assert_eq!(open(b"ADYASRV\x01", &sealed[..sealed.len() - 1]), None);
+        assert_eq!(open(b"ADYASRV\x01", &sealed[..5]), None);
+        let mut long = sealed.clone();
+        long.push(0);
+        assert_eq!(open(b"ADYASRV\x01", &long), None, "trailing byte");
+        let mut flipped = sealed;
+        flipped[17] ^= 1;
+        assert_eq!(open(b"ADYASRV\x01", &flipped), None, "payload damage");
     }
 
     #[test]

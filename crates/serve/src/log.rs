@@ -68,7 +68,8 @@ use adya_online::{
 
 use crate::replica::LogPublisher;
 
-/// First 8 bytes of every session snapshot container.
+/// First 8 bytes of every session snapshot container (a
+/// [`wire::seal`]ed payload).
 pub const SNAP_MAGIC: [u8; 8] = *b"ADYASRV\x01";
 
 /// When the log explicitly syncs its appends to stable storage. The
@@ -298,28 +299,21 @@ impl SessionLog {
     /// (sampled events only): the replication mutation for this record
     /// then propagates the id to followers.
     pub fn append_traced(&mut self, ev: &Event, trace: Option<u64>) -> io::Result<()> {
-        let payload = wire::encode_event(ev);
-        self.writer.append(ev)?;
+        let rec = self.writer.append(ev)?;
         if self.cfg.fsync == FsyncPolicy::Always {
             self.seg_sync.sync_data()?;
         }
         if let Some(p) = &self.repl {
-            // The exact record bytes the writer just produced:
-            // [len u32 LE][crc32(payload) u32 LE][payload].
-            let mut rec = Vec::with_capacity(8 + payload.len());
-            rec.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-            rec.extend_from_slice(&wire::crc32(&payload).to_le_bytes());
-            rec.extend_from_slice(&payload);
             p.append_traced(
                 &format!("seg-{}.log", self.seg_start),
                 self.seg_bytes,
-                &rec,
+                rec,
                 1,
                 trace,
             );
         }
+        self.seg_bytes += rec.len() as u64;
         self.records += 1;
-        self.seg_bytes += 8 + payload.len() as u64;
         if self.records - self.seg_start >= self.cfg.rotate_events {
             self.rotate()?;
         }
@@ -384,13 +378,7 @@ impl SessionLog {
         for line in window {
             e.str(line);
         }
-        let payload = e.into_bytes();
-
-        let mut buf = Vec::with_capacity(payload.len() + 16);
-        buf.extend_from_slice(&SNAP_MAGIC);
-        buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        buf.extend_from_slice(&wire::crc32(&payload).to_le_bytes());
-        buf.extend_from_slice(&payload);
+        let buf = wire::seal(&SNAP_MAGIC, &e.into_bytes());
 
         // Under `always` every append is already synced; under
         // `interval` this is the moment the open files catch up with
@@ -791,16 +779,7 @@ struct SnapState {
 
 /// Decodes a snapshot container; `None` when it cannot be trusted.
 fn decode_snapshot(bytes: &[u8]) -> Option<SnapState> {
-    if bytes.len() < 16 || bytes[..8] != SNAP_MAGIC {
-        return None;
-    }
-    let len = u32::from_le_bytes(bytes[8..12].try_into().unwrap()) as usize;
-    let crc = u32::from_le_bytes(bytes[12..16].try_into().unwrap());
-    let payload = bytes.get(16..16 + len)?;
-    if bytes.len() != 16 + len || wire::crc32(payload) != crc {
-        return None;
-    }
-    let mut d = wire::Dec::new(payload);
+    let mut d = wire::Dec::new(wire::open(&SNAP_MAGIC, bytes)?);
     let records = d.u64().ok()?;
     let verdicts = d.u64().ok()?;
     let seg_start = d.u64().ok()?;

@@ -47,13 +47,16 @@
 //! Nodes without tracing ignore the field (unknown fields always
 //! parse), keeping mixed-version replica sets compatible.
 //!
-//! The control parser is deliberately tiny: flat objects, string /
-//! unsigned-integer values, no nesting — exactly the vocabulary above,
-//! rejected loudly otherwise.
+//! Frames are read by the workspace's one JSON reader
+//! ([`adya_obs::json::parse`]), so any stock encoder's output —
+//! `\uXXXX` escapes, `\/`, surrogate pairs — is accepted; what a frame
+//! may *say* is exactly the vocabulary above, rejected loudly
+//! otherwise.
 //!
 //! [`Verdict::to_json`]: adya_online::Verdict::to_json
 
-use adya_obs::json::esc;
+use adya_obs::json::{self, esc, Value};
+use adya_online::wire;
 
 /// A parsed client control frame.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -142,57 +145,53 @@ pub enum ClientFrame {
 
 /// Parses one `{`-prefixed control line.
 pub fn parse_frame(line: &str) -> Result<ClientFrame, String> {
-    let fields = parse_flat_object(line)?;
-    let get = |key: &str| fields.iter().find(|(k, _)| k == key).map(|(_, v)| v);
-    let op = match get("op") {
-        Some(JsonValue::Str(op)) => op.as_str(),
-        _ => return Err("control frame is missing a string \"op\"".into()),
-    };
+    let doc = json::parse(line)?;
+    if !matches!(doc, Value::Object(_)) {
+        return Err("control frames are JSON objects".into());
+    }
+    let op = doc
+        .str_at("op")
+        .ok_or("control frame is missing a string \"op\"")?;
     let session = || -> Result<String, String> {
-        match get("session") {
-            Some(JsonValue::Str(s)) => validate_session_name(s).map(|()| s.clone()),
-            _ => Err(format!("{op:?} frame is missing a string \"session\"")),
+        match doc.str_at("session") {
+            Some(s) => validate_session_name(s).map(|()| s.to_string()),
+            None => Err(format!("{op:?} frame is missing a string \"session\"")),
         }
     };
-    let str_of = |key: &str| -> Result<String, String> {
-        match get(key) {
-            Some(JsonValue::Str(s)) => Ok(s.clone()),
-            _ => Err(format!("{op:?} frame is missing a string \"{key}\"")),
-        }
+    let str_of = |key: &str| -> Result<&str, String> {
+        doc.str_at(key)
+            .ok_or_else(|| format!("{op:?} frame is missing a string \"{key}\""))
     };
     let num_of = |key: &str| -> Result<u64, String> {
-        match get(key) {
-            Some(JsonValue::Num(n)) => Ok(*n),
-            _ => Err(format!("{op:?} frame is missing an unsigned \"{key}\"")),
-        }
+        doc.u64_at(key)
+            .ok_or_else(|| format!("{op:?} frame is missing an unsigned \"{key}\""))
     };
     let file = || -> Result<String, String> {
         let f = str_of("file")?;
-        validate_replica_file(&f)?;
-        Ok(f)
+        validate_replica_file(f)?;
+        Ok(f.to_string())
     };
     let payload = || -> Result<(u32, Vec<u8>), String> {
         let crc = num_of("crc")?;
         let crc = u32::try_from(crc).map_err(|_| "\"crc\" exceeds 32 bits".to_string())?;
-        Ok((crc, decode_hex(&str_of("hex")?)?))
+        Ok((crc, decode_hex(str_of("hex")?)?))
     };
     // Optional `"trace": "on"` opt-in (hello/resume).
     let trace_opt_in = || -> Result<bool, String> {
-        match get("trace") {
-            None => Ok(false),
-            Some(JsonValue::Str(s)) if s == "on" => Ok(true),
-            Some(JsonValue::Str(s)) if s == "off" => Ok(false),
+        match doc.get("trace").map(Value::as_str) {
+            None | Some(Some("off")) => Ok(false),
+            Some(Some("on")) => Ok(true),
             _ => Err("\"trace\" must be \"on\" or \"off\"".into()),
         }
     };
     // Optional `"trace": "t<hex>"` id (replication appends).
     let trace_id = || -> Result<Option<u64>, String> {
-        match get("trace") {
+        match doc.get("trace").map(Value::as_str) {
             None => Ok(None),
-            Some(JsonValue::Str(s)) => adya_obs::parse_trace_id(s)
+            Some(Some(s)) => adya_obs::parse_trace_id(s)
                 .map(Some)
                 .ok_or_else(|| format!("bad trace id {s:?}")),
-            _ => Err("\"trace\" must be a t-prefixed hex string".into()),
+            Some(None) => Err("\"trace\" must be a t-prefixed hex string".into()),
         }
     };
     match op {
@@ -201,10 +200,11 @@ pub fn parse_frame(line: &str) -> Result<ClientFrame, String> {
             trace: trace_opt_in()?,
         }),
         "resume" => {
-            let verdicts = match get("verdicts") {
-                Some(JsonValue::Num(n)) => *n,
+            let verdicts = match doc.get("verdicts") {
+                Some(n) => n
+                    .as_u64()
+                    .ok_or("\"verdicts\" must be an unsigned integer")?,
                 None => 0,
-                _ => return Err("\"verdicts\" must be an unsigned integer".into()),
             };
             Ok(ClientFrame::Resume {
                 session: session()?,
@@ -215,8 +215,8 @@ pub fn parse_frame(line: &str) -> Result<ClientFrame, String> {
         "close" => Ok(ClientFrame::Close),
         "promote" => Ok(ClientFrame::Promote),
         "repl_hello" => Ok(ClientFrame::ReplHello {
-            node: str_of("node").unwrap_or_else(|_| "leader".into()),
-            advertise: str_of("advertise").ok(),
+            node: doc.str_at("node").unwrap_or("leader").to_string(),
+            advertise: doc.str_at("advertise").map(str::to_string),
         }),
         "replicate" => Ok(ClientFrame::Replicate {
             session: session()?,
@@ -333,90 +333,50 @@ pub fn decode_hex(s: &str) -> Result<Vec<u8>, String> {
     Ok(out)
 }
 
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum JsonValue {
-    Str(String),
-    Num(u64),
-}
+// ---------------------------------------------------------------------
+// Leader → follower frames
+// ---------------------------------------------------------------------
 
-/// Parses `{"k": "v", "n": 3}` — flat, strings and unsigned ints only.
-fn parse_flat_object(line: &str) -> Result<Vec<(String, JsonValue)>, String> {
-    let mut chars = line.trim().chars().peekable();
-    let mut out = Vec::new();
-    let skip_ws = |chars: &mut std::iter::Peekable<std::str::Chars>| {
-        while chars.peek().is_some_and(|c| c.is_whitespace()) {
-            chars.next();
-        }
+/// `append`: `bytes` at byte offset `off` of a session file, with the
+/// CRC-32 the follower verifies and, for a sampled event record, its
+/// trace id.
+pub fn append_frame(
+    session: &str,
+    file: &str,
+    off: u64,
+    bytes: &[u8],
+    trace: Option<u64>,
+) -> String {
+    let trace = match trace {
+        Some(id) => format!(", \"trace\": \"{}\"", adya_obs::fmt_trace_id(id)),
+        None => String::new(),
     };
-    if chars.next() != Some('{') {
-        return Err("control frames are JSON objects".into());
-    }
-    loop {
-        skip_ws(&mut chars);
-        match chars.peek() {
-            Some('}') => {
-                chars.next();
-                break;
-            }
-            Some('"') => {}
-            _ if out.is_empty() => return Err("expected a key or '}'".into()),
-            _ => return Err("expected a key".into()),
-        }
-        let key = parse_string(&mut chars)?;
-        skip_ws(&mut chars);
-        if chars.next() != Some(':') {
-            return Err(format!("expected ':' after key {key:?}"));
-        }
-        skip_ws(&mut chars);
-        let value = match chars.peek() {
-            Some('"') => JsonValue::Str(parse_string(&mut chars)?),
-            Some(c) if c.is_ascii_digit() => {
-                let mut n: u64 = 0;
-                while let Some(d) = chars.peek().and_then(|c| c.to_digit(10)) {
-                    n = n
-                        .checked_mul(10)
-                        .and_then(|n| n.checked_add(d as u64))
-                        .ok_or("integer overflow")?;
-                    chars.next();
-                }
-                JsonValue::Num(n)
-            }
-            _ => return Err(format!("unsupported value for key {key:?}")),
-        };
-        out.push((key, value));
-        skip_ws(&mut chars);
-        match chars.next() {
-            Some(',') => continue,
-            Some('}') => break,
-            _ => return Err("expected ',' or '}'".into()),
-        }
-    }
-    skip_ws(&mut chars);
-    if chars.next().is_some() {
-        return Err("trailing bytes after control frame".into());
-    }
-    Ok(out)
+    format!(
+        "{{\"op\": \"append\", \"session\": \"{}\", \"file\": \"{file}\", \"off\": {off}, \
+         \"crc\": {}, \"hex\": \"{}\"{trace}}}",
+        esc(session),
+        wire::crc32(bytes),
+        encode_hex(bytes)
+    )
 }
 
-fn parse_string(chars: &mut std::iter::Peekable<std::str::Chars>) -> Result<String, String> {
-    if chars.next() != Some('"') {
-        return Err("expected a string".into());
-    }
-    let mut s = String::new();
-    loop {
-        match chars.next() {
-            Some('"') => return Ok(s),
-            Some('\\') => match chars.next() {
-                Some('"') => s.push('"'),
-                Some('\\') => s.push('\\'),
-                Some('n') => s.push('\n'),
-                Some('t') => s.push('\t'),
-                other => return Err(format!("unsupported escape {other:?}")),
-            },
-            Some(c) => s.push(c),
-            None => return Err("unterminated string".into()),
-        }
-    }
+/// `put`: whole-file replacement.
+pub fn put_frame(session: &str, file: &str, bytes: &[u8]) -> String {
+    format!(
+        "{{\"op\": \"put\", \"session\": \"{}\", \"file\": \"{file}\", \"crc\": {}, \
+         \"hex\": \"{}\"}}",
+        esc(session),
+        wire::crc32(bytes),
+        encode_hex(bytes)
+    )
+}
+
+/// `remove`: a file the leader compacted away.
+pub fn remove_frame(session: &str, file: &str) -> String {
+    format!(
+        "{{\"op\": \"remove\", \"session\": \"{}\", \"file\": \"{file}\"}}",
+        esc(session)
+    )
 }
 
 // ---------------------------------------------------------------------
@@ -702,6 +662,51 @@ mod tests {
     }
 
     #[test]
+    fn stock_encoder_escapes_are_accepted() {
+        // What Python's json.dumps emits for non-ASCII text, plus the
+        // optional `\/`: refused as "unsupported escape" before the
+        // shared reader, although the server itself emits `\u00XX`.
+        assert_eq!(
+            parse_frame(
+                r#"{"op": "repl_hello", "node": "caf\u00e9 \ud83d\ude00", "advertise": "h\/1:9\r"}"#
+            )
+            .unwrap(),
+            ClientFrame::ReplHello {
+                node: "café 😀".into(),
+                advertise: Some("h/1:9\r".into()),
+            }
+        );
+        // Escapes in a session name decode *before* validation: an
+        // escaped spelling opens the same session as the plain one,
+        // and an escaped path separator is still a bad name.
+        for op in ["hello", "resume"] {
+            let frame =
+                format!(r#"{{"op": "{op}", "session": "t\u0065nant-1", "x": "caf\u00e9"}}"#);
+            match parse_frame(&frame).unwrap() {
+                ClientFrame::Hello { session, .. } | ClientFrame::Resume { session, .. } => {
+                    assert_eq!(session, "tenant-1")
+                }
+                other => panic!("parsed as {other:?}"),
+            }
+        }
+        for bad in [
+            r#"{"op": "hello", "session": "a\/b"}"#,
+            r#"{"op": "hello", "session": "caf\u00e9"}"#,
+            r#"{"op": "hello", "session": "t\ud800"}"#, // lone surrogate
+            r#"{"op": "hello", "session": ["t1"]}"#,
+            r#"["op", "hello"]"#,
+        ] {
+            assert!(parse_frame(bad).is_err(), "{bad}");
+        }
+        // Values outside the flat vocabulary no longer poison a frame
+        // that does not use them (unknown fields always parse).
+        assert_eq!(
+            parse_frame(r#"{"op": "close", "meta": {"tags": [1, true, null]}}"#).unwrap(),
+            ClientFrame::Close
+        );
+    }
+
+    #[test]
     fn rejects_malicious_replication_frames() {
         for bad in [
             // Path escapes and non-log files must die in the parser.
@@ -760,15 +765,11 @@ mod tests {
     fn inventory_round_trips() {
         let files = vec![("seg-0.log".to_string(), 91), ("names.log".to_string(), 0)];
         let frame = inventory_frame("t1", &files);
-        let fields = super::parse_flat_object(&frame).unwrap();
-        let listing = fields
-            .iter()
-            .find_map(|(k, v)| match (k.as_str(), v) {
-                ("files", JsonValue::Str(s)) => Some(s.clone()),
-                _ => None,
-            })
-            .unwrap();
-        assert_eq!(parse_inventory(&listing).unwrap(), files);
+        let reply = json::parse(&frame).unwrap();
+        assert_eq!(
+            parse_inventory(reply.str_at("files").unwrap()).unwrap(),
+            files
+        );
         assert_eq!(parse_inventory("").unwrap(), Vec::new());
         assert!(parse_inventory("../x:3").is_err());
         assert!(parse_inventory("seg-0.log").is_err());

@@ -37,6 +37,9 @@
 //! as `sli.repl_lag_records`/`sli.repl_lag_bytes` gauges, and the
 //! worst acknowledged lag across followers is what `/health` compares
 //! against `--repl-lag-max`.
+//!
+//! [`SessionLog`]: crate::log::SessionLog
+//! [`SessionLog::recover`]: crate::log::SessionLog::recover
 
 use std::collections::HashMap;
 use std::fs::{self, OpenOptions};
@@ -48,7 +51,12 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
-use adya_obs::{json::esc, labeled, trace::Stage, TracePlane};
+use adya_obs::{
+    json::{self, esc},
+    labeled,
+    trace::Stage,
+    TracePlane,
+};
 use adya_online::{wire, EventLogReader};
 
 use crate::log::{FsyncPolicy, SNAP_MAGIC};
@@ -96,13 +104,11 @@ enum MutKind {
     Append {
         file: String,
         off: u64,
-        crc: u32,
         bytes: Arc<[u8]>,
         records: u64,
     },
     Put {
         file: String,
-        crc: u32,
         bytes: Arc<[u8]>,
     },
     Remove {
@@ -130,33 +136,12 @@ impl Mutation {
     }
 
     fn frame(&self) -> String {
-        let s = esc(&self.session);
         match &self.kind {
             MutKind::Append {
-                file,
-                off,
-                crc,
-                bytes,
-                ..
-            } => {
-                let trace = match self.trace {
-                    Some(id) => format!(", \"trace\": \"{}\"", adya_obs::fmt_trace_id(id)),
-                    None => String::new(),
-                };
-                format!(
-                    "{{\"op\": \"append\", \"session\": \"{s}\", \"file\": \"{file}\", \
-                     \"off\": {off}, \"crc\": {crc}, \"hex\": \"{}\"{trace}}}",
-                    proto::encode_hex(bytes)
-                )
-            }
-            MutKind::Put { file, crc, bytes } => format!(
-                "{{\"op\": \"put\", \"session\": \"{s}\", \"file\": \"{file}\", \
-                 \"crc\": {crc}, \"hex\": \"{}\"}}",
-                proto::encode_hex(bytes)
-            ),
-            MutKind::Remove { file } => {
-                format!("{{\"op\": \"remove\", \"session\": \"{s}\", \"file\": \"{file}\"}}")
-            }
+                file, off, bytes, ..
+            } => proto::append_frame(&self.session, file, *off, bytes, self.trace),
+            MutKind::Put { file, bytes } => proto::put_frame(&self.session, file, bytes),
+            MutKind::Remove { file } => proto::remove_frame(&self.session, file),
         }
     }
 }
@@ -396,10 +381,9 @@ impl ReplicationHub {
             esc(&self.node),
             esc(&self.advertise)
         )?;
-        let hello = self.read_reply(r)?;
-        if json_str_field(&hello, "ok") != Some("repl_hello") {
-            return Err(bad_reply("repl_hello", &hello));
-        }
+        self.read_reply(r, "repl_hello", |reply| {
+            (reply.str_at("ok") == Some("repl_hello")).then_some(())
+        })?;
         let rtt = adya_obs::global().histogram("sli.repl_ack_rtt_us");
         // Trace ids of traced mutations sent since the last barrier:
         // their `ack` stamp lands when that barrier is acknowledged.
@@ -451,11 +435,9 @@ impl ReplicationHub {
 
     fn barrier(&self, w: &mut TcpStream, r: &mut BufReader<TcpStream>, seq: u64) -> io::Result<()> {
         writeln!(w, "{{\"op\": \"repl_flush\", \"seq\": {seq}}}")?;
-        let line = self.read_reply(r)?;
-        if json_u64_field(&line, "ack") != Some(seq) {
-            return Err(bad_reply("ack", &line));
-        }
-        Ok(())
+        self.read_reply(r, "ack", |reply| {
+            (reply.u64_at("ack") == Some(seq)).then_some(())
+        })
     }
 
     /// Ships every byte the follower's inventory says it is missing.
@@ -477,12 +459,11 @@ impl ReplicationHub {
         };
         for session in list_sessions(&self.data_dir)? {
             writeln!(w, "{{\"op\": \"replicate\", \"session\": \"{session}\"}}")?;
-            let reply = self.read_reply(r)?;
-            if json_str_field(&reply, "ok") != Some("replicate") {
-                return Err(bad_reply("replicate", &reply));
-            }
-            let listing = json_str_field(&reply, "files").unwrap_or("");
-            let inv: HashMap<String, u64> = proto::parse_inventory(listing)
+            let listing = self.read_reply(r, "replicate", |reply| {
+                (reply.str_at("ok") == Some("replicate"))
+                    .then(|| reply.str_at("files").unwrap_or("").to_string())
+            })?;
+            let inv: HashMap<String, u64> = proto::parse_inventory(&listing)
                 .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?
                 .into_iter()
                 .collect();
@@ -504,34 +485,19 @@ impl ReplicationHub {
                             // Follower holds more than we do: divergent
                             // history (e.g. it outlived a wider tail).
                             // Reship from scratch.
-                            writeln!(
-                                w,
-                                "{{\"op\": \"remove\", \"session\": \"{session}\", \
-                                 \"file\": \"{file}\"}}"
-                            )?;
+                            writeln!(w, "{}", proto::remove_frame(&session, file))?;
                             0
                         }
                         None => 0,
                     };
                     for chunk_start in (have..data.len()).step_by(CHUNK) {
                         let chunk = &data[chunk_start..data.len().min(chunk_start + CHUNK)];
-                        writeln!(
-                            w,
-                            "{{\"op\": \"append\", \"session\": \"{session}\", \
-                             \"file\": \"{file}\", \"off\": {chunk_start}, \"crc\": {}, \
-                             \"hex\": \"{}\"}}",
-                            wire::crc32(chunk),
-                            proto::encode_hex(chunk)
-                        )?;
+                        let frame =
+                            proto::append_frame(&session, file, chunk_start as u64, chunk, None);
+                        writeln!(w, "{frame}")?;
                     }
                 } else if inv.get(file) != Some(&(data.len() as u64)) {
-                    writeln!(
-                        w,
-                        "{{\"op\": \"put\", \"session\": \"{session}\", \"file\": \"{file}\", \
-                         \"crc\": {}, \"hex\": \"{}\"}}",
-                        wire::crc32(&data),
-                        proto::encode_hex(&data)
-                    )?;
+                    writeln!(w, "{}", proto::put_frame(&session, file, &data))?;
                 }
             }
             // Files the leader compacted away while the follower was
@@ -539,11 +505,7 @@ impl ReplicationHub {
             // loses coverage it cannot yet replace.
             for file in inv.keys() {
                 if !local.iter().any(|(f, _)| f == file) {
-                    writeln!(
-                        w,
-                        "{{\"op\": \"remove\", \"session\": \"{session}\", \
-                         \"file\": \"{file}\"}}"
-                    )?;
+                    writeln!(w, "{}", proto::remove_frame(&session, file))?;
                 }
             }
         }
@@ -570,8 +532,16 @@ impl ReplicationHub {
     }
 
     /// Reads one reply line, tolerating the 100ms poll timeout, up to
-    /// [`REPLY_DEADLINE`]; checks the stop flag between polls.
-    fn read_reply(&self, r: &mut BufReader<TcpStream>) -> io::Result<String> {
+    /// [`REPLY_DEADLINE`] (checking the stop flag between polls), and
+    /// hands the parsed frame to `accept`; a reply that does not parse
+    /// or that `accept` turns down means the follower did not
+    /// `expected`.
+    fn read_reply<T>(
+        &self,
+        r: &mut BufReader<TcpStream>,
+        expected: &str,
+        accept: impl FnOnce(&json::Value) -> Option<T>,
+    ) -> io::Result<T> {
         let deadline = Instant::now() + REPLY_DEADLINE;
         let mut buf = Vec::new();
         loop {
@@ -584,8 +554,16 @@ impl ReplicationHub {
                 }
                 Ok(0) => {}
                 Ok(_) if buf.ends_with(b"\n") => {
-                    let line = String::from_utf8_lossy(&buf).trim().to_string();
-                    return Ok(line);
+                    let line = String::from_utf8_lossy(&buf);
+                    return json::parse(&line)
+                        .ok()
+                        .and_then(|reply| accept(&reply))
+                        .ok_or_else(|| {
+                            io::Error::new(
+                                io::ErrorKind::InvalidData,
+                                format!("follower did not {expected}: {}", line.trim()),
+                            )
+                        });
                 }
                 Ok(_) => continue,
                 Err(e)
@@ -614,13 +592,6 @@ impl Drop for ReplicationHub {
             let _ = t.join();
         }
     }
-}
-
-fn bad_reply(expected: &str, line: &str) -> io::Error {
-    io::Error::new(
-        io::ErrorKind::InvalidData,
-        format!("follower did not {expected}: {line}"),
-    )
 }
 
 /// Session subdirectories of the data root, valid names only.
@@ -678,25 +649,6 @@ fn scan_replica_files(dir: &Path) -> io::Result<Vec<(String, u64)>> {
     Ok(out)
 }
 
-/// Extracts `"key": "<value>"` from a flat reply line.
-fn json_str_field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    let pat = format!("\"{key}\": \"");
-    let at = line.find(&pat)? + pat.len();
-    let rest = &line[at..];
-    Some(&rest[..rest.find('"')?])
-}
-
-/// Extracts `"key": <uint>` from a flat reply line.
-fn json_u64_field(line: &str, key: &str) -> Option<u64> {
-    let pat = format!("\"{key}\": ");
-    let at = line.find(&pat)? + pat.len();
-    let rest = &line[at..];
-    let end = rest
-        .find(|c: char| !c.is_ascii_digit())
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
 /// A [`SessionLog`]'s handle for publishing its durable mutations into
 /// the hub ring.
 ///
@@ -736,7 +688,6 @@ impl LogPublisher {
             MutKind::Append {
                 file: file.to_string(),
                 off,
-                crc: wire::crc32(bytes),
                 bytes: Arc::from(bytes),
                 records,
             },
@@ -750,7 +701,6 @@ impl LogPublisher {
             &self.session,
             MutKind::Put {
                 file: file.to_string(),
-                crc: wire::crc32(bytes),
                 bytes: Arc::from(bytes),
             },
             None,
@@ -956,7 +906,11 @@ fn sanitize_session_dir(dir: &Path) -> io::Result<()> {
                     .set_len(good as u64)?;
                 adya_obs::counter!("serve.repl_sanitized_tails").inc();
             }
-        } else if name.starts_with("snap-") && !snapshot_container_ok(&fs::read(&path)?) {
+        } else if name.starts_with("snap-")
+            // Cheap container validation — magic, declared length,
+            // CRC — without decoding the checker state inside.
+            && wire::open(&SNAP_MAGIC, &fs::read(&path)?).is_none()
+        {
             let _ = fs::remove_file(&path);
         }
     }
@@ -976,17 +930,6 @@ fn intact_log_prefix(buf: &[u8]) -> usize {
             Some(Err(_)) | None => return good,
         }
     }
-}
-
-/// Cheap container validation: magic, declared length, CRC — without
-/// decoding the checker state inside.
-fn snapshot_container_ok(bytes: &[u8]) -> bool {
-    if bytes.len() < 16 || bytes[..8] != SNAP_MAGIC {
-        return false;
-    }
-    let len = u32::from_le_bytes([bytes[8], bytes[9], bytes[10], bytes[11]]) as usize;
-    let crc = u32::from_le_bytes([bytes[12], bytes[13], bytes[14], bytes[15]]);
-    bytes.len() == 16 + len && wire::crc32(&bytes[16..]) == crc
 }
 
 #[cfg(test)]

@@ -540,7 +540,12 @@ fn dispatch_line(
     }
     // First line of an HTTP scrape: same port, different protocol.
     if conn.attached.is_none() && (line.starts_with("GET ") || line.starts_with("HEAD ")) {
-        serve_http(line, stream, reader, inner);
+        // The request line is already off the socket: hand it back in
+        // front of the rest of the stream, so the one HTTP responder
+        // bounds, drains and answers this port exactly as it does the
+        // obs endpoint.
+        let mut request = io::Cursor::new(raw.as_bytes()).chain(reader);
+        adya_obs::http::serve_request(&mut request, stream, |path| route_http(path, inner));
         return LineOutcome::End;
     }
     if line.starts_with('{') {
@@ -1036,36 +1041,14 @@ fn lookup_or_recover(
     result
 }
 
-/// Serves one HTTP request on a connection that opened with `GET`.
-fn serve_http(
-    request_line: &str,
-    stream: &mut Box<dyn Conn>,
-    reader: &mut BufReader<Box<dyn Read + Send>>,
-    inner: &Inner,
-) {
-    // Drain headers.
-    loop {
-        let mut h = String::new();
-        match reader.read_line(&mut h) {
-            Ok(0) => break,
-            Ok(_) if h == "\r\n" || h == "\n" => break,
-            Ok(_) => continue,
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
-            {
-                continue
-            }
-            Err(_) => break,
-        }
-    }
-    let target = request_line.split_whitespace().nth(1).unwrap_or("");
-    let path = target.split('?').next().unwrap_or(target);
+/// Routes one scrape on the service port.
+fn route_http(path: &str, inner: &Inner) -> adya_obs::Response {
     let role = if inner.follower.load(Ordering::Relaxed) {
         "follower"
     } else {
         "leader"
     };
-    let resp = match path {
+    match path {
         // Fleet-wide scrapes aggregate many nodes: every series
         // carries this node's identity and current role.
         "/metrics" => adya_obs::Response::ok(
@@ -1104,24 +1087,7 @@ fn serve_http(
             }
         }
         _ => adya_obs::Response::status(404, "not found\n"),
-    };
-    let reason = match resp.status {
-        200 => "OK",
-        404 => "Not Found",
-        503 => "Service Unavailable",
-        _ => "Unknown",
-    };
-    let head = format!(
-        "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
-        resp.status,
-        reason,
-        resp.content_type,
-        resp.body.len()
-    );
-    if stream.write_all(head.as_bytes()).is_ok() {
-        let _ = stream.write_all(&resp.body);
     }
-    let _ = stream.flush();
 }
 
 /// The fleet `/health` document: one entry per live session.

@@ -32,6 +32,8 @@ use std::io::{self, BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
+use adya_obs::json::{self, Value};
+
 use crate::retry::RetryPolicy;
 
 /// A connected (or resumable) session against an `adya-serve` replica
@@ -106,24 +108,11 @@ fn is_commit_token(tok: &str) -> bool {
         .is_some_and(|rest| !rest.is_empty() && rest.chars().all(|c| c.is_ascii_digit()))
 }
 
-/// Extracts `"key": <uint>` from a flat NDJSON frame.
-fn u64_field(line: &str, key: &str) -> Option<u64> {
-    let pat = format!("\"{key}\": ");
-    let at = line.find(&pat)? + pat.len();
-    let rest = &line[at..];
-    let end = rest
-        .find(|c: char| !c.is_ascii_digit())
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-/// Extracts `"key": "<value>"` from a flat NDJSON frame (no unescape —
-/// callers only match known machine codes).
-fn str_field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    let pat = format!("\"{key}\": \"");
-    let at = line.find(&pat)? + pat.len();
-    let rest = &line[at..];
-    Some(&rest[..rest.find('"')?])
+/// Parses one server control frame with the workspace's JSON reader.
+/// A line that is not JSON reads as `null`, so every field lookup on
+/// it misses and the caller reports a protocol error with the line.
+fn frame(line: &str) -> Value {
+    json::parse(line).unwrap_or(Value::Null)
 }
 
 impl ServeClient {
@@ -171,11 +160,11 @@ impl ServeClient {
                 "{{\"op\": \"hello\", \"session\": \"{session}\"{opt_in}}}"
             ))?;
             let ack = client.read_line()?;
-            if str_field(&ack, "ok") == Some("hello") {
+            let reply = frame(&ack);
+            if reply.str_at("ok") == Some("hello") {
                 return Ok(client);
             }
-            if str_field(&ack, "error") == Some("not_leader") && redirects <= client.endpoints.len()
-            {
+            if reply.str_at("error") == Some("not_leader") && redirects <= client.endpoints.len() {
                 redirects += 1;
                 client.adopt_leader_hint(&ack);
                 continue;
@@ -197,7 +186,7 @@ impl ServeClient {
     /// endpoints on the fly), or to the next endpoint when the refusing
     /// node does not know where the leader is.
     fn adopt_leader_hint(&mut self, line: &str) {
-        match str_field(line, "leader") {
+        match frame(line).str_at("leader") {
             Some(hint) => match self.endpoints.iter().position(|e| e == hint) {
                 Some(i) => self.current = i,
                 None => {
@@ -343,7 +332,7 @@ impl ServeClient {
                     // regenerate the rest by re-sending tokens —
                     // checker determinism makes the regenerated lines
                     // byte-identical.
-                    let durable = u64_field(&line, "durable").ok_or_else(|| {
+                    let durable = frame(&line).u64_at("durable").ok_or_else(|| {
                         ClientError::Protocol(format!("verdicts_ahead missing durable: {line}"))
                     })? as usize;
                     adya_obs::counter!("serve_client.verdict_rollbacks").inc();
@@ -368,7 +357,7 @@ impl ServeClient {
     fn promote(&mut self) -> Result<(), ClientError> {
         self.send_frame("{\"op\": \"promote\"}")?;
         let ack = self.read_line()?;
-        if str_field(&ack, "ok") != Some("promote") {
+        if frame(&ack).str_at("ok") != Some("promote") {
             return Err(server_error(ack));
         }
         adya_obs::counter!("serve_client.promotions").inc();
@@ -390,18 +379,21 @@ impl ServeClient {
         ))?;
         let mut ack = self.read_line()?;
         // A torn-tail healing notice precedes the ack.
-        if str_field(&ack, "error") == Some("truncated_input") {
+        if frame(&ack).str_at("error") == Some("truncated_input") {
             self.truncated_notices.push(ack);
             ack = self.read_line()?;
         }
-        if str_field(&ack, "ok") != Some("resume") {
+        let reply = frame(&ack);
+        if reply.str_at("ok") != Some("resume") {
             return Err(server_error(ack));
         }
-        let durable = u64_field(&ack, "events")
-            .ok_or_else(|| ClientError::Protocol(format!("resume ack missing events: {ack}")))?
-            as usize;
-        let replay = u64_field(&ack, "replay")
-            .ok_or_else(|| ClientError::Protocol(format!("resume ack missing replay: {ack}")))?;
+        let field = |key: &str| {
+            reply
+                .u64_at(key)
+                .ok_or_else(|| ClientError::Protocol(format!("resume ack missing {key}: {ack}")))
+        };
+        let durable = field("events")? as usize;
+        let replay = field("replay")?;
         for _ in 0..replay {
             let line = self.read_line()?;
             self.verdicts.push(line);
@@ -424,7 +416,7 @@ impl ServeClient {
             return Err(server_error(fin));
         }
         let closing = self.read_line()?;
-        if str_field(&closing, "closing") != Some("close") {
+        if frame(&closing).str_at("closing") != Some("close") {
             return Err(server_error(closing));
         }
         Ok(fin)
@@ -432,7 +424,10 @@ impl ServeClient {
 }
 
 fn server_error(line: String) -> ClientError {
-    let code = str_field(&line, "error").unwrap_or("protocol").to_string();
+    let code = frame(&line)
+        .str_at("error")
+        .unwrap_or("protocol")
+        .to_string();
     ClientError::Server(code, line)
 }
 
@@ -492,11 +487,38 @@ mod tests {
 
     #[test]
     fn frame_field_extraction() {
-        let ack = "{\"ok\": \"resume\", \"session\": \"t\", \"events\": 41, \
-                   \"verdicts\": 12, \"replay\": 3}";
-        assert_eq!(u64_field(ack, "events"), Some(41));
-        assert_eq!(u64_field(ack, "replay"), Some(3));
-        assert_eq!(str_field(ack, "ok"), Some("resume"));
-        assert_eq!(u64_field(ack, "missing"), None);
+        let ack = frame(
+            "{\"ok\": \"resume\", \"session\": \"t\", \"events\": 41, \
+             \"verdicts\": 12, \"replay\": 3}",
+        );
+        assert_eq!(ack.u64_at("events"), Some(41));
+        assert_eq!(ack.u64_at("replay"), Some(3));
+        assert_eq!(ack.str_at("ok"), Some("resume"));
+        assert_eq!(ack.u64_at("missing"), None);
+        // Not JSON at all: every lookup misses.
+        assert_eq!(frame("HTTP/1.1 400 Bad Request").str_at("ok"), None);
+    }
+
+    #[test]
+    fn error_details_with_quotes_and_backslashes_survive() {
+        // The server escapes `detail`; a scanner that stops at the
+        // first `"` used to cut it at the escaped quote, and one that
+        // searches for `"error": "` could be steered by the detail
+        // text itself.
+        let detail = r#"unrecognized token "w1(\"x\\y\", \"error\": \"not_leader\")""#;
+        let line = format!(
+            "{{\"error\": \"parse\", \"detail\": \"{}\", \"leader\": \"h:1\"}}",
+            json::esc(detail)
+        );
+        match server_error(line.clone()) {
+            ClientError::Server(code, kept) => {
+                assert_eq!(code, "parse");
+                assert_eq!(kept, line);
+            }
+            other => panic!("{other:?}"),
+        }
+        let reply = frame(&line);
+        assert_eq!(reply.str_at("detail"), Some(detail));
+        assert_eq!(reply.str_at("leader"), Some("h:1"));
     }
 }

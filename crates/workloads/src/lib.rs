@@ -19,7 +19,9 @@
 //!
 //! Plus one transport piece: [`ServeClient`], a crash-resumable TCP
 //! client for the `adya-serve` session protocol, reusing the same
-//! [`RetryPolicy`] backoff machinery for reconnects.
+//! [`RetryPolicy`] backoff machinery for reconnects — and, beside it,
+//! the [`harness`] that spawns and probes a real server process for
+//! the tests and experiments that need one.
 
 #![warn(missing_docs)]
 
@@ -27,6 +29,7 @@ mod client;
 mod concurrent;
 mod driver;
 mod generators;
+pub mod harness;
 pub mod histgen;
 mod live;
 mod program;

@@ -3,7 +3,8 @@
 //! The build environment has no reachable crates-io registry, so this
 //! local shim provides the subset of proptest the workspace's property
 //! tests use: range/tuple/`Just`/`prop_oneof!`/`collection::vec`
-//! strategies with `prop_map`/`prop_flat_map`, the `proptest!` /
+//! strategies with `prop_map`/`prop_flat_map`/`prop_recursive`,
+//! `any::<bool>()`/`any::<char>()`, the `proptest!` /
 //! `prop_assert*!` / `prop_assume!` macros, and a deterministic
 //! runner.
 //!
@@ -22,6 +23,7 @@ pub mod strategy {
     use crate::test_runner::TestRng;
     use rand::Rng as _;
     use std::ops::Range;
+    use std::rc::Rc;
 
     /// A generator of values of type `Self::Value`.
     pub trait Strategy {
@@ -48,6 +50,34 @@ pub mod strategy {
             FlatMap { inner: self, f }
         }
 
+        /// Builds a recursive strategy: `self` generates the leaves and
+        /// `recurse` wraps a strategy for smaller values into one for
+        /// larger ones, applied `depth` times with a leaf/branch coin
+        /// flip per level (the size hints of real proptest are
+        /// accepted and ignored).
+        fn prop_recursive<R, F>(
+            self,
+            depth: u32,
+            _desired_size: u32,
+            _expected_branch_size: u32,
+            recurse: F,
+        ) -> BoxedStrategy<Self::Value>
+        where
+            Self: Sized + 'static,
+            R: Strategy<Value = Self::Value> + 'static,
+            F: Fn(BoxedStrategy<Self::Value>) -> R,
+        {
+            let leaf = Rc::new(self);
+            let mut strat: BoxedStrategy<Self::Value> = Box::new(Rc::clone(&leaf));
+            for _ in 0..depth {
+                strat = Box::new(Union::new(vec![
+                    Box::new(Rc::clone(&leaf)),
+                    Box::new(recurse(strat)),
+                ]));
+            }
+            strat
+        }
+
         /// Type-erases the strategy.
         fn boxed(self) -> BoxedStrategy<Self::Value>
         where
@@ -59,6 +89,13 @@ pub mod strategy {
 
     /// A type-erased strategy.
     pub type BoxedStrategy<T> = Box<dyn Strategy<Value = T>>;
+
+    impl<S: Strategy> Strategy for Rc<S> {
+        type Value = S::Value;
+        fn new_value(&self, rng: &mut TestRng) -> S::Value {
+            (**self).new_value(rng)
+        }
+    }
 
     impl<T> Strategy for BoxedStrategy<T> {
         type Value = T;
@@ -165,6 +202,31 @@ pub mod strategy {
     tuple_strategy!(A => 0, B => 1, C => 2, D => 3, E => 4, F => 5, G => 6);
     tuple_strategy!(A => 0, B => 1, C => 2, D => 3, E => 4, F => 5, G => 6, H => 7);
 
+    /// Any Unicode scalar value (backs `any::<char>()`), weighted so
+    /// that short strings routinely mix the classes text codecs treat
+    /// differently: C0 controls, printable ASCII, the rest of the BMP
+    /// and astral code points.
+    #[derive(Debug, Clone, Copy)]
+    pub struct AnyChar;
+
+    impl Strategy for AnyChar {
+        type Value = char;
+        fn new_value(&self, rng: &mut TestRng) -> char {
+            let range = match rng.gen_range(0..4u8) {
+                0 => 0x00..0x20u32,
+                1 => 0x20..0x7f,
+                2 => 0x7f..0x1_0000,
+                _ => 0x1_0000..0x11_0000,
+            };
+            loop {
+                // Rejects only the surrogate gap.
+                if let Some(c) = char::from_u32(rng.gen_range(range.clone())) {
+                    return c;
+                }
+            }
+        }
+    }
+
     /// Uniform `bool` (backs `any::<bool>()`).
     #[derive(Debug, Clone, Copy)]
     pub struct AnyBool;
@@ -179,7 +241,7 @@ pub mod strategy {
 
 /// `any::<T>()` support for the types the workspace samples.
 pub mod arbitrary {
-    use crate::strategy::{AnyBool, Strategy};
+    use crate::strategy::{AnyBool, AnyChar, Strategy};
 
     /// Types with a canonical strategy.
     pub trait Arbitrary: Sized {
@@ -193,6 +255,13 @@ pub mod arbitrary {
         type Strategy = AnyBool;
         fn arbitrary() -> AnyBool {
             AnyBool
+        }
+    }
+
+    impl Arbitrary for char {
+        type Strategy = AnyChar;
+        fn arbitrary() -> AnyChar {
+            AnyChar
         }
     }
 
@@ -483,6 +552,18 @@ mod tests {
         ) {
             prop_assert!(k < n);
             prop_assert!((0.0..1.0).contains(&f));
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn chars_cover_every_class_and_recursion_is_bounded(
+            s in crate::collection::vec(any::<char>(), 64..65),
+            depth in Just(0u32).prop_recursive(3, 8, 2, |inner| inner.prop_map(|d| d + 1)),
+        ) {
+            prop_assert!(s.iter().any(|c| (*c as u32) < 0x20), "no C0 control in {s:?}");
+            prop_assert!(s.iter().any(|c| (*c as u32) >= 0x1_0000), "no astral char in {s:?}");
+            prop_assert!(depth <= 3);
         }
     }
 

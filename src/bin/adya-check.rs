@@ -34,7 +34,7 @@ use adya::online::{
     CheckerMonitor, EventLogReader, EventPipeline, HealthPolicy, LogError, OnlineChecker,
     PipelineConfig, StreamParser, Verdict,
 };
-use adya_obs::{trace::Stage, ObsServer, Response, TracePlane};
+use adya_obs::{json::esc, trace::Stage, ObsServer, Response, TracePlane};
 
 /// Where and how `--metrics` output is rendered.
 #[derive(Clone, Copy, PartialEq, Eq)]
@@ -73,25 +73,6 @@ struct Args {
     /// latency provenance (tap → ring → seq → apply → verdict); the
     /// `/trace` route then embeds the segment for `trace-merge`.
     trace_propagate: bool,
-}
-
-/// Minimal JSON string escaping (the only dynamic content is names and
-/// witness strings).
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// Renders the analysis as a JSON object (hand-rolled: the sanctioned

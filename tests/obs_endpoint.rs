@@ -4,75 +4,11 @@
 //! fault-injected ingest lag crosses the threshold, and surface
 //! fired phenomena as witness-id exemplars.
 
-use std::io::{BufRead as _, BufReader, Read as _, Write as _};
-use std::net::TcpStream;
-use std::process::{Child, Command, Stdio};
+mod common;
+
 use std::time::Duration;
 
-/// Holds the spawned streaming process with its stdin open so the
-/// obs endpoint stays up, and kills it on drop.
-struct StreamingChild(Child);
-
-impl Drop for StreamingChild {
-    fn drop(&mut self) {
-        let _ = self.0.kill();
-        let _ = self.0.wait();
-    }
-}
-
-/// Starts `adya-check --stream --obs-listen 127.0.0.1:0 <extra>`,
-/// writes `events` to its stdin (left open), and returns the process
-/// plus the bound endpoint address parsed from stderr.
-fn spawn_streaming(extra: &[&str], events: &str) -> (StreamingChild, String) {
-    let mut child = Command::new(env!("CARGO_BIN_EXE_adya-check"))
-        .args(["--stream", "--obs-listen", "127.0.0.1:0"])
-        .args(extra)
-        .stdin(Stdio::piped())
-        .stdout(Stdio::piped())
-        .stderr(Stdio::piped())
-        .spawn()
-        .expect("spawn adya-check --stream");
-    child
-        .stdin
-        .as_mut()
-        .expect("piped stdin")
-        .write_all(events.as_bytes())
-        .expect("write events");
-    let stderr = child.stderr.take().expect("piped stderr");
-    let mut line = String::new();
-    BufReader::new(stderr)
-        .read_line(&mut line)
-        .expect("read listen line");
-    let addr = line
-        .rsplit_once("listening on ")
-        .unwrap_or_else(|| panic!("unexpected stderr line: {line:?}"))
-        .1
-        .trim()
-        .to_string();
-    (StreamingChild(child), addr)
-}
-
-/// One HTTP GET against the obs endpoint; returns (status, body).
-fn http_get(addr: &str, path: &str) -> (u16, String) {
-    let mut s = TcpStream::connect(addr).expect("connect obs endpoint");
-    write!(
-        s,
-        "GET {path} HTTP/1.1\r\nHost: adya\r\nConnection: close\r\n\r\n"
-    )
-    .expect("send");
-    let mut response = String::new();
-    s.read_to_string(&mut response).expect("read response");
-    let status: u16 = response
-        .split_whitespace()
-        .nth(1)
-        .and_then(|c| c.parse().ok())
-        .unwrap_or_else(|| panic!("bad status line: {response:?}"));
-    let body = response
-        .split_once("\r\n\r\n")
-        .map(|(_, b)| b.to_string())
-        .unwrap_or_default();
-    (status, body)
-}
+use common::{http_get, spawn_streaming};
 
 /// Polls `path` until `pred(body)` holds (the stream applies events
 /// asynchronously), returning the last (status, body).

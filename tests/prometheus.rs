@@ -6,12 +6,14 @@
 //! Regenerate the golden with
 //! `REGEN_GOLDEN=1 cargo test --test prometheus`.
 
+mod common;
+
 use std::collections::{HashMap, HashSet};
-use std::io::{BufRead as _, BufReader, Read as _, Write as _};
-use std::net::TcpStream;
-use std::process::{Child, Command, Stdio};
+use std::io::Write as _;
+use std::process::{Command, Stdio};
 
 use adya_obs::Registry;
+use common::{data_dir, http_get, spawn_server, spawn_streaming};
 
 /// Lints `text` against the text exposition format (version 0.0.4):
 /// every sample belongs to a family declared by a `# HELP` line
@@ -175,69 +177,6 @@ fn cli_metrics_prom_is_well_formed() {
     assert!(prom.contains("checker_analyses"), "{prom}");
 }
 
-/// Holds the spawned streaming process with its stdin open so the
-/// obs endpoint stays up, and kills it on drop.
-struct StreamingChild(Child);
-
-impl Drop for StreamingChild {
-    fn drop(&mut self) {
-        let _ = self.0.kill();
-        let _ = self.0.wait();
-    }
-}
-
-/// Starts `adya-check --stream --obs-listen 127.0.0.1:0` with some
-/// events applied, returning the process and the bound address.
-fn spawn_streaming() -> (StreamingChild, String) {
-    let mut child = Command::new(env!("CARGO_BIN_EXE_adya-check"))
-        .args(["--stream", "--obs-listen", "127.0.0.1:0"])
-        .stdin(Stdio::piped())
-        .stdout(Stdio::piped())
-        .stderr(Stdio::piped())
-        .spawn()
-        .expect("spawn adya-check --stream");
-    child
-        .stdin
-        .as_mut()
-        .expect("piped stdin")
-        .write_all(b"w1(x,1) c1 r2(x1) c2\n")
-        .expect("write events");
-    let stderr = child.stderr.take().expect("piped stderr");
-    let mut line = String::new();
-    BufReader::new(stderr)
-        .read_line(&mut line)
-        .expect("read listen line");
-    let addr = line
-        .rsplit_once("listening on ")
-        .unwrap_or_else(|| panic!("unexpected stderr line: {line:?}"))
-        .1
-        .trim()
-        .to_string();
-    (StreamingChild(child), addr)
-}
-
-/// One HTTP/1.1 GET against the obs endpoint; returns (status, body).
-fn http_get(addr: &str, path: &str) -> (u16, String) {
-    let mut s = TcpStream::connect(addr).expect("connect obs endpoint");
-    write!(
-        s,
-        "GET {path} HTTP/1.1\r\nHost: adya\r\nConnection: close\r\n\r\n"
-    )
-    .expect("send");
-    let mut response = String::new();
-    s.read_to_string(&mut response).expect("read response");
-    let status: u16 = response
-        .split_whitespace()
-        .nth(1)
-        .and_then(|c| c.parse().ok())
-        .unwrap_or_else(|| panic!("bad status line: {response:?}"));
-    let body = response
-        .split_once("\r\n\r\n")
-        .map(|(_, b)| b.to_string())
-        .unwrap_or_default();
-    (status, body)
-}
-
 /// Asserts every sample line in `text` carries `key="value"` for each
 /// required fleet label — a scrape that cannot be told apart from
 /// another node's is a lint failure, not a dashboard surprise.
@@ -258,67 +197,29 @@ fn assert_fleet_labels(text: &str, labels: &[(&str, &str)]) {
     assert!(samples > 0, "no samples to check: {text}");
 }
 
-/// Spawns `adya-serve` with `extra` flags over a scratch data dir,
-/// returning the process and bound address (its obs plane shares the
-/// service port).
-fn spawn_serve(extra: &[&str]) -> (StreamingChild, String, std::path::PathBuf) {
-    let data = std::env::temp_dir().join(format!(
-        "adya-prom-labels-{}-{}",
-        std::process::id(),
-        extra.len()
-    ));
-    let _ = std::fs::remove_dir_all(&data);
-    let mut child = Command::new(env!("CARGO_BIN_EXE_adya-serve"))
-        .arg("--data")
-        .arg(&data)
-        .args(["--listen", "127.0.0.1:0"])
-        .args(extra)
-        .stdin(Stdio::null())
-        .stdout(Stdio::null())
-        .stderr(Stdio::piped())
-        .spawn()
-        .expect("spawn adya-serve");
-    let stderr = child.stderr.take().expect("piped stderr");
-    let mut reader = BufReader::new(stderr);
-    let mut line = String::new();
-    reader.read_line(&mut line).expect("read listen line");
-    let addr = line
-        .rsplit_once("listening on ")
-        .unwrap_or_else(|| panic!("unexpected stderr line: {line:?}"))
-        .1
-        .trim()
-        .to_string();
-    // Keep draining stderr: dropping the pipe would make the server's
-    // own connection logging fail mid-request.
-    std::thread::spawn(move || {
-        let _ = std::io::copy(&mut reader, &mut std::io::sink());
-    });
-    (StreamingChild(child), addr, data)
-}
-
 #[test]
 fn serve_metrics_carry_node_and_role_labels() {
-    let (_leader, addr, data) = spawn_serve(&["--node", "n-lead"]);
+    let data = data_dir("prom-labels-leader");
+    let (_leader, addr) = spawn_server(&data, "127.0.0.1:0", &["--node", "n-lead"]);
     let (status, body) = http_get(&addr, "/metrics");
     assert_eq!(status, 200);
     lint_prometheus(&body);
     assert_fleet_labels(&body, &[("node", "n-lead"), ("role", "leader")]);
-    let _ = std::fs::remove_dir_all(data);
 }
 
 #[test]
 fn serve_metrics_follower_role_label() {
-    let (_follower, addr, data) = spawn_serve(&["--node", "n-foll", "--follower"]);
+    let data = data_dir("prom-labels-follower");
+    let (_follower, addr) = spawn_server(&data, "127.0.0.1:0", &["--node", "n-foll", "--follower"]);
     let (status, body) = http_get(&addr, "/metrics");
     assert_eq!(status, 200);
     lint_prometheus(&body);
     assert_fleet_labels(&body, &[("node", "n-foll"), ("role", "follower")]);
-    let _ = std::fs::remove_dir_all(data);
 }
 
 #[test]
 fn obs_endpoint_metrics_is_well_formed() {
-    let (_child, addr) = spawn_streaming();
+    let (_child, addr) = spawn_streaming(&[], "w1(x,1) c1 r2(x1) c2\n");
     // The endpoint is up before the first event applies; poll until
     // ingest shows, then lint the full exposition.
     let mut body = String::new();

@@ -6,144 +6,15 @@
 //! degrades to 503 when acknowledged follower lag exceeds
 //! `--repl-lag-max`.
 
-use std::io::{BufRead as _, BufReader, Read as _, Write as _};
+mod common;
+
+use std::io::{BufRead as _, BufReader, Write as _};
 use std::net::TcpStream;
-use std::path::PathBuf;
-use std::process::{Child, Command, Stdio};
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
-use adya::online::{GcConfig, OnlineChecker, StreamParser};
-use adya::workloads::{ClientError, RetryPolicy, ServeClient};
-
-struct Server(Child);
-
-impl Drop for Server {
-    fn drop(&mut self) {
-        let _ = self.0.kill();
-        let _ = self.0.wait();
-    }
-}
-
-fn data_dir(name: &str) -> PathBuf {
-    let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join(name);
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
-
-/// Spawns `adya-serve` on `listen` over `data`, returning the process
-/// and the actually-bound address. Retries briefly so a restart can
-/// rebind the port a killed predecessor just held.
-fn spawn_server(data: &std::path::Path, listen: &str, extra: &[&str]) -> (Server, String) {
-    for attempt in 0..50 {
-        let mut child = Command::new(env!("CARGO_BIN_EXE_adya-serve"))
-            .arg("--data")
-            .arg(data)
-            .args([
-                "--listen",
-                listen,
-                "--snapshot-every",
-                "8",
-                "--rotate-events",
-                "16",
-            ])
-            .args(extra)
-            .stdin(Stdio::null())
-            .stdout(Stdio::null())
-            .stderr(Stdio::piped())
-            .spawn()
-            .expect("spawn adya-serve");
-        let stderr = child.stderr.take().expect("piped stderr");
-        let mut reader = BufReader::new(stderr);
-        let mut line = String::new();
-        reader.read_line(&mut line).expect("read first stderr line");
-        if let Some((_, addr)) = line.rsplit_once("listening on ") {
-            std::thread::spawn(move || {
-                let _ = std::io::copy(&mut reader, &mut std::io::sink());
-            });
-            return (Server(child), addr.trim().to_string());
-        }
-        let _ = child.kill();
-        let _ = child.wait();
-        assert!(attempt < 49, "adya-serve kept failing to bind: {line:?}");
-        std::thread::sleep(Duration::from_millis(100));
-    }
-    unreachable!()
-}
-
-/// A deterministic token stream for one session: interleaved begins,
-/// version-correct reads, writes and commits over eight objects.
-fn session_tokens(session: usize, txns: u64) -> Vec<String> {
-    let mut tokens = Vec::new();
-    let mut last_writer = [None::<u64>; 8];
-    let obj = |i: usize| (b'a' + i as u8) as char;
-    for t in 1..=txns {
-        let wobj = ((t as usize) * 7 + session) % 8;
-        let robj = ((t as usize) * 3 + session) % 8;
-        tokens.push(format!("b{t}"));
-        if let Some(w) = last_writer[robj] {
-            tokens.push(format!("r{t}(k{}{w})", obj(robj)));
-        }
-        tokens.push(format!("w{t}(k{},{t})", obj(wobj)));
-        tokens.push(format!("c{t}"));
-        last_writer[wobj] = Some(t);
-    }
-    tokens
-}
-
-/// The uninterrupted in-process reference — (verdict lines, final line).
-fn reference(tokens: &[String]) -> (Vec<String>, String) {
-    let mut parser = StreamParser::new();
-    let mut checker = OnlineChecker::with_gc(GcConfig::default());
-    let mut verdicts = Vec::new();
-    for tok in tokens {
-        let ev = parser.parse_token(tok).expect("reference tokens parse");
-        if let Some(v) = checker.ingest(&ev) {
-            verdicts.push(v.to_json());
-        }
-    }
-    (verdicts, checker.finish().to_json())
-}
-
-/// Streams one token, transparently failing over (and counting the
-/// resume) when the current endpoint is down.
-fn send_resilient(client: &mut ServeClient, tok: &str, hint: &str, resumes: &mut u32) {
-    match client.send_token(tok) {
-        Ok(()) => {}
-        Err(ClientError::Io(_)) => {
-            let policy = RetryPolicy {
-                deadline_ops: Some(2_000),
-                ..RetryPolicy::default()
-            };
-            client
-                .resume(&policy, 0xAD7A)
-                .unwrap_or_else(|e| panic!("failover resume ({hint}) failed: {e}"));
-            *resumes += 1;
-        }
-        Err(e) => panic!("protocol error streaming {tok:?}: {e}"),
-    }
-}
-
-fn http_get(addr: &str, path: &str) -> (u16, String) {
-    let mut s = TcpStream::connect(addr).expect("connect service port");
-    write!(
-        s,
-        "GET {path} HTTP/1.1\r\nHost: adya\r\nConnection: close\r\n\r\n"
-    )
-    .expect("send");
-    let mut response = String::new();
-    s.read_to_string(&mut response).expect("read response");
-    let status: u16 = response
-        .split_whitespace()
-        .nth(1)
-        .and_then(|c| c.parse().ok())
-        .unwrap_or_else(|| panic!("bad status line: {response:?}"));
-    let body = response
-        .split_once("\r\n\r\n")
-        .map(|(_, b)| b.to_string())
-        .unwrap_or_default();
-    (status, body)
-}
+use adya::workloads::{RetryPolicy, ServeClient};
+use common::{data_dir, http_get, reference, send_resilient, session_tokens, spawn_server};
 
 /// Polls `/health` until `pred` accepts the body (any status), with a
 /// hard deadline.

@@ -5,146 +5,16 @@
 //! plane, graceful SIGTERM drains, and the fleet obs endpoints on the
 //! service port.
 
-use std::io::{BufRead as _, BufReader, Read as _, Write as _};
+mod common;
+
+use std::io::{BufRead as _, BufReader, Write as _};
 use std::net::TcpStream;
-use std::path::PathBuf;
-use std::process::{Child, Command, Stdio};
+use std::process::Command;
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
-use adya::online::{GcConfig, OnlineChecker, StreamParser};
 use adya::workloads::{ClientError, RetryPolicy, ServeClient};
-
-struct Server(Child);
-
-impl Drop for Server {
-    fn drop(&mut self) {
-        let _ = self.0.kill();
-        let _ = self.0.wait();
-    }
-}
-
-fn data_dir(name: &str) -> PathBuf {
-    let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join(name);
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
-
-/// Spawns `adya-serve` on `listen` over `data`, returning the process
-/// and the actually-bound address. Retries briefly so a restart can
-/// rebind the port a killed predecessor just held.
-fn spawn_server(data: &std::path::Path, listen: &str, extra: &[&str]) -> (Server, String) {
-    for attempt in 0..50 {
-        let mut child = Command::new(env!("CARGO_BIN_EXE_adya-serve"))
-            .arg("--data")
-            .arg(data)
-            .args([
-                "--listen",
-                listen,
-                "--snapshot-every",
-                "8",
-                "--rotate-events",
-                "16",
-            ])
-            .args(extra)
-            .stdin(Stdio::null())
-            .stdout(Stdio::null())
-            .stderr(Stdio::piped())
-            .spawn()
-            .expect("spawn adya-serve");
-        let stderr = child.stderr.take().expect("piped stderr");
-        let mut reader = BufReader::new(stderr);
-        let mut line = String::new();
-        reader.read_line(&mut line).expect("read first stderr line");
-        if let Some((_, addr)) = line.rsplit_once("listening on ") {
-            // Keep stderr draining so the child never blocks on it.
-            std::thread::spawn(move || {
-                let _ = std::io::copy(&mut reader, &mut std::io::sink());
-            });
-            return (Server(child), addr.trim().to_string());
-        }
-        let _ = child.kill();
-        let _ = child.wait();
-        assert!(attempt < 49, "adya-serve kept failing to bind: {line:?}");
-        std::thread::sleep(Duration::from_millis(100));
-    }
-    unreachable!()
-}
-
-/// A deterministic token stream for one session: interleaved begins,
-/// version-correct reads, writes and commits over eight objects.
-fn session_tokens(session: usize, txns: u64) -> Vec<String> {
-    let mut tokens = Vec::new();
-    let mut last_writer = [None::<u64>; 8];
-    let obj = |i: usize| (b'a' + i as u8) as char;
-    for t in 1..=txns {
-        let wobj = ((t as usize) * 7 + session) % 8;
-        let robj = ((t as usize) * 3 + session) % 8;
-        tokens.push(format!("b{t}"));
-        if let Some(w) = last_writer[robj] {
-            tokens.push(format!("r{t}(k{}{w})", obj(robj)));
-        }
-        tokens.push(format!("w{t}(k{},{t})", obj(wobj)));
-        tokens.push(format!("c{t}"));
-        last_writer[wobj] = Some(t);
-    }
-    tokens
-}
-
-/// The uninterrupted in-process reference: same tokens, same checker
-/// configuration as a server session — (verdict lines, final line).
-fn reference(tokens: &[String]) -> (Vec<String>, String) {
-    let mut parser = StreamParser::new();
-    let mut checker = OnlineChecker::with_gc(GcConfig::default());
-    let mut verdicts = Vec::new();
-    for tok in tokens {
-        let ev = parser.parse_token(tok).expect("reference tokens parse");
-        if let Some(v) = checker.ingest(&ev) {
-            verdicts.push(v.to_json());
-        }
-    }
-    (verdicts, checker.finish().to_json())
-}
-
-/// Streams one token, transparently resuming (and counting the
-/// resume) when the server is down.
-fn send_resilient(client: &mut ServeClient, tok: &str, addr_hint: &str, resumes: &mut u32) {
-    match client.send_token(tok) {
-        Ok(()) => {}
-        Err(ClientError::Io(_)) => {
-            let policy = RetryPolicy {
-                deadline_ops: Some(2_000),
-                ..RetryPolicy::default()
-            };
-            client
-                .resume(&policy, 0xAD7A)
-                .unwrap_or_else(|e| panic!("resume against {addr_hint} failed: {e}"));
-            *resumes += 1;
-        }
-        Err(e) => panic!("protocol error streaming {tok:?}: {e}"),
-    }
-}
-
-fn http_get(addr: &str, path: &str) -> (u16, String) {
-    let mut s = TcpStream::connect(addr).expect("connect service port");
-    write!(
-        s,
-        "GET {path} HTTP/1.1\r\nHost: adya\r\nConnection: close\r\n\r\n"
-    )
-    .expect("send");
-    let mut response = String::new();
-    s.read_to_string(&mut response).expect("read response");
-    let status: u16 = response
-        .split_whitespace()
-        .nth(1)
-        .and_then(|c| c.parse().ok())
-        .unwrap_or_else(|| panic!("bad status line: {response:?}"));
-    let body = response
-        .split_once("\r\n\r\n")
-        .map(|(_, b)| b.to_string())
-        .unwrap_or_default();
-    (status, body)
-}
+use common::{data_dir, http_get, reference, send_resilient, session_tokens, spawn_server};
 
 #[test]
 fn kill_minus_nine_resumes_four_sessions_byte_identically() {
@@ -596,4 +466,168 @@ fn trace_merge_subcommand_merges_captured_segments() {
     assert!(merged.contains("\"traceEvents\""), "{merged}");
     assert!(merged.contains("\"clock_offsets\""), "{merged}");
     assert!(merged.contains("\"traces\""), "{merged}");
+}
+
+/// Sends `raw` to the service port and returns whatever comes back.
+/// Tolerant of mid-write resets: a server that refuses early and
+/// closes may RST before the client finishes writing.
+fn try_http(addr: &str, raw: &[u8]) -> String {
+    use std::io::Read as _;
+    let mut s = TcpStream::connect(addr).expect("connect service port");
+    let _ = s.write_all(raw);
+    let mut out = Vec::new();
+    let _ = s.read_to_end(&mut out);
+    String::from_utf8_lossy(&out).into_owned()
+}
+
+#[test]
+fn service_port_http_is_hardened_like_the_obs_endpoint() {
+    use std::io::Read as _;
+    let data = data_dir("serve-http-hardening");
+    let (_server, addr) = spawn_server(&data, "127.0.0.1:0", &[]);
+
+    // A header flood past the drain bound is refused, not drained.
+    let mut flood = String::from("GET /metrics HTTP/1.1\r\n");
+    for i in 0..4096 {
+        flood.push_str(&format!("X-Pad-{i}: {}\r\n", "y".repeat(64)));
+    }
+    flood.push_str("\r\n");
+    let out = try_http(&addr, flood.as_bytes());
+    assert!(out.is_empty() || out.starts_with("HTTP/1.1 400"), "{out}");
+
+    // HEAD is answered 405, as on the obs endpoint.
+    let out = try_http(&addr, b"HEAD /metrics HTTP/1.1\r\nHost: adya\r\n\r\n");
+    assert!(out.starts_with("HTTP/1.1 405 Method Not Allowed"), "{out}");
+
+    // A peer trickling header bytes forever: every read makes
+    // progress, so only the responder's deadline can end it. The
+    // connection must be over — answered and closed — soon after
+    // that deadline, not whenever the peer gets bored.
+    let mut s = TcpStream::connect(&addr).expect("connect");
+    s.set_read_timeout(Some(Duration::from_millis(200)))
+        .expect("timeout");
+    s.write_all(b"GET /health HTTP/1.1\r\nX-Slow: ")
+        .expect("send");
+    let t0 = Instant::now();
+    let mut answer = Vec::new();
+    let closed_after = loop {
+        assert!(
+            t0.elapsed() < Duration::from_secs(20),
+            "slow-header connection still open"
+        );
+        let _ = s.write_all(b"y");
+        let mut buf = [0u8; 4096];
+        match s.read(&mut buf) {
+            Ok(0) => break t0.elapsed(),
+            Ok(n) => answer.extend_from_slice(&buf[..n]),
+            Err(e)
+                if matches!(
+                    e.kind(),
+                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+                ) => {}
+            Err(_) => break t0.elapsed(), // reset: also closed
+        }
+    };
+    assert!(
+        closed_after >= Duration::from_secs(4) && closed_after < Duration::from_secs(10),
+        "closed after {closed_after:?}"
+    );
+    let answer = String::from_utf8_lossy(&answer);
+    assert!(
+        answer.is_empty() || answer.starts_with("HTTP/1.1 200"),
+        "{answer}"
+    );
+
+    // None of that wedged the port.
+    let (status, body) = http_get(&addr, "/health");
+    assert_eq!(status, 200);
+    assert!(body.contains("\"healthy\": true"), "{body}");
+}
+
+/// One raw protocol exchange: sends `line`, returns the reply line.
+fn exchange(s: &mut TcpStream, r: &mut BufReader<TcpStream>, line: &str) -> String {
+    writeln!(s, "{line}").expect("send");
+    let mut reply = String::new();
+    r.read_line(&mut reply).expect("reply");
+    reply
+}
+
+#[test]
+fn stock_json_escapes_open_the_right_session() {
+    let data = data_dir("serve-json-escapes");
+    let (_server, addr) = spawn_server(&data, "127.0.0.1:0", &[]);
+    let connect = || {
+        let s = TcpStream::connect(&addr).expect("connect");
+        let r = BufReader::new(s.try_clone().expect("clone"));
+        (s, r)
+    };
+
+    // What `json.dumps` makes of a hello carrying non-ASCII metadata:
+    // \u escapes (a surrogate pair among them) and an escaped solidus.
+    // Refused outright as "unsupported escape" before the shared
+    // reader, although no field the server uses is even affected.
+    let (mut s, mut r) = connect();
+    let ack = exchange(
+        &mut s,
+        &mut r,
+        r#"{"op": "hello", "session": "tenant-esc", "client": "caf\u00e9 \ud83d\ude00 v1\/2"}"#,
+    );
+    assert!(
+        ack.contains("\"ok\": \"hello\"") && ack.contains("\"session\": \"tenant-esc\""),
+        "{ack}"
+    );
+    for tok in ["b1", "w1(x,1)"] {
+        writeln!(s, "{tok}").expect("send");
+    }
+    let verdict = exchange(&mut s, &mut r, "c1");
+    assert!(verdict.starts_with("{\"txn\": 1"), "{verdict}");
+    drop((s, r));
+
+    // The escaped and the plain spelling name one session: the resume
+    // finds the three durable events and replays the verdict.
+    let resume = r#"{"op": "resume", "session": "t\u0065nant-esc", "verdicts": 0, "client": "\r"}"#;
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let ack = loop {
+        let (mut s, mut r) = connect();
+        let ack = exchange(&mut s, &mut r, resume);
+        // The first connection's detach may still be parking it.
+        if !ack.contains("session_busy") || Instant::now() > deadline {
+            break ack;
+        }
+        std::thread::sleep(Duration::from_millis(50));
+    };
+    assert!(
+        ack.contains("\"ok\": \"resume\"")
+            && ack.contains("\"events\": 3")
+            && ack.contains("\"replay\": 1"),
+        "{ack}"
+    );
+
+    // Escapes cannot smuggle a path separator past name validation.
+    let (mut s, mut r) = connect();
+    let refused = exchange(&mut s, &mut r, r#"{"op": "hello", "session": "a\/b"}"#);
+    assert!(refused.contains("\"error\": \"bad_frame\""), "{refused}");
+}
+
+#[test]
+fn error_details_round_trip_through_the_client() {
+    let data = data_dir("serve-error-detail");
+    let (_server, addr) = spawn_server(&data, "127.0.0.1:0", &[]);
+    let mut client = ServeClient::hello(&addr, "quoting").expect("hello");
+    // Not a token in any notation; the server quotes it back inside
+    // the error detail, where its `"` and `\` must survive the trip.
+    let garbage = r#"z"q\z"#;
+    client.send_token(garbage).expect("no reply is awaited");
+    match client.send_token("c1") {
+        Err(ClientError::Server(code, line)) => {
+            assert_eq!(code, "parse");
+            let frame = adya_obs::json::parse(&line).expect("error frames are JSON");
+            assert_eq!(
+                frame.str_at("detail"),
+                Some(format!("unrecognized token {garbage:?}").as_str()),
+                "{line}"
+            );
+        }
+        other => panic!("expected the parse error frame, got {other:?}"),
+    }
 }
