@@ -13,7 +13,7 @@
 
 use adya_core::Analysis;
 use adya_history::{History, TxnId};
-use adya_obs::json::esc;
+use adya_obs::{Arg, ChromeTrace};
 
 /// Track id for the anomaly markers (far above any transaction id).
 const ANOMALY_TID: u64 = 1_000_000;
@@ -21,7 +21,7 @@ const ANOMALY_TID: u64 = 1_000_000;
 const JOURNAL_TID: u64 = 1_000_001;
 
 /// Microseconds allotted to one history event.
-const SLOT_US: u64 = 1_000;
+const SLOT_US: i64 = 1_000;
 
 /// Renders `h` (and, when given, the phenomena of `a`) as a Chrome
 /// trace-event JSON document.
@@ -39,28 +39,14 @@ pub fn trace_json_with_journal(
     a: Option<&Analysis>,
     journal: &[(u64, String)],
 ) -> String {
-    let mut out = String::from("{\"traceEvents\":[");
-    let mut first = true;
-    let mut push = |out: &mut String, ev: String| {
-        if !std::mem::take(&mut first) {
-            out.push(',');
-        }
-        out.push('\n');
-        out.push_str(&ev);
-    };
+    let mut out = ChromeTrace::new();
 
     // One track per transaction, in id order.
     let txns: Vec<TxnId> = h.txns().map(|(t, _)| t).collect();
     for &t in &txns {
-        push(
-            &mut out,
-            format!(
-                "{{\"name\":\"thread_name\",\"ph\":\"M\",\"ts\":0,\"pid\":1,\"tid\":{},\
-                 \"args\":{{\"name\":\"{}\"}}}}",
-                t.0,
-                esc(&t.to_string())
-            ),
-        );
+        let track = (1, u64::from(t.0));
+        let label = t.to_string();
+        out.metadata(track, "thread_name", ("name", Arg::Str(&label)));
         let indices: Vec<usize> = h
             .events()
             .iter()
@@ -71,84 +57,60 @@ pub fn trace_json_with_journal(
         let (Some(&lo), Some(&hi)) = (indices.first(), indices.last()) else {
             continue;
         };
-        let committed = h.is_committed(t);
-        push(
-            &mut out,
-            format!(
-                "{{\"name\":\"{}\",\"cat\":\"txn\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\
-                 \"pid\":1,\"tid\":{},\"args\":{{\"events\":{},\"committed\":{}}}}}",
-                esc(&t.to_string()),
-                lo as u64 * SLOT_US,
-                (hi - lo) as u64 * SLOT_US + SLOT_US,
-                t.0,
-                indices.len(),
-                committed
-            ),
+        out.complete(
+            track,
+            Some("txn"),
+            &label,
+            lo as i64 * SLOT_US,
+            (hi - lo) as i64 * SLOT_US + SLOT_US,
+            &[
+                ("events", Arg::Num(indices.len() as u64)),
+                ("committed", Arg::Bool(h.is_committed(t))),
+            ],
         );
         for i in indices {
-            push(
-                &mut out,
-                format!(
-                    "{{\"name\":\"{}\",\"cat\":\"op\",\"ph\":\"i\",\"s\":\"t\",\"ts\":{},\
-                     \"pid\":1,\"tid\":{},\"args\":{{\"event\":{}}}}}",
-                    esc(&h.display_event(&h.events()[i])),
-                    i as u64 * SLOT_US,
-                    t.0,
-                    i
-                ),
+            out.instant(
+                track,
+                Some("op"),
+                &h.display_event(&h.events()[i]),
+                't',
+                i as i64 * SLOT_US,
+                &[("event", Arg::Num(i as u64))],
             );
         }
     }
 
     // Anomaly markers.
-    if let Some(a) = a {
-        if !a.phenomena.is_empty() {
-            push(
-                &mut out,
-                format!(
-                    "{{\"name\":\"thread_name\",\"ph\":\"M\",\"ts\":0,\"pid\":1,\
-                     \"tid\":{ANOMALY_TID},\"args\":{{\"name\":\"anomalies\"}}}}"
-                ),
+    if let Some(a) = a.filter(|a| !a.phenomena.is_empty()) {
+        let track = (1, ANOMALY_TID);
+        out.metadata(track, "thread_name", ("name", Arg::Str("anomalies")));
+        for p in &a.phenomena {
+            out.instant(
+                track,
+                Some("anomaly"),
+                &p.kind().to_string(),
+                'g',
+                h.len() as i64 * SLOT_US,
+                &[("witness", Arg::Str(&p.to_string()))],
             );
-            for p in &a.phenomena {
-                push(
-                    &mut out,
-                    format!(
-                        "{{\"name\":\"{}\",\"cat\":\"anomaly\",\"ph\":\"i\",\"s\":\"g\",\
-                         \"ts\":{},\"pid\":1,\"tid\":{ANOMALY_TID},\
-                         \"args\":{{\"witness\":\"{}\"}}}}",
-                        esc(&p.kind().to_string()),
-                        h.len() as u64 * SLOT_US,
-                        esc(&p.to_string())
-                    ),
-                );
-            }
         }
     }
 
     // Journal annotations.
     if !journal.is_empty() {
-        push(
-            &mut out,
-            format!(
-                "{{\"name\":\"thread_name\",\"ph\":\"M\",\"ts\":0,\"pid\":1,\
-                 \"tid\":{JOURNAL_TID},\"args\":{{\"name\":\"journal\"}}}}"
-            ),
-        );
+        let track = (1, JOURNAL_TID);
+        out.metadata(track, "thread_name", ("name", Arg::Str("journal")));
         for (i, (t_ns, name)) in journal.iter().enumerate() {
-            push(
-                &mut out,
-                format!(
-                    "{{\"name\":\"{}\",\"cat\":\"journal\",\"ph\":\"i\",\"s\":\"t\",\
-                     \"ts\":{},\"pid\":1,\"tid\":{JOURNAL_TID},\"args\":{{\"t_ns\":{}}}}}",
-                    esc(name),
-                    (h.len() + i) as u64 * SLOT_US,
-                    t_ns
-                ),
+            out.instant(
+                track,
+                Some("journal"),
+                name,
+                't',
+                (h.len() + i) as i64 * SLOT_US,
+                &[("t_ns", Arg::Num(*t_ns))],
             );
         }
     }
 
-    out.push_str("\n],\"displayTimeUnit\":\"ms\"}\n");
-    out
+    out.finish_with(|w| w.str_field("displayTimeUnit", "ms"))
 }

@@ -20,11 +20,13 @@
 //! take per-run deltas; reset zeroes metrics in place so cached
 //! handles stay valid.
 //!
-//! JSON export is hand-rolled ([`json::JsonWriter`]) — the sanctioned
+//! JSON export is hand-rolled ([`json::JsonWriter`], and over it the
+//! one Chrome trace-event writer, [`ChromeTrace`]) — the sanctioned
 //! dependency set has no serializer and the shapes here are small.
 
 #![warn(missing_docs)]
 
+pub mod chrome;
 pub mod http;
 pub mod journal;
 pub mod json;
@@ -34,6 +36,7 @@ pub mod ring;
 pub mod spans;
 pub mod trace;
 
+pub use chrome::{Arg, ChromeTrace};
 pub use http::{ObsServer, Response};
 pub use journal::{Event, Field, Journal};
 pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot};

@@ -165,29 +165,25 @@ pub(crate) fn pop_span(parent: u64) {
 /// `chrome://tracing`. `dropped` is reported in metadata so rotated
 /// spans are visible as a count, not an absence.
 pub fn chrome_trace(records: &[SpanRecord], dropped: u64) -> String {
-    use std::fmt::Write as _;
-    let mut s = String::from("{\"traceEvents\": [\n");
-    let _ = write!(
-        s,
-        " {{\"ph\": \"M\", \"pid\": 1, \"tid\": 0, \"name\": \"process_name\", \
-         \"args\": {{\"name\": \"adya telemetry ({dropped} spans rotated out)\"}}}}"
-    );
+    use crate::chrome::{Arg, ChromeTrace};
+    let mut t = ChromeTrace::new();
+    let process = format!("adya telemetry ({dropped} spans rotated out)");
+    t.metadata((1, 0), "process_name", ("name", Arg::Str(&process)));
     for r in records {
-        let _ = write!(
-            s,
-            ",\n {{\"ph\": \"X\", \"pid\": 1, \"tid\": {}, \"name\": \"{}\", \
-             \"ts\": {}, \"dur\": {}, \"args\": {{\"id\": {}, \"parent\": {}, \"seq\": {}}}}}",
-            r.tid,
-            crate::json::esc(r.name),
-            r.t0_ns / 1000,
-            (r.dur_ns / 1000).max(1),
-            r.id,
-            r.parent,
-            r.seq
+        t.complete(
+            (1, r.tid),
+            None,
+            r.name,
+            (r.t0_ns / 1000) as i64,
+            (r.dur_ns / 1000).max(1) as i64,
+            &[
+                ("id", Arg::Num(r.id)),
+                ("parent", Arg::Num(r.parent)),
+                ("seq", Arg::Num(r.seq)),
+            ],
         );
     }
-    s.push_str("\n]}\n");
-    s
+    t.finish()
 }
 
 /// Renders span records as wide-event NDJSON-in-an-array: one JSON
@@ -298,7 +294,7 @@ mod tests {
             tid: 3,
         }];
         let t = chrome_trace(&recs, 2);
-        assert!(t.contains("\"traceEvents\""));
+        assert!(crate::json::parse(&t).is_ok(), "{t}");
         assert!(t.contains("\"ph\": \"X\""));
         assert!(t.contains("\"ts\": 2"));
         assert!(t.contains("2 spans rotated out"));

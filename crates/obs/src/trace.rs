@@ -443,7 +443,7 @@ pub fn attach_provenance(chrome: &str, segment: &str) -> String {
 /// The document also carries a machine-checkable `"traces"` summary:
 /// per trace, the union of stages seen and the nodes that saw it.
 pub fn merge_segments(segs: &[TraceSegment]) -> String {
-    use std::fmt::Write as _;
+    use crate::chrome::{Arg, ChromeTrace};
     let refi = segs.iter().position(|s| s.role == "leader").unwrap_or(0);
     // Per-segment, per-trace stamp lists.
     let by_trace: Vec<HashMap<u64, Vec<Stamp>>> = segs
@@ -503,85 +503,47 @@ pub fn merge_segments(segs: &[TraceSegment]) -> String {
     }
     let adj = |i: usize, t_ns: u64| -> i64 { t_ns as i64 + offsets[i] - t_min };
 
-    let mut out = String::from("{\"traceEvents\": [\n");
-    let mut first_ev = true;
-    let push = |out: &mut String, first_ev: &mut bool, ev: String| {
-        if !*first_ev {
-            out.push_str(",\n");
-        }
-        *first_ev = false;
-        out.push(' ');
-        out.push_str(&ev);
-    };
+    let mut out = ChromeTrace::new();
     for (i, seg) in segs.iter().enumerate() {
-        push(
-            &mut out,
-            &mut first_ev,
-            format!(
-                "{{\"ph\": \"M\", \"pid\": {}, \"tid\": 0, \"name\": \"process_name\", \
-                 \"args\": {{\"name\": \"{} ({})\"}}}}",
-                i + 1,
-                crate::json::esc(&seg.node),
-                crate::json::esc(&seg.role)
-            ),
-        );
-        push(
-            &mut out,
-            &mut first_ev,
-            format!(
-                "{{\"ph\": \"M\", \"pid\": {}, \"tid\": 0, \"name\": \"process_sort_index\", \
-                 \"args\": {{\"sort_index\": {}}}}}",
-                i + 1,
-                if i == refi { 0 } else { i + 1 }
-            ),
+        let lane = (i as u64 + 1, 0);
+        let name = format!("{} ({})", seg.node, seg.role);
+        out.metadata(lane, "process_name", ("name", Arg::Str(&name)));
+        let sort_index = if i == refi { 0 } else { i as u64 + 1 };
+        out.metadata(
+            lane,
+            "process_sort_index",
+            ("sort_index", Arg::Num(sort_index)),
         );
     }
     // Deterministic track order: traces sorted by id within a node.
-    let mut all_traces: Vec<u64> = by_trace
+    let all_traces: Vec<u64> = by_trace
         .iter()
         .flat_map(|m| m.keys().copied())
         .collect::<std::collections::BTreeSet<u64>>()
         .into_iter()
         .collect();
-    all_traces.sort_unstable();
     for (i, m) in by_trace.iter().enumerate() {
         for (tid0, trace) in all_traces.iter().enumerate() {
             let Some(stamps) = m.get(trace) else {
                 continue;
             };
-            let tid = tid0 + 1;
+            let track = (i as u64 + 1, tid0 as u64 + 1);
+            let id = fmt_trace_id(*trace);
+            let args = [("trace", Arg::Str(&id))];
             for pair in stamps.windows(2) {
                 let (a, b) = (pair[0], pair[1]);
-                push(
-                    &mut out,
-                    &mut first_ev,
-                    format!(
-                        "{{\"ph\": \"X\", \"pid\": {}, \"tid\": {tid}, \
-                         \"name\": \"{}->{}\", \"ts\": {}, \"dur\": {}, \
-                         \"args\": {{\"trace\": \"{}\"}}}}",
-                        i + 1,
-                        a.stage.as_str(),
-                        b.stage.as_str(),
-                        adj(i, a.t_ns) / 1000,
-                        ((adj(i, b.t_ns) - adj(i, a.t_ns)) / 1000).max(1),
-                        fmt_trace_id(*trace)
-                    ),
+                out.complete(
+                    track,
+                    None,
+                    &format!("{}->{}", a.stage.as_str(), b.stage.as_str()),
+                    adj(i, a.t_ns) / 1000,
+                    ((adj(i, b.t_ns) - adj(i, a.t_ns)) / 1000).max(1),
+                    &args,
                 );
             }
             if let Some(last) = stamps.last() {
-                push(
-                    &mut out,
-                    &mut first_ev,
-                    format!(
-                        "{{\"ph\": \"i\", \"pid\": {}, \"tid\": {tid}, \"s\": \"t\", \
-                         \"name\": \"{}\", \"ts\": {}, \
-                         \"args\": {{\"trace\": \"{}\"}}}}",
-                        i + 1,
-                        last.stage.as_str(),
-                        adj(i, last.t_ns) / 1000,
-                        fmt_trace_id(*trace)
-                    ),
-                );
+                let ts = adj(i, last.t_ns) / 1000;
+                out.instant(track, None, last.stage.as_str(), 't', ts, &args);
             }
         }
     }
@@ -598,77 +560,68 @@ pub fn merge_segments(segs: &[TraceSegment]) -> String {
             let Some(first) = stamps.first() else {
                 continue;
             };
-            let tid = tid0 + 1;
+            let tid = tid0 as u64 + 1;
             let flow_id = (*trace as u32) ^ ((*trace >> 32) as u32);
-            push(
-                &mut out,
-                &mut first_ev,
-                format!(
-                    "{{\"ph\": \"s\", \"pid\": {}, \"tid\": {tid}, \"cat\": \"repl\", \
-                     \"name\": \"verdict-flow\", \"id\": {flow_id}, \"ts\": {}}}",
-                    refi + 1,
-                    adj(refi, anchor) / 1000
-                ),
+            let (from, to) = (adj(refi, anchor) / 1000, adj(i, first.t_ns) / 1000);
+            out.flow(
+                false,
+                (refi as u64 + 1, tid),
+                "repl",
+                "verdict-flow",
+                flow_id,
+                from,
             );
-            push(
-                &mut out,
-                &mut first_ev,
-                format!(
-                    "{{\"ph\": \"f\", \"pid\": {}, \"tid\": {tid}, \"cat\": \"repl\", \
-                     \"name\": \"verdict-flow\", \"id\": {flow_id}, \"bp\": \"e\", \
-                     \"ts\": {}}}",
-                    i + 1,
-                    adj(i, first.t_ns) / 1000
-                ),
+            out.flow(
+                true,
+                (i as u64 + 1, tid),
+                "repl",
+                "verdict-flow",
+                flow_id,
+                to,
             );
         }
     }
-    out.push_str("\n],\n\"clock_offsets\": {");
-    for (i, seg) in segs.iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
+    out.finish_with(|w| {
+        w.open_object(Some("clock_offsets"));
+        for (seg, offset) in segs.iter().zip(&offsets) {
+            w.i64_field(&seg.node, *offset);
         }
-        let _ = write!(out, "\"{}\": {}", crate::json::esc(&seg.node), offsets[i]);
-    }
-    let total_dropped: u64 = segs.iter().map(|s| s.dropped).sum();
-    let _ = write!(out, "}},\n\"dropped\": {total_dropped},\n\"traces\": [");
-    for (k, trace) in all_traces.iter().enumerate() {
-        if k > 0 {
-            out.push_str(", ");
-        }
-        let mut stages: Vec<Stage> = Vec::new();
-        let mut nodes: Vec<&str> = Vec::new();
-        for (i, m) in by_trace.iter().enumerate() {
-            if let Some(stamps) = m.get(trace) {
-                nodes.push(&segs[i].node);
-                for s in stamps {
-                    if !stages.contains(&s.stage) {
-                        stages.push(s.stage);
+        w.close_object();
+        w.u64_field("dropped", segs.iter().map(|s| s.dropped).sum());
+        w.open_array(Some("traces"));
+        for trace in &all_traces {
+            let mut stages: Vec<Stage> = Vec::new();
+            let mut nodes: Vec<&str> = Vec::new();
+            for (i, m) in by_trace.iter().enumerate() {
+                if let Some(stamps) = m.get(trace) {
+                    nodes.push(&segs[i].node);
+                    for s in stamps {
+                        if !stages.contains(&s.stage) {
+                            stages.push(s.stage);
+                        }
                     }
                 }
             }
+            stages.sort_unstable();
+            let stages = stages
+                .iter()
+                .map(|s| s.as_str())
+                .collect::<Vec<_>>()
+                .join(",");
+            nodes.sort_unstable();
+            nodes.dedup();
+            let nodes = nodes
+                .iter()
+                .map(|n| crate::json::esc(n))
+                .collect::<Vec<_>>()
+                .join(",");
+            w.raw_element(&format!(
+                "{{\"trace\": \"{}\", \"nodes\": \"{nodes}\", \"stages\": \"{stages}\"}}",
+                fmt_trace_id(*trace)
+            ));
         }
-        stages.sort_unstable();
-        let stages = stages
-            .iter()
-            .map(|s| s.as_str())
-            .collect::<Vec<_>>()
-            .join(",");
-        nodes.sort_unstable();
-        nodes.dedup();
-        let nodes = nodes
-            .iter()
-            .map(|n| crate::json::esc(n))
-            .collect::<Vec<_>>()
-            .join(",");
-        let _ = write!(
-            out,
-            "{{\"trace\": \"{}\", \"nodes\": \"{nodes}\", \"stages\": \"{stages}\"}}",
-            fmt_trace_id(*trace)
-        );
-    }
-    out.push_str("]}\n");
-    out
+        w.close_array();
+    })
 }
 
 #[cfg(test)]
@@ -771,7 +724,7 @@ mod tests {
         let seg = plane.segment_json();
         let chrome = crate::chrome_trace(&[], 0);
         let merged = attach_provenance(&chrome, &seg);
-        assert!(merged.contains("\"traceEvents\""));
+        assert!(merged.contains("process_name"), "the span view survives");
         let parsed = parse_segment(&merged).unwrap();
         assert_eq!(parsed.node, "n9");
         assert_eq!(parsed.stamps.len(), 1);

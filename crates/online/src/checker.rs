@@ -643,19 +643,11 @@ impl OnlineChecker {
 
     /// Strongest ANSI-chain level the committed prefix satisfies.
     pub fn strongest_ansi(&self) -> Option<IsolationLevel> {
-        use PhenomenonKind::*;
-        let f = |k| self.fired.has(k);
-        if !f(G1a) && !f(G1b) && !f(G1c) && !f(G2) {
-            Some(IsolationLevel::PL3)
-        } else if !f(G1a) && !f(G1b) && !f(G1c) && !f(G2Item) {
-            Some(IsolationLevel::PL299)
-        } else if !f(G1a) && !f(G1b) && !f(G1c) {
-            Some(IsolationLevel::PL2)
-        } else if !f(G0) {
-            Some(IsolationLevel::PL1)
-        } else {
-            None
-        }
+        IsolationLevel::ANSI
+            .iter()
+            .rev()
+            .copied()
+            .find(|l| l.proscribes().iter().all(|&k| !self.fired.has(k)))
     }
 
     /// Feeds one event; returns a [`Verdict`] when the event is a

@@ -29,8 +29,11 @@
 //! the same byte-identical verdict stream a local restart would.
 //!
 //! Module map:
-//! - [`log`] — segmented event log, snapshots, compaction, recovery
-//!   (including exact-offset torn-tail truncation).
+//! - [`dir`] — the session directory: file-name grammar, the three
+//!   mutations (each synced and replicated by construction), torn-tail
+//!   healing.
+//! - [`log`] — cadence policy over it: rotation, snapshots,
+//!   compaction, recovery replay.
 //! - [`session`] — one checker session and its durability ordering.
 //! - [`Server`] — accept loops, connection protocol, obs plane.
 //! - [`proto`] — control-frame parsing and rendering.
@@ -41,6 +44,7 @@
 //!
 //! [`OnlineChecker`]: adya_online::OnlineChecker
 
+pub mod dir;
 pub mod log;
 pub mod proto;
 pub mod replica;
@@ -49,7 +53,8 @@ pub mod shutdown;
 
 mod server;
 
-pub use log::{FsyncPolicy, LogConfig, RecoverError, Recovered, SessionLog};
+pub use dir::{FileName, FsyncPolicy, SessionDir};
+pub use log::{LogConfig, RecoverError, Recovered, SessionLog};
 pub use proto::ClientFrame;
 pub use replica::{LogPublisher, ReplConfig, ReplicaSink, ReplicationHub};
 pub use server::{ServeConfig, Server};

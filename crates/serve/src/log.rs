@@ -1,17 +1,10 @@
 //! The durable per-session store: a segmented binary event log plus
 //! periodic whole-session snapshots, with compaction keyed off the
-//! snapshot horizon.
-//!
-//! On disk a session is a directory:
-//!
-//! ```text
-//! <data>/<session>/
-//!   seg-0.log        events 0..      (EventLogWriter format)
-//!   seg-4096.log     events 4096..   (rotated every rotate_events)
-//!   snap-6000.snap   checker+parser state after event 6000
-//!   names-17.log     interned object names from id 17, one per line
-//!   closed           final verdict line, present once closed
-//! ```
+//! snapshot horizon — the *cadence policy* over a
+//! [`SessionDir`], which owns the file layout, the three ways a file
+//! changes, their sync policy and their replication (see
+//! [`dir`](crate::dir) for the directory diagram and durability
+//! model).
 //!
 //! A segment is named by the index of its first event record. A
 //! snapshot freezes the [`OnlineChecker`] and [`StreamParser`] after
@@ -37,71 +30,25 @@
 //! (Legacy `names.log` files are read as `base = 0` and migrate to the
 //! rotated scheme at their first snapshot.)
 //!
-//! Durability model ([`FsyncPolicy`]): appends always go straight to
-//! the OS (no userspace buffering), so a killed *process* loses at
-//! most the record being written — the torn tail [`EventLogReader`]
-//! detects and [`recover`](SessionLog::recover) truncates at the exact
-//! `good_len` byte. Surviving an *OS* crash is what the policy tunes:
-//! `always` fsyncs every append (durability window: the in-flight
-//! record), the default `interval` fsyncs the open segment and name
-//! log at each snapshot (window: everything since the last snapshot —
-//! but snapshots, which delete log segments, are themselves always
-//! synced before the rename that makes them current), and `never`
-//! syncs nothing (window: whatever the OS had not written back).
-//!
-//! When a [`LogPublisher`] is attached, every durable byte is also
-//! published to the replication hub as a file mutation — appends with
-//! their exact offsets, snapshots and the `closed` marker as
-//! whole-file puts, compaction as removes — so a follower's copy of
-//! the directory is byte-identical and [`recover`](SessionLog::recover)
-//! works on it unchanged after promotion.
+//! Under the default [`FsyncPolicy::Interval`] the snapshot is the
+//! durability barrier: the open segment and name log are synced just
+//! before it is written, so a snapshot never outlives log bytes it
+//! claims to cover.
 
-use std::fs::{self, File, OpenOptions};
-use std::io::{self, Write};
-use std::path::{Path, PathBuf};
+use std::io;
+use std::path::Path;
 
 use adya_history::Event;
 use adya_online::{
-    wire, EventLogReader, EventLogWriter, GcConfig, LogError, OnlineChecker, StreamParser,
-    LOG_MAGIC,
+    wire, EventLogReader, EventLogWriter, GcConfig, OnlineChecker, StreamParser, LOG_MAGIC,
 };
 
+use crate::dir::{FileName, FsyncPolicy, SessionDir};
 use crate::replica::LogPublisher;
 
 /// First 8 bytes of every session snapshot container (a
 /// [`wire::seal`]ed payload).
 pub const SNAP_MAGIC: [u8; 8] = *b"ADYASRV\x01";
-
-/// When the log explicitly syncs its appends to stable storage. The
-/// durability window each setting leaves open (on a leader or a
-/// follower applying replicated bytes) is documented in the module
-/// header.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum FsyncPolicy {
-    /// fsync after every append: survives OS crash at per-record cost.
-    Always,
-    /// fsync the open segment and name log at each snapshot (and every
-    /// snapshot itself): a process kill loses nothing, an OS crash
-    /// loses at most one snapshot interval.
-    #[default]
-    Interval,
-    /// No explicit syncs at all, snapshots included.
-    Never,
-}
-
-impl FsyncPolicy {
-    /// Parses the `--fsync` CLI value.
-    pub fn parse(s: &str) -> Result<FsyncPolicy, String> {
-        match s {
-            "always" => Ok(FsyncPolicy::Always),
-            "interval" => Ok(FsyncPolicy::Interval),
-            "never" => Ok(FsyncPolicy::Never),
-            other => Err(format!(
-                "--fsync must be always|interval|never, got {other}"
-            )),
-        }
-    }
-}
 
 /// Rotation, snapshot cadence and sync policy for a [`SessionLog`].
 #[derive(Debug, Clone, Copy)]
@@ -155,19 +102,16 @@ impl From<io::Error> for RecoverError {
 /// The open, writable durable store of one session.
 #[derive(Debug)]
 pub struct SessionLog {
-    dir: PathBuf,
+    dir: SessionDir,
     cfg: LogConfig,
-    writer: EventLogWriter<File>,
-    /// Second handle on the open segment, for explicit fsync.
-    seg_sync: File,
-    names: File,
-    /// File name of the open name side-log (`names-<base>.log`, or a
-    /// legacy `names.log` until its first rotation).
-    names_file: String,
-    /// Byte length of the open name side-log.
+    /// Frames event records — the segment format's one writer. Its
+    /// sink discards: the bytes it hands back reach the disk (and the
+    /// replication hub) through `dir`.
+    encoder: EventLogWriter<io::Sink>,
+    /// The open name side-log (a legacy `names.log` until its first
+    /// rotation) and its byte length.
+    names: FileName,
     names_len: u64,
-    /// Id of the first name the open side-log holds.
-    names_base: u64,
     /// Total durable event records across all segments.
     records: u64,
     /// First record index of the open segment.
@@ -176,8 +120,6 @@ pub struct SessionLog {
     seg_bytes: u64,
     /// Records at the last snapshot (0 when none yet).
     last_snap: u64,
-    /// Replication handle; every durable mutation is mirrored here.
-    repl: Option<LogPublisher>,
 }
 
 /// Everything [`SessionLog::recover`] reconstructs from a session
@@ -218,43 +160,26 @@ pub struct Recovered {
 impl SessionLog {
     /// Creates a brand-new session directory. Fails if it already
     /// exists — `hello` on an existing session must be a `resume`.
+    /// When `repl` is set, every durable byte is also published to the
+    /// replication hub.
     pub fn create(
         dir: &Path,
         cfg: LogConfig,
         repl: Option<LogPublisher>,
     ) -> io::Result<SessionLog> {
-        if let Some(parent) = dir.parent() {
-            fs::create_dir_all(parent)?;
-        }
-        fs::create_dir(dir)?;
-        let file = OpenOptions::new()
-            .create_new(true)
-            .append(true)
-            .open(dir.join("seg-0.log"))?;
-        let seg_sync = file.try_clone()?;
-        let writer = EventLogWriter::create(file)?;
-        let names = OpenOptions::new()
-            .create_new(true)
-            .append(true)
-            .open(dir.join("names-0.log"))?;
-        if let Some(p) = &repl {
-            p.append("seg-0.log", 0, &LOG_MAGIC, 0);
-            p.put("names-0.log", b"");
-        }
+        let mut dir = SessionDir::create(dir, cfg.fsync, repl)?;
+        dir.append(FileName::Segment(0), 0, &LOG_MAGIC, 0, None)?;
+        dir.put(FileName::Names(0), b"")?;
         Ok(SessionLog {
-            dir: dir.to_path_buf(),
+            dir,
             cfg,
-            writer,
-            seg_sync,
-            names,
-            names_file: "names-0.log".into(),
+            encoder: EventLogWriter::append_to(io::sink()),
+            names: FileName::Names(0),
             names_len: 0,
-            names_base: 0,
             records: 0,
             seg_start: 0,
             seg_bytes: LOG_MAGIC.len() as u64,
             last_snap: 0,
-            repl,
         })
     }
 
@@ -277,13 +202,8 @@ impl SessionLog {
             buf.push('\n');
         }
         if !buf.is_empty() {
-            self.names.write_all(buf.as_bytes())?;
-            if self.cfg.fsync == FsyncPolicy::Always {
-                self.names.sync_data()?;
-            }
-            if let Some(p) = &self.repl {
-                p.append(&self.names_file, self.names_len, buf.as_bytes(), 0);
-            }
+            self.dir
+                .append(self.names, self.names_len, buf.as_bytes(), 0, None)?;
             self.names_len += buf.len() as u64;
         }
         Ok(())
@@ -299,42 +219,16 @@ impl SessionLog {
     /// (sampled events only): the replication mutation for this record
     /// then propagates the id to followers.
     pub fn append_traced(&mut self, ev: &Event, trace: Option<u64>) -> io::Result<()> {
-        let rec = self.writer.append(ev)?;
-        if self.cfg.fsync == FsyncPolicy::Always {
-            self.seg_sync.sync_data()?;
-        }
-        if let Some(p) = &self.repl {
-            p.append_traced(
-                &format!("seg-{}.log", self.seg_start),
-                self.seg_bytes,
-                rec,
-                1,
-                trace,
-            );
-        }
+        let rec = self.encoder.append(ev)?;
+        let seg = FileName::Segment(self.seg_start);
+        self.dir.append(seg, self.seg_bytes, rec, 1, trace)?;
         self.seg_bytes += rec.len() as u64;
         self.records += 1;
         if self.records - self.seg_start >= self.cfg.rotate_events {
-            self.rotate()?;
-        }
-        Ok(())
-    }
-
-    fn rotate(&mut self) -> io::Result<()> {
-        let file = OpenOptions::new()
-            .create_new(true)
-            .append(true)
-            .open(self.dir.join(format!("seg-{}.log", self.records)))?;
-        let seg_sync = file.try_clone()?;
-        // Swap the new segment in; the old file closes (and flushes)
-        // when the old writer drops.
-        let old = std::mem::replace(&mut self.writer, EventLogWriter::create(file)?);
-        old.into_inner()?;
-        self.seg_sync = seg_sync;
-        self.seg_start = self.records;
-        self.seg_bytes = LOG_MAGIC.len() as u64;
-        if let Some(p) = &self.repl {
-            p.append(&format!("seg-{}.log", self.seg_start), 0, &LOG_MAGIC, 0);
+            self.seg_start = self.records;
+            self.seg_bytes = LOG_MAGIC.len() as u64;
+            self.dir
+                .append(FileName::Segment(self.seg_start), 0, &LOG_MAGIC, 0, None)?;
         }
         Ok(())
     }
@@ -380,27 +274,10 @@ impl SessionLog {
         }
         let buf = wire::seal(&SNAP_MAGIC, &e.into_bytes());
 
-        // Under `always` every append is already synced; under
-        // `interval` this is the moment the open files catch up with
-        // stable storage, so the snapshot never outlives log bytes it
-        // claims to cover.
-        if self.cfg.fsync != FsyncPolicy::Never {
-            self.seg_sync.sync_data()?;
-            self.names.sync_data()?;
-        }
-        let tmp = self.dir.join("snap.tmp");
-        let final_path = self.dir.join(format!("snap-{}.snap", self.records));
-        {
-            let mut f = File::create(&tmp)?;
-            f.write_all(&buf)?;
-            if self.cfg.fsync != FsyncPolicy::Never {
-                f.sync_all()?;
-            }
-        }
-        fs::rename(&tmp, &final_path)?;
-        if let Some(p) = &self.repl {
-            p.put(&format!("snap-{}.snap", self.records), &buf);
-        }
+        // The open files catch up with stable storage first, so the
+        // snapshot never outlives log bytes it claims to cover.
+        self.dir.sync()?;
+        self.dir.put(FileName::Snapshot(self.records), &buf)?;
         self.last_snap = self.records;
         let removed = self.compact()?;
         self.rotate_names(parser.interned() as u64)?;
@@ -409,29 +286,20 @@ impl SessionLog {
 
     /// Deletes snapshots older than the newest and closed segments
     /// fully covered by it. The open segment is never deleted.
-    fn compact(&self) -> io::Result<usize> {
-        let (mut segs, mut snaps) = scan_dir(&self.dir)?;
-        segs.sort_unstable();
-        snaps.sort_unstable();
-        let Some(&newest) = snaps.last() else {
+    fn compact(&mut self) -> io::Result<usize> {
+        let (segs, snaps) = segments_and_snapshots(&self.dir.list()?);
+        let Some((&newest, older)) = snaps.split_last() else {
             return Ok(0);
         };
-        for &n in &snaps[..snaps.len() - 1] {
-            if fs::remove_file(self.dir.join(format!("snap-{n}.snap"))).is_ok() {
-                if let Some(p) = &self.repl {
-                    p.remove(&format!("snap-{n}.snap"));
-                }
-            }
+        for &n in older {
+            self.dir.remove(FileName::Snapshot(n))?;
         }
         let mut removed = 0;
         // A closed segment [start_i, start_{i+1}) is covered when its
         // records all precede the snapshot horizon.
         for pair in segs.windows(2) {
             if pair[1] <= newest {
-                fs::remove_file(self.dir.join(format!("seg-{}.log", pair[0])))?;
-                if let Some(p) = &self.repl {
-                    p.remove(&format!("seg-{}.log", pair[0]));
-                }
+                self.dir.remove(FileName::Segment(pair[0]))?;
                 removed += 1;
             }
         }
@@ -449,46 +317,30 @@ impl SessionLog {
         if self.names_len == 0 {
             return Ok(()); // nothing interned since the last rotation
         }
-        let new_file = format!("names-{interned}.log");
-        let names = OpenOptions::new()
-            .create_new(true)
-            .append(true)
-            .open(self.dir.join(&new_file))?;
-        if let Some(p) = &self.repl {
-            p.put(&new_file, b"");
-        }
-        for (base, old) in scan_names(&self.dir)? {
-            if base < interned {
-                let _ = fs::remove_file(self.dir.join(&old));
-                if let Some(p) = &self.repl {
-                    p.remove(&old);
-                }
+        let fresh = FileName::Names(interned);
+        self.dir.put(fresh, b"")?;
+        for (old, _) in self.dir.list()? {
+            if old.is_names() && old != fresh {
+                self.dir.remove(old)?;
             }
         }
-        self.names = names;
-        self.names_file = new_file;
+        self.names = fresh;
         self.names_len = 0;
-        self.names_base = interned;
         Ok(())
     }
 
     /// Marks the session closed: `final_line` (the `finish()` verdict)
     /// is durable and any later resume is refused with it.
-    pub fn mark_closed(&self, final_line: &str) -> io::Result<()> {
-        let tmp = self.dir.join("closed.tmp");
-        fs::write(&tmp, final_line)?;
-        fs::rename(tmp, self.dir.join("closed"))?;
-        if let Some(p) = &self.repl {
-            p.put("closed", final_line.as_bytes());
-        }
-        Ok(())
+    pub fn mark_closed(&mut self, final_line: &str) -> io::Result<()> {
+        self.dir.put(FileName::Closed, final_line.as_bytes())
     }
 
-    /// Reopens a session directory: newest valid snapshot, then replay
-    /// of the log tail from the snapshot's exact byte offset. The
-    /// revived checker/parser continue the stream with verdicts
-    /// byte-identical to an uninterrupted run (the `adya-online`
-    /// snapshot invariant, now per-session).
+    /// Reopens a session directory: torn tails healed, newest valid
+    /// snapshot restored, then replay of the log tail from the
+    /// snapshot's exact byte offset. The revived checker/parser
+    /// continue the stream with verdicts byte-identical to an
+    /// uninterrupted run (the `adya-online` snapshot invariant, now
+    /// per-session).
     pub fn recover(
         dir: &Path,
         cfg: LogConfig,
@@ -496,20 +348,28 @@ impl SessionLog {
         provenance: bool,
         repl: Option<LogPublisher>,
     ) -> Result<Recovered, RecoverError> {
-        let (mut segs, mut snaps) = scan_dir(dir)?;
-        segs.sort_unstable();
-        snaps.sort_unstable();
-        if segs.is_empty() {
+        let mut dir = SessionDir::at(dir, cfg.fsync, repl);
+        // The writer may have died mid-append. Its torn record was
+        // never durable — the client re-sends that token — so the
+        // tail is cut at the exact intact-prefix byte and appends
+        // resume there.
+        let truncated = dir
+            .heal()?
+            .into_iter()
+            .find(|h| matches!(h.file, FileName::Segment(_)))
+            .map(|h| format!("{} truncated to {} bytes: {}", h.file, h.good_len, h.detail));
+        let files = dir.list()?;
+        let (segs, snaps) = segments_and_snapshots(&files);
+        let Some(&last_seg) = segs.last() else {
             return Err(RecoverError::Corrupt(
                 "no log segments (not a session directory)".into(),
             ));
-        }
+        };
 
         // Newest decodable snapshot wins; damaged ones are skipped.
         let mut state = None;
         for &n in snaps.iter().rev() {
-            let bytes = fs::read(dir.join(format!("snap-{n}.snap")))?;
-            if let Some(s) = decode_snapshot(&bytes) {
+            if let Some(s) = decode_snapshot(&dir.read(FileName::Snapshot(n))?) {
                 state = Some(s);
                 break;
             }
@@ -547,27 +407,18 @@ impl SessionLog {
         // snapshot's serialized table are skipped, and a gap between a
         // file's base and the next expected id means lost names —
         // recovery refuses to guess.
-        let names_files = scan_names(dir)?;
         let mut next = parser.interned() as u64;
-        for (base, fname) in &names_files {
-            let path = dir.join(fname);
-            let mut bytes = fs::read(&path)?;
-            // A kill mid-write can leave a torn final line; truncate
-            // it — its event was never durable, so the client will
-            // re-send the token and the name will re-intern cleanly.
-            if bytes.last().is_some_and(|&b| b != b'\n') {
-                let good = bytes.iter().rposition(|&b| b == b'\n').map_or(0, |i| i + 1);
-                OpenOptions::new()
-                    .write(true)
-                    .open(&path)?
-                    .set_len(good as u64)?;
-                bytes.truncate(good);
-                if let Some(p) = &repl {
-                    p.put(fname, &bytes);
-                }
-            }
+        let mut open_names = None;
+        for &(file, len) in &files {
+            let base = match file {
+                FileName::LegacyNames => 0,
+                FileName::Names(base) => base,
+                _ => continue,
+            };
+            open_names = Some((file, len)); // the newest base is last
+            let bytes = dir.read(file)?;
             let text = std::str::from_utf8(&bytes)
-                .map_err(|_| RecoverError::Corrupt(format!("{fname} is not UTF-8")))?;
+                .map_err(|_| RecoverError::Corrupt(format!("{file} is not UTF-8")))?;
             for (j, name) in text.lines().enumerate() {
                 let id = base + j as u64;
                 if id < next {
@@ -575,13 +426,13 @@ impl SessionLog {
                 }
                 if id > next {
                     return Err(RecoverError::Corrupt(format!(
-                        "name side-log gap: expected id {next}, {fname} starts at {id}"
+                        "name side-log gap: expected id {next}, {file} starts at {id}"
                     )));
                 }
                 let got = parser.intern(name);
                 if u64::from(got.0) != id {
                     return Err(RecoverError::Corrupt(format!(
-                        "{fname} line {j} interned as id {} (expected {id})",
+                        "{file} line {j} interned as id {} (expected {id})",
                         got.0
                     )));
                 }
@@ -592,118 +443,80 @@ impl SessionLog {
         let mut records = snap_records;
         let mut verdicts = snap_verdicts;
         let mut replayed = window;
-        let mut truncated = None;
         let mut tail_events = 0u64;
 
         if !segs.contains(&snap_seg) {
             return Err(RecoverError::Corrupt(format!(
-                "snapshot references missing segment seg-{snap_seg}.log"
+                "snapshot references missing segment {}",
+                FileName::Segment(snap_seg)
             )));
         }
 
-        let last_seg = *segs.last().expect("segs nonempty");
+        let mut seg_bytes = 0;
         for &start in &segs {
             if start < snap_seg {
                 continue; // fully covered by the snapshot
             }
-            let path = dir.join(format!("seg-{start}.log"));
-            let buf = fs::read(&path)?;
+            let file = FileName::Segment(start);
+            let buf = dir.read(file)?;
+            seg_bytes = buf.len() as u64;
             let mut reader = if start == snap_seg {
                 EventLogReader::open_at(&buf, snap_off as usize)
             } else {
                 if start != records {
                     return Err(RecoverError::Corrupt(format!(
-                        "segment chain broken: seg-{start}.log but {records} records replayed"
+                        "segment chain broken: {file} but {records} records replayed"
                     )));
                 }
                 EventLogReader::open(&buf)
             }
-            .map_err(|e| RecoverError::Corrupt(format!("seg-{start}.log: {e}")))?;
-            loop {
-                match reader.next() {
-                    None => break,
-                    Some(Ok(ev)) => {
-                        records += 1;
-                        tail_events += 1;
-                        if let Some(v) = checker.ingest(&ev) {
-                            verdicts += 1;
-                            replayed.push(v.to_json());
-                        }
-                        if let Event::Write(w) = &ev {
-                            parser.note_write(w.txn, w.object, w.seq);
-                        }
-                    }
-                    Some(Err(LogError::TornTail { good_len, detail })) if start == last_seg => {
-                        // The writer died mid-append: truncate at the
-                        // exact intact-prefix byte and resume there.
-                        // Published as a whole-file put: a follower
-                        // holding the torn bytes must drop them too,
-                        // or later appends would land after garbage.
-                        OpenOptions::new()
-                            .write(true)
-                            .open(&path)?
-                            .set_len(good_len as u64)?;
-                        if let Some(p) = &repl {
-                            p.put(&format!("seg-{start}.log"), &buf[..good_len]);
-                        }
-                        truncated = Some(format!(
-                            "seg-{start}.log truncated to {good_len} bytes: {detail}"
-                        ));
-                        break;
-                    }
-                    Some(Err(e)) => {
-                        return Err(RecoverError::Corrupt(format!("seg-{start}.log: {e}")));
-                    }
+            .map_err(|e| RecoverError::Corrupt(format!("{file}: {e}")))?;
+            while let Some(ev) = reader.next() {
+                // Torn tails are healed by now: any damage left is
+                // mid-file.
+                let ev = ev.map_err(|e| RecoverError::Corrupt(format!("{file}: {e}")))?;
+                records += 1;
+                tail_events += 1;
+                if let Some(v) = checker.ingest(&ev) {
+                    verdicts += 1;
+                    replayed.push(v.to_json());
+                }
+                if let Event::Write(w) = &ev {
+                    parser.note_write(w.txn, w.object, w.seq);
                 }
             }
         }
 
-        let open_path = dir.join(format!("seg-{last_seg}.log"));
-        let seg_bytes = fs::metadata(&open_path)?.len();
-        let file = OpenOptions::new().append(true).open(&open_path)?;
-        let seg_sync = file.try_clone()?;
         // The open names file is the newest-base side log; a directory
         // that predates name rotation may have none beyond the legacy
         // `names.log`, and a fresh post-rotation directory may have an
-        // empty one — create the file if the scan found nothing.
-        let (names_base, names_file) = match names_files.last() {
-            Some((base, fname)) => (*base, fname.clone()),
+        // empty one — create the file if the listing found nothing.
+        let (names, names_len) = match open_names {
+            Some(found) => found,
             None => {
-                let fname = format!("names-{next}.log");
-                OpenOptions::new()
-                    .create_new(true)
-                    .append(true)
-                    .open(dir.join(&fname))?;
-                if let Some(p) = &repl {
-                    p.put(&fname, b"");
-                }
-                (next, fname)
+                dir.put(FileName::Names(next), b"")?;
+                (FileName::Names(next), 0)
             }
         };
-        let names_len = fs::metadata(dir.join(&names_file))?.len();
-        let names = OpenOptions::new()
-            .append(true)
-            .open(dir.join(&names_file))?;
-        let closed = match fs::read_to_string(dir.join("closed")) {
-            Ok(s) => Some(s),
+        let closed = match dir.read(FileName::Closed) {
+            Ok(bytes) => Some(
+                String::from_utf8(bytes)
+                    .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?,
+            ),
             Err(e) if e.kind() == io::ErrorKind::NotFound => None,
             Err(e) => return Err(e.into()),
         };
         Ok(Recovered {
             log: SessionLog {
-                dir: dir.to_path_buf(),
+                dir,
                 cfg,
-                writer: EventLogWriter::append_to(file),
-                seg_sync,
+                encoder: EventLogWriter::append_to(io::sink()),
                 names,
-                names_file,
                 names_len,
-                names_base,
                 records,
                 seg_start: last_seg,
                 seg_bytes,
                 last_snap: snap_records,
-                repl,
             },
             checker,
             parser,
@@ -718,52 +531,18 @@ impl SessionLog {
     }
 }
 
-/// Splits directory entries into segment starts and snapshot record
-/// counts.
-fn scan_dir(dir: &Path) -> io::Result<(Vec<u64>, Vec<u64>)> {
-    let mut segs = Vec::new();
-    let mut snaps = Vec::new();
-    for entry in fs::read_dir(dir)? {
-        let name = entry?.file_name();
-        let Some(name) = name.to_str() else { continue };
-        if let Some(n) = name
-            .strip_prefix("seg-")
-            .and_then(|s| s.strip_suffix(".log"))
-            .and_then(|s| s.parse().ok())
-        {
-            segs.push(n);
-        } else if let Some(n) = name
-            .strip_prefix("snap-")
-            .and_then(|s| s.strip_suffix(".snap"))
-            .and_then(|s| s.parse().ok())
-        {
-            snaps.push(n);
+/// Segment starts and snapshot record counts in a directory listing,
+/// each ascending.
+fn segments_and_snapshots(files: &[(FileName, u64)]) -> (Vec<u64>, Vec<u64>) {
+    let (mut segs, mut snaps) = (Vec::new(), Vec::new());
+    for (file, _) in files {
+        match file {
+            FileName::Segment(n) => segs.push(*n),
+            FileName::Snapshot(n) => snaps.push(*n),
+            _ => {}
         }
     }
-    Ok((segs, snaps))
-}
-
-/// Lists name side-log files as `(base_id, file_name)` sorted by base.
-/// The legacy un-rotated `names.log` (pre-compaction-folding layouts)
-/// reads as base 0; it migrates to the rotated scheme at the first
-/// snapshot after recovery.
-fn scan_names(dir: &Path) -> io::Result<Vec<(u64, String)>> {
-    let mut out = Vec::new();
-    for entry in fs::read_dir(dir)? {
-        let name = entry?.file_name();
-        let Some(name) = name.to_str() else { continue };
-        if name == "names.log" {
-            out.push((0, name.to_string()));
-        } else if let Some(base) = name
-            .strip_prefix("names-")
-            .and_then(|s| s.strip_suffix(".log"))
-            .and_then(|s| s.parse().ok())
-        {
-            out.push((base, name.to_string()));
-        }
-    }
-    out.sort_unstable();
-    Ok(out)
+    (segs, snaps)
 }
 
 struct SnapState {
@@ -813,6 +592,9 @@ fn decode_snapshot(bytes: &[u8]) -> Option<SnapState> {
 mod tests {
     use super::*;
     use adya_history::ObjectId;
+    use std::fs::{self, OpenOptions};
+    use std::io::Write as _;
+    use std::path::PathBuf;
 
     struct Rig {
         log: SessionLog,
@@ -1090,6 +872,80 @@ mod tests {
         let r = SessionLog::recover(&dir, cfg, GcConfig::default(), false, None).unwrap();
         assert_eq!(r.log.records(), 6);
         assert!(r.truncated.is_none());
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn non_canonical_names_are_not_session_files() {
+        let dir = tmp("noncanonical");
+        let cfg = LogConfig {
+            rotate_events: 4,
+            snapshot_every: u64::MAX,
+            ..LogConfig::default()
+        };
+        let mut rig = Rig::create(&dir, cfg);
+        // Five records: seg-0 closed, seg-4 open.
+        rig.apply("b1 w1(x,1) c1 b2 w2(y,1)");
+        // `str::parse::<u64>` reads these as 5 and 9; the grammar does
+        // not, so neither compaction nor recovery may count them.
+        fs::write(dir.join("seg-+5.log"), b"not a segment").unwrap();
+        fs::write(dir.join("snap-+9.snap"), b"not a snapshot").unwrap();
+        fs::write(dir.join("names-05.log"), b"nor a name log\n").unwrap();
+        assert_eq!(rig.snapshot(), 1, "only seg-0 is covered; seg-4 is open");
+        assert_eq!(
+            files(&dir),
+            vec![
+                "names-05.log",
+                "names-2.log",
+                "seg-+5.log",
+                "seg-4.log",
+                "snap-+9.snap",
+                "snap-5.snap"
+            ]
+        );
+        drop(rig);
+        let r = SessionLog::recover(&dir, cfg, GcConfig::default(), false, None).unwrap();
+        assert_eq!(r.log.records(), 5);
+        assert_eq!(r.log.open_segment_records(), 1);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn legacy_names_log_recovers_and_migrates_at_its_first_snapshot() {
+        let dir = tmp("legacy-names");
+        let cfg = LogConfig {
+            rotate_events: u64::MAX,
+            snapshot_every: u64::MAX,
+            ..LogConfig::default()
+        };
+        let mut rig = Rig::create(&dir, cfg);
+        rig.apply("b1 w1(x,1) c1 b2 w2(y,1) c2");
+        drop(rig);
+        // The pre-rotation layout: one un-numbered side-log from id 0.
+        fs::copy(dir.join("names-0.log"), dir.join("names.log")).unwrap();
+        fs::remove_file(dir.join("names-0.log")).unwrap();
+
+        let r = SessionLog::recover(&dir, cfg, GcConfig::default(), false, None).unwrap();
+        let mut rig = Rig {
+            log: r.log,
+            parser: r.parser,
+            checker: r.checker,
+            verdicts: Vec::new(),
+        };
+        // Old names resolve, new ones append to the legacy file…
+        rig.apply("b3 r3(x1) w3(z,1) c3");
+        assert_eq!(fs::read(dir.join("names.log")).unwrap(), b"x\ny\nz\n");
+        let mut reference = Rig::create(&tmp("legacy-names-ref"), cfg);
+        reference.apply("b1 w1(x,1) c1 b2 w2(y,1) c2");
+        reference.verdicts.clear();
+        reference.apply("b3 r3(x1) w3(z,1) c3");
+        assert_eq!(rig.verdicts, reference.verdicts);
+        // …until the first snapshot folds it into the rotated scheme.
+        rig.snapshot();
+        assert_eq!(
+            files(&dir),
+            vec!["names-3.log", "seg-0.log", "snap-10.snap"]
+        );
         fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -58,6 +58,8 @@
 use adya_obs::json::{self, esc, Value};
 use adya_online::wire;
 
+use crate::dir::FileName;
+
 /// A parsed client control frame.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ClientFrame {
@@ -166,11 +168,7 @@ pub fn parse_frame(line: &str) -> Result<ClientFrame, String> {
         doc.u64_at(key)
             .ok_or_else(|| format!("{op:?} frame is missing an unsigned \"{key}\""))
     };
-    let file = || -> Result<String, String> {
-        let f = str_of("file")?;
-        validate_replica_file(f)?;
-        Ok(f.to_string())
-    };
+    let file = || replica_file(str_of("file")?);
     let payload = || -> Result<(u32, Vec<u8>), String> {
         let crc = num_of("crc")?;
         let crc = u32::try_from(crc).map_err(|_| "\"crc\" exceeds 32 bits".to_string())?;
@@ -224,12 +222,12 @@ pub fn parse_frame(line: &str) -> Result<ClientFrame, String> {
         "append" => {
             let (crc, data) = payload()?;
             let file = file()?;
-            if !is_append_file(&file) {
-                return Err(format!("{file:?} is not appendable"));
+            if !file.is_append() {
+                return Err(format!("\"{file}\" is not appendable"));
             }
             Ok(ClientFrame::ReplAppend {
                 session: session()?,
-                file,
+                file: file.to_string(),
                 off: num_of("off")?,
                 crc,
                 data,
@@ -240,14 +238,14 @@ pub fn parse_frame(line: &str) -> Result<ClientFrame, String> {
             let (crc, data) = payload()?;
             Ok(ClientFrame::ReplPut {
                 session: session()?,
-                file: file()?,
+                file: file()?.to_string(),
                 crc,
                 data,
             })
         }
         "remove" => Ok(ClientFrame::ReplRemove {
             session: session()?,
-            file: file()?,
+            file: file()?.to_string(),
         }),
         "repl_flush" => Ok(ClientFrame::ReplFlush {
             seq: num_of("seq")?,
@@ -271,33 +269,11 @@ pub fn validate_session_name(name: &str) -> Result<(), String> {
     Ok(())
 }
 
-/// Replication may only touch the exact file shapes [`SessionLog`]
-/// produces; anything else from a peer — however well-formed its JSON —
-/// is rejected before it can name a path.
-///
-/// [`SessionLog`]: crate::log::SessionLog
-pub fn validate_replica_file(name: &str) -> Result<(), String> {
-    let numbered = |prefix: &str, suffix: &str| {
-        name.strip_prefix(prefix)
-            .and_then(|s| s.strip_suffix(suffix))
-            .is_some_and(|mid| !mid.is_empty() && mid.bytes().all(|b| b.is_ascii_digit()))
-    };
-    if name == "closed"
-        || name == "names.log"
-        || numbered("seg-", ".log")
-        || numbered("names-", ".log")
-        || numbered("snap-", ".snap")
-    {
-        Ok(())
-    } else {
-        Err(format!("{name:?} is not a session log file"))
-    }
-}
-
-/// `true` for the append-only session files (segments and the name
-/// side-log); snapshots and `closed` are whole-file replacements.
-pub fn is_append_file(name: &str) -> bool {
-    name.ends_with(".log")
+/// Replication may only touch the files of the session-directory
+/// grammar ([`FileName`]); anything else from a peer — however
+/// well-formed its JSON — is rejected before it can name a path.
+pub fn replica_file(name: &str) -> Result<FileName, String> {
+    FileName::parse(name).ok_or_else(|| format!("{name:?} is not a session log file"))
 }
 
 /// Lowercase hex of `bytes`, for replication payloads.
@@ -342,7 +318,7 @@ pub fn decode_hex(s: &str) -> Result<Vec<u8>, String> {
 /// trace id.
 pub fn append_frame(
     session: &str,
-    file: &str,
+    file: FileName,
     off: u64,
     bytes: &[u8],
     trace: Option<u64>,
@@ -361,7 +337,7 @@ pub fn append_frame(
 }
 
 /// `put`: whole-file replacement.
-pub fn put_frame(session: &str, file: &str, bytes: &[u8]) -> String {
+pub fn put_frame(session: &str, file: FileName, bytes: &[u8]) -> String {
     format!(
         "{{\"op\": \"put\", \"session\": \"{}\", \"file\": \"{file}\", \"crc\": {}, \
          \"hex\": \"{}\"}}",
@@ -372,7 +348,7 @@ pub fn put_frame(session: &str, file: &str, bytes: &[u8]) -> String {
 }
 
 /// `remove`: a file the leader compacted away.
-pub fn remove_frame(session: &str, file: &str) -> String {
+pub fn remove_frame(session: &str, file: FileName) -> String {
     format!(
         "{{\"op\": \"remove\", \"session\": \"{}\", \"file\": \"{file}\"}}",
         esc(session)
@@ -416,7 +392,7 @@ pub fn ack_frame(seq: u64) -> String {
 /// the session, encoded as one `name:len,name:len` string so it stays
 /// inside the flat string/uint frame vocabulary. Absent files are
 /// simply not listed — the leader ships anything missing in full.
-pub fn inventory_frame(session: &str, files: &[(String, u64)]) -> String {
+pub fn inventory_frame(session: &str, files: &[(FileName, u64)]) -> String {
     let listing = files
         .iter()
         .map(|(name, len)| format!("{name}:{len}"))
@@ -430,19 +406,19 @@ pub fn inventory_frame(session: &str, files: &[(String, u64)]) -> String {
 }
 
 /// Parses the `files` listing of an [`inventory_frame`] back into
-/// `(name, len)` pairs; file names are re-validated — the follower is
-/// a network peer too.
-pub fn parse_inventory(listing: &str) -> Result<Vec<(String, u64)>, String> {
+/// `(name, len)` pairs; file names are re-read through the grammar —
+/// the follower is a network peer too.
+pub fn parse_inventory(listing: &str) -> Result<Vec<(FileName, u64)>, String> {
     let mut out = Vec::new();
     for part in listing.split(',').filter(|p| !p.is_empty()) {
         let (name, len) = part
             .rsplit_once(':')
             .ok_or_else(|| format!("inventory entry {part:?} has no ':'"))?;
-        validate_replica_file(name)?;
+        let name = replica_file(name)?;
         let len = len
             .parse::<u64>()
             .map_err(|_| format!("inventory entry {part:?} has a bad length"))?;
-        out.push((name.to_string(), len));
+        out.push((name, len));
     }
     Ok(out)
 }
@@ -713,6 +689,11 @@ mod tests {
             "{\"op\": \"remove\", \"session\": \"t\", \"file\": \"../seg-0.log\"}",
             "{\"op\": \"remove\", \"session\": \"t\", \"file\": \"/etc/passwd\"}",
             "{\"op\": \"remove\", \"session\": \"t\", \"file\": \"seg-x.log\"}",
+            // Non-canonical numbers would alias or escape the layout.
+            "{\"op\": \"remove\", \"session\": \"t\", \"file\": \"seg-+5.log\"}",
+            "{\"op\": \"remove\", \"session\": \"t\", \"file\": \"seg-05.log\"}",
+            "{\"op\": \"put\", \"session\": \"t\", \"crc\": 0, \"hex\": \"\", \
+             \"file\": \"seg-99999999999999999999999.log\"}",
             "{\"op\": \"put\", \"session\": \"t\", \"file\": \"evil\", \"crc\": 0, \"hex\": \"\"}",
             // Snapshots are put-only, never appended.
             "{\"op\": \"append\", \"session\": \"t\", \"file\": \"snap-1.snap\", \
@@ -741,13 +722,19 @@ mod tests {
             "snap-8.snap",
             "closed",
         ] {
-            assert!(validate_replica_file(good).is_ok(), "{good}");
+            assert!(replica_file(good).is_ok(), "{good}");
         }
-        for bad in ["seg-.log", "snap-.snap", "names-.log", "seg-0.snap", ""] {
-            assert!(validate_replica_file(bad).is_err(), "{bad}");
+        // The grammar itself is `dir::FileName`'s (tested there).
+        for bad in [
+            "seg-.log",
+            "snap-.snap",
+            "names-.log",
+            "seg-0.snap",
+            "seg-+5.log",
+            "",
+        ] {
+            assert!(replica_file(bad).is_err(), "{bad}");
         }
-        assert!(is_append_file("seg-0.log") && is_append_file("names-3.log"));
-        assert!(!is_append_file("snap-8.snap") && !is_append_file("closed"));
     }
 
     #[test]
@@ -763,7 +750,7 @@ mod tests {
 
     #[test]
     fn inventory_round_trips() {
-        let files = vec![("seg-0.log".to_string(), 91), ("names.log".to_string(), 0)];
+        let files = vec![(FileName::Segment(0), 91), (FileName::LegacyNames, 0)];
         let frame = inventory_frame("t1", &files);
         let reply = json::parse(&frame).unwrap();
         assert_eq!(

@@ -3,9 +3,11 @@
 //! that applies them.
 //!
 //! The unit of replication is the *file mutation*, not the event: a
-//! [`SessionLog`] publishes every byte it makes durable — segment
-//! appends, name side-log appends, snapshot puts, compaction removes —
-//! through a [`LogPublisher`] into the hub's bounded in-memory ring.
+//! leader's [`SessionDir`] publishes every mutation it applies —
+//! segment appends, name side-log appends, snapshot puts, compaction
+//! removes, recovery's torn-tail repairs — through a [`LogPublisher`]
+//! into the hub's bounded in-memory ring, and the follower applies
+//! them through a `SessionDir` of its own.
 //! One sender thread per follower drains the ring over the NDJSON
 //! protocol (`append`/`put`/`remove` frames, hex payloads, CRC-32
 //! verified before anything touches the follower's disk) and issues
@@ -38,12 +40,11 @@
 //! worst acknowledged lag across followers is what `/health` compares
 //! against `--repl-lag-max`.
 //!
-//! [`SessionLog`]: crate::log::SessionLog
 //! [`SessionLog::recover`]: crate::log::SessionLog::recover
 
 use std::collections::HashMap;
-use std::fs::{self, OpenOptions};
-use std::io::{self, BufRead, BufReader, Seek, SeekFrom, Write};
+use std::fs;
+use std::io::{self, BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -57,9 +58,10 @@ use adya_obs::{
     trace::Stage,
     TracePlane,
 };
-use adya_online::{wire, EventLogReader};
+use adya_online::wire;
 
-use crate::log::{FsyncPolicy, SNAP_MAGIC};
+use crate::dir::{FileName, FsyncPolicy, SessionDir};
+use crate::log::SNAP_MAGIC;
 use crate::proto;
 
 /// Largest payload shipped in one `append` frame during catch-up.
@@ -102,17 +104,17 @@ pub struct Totals {
 #[derive(Debug, Clone)]
 enum MutKind {
     Append {
-        file: String,
+        file: FileName,
         off: u64,
         bytes: Arc<[u8]>,
         records: u64,
     },
     Put {
-        file: String,
+        file: FileName,
         bytes: Arc<[u8]>,
     },
     Remove {
-        file: String,
+        file: FileName,
     },
 }
 
@@ -139,9 +141,9 @@ impl Mutation {
         match &self.kind {
             MutKind::Append {
                 file, off, bytes, ..
-            } => proto::append_frame(&self.session, file, *off, bytes, self.trace),
-            MutKind::Put { file, bytes } => proto::put_frame(&self.session, file, bytes),
-            MutKind::Remove { file } => proto::remove_frame(&self.session, file),
+            } => proto::append_frame(&self.session, *file, *off, bytes, self.trace),
+            MutKind::Put { file, bytes } => proto::put_frame(&self.session, *file, bytes),
+            MutKind::Remove { file } => proto::remove_frame(&self.session, *file),
         }
     }
 }
@@ -463,23 +465,22 @@ impl ReplicationHub {
                 (reply.str_at("ok") == Some("replicate"))
                     .then(|| reply.str_at("files").unwrap_or("").to_string())
             })?;
-            let inv: HashMap<String, u64> = proto::parse_inventory(&listing)
+            let inv: HashMap<FileName, u64> = proto::parse_inventory(&listing)
                 .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?
                 .into_iter()
                 .collect();
-            let dir = self.data_dir.join(&session);
-            let local = scan_replica_files(&dir)?;
-            for (file, _) in &local {
-                let path = dir.join(file);
+            let dir = SessionDir::at(&self.data_dir.join(&session), FsyncPolicy::default(), None);
+            let local = dir.list()?;
+            for &(file, _) in &local {
                 // The file may grow (or vanish, for snapshots racing
                 // compaction) between the listing and this read.
-                let data = match fs::read(&path) {
+                let data = match dir.read(file) {
                     Ok(d) => d,
                     Err(e) if e.kind() == io::ErrorKind::NotFound => continue,
                     Err(e) => return Err(e),
                 };
-                if proto::is_append_file(file) {
-                    let have = match inv.get(file) {
+                if file.is_append() {
+                    let have = match inv.get(&file) {
                         Some(&h) if h <= data.len() as u64 => h as usize,
                         Some(_) => {
                             // Follower holds more than we do: divergent
@@ -496,15 +497,15 @@ impl ReplicationHub {
                             proto::append_frame(&session, file, chunk_start as u64, chunk, None);
                         writeln!(w, "{frame}")?;
                     }
-                } else if inv.get(file) != Some(&(data.len() as u64)) {
+                } else if inv.get(&file) != Some(&(data.len() as u64)) {
                     writeln!(w, "{}", proto::put_frame(&session, file, &data))?;
                 }
             }
             // Files the leader compacted away while the follower was
             // gone. Removed last, so a follower killed mid-walk never
             // loses coverage it cannot yet replace.
-            for file in inv.keys() {
-                if !local.iter().any(|(f, _)| f == file) {
+            for &file in inv.keys() {
+                if !local.iter().any(|&(f, _)| f == file) {
                     writeln!(w, "{}", proto::remove_frame(&session, file))?;
                 }
             }
@@ -613,46 +614,8 @@ fn list_sessions(data_dir: &Path) -> io::Result<Vec<String>> {
     Ok(out)
 }
 
-/// `(name, len)` for every replicable file in a session directory, in
-/// ship order: name side-logs, then segments ascending, then
-/// snapshots, then the `closed` marker — so a peer killed at any
-/// prefix of the stream still holds a recoverable directory.
-fn scan_replica_files(dir: &Path) -> io::Result<Vec<(String, u64)>> {
-    let mut out = Vec::new();
-    for entry in fs::read_dir(dir)? {
-        let entry = entry?;
-        let Some(name) = entry.file_name().to_str().map(str::to_string) else {
-            continue;
-        };
-        if proto::validate_replica_file(&name).is_ok() {
-            out.push((name, entry.metadata()?.len()));
-        }
-    }
-    let class = |name: &str| {
-        if name.starts_with("names") {
-            0
-        } else if name.starts_with("seg-") {
-            1
-        } else if name.starts_with("snap-") {
-            2
-        } else {
-            3
-        }
-    };
-    let number = |name: &str| -> u64 {
-        name.split(['-', '.'])
-            .nth(1)
-            .and_then(|s| s.parse().ok())
-            .unwrap_or(0)
-    };
-    out.sort_by_key(|(a, _)| (class(a), number(a)));
-    Ok(out)
-}
-
-/// A [`SessionLog`]'s handle for publishing its durable mutations into
+/// A leader [`SessionDir`]'s handle for publishing its mutations into
 /// the hub ring.
-///
-/// [`SessionLog`]: crate::log::SessionLog
 #[derive(Clone)]
 pub struct LogPublisher {
     hub: Arc<ReplicationHub>,
@@ -667,26 +630,14 @@ impl std::fmt::Debug for LogPublisher {
 
 impl LogPublisher {
     /// Bytes appended at `off` of `file`; `records` is how many event
-    /// records they carry (0 for name side-log bytes).
-    pub fn append(&self, file: &str, off: u64, bytes: &[u8], records: u64) {
-        self.append_traced(file, off, bytes, records, None);
-    }
-
-    /// [`append`](LogPublisher::append) carrying the trace id of the
-    /// sampled event record, so the replication stages of that event
-    /// are stamped on both ends of the link.
-    pub fn append_traced(
-        &self,
-        file: &str,
-        off: u64,
-        bytes: &[u8],
-        records: u64,
-        trace: Option<u64>,
-    ) {
+    /// records they carry (0 for name side-log bytes) and `trace` the
+    /// id of a sampled event record, so the replication stages of that
+    /// event are stamped on both ends of the link.
+    pub fn append(&self, file: FileName, off: u64, bytes: &[u8], records: u64, trace: Option<u64>) {
         self.hub.publish(
             &self.session,
             MutKind::Append {
-                file: file.to_string(),
+                file,
                 off,
                 bytes: Arc::from(bytes),
                 records,
@@ -696,11 +647,11 @@ impl LogPublisher {
     }
 
     /// Whole-file replacement (snapshots, `closed`, truncation repair).
-    pub fn put(&self, file: &str, bytes: &[u8]) {
+    pub fn put(&self, file: FileName, bytes: &[u8]) {
         self.hub.publish(
             &self.session,
             MutKind::Put {
-                file: file.to_string(),
+                file,
                 bytes: Arc::from(bytes),
             },
             None,
@@ -708,14 +659,9 @@ impl LogPublisher {
     }
 
     /// File deleted by compaction.
-    pub fn remove(&self, file: &str) {
-        self.hub.publish(
-            &self.session,
-            MutKind::Remove {
-                file: file.to_string(),
-            },
-            None,
-        );
+    pub fn remove(&self, file: FileName) {
+        self.hub
+            .publish(&self.session, MutKind::Remove { file }, None);
     }
 }
 
@@ -736,16 +682,24 @@ impl From<io::Error> for SinkError {
     }
 }
 
-/// Follower-side state machine: applies `append`/`put`/`remove`
-/// frames under this node's [`FsyncPolicy`] and answers inventory
-/// requests after sanitizing its own torn tails.
+/// Most session directories a sink holds open between barriers; one
+/// more forces an early barrier. A catch-up walk visits every session
+/// before its single `repl_flush`, and each directory holds up to two
+/// descriptors.
+const MAX_OPEN_DIRS: usize = 64;
+
+/// Follower-side state machine: the peer checks — CRC, idempotent-by-
+/// offset appends, gap refusal, file names re-read through the one
+/// grammar — over a [`SessionDir`] per session, which applies the
+/// mutations under this node's [`FsyncPolicy`].
 #[derive(Debug)]
 pub struct ReplicaSink {
     data_dir: PathBuf,
     fsync: FsyncPolicy,
-    /// Paths written since the last durability barrier (fsynced there
-    /// under [`FsyncPolicy::Interval`]).
-    dirty: Vec<PathBuf>,
+    /// Directories written since the last durability barrier: the
+    /// dirty set [`flush`](ReplicaSink::flush) syncs and then lets go
+    /// of, so open handles are bounded by one barrier's traffic.
+    dirs: HashMap<String, SessionDir>,
 }
 
 impl ReplicaSink {
@@ -754,21 +708,43 @@ impl ReplicaSink {
         ReplicaSink {
             data_dir,
             fsync,
-            dirty: Vec::new(),
+            dirs: HashMap::new(),
         }
     }
 
-    /// Answers a `replicate` request: sanitizes the session directory
+    fn dir(&mut self, session: &str) -> io::Result<&mut SessionDir> {
+        if !self.dirs.contains_key(session) {
+            if self.dirs.len() >= MAX_OPEN_DIRS {
+                self.flush()?; // an early barrier is always safe
+            }
+            let dir = SessionDir::mirror(&self.data_dir.join(session), self.fsync)?;
+            self.dirs.insert(session.to_string(), dir);
+        }
+        Ok(self.dirs.get_mut(session).expect("just inserted"))
+    }
+
+    /// Answers a `replicate` request: heals the session directory
     /// (truncating torn tails a kill -9 of *this* process left, so the
-    /// reported lengths are trustworthy append offsets) and returns
-    /// the durable file inventory.
-    pub fn inventory(&mut self, session: &str) -> io::Result<Vec<(String, u64)>> {
-        let dir = self.data_dir.join(session);
-        fs::create_dir_all(&dir)?;
-        sanitize_session_dir(&dir)?;
-        let mut files = scan_replica_files(&dir)?;
-        files.sort();
-        Ok(files)
+    /// reported lengths are trustworthy append offsets), drops
+    /// snapshots whose container does not validate (magic, declared
+    /// length, CRC — cheap, no decoding of the checker state inside)
+    /// so the leader ships them again, and returns the durable file
+    /// inventory.
+    pub fn inventory(&mut self, session: &str) -> io::Result<Vec<(FileName, u64)>> {
+        let dir = self.dir(session)?;
+        let healed = dir.heal()?;
+        adya_obs::counter!("serve.repl_sanitized_tails").add(healed.len() as u64);
+        let mut inventory = Vec::new();
+        for (file, len) in dir.list()? {
+            if matches!(file, FileName::Snapshot(_))
+                && wire::open(&SNAP_MAGIC, &dir.read(file)?).is_none()
+            {
+                dir.remove(file)?;
+            } else {
+                inventory.push((file, len));
+            }
+        }
+        Ok(inventory)
     }
 
     /// Applies one `append`: CRC-verified, idempotent by offset (a
@@ -783,19 +759,9 @@ impl ReplicaSink {
         crc: u32,
         data: &[u8],
     ) -> Result<(), SinkError> {
-        if wire::crc32(data) != crc {
-            return Err(SinkError::Reject(format!("crc mismatch on {file}")));
-        }
-        let dir = self.data_dir.join(session);
-        fs::create_dir_all(&dir)?;
-        let path = dir.join(file);
-        let mut f = OpenOptions::new()
-            .read(true)
-            .write(true)
-            .create(true)
-            .truncate(false)
-            .open(&path)?;
-        let len = f.metadata()?.len();
+        let file = checked(file, crc, data)?;
+        let dir = self.dir(session)?;
+        let len = dir.len(file)?;
         if off > len {
             return Err(SinkError::Reject(format!(
                 "gap: append at {off} but {file} holds {len} bytes"
@@ -805,17 +771,10 @@ impl ReplicaSink {
         if skip >= data.len() {
             return Ok(()); // full replay of already-durable bytes
         }
-        f.seek(SeekFrom::Start(len))?;
-        f.write_all(&data[skip..])?;
-        if matches!(self.fsync, FsyncPolicy::Always) {
-            f.sync_data()?;
-        } else if !self.dirty.contains(&path) {
-            self.dirty.push(path);
-        }
-        Ok(())
+        Ok(dir.append(file, len, &data[skip..], 0, None)?)
     }
 
-    /// Applies one `put`: CRC-verified, atomic via tmp + rename.
+    /// Applies one `put`: CRC-verified, atomic.
     pub fn put(
         &mut self,
         session: &str,
@@ -823,113 +782,37 @@ impl ReplicaSink {
         crc: u32,
         data: &[u8],
     ) -> Result<(), SinkError> {
-        if wire::crc32(data) != crc {
-            return Err(SinkError::Reject(format!("crc mismatch on {file}")));
-        }
-        let dir = self.data_dir.join(session);
-        fs::create_dir_all(&dir)?;
-        let tmp = dir.join(".put.tmp");
-        {
-            let mut f = fs::File::create(&tmp)?;
-            f.write_all(data)?;
-            if !matches!(self.fsync, FsyncPolicy::Never) {
-                f.sync_all()?;
-            }
-        }
-        fs::rename(&tmp, dir.join(file))?;
-        Ok(())
+        let file = checked(file, crc, data)?;
+        Ok(self.dir(session)?.put(file, data)?)
     }
 
     /// Applies one `remove`; a missing file is fine (never shipped, or
     /// already removed by a replayed frame).
     pub fn remove(&mut self, session: &str, file: &str) -> io::Result<()> {
-        match fs::remove_file(self.data_dir.join(session).join(file)) {
-            Ok(()) => Ok(()),
-            Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(()),
-            Err(e) => Err(e),
-        }
+        let file = proto::replica_file(file)
+            .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e))?;
+        self.dir(session)?.remove(file)
     }
 
     /// Durability barrier: make everything since the last barrier as
     /// durable as the fsync policy promises, then the caller acks.
     pub fn flush(&mut self) -> io::Result<()> {
-        if matches!(self.fsync, FsyncPolicy::Interval) {
-            for path in &self.dirty {
-                match fs::File::open(path) {
-                    Ok(f) => f.sync_data()?,
-                    Err(e) if e.kind() == io::ErrorKind::NotFound => {}
-                    Err(e) => return Err(e),
-                }
-            }
+        for (_, mut dir) in self.dirs.drain() {
+            dir.sync()?;
         }
-        self.dirty.clear();
         Ok(())
     }
 }
 
-/// Heals the marks a kill -9 of the *follower* leaves: torn segment
-/// tails truncated at the last intact record boundary, partial name
-/// lines truncated at the last newline, undecodable snapshots and
-/// stray tmp files deleted. After this, every reported length is a
-/// safe append offset.
-fn sanitize_session_dir(dir: &Path) -> io::Result<()> {
-    for entry in fs::read_dir(dir)? {
-        let entry = entry?;
-        let Some(name) = entry.file_name().to_str().map(str::to_string) else {
-            continue;
-        };
-        let path = dir.join(&name);
-        if name.ends_with(".tmp") {
-            let _ = fs::remove_file(&path);
-            continue;
-        }
-        if proto::validate_replica_file(&name).is_err() {
-            continue;
-        }
-        if name.starts_with("seg-") {
-            let buf = fs::read(&path)?;
-            let good = intact_log_prefix(&buf);
-            if good < buf.len() {
-                OpenOptions::new()
-                    .write(true)
-                    .open(&path)?
-                    .set_len(good as u64)?;
-                adya_obs::counter!("serve.repl_sanitized_tails").inc();
-            }
-        } else if name.starts_with("names") {
-            let buf = fs::read(&path)?;
-            if buf.last().is_some_and(|&b| b != b'\n') {
-                let good = buf.iter().rposition(|&b| b == b'\n').map_or(0, |i| i + 1);
-                OpenOptions::new()
-                    .write(true)
-                    .open(&path)?
-                    .set_len(good as u64)?;
-                adya_obs::counter!("serve.repl_sanitized_tails").inc();
-            }
-        } else if name.starts_with("snap-")
-            // Cheap container validation — magic, declared length,
-            // CRC — without decoding the checker state inside.
-            && wire::open(&SNAP_MAGIC, &fs::read(&path)?).is_none()
-        {
-            let _ = fs::remove_file(&path);
-        }
+/// The checks every payload-bearing frame passes before it names a
+/// path: the file name is in the session grammar and the payload
+/// matches its checksum.
+fn checked(file: &str, crc: u32, data: &[u8]) -> Result<FileName, SinkError> {
+    let name = proto::replica_file(file).map_err(SinkError::Reject)?;
+    if wire::crc32(data) != crc {
+        return Err(SinkError::Reject(format!("crc mismatch on {file}")));
     }
-    Ok(())
-}
-
-/// Longest prefix of a segment file that parses as intact records; 0
-/// when even the header is damaged (the leader reships from scratch).
-fn intact_log_prefix(buf: &[u8]) -> usize {
-    let Ok(mut reader) = EventLogReader::open(buf) else {
-        return 0;
-    };
-    let mut good = reader.offset();
-    loop {
-        match reader.next() {
-            Some(Ok(_)) => good = reader.offset(),
-            Some(Err(_)) | None => return good,
-        }
-    }
+    Ok(name)
 }
 
 #[cfg(test)]
@@ -1003,14 +886,262 @@ mod tests {
         let inv = sink.inventory("s1").unwrap();
         assert_eq!(
             inv,
-            vec![
-                ("names-0.log".to_string(), 2),
-                ("seg-0.log".to_string(), good_len),
-            ]
+            vec![(FileName::Names(0), 2), (FileName::Segment(0), good_len)]
         );
         assert!(!dir.join("s1/snap-1.snap").exists());
         assert!(!dir.join("s1/.put.tmp").exists());
         fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn sink_refuses_names_outside_the_grammar_before_they_name_a_path() {
+        let dir = tmp("sink-names");
+        let mut sink = ReplicaSink::new(dir.clone(), FsyncPolicy::Never);
+        let crc = wire::crc32(b"x");
+        for bad in [
+            "seg-99999999999999999999999.log", // overflows u64
+            "seg-+5.log",
+            "seg-05.log",
+            "../seg-0.log",
+            ".put.tmp",
+        ] {
+            assert!(
+                matches!(sink.put("s1", bad, crc, b"x"), Err(SinkError::Reject(_))),
+                "{bad}"
+            );
+            assert!(
+                matches!(
+                    sink.append("s1", bad, 0, crc, b"x"),
+                    Err(SinkError::Reject(_))
+                ),
+                "{bad}"
+            );
+            assert!(sink.remove("s1", bad).is_err(), "{bad}");
+        }
+        assert!(!dir.join("s1").exists(), "a refused frame touches nothing");
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn sink_bounds_open_directories_with_early_barriers() {
+        let dir = tmp("sink-bound");
+        let mut sink = ReplicaSink::new(dir.clone(), FsyncPolicy::Interval);
+        let sessions = MAX_OPEN_DIRS + 6;
+        // Two passes, as a catch-up walk followed by ring replay would.
+        for (off, chunk) in [(0, &b"abc"[..]), (3, b"def")] {
+            for i in 0..sessions {
+                sink.append(
+                    &format!("s{i}"),
+                    "seg-0.log",
+                    off,
+                    wire::crc32(chunk),
+                    chunk,
+                )
+                .unwrap();
+                assert!(sink.dirs.len() <= MAX_OPEN_DIRS);
+            }
+        }
+        sink.flush().unwrap();
+        assert!(sink.dirs.is_empty());
+        for i in 0..sessions {
+            let got = fs::read(dir.join(format!("s{i}/seg-0.log"))).unwrap();
+            assert_eq!(got, b"abcdef", "s{i}");
+        }
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Every file under `dir` with its bytes, by name.
+    fn dir_bytes(dir: &Path) -> Vec<(String, Vec<u8>)> {
+        let mut v: Vec<(String, Vec<u8>)> = fs::read_dir(dir)
+            .unwrap()
+            .map(|e| {
+                let e = e.unwrap();
+                (
+                    e.file_name().to_string_lossy().into_owned(),
+                    fs::read(e.path()).unwrap(),
+                )
+            })
+            .collect();
+        v.sort();
+        v
+    }
+
+    /// Applies everything published since `cursor` through `sink`, the
+    /// way a follower connection would, barrier included.
+    fn drain(hub: &ReplicationHub, cursor: &mut u64, sink: &mut ReplicaSink) {
+        while *cursor < hub.state.lock().unwrap().next_seq {
+            let RingRead::Batch(batch) = hub.take_from(*cursor) else {
+                panic!("nothing may be evicted in this test");
+            };
+            for m in batch {
+                match &m.kind {
+                    MutKind::Append {
+                        file, off, bytes, ..
+                    } => sink
+                        .append(
+                            &m.session,
+                            &file.to_string(),
+                            *off,
+                            wire::crc32(bytes),
+                            bytes,
+                        )
+                        .unwrap(),
+                    MutKind::Put { file, bytes } => sink
+                        .put(&m.session, &file.to_string(), wire::crc32(bytes), bytes)
+                        .unwrap(),
+                    MutKind::Remove { file } => sink.remove(&m.session, &file.to_string()).unwrap(),
+                }
+                *cursor = m.seq + 1;
+            }
+        }
+        sink.flush().unwrap();
+    }
+
+    /// Appends the same garbage to the same file on both nodes: the
+    /// disk image of a follower that mirrored a write its leader then
+    /// died in the middle of.
+    fn tear(roots: [&Path; 2], file: FileName, garbage: &[u8]) {
+        for root in roots {
+            let mut f = fs::OpenOptions::new()
+                .append(true)
+                .open(root.join("s1").join(file.to_string()))
+                .unwrap();
+            f.write_all(garbage).unwrap();
+        }
+    }
+
+    #[test]
+    fn follower_directory_equals_leader_directory_after_every_kind_of_mutation() {
+        use crate::session::{Session, SessionConfig};
+        let root = tmp("mirror");
+        let (leader, follower) = (root.join("leader"), root.join("follower"));
+        let hub = ReplicationHub::start(
+            leader.clone(),
+            Vec::new(), // no sender threads: the test is the follower link
+            "127.0.0.1:0".into(),
+            "test".into(),
+            None,
+            None,
+        );
+        let mut sink = ReplicaSink::new(follower.clone(), FsyncPolicy::Interval);
+        let mut cursor = 0;
+        let mut cfg = SessionConfig::default();
+        cfg.log.rotate_events = 4;
+        cfg.log.snapshot_every = u64::MAX; // snapshots are explicit below
+        let tap = adya_faults::TapCrashPlane::new(Default::default());
+        let names = |dir: &Path| -> Vec<String> {
+            dir_bytes(&dir.join("s1"))
+                .into_iter()
+                .map(|(n, _)| n)
+                .collect()
+        };
+        let mut check = |what: &str, sink: &mut ReplicaSink| {
+            drain(&hub, &mut cursor, sink);
+            assert_eq!(
+                dir_bytes(&follower.join("s1")),
+                dir_bytes(&leader.join("s1")),
+                "directories diverged after {what}"
+            );
+        };
+
+        let mut s = Session::create(&leader, "s1", cfg, Some(hub.publisher("s1"))).unwrap();
+        check("create", &mut sink);
+        s.apply_line("b1 w1(x,1) c1 b2 w2(y,1) c2 b3 r3(x1) c3", &tap)
+            .unwrap();
+        check("segment rotation", &mut sink);
+        assert_eq!(
+            names(&leader),
+            ["names-0.log", "seg-0.log", "seg-4.log", "seg-8.log"]
+        );
+
+        s.snapshot().unwrap();
+        check("snapshot + compaction", &mut sink);
+        assert_eq!(names(&leader), ["names-2.log", "seg-8.log", "snap-9.snap"]);
+
+        s.apply_line("b4 w4(z,1) w4(q,1) c4", &tap).unwrap();
+        s.snapshot().unwrap();
+        check("name-log rotation", &mut sink);
+        assert_eq!(
+            names(&leader),
+            ["names-4.log", "seg-12.log", "snap-13.snap"]
+        );
+
+        // Kill mid-append: a torn record and a torn name line, which the
+        // follower mirrored too. Recovery must cut both on both nodes.
+        s.apply_line("b5 w5(k,1)", &tap).unwrap();
+        check("the appends before the kill", &mut sink);
+        drop(s);
+        let roots = [leader.as_path(), follower.as_path()];
+        tear(roots, FileName::Segment(12), &[40, 0, 0, 0, 0xde, 0xad]);
+        tear(roots, FileName::Names(4), b"half-a-na");
+        let mut s = Session::recover(&leader, "s1", cfg, Some(hub.publisher("s1"))).unwrap();
+        assert!(s.truncated.take().is_some_and(|d| d.contains("seg-12.log")));
+        check("recovery of torn tails", &mut sink);
+        assert_eq!(fs::read(leader.join("s1/names-4.log")).unwrap(), b"k\n");
+
+        s.apply_line("c5", &tap).unwrap();
+        s.close().unwrap();
+        check("close", &mut sink);
+        assert_eq!(
+            names(&leader),
+            ["closed", "names-5.log", "seg-16.log", "snap-16.snap"]
+        );
+        hub.stop();
+        fs::remove_dir_all(&root).unwrap();
+    }
+
+    #[test]
+    fn leader_recovery_and_follower_inventory_heal_a_torn_directory_identically() {
+        use crate::log::{LogConfig, SessionLog};
+        let root = tmp("heal-roles");
+        let cfg = LogConfig::default();
+        let mut log = SessionLog::create(&root.join("a/s1"), cfg, None).unwrap();
+        log.append_names(["x", "y"].into_iter()).unwrap();
+        for t in 1..=3 {
+            log.append(&adya_history::Event::Begin(adya_history::TxnId(t)))
+                .unwrap();
+        }
+        drop(log);
+        fs::create_dir_all(root.join("b/s1")).unwrap();
+        for (name, mut bytes) in dir_bytes(&root.join("a/s1")) {
+            match name.as_str() {
+                "seg-0.log" => bytes.extend_from_slice(&[9, 0, 0, 0, 1, 2]),
+                "names-0.log" => bytes.extend_from_slice(b"partial-nam"),
+                other => panic!("unexpected {other}"),
+            }
+            for node in ["a", "b"] {
+                fs::write(root.join(node).join("s1").join(&name), &bytes).unwrap();
+            }
+        }
+        for node in ["a", "b"] {
+            fs::write(root.join(node).join("s1/snap.tmp"), b"stray").unwrap();
+        }
+
+        let r = SessionLog::recover(
+            &root.join("a/s1"),
+            cfg,
+            adya_online::GcConfig::default(),
+            false,
+            None,
+        )
+        .unwrap();
+        assert_eq!(r.log.records(), 3);
+        drop(r);
+        let inv = ReplicaSink::new(root.join("b"), FsyncPolicy::Never)
+            .inventory("s1")
+            .unwrap();
+        let healed = dir_bytes(&root.join("a/s1"));
+        assert_eq!(dir_bytes(&root.join("b/s1")), healed);
+        assert_eq!(
+            inv.iter()
+                .map(|(f, len)| (f.to_string(), *len))
+                .collect::<Vec<_>>(),
+            healed
+                .iter()
+                .map(|(n, b)| (n.clone(), b.len() as u64))
+                .collect::<Vec<_>>()
+        );
+        fs::remove_dir_all(&root).unwrap();
     }
 
     #[test]
@@ -1025,9 +1156,9 @@ mod tests {
             None,
         );
         let p = hub.publisher("s1");
-        p.append("seg-0.log", 0, b"abcd", 1);
-        p.put("snap-4.snap", b"snap");
-        p.remove("seg-0.log");
+        p.append(FileName::Segment(0), 0, b"abcd", 1, None);
+        p.put(FileName::Snapshot(4), b"snap");
+        p.remove(FileName::Segment(0));
         match hub.take_from(0) {
             RingRead::Batch(b) => {
                 assert_eq!(b.len(), 3);
@@ -1052,7 +1183,7 @@ mod tests {
         drop(st);
         // Force eviction past the ring bound.
         for _ in 0..(RING_MAX_LEN + 10) {
-            p.append("seg-0.log", 0, b"x", 0);
+            p.append(FileName::Segment(0), 0, b"x", 0, None);
         }
         assert!(matches!(hub.take_from(0), RingRead::Evicted));
         hub.stop();
@@ -1072,8 +1203,8 @@ mod tests {
         );
         let p = hub.publisher("s1");
         let id = adya_obs::trace_id("s1", 32);
-        p.append_traced("seg-0.log", 8, b"rec", 1, Some(id));
-        p.append("seg-0.log", 11, b"rec", 1); // untraced
+        p.append(FileName::Segment(0), 8, b"rec", 1, Some(id));
+        p.append(FileName::Segment(0), 11, b"rec", 1, None); // untraced
         match hub.take_from(0) {
             RingRead::Batch(b) => {
                 let wire_id = format!("\"trace\": \"{}\"", adya_obs::fmt_trace_id(id));
@@ -1105,7 +1236,8 @@ mod tests {
             None,
         );
         assert!(!hub.unhealthy(), "no published work, no lag");
-        hub.publisher("s1").append("seg-0.log", 0, b"abcdef", 2);
+        hub.publisher("s1")
+            .append(FileName::Segment(0), 0, b"abcdef", 2, None);
         let (rec, bytes) = hub.lag_summary();
         assert_eq!((rec, bytes), (2, 6));
         assert!(hub.unhealthy(), "lag 2 > max 0");

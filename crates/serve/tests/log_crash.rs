@@ -13,7 +13,7 @@ use std::path::{Path, PathBuf};
 
 use adya_history::ObjectId;
 use adya_online::{GcConfig, OnlineChecker, StreamParser};
-use adya_serve::{LogConfig, SessionLog};
+use adya_serve::{FileName, FsyncPolicy, LogConfig, SessionDir, SessionLog};
 use proptest::prelude::*;
 
 /// A deterministic, version-correct token stream: interleaved begins,
@@ -76,21 +76,14 @@ impl Rig {
 
 /// The open (highest-numbered) segment file in a session directory.
 fn open_segment(dir: &Path) -> PathBuf {
-    let mut best = None::<(u64, PathBuf)>;
-    for entry in fs::read_dir(dir).expect("read session dir") {
-        let entry = entry.expect("dir entry");
-        let name = entry.file_name().to_string_lossy().into_owned();
-        if let Some(n) = name
-            .strip_prefix("seg-")
-            .and_then(|s| s.strip_suffix(".log"))
-            .and_then(|s| s.parse::<u64>().ok())
-        {
-            if best.as_ref().is_none_or(|(b, _)| n > *b) {
-                best = Some((n, entry.path()));
-            }
-        }
-    }
-    best.expect("at least one segment").1
+    let listing = SessionDir::at(dir, FsyncPolicy::Never, None)
+        .list()
+        .expect("list session dir");
+    let open = listing
+        .iter()
+        .rfind(|(f, _)| matches!(f, FileName::Segment(_)))
+        .expect("at least one segment");
+    dir.join(open.0.to_string())
 }
 
 fn tmp(tag: &str) -> PathBuf {

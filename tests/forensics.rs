@@ -142,7 +142,7 @@ fn trace_export_is_wellformed_and_complete() {
     assert_balanced_json(&t);
     assert!(t.contains("\"traceEvents\""), "{t}");
     // One metadata record and one lane of spans per transaction.
-    for needle in ["\"ph\":\"M\"", "\"ph\":\"X\"", "\"ph\":\"i\""] {
+    for needle in ["\"ph\": \"M\"", "\"ph\": \"X\"", "\"ph\": \"i\""] {
         assert!(t.contains(needle), "missing {needle}: {t}");
     }
     assert!(t.contains("\"T1\"") && t.contains("\"T2\""), "{t}");
