@@ -13,8 +13,8 @@
 //! [`FileName`] is that grammar — nothing else in the workspace spells
 //! or parses a session file name — and [`SessionDir`] is the only code
 //! that touches the files. It changes them in exactly three ways
-//! (healing included): [`append`](SessionDir::append) at a known offset,
-//! [`put`](SessionDir::put) of a whole file (tmp + rename, so a reader
+//! (healing included): [`append`](SessionDir::append) at the end of a
+//! file, [`put`](SessionDir::put) of a whole file (tmp + rename, so a reader
 //! sees the old bytes or the new, never a mix) and
 //! [`remove`](SessionDir::remove). Each mutation applies the node's
 //! [`FsyncPolicy`] itself and, when a [`LogPublisher`] is attached,
@@ -45,8 +45,9 @@ use std::fs::{self, File, OpenOptions};
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 
-use adya_online::{EventLogReader, LogError, LOG_MAGIC};
+use adya_online::{wire, EventLogReader, LogError, LOG_MAGIC};
 
+use crate::log::SNAP_MAGIC;
 use crate::replica::LogPublisher;
 
 /// Name of the scratch file every [`put`](SessionDir::put) writes
@@ -162,6 +163,26 @@ pub struct Healed {
     pub detail: String,
 }
 
+/// Every session file present in the directory at `path` with its byte
+/// length, in ship order. Entries outside the [`FileName`] grammar are
+/// not session files and are not listed.
+pub fn list(path: &Path) -> io::Result<Vec<(FileName, u64)>> {
+    let mut out = Vec::new();
+    for entry in fs::read_dir(path)? {
+        let entry = entry?;
+        if let Some(file) = entry.file_name().to_str().and_then(FileName::parse) {
+            out.push((file, entry.metadata()?.len()));
+        }
+    }
+    out.sort_unstable();
+    Ok(out)
+}
+
+/// The whole content of `file` in the directory at `path`.
+pub fn read(path: &Path, file: FileName) -> io::Result<Vec<u8>> {
+    fs::read(path.join(file.to_string()))
+}
+
 /// An append-only file held open between appends.
 #[derive(Debug)]
 struct OpenFile {
@@ -176,6 +197,9 @@ pub struct SessionDir {
     path: PathBuf,
     fsync: FsyncPolicy,
     publisher: Option<LogPublisher>,
+    /// A peer re-ships whatever this directory lacks (a follower's
+    /// mirror), so [`heal`](SessionDir::heal) may cut at any damage.
+    resupplied: bool,
     /// Append handles: at most one name side-log and one segment, the
     /// newest of each that was appended to.
     open: Vec<OpenFile>,
@@ -191,6 +215,7 @@ impl SessionDir {
             path: path.to_path_buf(),
             fsync,
             publisher,
+            resupplied: false,
             open: Vec::new(),
             dirty: Vec::new(),
         }
@@ -209,35 +234,29 @@ impl SessionDir {
         Ok(SessionDir::at(path, fsync, publisher))
     }
 
-    /// A follower's handle: the directory is created when absent, and
-    /// nothing is published onwards.
+    /// A follower's handle: the directory is created when absent,
+    /// nothing is published onwards, and the leader it mirrors re-ships
+    /// whatever [`heal`](SessionDir::heal) cuts away.
     pub fn mirror(path: &Path, fsync: FsyncPolicy) -> io::Result<SessionDir> {
         fs::create_dir_all(path)?;
-        Ok(SessionDir::at(path, fsync, None))
+        Ok(SessionDir {
+            resupplied: true,
+            ..SessionDir::at(path, fsync, None)
+        })
     }
 
-    /// Every session file present with its byte length, in ship order.
-    /// Entries outside the [`FileName`] grammar are not session files
-    /// and are not listed.
+    /// [`list`] of this directory.
     pub fn list(&self) -> io::Result<Vec<(FileName, u64)>> {
-        let mut out = Vec::new();
-        for entry in fs::read_dir(&self.path)? {
-            let entry = entry?;
-            if let Some(file) = entry.file_name().to_str().and_then(FileName::parse) {
-                out.push((file, entry.metadata()?.len()));
-            }
-        }
-        out.sort_unstable();
-        Ok(out)
+        list(&self.path)
     }
 
-    /// The whole content of `file`.
+    /// [`read`] from this directory.
     pub fn read(&self, file: FileName) -> io::Result<Vec<u8>> {
-        fs::read(self.path.join(file.to_string()))
+        read(&self.path, file)
     }
 
-    /// Byte length of an append-only file — the only offset the next
-    /// [`append`](SessionDir::append) to it may name. An absent file
+    /// Byte length of an append-only file: the offset the next
+    /// [`append`](SessionDir::append) to it lands at. An absent file
     /// is created empty.
     pub fn len(&mut self, file: FileName) -> io::Result<u64> {
         Ok(self.handle(file)?.len)
@@ -272,27 +291,20 @@ impl SessionDir {
         Ok(&mut self.open[at])
     }
 
-    /// Appends `bytes` at byte `off` of an append-only file, which must
-    /// be its current length — an append never leaves a gap or lands
-    /// over existing bytes. `records` (how many event records the
-    /// bytes carry) and `trace` (the id of a sampled record) ride
-    /// along to the publisher for lag accounting and provenance.
+    /// Appends `bytes` at the end of an append-only file. `records`
+    /// (how many event records the bytes carry) and `trace` (the id of
+    /// a sampled record) ride along to the publisher for lag
+    /// accounting and provenance.
     pub fn append(
         &mut self,
         file: FileName,
-        off: u64,
         bytes: &[u8],
         records: u64,
         trace: Option<u64>,
     ) -> io::Result<()> {
         let fsync = self.fsync;
         let f = self.handle(file)?;
-        if off != f.len {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                format!("append at {off} but {file} holds {} bytes", f.len),
-            ));
-        }
+        let off = f.len;
         f.file.write_all(bytes)?;
         f.len += bytes.len() as u64;
         match fsync {
@@ -361,16 +373,27 @@ impl SessionDir {
         Ok(())
     }
 
-    /// Repairs what a kill -9 of the writing process leaves behind, so
-    /// that every listed length is a safe append offset: a torn
-    /// segment is truncated at its last intact record, a torn name
-    /// line at its last newline, stray tmp files are deleted. (A put
-    /// is atomic, so whole-file puts are never torn.) Mid-file damage
-    /// is *not* a torn write and is left for recovery to refuse. Each
-    /// truncation is a [`put`](SessionDir::put) of the intact prefix,
-    /// so it is published like any other mutation — a peer holding the
-    /// torn bytes must drop them too, or later appends would land
-    /// after garbage. Idempotent; returns the truncations made.
+    /// Repairs what a kill -9 of the writing process leaves behind:
+    /// a torn final record of the newest segment is cut at the last
+    /// intact record, a torn final line of the newest name log at the
+    /// last newline, stray tmp files are deleted. (A put is atomic, so
+    /// whole-file puts are never torn.) Only the newest file of each
+    /// kind was open for appending, so damage anywhere else — an older
+    /// file, or mid-file — is not a torn write: it may sit over
+    /// acknowledged records and is left, bytes untouched, for recovery
+    /// to refuse. Each cut is a [`put`](SessionDir::put) of the intact
+    /// prefix, so it is published like any other mutation — a peer
+    /// holding the torn bytes must drop them too, or later appends
+    /// would land after garbage.
+    ///
+    /// A [`mirror`](SessionDir::mirror) need not be that careful: its
+    /// leader re-ships from whatever length is left, so every
+    /// append-only file is cut at its first undecodable byte (a bad
+    /// header cuts to nothing) and a snapshot whose container does not
+    /// validate is deleted — after which every listed length is a safe
+    /// append offset.
+    ///
+    /// Idempotent; returns the cuts made.
     pub fn heal(&mut self) -> io::Result<Vec<Healed>> {
         self.open.clear(); // lengths are about to change under them
         for entry in fs::read_dir(&self.path)? {
@@ -383,26 +406,42 @@ impl SessionDir {
                 let _ = fs::remove_file(entry.path());
             }
         }
+        let files = self.list()?;
+        // Ship order puts the newest file of each kind last.
+        let newest = |names: bool| {
+            let mut all = files.iter().map(|&(f, _)| f);
+            all.rfind(|f| f.is_append() && f.is_names() == names)
+        };
+        let writable = [newest(true), newest(false)];
         let mut healed = Vec::new();
-        for (file, _) in self.list()? {
+        for &(file, _) in &files {
+            if matches!(file, FileName::Snapshot(_)) && self.resupplied {
+                // Magic, declared length, CRC: cheap, no decoding of
+                // the checker state inside.
+                if wire::open(&SNAP_MAGIC, &self.read(file)?).is_none() {
+                    self.remove(file)?;
+                }
+            }
             if !file.is_append() {
                 continue;
             }
             let bytes = self.read(file)?;
-            let torn = if file.is_names() {
-                bytes.last().is_some_and(|&b| b != b'\n').then(|| {
-                    let good = bytes.iter().rposition(|&b| b == b'\n').map_or(0, |i| i + 1);
-                    (good, "partial final name line".to_string())
+            let damage = if file.is_names() {
+                bytes.last().is_some_and(|&b| b != b'\n').then(|| Damage {
+                    good: bytes.iter().rposition(|&b| b == b'\n').map_or(0, |i| i + 1),
+                    torn: true,
+                    detail: "partial final name line".to_string(),
                 })
             } else {
-                torn_segment(&bytes)
+                segment_damage(&bytes)
             };
-            if let Some((good, detail)) = torn {
-                self.put(file, &bytes[..good])?;
+            let Some(d) = damage else { continue };
+            if self.resupplied || (d.torn && writable.contains(&Some(file))) {
+                self.put(file, &bytes[..d.good])?;
                 healed.push(Healed {
                     file,
-                    good_len: good as u64,
-                    detail,
+                    good_len: d.good as u64,
+                    detail: d.detail,
                 });
             }
         }
@@ -410,21 +449,38 @@ impl SessionDir {
     }
 }
 
-/// Where a segment's torn tail starts and what is wrong with it;
-/// `None` when the segment is intact — or damaged in a way a torn
-/// write cannot explain.
-fn torn_segment(buf: &[u8]) -> Option<(usize, String)> {
+/// Why a file does not decode end to end.
+struct Damage {
+    /// Length of the prefix that does.
+    good: usize,
+    /// The damage is confined to the final record or line, as a writer
+    /// killed mid-append leaves it.
+    torn: bool,
+    detail: String,
+}
+
+/// Where a segment stops decoding; `None` when it is intact (or empty:
+/// nothing to cut).
+fn segment_damage(buf: &[u8]) -> Option<Damage> {
     let Ok(mut reader) = EventLogReader::open(buf) else {
-        // Killed inside the 8-byte header write.
-        let torn_header = !buf.is_empty() && LOG_MAGIC.starts_with(buf);
-        return torn_header.then(|| (0, "partial log header".to_string()));
+        // Killed inside the 8-byte header write, if what is there is a
+        // prefix of it.
+        let torn = LOG_MAGIC.starts_with(buf);
+        let detail = if torn { "partial" } else { "bad" };
+        return (!buf.is_empty()).then(|| Damage {
+            good: 0,
+            torn,
+            detail: format!("{detail} log header"),
+        });
     };
     loop {
-        match reader.next()? {
-            Ok(_) => {}
-            Err(LogError::TornTail { good_len, detail }) => return Some((good_len, detail)),
-            Err(_) => return None,
-        }
+        let (good, torn, detail) = match reader.next()? {
+            Ok(_) => continue,
+            Err(LogError::TornTail { good_len, detail }) => (good_len, true, detail),
+            Err(LogError::Corrupt { offset, detail }) => (offset, false, detail),
+            Err(LogError::BadMagic) => unreachable!("the header was read by open"),
+        };
+        return Some(Damage { good, torn, detail });
     }
 }
 
@@ -523,21 +579,20 @@ mod tests {
     }
 
     #[test]
-    fn append_demands_the_current_length_and_an_appendable_file() {
+    fn append_lands_at_the_end_of_an_appendable_file() {
         let path = tmp("append");
         let mut dir = SessionDir::create(&path, FsyncPolicy::Interval, None).unwrap();
         let seg = FileName::Segment(0);
-        dir.append(seg, 0, b"abc", 0, None).unwrap();
-        dir.append(seg, 3, b"def", 0, None).unwrap();
-        for off in [0, 5, 7] {
-            let e = dir.append(seg, off, b"x", 0, None).unwrap_err();
-            assert_eq!(e.kind(), io::ErrorKind::InvalidInput, "off {off}");
-        }
-        assert!(dir.append(FileName::Closed, 0, b"x", 0, None).is_err());
+        assert_eq!(dir.len(seg).unwrap(), 0);
+        dir.append(seg, b"abc", 0, None).unwrap();
+        dir.append(seg, b"def", 0, None).unwrap();
+        assert_eq!(dir.len(seg).unwrap(), 6);
+        let e = dir.append(FileName::Closed, b"x", 0, None).unwrap_err();
+        assert_eq!(e.kind(), io::ErrorKind::InvalidInput);
         // A put replaces the inode; the next append sees the new file.
         dir.put(seg, b"ab").unwrap();
         assert_eq!(dir.len(seg).unwrap(), 2);
-        dir.append(seg, 2, b"c", 0, None).unwrap();
+        dir.append(seg, b"c", 0, None).unwrap();
         dir.sync().unwrap();
         assert_eq!(dir.read(seg).unwrap(), b"abc");
         // Removal is idempotent and forgets the handle too.
@@ -549,24 +604,35 @@ mod tests {
         fs::remove_dir_all(&path).unwrap();
     }
 
-    #[test]
-    fn heal_repairs_torn_tails_only_and_is_idempotent() {
-        let path = tmp("heal");
-        let mut dir = SessionDir::create(&path, FsyncPolicy::Never, None).unwrap();
+    /// One directory holding every kind of damage: mid-file corruption
+    /// and a torn tail in closed segments, a partial header in the
+    /// open one, a torn line in both an older and the open name log.
+    fn damaged(path: &Path) -> (Vec<u8>, Vec<u8>) {
+        fs::create_dir_all(path).unwrap();
         let log = adya_online::encode_log(&[Event::Begin(TxnId(1)), Event::Commit(TxnId(1))]);
         let mut torn = log.clone();
         torn.extend_from_slice(&[9, 0, 0, 0, 1, 2]);
-        // Mid-file damage: flip a payload byte of the first record.
+        // Flip a payload byte of the first of the two records.
         let mut corrupt = log.clone();
-        corrupt[LOG_MAGIC.len() + adya_online::wire::FRAME_HEADER] ^= 0xff;
+        corrupt[LOG_MAGIC.len() + wire::FRAME_HEADER] ^= 0xff;
         fs::write(path.join("seg-0.log"), &corrupt).unwrap();
         fs::write(path.join("seg-2.log"), &torn).unwrap();
         fs::write(path.join("seg-4.log"), &LOG_MAGIC[..3]).unwrap();
         fs::write(path.join("names-0.log"), b"x\npartial-nam").unwrap();
-        fs::write(path.join("names-2.log"), b"").unwrap();
-        fs::write(path.join("snap-1.snap"), b"put whole, never torn").unwrap();
+        fs::write(path.join("names-2.log"), b"y\nz\nhalf").unwrap();
+        fs::write(path.join("snap-1.snap"), b"not a sealed container").unwrap();
         fs::write(path.join("snap.tmp"), b"stray").unwrap();
         fs::write(path.join("closed"), b"no newline").unwrap();
+        (log, corrupt)
+    }
+
+    #[test]
+    fn heal_cuts_only_what_a_killed_writer_left_and_is_idempotent() {
+        let path = tmp("heal");
+        let (log, corrupt) = damaged(&path);
+        let mut torn = log;
+        torn.extend_from_slice(&[9, 0, 0, 0, 1, 2]);
+        let mut dir = SessionDir::at(&path, FsyncPolicy::Never, None);
 
         let healed = dir.heal().unwrap();
         assert_eq!(
@@ -574,11 +640,7 @@ mod tests {
                 .iter()
                 .map(|h| (h.file, h.good_len))
                 .collect::<Vec<_>>(),
-            vec![
-                (FileName::Names(0), 2),
-                (FileName::Segment(2), log.len() as u64),
-                (FileName::Segment(4), 0),
-            ]
+            vec![(FileName::Names(2), 4), (FileName::Segment(4), 0)]
         );
         let after = snapshot(&path);
         let names: Vec<&str> = after.iter().map(|(n, _)| n.as_str()).collect();
@@ -594,10 +656,51 @@ mod tests {
                 "snap-1.snap"
             ]
         );
+        // Files no writer had open keep every byte, damaged or not.
         assert_eq!(fs::read(path.join("seg-0.log")).unwrap(), corrupt);
-        assert_eq!(fs::read(path.join("seg-2.log")).unwrap(), log);
-        assert_eq!(fs::read(path.join("names-0.log")).unwrap(), b"x\n");
+        assert_eq!(fs::read(path.join("seg-2.log")).unwrap(), torn);
+        assert_eq!(
+            fs::read(path.join("names-0.log")).unwrap(),
+            b"x\npartial-nam"
+        );
+        assert_eq!(fs::read(path.join("names-2.log")).unwrap(), b"y\nz\n");
 
+        assert_eq!(dir.heal().unwrap(), Vec::new());
+        assert_eq!(snapshot(&path), after);
+        fs::remove_dir_all(&path).unwrap();
+    }
+
+    #[test]
+    fn a_mirror_heals_down_to_what_its_leader_can_append_to() {
+        let path = tmp("heal-mirror");
+        let (log, corrupt) = damaged(&path);
+        fs::write(path.join("seg-6.log"), b"BADMAGIC and more").unwrap();
+        let mut dir = SessionDir::mirror(&path, FsyncPolicy::Never).unwrap();
+
+        let healed = dir.heal().unwrap();
+        assert_eq!(
+            healed
+                .iter()
+                .map(|h| (h.file, h.good_len))
+                .collect::<Vec<_>>(),
+            vec![
+                (FileName::Names(0), 2),
+                (FileName::Names(2), 4),
+                (FileName::Segment(0), LOG_MAGIC.len() as u64),
+                (FileName::Segment(2), log.len() as u64),
+                (FileName::Segment(4), 0),
+                (FileName::Segment(6), 0),
+            ]
+        );
+        assert_eq!(
+            dir.read(FileName::Segment(0)).unwrap(),
+            corrupt[..LOG_MAGIC.len()]
+        );
+        assert_eq!(dir.read(FileName::Segment(2)).unwrap(), log);
+        assert!(!path.join("snap-1.snap").exists());
+        assert!(!path.join("snap.tmp").exists());
+
+        let after = snapshot(&path);
         assert_eq!(dir.heal().unwrap(), Vec::new());
         assert_eq!(snapshot(&path), after);
         fs::remove_dir_all(&path).unwrap();

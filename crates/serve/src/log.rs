@@ -109,15 +109,12 @@ pub struct SessionLog {
     /// replication hub) through `dir`.
     encoder: EventLogWriter<io::Sink>,
     /// The open name side-log (a legacy `names.log` until its first
-    /// rotation) and its byte length.
+    /// rotation).
     names: FileName,
-    names_len: u64,
     /// Total durable event records across all segments.
     records: u64,
     /// First record index of the open segment.
     seg_start: u64,
-    /// Byte length of the open segment (header included).
-    seg_bytes: u64,
     /// Records at the last snapshot (0 when none yet).
     last_snap: u64,
 }
@@ -168,17 +165,15 @@ impl SessionLog {
         repl: Option<LogPublisher>,
     ) -> io::Result<SessionLog> {
         let mut dir = SessionDir::create(dir, cfg.fsync, repl)?;
-        dir.append(FileName::Segment(0), 0, &LOG_MAGIC, 0, None)?;
+        dir.append(FileName::Segment(0), &LOG_MAGIC, 0, None)?;
         dir.put(FileName::Names(0), b"")?;
         Ok(SessionLog {
             dir,
             cfg,
             encoder: EventLogWriter::append_to(io::sink()),
             names: FileName::Names(0),
-            names_len: 0,
             records: 0,
             seg_start: 0,
-            seg_bytes: LOG_MAGIC.len() as u64,
             last_snap: 0,
         })
     }
@@ -202,9 +197,7 @@ impl SessionLog {
             buf.push('\n');
         }
         if !buf.is_empty() {
-            self.dir
-                .append(self.names, self.names_len, buf.as_bytes(), 0, None)?;
-            self.names_len += buf.len() as u64;
+            self.dir.append(self.names, buf.as_bytes(), 0, None)?;
         }
         Ok(())
     }
@@ -220,15 +213,13 @@ impl SessionLog {
     /// then propagates the id to followers.
     pub fn append_traced(&mut self, ev: &Event, trace: Option<u64>) -> io::Result<()> {
         let rec = self.encoder.append(ev)?;
-        let seg = FileName::Segment(self.seg_start);
-        self.dir.append(seg, self.seg_bytes, rec, 1, trace)?;
-        self.seg_bytes += rec.len() as u64;
+        self.dir
+            .append(FileName::Segment(self.seg_start), rec, 1, trace)?;
         self.records += 1;
         if self.records - self.seg_start >= self.cfg.rotate_events {
             self.seg_start = self.records;
-            self.seg_bytes = LOG_MAGIC.len() as u64;
             self.dir
-                .append(FileName::Segment(self.seg_start), 0, &LOG_MAGIC, 0, None)?;
+                .append(FileName::Segment(self.seg_start), &LOG_MAGIC, 0, None)?;
         }
         Ok(())
     }
@@ -260,7 +251,7 @@ impl SessionLog {
         e.u64(self.records);
         e.u64(verdicts);
         e.u64(self.seg_start);
-        e.u64(self.seg_bytes);
+        e.u64(self.dir.len(FileName::Segment(self.seg_start))?);
         let parser_bytes = parser.snapshot();
         e.len(parser_bytes.len());
         e.bytes(&parser_bytes);
@@ -314,7 +305,7 @@ impl SessionLog {
     /// for sessions that cycle object names forever: at most one
     /// snapshot interval of names is ever on disk.
     fn rotate_names(&mut self, interned: u64) -> io::Result<()> {
-        if self.names_len == 0 {
+        if self.dir.len(self.names)? == 0 {
             return Ok(()); // nothing interned since the last rotation
         }
         let fresh = FileName::Names(interned);
@@ -325,7 +316,6 @@ impl SessionLog {
             }
         }
         self.names = fresh;
-        self.names_len = 0;
         Ok(())
     }
 
@@ -409,14 +399,21 @@ impl SessionLog {
         // recovery refuses to guess.
         let mut next = parser.interned() as u64;
         let mut open_names = None;
-        for &(file, len) in &files {
+        for &(file, _) in &files {
             let base = match file {
                 FileName::LegacyNames => 0,
                 FileName::Names(base) => base,
                 _ => continue,
             };
-            open_names = Some((file, len)); // the newest base is last
+            open_names = Some(file); // the newest base is last
             let bytes = dir.read(file)?;
+            // The open file's torn line is healed by now: a partial
+            // line left is in a file no writer had open.
+            if bytes.last().is_some_and(|&b| b != b'\n') {
+                return Err(RecoverError::Corrupt(format!(
+                    "{file}: partial final name line"
+                )));
+            }
             let text = std::str::from_utf8(&bytes)
                 .map_err(|_| RecoverError::Corrupt(format!("{file} is not UTF-8")))?;
             for (j, name) in text.lines().enumerate() {
@@ -452,14 +449,12 @@ impl SessionLog {
             )));
         }
 
-        let mut seg_bytes = 0;
         for &start in &segs {
             if start < snap_seg {
                 continue; // fully covered by the snapshot
             }
             let file = FileName::Segment(start);
             let buf = dir.read(file)?;
-            seg_bytes = buf.len() as u64;
             let mut reader = if start == snap_seg {
                 EventLogReader::open_at(&buf, snap_off as usize)
             } else {
@@ -472,8 +467,8 @@ impl SessionLog {
             }
             .map_err(|e| RecoverError::Corrupt(format!("{file}: {e}")))?;
             while let Some(ev) = reader.next() {
-                // Torn tails are healed by now: any damage left is
-                // mid-file.
+                // The open segment's torn tail is healed by now: any
+                // damage left is mid-file or in a closed segment.
                 let ev = ev.map_err(|e| RecoverError::Corrupt(format!("{file}: {e}")))?;
                 records += 1;
                 tail_events += 1;
@@ -491,11 +486,11 @@ impl SessionLog {
         // that predates name rotation may have none beyond the legacy
         // `names.log`, and a fresh post-rotation directory may have an
         // empty one — create the file if the listing found nothing.
-        let (names, names_len) = match open_names {
+        let names = match open_names {
             Some(found) => found,
             None => {
                 dir.put(FileName::Names(next), b"")?;
-                (FileName::Names(next), 0)
+                FileName::Names(next)
             }
         };
         let closed = match dir.read(FileName::Closed) {
@@ -512,10 +507,8 @@ impl SessionLog {
                 cfg,
                 encoder: EventLogWriter::append_to(io::sink()),
                 names,
-                names_len,
                 records,
                 seg_start: last_seg,
-                seg_bytes,
                 last_snap: snap_records,
             },
             checker,

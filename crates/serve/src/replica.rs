@@ -60,8 +60,7 @@ use adya_obs::{
 };
 use adya_online::wire;
 
-use crate::dir::{FileName, FsyncPolicy, SessionDir};
-use crate::log::SNAP_MAGIC;
+use crate::dir::{self, FileName, FsyncPolicy, SessionDir};
 use crate::proto;
 
 /// Largest payload shipped in one `append` frame during catch-up.
@@ -469,12 +468,12 @@ impl ReplicationHub {
                 .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?
                 .into_iter()
                 .collect();
-            let dir = SessionDir::at(&self.data_dir.join(&session), FsyncPolicy::default(), None);
-            let local = dir.list()?;
+            let dir = self.data_dir.join(&session);
+            let local = dir::list(&dir)?;
             for &(file, _) in &local {
                 // The file may grow (or vanish, for snapshots racing
                 // compaction) between the listing and this read.
-                let data = match dir.read(file) {
+                let data = match dir::read(&dir, file) {
                     Ok(d) => d,
                     Err(e) if e.kind() == io::ErrorKind::NotFound => continue,
                     Err(e) => return Err(e),
@@ -723,28 +722,16 @@ impl ReplicaSink {
         Ok(self.dirs.get_mut(session).expect("just inserted"))
     }
 
-    /// Answers a `replicate` request: heals the session directory
-    /// (truncating torn tails a kill -9 of *this* process left, so the
-    /// reported lengths are trustworthy append offsets), drops
-    /// snapshots whose container does not validate (magic, declared
-    /// length, CRC — cheap, no decoding of the checker state inside)
-    /// so the leader ships them again, and returns the durable file
-    /// inventory.
+    /// Answers a `replicate` request: heals the session directory —
+    /// as a mirror, so whatever a kill -9 of *this* process or a lost
+    /// page left undecodable is cut away and every reported length is
+    /// a trustworthy append offset the leader ships from — and returns
+    /// the durable file inventory.
     pub fn inventory(&mut self, session: &str) -> io::Result<Vec<(FileName, u64)>> {
         let dir = self.dir(session)?;
         let healed = dir.heal()?;
         adya_obs::counter!("serve.repl_sanitized_tails").add(healed.len() as u64);
-        let mut inventory = Vec::new();
-        for (file, len) in dir.list()? {
-            if matches!(file, FileName::Snapshot(_))
-                && wire::open(&SNAP_MAGIC, &dir.read(file)?).is_none()
-            {
-                dir.remove(file)?;
-            } else {
-                inventory.push((file, len));
-            }
-        }
-        Ok(inventory)
+        dir.list()
     }
 
     /// Applies one `append`: CRC-verified, idempotent by offset (a
@@ -771,7 +758,7 @@ impl ReplicaSink {
         if skip >= data.len() {
             return Ok(()); // full replay of already-durable bytes
         }
-        Ok(dir.append(file, len, &data[skip..], 0, None)?)
+        Ok(dir.append(file, &data[skip..], 0, None)?)
     }
 
     /// Applies one `put`: CRC-verified, atomic.
@@ -890,6 +877,46 @@ mod tests {
         );
         assert!(!dir.join("s1/snap-1.snap").exists());
         assert!(!dir.join("s1/.put.tmp").exists());
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn inventory_reports_damaged_segments_at_their_intact_prefix_so_the_leader_reships() {
+        use adya_history::{Event, TxnId};
+        let dir = tmp("sink-reship");
+        let log = adya_online::encode_log(&[
+            Event::Begin(TxnId(1)),
+            Event::Commit(TxnId(1)),
+            Event::Begin(TxnId(2)),
+        ]);
+        let one_record = adya_online::encode_log(&[Event::Begin(TxnId(1))]).len();
+        // What an OS crash under interval/never fsync can leave: a lost
+        // page in the middle of a closed segment, a lost header.
+        let mut holed = log.clone();
+        holed[one_record + wire::FRAME_HEADER] ^= 0xff;
+        fs::create_dir_all(dir.join("s1")).unwrap();
+        fs::write(dir.join("s1/seg-0.log"), &holed).unwrap();
+        fs::write(dir.join("s1/seg-3.log"), vec![0; log.len()]).unwrap();
+        fs::write(dir.join("s1/seg-6.log"), &log).unwrap();
+        let mut sink = ReplicaSink::new(dir.clone(), FsyncPolicy::Never);
+        let inv = sink.inventory("s1").unwrap();
+        assert_eq!(
+            inv,
+            vec![
+                (FileName::Segment(0), one_record as u64),
+                (FileName::Segment(3), 0),
+                (FileName::Segment(6), log.len() as u64),
+            ]
+        );
+        // The leader's catch-up ships from the reported lengths; the
+        // appends land on intact bytes and rebuild the leader's files.
+        for (file, have) in [("seg-0.log", one_record), ("seg-3.log", 0)] {
+            let rest = &log[have..];
+            sink.append("s1", file, have as u64, wire::crc32(rest), rest)
+                .unwrap();
+            sink.flush().unwrap();
+            assert_eq!(fs::read(dir.join("s1").join(file)).unwrap(), log, "{file}");
+        }
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1086,6 +1113,72 @@ mod tests {
             names(&leader),
             ["closed", "names-5.log", "seg-16.log", "snap-16.snap"]
         );
+        hub.stop();
+        fs::remove_dir_all(&root).unwrap();
+    }
+
+    #[test]
+    fn damage_in_a_closed_segment_is_refused_with_every_byte_left_in_place() {
+        use crate::log::{LogConfig, RecoverError, SessionLog};
+        use adya_history::{Event, TxnId};
+        let root = tmp("closed-damage");
+        let (leader, follower) = (root.join("leader"), root.join("follower"));
+        let hub = ReplicationHub::start(
+            leader.clone(),
+            Vec::new(),
+            "127.0.0.1:0".into(),
+            "test".into(),
+            None,
+            None,
+        );
+        let mut sink = ReplicaSink::new(follower.clone(), FsyncPolicy::Never);
+        let mut cursor = 0;
+        let cfg = LogConfig {
+            rotate_events: 4,
+            snapshot_every: u64::MAX,
+            ..LogConfig::default()
+        };
+        let mut log =
+            SessionLog::create(&leader.join("s1"), cfg, Some(hub.publisher("s1"))).unwrap();
+        for t in 1..=10 {
+            log.append(&Event::Begin(TxnId(t))).unwrap();
+        }
+        drop(log);
+        drain(&hub, &mut cursor, &mut sink);
+        let intact = dir_bytes(&follower.join("s1"));
+        assert_eq!(dir_bytes(&leader.join("s1")), intact);
+
+        // The last byte of closed seg-0.log flips: its final record —
+        // an acknowledged one — fails its checksum exactly as a torn
+        // append would, in a file no writer had open.
+        let seg0 = leader.join("s1/seg-0.log");
+        let mut bytes = fs::read(&seg0).unwrap();
+        *bytes.last_mut().unwrap() ^= 0xff;
+        fs::write(&seg0, &bytes).unwrap();
+        let damaged = dir_bytes(&leader.join("s1"));
+
+        let published = hub.state.lock().unwrap().next_seq;
+        let Err(e) = SessionLog::recover(
+            &leader.join("s1"),
+            cfg,
+            adya_online::GcConfig::default(),
+            false,
+            Some(hub.publisher("s1")),
+        ) else {
+            panic!("recovery must refuse a damaged closed segment");
+        };
+        assert!(
+            matches!(&e, RecoverError::Corrupt(m) if m.contains("seg-0.log")),
+            "{e}"
+        );
+        assert_eq!(dir_bytes(&leader.join("s1")), damaged, "leader bytes cut");
+        assert_eq!(
+            hub.state.lock().unwrap().next_seq,
+            published,
+            "a refused recovery publishes nothing"
+        );
+        drain(&hub, &mut cursor, &mut sink);
+        assert_eq!(dir_bytes(&follower.join("s1")), intact);
         hub.stop();
         fs::remove_dir_all(&root).unwrap();
     }

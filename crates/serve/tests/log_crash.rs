@@ -13,7 +13,7 @@ use std::path::{Path, PathBuf};
 
 use adya_history::ObjectId;
 use adya_online::{GcConfig, OnlineChecker, StreamParser};
-use adya_serve::{FileName, FsyncPolicy, LogConfig, SessionDir, SessionLog};
+use adya_serve::{FileName, LogConfig, SessionLog};
 use proptest::prelude::*;
 
 /// A deterministic, version-correct token stream: interleaved begins,
@@ -76,9 +76,7 @@ impl Rig {
 
 /// The open (highest-numbered) segment file in a session directory.
 fn open_segment(dir: &Path) -> PathBuf {
-    let listing = SessionDir::at(dir, FsyncPolicy::Never, None)
-        .list()
-        .expect("list session dir");
+    let listing = adya_serve::dir::list(dir).expect("list session dir");
     let open = listing
         .iter()
         .rfind(|(f, _)| matches!(f, FileName::Segment(_)))
