@@ -1,8 +1,9 @@
 //! The incremental checker: event ingestion, incremental DSG
 //! maintenance, commit-time verdicts and low-watermark GC.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
 use std::fmt::Write as _;
+use std::ops::Bound::{Excluded, Unbounded};
 use std::time::Instant;
 
 use adya_core::{IsolationLevel, PhenomenonKind};
@@ -351,6 +352,31 @@ struct TxnState {
     /// transaction's versions; prunable only once every active
     /// transaction began after it.
     prune_after: u64,
+    /// Installed versions that are not yet the oldest surviving
+    /// version of their object — the prefix rule as a counter. Derived
+    /// from the object table (rebuilt by `restore`, never serialised).
+    behind: u32,
+}
+
+/// The collector's candidate filter: `t` has had its terminal event
+/// and nothing pins it — no buffered or parked read references it and
+/// none of its own reads is parked or anchored.
+fn unpinned(t: &TxnState) -> bool {
+    t.status != Status::Active
+        && t.refs == 0
+        && t.awaiting == 0
+        && t.registered == 0
+        && t.pending_readers.is_empty()
+}
+
+/// The count conditions of prunability: [`unpinned`], every version
+/// `t` installed has been superseded, and each is the oldest left of
+/// its object. These are exactly the conditions that move by counter
+/// updates, so [`OnlineChecker::settle`] tracks them incrementally;
+/// what is left — the watermark and removability from the graphs —
+/// is asked by `try_prune` on every visit.
+fn settled(t: &TxnState) -> bool {
+    unpinned(t) && t.unsuperseded == 0 && t.behind == 0
 }
 
 #[derive(Debug)]
@@ -475,6 +501,15 @@ pub struct OnlineChecker {
     clock: u64,
     txns: HashMap<TxnId, TxnState>,
     active: HashSet<TxnId>,
+    /// The GC's eligibility index: exactly the transactions for which
+    /// [`settled`] holds, in id order. Derived state — kept current by
+    /// [`Self::settle`] wherever a counter moves, rebuilt by
+    /// [`Self::restore`], never serialised.
+    ready: BTreeSet<TxnId>,
+    /// Test reference: collection passes scan the whole transaction
+    /// table for candidates instead of walking `ready`.
+    #[cfg(any(test, debug_assertions))]
+    gc_by_scan: bool,
     objects: HashMap<ObjectId, ObjectState>,
     /// ww edges only — a cycle here is G0. Dropped once G0 latches.
     ww: Option<Dag>,
@@ -586,13 +621,18 @@ impl OnlineChecker {
     /// the stream the collector's pruning horizon sits. Zero when no
     /// transaction is active.
     pub fn watermark_staleness(&self) -> u64 {
-        let watermark = self
-            .active
+        self.clock - self.watermark()
+    }
+
+    /// The GC low watermark: the earliest begin of any active
+    /// transaction, else the clock. Nothing that ended or was
+    /// superseded after it may be pruned yet.
+    fn watermark(&self) -> u64 {
+        self.active
             .iter()
             .map(|t| self.txns[t].begin_clock)
             .min()
-            .unwrap_or(self.clock);
-        self.clock - watermark
+            .unwrap_or(self.clock)
     }
 
     /// Approximate heap footprint of the provenance side maps, in
@@ -726,7 +766,9 @@ impl OnlineChecker {
         for t in open {
             self.ingest(&Event::Abort(t));
         }
-        self.run_gc();
+        if self.gc.enabled {
+            self.run_gc();
+        }
         let mut v = self.verdict(None, &[]);
         v.is_final = true;
         v
@@ -771,6 +813,9 @@ impl OnlineChecker {
                 }
                 None => stale = true,
             }
+            if counted {
+                self.settle(v.txn); // a new pin unsettles a finished writer
+            }
         }
         self.txns
             .get_mut(&t)
@@ -812,6 +857,7 @@ impl OnlineChecker {
         for pr in pending {
             self.resolve_pending(t, pr);
         }
+        self.settle(t);
         self.apply_edge_plan();
 
         let new_bits = self.fired.mask & !before;
@@ -850,6 +896,7 @@ impl OnlineChecker {
                 let w = self.txns.get_mut(&p).expect("installed entry implies live");
                 w.unsuperseded -= 1;
                 w.prune_after = w.prune_after.max(clock);
+                self.settle(p);
                 self.add_ww(p, t, o);
             }
             for r in resolved {
@@ -857,11 +904,14 @@ impl OnlineChecker {
                     .get_mut(&r)
                     .expect("registered reader is live")
                     .registered -= 1;
+                self.settle(r);
                 if r != t {
                     self.add_anti(r, t, o);
                 }
             }
-            self.txns.get_mut(&t).expect("committing txn").unsuperseded += 1;
+            let me = self.txns.get_mut(&t).expect("committing txn");
+            me.unsuperseded += 1;
+            me.behind += u32::from(prev.is_some());
         }
     }
 
@@ -934,6 +984,7 @@ impl OnlineChecker {
                     w.refs -= 1;
                 }
                 let final_seq = w.writes.get(&o).copied();
+                self.settle(v.txn);
                 self.fire_g1a(t, o, v, br.via_predicate);
                 match final_seq {
                     Some(fs) if fs != v.seq => self.fire_g1b(t, o, v, fs, br.via_predicate),
@@ -946,7 +997,9 @@ impl OnlineChecker {
                 if br.counted {
                     w.refs -= 1;
                 }
-                let Some(final_seq) = w.writes.get(&o).copied() else {
+                let final_seq = w.writes.get(&o).copied();
+                self.settle(v.txn);
+                let Some(final_seq) = final_seq else {
                     self.stale_refs += 1;
                     return;
                 };
@@ -1000,11 +1053,11 @@ impl OnlineChecker {
                 pr.via_predicate,
             );
         }
-        if pr.via_predicate {
-            return;
+        if !pr.via_predicate {
+            self.add_wr(t, pr.reader, pr.object, VersionId::new(t, pr.seq));
+            self.anchor_reader(pr.reader, pr.object, t);
         }
-        self.add_wr(t, pr.reader, pr.object, VersionId::new(t, pr.seq));
-        self.anchor_reader(pr.reader, pr.object, t);
+        self.settle(pr.reader);
     }
 
     fn on_abort(&mut self, t: TxnId) {
@@ -1026,6 +1079,7 @@ impl OnlineChecker {
                     .get_mut(&br.version.txn)
                     .expect("pinned writer is live")
                     .refs -= 1;
+                self.settle(br.version.txn);
             }
         }
         // Committed readers that observed its versions read aborted
@@ -1036,6 +1090,7 @@ impl OnlineChecker {
                 .get_mut(&pr.reader)
                 .expect("pending reader")
                 .awaiting -= 1;
+            self.settle(pr.reader);
             self.txns.get_mut(&t).expect("ensured").refs -= 1;
             let v = VersionId::new(t, pr.seq);
             self.fire_g1a(pr.reader, pr.object, v, pr.via_predicate);
@@ -1044,6 +1099,7 @@ impl OnlineChecker {
                 self.fire_g1b(pr.reader, pr.object, v, final_seq, pr.via_predicate);
             }
         }
+        self.settle(t);
     }
 
     // ------------------------------------------------------------------
@@ -1534,48 +1590,111 @@ impl OnlineChecker {
         self.run_gc();
     }
 
-    /// One collection: prune every settled transaction below the
-    /// low watermark, repeating while progress is made (pruning one
-    /// front entry can move the next candidate's entry to the front).
-    fn run_gc(&mut self) {
-        if !self.gc.enabled {
-            return;
+    /// Re-checks `id` against [`settled`] and files it in or out of
+    /// `ready`. Called wherever one of the counters `settled` reads
+    /// moves (or the transaction goes away), before the event ends —
+    /// passes only run between events, so that is soon enough.
+    fn settle(&mut self, id: TxnId) {
+        if self.txns.get(&id).is_some_and(settled) {
+            self.ready.insert(id);
+        } else {
+            self.ready.remove(&id);
         }
-        let watermark = self
-            .active
-            .iter()
-            .map(|t| self.txns[t].begin_clock)
-            .min()
-            .unwrap_or(self.clock);
+    }
+
+    /// Prefix rule: only ever prune the oldest version of an object,
+    /// so a surviving predecessor always implies its successor (the
+    /// target of any future rw edge) survives. Read off the object
+    /// table; `behind` is the same fact kept as a counter.
+    fn heads_its_objects(&self, id: TxnId, t: &TxnState) -> bool {
+        t.status != Status::Committed
+            || t.writes.keys().all(|o| {
+                let obj = &self.objects[o];
+                obj.pos_of[&id] == obj.base
+            })
+    }
+
+    /// The whole transaction table through the candidate filter: what
+    /// a collector without an index starts every round with. The debug
+    /// invariant check and the test reference collector are its only
+    /// callers.
+    #[cfg(any(test, debug_assertions))]
+    fn unpinned_by_scan(&self) -> impl Iterator<Item = (TxnId, &TxnState)> {
+        let all = self.txns.iter().map(|(&id, t)| (id, t));
+        all.filter(|(_, t)| unpinned(t))
+    }
+
+    /// Makes collection passes run the reference collector, which
+    /// keeps no index: every round scans the table for candidates and
+    /// tries each. Exists so tests can hold the indexed collector to
+    /// it byte for byte; debug and test builds only.
+    #[cfg(any(test, debug_assertions))]
+    #[doc(hidden)]
+    pub fn set_gc_by_scan(&mut self, on: bool) {
+        self.gc_by_scan = on;
+    }
+
+    #[cfg(any(test, debug_assertions))]
+    fn run_gc_by_scan(&mut self) {
+        let watermark = self.watermark();
         loop {
-            // Candidates are visited in id order: pruning mutates the
+            let candidates: BTreeSet<TxnId> = self.unpinned_by_scan().map(|(id, _)| id).collect();
+            let mut progress = false;
+            for id in candidates {
+                progress |= self.try_prune(id, watermark);
+            }
+            if !progress {
+                break;
+            }
+        }
+    }
+
+    /// One collection: prune every settled transaction below the
+    /// low watermark, repeating while progress is made (a prune can
+    /// settle a transaction the round has already passed).
+    fn run_gc(&mut self) {
+        #[cfg(any(test, debug_assertions))]
+        {
+            // `ready` and `behind` against first principles: a counter
+            // that moved without its settle() shows up here.
+            let want: BTreeSet<TxnId> = self
+                .unpinned_by_scan()
+                .filter(|&(id, t)| t.unsuperseded == 0 && self.heads_its_objects(id, t))
+                .map(|(id, _)| id)
+                .collect();
+            debug_assert_eq!(self.ready, want);
+            if self.gc_by_scan {
+                return self.run_gc_by_scan();
+            }
+        }
+        if self.ready.is_empty() {
+            return; // nothing settled: the pass costs nothing
+        }
+        let watermark = self.watermark();
+        let mut visited = 0u64;
+        loop {
+            // A round walks `ready` in id order: pruning mutates the
             // incremental graphs (contraction shortcuts), so the visit
             // order must not depend on hash-map iteration order or two
             // runs of the same stream could diverge in graph internals
             // — and with them the snapshot bytes and witness paths.
-            let mut candidates: Vec<TxnId> = self
-                .txns
-                .iter()
-                .filter(|(_, t)| {
-                    t.status != Status::Active
-                        && t.refs == 0
-                        && t.awaiting == 0
-                        && t.registered == 0
-                        && t.pending_readers.is_empty()
-                })
-                .map(|(&id, _)| id)
-                .collect();
-            candidates.sort_unstable();
-            let mut progress = 0usize;
-            for id in candidates {
-                if self.try_prune(id, watermark) {
-                    progress += 1;
-                }
+            // The walk is live, not a copy: popping an object's oldest
+            // version settles the owner of the next one, which this
+            // round still visits if its id is yet to come and the next
+            // round visits if not — where the reference collector,
+            // scanning for candidates at the top of each round, meets it.
+            let mut progress = false;
+            let mut next = self.ready.first().copied();
+            while let Some(id) = next {
+                visited += 1;
+                progress |= self.try_prune(id, watermark);
+                next = self.ready.range((Excluded(id), Unbounded)).next().copied();
             }
-            if progress == 0 {
+            if !progress {
                 break;
             }
         }
+        adya_obs::counter!("online.gc_visited").add(visited);
     }
 
     fn try_prune(&mut self, id: TxnId, watermark: u64) -> bool {
@@ -1591,16 +1710,10 @@ impl OnlineChecker {
                 if t.unsuperseded != 0 || t.prune_after > watermark {
                     return false;
                 }
-                // Prefix rule: only ever prune the oldest version of an
-                // object, so a surviving predecessor always implies its
-                // successor (the target of any future rw edge) survives.
-                for o in t.writes.keys() {
-                    let obj = &self.objects[o];
-                    if obj.pos_of[&id] != obj.base {
-                        return false;
-                    }
-                }
             }
+        }
+        if !self.heads_its_objects(id, t) {
+            return false;
         }
         // Never disturb a condensed cycle component (those nodes are
         // the evidence for latched phenomena; the whole graph is freed
@@ -1658,6 +1771,7 @@ impl OnlineChecker {
         }
         self.purge_prov_node(id);
         let t = self.txns.remove(&id).expect("candidate exists");
+        self.settle(id);
         if t.status == Status::Committed {
             // Aborted writes were never installed; only committed ones
             // have entries to retire.
@@ -1668,6 +1782,14 @@ impl OnlineChecker {
                 debug_assert!(e.readers.is_empty(), "superseded entries have no readers");
                 obj.base += 1;
                 obj.pos_of.remove(&id);
+                if let Some(next) = obj.entries.front().map(|e| e.txn) {
+                    let heir = self
+                        .txns
+                        .get_mut(&next)
+                        .expect("installed entry implies live");
+                    heir.behind -= 1;
+                    self.settle(next);
+                }
             }
         }
         self.pruned_txns += 1;
@@ -1958,6 +2080,7 @@ impl OnlineChecker {
                 awaiting: d.u32()?,
                 registered: d.u32()?,
                 prune_after: d.u64()?,
+                behind: 0, // derived below, once the objects are read
             };
             if status == Status::Active {
                 c.active.insert(id);
@@ -2010,7 +2133,22 @@ impl OnlineChecker {
             ))
             .into());
         }
+        c.rebuild_gc_index();
         Ok(c)
+    }
+
+    /// Derives `behind` from the object table and `ready` from the
+    /// transaction table: neither is part of the image.
+    fn rebuild_gc_index(&mut self) {
+        for obj in self.objects.values() {
+            for e in obj.entries.iter().skip(1) {
+                if let Some(t) = self.txns.get_mut(&e.txn) {
+                    t.behind += 1;
+                }
+            }
+        }
+        let settled_ids = self.txns.iter().filter(|(_, t)| settled(t));
+        self.ready = settled_ids.map(|(&id, _)| id).collect();
     }
 
     fn verdict(&self, txn: Option<TxnId>, new_fired: &[PhenomenonKind]) -> Verdict {
@@ -2380,6 +2518,54 @@ mod tests {
         assert!(peak < 10, "memory not bounded: peak {peak} txns live");
         assert_eq!(end.strongest_ansi, Some(IsolationLevel::PL3));
         assert_eq!(end.stale_refs, 0);
+    }
+
+    #[test]
+    fn parked_readers_settle_when_their_writer_ends() {
+        // Committed readers parked on a still-active writer become
+        // prunable the moment the writer commits or aborts, whether
+        // the read was an item read or a predicate's version-set
+        // entry. With a pass after every event, the `ready` invariant
+        // check in `run_gc` sees each of those hand-overs.
+        use adya_history::{PredicateId, PredicateReadEvent};
+        let pread = |t: u32, o: u32, writer: u32| {
+            Event::PredicateRead(PredicateReadEvent {
+                txn: TxnId(t),
+                predicate: PredicateId(0),
+                vset: vec![(ObjectId(o), VersionId::new(TxnId(writer), 1))],
+            })
+        };
+        for end in [Event::Commit(TxnId(1)), Event::Abort(TxnId(1))] {
+            let mut c = OnlineChecker::with_gc(GcConfig {
+                enabled: true,
+                interval: 1,
+            });
+            feed(
+                &mut c,
+                &[
+                    Event::Begin(TxnId(1)),
+                    w(1, 0, 1),
+                    Event::Begin(TxnId(2)),
+                    pread(2, 0, 1),
+                    Event::Commit(TxnId(2)),
+                    Event::Begin(TxnId(3)),
+                    r(3, 0, 1, 1),
+                    Event::Commit(TxnId(3)),
+                    Event::Begin(TxnId(4)),
+                    r(4, 0, 1, 1), // still buffered when T1 ends: a pin
+                ],
+            );
+            assert_eq!(c.pruned_txns(), 0, "both readers wait for T1");
+            c.ingest(&end);
+            // T2 goes either way; T3 only when T1 aborted (a commit
+            // leaves it anchored at T1's version, awaiting an rw edge).
+            let aborted = matches!(end, Event::Abort(_));
+            assert_eq!(c.pruned_txns(), if aborted { 2 } else { 1 });
+            // T4 goes, and with its pin released so does an aborted
+            // T1 (a committed one holds the newest version of its key).
+            c.ingest(&Event::Abort(TxnId(4)));
+            assert_eq!(c.pruned_txns(), if aborted { 4 } else { 2 });
+        }
     }
 
     #[test]

@@ -1,18 +1,23 @@
 //! Helpers shared by the spawn-based integration tests, on top of
 //! `adya::workloads::harness`: the two servers' spawn recipes for this
 //! build's binaries, the deterministic session workload, and a
-//! resuming send.
+//! resuming send — plus the seeded sliding-window event stream the
+//! streaming checker's GC tests share.
 
 // Every test binary compiles this module and uses its own subset.
 #![allow(dead_code, unused_imports)]
 
+use std::collections::HashMap;
 use std::io::{BufRead as _, BufReader, Write as _};
 use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
 
+use adya::history::{Event, ObjectId, ReadEvent, TxnId, VersionId, VersionKind, WriteEvent};
 use adya::workloads::harness;
 pub use adya::workloads::harness::{http_get, reference, Server};
 use adya::workloads::{ClientError, RetryPolicy, ServeClient};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 /// A fresh scratch directory path under the test target dir.
 pub fn data_dir(name: &str) -> PathBuf {
@@ -105,4 +110,160 @@ pub fn send_resilient(client: &mut ServeClient, tok: &str, hint: &str, resumes: 
         }
         Err(e) => panic!("protocol error streaming {tok:?}: {e}"),
     }
+}
+
+/// Shape of a [`sliding_window_events`] stream.
+#[derive(Debug, Clone, Copy)]
+pub struct SlidingWindow {
+    /// Keys in the window.
+    pub keys: u32,
+    /// The window moves onto `keys` fresh keys every this-many events.
+    pub slide: u64,
+    /// Concurrently open transactions.
+    pub open: usize,
+    /// `false`: no-wait strict 2PL, nothing aborts, every prefix PL-3.
+    /// `true`: no locks, 10 % dirty reads, 10 % aborts, a quarter of
+    /// the writes overwriting the writer's own newest version.
+    pub dirty: bool,
+}
+
+/// A seeded event stream over a key window that slides onto fresh keys
+/// — an insert-mostly table: old keys are never written again, so
+/// their last writers stay live in the streaming checker for good.
+/// Each transaction is a begin, up to four operations (half of them
+/// writes) and a terminal event.
+pub fn sliding_window_events(cfg: SlidingWindow, seed: u64, events: usize) -> Vec<Event> {
+    #[derive(Clone, Copy, PartialEq)]
+    enum Lock {
+        Free,
+        Shared(u32),
+        Exclusive(TxnId),
+    }
+    #[derive(Default)]
+    struct Slot {
+        txn: Option<TxnId>,
+        ops_left: u8,
+        /// Keys written, with the newest seq of each.
+        wrote: Vec<(u32, u32)>,
+        locked: Vec<u32>,
+    }
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut slots: Vec<Slot> = (0..cfg.open).map(|_| Slot::default()).collect();
+    let mut committed: HashMap<u32, VersionId> = HashMap::new();
+    let mut locks: HashMap<u32, Lock> = HashMap::new();
+    let mut next_txn = 1u32;
+    let mut out = Vec::with_capacity(events);
+    while out.len() < events {
+        let base = (out.len() as u64 / cfg.slide) as u32 * cfg.keys;
+        let s = rng.gen_range(0..cfg.open);
+        let Some(t) = slots[s].txn else {
+            let t = TxnId(next_txn);
+            next_txn += 1;
+            slots[s].txn = Some(t);
+            slots[s].ops_left = 4;
+            out.push(Event::Begin(t));
+            continue;
+        };
+        let mut op = None;
+        if slots[s].ops_left > 0 {
+            slots[s].ops_left -= 1;
+            let write = rng.gen_bool(0.5);
+            if cfg.dirty {
+                let own_again = slots[s]
+                    .wrote
+                    .last()
+                    .filter(|_| write && rng.gen_bool(0.25));
+                let other = rng.gen_range(0..cfg.open);
+                let theirs = slots[other].wrote.last().zip(slots[other].txn);
+                op = Some(match (own_again, theirs) {
+                    (Some(&(k, _)), _) => (k, true, None),
+                    (None, Some((&(k, seq), o))) if !write && other != s && rng.gen_bool(0.1) => {
+                        (k, false, Some(VersionId::new(o, seq)))
+                    }
+                    _ => (base + rng.gen_range(0..cfg.keys), write, None),
+                });
+            } else {
+                // No-wait: an unavailable lock re-draws the key; eight
+                // misses and the transaction ends one operation short.
+                for _ in 0..8 {
+                    let k = base + rng.gen_range(0..cfg.keys);
+                    let mine = slots[s].locked.contains(&k);
+                    let lock = locks.entry(k).or_insert(Lock::Free);
+                    let granted = match (*lock, write) {
+                        (Lock::Free, true) => Lock::Exclusive(t),
+                        (Lock::Free, false) => Lock::Shared(1),
+                        (Lock::Exclusive(o), _) if o == t => Lock::Exclusive(t),
+                        (Lock::Shared(1), true) if mine => Lock::Exclusive(t),
+                        (Lock::Shared(n), false) if mine => Lock::Shared(n),
+                        (Lock::Shared(n), false) => Lock::Shared(n + 1),
+                        _ => continue,
+                    };
+                    *lock = granted;
+                    if !mine {
+                        slots[s].locked.push(k);
+                    }
+                    op = Some((k, write, None));
+                    break;
+                }
+            }
+        }
+        let slot = &mut slots[s];
+        match op {
+            Some((k, true, _)) => {
+                let seq = match slot.wrote.iter_mut().find(|(wk, _)| *wk == k) {
+                    Some((_, seq)) => {
+                        *seq += 1;
+                        *seq
+                    }
+                    None => {
+                        slot.wrote.push((k, 1));
+                        1
+                    }
+                };
+                out.push(Event::Write(WriteEvent {
+                    txn: t,
+                    object: ObjectId(k),
+                    seq,
+                    kind: VersionKind::Visible,
+                    value: None,
+                }));
+            }
+            Some((k, false, dirty_version)) => {
+                let own = slot.wrote.iter().find(|(wk, _)| *wk == k);
+                let version = match (own, dirty_version) {
+                    (Some(&(_, seq)), _) => VersionId::new(t, seq),
+                    (None, Some(v)) => v,
+                    (None, None) => committed.get(&k).copied().unwrap_or(VersionId::INIT),
+                };
+                out.push(Event::Read(ReadEvent {
+                    txn: t,
+                    object: ObjectId(k),
+                    version,
+                    through_cursor: false,
+                }));
+            }
+            None => {
+                let abort = cfg.dirty && rng.gen_bool(0.1);
+                for (k, seq) in slot.wrote.drain(..) {
+                    if !abort {
+                        committed.insert(k, VersionId::new(t, seq));
+                    }
+                }
+                for k in slot.locked.drain(..) {
+                    let l = locks.get_mut(&k).expect("held lock");
+                    *l = match *l {
+                        Lock::Shared(n) if n > 1 => Lock::Shared(n - 1),
+                        _ => Lock::Free,
+                    };
+                }
+                slot.txn = None;
+                out.push(if abort {
+                    Event::Abort(t)
+                } else {
+                    Event::Commit(t)
+                });
+            }
+        }
+    }
+    out
 }

@@ -8,6 +8,9 @@
 //! online checker installs versions at commit time: explicit version
 //! orders that diverge from commit order are a batch-only concept
 //! (see `adya::online` crate docs).
+//!
+//! Below the proptests: the indexed watermark GC held, byte for byte,
+//! to the scanning collector it replaced.
 
 use std::collections::BTreeSet;
 
@@ -15,6 +18,8 @@ use adya::core::{classify, detect_all, PhenomenonKind};
 use adya::online::{GcConfig, OnlineChecker};
 use adya::workloads::histgen::{random_history, HistGenConfig};
 use proptest::prelude::*;
+
+mod common;
 
 /// The phenomena the online checker reports (the ANSI chain's
 /// proscriptions); batch-only extensions (G-single, G-SI, …) are
@@ -122,5 +127,82 @@ proptest! {
         let ke: BTreeSet<PhenomenonKind> = ve.fired.iter().copied().collect();
         let kk: BTreeSet<PhenomenonKind> = vk.fired.iter().copied().collect();
         prop_assert_eq!(ke, kk, "GC changed the fired set:\n{}", h);
+    }
+}
+
+/// The indexed collector against the scanning one it replaced
+/// (`set_gc_by_scan`, the old pass kept for exactly this): on
+/// sliding-window streams — clean ones, where graphs stay live and
+/// prunes contract them, and dirty ones with aborts, dirty reads and
+/// latches — every verdict line and the checker image after every
+/// commit are the same bytes. And since the index is derived state, a
+/// checker restored from any image along the way carries on to the
+/// same bytes too.
+#[cfg(debug_assertions)] // the reference collector exists in debug builds only
+#[test]
+fn indexed_gc_matches_the_scanning_collector_byte_for_byte() {
+    use common::{sliding_window_events, SlidingWindow};
+
+    for (seed, dirty, provenance, interval) in [
+        (1, false, true, 1),
+        (2, false, false, 64),
+        (3, true, true, 64),
+        (4, true, false, 1),
+        (5, false, true, 64),
+        (6, true, true, 1),
+    ] {
+        let cfg = SlidingWindow {
+            keys: 24,
+            slide: 400,
+            open: 5,
+            dirty,
+        };
+        let events = sliding_window_events(cfg, seed, 1_600);
+        let gc = GcConfig {
+            enabled: true,
+            interval,
+        };
+        let mut indexed = OnlineChecker::with_gc(gc);
+        let mut scanning = OnlineChecker::with_gc(gc);
+        scanning.set_gc_by_scan(true);
+        for c in [&mut indexed, &mut scanning] {
+            c.set_provenance(provenance);
+        }
+        let mut restored: Vec<OnlineChecker> = Vec::new();
+        let what = format!("seed {seed} dirty {dirty} provenance {provenance} interval {interval}");
+        for (i, e) in events.iter().enumerate() {
+            if i % 97 == 0 {
+                restored.push(OnlineChecker::restore(&indexed.snapshot()).expect("restore"));
+            }
+            let line = indexed.ingest(e).map(|v| v.to_json());
+            assert_eq!(
+                line,
+                scanning.ingest(e).map(|v| v.to_json()),
+                "{what}: verdict at event {i}"
+            );
+            for r in &mut restored {
+                assert_eq!(
+                    line,
+                    r.ingest(e).map(|v| v.to_json()),
+                    "{what}: restored checker's verdict at event {i}"
+                );
+            }
+            if line.is_some() {
+                assert_eq!(
+                    indexed.snapshot(),
+                    scanning.snapshot(),
+                    "{what}: image after event {i}"
+                );
+            }
+        }
+        assert!(indexed.pruned_txns() > 50, "{what}: the stream must prune");
+        let last = indexed.finish().to_json();
+        assert_eq!(last, scanning.finish().to_json(), "{what}: final verdict");
+        let image = indexed.snapshot();
+        assert_eq!(image, scanning.snapshot(), "{what}: final image");
+        for (n, mut r) in restored.into_iter().enumerate() {
+            assert_eq!(last, r.finish().to_json(), "{what}: restore #{n}");
+            assert_eq!(image, r.snapshot(), "{what}: restore #{n}'s final image");
+        }
     }
 }
