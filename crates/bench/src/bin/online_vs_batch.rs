@@ -39,16 +39,7 @@ struct SizeRun {
 /// rule both checkers apply, computed here from the raw detector
 /// outputs so the batch side pays only for the six ANSI detectors.
 fn strongest(fired: &[PhenomenonKind]) -> Option<IsolationLevel> {
-    [
-        IsolationLevel::PL1,
-        IsolationLevel::PL2,
-        IsolationLevel::PL299,
-        IsolationLevel::PL3,
-    ]
-    .iter()
-    .rev()
-    .copied()
-    .find(|l| l.proscribes().iter().all(|p| !fired.contains(p)))
+    IsolationLevel::strongest_ansi(|k| fired.contains(&k))
 }
 
 /// One full batch check: DSG plus the six ANSI-chain detectors.

@@ -1,5 +1,9 @@
-//! One-call full analysis of a history.
+//! The analysis pass: one derivation of the direct conflicts
+//! (Figure 2), the graphs over them, one search per phenomenon, and
+//! every level (Figure 6: a list of proscribed phenomena) looked up in
+//! what was found. Every entry point is a few lines over [`Pass`].
 
+use std::cell::OnceCell;
 use std::fmt;
 
 use adya_graph::CycleEdge;
@@ -8,9 +12,87 @@ use adya_obs::Registry;
 
 use crate::conflicts::{Conflict, DepKind};
 use crate::dsg::Dsg;
-use crate::levels::{classify, LevelReport};
-use crate::mixing::{check_mixing, MixingReport};
-use crate::phenomena::{detect_all, Phenomenon};
+use crate::levels::{IsolationLevel, LevelCheck, LevelReport};
+use crate::mixing::MixingReport;
+use crate::phenomena::{self, Phenomenon, PhenomenonKind};
+use crate::ssg::Ssg;
+use crate::usg;
+
+/// What is derived from one history: the conflicts inside the DSG,
+/// and the SSG, built when G-SIa or G-SIb is first searched for (a
+/// check of another level never pays for its start-dependency edges).
+struct Pass<'h> {
+    h: &'h History,
+    dsg: Dsg,
+    ssg: OnceCell<Ssg>,
+}
+
+impl<'h> Pass<'h> {
+    fn new(h: &'h History) -> Self {
+        Pass {
+            h,
+            dsg: Dsg::build(h),
+            ssg: OnceCell::new(),
+        }
+    }
+
+    fn ssg(&self) -> &Ssg {
+        self.ssg.get_or_init(|| Ssg::build(self.h, &self.dsg))
+    }
+
+    /// The kind → detector table; each a function of `(h, dsg, ssg)`.
+    fn detect(&self, kind: PhenomenonKind) -> Option<Phenomenon> {
+        use PhenomenonKind::*;
+        adya_obs::counter!("checker.detector_runs").inc();
+        let (h, dsg) = (self.h, &self.dsg);
+        match kind {
+            G0 => phenomena::g0(dsg),
+            G1a => phenomena::g1a(h),
+            G1b => phenomena::g1b(h),
+            G1c => phenomena::g1c(dsg),
+            G2Item => phenomena::g2_item(dsg),
+            G2 => phenomena::g2(dsg),
+            GSingle => dsg.single_anti_cycle().map(Phenomenon::GSingle),
+            GSIa => self
+                .ssg()
+                .interference_edge()
+                .map(|(from, to, kind)| Phenomenon::GSIa { from, to, kind }),
+            GSIb => self.ssg().missed_effects_cycle().map(Phenomenon::GSIb),
+            GCursor => phenomena::g_cursor(h, dsg),
+            GMonotonic => usg::g_monotonic(h, dsg.conflicts())
+                .map(|(txn, cycle)| Phenomenon::GMonotonic { txn, cycle }),
+        }
+    }
+
+    /// One witness per kind of `kinds` present, in `kinds` order.
+    fn detect_each(&self, kinds: &[PhenomenonKind]) -> Vec<Phenomenon> {
+        kinds.iter().filter_map(|&k| self.detect(k)).collect()
+    }
+}
+
+/// Detects every phenomenon present in `h`, one witness per kind.
+pub fn detect_all(h: &History) -> Vec<Phenomenon> {
+    Pass::new(h).detect_each(&PhenomenonKind::ALL)
+}
+
+/// Classifies `h` against every level: each phenomenon is searched
+/// for once, and every level's check is read off what was found.
+pub fn classify(h: &History) -> LevelReport {
+    LevelReport::of(&detect_all(h))
+}
+
+/// Checks whether `h` is admitted at `level` (Figure 6): runs exactly
+/// the detectors for the level's proscribed phenomena.
+pub fn check_level(h: &History, level: IsolationLevel) -> LevelCheck {
+    LevelCheck::of(level, &Pass::new(h).detect_each(level.proscribes()))
+}
+
+/// Checks Definition 9: `H` is mixing-correct iff `MSG(H)` is acyclic
+/// and phenomena G1a and G1b do not occur for PL-2 and PL-3 (and
+/// PL-2.99) transactions.
+pub fn check_mixing(h: &History) -> MixingReport {
+    MixingReport::of(h, Dsg::build(h).conflicts())
+}
 
 /// Everything the checker can say about one history: the DSG, every
 /// phenomenon present (with witnesses), the verdict at every level,
@@ -70,17 +152,23 @@ pub fn analyze(h: &History) -> Analysis {
 /// total}_ns`; graph shape as gauges `checker.dsg.{nodes,edges,sccs,
 /// max_scc}` and `checker.history.{txns,committed}`; one counter
 /// `checker.phenomena.<kind>` per detected phenomenon kind; plus a
-/// `checker.analyses` run counter.
+/// `checker.analyses` run counter. (The work counters
+/// `checker.conflict_derivations` and `checker.detector_runs` count
+/// process-wide, whichever entry point did the work.)
 pub fn analyze_in(h: &History, reg: &Registry) -> Analysis {
     let total = reg.span("checker.phase.total_ns");
-    let dsg = reg.time("checker.phase.dsg_build_ns", || Dsg::build(h));
-    let phenomena = reg.time("checker.phase.detect_all_ns", || detect_all(h));
-    let levels = reg.time("checker.phase.classify_ns", || classify(h));
-    let mixing = reg.time("checker.phase.mixing_ns", || check_mixing(h));
+    let pass = reg.time("checker.phase.dsg_build_ns", || Pass::new(h));
+    let phenomena = reg.time("checker.phase.detect_all_ns", || {
+        pass.detect_each(&PhenomenonKind::ALL)
+    });
+    let levels = reg.time("checker.phase.classify_ns", || LevelReport::of(&phenomena));
+    let mixing = reg.time("checker.phase.mixing_ns", || {
+        MixingReport::of(h, pass.dsg.conflicts())
+    });
     total.stop();
 
     reg.counter("checker.analyses").inc();
-    let g = dsg.graph();
+    let g = pass.dsg.graph();
     reg.gauge("checker.dsg.nodes").set(g.node_count() as i64);
     reg.gauge("checker.dsg.edges").set(g.edge_count() as i64);
     let sccs = g.sccs();
@@ -97,7 +185,7 @@ pub fn analyze_in(h: &History, reg: &Registry) -> Analysis {
     }
 
     Analysis {
-        dsg,
+        dsg: pass.dsg,
         phenomena,
         levels,
         mixing,

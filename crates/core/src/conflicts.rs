@@ -133,6 +133,7 @@ impl Conflict {
 /// construction, so it cannot be part of any cycle, and the paper's
 /// DSG figures omit it.
 pub fn direct_conflicts(h: &History) -> Vec<Conflict> {
+    adya_obs::counter!("checker.conflict_derivations").inc();
     let mut out = Vec::new();
     write_dependencies(h, &mut out);
     item_read_dependencies(h, &mut out);

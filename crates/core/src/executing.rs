@@ -19,7 +19,7 @@
 
 use adya_history::{History, TxnId};
 
-use crate::levels::{check_level, IsolationLevel, LevelCheck};
+use crate::{check_level, IsolationLevel, LevelCheck};
 
 /// Checks whether the (aborted-in-`h`, i.e. still executing)
 /// transaction `txn` could commit at `level`, given everything that

@@ -3,11 +3,7 @@
 
 use std::fmt;
 
-use adya_history::History;
-
-use crate::dsg::Dsg;
-use crate::phenomena::{self, Phenomenon, PhenomenonKind};
-use crate::ssg::Ssg;
+use crate::phenomena::{Phenomenon, PhenomenonKind};
 
 /// An isolation level defined by the phenomena it proscribes.
 ///
@@ -74,6 +70,24 @@ impl IsolationLevel {
             IsolationLevel::PLSI => &[G1a, G1b, G1c, GSIa, GSIb],
             IsolationLevel::PL3 => &[G1a, G1b, G1c, G2],
         }
+    }
+
+    /// Figure 6 as a rule: a history is admitted at this level iff
+    /// none of the proscribed phenomena is `present` in it. Batch
+    /// report and streaming verdict both ask it, each of its own set.
+    pub fn admits(self, present: impl Fn(PhenomenonKind) -> bool) -> bool {
+        self.proscribes().iter().all(|&k| !present(k))
+    }
+
+    /// The strongest level of the ANSI chain (PL-1 → PL-2 → PL-2.99 →
+    /// PL-3) that [`admits`](Self::admits) the `present` phenomena, or
+    /// `None` if even PL-1 is violated (a "degree 0" history).
+    pub fn strongest_ansi(present: impl Fn(PhenomenonKind) -> bool) -> Option<IsolationLevel> {
+        Self::ANSI
+            .iter()
+            .rev()
+            .copied()
+            .find(|l| l.admits(&present))
     }
 
     /// True if satisfying `self` logically implies satisfying
@@ -148,6 +162,17 @@ pub struct LevelCheck {
 }
 
 impl LevelCheck {
+    /// `level`'s proscribed kinds looked up, in proscription order,
+    /// in `found`: one witness per phenomenon kind present.
+    pub(crate) fn of(level: IsolationLevel, found: &[Phenomenon]) -> LevelCheck {
+        let violations = level
+            .proscribes()
+            .iter()
+            .filter_map(|&k| found.iter().find(|p| p.kind() == k).cloned())
+            .collect();
+        LevelCheck { level, violations }
+    }
+
     /// True if the history satisfies the level.
     pub fn ok(&self) -> bool {
         self.violations.is_empty()
@@ -168,57 +193,6 @@ impl fmt::Display for LevelCheck {
     }
 }
 
-/// Detects one phenomenon kind against prebuilt graphs.
-fn detect(
-    h: &History,
-    dsg: &Dsg,
-    ssg: &mut Option<Ssg>,
-    kind: PhenomenonKind,
-) -> Option<Phenomenon> {
-    use PhenomenonKind::*;
-    let mut need_ssg = || -> Ssg { ssg.take().unwrap_or_else(|| Ssg::build(h, dsg)) };
-    match kind {
-        G0 => phenomena::g0(dsg),
-        G1a => phenomena::g1a(h),
-        G1b => phenomena::g1b(h),
-        G1c => phenomena::g1c(dsg),
-        G2Item => phenomena::g2_item(dsg),
-        G2 => phenomena::g2(dsg),
-        GSingle => phenomena::g_single(dsg),
-        GSIa => {
-            let s = need_ssg();
-            let r = phenomena::g_sia(&s);
-            *ssg = Some(s);
-            r
-        }
-        GSIb => {
-            let s = need_ssg();
-            let r = phenomena::g_sib(&s);
-            *ssg = Some(s);
-            r
-        }
-        GCursor => phenomena::g_cursor(h, dsg),
-        GMonotonic => phenomena::g_mav(h),
-    }
-}
-
-/// Checks whether `h` is admitted at `level` (Figure 6): runs exactly
-/// the detectors for the level's proscribed phenomena.
-pub fn check_level(h: &History, level: IsolationLevel) -> LevelCheck {
-    let dsg = Dsg::build(h);
-    let mut ssg = None;
-    check_with(h, &dsg, &mut ssg, level)
-}
-
-fn check_with(h: &History, dsg: &Dsg, ssg: &mut Option<Ssg>, level: IsolationLevel) -> LevelCheck {
-    let violations = level
-        .proscribes()
-        .iter()
-        .filter_map(|&k| detect(h, dsg, ssg, k))
-        .collect();
-    LevelCheck { level, violations }
-}
-
 /// The full classification of a history against every level.
 #[derive(Debug, Clone)]
 pub struct LevelReport {
@@ -227,32 +201,32 @@ pub struct LevelReport {
 }
 
 impl LevelReport {
+    /// Every level's check read off `found`: a level is nothing but
+    /// its proscription list, so classifying is a lookup.
+    pub(crate) fn of(found: &[Phenomenon]) -> LevelReport {
+        let checks = IsolationLevel::ALL
+            .iter()
+            .map(|&l| LevelCheck::of(l, found))
+            .collect();
+        LevelReport { checks }
+    }
+
+    /// True if some check cites a witness of `kind` — every kind is
+    /// proscribed by some level, so: if it occurs in the history.
+    fn present(&self, kind: PhenomenonKind) -> bool {
+        self.checks
+            .iter()
+            .any(|c| c.violations.iter().any(|p| p.kind() == kind))
+    }
+
     /// True if the history is admitted at `level`.
     pub fn satisfies(&self, level: IsolationLevel) -> bool {
-        self.checks
-            .iter()
-            .find(|c| c.level == level)
-            .is_some_and(LevelCheck::ok)
+        level.admits(|k| self.present(k))
     }
 
-    /// The strongest satisfied level of the ANSI chain
-    /// (PL-1 → PL-2 → PL-2.99 → PL-3), or `None` if even PL-1 is
-    /// violated (a "degree 0" history).
+    /// The strongest satisfied level of the ANSI chain, if any.
     pub fn strongest_ansi(&self) -> Option<IsolationLevel> {
-        IsolationLevel::ANSI
-            .iter()
-            .rev()
-            .copied()
-            .find(|&l| self.satisfies(l))
-    }
-
-    /// Every satisfied level, in report order.
-    pub fn satisfied(&self) -> Vec<IsolationLevel> {
-        self.checks
-            .iter()
-            .filter(|c| c.ok())
-            .map(|c| c.level)
-            .collect()
+        IsolationLevel::strongest_ansi(|k| self.present(k))
     }
 }
 
@@ -268,21 +242,10 @@ impl fmt::Display for LevelReport {
     }
 }
 
-/// Classifies `h` against every level, building the serialization
-/// graphs once.
-pub fn classify(h: &History) -> LevelReport {
-    let dsg = Dsg::build(h);
-    let mut ssg = None;
-    let checks = IsolationLevel::ALL
-        .iter()
-        .map(|&l| check_with(h, &dsg, &mut ssg, l))
-        .collect();
-    LevelReport { checks }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::classify;
     use adya_history::parse_history;
 
     #[test]

@@ -50,14 +50,16 @@ mod phenomena;
 mod ssg;
 pub mod usg;
 
-pub use analysis::{analyze, analyze_in, Analysis};
+pub use analysis::{
+    analyze, analyze_in, check_level, check_mixing, classify, detect_all, Analysis,
+};
 pub use conflicts::{direct_conflicts, Conflict, DepKind};
 pub use dsg::Dsg;
 pub use executing::{check_running, is_doomed};
-pub use levels::{check_level, classify, IsolationLevel, LevelCheck, LevelReport};
-pub use mixing::{check_mixing, MixingReport, Msg};
+pub use levels::{IsolationLevel, LevelCheck, LevelReport};
+pub use mixing::{MixingReport, Msg};
 pub use phenomena::{
-    detect_all, g0, g1a, g1a_where, g1b, g1b_where, g1c, g2, g2_item, Phenomenon, PhenomenonKind,
+    g0, g1a, g1a_where, g1b, g1b_where, g1c, g2, g2_item, Phenomenon, PhenomenonKind,
 };
 pub use ssg::Ssg;
 

@@ -6,7 +6,7 @@ use std::fmt;
 use adya_graph::{Cycle, DiGraph, DotOptions};
 use adya_history::{History, RequestedLevel, TxnId};
 
-use crate::conflicts::{direct_conflicts, DepKind};
+use crate::conflicts::{Conflict, DepKind};
 use crate::phenomena::{g1a_where, g1b_where, Phenomenon};
 
 /// The Mixed Serialization Graph: nodes are committed transactions,
@@ -29,14 +29,14 @@ pub struct Msg {
 }
 
 impl Msg {
-    /// Builds the MSG of `h` from the per-transaction requested levels
-    /// recorded in the history.
-    pub fn build(h: &History) -> Msg {
+    /// Builds the MSG of `h` from its [`crate::Dsg::conflicts`] and the
+    /// per-transaction requested levels recorded in the history.
+    pub fn build(h: &History, conflicts: &[Conflict]) -> Msg {
         let mut graph = DiGraph::with_capacity(h.committed_txns().count());
         for t in h.committed_txns() {
             graph.add_node(t);
         }
-        for c in direct_conflicts(h) {
+        for c in conflicts {
             let relevant = match c.kind {
                 DepKind::WriteDep => true,
                 DepKind::ItemReadDep | DepKind::PredReadDep => h.level(c.to) >= RequestedLevel::PL2,
@@ -80,6 +80,22 @@ pub struct MixingReport {
 }
 
 impl MixingReport {
+    /// [`check_mixing`](crate::check_mixing), given `h`'s direct
+    /// `conflicts`.
+    pub(crate) fn of(h: &History, conflicts: &[Conflict]) -> MixingReport {
+        // Detect G1a/G1b among PL-2+ readers only: a PL-1 reader's
+        // dirty read is permitted and must not mask a later high-level
+        // reader's violation.
+        let high = |t| h.level(t) >= RequestedLevel::PL2;
+        MixingReport {
+            msg_cycle: Msg::build(h, conflicts).cycle(),
+            g1_violations: [g1a_where(h, high), g1b_where(h, high)]
+                .into_iter()
+                .flatten()
+                .collect(),
+        }
+    }
+
     /// True if the history is mixing-correct: the MSG is acyclic and
     /// G1a/G1b do not occur for PL-2 and PL-3 transactions.
     pub fn is_correct(&self) -> bool {
@@ -103,31 +119,10 @@ impl fmt::Display for MixingReport {
     }
 }
 
-/// Checks Definition 9: `H` is mixing-correct iff `MSG(H)` is acyclic
-/// and phenomena G1a and G1b do not occur for PL-2 and PL-3 (and
-/// PL-2.99) transactions.
-pub fn check_mixing(h: &History) -> MixingReport {
-    let msg = Msg::build(h);
-    let mut g1_violations: Vec<Phenomenon> = Vec::new();
-    // Detect G1a/G1b among PL-2+ readers only: a PL-1 reader's dirty
-    // read is permitted and must not mask a later high-level reader's
-    // violation.
-    let high = |t| h.level(t) >= RequestedLevel::PL2;
-    if let Some(p) = g1a_where(h, high) {
-        g1_violations.push(p);
-    }
-    if let Some(p) = g1b_where(h, high) {
-        g1_violations.push(p);
-    }
-    MixingReport {
-        msg_cycle: msg.cycle(),
-        g1_violations,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::check_mixing;
     use adya_history::{HistoryBuilder, Value};
 
     /// Read skew where the reader runs at PL-2 only: the
@@ -262,8 +257,8 @@ mod tests {
         b.commit(t2);
         b.commit(t1);
         let h = b.build().unwrap();
-        let msg = Msg::build(&h);
         let dsg = crate::Dsg::build(&h);
+        let msg = Msg::build(&h, dsg.conflicts());
         assert_eq!(msg.graph().edge_count(), dsg.graph().edge_count());
     }
 

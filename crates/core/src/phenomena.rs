@@ -8,7 +8,6 @@ use adya_history::{History, ObjectId, TxnId, VersionId};
 
 use crate::conflicts::DepKind;
 use crate::dsg::Dsg;
-use crate::ssg::Ssg;
 
 /// Discriminants of the phenomena, for reporting.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -38,6 +37,23 @@ pub enum PhenomenonKind {
     /// Non-monotonic atomic visibility: a USG cycle with exactly one
     /// read-rooted anti-dependency (PL-MAV, thesis §4.2).
     GMonotonic,
+}
+
+impl PhenomenonKind {
+    /// Every kind, in report order.
+    pub const ALL: [PhenomenonKind; 11] = [
+        PhenomenonKind::G0,
+        PhenomenonKind::G1a,
+        PhenomenonKind::G1b,
+        PhenomenonKind::G1c,
+        PhenomenonKind::G2Item,
+        PhenomenonKind::G2,
+        PhenomenonKind::GSingle,
+        PhenomenonKind::GSIa,
+        PhenomenonKind::GSIb,
+        PhenomenonKind::GCursor,
+        PhenomenonKind::GMonotonic,
+    ];
 }
 
 impl fmt::Display for PhenomenonKind {
@@ -231,37 +247,17 @@ pub fn g1a(h: &History) -> Option<Phenomenon> {
 /// [`g1a`] restricted to committed readers satisfying `readers` —
 /// used by the mixed-level check, where only PL-2+ readers matter and
 /// a PL-1 reader's dirty read must not mask a later violation.
-pub fn g1a_where(h: &History, mut readers: impl FnMut(TxnId) -> bool) -> Option<Phenomenon> {
-    for reader in h.committed_txns() {
-        if !readers(reader) {
-            continue;
-        }
-        for (_, r) in h.reads_of(reader) {
-            if !r.version.is_init() && !h.is_committed(r.version.txn) {
-                return Some(Phenomenon::G1a {
-                    reader,
-                    writer: r.version.txn,
-                    object: r.object,
-                    version: r.version,
-                    via_predicate: false,
-                });
-            }
-        }
-        for (_, p) in h.predicate_reads_of(reader) {
-            for &(object, version) in &p.vset {
-                if !version.is_init() && !h.is_committed(version.txn) {
-                    return Some(Phenomenon::G1a {
-                        reader,
-                        writer: version.txn,
-                        object,
-                        version,
-                        via_predicate: true,
-                    });
-                }
-            }
-        }
-    }
-    None
+pub fn g1a_where(h: &History, readers: impl FnMut(TxnId) -> bool) -> Option<Phenomenon> {
+    first_bad_read(h, readers, |reader, object, version, via_predicate| {
+        let aborted = !version.is_init() && !h.is_committed(version.txn);
+        aborted.then_some(Phenomenon::G1a {
+            reader,
+            writer: version.txn,
+            object,
+            version,
+            via_predicate,
+        })
+    })
 }
 
 /// G1b — *Intermediate Reads*: a committed transaction read a version
@@ -271,17 +267,14 @@ pub fn g1b(h: &History) -> Option<Phenomenon> {
 }
 
 /// [`g1b`] restricted to committed readers satisfying `readers`.
-pub fn g1b_where(h: &History, mut readers: impl FnMut(TxnId) -> bool) -> Option<Phenomenon> {
-    let check = |reader: TxnId, object: ObjectId, version: VersionId, via_predicate: bool| {
+pub fn g1b_where(h: &History, readers: impl FnMut(TxnId) -> bool) -> Option<Phenomenon> {
+    first_bad_read(h, readers, |reader, object, version, via_predicate| {
         let writer = version.txn;
         if writer == reader || writer.is_init() {
             return None;
         }
         let final_seq = h.final_seq(writer, object)?;
-        if version.seq == final_seq {
-            return None;
-        }
-        Some(Phenomenon::G1b {
+        (version.seq != final_seq).then_some(Phenomenon::G1b {
             reader,
             writer,
             object,
@@ -289,25 +282,31 @@ pub fn g1b_where(h: &History, mut readers: impl FnMut(TxnId) -> bool) -> Option<
             final_version: VersionId::new(writer, final_seq),
             via_predicate,
         })
-    };
-    for reader in h.committed_txns() {
-        if !readers(reader) {
-            continue;
-        }
-        for (_, r) in h.reads_of(reader) {
-            if let Some(p) = check(reader, r.object, r.version, false) {
-                return Some(p);
-            }
-        }
-        for (_, pr) in h.predicate_reads_of(reader) {
-            for &(object, version) in &pr.vset {
-                if let Some(p) = check(reader, object, version, true) {
-                    return Some(p);
-                }
-            }
-        }
-    }
-    None
+    })
+}
+
+/// The sweep G1a and G1b share: the first version read — by each
+/// committed reader passing `readers` in turn, through its item reads
+/// and then its version-set selections — that `bad` makes a witness
+/// of. `bad` is given `(reader, object, version, via_predicate)`.
+fn first_bad_read(
+    h: &History,
+    mut readers: impl FnMut(TxnId) -> bool,
+    bad: impl Fn(TxnId, ObjectId, VersionId, bool) -> Option<Phenomenon>,
+) -> Option<Phenomenon> {
+    h.committed_txns()
+        .filter(|&t| readers(t))
+        .find_map(|reader| {
+            let items = h
+                .reads_of(reader)
+                .map(|(_, r)| (r.object, r.version, false));
+            let selected = h
+                .predicate_reads_of(reader)
+                .flat_map(|(_, p)| p.vset.iter().map(|&(o, v)| (o, v, true)));
+            items
+                .chain(selected)
+                .find_map(|(object, version, via)| bad(reader, object, version, via))
+        })
 }
 
 /// G1c — *Circular Information Flow*: DSG cycle of only dependency
@@ -326,25 +325,6 @@ pub fn g2(dsg: &Dsg) -> Option<Phenomenon> {
 /// one **item** anti-dependency edge.
 pub fn g2_item(dsg: &Dsg) -> Option<Phenomenon> {
     dsg.item_anti_cycle().map(Phenomenon::G2Item)
-}
-
-/// G-single — *Single Anti-dependency Cycles* (PL-2+): DSG cycle with
-/// exactly one anti-dependency edge.
-pub fn g_single(dsg: &Dsg) -> Option<Phenomenon> {
-    dsg.single_anti_cycle().map(Phenomenon::GSingle)
-}
-
-/// G-SIa — *Interference* (Snapshot Isolation): a read/write
-/// dependency without the corresponding start-dependency.
-pub fn g_sia(ssg: &Ssg) -> Option<Phenomenon> {
-    ssg.interference_edge()
-        .map(|(from, to, kind)| Phenomenon::GSIa { from, to, kind })
-}
-
-/// G-SIb — *Missed Effects* (Snapshot Isolation): SSG cycle with
-/// exactly one anti-dependency edge.
-pub fn g_sib(ssg: &Ssg) -> Option<Phenomenon> {
-    ssg.missed_effects_cycle().map(Phenomenon::GSIb)
 }
 
 /// G-cursor — *Labeled Anti-dependency Cycles* (Cursor Stability).
@@ -438,38 +418,10 @@ pub fn g_cursor(h: &History, dsg: &Dsg) -> Option<Phenomenon> {
         .map(Phenomenon::GCursor)
 }
 
-/// G-monotonic — *Monotonic Atomic View* violations (PL-MAV): some
-/// committed transaction's unfolded serialization graph has a cycle
-/// with exactly one read-rooted anti-dependency edge.
-pub fn g_mav(h: &History) -> Option<Phenomenon> {
-    crate::usg::g_monotonic(h).map(|(txn, cycle)| Phenomenon::GMonotonic { txn, cycle })
-}
-
-/// Detects every phenomenon present in `h`, one witness per kind.
-pub fn detect_all(h: &History) -> Vec<Phenomenon> {
-    let dsg = Dsg::build(h);
-    let ssg = Ssg::build(h, &dsg);
-    [
-        g0(&dsg),
-        g1a(h),
-        g1b(h),
-        g1c(&dsg),
-        g2_item(&dsg),
-        g2(&dsg),
-        g_single(&dsg),
-        g_sia(&ssg),
-        g_sib(&ssg),
-        g_cursor(h, &dsg),
-        g_mav(h),
-    ]
-    .into_iter()
-    .flatten()
-    .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::detect_all;
     use adya_history::parse_history;
 
     fn dsg_of(s: &str) -> (adya_history::History, Dsg) {
@@ -543,7 +495,7 @@ mod tests {
             .unwrap();
         let d = Dsg::build(&h);
         assert!(g2(&d).is_some());
-        assert!(g_single(&d).is_some(), "exactly one anti edge here");
+        assert!(d.single_anti_cycle().is_some(), "exactly one anti edge");
         assert!(g1c(&d).is_none());
         assert!(g0(&d).is_none());
     }

@@ -30,7 +30,7 @@ use std::fmt;
 use adya_graph::{Cycle, DiGraph};
 use adya_history::{Event, History, TxnId, VersionId};
 
-use crate::conflicts::{direct_conflicts, Conflict, DepKind};
+use crate::conflicts::{Conflict, DepKind};
 
 /// A node of the unfolded graph: either a whole (other) transaction or
 /// one read/write action of the unfolded transaction.
@@ -172,10 +172,7 @@ fn g_monotonic_for(
                     }
                 };
                 let label = if c.kind.is_anti() {
-                    match c.kind {
-                        DepKind::ItemAntiDep | DepKind::PredAntiDep => UsgEdge::ReadAnti,
-                        _ => UsgEdge::Dep(c.kind),
-                    }
+                    UsgEdge::ReadAnti
                 } else {
                     UsgEdge::Dep(c.kind)
                 };
@@ -234,22 +231,23 @@ fn g_monotonic_for(
 /// G-monotonic — *Monotonic Atomic View* violations: for some
 /// committed transaction, USG(H, Ti) has a cycle with exactly one
 /// anti-dependency edge rooted at one of Ti's read nodes.
-pub fn g_monotonic(h: &History) -> Option<(TxnId, Cycle<UsgNode, String>)> {
-    // The conflict set is shared by every per-transaction unfolding;
-    // deriving it once keeps PL-MAV checking linear in transactions.
-    let conflicts = direct_conflicts(h);
-    for ti in h.committed_txns() {
-        if let Some(c) = g_monotonic_for(h, &conflicts, ti) {
-            return Some((ti, c));
-        }
-    }
-    None
+///
+/// `conflicts` are `h`'s ([`crate::Dsg::conflicts`]). Every unfolding
+/// lays all of them out as a graph: a clean history costs committed
+/// transactions × conflicts.
+pub fn g_monotonic(h: &History, conflicts: &[Conflict]) -> Option<(TxnId, Cycle<UsgNode, String>)> {
+    h.committed_txns()
+        .find_map(|ti| g_monotonic_for(h, conflicts, ti).map(|c| (ti, c)))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use adya_history::parse_history;
+
+    fn g_monotonic(h: &History) -> Option<(TxnId, Cycle<UsgNode, String>)> {
+        super::g_monotonic(h, crate::Dsg::build(h).conflicts())
+    }
 
     #[test]
     fn non_monotonic_read_detected() {

@@ -29,7 +29,11 @@ pub fn detected_kinds(h: &History) -> BTreeSet<PhenomenonKind> {
 /// remaining transaction or event can be removed without changing the
 /// phenomenon set — not globally minimum, which would be exponential.
 pub fn minimize(h: &History) -> History {
-    let baseline = detected_kinds(h);
+    minimize_to(h, &detected_kinds(h))
+}
+
+/// [`minimize`], given `h`'s already-detected kind set.
+pub(crate) fn minimize_to(h: &History, baseline: &BTreeSet<PhenomenonKind>) -> History {
     let mut cur = h.clone();
     loop {
         let mut changed = false;
@@ -37,7 +41,7 @@ pub fn minimize(h: &History) -> History {
         let txn_ids: Vec<TxnId> = cur.txns().map(|(t, _)| t).collect();
         for t in txn_ids {
             let cand = without_txn(&cur.to_parts(), t);
-            if let Some(next) = accept(cand, &baseline) {
+            if let Some(next) = accept(cand, baseline) {
                 cur = next;
                 changed = true;
             }
@@ -48,7 +52,7 @@ pub fn minimize(h: &History) -> History {
         while i > 0 {
             i -= 1;
             if let Some(cand) = without_event(&cur.to_parts(), i) {
-                if let Some(next) = accept(cand, &baseline) {
+                if let Some(next) = accept(cand, baseline) {
                     cur = next;
                     changed = true;
                 }

@@ -4,7 +4,7 @@
 use adya_core::{detect_all, Conflict, DepKind, Dsg, Phenomenon, PhenomenonKind};
 use adya_history::{History, ObjectId, PredicateId, TxnId, VersionId};
 
-use crate::shrink::{detected_kinds, minimize};
+use crate::shrink::{detected_kinds, minimize_to};
 
 /// One concrete operation citation behind a witness edge.
 #[derive(Debug, Clone)]
@@ -64,56 +64,59 @@ impl Witness {
 }
 
 /// Extracts a witness for `target` from `h`: shrinks the history to a
-/// minimal sub-history (see [`minimize`]), re-detects the phenomenon
-/// there (re-detection on the smaller DSG yields the shortest
-/// offending cycle), and maps every cycle edge back to its inducing
-/// operations. Returns `None` when `h` does not exhibit `target`.
+/// minimal sub-history (see [`crate::minimize`]), re-detects the
+/// phenomenon there (re-detection on the smaller DSG yields the
+/// shortest offending cycle), and maps every cycle edge back to its
+/// inducing operations. `None` when `h` does not exhibit `target`.
 pub fn extract(h: &History, target: PhenomenonKind) -> Option<Witness> {
-    if !detected_kinds(h).contains(&target) {
-        return None;
-    }
-    let minimal = minimize(h);
-    let phenomenon = detect_all(&minimal)
-        .into_iter()
-        .find(|p| p.kind() == target)
-        .expect("minimize preserves the phenomenon set");
-    let dsg = Dsg::build(&minimal);
-    let cycle = match phenomenon.cycle() {
-        Some(c) => c
-            .edges()
-            .iter()
-            .map(|e| WitnessEdge {
-                from: e.from,
-                to: e.to,
-                kind: e.label,
-                ops: dsg
-                    .provenance(e.from, e.to, e.label)
-                    .into_iter()
-                    .map(|c| EdgeOp {
-                        conflict: c.clone(),
-                        citation: citation(&minimal, c),
-                    })
-                    .collect(),
-            })
-            .collect(),
-        None => Vec::new(),
-    };
-    Some(Witness {
-        kind: target,
-        phenomenon,
-        removed_txns: h.txns().count() - minimal.txns().count(),
-        removed_events: h.len() - minimal.len(),
-        minimal_history: minimal,
-        cycle,
-    })
+    witnesses(h, |k| k == target).pop()
 }
 
 /// Every witness `h` supports, one per detected phenomenon kind, in
 /// detection order.
 pub fn extract_all(h: &History) -> Vec<Witness> {
-    detect_all(h)
-        .iter()
-        .filter_map(|p| extract(h, p.kind()))
+    witnesses(h, |_| true)
+}
+
+/// The witnesses of `h` for its `wanted` kinds. Minimization keeps the
+/// whole kind set, so one minimal history, one detection on it and
+/// one DSG of it serve every kind.
+fn witnesses(h: &History, wanted: impl Fn(PhenomenonKind) -> bool) -> Vec<Witness> {
+    let kinds = detected_kinds(h);
+    if !kinds.iter().any(|&k| wanted(k)) {
+        return Vec::new();
+    }
+    let minimal = minimize_to(h, &kinds);
+    let dsg = Dsg::build(&minimal);
+    detect_all(&minimal)
+        .into_iter()
+        .filter(|p| wanted(p.kind()))
+        .map(|phenomenon| {
+            let edges = phenomenon.cycle().into_iter().flat_map(|c| c.edges());
+            let cycle = edges
+                .map(|e| WitnessEdge {
+                    from: e.from,
+                    to: e.to,
+                    kind: e.label,
+                    ops: dsg
+                        .provenance(e.from, e.to, e.label)
+                        .into_iter()
+                        .map(|c| EdgeOp {
+                            conflict: c.clone(),
+                            citation: citation(&minimal, c),
+                        })
+                        .collect(),
+                })
+                .collect();
+            Witness {
+                kind: phenomenon.kind(),
+                phenomenon,
+                removed_txns: h.txns().count() - minimal.txns().count(),
+                removed_events: h.len() - minimal.len(),
+                minimal_history: minimal.clone(),
+                cycle,
+            }
+        })
         .collect()
 }
 

@@ -223,7 +223,7 @@ pub struct Verdict {
 impl Verdict {
     /// True when none of `level`'s proscribed phenomena have fired.
     pub fn satisfies(&self, level: IsolationLevel) -> bool {
-        level.proscribes().iter().all(|p| !self.fired.contains(p))
+        level.admits(|k| self.fired.contains(&k))
     }
 
     /// Renders the verdict as a single-line JSON object (NDJSON-ready).
@@ -683,11 +683,7 @@ impl OnlineChecker {
 
     /// Strongest ANSI-chain level the committed prefix satisfies.
     pub fn strongest_ansi(&self) -> Option<IsolationLevel> {
-        IsolationLevel::ANSI
-            .iter()
-            .rev()
-            .copied()
-            .find(|l| l.proscribes().iter().all(|&k| !self.fired.has(k)))
+        IsolationLevel::strongest_ansi(|k| self.fired.has(k))
     }
 
     /// Feeds one event; returns a [`Verdict`] when the event is a

@@ -370,14 +370,19 @@ impl Drop for Server {
 /// A byte stream a connection can be served on: TCP or unix.
 trait Conn: Read + Write + Send {
     fn split(&self) -> io::Result<Box<dyn Read + Send>>;
-    fn set_timeouts(&self) -> io::Result<()>;
+    /// Socket options for a served connection: the read/write
+    /// deadlines, and whatever the transport needs to answer promptly.
+    fn configure(&self) -> io::Result<()>;
 }
 
 impl Conn for TcpStream {
     fn split(&self) -> io::Result<Box<dyn Read + Send>> {
         Ok(Box::new(self.try_clone()?))
     }
-    fn set_timeouts(&self) -> io::Result<()> {
+    fn configure(&self) -> io::Result<()> {
+        // A reply is several small writes; under Nagle every one after
+        // the first waits for the client's delayed ACK.
+        self.set_nodelay(true)?;
         self.set_read_timeout(Some(Duration::from_millis(100)))?;
         self.set_write_timeout(Some(Duration::from_secs(5)))
     }
@@ -388,7 +393,7 @@ impl Conn for UnixStream {
     fn split(&self) -> io::Result<Box<dyn Read + Send>> {
         Ok(Box::new(self.try_clone()?))
     }
-    fn set_timeouts(&self) -> io::Result<()> {
+    fn configure(&self) -> io::Result<()> {
         self.set_read_timeout(Some(Duration::from_millis(100)))?;
         self.set_write_timeout(Some(Duration::from_secs(5)))
     }
@@ -408,7 +413,7 @@ fn spawn_conn(stream: Box<dyn Conn>, inner: Arc<Inner>) {
 
 /// Serves one connection to completion.
 fn handle_conn(mut stream: Box<dyn Conn>, inner: &Inner) {
-    if stream.set_timeouts().is_err() {
+    if stream.configure().is_err() {
         return;
     }
     let mut reader = match stream.split() {

@@ -5,7 +5,7 @@
 //! cargo run --example mixed_levels
 //! ```
 
-use adya::core::{check_mixing, Msg};
+use adya::core::{check_mixing, Dsg, Msg};
 use adya::engine::{Engine, EngineError, Key, LockConfig, LockingEngine, Value};
 use adya::history::RequestedLevel;
 
@@ -43,7 +43,7 @@ fn main() {
         "the PL-2 reader's anti-dependency is not an obligatory edge"
     );
 
-    let msg = Msg::build(&h);
+    let msg = Msg::build(&h, Dsg::build(&h).conflicts());
     println!(
         "MSG: {} nodes, {} edges (the reader's outgoing anti-dependency is dropped)",
         msg.graph().node_count(),

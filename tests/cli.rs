@@ -196,3 +196,34 @@ fn pipelined_stream_rejects_in_thread_hooks() {
     assert_eq!(code, Some(2));
     assert!(stderr.contains("--pipeline-threads"), "{stderr}");
 }
+
+#[test]
+fn paper_history_reports_match_their_goldens() {
+    // Every named history of the paper, in CLI notation, with the text
+    // and `--json` reports the checker printed for it before the
+    // analysis became one pass. A refactoring of the checker leaves
+    // these bytes alone; a deliberate change of the report regenerates
+    // them with `REGEN_GOLDEN=1 cargo test --test cli`.
+    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/data/paper");
+    let mut seen = 0;
+    for entry in std::fs::read_dir(&dir).expect("tests/data/paper") {
+        let hist = entry.expect("dir entry").path();
+        if hist.extension().is_none_or(|e| e != "hist") {
+            continue;
+        }
+        seen += 1;
+        let input = std::fs::read_to_string(&hist).expect("read history");
+        for (flags, suffix) in [(&[][..], "report.golden"), (&["--json"][..], "json.golden")] {
+            let (stdout, stderr, code) = run(flags, &input);
+            assert_eq!(code, Some(0), "{}: {stderr}", hist.display());
+            let golden = hist.with_extension(suffix);
+            if std::env::var_os("REGEN_GOLDEN").is_some() {
+                std::fs::write(&golden, &stdout).expect("write golden");
+                continue;
+            }
+            let want = std::fs::read_to_string(&golden).expect("read golden");
+            assert_eq!(stdout, want, "{} drifted", golden.display());
+        }
+    }
+    assert_eq!(seen, 11, "one history per entry of core::paper::all()");
+}

@@ -2,7 +2,7 @@
 //! Figure 1 rows on one locking engine are always mixing-correct, and
 //! the MSG edge rules behave as Definition 9 prescribes.
 
-use adya::core::{check_mixing, classify, IsolationLevel, Msg};
+use adya::core::{check_mixing, classify, Dsg, IsolationLevel, Msg};
 use adya::engine::{Engine, EngineError, Key, LockConfig, LockingEngine, Value};
 use adya::history::RequestedLevel;
 use rand::rngs::StdRng;
@@ -127,7 +127,7 @@ fn msg_drops_low_level_read_edges() {
     engine.write(t2, t, Key(0), Value::Int(2)).unwrap();
     engine.commit(t2).unwrap();
     let h = engine.finalize();
-    let msg = Msg::build(&h);
+    let msg = Msg::build(&h, Dsg::build(&h).conflicts());
     // ww edge kept; wr into the PL-1 reader dropped.
     assert_eq!(msg.graph().edge_count(), 1);
     assert!(check_mixing(&h).is_correct());

@@ -631,3 +631,30 @@ fn error_details_round_trip_through_the_client() {
         other => panic!("expected the parse error frame, got {other:?}"),
     }
 }
+
+#[test]
+fn a_verdict_does_not_wait_out_nagle() {
+    // The server answers a commit with more than one small write. On
+    // an accepted socket left with Nagle on, every write after the
+    // first is held until the client's delayed ACK (≈ 40 ms on Linux),
+    // so each verdict costs a timer, not the work.
+    let data = data_dir("serve-nodelay");
+    let (_server, addr) = spawn_server(&data, "127.0.0.1:0", &[]);
+    let mut client = ServeClient::hello(&addr, "latency").expect("hello");
+    let mut rtts: Vec<Duration> = (1..=50)
+        .map(|t| {
+            client.send_token(&format!("b{t}")).expect("begin");
+            client.send_token(&format!("w{t}(x,{t})")).expect("write");
+            let sent = Instant::now();
+            client.send_token(&format!("c{t}")).expect("verdict");
+            sent.elapsed()
+        })
+        .collect();
+    assert_eq!(client.verdicts().len(), 50);
+    rtts.sort();
+    let median = rtts[rtts.len() / 2];
+    assert!(
+        median < Duration::from_millis(10),
+        "median commit→verdict {median:?} over loopback: {rtts:?}"
+    );
+}
