@@ -370,19 +370,14 @@ impl Drop for Server {
 /// A byte stream a connection can be served on: TCP or unix.
 trait Conn: Read + Write + Send {
     fn split(&self) -> io::Result<Box<dyn Read + Send>>;
-    /// Socket options for a served connection: the read/write
-    /// deadlines, and whatever the transport needs to answer promptly.
-    fn configure(&self) -> io::Result<()>;
+    fn set_timeouts(&self) -> io::Result<()>;
 }
 
 impl Conn for TcpStream {
     fn split(&self) -> io::Result<Box<dyn Read + Send>> {
         Ok(Box::new(self.try_clone()?))
     }
-    fn configure(&self) -> io::Result<()> {
-        // A reply is several small writes; under Nagle every one after
-        // the first waits for the client's delayed ACK.
-        self.set_nodelay(true)?;
+    fn set_timeouts(&self) -> io::Result<()> {
         self.set_read_timeout(Some(Duration::from_millis(100)))?;
         self.set_write_timeout(Some(Duration::from_secs(5)))
     }
@@ -393,7 +388,7 @@ impl Conn for UnixStream {
     fn split(&self) -> io::Result<Box<dyn Read + Send>> {
         Ok(Box::new(self.try_clone()?))
     }
-    fn configure(&self) -> io::Result<()> {
+    fn set_timeouts(&self) -> io::Result<()> {
         self.set_read_timeout(Some(Duration::from_millis(100)))?;
         self.set_write_timeout(Some(Duration::from_secs(5)))
     }
@@ -413,7 +408,7 @@ fn spawn_conn(stream: Box<dyn Conn>, inner: Arc<Inner>) {
 
 /// Serves one connection to completion.
 fn handle_conn(mut stream: Box<dyn Conn>, inner: &Inner) {
-    if stream.configure().is_err() {
+    if stream.set_timeouts().is_err() {
         return;
     }
     let mut reader = match stream.split() {
