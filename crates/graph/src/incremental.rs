@@ -133,6 +133,143 @@ pub struct DagParts<K, L> {
     pub merges: u64,
 }
 
+impl<K, L> DagParts<K, L>
+where
+    K: Copy + Eq + Hash,
+    L: Copy + Eq + Hash,
+{
+    /// Checks that these parts are a state an [`IncrementalDag`] can be
+    /// in, so that parts decoded from bytes nobody vouches for can be
+    /// handed to [`IncrementalDag::from_parts`]: every slot number is
+    /// in range; keys and live slots pair off one to one and the free
+    /// list is exactly the dead slots; union-find parents lead to a
+    /// root, and a root's member count is the number of keys under it;
+    /// adjacency lists sit on roots only, agree with each other and
+    /// with `seen` edge for edge, and name their endpoints' own slots;
+    /// roots' order values are distinct, below `next_ord`, and ascend
+    /// along every edge between two components. One pass over the
+    /// parts; the error says which rule broke.
+    pub fn validate(&self) -> Result<(), String> {
+        let n = self.slots.len();
+        let mut index: HashMap<K, usize> = HashMap::with_capacity(self.index.len());
+        let mut keyed = vec![false; n];
+        for &(k, s) in &self.index {
+            if !self.slots.get(s).is_some_and(|slot| slot.live) {
+                return Err(format!("index names slot {s}, which is not a live slot"));
+            }
+            if std::mem::replace(&mut keyed[s], true) || index.insert(k, s).is_some() {
+                return Err(format!("index names a key or slot {s} twice"));
+            }
+        }
+        let live = self.slots.iter().filter(|s| s.live).count();
+        if live != index.len() {
+            return Err(format!("{live} live slots for {} keys", index.len()));
+        }
+        let mut freed = vec![false; n];
+        for &s in &self.free {
+            if self.slots.get(s).is_none_or(|slot| slot.live) {
+                return Err(format!(
+                    "free list names slot {s}, which is not a dead slot"
+                ));
+            }
+            if std::mem::replace(&mut freed[s], true) {
+                return Err(format!("free list names slot {s} twice"));
+            }
+        }
+        if self.free.len() != n - live {
+            return Err(format!("{} dead slots, {} free", n - live, self.free.len()));
+        }
+
+        // Union-find: resolve every live slot's root, refusing parent
+        // chains that leave the live slots or never reach a root.
+        const UNKNOWN: usize = usize::MAX;
+        const ON_PATH: usize = usize::MAX - 1;
+        let mut root = vec![UNKNOWN; n];
+        let mut path = Vec::new();
+        for start in (0..n).filter(|&s| self.slots[s].live) {
+            let mut s = start;
+            let r = loop {
+                match root[s] {
+                    UNKNOWN => {}
+                    ON_PATH => return Err(format!("slot {s}'s parents form a loop")),
+                    r => break r,
+                }
+                let p = self.slots[s].parent;
+                if p == s {
+                    break s;
+                }
+                if !self.slots.get(p).is_some_and(|slot| slot.live) {
+                    return Err(format!("slot {s}'s parent {p} is not a live slot"));
+                }
+                root[s] = ON_PATH;
+                path.push(s);
+                s = p;
+            };
+            root[s] = r;
+            for s in path.drain(..) {
+                root[s] = r;
+            }
+        }
+        let mut members = vec![0u64; n];
+        for s in (0..n).filter(|&s| self.slots[s].live) {
+            members[root[s]] += 1;
+        }
+        let mut ords = HashSet::with_capacity(live);
+        for (s, slot) in self.slots.iter().enumerate() {
+            if slot.live && root[s] == s {
+                if u64::from(slot.members) != members[s] {
+                    return Err(format!(
+                        "slot {s} claims {} members, has {}",
+                        slot.members, members[s]
+                    ));
+                }
+                if slot.ord >= self.next_ord || !ords.insert(slot.ord) {
+                    return Err(format!("slot {s}'s order value {} is taken", slot.ord));
+                }
+            } else if !slot.out.is_empty() || !slot.inc.is_empty() {
+                return Err(format!("slot {s} is no component root but holds edges"));
+            }
+        }
+
+        // Each recorded edge sits once in its source component's `out`
+        // and once in its target component's `inc`: tick both off.
+        const IN_OUT: u8 = 1;
+        const IN_INC: u8 = 2;
+        let mut seen: HashMap<(K, K, L), u8> = HashMap::with_capacity(self.seen.len());
+        for &edge in &self.seen {
+            if seen.insert(edge, 0).is_some() {
+                return Err("an edge is recorded twice".to_string());
+            }
+        }
+        let mut listed = [0usize; 2];
+        for (r, slot) in self.slots.iter().enumerate() {
+            for (list, edges) in [(IN_OUT, &slot.out), (IN_INC, &slot.inc)] {
+                for &(far, src, dst, label) in edges {
+                    let (Some(&s), Some(&d)) = (index.get(&src), index.get(&dst)) else {
+                        return Err(format!("slot {r} holds an edge of a missing key"));
+                    };
+                    let (near, want_far) = if list == IN_OUT { (s, d) } else { (d, s) };
+                    if src == dst || root[near] != r || far != want_far {
+                        return Err(format!("slot {r} holds an edge that is not its own"));
+                    }
+                    if root[s] != root[d] && self.slots[root[s]].ord >= self.slots[root[d]].ord {
+                        return Err(format!("an edge of slot {r} runs against the order"));
+                    }
+                    match seen.get_mut(&(src, dst, label)) {
+                        Some(ticks) if *ticks & list == 0 => *ticks |= list,
+                        _ => return Err(format!("slot {r} holds an unrecorded or repeated edge")),
+                    }
+                    listed[usize::from(list == IN_INC)] += 1;
+                }
+            }
+        }
+        if listed != [seen.len(); 2] {
+            return Err("a recorded edge is missing from an adjacency list".to_string());
+        }
+        Ok(())
+    }
+}
+
 /// Reusable traversal buffers for the Pearce–Kelly DFS passes. Held by
 /// the graph (and shared across a whole [`IncrementalDag::insert_edges`]
 /// batch) so the hot insert path allocates nothing once the buffers have
@@ -936,6 +1073,58 @@ mod tests {
             h.to_parts(),
             "states diverged after identical ops"
         );
+    }
+
+    #[test]
+    fn validate_refuses_parts_no_graph_can_be_in() {
+        // The round-trip test's graph: a condensed component, a
+        // reorder behind it and a freed slot.
+        let mut g: IncrementalDag<u32, u8> = IncrementalDag::new();
+        g.add_edge(1, 2, 0);
+        g.add_edge(3, 4, 0);
+        g.add_node(5);
+        g.add_edge(4, 1, 1);
+        g.add_edge(2, 3, 0);
+        g.add_edge(2, 1, 2);
+        g.add_edge(6, 1, 0);
+        assert!(g.remove_node(5));
+        let good = g.to_parts();
+        assert_eq!(good.validate(), Ok(()));
+        let root = good.slots.iter().position(|s| s.members > 1).unwrap();
+        let dead = good.free[0];
+        // (parts, the condensed component's root, a dead slot)
+        type Damage = fn(&mut DagParts<u32, u8>, usize, usize);
+        let damage: [(&str, Damage); 9] = [
+            ("a slot number out of range", |p, _, _| p.index[0].1 = 99),
+            ("a key twice", |p, _, _| p.index[1].0 = p.index[0].0),
+            ("a live slot on the free list", |p, root, _| {
+                p.free[0] = root
+            }),
+            ("a dead slot that is nobody's", |p, _, _| p.free.clear()),
+            ("a parent loop", |p, root, _| {
+                let child = (0..p.slots.len())
+                    .find(|&s| s != root && p.slots[s].parent == root)
+                    .unwrap();
+                p.slots[root].parent = child;
+            }),
+            ("a parent that is dead", |p, root, dead| {
+                p.slots[root].parent = dead
+            }),
+            ("a wrong member count", |p, root, _| {
+                p.slots[root].members = 1
+            }),
+            ("an edge against the order", |p, root, _| {
+                p.slots[root].ord = 0
+            }),
+            ("an edge `seen` does not know", |p, _, _| {
+                p.seen.pop();
+            }),
+        ];
+        for (what, break_it) in damage {
+            let mut bad = good.clone();
+            break_it(&mut bad, root, dead);
+            assert!(bad.validate().is_err(), "accepted {what}");
+        }
     }
 
     #[test]

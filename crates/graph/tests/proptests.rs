@@ -1,6 +1,7 @@
 //! Property tests: Tarjan SCC and constrained cycle search validated
 //! against a naive O(V·E) reachability oracle on random graphs, plus
-//! batched-vs-per-edge equivalence for the incremental DAG.
+//! batched-vs-per-edge equivalence for the incremental DAG and its
+//! parts validator never refusing a state the DAG reached.
 
 use adya_graph::{DiGraph, IncrementalDag};
 use proptest::prelude::*;
@@ -140,6 +141,24 @@ proptest! {
         }
         prop_assert_eq!(seq, got, "Insert results diverged");
         prop_assert_eq!(per_edge.to_parts(), batched.to_parts(), "exact state diverged");
+    }
+
+    /// `DagParts::validate` refuses parts no graph can be in; it must
+    /// never refuse one a graph *is* in. Any mix of inserts and
+    /// contracting removals leaves parts that validate.
+    #[test]
+    fn every_reachable_state_validates(
+        (n, edges) in graph_strategy(),
+        removals in proptest::collection::vec((0usize..30, 0usize..12), 0..10),
+    ) {
+        let mut g: IncrementalDag<usize, bool> = IncrementalDag::new();
+        for (i, &(a, b, l)) in edges.iter().enumerate() {
+            g.add_edge(a % n, b % n, l);
+            for &(_, k) in removals.iter().filter(|&&(at, _)| at == i) {
+                g.remove_node_contract(k % n, |x, y| x | y);
+            }
+            prop_assert_eq!(g.to_parts().validate(), Ok(()));
+        }
     }
 
     /// topo_order is a valid topological order exactly when acyclic.

@@ -1,0 +1,567 @@
+//! The cycle graphs as one table.
+//!
+//! The paper states G0, G1c and G2 as one condition — the DSG contains
+//! a directed cycle — over three sets of edges (§4.4–4.5, Figure 6):
+//!
+//! | lane | edges admitted | the paper's wording                               | latches      |
+//! |------|----------------|---------------------------------------------------|--------------|
+//! | 0    | ww             | G0: a cycle consisting entirely of write-dependency edges | G0    |
+//! | 1    | ww, wr         | G1c: a cycle consisting entirely of dependency edges | G1c        |
+//! | 2    | ww, wr, rw     | G2: a cycle with one or more anti-dependency edges | G2-item, G2 |
+//!
+//! [`LANES`] is that table; a [`Lane`] is one row's incremental graph
+//! with its reused batch buffer, dropped once its phenomenon latches.
+//! [`Lanes::apply`] inserts a commit's planned edges into every live
+//! lane that admits them and replays the results through the one rule.
+//! A new edge kind is a row of [`EdgeKind`]; a new filter is a row of
+//! [`LANES`].
+
+use std::fmt::Write as _;
+use std::time::Instant;
+
+use adya_core::PhenomenonKind;
+use adya_graph::{IncrementalDag, Insert};
+use adya_history::{ObjectId, TxnId, VersionId};
+
+use crate::provenance::{ProvStep, Provenance};
+use crate::verdict::{edge_label, Fired};
+
+/// Edge label in the incremental graphs: a tiny mask rather than a
+/// full `DepKind`, because contraction (GC shortcut edges) must be
+/// able to *combine* labels — a shortcut inherits "contains an
+/// anti-dependency" from whichever side had one.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub(crate) struct EdgeMask(pub(crate) u8);
+
+impl EdgeMask {
+    /// ww or wr — a dependency edge.
+    const DEP: EdgeMask = EdgeMask(0);
+    /// rw — an item anti-dependency edge (possibly via shortcuts).
+    const ANTI_ITEM: EdgeMask = EdgeMask(1);
+
+    /// The label with snapshot byte `bits`.
+    pub(crate) fn from_bits(bits: u8) -> Option<EdgeMask> {
+        (bits <= EdgeMask::ANTI_ITEM.0).then_some(EdgeMask(bits))
+    }
+
+    fn combine(a: EdgeMask, b: EdgeMask) -> EdgeMask {
+        EdgeMask(a.0 | b.0)
+    }
+
+    pub(crate) fn has_item_anti(self) -> bool {
+        self.0 & 1 != 0
+    }
+}
+
+/// The kind of direct conflict behind a planned edge (Figure 2's item
+/// rows). Everything that varies by kind is read off this enum: the
+/// graph label, the wire code in snapshot images, the name in
+/// provenance text — and [`LANES`] names the kinds each lane admits.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum EdgeKind {
+    /// Write dependency: `to` overwrote `from`'s version.
+    Ww,
+    /// Read dependency: `to` read a version `from` wrote.
+    Wr,
+    /// Item anti-dependency: `to` overwrote a version `from` read.
+    Rw,
+}
+
+impl EdgeKind {
+    const ALL: [EdgeKind; 3] = [EdgeKind::Ww, EdgeKind::Wr, EdgeKind::Rw];
+
+    /// The label the edge carries in the graphs.
+    pub(crate) fn mask(self) -> EdgeMask {
+        match self {
+            EdgeKind::Ww | EdgeKind::Wr => EdgeMask::DEP,
+            EdgeKind::Rw => EdgeMask::ANTI_ITEM,
+        }
+    }
+
+    /// Wire-stable code (0/1/2) of a provenance step in the image.
+    pub(crate) fn code(self) -> u8 {
+        self as u8
+    }
+
+    /// The kind with wire code `c`.
+    pub(crate) fn from_code(c: u8) -> Option<EdgeKind> {
+        EdgeKind::ALL.get(usize::from(c)).copied()
+    }
+
+    /// `ww` / `wr` / `rw`, as provenance chains spell it.
+    pub(crate) fn name(self) -> &'static str {
+        match self {
+            EdgeKind::Ww => "ww",
+            EdgeKind::Wr => "wr",
+            EdgeKind::Rw => "rw",
+        }
+    }
+
+    /// Which endpoint wrote the version the conflict is about: the
+    /// overwritten or read version is `from`'s, the overwriting one
+    /// `to`'s.
+    pub(crate) fn writer(self, from: TxnId, to: TxnId) -> TxnId {
+        match self {
+            EdgeKind::Ww | EdgeKind::Wr => from,
+            EdgeKind::Rw => to,
+        }
+    }
+}
+
+/// One DSG edge discovered while resolving a commit, queued for
+/// batched application to the cycle graphs (see [`Lanes::apply`]).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct PlannedEdge {
+    pub(crate) kind: EdgeKind,
+    /// Depended-on transaction.
+    pub(crate) from: TxnId,
+    /// Depending transaction.
+    pub(crate) to: TxnId,
+    /// The object the conflict is on.
+    pub(crate) object: ObjectId,
+    /// The version read, for a read dependency — it need not be the
+    /// writer's last. `None` for ww and rw: the version they are about
+    /// is the final one [`EdgeKind::writer`] installed on `object`.
+    pub(crate) read: Option<VersionId>,
+}
+
+pub(crate) type Dag = IncrementalDag<TxnId, EdgeMask>;
+
+/// One row of the lane table: an edge filter and what a cycle among
+/// the admitted edges means.
+#[derive(Debug)]
+struct LaneSpec {
+    /// The edge kinds this lane's graph holds.
+    admits: &'static [EdgeKind],
+    /// Whether the cycle must hold an anti-dependency edge to count.
+    needs_anti: bool,
+    /// What a (qualifying) cycle latches.
+    fires: &'static [PhenomenonKind],
+    /// How the witness text names the cycle.
+    what: &'static str,
+}
+
+/// The three filters, in replay order.
+const LANES: [LaneSpec; 3] = [
+    LaneSpec {
+        admits: &[EdgeKind::Ww],
+        needs_anti: false,
+        fires: &[PhenomenonKind::G0],
+        what: "write cycle",
+    },
+    LaneSpec {
+        admits: &[EdgeKind::Ww, EdgeKind::Wr],
+        needs_anti: false,
+        fires: &[PhenomenonKind::G1c],
+        what: "dependency cycle",
+    },
+    LaneSpec {
+        admits: &[EdgeKind::Ww, EdgeKind::Wr, EdgeKind::Rw],
+        needs_anti: true,
+        fires: &[PhenomenonKind::G2Item, PhenomenonKind::G2],
+        what: "anti-dependency cycle",
+    },
+];
+
+/// One cycle graph: dropped (`dag` is `None`) once its row's phenomena
+/// have latched, since no later cycle could say anything new.
+#[derive(Debug)]
+struct Lane {
+    spec: &'static LaneSpec,
+    dag: Option<Dag>,
+    /// Batch buffer for [`Lanes::apply`], reused across commits.
+    batch: Vec<(TxnId, TxnId, EdgeMask)>,
+}
+
+fn cycle_string(witness: &[(TxnId, TxnId, EdgeMask)]) -> String {
+    let mut s = String::new();
+    for (i, (a, b, m)) in witness.iter().enumerate() {
+        if i > 0 {
+            s.push_str(", ");
+        }
+        let lbl = edge_label(m.has_item_anti());
+        let _ = write!(s, "T{} -{lbl}-> T{}", a.0, b.0);
+    }
+    s
+}
+
+impl LaneSpec {
+    /// The one rule: did inserting `edge` with result `r` put a cycle
+    /// — one holding an anti-dependency edge, if the row asks for it —
+    /// among this lane's edges? Returns the witness text and the edges
+    /// to cite. For the anti row a qualifying cycle appears either as a
+    /// fresh component with an anti edge inside, or as an anti edge
+    /// landing inside a component that dependency edges had closed.
+    #[allow(clippy::type_complexity)]
+    fn offence(
+        &self,
+        r: &Insert<TxnId, EdgeMask>,
+        edge: &PlannedEdge,
+    ) -> Option<(String, Vec<(TxnId, TxnId, EdgeMask)>)> {
+        let what = self.what;
+        match r {
+            Insert::CycleFormed(info) if !self.needs_anti => Some((
+                format!("{what}: {}", cycle_string(&info.witness)),
+                info.witness.clone(),
+            )),
+            Insert::CycleFormed(info) => {
+                let (a, b, _) = info.intra_edges.iter().find(|e| e.2.has_item_anti())?;
+                Some((
+                    format!(
+                        "{what} through T{} -rw-> T{}: {}",
+                        a.0,
+                        b.0,
+                        cycle_string(&info.witness)
+                    ),
+                    info.witness.clone(),
+                ))
+            }
+            Insert::IntraComponent if self.needs_anti && edge.kind.mask().has_item_anti() => {
+                Some((
+                    format!(
+                        "anti-dependency edge T{} -rw-> T{} inside a dependency cycle",
+                        edge.from.0, edge.to.0
+                    ),
+                    vec![(edge.from, edge.to, edge.kind.mask())],
+                ))
+            }
+            _ => None,
+        }
+    }
+}
+
+/// The lane table's state: the three graphs plus the Pearce–Kelly
+/// reorder counts of those already dropped.
+#[derive(Debug)]
+pub(crate) struct Lanes {
+    lanes: [Lane; 3],
+    /// Reorder counts of already-dropped graphs.
+    reorders_dropped: u64,
+    reorders_reported: u64,
+}
+
+impl Default for Lanes {
+    /// Every lane live and empty.
+    fn default() -> Lanes {
+        Lanes::from_image([(); 3].map(|()| Some(IncrementalDag::new())), 0, 0)
+    }
+}
+
+impl Lanes {
+    /// The table as a snapshot image carries it: each lane's graph
+    /// (`None` once dropped) and the two reorder counters.
+    pub(crate) fn from_image(mut dags: [Option<Dag>; 3], dropped: u64, reported: u64) -> Lanes {
+        Lanes {
+            lanes: std::array::from_fn(|i| Lane {
+                spec: &LANES[i],
+                dag: dags[i].take(),
+                batch: Vec::new(),
+            }),
+            reorders_dropped: dropped,
+            reorders_reported: reported,
+        }
+    }
+
+    /// Each lane's graph, in table order (`None` once dropped).
+    pub(crate) fn dags(&self) -> impl Iterator<Item = Option<&Dag>> {
+        self.lanes.iter().map(|l| l.dag.as_ref())
+    }
+
+    /// `(reorders of dropped graphs, reorders already reported)`.
+    pub(crate) fn reorder_counters(&self) -> (u64, u64) {
+        (self.reorders_dropped, self.reorders_reported)
+    }
+
+    fn live(&mut self) -> impl Iterator<Item = &mut Dag> {
+        self.lanes.iter_mut().filter_map(|l| l.dag.as_mut())
+    }
+
+    /// Applies a commit's planned edges: one [`IncrementalDag::
+    /// insert_edges`] batch per live lane — amortizing Pearce–Kelly
+    /// traversal buffers across the whole commit instead of allocating
+    /// per edge — followed by a walk over the per-edge results that
+    /// replays provenance recording and phenomenon latching in exactly
+    /// the order an edge-at-a-time path would: edge by edge in plan
+    /// order, and for each edge lane by lane in table order.
+    ///
+    /// Equivalence with that path: batched insertion is
+    /// state-identical per graph (see `insert_edges`), and when a latch
+    /// drops a lane mid-plan the rest of its batch results are
+    /// discarded — the sequential path would never have inserted those
+    /// edges, and the extra inserts can't be observed because the
+    /// graph is freed within the same event either way.
+    ///
+    /// `cite` resolves the operation behind an edge; it is asked only
+    /// while provenance is on.
+    pub(crate) fn apply(
+        &mut self,
+        plan: &[PlannedEdge],
+        fired: &mut Fired,
+        prov: &mut Provenance,
+        sampled: bool,
+        cite: impl Fn(&PlannedEdge) -> Option<ProvStep>,
+    ) {
+        for lane in &mut self.lanes {
+            lane.batch.clear();
+            if lane.dag.is_some() {
+                let admitted = plan.iter().filter(|e| lane.spec.admits.contains(&e.kind));
+                lane.batch
+                    .extend(admitted.map(|e| (e.from, e.to, e.kind.mask())));
+            }
+        }
+        let insert_t0 = sampled.then(Instant::now);
+        let results: [Vec<Insert<TxnId, EdgeMask>>; 3] = std::array::from_fn(|i| {
+            let lane = &mut self.lanes[i];
+            match lane.dag.as_mut() {
+                Some(g) => g.insert_edges(&lane.batch),
+                None => Vec::new(),
+            }
+        });
+        if let Some(t0) = insert_t0 {
+            adya_obs::histogram!("online.graph_insert_ns").record(t0.elapsed().as_nanos() as u64);
+        }
+        let mut next = [0usize; 3];
+        for edge in plan {
+            let mut step = if prov.enabled() { cite(edge) } else { None };
+            for i in 0..self.lanes.len() {
+                let lane = &self.lanes[i];
+                // A lane dropped before or during this plan has nothing
+                // left to say; its remaining results are never read.
+                if lane.dag.is_none() || !lane.spec.admits.contains(&edge.kind) {
+                    continue;
+                }
+                let r = &results[i][next[i]];
+                next[i] += 1;
+                self.replay(i, r, edge, &mut step, fired, prov);
+            }
+        }
+    }
+
+    /// Replays one planned edge's result in one lane: provenance first
+    /// — the first lane in which the edge is fresh takes the step, so
+    /// repeated conflicts on an existing edge skip the side map
+    /// entirely, and the graph's own dedup check already paid for the
+    /// answer — then the lane's latch.
+    fn replay(
+        &mut self,
+        lane: usize,
+        r: &Insert<TxnId, EdgeMask>,
+        edge: &PlannedEdge,
+        step: &mut Option<ProvStep>,
+        fired: &mut Fired,
+        prov: &mut Provenance,
+    ) {
+        if !matches!(r, Insert::Duplicate) {
+            if let Some(st) = step.take() {
+                prov.record(edge.from, edge.to, st);
+            }
+        }
+        let spec = self.lanes[lane].spec;
+        // Only a fresh component is timed: that is where a witness
+        // path gets materialized.
+        let t0 = matches!(r, Insert::CycleFormed(_)).then(Instant::now);
+        if let Some((witness, cited)) = spec.offence(r, edge) {
+            let cycle = prov.cycle(&cited);
+            for &k in spec.fires {
+                if fired.set(k, witness.clone()) {
+                    fired.set_cycle(k, cycle.clone());
+                }
+            }
+            self.drop_lane(lane, prov);
+        }
+        if let Some(t0) = t0 {
+            adya_obs::histogram!("online.cycle_check_ns").record(t0.elapsed().as_nanos() as u64);
+        }
+    }
+
+    /// Frees a latched lane's graph. Once every lane is gone no future
+    /// cycle can fire, so the provenance side map is dead weight.
+    fn drop_lane(&mut self, lane: usize, prov: &mut Provenance) {
+        if let Some(g) = self.lanes[lane].dag.take() {
+            self.reorders_dropped += g.reorders();
+        }
+        if self.lanes.iter().all(|l| l.dag.is_none()) {
+            prov.clear();
+        }
+    }
+
+    /// Publishes Pearce–Kelly reorders not yet counted in the registry.
+    pub(crate) fn sync_reorder_counter(&mut self) {
+        let live: u64 = self.dags().flatten().map(|g| g.reorders()).sum();
+        let total = self.reorders_dropped + live;
+        if total > self.reorders_reported {
+            adya_obs::counter!("online.pk_reorders").add(total - self.reorders_reported);
+            self.reorders_reported = total;
+        }
+    }
+
+    /// Whether `id` can leave every live graph: never disturb a
+    /// condensed cycle component (those nodes are the evidence for
+    /// latched phenomena; the whole graph is freed when its phenomenon
+    /// latches).
+    pub(crate) fn removable(&mut self, id: TxnId) -> bool {
+        self.live().all(|g| !g.contains(id) || g.is_removable(id))
+    }
+
+    /// Removes `id` from every live graph, replacing the paths through
+    /// it by shortcut edges, and returns the distinct shortcuts in the
+    /// order the graphs reported them. Call only when
+    /// [`Self::removable`].
+    pub(crate) fn contract(&mut self, id: TxnId) -> Vec<(TxnId, TxnId)> {
+        let mut shortcuts: Vec<(TxnId, TxnId)> = Vec::new();
+        for g in self.live() {
+            let ok = g.remove_node_contract_report(id, EdgeMask::combine, |a, b, _| {
+                if !shortcuts.contains(&(a, b)) {
+                    shortcuts.push((a, b));
+                }
+            });
+            debug_assert!(ok, "removability checked above");
+        }
+        shortcuts
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use PhenomenonKind::{G1c, G2Item, G0, G2};
+
+    fn edge(kind: EdgeKind, from: u32, to: u32, object: u32) -> PlannedEdge {
+        PlannedEdge {
+            kind,
+            from: TxnId(from),
+            to: TxnId(to),
+            object: ObjectId(object),
+            read: None,
+        }
+    }
+
+    /// What one plan must leave behind.
+    struct Case {
+        name: &'static str,
+        /// Applied first, as an earlier commit's plan.
+        setup: Vec<PlannedEdge>,
+        plan: Vec<PlannedEdge>,
+        /// Everything latched afterwards, with the witness text of what
+        /// the plan (not the setup) latched.
+        fired: Vec<PhenomenonKind>,
+        witnesses: Vec<(PhenomenonKind, &'static str)>,
+        live: [bool; 3],
+        /// The provenance chain of each edge named, rendered.
+        via: Vec<((u32, u32), &'static str)>,
+    }
+
+    /// The lane table held to the three hand-written replays it
+    /// replaced: per plan, the latched set, the witness text, which
+    /// lanes are still live and the provenance chain per edge.
+    #[test]
+    fn replay_latches_drops_and_cites_like_the_three_walks_did() {
+        use EdgeKind::{Rw, Wr, Ww};
+        let cases = [
+            Case {
+                name: "ww closes a ww cycle",
+                setup: vec![edge(Ww, 1, 2, 0)],
+                plan: vec![edge(Ww, 2, 1, 1)],
+                // The same edge closes the cycle among ww + wr edges;
+                // among all edges the cycle holds no anti edge.
+                fired: vec![G0, G1c],
+                witnesses: vec![
+                    (G0, "write cycle: T2 -ww/wr-> T1, T1 -ww/wr-> T2"),
+                    (G1c, "dependency cycle: T2 -ww/wr-> T1, T1 -ww/wr-> T2"),
+                ],
+                live: [false, false, true],
+                via: vec![((1, 2), "ww obj0[1]"), ((2, 1), "ww obj1[2]")],
+            },
+            Case {
+                name: "wr closes a dep cycle",
+                setup: vec![edge(Ww, 1, 2, 0)],
+                plan: vec![edge(Wr, 2, 1, 1)],
+                fired: vec![G1c],
+                witnesses: vec![(G1c, "dependency cycle: T2 -ww/wr-> T1, T1 -ww/wr-> T2")],
+                live: [true, false, true],
+                via: vec![((2, 1), "wr obj1[2]")],
+            },
+            Case {
+                name: "rw closes a full cycle",
+                setup: vec![edge(Wr, 1, 2, 0)],
+                plan: vec![edge(Rw, 2, 1, 1)],
+                fired: vec![G2Item, G2],
+                witnesses: vec![(
+                    G2,
+                    "anti-dependency cycle through T2 -rw-> T1: T2 -rw-> T1, T1 -ww/wr-> T2",
+                )],
+                live: [true, true, false],
+                // An rw edge cites the overwriting version: `to`'s.
+                via: vec![((2, 1), "rw obj1[1]")],
+            },
+            Case {
+                name: "rw lands intra-component",
+                setup: vec![edge(Ww, 1, 2, 0), edge(Wr, 2, 1, 1)],
+                plan: vec![edge(Rw, 1, 2, 2)],
+                fired: vec![G1c, G2Item, G2],
+                witnesses: vec![(
+                    G2Item,
+                    "anti-dependency edge T1 -rw-> T2 inside a dependency cycle",
+                )],
+                live: [true, false, false],
+                // Recorded beside the ww step the edge already had.
+                via: vec![((1, 2), "ww obj0[1]; rw obj2[2]")],
+            },
+            Case {
+                name: "the 2nd edge latches G0, the 3rd would have been a fresh ww edge",
+                setup: vec![edge(Ww, 1, 2, 0)],
+                plan: vec![edge(Ww, 3, 4, 1), edge(Ww, 2, 1, 2), edge(Ww, 5, 6, 3)],
+                fired: vec![G0, G1c],
+                witnesses: vec![(G0, "write cycle: T2 -ww/wr-> T1, T1 -ww/wr-> T2")],
+                live: [false, false, true],
+                // Lanes 0 and 1 are gone by the third edge; the lane
+                // still live is where it is fresh, and takes its step.
+                via: vec![((3, 4), "ww obj1[3]"), ((5, 6), "ww obj3[5]")],
+            },
+            Case {
+                name: "a duplicate edge carrying a second step",
+                setup: vec![edge(Wr, 1, 2, 0)],
+                // Known to lanes 1 and 2, fresh in lane 0: recorded
+                // once more. Then known everywhere: first steps win.
+                plan: vec![edge(Ww, 1, 2, 1), edge(Ww, 1, 2, 2)],
+                fired: vec![],
+                witnesses: vec![],
+                live: [true, true, true],
+                via: vec![((1, 2), "wr obj0[1]; ww obj1[1]")],
+            },
+        ];
+        for case in cases {
+            let name = case.name;
+            let mut lanes = Lanes::default();
+            let mut fired = Fired::default();
+            let mut prov = Provenance::default();
+            prov.set_enabled(true);
+            let cite = |e: &PlannedEdge| {
+                Some(ProvStep {
+                    kind: e.kind,
+                    object: e.object,
+                    version: VersionId::new(e.kind.writer(e.from, e.to), 1),
+                })
+            };
+            lanes.apply(&case.setup, &mut fired, &mut prov, false, cite);
+            lanes.apply(&case.plan, &mut fired, &mut prov, false, cite);
+            assert_eq!(fired.kinds(), case.fired, "{name}: latched");
+            for (k, text) in case.witnesses {
+                assert_eq!(
+                    fired.witness_of(k).map(String::as_str),
+                    Some(text),
+                    "{name}"
+                );
+                // Each cycle witness carries its edges' citations.
+                let cycle = fired.cycle_of(k).expect("provenance is on");
+                assert!(cycle.iter().all(|e| !e.via.is_empty()), "{name}: {cycle:?}");
+            }
+            let live: Vec<bool> = lanes.dags().map(|g| g.is_some()).collect();
+            assert_eq!(live, case.live, "{name}: live lanes");
+            for ((a, b), text) in case.via {
+                let cited = prov.cycle(&[(TxnId(a), TxnId(b), EdgeMask::DEP)]);
+                assert_eq!(cited[0].via, text, "{name}: chain of T{a} -> T{b}");
+            }
+        }
+    }
+}

@@ -42,6 +42,18 @@
 //! [`OnlineChecker::restore`] — the restored checker continues the
 //! stream with verdicts byte-identical to an uninterrupted run.
 //!
+//! Inside, the checker is six private modules, each the single owner of
+//! what it names (DESIGN.md, "Streaming checker: modules and owners"):
+//! `checker` — the transaction and object tables and the event
+//! handlers, which report a conflict only by queueing a planned edge;
+//! `lanes` — the edge kinds and the lane table: one incremental graph
+//! per edge filter (ww; ww + wr; ww + wr + rw) under one cycle rule,
+//! which is the paper's G0 / G1c / G2; `provenance` — the operations
+//! behind each live edge; `gc` — the eligibility index, the collection
+//! pass and its reference collector; `snapshot` — the checker image
+//! and the cross-checks an image must pass before it is a checker;
+//! `verdict` — [`Verdict`], its JSON and the latched phenomena.
+//!
 //! ```
 //! use adya_history::{Event, ReadEvent, TxnId, ObjectId, VersionId};
 //! use adya_online::OnlineChecker;
@@ -70,11 +82,21 @@
 
 mod checker;
 mod feed;
+mod gc;
+mod lanes;
 pub mod monitor;
 pub mod pipeline;
+mod provenance;
+mod snapshot;
+#[cfg(test)]
+mod testkit;
+mod verdict;
 pub mod wire;
 
-pub use checker::{CycleEdgeProv, GcConfig, OnlineChecker, SnapshotError, Verdict};
+pub use checker::OnlineChecker;
 pub use feed::{encode_log, EventLogReader, EventLogWriter, LogError, StreamParser, LOG_MAGIC};
+pub use gc::GcConfig;
 pub use monitor::{CheckerMonitor, Exemplar, HealthPolicy};
 pub use pipeline::{EventPipeline, PipelineCloser, PipelineConfig, PipelineStats};
+pub use snapshot::SnapshotError;
+pub use verdict::{CycleEdgeProv, Verdict};

@@ -33,7 +33,7 @@ use std::time::Instant;
 use adya_core::PhenomenonKind;
 use adya_obs::json::JsonWriter;
 
-use crate::checker::{OnlineChecker, Verdict};
+use crate::{OnlineChecker, Verdict};
 
 /// Most exemplars retained (one per phenomenon kind at first fire
 /// covers the six online kinds with room for repeats).

@@ -39,7 +39,7 @@ use adya_engine::{buffering_tap, Engine, RingCloser, RingConsumer, RingProducer}
 use adya_history::Event;
 use adya_obs::{trace::Stage, TracePlane};
 
-use crate::checker::{OnlineChecker, Verdict};
+use crate::{OnlineChecker, Verdict};
 
 /// Shape of one ingest pipeline.
 #[derive(Debug, Clone, Copy)]

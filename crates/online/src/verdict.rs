@@ -1,0 +1,330 @@
+//! What the checker says: the per-commit [`Verdict`] and its one-line
+//! JSON, the latched-phenomenon record behind it, and the two small
+//! vocabularies both are written in — which phenomena the streaming
+//! checker reports (with their snapshot bit) and how a cycle edge is
+//! labelled. Plain data: nothing here reads the checker's tables.
+
+use std::fmt::Write as _;
+
+use adya_core::{IsolationLevel, PhenomenonKind};
+use adya_history::{ObjectId, TxnId, VersionId};
+use adya_obs::json::write_escaped;
+
+/// The phenomena the streaming checker reports, in report order. A
+/// kind's position is its bit in [`Fired::mask`] and in the snapshot
+/// image.
+pub(crate) const ONLINE_KINDS: [PhenomenonKind; 6] = [
+    PhenomenonKind::G0,
+    PhenomenonKind::G1a,
+    PhenomenonKind::G1b,
+    PhenomenonKind::G1c,
+    PhenomenonKind::G2Item,
+    PhenomenonKind::G2,
+];
+
+/// `k`'s bit in the latch mask; 0 for a kind the checker never reports.
+pub(crate) fn kind_bit(k: PhenomenonKind) -> u8 {
+    ONLINE_KINDS
+        .iter()
+        .position(|&o| o == k)
+        .map_or(0, |i| 1 << i)
+}
+
+/// The kind whose latch bit is exactly `b`.
+pub(crate) fn kind_from_bit(b: u8) -> Option<PhenomenonKind> {
+    ONLINE_KINDS.iter().copied().find(|&k| kind_bit(k) == b)
+}
+
+/// How a cycle edge reads in witness text, verdict JSON and DOT: the
+/// incremental graphs tell dependency edges (ww, wr) from item
+/// anti-dependencies only, because contraction shortcuts merge labels.
+pub(crate) fn edge_label(anti: bool) -> &'static str {
+    if anti {
+        "rw"
+    } else {
+        "ww/wr"
+    }
+}
+
+/// One edge of a violating cycle with its provenance, as attached to a
+/// [`Verdict`] when the phenomenon fires.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct CycleEdgeProv {
+    /// Depended-on transaction.
+    pub from: TxnId,
+    /// Depending transaction.
+    pub to: TxnId,
+    /// True when the edge carries an item anti-dependency (rw),
+    /// possibly via GC contraction shortcuts.
+    pub anti: bool,
+    /// The concrete inducing operations, rendered `kind obj[version]`
+    /// and `; `-joined; empty when provenance was disabled or the chain
+    /// ran through pruned state.
+    pub via: String,
+}
+
+impl CycleEdgeProv {
+    /// The edge's label: `rw` for an item anti-dependency, `ww/wr` for
+    /// a dependency edge.
+    pub fn label(&self) -> &'static str {
+        edge_label(self.anti)
+    }
+}
+
+/// The commit-time (or final) answer of the online checker.
+#[derive(Debug, Clone)]
+pub struct Verdict {
+    /// The transaction whose commit produced this verdict; `None` for
+    /// the final verdict from [`OnlineChecker::finish`].
+    ///
+    /// [`OnlineChecker::finish`]: crate::OnlineChecker::finish
+    pub txn: Option<TxnId>,
+    /// Committed transactions in the prefix so far.
+    pub committed: u64,
+    /// Strongest ANSI-chain level the committed prefix satisfies
+    /// (`None` when even PL-1 is violated).
+    pub strongest_ansi: Option<IsolationLevel>,
+    /// Every phenomenon that has fired in the prefix (latched).
+    pub fired: Vec<PhenomenonKind>,
+    /// Phenomena that fired for the first time at this commit.
+    pub new_fired: Vec<PhenomenonKind>,
+    /// Witness for the first newly fired phenomenon, if any.
+    pub witness: Option<String>,
+    /// Stable id of the first newly fired phenomenon's witness:
+    /// [`adya_obs::witness_id`] over the canonical (rotation-invariant)
+    /// cycle signature when the offending cycle is known, else over
+    /// the witness text. The forensics plane derives witness ids the
+    /// same way, so a fired G1c/G2 here links straight to its
+    /// forensic witness when both saw the same cycle.
+    pub witness_id: Option<String>,
+    /// Cycle provenance for the first newly fired phenomenon: every
+    /// edge of the offending cycle with the operations that induced
+    /// it. `None` when nothing new fired, the phenomenon has no cycle
+    /// (G1a/G1b), or provenance tracking is disabled.
+    pub cycle: Option<Vec<CycleEdgeProv>>,
+    /// Transactions pruned by the GC so far.
+    pub pruned_txns: u64,
+    /// Reads that referenced an already-pruned (or never-seen) writer:
+    /// when non-zero the verdict may be weaker than a batch check of
+    /// the full history — flagged, never silent.
+    pub stale_refs: u64,
+    /// Transactions currently held in memory.
+    pub live_txns: usize,
+    /// True for the verdict returned by [`OnlineChecker::finish`].
+    ///
+    /// [`OnlineChecker::finish`]: crate::OnlineChecker::finish
+    pub is_final: bool,
+}
+
+impl Verdict {
+    /// True when none of `level`'s proscribed phenomena have fired.
+    pub fn satisfies(&self, level: IsolationLevel) -> bool {
+        level.admits(|k| self.fired.contains(&k))
+    }
+
+    /// Renders the verdict as a single-line JSON object (NDJSON-ready).
+    pub fn to_json(&self) -> String {
+        let mut s = String::from("{");
+        match self.txn {
+            Some(t) => {
+                let _ = write!(s, "\"txn\": {}", t.0);
+            }
+            None => s.push_str("\"txn\": null"),
+        }
+        let _ = write!(s, ", \"final\": {}", self.is_final);
+        let _ = write!(s, ", \"committed\": {}", self.committed);
+        match self.strongest_ansi {
+            Some(l) => {
+                let _ = write!(s, ", \"strongest_ansi\": \"{l}\"");
+            }
+            None => s.push_str(", \"strongest_ansi\": null"),
+        }
+        for (key, kinds) in [("fired", &self.fired), ("new", &self.new_fired)] {
+            let _ = write!(s, ", \"{key}\": [");
+            for (i, k) in kinds.iter().enumerate() {
+                if i > 0 {
+                    s.push_str(", ");
+                }
+                let _ = write!(s, "\"{k}\"");
+            }
+            s.push(']');
+        }
+        for (key, text) in [("witness", &self.witness), ("witness_id", &self.witness_id)] {
+            let _ = write!(s, ", \"{key}\": ");
+            match text {
+                Some(t) => {
+                    s.push('"');
+                    write_escaped(&mut s, t);
+                    s.push('"');
+                }
+                None => s.push_str("null"),
+            }
+        }
+        match &self.cycle {
+            Some(c) => {
+                s.push_str(", \"cycle\": [");
+                for (i, e) in c.iter().enumerate() {
+                    if i > 0 {
+                        s.push_str(", ");
+                    }
+                    let _ = write!(
+                        s,
+                        "{{\"from\": {}, \"to\": {}, \"label\": \"{}\", \"via\": \"",
+                        e.from.0,
+                        e.to.0,
+                        e.label(),
+                    );
+                    write_escaped(&mut s, &e.via);
+                    s.push_str("\"}");
+                }
+                s.push(']');
+            }
+            None => s.push_str(", \"cycle\": null"),
+        }
+        let _ = write!(
+            s,
+            ", \"pruned\": {}, \"stale_refs\": {}, \"live_txns\": {}}}",
+            self.pruned_txns, self.stale_refs, self.live_txns
+        );
+        s
+    }
+}
+
+fn via_note(via_predicate: bool) -> &'static str {
+    if via_predicate {
+        " (via predicate)"
+    } else {
+        ""
+    }
+}
+
+/// Which phenomena have latched, with the first witness of each.
+#[derive(Debug, Default)]
+pub(crate) struct Fired {
+    pub(crate) mask: u8,
+    pub(crate) witnesses: Vec<(PhenomenonKind, String)>,
+    /// Cycle provenance captured at first fire, per phenomenon.
+    pub(crate) cycles: Vec<(PhenomenonKind, Vec<CycleEdgeProv>)>,
+}
+
+impl Fired {
+    pub(crate) fn has(&self, k: PhenomenonKind) -> bool {
+        self.mask & kind_bit(k) != 0
+    }
+
+    pub(crate) fn set(&mut self, k: PhenomenonKind, witness: String) -> bool {
+        if self.has(k) {
+            return false;
+        }
+        self.mask |= kind_bit(k);
+        self.witnesses.push((k, witness));
+        true
+    }
+
+    /// Latches G1a: committed `reader` read `v` of `o`, and `v`'s
+    /// writer aborted.
+    pub(crate) fn aborted_read(
+        &mut self,
+        reader: TxnId,
+        o: ObjectId,
+        v: VersionId,
+        via_predicate: bool,
+    ) {
+        let via = via_note(via_predicate);
+        let w = format!(
+            "T{} read aborted version {o}[{v}] of T{}{via}",
+            reader.0, v.txn.0
+        );
+        self.set(PhenomenonKind::G1a, w);
+    }
+
+    /// Latches G1b: committed `reader` read `v` of `o`, which was not
+    /// the last version (`final_seq`) its writer made of `o`.
+    pub(crate) fn intermediate_read(
+        &mut self,
+        reader: TxnId,
+        o: ObjectId,
+        v: VersionId,
+        final_seq: u32,
+        via_predicate: bool,
+    ) {
+        let via = via_note(via_predicate);
+        let w = format!(
+            "T{} read intermediate version {o}[{v}] of T{} (final seq {final_seq}){via}",
+            reader.0, v.txn.0
+        );
+        self.set(PhenomenonKind::G1b, w);
+    }
+
+    pub(crate) fn set_cycle(&mut self, k: PhenomenonKind, cycle: Vec<CycleEdgeProv>) {
+        if !cycle.is_empty() && !self.cycles.iter().any(|(ck, _)| *ck == k) {
+            self.cycles.push((k, cycle));
+        }
+    }
+
+    pub(crate) fn witness_of(&self, k: PhenomenonKind) -> Option<&String> {
+        self.witnesses
+            .iter()
+            .find(|(fk, _)| *fk == k)
+            .map(|(_, w)| w)
+    }
+
+    pub(crate) fn cycle_of(&self, k: PhenomenonKind) -> Option<&Vec<CycleEdgeProv>> {
+        self.cycles.iter().find(|(ck, _)| *ck == k).map(|(_, c)| c)
+    }
+
+    /// The kinds whose bit is set in `mask`, in report order.
+    pub(crate) fn kinds_in(mask: u8) -> Vec<PhenomenonKind> {
+        ONLINE_KINDS
+            .iter()
+            .copied()
+            .filter(|&k| mask & kind_bit(k) != 0)
+            .collect()
+    }
+
+    pub(crate) fn kinds(&self) -> Vec<PhenomenonKind> {
+        Fired::kinds_in(self.mask)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::testkit::{feed, r, w};
+    use crate::OnlineChecker;
+    use adya_core::IsolationLevel;
+    use adya_history::{Event, TxnId};
+
+    #[test]
+    fn verdict_json_shape() {
+        let mut c = OnlineChecker::new();
+        let vs = feed(
+            &mut c,
+            &[Event::Begin(TxnId(1)), w(1, 0, 1), Event::Commit(TxnId(1))],
+        );
+        let j = vs[0].to_json();
+        assert!(j.starts_with('{') && j.ends_with('}'));
+        assert!(j.contains("\"txn\": 1"));
+        assert!(j.contains("\"strongest_ansi\": \"PL-3\""));
+        assert!(!j.contains('\n'));
+    }
+
+    #[test]
+    fn satisfies_follows_proscriptions() {
+        let mut c = OnlineChecker::new();
+        feed(
+            &mut c,
+            &[
+                Event::Begin(TxnId(1)),
+                w(1, 0, 1),
+                Event::Begin(TxnId(2)),
+                r(2, 0, 1, 1),
+                Event::Commit(TxnId(2)),
+                Event::Abort(TxnId(1)),
+            ],
+        );
+        let end = c.finish();
+        assert!(end.satisfies(IsolationLevel::PL1));
+        assert!(!end.satisfies(IsolationLevel::PL2));
+        assert!(!end.satisfies(IsolationLevel::PL3));
+    }
+}

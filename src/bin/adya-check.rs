@@ -554,7 +554,7 @@ fn stream_cycle_dot(v: &Verdict) -> Option<String> {
         let _ = writeln!(s, "  \"{n}\";");
     }
     for e in cycle {
-        let kind = if e.anti { "rw" } else { "ww/wr" };
+        let kind = e.label();
         let label = if e.via.is_empty() {
             kind.to_string()
         } else {

@@ -3,6 +3,8 @@
 use std::io::Write as _;
 use std::process::{Command, Stdio};
 
+mod common;
+
 fn run(args: &[&str], stdin: &str) -> (String, String, Option<i32>) {
     let mut child = Command::new(env!("CARGO_BIN_EXE_adya-check"))
         .args(args)
@@ -226,4 +228,20 @@ fn paper_history_reports_match_their_goldens() {
         }
     }
     assert_eq!(seen, 11, "one history per entry of core::paper::all()");
+}
+
+#[test]
+fn stream_verdicts_match_their_goldens() {
+    // `--stream --dot` over each committed stream: the NDJSON verdict
+    // lines on stdout (provenance is on, so cycles and their `via`
+    // chains are in them) and the cycle-scoped DOTs on stderr, as the
+    // binary printed them before the streaming checker was taken apart
+    // into modules. Regenerate with `REGEN_GOLDEN=1 cargo test --test cli`.
+    for name in common::STREAM_FIXTURES {
+        let input = common::stream_fixture(name);
+        let (stdout, stderr, code) = run(&["--stream", "--dot"], &input);
+        assert_eq!(code, Some(0), "{name}: {stderr}");
+        common::check_stream_golden(&format!("{name}.verdicts.golden"), &stdout);
+        common::check_stream_golden(&format!("{name}.dot.golden"), &stderr);
+    }
 }

@@ -267,3 +267,93 @@ pub fn sliding_window_events(cfg: SlidingWindow, seed: u64, events: usize) -> Ve
     }
     out
 }
+
+/// `events` in the stream notation `adya-check --stream` and
+/// `StreamParser` read, one transaction-ending token per line. Object
+/// `n` is named `k` plus `n` in letters (names carry no digits);
+/// reads name the exact version, and writes rely on the parser
+/// counting a transaction's writes of an object the way the
+/// generators do, from 1.
+pub fn stream_notation(events: &[Event]) -> String {
+    let name = |o: ObjectId| {
+        let mut n = o.0;
+        let mut s = String::from("k");
+        loop {
+            s.push((b'a' + (n % 26) as u8) as char);
+            n /= 26;
+            if n == 0 {
+                return s;
+            }
+        }
+    };
+    let mut out = String::new();
+    for e in events {
+        let end = match e {
+            Event::Begin(t) => format!("b{} ", t.0),
+            Event::Write(w) => format!("w{}({}) ", w.txn.0, name(w.object)),
+            Event::Read(r) if r.version.is_init() => {
+                format!("r{}({}init) ", r.txn.0, name(r.object))
+            }
+            Event::Read(r) => {
+                let v = r.version;
+                format!("r{}({}{}:{}) ", r.txn.0, name(r.object), v.txn.0, v.seq)
+            }
+            Event::Commit(t) => format!("c{}\n", t.0),
+            Event::Abort(t) => format!("a{}\n", t.0),
+            Event::PredicateRead(_) => panic!("no stream notation for predicate reads"),
+        };
+        out.push_str(&end);
+    }
+    out
+}
+
+/// The streams under `tests/data/stream/` whose verdict lines and
+/// checker images are pinned by goldens.
+pub const STREAM_FIXTURES: [&str; 3] = ["write_skew", "dirty_hot", "clean_window"];
+
+/// Path of `tests/data/stream/<file>`.
+pub fn stream_data(file: &str) -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/data/stream")
+        .join(file)
+}
+
+/// The text of `tests/data/stream/<name>.events`. `dirty_hot` (six hot
+/// keys, dirty reads and aborts: every graph latches) and
+/// `clean_window` (a 12-key window sliding every 100 events under
+/// 2PL: the graphs stay live and the GC contracts them) come from
+/// [`sliding_window_events`] and are rewritten from it under
+/// `REGEN_GOLDEN=1`; `write_skew` is hand-written.
+pub fn stream_fixture(name: &str) -> String {
+    let path = stream_data(&format!("{name}.events"));
+    let generated = match name {
+        "dirty_hot" => Some((6, 100_000, true, 31)),
+        "clean_window" => Some((12, 100, false, 23)),
+        _ => None,
+    };
+    if let (Some((keys, slide, dirty, seed)), true) =
+        (generated, std::env::var_os("REGEN_GOLDEN").is_some())
+    {
+        let cfg = SlidingWindow {
+            keys,
+            slide,
+            open: 4,
+            dirty,
+        };
+        let text = stream_notation(&sliding_window_events(cfg, seed, 400));
+        std::fs::write(&path, text).expect("write stream fixture");
+    }
+    std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()))
+}
+
+/// Compares `got` with the golden file `tests/data/stream/<file>`, or
+/// writes it under `REGEN_GOLDEN=1`.
+pub fn check_stream_golden(file: &str, got: &str) {
+    let path = stream_data(file);
+    if std::env::var_os("REGEN_GOLDEN").is_some() {
+        std::fs::write(&path, got).expect("write golden");
+        return;
+    }
+    let want = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+    assert_eq!(got, want, "{} drifted", path.display());
+}

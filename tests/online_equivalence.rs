@@ -15,7 +15,8 @@
 use std::collections::BTreeSet;
 
 use adya::core::{classify, detect_all, PhenomenonKind};
-use adya::online::{GcConfig, OnlineChecker};
+use adya::history::Event;
+use adya::online::{GcConfig, OnlineChecker, StreamParser};
 use adya::workloads::histgen::{random_history, HistGenConfig};
 use proptest::prelude::*;
 
@@ -203,6 +204,113 @@ fn indexed_gc_matches_the_scanning_collector_byte_for_byte() {
         for (n, mut r) in restored.into_iter().enumerate() {
             assert_eq!(last, r.finish().to_json(), "{what}: restore #{n}");
             assert_eq!(image, r.snapshot(), "{what}: restore #{n}'s final image");
+        }
+    }
+}
+
+/// The events of `tests/data/stream/<name>.events`.
+fn fixture_events(name: &str) -> Vec<Event> {
+    let mut parser = StreamParser::new();
+    common::stream_fixture(name)
+        .lines()
+        .filter(|l| !l.trim_start().starts_with('#'))
+        .flat_map(str::split_whitespace)
+        .map(|tok| parser.parse_token(tok).expect("fixture token"))
+        .collect()
+}
+
+fn hex(bytes: &[u8]) -> String {
+    bytes.iter().map(|b| format!("{b:02x}")).collect()
+}
+
+/// One run of a fixture at interval-1 GC, as the lines of its golden:
+/// the checker image (hex) before the events at a quarter, a half and
+/// three quarters of the stream, every verdict line in between, and
+/// the image after `finish`.
+fn image_golden_lines(events: &[Event], provenance: bool) -> Vec<String> {
+    let mut c = OnlineChecker::with_gc(GcConfig {
+        enabled: true,
+        interval: 1,
+    });
+    c.set_provenance(provenance);
+    let mut lines = vec![format!("# provenance {provenance}")];
+    for (i, e) in events.iter().enumerate() {
+        if i > 0 && i % (events.len() / 4) == 0 {
+            lines.push(format!("image@{i} {}", hex(&c.snapshot())));
+        }
+        if let Some(v) = c.ingest(e) {
+            lines.push(format!("verdict {}", v.to_json()));
+        }
+    }
+    lines.push(format!("verdict {}", c.finish().to_json()));
+    lines.push(format!("image@end {}", hex(&c.snapshot())));
+    lines
+}
+
+/// Checker images and the verdicts between them, as the parent of the
+/// module split wrote them (`REGEN_GOLDEN=1` rewrites): the image is
+/// the checker's whole state, so its bytes staying put is the
+/// byte-identity contract of `OnlineChecker::snapshot` held across
+/// refactorings, not just across one process's restore.
+#[test]
+fn stream_images_match_their_goldens() {
+    for name in common::STREAM_FIXTURES {
+        let events = fixture_events(name);
+        let mut text = String::new();
+        for provenance in [true, false] {
+            for line in image_golden_lines(&events, provenance) {
+                text.push_str(&line);
+                text.push('\n');
+            }
+        }
+        common::check_stream_golden(&format!("{name}.image.golden"), &text);
+    }
+}
+
+/// An image in a golden — written by an older build — restores under
+/// this one and carries on to the golden's remaining verdict lines and
+/// its final image.
+#[test]
+fn golden_images_restore_and_continue_to_the_golden_verdicts() {
+    if std::env::var_os("REGEN_GOLDEN").is_some() {
+        return; // the goldens are being rewritten under this test's feet
+    }
+    for name in common::STREAM_FIXTURES {
+        let events = fixture_events(name);
+        let path = common::stream_data(&format!("{name}.image.golden"));
+        let golden = std::fs::read_to_string(&path).expect("image golden");
+        // Each `# provenance` section is one run.
+        for run in golden.split("# provenance ").skip(1) {
+            let lines: Vec<&str> = run.lines().skip(1).collect();
+            for (at, line) in lines.iter().enumerate() {
+                let Some((cut, digits)) = line
+                    .strip_prefix("image@")
+                    .and_then(|l| l.split_once(' '))
+                    .filter(|(cut, _)| *cut != "end")
+                else {
+                    continue;
+                };
+                let cut: usize = cut.parse().expect("cut index");
+                let image: Vec<u8> = (0..digits.len())
+                    .step_by(2)
+                    .map(|i| u8::from_str_radix(&digits[i..i + 2], 16).expect("hex"))
+                    .collect();
+                let mut c = OnlineChecker::restore(&image).expect("golden image restores");
+                let mut got = Vec::new();
+                for e in &events[cut..] {
+                    if let Some(v) = c.ingest(e) {
+                        got.push(format!("verdict {}", v.to_json()));
+                    }
+                }
+                got.push(format!("verdict {}", c.finish().to_json()));
+                got.push(format!("image@end {}", hex(&c.snapshot())));
+                let want: Vec<&str> = lines[at + 1..]
+                    .iter()
+                    .copied()
+                    .filter(|l| l.starts_with("verdict ") || l.starts_with("image@end "))
+                    .collect();
+                assert_eq!(got, want, "{name}: continuing from image@{cut}");
+            }
         }
     }
 }
