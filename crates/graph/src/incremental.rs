@@ -392,25 +392,24 @@ where
         }
         let ord = self.next_ord;
         self.next_ord += 1;
-        let slot = Slot {
-            parent: 0,
-            live: true,
-            ord,
-            members: 1,
-            out: Vec::new(),
-            inc: Vec::new(),
-        };
-        let s = match self.free.pop() {
-            Some(s) => {
-                self.slots[s] = slot;
-                s
-            }
-            None => {
-                self.slots.push(slot);
-                self.slots.len() - 1
-            }
-        };
-        self.slots[s].parent = s;
+        // A freed slot comes back with the room its adjacency lists
+        // had, so a graph that adds and removes nodes at the same rate
+        // stops allocating for them.
+        let s = self.free.pop().unwrap_or_else(|| {
+            self.slots.push(Slot {
+                parent: 0,
+                live: false,
+                ord: 0,
+                members: 0,
+                out: Vec::new(),
+                inc: Vec::new(),
+            });
+            self.slots.len() - 1
+        });
+        let slot = &mut self.slots[s];
+        (slot.parent, slot.live, slot.ord, slot.members) = (s, true, ord, 1);
+        slot.out.clear();
+        slot.inc.clear();
         self.index.insert(k, s);
         s
     }
@@ -443,8 +442,8 @@ where
         if self.find(s) != s || self.slots[s].members != 1 {
             return false;
         }
-        let out = std::mem::take(&mut self.slots[s].out);
-        let inc = std::mem::take(&mut self.slots[s].inc);
+        let mut out = std::mem::take(&mut self.slots[s].out);
+        let mut inc = std::mem::take(&mut self.slots[s].inc);
         for e in &out {
             self.seen.remove(&(e.src, e.dst, e.label));
             let t = self.find(e.slot);
@@ -464,7 +463,13 @@ where
             }
         }
         self.index.remove(&k);
-        self.slots[s].live = false;
+        let slot = &mut self.slots[s];
+        slot.live = false;
+        // Back they go, empty: the slot keeps their room for its next
+        // node, and an image shows a freed slot without edges.
+        out.clear();
+        inc.clear();
+        (slot.out, slot.inc) = (out, inc);
         self.free.push(s);
         true
     }

@@ -8,7 +8,7 @@
 //! collector's ([`crate::gc`]), the byte image the snapshot codec's
 //! ([`crate::snapshot`]).
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::VecDeque;
 use std::time::Instant;
 
 use adya_core::{IsolationLevel, PhenomenonKind};
@@ -18,7 +18,13 @@ use crate::gc::{self, Collector, GcConfig, Heap};
 use crate::lanes::{EdgeKind, Lanes, PlannedEdge};
 use crate::provenance::{ProvStep, Provenance};
 use crate::snapshot::{self, SnapshotError};
+use crate::tables::{Recycle, Slot, Table};
 use crate::verdict::{Fired, Verdict};
+
+pub(crate) type TxnSlot = Slot<TxnId>;
+pub(crate) type ObjSlot = Slot<ObjectId>;
+pub(crate) type TxnTable = Table<TxnId, TxnState>;
+pub(crate) type ObjectTable = Table<ObjectId, ObjectState>;
 
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub(crate) enum Status {
@@ -35,8 +41,9 @@ pub(crate) struct BufferedRead {
     pub(crate) object: ObjectId,
     pub(crate) version: VersionId,
     pub(crate) via_predicate: bool,
-    /// Whether this read holds a `refs` pin on its writer.
-    pub(crate) counted: bool,
+    /// The other transaction whose version this is, found at ingest;
+    /// the read holds a `refs` pin on it from then on.
+    pub(crate) writer: Option<TxnSlot>,
     /// True when the writer was already pruned (or never seen) at
     /// ingest time; resolves to a `stale_refs` tick, never an edge.
     pub(crate) stale: bool,
@@ -46,10 +53,23 @@ pub(crate) struct BufferedRead {
 /// parked on that writer until the writer's terminal event.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct PendingRead {
-    pub(crate) reader: TxnId,
+    pub(crate) reader: TxnSlot,
     pub(crate) object: ObjectId,
     pub(crate) seq: u32,
     pub(crate) via_predicate: bool,
+}
+
+/// One object a transaction wrote.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct WriteEntry {
+    pub(crate) object: ObjectId,
+    /// Last (= highest) write seq.
+    pub(crate) seq: u32,
+    /// The object's slot, once the commit installed the version.
+    pub(crate) installed: Option<ObjSlot>,
+    /// The version's absolute position (`base`-inclusive) in the
+    /// object's list; meaningful once `installed`.
+    pub(crate) pos: usize,
 }
 
 #[derive(Debug, Default)]
@@ -58,9 +78,10 @@ pub(crate) struct TxnState {
     pub(crate) begin_clock: u64,
     pub(crate) terminal_clock: u64,
     pub(crate) reads: Vec<BufferedRead>,
-    /// Last (= highest) write seq per object; kept after the terminal
-    /// event for G1a/G1b checks against late-committing readers.
-    pub(crate) writes: HashMap<ObjectId, u32>,
+    /// What it wrote, sorted by object (the order commits install in);
+    /// kept after the terminal event for G1a/G1b checks against
+    /// late-committing readers.
+    pub(crate) writes: Vec<WriteEntry>,
     /// Committed readers waiting for this (active) writer's fate.
     pub(crate) pending_readers: Vec<PendingRead>,
     /// Installed versions not yet superseded by a later install.
@@ -82,33 +103,65 @@ pub(crate) struct TxnState {
     /// version of their object — the prefix rule as a counter. Derived
     /// from the object table (rebuilt by `restore`, never serialised).
     pub(crate) behind: u32,
+    /// Where the checker's active list holds this transaction, while
+    /// it is active.
+    pub(crate) active_at: u32,
 }
 
-#[derive(Debug)]
-pub(crate) struct Entry {
-    pub(crate) txn: TxnId,
-    pub(crate) readers: Vec<TxnId>,
+impl TxnState {
+    /// The entry for `o`, if this transaction wrote it.
+    pub(crate) fn write_of(&self, o: ObjectId) -> Option<&WriteEntry> {
+        let at = self.writes.binary_search_by_key(&o, |w| w.object).ok()?;
+        Some(&self.writes[at])
+    }
+}
+
+/// Most elements a recycled buffer keeps room for: one huge
+/// transaction must not leave its slot holding its memory for good.
+const RECYCLED_CAPACITY: usize = 64;
+
+fn recycled<T>(mut v: Vec<T>) -> Vec<T> {
+    v.clear();
+    if v.capacity() > RECYCLED_CAPACITY {
+        v = Vec::new();
+    }
+    v
+}
+
+impl Recycle for TxnState {
+    /// A fresh `TxnState`, but for the buffers' capacity.
+    fn recycle(&mut self) {
+        let old = std::mem::take(self);
+        *self = TxnState {
+            reads: recycled(old.reads),
+            writes: recycled(old.writes),
+            pending_readers: recycled(old.pending_readers),
+            ..TxnState::default()
+        };
+    }
 }
 
 #[derive(Debug, Default)]
 pub(crate) struct ObjectState {
     /// Number of versions pruned off the front of `entries`.
     pub(crate) base: usize,
-    /// Committed versions in install (= commit) order.
-    pub(crate) entries: VecDeque<Entry>,
-    /// Absolute position (`base`-inclusive) of each installer.
-    pub(crate) pos_of: HashMap<TxnId, usize>,
-    /// Committed readers anchored before the first version.
-    pub(crate) init_readers: Vec<TxnId>,
+    /// The installers of the committed versions, in install (= commit)
+    /// order. An installer's [`WriteEntry::pos`] is its place here.
+    pub(crate) entries: VecDeque<TxnSlot>,
+    /// Committed readers anchored at the newest version — or, while
+    /// there is none, before the first. (A superseded version anchors
+    /// nobody: installing its successor resolved them all.)
+    pub(crate) anchored: Vec<TxnSlot>,
 }
 
 /// The streaming checker. See the crate docs for scope and semantics.
 #[derive(Debug, Default)]
 pub struct OnlineChecker {
     pub(crate) clock: u64,
-    pub(crate) txns: HashMap<TxnId, TxnState>,
-    pub(crate) active: HashSet<TxnId>,
-    pub(crate) objects: HashMap<ObjectId, ObjectState>,
+    pub(crate) txns: TxnTable,
+    /// The transactions still running, in no particular order.
+    pub(crate) active: Vec<TxnSlot>,
+    pub(crate) objects: ObjectTable,
     /// The cycle graphs, one per edge filter.
     pub(crate) lanes: Lanes,
     pub(crate) fired: Fired,
@@ -244,28 +297,41 @@ impl OnlineChecker {
             false
         };
         let _apply_span = self.sampled_now.then(|| adya_obs::span!("online.apply_ns"));
+        // The one place an event's transaction id is hashed: from
+        // `enter` on, the handlers hold its slot.
         let verdict = match event {
             Event::Begin(t) => {
-                self.ensure_txn(*t);
+                self.enter(*t);
                 None
             }
             Event::Write(w) => {
-                self.on_write(w.txn, w.object, w.seq);
+                let t = self.enter(w.txn);
+                self.on_write(t, w.object, w.seq);
                 None
             }
             Event::Read(r) => {
-                self.on_read(r.txn, r.object, r.version, false);
+                let t = self.enter(r.txn);
+                self.on_read(t, r.object, r.version, false);
                 None
             }
             Event::PredicateRead(p) => {
-                for &(o, v) in &p.vset {
-                    self.on_read(p.txn, o, v, true);
+                // One over an empty version set has never begun its
+                // transaction, and still does not.
+                if !p.vset.is_empty() {
+                    let t = self.enter(p.txn);
+                    for &(o, v) in &p.vset {
+                        self.on_read(t, o, v, true);
+                    }
                 }
                 None
             }
-            Event::Commit(t) => Some(self.on_commit(*t)),
+            Event::Commit(t) => {
+                let t = self.enter(*t);
+                Some(self.on_commit(t))
+            }
             Event::Abort(t) => {
-                self.on_abort(*t);
+                let t = self.enter(*t);
+                self.on_abort(t);
                 None
             }
         };
@@ -278,9 +344,7 @@ impl OnlineChecker {
     /// every commit in the batch. Emits the *identical* verdict stream
     /// that per-event [`ingest`] calls would: batching here buys the
     /// pipeline one application-stage call per batch (instead of one
-    /// lock acquisition per event), and each commit inside the batch
-    /// already applies its DSG edges through the amortized per-graph
-    /// [`IncrementalDag::insert_edges`](adya_graph::IncrementalDag::insert_edges) path.
+    /// lock acquisition per event).
     ///
     /// [`ingest`]: OnlineChecker::ingest
     pub fn ingest_batch(&mut self, events: &[Event]) -> Vec<Verdict> {
@@ -297,7 +361,7 @@ impl OnlineChecker {
     /// ascending id order — the paper's completion rule) and the final
     /// verdict over the whole stream is returned.
     pub fn finish(&mut self) -> Verdict {
-        let mut open: Vec<TxnId> = self.active.iter().copied().collect();
+        let mut open: Vec<TxnId> = self.active.iter().map(|&t| self.txns.key_of(t)).collect();
         open.sort_unstable();
         for t in open {
             self.ingest(&Event::Abort(t));
@@ -310,93 +374,107 @@ impl OnlineChecker {
         v
     }
 
-    fn ensure_txn(&mut self, t: TxnId) {
-        if self.txns.contains_key(&t) {
-            return;
+    /// The slot of transaction `id`, which begins now if the stream has
+    /// not mentioned it before (or not since it was pruned).
+    fn enter(&mut self, id: TxnId) -> TxnSlot {
+        let (t, fresh) = self.txns.enter(id);
+        if fresh {
+            self.txns[t].begin_clock = self.clock;
+            self.activate(t);
         }
-        self.txns.insert(
-            t,
-            TxnState {
-                begin_clock: self.clock,
-                ..TxnState::default()
-            },
-        );
-        self.active.insert(t);
+        t
     }
 
-    fn on_write(&mut self, t: TxnId, o: ObjectId, seq: u32) {
-        self.ensure_txn(t);
-        let txn = self.txns.get_mut(&t).expect("just ensured");
+    /// Files `t` in the active list.
+    pub(crate) fn activate(&mut self, t: TxnSlot) {
+        self.txns[t].active_at = self.active.len() as u32;
+        self.active.push(t);
+    }
+
+    /// `t`'s terminal event: it leaves the active list with `status`.
+    fn end(&mut self, t: TxnSlot, status: Status) {
+        let txn = &mut self.txns[t];
+        txn.status = status;
+        txn.terminal_clock = self.clock;
+        let at = txn.active_at as usize;
+        self.active.swap_remove(at);
+        if let Some(&moved) = self.active.get(at) {
+            self.txns[moved].active_at = at as u32;
+        }
+    }
+
+    fn on_write(&mut self, t: TxnSlot, o: ObjectId, seq: u32) {
+        let txn = &mut self.txns[t];
         if txn.status != Status::Active {
             return; // write after terminal: ill-formed, ignore
         }
-        let e = txn.writes.entry(o).or_insert(0);
-        *e = (*e).max(seq);
+        match txn.writes.binary_search_by_key(&o, |w| w.object) {
+            Ok(at) => txn.writes[at].seq = txn.writes[at].seq.max(seq),
+            Err(at) => txn.writes.insert(
+                at,
+                WriteEntry {
+                    object: o,
+                    seq,
+                    installed: None,
+                    pos: 0,
+                },
+            ),
+        }
     }
 
-    fn on_read(&mut self, t: TxnId, o: ObjectId, v: VersionId, via_predicate: bool) {
-        self.ensure_txn(t);
-        if self.txns[&t].status != Status::Active {
+    fn on_read(&mut self, t: TxnSlot, o: ObjectId, v: VersionId, via_predicate: bool) {
+        if self.txns[t].status != Status::Active {
             return;
         }
-        let mut counted = false;
-        let mut stale = false;
-        if !v.is_init() && v.txn != t {
-            match self.txns.get_mut(&v.txn) {
-                Some(w) => {
-                    w.refs += 1;
-                    counted = true;
-                }
-                None => stale = true,
-            }
-            if counted {
-                self.settle(v.txn); // a new pin unsettles a finished writer
-            }
+        let foreign = !v.is_init() && v.txn != self.txns.key_of(t);
+        let writer = if foreign {
+            self.txns.lookup(v.txn)
+        } else {
+            None
+        };
+        if let Some(w) = writer {
+            self.txns[w].refs += 1;
+            self.settle(w); // a new pin unsettles a finished writer
         }
-        self.txns
-            .get_mut(&t)
-            .expect("just ensured")
-            .reads
-            .push(BufferedRead {
-                object: o,
-                version: v,
-                via_predicate,
-                counted,
-                stale,
-            });
+        self.txns[t].reads.push(BufferedRead {
+            object: o,
+            version: v,
+            via_predicate,
+            writer,
+            stale: foreign && writer.is_none(),
+        });
     }
 
-    fn on_commit(&mut self, t: TxnId) -> Verdict {
+    fn on_commit(&mut self, t: TxnSlot) -> Verdict {
         let started = Instant::now();
         let before = self.fired.mask;
-        self.ensure_txn(t);
-        if self.txns[&t].status != Status::Active {
-            return self.verdict(Some(t), &[]);
+        let id = self.txns.key_of(t);
+        if self.txns[t].status != Status::Active {
+            return self.verdict(Some(id), &[]);
         }
-        {
-            let txn = self.txns.get_mut(&t).expect("ensured");
-            txn.status = Status::Committed;
-            txn.terminal_clock = self.clock;
-        }
-        self.active.remove(&t);
+        self.end(t, Status::Committed);
         self.committed += 1;
 
         let _verdict_span = self
             .sampled_now
             .then(|| adya_obs::span!("online.verdict_ns"));
         self.install_writes(t);
-        let reads = std::mem::take(&mut self.txns.get_mut(&t).expect("ensured").reads);
-        for br in reads {
+        // Both buffers go back, emptied: a commit keeps their capacity
+        // for whichever transaction the slot serves next.
+        let mut reads = std::mem::take(&mut self.txns[t].reads);
+        for br in reads.drain(..) {
             self.resolve_read(t, br);
         }
-        let pending = std::mem::take(&mut self.txns.get_mut(&t).expect("ensured").pending_readers);
-        for pr in pending {
+        self.txns[t].reads = reads;
+        let mut pending = std::mem::take(&mut self.txns[t].pending_readers);
+        for pr in pending.drain(..) {
             self.resolve_pending(t, pr);
         }
+        self.txns[t].pending_readers = pending;
         self.settle(t);
         self.apply_edge_plan();
 
-        let v = self.verdict(Some(t), &Fired::kinds_in(self.fired.mask & !before));
+        let v = self.verdict(Some(id), &Fired::kinds_in(self.fired.mask & !before));
         adya_obs::histogram!("online.verdict_latency").record(started.elapsed().as_nanos() as u64);
         v
     }
@@ -404,47 +482,41 @@ impl OnlineChecker {
     /// Installs `t`'s final versions in object-id order: appends the
     /// entry, adds the ww edge from the previous installer, and
     /// resolves readers anchored at the previous tip into rw edges.
-    fn install_writes(&mut self, t: TxnId) {
-        let mut objs: Vec<ObjectId> = self.txns[&t].writes.keys().copied().collect();
-        objs.sort_unstable_by_key(|o| o.0);
-        for o in objs {
+    fn install_writes(&mut self, t: TxnSlot) {
+        for at in 0..self.txns[t].writes.len() {
+            let o = self.txns[t].writes[at].object;
             let clock = self.clock;
-            let obj = self.objects.entry(o).or_default();
-            let (prev, resolved) = match obj.entries.back_mut() {
-                Some(last) => (Some(last.txn), std::mem::take(&mut last.readers)),
-                None => (None, std::mem::take(&mut obj.init_readers)),
-            };
-            obj.entries.push_back(Entry {
-                txn: t,
-                readers: Vec::new(),
-            });
+            let (slot, _) = self.objects.enter(o);
+            let obj = &mut self.objects[slot];
+            let prev = obj.entries.back().copied();
+            let mut resolved = std::mem::take(&mut obj.anchored);
+            obj.entries.push_back(t);
             let pos = obj.base + obj.entries.len() - 1;
-            obj.pos_of.insert(t, pos);
+            let w = &mut self.txns[t].writes[at];
+            (w.installed, w.pos) = (Some(slot), pos);
             if let Some(p) = prev {
-                let w = self.txns.get_mut(&p).expect("installed entry implies live");
+                let w = &mut self.txns[p];
                 w.unsuperseded -= 1;
                 w.prune_after = w.prune_after.max(clock);
                 self.settle(p);
                 self.edge(EdgeKind::Ww, p, t, o, None);
             }
-            for r in resolved {
-                self.txns
-                    .get_mut(&r)
-                    .expect("registered reader is live")
-                    .registered -= 1;
+            for r in resolved.drain(..) {
+                self.txns[r].registered -= 1;
                 self.settle(r);
                 if r != t {
                     self.edge(EdgeKind::Rw, r, t, o, None);
                 }
             }
-            let me = self.txns.get_mut(&t).expect("committing txn");
+            self.objects[slot].anchored = resolved; // emptied, capacity kept
+            let me = &mut self.txns[t];
             me.unsuperseded += 1;
             me.behind += u32::from(prev.is_some());
         }
     }
 
     /// Resolves one buffered read of the just-committed reader `t`.
-    fn resolve_read(&mut self, t: TxnId, br: BufferedRead) {
+    fn resolve_read(&mut self, t: TxnSlot, br: BufferedRead) {
         if br.stale {
             self.stale_refs += 1;
             return;
@@ -454,129 +526,101 @@ impl OnlineChecker {
             if br.via_predicate {
                 return; // vset entries carry no edges
             }
-            let obj = self.objects.entry(o).or_default();
+            let (slot, _) = self.objects.enter(o);
+            let obj = &mut self.objects[slot];
             if obj.base > 0 {
                 // The init version's successor was pruned; the rw edge
                 // it would anchor is unknowable.
                 self.stale_refs += 1;
                 return;
             }
-            match obj.entries.front().map(|e| e.txn) {
+            match obj.entries.front().copied() {
                 Some(succ) => {
                     if succ != t {
                         self.edge(EdgeKind::Rw, t, succ, o, None);
                     }
                 }
                 None => {
-                    obj.init_readers.push(t);
-                    self.txns.get_mut(&t).expect("committing txn").registered += 1;
+                    obj.anchored.push(t);
+                    self.txns[t].registered += 1;
                 }
             }
             return;
         }
-        if v.txn == t {
+        let Some(w) = br.writer else {
             // Own read: no read-dependency, no G1a/G1b, but it anchors
             // at the own entry exactly like the batch checker's
             // `order_anchor`, so a later overwrite emits t → successor.
-            if br.via_predicate {
-                return;
+            if !br.via_predicate {
+                self.anchor_reader(t, o, t);
             }
-            self.anchor_reader(t, o, v.txn);
             return;
-        }
-        let status = match self.txns.get(&v.txn) {
-            Some(w) => w.status,
-            None => {
-                self.stale_refs += 1; // writer pruned since ingest — defensive
-                return;
-            }
         };
-        match status {
-            Status::Active => {
-                self.txns
-                    .get_mut(&v.txn)
-                    .expect("checked above")
-                    .pending_readers
-                    .push(PendingRead {
-                        reader: t,
-                        object: o,
-                        seq: v.seq,
-                        via_predicate: br.via_predicate,
-                    });
-                self.txns.get_mut(&t).expect("committing txn").awaiting += 1;
-                // The `refs` pin stays held until the writer resolves.
-            }
-            Status::Aborted => {
-                let w = self.txns.get_mut(&v.txn).expect("checked above");
-                if br.counted {
-                    w.refs -= 1;
-                }
-                let final_seq = w.writes.get(&o).copied();
-                self.settle(v.txn);
-                self.fired.aborted_read(t, o, v, br.via_predicate);
-                match final_seq {
-                    Some(fs) if fs != v.seq => {
-                        self.fired.intermediate_read(t, o, v, fs, br.via_predicate)
-                    }
-                    Some(_) => {}
-                    None => self.stale_refs += 1, // read of a never-written version
-                }
-            }
-            Status::Committed => {
-                let w = self.txns.get_mut(&v.txn).expect("checked above");
-                if br.counted {
-                    w.refs -= 1;
-                }
-                let final_seq = w.writes.get(&o).copied();
-                self.settle(v.txn);
-                let Some(final_seq) = final_seq else {
-                    self.stale_refs += 1;
-                    return;
-                };
-                if v.seq != final_seq {
-                    self.fired
-                        .intermediate_read(t, o, v, final_seq, br.via_predicate);
-                }
-                if br.via_predicate {
-                    return;
-                }
-                self.edge(EdgeKind::Wr, v.txn, t, o, Some(v));
-                self.anchor_reader(t, o, v.txn);
-            }
+        let writer = &mut self.txns[w];
+        if writer.status == Status::Active {
+            writer.pending_readers.push(PendingRead {
+                reader: t,
+                object: o,
+                seq: v.seq,
+                via_predicate: br.via_predicate,
+            });
+            self.txns[t].awaiting += 1;
+            return; // the `refs` pin stays held until the writer resolves
+        }
+        writer.refs -= 1;
+        let (status, final_seq) = (writer.status, writer.write_of(o).map(|w| w.seq));
+        self.settle(w);
+        let reader = self.txns.key_of(t);
+        if status == Status::Aborted {
+            self.fired.aborted_read(reader, o, v, br.via_predicate);
+        }
+        let Some(final_seq) = final_seq else {
+            self.stale_refs += 1; // read of a never-written version
+            return;
+        };
+        if v.seq != final_seq {
+            self.fired
+                .intermediate_read(reader, o, v, final_seq, br.via_predicate);
+        }
+        if status == Status::Committed && !br.via_predicate {
+            self.edge(EdgeKind::Wr, w, t, o, Some(v));
+            self.anchor_reader(t, o, w);
         }
     }
 
     /// Anchors committed reader `t` at `writer`'s installed version of
     /// `o`: emit the rw edge to the successor if one exists, otherwise
-    /// register at the entry to await one.
-    fn anchor_reader(&mut self, t: TxnId, o: ObjectId, writer: TxnId) {
-        let obj = self.objects.get_mut(&o).expect("writer installed on o");
-        let pos = *obj.pos_of.get(&writer).expect("committed writer has entry");
+    /// register at the entry to await one. A `writer` that never wrote
+    /// `o` — the stream's say-so, again — installed nothing to anchor
+    /// at: a stale tick.
+    fn anchor_reader(&mut self, t: TxnSlot, o: ObjectId, writer: TxnSlot) {
+        let at = self.txns[writer]
+            .write_of(o)
+            .and_then(|w| Some((w.installed?, w.pos)));
+        let Some((slot, pos)) = at else {
+            self.stale_refs += 1;
+            return;
+        };
+        let obj = &mut self.objects[slot];
         let idx = pos - obj.base;
         if idx + 1 < obj.entries.len() {
-            let succ = obj.entries[idx + 1].txn;
+            let succ = obj.entries[idx + 1];
             if succ != t {
                 self.edge(EdgeKind::Rw, t, succ, o, None);
             }
         } else {
-            obj.entries[idx].readers.push(t);
-            self.txns.get_mut(&t).expect("committed reader").registered += 1;
+            obj.anchored.push(t);
+            self.txns[t].registered += 1;
         }
     }
 
-    /// Resolves readers parked on writer `t`, which just committed.
-    fn resolve_pending(&mut self, t: TxnId, pr: PendingRead) {
-        self.txns
-            .get_mut(&pr.reader)
-            .expect("pending reader is pinned")
-            .awaiting -= 1;
-        {
-            let w = self.txns.get_mut(&t).expect("committing txn");
-            w.refs -= 1;
-        }
+    /// Resolves a reader parked on writer `t`, which just committed.
+    fn resolve_pending(&mut self, t: TxnSlot, pr: PendingRead) {
+        self.txns[pr.reader].awaiting -= 1;
+        self.txns[t].refs -= 1;
         // As when the writer had committed before the reader: a read
         // of a version its writer never wrote resolves to a stale tick.
-        let Some(&final_seq) = self.txns[&t].writes.get(&pr.object) else {
+        let Some(final_seq) = self.txns[t].write_of(pr.object).map(|w| w.seq) else {
             self.stale_refs += 1;
             self.settle(pr.reader);
             return;
@@ -584,12 +628,13 @@ impl OnlineChecker {
         // A literal, not `VersionId::new`: the seq is whatever the stream
         // said, and `new` asserts it is at least 1.
         let read = VersionId {
-            txn: t,
+            txn: self.txns.key_of(t),
             seq: pr.seq,
         };
         if pr.seq != final_seq {
+            let reader = self.txns.key_of(pr.reader);
             self.fired
-                .intermediate_read(pr.reader, pr.object, read, final_seq, pr.via_predicate);
+                .intermediate_read(reader, pr.object, read, final_seq, pr.via_predicate);
         }
         if !pr.via_predicate {
             self.edge(EdgeKind::Wr, t, pr.reader, pr.object, Some(read));
@@ -598,53 +643,44 @@ impl OnlineChecker {
         self.settle(pr.reader);
     }
 
-    fn on_abort(&mut self, t: TxnId) {
-        self.ensure_txn(t);
-        if self.txns[&t].status != Status::Active {
+    fn on_abort(&mut self, t: TxnSlot) {
+        if self.txns[t].status != Status::Active {
             return;
         }
-        {
-            let txn = self.txns.get_mut(&t).expect("ensured");
-            txn.status = Status::Aborted;
-            txn.terminal_clock = self.clock;
-        }
-        self.active.remove(&t);
+        self.end(t, Status::Aborted);
         // Its own buffered reads die with it: release the writer pins.
-        let reads = std::mem::take(&mut self.txns.get_mut(&t).expect("ensured").reads);
-        for br in reads {
-            if br.counted {
-                self.txns
-                    .get_mut(&br.version.txn)
-                    .expect("pinned writer is live")
-                    .refs -= 1;
-                self.settle(br.version.txn);
+        let mut reads = std::mem::take(&mut self.txns[t].reads);
+        for br in reads.drain(..) {
+            if let Some(w) = br.writer {
+                self.txns[w].refs -= 1;
+                self.settle(w);
             }
         }
+        self.txns[t].reads = reads;
         // Committed readers that observed its versions read aborted
         // data: G1a now, G1b too if the version wasn't the last one.
-        let pending = std::mem::take(&mut self.txns.get_mut(&t).expect("ensured").pending_readers);
-        for pr in pending {
-            self.txns
-                .get_mut(&pr.reader)
-                .expect("pending reader")
-                .awaiting -= 1;
+        let mut pending = std::mem::take(&mut self.txns[t].pending_readers);
+        for pr in pending.drain(..) {
+            self.txns[pr.reader].awaiting -= 1;
             self.settle(pr.reader);
-            self.txns.get_mut(&t).expect("ensured").refs -= 1;
+            self.txns[t].refs -= 1;
+            let reader = self.txns.key_of(pr.reader);
             let v = VersionId {
-                txn: t,
+                txn: self.txns.key_of(t),
                 seq: pr.seq,
             };
             self.fired
-                .aborted_read(pr.reader, pr.object, v, pr.via_predicate);
-            match self.txns[&t].writes.get(&pr.object).copied() {
+                .aborted_read(reader, pr.object, v, pr.via_predicate);
+            match self.txns[t].write_of(pr.object).map(|w| w.seq) {
                 Some(fs) if fs != pr.seq => {
                     self.fired
-                        .intermediate_read(pr.reader, pr.object, v, fs, pr.via_predicate)
+                        .intermediate_read(reader, pr.object, v, fs, pr.via_predicate)
                 }
                 Some(_) => {}
                 None => self.stale_refs += 1, // read of a never-written version
             }
         }
+        self.txns[t].pending_readers = pending;
         self.settle(t);
     }
 
@@ -656,52 +692,55 @@ impl OnlineChecker {
     /// only way a handler says "these two transactions conflict". The
     /// plan is applied by [`Self::apply_edge_plan`] at the end of the
     /// commit, with results replayed in exactly this discovery order.
+    ///
+    /// `read` is the version read, for a read dependency — it need not
+    /// be the writer's last. The operation a ww or rw edge cites is the
+    /// final version [`EdgeKind::writer`] installed on `object`, looked
+    /// up here while the slots are at hand, and only while a graph is
+    /// left to cite it for.
     fn edge(
         &mut self,
         kind: EdgeKind,
-        from: TxnId,
-        to: TxnId,
+        from: TxnSlot,
+        to: TxnSlot,
         object: ObjectId,
         read: Option<VersionId>,
     ) {
+        let cites = if self.prov.enabled() && self.lanes.any_live() {
+            let version = read.or_else(|| {
+                let writer = kind.writer(from, to);
+                Some(VersionId {
+                    txn: self.txns.key_of(writer),
+                    seq: self.txns[writer].write_of(object)?.seq,
+                })
+            });
+            version.map(|version| ProvStep {
+                kind,
+                object,
+                version,
+            })
+        } else {
+            None
+        };
         self.plan.push(PlannedEdge {
             kind,
-            from,
-            to,
-            object,
-            read,
+            from: self.txns.key_of(from),
+            to: self.txns.key_of(to),
+            cites,
         });
     }
 
     /// Hands the commit's planned edges to the lane table (see
-    /// [`Lanes::apply`]). The operation an edge cites is the version
-    /// read, or else the final version its writer installed.
+    /// [`Lanes::apply`]).
     fn apply_edge_plan(&mut self) {
         if self.plan.is_empty() {
             return;
         }
-        let txns = &self.txns;
-        let cite = |e: &PlannedEdge| {
-            let version = e.read.or_else(|| {
-                let writer = e.kind.writer(e.from, e.to);
-                let seq = txns.get(&writer)?.writes.get(&e.object)?;
-                Some(VersionId {
-                    txn: writer,
-                    seq: *seq,
-                })
-            })?;
-            Some(ProvStep {
-                kind: e.kind,
-                object: e.object,
-                version,
-            })
-        };
         self.lanes.apply(
             &self.plan,
             &mut self.fired,
             &mut self.prov,
             self.sampled_now,
-            cite,
         );
         self.plan.clear();
     }
@@ -710,10 +749,10 @@ impl OnlineChecker {
     // Garbage collection (see `crate::gc`)
     // ------------------------------------------------------------------
 
-    /// Tells the collector that one of the counters `id`'s
-    /// prunability reads has moved (or that `id` is gone).
-    fn settle(&mut self, id: TxnId) {
-        self.gc.settle(id, self.txns.get(&id));
+    /// Tells the collector that one of the counters `t`'s
+    /// prunability reads has moved.
+    fn settle(&mut self, t: TxnSlot) {
+        self.gc.settle(self.txns.key_of(t), t, &self.txns[t]);
     }
 
     fn maybe_gc(&mut self) {
@@ -946,6 +985,72 @@ mod tests {
             "{:?}",
             end.fired
         );
+    }
+
+    #[test]
+    fn a_read_of_an_own_version_never_written_is_a_stale_tick() {
+        // `b1 r1(x1) c1`: T1 reads "its own version" of an object it
+        // never wrote. Nothing was installed for the read to anchor at.
+        let mut c = OnlineChecker::new();
+        let vs = feed(
+            &mut c,
+            &[
+                Event::Begin(TxnId(1)),
+                r(1, 0, 1, 1),
+                Event::Commit(TxnId(1)),
+            ],
+        );
+        assert_eq!(vs[0].stale_refs, 1);
+        assert!(c.finish().fired.is_empty());
+    }
+
+    #[test]
+    fn peer_chosen_ids_never_size_a_table() {
+        // `b4294967294 w4294967294(x,1) c4294967294` (the largest id
+        // there is: 4294967295 is Tinit, whose events are skipped), then
+        // the same under id 1, at a pass per event: the ids are a
+        // peer's to choose, so the tables grow with what is live, not
+        // with them.
+        const BIG: u32 = u32::MAX - 1;
+        let mut c = OnlineChecker::with_gc(GcConfig {
+            enabled: true,
+            interval: 1,
+        });
+        let mut verdicts = Vec::new();
+        for id in [BIG, 1] {
+            verdicts.extend(feed(
+                &mut c,
+                &[
+                    Event::Begin(TxnId(id)),
+                    w(id, 0, 1),
+                    Event::Commit(TxnId(id)),
+                ],
+            ));
+            assert!(c.live_txns() <= 2);
+        }
+        for (v, id) in verdicts.iter().zip([BIG, 1]) {
+            assert_eq!(v.txn, Some(TxnId(id)));
+            assert_eq!(v.strongest_ansi, Some(IsolationLevel::PL3));
+            assert_eq!((v.stale_refs, v.fired.len()), (0, 0));
+        }
+        assert_eq!(verdicts[1].committed, 2);
+        assert!(c.txns.slots() <= 2, "{} transaction slots", c.txns.slots());
+        assert_eq!(c.objects.slots(), 1);
+
+        // And a long run of ever-larger ids reuses the slots the pruned
+        // ones gave back.
+        for id in (10..2_000u32).map(|i| i * 1_000_003 % u32::MAX) {
+            feed(
+                &mut c,
+                &[
+                    Event::Begin(TxnId(id)),
+                    w(id, 0, 1),
+                    Event::Commit(TxnId(id)),
+                ],
+            );
+        }
+        assert!(c.live_txns() <= 3, "{} live", c.live_txns());
+        assert!(c.txns.slots() <= 4, "{} transaction slots", c.txns.slots());
     }
 
     #[test]

@@ -10,12 +10,12 @@
 //! provenance map, and the index-free reference collector debug builds
 //! hold all of that to, stay in here.
 
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::BTreeMap;
 use std::ops::Bound::{Excluded, Unbounded};
 
-use adya_history::{ObjectId, TxnId};
+use adya_history::TxnId;
 
-use crate::checker::{ObjectState, Status, TxnState};
+use crate::checker::{ObjectTable, Status, TxnSlot, TxnState, TxnTable};
 use crate::lanes::Lanes;
 use crate::provenance::Provenance;
 
@@ -62,27 +62,20 @@ fn settled(t: &TxnState) -> bool {
 /// The GC low watermark: the earliest begin of any active
 /// transaction, else the clock. Nothing that ended or was
 /// superseded after it may be pruned yet.
-pub(crate) fn watermark(
-    active: &HashSet<TxnId>,
-    txns: &HashMap<TxnId, TxnState>,
-    clock: u64,
-) -> u64 {
-    active
-        .iter()
-        .map(|t| txns[t].begin_clock)
-        .min()
-        .unwrap_or(clock)
+pub(crate) fn watermark(active: &[TxnSlot], txns: &TxnTable, clock: u64) -> u64 {
+    let begins = active.iter().map(|&t| txns[t].begin_clock);
+    begins.min().unwrap_or(clock)
 }
 
 /// Prefix rule: only ever prune the oldest version of an object,
 /// so a surviving predecessor always implies its successor (the
 /// target of any future rw edge) survives. Read off the object
 /// table; `behind` is the same fact kept as a counter.
-fn heads_its_objects(objects: &HashMap<ObjectId, ObjectState>, id: TxnId, t: &TxnState) -> bool {
+fn heads_its_objects(objects: &ObjectTable, t: &TxnState) -> bool {
     t.status != Status::Committed
-        || t.writes.keys().all(|o| {
-            let obj = &objects[o];
-            obj.pos_of[&id] == obj.base
+        || t.writes.iter().all(|w| {
+            let obj = w.installed.expect("a commit installs every write");
+            objects[obj].base == w.pos
         })
 }
 
@@ -91,18 +84,17 @@ fn heads_its_objects(objects: &HashMap<ObjectId, ObjectState>, id: TxnId, t: &Tx
 /// invariant check and the test reference collector are its only
 /// callers.
 #[cfg(any(test, debug_assertions))]
-fn unpinned_by_scan(txns: &HashMap<TxnId, TxnState>) -> impl Iterator<Item = (TxnId, &TxnState)> {
-    let all = txns.iter().map(|(&id, t)| (id, t));
-    all.filter(|(_, t)| unpinned(t))
+fn unpinned_by_scan(txns: &TxnTable) -> impl Iterator<Item = (TxnId, TxnSlot, &TxnState)> {
+    txns.iter().filter(|(_, _, t)| unpinned(t))
 }
 
 /// What a collection pass works on: the checker's tables, and the
 /// graphs and provenance map a pruned transaction must also leave.
 pub(crate) struct Heap<'a> {
     pub(crate) clock: u64,
-    pub(crate) active: &'a HashSet<TxnId>,
-    pub(crate) txns: &'a mut HashMap<TxnId, TxnState>,
-    pub(crate) objects: &'a mut HashMap<ObjectId, ObjectState>,
+    pub(crate) active: &'a [TxnSlot],
+    pub(crate) txns: &'a mut TxnTable,
+    pub(crate) objects: &'a mut ObjectTable,
     pub(crate) lanes: &'a mut Lanes,
     pub(crate) prov: &'a mut Provenance,
 }
@@ -114,10 +106,12 @@ pub(crate) struct Collector {
     events_since_gc: u64,
     pruned_txns: u64,
     /// The eligibility index: exactly the transactions for which
-    /// [`settled`] holds, in id order. Derived state — kept current by
+    /// [`settled`] holds, in id order, each with its slot (being in
+    /// here pins it: only [`Self::try_prune`] releases a transaction,
+    /// and it takes it out first). Derived state — kept current by
     /// [`Self::settle`] wherever a counter moves, rebuilt on restore,
     /// never serialised.
-    ready: BTreeSet<TxnId>,
+    ready: BTreeMap<TxnId, TxnSlot>,
     /// Test reference: collection passes scan the whole transaction
     /// table for candidates instead of walking `ready`.
     #[cfg(any(test, debug_assertions))]
@@ -157,23 +151,22 @@ impl Collector {
         self.by_scan = on;
     }
 
-    /// Re-checks `id` (whose state is `t`; `None` once it is gone)
-    /// against [`settled`] and files it in or out of `ready`. Called
-    /// wherever one of the counters `settled` reads moves, before the
-    /// event ends — passes only run between events, so that is soon
-    /// enough.
-    pub(crate) fn settle(&mut self, id: TxnId, t: Option<&TxnState>) {
-        if t.is_some_and(settled) {
-            self.ready.insert(id);
+    /// Re-checks `id` (at `slot`, in state `t`) against [`settled`] and
+    /// files it in or out of `ready`. Called wherever one of the
+    /// counters `settled` reads moves, before the event ends — passes
+    /// only run between events, so that is soon enough.
+    pub(crate) fn settle(&mut self, id: TxnId, slot: TxnSlot, t: &TxnState) {
+        if settled(t) {
+            self.ready.insert(id, slot);
         } else {
             self.ready.remove(&id);
         }
     }
 
     /// Derives `ready` from the transaction table.
-    pub(crate) fn rebuild(&mut self, txns: &HashMap<TxnId, TxnState>) {
-        let settled_ids = txns.iter().filter(|(_, t)| settled(t));
-        self.ready = settled_ids.map(|(&id, _)| id).collect();
+    pub(crate) fn rebuild(&mut self, txns: &TxnTable) {
+        let settled_ids = txns.iter().filter(|(_, _, t)| settled(t));
+        self.ready = settled_ids.map(|(id, slot, _)| (id, slot)).collect();
     }
 
     /// Counts one ingested event; true when a collection pass is due.
@@ -193,10 +186,12 @@ impl Collector {
     fn run_by_scan(&mut self, h: &mut Heap<'_>) {
         let watermark = watermark(h.active, h.txns, h.clock);
         loop {
-            let candidates: BTreeSet<TxnId> = unpinned_by_scan(h.txns).map(|(id, _)| id).collect();
+            let candidates: BTreeMap<TxnId, TxnSlot> = unpinned_by_scan(h.txns)
+                .map(|(id, slot, _)| (id, slot))
+                .collect();
             let mut progress = false;
-            for id in candidates {
-                progress |= self.try_prune(id, watermark, h);
+            for (id, slot) in candidates {
+                progress |= self.try_prune(id, slot, watermark, h);
             }
             if !progress {
                 break;
@@ -212,9 +207,9 @@ impl Collector {
         {
             // `ready` and `behind` against first principles: a counter
             // that moved without its settle() shows up here.
-            let want: BTreeSet<TxnId> = unpinned_by_scan(h.txns)
-                .filter(|&(id, t)| t.unsuperseded == 0 && heads_its_objects(h.objects, id, t))
-                .map(|(id, _)| id)
+            let want: BTreeMap<TxnId, TxnSlot> = unpinned_by_scan(h.txns)
+                .filter(|(_, _, t)| t.unsuperseded == 0 && heads_its_objects(h.objects, t))
+                .map(|(id, slot, _)| (id, slot))
                 .collect();
             debug_assert_eq!(self.ready, want);
             if self.by_scan {
@@ -238,11 +233,12 @@ impl Collector {
             // round visits if not — where the reference collector,
             // scanning for candidates at the top of each round, meets it.
             let mut progress = false;
-            let mut next = self.ready.first().copied();
-            while let Some(id) = next {
+            let mut next = self.ready.first_key_value().map(|(&id, &slot)| (id, slot));
+            while let Some((id, slot)) = next {
                 visited += 1;
-                progress |= self.try_prune(id, watermark, h);
-                next = self.ready.range((Excluded(id), Unbounded)).next().copied();
+                progress |= self.try_prune(id, slot, watermark, h);
+                let rest = (Excluded(id), Unbounded);
+                next = self.ready.range(rest).next().map(|(&id, &slot)| (id, slot));
             }
             if !progress {
                 break;
@@ -251,8 +247,8 @@ impl Collector {
         adya_obs::counter!("online.gc_visited").add(visited);
     }
 
-    fn try_prune(&mut self, id: TxnId, watermark: u64, h: &mut Heap<'_>) -> bool {
-        let t = &h.txns[&id];
+    fn try_prune(&mut self, id: TxnId, slot: TxnSlot, watermark: u64, h: &mut Heap<'_>) -> bool {
+        let t = &h.txns[slot];
         match t.status {
             Status::Active => return false,
             Status::Aborted => {
@@ -266,30 +262,28 @@ impl Collector {
                 }
             }
         }
-        if !heads_its_objects(h.objects, id, t) || !h.lanes.removable(id) {
+        if !heads_its_objects(h.objects, t) || !h.lanes.removable(id) {
             return false;
         }
         let shortcuts = h.lanes.contract(id);
         h.prov.contract(id, &shortcuts);
-        let t = h.txns.remove(&id).expect("candidate exists");
-        self.settle(id, None);
+        self.ready.remove(&id);
         if t.status == Status::Committed {
             // Aborted writes were never installed; only committed ones
             // have entries to retire.
-            for o in t.writes.keys() {
-                let obj = h.objects.get_mut(o).expect("entry exists");
+            for at in 0..h.txns[slot].writes.len() {
+                let obj = h.txns[slot].writes[at].installed.expect("prefix rule");
+                let obj = &mut h.objects[obj];
                 let e = obj.entries.pop_front().expect("prefix rule");
-                debug_assert_eq!(e.txn, id);
-                debug_assert!(e.readers.is_empty(), "superseded entries have no readers");
+                debug_assert_eq!(e, slot);
                 obj.base += 1;
-                obj.pos_of.remove(&id);
-                if let Some(next) = obj.entries.front().map(|e| e.txn) {
-                    let heir = h.txns.get_mut(&next).expect("installed entry implies live");
-                    heir.behind -= 1;
-                    self.settle(next, Some(heir));
+                if let Some(&next) = obj.entries.front() {
+                    h.txns[next].behind -= 1;
+                    self.settle(h.txns.key_of(next), next, &h.txns[next]);
                 }
             }
         }
+        h.txns.release(slot);
         self.pruned_txns += 1;
         adya_obs::counter!("online.gc_pruned").inc();
         true
@@ -302,7 +296,7 @@ mod tests {
     use crate::testkit::{feed, r, rinit, w};
     use crate::OnlineChecker;
     use adya_core::IsolationLevel;
-    use adya_history::{Event, VersionId};
+    use adya_history::{Event, ObjectId, VersionId};
 
     #[test]
     fn gc_prunes_a_long_serial_stream_and_keeps_the_verdict() {

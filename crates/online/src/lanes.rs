@@ -10,7 +10,7 @@
 //! | 2    | ww, wr, rw     | G2: a cycle with one or more anti-dependency edges | G2-item, G2 |
 //!
 //! [`LANES`] is that table; a [`Lane`] is one row's incremental graph
-//! with its reused batch buffer, dropped once its phenomenon latches.
+//! with its reused results buffer, dropped once its phenomenon latches.
 //! [`Lanes::apply`] inserts a commit's planned edges into every live
 //! lane that admits them and replays the results through the one rule.
 //! A new edge kind is a row of [`EdgeKind`]; a new filter is a row of
@@ -21,7 +21,7 @@ use std::time::Instant;
 
 use adya_core::PhenomenonKind;
 use adya_graph::{IncrementalDag, Insert};
-use adya_history::{ObjectId, TxnId, VersionId};
+use adya_history::TxnId;
 
 use crate::provenance::{ProvStep, Provenance};
 use crate::verdict::{edge_label, Fired};
@@ -100,7 +100,7 @@ impl EdgeKind {
     /// Which endpoint wrote the version the conflict is about: the
     /// overwritten or read version is `from`'s, the overwriting one
     /// `to`'s.
-    pub(crate) fn writer(self, from: TxnId, to: TxnId) -> TxnId {
+    pub(crate) fn writer<T>(self, from: T, to: T) -> T {
         match self {
             EdgeKind::Ww | EdgeKind::Wr => from,
             EdgeKind::Rw => to,
@@ -109,7 +109,7 @@ impl EdgeKind {
 }
 
 /// One DSG edge discovered while resolving a commit, queued for
-/// batched application to the cycle graphs (see [`Lanes::apply`]).
+/// application to the cycle graphs (see [`Lanes::apply`]).
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct PlannedEdge {
     pub(crate) kind: EdgeKind,
@@ -117,12 +117,10 @@ pub(crate) struct PlannedEdge {
     pub(crate) from: TxnId,
     /// Depending transaction.
     pub(crate) to: TxnId,
-    /// The object the conflict is on.
-    pub(crate) object: ObjectId,
-    /// The version read, for a read dependency — it need not be the
-    /// writer's last. `None` for ww and rw: the version they are about
-    /// is the final one [`EdgeKind::writer`] installed on `object`.
-    pub(crate) read: Option<VersionId>,
+    /// The operation behind the edge, for the provenance map: the
+    /// version read, or else the final version [`EdgeKind::writer`]
+    /// installed on the object. `None` when nobody will ask.
+    pub(crate) cites: Option<ProvStep>,
 }
 
 pub(crate) type Dag = IncrementalDag<TxnId, EdgeMask>;
@@ -169,8 +167,11 @@ const LANES: [LaneSpec; 3] = [
 struct Lane {
     spec: &'static LaneSpec,
     dag: Option<Dag>,
-    /// Batch buffer for [`Lanes::apply`], reused across commits.
-    batch: Vec<(TxnId, TxnId, EdgeMask)>,
+    /// The current plan's insert results, one per admitted edge; kept
+    /// from commit to commit for its room.
+    results: Vec<Insert<TxnId, EdgeMask>>,
+    /// How many of `results` the replay has consumed.
+    replayed: usize,
 }
 
 fn cycle_string(witness: &[(TxnId, TxnId, EdgeMask)]) -> String {
@@ -255,11 +256,17 @@ impl Lanes {
             lanes: std::array::from_fn(|i| Lane {
                 spec: &LANES[i],
                 dag: dags[i].take(),
-                batch: Vec::new(),
+                results: Vec::new(),
+                replayed: 0,
             }),
             reorders_dropped: dropped,
             reorders_reported: reported,
         }
+    }
+
+    /// Whether any lane still has a graph to find a cycle in.
+    pub(crate) fn any_live(&self) -> bool {
+        self.lanes.iter().any(|l| l.dag.is_some())
     }
 
     /// Each lane's graph, in table order (`None` once dropped).
@@ -276,63 +283,52 @@ impl Lanes {
         self.lanes.iter_mut().filter_map(|l| l.dag.as_mut())
     }
 
-    /// Applies a commit's planned edges: one [`IncrementalDag::
-    /// insert_edges`] batch per live lane — amortizing Pearce–Kelly
-    /// traversal buffers across the whole commit instead of allocating
-    /// per edge — followed by a walk over the per-edge results that
+    /// Applies a commit's planned edges: every live lane inserts the
+    /// edges it admits into buffers it keeps from commit to commit (its
+    /// own, and the graph's Pearce–Kelly traversal buffers), so a commit
+    /// allocates for neither. Then a walk over the per-edge results
     /// replays provenance recording and phenomenon latching in exactly
     /// the order an edge-at-a-time path would: edge by edge in plan
     /// order, and for each edge lane by lane in table order.
     ///
-    /// Equivalence with that path: batched insertion is
-    /// state-identical per graph (see `insert_edges`), and when a latch
-    /// drops a lane mid-plan the rest of its batch results are
+    /// Equivalence with that path: a graph's state after the inserts
+    /// does not depend on what the other graphs did in between, and
+    /// when a latch drops a lane mid-plan the rest of its results are
     /// discarded — the sequential path would never have inserted those
     /// edges, and the extra inserts can't be observed because the
     /// graph is freed within the same event either way.
-    ///
-    /// `cite` resolves the operation behind an edge; it is asked only
-    /// while provenance is on.
     pub(crate) fn apply(
         &mut self,
         plan: &[PlannedEdge],
         fired: &mut Fired,
         prov: &mut Provenance,
         sampled: bool,
-        cite: impl Fn(&PlannedEdge) -> Option<ProvStep>,
     ) {
+        let insert_t0 = sampled.then(Instant::now);
         for lane in &mut self.lanes {
-            lane.batch.clear();
-            if lane.dag.is_some() {
+            lane.results.clear();
+            lane.replayed = 0;
+            if let Some(g) = lane.dag.as_mut() {
                 let admitted = plan.iter().filter(|e| lane.spec.admits.contains(&e.kind));
-                lane.batch
-                    .extend(admitted.map(|e| (e.from, e.to, e.kind.mask())));
+                lane.results
+                    .extend(admitted.map(|e| g.add_edge(e.from, e.to, e.kind.mask())));
             }
         }
-        let insert_t0 = sampled.then(Instant::now);
-        let results: [Vec<Insert<TxnId, EdgeMask>>; 3] = std::array::from_fn(|i| {
-            let lane = &mut self.lanes[i];
-            match lane.dag.as_mut() {
-                Some(g) => g.insert_edges(&lane.batch),
-                None => Vec::new(),
-            }
-        });
         if let Some(t0) = insert_t0 {
             adya_obs::histogram!("online.graph_insert_ns").record(t0.elapsed().as_nanos() as u64);
         }
-        let mut next = [0usize; 3];
         for edge in plan {
-            let mut step = if prov.enabled() { cite(edge) } else { None };
+            let mut step = edge.cites.filter(|_| prov.enabled());
             for i in 0..self.lanes.len() {
-                let lane = &self.lanes[i];
+                let lane = &mut self.lanes[i];
                 // A lane dropped before or during this plan has nothing
                 // left to say; its remaining results are never read.
                 if lane.dag.is_none() || !lane.spec.admits.contains(&edge.kind) {
                     continue;
                 }
-                let r = &results[i][next[i]];
-                next[i] += 1;
-                self.replay(i, r, edge, &mut step, fired, prov);
+                let r = std::mem::replace(&mut lane.results[lane.replayed], Insert::Duplicate);
+                lane.replayed += 1;
+                self.replay(i, &r, edge, &mut step, fired, prov);
             }
         }
     }
@@ -380,7 +376,7 @@ impl Lanes {
         if let Some(g) = self.lanes[lane].dag.take() {
             self.reorders_dropped += g.reorders();
         }
-        if self.lanes.iter().all(|l| l.dag.is_none()) {
+        if !self.any_live() {
             prov.clear();
         }
     }
@@ -424,6 +420,7 @@ impl Lanes {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use adya_history::{ObjectId, VersionId};
     use PhenomenonKind::{G1c, G2Item, G0, G2};
 
     fn edge(kind: EdgeKind, from: u32, to: u32, object: u32) -> PlannedEdge {
@@ -431,8 +428,11 @@ mod tests {
             kind,
             from: TxnId(from),
             to: TxnId(to),
-            object: ObjectId(object),
-            read: None,
+            cites: Some(ProvStep {
+                kind,
+                object: ObjectId(object),
+                version: VersionId::new(kind.writer(TxnId(from), TxnId(to)), 1),
+            }),
         }
     }
 
@@ -536,15 +536,8 @@ mod tests {
             let mut fired = Fired::default();
             let mut prov = Provenance::default();
             prov.set_enabled(true);
-            let cite = |e: &PlannedEdge| {
-                Some(ProvStep {
-                    kind: e.kind,
-                    object: e.object,
-                    version: VersionId::new(e.kind.writer(e.from, e.to), 1),
-                })
-            };
-            lanes.apply(&case.setup, &mut fired, &mut prov, false, cite);
-            lanes.apply(&case.plan, &mut fired, &mut prov, false, cite);
+            lanes.apply(&case.setup, &mut fired, &mut prov, false);
+            lanes.apply(&case.plan, &mut fired, &mut prov, false);
             assert_eq!(fired.kinds(), case.fired, "{name}: latched");
             for (k, text) in case.witnesses {
                 assert_eq!(

@@ -42,10 +42,13 @@
 //! [`OnlineChecker::restore`] — the restored checker continues the
 //! stream with verdicts byte-identical to an uninterrupted run.
 //!
-//! Inside, the checker is six private modules, each the single owner of
-//! what it names (DESIGN.md, "Streaming checker: modules and owners"):
-//! `checker` — the transaction and object tables and the event
-//! handlers, which report a conflict only by queueing a planned edge;
+//! Inside, the checker is seven private modules, each the single owner
+//! of what it names (DESIGN.md, "Streaming checker: modules and owners"):
+//! `tables` — the one place a transaction or an object is found by
+//! hash: an id → slot map over a slab, consulted once per id an event
+//! names; `checker` — the transaction and object states and the event
+//! handlers, which hold slots and report a conflict only by queueing a
+//! planned edge;
 //! `lanes` — the edge kinds and the lane table: one incremental graph
 //! per edge filter (ww; ww + wr; ww + wr + rw) under one cycle rule,
 //! which is the paper's G0 / G1c / G2; `provenance` — the operations
@@ -88,6 +91,7 @@ pub mod monitor;
 pub mod pipeline;
 mod provenance;
 mod snapshot;
+mod tables;
 #[cfg(test)]
 mod testkit;
 mod verdict;

@@ -15,23 +15,18 @@
 //!    `seq % rings`, so the merge is O(1)) and forms batches of up to
 //!    [`PipelineConfig::max_batch`] events.
 //! 3. **Batched application** — each batch goes through
-//!    [`OnlineChecker::ingest_batch`], whose per-commit DSG edges are
-//!    applied via the amortized [`IncrementalDag::insert_edges`]
-//!    path.
+//!    [`OnlineChecker::ingest_batch`].
 //!
 //! The verdict stream is byte-identical to per-event sequential
 //! ingest: events reach the checker in exactly recorded order, and
-//! both the batch API and the batched graph application are
-//! state-identical to their per-event/per-edge forms (pinned by the
-//! `pipeline_equivalence` proptests).
+//! the batch API is state-identical to its per-event form (pinned by
+//! the `pipeline_equivalence` proptests).
 //!
 //! Backpressure observability: `pipeline.queue_depth` (gauge, events
 //! buffered across rings at batch formation), `pipeline.batch_size`
 //! (histogram, events per applied batch), and
 //! `pipeline.backpressure_waits` (counter, producer wait rounds on
 //! full rings).
-//!
-//! [`IncrementalDag::insert_edges`]: adya_graph::IncrementalDag::insert_edges
 
 use std::sync::Arc;
 

@@ -13,13 +13,13 @@
 //! can be in. A refused image is a [`SnapshotError`]; an accepted one
 //! cannot make the checker panic.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::{HashMap, HashSet};
 
 use adya_graph::{DagParts, IncrementalDag, SlotParts};
 use adya_history::{ObjectId, TxnId, VersionId};
 
 use crate::checker::{
-    BufferedRead, Entry, ObjectState, OnlineChecker, PendingRead, Status, TxnState,
+    BufferedRead, OnlineChecker, PendingRead, Status, TxnState, TxnTable, WriteEntry,
 };
 use crate::gc::{Collector, GcConfig};
 use crate::lanes::{Dag, EdgeKind, EdgeMask, Lanes};
@@ -110,11 +110,13 @@ pub(crate) fn encode(c: &OnlineChecker) -> Vec<u8> {
             e.u32(st.version.seq);
         }
     }
-    let mut txn_ids: Vec<TxnId> = c.txns.keys().copied().collect();
-    txn_ids.sort_unstable();
-    e.len(txn_ids.len());
-    for id in txn_ids {
-        let t = &c.txns[&id];
+    // Slots stay in here: the image names transactions and objects by
+    // id and lists them in id order.
+    let id_of = |t| c.txns.key_of(t).0;
+    let mut txns: Vec<(TxnId, &TxnState)> = c.txns.iter().map(|(id, _, t)| (id, t)).collect();
+    txns.sort_unstable_by_key(|&(id, _)| id);
+    e.len(txns.len());
+    for (id, t) in txns {
         e.u32(id.0);
         e.u8(match t.status {
             Status::Active => 0,
@@ -128,18 +130,17 @@ pub(crate) fn encode(c: &OnlineChecker) -> Vec<u8> {
             e.u32(r.object.0);
             e.u32(r.version.txn.0);
             e.u32(r.version.seq);
-            e.u8(r.via_predicate as u8 | (r.counted as u8) << 1 | (r.stale as u8) << 2);
+            let counted = r.writer.is_some();
+            e.u8(r.via_predicate as u8 | (counted as u8) << 1 | (r.stale as u8) << 2);
         }
-        let mut writes: Vec<(ObjectId, u32)> = t.writes.iter().map(|(&o, &s)| (o, s)).collect();
-        writes.sort_unstable();
-        e.len(writes.len());
-        for (o, s) in writes {
-            e.u32(o.0);
-            e.u32(s);
+        e.len(t.writes.len());
+        for w in &t.writes {
+            e.u32(w.object.0);
+            e.u32(w.seq);
         }
         e.len(t.pending_readers.len());
         for p in &t.pending_readers {
-            e.u32(p.reader.0);
+            e.u32(id_of(p.reader));
             e.u32(p.object.0);
             e.u32(p.seq);
             e.bool(p.via_predicate);
@@ -149,24 +150,34 @@ pub(crate) fn encode(c: &OnlineChecker) -> Vec<u8> {
         }
         e.u64(t.prune_after);
     }
-    let mut obj_ids: Vec<ObjectId> = c.objects.keys().copied().collect();
-    obj_ids.sort_unstable();
-    e.len(obj_ids.len());
-    for id in obj_ids {
-        let o = &c.objects[&id];
+    let mut objects: Vec<_> = c.objects.iter().map(|(id, _, o)| (id, o)).collect();
+    objects.sort_unstable_by_key(|&(id, _)| id);
+    e.len(objects.len());
+    for (id, o) in objects {
         e.u32(id.0);
         e.u64(o.base as u64);
         e.len(o.entries.len());
-        for entry in &o.entries {
-            e.u32(entry.txn.0);
-            e.len(entry.readers.len());
-            for r in &entry.readers {
-                e.u32(r.0);
+        // The image gives every version a reader list and the object
+        // one more, for readers of the initial version; only the list
+        // of the newest version (or that last one, while there is no
+        // version) can be other than empty.
+        let newest = o.entries.len().wrapping_sub(1);
+        for (i, &entry) in o.entries.iter().enumerate() {
+            e.u32(id_of(entry));
+            let readers: &[_] = if i == newest { &o.anchored } else { &[] };
+            e.len(readers.len());
+            for &r in readers {
+                e.u32(id_of(r));
             }
         }
-        e.len(o.init_readers.len());
-        for r in &o.init_readers {
-            e.u32(r.0);
+        let init_readers: &[_] = if o.entries.is_empty() {
+            &o.anchored
+        } else {
+            &[]
+        };
+        e.len(init_readers.len());
+        for &r in init_readers {
+            e.u32(id_of(r));
         }
     }
     for g in c.lanes.dags() {
@@ -276,7 +287,11 @@ pub(crate) fn decode(bytes: &[u8]) -> Result<OnlineChecker, SnapshotError> {
             return Err(malformed(format!("two provenance chains for {a} -> {b}")));
         }
     }
+    // Records name each other by id, forwards as well as back: a name
+    // takes its slot at first sight, and every name must have had its
+    // record by the end of the section.
     let nt = d.len()?;
+    let mut defined: HashSet<TxnId> = HashSet::with_capacity(nt);
     for _ in 0..nt {
         let id = TxnId(d.u32()?);
         let status = match d.u8()? {
@@ -291,35 +306,51 @@ pub(crate) fn decode(bytes: &[u8]) -> Result<OnlineChecker, SnapshotError> {
         let mut reads = Vec::with_capacity(nr);
         for _ in 0..nr {
             let object = ObjectId(d.u32()?);
-            let vtxn = TxnId(d.u32()?);
-            let vseq = d.u32()?;
+            let version = VersionId {
+                txn: TxnId(d.u32()?),
+                seq: d.u32()?,
+            };
             let flags = d.u8()?;
             if flags > 7 {
                 return Err(malformed(format!("read flags {flags}")));
             }
+            let (counted, stale) = (flags & 2 != 0, flags & 4 != 0);
+            // A read of another transaction's version either pins its
+            // writer or found none to pin; no other read does either.
+            let foreign = !version.is_init() && version.txn != id;
+            if (counted && stale) || (counted || stale) != foreign {
+                return Err(malformed(format!(
+                    "a buffered read of {id} has impossible flags"
+                )));
+            }
             reads.push(BufferedRead {
                 object,
-                version: VersionId {
-                    txn: vtxn,
-                    seq: vseq,
-                },
+                version,
                 via_predicate: flags & 1 != 0,
-                counted: flags & 2 != 0,
-                stale: flags & 4 != 0,
+                writer: counted.then(|| c.txns.enter(version.txn).0),
+                stale,
             });
         }
         let nws = d.len()?;
-        let mut writes = HashMap::with_capacity(nws);
+        let mut writes: Vec<WriteEntry> = Vec::with_capacity(nws);
         for _ in 0..nws {
-            let o = ObjectId(d.u32()?);
-            let s = d.u32()?;
-            writes.insert(o, s);
+            let object = ObjectId(d.u32()?);
+            let seq = d.u32()?;
+            if writes.last().is_some_and(|w| w.object >= object) {
+                return Err(malformed(format!("{id}'s writes are out of order")));
+            }
+            writes.push(WriteEntry {
+                object,
+                seq,
+                installed: None, // set below, by the object that lists it
+                pos: 0,
+            });
         }
         let np = d.len()?;
         let mut pending_readers = Vec::with_capacity(np);
         for _ in 0..np {
             pending_readers.push(PendingRead {
-                reader: TxnId(d.u32()?),
+                reader: c.txns.enter(TxnId(d.u32()?)).0,
                 object: ObjectId(d.u32()?),
                 seq: d.u32()?,
                 via_predicate: d.bool()?,
@@ -337,48 +368,74 @@ pub(crate) fn decode(bytes: &[u8]) -> Result<OnlineChecker, SnapshotError> {
             awaiting: d.u32()?,
             registered: d.u32()?,
             prune_after: d.u64()?,
-            behind: 0, // derived by `cross_check`, once the objects are read
+            ..TxnState::default() // `behind`: derived by `cross_check`
         };
-        if status == Status::Active {
-            c.active.insert(id);
-        }
-        if c.txns.insert(id, t).is_some() {
+        if !defined.insert(id) {
             return Err(malformed(format!("transaction {id} appears twice")));
         }
+        let (slot, _) = c.txns.enter(id);
+        c.txns[slot] = t;
+        if status == Status::Active {
+            c.activate(slot);
+        }
     }
+    if let Some((id, _, _)) = c.txns.iter().find(|(id, _, _)| !defined.contains(id)) {
+        return Err(malformed(format!(
+            "a read names {id}, which is not in the image"
+        )));
+    }
+    let known = |txns: &TxnTable, id: TxnId, named_by: &str| {
+        txns.lookup(id)
+            .ok_or_else(|| malformed(format!("{named_by} names {id}, which is not in the image")))
+    };
     let no = d.len()?;
     for _ in 0..no {
         let id = ObjectId(d.u32()?);
-        let base = counter(&mut d)? as usize;
-        let ne = d.len()?;
-        let mut entries = VecDeque::with_capacity(ne);
-        let mut pos_of = HashMap::with_capacity(ne);
-        for i in 0..ne {
-            let txn = TxnId(d.u32()?);
-            let nr = d.len()?;
-            let mut readers = Vec::with_capacity(nr);
-            for _ in 0..nr {
-                readers.push(TxnId(d.u32()?));
-            }
-            if pos_of.insert(txn, base + i).is_some() {
-                return Err(malformed(format!("{txn} installed {id} twice")));
-            }
-            entries.push_back(Entry { txn, readers });
-        }
-        let ni = d.len()?;
-        let mut init_readers = Vec::with_capacity(ni);
-        for _ in 0..ni {
-            init_readers.push(TxnId(d.u32()?));
-        }
-        let obj = ObjectState {
-            base,
-            entries,
-            pos_of,
-            init_readers,
-        };
-        if c.objects.insert(id, obj).is_some() {
+        let (slot, fresh) = c.objects.enter(id);
+        if !fresh {
             return Err(malformed(format!("object {id} appears twice")));
         }
+        let base = counter(&mut d)? as usize;
+        let ne = d.len()?;
+        let mut anchored = Vec::new();
+        for i in 0..ne {
+            let txn = TxnId(d.u32()?);
+            let installer = known(&c.txns, txn, "a version list")?;
+            c.objects[slot].entries.push_back(installer);
+            let t = &mut c.txns[installer];
+            let w = match t.writes.binary_search_by_key(&id, |w| w.object) {
+                Ok(at) if t.status == Status::Committed => &mut t.writes[at],
+                _ => {
+                    return Err(malformed(format!(
+                        "{id} lists a version {txn} did not commit"
+                    )))
+                }
+            };
+            if w.installed.replace(slot).is_some() {
+                return Err(malformed(format!("{txn} installed {id} twice")));
+            }
+            w.pos = base + i;
+            let nr = d.len()?;
+            if nr > 0 && i + 1 != ne {
+                return Err(malformed(format!(
+                    "a superseded version of {id} still anchors readers"
+                )));
+            }
+            for _ in 0..nr {
+                anchored.push(known(&c.txns, TxnId(d.u32()?), "a version's reader list")?);
+            }
+        }
+        let ni = d.len()?;
+        if ni > 0 && (base > 0 || ne > 0) {
+            return Err(malformed(format!(
+                "{id} has versions and readers still waiting for one"
+            )));
+        }
+        for _ in 0..ni {
+            anchored.push(known(&c.txns, TxnId(d.u32()?), "a version's reader list")?);
+        }
+        let obj = &mut c.objects[slot];
+        (obj.base, obj.anchored) = (base, anchored);
     }
     let mut dags = [None, None, None];
     for slot in &mut dags {
@@ -409,101 +466,74 @@ struct Derived {
 }
 
 /// Holds a decoded image's tables to each other, in one pass over
-/// them: every transaction id they name is in the transaction table;
-/// every committed write has its place in its object's version list,
-/// and every place belongs to a committed write; and the per-
-/// transaction counters the image carries — `unsuperseded`, `refs`,
-/// `awaiting`, `registered`, which the handlers decrement and the
-/// collector trusts — equal what the tables imply. `behind` is not in
-/// the image and is set from the same count.
+/// them (that every transaction they name is in the transaction
+/// table, [`decode`] saw to when it gave the names their slots): every
+/// committed write has its place in its object's version list — and
+/// every place belongs to a committed write, which `decode` checked as
+/// it filed them; and the per-transaction counters the image carries —
+/// `unsuperseded`, `refs`, `awaiting`, `registered`, which the handlers
+/// decrement and the collector trusts — equal what the tables imply.
+/// `behind` is not in the image and is set from the same count.
 fn cross_check(c: &mut OnlineChecker) -> Result<(), String> {
     let mut derived: HashMap<TxnId, Derived> = HashMap::with_capacity(c.txns.len());
-    let known = |id: TxnId, named_by: &str| {
-        if c.txns.contains_key(&id) {
-            Ok(())
-        } else {
-            Err(format!("{named_by} names {id}, which is not in the image"))
-        }
-    };
+    let id_of = |t| c.txns.key_of(t);
     for (a, b) in c.prov.edges() {
-        known(a, "a provenance chain")?;
-        known(b, "a provenance chain")?;
+        for id in [a, b] {
+            if c.txns.lookup(id).is_none() {
+                return Err(format!(
+                    "a provenance chain names {id}, which is not in the image"
+                ));
+            }
+        }
     }
-    for (&id, t) in &c.txns {
+    for (id, _, t) in c.txns.iter() {
         if t.begin_clock.max(t.terminal_clock).max(t.prune_after) > c.clock {
             return Err(format!("{id} carries a clock later than the image's"));
         }
-        for r in &t.reads {
-            // A read of another transaction's version either pins its
-            // writer or found none to pin; no other read does either.
-            let foreign = !r.version.is_init() && r.version.txn != id;
-            if (r.counted && r.stale) || (r.counted || r.stale) != foreign {
-                return Err(format!("a buffered read of {id} has impossible flags"));
-            }
-            if r.counted {
-                known(r.version.txn, "a buffered read")?;
-                derived.entry(r.version.txn).or_default().refs += 1;
-            }
+        for w in t.reads.iter().filter_map(|r| r.writer) {
+            derived.entry(id_of(w)).or_default().refs += 1;
         }
         if !t.pending_readers.is_empty() && t.status != Status::Active {
             return Err(format!("{id} has ended but still parks readers"));
         }
         for p in &t.pending_readers {
-            known(p.reader, "a parked read")?;
-            derived.entry(p.reader).or_default().awaiting += 1;
+            derived.entry(id_of(p.reader)).or_default().awaiting += 1;
             derived.entry(id).or_default().refs += 1;
         }
         if t.status == Status::Committed {
-            for o in t.writes.keys() {
-                if !c
-                    .objects
-                    .get(o)
-                    .is_some_and(|obj| obj.pos_of.contains_key(&id))
-                {
-                    return Err(format!(
-                        "{id} committed a write of {o} that {o} does not list"
-                    ));
-                }
+            if let Some(w) = t.writes.iter().find(|w| w.installed.is_none()) {
+                let o = w.object;
+                return Err(format!(
+                    "{id} committed a write of {o} that {o} does not list"
+                ));
             }
         }
     }
-    for (&o, obj) in &c.objects {
+    for (o, _, obj) in c.objects.iter() {
         if obj.base as u64 > c.gc.pruned_txns() {
             return Err(format!("{o} has lost more versions than were ever pruned"));
         }
-        if !obj.init_readers.is_empty() && (obj.base > 0 || !obj.entries.is_empty()) {
-            return Err(format!(
-                "{o} has versions and readers still waiting for one"
-            ));
-        }
         let newest = obj.entries.len().wrapping_sub(1);
-        for (i, e) in obj.entries.iter().enumerate() {
-            let installer = c.txns.get(&e.txn);
-            if !installer
-                .is_some_and(|t| t.status == Status::Committed && t.writes.contains_key(&o))
-            {
-                return Err(format!("{o} lists a version {} did not commit", e.txn));
-            }
-            let d = derived.entry(e.txn).or_default();
+        for (i, &e) in obj.entries.iter().enumerate() {
+            let d = derived.entry(id_of(e)).or_default();
             d.behind += u32::from(i > 0);
             d.unsuperseded += u64::from(i == newest);
-            if i != newest && !e.readers.is_empty() {
-                return Err(format!("a superseded version of {o} still anchors readers"));
-            }
         }
-        let anchored = obj.entries.iter().flat_map(|e| &e.readers);
-        for &r in anchored.chain(&obj.init_readers) {
-            known(r, "a version's reader list")?;
-            derived.entry(r).or_default().registered += 1;
+        for &r in &obj.anchored {
+            derived.entry(id_of(r)).or_default().registered += 1;
         }
     }
-    for (id, t) in &mut c.txns {
-        let d = derived.remove(id).unwrap_or_default();
+    let mut behind = Vec::with_capacity(c.txns.len());
+    for (id, slot, t) in c.txns.iter() {
+        let d = derived.remove(&id).unwrap_or_default();
         let carried = [t.unsuperseded, t.refs, t.awaiting, t.registered].map(u64::from);
         if carried != [d.unsuperseded, d.refs, d.awaiting, d.registered] {
             return Err(format!("{id}'s counters disagree with the tables"));
         }
-        t.behind = d.behind;
+        behind.push((slot, d.behind));
+    }
+    for (slot, behind) in behind {
+        c.txns[slot].behind = behind;
     }
     Ok(())
 }
@@ -554,7 +584,7 @@ fn dec_label(d: &mut Dec<'_>) -> Result<EdgeMask, SnapshotError> {
 /// Decodes one graph, refusing parts that are not a state a graph can
 /// be in (see [`DagParts::validate`]) or that hold a node outside
 /// `txns`.
-fn dec_dag(d: &mut Dec<'_>, txns: &HashMap<TxnId, TxnState>) -> Result<Dag, SnapshotError> {
+fn dec_dag(d: &mut Dec<'_>, txns: &TxnTable) -> Result<Dag, SnapshotError> {
     let ns = d.len()?;
     let mut slots = Vec::with_capacity(ns);
     for _ in 0..ns {
@@ -588,7 +618,7 @@ fn dec_dag(d: &mut Dec<'_>, txns: &HashMap<TxnId, TxnState>) -> Result<Dag, Snap
     for _ in 0..ni {
         let k = TxnId(d.u32()?);
         let s = d.u64()? as usize;
-        if !txns.contains_key(&k) {
+        if txns.lookup(k).is_none() {
             return Err(malformed(format!(
                 "a graph holds {k}, which is not in the image"
             )));

@@ -4,7 +4,8 @@
 //! checker reports (with their snapshot bit) and how a cycle edge is
 //! labelled. Plain data: nothing here reads the checker's tables.
 
-use std::fmt::Write as _;
+use std::fmt::{Display, Write as _};
+use std::sync::OnceLock;
 
 use adya_core::{IsolationLevel, PhenomenonKind};
 use adya_history::{ObjectId, TxnId, VersionId};
@@ -124,37 +125,57 @@ impl Verdict {
 
     /// Renders the verdict as a single-line JSON object (NDJSON-ready).
     pub fn to_json(&self) -> String {
-        let mut s = String::from("{");
+        // Room for a line that fires nothing new — all but a handful.
+        let mut s = String::with_capacity(256);
+        self.write_json(&mut s);
+        s
+    }
+
+    /// Appends what [`to_json`](Verdict::to_json) returns to `out`,
+    /// allocating nothing itself: a caller writing line after line
+    /// clears and reuses one buffer.
+    pub fn write_json(&self, out: &mut String) {
+        let s = out;
+        s.push_str("{\"txn\": ");
         match self.txn {
-            Some(t) => {
-                let _ = write!(s, "\"txn\": {}", t.0);
-            }
-            None => s.push_str("\"txn\": null"),
+            Some(t) => push_u64(s, u64::from(t.0)),
+            None => s.push_str("null"),
         }
-        let _ = write!(s, ", \"final\": {}", self.is_final);
-        let _ = write!(s, ", \"committed\": {}", self.committed);
+        s.push_str(", \"final\": ");
+        s.push_str(if self.is_final { "true" } else { "false" });
+        s.push_str(", \"committed\": ");
+        push_u64(s, self.committed);
+        s.push_str(", \"strongest_ansi\": ");
         match self.strongest_ansi {
             Some(l) => {
-                let _ = write!(s, ", \"strongest_ansi\": \"{l}\"");
+                s.push('"');
+                push_name(s, &IsolationLevel::ALL, &names().levels, l);
+                s.push('"');
             }
-            None => s.push_str(", \"strongest_ansi\": null"),
+            None => s.push_str("null"),
         }
-        for (key, kinds) in [("fired", &self.fired), ("new", &self.new_fired)] {
-            let _ = write!(s, ", \"{key}\": [");
-            for (i, k) in kinds.iter().enumerate() {
-                if i > 0 {
-                    s.push_str(", ");
-                }
-                let _ = write!(s, "\"{k}\"");
+        for (key, kinds) in [
+            (", \"fired\": [", &self.fired),
+            (", \"new\": [", &self.new_fired),
+        ] {
+            s.push_str(key);
+            for (i, &k) in kinds.iter().enumerate() {
+                s.push_str(if i > 0 { ", \"" } else { "\"" });
+                push_name(s, &PhenomenonKind::ALL, &names().kinds, k);
+                s.push('"');
             }
             s.push(']');
         }
-        for (key, text) in [("witness", &self.witness), ("witness_id", &self.witness_id)] {
-            let _ = write!(s, ", \"{key}\": ");
+        let texts = [
+            (", \"witness\": ", &self.witness),
+            (", \"witness_id\": ", &self.witness_id),
+        ];
+        for (key, text) in texts {
+            s.push_str(key);
             match text {
                 Some(t) => {
                     s.push('"');
-                    write_escaped(&mut s, t);
+                    write_escaped(s, t);
                     s.push('"');
                 }
                 None => s.push_str("null"),
@@ -164,29 +185,73 @@ impl Verdict {
             Some(c) => {
                 s.push_str(", \"cycle\": [");
                 for (i, e) in c.iter().enumerate() {
-                    if i > 0 {
-                        s.push_str(", ");
-                    }
-                    let _ = write!(
-                        s,
-                        "{{\"from\": {}, \"to\": {}, \"label\": \"{}\", \"via\": \"",
-                        e.from.0,
-                        e.to.0,
-                        e.label(),
-                    );
-                    write_escaped(&mut s, &e.via);
+                    s.push_str(if i > 0 {
+                        ", {\"from\": "
+                    } else {
+                        "{\"from\": "
+                    });
+                    push_u64(s, u64::from(e.from.0));
+                    s.push_str(", \"to\": ");
+                    push_u64(s, u64::from(e.to.0));
+                    s.push_str(", \"label\": \"");
+                    s.push_str(e.label());
+                    s.push_str("\", \"via\": \"");
+                    write_escaped(s, &e.via);
                     s.push_str("\"}");
                 }
                 s.push(']');
             }
             None => s.push_str(", \"cycle\": null"),
         }
-        let _ = write!(
-            s,
-            ", \"pruned\": {}, \"stale_refs\": {}, \"live_txns\": {}}}",
-            self.pruned_txns, self.stale_refs, self.live_txns
-        );
-        s
+        s.push_str(", \"pruned\": ");
+        push_u64(s, self.pruned_txns);
+        s.push_str(", \"stale_refs\": ");
+        push_u64(s, self.stale_refs);
+        s.push_str(", \"live_txns\": ");
+        push_u64(s, self.live_txns as u64);
+        s.push('}');
+    }
+}
+
+/// Appends `n` in decimal. (`write!` costs a formatter per number, and
+/// a verdict line carries five.)
+fn push_u64(s: &mut String, mut n: u64) {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    s.push_str(std::str::from_utf8(&digits[at..]).expect("ASCII digits"));
+}
+
+/// What `Display` prints for every phenomenon kind and level, rendered
+/// once: a name then costs a copy, not two nested formatters — which
+/// for the half-dozen names on a verdict line was most of the line.
+struct Names {
+    kinds: [String; PhenomenonKind::ALL.len()],
+    levels: [String; IsolationLevel::ALL.len()],
+}
+
+fn names() -> &'static Names {
+    static NAMES: OnceLock<Names> = OnceLock::new();
+    NAMES.get_or_init(|| Names {
+        kinds: PhenomenonKind::ALL.map(|k| k.to_string()),
+        levels: IsolationLevel::ALL.map(|l| l.to_string()),
+    })
+}
+
+/// Appends `v`'s pre-rendered name — `names[i]` for `all[i]`.
+fn push_name<T: Copy + PartialEq + Display>(s: &mut String, all: &[T], names: &[String], v: T) {
+    match all.iter().position(|&a| a == v) {
+        Some(i) => s.push_str(&names[i]),
+        None => {
+            let _ = write!(s, "{v}");
+        }
     }
 }
 
@@ -230,6 +295,9 @@ impl Fired {
         v: VersionId,
         via_predicate: bool,
     ) {
+        if self.has(PhenomenonKind::G1a) {
+            return; // latched: only the first witness is kept
+        }
         let via = via_note(via_predicate);
         let w = format!(
             "T{} read aborted version {o}[{v}] of T{}{via}",
@@ -248,6 +316,9 @@ impl Fired {
         final_seq: u32,
         via_predicate: bool,
     ) {
+        if self.has(PhenomenonKind::G1b) {
+            return; // latched: only the first witness is kept
+        }
         let via = via_note(via_predicate);
         let w = format!(
             "T{} read intermediate version {o}[{v}] of T{} (final seq {final_seq}){via}",

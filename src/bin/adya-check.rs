@@ -24,6 +24,7 @@
 use std::fmt::Write as _;
 use std::io::{BufRead as _, Read as _, Write as _};
 use std::process::ExitCode;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -566,6 +567,79 @@ fn stream_cycle_dot(v: &Verdict) -> Option<String> {
     Some(s)
 }
 
+/// The one owner of stdout in `--stream` mode: every verdict line,
+/// closing frame and `truncated_input` record goes through here, into
+/// a buffer in front of the locked handle.
+///
+/// The rule that keeps a live pipe as prompt as a write per line was:
+/// **flush before every wait** — whenever the checker is about to block
+/// or sleep with verdicts still buffered (no input left to read, the
+/// `--delay-event-ms` sleep, the application thread caught up with its
+/// rings), before anything goes to stderr (`--dot`, diagnostics,
+/// metrics), and before exit. Between waits a file's worth of verdicts
+/// costs a `write(2)` per buffer, not per line.
+///
+/// A reader that went away (`| head -1`) ends the run quietly with
+/// exit 0; any other stdout error is reported and exits 2.
+struct VerdictOut {
+    out: std::io::BufWriter<std::io::StdoutLock<'static>>,
+    /// The line being rendered, reused from verdict to verdict.
+    line: String,
+}
+
+impl VerdictOut {
+    /// Locks stdout for as long as the value lives: at most one thread
+    /// holds one at a time.
+    fn new() -> VerdictOut {
+        VerdictOut {
+            out: std::io::BufWriter::with_capacity(64 << 10, std::io::stdout().lock()),
+            line: String::new(),
+        }
+    }
+
+    fn check(result: std::io::Result<()>) {
+        if let Err(e) = result {
+            Self::fail(e);
+        }
+    }
+
+    /// Stdout is gone or broken: the run ends here.
+    #[cold]
+    fn fail(e: std::io::Error) -> ! {
+        if e.kind() == std::io::ErrorKind::BrokenPipe {
+            std::process::exit(0);
+        }
+        eprintln!("adya-check: write error: {e}");
+        std::process::exit(2);
+    }
+
+    fn verdict(&mut self, v: &Verdict) {
+        self.line.clear();
+        v.write_json(&mut self.line);
+        self.line.push('\n');
+        Self::check(self.out.write_all(self.line.as_bytes()));
+    }
+
+    /// One NDJSON record that is not a verdict.
+    fn record(&mut self, json: &str) {
+        Self::check(writeln!(self.out, "{json}"));
+    }
+
+    fn flush(&mut self) {
+        Self::check(self.out.flush());
+    }
+
+    /// A verdict, then its cycle as DOT on stderr when `--dot` asked
+    /// for one — stdout first, so the two stay in order.
+    fn verdict_with_dot(&mut self, v: &Verdict, dot: bool) {
+        self.verdict(v);
+        if let Some(d) = dot.then(|| stream_cycle_dot(v)).flatten() {
+            self.flush();
+            emit_dot_stderr(&d);
+        }
+    }
+}
+
 /// Where `--stream` events go: the classic in-thread checker, or the
 /// staged ingest pipeline (`--pipeline-threads N`) with the checker on
 /// a dedicated application thread while this thread only parses and
@@ -580,10 +654,15 @@ enum StreamSink {
         /// dense event sequence its sampling keys off.
         plane: Option<Arc<TracePlane>>,
         seq: u64,
+        out: VerdictOut,
     },
     Pipelined {
         producers: Vec<RingProducer>,
         next: u64,
+        /// Commits pushed into the rings so far (counted before the
+        /// push). The application thread compares its verdict count
+        /// with it to know when it has caught up and is about to wait.
+        commits: Arc<AtomicU64>,
         handle: std::thread::JoinHandle<(OnlineChecker, u64)>,
         /// Producer-side stamping (`tap`/`ring`); the pipeline's
         /// application thread stamps `seq`/`apply`/`verdict`.
@@ -613,6 +692,7 @@ impl StreamSink {
                 dot: args.dot,
                 plane,
                 seq: 0,
+                out: VerdictOut::new(),
             });
         }
         let cfg = PipelineConfig {
@@ -624,27 +704,34 @@ impl StreamSink {
             pipe.set_trace(Arc::clone(p), STREAM_TRACE_SCOPE);
         }
         let dot = args.dot;
+        let commits = Arc::new(AtomicU64::new(0));
+        let pushed = Arc::clone(&commits);
         let handle = std::thread::Builder::new()
             .name("adya-check-apply".into())
             .spawn(move || {
                 let mut checker = OnlineChecker::new();
                 checker.set_provenance(true); // see above
                 let mut emitted = 0u64;
+                // Stdout is this thread's until the rings drain; the
+                // main thread takes it back after the join.
+                let mut out = VerdictOut::new();
                 pipe.run(&mut checker, |v| {
                     emitted += 1;
-                    println!("{}", v.to_json());
-                    if dot {
-                        if let Some(d) = stream_cycle_dot(&v) {
-                            emit_dot_stderr(&d);
-                        }
+                    out.verdict_with_dot(&v, dot);
+                    // Every commit pushed so far is answered: the next
+                    // thing this thread does is wait for the rings.
+                    if emitted >= pushed.load(Ordering::SeqCst) {
+                        out.flush();
                     }
                 });
+                out.flush();
                 (checker, emitted)
             })
             .map_err(|e| format!("cannot spawn application thread: {e}"))?;
         Ok(StreamSink::Pipelined {
             producers,
             next: 0,
+            commits,
             handle,
             plane,
         })
@@ -661,6 +748,7 @@ impl StreamSink {
                 dot,
                 plane,
                 seq,
+                out,
             } => {
                 // In-thread ingest plays every pre-apply stage itself:
                 // arrival (`tap`), line buffer (`ring`), sequencing.
@@ -675,6 +763,9 @@ impl StreamSink {
                         id
                     })
                 });
+                if obs.delay.is_some() {
+                    out.flush(); // about to sleep
+                }
                 let arrived = obs.event_arrived();
                 let v = checker.ingest(&ev);
                 if let (Some(p), Some(id)) = (plane.as_ref(), tid) {
@@ -686,17 +777,13 @@ impl StreamSink {
                 obs.event_applied(checker, arrived, v.as_ref());
                 if let Some(v) = v {
                     *emitted += 1;
-                    println!("{}", v.to_json());
-                    if *dot {
-                        if let Some(d) = stream_cycle_dot(&v) {
-                            emit_dot_stderr(&d);
-                        }
-                    }
+                    out.verdict_with_dot(&v, *dot);
                 }
             }
             StreamSink::Pipelined {
                 producers,
                 next,
+                commits,
                 plane,
                 ..
             } => {
@@ -707,9 +794,21 @@ impl StreamSink {
                         p.stamp(id, Stage::Ring);
                     }
                 }
+                if matches!(ev, adya::history::Event::Commit(t) if !t.is_init()) {
+                    commits.fetch_add(1, Ordering::SeqCst);
+                }
                 producers[(*next as usize) % producers.len()].push(*next, ev);
                 *next += 1;
             }
+        }
+    }
+
+    /// The reader is about to wait for input: verdicts buffered on this
+    /// thread go out first. (The application thread of a pipelined run
+    /// flushes its own when it catches up.)
+    fn before_wait(&mut self) {
+        if let StreamSink::Sequential { out, .. } = self {
+            out.flush();
         }
     }
 
@@ -717,15 +816,16 @@ impl StreamSink {
     /// closing the rings (dropping the producers) and joining the
     /// application thread, which first drains and prints everything
     /// still buffered. Returns the checker, the number of verdicts
-    /// emitted so far, and the obs plane when one was armed.
-    fn close(self) -> (OnlineChecker, u64, Option<StreamObs>) {
+    /// emitted so far, the obs plane when one was armed, and stdout.
+    fn close(self) -> (OnlineChecker, u64, Option<StreamObs>, VerdictOut) {
         match self {
             StreamSink::Sequential {
                 checker,
                 obs,
                 emitted,
+                out,
                 ..
-            } => (*checker, emitted, Some(obs)),
+            } => (*checker, emitted, Some(obs), out),
             StreamSink::Pipelined {
                 producers, handle, ..
             } => {
@@ -733,7 +833,7 @@ impl StreamSink {
                 let (checker, emitted) = handle
                     .join()
                     .expect("pipeline application thread must not panic");
-                (checker, emitted, None)
+                (checker, emitted, None, VerdictOut::new())
             }
         }
     }
@@ -742,19 +842,58 @@ impl StreamSink {
 /// Emits the `truncated_input` NDJSON record, the final verdict of the
 /// intact prefix, and optional metrics; the caller exits 3.
 fn finish_truncated(
-    mut checker: OnlineChecker,
+    sink: StreamSink,
     detail: &str,
     at_field: &str,
     at: usize,
     metrics: MetricsMode,
 ) -> ExitCode {
-    println!(
+    let (mut checker, _, _, mut out) = sink.close();
+    out.record(&format!(
         "{{\"error\": \"truncated_input\", \"{at_field}\": {at}, \"detail\": \"{}\"}}",
         esc(detail)
-    );
-    println!("{}", checker.finish().to_json());
+    ));
+    out.verdict(&checker.finish());
+    out.flush();
     emit_metrics_stderr(metrics);
     ExitCode::from(EXIT_TRUNCATED)
+}
+
+/// A hard error mid-stream: what was answered so far goes out, then
+/// the diagnostic; exit 2.
+fn fail_stream(sink: StreamSink, msg: &str) -> ExitCode {
+    let (_, _, _, mut out) = sink.close();
+    out.flush();
+    eprintln!("adya-check: {msg}");
+    ExitCode::from(2)
+}
+
+/// The end of a stream that was read to its end (or to SIGTERM/ctrl-c,
+/// which adds the closing frame first so the stream ends the same way
+/// an EOF would): the final verdict, metrics, and the `--level` gate.
+fn finish_stream(args: &Args, sink: StreamSink, was_shutdown: bool) -> ExitCode {
+    let (mut checker, emitted, mut obs, mut out) = sink.close();
+    if was_shutdown {
+        out.record(&adya_serve::proto::closing_frame(
+            "shutdown",
+            None,
+            checker.events(),
+            emitted,
+        ));
+    }
+    let fin = checker.finish();
+    if let Some(obs) = &mut obs {
+        obs.finish(&fin);
+    }
+    out.verdict(&fin);
+    out.flush();
+    emit_metrics_stderr(args.metrics);
+    if let Some(level) = args.level {
+        if !fin.satisfies(level) {
+            return ExitCode::from(1);
+        }
+    }
+    ExitCode::SUCCESS
 }
 
 /// `--stream` over a binary event log (detected via [`LOG_MAGIC`]):
@@ -780,43 +919,26 @@ fn run_stream_binary(args: &Args, buf: &[u8]) -> ExitCode {
     let mut was_shutdown = false;
     while let Some(item) = log.next() {
         if adya_serve::shutdown::requested() {
-            // SIGTERM/ctrl-c: stop ingesting, emit the closing frame,
-            // then fall through to the ordinary final verdict so the
-            // stream ends the same way an EOF would.
             was_shutdown = true;
             break;
         }
         match item {
             Ok(ev) => sink.feed(ev),
             Err(LogError::TornTail { good_len, detail }) => {
-                let (checker, _, _) = sink.close();
-                return finish_truncated(checker, &detail, "good_len", good_len, args.metrics);
+                return finish_truncated(sink, &detail, "good_len", good_len, args.metrics);
             }
-            Err(e) => {
-                eprintln!("adya-check: {e}");
-                return ExitCode::from(2);
-            }
+            Err(e) => return fail_stream(sink, &e.to_string()),
         }
     }
-    let (mut checker, emitted, mut obs) = sink.close();
-    if was_shutdown {
-        println!(
-            "{}",
-            adya_serve::proto::closing_frame("shutdown", None, checker.events(), emitted)
-        );
-    }
-    let fin = checker.finish();
-    if let Some(obs) = &mut obs {
-        obs.finish(&fin);
-    }
-    println!("{}", fin.to_json());
-    emit_metrics_stderr(args.metrics);
-    if let Some(level) = args.level {
-        if !fin.satisfies(level) {
-            return ExitCode::from(1);
-        }
-    }
-    ExitCode::SUCCESS
+    finish_stream(args, sink, was_shutdown)
+}
+
+/// Whether `line` holds anything but whitespace or a comment. `#pred(`
+/// is deliberately NOT a comment here — it reaches the parser, which
+/// explains why it is unsupported.
+fn has_tokens(line: &str) -> bool {
+    let t = line.trim_start();
+    !t.is_empty() && (!t.starts_with('#') || t.starts_with("#pred("))
 }
 
 /// `--stream`: feed the input token-by-token through the incremental
@@ -883,7 +1005,7 @@ fn run_stream(args: &Args) -> ExitCode {
         }
         return run_stream_binary(args, &buf);
     }
-    let reader = std::io::BufReader::new(std::io::Read::chain(
+    let mut reader = std::io::BufReader::new(std::io::Read::chain(
         std::io::Cursor::new(header[..got].to_vec()),
         raw,
     ));
@@ -897,77 +1019,60 @@ fn run_stream(args: &Args) -> ExitCode {
         }
     };
 
-    // (line number, parse error, were there tokens after it)
-    let mut damage: Option<(usize, String, bool)> = None;
+    // (line number, parse error) of a bad token with nothing after it
+    // on its line.
+    let mut damage: Option<(usize, String)> = None;
     let mut was_shutdown = false;
-    let mut lines = reader.lines().enumerate();
-    'ingest: for (ix, line) in lines.by_ref() {
+    let mut line = String::new();
+    let mut line_no = 0;
+    loop {
+        if reader.buffer().is_empty() {
+            sink.before_wait(); // the next read may block
+        }
+        line.clear();
+        line_no += 1;
+        let read = reader.read_line(&mut line);
+        if let Some((at, msg)) = &damage {
+            // A bad token is a torn tail only when nothing meaningful
+            // follows it; otherwise the input is corrupt, not truncated.
+            match read {
+                Ok(0) => break,
+                Ok(_) if has_tokens(&line) => {
+                    return fail_stream(sink, &format!("line {at}: {msg}"));
+                }
+                Ok(_) => continue,
+                // Not text, so not tokens either.
+                Err(e) if e.kind() == std::io::ErrorKind::InvalidData => continue,
+                Err(_) => break,
+            }
+        }
+        match read {
+            Ok(0) => break,
+            Ok(_) => {}
+            Err(e) => return fail_stream(sink, &format!("read error on line {line_no}: {e}")),
+        }
         if adya_serve::shutdown::requested() {
             was_shutdown = true;
-            break 'ingest;
+            break;
         }
-        let line = match line {
-            Ok(l) => l,
-            Err(e) => {
-                eprintln!("adya-check: read error on line {}: {e}", ix + 1);
-                return ExitCode::from(2);
-            }
-        };
-        let t = line.trim_start();
-        // Comment lines; `#pred(` is deliberately NOT exempted here —
-        // it reaches the parser, which explains why it is unsupported.
-        if t.starts_with('#') && !t.starts_with("#pred(") {
+        if !has_tokens(&line) {
             continue;
         }
-        let toks: Vec<&str> = line.split_whitespace().collect();
-        for (ti, tok) in toks.iter().enumerate() {
-            let ev = match parser.parse_token(tok) {
-                Ok(e) => e,
-                Err(e) => {
-                    damage = Some((ix + 1, e.to_string(), ti + 1 < toks.len()));
-                    break 'ingest;
+        let mut toks = line.split_whitespace().peekable();
+        while let Some(tok) = toks.next() {
+            match parser.parse_token(tok) {
+                Ok(ev) => sink.feed(ev),
+                Err(msg) if toks.peek().is_some() => {
+                    return fail_stream(sink, &format!("line {line_no}: {msg}"));
                 }
-            };
-            sink.feed(ev);
+                Err(msg) => damage = Some((line_no, msg)),
+            }
         }
     }
-    if let Some((line_no, msg, mid_line)) = damage {
-        // A bad token is a torn tail only when nothing meaningful
-        // follows it; otherwise the input is corrupt, not truncated.
-        let more_input = mid_line
-            || lines.any(|(_, l)| {
-                l.map(|l| {
-                    let t = l.trim_start();
-                    !t.is_empty() && (!t.starts_with('#') || t.starts_with("#pred("))
-                })
-                .unwrap_or(false)
-            });
-        if more_input {
-            eprintln!("adya-check: line {line_no}: {msg}");
-            return ExitCode::from(2);
-        }
-        let (checker, _, _) = sink.close();
-        return finish_truncated(checker, &msg, "line", line_no, args.metrics);
+    if let Some((line_no, msg)) = damage {
+        return finish_truncated(sink, &msg, "line", line_no, args.metrics);
     }
-    let (mut checker, emitted, mut obs) = sink.close();
-    if was_shutdown {
-        println!(
-            "{}",
-            adya_serve::proto::closing_frame("shutdown", None, checker.events(), emitted)
-        );
-    }
-    let fin = checker.finish();
-    if let Some(obs) = &mut obs {
-        obs.finish(&fin);
-    }
-    println!("{}", fin.to_json());
-    emit_metrics_stderr(args.metrics);
-    if let Some(level) = args.level {
-        if !fin.satisfies(level) {
-            return ExitCode::from(1);
-        }
-    }
-    ExitCode::SUCCESS
+    finish_stream(args, sink, was_shutdown)
 }
 
 /// `explain` mode: shrink the history to a minimal sub-history per
@@ -1136,7 +1241,8 @@ fn main() -> ExitCode {
     }
     let metrics = (args.metrics == MetricsMode::Text).then(|| adya_obs::global().snapshot());
     if args.json {
-        println!("{}", to_json(&history, &a, metrics.as_ref()));
+        let report = to_json(&history, &a, metrics.as_ref());
+        println!("{report}");
         if args.metrics == MetricsMode::Prom {
             // Prometheus exposition is not JSON; keep stdout valid and
             // expose the metrics on stderr.

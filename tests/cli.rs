@@ -245,3 +245,86 @@ fn stream_verdicts_match_their_goldens() {
         common::check_stream_golden(&format!("{name}.dot.golden"), &stderr);
     }
 }
+
+/// Reads one line from `from` on a helper thread, so a program that
+/// never writes it fails the test after `secs` instead of hanging it.
+fn read_line_within<R: std::io::BufRead + Send + 'static>(mut from: R, secs: u64) -> (R, String) {
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let mut line = String::new();
+        let _ = from.read_line(&mut line);
+        let _ = tx.send((from, line));
+    });
+    rx.recv_timeout(std::time::Duration::from_secs(secs))
+        .expect("a verdict line within the timeout")
+}
+
+#[test]
+fn stream_flushes_verdicts_before_waiting_for_input() {
+    // A live pipe: each verdict must be readable while stdin is still
+    // open and the checker is blocked reading it — the sink's "flush
+    // before every wait" rule, on the reading thread and on the
+    // pipeline's application thread. Without it the line would sit in
+    // the buffer until EOF and the read below would time out.
+    for mode in [&["--stream"][..], &["--stream", "--pipeline-threads", "2"]] {
+        let mut child = Command::new(env!("CARGO_BIN_EXE_adya-check"))
+            .args(mode)
+            .stdin(Stdio::piped())
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("spawn adya-check");
+        let mut stdin = child.stdin.take().expect("piped stdin");
+        let mut stdout = std::io::BufReader::new(child.stdout.take().expect("piped stdout"));
+        for (tokens, txn) in [("b1 w1(x,1) c1\n", 1), ("b2 r2(x1) c2\n", 2)] {
+            stdin.write_all(tokens.as_bytes()).expect("write stdin");
+            stdin.flush().expect("flush stdin");
+            let (back, line) = read_line_within(stdout, 5);
+            stdout = back;
+            assert!(
+                line.starts_with(&format!("{{\"txn\": {txn}, \"final\": false")),
+                "{mode:?}: {line:?}"
+            );
+        }
+        drop(stdin); // EOF: the final verdict, then exit
+        let (_, line) = read_line_within(stdout, 5);
+        assert!(
+            line.starts_with("{\"txn\": null, \"final\": true"),
+            "{line:?}"
+        );
+        assert_eq!(child.wait().expect("wait").code(), Some(0));
+    }
+}
+
+#[test]
+fn stream_ends_quietly_when_its_reader_goes_away() {
+    // `adya-check --stream big.events | head -1`: far more verdicts than
+    // a pipe and the sink's buffer hold, and a reader that takes one
+    // line and leaves. That is the reader's business, not an error —
+    // exit 0, nothing on stderr (it used to be a `println!` panic with
+    // a backtrace, exit 101).
+    let dir = common::data_dir("cli-broken-pipe");
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    let path = dir.join("big.events");
+    let mut text = String::new();
+    for t in 1..=20_000 {
+        text.push_str(&format!("b{t} w{t}(x,{t}) c{t}\n"));
+    }
+    std::fs::write(&path, text).expect("write input");
+    let mut child = Command::new(env!("CARGO_BIN_EXE_adya-check"))
+        .arg("--stream")
+        .arg(&path)
+        .stdin(Stdio::null())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn adya-check");
+    let stdout = std::io::BufReader::new(child.stdout.take().expect("piped stdout"));
+    let (stdout, line) = read_line_within(stdout, 5);
+    assert!(line.starts_with("{\"txn\": 1, "), "{line:?}");
+    drop(stdout); // the pipe closes with most of the verdicts unwritten
+    let out = child.wait_with_output().expect("wait");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(stderr, "", "nothing to report");
+    assert_eq!(out.status.code(), Some(0));
+}

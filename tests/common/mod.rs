@@ -309,7 +309,7 @@ pub fn stream_notation(events: &[Event]) -> String {
 
 /// The streams under `tests/data/stream/` whose verdict lines and
 /// checker images are pinned by goldens.
-pub const STREAM_FIXTURES: [&str; 3] = ["write_skew", "dirty_hot", "clean_window"];
+pub const STREAM_FIXTURES: [&str; 4] = ["write_skew", "dirty_hot", "clean_window", "reused_ids"];
 
 /// Path of `tests/data/stream/<file>`.
 pub fn stream_data(file: &str) -> PathBuf {
@@ -318,20 +318,46 @@ pub fn stream_data(file: &str) -> PathBuf {
         .join(file)
 }
 
+/// `events` with every transaction id folded into `1..=ids`: a stream
+/// whose ids come round again, most of them after their last holder
+/// was pruned.
+fn fold_ids(events: &mut [Event], ids: u32) {
+    let fold = |t: &mut TxnId| *t = TxnId((t.0 - 1) % ids + 1);
+    for e in events {
+        match e {
+            Event::Begin(t) | Event::Commit(t) | Event::Abort(t) => fold(t),
+            Event::Write(w) => fold(&mut w.txn),
+            Event::Read(r) => {
+                fold(&mut r.txn);
+                if !r.version.is_init() {
+                    fold(&mut r.version.txn);
+                }
+            }
+            Event::PredicateRead(_) => panic!("the generators emit no predicate reads"),
+        }
+    }
+}
+
 /// The text of `tests/data/stream/<name>.events`. `dirty_hot` (six hot
-/// keys, dirty reads and aborts: every graph latches) and
-/// `clean_window` (a 12-key window sliding every 100 events under
-/// 2PL: the graphs stay live and the GC contracts them) come from
-/// [`sliding_window_events`] and are rewritten from it under
-/// `REGEN_GOLDEN=1`; `write_skew` is hand-written.
+/// keys, dirty reads and aborts: every graph latches), `clean_window`
+/// (a 12-key window sliding every 100 events under 2PL: the graphs
+/// stay live and the GC contracts them) and `reused_ids` (six keys
+/// under 2PL, so every version is superseded and its writer pruned —
+/// and sixteen transaction ids for the whole stream, so a `b1 … c1` is
+/// followed, once T1 is gone, by another: a transaction the checker
+/// must begin from nothing) come from [`sliding_window_events`] and are
+/// rewritten from it under `REGEN_GOLDEN=1`; `write_skew` is
+/// hand-written.
 pub fn stream_fixture(name: &str) -> String {
     let path = stream_data(&format!("{name}.events"));
+    // (keys, slide, dirty, seed, transaction ids to fold into)
     let generated = match name {
-        "dirty_hot" => Some((6, 100_000, true, 31)),
-        "clean_window" => Some((12, 100, false, 23)),
+        "dirty_hot" => Some((6, 100_000, true, 31, None)),
+        "clean_window" => Some((12, 100, false, 23, None)),
+        "reused_ids" => Some((6, 100_000, false, 47, Some(16))),
         _ => None,
     };
-    if let (Some((keys, slide, dirty, seed)), true) =
+    if let (Some((keys, slide, dirty, seed, ids)), true) =
         (generated, std::env::var_os("REGEN_GOLDEN").is_some())
     {
         let cfg = SlidingWindow {
@@ -340,8 +366,11 @@ pub fn stream_fixture(name: &str) -> String {
             open: 4,
             dirty,
         };
-        let text = stream_notation(&sliding_window_events(cfg, seed, 400));
-        std::fs::write(&path, text).expect("write stream fixture");
+        let mut events = sliding_window_events(cfg, seed, 400);
+        if let Some(ids) = ids {
+            fold_ids(&mut events, ids);
+        }
+        std::fs::write(&path, stream_notation(&events)).expect("write stream fixture");
     }
     std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()))
 }
