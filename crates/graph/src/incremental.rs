@@ -271,9 +271,8 @@ where
 }
 
 /// Reusable traversal buffers for the Pearce–Kelly DFS passes. Held by
-/// the graph (and shared across a whole [`IncrementalDag::insert_edges`]
-/// batch) so the hot insert path allocates nothing once the buffers have
-/// grown to the working-set size. Pure scratch: every field is cleared
+/// the graph so the hot insert path allocates nothing once the buffers
+/// have grown to the working-set size. Pure scratch: every field is cleared
 /// before use, so it carries no state between inserts and is excluded
 /// from [`DagParts`] snapshots.
 #[derive(Debug)]
@@ -543,26 +542,6 @@ where
         let r = self.add_edge_in(&mut scratch, from, to, label);
         self.scratch = scratch;
         r
-    }
-
-    /// Inserts a batch of edges in order, returning one [`Insert`] per
-    /// edge. *State-identical* to calling [`add_edge`] once per edge in
-    /// the same order — same results, same adjacency order, same
-    /// topological order values, same witness paths — so callers can
-    /// batch freely without perturbing determinism contracts. What the
-    /// batch buys is amortization: the Pearce–Kelly traversal buffers
-    /// are reused across the whole batch, so steady-state insertion
-    /// allocates nothing.
-    ///
-    /// [`add_edge`]: IncrementalDag::add_edge
-    pub fn insert_edges(&mut self, edges: &[(K, K, L)]) -> Vec<Insert<K, L>> {
-        let mut scratch = std::mem::take(&mut self.scratch);
-        let out = edges
-            .iter()
-            .map(|&(from, to, label)| self.add_edge_in(&mut scratch, from, to, label))
-            .collect();
-        self.scratch = scratch;
-        out
     }
 
     fn add_edge_in(
@@ -1130,61 +1109,6 @@ mod tests {
             break_it(&mut bad, root, dead);
             assert!(bad.validate().is_err(), "accepted {what}");
         }
-    }
-
-    #[test]
-    fn insert_edges_matches_per_edge_inserts() {
-        // The batched path must be state-identical to per-edge inserts:
-        // same Insert results (including witness paths) and an equal
-        // to_parts image after a stream covering adds, reorders,
-        // condensations and intra-component edges.
-        let mut x = 0x243f6a8885a308d3u64;
-        let mut stream: Vec<(u32, u32, u8)> = Vec::new();
-        for _ in 0..600 {
-            x = x
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            let a = ((x >> 33) % 24) as u32;
-            x = x
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            let b = ((x >> 33) % 24) as u32;
-            stream.push((a, b, (x % 3) as u8));
-        }
-        let mut per_edge: IncrementalDag<u32, u8> = IncrementalDag::new();
-        let seq: Vec<Insert<u32, u8>> = stream
-            .iter()
-            .map(|&(a, b, l)| per_edge.add_edge(a, b, l))
-            .collect();
-        // Replay the same stream in mixed batch sizes (including empty
-        // batches and batch-of-one).
-        let mut batched: IncrementalDag<u32, u8> = IncrementalDag::new();
-        let mut got: Vec<Insert<u32, u8>> = Vec::new();
-        let mut i = 0usize;
-        let mut step = 0usize;
-        while i < stream.len() {
-            let n = [0, 1, 7, 3, 17, 2][step % 6].min(stream.len() - i);
-            step += 1;
-            got.extend(batched.insert_edges(&stream[i..i + n]));
-            i += n;
-        }
-        assert_eq!(seq, got, "batched Insert results diverged");
-        assert_eq!(
-            per_edge.to_parts(),
-            batched.to_parts(),
-            "batched state diverged"
-        );
-        assert!(seq.iter().any(|r| matches!(r, Insert::CycleFormed(_))));
-        assert!(seq.iter().any(|r| matches!(r, Insert::Reordered)));
-    }
-
-    #[test]
-    fn insert_edges_empty_batch_is_a_noop() {
-        let mut g: IncrementalDag<u32, char> = IncrementalDag::new();
-        g.add_edge(1, 2, 'a');
-        let before = g.to_parts();
-        assert!(g.insert_edges(&[]).is_empty());
-        assert_eq!(g.to_parts(), before);
     }
 
     #[test]

@@ -108,41 +108,6 @@ proptest! {
         }
     }
 
-    /// Batched `insert_edges` is state-identical to per-edge
-    /// `add_edge`: identical `Insert` results (topological-order
-    /// verdicts *and* cycle reports with witness paths) and an equal
-    /// exact-state image, for any edge stream and any batch split.
-    #[test]
-    fn insert_edges_equals_per_edge(
-        (n, edges) in graph_strategy(),
-        splits in proptest::collection::vec(0usize..8, 0..40),
-    ) {
-        let stream: Vec<(usize, usize, bool)> = edges;
-        let mut per_edge: IncrementalDag<usize, bool> = IncrementalDag::new();
-        for i in 0..n {
-            per_edge.add_node(i);
-        }
-        let seq: Vec<_> = stream
-            .iter()
-            .map(|&(a, b, l)| per_edge.add_edge(a, b, l))
-            .collect();
-        let mut batched: IncrementalDag<usize, bool> = IncrementalDag::new();
-        for i in 0..n {
-            batched.add_node(i);
-        }
-        let mut got = Vec::new();
-        let mut i = 0usize;
-        let mut s = 0usize;
-        while i < stream.len() {
-            let n = splits.get(s).copied().unwrap_or(usize::MAX).min(stream.len() - i);
-            s += 1;
-            got.extend(batched.insert_edges(&stream[i..i + n]));
-            i += n;
-        }
-        prop_assert_eq!(seq, got, "Insert results diverged");
-        prop_assert_eq!(per_edge.to_parts(), batched.to_parts(), "exact state diverged");
-    }
-
     /// `DagParts::validate` refuses parts no graph can be in; it must
     /// never refuse one a graph *is* in. Any mix of inserts and
     /// contracting removals leaves parts that validate.

@@ -19,7 +19,7 @@ use adya_graph::{DagParts, IncrementalDag, SlotParts};
 use adya_history::{ObjectId, TxnId, VersionId};
 
 use crate::checker::{
-    BufferedRead, OnlineChecker, PendingRead, Status, TxnState, TxnTable, WriteEntry,
+    seal_writes, BufferedRead, OnlineChecker, PendingRead, Status, TxnState, TxnTable, WriteEntry,
 };
 use crate::gc::{Collector, GcConfig};
 use crate::lanes::{Dag, EdgeKind, EdgeMask, Lanes};
@@ -133,8 +133,18 @@ pub(crate) fn encode(c: &OnlineChecker) -> Vec<u8> {
             let counted = r.writer.is_some();
             e.u8(r.via_predicate as u8 | (counted as u8) << 1 | (r.stale as u8) << 2);
         }
-        e.len(t.writes.len());
-        for w in &t.writes {
+        // The image lists a transaction's writes the way its terminal
+        // event will leave them, whether or not it has had one.
+        let mut sealed = Vec::new();
+        let writes = if t.status == Status::Active {
+            sealed.clone_from(&t.writes);
+            seal_writes(&mut sealed);
+            &sealed
+        } else {
+            &t.writes
+        };
+        e.len(writes.len());
+        for w in writes {
             e.u32(w.object.0);
             e.u32(w.seq);
         }

@@ -24,7 +24,6 @@
 use std::fmt::Write as _;
 use std::io::{BufRead as _, Read as _, Write as _};
 use std::process::ExitCode;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -574,10 +573,11 @@ fn stream_cycle_dot(v: &Verdict) -> Option<String> {
 /// The rule that keeps a live pipe as prompt as a write per line was:
 /// **flush before every wait** — whenever the checker is about to block
 /// or sleep with verdicts still buffered (no input left to read, the
-/// `--delay-event-ms` sleep, the application thread caught up with its
-/// rings), before anything goes to stderr (`--dot`, diagnostics,
-/// metrics), and before exit. Between waits a file's worth of verdicts
-/// costs a `write(2)` per buffer, not per line.
+/// `--delay-event-ms` sleep), before anything goes to stderr (`--dot`,
+/// diagnostics, metrics), and before exit. Between waits a file's worth
+/// of verdicts costs a `write(2)` per buffer, not per line. The
+/// `--pipeline-threads` application thread cannot see its next wait
+/// coming, so it flushes after every verdict.
 ///
 /// A reader that went away (`| head -1`) ends the run quietly with
 /// exit 0; any other stdout error is reported and exits 2.
@@ -659,10 +659,6 @@ enum StreamSink {
     Pipelined {
         producers: Vec<RingProducer>,
         next: u64,
-        /// Commits pushed into the rings so far (counted before the
-        /// push). The application thread compares its verdict count
-        /// with it to know when it has caught up and is about to wait.
-        commits: Arc<AtomicU64>,
         handle: std::thread::JoinHandle<(OnlineChecker, u64)>,
         /// Producer-side stamping (`tap`/`ring`); the pipeline's
         /// application thread stamps `seq`/`apply`/`verdict`.
@@ -704,8 +700,6 @@ impl StreamSink {
             pipe.set_trace(Arc::clone(p), STREAM_TRACE_SCOPE);
         }
         let dot = args.dot;
-        let commits = Arc::new(AtomicU64::new(0));
-        let pushed = Arc::clone(&commits);
         let handle = std::thread::Builder::new()
             .name("adya-check-apply".into())
             .spawn(move || {
@@ -718,12 +712,10 @@ impl StreamSink {
                 pipe.run(&mut checker, |v| {
                     emitted += 1;
                     out.verdict_with_dot(&v, dot);
-                    // Every commit pushed so far is answered: the next
-                    // thing this thread does is wait for the rings.
-                    if emitted >= pushed.load(Ordering::SeqCst) {
-                        out.flush();
-                    }
+                    out.flush(); // the next thing may be a wait on the rings
                 });
+                // Nothing should be left; a failure here is reported,
+                // one in the sink's drop would not be.
                 out.flush();
                 (checker, emitted)
             })
@@ -731,7 +723,6 @@ impl StreamSink {
         Ok(StreamSink::Pipelined {
             producers,
             next: 0,
-            commits,
             handle,
             plane,
         })
@@ -783,7 +774,6 @@ impl StreamSink {
             StreamSink::Pipelined {
                 producers,
                 next,
-                commits,
                 plane,
                 ..
             } => {
@@ -794,9 +784,6 @@ impl StreamSink {
                         p.stamp(id, Stage::Ring);
                     }
                 }
-                if matches!(ev, adya::history::Event::Commit(t) if !t.is_init()) {
-                    commits.fetch_add(1, Ordering::SeqCst);
-                }
                 producers[(*next as usize) % producers.len()].push(*next, ev);
                 *next += 1;
             }
@@ -805,7 +792,7 @@ impl StreamSink {
 
     /// The reader is about to wait for input: verdicts buffered on this
     /// thread go out first. (The application thread of a pipelined run
-    /// flushes its own when it catches up.)
+    /// flushes every verdict itself.)
     fn before_wait(&mut self) {
         if let StreamSink::Sequential { out, .. } = self {
             out.flush();
@@ -1241,8 +1228,7 @@ fn main() -> ExitCode {
     }
     let metrics = (args.metrics == MetricsMode::Text).then(|| adya_obs::global().snapshot());
     if args.json {
-        let report = to_json(&history, &a, metrics.as_ref());
-        println!("{report}");
+        println!("{}", to_json(&history, &a, metrics.as_ref()));
         if args.metrics == MetricsMode::Prom {
             // Prometheus exposition is not JSON; keep stdout valid and
             // expose the metrics on stderr.

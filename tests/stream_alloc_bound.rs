@@ -47,8 +47,9 @@ fn allocs() -> u64 {
 
 #[test]
 fn ingest_allocates_per_transaction_and_rendering_not_at_all() {
-    // The hot-key shape: few keys, dirty reads and aborts, so every
-    // graph latches early and the tables carry the time.
+    // The hot-key shape: few keys, dirty reads and aborts. The G1c and
+    // G2 lanes latch early, but lane 0 (G0) stays live, so the graph
+    // and the provenance map are inside the bound with the tables.
     let cfg = SlidingWindow {
         keys: 16,
         slide: 1 << 40,
