@@ -21,7 +21,7 @@
 //!    uninterrupted pass.
 //! 4. **The pipeline changes nothing either.** Replaying the stream
 //!    through the staged ingest pipeline — threaded feeder, tiny rings
-//!    under constant backpressure, batched application — with the
+//!    under constant backpressure — with the
 //!    stream cut (pipeline closed, sequencer drained, checker
 //!    snapshot/restored) at seeded points is also byte-identical.
 //!
@@ -240,7 +240,7 @@ fn check_crash_replay(events: &[Event], seed: u64) -> bool {
 }
 
 /// Replays `events` through the *staged pipeline* — threaded feeder,
-/// tiny rings forcing backpressure, batched application — with the
+/// tiny rings forcing backpressure — with the
 /// stream cut at seeded points: each cut closes the pipeline (the
 /// sequencer drains what the rings still buffer, exactly as on a
 /// crash), snapshots the checker, and resumes a restored checker on a
@@ -273,7 +273,6 @@ fn check_pipelined_replay(events: &[Event], seed: u64) -> bool {
     let cfg = PipelineConfig {
         rings: 3,
         ring_capacity: 4, // tiny: the feeder hits backpressure
-        max_batch: 7,
     };
     let mut got = Vec::new();
     let mut c = OnlineChecker::new();

@@ -41,9 +41,7 @@ use adya_bench::{
     u64_from_args, verdict, Table, OVERHEAD_REPS,
 };
 use adya_obs::json::JsonWriter;
-use adya_obs::trace::{
-    merge_segments, parse_segment, trace_id, Stage, TraceSegment, DEFAULT_TRACE_SAMPLE,
-};
+use adya_obs::trace::{merge_segments, parse_segment, Stage, TraceSegment, DEFAULT_TRACE_SAMPLE};
 use adya_obs::TracePlane;
 use adya_online::{GcConfig, OnlineChecker};
 use adya_workloads::ServeClient;
@@ -69,13 +67,11 @@ fn time_traced(h: &adya_history::History, on: bool) -> (u128, Vec<String>) {
         let start = Instant::now();
         for (seq, e) in h.events().iter().enumerate() {
             let tid = plane.as_ref().and_then(|p| {
-                p.sampled(seq as u64).then(|| {
-                    let id = trace_id("bench", seq as u64);
-                    p.stamp(id, Stage::Tap);
-                    p.stamp(id, Stage::Ring);
-                    p.stamp(id, Stage::Seq);
-                    id
-                })
+                let id = p.sample("bench", seq as u64)?;
+                p.stamp(id, Stage::Tap);
+                p.stamp(id, Stage::Ring);
+                p.stamp(id, Stage::Seq);
+                Some(id)
             });
             let v = c.ingest(e);
             if let (Some(p), Some(id)) = (&plane, tid) {

@@ -297,6 +297,13 @@ impl TracePlane {
         self.enabled() && seq.is_multiple_of(self.sample_every())
     }
 
+    /// The trace id of event `seq` of `scope` ([`trace_id`]) when the
+    /// plane samples it, `None` when it does not: the one place a
+    /// stamping path decides whether an event is traced.
+    pub fn sample(&self, scope: &str, seq: u64) -> Option<u64> {
+        self.sampled(seq).then(|| trace_id(scope, seq))
+    }
+
     /// Nanoseconds since this plane's epoch.
     pub fn now_ns(&self) -> u64 {
         self.epoch.elapsed().as_nanos() as u64

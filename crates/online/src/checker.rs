@@ -352,23 +352,6 @@ impl OnlineChecker {
         verdict
     }
 
-    /// Feeds a batch of events in order, returning the verdict of
-    /// every commit in the batch. Emits the *identical* verdict stream
-    /// that per-event [`ingest`] calls would: batching here buys the
-    /// pipeline one application-stage call per batch (instead of one
-    /// lock acquisition per event).
-    ///
-    /// [`ingest`]: OnlineChecker::ingest
-    pub fn ingest_batch(&mut self, events: &[Event]) -> Vec<Verdict> {
-        let mut out = Vec::new();
-        for ev in events {
-            if let Some(v) = self.ingest(ev) {
-                out.push(v);
-            }
-        }
-        out
-    }
-
     /// Completes the stream: still-active transactions are aborted (in
     /// ascending id order — the paper's completion rule) and the final
     /// verdict over the whole stream is returned.

@@ -148,40 +148,15 @@ impl StreamParser {
         o
     }
 
-    /// Parses one whitespace-delimited token into an [`Event`].
+    /// Parses one whitespace-delimited token into an [`Event`]. Fails
+    /// exactly when [`check_token`] does, and then leaves the parser as
+    /// it was.
     pub fn parse_token(&mut self, tok: &str) -> Result<Event, String> {
-        if tok.starts_with("#pred") || tok.starts_with("rp") {
-            return Err(format!(
-                "{tok:?}: predicate reads are not supported in streaming mode"
-            ));
-        }
-        if tok.starts_with('[') {
-            return Err(format!(
-                "{tok:?}: explicit version orders are not supported in streaming mode \
-                 (install order is commit order)"
-            ));
-        }
-        // The token itself is read by the lexer the batch parser uses;
-        // only what a token *means* to a streaming session lives here.
-        let op = lex(tok).map_err(|e| match e {
-            LexError::Unrecognized => format!("unrecognized token {tok:?}"),
-            LexError::BadTxn => format!("{tok:?}: bad transaction number"),
-            LexError::Unclosed => format!("{tok:?}: missing closing paren"),
-            LexError::NoTarget => format!("{tok:?}: missing target"),
-            LexError::BadVersionTarget(target) => {
-                format!("{tok:?}: bad read target {target:?}")
-            }
-        })?;
-        Ok(match op {
+        Ok(match check_token(tok)? {
             Token::Begin(t) => Event::Begin(t),
             Token::Commit(t) => Event::Commit(t),
             Token::Abort(t) => Event::Abort(t),
             Token::Write { txn, target, value } => {
-                if target.chars().any(|c| c.is_ascii_digit()) {
-                    return Err(format!(
-                        "{tok:?}: write targets are object names without version suffixes"
-                    ));
-                }
                 let object = self.object(target);
                 let seq = self.last_seq.entry((txn, object)).or_insert(0);
                 *seq += 1;
@@ -231,6 +206,43 @@ impl StreamParser {
             }
         })
     }
+}
+
+/// Reads `tok` as one token of the streaming notation, or says why a
+/// streaming session refuses it. The answer depends on the token alone
+/// — no parser state — so a caller that must apply a whole line or none
+/// of it can check every token before its parser sees the first.
+pub fn check_token(tok: &str) -> Result<Token<'_>, String> {
+    if tok.starts_with("#pred") || tok.starts_with("rp") {
+        return Err(format!(
+            "{tok:?}: predicate reads are not supported in streaming mode"
+        ));
+    }
+    if tok.starts_with('[') {
+        return Err(format!(
+            "{tok:?}: explicit version orders are not supported in streaming mode \
+             (install order is commit order)"
+        ));
+    }
+    // The token itself is read by the lexer the batch parser uses;
+    // only what a token *means* to a streaming session lives here.
+    let op = lex(tok).map_err(|e| match e {
+        LexError::Unrecognized => format!("unrecognized token {tok:?}"),
+        LexError::BadTxn => format!("{tok:?}: bad transaction number"),
+        LexError::Unclosed => format!("{tok:?}: missing closing paren"),
+        LexError::NoTarget => format!("{tok:?}: missing target"),
+        LexError::BadVersionTarget(target) => {
+            format!("{tok:?}: bad read target {target:?}")
+        }
+    })?;
+    if let Token::Write { target, .. } = &op {
+        if target.chars().any(|c| c.is_ascii_digit()) {
+            return Err(format!(
+                "{tok:?}: write targets are object names without version suffixes"
+            ));
+        }
+    }
+    Ok(op)
 }
 
 // ----------------------------------------------------------------------

@@ -98,7 +98,9 @@ mod verdict;
 pub mod wire;
 
 pub use checker::OnlineChecker;
-pub use feed::{encode_log, EventLogReader, EventLogWriter, LogError, StreamParser, LOG_MAGIC};
+pub use feed::{
+    check_token, encode_log, EventLogReader, EventLogWriter, LogError, StreamParser, LOG_MAGIC,
+};
 pub use gc::GcConfig;
 pub use monitor::{CheckerMonitor, Exemplar, HealthPolicy};
 pub use pipeline::{EventPipeline, PipelineCloser, PipelineConfig, PipelineStats};

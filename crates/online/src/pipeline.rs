@@ -1,5 +1,5 @@
 //! The staged ingest pipeline: lock-free event rings → sequencer →
-//! batched checker application.
+//! checker.
 //!
 //! The sequential ingest path calls `Mutex<OnlineChecker>::ingest` per
 //! event, which serializes every producing engine thread on the
@@ -12,26 +12,23 @@
 //!    push; a full ring exerts backpressure.
 //! 2. **Sequencer** — the application stage drains the rings in dense
 //!    sequence order (event `seq` can only be at the head of ring
-//!    `seq % rings`, so the merge is O(1)) and forms batches of up to
-//!    [`PipelineConfig::max_batch`] events.
-//! 3. **Batched application** — each batch goes through
-//!    [`OnlineChecker::ingest_batch`].
+//!    `seq % rings`, so the merge is O(1)).
+//! 3. **Application** — each event goes through
+//!    [`OnlineChecker::ingest`], the one way into the checker.
 //!
-//! The verdict stream is byte-identical to per-event sequential
-//! ingest: events reach the checker in exactly recorded order, and
-//! the batch API is state-identical to its per-event form (pinned by
-//! the `pipeline_equivalence` proptests).
+//! The verdict stream is byte-identical to sequential ingest: events
+//! reach the checker in exactly recorded order, through the same call
+//! (pinned by the `pipeline_equivalence` proptests).
 //!
 //! Backpressure observability: `pipeline.queue_depth` (gauge, events
-//! buffered across rings at batch formation), `pipeline.batch_size`
-//! (histogram, events per applied batch), and
+//! buffered across rings, refreshed once per ring capacity of events
+//! popped and whenever the sequencer runs dry) and
 //! `pipeline.backpressure_waits` (counter, producer wait rounds on
 //! full rings).
 
 use std::sync::Arc;
 
 use adya_engine::{buffering_tap, Engine, RingCloser, RingConsumer, RingProducer};
-use adya_history::Event;
 use adya_obs::{trace::Stage, TracePlane};
 
 use crate::{OnlineChecker, Verdict};
@@ -44,9 +41,6 @@ pub struct PipelineConfig {
     /// Capacity of each ring, in events; a full ring blocks its
     /// producer (backpressure).
     pub ring_capacity: usize,
-    /// Largest event batch handed to the checker in one application
-    /// call.
-    pub max_batch: usize,
 }
 
 impl Default for PipelineConfig {
@@ -54,7 +48,6 @@ impl Default for PipelineConfig {
         PipelineConfig {
             rings: 2,
             ring_capacity: 1024,
-            max_batch: 128,
         }
     }
 }
@@ -64,8 +57,6 @@ impl Default for PipelineConfig {
 pub struct PipelineStats {
     /// Events applied to the checker.
     pub events: u64,
-    /// Application-stage batches formed.
-    pub batches: u64,
 }
 
 /// The consumer half of an ingest pipeline: rings already fed by a
@@ -99,9 +90,8 @@ impl EventPipeline {
 
     /// Builds a free-standing pipeline and hands back the producer
     /// endpoints, for drivers that stamp their own dense sequence
-    /// numbers (e.g. `adya-check --stream --pipeline-threads`):
-    /// event `seq` must be pushed to producer `seq % rings`, starting
-    /// at 0. Dropping the producers ends the stream.
+    /// numbers: event `seq` must be pushed to producer `seq % rings`,
+    /// starting at 0. Dropping the producers ends the stream.
     pub fn manual(cfg: PipelineConfig) -> (Vec<RingProducer>, EventPipeline) {
         let rings = cfg.rings.max(1);
         let mut producers = Vec::with_capacity(rings);
@@ -143,7 +133,7 @@ impl EventPipeline {
 
     /// Enables per-verdict trace stamping: sampled events (by the
     /// plane's cadence, over their dense sequence numbers) are stamped
-    /// at the sequencer pop (`seq`), batch application (`apply`) and
+    /// at the sequencer pop (`seq`), application (`apply`) and
     /// commit-verdict emission (`verdict`) stages. `scope` seeds the
     /// trace ids ([`adya_obs::trace_id`]); the producer side stamps
     /// `tap`/`ring` for the same ids itself.
@@ -152,78 +142,56 @@ impl EventPipeline {
     }
 
     /// The application stage: drains rings in dense sequence order,
-    /// applies batches through [`OnlineChecker::ingest_batch`], and
-    /// invokes `on_verdict` for every commit verdict, in order. Runs
-    /// until the stream is closed and fully drained. Typically called
-    /// on a dedicated checker thread.
+    /// feeds each event to [`OnlineChecker::ingest`], and invokes
+    /// `on_verdict` for every commit verdict, in order. Runs until the
+    /// stream is closed and fully drained. Typically called on a
+    /// dedicated checker thread.
     pub fn run(
         self,
         checker: &mut OnlineChecker,
         mut on_verdict: impl FnMut(Verdict),
     ) -> PipelineStats {
         let k = self.consumers.len();
+        let depth_every = self.cfg.ring_capacity.max(1) as u64;
+        let queue_depth = || {
+            let depth: usize = self.consumers.iter().map(|c| c.len()).sum();
+            adya_obs::gauge!("pipeline.queue_depth").set(depth as i64);
+        };
         let mut next = 0u64;
-        let mut batch: Vec<Event> = Vec::with_capacity(self.cfg.max_batch.max(1));
-        let mut stats = PipelineStats::default();
-        // Sampled members of the current batch: (batch index, id).
-        let mut traced: Vec<(usize, u64)> = Vec::new();
         loop {
-            while batch.len() < self.cfg.max_batch.max(1) {
-                match self.consumers[(next as usize) % k].try_pop() {
-                    Some((seq, ev)) => {
-                        debug_assert_eq!(seq, next, "ring delivered out-of-sequence event");
-                        if let Some((plane, scope)) = &self.trace {
-                            if plane.sampled(seq) {
-                                let id = adya_obs::trace_id(scope, seq);
-                                plane.stamp(id, Stage::Seq);
-                                traced.push((batch.len(), id));
-                            }
-                        }
-                        batch.push(ev);
-                        next += 1;
-                    }
-                    None => break,
-                }
-            }
-            if batch.is_empty() {
+            let ring = &self.consumers[(next as usize) % k];
+            let Some((seq, ev)) = ring.try_pop() else {
                 // Dense sequencing means event `next` lives in ring
                 // `next % k`; once that ring is closed and empty, no
                 // event ≥ next was ever pushed (pushes happen in
                 // sequence order under the recorder lock).
-                if self.consumers[(next as usize) % k].is_drained() {
+                if ring.is_drained() {
                     break;
                 }
+                queue_depth();
                 std::thread::yield_now();
                 continue;
+            };
+            debug_assert_eq!(seq, next, "ring delivered out-of-sequence event");
+            next += 1;
+            if next.is_multiple_of(depth_every) {
+                queue_depth();
             }
-            let depth: usize = self.consumers.iter().map(|c| c.len()).sum();
-            adya_obs::gauge!("pipeline.queue_depth").set(depth as i64);
-            adya_obs::histogram!("pipeline.batch_size").record(batch.len() as u64);
-            stats.batches += 1;
-            stats.events += batch.len() as u64;
-            if let Some((plane, _)) = &self.trace {
-                for &(_, id) in &traced {
-                    plane.stamp(id, Stage::Apply);
+            let traced = self.trace.as_ref().and_then(|(plane, scope)| {
+                let id = plane.sample(scope, seq)?;
+                plane.stamp(id, Stage::Seq);
+                plane.stamp(id, Stage::Apply);
+                Some((plane, id))
+            });
+            if let Some(v) = checker.ingest(&ev) {
+                if let Some((plane, id)) = traced {
+                    plane.stamp(id, Stage::Verdict);
                 }
-            }
-            let verdicts = checker.ingest_batch(&batch);
-            if let Some((plane, _)) = &self.trace {
-                // Each commit verdict's source event is a Commit in
-                // this batch; stamp the sampled ones at emission time.
-                for &(i, id) in &traced {
-                    if matches!(batch[i], Event::Commit(_)) {
-                        plane.stamp(id, Stage::Verdict);
-                    }
-                }
-            }
-            for v in verdicts {
                 on_verdict(v);
             }
-            batch.clear();
-            traced.clear();
         }
         adya_obs::gauge!("pipeline.queue_depth").set(0);
-        stats
+        PipelineStats { events: next }
     }
 }
 
@@ -300,12 +268,10 @@ mod tests {
             PipelineConfig {
                 rings: 1,
                 ring_capacity: 1,
-                max_batch: 1,
             },
             PipelineConfig {
                 rings: 3,
                 ring_capacity: 2,
-                max_batch: 4,
             },
             PipelineConfig::default(),
         ] {

@@ -552,7 +552,7 @@ fn dispatch_line(
         return dispatch_frame(line, stream, conn, inner);
     }
     // Event tokens. The session is checked out by this thread: the
-    // whole apply — log, crash plane, batched checker application —
+    // whole apply — log, crash plane, checker application —
     // runs with no lock held.
     let Some(a) = conn.attached.as_mut() else {
         let _ = writeln!(
@@ -720,14 +720,20 @@ fn dispatch_frame(
                     slot.refresh_health(&s);
                     conn.attached = Some(Attached { slot, session: s });
                     adya_obs::counter!("serve.resumes").inc();
-                    let _ = writeln!(
-                        stream,
-                        "{}",
-                        proto::ok_frame("resume", &name, events, verdicts, replay.len() as u64)
-                    );
+                    // The ack and the whole replay leave in one write. A
+                    // line at a time, every line after the first sits
+                    // behind Nagle until the client acknowledges the one
+                    // before, and whether that is at once or on the
+                    // client's 40 ms delayed-ACK timer depends on how its
+                    // reads race these writes.
+                    let mut reply =
+                        proto::ok_frame("resume", &name, events, verdicts, replay.len() as u64);
+                    reply.push('\n');
                     for v in replay {
-                        let _ = writeln!(stream, "{v}");
+                        reply.push_str(&v);
+                        reply.push('\n');
                     }
+                    let _ = stream.write_all(reply.as_bytes());
                     LineOutcome::Continue
                 }
                 Err(e) => {

@@ -3,12 +3,12 @@
 //! resumed verdict streams byte-identical.
 //!
 //! The invariant: *an event is durable before its effects are
-//! observable.* `apply_line` parses a whole line first (against a
-//! scratch parser, so a bad token poisons nothing), persists any newly
-//! interned names, then per event: append to the log, consult the tap
-//! crash plane, ingest, emit. A kill anywhere leaves the log a prefix
-//! of the applied stream, and recovery replays exactly the suffix the
-//! client never saw.
+//! observable.* `apply_line` checks every token of a line first (the
+//! check needs no parser state, so a bad token poisons nothing), parses
+//! the line, persists any newly interned names, then per event: append
+//! to the log, consult the tap crash plane, ingest, emit. A kill
+//! anywhere leaves the log a prefix of the applied stream, and recovery
+//! replays exactly the suffix the client never saw.
 //!
 //! Verdict replay window: the session keeps in memory every verdict
 //! line since the last snapshot (`recent`). A resuming client that has
@@ -22,9 +22,8 @@ use std::path::Path;
 use std::sync::Arc;
 
 use adya_faults::TapCrashPlane;
-use adya_history::Event;
 use adya_obs::{labeled, trace::Stage, Counter, Gauge, TracePlane};
-use adya_online::{GcConfig, OnlineChecker, PipelineConfig, StreamParser};
+use adya_online::{check_token, GcConfig, OnlineChecker, StreamParser};
 
 use crate::log::{LogConfig, RecoverError, SessionLog};
 use crate::replica::LogPublisher;
@@ -39,10 +38,6 @@ pub struct SessionConfig {
     pub gc: GcConfig,
     /// Track cycle provenance in verdicts.
     pub provenance: bool,
-    /// Ingest shape: `pipeline.max_batch` bounds how many events of a
-    /// line are logged ahead and applied through the checker's batched
-    /// path in one go.
-    pub pipeline: PipelineConfig,
 }
 
 /// Why a line could not be applied.
@@ -90,9 +85,6 @@ pub struct Session {
     recent: Vec<String>,
     /// Verdict count when the last snapshot was written.
     last_snap_verdicts: u64,
-    /// Largest event batch logged ahead and applied through
-    /// [`OnlineChecker::ingest_batch`] in one go.
-    batch: usize,
     /// Final verdict line once closed.
     closed: Option<String>,
     /// A connection currently owns this session.
@@ -145,7 +137,6 @@ impl Session {
             recent_base: 0,
             recent: Vec::new(),
             last_snap_verdicts: 0,
-            batch: cfg.pipeline.max_batch.max(1),
             closed: None,
             attached: false,
             truncated: None,
@@ -177,7 +168,6 @@ impl Session {
             recent_base: r.replay_base,
             recent: r.replayed,
             last_snap_verdicts: r.snap_verdicts,
-            batch: cfg.pipeline.max_batch.max(1),
             closed: r.closed,
             attached: false,
             truncated: r.truncated,
@@ -233,92 +223,70 @@ impl Session {
         if let Some(fin) = &self.closed {
             return Err(ApplyError::Closed(fin.clone()));
         }
-        let mut scratch = self.parser.clone();
-        let mut events = Vec::new();
-        // One optional trace id per event, parallel to `events`. Ids
-        // key off the dense durable record number, so a follower
-        // replaying the same records derives the same ids.
-        let mut traced: Vec<Option<u64>> = Vec::new();
-        let base = self.log.records();
+        // Whether a token parses depends on the token alone, so the
+        // whole line is checked before the session's parser sees any
+        // of it: a refused line leaves no trace.
         for tok in line.split_whitespace() {
-            events.push(scratch.parse_token(tok).map_err(ApplyError::Parse)?);
-            traced.push(match &self.trace {
-                Some(plane) => {
-                    let seq = base + (events.len() as u64 - 1);
-                    if plane.sampled(seq) {
-                        let id = adya_obs::trace_id(&self.name, seq);
-                        plane.stamp(id, Stage::Tap);
-                        Some(id)
-                    } else {
-                        None
-                    }
-                }
-                None => None,
-            });
+            check_token(tok).map_err(ApplyError::Parse)?;
         }
-        // Names first: recovery re-interns before replaying events.
         let known = self.parser.interned();
+        // Trace ids key off the dense durable record number, so a
+        // follower replaying the same records derives the same ids.
+        let base = self.log.records();
+        let events: Vec<_> = line
+            .split_whitespace()
+            .zip(base..)
+            .map(|(tok, seq)| {
+                let ev = self
+                    .parser
+                    .parse_token(tok)
+                    .expect("check_token accepted every token of the line");
+                let tid = self.trace.as_ref().and_then(|plane| {
+                    let id = plane.sample(&self.name, seq)?;
+                    plane.stamp(id, Stage::Tap);
+                    Some(id)
+                });
+                (ev, tid)
+            })
+            .collect();
+        // Names first: recovery re-interns before replaying events.
         self.log
             .append_names(
-                (known..scratch.interned())
-                    .map(|i| scratch.object_name(adya_history::ObjectId(i as u32))),
+                (known..self.parser.interned())
+                    .map(|i| self.parser.object_name(adya_history::ObjectId(i as u32))),
             )
             .map_err(ApplyError::Io)?;
-        self.parser = scratch;
         let mut out = Vec::new();
-        // Log ahead per batch, then apply through the checker's
-        // batched path: the durability invariant only needs the log to
-        // stay a (superset) prefix of the *observed* stream, and batch
-        // application makes it durable-then-observable a whole batch
-        // at a time. A crash anywhere still leaves every emitted
-        // verdict's event durable, and recovery replays the rest.
-        let mut idx = 0usize;
-        for chunk in events.chunks(self.batch) {
-            let ids = &traced[idx..idx + chunk.len()];
-            idx += chunk.len();
-            if let Some(plane) = &self.trace {
+        for (ev, tid) in &events {
+            let traced = self.trace.as_deref().zip(*tid);
+            if let Some((plane, id)) = traced {
                 // The serve path has no real ring/sequencer hop — the
-                // line buffer plays both roles — so `ring` and `seq`
-                // bracket batch formation.
-                for id in ids.iter().flatten() {
-                    plane.stamp(*id, Stage::Ring);
-                    plane.stamp(*id, Stage::Seq);
-                }
+                // line buffer plays both roles.
+                plane.stamp(id, Stage::Ring);
+                plane.stamp(id, Stage::Seq);
             }
-            for (ev, tid) in chunk.iter().zip(ids) {
-                self.log.append_traced(ev, *tid).map_err(ApplyError::Io)?;
-                if let (Some(plane), Some(id)) = (&self.trace, tid) {
-                    plane.stamp(*id, Stage::Log);
-                }
-                // Tap-side crash point: the event is durable, its
-                // effects are not — the exact window recovery must
-                // close.
-                if tap.crash_due(ev.is_terminal()) {
-                    std::process::abort();
-                }
-                self.m_events.inc();
+            self.log.append_traced(ev, *tid).map_err(ApplyError::Io)?;
+            if let Some((plane, id)) = traced {
+                plane.stamp(id, Stage::Log);
             }
-            let verdicts = self.checker.ingest_batch(chunk);
-            if let Some(plane) = &self.trace {
-                for id in ids.iter().flatten() {
-                    plane.stamp(*id, Stage::Apply);
-                }
+            // Tap-side crash point: the event is durable, its effects
+            // are not — the exact window recovery must close.
+            if tap.crash_due(ev.is_terminal()) {
+                std::process::abort();
             }
-            // Commit verdicts pair 1:1, in order, with the chunk's
-            // non-init commit events — that is `ingest`'s contract.
-            let mut commit_ids = chunk.iter().zip(ids).filter_map(|(ev, tid)| match ev {
-                Event::Commit(t) if !t.is_init() => Some(*tid),
-                _ => None,
-            });
-            for v in verdicts {
-                let tid = commit_ids.next().flatten();
-                if let (Some(plane), Some(id)) = (&self.trace, tid) {
+            self.m_events.inc();
+            let verdict = self.checker.ingest(ev);
+            if let Some((plane, id)) = traced {
+                plane.stamp(id, Stage::Apply);
+            }
+            if let Some(v) = verdict {
+                if let Some((plane, id)) = traced {
                     plane.stamp(id, Stage::Verdict);
                 }
                 self.verdicts += 1;
                 let line = v.to_json();
                 self.recent.push(line.clone());
-                out.push((tid, line));
+                out.push((*tid, line));
                 self.m_verdicts.inc();
             }
         }

@@ -109,7 +109,6 @@ mod tests {
                 pipeline: PipelineConfig {
                     rings: 2,
                     ring_capacity: 8, // tiny: force backpressure
-                    max_batch: 16,
                 },
                 ..Default::default()
             },
@@ -118,7 +117,7 @@ mod tests {
         assert_eq!(report.verdicts.len(), report.stats.committed);
         assert_eq!(report.verdict.committed as usize, report.stats.committed);
         // Every event the driver recorded went through the pipeline.
-        assert!(report.pipeline.events > 0 && report.pipeline.batches > 0);
+        assert!(report.pipeline.events > 0);
         assert_eq!(
             report.verdict.strongest_ansi,
             Some(IsolationLevel::PL3),

@@ -28,11 +28,9 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use adya::core::{analyze, Analysis, IsolationLevel};
-use adya::engine::RingProducer;
 use adya::history::parse_history_completed;
 use adya::online::{
-    CheckerMonitor, EventLogReader, EventPipeline, HealthPolicy, LogError, OnlineChecker,
-    PipelineConfig, StreamParser, Verdict,
+    CheckerMonitor, EventLogReader, HealthPolicy, LogError, OnlineChecker, StreamParser, Verdict,
 };
 use adya_obs::{json::esc, trace::Stage, ObsServer, Response, TracePlane};
 
@@ -65,10 +63,6 @@ struct Args {
     /// Tap-side fault injection: sleep this long before applying each
     /// event, inflating ingest lag (exercises the /health semantics).
     delay_event_ms: u64,
-    /// `--pipeline-threads N`: stream mode runs the staged ingest
-    /// pipeline over N event rings, with the checker on a dedicated
-    /// application thread. 0 = classic in-thread sequential ingest.
-    pipeline_threads: usize,
     /// `--trace-propagate`: stamp sampled events with per-stage
     /// latency provenance (tap → ring → seq → apply → verdict); the
     /// `/trace` route then embeds the segment for `trace-merge`.
@@ -176,7 +170,6 @@ fn parse_args() -> Result<Args, String> {
         obs_stale_ms: 5_000,
         obs_lag_ms: 1_000,
         delay_event_ms: 0,
-        pipeline_threads: 0,
         trace_propagate: false,
     };
     let parse_ms = |flag: &str, v: Option<String>| -> Result<u64, String> {
@@ -220,12 +213,6 @@ fn parse_args() -> Result<Args, String> {
                     .ok_or("--obs-listen needs an address (e.g. 127.0.0.1:0)")?;
                 args.obs_listen = Some(v);
             }
-            "--pipeline-threads" => {
-                let v = it.next().ok_or("--pipeline-threads needs a ring count")?;
-                args.pipeline_threads = v
-                    .parse()
-                    .map_err(|_| format!("--pipeline-threads: not a count: {v:?}"))?;
-            }
             "--trace-propagate" => args.trace_propagate = true,
             "--obs-stale-ms" => args.obs_stale_ms = parse_ms("--obs-stale-ms", it.next())?,
             "--obs-lag-ms" => args.obs_lag_ms = parse_ms("--obs-lag-ms", it.next())?,
@@ -248,7 +235,7 @@ fn parse_args() -> Result<Args, String> {
 }
 
 const USAGE: &str = "usage: adya-check [explain] [--dot] [--json] [--metrics [prom]] [--stream]
-                  [--pipeline-threads N] [--trace-out FILE] [--level PL-3]
+                  [--trace-out FILE] [--level PL-3]
                   [--obs-listen ADDR] [--obs-stale-ms MS] [--obs-lag-ms MS]
                   [--delay-event-ms MS] [--trace-propagate] [FILE]
        adya-check trace-merge FILE... [--out FILE]
@@ -279,14 +266,6 @@ Reads a history (paper notation) from FILE or stdin and analyzes it.
                  before the end is corruption and exits 2. Predicate
                  reads and explicit version orders are not supported,
                  and --level is restricted to the ANSI chain
-  --pipeline-threads N
-                 stream only: run the staged ingest pipeline — this
-                 thread parses and stamps events into N bounded rings
-                 while a dedicated application thread drains them in
-                 sequence order and applies batches; the verdict
-                 stream is byte-identical to the sequential path.
-                 Incompatible with --obs-listen, --trace-out and
-                 --delay-event-ms (per-event hooks are sequential)
   --level LEVEL  exit non-zero unless the history satisfies LEVEL
                  (PL-1, PL-2, PL-CS, PL-MAV, PL-2+, PL-2.99, PL-SI, PL-3)
   --obs-listen A stream only: serve a live obs endpoint on address A
@@ -575,9 +554,7 @@ fn stream_cycle_dot(v: &Verdict) -> Option<String> {
 /// or sleep with verdicts still buffered (no input left to read, the
 /// `--delay-event-ms` sleep), before anything goes to stderr (`--dot`,
 /// diagnostics, metrics), and before exit. Between waits a file's worth
-/// of verdicts costs a `write(2)` per buffer, not per line. The
-/// `--pipeline-threads` application thread cannot see its next wait
-/// coming, so it flushes after every verdict.
+/// of verdicts costs a `write(2)` per buffer, not per line.
 ///
 /// A reader that went away (`| head -1`) ends the run quietly with
 /// exit 0; any other stdout error is reported and exits 2.
@@ -588,8 +565,7 @@ struct VerdictOut {
 }
 
 impl VerdictOut {
-    /// Locks stdout for as long as the value lives: at most one thread
-    /// holds one at a time.
+    /// Locks stdout for as long as the value lives.
     fn new() -> VerdictOut {
         VerdictOut {
             out: std::io::BufWriter::with_capacity(64 << 10, std::io::stdout().lock()),
@@ -640,30 +616,18 @@ impl VerdictOut {
     }
 }
 
-/// Where `--stream` events go: the classic in-thread checker, or the
-/// staged ingest pipeline (`--pipeline-threads N`) with the checker on
-/// a dedicated application thread while this thread only parses and
-/// stamps dense sequence numbers into the rings.
-enum StreamSink {
-    Sequential {
-        checker: Box<OnlineChecker>,
-        obs: StreamObs,
-        emitted: u64,
-        dot: bool,
-        /// Latency-provenance plane (`--trace-propagate`) plus the
-        /// dense event sequence its sampling keys off.
-        plane: Option<Arc<TracePlane>>,
-        seq: u64,
-        out: VerdictOut,
-    },
-    Pipelined {
-        producers: Vec<RingProducer>,
-        next: u64,
-        handle: std::thread::JoinHandle<(OnlineChecker, u64)>,
-        /// Producer-side stamping (`tap`/`ring`); the pipeline's
-        /// application thread stamps `seq`/`apply`/`verdict`.
-        plane: Option<Arc<TracePlane>>,
-    },
+/// Where `--stream` events go: the checker, the obs plane hooked around
+/// every event, and stdout.
+struct StreamSink {
+    checker: OnlineChecker,
+    obs: StreamObs,
+    emitted: u64,
+    dot: bool,
+    /// Latency-provenance plane (`--trace-propagate`) plus the dense
+    /// event sequence its sampling keys off.
+    plane: Option<Arc<TracePlane>>,
+    seq: u64,
+    out: VerdictOut,
 }
 
 /// Trace-id scope for `adya-check --stream` provenance.
@@ -674,154 +638,49 @@ impl StreamSink {
         let plane = args
             .trace_propagate
             .then(|| Arc::new(TracePlane::new("check", "leader")));
-        if args.pipeline_threads == 0 {
-            let mut checker = OnlineChecker::new();
-            // This tool exists to explain violations, so it pays for
-            // the per-edge provenance the library leaves off by
-            // default.
-            checker.set_provenance(true);
-            let obs = StreamObs::start(args, &mut checker, plane.clone())?;
-            return Ok(StreamSink::Sequential {
-                checker: Box::new(checker),
-                obs,
-                emitted: 0,
-                dot: args.dot,
-                plane,
-                seq: 0,
-                out: VerdictOut::new(),
-            });
-        }
-        let cfg = PipelineConfig {
-            rings: args.pipeline_threads,
-            ..PipelineConfig::default()
-        };
-        let (producers, mut pipe) = EventPipeline::manual(cfg);
-        if let Some(p) = &plane {
-            pipe.set_trace(Arc::clone(p), STREAM_TRACE_SCOPE);
-        }
-        let dot = args.dot;
-        let handle = std::thread::Builder::new()
-            .name("adya-check-apply".into())
-            .spawn(move || {
-                let mut checker = OnlineChecker::new();
-                checker.set_provenance(true); // see above
-                let mut emitted = 0u64;
-                // Stdout is this thread's until the rings drain; the
-                // main thread takes it back after the join.
-                let mut out = VerdictOut::new();
-                pipe.run(&mut checker, |v| {
-                    emitted += 1;
-                    out.verdict_with_dot(&v, dot);
-                    out.flush(); // the next thing may be a wait on the rings
-                });
-                // Nothing should be left; a failure here is reported,
-                // one in the sink's drop would not be.
-                out.flush();
-                (checker, emitted)
-            })
-            .map_err(|e| format!("cannot spawn application thread: {e}"))?;
-        Ok(StreamSink::Pipelined {
-            producers,
-            next: 0,
-            handle,
+        let mut checker = OnlineChecker::new();
+        // This tool exists to explain violations, so it pays for the
+        // per-edge provenance the library leaves off by default.
+        checker.set_provenance(true);
+        let obs = StreamObs::start(args, &mut checker, plane.clone())?;
+        Ok(StreamSink {
+            checker,
+            obs,
+            emitted: 0,
+            dot: args.dot,
             plane,
+            seq: 0,
+            out: VerdictOut::new(),
         })
     }
 
-    /// Feeds one parsed event; sequential mode also prints any commit
-    /// verdict (pipelined mode prints from the application thread).
+    /// Feeds one parsed event and prints its commit verdict, if any.
     fn feed(&mut self, ev: adya::history::Event) {
-        match self {
-            StreamSink::Sequential {
-                checker,
-                obs,
-                emitted,
-                dot,
-                plane,
-                seq,
-                out,
-            } => {
-                // In-thread ingest plays every pre-apply stage itself:
-                // arrival (`tap`), line buffer (`ring`), sequencing.
-                let tid = plane.as_ref().and_then(|p| {
-                    let s = *seq;
-                    *seq += 1;
-                    p.sampled(s).then(|| {
-                        let id = adya_obs::trace_id(STREAM_TRACE_SCOPE, s);
-                        p.stamp(id, Stage::Tap);
-                        p.stamp(id, Stage::Ring);
-                        p.stamp(id, Stage::Seq);
-                        id
-                    })
-                });
-                if obs.delay.is_some() {
-                    out.flush(); // about to sleep
-                }
-                let arrived = obs.event_arrived();
-                let v = checker.ingest(&ev);
-                if let (Some(p), Some(id)) = (plane.as_ref(), tid) {
-                    p.stamp(id, Stage::Apply);
-                    if v.is_some() {
-                        p.stamp(id, Stage::Verdict);
-                    }
-                }
-                obs.event_applied(checker, arrived, v.as_ref());
-                if let Some(v) = v {
-                    *emitted += 1;
-                    out.verdict_with_dot(&v, *dot);
-                }
-            }
-            StreamSink::Pipelined {
-                producers,
-                next,
-                plane,
-                ..
-            } => {
-                if let Some(p) = plane {
-                    if p.sampled(*next) {
-                        let id = adya_obs::trace_id(STREAM_TRACE_SCOPE, *next);
-                        p.stamp(id, Stage::Tap);
-                        p.stamp(id, Stage::Ring);
-                    }
-                }
-                producers[(*next as usize) % producers.len()].push(*next, ev);
-                *next += 1;
+        // In-thread ingest plays every pre-apply stage itself: arrival
+        // (`tap`), line buffer (`ring`), sequencing.
+        let traced = self.plane.as_deref().and_then(|p| {
+            let id = p.sample(STREAM_TRACE_SCOPE, self.seq)?;
+            p.stamp(id, Stage::Tap);
+            p.stamp(id, Stage::Ring);
+            p.stamp(id, Stage::Seq);
+            Some((p, id))
+        });
+        self.seq += 1;
+        if self.obs.delay.is_some() {
+            self.out.flush(); // about to sleep
+        }
+        let arrived = self.obs.event_arrived();
+        let v = self.checker.ingest(&ev);
+        if let Some((p, id)) = traced {
+            p.stamp(id, Stage::Apply);
+            if v.is_some() {
+                p.stamp(id, Stage::Verdict);
             }
         }
-    }
-
-    /// The reader is about to wait for input: verdicts buffered on this
-    /// thread go out first. (The application thread of a pipelined run
-    /// flushes every verdict itself.)
-    fn before_wait(&mut self) {
-        if let StreamSink::Sequential { out, .. } = self {
-            out.flush();
-        }
-    }
-
-    /// Ends the stream and reclaims the checker — in pipelined mode by
-    /// closing the rings (dropping the producers) and joining the
-    /// application thread, which first drains and prints everything
-    /// still buffered. Returns the checker, the number of verdicts
-    /// emitted so far, the obs plane when one was armed, and stdout.
-    fn close(self) -> (OnlineChecker, u64, Option<StreamObs>, VerdictOut) {
-        match self {
-            StreamSink::Sequential {
-                checker,
-                obs,
-                emitted,
-                out,
-                ..
-            } => (*checker, emitted, Some(obs), out),
-            StreamSink::Pipelined {
-                producers, handle, ..
-            } => {
-                drop(producers);
-                let (checker, emitted) = handle
-                    .join()
-                    .expect("pipeline application thread must not panic");
-                (checker, emitted, None, VerdictOut::new())
-            }
+        self.obs.event_applied(&self.checker, arrived, v.as_ref());
+        if let Some(v) = v {
+            self.emitted += 1;
+            self.out.verdict_with_dot(&v, self.dot);
         }
     }
 }
@@ -829,18 +688,18 @@ impl StreamSink {
 /// Emits the `truncated_input` NDJSON record, the final verdict of the
 /// intact prefix, and optional metrics; the caller exits 3.
 fn finish_truncated(
-    sink: StreamSink,
+    mut sink: StreamSink,
     detail: &str,
     at_field: &str,
     at: usize,
     metrics: MetricsMode,
 ) -> ExitCode {
-    let (mut checker, _, _, mut out) = sink.close();
+    let out = &mut sink.out;
     out.record(&format!(
         "{{\"error\": \"truncated_input\", \"{at_field}\": {at}, \"detail\": \"{}\"}}",
         esc(detail)
     ));
-    out.verdict(&checker.finish());
+    out.verdict(&sink.checker.finish());
     out.flush();
     emit_metrics_stderr(metrics);
     ExitCode::from(EXIT_TRUNCATED)
@@ -848,9 +707,8 @@ fn finish_truncated(
 
 /// A hard error mid-stream: what was answered so far goes out, then
 /// the diagnostic; exit 2.
-fn fail_stream(sink: StreamSink, msg: &str) -> ExitCode {
-    let (_, _, _, mut out) = sink.close();
-    out.flush();
+fn fail_stream(mut sink: StreamSink, msg: &str) -> ExitCode {
+    sink.out.flush();
     eprintln!("adya-check: {msg}");
     ExitCode::from(2)
 }
@@ -858,22 +716,19 @@ fn fail_stream(sink: StreamSink, msg: &str) -> ExitCode {
 /// The end of a stream that was read to its end (or to SIGTERM/ctrl-c,
 /// which adds the closing frame first so the stream ends the same way
 /// an EOF would): the final verdict, metrics, and the `--level` gate.
-fn finish_stream(args: &Args, sink: StreamSink, was_shutdown: bool) -> ExitCode {
-    let (mut checker, emitted, mut obs, mut out) = sink.close();
+fn finish_stream(args: &Args, mut sink: StreamSink, was_shutdown: bool) -> ExitCode {
     if was_shutdown {
-        out.record(&adya_serve::proto::closing_frame(
+        sink.out.record(&adya_serve::proto::closing_frame(
             "shutdown",
             None,
-            checker.events(),
-            emitted,
+            sink.checker.events(),
+            sink.emitted,
         ));
     }
-    let fin = checker.finish();
-    if let Some(obs) = &mut obs {
-        obs.finish(&fin);
-    }
-    out.verdict(&fin);
-    out.flush();
+    let fin = sink.checker.finish();
+    sink.obs.finish(&fin);
+    sink.out.verdict(&fin);
+    sink.out.flush();
     emit_metrics_stderr(args.metrics);
     if let Some(level) = args.level {
         if !fin.satisfies(level) {
@@ -940,15 +795,6 @@ fn run_stream(args: &Args) -> ExitCode {
     // Streaming runs can be long-lived sidecars; SIGTERM/ctrl-c must
     // end them with a closing frame and a final verdict, not mid-line.
     adya_serve::shutdown::install();
-    if args.pipeline_threads > 0
-        && (args.obs_listen.is_some() || args.delay_event_ms > 0 || args.trace_out.is_some())
-    {
-        eprintln!(
-            "adya-check: --obs-listen, --trace-out and --delay-event-ms hook each event \
-             in-thread; drop --pipeline-threads to use them"
-        );
-        return ExitCode::from(2);
-    }
     if let Some(level) = args.level {
         let ansi = [
             IsolationLevel::PL1,
@@ -1014,7 +860,7 @@ fn run_stream(args: &Args) -> ExitCode {
     let mut line_no = 0;
     loop {
         if reader.buffer().is_empty() {
-            sink.before_wait(); // the next read may block
+            sink.out.flush(); // the next read may block
         }
         line.clear();
         line_no += 1;

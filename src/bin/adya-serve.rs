@@ -43,7 +43,7 @@ use adya_faults::TapCrashConfig;
 const USAGE: &str = "usage: adya-serve --data DIR [--listen ADDR] [--unix PATH]
                   [--rotate-events N] [--snapshot-every N]
                   [--gc-interval N] [--no-gc] [--provenance]
-                  [--batch N] [--idle-timeout-ms N] [--crash-at-event N]
+                  [--idle-timeout-ms N] [--crash-at-event N]
                   [--fsync always|interval|never]
                   [--replicate-to ADDR[,ADDR...]] [--follower]
                   [--advertise ADDR] [--repl-lag-max N]
@@ -58,9 +58,6 @@ const USAGE: &str = "usage: adya-serve --data DIR [--listen ADDR] [--unix PATH]
   --gc-interval N   checker watermark-GC interval (default 64)
   --no-gc           disable watermark GC (unbounded checker memory)
   --provenance      record cycle provenance in verdicts
-  --batch N         largest event batch logged ahead and applied through
-                    the checker's batched ingest path in one go
-                    (default 128; 1 = per-event application)
   --idle-timeout-ms N detach a connection (parking its session) after N
                     milliseconds without read progress (default 60000)
   --crash-at-event N abort the process at the N-th non-commit event
@@ -122,9 +119,6 @@ fn parse_args() -> Result<Args, String> {
             }
             "--no-gc" => cfg.session.gc.enabled = false,
             "--provenance" => cfg.session.provenance = true,
-            "--batch" => {
-                cfg.session.pipeline.max_batch = parse_u64(&need(&mut it, "--batch")?)? as usize
-            }
             "--idle-timeout-ms" => {
                 cfg.idle_timeout =
                     Duration::from_millis(parse_u64(&need(&mut it, "--idle-timeout-ms")?)?)

@@ -167,39 +167,6 @@ fn unknown_flag_and_bad_level() {
 }
 
 #[test]
-fn pipelined_stream_matches_sequential() {
-    // A stream with a G2 write-skew plus clean traffic: the pipelined
-    // apply thread must emit the byte-identical verdict stream,
-    // whatever the ring/batch timing was.
-    let h = "b1 b2 r1(xinit) r2(yinit) w1(y,1) w2(x,2) c1 c2 w3(z,3) c3 r4(z3) c4\n";
-    let (seq_out, _, seq_code) = run(&["--stream"], h);
-    let (par_out, _, par_code) = run(&["--stream", "--pipeline-threads", "3"], h);
-    assert_eq!(seq_code, Some(0));
-    assert_eq!(par_code, Some(0));
-    assert_eq!(par_out, seq_out, "pipelined verdict stream diverged");
-    assert!(seq_out.contains("\"G2\""), "{seq_out}");
-}
-
-#[test]
-fn pipelined_stream_rejects_in_thread_hooks() {
-    // --delay-event-ms / --obs-listen / --trace-out hook each event on
-    // the ingest thread; combined with --pipeline-threads they are a
-    // usage error, not silently ignored.
-    let (_, stderr, code) = run(
-        &[
-            "--stream",
-            "--pipeline-threads",
-            "2",
-            "--delay-event-ms",
-            "1",
-        ],
-        "",
-    );
-    assert_eq!(code, Some(2));
-    assert!(stderr.contains("--pipeline-threads"), "{stderr}");
-}
-
-#[test]
 fn paper_history_reports_match_their_goldens() {
     // Every named history of the paper, in CLI notation, with the text
     // and `--json` reports the checker printed for it before the
@@ -263,37 +230,34 @@ fn read_line_within<R: std::io::BufRead + Send + 'static>(mut from: R, secs: u64
 fn stream_flushes_verdicts_before_waiting_for_input() {
     // A live pipe: each verdict must be readable while stdin is still
     // open and the checker is blocked reading it — the sink's "flush
-    // before every wait" rule, on the reading thread and on the
-    // pipeline's application thread. Without it the line would sit in
-    // the buffer until EOF and the read below would time out.
-    for mode in [&["--stream"][..], &["--stream", "--pipeline-threads", "2"]] {
-        let mut child = Command::new(env!("CARGO_BIN_EXE_adya-check"))
-            .args(mode)
-            .stdin(Stdio::piped())
-            .stdout(Stdio::piped())
-            .stderr(Stdio::piped())
-            .spawn()
-            .expect("spawn adya-check");
-        let mut stdin = child.stdin.take().expect("piped stdin");
-        let mut stdout = std::io::BufReader::new(child.stdout.take().expect("piped stdout"));
-        for (tokens, txn) in [("b1 w1(x,1) c1\n", 1), ("b2 r2(x1) c2\n", 2)] {
-            stdin.write_all(tokens.as_bytes()).expect("write stdin");
-            stdin.flush().expect("flush stdin");
-            let (back, line) = read_line_within(stdout, 5);
-            stdout = back;
-            assert!(
-                line.starts_with(&format!("{{\"txn\": {txn}, \"final\": false")),
-                "{mode:?}: {line:?}"
-            );
-        }
-        drop(stdin); // EOF: the final verdict, then exit
-        let (_, line) = read_line_within(stdout, 5);
+    // before every wait" rule. Without it the line would sit in the
+    // buffer until EOF and the read below would time out.
+    let mut child = Command::new(env!("CARGO_BIN_EXE_adya-check"))
+        .arg("--stream")
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn adya-check");
+    let mut stdin = child.stdin.take().expect("piped stdin");
+    let mut stdout = std::io::BufReader::new(child.stdout.take().expect("piped stdout"));
+    for (tokens, txn) in [("b1 w1(x,1) c1\n", 1), ("b2 r2(x1) c2\n", 2)] {
+        stdin.write_all(tokens.as_bytes()).expect("write stdin");
+        stdin.flush().expect("flush stdin");
+        let (back, line) = read_line_within(stdout, 5);
+        stdout = back;
         assert!(
-            line.starts_with("{\"txn\": null, \"final\": true"),
+            line.starts_with(&format!("{{\"txn\": {txn}, \"final\": false")),
             "{line:?}"
         );
-        assert_eq!(child.wait().expect("wait").code(), Some(0));
     }
+    drop(stdin); // EOF: the final verdict, then exit
+    let (_, line) = read_line_within(stdout, 5);
+    assert!(
+        line.starts_with("{\"txn\": null, \"final\": true"),
+        "{line:?}"
+    );
+    assert_eq!(child.wait().expect("wait").code(), Some(0));
 }
 
 #[test]

@@ -8,8 +8,7 @@
 //! installed at the same stream position where the pipeline attaches,
 //! so whatever interleaving the OS produced, both observers saw the
 //! identical event sequence; the property under test is that rings +
-//! sequencer + batched Pearce–Kelly application add nothing and lose
-//! nothing.
+//! sequencer add nothing and lose nothing.
 //!
 //! [`EventTap`]: adya::engine::EventTap
 
@@ -109,13 +108,12 @@ proptest! {
 
     /// Pipelined ≡ sequential for every engine, across seeded
     /// threaded schedules and adversarial pipeline shapes (single
-    /// ring, tiny rings forcing backpressure, batch size 1).
+    /// ring, tiny rings forcing backpressure).
     #[test]
     fn pipelined_verdicts_equal_sequential_for_all_engines(
         seed in 0u64..1_000_000,
         rings in 1usize..4,
         ring_capacity in 2usize..32,
-        max_batch in 1usize..16,
         threads in 2usize..4,
     ) {
         for (name, engine) in engines() {
@@ -123,7 +121,7 @@ proptest! {
                 name,
                 engine,
                 seed,
-                PipelineConfig { rings, ring_capacity, max_batch },
+                PipelineConfig { rings, ring_capacity },
                 threads,
             );
         }

@@ -2,8 +2,9 @@
 //! TCP, kill -9 / restart recovery with byte-identical resumed verdict
 //! streams, abort-bearing (G1a) histories, the idle-detach deadline,
 //! lines split mid-codepoint across read timeouts, the tap-side crash
-//! plane, graceful SIGTERM drains, and the fleet obs endpoints on the
-//! service port.
+//! plane, graceful SIGTERM drains, the fleet obs endpoints on the
+//! service port, and the all-or-nothing line: refused whole, or applied
+//! like its tokens one at a time.
 
 mod common;
 
@@ -13,7 +14,9 @@ use std::process::Command;
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
+use adya::serve::{ApplyError, Session, SessionConfig};
 use adya::workloads::{ClientError, RetryPolicy, ServeClient};
+use adya_faults::{TapCrashConfig, TapCrashPlane};
 use common::{data_dir, http_get, reference, send_resilient, session_tokens, spawn_server};
 
 #[test]
@@ -544,6 +547,13 @@ fn service_port_http_is_hardened_like_the_obs_endpoint() {
     assert!(body.contains("\"healthy\": true"), "{body}");
 }
 
+/// A raw protocol connection: the stream and a line reader over it.
+fn connect(addr: &str) -> (TcpStream, BufReader<TcpStream>) {
+    let s = TcpStream::connect(addr).expect("connect");
+    let r = BufReader::new(s.try_clone().expect("clone"));
+    (s, r)
+}
+
 /// One raw protocol exchange: sends `line`, returns the reply line.
 fn exchange(s: &mut TcpStream, r: &mut BufReader<TcpStream>, line: &str) -> String {
     writeln!(s, "{line}").expect("send");
@@ -556,17 +566,12 @@ fn exchange(s: &mut TcpStream, r: &mut BufReader<TcpStream>, line: &str) -> Stri
 fn stock_json_escapes_open_the_right_session() {
     let data = data_dir("serve-json-escapes");
     let (_server, addr) = spawn_server(&data, "127.0.0.1:0", &[]);
-    let connect = || {
-        let s = TcpStream::connect(&addr).expect("connect");
-        let r = BufReader::new(s.try_clone().expect("clone"));
-        (s, r)
-    };
 
     // What `json.dumps` makes of a hello carrying non-ASCII metadata:
     // \u escapes (a surrogate pair among them) and an escaped solidus.
     // Refused outright as "unsupported escape" before the shared
     // reader, although no field the server uses is even affected.
-    let (mut s, mut r) = connect();
+    let (mut s, mut r) = connect(&addr);
     let ack = exchange(
         &mut s,
         &mut r,
@@ -588,7 +593,7 @@ fn stock_json_escapes_open_the_right_session() {
     let resume = r#"{"op": "resume", "session": "t\u0065nant-esc", "verdicts": 0, "client": "\r"}"#;
     let deadline = Instant::now() + Duration::from_secs(10);
     let ack = loop {
-        let (mut s, mut r) = connect();
+        let (mut s, mut r) = connect(&addr);
         let ack = exchange(&mut s, &mut r, resume);
         // The first connection's detach may still be parking it.
         if !ack.contains("session_busy") || Instant::now() > deadline {
@@ -604,7 +609,7 @@ fn stock_json_escapes_open_the_right_session() {
     );
 
     // Escapes cannot smuggle a path separator past name validation.
-    let (mut s, mut r) = connect();
+    let (mut s, mut r) = connect(&addr);
     let refused = exchange(&mut s, &mut r, r#"{"op": "hello", "session": "a\/b"}"#);
     assert!(refused.contains("\"error\": \"bad_frame\""), "{refused}");
 }
@@ -630,6 +635,126 @@ fn error_details_round_trip_through_the_client() {
         }
         other => panic!("expected the parse error frame, got {other:?}"),
     }
+}
+
+/// Every file of one session directory, by name.
+fn session_files(dir: &std::path::Path) -> std::collections::BTreeMap<String, Vec<u8>> {
+    std::fs::read_dir(dir)
+        .expect("session directory")
+        .map(|entry| {
+            let path = entry.expect("dir entry").path();
+            let name = path.file_name().expect("file name").to_string_lossy();
+            (name.into_owned(), std::fs::read(&path).expect("read file"))
+        })
+        .collect()
+}
+
+#[test]
+fn a_refused_line_leaves_no_trace_in_the_session() {
+    // The bad token comes last: by then `w2(fresh,1)` would have
+    // interned a name and moved T2's write counter on `fresh`, so a
+    // session that parsed its way to the error would log the name and
+    // number the next write of `fresh` 2.
+    let tap = TapCrashPlane::new(TapCrashConfig::default());
+    let run = |name: &str, bad_line: bool| {
+        let data = data_dir(name);
+        let mut s = Session::create(&data, "s", SessionConfig::default(), None).expect("create");
+        s.apply_line("b1 w1(x,1) c1", &tap).expect("first line");
+        if bad_line {
+            let refused = s.apply_line("b2 w2(fresh,1) w2(", &tap);
+            assert!(matches!(refused, Err(ApplyError::Parse(_))), "{refused:?}");
+        }
+        let before = (s.records(), s.verdicts(), session_files(&data.join("s")));
+        let next = s
+            .apply_line("b2 r2(x1) w2(fresh,7) c2", &tap)
+            .expect("next line");
+        // The snapshot carries the parser's bytes.
+        s.snapshot().expect("snapshot");
+        (before, next, session_files(&data.join("s")))
+    };
+    let (before, next, after) = run("serve-refused-line", true);
+    let (want_before, want_next, want_after) = run("serve-refused-line-ref", false);
+    assert_eq!(before, want_before, "records, verdicts, log and names");
+    assert_eq!(next, want_next, "the next line's verdicts");
+    assert_eq!(after, want_after, "log and snapshot after the next line");
+}
+
+#[test]
+fn a_long_line_applies_like_its_tokens_one_per_line() {
+    let tokens = session_tokens(0, 80);
+    assert!(tokens.len() >= 300, "{} tokens", tokens.len());
+    let line = tokens.join(" ");
+    let (want_verdicts, want_final) = reference(&tokens);
+    // No snapshot before the close: a snapshot stores the replay window
+    // since the previous one, and the cadence is checked once a line.
+    let cadence = ["--snapshot-every", "100000", "--rotate-events", "64"];
+    let read_verdicts = |r: &mut BufReader<TcpStream>, n: usize| -> Vec<String> {
+        (0..n)
+            .map(|_| {
+                let mut v = String::new();
+                r.read_line(&mut v).expect("verdict");
+                v.trim_end().to_string()
+            })
+            .collect()
+    };
+
+    let by_token = data_dir("serve-line-by-token");
+    {
+        let (_server, addr) = spawn_server(&by_token, "127.0.0.1:0", &cadence);
+        let mut client = ServeClient::hello(&addr, "s").expect("hello");
+        for tok in &tokens {
+            client.send_token(tok).expect("send token");
+        }
+        assert_eq!(client.verdicts(), &want_verdicts[..]);
+        assert_eq!(client.close().expect("close"), want_final);
+    }
+    let by_line = data_dir("serve-line-whole");
+    {
+        let (_server, addr) = spawn_server(&by_line, "127.0.0.1:0", &cadence);
+        let (mut s, mut r) = connect(&addr);
+        let ack = exchange(&mut s, &mut r, r#"{"op": "hello", "session": "s"}"#);
+        assert!(ack.contains("\"ok\": \"hello\""), "{ack}");
+        writeln!(s, "{line}").expect("send line");
+        assert_eq!(read_verdicts(&mut r, want_verdicts.len()), want_verdicts);
+        let fin = exchange(&mut s, &mut r, r#"{"op": "close"}"#);
+        assert_eq!(fin.trim_end(), want_final);
+    }
+    assert_eq!(
+        session_files(&by_line.join("s")),
+        session_files(&by_token.join("s")),
+        "session directories differ"
+    );
+
+    // The tap crash point inside the line: the 150th non-terminal event
+    // is durable and unapplied, no verdict of the line was sent, and
+    // the restarted server replays the durable prefix.
+    let crashed = data_dir("serve-line-crash");
+    let crash_at = [&cadence[..], &["--crash-at-event", "150"]].concat();
+    let (server, addr) = spawn_server(&crashed, "127.0.0.1:0", &crash_at);
+    let (mut s, mut r) = connect(&addr);
+    exchange(&mut s, &mut r, r#"{"op": "hello", "session": "s"}"#);
+    writeln!(s, "{line}").expect("send line");
+    let mut none = String::new();
+    assert_eq!(r.read_line(&mut none).unwrap_or(0), 0, "{none}");
+    drop(server);
+    let (_server, addr) = spawn_server(&crashed, &addr, &cadence);
+    let (mut s, mut r) = connect(&addr);
+    let ack = exchange(
+        &mut s,
+        &mut r,
+        r#"{"op": "resume", "session": "s", "verdicts": 0}"#,
+    );
+    let frame = adya_obs::json::parse(&ack).expect("the resume ack is JSON");
+    let field = |name: &str| frame.u64_at(name).expect(name) as usize;
+    let (events, replay) = (field("events"), field("replay"));
+    assert!((150..tokens.len()).contains(&events), "{ack}");
+    assert_eq!(field("verdicts"), replay, "{ack}");
+    let mut got = read_verdicts(&mut r, replay);
+    writeln!(s, "{}", tokens[events..].join(" ")).expect("send the rest");
+    got.extend(read_verdicts(&mut r, want_verdicts.len() - replay));
+    assert_eq!(got, want_verdicts);
+    let fin = exchange(&mut s, &mut r, r#"{"op": "close"}"#);
+    assert_eq!(fin.trim_end(), want_final);
 }
 
 #[test]

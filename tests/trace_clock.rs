@@ -1,6 +1,6 @@
 //! Clock-handling properties of the latency-provenance plane: per-
 //! stage stamps for one trace are monotonically non-decreasing in
-//! real stamping order — across the ring handoff, through batch
+//! real stamping order — across the ring handoff, through
 //! apply, and straight through a snapshot + recover of the session
 //! in the middle of the stream. A negative stage delta would render
 //! as a backwards span in every merged trace, so none may exist.
@@ -95,15 +95,13 @@ proptest! {
     #[test]
     fn session_stamps_monotonic_across_restore(
         txns in 4u64..16,
-        batch in 1usize..5,
         salt in 0u64..1_000,
         restore_frac in 1u64..4,
     ) {
         let dir = scratch();
         let plane = Arc::new(TracePlane::new("n0", "leader"));
         plane.set_sample_every(1);
-        let mut cfg = SessionConfig::default();
-        cfg.pipeline.max_batch = batch;
+        let cfg = SessionConfig::default();
         let tap = TapCrashPlane::new(TapCrashConfig::default());
 
         let lines = token_lines(txns, salt);
@@ -143,19 +141,18 @@ proptest! {
     /// The lock-free ingest pipeline: producer-side tap/ring stamps
     /// and consumer-side seq/apply/verdict stamps for the same trace
     /// ids stay non-decreasing across the ring handoff, for any ring
-    /// count and batch size.
+    /// count.
     #[test]
     fn pipeline_stamps_monotonic_across_ring_handoff(
         txns in 4u64..16,
         rings in 1usize..4,
-        batch in 1usize..6,
         salt in 0u64..1_000,
     ) {
         use adya::online::StreamParser;
 
         let plane = Arc::new(TracePlane::new("n0", "leader"));
         plane.set_sample_every(1);
-        let cfg = PipelineConfig { rings, ring_capacity: 64, max_batch: batch };
+        let cfg = PipelineConfig { rings, ring_capacity: 64 };
         let (producers, mut pipe) = adya::online::EventPipeline::manual(cfg);
         pipe.set_trace(Arc::clone(&plane), "prop");
 
@@ -164,8 +161,7 @@ proptest! {
         for line in token_lines(txns, salt) {
             for tok in line.split_whitespace() {
                 let ev = parser.parse_token(tok).expect("token parses");
-                if plane.sampled(seq) {
-                    let id = adya_obs::trace_id("prop", seq);
+                if let Some(id) = plane.sample("prop", seq) {
                     plane.stamp(id, Stage::Tap);
                     plane.stamp(id, Stage::Ring);
                 }
