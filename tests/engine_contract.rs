@@ -133,6 +133,69 @@ pub fn fingerprint(
     )
 }
 
+/// Every engine configuration the repository constructs anywhere: the
+/// five rows of Figure 1, OCC, the SGT certifier at its three levels,
+/// both MVCC modes and MVTO.
+fn configurations() -> Vec<Box<dyn Engine>> {
+    let mut all: Vec<Box<dyn Engine>> = LockConfig::all()
+        .into_iter()
+        .map(|c| Box::new(LockingEngine::new(c)) as Box<dyn Engine>)
+        .collect();
+    all.push(Box::new(OccEngine::new()));
+    for level in [CertifyLevel::PL1, CertifyLevel::PL2, CertifyLevel::PL3] {
+        all.push(Box::new(SgtEngine::new(level)));
+    }
+    all.push(Box::new(MvccEngine::new(MvccMode::SnapshotIsolation)));
+    all.push(Box::new(MvccEngine::new(MvccMode::ReadCommitted)));
+    all.push(Box::new(MvtoEngine::new()));
+    all
+}
+
+/// FNV-1a, 64 bit: the golden file holds a hash of each history text,
+/// not 384 histories.
+fn fnv1a(text: &str) -> u64 {
+    text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// What every engine records — each event, object name, version id and
+/// version order — is pinned per configuration and seed: a change to
+/// how histories are recorded shows up here as a changed line, and a
+/// refactoring must leave the file alone. One line per configuration ×
+/// seed: name, seed, committed, ops, blocked, FNV-1a of the history
+/// text. Regenerate (deliberate changes only) with
+/// `REGEN_GOLDEN=1 cargo test --test engine_contract`.
+#[test]
+fn recorded_histories_match_their_fingerprints() {
+    let mut got = String::new();
+    for seed in 0..32u64 {
+        for engine in configurations() {
+            let name = engine.name();
+            let (text, committed, ops, blocked) = fingerprint(engine, 0, seed);
+            got.push_str(&format!(
+                "{name} {seed} {committed} {ops} {blocked} {:016x}\n",
+                fnv1a(&text)
+            ));
+        }
+    }
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/data/engines/fingerprints.golden");
+    if std::env::var_os("REGEN_GOLDEN").is_some() {
+        std::fs::create_dir_all(path.parent().expect("has a parent")).expect("create dir");
+        std::fs::write(&path, &got).expect("write golden");
+        return;
+    }
+    let want = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+    for (g, w) in got.lines().zip(want.lines()) {
+        assert_eq!(
+            g, w,
+            "an engine records a different history than the golden's"
+        );
+    }
+    assert_eq!(got.lines().count(), want.lines().count(), "golden length");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
 
