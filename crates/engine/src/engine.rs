@@ -2,7 +2,7 @@
 
 use adya_history::{History, TxnId, Value};
 
-use crate::recorder::{EventTap, SeqEventTap};
+use crate::recorder::{EventTap, Recorder, SeqEventTap};
 use crate::types::{Catalog, Key, OpResult, TableId, TablePred};
 
 /// A transactional engine over the shared store model.
@@ -43,11 +43,17 @@ pub trait Engine: Send + Sync {
     /// Aborts the transaction (idempotent).
     fn abort(&self, txn: TxnId) -> OpResult<()>;
 
+    /// The recorder every operation of this engine is recorded
+    /// through. Decorators forward to the engine they wrap.
+    fn recorder(&self) -> &Recorder;
+
     /// Installs a streaming observer on the engine's recorder: every
     /// subsequently recorded event (begin, read, write, commit, abort,
     /// predicate read) is passed to `tap` in recorded order, enabling
     /// live checking with `adya-online` while the workload runs.
-    fn set_event_tap(&self, tap: EventTap);
+    fn set_event_tap(&self, tap: EventTap) {
+        self.recorder().set_tap(tap);
+    }
 
     /// Installs a sequence-carrying streaming observer (see
     /// [`SeqEventTap`]): like [`set_event_tap`], but each event comes
@@ -57,7 +63,9 @@ pub trait Engine: Send + Sync {
     /// plain tap; both may be installed at once.
     ///
     /// [`set_event_tap`]: Engine::set_event_tap
-    fn set_seq_event_tap(&self, tap: SeqEventTap);
+    fn set_seq_event_tap(&self, tap: SeqEventTap) {
+        self.recorder().set_seq_tap(tap);
+    }
 
     /// Assembles the recorded history (completing still-active
     /// transactions with aborts). Call once, after the workload.
@@ -95,11 +103,8 @@ impl Engine for Box<dyn Engine> {
     fn abort(&self, txn: TxnId) -> OpResult<()> {
         (**self).abort(txn)
     }
-    fn set_event_tap(&self, tap: EventTap) {
-        (**self).set_event_tap(tap)
-    }
-    fn set_seq_event_tap(&self, tap: SeqEventTap) {
-        (**self).set_seq_event_tap(tap)
+    fn recorder(&self) -> &Recorder {
+        (**self).recorder()
     }
     fn finalize(&self) -> History {
         (**self).finalize()

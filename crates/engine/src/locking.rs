@@ -1,14 +1,12 @@
 //! Two-phase locking with the lock-scope configurations of Figure 1.
 
-use std::collections::{HashMap, HashSet};
-
 use adya_history::{History, RequestedLevel, TxnId, Value};
 use parking_lot::Mutex;
 
 use crate::engine::Engine;
 use crate::lock::{LockMode, LockTable};
 use crate::recorder::Recorder;
-use crate::store::Store;
+use crate::store::{InPlace, RowChain, Store, StoredVersion, Txns};
 use crate::types::{AbortReason, Catalog, EngineError, Key, OpResult, TableId, TablePred};
 
 /// How long a lock is held.
@@ -112,17 +110,9 @@ impl LockConfig {
     }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum TxnStatus {
-    Active,
-    Committed,
-    Aborted,
-}
-
 struct TxnState {
-    status: TxnStatus,
     config: LockConfig,
-    written_chains: HashSet<usize>,
+    writes: InPlace,
     /// The key the transaction's cursor is positioned on, protected by
     /// a cursor (shared) lock until the cursor moves or the key is
     /// written (Cursor Stability).
@@ -132,10 +122,7 @@ struct TxnState {
 struct Inner {
     store: Store,
     locks: LockTable,
-    txns: HashMap<TxnId, TxnState>,
-    stamp: u64,
-    known_tables: HashSet<TableId>,
-    incarnations: HashMap<(TableId, Key), u32>,
+    txns: Txns<TxnState>,
 }
 
 /// A strict-two-phase-locking engine whose lock scopes follow one row
@@ -154,6 +141,19 @@ pub struct LockingEngine {
     inner: Mutex<Inner>,
 }
 
+/// The version a read by `txn` selects on a chain: its own latest
+/// write if any, else the tip (dirty) or committed tip depending on
+/// whether the configuration takes read locks.
+fn selected(chain: &RowChain, txn: TxnId, dirty_ok: bool) -> Option<&StoredVersion> {
+    chain.own_latest(txn).or_else(|| {
+        if dirty_ok {
+            chain.tip()
+        } else {
+            chain.committed_tip()
+        }
+    })
+}
+
 impl LockingEngine {
     /// Creates an engine with the given Figure 1 lock configuration.
     pub fn new(config: LockConfig) -> LockingEngine {
@@ -164,10 +164,7 @@ impl LockingEngine {
             inner: Mutex::new(Inner {
                 store: Store::new(),
                 locks: LockTable::new(),
-                txns: HashMap::new(),
-                stamp: 0,
-                known_tables: HashSet::new(),
-                incarnations: HashMap::new(),
+                txns: Txns::new(),
             }),
         }
     }
@@ -175,18 +172,13 @@ impl LockingEngine {
     /// Starts a transaction at a *different* Figure 1 row than the
     /// engine default — the mixed-level systems of §5.5.
     pub fn begin_with(&self, config: LockConfig) -> TxnId {
-        let t = self.recorder.begin_txn();
-        self.recorder.set_level(t, config.level);
-        self.inner.lock().txns.insert(
-            t,
-            TxnState {
-                status: TxnStatus::Active,
-                config,
-                written_chains: HashSet::new(),
-                cursor: None,
-            },
-        );
-        t
+        let state = TxnState {
+            config,
+            writes: InPlace::default(),
+            cursor: None,
+        };
+        let mut inner = self.inner.lock();
+        inner.txns.begin(&self.recorder, config.level, state)
     }
 
     /// Positions a cursor on `(table, key)` and reads through it:
@@ -197,9 +189,9 @@ impl LockingEngine {
     /// COMMITTED (the PL-CS level of the checker); plain reads keep
     /// their configured short/long durations.
     pub fn cursor_read(&self, txn: TxnId, table: TableId, key: Key) -> OpResult<Option<Value>> {
-        let mut inner = self.inner.lock();
-        Self::check_active(&inner, txn)?;
-        self.ensure_table(&mut inner, table);
+        let inner = &mut *self.inner.lock();
+        let (rec, catalog) = (&self.recorder, &self.catalog);
+        let config = inner.txns.enter(rec, catalog, txn, table)?.config;
         if let Err(holders) = inner.locks.try_item(txn, table, key, LockMode::Shared) {
             return Err(EngineError::Blocked { holders });
         }
@@ -208,74 +200,20 @@ impl LockingEngine {
         // configuration takes *long* item read locks, in which case a
         // plain read may share the same S claim and releasing it would
         // silently revoke repeatable-read protection.
-        let config = inner.txns[&txn].config;
-        let prev = inner
-            .txns
-            .get_mut(&txn)
-            .expect("active")
-            .cursor
-            .replace((table, key));
+        let prev = inner.txns.state_mut(txn).cursor.replace((table, key));
         if let Some((pt, pk)) = prev {
             if (pt, pk) != (table, key) && config.item_read != LockDuration::Long {
                 inner.locks.release_shared(txn, pt, pk);
             }
         }
-        let out = inner.store.chain_index(table, key).and_then(|ix| {
-            Self::selected(&inner, txn, ix, false)
-                .filter(|v| !v.is_dead())
-                .map(|v| {
-                    (
-                        inner.store.chains[ix].object,
-                        v.version_id(),
-                        v.value.clone(),
-                    )
-                })
-        });
-        match out {
-            Some((obj, vid, Some(value))) => {
-                self.recorder.cursor_read(txn, obj, vid);
-                Ok(Some(value))
-            }
-            _ => Ok(None),
-        }
-    }
-
-    fn ensure_table(&self, inner: &mut Inner, table: TableId) {
-        if inner.known_tables.insert(table) {
-            self.recorder
-                .register_table(table, &self.catalog.table_name(table));
-        }
-    }
-
-    fn check_active(inner: &Inner, txn: TxnId) -> OpResult<()> {
-        match inner.txns.get(&txn) {
-            None => Err(EngineError::UnknownTxn),
-            Some(s) => match s.status {
-                TxnStatus::Active => Ok(()),
-                TxnStatus::Aborted => Err(EngineError::Aborted(AbortReason::Requested)),
-                TxnStatus::Committed => Err(EngineError::UnknownTxn),
-            },
-        }
-    }
-
-    /// The version a read by `txn` selects on a chain: its own latest
-    /// write if any, else the tip (dirty) or committed tip depending
-    /// on whether the configuration takes read locks.
-    fn selected(
-        inner: &Inner,
-        txn: TxnId,
-        chain_ix: usize,
-        dirty_ok: bool,
-    ) -> Option<&crate::store::StoredVersion> {
-        let chain = &inner.store.chains[chain_ix];
-        if let Some(own) = chain.own_latest(txn) {
-            return Some(own);
-        }
-        if dirty_ok {
-            chain.tip()
-        } else {
-            chain.committed_tip()
-        }
+        let Some(chain) = inner.store.current(table, key) else {
+            return Ok(None);
+        };
+        Ok(selected(chain, txn, false).and_then(|v| {
+            let value = v.value.clone()?;
+            rec.cursor_read(txn, chain.object, v.version_id());
+            Some(value)
+        }))
     }
 
     /// Precision-lock check for a writer: other transactions' predicate
@@ -302,10 +240,9 @@ impl LockingEngine {
 
     /// Common write/delete path. `value: None` deletes.
     fn do_write(&self, txn: TxnId, table: TableId, key: Key, value: Option<Value>) -> OpResult<()> {
-        let mut inner = self.inner.lock();
-        Self::check_active(&inner, txn)?;
-        self.ensure_table(&mut inner, table);
-        let config = inner.txns[&txn].config;
+        let inner = &mut *self.inner.lock();
+        let (rec, catalog) = (&self.recorder, &self.catalog);
+        let config = inner.txns.enter(rec, catalog, txn, table)?.config;
 
         // X lock (always at least short).
         if let Err(holders) = inner.locks.try_item(txn, table, key, LockMode::Exclusive) {
@@ -314,72 +251,22 @@ impl LockingEngine {
         // Precision predicate-lock check (before/after images).
         let before = inner
             .store
-            .chain_index(table, key)
-            .and_then(|ix| Self::selected(&inner, txn, ix, true))
+            .current(table, key)
+            .and_then(|chain| selected(chain, txn, true))
             .and_then(|v| v.value.clone());
-        let holders = Self::pred_conflicts(&inner, txn, table, before.as_ref(), value.as_ref());
-        if !holders.is_empty() {
-            if config.write == LockDuration::Short {
-                inner.locks.release_exclusive(txn, table, key);
-            }
-            return Err(EngineError::Blocked { holders });
+        let holders = Self::pred_conflicts(inner, txn, table, before.as_ref(), value.as_ref());
+        if holders.is_empty() {
+            let writes = &mut inner.txns.state_mut(txn).writes;
+            writes.write(&mut inner.store, rec, txn, table, key, value);
         }
-
-        // Deleting an absent row is a no-op.
-        let existing_ix = inner.store.chain_index(table, key);
-        if value.is_none() {
-            let visible = existing_ix
-                .and_then(|ix| Self::selected(&inner, txn, ix, true))
-                .is_some_and(|v| !v.is_dead());
-            if !visible {
-                if config.write == LockDuration::Short {
-                    inner.locks.release_exclusive(txn, table, key);
-                }
-                return Ok(());
-            }
-        }
-
-        // Resolve the chain, starting a fresh incarnation after any
-        // dead tip (deleted-then-reinserted keys are new objects).
-        let needs_new = match existing_ix {
-            None => true,
-            Some(ix) => {
-                let chain = &inner.store.chains[ix];
-                let tip_dead = chain.tip().is_some_and(|v| v.is_dead());
-                let own_dead = chain.own_latest(txn).is_some_and(|v| v.is_dead());
-                chain.versions.is_empty() || tip_dead || own_dead
-            }
-        };
-        let chain_ix = if needs_new {
-            let inc = {
-                let e = inner.incarnations.entry((table, key)).or_insert(0);
-                let v = *e;
-                *e += 1;
-                v
-            };
-            let obj = self.recorder.register_object(table, key, inc);
-            inner.store.new_incarnation(table, key, obj)
-        } else {
-            existing_ix.expect("checked above")
-        };
-
-        let obj = inner.store.chains[chain_ix].object;
-        let vid = match &value {
-            Some(v) => self.recorder.write(txn, obj, v.clone()),
-            None => self.recorder.delete(txn, obj),
-        };
-        inner.store.chains[chain_ix].push(txn, vid.seq, value);
-        inner
-            .txns
-            .get_mut(&txn)
-            .expect("active txn")
-            .written_chains
-            .insert(chain_ix);
-
         if config.write == LockDuration::Short {
             inner.locks.release_exclusive(txn, table, key);
         }
-        Ok(())
+        if holders.is_empty() {
+            Ok(())
+        } else {
+            Err(EngineError::Blocked { holders })
+        }
     }
 }
 
@@ -392,34 +279,31 @@ impl Engine for LockingEngine {
         &self.catalog
     }
 
+    fn recorder(&self) -> &Recorder {
+        &self.recorder
+    }
+
     fn begin(&self) -> TxnId {
         self.begin_with(self.config)
     }
 
     fn read(&self, txn: TxnId, table: TableId, key: Key) -> OpResult<Option<Value>> {
-        let mut inner = self.inner.lock();
-        Self::check_active(&inner, txn)?;
-        self.ensure_table(&mut inner, table);
-        let config = inner.txns[&txn].config;
+        let inner = &mut *self.inner.lock();
+        let (rec, catalog) = (&self.recorder, &self.catalog);
+        let config = inner.txns.enter(rec, catalog, txn, table)?.config;
 
-        let take_lock = config.item_read != LockDuration::None;
-        if take_lock {
+        if config.item_read != LockDuration::None {
             if let Err(holders) = inner.locks.try_item(txn, table, key, LockMode::Shared) {
                 return Err(EngineError::Blocked { holders });
             }
         }
-        let result = inner.store.chain_index(table, key).and_then(|ix| {
-            let dirty_ok = config.item_read == LockDuration::None;
-            Self::selected(&inner, txn, ix, dirty_ok).map(|v| (ix, v.version_id(), v.value.clone()))
+        let dirty_ok = config.item_read == LockDuration::None;
+        let out = inner.store.current(table, key).and_then(|chain| {
+            let v = selected(chain, txn, dirty_ok)?;
+            let value = v.value.clone()?; // absent or dead: nothing to read
+            rec.read(txn, chain.object, v.version_id());
+            Some(value)
         });
-        let out = match result {
-            Some((chain_ix, vid, Some(value))) => {
-                let obj = inner.store.chains[chain_ix].object;
-                self.recorder.read(txn, obj, vid);
-                Some(value)
-            }
-            _ => None, // absent or dead: nothing to read
-        };
         if config.item_read == LockDuration::Short {
             inner.locks.release_shared(txn, table, key);
         }
@@ -435,10 +319,9 @@ impl Engine for LockingEngine {
     }
 
     fn select(&self, txn: TxnId, pred: &TablePred) -> OpResult<Vec<(Key, Value)>> {
-        let mut inner = self.inner.lock();
-        Self::check_active(&inner, txn)?;
-        self.ensure_table(&mut inner, pred.table);
-        let config = inner.txns[&txn].config;
+        let inner = &mut *self.inner.lock();
+        let (rec, catalog) = (&self.recorder, &self.catalog);
+        let config = inner.txns.enter(rec, catalog, txn, pred.table)?.config;
         let table = pred.table;
 
         // Phantom lock: conflicts with concurrent writers whose
@@ -465,124 +348,68 @@ impl Engine for LockingEngine {
             }
         }
 
-        // Scan: select a version of every row incarnation; collect
-        // matches. Acquire item read locks on matches first (all or
-        // nothing, so a Blocked return has no side effects).
+        // Scan, then acquire item read locks on the matches before
+        // recording anything (all or nothing, so a Blocked return has
+        // no side effects).
         let dirty_ok = config.item_read == LockDuration::None;
-        let mut vset = Vec::new();
-        let mut matches = Vec::new();
-        for &ix in inner.store.table_chains(table) {
-            let chain = &inner.store.chains[ix];
-            let Some(v) = Self::selected(&inner, txn, ix, dirty_ok) else {
-                continue; // empty chain: implicit unborn selection
-            };
-            vset.push((chain.object, v.version_id()));
-            if let Some(value) = &v.value {
-                if pred.matches(value) {
-                    matches.push((ix, chain.key, chain.object, v.version_id(), value.clone()));
-                }
-            }
-        }
+        let scan = inner
+            .store
+            .scan(pred, |_, chain| selected(chain, txn, dirty_ok));
         if config.item_read != LockDuration::None {
             let mut acquired = Vec::new();
-            let mut blocked: Option<Vec<TxnId>> = None;
-            for &(_, key, _, _, _) in &matches {
+            for &(key, ..) in &scan.matches {
                 if inner.locks.holds_any(txn, table, key) {
                     continue; // already protected by a prior claim
                 }
-                match inner.locks.try_item(txn, table, key, LockMode::Shared) {
-                    Ok(()) => acquired.push(key),
-                    Err(holders) => {
-                        blocked = Some(holders);
-                        break;
+                if let Err(holders) = inner.locks.try_item(txn, table, key, LockMode::Shared) {
+                    for key in acquired {
+                        inner.locks.release_shared(txn, table, key);
                     }
+                    return Err(EngineError::Blocked { holders });
                 }
-            }
-            if let Some(holders) = blocked {
-                for key in acquired {
-                    inner.locks.release_shared(txn, table, key);
-                }
-                return Err(EngineError::Blocked { holders });
+                acquired.push(key);
             }
         }
-
-        // Record the predicate read and the item reads of matches.
-        self.recorder.predicate_read(txn, pred, vset);
-        for &(_, _, obj, vid, _) in &matches {
-            self.recorder.read(txn, obj, vid);
-        }
+        let rows = scan.record(rec, txn, pred);
         // Long pred lock persists; short is released at op end; the
         // item read locks follow their own configured duration.
         if config.pred_read == LockDuration::Long {
             inner.locks.add_pred(txn, pred.clone());
         }
         if config.item_read == LockDuration::Short {
-            for &(_, key, _, _, _) in &matches {
+            for &(key, _) in &rows {
                 inner.locks.release_shared(txn, table, key);
             }
         }
-        Ok(matches
-            .into_iter()
-            .map(|(_, key, _, _, value)| (key, value))
-            .collect())
+        Ok(rows)
     }
 
     fn commit(&self, txn: TxnId) -> OpResult<()> {
-        let mut inner = self.inner.lock();
-        Self::check_active(&inner, txn)?;
-        inner.stamp += 1;
-        let stamp = inner.stamp;
-        let written: Vec<usize> = inner.txns[&txn].written_chains.iter().copied().collect();
-        for ix in written {
-            inner.store.chains[ix].commit_writer(txn, stamp);
-        }
-        inner.txns.get_mut(&txn).expect("active").status = TxnStatus::Committed;
+        let inner = &mut *self.inner.lock();
+        inner
+            .txns
+            .check_active(txn)?
+            .writes
+            .commit(&mut inner.store, txn);
         inner.locks.release_all(txn);
-        self.recorder.commit(txn);
+        inner.txns.commit(&self.recorder, txn);
         Ok(())
     }
 
     fn abort(&self, txn: TxnId) -> OpResult<()> {
-        let mut inner = self.inner.lock();
-        match inner.txns.get(&txn) {
-            None => return Err(EngineError::UnknownTxn),
-            Some(s) if s.status != TxnStatus::Active => return Ok(()),
-            _ => {}
+        let inner = &mut *self.inner.lock();
+        if inner.txns.unresolved(txn)? {
+            inner.txns.state(txn).writes.undo(&mut inner.store, txn);
+            inner.locks.release_all(txn);
+            inner
+                .txns
+                .abort(&self.recorder, txn, AbortReason::Requested);
         }
-        let written: Vec<usize> = inner.txns[&txn].written_chains.iter().copied().collect();
-        for ix in written {
-            inner.store.chains[ix].remove_writer(txn);
-            // An incarnation that ends up empty is retired so the next
-            // writer starts a fresh object.
-            if inner.store.chains[ix].versions.is_empty() {
-                let (table, key) = {
-                    let c = &inner.store.chains[ix];
-                    (c.table, c.key)
-                };
-                inner.store.retire_if_current(table, key, ix);
-            }
-        }
-        inner.txns.get_mut(&txn).expect("known").status = TxnStatus::Aborted;
-        inner.locks.release_all(txn);
-        self.recorder.abort(txn);
         Ok(())
     }
 
-    fn set_event_tap(&self, tap: crate::recorder::EventTap) {
-        self.recorder.set_tap(tap);
-    }
-
-    fn set_seq_event_tap(&self, tap: crate::recorder::SeqEventTap) {
-        self.recorder.set_seq_tap(tap);
-    }
-
     fn finalize(&self) -> History {
-        let inner = self.inner.lock();
-        for chain in &inner.store.chains {
-            self.recorder
-                .set_version_order(chain.object, chain.committed_order());
-        }
-        self.recorder.finalize()
+        self.inner.lock().store.finalize(&self.recorder)
     }
 }
 

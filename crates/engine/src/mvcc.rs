@@ -11,14 +11,12 @@
 //! (G2, exactly two anti-dependency edges) remains possible under SI:
 //! the shape the checker's PL-SI level admits and PL-3 rejects.
 
-use std::collections::{HashMap, HashSet};
-
 use adya_history::{History, RequestedLevel, TxnId, Value};
 use parking_lot::Mutex;
 
 use crate::engine::Engine;
 use crate::recorder::Recorder;
-use crate::store::Store;
+use crate::store::{Deferred, Store, Txns};
 use crate::types::{AbortReason, Catalog, EngineError, Key, OpResult, TableId, TablePred};
 
 /// Which multi-version flavour an [`MvccEngine`] runs.
@@ -32,25 +30,14 @@ pub enum MvccMode {
     ReadCommitted,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum TxnStatus {
-    Active,
-    Committed,
-    Aborted,
-}
-
 struct TxnState {
-    status: TxnStatus,
     snapshot: u64,
-    writes: Vec<(TableId, Key, Option<Value>)>,
+    writes: Deferred,
 }
 
 struct Inner {
     store: Store,
-    txns: HashMap<TxnId, TxnState>,
-    stamp: u64,
-    known_tables: HashSet<TableId>,
-    incarnations: HashMap<(TableId, Key), u32>,
+    txns: Txns<TxnState>,
 }
 
 /// The multi-version engine.
@@ -70,48 +57,27 @@ impl MvccEngine {
             mode,
             inner: Mutex::new(Inner {
                 store: Store::new(),
-                txns: HashMap::new(),
-                stamp: 0,
-                known_tables: HashSet::new(),
-                incarnations: HashMap::new(),
+                txns: Txns::new(),
             }),
         }
     }
 
-    fn ensure_table(&self, inner: &mut Inner, table: TableId) {
-        if inner.known_tables.insert(table) {
-            self.recorder
-                .register_table(table, &self.catalog.table_name(table));
-        }
-    }
-
-    fn check_active(inner: &Inner, txn: TxnId) -> OpResult<()> {
-        match inner.txns.get(&txn) {
-            None => Err(EngineError::UnknownTxn),
-            Some(s) => match s.status {
-                TxnStatus::Active => Ok(()),
-                TxnStatus::Aborted => Err(EngineError::Aborted(AbortReason::WriteConflict)),
-                TxnStatus::Committed => Err(EngineError::UnknownTxn),
-            },
-        }
-    }
-
-    fn buffered(state: &TxnState, table: TableId, key: Key) -> Option<Option<Value>> {
-        state
-            .writes
-            .iter()
-            .rev()
-            .find(|(t, k, _)| *t == table && *k == key)
-            .map(|(_, _, v)| v.clone())
-    }
-
-    /// The read stamp of `txn`: its snapshot under SI, "now" under
-    /// read committed.
-    fn read_stamp(&self, inner: &Inner, txn: TxnId) -> u64 {
+    /// The read stamp of a transaction: its snapshot under SI, "now"
+    /// under read committed.
+    fn read_stamp(&self, store: &Store, state: &TxnState) -> u64 {
         match self.mode {
-            MvccMode::SnapshotIsolation => inner.txns[&txn].snapshot,
-            MvccMode::ReadCommitted => inner.stamp,
+            MvccMode::SnapshotIsolation => state.snapshot,
+            MvccMode::ReadCommitted => store.stamp(),
         }
+    }
+
+    fn do_write(&self, txn: TxnId, table: TableId, key: Key, value: Option<Value>) -> OpResult<()> {
+        let mut inner = self.inner.lock();
+        inner
+            .txns
+            .enter(&self.recorder, &self.catalog, txn, table)?;
+        inner.txns.state_mut(txn).writes.push(table, key, value);
+        Ok(())
     }
 }
 
@@ -127,6 +93,10 @@ impl Engine for MvccEngine {
         &self.catalog
     }
 
+    fn recorder(&self) -> &Recorder {
+        &self.recorder
+    }
+
     fn begin(&self) -> TxnId {
         // The Begin event must be recorded atomically with the
         // snapshot acquisition: if another transaction's commit slips
@@ -136,34 +106,25 @@ impl Engine for MvccEngine {
         // the engine never committed. Lock order (inner → recorder)
         // matches every other call site.
         let mut inner = self.inner.lock();
-        let t = self.recorder.begin_txn();
-        self.recorder.set_level(
-            t,
-            match self.mode {
-                MvccMode::SnapshotIsolation => RequestedLevel::PL3,
-                MvccMode::ReadCommitted => RequestedLevel::PL2,
-            },
-        );
-        let snapshot = inner.stamp;
-        inner.txns.insert(
-            t,
-            TxnState {
-                status: TxnStatus::Active,
-                snapshot,
-                writes: Vec::new(),
-            },
-        );
-        t
+        let level = match self.mode {
+            MvccMode::SnapshotIsolation => RequestedLevel::PL3,
+            MvccMode::ReadCommitted => RequestedLevel::PL2,
+        };
+        let state = TxnState {
+            snapshot: inner.store.stamp(),
+            writes: Deferred::default(),
+        };
+        inner.txns.begin(&self.recorder, level, state)
     }
 
     fn read(&self, txn: TxnId, table: TableId, key: Key) -> OpResult<Option<Value>> {
-        let mut inner = self.inner.lock();
-        Self::check_active(&inner, txn)?;
-        self.ensure_table(&mut inner, table);
-        if let Some(v) = Self::buffered(&inner.txns[&txn], table, key) {
+        let inner = &mut *self.inner.lock();
+        let (rec, catalog) = (&self.recorder, &self.catalog);
+        let state = inner.txns.enter(rec, catalog, txn, table)?;
+        if let Some(v) = state.writes.buffered(table, key) {
             return Ok(v);
         }
-        let stamp = self.read_stamp(&inner, txn);
+        let stamp = self.read_stamp(&inner.store, state);
         // Visit every incarnation: the snapshot may predate the
         // current one.
         let mut selected = None;
@@ -178,7 +139,7 @@ impl Engine for MvccEngine {
         }
         match selected {
             Some((obj, vid, Some(value))) => {
-                self.recorder.read(txn, obj, vid);
+                rec.read(txn, obj, vid);
                 Ok(Some(value))
             }
             _ => Ok(None),
@@ -186,85 +147,35 @@ impl Engine for MvccEngine {
     }
 
     fn write(&self, txn: TxnId, table: TableId, key: Key, value: Value) -> OpResult<()> {
-        let mut inner = self.inner.lock();
-        Self::check_active(&inner, txn)?;
-        self.ensure_table(&mut inner, table);
-        inner
-            .txns
-            .get_mut(&txn)
-            .expect("active")
-            .writes
-            .push((table, key, Some(value)));
-        Ok(())
+        self.do_write(txn, table, key, Some(value))
     }
 
     fn delete(&self, txn: TxnId, table: TableId, key: Key) -> OpResult<()> {
-        let mut inner = self.inner.lock();
-        Self::check_active(&inner, txn)?;
-        self.ensure_table(&mut inner, table);
-        inner
-            .txns
-            .get_mut(&txn)
-            .expect("active")
-            .writes
-            .push((table, key, None));
-        Ok(())
+        self.do_write(txn, table, key, None)
     }
 
     fn select(&self, txn: TxnId, pred: &TablePred) -> OpResult<Vec<(Key, Value)>> {
-        let mut inner = self.inner.lock();
-        Self::check_active(&inner, txn)?;
-        self.ensure_table(&mut inner, pred.table);
-        let table = pred.table;
-        let stamp = self.read_stamp(&inner, txn);
-        let mut vset = Vec::new();
-        let mut matches = Vec::new();
-        for &ix in inner.store.table_chains(table) {
-            let chain = &inner.store.chains[ix];
-            let Some(v) = chain.version_at(stamp) else {
-                continue; // not visible in this snapshot: implicit unborn
-            };
-            vset.push((chain.object, v.version_id()));
-            if let Some(value) = &v.value {
-                if pred.matches(value) {
-                    matches.push((chain.key, chain.object, v.version_id(), value.clone()));
-                }
-            }
-        }
-        // Overlay own buffered writes.
-        let state = &inner.txns[&txn];
-        let mut result: Vec<(Key, Value)> =
-            matches.iter().map(|(k, _, _, v)| (*k, v.clone())).collect();
-        for (t, k, v) in &state.writes {
-            if *t != table {
-                continue;
-            }
-            result.retain(|(rk, _)| rk != k);
-            if let Some(val) = v {
-                if pred.matches(val) {
-                    result.push((*k, val.clone()));
-                }
-            }
-        }
-        self.recorder.predicate_read(txn, pred, vset);
-        for (_, obj, vid, _) in &matches {
-            self.recorder.read(txn, *obj, *vid);
-        }
-        Ok(result)
+        let inner = &mut *self.inner.lock();
+        let (rec, catalog) = (&self.recorder, &self.catalog);
+        let state = inner.txns.enter(rec, catalog, txn, pred.table)?;
+        let stamp = self.read_stamp(&inner.store, state);
+        let scan = inner.store.scan(pred, |_, chain| chain.version_at(stamp));
+        let mut rows = scan.record(rec, txn, pred);
+        state.writes.overlay(pred, &mut rows);
+        Ok(rows)
     }
 
     fn commit(&self, txn: TxnId) -> OpResult<()> {
-        let mut inner = self.inner.lock();
-        Self::check_active(&inner, txn)?;
+        let inner = &mut *self.inner.lock();
+        let state = inner.txns.check_active(txn)?;
 
         if self.mode == MvccMode::SnapshotIsolation {
             // First-committer-wins: abort if any written key gained a
             // committed version after our snapshot.
-            let state = &inner.txns[&txn];
             let snapshot = state.snapshot;
-            let conflict = state.writes.iter().any(|(table, key, _)| {
-                inner.store.chain_index(*table, *key).is_some_and(|ix| {
-                    inner.store.chains[ix]
+            let conflict = state.writes.keys().any(|(table, key)| {
+                inner.store.current(table, key).is_some_and(|chain| {
+                    chain
                         .versions
                         .iter()
                         .any(|v| v.commit_stamp.is_some_and(|s| s > snapshot))
@@ -272,88 +183,32 @@ impl Engine for MvccEngine {
             });
             if conflict {
                 adya_obs::counter!("engine.mvcc.fcw_abort").inc();
-                inner.txns.get_mut(&txn).expect("active").status = TxnStatus::Aborted;
-                self.recorder.abort(txn);
-                return Err(EngineError::Aborted(AbortReason::WriteConflict));
+                let reason = AbortReason::WriteConflict;
+                inner.txns.abort(&self.recorder, txn, reason.clone());
+                return Err(EngineError::Aborted(reason));
             }
         }
 
-        inner.stamp += 1;
-        let stamp = inner.stamp;
-        let writes = std::mem::take(&mut inner.txns.get_mut(&txn).expect("active").writes);
-        for (table, key, value) in writes {
-            let existing_ix = inner.store.chain_index(table, key);
-            if value.is_none() {
-                let exists = existing_ix
-                    .and_then(|ix| inner.store.chains[ix].committed_tip())
-                    .is_some_and(|v| !v.is_dead());
-                if !exists {
-                    continue;
-                }
-            }
-            let needs_new = match existing_ix {
-                None => true,
-                Some(ix) => {
-                    let chain = &inner.store.chains[ix];
-                    chain.versions.is_empty()
-                        || chain.tip().is_some_and(|v| v.is_dead())
-                        || chain.own_latest(txn).is_some_and(|v| v.is_dead())
-                }
-            };
-            let chain_ix = if needs_new {
-                let inc = {
-                    let e = inner.incarnations.entry((table, key)).or_insert(0);
-                    let v = *e;
-                    *e += 1;
-                    v
-                };
-                let obj = self.recorder.register_object(table, key, inc);
-                inner.store.new_incarnation(table, key, obj)
-            } else {
-                existing_ix.expect("checked")
-            };
-            let obj = inner.store.chains[chain_ix].object;
-            let vid = match &value {
-                Some(v) => self.recorder.write(txn, obj, v.clone()),
-                None => self.recorder.delete(txn, obj),
-            };
-            inner.store.chains[chain_ix].push(txn, vid.seq, value);
-            inner.store.chains[chain_ix].commit_writer(txn, stamp);
-            adya_obs::histogram!("engine.mvcc.chain_len")
-                .record(inner.store.chains[chain_ix].versions.len() as u64);
-        }
-        inner.txns.get_mut(&txn).expect("active").status = TxnStatus::Committed;
-        self.recorder.commit(txn);
+        let writes = &mut inner.txns.state_mut(txn).writes;
+        writes.install(&mut inner.store, &self.recorder, txn, |chain, _, _| {
+            adya_obs::histogram!("engine.mvcc.chain_len").record(chain.versions.len() as u64);
+        });
+        inner.txns.commit(&self.recorder, txn);
         Ok(())
     }
 
     fn abort(&self, txn: TxnId) -> OpResult<()> {
         let mut inner = self.inner.lock();
-        match inner.txns.get(&txn) {
-            None => return Err(EngineError::UnknownTxn),
-            Some(s) if s.status != TxnStatus::Active => return Ok(()),
-            _ => {}
+        if inner.txns.unresolved(txn)? {
+            inner
+                .txns
+                .abort(&self.recorder, txn, AbortReason::Requested);
         }
-        inner.txns.get_mut(&txn).expect("known").status = TxnStatus::Aborted;
-        self.recorder.abort(txn);
         Ok(())
     }
 
-    fn set_event_tap(&self, tap: crate::recorder::EventTap) {
-        self.recorder.set_tap(tap);
-    }
-
-    fn set_seq_event_tap(&self, tap: crate::recorder::SeqEventTap) {
-        self.recorder.set_seq_tap(tap);
-    }
-
     fn finalize(&self) -> History {
-        let inner = self.inner.lock();
-        for chain in &inner.store.chains {
-            self.recorder
-                .set_version_order(chain.object, chain.committed_order());
-        }
-        self.recorder.finalize()
+        self.inner.lock().store.finalize(&self.recorder)
     }
 }
 

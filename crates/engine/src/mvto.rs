@@ -29,14 +29,8 @@ use parking_lot::Mutex;
 
 use crate::engine::Engine;
 use crate::recorder::Recorder;
+use crate::store::{committed_order, Scan, Txns};
 use crate::types::{AbortReason, Catalog, EngineError, Key, OpResult, TableId, TablePred};
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum TxnStatus {
-    Active,
-    Committed,
-    Aborted,
-}
 
 /// One version in timestamp order.
 #[derive(Debug, Clone)]
@@ -84,28 +78,9 @@ impl TsChain {
             .unwrap_or(self.versions.len());
         self.versions.insert(pos, v);
     }
-
-    /// Committed final versions in timestamp order.
-    fn committed_order(&self) -> Vec<VersionId> {
-        let mut final_seq: HashMap<TxnId, u32> = HashMap::new();
-        for v in &self.versions {
-            if v.committed {
-                let e = final_seq.entry(v.writer).or_insert(v.seq);
-                if v.seq > *e {
-                    *e = v.seq;
-                }
-            }
-        }
-        self.versions
-            .iter()
-            .filter(|v| v.committed && final_seq.get(&v.writer) == Some(&v.seq))
-            .map(TsVersion::version_id)
-            .collect()
-    }
 }
 
 struct TxnState {
-    status: TxnStatus,
     ts: u64,
     /// Uncommitted writers this transaction read from.
     read_from: HashSet<TxnId>,
@@ -116,9 +91,8 @@ struct TxnState {
 
 struct Inner {
     chains: HashMap<(TableId, Key), TsChain>,
-    txns: HashMap<TxnId, TxnState>,
+    txns: Txns<TxnState>,
     next_ts: u64,
-    known_tables: HashSet<TableId>,
     /// Largest timestamp that predicate-scanned each table; inserts by
     /// older transactions are "too late" (the phantom guard MVTO needs
     /// on top of per-version read timestamps).
@@ -146,87 +120,73 @@ impl MvtoEngine {
             recorder: Recorder::new(),
             inner: Mutex::new(Inner {
                 chains: HashMap::new(),
-                txns: HashMap::new(),
+                txns: Txns::new(),
                 next_ts: 1,
-                known_tables: HashSet::new(),
                 table_read_ts: HashMap::new(),
             }),
         }
     }
 
-    fn ensure_table(&self, inner: &mut Inner, table: TableId) {
-        if inner.known_tables.insert(table) {
-            self.recorder
-                .register_table(table, &self.catalog.table_name(table));
-        }
-    }
-
-    fn check_active(inner: &Inner, txn: TxnId) -> OpResult<u64> {
-        match inner.txns.get(&txn) {
-            None => Err(EngineError::UnknownTxn),
-            Some(s) => match s.status {
-                TxnStatus::Active => Ok(s.ts),
-                TxnStatus::Aborted => Err(EngineError::Aborted(AbortReason::CycleDetected)),
-                TxnStatus::Committed => Err(EngineError::UnknownTxn),
-            },
-        }
-    }
-
-    fn do_abort(&self, inner: &mut Inner, txn: TxnId) {
-        let Some(state) = inner.txns.get_mut(&txn) else {
-            return;
-        };
-        if state.status != TxnStatus::Active {
+    /// Aborts `txn`, if it is still running, and cascades to its dirty
+    /// readers.
+    fn do_abort(&self, inner: &mut Inner, txn: TxnId, reason: AbortReason) {
+        if !inner.txns.is_active(txn) {
             return;
         }
-        state.status = TxnStatus::Aborted;
-        let mut written: Vec<(TableId, Key)> = state.written.iter().copied().collect();
-        written.sort_unstable();
+        let state = inner.txns.state(txn);
         // Cascade in TxnId order: the recorded abort sequence must be a
         // pure function of the schedule, not of hash iteration order.
         let mut readers: Vec<TxnId> = state.readers_of_mine.iter().copied().collect();
         readers.sort_unstable();
-        for key in written {
-            if let Some(chain) = inner.chains.get_mut(&key) {
+        for key in &state.written {
+            if let Some(chain) = inner.chains.get_mut(key) {
                 chain.versions.retain(|v| v.writer != txn);
             }
         }
-        self.recorder.abort(txn);
+        inner.txns.abort(&self.recorder, txn, reason);
         // Cascade dirty readers.
         for r in readers {
-            if inner.txns.get(&r).map(|s| s.status) == Some(TxnStatus::Active) {
+            if inner.txns.is_active(r) {
                 adya_obs::counter!("engine.mvto.cascade_abort").inc();
             }
-            self.do_abort(inner, r);
+            self.do_abort(inner, r, AbortReason::CascadedAbort);
         }
+    }
+
+    /// A write arrived too late in timestamp order to be installed:
+    /// `txn` is aborted, and `why` goes to the journal.
+    fn too_late(&self, inner: &mut Inner, txn: TxnId, why: &'static str) -> OpResult<()> {
+        adya_obs::counter!("engine.mvto.too_late_abort").inc();
+        adya_obs::global().event(
+            "engine.mvto.too_late_abort",
+            vec![
+                ("txn".into(), adya_obs::Field::from(u64::from(txn.0))),
+                ("reason".into(), adya_obs::Field::from(why)),
+            ],
+        );
+        self.do_abort(inner, txn, AbortReason::ValidationFailed);
+        Err(EngineError::Aborted(AbortReason::ValidationFailed))
+    }
+
+    /// `txn` read `writer`'s uncommitted version: a commit dependency.
+    fn read_from(inner: &mut Inner, txn: TxnId, writer: TxnId) {
+        inner.txns.state_mut(txn).read_from.insert(writer);
+        inner.txns.state_mut(writer).readers_of_mine.insert(txn);
     }
 
     /// Common write/delete path.
     fn do_write(&self, txn: TxnId, table: TableId, key: Key, value: Option<Value>) -> OpResult<()> {
-        let mut inner = self.inner.lock();
-        let ts = Self::check_active(&inner, txn)?;
-        self.ensure_table(&mut inner, table);
+        let inner = &mut *self.inner.lock();
+        let (rec, catalog) = (&self.recorder, &self.catalog);
+        let ts = inner.txns.enter(rec, catalog, txn, table)?.ts;
 
         // Too-late check: the version this write would supersede must
         // not have been read by a younger transaction.
         if let Some(chain) = inner.chains.get(&(table, key)) {
             if let Some(prev) = chain.visible_at(ts) {
                 if prev.writer != txn && prev.rts > ts {
-                    adya_obs::counter!("engine.mvto.too_late_abort").inc();
-                    adya_obs::global().event(
-                        "engine.mvto.too_late_abort",
-                        vec![
-                            ("txn".into(), adya_obs::Field::from(u64::from(txn.0))),
-                            (
-                                "reason".into(),
-                                adya_obs::Field::from(
-                                    "superseded version already read by a younger txn",
-                                ),
-                            ),
-                        ],
-                    );
-                    self.do_abort(&mut inner, txn);
-                    return Err(EngineError::Aborted(AbortReason::ValidationFailed));
+                    let why = "superseded version already read by a younger txn";
+                    return self.too_late(inner, txn, why);
                 }
             }
         }
@@ -251,19 +211,7 @@ impl MvtoEngine {
                 .map(|c| c.versions.iter().any(|v| v.wts > ts && v.writer != txn))
                 .unwrap_or(false);
             if younger_exists {
-                adya_obs::counter!("engine.mvto.too_late_abort").inc();
-                adya_obs::global().event(
-                    "engine.mvto.too_late_abort",
-                    vec![
-                        ("txn".into(), adya_obs::Field::from(u64::from(txn.0))),
-                        (
-                            "reason".into(),
-                            adya_obs::Field::from("delete behind a younger version"),
-                        ),
-                    ],
-                );
-                self.do_abort(&mut inner, txn);
-                return Err(EngineError::Aborted(AbortReason::ValidationFailed));
+                return self.too_late(inner, txn, "delete behind a younger version");
             }
         }
 
@@ -278,21 +226,9 @@ impl MvtoEngine {
             // the row's unborn version, so an older insert would be a
             // phantom behind its back — too late.
             if inner.table_read_ts.get(&table).copied().unwrap_or(0) > ts {
-                adya_obs::counter!("engine.mvto.too_late_abort").inc();
-                adya_obs::global().event(
-                    "engine.mvto.too_late_abort",
-                    vec![
-                        ("txn".into(), adya_obs::Field::from(u64::from(txn.0))),
-                        (
-                            "reason".into(),
-                            adya_obs::Field::from("insert behind a younger predicate scan"),
-                        ),
-                    ],
-                );
-                self.do_abort(&mut inner, txn);
-                return Err(EngineError::Aborted(AbortReason::ValidationFailed));
+                return self.too_late(inner, txn, "insert behind a younger predicate scan");
             }
-            let obj = self.recorder.register_object(table, key, 0);
+            let obj = rec.register_object(table, key, 0);
             inner.chains.insert(
                 (table, key),
                 TsChain {
@@ -314,36 +250,24 @@ impl MvtoEngine {
             // Includes the transaction's own delete: re-insertion is a
             // distinct object in the model, and a fresh incarnation
             // has no well-defined slot in timestamp order.
-            adya_obs::counter!("engine.mvto.too_late_abort").inc();
-            adya_obs::global().event(
-                "engine.mvto.too_late_abort",
-                vec![
-                    ("txn".into(), adya_obs::Field::from(u64::from(txn.0))),
-                    (
-                        "reason".into(),
-                        adya_obs::Field::from("write after a dead version in timestamp order"),
-                    ),
-                ],
-            );
-            self.do_abort(&mut inner, txn);
-            return Err(EngineError::Aborted(AbortReason::ValidationFailed));
+            let why = "write after a dead version in timestamp order";
+            return self.too_late(inner, txn, why);
         }
 
-        let obj = inner.chains[&(table, key)].object;
+        let obj = chain.object;
         let vid = match &value {
-            Some(v) => self.recorder.write(txn, obj, v.clone()),
-            None => self.recorder.delete(txn, obj),
+            Some(v) => rec.write(txn, obj, v.clone()),
+            None => rec.delete(txn, obj),
         };
         // A transaction rewriting the object replaces its own version
         // in place (same wts slot, higher seq); any transaction that
         // dirty-read the superseded seq now holds an intermediate
         // version (G1b) and must be cascaded.
-        let rewriting = inner.chains[&(table, key)]
-            .versions
-            .iter()
-            .any(|v| v.writer == txn);
+        let rewriting = chain.versions.iter().any(|v| v.writer == txn);
         if rewriting {
-            let mut doomed: Vec<TxnId> = inner.txns[&txn]
+            let mut doomed: Vec<TxnId> = inner
+                .txns
+                .state(txn)
                 .readers_of_mine
                 .iter()
                 .copied()
@@ -351,9 +275,7 @@ impl MvtoEngine {
                 .collect();
             doomed.sort_unstable();
             for r in doomed {
-                if inner.txns.get(&r).map(|s| s.status) == Some(TxnStatus::Active) {
-                    self.do_abort(&mut inner, r);
-                }
+                self.do_abort(inner, r, AbortReason::CascadedAbort);
             }
         }
         let chain = inner.chains.get_mut(&(table, key)).expect("present");
@@ -371,12 +293,7 @@ impl MvtoEngine {
             });
         }
         adya_obs::histogram!("engine.mvto.chain_len").record(chain.versions.len() as u64);
-        inner
-            .txns
-            .get_mut(&txn)
-            .expect("active")
-            .written
-            .insert((table, key));
+        inner.txns.state_mut(txn).written.insert((table, key));
         Ok(())
     }
 }
@@ -390,55 +307,43 @@ impl Engine for MvtoEngine {
         &self.catalog
     }
 
+    fn recorder(&self) -> &Recorder {
+        &self.recorder
+    }
+
     fn begin(&self) -> TxnId {
-        let t = self.recorder.begin_txn();
-        self.recorder.set_level(t, RequestedLevel::PL3);
         let mut inner = self.inner.lock();
-        let ts = inner.next_ts;
+        let state = TxnState {
+            ts: inner.next_ts,
+            read_from: HashSet::new(),
+            readers_of_mine: HashSet::new(),
+            written: HashSet::new(),
+        };
         inner.next_ts += 1;
-        inner.txns.insert(
-            t,
-            TxnState {
-                status: TxnStatus::Active,
-                ts,
-                read_from: HashSet::new(),
-                readers_of_mine: HashSet::new(),
-                written: HashSet::new(),
-            },
-        );
-        t
+        inner.txns.begin(&self.recorder, RequestedLevel::PL3, state)
     }
 
     fn read(&self, txn: TxnId, table: TableId, key: Key) -> OpResult<Option<Value>> {
-        let mut inner = self.inner.lock();
-        let ts = Self::check_active(&inner, txn)?;
-        self.ensure_table(&mut inner, table);
+        let inner = &mut *self.inner.lock();
+        let (rec, catalog) = (&self.recorder, &self.catalog);
+        let ts = inner.txns.enter(rec, catalog, txn, table)?.ts;
         let Some(chain) = inner.chains.get_mut(&(table, key)) else {
             return Ok(None);
         };
+        let obj = chain.object;
         let Some(v) = chain.visible_at_mut(ts) else {
             return Ok(None);
         };
         v.rts = v.rts.max(ts);
-        let (writer, vid, value, committed) =
-            (v.writer, v.version_id(), v.value.clone(), v.committed);
-        let obj = chain.object;
-        if value.is_none() {
+        let Some(value) = v.value.clone() else {
             return Ok(None); // dead at this timestamp
+        };
+        let (writer, dirty) = (v.writer, !v.committed);
+        rec.read(txn, obj, v.version_id());
+        if writer != txn && dirty {
+            Self::read_from(inner, txn, writer);
         }
-        self.recorder.read(txn, obj, vid);
-        if writer != txn && !committed {
-            inner
-                .txns
-                .get_mut(&txn)
-                .expect("active")
-                .read_from
-                .insert(writer);
-            if let Some(ws) = inner.txns.get_mut(&writer) {
-                ws.readers_of_mine.insert(txn);
-            }
-        }
-        Ok(value)
+        Ok(Some(value))
     }
 
     fn write(&self, txn: TxnId, table: TableId, key: Key, value: Value) -> OpResult<()> {
@@ -450,9 +355,9 @@ impl Engine for MvtoEngine {
     }
 
     fn select(&self, txn: TxnId, pred: &TablePred) -> OpResult<Vec<(Key, Value)>> {
-        let mut inner = self.inner.lock();
-        let ts = Self::check_active(&inner, txn)?;
-        self.ensure_table(&mut inner, pred.table);
+        let inner = &mut *self.inner.lock();
+        let (rec, catalog) = (&self.recorder, &self.catalog);
+        let ts = inner.txns.enter(rec, catalog, txn, pred.table)?.ts;
         let table = pred.table;
         // Scan in key order: the recorded read sequence must not
         // depend on hash iteration order.
@@ -467,8 +372,7 @@ impl Engine for MvtoEngine {
             let e = inner.table_read_ts.entry(table).or_insert(0);
             *e = (*e).max(ts);
         }
-        let mut vset = Vec::new();
-        let mut matches = Vec::new();
+        let mut scan = Scan::default();
         let mut dirty_from: Vec<TxnId> = Vec::new();
         for ck in keys {
             let chain = inner.chains.get_mut(&ck).expect("listed");
@@ -477,59 +381,34 @@ impl Engine for MvtoEngine {
                 continue;
             };
             v.rts = v.rts.max(ts);
-            vset.push((obj, v.version_id()));
             if v.writer != txn && !v.committed {
                 dirty_from.push(v.writer);
             }
-            if let Some(value) = &v.value {
-                if pred.matches(value) {
-                    matches.push((ck.1, obj, v.version_id(), value.clone()));
-                }
-            }
+            scan.see(pred, ck.1, obj, v.version_id(), v.value.as_ref());
         }
-        self.recorder.predicate_read(txn, pred, vset);
-        for (_, obj, vid, _) in &matches {
-            self.recorder.read(txn, *obj, *vid);
-        }
+        let rows = scan.record(rec, txn, pred);
         for w in dirty_from {
-            inner
-                .txns
-                .get_mut(&txn)
-                .expect("active")
-                .read_from
-                .insert(w);
-            if let Some(ws) = inner.txns.get_mut(&w) {
-                ws.readers_of_mine.insert(txn);
-            }
+            Self::read_from(inner, txn, w);
         }
-        Ok(matches.into_iter().map(|(k, _, _, v)| (k, v)).collect())
+        Ok(rows)
     }
 
     fn commit(&self, txn: TxnId) -> OpResult<()> {
-        let mut inner = self.inner.lock();
-        Self::check_active(&inner, txn)?;
+        let inner = &mut *self.inner.lock();
+        let state = inner.txns.check_active(txn)?;
         // Commit dependencies: versions read must be committed.
-        let state = &inner.txns[&txn];
-        let mut holders = Vec::new();
-        let mut cascade = false;
-        for &w in &state.read_from {
-            match inner.txns.get(&w).map(|s| s.status) {
-                Some(TxnStatus::Active) => holders.push(w),
-                Some(TxnStatus::Aborted) => cascade = true,
-                _ => {}
-            }
-        }
-        if cascade {
-            self.do_abort(&mut inner, txn);
+        if state.read_from.iter().any(|&w| inner.txns.is_aborted(w)) {
+            self.do_abort(inner, txn, AbortReason::CascadedAbort);
             return Err(EngineError::Aborted(AbortReason::CascadedAbort));
         }
+        let mut holders: Vec<TxnId> = state.read_from.iter().copied().collect();
+        holders.retain(|&w| inner.txns.is_active(w));
         if !holders.is_empty() {
             holders.sort_unstable();
             return Err(EngineError::Blocked { holders });
         }
-        let written: Vec<(TableId, Key)> = inner.txns[&txn].written.iter().copied().collect();
-        for key in written {
-            if let Some(chain) = inner.chains.get_mut(&key) {
+        for key in &state.written {
+            if let Some(chain) = inner.chains.get_mut(key) {
                 for v in &mut chain.versions {
                     if v.writer == txn {
                         v.committed = true;
@@ -537,35 +416,24 @@ impl Engine for MvtoEngine {
                 }
             }
         }
-        inner.txns.get_mut(&txn).expect("active").status = TxnStatus::Committed;
-        self.recorder.commit(txn);
+        inner.txns.commit(&self.recorder, txn);
         Ok(())
     }
 
     fn abort(&self, txn: TxnId) -> OpResult<()> {
-        let mut inner = self.inner.lock();
-        match inner.txns.get(&txn) {
-            None => return Err(EngineError::UnknownTxn),
-            Some(s) if s.status != TxnStatus::Active => return Ok(()),
-            _ => {}
+        let inner = &mut *self.inner.lock();
+        if inner.txns.unresolved(txn)? {
+            self.do_abort(inner, txn, AbortReason::Requested);
         }
-        self.do_abort(&mut inner, txn);
         Ok(())
-    }
-
-    fn set_event_tap(&self, tap: crate::recorder::EventTap) {
-        self.recorder.set_tap(tap);
-    }
-
-    fn set_seq_event_tap(&self, tap: crate::recorder::SeqEventTap) {
-        self.recorder.set_seq_tap(tap);
     }
 
     fn finalize(&self) -> History {
         let inner = self.inner.lock();
         for chain in inner.chains.values() {
-            self.recorder
-                .set_version_order(chain.object, chain.committed_order());
+            let versions = chain.versions.iter();
+            let order = committed_order(versions.map(|v| (v.version_id(), v.committed)));
+            self.recorder.set_version_order(chain.object, order);
         }
         self.recorder.finalize()
     }

@@ -8,32 +8,23 @@
 //! the preventative definitions exclude (§3) and the generalized ones
 //! admit.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 
 use adya_history::{History, RequestedLevel, TxnId, Value};
 use parking_lot::Mutex;
 
 use crate::engine::Engine;
 use crate::recorder::Recorder;
-use crate::store::Store;
+use crate::store::{Deferred, Store, Txns};
 use crate::types::{AbortReason, Catalog, EngineError, Key, OpResult, TableId, TablePred};
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum TxnStatus {
-    Active,
-    Committed,
-    Aborted,
-}
-
 struct TxnState {
-    status: TxnStatus,
     start_stamp: u64,
     /// Keys whose value (or absence) the transaction observed.
     read_keys: HashSet<(TableId, Key)>,
     /// Predicates the transaction evaluated.
     pred_reads: Vec<TablePred>,
-    /// Buffered writes in program order (`None` value = delete).
-    writes: Vec<(TableId, Key, Option<Value>)>,
+    writes: Deferred,
 }
 
 /// One entry of the committed-transaction log used by backward
@@ -46,11 +37,8 @@ struct CommitLogEntry {
 
 struct Inner {
     store: Store,
-    txns: HashMap<TxnId, TxnState>,
-    stamp: u64,
+    txns: Txns<TxnState>,
     log: Vec<CommitLogEntry>,
-    known_tables: HashSet<TableId>,
-    incarnations: HashMap<(TableId, Key), u32>,
 }
 
 /// The optimistic engine.
@@ -74,48 +62,19 @@ impl OccEngine {
             recorder: Recorder::new(),
             inner: Mutex::new(Inner {
                 store: Store::new(),
-                txns: HashMap::new(),
-                stamp: 0,
+                txns: Txns::new(),
                 log: Vec::new(),
-                known_tables: HashSet::new(),
-                incarnations: HashMap::new(),
             }),
         }
     }
 
-    fn ensure_table(&self, inner: &mut Inner, table: TableId) {
-        if inner.known_tables.insert(table) {
-            self.recorder
-                .register_table(table, &self.catalog.table_name(table));
-        }
-    }
-
-    fn check_active(inner: &Inner, txn: TxnId) -> OpResult<()> {
-        match inner.txns.get(&txn) {
-            None => Err(EngineError::UnknownTxn),
-            Some(s) => match s.status {
-                TxnStatus::Active => Ok(()),
-                TxnStatus::Aborted => Err(EngineError::Aborted(AbortReason::ValidationFailed)),
-                TxnStatus::Committed => Err(EngineError::UnknownTxn),
-            },
-        }
-    }
-
-    /// The buffered value `txn` would see for `(table, key)`, if it
-    /// wrote it.
-    fn buffered(state: &TxnState, table: TableId, key: Key) -> Option<Option<Value>> {
-        state
-            .writes
-            .iter()
-            .rev()
-            .find(|(t, k, _)| *t == table && *k == key)
-            .map(|(_, _, v)| v.clone())
-    }
-
-    fn do_abort(&self, inner: &mut Inner, txn: TxnId, _reason: AbortReason) {
-        let state = inner.txns.get_mut(&txn).expect("known txn");
-        state.status = TxnStatus::Aborted;
-        self.recorder.abort(txn);
+    fn do_write(&self, txn: TxnId, table: TableId, key: Key, value: Option<Value>) -> OpResult<()> {
+        let mut inner = self.inner.lock();
+        inner
+            .txns
+            .enter(&self.recorder, &self.catalog, txn, table)?;
+        inner.txns.state_mut(txn).writes.push(table, key, value);
+        Ok(())
     }
 }
 
@@ -128,134 +87,69 @@ impl Engine for OccEngine {
         &self.catalog
     }
 
+    fn recorder(&self) -> &Recorder {
+        &self.recorder
+    }
+
     fn begin(&self) -> TxnId {
-        let t = self.recorder.begin_txn();
-        self.recorder.set_level(t, RequestedLevel::PL3);
         let mut inner = self.inner.lock();
-        let start_stamp = inner.stamp;
-        inner.txns.insert(
-            t,
-            TxnState {
-                status: TxnStatus::Active,
-                start_stamp,
-                read_keys: HashSet::new(),
-                pred_reads: Vec::new(),
-                writes: Vec::new(),
-            },
-        );
-        t
+        let state = TxnState {
+            start_stamp: inner.store.stamp(),
+            read_keys: HashSet::new(),
+            pred_reads: Vec::new(),
+            writes: Deferred::default(),
+        };
+        inner.txns.begin(&self.recorder, RequestedLevel::PL3, state)
     }
 
     fn read(&self, txn: TxnId, table: TableId, key: Key) -> OpResult<Option<Value>> {
-        let mut inner = self.inner.lock();
-        Self::check_active(&inner, txn)?;
-        self.ensure_table(&mut inner, table);
-        // Own buffered write wins (no history event: the write itself
-        // is only recorded at install time).
-        if let Some(v) = Self::buffered(&inner.txns[&txn], table, key) {
+        let inner = &mut *self.inner.lock();
+        let (rec, catalog) = (&self.recorder, &self.catalog);
+        let state = inner.txns.enter(rec, catalog, txn, table)?;
+        // Own buffered write wins.
+        if let Some(v) = state.writes.buffered(table, key) {
             return Ok(v);
         }
-        inner
-            .txns
-            .get_mut(&txn)
-            .expect("active")
-            .read_keys
-            .insert((table, key));
-        let selected = inner.store.chain_index(table, key).and_then(|ix| {
-            let chain = &inner.store.chains[ix];
-            chain
-                .committed_tip()
-                .map(|v| (chain.object, v.version_id(), v.value.clone()))
-        });
-        match selected {
-            Some((obj, vid, Some(value))) => {
-                self.recorder.read(txn, obj, vid);
-                Ok(Some(value))
-            }
-            _ => Ok(None),
-        }
+        inner.txns.state_mut(txn).read_keys.insert((table, key));
+        let Some(chain) = inner.store.current(table, key) else {
+            return Ok(None);
+        };
+        Ok(chain.committed_tip().and_then(|v| {
+            let value = v.value.clone()?;
+            rec.read(txn, chain.object, v.version_id());
+            Some(value)
+        }))
     }
 
     fn write(&self, txn: TxnId, table: TableId, key: Key, value: Value) -> OpResult<()> {
-        let mut inner = self.inner.lock();
-        Self::check_active(&inner, txn)?;
-        self.ensure_table(&mut inner, table);
-        inner
-            .txns
-            .get_mut(&txn)
-            .expect("active")
-            .writes
-            .push((table, key, Some(value)));
-        Ok(())
+        self.do_write(txn, table, key, Some(value))
     }
 
     fn delete(&self, txn: TxnId, table: TableId, key: Key) -> OpResult<()> {
-        let mut inner = self.inner.lock();
-        Self::check_active(&inner, txn)?;
-        self.ensure_table(&mut inner, table);
-        inner
-            .txns
-            .get_mut(&txn)
-            .expect("active")
-            .writes
-            .push((table, key, None));
-        Ok(())
+        self.do_write(txn, table, key, None)
     }
 
     fn select(&self, txn: TxnId, pred: &TablePred) -> OpResult<Vec<(Key, Value)>> {
-        let mut inner = self.inner.lock();
-        Self::check_active(&inner, txn)?;
-        self.ensure_table(&mut inner, pred.table);
-        let table = pred.table;
-
-        let mut vset = Vec::new();
-        let mut matches = Vec::new();
-        for &ix in inner.store.table_chains(table) {
-            let chain = &inner.store.chains[ix];
-            let Some(v) = chain.committed_tip() else {
-                continue;
-            };
-            vset.push((chain.object, v.version_id()));
-            if let Some(value) = &v.value {
-                if pred.matches(value) {
-                    matches.push((chain.key, chain.object, v.version_id(), value.clone()));
-                }
-            }
-        }
-        // Overlay the transaction's own buffered writes on the result
-        // (read-your-own-writes for predicate queries).
-        let state = inner.txns.get_mut(&txn).expect("active");
-        let mut result: Vec<(Key, Value)> =
-            matches.iter().map(|(k, _, _, v)| (*k, v.clone())).collect();
-        for (t, k, v) in &state.writes {
-            if *t != table {
-                continue;
-            }
-            result.retain(|(rk, _)| rk != k);
-            if let Some(val) = v {
-                if pred.matches(val) {
-                    result.push((*k, val.clone()));
-                }
-            }
-        }
+        let inner = &mut *self.inner.lock();
+        let (rec, catalog) = (&self.recorder, &self.catalog);
+        inner.txns.enter(rec, catalog, txn, pred.table)?;
+        let scan = inner.store.scan(pred, |_, chain| chain.committed_tip());
+        let state = inner.txns.state_mut(txn);
         state.pred_reads.push(pred.clone());
-        for (k, _, _, _) in &matches {
-            state.read_keys.insert((table, *k));
+        for &(key, ..) in &scan.matches {
+            state.read_keys.insert((pred.table, key));
         }
-        self.recorder.predicate_read(txn, pred, vset);
-        for (_, obj, vid, _) in &matches {
-            self.recorder.read(txn, *obj, *vid);
-        }
-        Ok(result)
+        let mut rows = scan.record(rec, txn, pred);
+        state.writes.overlay(pred, &mut rows);
+        Ok(rows)
     }
 
     fn commit(&self, txn: TxnId) -> OpResult<()> {
-        let mut inner = self.inner.lock();
-        Self::check_active(&inner, txn)?;
+        let inner = &mut *self.inner.lock();
+        let state = inner.txns.check_active(txn)?;
 
         // Backward validation against transactions that committed
         // after we began.
-        let state = &inner.txns[&txn];
         let start = state.start_stamp;
         let mut conflict = false;
         for entry in inner.log.iter().rev() {
@@ -290,89 +184,39 @@ impl Engine for OccEngine {
                 "engine.occ.validation_failed",
                 vec![("txn".into(), adya_obs::Field::from(u64::from(txn.0)))],
             );
-            self.do_abort(&mut inner, txn, AbortReason::ValidationFailed);
-            return Err(EngineError::Aborted(AbortReason::ValidationFailed));
+            let reason = AbortReason::ValidationFailed;
+            inner.txns.abort(&self.recorder, txn, reason.clone());
+            return Err(EngineError::Aborted(reason));
         }
 
-        // Install buffered writes.
-        inner.stamp += 1;
-        let stamp = inner.stamp;
-        let writes = std::mem::take(&mut inner.txns.get_mut(&txn).expect("active").writes);
-        let mut log_writes = Vec::with_capacity(writes.len());
-        for (table, key, value) in writes {
-            // Deleting an absent row is a no-op.
-            let existing_ix = inner.store.chain_index(table, key);
-            let before = existing_ix
-                .and_then(|ix| inner.store.chains[ix].committed_tip())
-                .and_then(|v| v.value.clone());
-            if value.is_none() && before.is_none() {
-                continue;
-            }
-            let needs_new = match existing_ix {
-                None => true,
-                Some(ix) => {
-                    let chain = &inner.store.chains[ix];
-                    chain.versions.is_empty()
-                        || chain.tip().is_some_and(|v| v.is_dead())
-                        || chain.own_latest(txn).is_some_and(|v| v.is_dead())
-                }
-            };
-            let chain_ix = if needs_new {
-                let inc = {
-                    let e = inner.incarnations.entry((table, key)).or_insert(0);
-                    let v = *e;
-                    *e += 1;
-                    v
-                };
-                let obj = self.recorder.register_object(table, key, inc);
-                inner.store.new_incarnation(table, key, obj)
-            } else {
-                existing_ix.expect("checked")
-            };
-            let obj = inner.store.chains[chain_ix].object;
-            let vid = match &value {
-                Some(v) => self.recorder.write(txn, obj, v.clone()),
-                None => self.recorder.delete(txn, obj),
-            };
-            inner.store.chains[chain_ix].push(txn, vid.seq, value.clone());
-            inner.store.chains[chain_ix].commit_writer(txn, stamp);
-            log_writes.push((table, key, before, value));
-        }
+        let mut log_writes = Vec::new();
+        let writes = &mut inner.txns.state_mut(txn).writes;
+        writes.install(
+            &mut inner.store,
+            &self.recorder,
+            txn,
+            |chain, before, after| log_writes.push((chain.table, chain.key, before, after)),
+        );
         inner.log.push(CommitLogEntry {
-            stamp,
+            stamp: inner.store.stamp(),
             writes: log_writes,
         });
-        inner.txns.get_mut(&txn).expect("active").status = TxnStatus::Committed;
-        self.recorder.commit(txn);
+        inner.txns.commit(&self.recorder, txn);
         Ok(())
     }
 
     fn abort(&self, txn: TxnId) -> OpResult<()> {
         let mut inner = self.inner.lock();
-        match inner.txns.get(&txn) {
-            None => return Err(EngineError::UnknownTxn),
-            Some(s) if s.status != TxnStatus::Active => return Ok(()),
-            _ => {}
+        if inner.txns.unresolved(txn)? {
+            inner
+                .txns
+                .abort(&self.recorder, txn, AbortReason::Requested);
         }
-        self.do_abort(&mut inner, txn, AbortReason::Requested);
         Ok(())
     }
 
-    fn set_event_tap(&self, tap: crate::recorder::EventTap) {
-        self.recorder.set_tap(tap);
-    }
-
-    fn set_seq_event_tap(&self, tap: crate::recorder::SeqEventTap) {
-        self.recorder.set_seq_tap(tap);
-    }
-
     fn finalize(&self) -> History {
-        let inner = self.inner.lock();
-        for chain in &inner.store.chains {
-            self.recorder
-                .set_version_order(chain.object, chain.committed_order());
-        }
-        self.recorder.finalize()
+        self.inner.lock().store.finalize(&self.recorder)
     }
 }
 

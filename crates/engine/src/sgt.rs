@@ -21,12 +21,12 @@ use std::collections::{HashMap, HashSet};
 
 use adya_graph::DiGraph;
 
-use adya_history::{History, RequestedLevel, TxnId, Value};
+use adya_history::{History, RequestedLevel, TxnId, Value, VersionId};
 use parking_lot::Mutex;
 
 use crate::engine::Engine;
 use crate::recorder::Recorder;
-use crate::store::Store;
+use crate::store::{InPlace, RowChain, Store, StoredVersion, Txns};
 use crate::types::{AbortReason, Catalog, EngineError, Key, OpResult, TableId, TablePred};
 
 /// Which cycles the certifier proscribes — the engine's isolation
@@ -61,19 +61,11 @@ enum Dep {
     Rw,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum TxnStatus {
-    Active,
-    Committed,
-    Aborted,
-}
-
+#[derive(Default)]
 struct TxnState {
-    status: TxnStatus,
     /// Writers this transaction read uncommitted data from.
     read_from: HashSet<TxnId>,
-    /// Chains this transaction wrote.
-    written_chains: HashSet<usize>,
+    writes: InPlace,
     /// Readers that consumed this transaction's uncommitted writes
     /// (for cascading aborts).
     readers_of_mine: HashSet<TxnId>,
@@ -81,15 +73,12 @@ struct TxnState {
 
 struct Inner {
     store: Store,
-    txns: HashMap<TxnId, TxnState>,
+    txns: Txns<TxnState>,
     graph: DiGraph<TxnId, Dep>,
     /// Readers per chain: (reader, version read).
-    chain_readers: HashMap<usize, Vec<(TxnId, adya_history::VersionId)>>,
+    chain_readers: HashMap<usize, Vec<(TxnId, VersionId)>>,
     /// Predicate readers per table (phantom-conservative).
     table_readers: HashMap<TableId, Vec<TxnId>>,
-    stamp: u64,
-    known_tables: HashSet<TableId>,
-    incarnations: HashMap<(TableId, Key), u32>,
 }
 
 /// The SGT certifier engine.
@@ -98,6 +87,12 @@ pub struct SgtEngine {
     recorder: Recorder,
     level: CertifyLevel,
     inner: Mutex<Inner>,
+}
+
+/// The version a read by `txn` selects: its own latest write, else
+/// the tip — committed or not.
+fn selected(chain: &RowChain, txn: TxnId) -> Option<&StoredVersion> {
+    chain.own_latest(txn).or_else(|| chain.tip())
 }
 
 impl SgtEngine {
@@ -109,32 +104,11 @@ impl SgtEngine {
             level,
             inner: Mutex::new(Inner {
                 store: Store::new(),
-                txns: HashMap::new(),
+                txns: Txns::new(),
                 graph: DiGraph::new(),
                 chain_readers: HashMap::new(),
                 table_readers: HashMap::new(),
-                stamp: 0,
-                known_tables: HashSet::new(),
-                incarnations: HashMap::new(),
             }),
-        }
-    }
-
-    fn ensure_table(&self, inner: &mut Inner, table: TableId) {
-        if inner.known_tables.insert(table) {
-            self.recorder
-                .register_table(table, &self.catalog.table_name(table));
-        }
-    }
-
-    fn check_active(inner: &Inner, txn: TxnId) -> OpResult<()> {
-        match inner.txns.get(&txn) {
-            None => Err(EngineError::UnknownTxn),
-            Some(s) => match s.status {
-                TxnStatus::Active => Ok(()),
-                TxnStatus::Aborted => Err(EngineError::Aborted(AbortReason::CycleDetected)),
-                TxnStatus::Committed => Err(EngineError::UnknownTxn),
-            },
         }
     }
 
@@ -151,7 +125,7 @@ impl SgtEngine {
             CertifyLevel::PL2 => *k != Dep::Rw,
             CertifyLevel::PL3 => true,
         };
-        let alive = |t: &TxnId| inner.txns.get(t).map(|s| s.status) != Some(TxnStatus::Aborted);
+        let alive = |t: &TxnId| !inner.txns.is_aborted(*t);
         if !alive(&txn) {
             return false;
         }
@@ -181,36 +155,33 @@ impl SgtEngine {
         false
     }
 
-    /// Aborts `txn` and cascades to its dirty readers (at PL-2+).
-    fn do_abort(&self, inner: &mut Inner, txn: TxnId) {
-        let state = inner.txns.get_mut(&txn).expect("known");
-        if state.status != TxnStatus::Active {
+    /// Aborts `txn`, if it is still running, and cascades to its dirty
+    /// readers (at PL-2+).
+    fn do_abort(&self, inner: &mut Inner, txn: TxnId, reason: AbortReason) {
+        if !inner.txns.is_active(txn) {
             return;
         }
-        state.status = TxnStatus::Aborted;
-        let mut written: Vec<usize> = state.written_chains.iter().copied().collect();
-        written.sort_unstable();
+        let state = inner.txns.state(txn);
+        state.writes.undo(&mut inner.store, txn);
         // Cascade in TxnId order: the recorded abort sequence must be a
         // pure function of the schedule, not of hash iteration order.
         let mut readers: Vec<TxnId> = state.readers_of_mine.iter().copied().collect();
         readers.sort_unstable();
-        for ix in written {
-            inner.store.chains[ix].remove_writer(txn);
-            if inner.store.chains[ix].versions.is_empty() {
-                let (table, key) = {
-                    let c = &inner.store.chains[ix];
-                    (c.table, c.key)
-                };
-                inner.store.retire_if_current(table, key, ix);
-            }
-        }
-        self.recorder.abort(txn);
+        inner.txns.abort(&self.recorder, txn, reason);
         if self.level != CertifyLevel::PL1 {
             for r in readers {
-                if inner.txns.get(&r).map(|s| s.status) == Some(TxnStatus::Active) {
-                    self.do_abort(inner, r);
-                }
+                self.do_abort(inner, r, AbortReason::CascadedAbort);
             }
+        }
+    }
+
+    /// `txn` read a version `writer` wrote: a read-dependency, and —
+    /// while the writer is uncommitted — a commit-ordering obligation.
+    fn read_from(inner: &mut Inner, txn: TxnId, writer: TxnId, committed: bool) {
+        inner.graph.add_edge_dedup(writer, txn, Dep::Wr);
+        if !committed {
+            inner.txns.state_mut(txn).read_from.insert(writer);
+            inner.txns.state_mut(writer).readers_of_mine.insert(txn);
         }
     }
 
@@ -229,12 +200,12 @@ impl SgtEngine {
             inner.graph.add_edge_dedup(w, txn, Dep::Ww);
         }
         // rw from every earlier reader of the chain.
-        let readers: Vec<TxnId> = inner
+        let readers: Vec<(TxnId, VersionId)> = inner
             .chain_readers
             .get(&chain_ix)
-            .map(|v| v.iter().map(|&(r, _)| r).filter(|&r| r != txn).collect())
+            .map(|v| v.iter().copied().filter(|&(r, _)| r != txn).collect())
             .unwrap_or_default();
-        for r in readers {
+        for &(r, _) in &readers {
             inner.graph.add_edge_dedup(r, txn, Dep::Rw);
         }
         // This write may have turned the writer's *own earlier*
@@ -245,19 +216,9 @@ impl SgtEngine {
                 .own_latest(txn)
                 .map(|v| v.seq)
                 .unwrap_or(1);
-            let doomed: Vec<TxnId> = inner
-                .chain_readers
-                .get(&chain_ix)
-                .map(|v| {
-                    v.iter()
-                        .filter(|&&(r, vid)| r != txn && vid.txn == txn && vid.seq < new_seq)
-                        .map(|&(r, _)| r)
-                        .collect()
-                })
-                .unwrap_or_default();
-            for r in doomed {
-                if inner.txns.get(&r).map(|s| s.status) == Some(TxnStatus::Active) {
-                    self.do_abort(inner, r);
+            for (r, vid) in readers {
+                if vid.txn == txn && vid.seq < new_seq {
+                    self.do_abort(inner, r, AbortReason::CascadedAbort);
                 }
             }
         }
@@ -277,7 +238,7 @@ impl SgtEngine {
     fn certify(&self, inner: &mut Inner, txn: TxnId) -> OpResult<()> {
         if Self::on_proscribed_cycle(inner, txn, self.level) {
             adya_obs::counter!("engine.sgt.cycle_abort").inc();
-            self.do_abort(inner, txn);
+            self.do_abort(inner, txn, AbortReason::CycleDetected);
             return Err(EngineError::Aborted(AbortReason::CycleDetected));
         }
         Ok(())
@@ -293,254 +254,139 @@ impl Engine for SgtEngine {
         &self.catalog
     }
 
+    fn recorder(&self) -> &Recorder {
+        &self.recorder
+    }
+
     fn begin(&self) -> TxnId {
-        let t = self.recorder.begin_txn();
-        self.recorder.set_level(t, self.level.to_requested());
         let mut inner = self.inner.lock();
+        let level = self.level.to_requested();
+        let t = inner.txns.begin(&self.recorder, level, TxnState::default());
         inner.graph.add_node(t);
-        inner.txns.insert(
-            t,
-            TxnState {
-                status: TxnStatus::Active,
-                read_from: HashSet::new(),
-                written_chains: HashSet::new(),
-                readers_of_mine: HashSet::new(),
-            },
-        );
         t
     }
 
     fn read(&self, txn: TxnId, table: TableId, key: Key) -> OpResult<Option<Value>> {
-        let mut inner = self.inner.lock();
-        Self::check_active(&inner, txn)?;
-        self.ensure_table(&mut inner, table);
+        let inner = &mut *self.inner.lock();
+        let (rec, catalog) = (&self.recorder, &self.catalog);
+        inner.txns.enter(rec, catalog, txn, table)?;
         let Some(chain_ix) = inner.store.chain_index(table, key) else {
             return Ok(None);
         };
-        let selected = {
-            let chain = &inner.store.chains[chain_ix];
-            chain
-                .own_latest(txn)
-                .or_else(|| chain.tip())
-                .map(|v| (v.writer, v.version_id(), v.value.clone(), v.committed))
-        };
-        let Some((writer, vid, value, committed)) = selected else {
+        let chain = &inner.store.chains[chain_ix];
+        let Some(v) = selected(chain, txn) else {
             return Ok(None);
         };
-        if value.is_none() {
+        let Some(value) = v.value.clone() else {
             return Ok(None); // dead tip: row absent
-        }
-        let obj = inner.store.chains[chain_ix].object;
-        self.recorder.read(txn, obj, vid);
+        };
+        let (writer, vid, committed) = (v.writer, v.version_id(), v.committed);
+        rec.read(txn, chain.object, vid);
         inner
             .chain_readers
             .entry(chain_ix)
             .or_default()
             .push((txn, vid));
         if writer != txn {
-            inner.graph.add_edge_dedup(writer, txn, Dep::Wr);
-            if !committed {
-                inner
-                    .txns
-                    .get_mut(&txn)
-                    .expect("active")
-                    .read_from
-                    .insert(writer);
-                if let Some(ws) = inner.txns.get_mut(&writer) {
-                    ws.readers_of_mine.insert(txn);
-                }
-            }
-            self.certify(&mut inner, txn)?;
+            Self::read_from(inner, txn, writer, committed);
+            self.certify(inner, txn)?;
         }
-        Ok(value)
+        Ok(Some(value))
     }
 
     fn write(&self, txn: TxnId, table: TableId, key: Key, value: Value) -> OpResult<()> {
-        let mut inner = self.inner.lock();
-        Self::check_active(&inner, txn)?;
-        self.ensure_table(&mut inner, table);
-        let existing_ix = inner.store.chain_index(table, key);
-        let needs_new = match existing_ix {
-            None => true,
-            Some(ix) => {
-                let chain = &inner.store.chains[ix];
-                chain.versions.is_empty()
-                    || chain.tip().is_some_and(|v| v.is_dead())
-                    || chain.own_latest(txn).is_some_and(|v| v.is_dead())
-            }
-        };
-        let chain_ix = if needs_new {
-            let inc = {
-                let e = inner.incarnations.entry((table, key)).or_insert(0);
-                let v = *e;
-                *e += 1;
-                v
-            };
-            let obj = self.recorder.register_object(table, key, inc);
-            inner.store.new_incarnation(table, key, obj)
-        } else {
-            existing_ix.expect("checked")
-        };
-        let obj = inner.store.chains[chain_ix].object;
-        let vid = self.recorder.write(txn, obj, value.clone());
-        inner.store.chains[chain_ix].push(txn, vid.seq, Some(value));
-        inner
-            .txns
-            .get_mut(&txn)
-            .expect("active")
-            .written_chains
-            .insert(chain_ix);
-        self.edges_for_write(&mut inner, txn, chain_ix)
+        let inner = &mut *self.inner.lock();
+        let (rec, catalog) = (&self.recorder, &self.catalog);
+        inner.txns.enter(rec, catalog, txn, table)?;
+        let writes = &mut inner.txns.state_mut(txn).writes;
+        let chain_ix = writes
+            .write(&mut inner.store, rec, txn, table, key, Some(value))
+            .expect("only a delete can be a no-op");
+        self.edges_for_write(inner, txn, chain_ix)
     }
 
     fn delete(&self, txn: TxnId, table: TableId, key: Key) -> OpResult<()> {
-        let mut inner = self.inner.lock();
-        Self::check_active(&inner, txn)?;
-        self.ensure_table(&mut inner, table);
+        let inner = &mut *self.inner.lock();
+        let (rec, catalog) = (&self.recorder, &self.catalog);
+        inner.txns.enter(rec, catalog, txn, table)?;
+        // The dead version goes onto the chain of the version it kills
+        // — not where `Store::write` would put it: behind another
+        // transaction's uncommitted delete that starts a fresh
+        // incarnation, and the two deleters would share no object.
+        // Here their ww edges close a cycle and certification aborts
+        // one of them.
         let Some(chain_ix) = inner.store.chain_index(table, key) else {
             return Ok(());
         };
-        let visible = {
-            let chain = &inner.store.chains[chain_ix];
-            chain
-                .own_latest(txn)
-                .or_else(|| chain.tip())
-                .is_some_and(|v| !v.is_dead())
-        };
-        if !visible {
+        if selected(&inner.store.chains[chain_ix], txn).is_none_or(|v| v.is_dead()) {
             return Ok(());
         }
-        let obj = inner.store.chains[chain_ix].object;
-        let vid = self.recorder.delete(txn, obj);
-        inner.store.chains[chain_ix].push(txn, vid.seq, None);
-        inner
-            .txns
-            .get_mut(&txn)
-            .expect("active")
-            .written_chains
-            .insert(chain_ix);
-        self.edges_for_write(&mut inner, txn, chain_ix)
+        let writes = &mut inner.txns.state_mut(txn).writes;
+        writes.push(&mut inner.store, rec, txn, chain_ix, None);
+        self.edges_for_write(inner, txn, chain_ix)
     }
 
     fn select(&self, txn: TxnId, pred: &TablePred) -> OpResult<Vec<(Key, Value)>> {
-        let mut inner = self.inner.lock();
-        Self::check_active(&inner, txn)?;
-        self.ensure_table(&mut inner, pred.table);
-        let table = pred.table;
-        let mut vset = Vec::new();
-        let mut matches = Vec::new();
-        let mut edge_sources: Vec<(TxnId, bool)> = Vec::new(); // (writer, committed)
-        let mut read_chains = Vec::new();
-        for &ix in inner.store.table_chains(table) {
-            let chain = &inner.store.chains[ix];
-            let Some(v) = chain.own_latest(txn).or_else(|| chain.tip()) else {
-                continue;
-            };
-            vset.push((chain.object, v.version_id()));
-            read_chains.push((ix, v.version_id()));
-            if v.writer != txn {
-                edge_sources.push((v.writer, v.committed));
-            }
-            if let Some(value) = &v.value {
-                if pred.matches(value) {
-                    matches.push((chain.key, chain.object, v.version_id(), value.clone()));
-                }
-            }
-        }
-        self.recorder.predicate_read(txn, pred, vset);
-        for (_, obj, vid, _) in &matches {
-            self.recorder.read(txn, *obj, *vid);
-        }
-        for (ix, vid) in read_chains {
+        let inner = &mut *self.inner.lock();
+        let (rec, catalog) = (&self.recorder, &self.catalog);
+        inner.txns.enter(rec, catalog, txn, pred.table)?;
+        // Every selected version is read: (chain, version, committed).
+        let mut read = Vec::new();
+        let rows = inner
+            .store
+            .scan(pred, |ix, chain| {
+                let v = selected(chain, txn)?;
+                read.push((ix, v.version_id(), v.committed));
+                Some(v)
+            })
+            .record(rec, txn, pred);
+        for &(ix, vid, _) in &read {
             inner.chain_readers.entry(ix).or_default().push((txn, vid));
         }
-        inner.table_readers.entry(table).or_default().push(txn);
-        for (writer, committed) in edge_sources {
-            inner.graph.add_edge_dedup(writer, txn, Dep::Wr);
-            if !committed {
-                inner
-                    .txns
-                    .get_mut(&txn)
-                    .expect("active")
-                    .read_from
-                    .insert(writer);
-                if let Some(ws) = inner.txns.get_mut(&writer) {
-                    ws.readers_of_mine.insert(txn);
-                }
+        inner.table_readers.entry(pred.table).or_default().push(txn);
+        for (_, vid, committed) in read {
+            if vid.txn != txn {
+                Self::read_from(inner, txn, vid.txn, committed);
             }
         }
-        self.certify(&mut inner, txn)?;
-        Ok(matches.into_iter().map(|(k, _, _, v)| (k, v)).collect())
+        self.certify(inner, txn)?;
+        Ok(rows)
     }
 
     fn commit(&self, txn: TxnId) -> OpResult<()> {
-        let mut inner = self.inner.lock();
-        Self::check_active(&inner, txn)?;
+        let inner = &mut *self.inner.lock();
+        let state = inner.txns.check_active(txn)?;
         if self.level != CertifyLevel::PL1 {
             // Commit-ordering obligations: wait for dirty-read sources.
-            let state = &inner.txns[&txn];
-            let mut holders = Vec::new();
-            let mut cascade = false;
-            for &w in &state.read_from {
-                match inner.txns.get(&w).map(|s| s.status) {
-                    Some(TxnStatus::Active) => holders.push(w),
-                    Some(TxnStatus::Aborted) => cascade = true,
-                    _ => {}
-                }
-            }
-            if cascade {
+            if state.read_from.iter().any(|&w| inner.txns.is_aborted(w)) {
                 adya_obs::counter!("engine.sgt.cascade_abort").inc();
-                self.do_abort(&mut inner, txn);
+                self.do_abort(inner, txn, AbortReason::CascadedAbort);
                 return Err(EngineError::Aborted(AbortReason::CascadedAbort));
             }
+            let mut holders: Vec<TxnId> = state.read_from.iter().copied().collect();
+            holders.retain(|&w| inner.txns.is_active(w));
             if !holders.is_empty() {
                 holders.sort_unstable();
                 return Err(EngineError::Blocked { holders });
             }
         }
         // Final certification.
-        if Self::on_proscribed_cycle(&inner, txn, self.level) {
-            adya_obs::counter!("engine.sgt.cycle_abort").inc();
-            self.do_abort(&mut inner, txn);
-            return Err(EngineError::Aborted(AbortReason::CycleDetected));
-        }
-        inner.stamp += 1;
-        let stamp = inner.stamp;
-        let written: Vec<usize> = inner.txns[&txn].written_chains.iter().copied().collect();
-        for ix in written {
-            inner.store.chains[ix].commit_writer(txn, stamp);
-        }
-        inner.txns.get_mut(&txn).expect("active").status = TxnStatus::Committed;
-        self.recorder.commit(txn);
+        self.certify(inner, txn)?;
+        inner.txns.state(txn).writes.commit(&mut inner.store, txn);
+        inner.txns.commit(&self.recorder, txn);
         Ok(())
     }
 
     fn abort(&self, txn: TxnId) -> OpResult<()> {
-        let mut inner = self.inner.lock();
-        match inner.txns.get(&txn) {
-            None => return Err(EngineError::UnknownTxn),
-            Some(s) if s.status != TxnStatus::Active => return Ok(()),
-            _ => {}
+        let inner = &mut *self.inner.lock();
+        if inner.txns.unresolved(txn)? {
+            self.do_abort(inner, txn, AbortReason::Requested);
         }
-        self.do_abort(&mut inner, txn);
         Ok(())
     }
 
-    fn set_event_tap(&self, tap: crate::recorder::EventTap) {
-        self.recorder.set_tap(tap);
-    }
-
-    fn set_seq_event_tap(&self, tap: crate::recorder::SeqEventTap) {
-        self.recorder.set_seq_tap(tap);
-    }
-
     fn finalize(&self) -> History {
-        let inner = self.inner.lock();
-        for chain in &inner.store.chains {
-            self.recorder
-                .set_version_order(chain.object, chain.committed_order());
-        }
-        self.recorder.finalize()
+        self.inner.lock().store.finalize(&self.recorder)
     }
 }
 

@@ -1,4 +1,6 @@
-//! The shared multi-version row store.
+//! The shared substrate: everything about running transactions over
+//! rows and *recording* them that does not depend on the
+//! concurrency-control scheme.
 //!
 //! Every engine stores data the same way — per-row version chains in
 //! physical install order — and differs only in *which* version an
@@ -6,12 +8,135 @@
 //! abort. Chains correspond 1:1 to history objects; a
 //! deleted-then-reinserted key starts a fresh chain (the model's
 //! "distinct incarnations" rule).
+//!
+//! Each of these is written here, once, and an engine file keeps only
+//! its scheme's three decisions:
+//!
+//! * [`Txns`] — the begin/commit/abort lifecycle, the prelude of every
+//!   operation, and *why* an aborted transaction was aborted;
+//! * [`Store::write`] — the chain a write lands on (the incarnation
+//!   rule of §4.1) and its recording;
+//! * [`Store::scan`] / [`Scan::record`] — a predicate read selects a
+//!   version of *every* row of the relation, then item-reads the
+//!   matches (§4.3);
+//! * [`InPlace`] and [`Deferred`] — the two shapes of write handling;
+//! * [`Store::finalize`] — each object's committed version order,
+//!   handed to the recorder (§4.2).
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
-use adya_history::{ObjectId, TxnId, Value, VersionId};
+use adya_history::{History, ObjectId, RequestedLevel, TxnId, Value, VersionId};
 
-use crate::types::{Key, TableId};
+use crate::recorder::Recorder;
+use crate::types::{AbortReason, Catalog, EngineError, Key, OpResult, TableId, TablePred};
+
+#[derive(Debug)]
+enum TxnStatus {
+    Active,
+    Committed,
+    /// With the reason recorded when the abort happened.
+    Aborted(AbortReason),
+}
+
+/// An engine's transaction table: each transaction's status next to
+/// the scheme's own per-transaction state `S`, and the tables its
+/// operations have named so far — a table becomes a history relation
+/// at the first operation on it, whatever that operation is.
+pub(crate) struct Txns<S> {
+    txns: HashMap<TxnId, (TxnStatus, S)>,
+    known_tables: HashSet<TableId>,
+}
+
+fn check_active<S>(txns: &HashMap<TxnId, (TxnStatus, S)>, txn: TxnId) -> OpResult<&S> {
+    match txns.get(&txn) {
+        Some((TxnStatus::Active, state)) => Ok(state),
+        Some((TxnStatus::Aborted(reason), _)) => Err(EngineError::Aborted(reason.clone())),
+        Some((TxnStatus::Committed, _)) | None => Err(EngineError::UnknownTxn),
+    }
+}
+
+impl<S> Txns<S> {
+    pub fn new() -> Txns<S> {
+        Txns {
+            txns: HashMap::new(),
+            known_tables: HashSet::new(),
+        }
+    }
+
+    /// Begins a transaction promising `level`, with `state`.
+    pub fn begin(&mut self, rec: &Recorder, level: RequestedLevel, state: S) -> TxnId {
+        let txn = rec.begin_txn();
+        rec.set_level(txn, level);
+        self.txns.insert(txn, (TxnStatus::Active, state));
+        txn
+    }
+
+    /// `txn`'s state while it is running. Otherwise the error says what
+    /// became of it: an aborted transaction answers with the reason it
+    /// was aborted for, a committed or never-begun handle names no live
+    /// transaction.
+    pub fn check_active(&self, txn: TxnId) -> OpResult<&S> {
+        check_active(&self.txns, txn)
+    }
+
+    /// The prelude of every operation on a table: [`check_active`],
+    /// then the table's first mention registers its relation.
+    ///
+    /// [`check_active`]: Txns::check_active
+    pub fn enter(
+        &mut self,
+        rec: &Recorder,
+        catalog: &Catalog,
+        txn: TxnId,
+        table: TableId,
+    ) -> OpResult<&S> {
+        let state = check_active(&self.txns, txn)?;
+        if self.known_tables.insert(table) {
+            rec.register_table(table, &catalog.table_name(table));
+        }
+        Ok(state)
+    }
+
+    /// The prelude of `abort`, which is idempotent: `Ok(false)` for a
+    /// transaction already committed or aborted, `UnknownTxn` for a
+    /// handle that was never begun.
+    pub fn unresolved(&self, txn: TxnId) -> OpResult<bool> {
+        match self.txns.get(&txn) {
+            None => Err(EngineError::UnknownTxn),
+            Some((status, _)) => Ok(matches!(status, TxnStatus::Active)),
+        }
+    }
+
+    pub fn is_active(&self, txn: TxnId) -> bool {
+        matches!(self.txns.get(&txn), Some((TxnStatus::Active, _)))
+    }
+
+    pub fn is_aborted(&self, txn: TxnId) -> bool {
+        matches!(self.txns.get(&txn), Some((TxnStatus::Aborted(_), _)))
+    }
+
+    /// The state of a transaction this engine began.
+    pub fn state(&self, txn: TxnId) -> &S {
+        &self.txns.get(&txn).expect("a transaction begun here").1
+    }
+
+    /// See [`state`](Txns::state).
+    pub fn state_mut(&mut self, txn: TxnId) -> &mut S {
+        &mut self.txns.get_mut(&txn).expect("a transaction begun here").1
+    }
+
+    /// Marks `txn` committed and records the commit.
+    pub fn commit(&mut self, rec: &Recorder, txn: TxnId) {
+        self.txns.get_mut(&txn).expect("a transaction begun here").0 = TxnStatus::Committed;
+        rec.commit(txn);
+    }
+
+    /// Marks `txn` aborted for `reason` and records the abort.
+    pub fn abort(&mut self, rec: &Recorder, txn: TxnId, reason: AbortReason) {
+        self.txns.get_mut(&txn).expect("a transaction begun here").0 = TxnStatus::Aborted(reason);
+        rec.abort(txn);
+    }
+}
 
 /// One version in a chain.
 #[derive(Debug, Clone)]
@@ -39,6 +164,22 @@ impl StoredVersion {
     pub fn is_dead(&self) -> bool {
         self.value.is_none()
     }
+}
+
+/// The committed version order entries for the history: of `versions`
+/// (version, committed) in order, each writer's final committed one.
+pub(crate) fn committed_order(
+    versions: impl Iterator<Item = (VersionId, bool)> + Clone,
+) -> Vec<VersionId> {
+    let mut final_seq: HashMap<TxnId, u32> = HashMap::new();
+    for (v, _) in versions.clone().filter(|&(_, committed)| committed) {
+        let e = final_seq.entry(v.txn).or_insert(v.seq);
+        *e = (*e).max(v.seq);
+    }
+    versions
+        .filter(|&(v, committed)| committed && final_seq.get(&v.txn) == Some(&v.seq))
+        .map(|(v, _)| v)
+        .collect()
 }
 
 /// One object incarnation: a chain of versions in install order.
@@ -108,24 +249,9 @@ impl RowChain {
         self.versions.len() != before
     }
 
-    /// The committed version order entries for the history: final
-    /// committed versions in physical order.
+    /// Final committed versions in physical order.
     pub fn committed_order(&self) -> Vec<VersionId> {
-        // A writer's final seq on this object.
-        let mut final_seq: HashMap<TxnId, u32> = HashMap::new();
-        for v in &self.versions {
-            if v.committed {
-                let e = final_seq.entry(v.writer).or_insert(v.seq);
-                if v.seq > *e {
-                    *e = v.seq;
-                }
-            }
-        }
-        self.versions
-            .iter()
-            .filter(|v| v.committed && final_seq.get(&v.writer) == Some(&v.seq))
-            .map(StoredVersion::version_id)
-            .collect()
+        committed_order(self.versions.iter().map(|v| (v.version_id(), v.committed)))
     }
 }
 
@@ -138,6 +264,10 @@ pub(crate) struct Store {
     pub chains: Vec<RowChain>,
     /// Chain indices per table, in creation order.
     by_table: HashMap<TableId, Vec<usize>>,
+    /// Incarnations started so far per key: the next one's number.
+    incarnations: HashMap<(TableId, Key), u32>,
+    /// The last commit stamp handed out (monotone).
+    stamp: u64,
 }
 
 impl Store {
@@ -145,14 +275,24 @@ impl Store {
         Store::default()
     }
 
+    /// The last commit stamp handed out: "now", for snapshots.
+    pub fn stamp(&self) -> u64 {
+        self.stamp
+    }
+
     /// Index of the current incarnation.
     pub fn chain_index(&self, table: TableId, key: Key) -> Option<usize> {
         self.current.get(&(table, key)).copied()
     }
 
+    /// The current incarnation.
+    pub fn current(&self, table: TableId, key: Key) -> Option<&RowChain> {
+        self.chain_index(table, key).map(|ix| &self.chains[ix])
+    }
+
     /// Creates a fresh incarnation for `(table, key)` mapped to
     /// history object `object`, and makes it current.
-    pub fn new_incarnation(&mut self, table: TableId, key: Key, object: ObjectId) -> usize {
+    fn new_incarnation(&mut self, table: TableId, key: Key, object: ObjectId) -> usize {
         let ix = self.chains.len();
         self.chains.push(RowChain {
             table,
@@ -165,18 +305,266 @@ impl Store {
         ix
     }
 
-    /// Retires the current incarnation mapping of `(table, key)` if it
-    /// still points at `chain_ix` (used when an aborted insert leaves
-    /// an empty chain: the next writer must get a fresh object).
-    pub fn retire_if_current(&mut self, table: TableId, key: Key, chain_ix: usize) {
-        if self.current.get(&(table, key)) == Some(&chain_ix) {
-            self.current.remove(&(table, key));
-        }
-    }
-
     /// All chain indices of `table` (every incarnation).
     pub fn table_chains(&self, table: TableId) -> &[usize] {
         self.by_table.get(&table).map(Vec::as_slice).unwrap_or(&[])
+    }
+
+    /// A write (`value: None` deletes) by `txn` to `(table, key)`:
+    /// finds the chain it lands on, records it and pushes the version.
+    /// Returns the chain — or `None` for the delete of an absent row
+    /// (no chain, or the version the writer would supersede, its own
+    /// latest else the tip, is dead), a no-op that records nothing.
+    ///
+    /// The write starts a fresh incarnation — a new history object,
+    /// `t k@n` — when there is no chain, its tip is dead, or `txn`'s
+    /// own latest version on it is dead: a deleted-then-reinserted row
+    /// is a new object (§4.1).
+    pub fn write(
+        &mut self,
+        rec: &Recorder,
+        txn: TxnId,
+        table: TableId,
+        key: Key,
+        value: Option<Value>,
+    ) -> Option<usize> {
+        let existing = self.chain_index(table, key);
+        let chain = existing.map(|ix| &self.chains[ix]);
+        if value.is_none() {
+            let superseded = chain.and_then(|c| c.own_latest(txn).or_else(|| c.tip()));
+            if superseded.is_none_or(|v| v.is_dead()) {
+                return None;
+            }
+        }
+        let needs_new = chain.is_none_or(|c| {
+            c.versions.is_empty()
+                || c.tip().is_some_and(|v| v.is_dead())
+                || c.own_latest(txn).is_some_and(|v| v.is_dead())
+        });
+        let ix = if needs_new {
+            let incarnation = self.incarnations.entry((table, key)).or_insert(0);
+            let object = rec.register_object(table, key, *incarnation);
+            *incarnation += 1;
+            self.new_incarnation(table, key, object)
+        } else {
+            existing.expect("a chain that needs no successor")
+        };
+        self.push(rec, txn, ix, value);
+        Some(ix)
+    }
+
+    /// Records a version by `txn` (`None` = dead) and pushes it onto
+    /// chain `ix`.
+    pub fn push(&mut self, rec: &Recorder, txn: TxnId, ix: usize, value: Option<Value>) {
+        let object = self.chains[ix].object;
+        let vid = match &value {
+            Some(v) => rec.write(txn, object, v.clone()),
+            None => rec.delete(txn, object),
+        };
+        self.chains[ix].push(txn, vid.seq, value);
+    }
+
+    /// The selecting half of a predicate read: `select` picks the
+    /// version of each incarnation of `pred`'s table that the scheme
+    /// lets the reader see. No selection (an empty chain, a row its
+    /// snapshot predates) is the implicit unborn version.
+    pub fn scan<'a>(
+        &'a self,
+        pred: &TablePred,
+        mut select: impl FnMut(usize, &'a RowChain) -> Option<&'a StoredVersion>,
+    ) -> Scan {
+        let mut scan = Scan::default();
+        for &ix in self.table_chains(pred.table) {
+            let chain = &self.chains[ix];
+            if let Some(v) = select(ix, chain) {
+                scan.see(
+                    pred,
+                    chain.key,
+                    chain.object,
+                    v.version_id(),
+                    v.value.as_ref(),
+                );
+            }
+        }
+        scan
+    }
+
+    /// Hands every chain's committed order to the recorder and builds
+    /// the history.
+    pub fn finalize(&self, rec: &Recorder) -> History {
+        for chain in &self.chains {
+            rec.set_version_order(chain.object, chain.committed_order());
+        }
+        rec.finalize()
+    }
+}
+
+/// What a predicate read selected: a version of every row of the
+/// relation, and the rows among them that match.
+#[derive(Default)]
+pub(crate) struct Scan {
+    vset: Vec<(ObjectId, VersionId)>,
+    /// `(key, object, version, value)` of each match, in scan order.
+    pub matches: Vec<(Key, ObjectId, VersionId, Value)>,
+}
+
+impl Scan {
+    /// Adds one row's selected version.
+    pub fn see(
+        &mut self,
+        pred: &TablePred,
+        key: Key,
+        object: ObjectId,
+        version: VersionId,
+        value: Option<&Value>,
+    ) {
+        self.vset.push((object, version));
+        if let Some(value) = value.filter(|v| pred.matches(v)) {
+            self.matches.push((key, object, version, value.clone()));
+        }
+    }
+
+    /// The recording half: the predicate read with its version set,
+    /// then an item read of each match. Returns the matching rows.
+    pub fn record(self, rec: &Recorder, txn: TxnId, pred: &TablePred) -> Vec<(Key, Value)> {
+        rec.predicate_read(txn, pred, self.vset);
+        for &(_, object, version, _) in &self.matches {
+            rec.read(txn, object, version);
+        }
+        self.matches
+            .into_iter()
+            .map(|(key, _, _, value)| (key, value))
+            .collect()
+    }
+}
+
+/// Write handling *in place* (locking, SGT): a version goes onto its
+/// chain when it is written, uncommitted at the tip, where schemes
+/// that allow it read it dirty. Commit stamps the writer's versions;
+/// abort takes them out again.
+#[derive(Default)]
+pub(crate) struct InPlace {
+    written_chains: HashSet<usize>,
+}
+
+impl InPlace {
+    /// [`Store::write`], remembering the chain.
+    pub fn write(
+        &mut self,
+        store: &mut Store,
+        rec: &Recorder,
+        txn: TxnId,
+        table: TableId,
+        key: Key,
+        value: Option<Value>,
+    ) -> Option<usize> {
+        let ix = store.write(rec, txn, table, key, value)?;
+        self.written_chains.insert(ix);
+        Some(ix)
+    }
+
+    /// [`Store::push`], remembering the chain.
+    pub fn push(
+        &mut self,
+        store: &mut Store,
+        rec: &Recorder,
+        txn: TxnId,
+        ix: usize,
+        value: Option<Value>,
+    ) {
+        store.push(rec, txn, ix, value);
+        self.written_chains.insert(ix);
+    }
+
+    /// Marks everything `txn` wrote committed, at the next stamp.
+    pub fn commit(&self, store: &mut Store, txn: TxnId) {
+        store.stamp += 1;
+        for &ix in &self.written_chains {
+            store.chains[ix].commit_writer(txn, store.stamp);
+        }
+    }
+
+    /// Removes everything `txn` wrote.
+    pub fn undo(&self, store: &mut Store, txn: TxnId) {
+        for &ix in &self.written_chains {
+            let chain = &mut store.chains[ix];
+            chain.remove_writer(txn);
+            // An incarnation that ends up empty is retired so the next
+            // writer starts a fresh object.
+            if chain.versions.is_empty()
+                && store.current.get(&(chain.table, chain.key)) == Some(&ix)
+            {
+                store.current.remove(&(chain.table, chain.key));
+            }
+        }
+    }
+}
+
+/// Write handling *deferred* (OCC, MVCC): writes are buffered in
+/// program order (`None` value = delete), visible only to their own
+/// transaction, and installed — recorded, pushed and committed — when
+/// it commits. The chains never hold an uncommitted version.
+#[derive(Default)]
+pub(crate) struct Deferred {
+    writes: Vec<(TableId, Key, Option<Value>)>,
+}
+
+impl Deferred {
+    pub fn push(&mut self, table: TableId, key: Key, value: Option<Value>) {
+        self.writes.push((table, key, value));
+    }
+
+    /// The rows written so far.
+    pub fn keys(&self) -> impl Iterator<Item = (TableId, Key)> + '_ {
+        self.writes.iter().map(|&(table, key, _)| (table, key))
+    }
+
+    /// The value the transaction itself would see for `(table, key)`,
+    /// if it wrote it. No history event: the write is only recorded at
+    /// install time.
+    pub fn buffered(&self, table: TableId, key: Key) -> Option<Option<Value>> {
+        self.writes
+            .iter()
+            .rev()
+            .find(|(t, k, _)| *t == table && *k == key)
+            .map(|(_, _, v)| v.clone())
+    }
+
+    /// Overlays the buffered writes on a predicate read's `rows`
+    /// (read-your-own-writes for predicate queries).
+    pub fn overlay(&self, pred: &TablePred, rows: &mut Vec<(Key, Value)>) {
+        for (table, key, value) in &self.writes {
+            if *table != pred.table {
+                continue;
+            }
+            rows.retain(|(k, _)| k != key);
+            if let Some(value) = value.as_ref().filter(|v| pred.matches(v)) {
+                rows.push((*key, value.clone()));
+            }
+        }
+    }
+
+    /// Installs the buffered writes, committed at the next stamp, and
+    /// reports each as `installed(chain, before image, after image)`.
+    pub fn install(
+        &mut self,
+        store: &mut Store,
+        rec: &Recorder,
+        txn: TxnId,
+        mut installed: impl FnMut(&RowChain, Option<Value>, Option<Value>),
+    ) {
+        store.stamp += 1;
+        for (table, key, value) in std::mem::take(&mut self.writes) {
+            let before = store
+                .current(table, key)
+                .and_then(|c| c.committed_tip())
+                .and_then(|v| v.value.clone());
+            let Some(ix) = store.write(rec, txn, table, key, value.clone()) else {
+                continue;
+            };
+            store.chains[ix].commit_writer(txn, store.stamp);
+            installed(&store.chains[ix], before, value);
+        }
     }
 }
 

@@ -4,8 +4,7 @@ use std::collections::HashSet;
 use std::sync::Arc;
 
 use adya_engine::{
-    AbortReason, Catalog, Engine, EngineError, EventTap, Key, OpResult, SeqEventTap, TableId,
-    TablePred,
+    AbortReason, Catalog, Engine, EngineError, Key, OpResult, Recorder, TableId, TablePred,
 };
 use adya_history::{History, TxnId, Value};
 use parking_lot::Mutex;
@@ -179,11 +178,8 @@ impl<E: Engine> Engine for FaultyEngine<E> {
         self.inner.abort(txn)
     }
 
-    fn set_event_tap(&self, tap: EventTap) {
-        self.inner.set_event_tap(tap);
-    }
-    fn set_seq_event_tap(&self, tap: SeqEventTap) {
-        self.inner.set_seq_event_tap(tap);
+    fn recorder(&self) -> &Recorder {
+        self.inner.recorder()
     }
 
     fn finalize(&self) -> History {

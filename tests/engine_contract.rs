@@ -6,8 +6,8 @@
 //! five engines.
 
 use adya::engine::{
-    CertifyLevel, Engine, EngineError, EventTap, Key, LockConfig, LockingEngine, MvccEngine,
-    MvccMode, MvtoEngine, OccEngine, SeqEventTap, SgtEngine, TableId, TablePred, TxnId, Value,
+    CertifyLevel, Engine, EngineError, Key, LockConfig, LockingEngine, MvccEngine, MvccMode,
+    MvtoEngine, OccEngine, Recorder, SgtEngine, TableId, TablePred, TxnId, Value,
 };
 use adya::history::History;
 use adya::workloads::{mixed_workload, run_deterministic, DriverConfig, MixedConfig};
@@ -82,11 +82,8 @@ impl<E: Engine> Engine for BlockAmplifier<E> {
     fn abort(&self, txn: TxnId) -> Result<(), EngineError> {
         self.inner.abort(txn)
     }
-    fn set_event_tap(&self, tap: EventTap) {
-        self.inner.set_event_tap(tap);
-    }
-    fn set_seq_event_tap(&self, tap: SeqEventTap) {
-        self.inner.set_seq_event_tap(tap);
+    fn recorder(&self) -> &Recorder {
+        self.inner.recorder()
     }
     fn finalize(&self) -> History {
         self.inner.finalize()
