@@ -2,15 +2,13 @@
 //! level under the deterministic driver. The shapes (who wins where)
 //! are the reproduction target; absolute numbers are machine-local.
 
-use adya_engine::{
-    CertifyLevel, Engine, LockConfig, LockingEngine, MvccEngine, MvccMode, MvtoEngine, OccEngine,
-    SgtEngine,
+use adya_workloads::{
+    mixed_workload, run_deterministic, schemes, DriverConfig, MixedConfig, Scheme,
 };
-use adya_workloads::{mixed_workload, run_deterministic, DriverConfig, MixedConfig};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
-fn run_once(make: &dyn Fn() -> Box<dyn Engine>, cfg: &MixedConfig) -> usize {
-    let engine = make();
+fn run_once(scheme: Scheme, cfg: &MixedConfig) -> usize {
+    let engine = (scheme.make)();
     let (_, programs) = mixed_workload(engine.as_ref(), cfg);
     let stats = run_deterministic(
         engine.as_ref(),
@@ -23,48 +21,11 @@ fn run_once(make: &dyn Fn() -> Box<dyn Engine>, cfg: &MixedConfig) -> usize {
     stats.committed
 }
 
-type EngineFactory = Box<dyn Fn() -> Box<dyn Engine>>;
-
 fn bench_schemes(c: &mut Criterion) {
-    let schemes: Vec<(&str, EngineFactory)> = vec![
-        (
-            "2pl_ser",
-            Box::new(|| {
-                Box::new(LockingEngine::new(LockConfig::serializable())) as Box<dyn Engine>
-            }),
-        ),
-        (
-            "2pl_rc",
-            Box::new(|| {
-                Box::new(LockingEngine::new(LockConfig::read_committed())) as Box<dyn Engine>
-            }),
-        ),
-        (
-            "occ",
-            Box::new(|| Box::new(OccEngine::new()) as Box<dyn Engine>),
-        ),
-        (
-            "sgt_pl3",
-            Box::new(|| Box::new(SgtEngine::new(CertifyLevel::PL3)) as Box<dyn Engine>),
-        ),
-        (
-            "mvcc_si",
-            Box::new(|| Box::new(MvccEngine::new(MvccMode::SnapshotIsolation)) as Box<dyn Engine>),
-        ),
-        (
-            "mvcc_rc",
-            Box::new(|| Box::new(MvccEngine::new(MvccMode::ReadCommitted)) as Box<dyn Engine>),
-        ),
-        (
-            "mvto",
-            Box::new(|| Box::new(MvtoEngine::new()) as Box<dyn Engine>),
-        ),
-    ];
-
     for (contention, keys, theta) in [("low", 256u64, 0.0), ("high", 8u64, 1.0)] {
         let mut group = c.benchmark_group(format!("workload_{contention}_contention"));
         group.sample_size(10);
-        for (name, make) in &schemes {
+        for scheme in schemes() {
             let cfg = MixedConfig {
                 keys,
                 txns: 32,
@@ -75,8 +36,8 @@ fn bench_schemes(c: &mut Criterion) {
                 theta,
                 seed: 5,
             };
-            group.bench_with_input(BenchmarkId::from_parameter(name), &cfg, |b, cfg| {
-                b.iter(|| run_once(make.as_ref(), cfg))
+            group.bench_with_input(BenchmarkId::from_parameter(scheme.name), &cfg, |b, cfg| {
+                b.iter(|| run_once(scheme, cfg))
             });
         }
         group.finish();

@@ -45,69 +45,16 @@ use adya_bench::{
     banner, note, report_header, report_path_from_args, u64_from_args, verdict, Table,
 };
 use adya_core::{classify, IsolationLevel};
-use adya_engine::{
-    CertifyLevel, Engine, LockConfig, LockingEngine, MvccEngine, MvccMode, MvtoEngine, OccEngine,
-    SgtEngine,
-};
+use adya_engine::Engine;
 use adya_faults::{FaultConfig, FaultPlane, FaultStats, FaultyEngine};
 use adya_history::Event;
 use adya_obs::json::JsonWriter;
 use adya_online::{
     encode_log, EventLogReader, EventPipeline, LogError, OnlineChecker, PipelineConfig,
 };
-use adya_workloads::{mixed_workload, run_concurrent, ConcurrentConfig, MixedConfig, RetryPolicy};
-
-type EngineFactory = Box<dyn Fn() -> (Box<dyn Engine>, IsolationLevel)>;
-
-fn schemes() -> Vec<(&'static str, EngineFactory)> {
-    vec![
-        (
-            "2PL-serializable",
-            Box::new(|| {
-                (
-                    Box::new(LockingEngine::new(LockConfig::serializable())) as Box<dyn Engine>,
-                    IsolationLevel::PL3,
-                )
-            }),
-        ),
-        (
-            "OCC",
-            Box::new(|| {
-                (
-                    Box::new(OccEngine::new()) as Box<dyn Engine>,
-                    IsolationLevel::PL3,
-                )
-            }),
-        ),
-        (
-            "SGT-PL3",
-            Box::new(|| {
-                (
-                    Box::new(SgtEngine::new(CertifyLevel::PL3)) as Box<dyn Engine>,
-                    IsolationLevel::PL3,
-                )
-            }),
-        ),
-        (
-            "MVCC-SI",
-            Box::new(|| {
-                (
-                    Box::new(MvccEngine::new(MvccMode::SnapshotIsolation)) as Box<dyn Engine>,
-                    IsolationLevel::PLSI,
-                )
-            }),
-        ),
-        (
-            "MVTO",
-            Box::new(|| {
-                (
-                    Box::new(MvtoEngine::new()) as Box<dyn Engine>,
-                    IsolationLevel::PL3,
-                )
-            }),
-        ),
-    ]
-}
+use adya_workloads::{
+    families, mixed_workload, run_concurrent, ConcurrentConfig, MixedConfig, RetryPolicy, Scheme,
+};
 
 /// The i-th fault schedule of a soak: intensities ramp with `i` so the
 /// family spans quiet-with-delays up to block+abort+crash storms, and
@@ -306,15 +253,14 @@ fn check_pipelined_replay(events: &[Event], seed: u64) -> bool {
 }
 
 fn run_one(
-    name: &str,
-    make: &dyn Fn() -> (Box<dyn Engine>, IsolationLevel),
+    scheme: Scheme,
     cfg: FaultConfig,
     schedule_ix: u64,
     txns: u64,
     threads: u64,
     keys: u64,
 ) -> SoakRun {
-    let (engine, level) = make();
+    let (name, engine, level) = (scheme.name, (scheme.make)(), scheme.guarantees);
     let plane = Arc::new(FaultPlane::new(cfg));
     let faulty = FaultyEngine::new(engine, Arc::clone(&plane));
 
@@ -443,7 +389,7 @@ fn main() {
     let threads = u64_from_args("threads", 4);
     note(&format!(
         "base seed {base_seed}, {schedules} schedules x {} engines, {txns} txns, {threads} threads{}",
-        schemes().len(),
+        families().len(),
         if long { " (ADYA_SOAK_LONG profile)" } else { "" }
     ));
 
@@ -453,8 +399,8 @@ fn main() {
         // Long profile: the key space grows with the schedule index, so
         // late schedules spread contention over many more objects.
         let keys = if long { 16 + 12 * i } else { 12 };
-        for (name, make) in &schemes() {
-            runs.push(run_one(name, make.as_ref(), cfg, i, txns, threads, keys));
+        for scheme in families() {
+            runs.push(run_one(scheme, cfg, i, txns, threads, keys));
         }
     }
 

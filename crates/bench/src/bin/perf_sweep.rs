@@ -8,14 +8,12 @@
 use std::time::Instant;
 
 use adya_bench::{banner, note, report_path_from_args, verdict, Table};
-use adya_core::{classify, IsolationLevel};
-use adya_engine::{
-    CertifyLevel, Engine, LockConfig, LockingEngine, MvccEngine, MvccMode, MvtoEngine, OccEngine,
-    SgtEngine,
-};
+use adya_core::classify;
 use adya_obs::json::JsonWriter;
 use adya_obs::Snapshot;
-use adya_workloads::{mixed_workload, run_deterministic, DriverConfig, MixedConfig};
+use adya_workloads::{
+    families, mixed_workload, run_deterministic, DriverConfig, MixedConfig, Scheme,
+};
 
 struct SchemeRun {
     name: String,
@@ -28,13 +26,9 @@ struct SchemeRun {
     level_ok: bool,
 }
 
-fn run_scheme(
-    make: &dyn Fn() -> (Box<dyn Engine>, IsolationLevel),
-    cfg: &MixedConfig,
-    base_seed: u64,
-) -> SchemeRun {
+fn run_scheme(scheme: Scheme, cfg: &MixedConfig, base_seed: u64) -> SchemeRun {
     let mut totals = SchemeRun {
-        name: String::new(),
+        name: scheme.name.to_string(),
         committed: 0,
         attempts: 0,
         aborts: 0,
@@ -44,8 +38,7 @@ fn run_scheme(
         level_ok: true,
     };
     for seed in base_seed..base_seed + 4 {
-        let (engine, level) = make();
-        totals.name = engine.name();
+        let (engine, level) = ((scheme.make)(), scheme.guarantees);
         let (_, programs) = mixed_workload(
             engine.as_ref(),
             &MixedConfig {
@@ -76,8 +69,6 @@ fn run_scheme(
     }
     totals
 }
-
-type EngineFactory = Box<dyn Fn() -> (Box<dyn Engine>, IsolationLevel)>;
 
 /// Writes the JSON metrics report: one entry per (contention, scheme)
 /// run with the driver totals and the engine/checker metrics recorded
@@ -123,54 +114,6 @@ fn main() {
     let mut runs: Vec<(String, SchemeRun, Snapshot)> = Vec::new();
     let mut all_ok = true;
 
-    let schemes: Vec<(&str, EngineFactory)> = vec![
-        (
-            "2PL-serializable",
-            Box::new(|| {
-                (
-                    Box::new(LockingEngine::new(LockConfig::serializable())) as Box<dyn Engine>,
-                    IsolationLevel::PL3,
-                )
-            }),
-        ),
-        (
-            "OCC",
-            Box::new(|| {
-                (
-                    Box::new(OccEngine::new()) as Box<dyn Engine>,
-                    IsolationLevel::PL3,
-                )
-            }),
-        ),
-        (
-            "SGT-PL3",
-            Box::new(|| {
-                (
-                    Box::new(SgtEngine::new(CertifyLevel::PL3)) as Box<dyn Engine>,
-                    IsolationLevel::PL3,
-                )
-            }),
-        ),
-        (
-            "MVCC-SI",
-            Box::new(|| {
-                (
-                    Box::new(MvccEngine::new(MvccMode::SnapshotIsolation)) as Box<dyn Engine>,
-                    IsolationLevel::PLSI,
-                )
-            }),
-        ),
-        (
-            "MVTO",
-            Box::new(|| {
-                (
-                    Box::new(MvtoEngine::new()) as Box<dyn Engine>,
-                    IsolationLevel::PL3,
-                )
-            }),
-        ),
-    ];
-
     for (contention, keys, theta) in [
         ("low (256 keys, uniform)", 256u64, 0.0),
         ("medium (32 keys, zipf 0.8)", 32, 0.8),
@@ -196,11 +139,11 @@ fn main() {
             "wall time (us)",
             "history checks",
         ]);
-        for (_, make) in &schemes {
+        for scheme in families() {
             // Reset the global registry so the snapshot after the run
             // is this run's delta (metric handles survive the reset).
             adya_obs::global().reset();
-            let r = run_scheme(make.as_ref(), &cfg, base_seed);
+            let r = run_scheme(scheme, &cfg, base_seed);
             let snap = adya_obs::global().snapshot();
             all_ok &= r.level_ok;
             table.row(&[

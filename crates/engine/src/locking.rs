@@ -492,6 +492,10 @@ mod tests {
         let t2 = e.begin();
         e.write(t2, tbl, Key(1), Value::Int(99)).unwrap();
         e.abort(t2).unwrap();
+        assert_eq!(
+            e.read(t2, tbl, Key(1)),
+            Err(EngineError::Aborted(AbortReason::Requested))
+        );
         let t3 = e.begin();
         assert_eq!(e.read(t3, tbl, Key(1)).unwrap(), Some(Value::Int(5)));
         e.commit(t3).unwrap();

@@ -521,8 +521,11 @@ mod tests {
             Err(EngineError::Blocked { ref holders }) if holders == &[t1]
         ));
         e.abort(t1).unwrap();
-        // Cascade: T2 was aborted with T1.
-        assert!(matches!(e.commit(t2), Err(EngineError::Aborted(_))));
+        // Cascade: T2 was aborted with T1, and every later operation
+        // on it says so.
+        let cascaded = EngineError::Aborted(AbortReason::CascadedAbort);
+        assert_eq!(e.read(t2, tbl, Key(2)), Err(cascaded.clone()));
+        assert_eq!(e.commit(t2), Err(cascaded));
         let h = e.finalize();
         assert_eq!(h.committed_txns().count(), 0);
     }

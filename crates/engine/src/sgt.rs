@@ -435,11 +435,11 @@ mod tests {
         let t2 = e.begin();
         e.read(t2, tbl, Key(1)).unwrap();
         e.abort(t1).unwrap();
-        assert!(matches!(
-            e.commit(t2),
-            Err(EngineError::Aborted(AbortReason::CascadedAbort))
-                | Err(EngineError::Aborted(AbortReason::CycleDetected))
-        ));
+        // T2 went with T1, and every later operation on it says why —
+        // not "cycle": there was none.
+        let cascaded = EngineError::Aborted(AbortReason::CascadedAbort);
+        assert_eq!(e.read(t2, tbl, Key(2)), Err(cascaded.clone()));
+        assert_eq!(e.commit(t2), Err(cascaded));
         let h = e.finalize();
         assert_eq!(h.committed_txns().count(), 0);
     }

@@ -635,6 +635,95 @@ mod tests {
         assert_eq!(c.committed_order(), vec![VersionId::new(TxnId(2), 1)]);
     }
 
+    /// A store over one registered table, a recorder, and a begun
+    /// transaction.
+    fn substrate() -> (Store, Recorder, TxnId) {
+        let rec = Recorder::new();
+        rec.register_table(TableId(0), "t");
+        let t1 = rec.begin_txn();
+        (Store::new(), rec, t1)
+    }
+
+    const T: TableId = TableId(0);
+    const K: Key = Key(7);
+
+    /// One write by a fresh transaction, committed in store and
+    /// recorder alike. Returns the chain it landed on.
+    fn committed_write(s: &mut Store, rec: &Recorder, value: Option<Value>) -> Option<usize> {
+        let txn = rec.begin_txn();
+        let mut writes = InPlace::default();
+        let ix = writes.write(s, rec, txn, T, K, value);
+        writes.commit(s, txn);
+        rec.commit(txn);
+        ix
+    }
+
+    #[test]
+    fn first_write_starts_incarnation_zero() {
+        let (mut s, rec, _) = substrate();
+        let ix = committed_write(&mut s, &rec, Some(Value::Int(1))).unwrap();
+        assert_eq!(s.chain_index(T, K), Some(ix));
+        let h = s.finalize(&rec);
+        assert_eq!(h.object_by_name("table0#7"), Some(s.chains[ix].object));
+        assert_eq!(h.objects().count(), 1);
+    }
+
+    #[test]
+    fn write_after_a_committed_dead_tip_is_a_new_object() {
+        let (mut s, rec, _) = substrate();
+        let first = committed_write(&mut s, &rec, Some(Value::Int(1))).unwrap();
+        assert_eq!(committed_write(&mut s, &rec, None), Some(first));
+        let second = committed_write(&mut s, &rec, Some(Value::Int(2))).unwrap();
+        assert_ne!(second, first);
+        assert_ne!(s.chains[second].object, s.chains[first].object);
+        assert_eq!(s.chain_index(T, K), Some(second));
+        let h = s.finalize(&rec);
+        assert_eq!(
+            h.object_by_name("table0#7@1"),
+            Some(s.chains[second].object)
+        );
+    }
+
+    #[test]
+    fn reinsert_after_own_uncommitted_delete_is_a_new_object() {
+        let (mut s, rec, t1) = substrate();
+        let first = s.write(&rec, t1, T, K, Some(Value::Int(1))).unwrap();
+        assert_eq!(s.write(&rec, t1, T, K, None), Some(first));
+        let second = s.write(&rec, t1, T, K, Some(Value::Int(2))).unwrap();
+        assert_ne!(second, first);
+        assert_eq!(s.chains[second].versions.len(), 1);
+        assert_eq!(s.table_chains(T), &[first, second]);
+    }
+
+    #[test]
+    fn chain_emptied_by_its_only_writers_abort_is_retired() {
+        let (mut s, rec, t1) = substrate();
+        let mut writes = InPlace::default();
+        let first = writes.write(&mut s, &rec, t1, T, K, Some(Value::Int(1)));
+        writes.undo(&mut s, t1);
+        rec.abort(t1);
+        assert_eq!(s.chain_index(T, K), None, "retired");
+        let second = committed_write(&mut s, &rec, Some(Value::Int(2)));
+        assert_ne!(second, first, "the next writer starts a fresh object");
+        let h = s.finalize(&rec);
+        assert!(h.object_by_name("table0#7@1").is_some());
+    }
+
+    #[test]
+    fn delete_of_an_absent_row_records_nothing() {
+        let (mut s, rec, t1) = substrate();
+        let before = rec.event_count();
+        assert_eq!(s.write(&rec, t1, T, K, None), None, "no chain");
+        let ix = s.write(&rec, t1, T, K, Some(Value::Int(1))).unwrap();
+        s.write(&rec, t1, T, K, None).unwrap();
+        let after_delete = rec.event_count();
+        assert_eq!(after_delete, before + 2);
+        assert_eq!(s.write(&rec, t1, T, K, None), None, "dead already");
+        assert_eq!(rec.event_count(), after_delete);
+        assert_eq!(s.chains[ix].versions.len(), 2);
+        assert_eq!(s.chains.len(), 1);
+    }
+
     #[test]
     fn incarnations_are_distinct_chains() {
         let mut s = Store::new();

@@ -380,7 +380,7 @@ mod tests {
     use super::*;
     use crate::program::Expr;
     use adya_core::{classify, IsolationLevel};
-    use adya_engine::{Key, LockConfig, LockingEngine, MvccEngine, MvccMode, OccEngine, TableId};
+    use adya_engine::{Key, LockConfig, LockingEngine, TableId};
 
     fn transfer(t: TableId, a: u64, b: u64, amount: i64) -> Program {
         Program::new(
@@ -448,20 +448,12 @@ mod tests {
 
     #[test]
     fn transfers_on_occ_and_mvcc_commit_histories_pass_their_levels() {
-        for (engine, level) in [
-            (
-                Box::new(OccEngine::new()) as Box<dyn Engine>,
-                IsolationLevel::PL3,
-            ),
-            (
-                Box::new(MvccEngine::new(MvccMode::SnapshotIsolation)),
-                IsolationLevel::PLSI,
-            ),
-            (
-                Box::new(MvccEngine::new(MvccMode::ReadCommitted)),
-                IsolationLevel::PL2,
-            ),
-        ] {
+        let deferred = ["OCC", "MVCC-SI", "MVCC-RC"];
+        for scheme in crate::schemes() {
+            if !deferred.contains(&scheme.name) {
+                continue;
+            }
+            let (engine, level) = ((scheme.make)(), scheme.guarantees);
             let t = engine.catalog().table("acct");
             seed_accounts(engine.as_ref(), t, 4, 100);
             let programs: Vec<Program> = (0..10)

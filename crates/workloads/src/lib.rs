@@ -34,6 +34,7 @@ pub mod histgen;
 mod live;
 mod program;
 mod retry;
+mod schemes;
 mod zipf;
 
 pub use client::{ClientError, ServeClient};
@@ -46,4 +47,5 @@ pub use generators::{
 pub use live::{run_concurrent_live, LiveConfig, LiveReport};
 pub use program::{Expr, PredSpec, Program, Step};
 pub use retry::{GiveUpCause, RetryPolicy, RetrySession};
+pub use schemes::{families, schemes, Scheme};
 pub use zipf::Zipf;

@@ -7,49 +7,16 @@
 //! cargo run --example engine_compare
 //! ```
 
-use adya::core::{classify, IsolationLevel};
-use adya::engine::{
-    CertifyLevel, Engine, LockConfig, LockingEngine, MvccEngine, MvccMode, OccEngine, SgtEngine,
-};
-use adya::workloads::{mixed_workload, run_deterministic, DriverConfig, MixedConfig};
-
-type EngineFactory = Box<dyn Fn() -> Box<dyn Engine>>;
+use adya::core::classify;
+use adya::workloads::{mixed_workload, run_deterministic, schemes, DriverConfig, MixedConfig};
 
 fn main() {
-    let schemes: Vec<(EngineFactory, IsolationLevel)> = vec![
-        (
-            Box::new(|| {
-                Box::new(LockingEngine::new(LockConfig::serializable())) as Box<dyn Engine>
-            }),
-            IsolationLevel::PL3,
-        ),
-        (
-            Box::new(|| {
-                Box::new(LockingEngine::new(LockConfig::read_committed())) as Box<dyn Engine>
-            }),
-            IsolationLevel::PL2,
-        ),
-        (
-            Box::new(|| Box::new(OccEngine::new()) as Box<dyn Engine>),
-            IsolationLevel::PL3,
-        ),
-        (
-            Box::new(|| Box::new(SgtEngine::new(CertifyLevel::PL3)) as Box<dyn Engine>),
-            IsolationLevel::PL3,
-        ),
-        (
-            Box::new(|| Box::new(MvccEngine::new(MvccMode::SnapshotIsolation)) as Box<dyn Engine>),
-            IsolationLevel::PLSI,
-        ),
-    ];
-
     println!(
         "{:<20} {:>9} {:>8} {:>9} {:>10}   history",
         "scheme", "committed", "aborts", "blocked", "deadlocks"
     );
-    for (make, level) in schemes {
-        let engine = make();
-        let name = engine.name();
+    for scheme in schemes() {
+        let (name, engine, level) = (scheme.name, (scheme.make)(), scheme.guarantees);
         let (_, programs) = mixed_workload(
             engine.as_ref(),
             &MixedConfig {

@@ -3,31 +3,17 @@
 //! a blocked operation extra times changes nothing observable) and
 //! `abort` must be idempotent (re-aborting, or aborting a resolved
 //! transaction, is an accepted no-op). Both properties hold across all
-//! five engines.
+//! five engine families. And what every configuration records is pinned
+//! by a golden file.
 
 use adya::engine::{
-    CertifyLevel, Engine, EngineError, Key, LockConfig, LockingEngine, MvccEngine, MvccMode,
-    MvtoEngine, OccEngine, Recorder, SgtEngine, TableId, TablePred, TxnId, Value,
+    Engine, EngineError, Key, LockConfig, LockingEngine, Recorder, TableId, TablePred, TxnId, Value,
 };
 use adya::history::History;
-use adya::workloads::{mixed_workload, run_deterministic, DriverConfig, MixedConfig};
+use adya::workloads::{
+    families, mixed_workload, run_deterministic, schemes, DriverConfig, MixedConfig,
+};
 use proptest::prelude::*;
-
-fn engines() -> Vec<(&'static str, Box<dyn Engine>)> {
-    vec![
-        (
-            "2PL",
-            Box::new(LockingEngine::new(LockConfig::serializable())) as Box<dyn Engine>,
-        ),
-        ("OCC", Box::new(OccEngine::new())),
-        ("SGT", Box::new(SgtEngine::new(CertifyLevel::PL3))),
-        (
-            "MVCC-SI",
-            Box::new(MvccEngine::new(MvccMode::SnapshotIsolation)),
-        ),
-        ("MVTO", Box::new(MvtoEngine::new())),
-    ]
-}
 
 /// Re-issues every operation that returns `Blocked` `extra` more
 /// times before reporting the block. If `Blocked` has any side effect
@@ -131,21 +117,12 @@ pub fn fingerprint(
 }
 
 /// Every engine configuration the repository constructs anywhere: the
-/// five rows of Figure 1, OCC, the SGT certifier at its three levels,
-/// both MVCC modes and MVTO.
+/// roster, and Degree 0 — which promises no level, so the roster leaves
+/// it out.
 fn configurations() -> Vec<Box<dyn Engine>> {
-    let mut all: Vec<Box<dyn Engine>> = LockConfig::all()
-        .into_iter()
-        .map(|c| Box::new(LockingEngine::new(c)) as Box<dyn Engine>)
-        .collect();
-    all.push(Box::new(OccEngine::new()));
-    for level in [CertifyLevel::PL1, CertifyLevel::PL2, CertifyLevel::PL3] {
-        all.push(Box::new(SgtEngine::new(level)));
-    }
-    all.push(Box::new(MvccEngine::new(MvccMode::SnapshotIsolation)));
-    all.push(Box::new(MvccEngine::new(MvccMode::ReadCommitted)));
-    all.push(Box::new(MvtoEngine::new()));
-    all
+    let degree0: Box<dyn Engine> = Box::new(LockingEngine::new(LockConfig::degree0()));
+    let roster = schemes().into_iter().map(|s| (s.make)());
+    roster.chain([degree0]).collect()
 }
 
 /// FNV-1a, 64 bit: the golden file holds a hash of each history text,
@@ -160,37 +137,40 @@ fn fnv1a(text: &str) -> u64 {
 /// version order — is pinned per configuration and seed: a change to
 /// how histories are recorded shows up here as a changed line, and a
 /// refactoring must leave the file alone. One line per configuration ×
-/// seed: name, seed, committed, ops, blocked, FNV-1a of the history
-/// text. Regenerate (deliberate changes only) with
-/// `REGEN_GOLDEN=1 cargo test --test engine_contract`.
+/// seed, in no particular order: name, seed, committed, ops, blocked,
+/// FNV-1a of the history text. Regenerate (deliberate changes only)
+/// with `REGEN_GOLDEN=1 cargo test --test engine_contract`.
 #[test]
 fn recorded_histories_match_their_fingerprints() {
-    let mut got = String::new();
+    let mut got = Vec::new();
     for seed in 0..32u64 {
         for engine in configurations() {
             let name = engine.name();
             let (text, committed, ops, blocked) = fingerprint(engine, 0, seed);
-            got.push_str(&format!(
-                "{name} {seed} {committed} {ops} {blocked} {:016x}\n",
-                fnv1a(&text)
+            let hash = fnv1a(&text);
+            got.push(format!(
+                "{name} {seed} {committed} {ops} {blocked} {hash:016x}"
             ));
         }
     }
+    got.sort();
     let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
         .join("tests/data/engines/fingerprints.golden");
     if std::env::var_os("REGEN_GOLDEN").is_some() {
         std::fs::create_dir_all(path.parent().expect("has a parent")).expect("create dir");
-        std::fs::write(&path, &got).expect("write golden");
+        std::fs::write(&path, got.join("\n") + "\n").expect("write golden");
         return;
     }
     let want = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
-    for (g, w) in got.lines().zip(want.lines()) {
+    let mut want: Vec<&str> = want.lines().collect();
+    want.sort();
+    for (g, w) in got.iter().zip(&want) {
         assert_eq!(
             g, w,
             "an engine records a different history than the golden's"
         );
     }
-    assert_eq!(got.lines().count(), want.lines().count(), "golden length");
+    assert_eq!(got.len(), want.len(), "golden length");
 }
 
 proptest! {
@@ -201,14 +181,10 @@ proptest! {
     /// the plain run — same history, same stats.
     #[test]
     fn blocked_is_side_effect_free(seed in 0u64..5_000) {
-        for (name, plain) in engines() {
-            let base = fingerprint(plain, 0, seed);
-            let (_, amplified) = engines()
-                .into_iter()
-                .find(|(n, _)| *n == name)
-                .expect("same engine list");
-            let hammered = fingerprint(amplified, 3, seed);
-            prop_assert_eq!(&base, &hammered, "{}: blocked op left a side effect", name);
+        for scheme in families() {
+            let base = fingerprint((scheme.make)(), 0, seed);
+            let hammered = fingerprint((scheme.make)(), 3, seed);
+            prop_assert_eq!(&base, &hammered, "{}: blocked op left a side effect", scheme.name);
         }
     }
 
@@ -218,9 +194,10 @@ proptest! {
     /// history exactly as a single abort would.
     #[test]
     fn abort_is_idempotent(seed in 0u64..5_000, extra in 1usize..4) {
-        for (name, e) in engines() {
+        for scheme in families() {
+            let name = scheme.name;
             let run = |extra_aborts: usize| -> String {
-                let (_, eng) = engines().into_iter().find(|(n, _)| *n == name).unwrap();
+                let eng = (scheme.make)();
                 let t = eng.catalog().table("acct");
                 let k = Key(seed % 3);
                 let committed = eng.begin();
@@ -240,7 +217,6 @@ proptest! {
                 }
                 eng.finalize().to_string()
             };
-            let _ = e; // the factory list's instance; fresh ones built per run
             prop_assert_eq!(run(0), run(extra), "{}: extra aborts changed the history", name);
         }
     }

@@ -4,86 +4,11 @@
 //! this is the repository's strongest integration property.
 
 use adya::core::{classify, IsolationLevel};
-use adya::engine::{
-    CertifyLevel, Engine, LockConfig, LockingEngine, MvccEngine, MvccMode, OccEngine, SgtEngine,
-};
+use adya::engine::Engine;
 use adya::workloads::{
-    bank_workload, hotspot_workload, mixed_workload, phantom_workload, run_deterministic,
+    bank_workload, hotspot_workload, mixed_workload, phantom_workload, run_deterministic, schemes,
     BankConfig, DriverConfig, HotspotConfig, MixedConfig, PhantomConfig,
 };
-
-type EngineFactory = Box<dyn Fn() -> (Box<dyn Engine>, IsolationLevel)>;
-
-fn schemes() -> Vec<EngineFactory> {
-    vec![
-        Box::new(|| {
-            (
-                Box::new(LockingEngine::new(LockConfig::serializable())) as Box<dyn Engine>,
-                IsolationLevel::PL3,
-            )
-        }),
-        Box::new(|| {
-            (
-                Box::new(LockingEngine::new(LockConfig::repeatable_read())) as Box<dyn Engine>,
-                IsolationLevel::PL299,
-            )
-        }),
-        Box::new(|| {
-            (
-                Box::new(LockingEngine::new(LockConfig::read_committed())) as Box<dyn Engine>,
-                IsolationLevel::PL2,
-            )
-        }),
-        Box::new(|| {
-            (
-                Box::new(LockingEngine::new(LockConfig::read_uncommitted())) as Box<dyn Engine>,
-                IsolationLevel::PL1,
-            )
-        }),
-        Box::new(|| {
-            (
-                Box::new(OccEngine::new()) as Box<dyn Engine>,
-                IsolationLevel::PL3,
-            )
-        }),
-        Box::new(|| {
-            (
-                Box::new(adya::engine::MvtoEngine::new()) as Box<dyn Engine>,
-                IsolationLevel::PL3,
-            )
-        }),
-        Box::new(|| {
-            (
-                Box::new(SgtEngine::new(CertifyLevel::PL3)) as Box<dyn Engine>,
-                IsolationLevel::PL3,
-            )
-        }),
-        Box::new(|| {
-            (
-                Box::new(SgtEngine::new(CertifyLevel::PL2)) as Box<dyn Engine>,
-                IsolationLevel::PL2,
-            )
-        }),
-        Box::new(|| {
-            (
-                Box::new(SgtEngine::new(CertifyLevel::PL1)) as Box<dyn Engine>,
-                IsolationLevel::PL1,
-            )
-        }),
-        Box::new(|| {
-            (
-                Box::new(MvccEngine::new(MvccMode::SnapshotIsolation)) as Box<dyn Engine>,
-                IsolationLevel::PLSI,
-            )
-        }),
-        Box::new(|| {
-            (
-                Box::new(MvccEngine::new(MvccMode::ReadCommitted)) as Box<dyn Engine>,
-                IsolationLevel::PL2,
-            )
-        }),
-    ]
-}
 
 fn assert_level(engine: Box<dyn Engine>, level: IsolationLevel, ctx: &str) {
     let name = engine.name();
@@ -97,9 +22,9 @@ fn assert_level(engine: Box<dyn Engine>, level: IsolationLevel, ctx: &str) {
 
 #[test]
 fn mixed_workload_histories_satisfy_levels() {
-    for factory in schemes() {
+    for scheme in schemes() {
         for seed in 0..5u64 {
-            let (engine, level) = factory();
+            let (engine, level) = ((scheme.make)(), scheme.guarantees);
             let (_, programs) = mixed_workload(
                 engine.as_ref(),
                 &MixedConfig {
@@ -130,9 +55,9 @@ fn mixed_workload_histories_satisfy_levels() {
 fn delete_heavy_workload_histories_satisfy_levels() {
     // Deletes exercise dead versions and row re-incarnation; every
     // scheme must keep its level guarantees.
-    for factory in schemes() {
+    for scheme in schemes() {
         for seed in 0..4u64 {
-            let (engine, level) = factory();
+            let (engine, level) = ((scheme.make)(), scheme.guarantees);
             let (_, programs) = mixed_workload(
                 engine.as_ref(),
                 &MixedConfig {
@@ -161,9 +86,9 @@ fn delete_heavy_workload_histories_satisfy_levels() {
 
 #[test]
 fn bank_workload_histories_satisfy_levels() {
-    for factory in schemes() {
+    for scheme in schemes() {
         for seed in 0..3u64 {
-            let (engine, level) = factory();
+            let (engine, level) = ((scheme.make)(), scheme.guarantees);
             let (_, programs) = bank_workload(
                 engine.as_ref(),
                 &BankConfig {
@@ -189,9 +114,9 @@ fn bank_workload_histories_satisfy_levels() {
 
 #[test]
 fn phantom_workload_histories_satisfy_levels() {
-    for factory in schemes() {
+    for scheme in schemes() {
         for seed in 0..3u64 {
-            let (engine, level) = factory();
+            let (engine, level) = ((scheme.make)(), scheme.guarantees);
             let (_, _, programs) = phantom_workload(
                 engine.as_ref(),
                 &PhantomConfig {
@@ -217,8 +142,8 @@ fn phantom_workload_histories_satisfy_levels() {
 
 #[test]
 fn hotspot_workload_histories_satisfy_levels() {
-    for factory in schemes() {
-        let (engine, level) = factory();
+    for scheme in schemes() {
+        let (engine, level) = ((scheme.make)(), scheme.guarantees);
         let (_, programs) = hotspot_workload(
             engine.as_ref(),
             &HotspotConfig {
@@ -237,35 +162,12 @@ fn hotspot_workload_histories_satisfy_levels() {
 #[test]
 fn serializable_engines_preserve_bank_invariant() {
     // Not just serializable histories: actually correct balances.
-    let factories: Vec<EngineFactory> = vec![
-        Box::new(|| {
-            (
-                Box::new(LockingEngine::new(LockConfig::serializable())) as Box<dyn Engine>,
-                IsolationLevel::PL3,
-            )
-        }),
-        Box::new(|| {
-            (
-                Box::new(OccEngine::new()) as Box<dyn Engine>,
-                IsolationLevel::PL3,
-            )
-        }),
-        Box::new(|| {
-            (
-                Box::new(adya::engine::MvtoEngine::new()) as Box<dyn Engine>,
-                IsolationLevel::PL3,
-            )
-        }),
-        Box::new(|| {
-            (
-                Box::new(SgtEngine::new(CertifyLevel::PL3)) as Box<dyn Engine>,
-                IsolationLevel::PL3,
-            )
-        }),
-    ];
-    for factory in factories {
+    let serializable = schemes()
+        .into_iter()
+        .filter(|s| s.guarantees == IsolationLevel::PL3);
+    for scheme in serializable {
         for seed in 0..4u64 {
-            let (engine, _) = factory();
+            let engine = (scheme.make)();
             let (table, programs) = bank_workload(
                 engine.as_ref(),
                 &BankConfig {

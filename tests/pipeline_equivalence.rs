@@ -14,33 +14,13 @@
 
 use std::sync::{Arc, Mutex};
 
-use adya::engine::{
-    CertifyLevel, Engine, LockConfig, LockingEngine, MvccEngine, MvccMode, MvtoEngine, OccEngine,
-    SgtEngine,
-};
+use adya::engine::Engine;
 use adya::history::Event;
 use adya::online::{OnlineChecker, PipelineConfig};
 use adya::workloads::{
-    mixed_workload, run_concurrent_live, ConcurrentConfig, LiveConfig, MixedConfig,
+    families, mixed_workload, run_concurrent_live, ConcurrentConfig, LiveConfig, MixedConfig,
 };
 use proptest::prelude::*;
-
-/// All five engine families, one representative configuration each.
-fn engines() -> Vec<(&'static str, Box<dyn Engine>)> {
-    vec![
-        (
-            "2PL",
-            Box::new(LockingEngine::new(LockConfig::serializable())) as Box<dyn Engine>,
-        ),
-        ("OCC", Box::new(OccEngine::new())),
-        ("SGT", Box::new(SgtEngine::new(CertifyLevel::PL3))),
-        (
-            "MVCC-SI",
-            Box::new(MvccEngine::new(MvccMode::SnapshotIsolation)),
-        ),
-        ("MVTO", Box::new(MvtoEngine::new())),
-    ]
-}
 
 /// Runs one threaded workload on `engine` with both observers
 /// installed and asserts the pipelined verdict stream equals the
@@ -116,10 +96,10 @@ proptest! {
         ring_capacity in 2usize..32,
         threads in 2usize..4,
     ) {
-        for (name, engine) in engines() {
+        for scheme in families() {
             assert_pipelined_matches_sequential(
-                name,
-                engine,
+                scheme.name,
+                (scheme.make)(),
                 seed,
                 PipelineConfig { rings, ring_capacity },
                 threads,

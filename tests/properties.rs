@@ -302,44 +302,9 @@ proptest! {
 }
 
 mod engine_interleavings {
-    use adya::core::{classify, IsolationLevel};
-    use adya::engine::{
-        CertifyLevel, Engine, LockConfig, LockingEngine, MvccEngine, MvccMode, MvtoEngine,
-        OccEngine, SgtEngine,
-    };
-    use adya::workloads::{mixed_workload, run_deterministic, DriverConfig, MixedConfig};
+    use adya::core::classify;
+    use adya::workloads::{mixed_workload, run_deterministic, schemes, DriverConfig, MixedConfig};
     use proptest::prelude::*;
-
-    fn engine_for(pick: u8) -> (Box<dyn Engine>, IsolationLevel) {
-        match pick % 8 {
-            0 => (
-                Box::new(LockingEngine::new(LockConfig::serializable())),
-                IsolationLevel::PL3,
-            ),
-            1 => (
-                Box::new(LockingEngine::new(LockConfig::read_committed())),
-                IsolationLevel::PL2,
-            ),
-            2 => (Box::new(OccEngine::new()), IsolationLevel::PL3),
-            3 => (
-                Box::new(SgtEngine::new(CertifyLevel::PL3)),
-                IsolationLevel::PL3,
-            ),
-            4 => (
-                Box::new(MvccEngine::new(MvccMode::SnapshotIsolation)),
-                IsolationLevel::PLSI,
-            ),
-            5 => (
-                Box::new(MvccEngine::new(MvccMode::ReadCommitted)),
-                IsolationLevel::PL2,
-            ),
-            6 => (Box::new(MvtoEngine::new()), IsolationLevel::PL3),
-            _ => (
-                Box::new(LockingEngine::new(LockConfig::repeatable_read())),
-                IsolationLevel::PL299,
-            ),
-        }
-    }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(24))]
@@ -349,13 +314,15 @@ mod engine_interleavings {
         /// scheme's level.
         #[test]
         fn random_interleavings_stay_sound(
-            pick in 0u8..8,
+            pick in 0usize..64,
             seed in 0u64..1_000,
             keys in 2u64..8,
             write_ratio in 0.2f64..0.9,
             delete_prob in 0.0f64..0.4,
         ) {
-            let (engine, level) = engine_for(pick);
+            let roster = schemes();
+            let scheme = roster[pick % roster.len()];
+            let (engine, level) = ((scheme.make)(), scheme.guarantees);
             let (_, programs) = mixed_workload(
                 engine.as_ref(),
                 &MixedConfig {
