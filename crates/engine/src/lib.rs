@@ -4,8 +4,12 @@
 //! The paper argues that its generalized isolation definitions admit
 //! locking, optimistic *and* multi-version implementations alike. This
 //! crate makes that argument executable by providing one storage model
-//! and four concurrency-control schemes behind a common [`Engine`]
-//! trait:
+//! and five concurrency-control schemes behind a common [`Engine`]
+//! trait. The private `store` module is the model — the transaction
+//! lifecycle, row incarnations, how a predicate read is recorded, the
+//! version orders handed over at `finalize` — and each scheme's file
+//! holds its three decisions: which version a read selects, when an
+//! operation blocks, when a transaction aborts.
 //!
 //! * [`LockingEngine`] — two-phase locking with the exact lock-scope
 //!   configurations of Figure 1 (short/long, read/write,

@@ -9,7 +9,8 @@
 //! (Definition 9) — together with everything needed to *exercise* the
 //! theory: a preventative-definitions baseline (P0–P3), a
 //! multi-scheme transactional engine (2PL per Figure 1 row,
-//! Kung–Robinson OCC, an SGT certifier, MVCC snapshot isolation), and
+//! Kung–Robinson OCC, an SGT certifier, MVCC snapshot isolation and
+//! read committed, multiversion timestamp ordering), and
 //! workload/history generators.
 //!
 //! This crate is a facade: it re-exports the workspace members under
@@ -42,12 +43,12 @@ pub use adya_core as core;
 /// locking levels.
 pub use adya_prevent as prevent;
 
-/// The transactional engine substrate: 2PL / OCC / SGT / MVCC behind
-/// one trait, recording checkable histories.
+/// The transactional engine substrate: 2PL / OCC / SGT / MVCC / MVTO
+/// behind one trait, recording checkable histories.
 pub use adya_engine as engine;
 
-/// Workload programs, the deterministic driver, generators and the
-/// random-history sampler.
+/// Workload programs, the deterministic driver, generators, the
+/// random-history sampler and the roster of engine schemes.
 pub use adya_workloads as workloads;
 
 /// Generic serialization-graph machinery (SCC, witness cycles, DOT).
