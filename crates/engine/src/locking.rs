@@ -190,8 +190,8 @@ impl LockingEngine {
     /// their configured short/long durations.
     pub fn cursor_read(&self, txn: TxnId, table: TableId, key: Key) -> OpResult<Option<Value>> {
         let inner = &mut *self.inner.lock();
-        let (rec, catalog) = (&self.recorder, &self.catalog);
-        let config = inner.txns.enter(rec, catalog, txn, table)?.config;
+        let rec = &self.recorder;
+        let config = inner.txns.enter(self, txn, table)?.config;
         if let Err(holders) = inner.locks.try_item(txn, table, key, LockMode::Shared) {
             return Err(EngineError::Blocked { holders });
         }
@@ -241,8 +241,8 @@ impl LockingEngine {
     /// Common write/delete path. `value: None` deletes.
     fn do_write(&self, txn: TxnId, table: TableId, key: Key, value: Option<Value>) -> OpResult<()> {
         let inner = &mut *self.inner.lock();
-        let (rec, catalog) = (&self.recorder, &self.catalog);
-        let config = inner.txns.enter(rec, catalog, txn, table)?.config;
+        let rec = &self.recorder;
+        let config = inner.txns.enter(self, txn, table)?.config;
 
         // X lock (always at least short).
         if let Err(holders) = inner.locks.try_item(txn, table, key, LockMode::Exclusive) {
@@ -289,8 +289,8 @@ impl Engine for LockingEngine {
 
     fn read(&self, txn: TxnId, table: TableId, key: Key) -> OpResult<Option<Value>> {
         let inner = &mut *self.inner.lock();
-        let (rec, catalog) = (&self.recorder, &self.catalog);
-        let config = inner.txns.enter(rec, catalog, txn, table)?.config;
+        let rec = &self.recorder;
+        let config = inner.txns.enter(self, txn, table)?.config;
 
         if config.item_read != LockDuration::None {
             if let Err(holders) = inner.locks.try_item(txn, table, key, LockMode::Shared) {
@@ -320,8 +320,8 @@ impl Engine for LockingEngine {
 
     fn select(&self, txn: TxnId, pred: &TablePred) -> OpResult<Vec<(Key, Value)>> {
         let inner = &mut *self.inner.lock();
-        let (rec, catalog) = (&self.recorder, &self.catalog);
-        let config = inner.txns.enter(rec, catalog, txn, pred.table)?.config;
+        let rec = &self.recorder;
+        let config = inner.txns.enter(self, txn, pred.table)?.config;
         let table = pred.table;
 
         // Phantom lock: conflicts with concurrent writers whose

@@ -73,9 +73,7 @@ impl MvccEngine {
 
     fn do_write(&self, txn: TxnId, table: TableId, key: Key, value: Option<Value>) -> OpResult<()> {
         let mut inner = self.inner.lock();
-        inner
-            .txns
-            .enter(&self.recorder, &self.catalog, txn, table)?;
+        inner.txns.enter(self, txn, table)?;
         inner.txns.state_mut(txn).writes.push(table, key, value);
         Ok(())
     }
@@ -119,8 +117,8 @@ impl Engine for MvccEngine {
 
     fn read(&self, txn: TxnId, table: TableId, key: Key) -> OpResult<Option<Value>> {
         let inner = &mut *self.inner.lock();
-        let (rec, catalog) = (&self.recorder, &self.catalog);
-        let state = inner.txns.enter(rec, catalog, txn, table)?;
+        let rec = &self.recorder;
+        let state = inner.txns.enter(self, txn, table)?;
         if let Some(v) = state.writes.buffered(table, key) {
             return Ok(v);
         }
@@ -156,8 +154,8 @@ impl Engine for MvccEngine {
 
     fn select(&self, txn: TxnId, pred: &TablePred) -> OpResult<Vec<(Key, Value)>> {
         let inner = &mut *self.inner.lock();
-        let (rec, catalog) = (&self.recorder, &self.catalog);
-        let state = inner.txns.enter(rec, catalog, txn, pred.table)?;
+        let rec = &self.recorder;
+        let state = inner.txns.enter(self, txn, pred.table)?;
         let stamp = self.read_stamp(&inner.store, state);
         let scan = inner.store.scan(pred, |_, chain| chain.version_at(stamp));
         let mut rows = scan.record(rec, txn, pred);

@@ -177,8 +177,8 @@ impl MvtoEngine {
     /// Common write/delete path.
     fn do_write(&self, txn: TxnId, table: TableId, key: Key, value: Option<Value>) -> OpResult<()> {
         let inner = &mut *self.inner.lock();
-        let (rec, catalog) = (&self.recorder, &self.catalog);
-        let ts = inner.txns.enter(rec, catalog, txn, table)?.ts;
+        let rec = &self.recorder;
+        let ts = inner.txns.enter(self, txn, table)?.ts;
 
         // Too-late check: the version this write would supersede must
         // not have been read by a younger transaction.
@@ -325,8 +325,8 @@ impl Engine for MvtoEngine {
 
     fn read(&self, txn: TxnId, table: TableId, key: Key) -> OpResult<Option<Value>> {
         let inner = &mut *self.inner.lock();
-        let (rec, catalog) = (&self.recorder, &self.catalog);
-        let ts = inner.txns.enter(rec, catalog, txn, table)?.ts;
+        let rec = &self.recorder;
+        let ts = inner.txns.enter(self, txn, table)?.ts;
         let Some(chain) = inner.chains.get_mut(&(table, key)) else {
             return Ok(None);
         };
@@ -356,8 +356,8 @@ impl Engine for MvtoEngine {
 
     fn select(&self, txn: TxnId, pred: &TablePred) -> OpResult<Vec<(Key, Value)>> {
         let inner = &mut *self.inner.lock();
-        let (rec, catalog) = (&self.recorder, &self.catalog);
-        let ts = inner.txns.enter(rec, catalog, txn, pred.table)?.ts;
+        let rec = &self.recorder;
+        let ts = inner.txns.enter(self, txn, pred.table)?.ts;
         let table = pred.table;
         // Scan in key order: the recorded read sequence must not
         // depend on hash iteration order.

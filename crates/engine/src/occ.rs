@@ -70,9 +70,7 @@ impl OccEngine {
 
     fn do_write(&self, txn: TxnId, table: TableId, key: Key, value: Option<Value>) -> OpResult<()> {
         let mut inner = self.inner.lock();
-        inner
-            .txns
-            .enter(&self.recorder, &self.catalog, txn, table)?;
+        inner.txns.enter(self, txn, table)?;
         inner.txns.state_mut(txn).writes.push(table, key, value);
         Ok(())
     }
@@ -104,8 +102,8 @@ impl Engine for OccEngine {
 
     fn read(&self, txn: TxnId, table: TableId, key: Key) -> OpResult<Option<Value>> {
         let inner = &mut *self.inner.lock();
-        let (rec, catalog) = (&self.recorder, &self.catalog);
-        let state = inner.txns.enter(rec, catalog, txn, table)?;
+        let rec = &self.recorder;
+        let state = inner.txns.enter(self, txn, table)?;
         // Own buffered write wins.
         if let Some(v) = state.writes.buffered(table, key) {
             return Ok(v);
@@ -131,8 +129,8 @@ impl Engine for OccEngine {
 
     fn select(&self, txn: TxnId, pred: &TablePred) -> OpResult<Vec<(Key, Value)>> {
         let inner = &mut *self.inner.lock();
-        let (rec, catalog) = (&self.recorder, &self.catalog);
-        inner.txns.enter(rec, catalog, txn, pred.table)?;
+        let rec = &self.recorder;
+        inner.txns.enter(self, txn, pred.table)?;
         let scan = inner.store.scan(pred, |_, chain| chain.committed_tip());
         let state = inner.txns.state_mut(txn);
         state.pred_reads.push(pred.clone());

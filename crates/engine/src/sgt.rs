@@ -268,8 +268,8 @@ impl Engine for SgtEngine {
 
     fn read(&self, txn: TxnId, table: TableId, key: Key) -> OpResult<Option<Value>> {
         let inner = &mut *self.inner.lock();
-        let (rec, catalog) = (&self.recorder, &self.catalog);
-        inner.txns.enter(rec, catalog, txn, table)?;
+        let rec = &self.recorder;
+        inner.txns.enter(self, txn, table)?;
         let Some(chain_ix) = inner.store.chain_index(table, key) else {
             return Ok(None);
         };
@@ -296,8 +296,8 @@ impl Engine for SgtEngine {
 
     fn write(&self, txn: TxnId, table: TableId, key: Key, value: Value) -> OpResult<()> {
         let inner = &mut *self.inner.lock();
-        let (rec, catalog) = (&self.recorder, &self.catalog);
-        inner.txns.enter(rec, catalog, txn, table)?;
+        let rec = &self.recorder;
+        inner.txns.enter(self, txn, table)?;
         let writes = &mut inner.txns.state_mut(txn).writes;
         let chain_ix = writes
             .write(&mut inner.store, rec, txn, table, key, Some(value))
@@ -307,14 +307,14 @@ impl Engine for SgtEngine {
 
     fn delete(&self, txn: TxnId, table: TableId, key: Key) -> OpResult<()> {
         let inner = &mut *self.inner.lock();
-        let (rec, catalog) = (&self.recorder, &self.catalog);
-        inner.txns.enter(rec, catalog, txn, table)?;
-        // The dead version goes onto the chain of the version it kills
-        // — not where `Store::write` would put it: behind another
-        // transaction's uncommitted delete that starts a fresh
+        let rec = &self.recorder;
+        inner.txns.enter(self, txn, table)?;
+        // The dead version goes onto the chain of the version it
+        // kills, not through `Store::write`: behind another
+        // transaction's uncommitted delete that rule starts a fresh
         // incarnation, and the two deleters would share no object.
-        // Here their ww edges close a cycle and certification aborts
-        // one of them.
+        // On one chain their ww edges close a cycle, and
+        // certification aborts one of them.
         let Some(chain_ix) = inner.store.chain_index(table, key) else {
             return Ok(());
         };
@@ -328,8 +328,8 @@ impl Engine for SgtEngine {
 
     fn select(&self, txn: TxnId, pred: &TablePred) -> OpResult<Vec<(Key, Value)>> {
         let inner = &mut *self.inner.lock();
-        let (rec, catalog) = (&self.recorder, &self.catalog);
-        inner.txns.enter(rec, catalog, txn, pred.table)?;
+        let rec = &self.recorder;
+        inner.txns.enter(self, txn, pred.table)?;
         // Every selected version is read: (chain, version, committed).
         let mut read = Vec::new();
         let rows = inner

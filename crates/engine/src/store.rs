@@ -27,8 +27,9 @@ use std::collections::{HashMap, HashSet};
 
 use adya_history::{History, ObjectId, RequestedLevel, TxnId, Value, VersionId};
 
+use crate::engine::Engine;
 use crate::recorder::Recorder;
-use crate::types::{AbortReason, Catalog, EngineError, Key, OpResult, TableId, TablePred};
+use crate::types::{AbortReason, EngineError, Key, OpResult, TableId, TablePred};
 
 #[derive(Debug)]
 enum TxnStatus {
@@ -45,14 +46,6 @@ enum TxnStatus {
 pub(crate) struct Txns<S> {
     txns: HashMap<TxnId, (TxnStatus, S)>,
     known_tables: HashSet<TableId>,
-}
-
-fn check_active<S>(txns: &HashMap<TxnId, (TxnStatus, S)>, txn: TxnId) -> OpResult<&S> {
-    match txns.get(&txn) {
-        Some((TxnStatus::Active, state)) => Ok(state),
-        Some((TxnStatus::Aborted(reason), _)) => Err(EngineError::Aborted(reason.clone())),
-        Some((TxnStatus::Committed, _)) | None => Err(EngineError::UnknownTxn),
-    }
 }
 
 impl<S> Txns<S> {
@@ -76,25 +69,25 @@ impl<S> Txns<S> {
     /// was aborted for, a committed or never-begun handle names no live
     /// transaction.
     pub fn check_active(&self, txn: TxnId) -> OpResult<&S> {
-        check_active(&self.txns, txn)
+        match self.txns.get(&txn) {
+            Some((TxnStatus::Active, state)) => Ok(state),
+            Some((TxnStatus::Aborted(reason), _)) => Err(EngineError::Aborted(reason.clone())),
+            Some((TxnStatus::Committed, _)) | None => Err(EngineError::UnknownTxn),
+        }
     }
 
-    /// The prelude of every operation on a table: [`check_active`],
-    /// then the table's first mention registers its relation.
+    /// The prelude of every operation of `engine` on a table:
+    /// [`check_active`], then the table's first mention registers its
+    /// relation with the engine's recorder.
     ///
     /// [`check_active`]: Txns::check_active
-    pub fn enter(
-        &mut self,
-        rec: &Recorder,
-        catalog: &Catalog,
-        txn: TxnId,
-        table: TableId,
-    ) -> OpResult<&S> {
-        let state = check_active(&self.txns, txn)?;
+    pub fn enter(&mut self, engine: &impl Engine, txn: TxnId, table: TableId) -> OpResult<&S> {
+        self.check_active(txn)?;
         if self.known_tables.insert(table) {
-            rec.register_table(table, &catalog.table_name(table));
+            let name = engine.catalog().table_name(table);
+            engine.recorder().register_table(table, &name);
         }
-        Ok(state)
+        Ok(self.state(txn))
     }
 
     /// The prelude of `abort`, which is idempotent: `Ok(false)` for a
@@ -122,18 +115,22 @@ impl<S> Txns<S> {
 
     /// See [`state`](Txns::state).
     pub fn state_mut(&mut self, txn: TxnId) -> &mut S {
-        &mut self.txns.get_mut(&txn).expect("a transaction begun here").1
+        &mut self.entry(txn).1
+    }
+
+    fn entry(&mut self, txn: TxnId) -> &mut (TxnStatus, S) {
+        self.txns.get_mut(&txn).expect("a transaction begun here")
     }
 
     /// Marks `txn` committed and records the commit.
     pub fn commit(&mut self, rec: &Recorder, txn: TxnId) {
-        self.txns.get_mut(&txn).expect("a transaction begun here").0 = TxnStatus::Committed;
+        self.entry(txn).0 = TxnStatus::Committed;
         rec.commit(txn);
     }
 
     /// Marks `txn` aborted for `reason` and records the abort.
     pub fn abort(&mut self, rec: &Recorder, txn: TxnId, reason: AbortReason) {
-        self.txns.get_mut(&txn).expect("a transaction begun here").0 = TxnStatus::Aborted(reason);
+        self.entry(txn).0 = TxnStatus::Aborted(reason);
         rec.abort(txn);
     }
 }

@@ -449,10 +449,8 @@ mod tests {
     #[test]
     fn transfers_on_occ_and_mvcc_commit_histories_pass_their_levels() {
         let deferred = ["OCC", "MVCC-SI", "MVCC-RC"];
-        for scheme in crate::schemes() {
-            if !deferred.contains(&scheme.name) {
-                continue;
-            }
+        let roster = crate::schemes().into_iter();
+        for scheme in roster.filter(|s| deferred.contains(&s.name)) {
             let (engine, level) = ((scheme.make)(), scheme.guarantees);
             let t = engine.catalog().table("acct");
             seed_accounts(engine.as_ref(), t, 4, 100);
