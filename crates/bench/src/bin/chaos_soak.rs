@@ -41,9 +41,7 @@
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use adya_bench::{
-    banner, note, report_header, report_path_from_args, u64_from_args, verdict, Table,
-};
+use adya_bench::{banner, note, u64_from_args, verdict, write_report, Table};
 use adya_core::{classify, IsolationLevel};
 use adya_engine::Engine;
 use adya_faults::{FaultConfig, FaultPlane, FaultStats, FaultyEngine};
@@ -56,13 +54,17 @@ use adya_workloads::{
     families, mixed_workload, run_concurrent, ConcurrentConfig, MixedConfig, RetryPolicy, Scheme,
 };
 
+/// The two multipliers every seed derivation here mixes through.
+const MIX_A: u64 = 0x9E37_79B9_7F4A_7C15;
+const MIX_B: u64 = 0xBF58_476D_1CE4_E5B9;
+
 /// The i-th fault schedule of a soak: intensities ramp with `i` so the
 /// family spans quiet-with-delays up to block+abort+crash storms, and
 /// each schedule's plane seed is derived from the base seed, so the
 /// whole family is reproducible from `(base, i)`.
 fn schedule(base: u64, i: u64) -> FaultConfig {
     FaultConfig {
-        seed: base ^ i.wrapping_mul(0x9E37_79B9_7F4A_7C15),
+        seed: base ^ i.wrapping_mul(MIX_A),
         block_prob: 0.02 * (i % 4) as f64,
         abort_prob: 0.015 * (i % 3) as f64,
         delay_prob: 0.05,
@@ -140,10 +142,9 @@ fn verdict_line(v: &adya_online::Verdict) -> String {
     )
 }
 
-/// Replays `events` through the online checker twice — once
-/// uninterrupted, once with snapshot/restore cycles at three cut
-/// points — and demands byte-identical verdict streams.
-fn check_crash_replay(events: &[Event], seed: u64) -> bool {
+/// The reference both replay checks compare against: one plain
+/// uninterrupted per-event pass.
+fn plain_replay(events: &[Event]) -> Vec<String> {
     let mut plain = Vec::new();
     let mut c = OnlineChecker::new();
     for e in events {
@@ -152,21 +153,28 @@ fn check_crash_replay(events: &[Event], seed: u64) -> bool {
         }
     }
     plain.push(verdict_line(&c.finish()));
+    plain
+}
 
-    // Cut points derived from the schedule seed so different schedules
-    // crash the checker at different stream positions.
-    let n = events.len();
-    let mut cuts: Vec<usize> = (1..=3u64)
+/// `count` sorted cut points in `0..n`, derived from the schedule seed
+/// (mixed through `m1` then `m2`) so different schedules cut the stream
+/// at different positions.
+fn cut_points(seed: u64, count: u64, (m1, m2): (u64, u64), n: usize) -> Vec<usize> {
+    let mut cuts: Vec<usize> = (1..=count)
         .map(|k| {
-            let h = seed
-                .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-                .wrapping_add(k)
-                .wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            let h = seed.wrapping_mul(m1).wrapping_add(k).wrapping_mul(m2);
             (h % n.max(1) as u64) as usize
         })
         .collect();
     cuts.sort_unstable();
+    cuts
+}
 
+/// Replays `events` through the online checker with snapshot/restore
+/// cycles at three cut points and demands a verdict stream
+/// byte-identical to `plain`.
+fn check_crash_replay(events: &[Event], seed: u64, plain: &[String]) -> bool {
+    let cuts = cut_points(seed, 3, (MIX_A, MIX_B), events.len());
     let mut resumed = Vec::new();
     let mut c = OnlineChecker::new();
     for (i, e) in events.iter().enumerate() {
@@ -192,29 +200,11 @@ fn check_crash_replay(events: &[Event], seed: u64) -> bool {
 /// sequencer drains what the rings still buffer, exactly as on a
 /// crash), snapshots the checker, and resumes a restored checker on a
 /// fresh pipeline. The whole verdict stream must be byte-identical to
-/// a plain uninterrupted per-event pass.
-fn check_pipelined_replay(events: &[Event], seed: u64) -> bool {
-    let mut plain = Vec::new();
-    let mut c = OnlineChecker::new();
-    for e in events {
-        if let Some(v) = c.ingest(e) {
-            plain.push(verdict_line(&v));
-        }
-    }
-    plain.push(verdict_line(&c.finish()));
-
+/// `plain`.
+fn check_pipelined_replay(events: &[Event], seed: u64, plain: &[String]) -> bool {
     let n = events.len();
-    let mut cuts: Vec<usize> = (1..=2u64)
-        .map(|k| {
-            let h = seed
-                .wrapping_mul(0xBF58_476D_1CE4_E5B9)
-                .wrapping_add(k)
-                .wrapping_mul(0x9E37_79B9_7F4A_7C15);
-            (h % n.max(1) as u64) as usize
-        })
-        .collect();
+    let mut cuts = cut_points(seed, 2, (MIX_B, MIX_A), n);
     cuts.push(n);
-    cuts.sort_unstable();
     cuts.dedup();
 
     let cfg = PipelineConfig {
@@ -309,8 +299,9 @@ fn run_one(
         .map(|m| m.into_inner().expect("tap mutex"))
         .unwrap_or_else(|arc| arc.lock().expect("tap mutex").clone());
     let log_ok = check_log_roundtrip(&events);
-    let replay_ok = check_crash_replay(&events, cfg.seed);
-    let pipelined_ok = check_pipelined_replay(&events, cfg.seed);
+    let plain = plain_replay(&events);
+    let replay_ok = check_crash_replay(&events, cfg.seed, &plain);
+    let pipelined_ok = check_pipelined_replay(&events, cfg.seed, &plain);
 
     SoakRun {
         engine: name.to_string(),
@@ -337,14 +328,7 @@ fn per_mille(p: f64) -> u64 {
     (p * 1000.0).round() as u64
 }
 
-fn write_report(path: &str, base_seed: u64, runs: &[SoakRun]) -> std::io::Result<()> {
-    let mut w = JsonWriter::new();
-    report_header(
-        &mut w,
-        "chaos_soak",
-        base_seed,
-        &[("runs_total", runs.len() as u64)],
-    );
+fn report_runs(w: &mut JsonWriter, runs: &[SoakRun]) {
     w.open_array(Some("runs"));
     for r in runs {
         w.open_object(None);
@@ -373,16 +357,11 @@ fn write_report(path: &str, base_seed: u64, runs: &[SoakRun]) -> std::io::Result
         w.close_object();
     }
     w.close_array();
-    w.close_object();
-    let mut json = w.finish();
-    json.push('\n');
-    std::fs::write(path, json)
 }
 
 fn main() {
     banner("Chaos soak: isolation guarantees under injected faults");
     let long = std::env::var("ADYA_SOAK_LONG").is_ok_and(|v| v == "1");
-    let report_path = report_path_from_args();
     let base_seed = u64_from_args("seed", 0xC0FFEE);
     let schedules = u64_from_args("schedules", if long { 64 } else { 8 });
     let txns = u64_from_args("txns", if long { 512 } else { 48 });
@@ -457,14 +436,11 @@ fn main() {
         ));
     }
 
-    if let Some(path) = &report_path {
-        match write_report(path, base_seed, &runs) {
-            Ok(()) => note(&format!("report written to {path}")),
-            Err(e) => {
-                eprintln!("chaos_soak: cannot write report {path}: {e}");
-                std::process::exit(2);
-            }
-        }
-    }
+    write_report(
+        "chaos_soak",
+        base_seed,
+        &[("runs_total", runs.len() as u64)],
+        |w| report_runs(w, &runs),
+    );
     verdict("E15 chaos soak", all_ok && total_faults > 0);
 }

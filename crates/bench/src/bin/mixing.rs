@@ -16,7 +16,7 @@
 use adya_bench::{banner, verdict, Table};
 use adya_core::{check_mixing, classify, IsolationLevel};
 use adya_engine::{Engine, EngineError, Key, LockConfig, LockingEngine, Value};
-use adya_history::{HistoryParts, RequestedLevel};
+use adya_history::RequestedLevel;
 use adya_workloads::histgen::{random_history, HistGenConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -91,34 +91,15 @@ fn locking_mix(seed: u64) -> adya_history::History {
     engine.finalize()
 }
 
-/// Reassigns every transaction of `h` to the given level and
-/// re-validates (levels live in the parts, so rebuild).
-fn with_uniform_level(h: &adya_history::History, level: RequestedLevel) -> adya_history::History {
-    let mut parts = HistoryParts {
-        events: h.events().to_vec(),
-        ..Default::default()
-    };
-    for (obj, info) in h.objects() {
-        parts.objects.insert(obj, info.clone());
-    }
-    for (rel, info) in h.relations() {
-        parts.relations.insert(rel, info.clone());
-    }
-    for (pid, info) in h.predicates() {
-        parts.predicates.insert(pid, info.clone());
-    }
-    for (t, _) in h.txns() {
-        parts.levels.insert(t, level);
-        // Preserve explicit version orders (strip the leading init).
-    }
-    for (obj, _) in h.objects() {
-        let order: Vec<_> = h
-            .version_order(obj)
-            .iter()
-            .copied()
-            .filter(|v| !v.is_init())
-            .collect();
-        parts.version_orders.insert(obj, order);
+/// `h` with every transaction's level reassigned by `level_of`,
+/// re-validated (levels live in the parts, so rebuild).
+fn with_levels(
+    h: &adya_history::History,
+    mut level_of: impl FnMut() -> RequestedLevel,
+) -> adya_history::History {
+    let mut parts = h.to_parts();
+    for level in parts.levels.values_mut() {
+        *level = level_of();
     }
     adya_history::History::from_parts(parts).expect("relabelled history stays valid")
 }
@@ -156,7 +137,7 @@ fn main() {
     for seed in base_seed..base_seed + n {
         let h = random_history(&cfg, seed);
         // (a) all-PL-3 assignment: mixing-correct ⇔ PL-3.
-        let pl3h = with_uniform_level(&h, RequestedLevel::PL3);
+        let pl3h = with_levels(&h, || RequestedLevel::PL3);
         let mix3 = check_mixing(&pl3h).is_correct();
         let pl3 = classify(&pl3h).satisfies(IsolationLevel::PL3);
         total += 1;
@@ -174,33 +155,7 @@ fn main() {
             RequestedLevel::PL299,
             RequestedLevel::PL3,
         ];
-        let mut parts_levels = std::collections::BTreeMap::new();
-        for (t, _) in pl3h.txns() {
-            parts_levels.insert(t, levels[rng.gen_range(0..levels.len())]);
-        }
-        let mixed = {
-            let mut parts = HistoryParts {
-                events: pl3h.events().to_vec(),
-                levels: parts_levels,
-                ..Default::default()
-            };
-            for (obj, info) in pl3h.objects() {
-                parts.objects.insert(obj, info.clone());
-            }
-            for (rel, info) in pl3h.relations() {
-                parts.relations.insert(rel, info.clone());
-            }
-            for (obj, _) in pl3h.objects() {
-                let order: Vec<_> = pl3h
-                    .version_order(obj)
-                    .iter()
-                    .copied()
-                    .filter(|v| !v.is_init())
-                    .collect();
-                parts.version_orders.insert(obj, order);
-            }
-            adya_history::History::from_parts(parts).expect("valid")
-        };
+        let mixed = with_levels(&pl3h, || levels[rng.gen_range(0..levels.len())]);
         let mix_rand = check_mixing(&mixed).is_correct();
         if mix_rand {
             correct_random += 1;

@@ -14,14 +14,13 @@
 
 use std::time::Instant;
 
-use adya_bench::{banner, note, report_header, report_path_from_args, verdict, Table};
+use adya_bench::overhead::overhead_history;
+use adya_bench::{banner, note, verdict, write_report, Table};
 use adya_core::{g0, g1a, g1b, g1c, g2, g2_item, Dsg, IsolationLevel, PhenomenonKind};
 use adya_history::{Event, History, TxnId};
-use adya_obs::json::JsonWriter;
 use adya_online::{GcConfig, OnlineChecker};
-use adya_workloads::histgen::{random_history, HistGenConfig};
 
-struct SizeRun {
+struct Comparison {
     txns: usize,
     events: usize,
     commits: usize,
@@ -35,11 +34,17 @@ struct SizeRun {
     verdict_p99: u64,
 }
 
-/// Strongest ANSI level whose proscriptions avoid `fired` — the same
-/// rule both checkers apply, computed here from the raw detector
-/// outputs so the batch side pays only for the six ANSI detectors.
-fn strongest(fired: &[PhenomenonKind]) -> Option<IsolationLevel> {
-    IsolationLevel::strongest_ansi(|k| fired.contains(&k))
+impl Comparison {
+    /// Batch time over online time.
+    fn speedup(&self) -> f64 {
+        self.batch_ns as f64 / self.online_ns.max(1) as f64
+    }
+
+    /// The online side's strongest ANSI level, for display.
+    fn level(&self) -> String {
+        self.online_level
+            .map_or_else(|| "none".into(), |l| l.to_string())
+    }
 }
 
 /// One full batch check: DSG plus the six ANSI-chain detectors.
@@ -80,21 +85,8 @@ fn prefix_history(h: &History, len: usize) -> History {
     History::from_parts(parts).expect("a prefix of a valid history is valid")
 }
 
-fn run_size(txns: usize, seed: u64) -> SizeRun {
-    let cfg = HistGenConfig {
-        txns,
-        objects: 8,
-        ops_per_txn: 4,
-        write_prob: 0.5,
-        dirty_read_prob: 0.1,
-        abort_prob: 0.1,
-        shuffle_order_prob: 0.0,
-        // A connection-pool-like window: bounded concurrency is what
-        // lets the checker's GC keep the live set flat while the
-        // history grows without bound.
-        max_concurrent: 8,
-    };
-    let h = random_history(&cfg, seed);
+fn compare(txns: usize, seed: u64) -> Comparison {
+    let h = overhead_history(txns, seed);
     let events = h.events().len();
 
     // Online: one incremental pass, a verdict at every commit.
@@ -132,14 +124,16 @@ fn run_size(txns: usize, seed: u64) -> SizeRun {
     }
     let batch_ns = start.elapsed().as_nanos();
 
-    SizeRun {
+    Comparison {
         txns,
         events,
         commits: commit_points.len(),
         online_ns,
         batch_ns,
         online_level: fin.strongest_ansi,
-        batch_level: strongest(&batch_fired),
+        // The same rule both checkers apply, over the raw detector
+        // outputs: the batch side pays only for the six ANSI detectors.
+        batch_level: IsolationLevel::strongest_ansi(|k| batch_fired.contains(&k)),
         peak_live,
         pruned: fin.pruned_txns,
         verdict_p50,
@@ -147,9 +141,7 @@ fn run_size(txns: usize, seed: u64) -> SizeRun {
     }
 }
 
-fn write_report(path: &str, seed: u64, runs: &[SizeRun]) -> std::io::Result<()> {
-    let mut w = JsonWriter::new();
-    report_header(&mut w, "online_vs_batch", seed, &[]);
+fn report_runs(w: &mut adya_obs::json::JsonWriter, runs: &[Comparison]) {
     w.open_array(Some("runs"));
     for r in runs {
         w.open_object(None);
@@ -166,35 +158,24 @@ fn write_report(path: &str, seed: u64, runs: &[SizeRun]) -> std::io::Result<()> 
         w.u64_field("verdict_latency_p99_ns", r.verdict_p99);
         w.u64_field("peak_live_txns", r.peak_live as u64);
         w.u64_field("gc_pruned_txns", r.pruned);
-        let speedup = r.batch_ns as f64 / r.online_ns.max(1) as f64;
         // No float field on the minimal writer; hundredths keep the
         // report integral and precise enough for a ratio.
-        w.u64_field("batch_over_online_x100", (speedup * 100.0) as u64);
-        w.str_field(
-            "strongest_ansi",
-            &r.online_level
-                .map(|l| l.to_string())
-                .unwrap_or_else(|| "none".into()),
-        );
+        w.u64_field("batch_over_online_x100", (r.speedup() * 100.0) as u64);
+        w.str_field("strongest_ansi", &r.level());
         w.bool_field("verdicts_agree", r.online_level == r.batch_level);
         w.close_object();
     }
     w.close_array();
-    w.close_object();
-    let mut json = w.finish();
-    json.push('\n');
-    std::fs::write(path, json)
 }
 
 fn main() {
     banner("Online (incremental) vs batch (re-check every prefix)");
-    let report_path = report_path_from_args();
     // Seed plumbing: `--seed` re-generates every size's history and is
     // echoed in the report, so a run is reproducible from it alone.
     let seed = adya_bench::u64_from_args("seed", 42);
 
     let sizes = [32usize, 64, 128, 256, 512];
-    let runs: Vec<SizeRun> = sizes.iter().map(|&n| run_size(n, seed)).collect();
+    let runs: Vec<Comparison> = sizes.iter().map(|&n| compare(n, seed)).collect();
 
     let mut table = Table::new(&[
         "txns",
@@ -214,26 +195,20 @@ fn main() {
             r.commits.to_string(),
             (r.online_ns / 1000).to_string(),
             (r.batch_ns / 1000).to_string(),
-            format!("{:.1}x", r.batch_ns as f64 / r.online_ns.max(1) as f64),
+            format!("{:.1}x", r.speedup()),
             r.peak_live.to_string(),
             r.pruned.to_string(),
-            r.online_level
-                .map(|l| l.to_string())
-                .unwrap_or_else(|| "none".into()),
+            r.level(),
         ]);
     }
     println!("{}", table.render());
 
     let agree = runs.iter().all(|r| r.online_level == r.batch_level);
-    if !agree {
-        for r in &runs {
-            if r.online_level != r.batch_level {
-                note(&format!(
-                    "  txns={}: online {:?} != batch {:?}",
-                    r.txns, r.online_level, r.batch_level
-                ));
-            }
-        }
+    for r in runs.iter().filter(|r| r.online_level != r.batch_level) {
+        note(&format!(
+            "  txns={}: online {:?} != batch {:?}",
+            r.txns, r.online_level, r.batch_level
+        ));
     }
     // Asymptotics: the batch side re-checks every prefix, so its cost
     // relative to the single online pass must grow with history
@@ -241,8 +216,7 @@ fn main() {
     // strict monotonicity (small sizes are noisy).
     let first = runs.first().expect("sizes is non-empty");
     let last = runs.last().expect("sizes is non-empty");
-    let s_first = first.batch_ns as f64 / first.online_ns.max(1) as f64;
-    let s_last = last.batch_ns as f64 / last.online_ns.max(1) as f64;
+    let (s_first, s_last) = (first.speedup(), last.speedup());
     let asymptotic = s_last > s_first && s_last > 1.0;
     if !asymptotic {
         note(&format!(
@@ -259,9 +233,6 @@ fn main() {
         ));
     }
 
-    if let Some(path) = report_path {
-        write_report(&path, seed, &runs).expect("write report");
-        note(&format!("report written to {path}"));
-    }
+    write_report("online_vs_batch", seed, &[], |w| report_runs(w, &runs));
     verdict("E14 online vs batch", agree && asymptotic && bounded);
 }

@@ -7,12 +7,11 @@
 //!
 //! Two parts, two kinds of claim:
 //!
-//! 1. **Overhead** (in-process): the E14/E16/E17 workload ingested
-//!    with a [`TracePlane`] stamping the stream stages at the default
-//!    1-in-32 cadence vs the identical run with no plane, best-of-N
-//!    per side. Gates: byte-identical verdict NDJSON, and aggregate
-//!    overhead within the 5% budget (half the E17 telemetry budget —
-//!    stamping is four ring writes, not a histogram plane).
+//! 1. **Overhead** (in-process): [`adya_bench::overhead`]'s on/off
+//!    sweep, a [`TracePlane`] stamping the stream stages at the default
+//!    1-in-32 cadence vs the identical run with no plane. Gates:
+//!    byte-identical verdict NDJSON, and aggregate overhead within the
+//!    5% budget (half E17's — four ring writes, not a histogram plane).
 //! 2. **Provenance** (replicated, real processes): a leader
 //!    `adya-serve` replicating to a follower, both with
 //!    `--trace-propagate --trace-sample 1`; a tracing client streams a
@@ -35,10 +34,10 @@
 use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
 
+use adya_bench::overhead::{sizes_from_args, Labels, Sweep, OVERHEAD_REPS};
 use adya_bench::{
-    banner, http_get, note, overhead_history, overhead_pct, reference, replication_health,
-    report_header, report_path_from_args, serve_bin, session_tokens, spawn_server, time_ingest,
-    u64_from_args, verdict, Table, OVERHEAD_REPS,
+    banner, http_get, note, reference, replication_health, session_tokens, spawn_server,
+    u64_from_args, verdict, write_report, Table,
 };
 use adya_obs::json::JsonWriter;
 use adya_obs::trace::{merge_segments, parse_segment, Stage, TraceSegment, DEFAULT_TRACE_SAMPLE};
@@ -46,63 +45,41 @@ use adya_obs::TracePlane;
 use adya_online::{GcConfig, OnlineChecker};
 use adya_workloads::ServeClient;
 
-struct SizeRun {
-    txns: usize,
-    events: usize,
-    on_ns: u128,
-    off_ns: u128,
-    verdicts_identical: bool,
-}
-
-/// Best-of-[`OVERHEAD_REPS`] ingest time over `h`'s events with a
-/// trace plane stamping the stream stages (tap/ring/seq before ingest,
-/// apply after, verdict on emission — the `adya-check --stream` path)
-/// at the default 1-in-[`DEFAULT_TRACE_SAMPLE`] cadence, or with no
-/// plane at all, plus the verdict NDJSON stream for the parity gate.
-fn time_traced(h: &adya_history::History, on: bool) -> (u128, Vec<String>) {
-    time_ingest(|| {
-        let mut c = OnlineChecker::with_gc(GcConfig::default());
-        let plane = on.then(|| TracePlane::new("bench", "leader"));
-        let mut cur = Vec::new();
-        let start = Instant::now();
-        for (seq, e) in h.events().iter().enumerate() {
-            let tid = plane.as_ref().and_then(|p| {
-                let id = p.sample("bench", seq as u64)?;
-                p.stamp(id, Stage::Tap);
-                p.stamp(id, Stage::Ring);
-                p.stamp(id, Stage::Seq);
-                Some(id)
-            });
-            let v = c.ingest(e);
-            if let (Some(p), Some(id)) = (&plane, tid) {
-                p.stamp(id, Stage::Apply);
-                if v.is_some() {
-                    p.stamp(id, Stage::Verdict);
-                }
-            }
-            if let Some(v) = v {
-                cur.push(v.to_json());
+/// One timed ingest of `h`'s events with a trace plane stamping the
+/// stream stages (tap/ring/seq before ingest, apply after, verdict on
+/// emission — the `adya-check --stream` path) at the default
+/// 1-in-[`DEFAULT_TRACE_SAMPLE`] cadence, or with no plane at all,
+/// plus the verdict NDJSON stream for the parity gate.
+fn ingest(h: &adya_history::History, on: bool) -> (u128, Vec<String>) {
+    let mut c = OnlineChecker::with_gc(GcConfig::default());
+    let plane = on.then(|| TracePlane::new("bench", "leader"));
+    let mut cur = Vec::new();
+    let start = Instant::now();
+    for (seq, e) in h.events().iter().enumerate() {
+        let tid = plane.as_ref().and_then(|p| {
+            let id = p.sample("bench", seq as u64)?;
+            p.stamp(id, Stage::Tap);
+            p.stamp(id, Stage::Ring);
+            p.stamp(id, Stage::Seq);
+            Some(id)
+        });
+        let v = c.ingest(e);
+        if let (Some(p), Some(id)) = (&plane, tid) {
+            p.stamp(id, Stage::Apply);
+            if v.is_some() {
+                p.stamp(id, Stage::Verdict);
             }
         }
-        cur.push(c.finish().to_json());
-        (start.elapsed().as_nanos(), cur)
-    })
-}
-
-fn run_size(txns: usize, seed: u64) -> SizeRun {
-    let h = overhead_history(txns, seed);
-    let (on_ns, on_lines) = time_traced(&h, true);
-    let (off_ns, off_lines) = time_traced(&h, false);
-    SizeRun {
-        txns,
-        events: h.events().len(),
-        on_ns,
-        off_ns,
-        verdicts_identical: on_lines == off_lines,
+        if let Some(v) = v {
+            cur.push(v.to_json());
+        }
     }
+    cur.push(c.finish().to_json());
+    (start.elapsed().as_nanos(), cur)
 }
 
 /// p50/p99 over a latency sample (nanoseconds).
+#[derive(Default)]
 struct Pct {
     count: u64,
     p50: u64,
@@ -111,11 +88,7 @@ struct Pct {
 
 fn percentiles(mut v: Vec<u64>) -> Pct {
     if v.is_empty() {
-        return Pct {
-            count: 0,
-            p50: 0,
-            p99: 0,
-        };
+        return Pct::default();
     }
     v.sort_unstable();
     let at = |p: usize| v[(v.len() * p / 100).min(v.len() - 1)];
@@ -151,27 +124,16 @@ struct Provenance {
 }
 
 fn run_replicated(seed: u64, txns: u64) -> Provenance {
-    let bin = serve_bin();
-    assert!(
-        bin.exists(),
-        "adya-serve binary not found at {} — build it first (cargo build --release) \
-         or set ADYA_SERVE_BIN",
-        bin.display()
-    );
     let base = std::env::temp_dir().join(format!("adya-trace-provenance-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&base);
     // Every event sampled, on both nodes.
     let traced = ["--trace-propagate", "--trace-sample", "1"];
     let (follower, faddr) = spawn_server(
-        &bin,
         &base.join("follower"),
-        "127.0.0.1:0",
         &[&traced[..], &["--follower", "--node", "follower"]].concat(),
     );
     let (leader, laddr) = spawn_server(
-        &bin,
         &base.join("leader"),
-        "127.0.0.1:0",
         &[&traced[..], &["--replicate-to", &faddr, "--node", "leader"]].concat(),
     );
     note(&format!(
@@ -247,12 +209,8 @@ fn run_replicated(seed: u64, txns: u64) -> Provenance {
                 repl_ack.push(a.saturating_sub(r));
             }
         }
-        let both: std::collections::BTreeSet<Stage> = stages
-            .keys()
-            .chain(follower_stages.into_iter().flat_map(BTreeMap::keys))
-            .copied()
-            .collect();
-        if Stage::ALL.iter().all(|s| both.contains(s)) {
+        let seen = |s| stages.contains_key(s) || follower_stages.is_some_and(|f| f.contains_key(s));
+        if Stage::ALL.iter().all(seen) {
             complete += 1;
         }
     }
@@ -275,157 +233,73 @@ fn run_replicated(seed: u64, txns: u64) -> Provenance {
     }
 }
 
-#[allow(clippy::too_many_arguments)]
-fn write_report(
-    path: &str,
-    seed: u64,
-    budget_pct: u64,
-    runs: &[SizeRun],
-    prov: &Provenance,
-) -> std::io::Result<()> {
-    let mut w = JsonWriter::new();
-    report_header(
-        &mut w,
-        "trace_provenance",
-        seed,
-        &[
-            ("reps", OVERHEAD_REPS as u64),
-            ("sample_every", DEFAULT_TRACE_SAMPLE),
-            ("budget_pct", budget_pct),
-        ],
-    );
-    w.open_array(Some("runs"));
-    for r in runs {
-        w.open_object(None);
-        w.u64_field("txns", r.txns as u64);
-        w.u64_field("events", r.events as u64);
-        w.u64_field("trace_on_ns", r.on_ns as u64);
-        w.u64_field("trace_off_ns", r.off_ns as u64);
-        // Basis-point overhead keeps the minimal writer integral.
-        let bp = ((r.on_ns as f64 - r.off_ns as f64) / r.off_ns.max(1) as f64 * 10_000.0) as i64;
-        w.u64_field("overhead_bp", bp.max(0) as u64);
-        w.bool_field("verdicts_identical", r.verdicts_identical);
+impl Provenance {
+    /// The report's `replicated` object.
+    fn report(&self, w: &mut JsonWriter) {
+        w.open_object(Some("replicated"));
+        w.u64_field("txns", self.txns);
+        w.u64_field("client_verdicts", self.client_verdicts);
+        w.bool_field("serve_parity", self.serve_parity);
+        w.u64_field("sampled_traces", self.sampled_traces);
+        w.u64_field("complete_traces", self.complete_traces);
+        w.bool_field("all_stages_observed", self.complete_traces > 0);
+        w.bool_field("merged_ok", self.merged_ok);
+        // Leader-clock latency from the tap stamp to each later stage.
+        w.open_array(Some("stages_from_tap"));
+        for (stage, p) in &self.leader_stages {
+            w.open_object(None);
+            w.str_field("stage", stage.as_str());
+            w.u64_field("count", p.count);
+            w.u64_field("p50_ns", p.p50);
+            w.u64_field("p99_ns", p.p99);
+            w.close_object();
+        }
+        w.close_array();
+        for (span, p) in [
+            ("follower_replicate_to_ack", &self.follower_repl_to_ack),
+            ("tap_to_ack", &self.tap_to_ack),
+            ("client_rtt", &self.client_rtt),
+        ] {
+            w.u64_field(&format!("{span}_p50_ns"), p.p50);
+            w.u64_field(&format!("{span}_p99_ns"), p.p99);
+        }
         w.close_object();
     }
-    w.close_array();
-    let on: u128 = runs.iter().map(|r| r.on_ns).sum();
-    let off: u128 = runs.iter().map(|r| r.off_ns).sum();
-    w.u64_field("total_on_ns", on as u64);
-    w.u64_field("total_off_ns", off as u64);
-    w.u64_field(
-        "total_overhead_bp",
-        (overhead_pct(on, off) * 100.0).max(0.0) as u64,
-    );
-    w.bool_field(
-        "within_budget",
-        overhead_pct(on, off) <= budget_pct as f64 && runs.iter().all(|r| r.verdicts_identical),
-    );
-    w.open_object(Some("replicated"));
-    w.u64_field("txns", prov.txns);
-    w.u64_field("client_verdicts", prov.client_verdicts);
-    w.bool_field("serve_parity", prov.serve_parity);
-    w.u64_field("sampled_traces", prov.sampled_traces);
-    w.u64_field("complete_traces", prov.complete_traces);
-    w.bool_field("all_stages_observed", prov.complete_traces > 0);
-    w.bool_field("merged_ok", prov.merged_ok);
-    // Leader-clock latency from the tap stamp to each later stage.
-    w.open_array(Some("stages_from_tap"));
-    for (stage, p) in &prov.leader_stages {
-        w.open_object(None);
-        w.str_field("stage", stage.as_str());
-        w.u64_field("count", p.count);
-        w.u64_field("p50_ns", p.p50);
-        w.u64_field("p99_ns", p.p99);
-        w.close_object();
-    }
-    w.close_array();
-    w.u64_field(
-        "follower_replicate_to_ack_p50_ns",
-        prov.follower_repl_to_ack.p50,
-    );
-    w.u64_field(
-        "follower_replicate_to_ack_p99_ns",
-        prov.follower_repl_to_ack.p99,
-    );
-    w.u64_field("tap_to_ack_p50_ns", prov.tap_to_ack.p50);
-    w.u64_field("tap_to_ack_p99_ns", prov.tap_to_ack.p99);
-    w.u64_field("client_rtt_p50_ns", prov.client_rtt.p50);
-    w.u64_field("client_rtt_p99_ns", prov.client_rtt.p99);
-    w.close_object();
-    w.close_object();
-    let mut json = w.finish();
-    json.push('\n');
-    std::fs::write(path, json)
 }
 
 fn main() {
     banner("Trace provenance: per-verdict latency from client tap to replicated ack");
-    let report_path = report_path_from_args();
     let seed = u64_from_args("seed", 42);
-    // Smoke mode for CI: `--txns N` runs one small overhead size
-    // instead of the full sweep.
-    let smoke_txns = u64_from_args("txns", 0);
     let serve_txns = u64_from_args("serve-txns", 120);
     // The claim is ≤5%; CI smoke passes a looser regression ceiling
-    // because shared runners are noisy — E16/E17 do the same.
+    // because shared runners are noisy — E17 does the same.
     let budget_pct = u64_from_args("budget-pct", 5);
 
-    let sizes: Vec<usize> = if smoke_txns > 0 {
-        vec![smoke_txns as usize]
-    } else {
-        vec![128, 256, 512, 1024]
-    };
-    let runs: Vec<SizeRun> = sizes.iter().map(|&n| run_size(n, seed)).collect();
-
-    let mut table = Table::new(&[
-        "txns",
-        "events",
-        "trace on µs",
-        "trace off µs",
-        "overhead",
-        "verdicts identical",
-    ]);
-    for r in &runs {
-        table.row(&[
-            r.txns.to_string(),
-            r.events.to_string(),
-            (r.on_ns / 1000).to_string(),
-            (r.off_ns / 1000).to_string(),
-            format!("{:+.1}%", overhead_pct(r.on_ns, r.off_ns)),
-            if r.verdicts_identical { "yes" } else { "NO" }.to_string(),
-        ]);
-    }
-    println!("{}", table.render());
-
-    let on: u128 = runs.iter().map(|r| r.on_ns).sum();
-    let off: u128 = runs.iter().map(|r| r.off_ns).sum();
-    let agg = overhead_pct(on, off);
+    let sweep = Sweep::run(Labels::TRACE, &sizes_from_args(), seed, ingest);
+    println!("{}", sweep.table());
     note(&format!(
-        "aggregate ingest overhead with 1-in-{DEFAULT_TRACE_SAMPLE} stage stamping: {agg:+.1}%"
+        "aggregate ingest overhead with 1-in-{DEFAULT_TRACE_SAMPLE} stage stamping: {:+.1}%",
+        sweep.overhead_pct()
     ));
 
     let prov = run_replicated(seed, serve_txns);
     let mut stages = Table::new(&["stage", "count", "p50 µs", "p99 µs"]);
-    for (stage, p) in &prov.leader_stages {
+    let mut stage_row = |label: String, p: &Pct| {
         stages.row(&[
-            format!("tap→{}", stage.as_str()),
+            label,
             p.count.to_string(),
             format!("{:.1}", p.p50 as f64 / 1000.0),
             format!("{:.1}", p.p99 as f64 / 1000.0),
         ]);
+    };
+    for (stage, p) in &prov.leader_stages {
+        stage_row(format!("tap→{}", stage.as_str()), p);
     }
-    stages.row(&[
-        "replicate→ack (follower)".to_string(),
-        prov.follower_repl_to_ack.count.to_string(),
-        format!("{:.1}", prov.follower_repl_to_ack.p50 as f64 / 1000.0),
-        format!("{:.1}", prov.follower_repl_to_ack.p99 as f64 / 1000.0),
-    ]);
-    stages.row(&[
-        "client commit→verdict".to_string(),
-        prov.client_rtt.count.to_string(),
-        format!("{:.1}", prov.client_rtt.p50 as f64 / 1000.0),
-        format!("{:.1}", prov.client_rtt.p99 as f64 / 1000.0),
-    ]);
+    stage_row(
+        "replicate→ack (follower)".into(),
+        &prov.follower_repl_to_ack,
+    );
+    stage_row("client commit→verdict".into(), &prov.client_rtt);
     println!("{}", stages.render());
     note(&format!(
         "{} sampled traces, {} complete across both lanes; tap→ack p50 {:.1} µs / p99 {:.1} µs",
@@ -435,16 +309,6 @@ fn main() {
         prov.tap_to_ack.p99 as f64 / 1000.0,
     ));
 
-    let identical = runs.iter().all(|r| r.verdicts_identical);
-    let within = agg <= budget_pct as f64;
-    if !identical {
-        note("  stamping altered a verdict stream — provenance must observe, never alter");
-    }
-    if !within {
-        note(&format!(
-            "  aggregate overhead {agg:+.1}% exceeds the {budget_pct}% budget"
-        ));
-    }
     if !prov.serve_parity {
         note("  the traced client ledger diverged from the untraced reference");
     }
@@ -452,17 +316,21 @@ fn main() {
         note("  no sampled verdict carried all eight stages across both lanes");
     }
 
-    if let Some(path) = &report_path {
-        match write_report(path, seed, budget_pct, &runs, &prov) {
-            Ok(()) => note(&format!("report written to {path}")),
-            Err(e) => {
-                eprintln!("trace_provenance: cannot write report {path}: {e}");
-                std::process::exit(2);
-            }
-        }
-    }
+    write_report(
+        "trace_provenance",
+        seed,
+        &[
+            ("reps", OVERHEAD_REPS as u64),
+            ("sample_every", DEFAULT_TRACE_SAMPLE),
+            ("budget_pct", budget_pct),
+        ],
+        |w| {
+            sweep.report(w, Some(budget_pct));
+            prov.report(w);
+        },
+    );
     verdict(
         "E21 trace provenance",
-        identical && within && prov.serve_parity && prov.merged_ok && prov.complete_traces > 0,
+        sweep.passes(budget_pct) && prov.serve_parity && prov.merged_ok && prov.complete_traces > 0,
     );
 }

@@ -1,5 +1,6 @@
-//! Shared infrastructure for the figure-regeneration binaries and
-//! Criterion benches.
+//! Shared infrastructure for the figure-regeneration binaries and the
+//! experiments that neither a tier-1 test can assert nor the ledger
+//! (`benchmark/`) can time.
 //!
 //! Every table and figure of the paper has a binary here that
 //! regenerates it from the live implementation:
@@ -22,13 +23,29 @@
 //! | `all_figures` | runs every binary above in sequence (CI entry point) |
 //!
 //! Run them all with `cargo run -p adya-bench --bin <name>`.
+//!
+//! The rest are this repo's own cost accounting, one owner per number
+//! (EXPERIMENTS.md says which test or ledger row owns what is not
+//! here):
+//!
+//! | binary | experiment |
+//! |---|---|
+//! | `online_vs_batch` | E14 — one incremental pass vs a batch re-check of every committed prefix |
+//! | `chaos_soak` | E15 — isolation guarantees under injected faults |
+//! | `provenance_overhead` | E16 — edge provenance on vs off ([`overhead`]) |
+//! | `telemetry_overhead` | E17 — spans + SLIs on vs off ([`overhead`]) |
+//! | `replica_failover` | E20 — leader SIGKILL, client failover: lag at kill, failover latency |
+//! | `trace_provenance` | E21 — stage stamping on vs off ([`overhead`]), plus a replicated per-stage breakdown |
 
 #![warn(missing_docs)]
 
 use std::fmt::Display;
 
+pub mod overhead;
+
 use adya_workloads::harness;
-pub use adya_workloads::harness::{http_get, reference, Server};
+use adya_workloads::harness::Server;
+pub use adya_workloads::harness::{http_get, reference};
 
 /// A minimal fixed-width table printer for the report binaries.
 pub struct Table {
@@ -115,16 +132,18 @@ pub fn note(msg: &str) {
     eprintln!("{msg}");
 }
 
+/// The value following `flag` in the process arguments, if present
+/// (empty when the flag is last).
+fn arg_value(flag: &str) -> Option<String> {
+    let mut it = std::env::args().skip(1);
+    it.find(|a| a == flag)
+        .map(|_| it.next().unwrap_or_default())
+}
+
 /// Extracts `--report <path>` from the process arguments, if present.
 /// Report binaries that support it write a JSON metrics report there.
 pub fn report_path_from_args() -> Option<String> {
-    let mut it = std::env::args().skip(1);
-    while let Some(a) = it.next() {
-        if a == "--report" {
-            return it.next();
-        }
-    }
-    None
+    arg_value("--report").filter(|p| !p.is_empty())
 }
 
 /// Extracts `--<name> <value>` as a `u64` from the process arguments,
@@ -135,48 +154,69 @@ pub fn report_path_from_args() -> Option<String> {
 /// than silently running a different experiment.
 pub fn u64_from_args(name: &str, default: u64) -> u64 {
     let flag = format!("--{name}");
-    let mut it = std::env::args().skip(1);
-    while let Some(a) = it.next() {
-        if a == flag {
-            let v = it.next().unwrap_or_default();
-            match v.parse() {
-                Ok(n) => return n,
-                Err(_) => {
-                    eprintln!("invalid {flag} value: {v:?} (expected a u64)");
-                    std::process::exit(2);
-                }
-            }
-        }
-    }
-    default
+    let Some(v) = arg_value(&flag) else {
+        return default;
+    };
+    v.parse().unwrap_or_else(|_| {
+        eprintln!("invalid {flag} value: {v:?} (expected a u64)");
+        std::process::exit(2)
+    })
 }
 
 /// The machine's available parallelism, echoed into every report so a
 /// perf number can always be read against the hardware that produced
 /// it.
-pub fn cores() -> u64 {
+fn cores() -> u64 {
     std::thread::available_parallelism()
         .map(|n| n.get() as u64)
         .unwrap_or(1)
 }
 
-/// Opens the uniform report header shared by every committed
+/// Renders a report in the uniform shape of every committed
 /// `experiments/*.json`: the report name, the RNG seed, the core
-/// count, and then the experiment's own knobs as `(name, value)`
-/// pairs, in order. The writer is left inside the root object so the
-/// caller appends its payload (runs array, totals) and closes it.
-pub fn report_header(
-    w: &mut adya_obs::json::JsonWriter,
+/// count, the experiment's own knobs as `(name, value)` pairs in
+/// order, then whatever `body` appends to the root object (runs array,
+/// totals), newline-terminated.
+fn render_report(
     report: &str,
     seed: u64,
     knobs: &[(&str, u64)],
-) {
+    body: impl FnOnce(&mut adya_obs::json::JsonWriter),
+) -> String {
+    let mut w = adya_obs::json::JsonWriter::new();
     w.open_object(None);
     w.str_field("report", report);
     w.u64_field("seed", seed);
     w.u64_field("cores", cores());
     for (name, value) in knobs {
         w.u64_field(name, *value);
+    }
+    body(&mut w);
+    w.close_object();
+    let mut json = w.finish();
+    json.push('\n');
+    json
+}
+
+/// Writes the report — uniform header, then `body`'s payload — to the
+/// `--report` path, if one was given.
+/// A report that cannot be written exits 2: a CI step that asked for
+/// one must not pass without it.
+pub fn write_report(
+    report: &str,
+    seed: u64,
+    knobs: &[(&str, u64)],
+    body: impl FnOnce(&mut adya_obs::json::JsonWriter),
+) {
+    let Some(path) = report_path_from_args() else {
+        return;
+    };
+    match std::fs::write(&path, render_report(report, seed, knobs, body)) {
+        Ok(()) => note(&format!("report written to {path}")),
+        Err(e) => {
+            eprintln!("{report}: cannot write report {path}: {e}");
+            std::process::exit(2);
+        }
     }
 }
 
@@ -191,78 +231,37 @@ pub fn verdict(name: &str, ok: bool) {
 }
 
 // ----------------------------------------------------------------------
-// Shared by the on/off overhead experiments (E14, E16, E17, E21)
-// ----------------------------------------------------------------------
-
-/// Timing repetitions per (size, configuration) in the overhead
-/// experiments; best-of is reported. Generous because each rep is only
-/// milliseconds and the best-of floor is what the comparison hinges on.
-pub const OVERHEAD_REPS: usize = 15;
-
-/// Best-of-[`OVERHEAD_REPS`] over `rep`, which runs one repetition and
-/// returns its own timed nanoseconds (setup and teardown stay outside
-/// the clock) plus an output; the last repetition's output is kept for
-/// the experiment's parity check.
-pub fn time_ingest<T>(mut rep: impl FnMut() -> (u128, T)) -> (u128, T) {
-    let mut best = u128::MAX;
-    let mut last = None;
-    for _ in 0..OVERHEAD_REPS {
-        let (ns, out) = rep();
-        best = best.min(ns);
-        last = Some(out);
-    }
-    (best, last.expect("OVERHEAD_REPS > 0"))
-}
-
-/// Relative cost of `on` over `off`, in percent.
-pub fn overhead_pct(on: u128, off: u128) -> f64 {
-    (on as f64 - off as f64) / off.max(1) as f64 * 100.0
-}
-
-/// The overhead experiments' workload: conflict-heavy, aborts in the
-/// mix, bounded concurrency — the regime where checker hot-path costs
-/// show.
-pub fn overhead_history(txns: usize, seed: u64) -> adya_history::History {
-    let cfg = adya_workloads::histgen::HistGenConfig {
-        txns,
-        objects: 8,
-        ops_per_txn: 4,
-        write_prob: 0.5,
-        dirty_read_prob: 0.1,
-        abort_prob: 0.1,
-        shuffle_order_prob: 0.0,
-        max_concurrent: 8,
-    };
-    adya_workloads::histgen::random_history(&cfg, seed)
-}
-
-// ----------------------------------------------------------------------
-// Shared by the experiments that drive a real `adya-serve` (E18, E20,
-// E21)
+// Shared by the experiments that drive a real `adya-serve` (E20, E21)
 // ----------------------------------------------------------------------
 
 /// `adya-serve` lands in the same target directory as the bench
 /// binaries, so the sibling path is the default; `ADYA_SERVE_BIN`
-/// overrides it for out-of-tree runs.
-pub fn serve_bin() -> std::path::PathBuf {
-    if let Ok(p) = std::env::var("ADYA_SERVE_BIN") {
-        return p.into();
-    }
-    let mut p = std::env::current_exe().expect("current_exe");
-    p.pop();
-    p.push("adya-serve");
-    p
+/// overrides it for out-of-tree runs. Panics if it is not there.
+fn serve_bin() -> std::path::PathBuf {
+    let bin = std::env::var("ADYA_SERVE_BIN").map_or_else(
+        |_| {
+            let mut p = std::env::current_exe().expect("current_exe");
+            p.pop();
+            p.push("adya-serve");
+            p
+        },
+        std::path::PathBuf::from,
+    );
+    assert!(
+        bin.exists(),
+        "adya-serve binary not found at {} — build it first (cargo build --release) \
+         or set ADYA_SERVE_BIN",
+        bin.display()
+    );
+    bin
 }
 
-/// [`harness::spawn_server`] at the experiments' log cadence.
-pub fn spawn_server(
-    bin: &std::path::Path,
-    data: &std::path::Path,
-    listen: &str,
-    extra: &[&str],
-) -> (Server, String) {
+/// [`harness::spawn_server`] on a free local port, storing sessions
+/// under `data`, at the experiments' log cadence.
+pub fn spawn_server(data: &std::path::Path, extra: &[&str]) -> (Server, String) {
     let cadence = ["--snapshot-every", "32", "--rotate-events", "64"];
-    harness::spawn_server(bin, data, listen, &[&cadence[..], extra].concat())
+    let args = [&cadence[..], extra].concat();
+    harness::spawn_server(&serve_bin(), data, "127.0.0.1:0", &args)
 }
 
 /// Field `key` of the `replication` object in a fleet `/health` body.
@@ -296,93 +295,6 @@ pub fn session_tokens(session: u64, seed: u64, txns: u64) -> Vec<String> {
     tokens
 }
 
-/// One session's outcome in a kill-and-resume experiment.
-pub struct SessionRun {
-    /// Session name.
-    pub name: String,
-    /// Event tokens sent.
-    pub events: u64,
-    /// Verdict lines received.
-    pub verdicts: u64,
-    /// Resumes (after a restart, or failing over to another endpoint).
-    pub resumes: u32,
-    /// Client-observed recovery latency — reconnect backoff, endpoint
-    /// rotation, redirects and promotion included — summed over all
-    /// resumes.
-    pub resume_micros: u128,
-    /// The verdict ledger matched the uninterrupted reference.
-    pub stream_ok: bool,
-    /// So did the final verdict.
-    pub final_ok: bool,
-}
-
-impl SessionRun {
-    /// Byte-identical to the reference, final verdict included.
-    pub fn ok(&self) -> bool {
-        self.stream_ok && self.final_ok
-    }
-}
-
-/// Streams a whole session around a server kill: half the tokens, two
-/// waits on `barrier` while the caller kills (and maybe replaces) the
-/// server, the rest, then close. Transport errors anywhere turn into a
-/// timed resume against `endpoints`.
-pub fn run_session(
-    endpoints: &str,
-    session: u64,
-    seed: u64,
-    txns: u64,
-    barrier: &std::sync::Barrier,
-) -> SessionRun {
-    use adya_workloads::{ClientError, RetryPolicy, ServeClient};
-    let tokens = session_tokens(session, seed, txns);
-    let name = format!("tenant-{session}");
-    let mut client = ServeClient::hello(endpoints, &name).expect("hello");
-    let mut resumes = 0u32;
-    let mut resume_micros = 0u128;
-    let policy = RetryPolicy {
-        deadline_ops: Some(4_000),
-        ..RetryPolicy::default()
-    };
-    let mut send = |client: &mut ServeClient, tok: &str| match client.send_token(tok) {
-        Ok(()) => {}
-        Err(ClientError::Io(_)) => {
-            let t0 = std::time::Instant::now();
-            client
-                .resume(&policy, seed ^ session)
-                .unwrap_or_else(|e| panic!("{name}: resume failed: {e}"));
-            resume_micros += t0.elapsed().as_micros();
-            resumes += 1;
-        }
-        Err(e) => panic!("{name}: protocol error on {tok:?}: {e}"),
-    };
-
-    let half = tokens.len() / 2;
-    for tok in &tokens[..half] {
-        send(&mut client, tok);
-    }
-    barrier.wait(); // everyone is mid-stream
-    barrier.wait(); // the server has been killed
-    for tok in &tokens[half..] {
-        send(&mut client, tok);
-    }
-
-    let (want_verdicts, want_final) = reference(&tokens);
-    let stream_ok = client.verdicts() == &want_verdicts[..];
-    let events = client.tokens_sent() as u64;
-    let verdicts = client.verdicts().len() as u64;
-    let fin = client.close().expect("close");
-    SessionRun {
-        name,
-        events,
-        verdicts,
-        resumes,
-        resume_micros,
-        stream_ok,
-        final_ok: fin == want_final,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -414,12 +326,11 @@ mod tests {
 
     #[test]
     fn report_header_is_uniform() {
-        let mut w = adya_obs::json::JsonWriter::new();
-        report_header(&mut w, "demo", 7, &[("reps", 3), ("txns", 128)]);
-        w.close_object();
-        let s = w.finish();
+        let s = render_report("demo", 7, &[("reps", 3), ("txns", 128)], |w| {
+            w.bool_field("ok", true)
+        });
         let want = format!(
-            "{{\n  \"report\": \"demo\",\n  \"seed\": 7,\n  \"cores\": {},\n  \"reps\": 3,\n  \"txns\": 128\n}}",
+            "{{\n  \"report\": \"demo\",\n  \"seed\": 7,\n  \"cores\": {},\n  \"reps\": 3,\n  \"txns\": 128,\n  \"ok\": true\n}}\n",
             cores()
         );
         assert_eq!(s, want);

@@ -1,9 +1,9 @@
 //! `adya-serve`: a durable, multi-tenant checker-as-a-service.
 //!
 //! This crate hosts many concurrent [`OnlineChecker`] *sessions*
-//! behind one socket server (TCP and optionally unix), std only,
-//! thread-per-connection. Each session pairs a checker with a durable
-//! event log — segment files rotated on a record cadence, compacted
+//! behind one TCP server, std only, thread-per-connection. Each
+//! session pairs a checker with a durable event log — segment files
+//! rotated on a record cadence, compacted
 //! against periodic snapshots of the post-GC checker state — so that
 //! killing the server at any instant and restarting it recovers every
 //! session from snapshot + log tail with a **byte-identical resumed
@@ -35,7 +35,7 @@
 //! - [`log`] — cadence policy over it: rotation, snapshots,
 //!   compaction, recovery replay.
 //! - [`session`] — one checker session and its durability ordering.
-//! - [`Server`] — accept loops, connection protocol, obs plane.
+//! - [`Server`] — the accept loop, connection protocol, obs plane.
 //! - [`proto`] — control-frame parsing and rendering.
 //! - [`replica`] — replication hub (leader side), follower sink, lag
 //!   accounting.

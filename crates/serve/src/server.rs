@@ -1,4 +1,4 @@
-//! The multi-tenant server: accept loops, the per-connection NDJSON
+//! The multi-tenant server: the accept loop, the per-connection NDJSON
 //! protocol, and the obs plane mounted on the same port.
 //!
 //! Transport follows the `ObsServer` idiom from `crates/obs`: a
@@ -26,9 +26,7 @@
 use std::collections::{HashMap, HashSet};
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-#[cfg(unix)]
-use std::os::unix::net::{UnixListener, UnixStream};
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread;
@@ -197,18 +195,16 @@ impl Inner {
     }
 }
 
-/// The running server: accept loops plus shared session registry.
+/// The running server: the accept loop plus shared session registry.
 pub struct Server {
     inner: Arc<Inner>,
     tcp_addr: SocketAddr,
-    unix_path: Option<PathBuf>,
-    accept_threads: Vec<thread::JoinHandle<()>>,
+    accept_thread: Option<thread::JoinHandle<()>>,
 }
 
 impl Server {
-    /// Binds `tcp` (e.g. `127.0.0.1:0`) and optionally a unix socket
-    /// path, and starts accepting.
-    pub fn bind(tcp: &str, unix: Option<&Path>, cfg: ServeConfig) -> io::Result<Server> {
+    /// Binds `tcp` (e.g. `127.0.0.1:0`) and starts accepting.
+    pub fn bind(tcp: &str, cfg: ServeConfig) -> io::Result<Server> {
         std::fs::create_dir_all(&cfg.data_dir)?;
         let tap = TapCrashPlane::new(cfg.tap);
         // Bind before building the hub: the advertise address handed to
@@ -256,7 +252,7 @@ impl Server {
             hub,
             trace,
         });
-        let mut accept_threads = vec![{
+        let accept_thread = {
             let inner = Arc::clone(&inner);
             thread::Builder::new()
                 .name("serve-accept-tcp".into())
@@ -265,48 +261,18 @@ impl Server {
                         return;
                     }
                     match listener.accept() {
-                        Ok((stream, _)) => spawn_conn(Box::new(stream), Arc::clone(&inner)),
+                        Ok((stream, _)) => spawn_conn(stream, Arc::clone(&inner)),
                         Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
                             thread::sleep(Duration::from_millis(25));
                         }
                         Err(_) => thread::sleep(Duration::from_millis(25)),
                     }
                 })?
-        }];
-        let mut unix_path = None;
-        #[cfg(unix)]
-        if let Some(path) = unix {
-            // A stale socket file from a killed predecessor would make
-            // bind fail; recovery-after-kill is the whole point here.
-            let _ = std::fs::remove_file(path);
-            let ul = UnixListener::bind(path)?;
-            ul.set_nonblocking(true)?;
-            unix_path = Some(path.to_path_buf());
-            let inner = Arc::clone(&inner);
-            accept_threads.push(
-                thread::Builder::new()
-                    .name("serve-accept-unix".into())
-                    .spawn(move || loop {
-                        if inner.stop.load(Ordering::Relaxed) {
-                            return;
-                        }
-                        match ul.accept() {
-                            Ok((stream, _)) => spawn_conn(Box::new(stream), Arc::clone(&inner)),
-                            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                                thread::sleep(Duration::from_millis(25));
-                            }
-                            Err(_) => thread::sleep(Duration::from_millis(25)),
-                        }
-                    })?,
-            );
-        }
-        #[cfg(not(unix))]
-        let _ = unix;
+        };
         Ok(Server {
             inner,
             tcp_addr,
-            unix_path,
-            accept_threads,
+            accept_thread: Some(accept_thread),
         })
     }
 
@@ -325,7 +291,7 @@ impl Server {
     /// snapshot for every session still open. Idempotent.
     pub fn shutdown(&mut self) {
         self.inner.stop.store(true, Ordering::Relaxed);
-        for t in self.accept_threads.drain(..) {
+        if let Some(t) = self.accept_thread.take() {
             let _ = t.join();
         }
         // Connections poll the stop flag at their read timeout; give
@@ -355,9 +321,6 @@ impl Server {
         if let Some(hub) = &self.inner.hub {
             hub.stop();
         }
-        if let Some(path) = &self.unix_path {
-            let _ = std::fs::remove_file(path);
-        }
     }
 }
 
@@ -367,34 +330,7 @@ impl Drop for Server {
     }
 }
 
-/// A byte stream a connection can be served on: TCP or unix.
-trait Conn: Read + Write + Send {
-    fn split(&self) -> io::Result<Box<dyn Read + Send>>;
-    fn set_timeouts(&self) -> io::Result<()>;
-}
-
-impl Conn for TcpStream {
-    fn split(&self) -> io::Result<Box<dyn Read + Send>> {
-        Ok(Box::new(self.try_clone()?))
-    }
-    fn set_timeouts(&self) -> io::Result<()> {
-        self.set_read_timeout(Some(Duration::from_millis(100)))?;
-        self.set_write_timeout(Some(Duration::from_secs(5)))
-    }
-}
-
-#[cfg(unix)]
-impl Conn for UnixStream {
-    fn split(&self) -> io::Result<Box<dyn Read + Send>> {
-        Ok(Box::new(self.try_clone()?))
-    }
-    fn set_timeouts(&self) -> io::Result<()> {
-        self.set_read_timeout(Some(Duration::from_millis(100)))?;
-        self.set_write_timeout(Some(Duration::from_secs(5)))
-    }
-}
-
-fn spawn_conn(stream: Box<dyn Conn>, inner: Arc<Inner>) {
+fn spawn_conn(stream: TcpStream, inner: Arc<Inner>) {
     inner.conns.fetch_add(1, Ordering::Relaxed);
     adya_obs::gauge!("serve.connections").add(1);
     let _ = thread::Builder::new()
@@ -407,11 +343,16 @@ fn spawn_conn(stream: Box<dyn Conn>, inner: Arc<Inner>) {
 }
 
 /// Serves one connection to completion.
-fn handle_conn(mut stream: Box<dyn Conn>, inner: &Inner) {
-    if stream.set_timeouts().is_err() {
+fn handle_conn(mut stream: TcpStream, inner: &Inner) {
+    // The 100 ms read timeout is the stop-flag and idle-deadline poll.
+    if stream
+        .set_read_timeout(Some(Duration::from_millis(100)))
+        .and_then(|()| stream.set_write_timeout(Some(Duration::from_secs(5))))
+        .is_err()
+    {
         return;
     }
-    let mut reader = match stream.split() {
+    let mut reader = match stream.try_clone() {
         Ok(r) => BufReader::new(r),
         Err(_) => return,
     };
@@ -508,10 +449,10 @@ enum LineOutcome {
 /// not UTF-8 is rejected loudly instead of being applied mangled.
 fn dispatch_bytes(
     raw: &[u8],
-    stream: &mut Box<dyn Conn>,
+    stream: &mut TcpStream,
     conn: &mut ConnState,
     inner: &Inner,
-    reader: &mut BufReader<Box<dyn Read + Send>>,
+    reader: &mut BufReader<TcpStream>,
 ) -> LineOutcome {
     match std::str::from_utf8(raw) {
         Ok(line) => dispatch_line(line, stream, conn, inner, reader),
@@ -529,10 +470,10 @@ fn dispatch_bytes(
 
 fn dispatch_line(
     raw: &str,
-    stream: &mut Box<dyn Conn>,
+    stream: &mut TcpStream,
     conn: &mut ConnState,
     inner: &Inner,
-    reader: &mut BufReader<Box<dyn Read + Send>>,
+    reader: &mut BufReader<TcpStream>,
 ) -> LineOutcome {
     let line = raw.trim();
     if line.is_empty() {
@@ -608,7 +549,7 @@ fn dispatch_line(
 
 fn dispatch_frame(
     line: &str,
-    stream: &mut Box<dyn Conn>,
+    stream: &mut TcpStream,
     conn: &mut ConnState,
     inner: &Inner,
 ) -> LineOutcome {
@@ -967,7 +908,7 @@ fn dispatch_frame(
 
 /// Writes `already_attached` and reports whether this connection
 /// already owns a session (one session per connection).
-fn attached_guard(conn: &ConnState, stream: &mut Box<dyn Conn>) -> bool {
+fn attached_guard(conn: &ConnState, stream: &mut TcpStream) -> bool {
     if conn.attached.is_some() {
         let _ = writeln!(
             stream,
@@ -981,7 +922,7 @@ fn attached_guard(conn: &ConnState, stream: &mut Box<dyn Conn>) -> bool {
 
 /// Rejects a replication mutation on a connection that never sent
 /// `repl_hello`.
-fn not_replicating(stream: &mut Box<dyn Conn>) -> LineOutcome {
+fn not_replicating(stream: &mut TcpStream) -> LineOutcome {
     let _ = writeln!(
         stream,
         "{}",
@@ -1001,7 +942,7 @@ fn not_replicating(stream: &mut Box<dyn Conn>) -> LineOutcome {
 fn lookup_or_recover(
     inner: &Inner,
     name: &str,
-    stream: &mut Box<dyn Conn>,
+    stream: &mut TcpStream,
 ) -> Option<Arc<SessionSlot>> {
     if let Some(s) = inner.sessions.lock().unwrap().get(name) {
         return Some(Arc::clone(s));

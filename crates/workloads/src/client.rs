@@ -9,8 +9,8 @@
 //! verdicts it holds, appends the replayed tail, and re-sends exactly
 //! the suffix of tokens the server never made durable. The resulting
 //! verdict ledger is byte-identical to an uninterrupted run, which is
-//! the property the `serve_soak` bench and the serve integration tests
-//! assert.
+//! the property `tests/serve.rs`, `tests/replica.rs` and the ledger's
+//! `serve-recover` oracle assert.
 //!
 //! Tokens go one per line, so the server's durable record count maps
 //! 1:1 onto an index into the token ledger — the resume ack's

@@ -18,8 +18,8 @@
 //!   permissiveness experiments and property tests.
 //!
 //! [`schemes`] is the roster: every engine configuration paired with
-//! the level it promises — the one list tests, benches and experiment
-//! binaries iterate.
+//! the level it promises — the one list tests and experiment binaries
+//! iterate.
 //!
 //! Plus one transport piece: [`ServeClient`], a crash-resumable TCP
 //! client for the `adya-serve` session protocol, reusing the same

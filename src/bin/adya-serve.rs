@@ -1,10 +1,9 @@
 //! `adya-serve` — the durable, multi-tenant checker service.
 //!
-//! Hosts many concurrent online-checker sessions over TCP (and
-//! optionally a unix socket), each with a segmented durable event log
-//! and periodic snapshots under `--data`, so killing the process and
-//! restarting it on the same directory resumes every session with a
-//! byte-identical verdict stream. The obs plane (`/metrics`,
+//! Hosts many concurrent online-checker sessions over TCP, each with a
+//! segmented durable event log and periodic snapshots under `--data`,
+//! so killing the process and restarting it on the same directory
+//! resumes every session with a byte-identical verdict stream. The obs plane (`/metrics`,
 //! `/health`) is served on the same port.
 //!
 //! Protocol (NDJSON, one frame or event line per line):
@@ -40,9 +39,8 @@ use std::time::Duration;
 use adya::serve::{shutdown, FsyncPolicy, ServeConfig, Server};
 use adya_faults::TapCrashConfig;
 
-const USAGE: &str = "usage: adya-serve --data DIR [--listen ADDR] [--unix PATH]
+const USAGE: &str = "usage: adya-serve --data DIR [--listen ADDR]
                   [--rotate-events N] [--snapshot-every N]
-                  [--gc-interval N] [--no-gc] [--provenance]
                   [--idle-timeout-ms N] [--crash-at-event N]
                   [--fsync always|interval|never]
                   [--replicate-to ADDR[,ADDR...]] [--follower]
@@ -52,12 +50,8 @@ const USAGE: &str = "usage: adya-serve --data DIR [--listen ADDR] [--unix PATH]
   --data DIR        session store root (one subdirectory per session)
   --listen ADDR     TCP listen address (default 127.0.0.1:0; the bound
                     address is printed to stderr)
-  --unix PATH       also listen on a unix socket at PATH
   --rotate-events N start a new log segment every N events (default 4096)
   --snapshot-every N snapshot + compact every N events (default 1024)
-  --gc-interval N   checker watermark-GC interval (default 64)
-  --no-gc           disable watermark GC (unbounded checker memory)
-  --provenance      record cycle provenance in verdicts
   --idle-timeout-ms N detach a connection (parking its session) after N
                     milliseconds without read progress (default 60000)
   --crash-at-event N abort the process at the N-th non-commit event
@@ -90,14 +84,12 @@ const USAGE: &str = "usage: adya-serve --data DIR [--listen ADDR] [--unix PATH]
 struct Args {
     data: String,
     listen: String,
-    unix: Option<String>,
     cfg: ServeConfig,
 }
 
 fn parse_args() -> Result<Args, String> {
     let mut data = None;
     let mut listen = "127.0.0.1:0".to_string();
-    let mut unix = None;
     let mut cfg = ServeConfig::new("");
     let mut it = std::env::args().skip(1);
     let need = |it: &mut dyn Iterator<Item = String>, flag: &str| {
@@ -107,18 +99,12 @@ fn parse_args() -> Result<Args, String> {
         match arg.as_str() {
             "--data" => data = Some(need(&mut it, "--data")?),
             "--listen" => listen = need(&mut it, "--listen")?,
-            "--unix" => unix = Some(need(&mut it, "--unix")?),
             "--rotate-events" => {
                 cfg.session.log.rotate_events = parse_u64(&need(&mut it, "--rotate-events")?)?
             }
             "--snapshot-every" => {
                 cfg.session.log.snapshot_every = parse_u64(&need(&mut it, "--snapshot-every")?)?
             }
-            "--gc-interval" => {
-                cfg.session.gc.interval = parse_u64(&need(&mut it, "--gc-interval")?)?
-            }
-            "--no-gc" => cfg.session.gc.enabled = false,
-            "--provenance" => cfg.session.provenance = true,
             "--idle-timeout-ms" => {
                 cfg.idle_timeout =
                     Duration::from_millis(parse_u64(&need(&mut it, "--idle-timeout-ms")?)?)
@@ -166,12 +152,7 @@ fn parse_args() -> Result<Args, String> {
     }
     let data = data.ok_or("--data is required")?;
     cfg.data_dir = data.clone().into();
-    Ok(Args {
-        data,
-        listen,
-        unix,
-        cfg,
-    })
+    Ok(Args { data, listen, cfg })
 }
 
 fn parse_u64(s: &str) -> Result<u64, String> {
@@ -200,11 +181,7 @@ fn main() -> ExitCode {
         args.cfg.trace_sample,
         args.cfg.node.clone(),
     );
-    let mut server = match Server::bind(
-        &args.listen,
-        args.unix.as_ref().map(std::path::Path::new),
-        args.cfg,
-    ) {
+    let mut server = match Server::bind(&args.listen, args.cfg) {
         Ok(s) => s,
         Err(e) => {
             eprintln!("adya-serve: cannot bind {}: {e}", args.listen);
@@ -212,9 +189,6 @@ fn main() -> ExitCode {
         }
     };
     eprintln!("adya-serve: listening on {}", server.local_addr());
-    if let Some(p) = &args.unix {
-        eprintln!("adya-serve: listening on unix:{p}");
-    }
     eprintln!("adya-serve: sessions under {}", args.data);
     eprintln!("adya-serve: role: {role}");
     if trace_propagate {

@@ -72,8 +72,7 @@ fn leader_sigkill_fails_over_to_promoted_follower_byte_identically() {
     drop(leader); // SIGKILL mid-stream — no flush, no goodbye
     barrier.wait();
 
-    let mut total_resumes = 0;
-    for handle in handles {
+    for (s, handle) in handles.into_iter().enumerate() {
         let (tokens, verdicts, fin, resumes) = handle.join().expect("client thread");
         let (want_verdicts, want_final) = reference(&tokens);
         assert_eq!(
@@ -81,12 +80,11 @@ fn leader_sigkill_fails_over_to_promoted_follower_byte_identically() {
             "post-failover verdict stream must be byte-identical to the uninterrupted run"
         );
         assert_eq!(fin, want_final, "final verdict must match the reference");
-        total_resumes += resumes;
+        assert!(
+            resumes >= 1,
+            "tenant-{s} never failed over: the kill missed it and its parity proves nothing"
+        );
     }
-    assert!(
-        total_resumes >= 4,
-        "every session must have failed over across the kill (got {total_resumes})"
-    );
 
     // The follower is the leader now, and says so.
     let body = await_health(&faddr, "promotion to show on /health", |_, b| {

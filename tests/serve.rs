@@ -60,8 +60,7 @@ fn kill_minus_nine_resumes_four_sessions_byte_identically() {
     );
     barrier.wait();
 
-    let mut total_resumes = 0;
-    for handle in handles {
+    for (s, handle) in handles.into_iter().enumerate() {
         let (tokens, verdicts, fin, resumes) = handle.join().expect("client thread");
         let (want_verdicts, want_final) = reference(&tokens);
         assert_eq!(
@@ -69,12 +68,11 @@ fn kill_minus_nine_resumes_four_sessions_byte_identically() {
             "resumed verdict stream must be byte-identical to the uninterrupted run"
         );
         assert_eq!(fin, want_final, "final verdict must match the reference");
-        total_resumes += resumes;
+        assert!(
+            resumes >= 1,
+            "tenant-{s} never resumed: the kill missed it and its parity proves nothing"
+        );
     }
-    assert!(
-        total_resumes >= 4,
-        "every session must actually have resumed across the kill (got {total_resumes})"
-    );
 }
 
 #[test]
