@@ -41,7 +41,7 @@ use adya_bench::{
 };
 use adya_obs::json::JsonWriter;
 use adya_obs::trace::{merge_segments, parse_segment, Stage, TraceSegment, DEFAULT_TRACE_SAMPLE};
-use adya_obs::TracePlane;
+use adya_obs::{TracePlane, Traced};
 use adya_online::{GcConfig, OnlineChecker};
 use adya_workloads::ServeClient;
 
@@ -56,19 +56,14 @@ fn ingest(h: &adya_history::History, on: bool) -> (u128, Vec<String>) {
     let mut cur = Vec::new();
     let start = Instant::now();
     for (seq, e) in h.events().iter().enumerate() {
-        let tid = plane.as_ref().and_then(|p| {
-            let id = p.sample("bench", seq as u64)?;
-            p.stamp(id, Stage::Tap);
-            p.stamp(id, Stage::Ring);
-            p.stamp(id, Stage::Seq);
-            Some(id)
-        });
+        let traced = (plane.as_ref()).map_or(Traced::OFF, |p| p.begin("bench", seq as u64));
+        traced.stamp(Stage::Tap);
+        traced.stamp(Stage::Ring);
+        traced.stamp(Stage::Seq);
         let v = c.ingest(e);
-        if let (Some(p), Some(id)) = (&plane, tid) {
-            p.stamp(id, Stage::Apply);
-            if v.is_some() {
-                p.stamp(id, Stage::Verdict);
-            }
+        traced.stamp(Stage::Apply);
+        if v.is_some() {
+            traced.stamp(Stage::Verdict);
         }
         if let Some(v) = v {
             cur.push(v.to_json());

@@ -54,11 +54,6 @@ impl DepKind {
         self == DepKind::ItemAntiDep
     }
 
-    /// True for read-dependencies (item or predicate).
-    pub fn is_read_dep(self) -> bool {
-        matches!(self, DepKind::ItemReadDep | DepKind::PredReadDep)
-    }
-
     /// True for the write-dependency.
     pub fn is_write_dep(self) -> bool {
         self == DepKind::WriteDep

@@ -1,6 +1,6 @@
 //! The Direct Serialization Graph (Definition 7).
 
-use adya_graph::{Cycle, DiGraph, DotOptions};
+use adya_graph::{Cycle, DiGraph};
 use adya_history::{History, TxnId};
 
 use crate::conflicts::{direct_conflicts, Conflict, DepKind};
@@ -99,12 +99,6 @@ impl Dsg {
             .find_cycle_exactly_one(|k| k.is_anti(), |k| k.is_dependency())
     }
 
-    /// Any cycle at all (acyclicity ⇔ conflict-serializability once
-    /// G1a/G1b are also absent).
-    pub fn any_cycle(&self) -> Option<Cycle<TxnId, DepKind>> {
-        self.graph.find_cycle(|_| true, |_| true)
-    }
-
     /// True if the DSG is acyclic.
     pub fn is_acyclic(&self) -> bool {
         self.graph.is_acyclic()
@@ -140,10 +134,7 @@ impl Dsg {
 
     /// Graphviz DOT rendering (cf. Figures 3–5).
     pub fn to_dot(&self, name: &str) -> String {
-        self.graph.to_dot(&DotOptions {
-            name: name.to_string(),
-            left_to_right: true,
-        })
+        self.graph.to_dot(name)
     }
 }
 

@@ -3,7 +3,7 @@
 
 use std::fmt;
 
-use adya_graph::{Cycle, DiGraph, DotOptions};
+use adya_graph::{Cycle, DiGraph};
 use adya_history::{History, RequestedLevel, TxnId};
 
 use crate::conflicts::{Conflict, DepKind};
@@ -63,10 +63,7 @@ impl Msg {
 
     /// Graphviz DOT rendering.
     pub fn to_dot(&self, name: &str) -> String {
-        self.graph.to_dot(&DotOptions {
-            name: name.to_string(),
-            left_to_right: true,
-        })
+        self.graph.to_dot(name)
     }
 }
 

@@ -3,7 +3,7 @@
 //! points to it in §6 as one of the commercial levels its approach
 //! covers).
 
-use adya_graph::{Cycle, DiGraph, DotOptions};
+use adya_graph::{Cycle, DiGraph};
 use adya_history::{History, TxnId};
 
 use crate::conflicts::DepKind;
@@ -75,10 +75,7 @@ impl Ssg {
 
     /// Graphviz DOT rendering.
     pub fn to_dot(&self, name: &str) -> String {
-        self.graph.to_dot(&DotOptions {
-            name: name.to_string(),
-            left_to_right: true,
-        })
+        self.graph.to_dot(name)
     }
 }
 

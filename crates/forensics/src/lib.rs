@@ -28,7 +28,7 @@ mod witness;
 
 pub use render::{cycle_dot, narrative};
 pub use shrink::{detected_kinds, minimize};
-pub use trace::{trace_json, trace_json_with_journal};
+pub use trace::trace_json;
 pub use witness::{extract, extract_all, EdgeOp, Witness, WitnessEdge};
 
 #[cfg(test)]
@@ -109,14 +109,5 @@ mod tests {
         // Balanced braces and quotes — cheap well-formedness checks.
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         assert_eq!(json.matches('"').count() % 2, 0);
-    }
-
-    #[test]
-    fn trace_journal_track_is_appended() {
-        let h = parse_history("w1(x,1) c1").unwrap();
-        let json = trace_json_with_journal(&h, None, &[(42, "deadlock.victim".to_string())]);
-        assert!(json.contains("\"journal\""), "{json}");
-        assert!(json.contains("deadlock.victim"), "{json}");
-        assert!(json.contains("\"t_ns\": 42"), "{json}");
     }
 }

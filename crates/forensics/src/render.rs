@@ -5,6 +5,7 @@
 use std::fmt::Write as _;
 
 use adya_core::Phenomenon;
+use adya_graph::Dot;
 
 use crate::witness::Witness;
 
@@ -47,51 +48,30 @@ pub fn narrative(w: &Witness) -> String {
 }
 
 /// Renders only the witness cycle (not the whole DSG) as Graphviz DOT,
-/// with each edge labelled by its kind and the first inducing
-/// operation.
+/// with each edge labelled by its kind and, below it, the first
+/// inducing operation's object and version.
 pub fn cycle_dot(w: &Witness, name: &str) -> String {
-    let mut s = String::new();
-    let _ = writeln!(s, "digraph {} {{", sanitize(name));
-    s.push_str("  rankdir=LR;\n  node [shape=circle];\n");
-    let mut nodes: Vec<String> = Vec::new();
-    for e in &w.cycle {
-        for t in [e.from, e.to] {
-            let t = t.to_string();
-            if !nodes.contains(&t) {
-                nodes.push(t);
+    let mut edges: Vec<_> = w
+        .cycle
+        .iter()
+        .map(|e| {
+            let mut label = vec![e.kind.to_string()];
+            let cited = e.ops.first().map(|op| &op.conflict);
+            if let Some((o, v)) = cited.and_then(|c| c.object.zip(c.version)) {
+                label.push(format!("{}[{}]", w.minimal_history.object_name(o), v));
             }
-        }
-    }
-    for n in &nodes {
-        let _ = writeln!(s, "  \"{}\";", escape(n));
-    }
-    for e in &w.cycle {
-        let mut label = e.kind.to_string();
-        if let Some(op) = e.ops.first() {
-            if let (Some(o), Some(v)) = (op.conflict.object, op.conflict.version) {
-                let _ = write!(label, "\\n{}[{}]", w.minimal_history.object_name(o), v);
-            }
-        }
-        let _ = writeln!(
-            s,
-            "  \"{}\" -> \"{}\" [label=\"{}\"];",
-            escape(&e.from.to_string()),
-            escape(&e.to.to_string()),
-            escape(&label)
-        );
-    }
+            (e.from, e.to, label)
+        })
+        .collect();
     // Non-cycle phenomena still get the involved transactions drawn.
-    if w.cycle.is_empty() {
+    if edges.is_empty() {
         if let Phenomenon::G1a { reader, writer, .. } | Phenomenon::G1b { reader, writer, .. } =
             &w.phenomenon
         {
-            let _ = writeln!(s, "  \"{writer}\";");
-            let _ = writeln!(s, "  \"{reader}\";");
-            let _ = writeln!(s, "  \"{writer}\" -> \"{reader}\" [label=\"wr\"];");
+            edges.push((*writer, *reader, vec!["wr".to_string()]));
         }
     }
-    s.push_str("}\n");
-    s
+    Dot::of_edges(if name.is_empty() { "witness" } else { name }, &edges)
 }
 
 fn plural(n: usize) -> &'static str {
@@ -100,37 +80,4 @@ fn plural(n: usize) -> &'static str {
     } else {
         "s"
     }
-}
-
-fn sanitize(name: &str) -> String {
-    let cleaned: String = name
-        .chars()
-        .map(|c| {
-            if c.is_alphanumeric() || c == '_' {
-                c
-            } else {
-                '_'
-            }
-        })
-        .collect();
-    if cleaned.is_empty() {
-        "witness".to_string()
-    } else {
-        cleaned
-    }
-}
-
-fn escape(s: &str) -> String {
-    // Keep explicit "\n" sequences (DOT line breaks) intact: escape
-    // backslashes not followed by 'n'.
-    let mut out = String::with_capacity(s.len());
-    let mut it = s.chars().peekable();
-    while let Some(c) = it.next() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' if it.peek() != Some(&'n') => out.push_str("\\\\"),
-            _ => out.push(c),
-        }
-    }
-    out
 }

@@ -17,8 +17,6 @@ use adya_obs::{Arg, ChromeTrace};
 
 /// Track id for the anomaly markers (far above any transaction id).
 const ANOMALY_TID: u64 = 1_000_000;
-/// Track id for caller-supplied journal annotations.
-const JOURNAL_TID: u64 = 1_000_001;
 
 /// Microseconds allotted to one history event.
 const SLOT_US: i64 = 1_000;
@@ -26,19 +24,6 @@ const SLOT_US: i64 = 1_000;
 /// Renders `h` (and, when given, the phenomena of `a`) as a Chrome
 /// trace-event JSON document.
 pub fn trace_json(h: &History, a: Option<&Analysis>) -> String {
-    trace_json_with_journal(h, a, &[])
-}
-
-/// [`trace_json`] with extra annotation instants appended on a
-/// `journal` track — `(t_ns, name)` pairs from e.g. the obs journal.
-/// Journal instants are laid out after the history events in their
-/// given order (their wall-clock `t_ns` is preserved in `args`, the
-/// timeline position is ordinal like everything else).
-pub fn trace_json_with_journal(
-    h: &History,
-    a: Option<&Analysis>,
-    journal: &[(u64, String)],
-) -> String {
     let mut out = ChromeTrace::new();
 
     // One track per transaction, in id order.
@@ -92,22 +77,6 @@ pub fn trace_json_with_journal(
                 'g',
                 h.len() as i64 * SLOT_US,
                 &[("witness", Arg::Str(&p.to_string()))],
-            );
-        }
-    }
-
-    // Journal annotations.
-    if !journal.is_empty() {
-        let track = (1, JOURNAL_TID);
-        out.metadata(track, "thread_name", ("name", Arg::Str("journal")));
-        for (i, (t_ns, name)) in journal.iter().enumerate() {
-            out.instant(
-                track,
-                Some("journal"),
-                name,
-                't',
-                (h.len() + i) as i64 * SLOT_US,
-                &[("t_ns", Arg::Num(*t_ns))],
             );
         }
     }

@@ -137,11 +137,6 @@ where
         self.edge_count += 1;
     }
 
-    /// Index of `node`, if present.
-    pub fn node_idx(&self, node: &N) -> Option<NodeIdx> {
-        self.index.get(node).copied()
-    }
-
     /// Node key at `ix`.
     pub fn node(&self, ix: NodeIdx) -> &N {
         &self.nodes[ix.index()]

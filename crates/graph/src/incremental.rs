@@ -484,21 +484,15 @@ where
     /// plus the edges `a → k → b` would have been a cycle through `k`,
     /// contradicting `k` being a singleton in an acyclic condensation.
     ///
-    /// [`remove_node`]: IncrementalDag::remove_node
-    pub fn remove_node_contract(&mut self, k: K, combine: impl Fn(L, L) -> L) -> bool {
-        self.remove_node_contract_report(k, combine, |_, _, _| {})
-    }
-
-    /// [`remove_node_contract`], additionally invoking `report(a, b,
-    /// label)` for every shortcut edge created, *before* the shortcut
-    /// is inserted. Callers that keep per-edge side data (e.g. edge
-    /// provenance) use this to transfer the data from the `a → k` and
-    /// `k → b` edges onto the synthesized `a → b` edge so it survives
-    /// the contraction. Shortcuts are reported in a deterministic
-    /// order: in-neighbours in adjacency order, each crossed with the
-    /// out-neighbours in adjacency order.
+    /// `report(a, b, label)` is invoked for every shortcut edge
+    /// created, *before* the shortcut is inserted. Callers that keep
+    /// per-edge side data (e.g. edge provenance) use this to transfer
+    /// the data from the `a → k` and `k → b` edges onto the synthesized
+    /// `a → b` edge so it survives the contraction. Shortcuts are
+    /// reported in a deterministic order: in-neighbours in adjacency
+    /// order, each crossed with the out-neighbours in adjacency order.
     ///
-    /// [`remove_node_contract`]: IncrementalDag::remove_node_contract
+    /// [`remove_node`]: IncrementalDag::remove_node
     pub fn remove_node_contract_report(
         &mut self,
         k: K,
@@ -992,7 +986,7 @@ mod tests {
         let mut g: IncrementalDag<u32, u8> = IncrementalDag::new();
         g.add_edge(1, 2, 0); // a -> k
         g.add_edge(2, 3, 1); // k -> b (label 1 = "anti")
-        assert!(g.remove_node_contract(2, |a, b| a | b));
+        assert!(g.remove_node_contract_report(2, |a, b| a | b, |_, _, _| {}));
         assert!(!g.contains(2));
         // The shortcut 1 -> 3 carries the combined label, and a later
         // back edge still closes the cycle the interior node mediated.

@@ -14,7 +14,7 @@
 //! * Tarjan strongly-connected components ([`DiGraph::sccs`]),
 //! * constrained cycle search returning concrete witness cycles
 //!   ([`DiGraph::find_cycle`], [`DiGraph::find_cycle_exactly_one`]),
-//! * Graphviz DOT export ([`DiGraph::to_dot`]).
+//! * Graphviz DOT export ([`DiGraph::to_dot`], over the one [`Dot`] writer).
 //!
 //! Cycle searches never return a bare boolean: they return a [`Cycle`]
 //! listing the exact edges, so a checker can explain *why* a history was
@@ -36,5 +36,5 @@ mod scc;
 
 pub use cycle::{Cycle, CycleEdge};
 pub use digraph::{DiGraph, EdgeRef, NodeIdx};
-pub use dot::DotOptions;
+pub use dot::Dot;
 pub use incremental::{DagParts, EdgeParts, IncrementalDag, Insert, SccInfo, SlotParts};

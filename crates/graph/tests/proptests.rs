@@ -120,7 +120,7 @@ proptest! {
         for (i, &(a, b, l)) in edges.iter().enumerate() {
             g.add_edge(a % n, b % n, l);
             for &(_, k) in removals.iter().filter(|&&(at, _)| at == i) {
-                g.remove_node_contract(k % n, |x, y| x | y);
+                g.remove_node_contract_report(k % n, |x, y| x | y, |_, _, _| {});
             }
             prop_assert_eq!(g.to_parts().validate(), Ok(()));
         }

@@ -103,8 +103,6 @@ pub struct History {
     order_index: HashMap<(ObjectId, VersionId), usize>,
     /// Last write seq of each (txn, object) pair.
     final_seqs: HashMap<(TxnId, ObjectId), u32>,
-    /// Kind of every written version, plus init versions.
-    kinds: HashMap<(ObjectId, VersionId), VersionKind>,
     /// Value of every valued version, plus preloaded init versions.
     values: HashMap<(ObjectId, VersionId), Value>,
     /// Objects per relation, in id order.
@@ -275,33 +273,10 @@ impl History {
         self.final_seq(version.txn, object) == Some(version.seq)
     }
 
-    /// The lifecycle kind of `version` of `object` (`None` if the
-    /// version does not exist).
-    pub fn version_kind(&self, object: ObjectId, version: VersionId) -> Option<VersionKind> {
-        self.kinds.get(&(object, version)).copied()
-    }
-
     /// The value stored in `version` of `object`, when one was
     /// recorded.
     pub fn version_value(&self, object: ObjectId, version: VersionId) -> Option<&Value> {
         self.values.get(&(object, version))
-    }
-
-    /// The final committed versions installed by `txn`:
-    /// `(object, version)` pairs, one per object it wrote, in object
-    /// order. Empty for aborted transactions.
-    pub fn installed_versions(&self, txn: TxnId) -> Vec<(ObjectId, VersionId)> {
-        if !self.is_committed(txn) {
-            return Vec::new();
-        }
-        let mut out: Vec<(ObjectId, VersionId)> = self
-            .final_seqs
-            .iter()
-            .filter(|((t, _), _)| *t == txn)
-            .map(|((_, o), seq)| (*o, VersionId::new(txn, *seq)))
-            .collect();
-        out.sort_unstable_by_key(|(o, _)| *o);
-        out
     }
 
     /// True if `version` of `object` satisfies `predicate`'s boolean
@@ -957,7 +932,6 @@ mod validate {
             version_orders,
             order_index,
             final_seqs,
-            kinds,
             values,
             rel_objects,
         })

@@ -36,14 +36,6 @@ impl Value {
             _ => None,
         }
     }
-
-    /// The row payload, if this is a [`Value::Tuple`].
-    pub fn as_row(&self) -> Option<&Row> {
-        match self {
-            Value::Tuple(r) => Some(r),
-            _ => None,
-        }
-    }
 }
 
 impl fmt::Display for Value {

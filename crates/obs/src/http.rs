@@ -1,7 +1,6 @@
 //! A deliberately small, std-only HTTP/1.1 server for the obs
-//! endpoint: thread-per-connection (mirroring the `crates/workloads`
-//! retry machinery), `GET`-only, `Connection: close` on every
-//! response. It exists so `adya-check --stream --obs-listen` can
+//! endpoint: thread-per-connection, `GET`-only, `Connection: close` on
+//! every response. It exists so `adya-check --stream --obs-listen` can
 //! serve `/metrics`, `/health`, and `/trace` while the checker
 //! ingests — no async runtime, no TLS, no keep-alive, because a
 //! scrape every few seconds is the whole workload.
@@ -14,11 +13,12 @@
 //! The request/response half is [`serve_request`], a function over any
 //! `BufRead`/`Write` pair: `adya-serve` answers scrapes on its service
 //! port through the same code, so there is one reason-phrase table,
-//! one size limit and one deadline in the workspace.
+//! one size limit and one deadline in the workspace. The transport half
+//! is [`Listener`], the accept loop under both servers.
 
 use std::io::{self, BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
@@ -75,57 +75,66 @@ impl Response {
 /// response. Runs on the per-connection thread.
 pub type Handler = Arc<dyn Fn(&str) -> Response + Send + Sync>;
 
-/// The obs endpoint server. Binding spawns an accept loop thread;
-/// dropping the server (or calling [`ObsServer::shutdown`]) stops it.
-pub struct ObsServer {
+/// How often a quiet accept loop looks at its stop flag: the longest a
+/// new connection waits to be accepted, and a shutdown to be noticed.
+const ACCEPT_POLL: Duration = Duration::from_millis(25);
+
+/// The one accept loop: a thread taking connections off a nonblocking
+/// listener until told to stop, handing each to its own thread.
+/// Dropping the listener (or calling [`Listener::shutdown`]) stops and
+/// joins the loop; connection threads are detached and end on their own
+/// terms.
+#[derive(Debug)]
+pub struct Listener {
     addr: SocketAddr,
     stop: Arc<AtomicBool>,
     accept_thread: Option<thread::JoinHandle<()>>,
 }
 
-impl std::fmt::Debug for ObsServer {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ObsServer")
-            .field("addr", &self.addr)
-            .finish()
-    }
-}
-
-impl ObsServer {
-    /// Binds `addr` (e.g. `127.0.0.1:0` for an ephemeral port) and
-    /// starts serving `handler` on a background accept loop. The
-    /// listener is nonblocking and the loop polls a stop flag every
-    /// 25ms so shutdown never hangs on a quiet socket.
-    pub fn bind(addr: &str, handler: Handler) -> io::Result<ObsServer> {
-        let listener = TcpListener::bind(addr)?;
+impl Listener {
+    /// Starts accepting on `listener`: every connection runs `serve` on
+    /// a thread named `<name>-conn`. The loop polls, so shutdown never
+    /// hangs on a quiet socket. `live` counts the connections whose
+    /// `serve` has not returned yet, for a caller that waits for them
+    /// or reports them.
+    pub fn spawn(
+        listener: TcpListener,
+        name: &str,
+        live: Arc<AtomicUsize>,
+        serve: impl Fn(TcpStream) + Send + Sync + 'static,
+    ) -> io::Result<Listener> {
         listener.set_nonblocking(true)?;
-        let local = listener.local_addr()?;
+        let addr = listener.local_addr()?;
         let stop = Arc::new(AtomicBool::new(false));
-        let stop_in_loop = Arc::clone(&stop);
+        let (stopped, serve) = (Arc::clone(&stop), Arc::new(serve));
+        let conn_name = format!("{name}-conn");
         let accept_thread = thread::Builder::new()
-            .name("obs-accept".into())
+            .name(format!("{name}-accept"))
             .spawn(move || {
-                while !stop_in_loop.load(Ordering::Relaxed) {
-                    match listener.accept() {
-                        Ok((stream, _)) => {
-                            let h = Arc::clone(&handler);
-                            // Connection threads are detached: each one
-                            // serves a single request with a read
-                            // timeout, so none outlives shutdown by
-                            // more than that bound.
-                            let _ = thread::Builder::new()
-                                .name("obs-conn".into())
-                                .spawn(move || serve_connection(stream, h));
-                        }
-                        Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                            thread::sleep(Duration::from_millis(25));
-                        }
-                        Err(_) => thread::sleep(Duration::from_millis(25)),
+                while !stopped.load(Ordering::Relaxed) {
+                    let Ok((stream, _)) = listener.accept() else {
+                        // Nobody there (`WouldBlock`), or a transient
+                        // failure: look again after the poll.
+                        thread::sleep(ACCEPT_POLL);
+                        continue;
+                    };
+                    // Counted before its thread exists, so a shutdown
+                    // that has joined this loop sees every connection.
+                    live.fetch_add(1, Ordering::Relaxed);
+                    let (done, serve) = (Arc::clone(&live), Arc::clone(&serve));
+                    let spawned = thread::Builder::new()
+                        .name(conn_name.clone())
+                        .spawn(move || {
+                            serve(stream);
+                            done.fetch_sub(1, Ordering::Relaxed);
+                        });
+                    if spawned.is_err() {
+                        live.fetch_sub(1, Ordering::Relaxed);
                     }
                 }
             })?;
-        Ok(ObsServer {
-            addr: local,
+        Ok(Listener {
+            addr,
             stop,
             accept_thread: Some(accept_thread),
         })
@@ -136,7 +145,7 @@ impl ObsServer {
         self.addr
     }
 
-    /// Stops the accept loop and joins it.
+    /// Stops the accept loop and joins it. Idempotent.
     pub fn shutdown(&mut self) {
         self.stop.store(true, Ordering::Relaxed);
         if let Some(t) = self.accept_thread.take() {
@@ -145,9 +154,34 @@ impl ObsServer {
     }
 }
 
-impl Drop for ObsServer {
+impl Drop for Listener {
     fn drop(&mut self) {
         self.shutdown();
+    }
+}
+
+/// The obs endpoint server: a [`Listener`] whose connections each
+/// answer one request through [`serve_request`] — under a read timeout,
+/// so none outlives shutdown by more than that bound.
+#[derive(Debug)]
+pub struct ObsServer(Listener);
+
+impl ObsServer {
+    /// Binds `addr` (e.g. `127.0.0.1:0` for an ephemeral port) and
+    /// starts serving `handler` in the background.
+    pub fn bind(addr: &str, handler: Handler) -> io::Result<ObsServer> {
+        let serve = move |stream| serve_connection(stream, &handler);
+        Listener::spawn(TcpListener::bind(addr)?, "obs", Arc::default(), serve).map(ObsServer)
+    }
+
+    /// The bound address (with the real port when bound to `:0`).
+    pub fn local_addr(&self) -> SocketAddr {
+        self.0.local_addr()
+    }
+
+    /// Stops the accept loop and joins it.
+    pub fn shutdown(&mut self) {
+        self.0.shutdown();
     }
 }
 
@@ -164,7 +198,7 @@ const MAX_HEADER_BYTES: usize = 32 * 1024;
 pub const REQUEST_DEADLINE: Duration = Duration::from_secs(5);
 
 /// Serves exactly one request on `stream` and closes it.
-fn serve_connection(stream: TcpStream, handler: Handler) {
+fn serve_connection(stream: TcpStream, handler: &Handler) {
     let _ = stream.set_read_timeout(Some(REQUEST_DEADLINE));
     let _ = stream.set_write_timeout(Some(Duration::from_secs(5)));
     let Ok(read_half) = stream.try_clone() else {

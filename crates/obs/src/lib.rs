@@ -6,14 +6,14 @@
 //!
 //! - **Metrics** ([`Counter`], [`Gauge`], [`Histogram`]) — lock-free
 //!   atomics on the hot path, suitable for engine inner loops.
-//! - **Spans** ([`SpanTimer`], [`time!`]) — RAII timers that feed
+//! - **Spans** ([`SpanTimer`], [`span!`]) — RAII timers that feed
 //!   latency histograms, used for the checker's per-phase timings.
 //! - **Journal** ([`Journal`], [`Event`]) — a bounded ring of
 //!   structured events for "what happened, in order" debugging.
 //!
 //! Everything lives in a [`Registry`]. Library code records against
 //! the process-wide [`global()`] registry through the `counter!` /
-//! `gauge!` / `histogram!` / `time!` macros, which cache the metric
+//! `gauge!` / `histogram!` / `span!` macros, which cache the metric
 //! handle in a per-call-site static so steady-state recording never
 //! touches the registry lock. Frontends call [`Registry::snapshot`]
 //! (or [`Registry::to_json`]) to export, and [`Registry::reset`] to
@@ -37,20 +37,20 @@ pub mod spans;
 pub mod trace;
 
 pub use chrome::{Arg, ChromeTrace};
-pub use http::{ObsServer, Response};
+pub use http::{Listener, ObsServer, Response};
 pub use journal::{Event, Field, Journal};
 pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot};
 pub use registry::{labeled, Registry, Snapshot, SpanTimer, WideSpan};
 pub use spans::{chrome_trace, spans_json, stable_id, witness_id, SpanRecord, SpanRing};
 pub use trace::{
     attach_provenance, fmt_trace_id, merge_segments, parse_segment, parse_trace_id, trace_id,
-    Stage, Stamp, StampRing, TracePlane, TraceSegment,
+    Stage, Stamp, StampRing, TracePlane, TraceSegment, Traced,
 };
 
 use std::sync::OnceLock;
 
 /// The process-wide registry used by the `counter!`/`gauge!`/
-/// `histogram!`/`time!` macros and by all built-in instrumentation.
+/// `histogram!`/`span!` macros and by all built-in instrumentation.
 pub fn global() -> &'static Registry {
     static GLOBAL: OnceLock<Registry> = OnceLock::new();
     GLOBAL.get_or_init(Registry::new)
@@ -85,27 +85,6 @@ macro_rules! histogram {
         static HANDLE: ::std::sync::OnceLock<::std::sync::Arc<$crate::Histogram>> =
             ::std::sync::OnceLock::new();
         HANDLE.get_or_init(|| $crate::global().histogram($name))
-    }};
-}
-
-/// Times an expression against the global histogram named `$name`,
-/// evaluating to the expression's value.
-///
-/// ```
-/// let three = adya_obs::time!("doc.add_ns", 1 + 2);
-/// assert_eq!(three, 3);
-/// assert_eq!(
-///     adya_obs::global().snapshot().histogram("doc.add_ns").unwrap().count,
-///     1
-/// );
-/// ```
-#[macro_export]
-macro_rules! time {
-    ($name:expr, $body:expr) => {{
-        let __start = ::std::time::Instant::now();
-        let __out = $body;
-        $crate::histogram!($name).record(__start.elapsed().as_nanos() as u64);
-        __out
     }};
 }
 
@@ -147,8 +126,7 @@ mod tests {
         counter!("lib.test.hits").inc();
         counter!("lib.test.hits").inc();
         gauge!("lib.test.depth").set(3);
-        let v = time!("lib.test.span_ns", { 2 + 2 });
-        assert_eq!(v, 4);
+        histogram!("lib.test.span_ns").record(4);
         let snap = super::global().snapshot();
         assert_eq!(snap.counter("lib.test.hits"), 2);
         assert_eq!(snap.gauge("lib.test.depth"), 3);

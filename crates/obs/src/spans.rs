@@ -142,11 +142,6 @@ pub fn current_tid() -> u64 {
     })
 }
 
-/// The id of the innermost live span on this thread (0 = none).
-pub fn current_span_id() -> u64 {
-    CURRENT_SPAN.with(Cell::get)
-}
-
 /// Allocates a fresh span id and pushes it as the thread's current
 /// span, returning `(id, parent)`. Callers must pair with
 /// [`pop_span`]; [`WideSpan`] does both.

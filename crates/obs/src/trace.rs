@@ -304,6 +304,14 @@ impl TracePlane {
         self.sampled(seq).then(|| trace_id(scope, seq))
     }
 
+    /// The stamping handle of event `seq` of `scope`: live when the
+    /// plane [`sample`](TracePlane::sample)s the event, inert when it
+    /// does not — a stamping path asks once and then stamps
+    /// unconditionally.
+    pub fn begin(&self, scope: &str, seq: u64) -> Traced<'_> {
+        Traced(self.sample(scope, seq).map(|id| (self, id)))
+    }
+
     /// Nanoseconds since this plane's epoch.
     pub fn now_ns(&self) -> u64 {
         self.epoch.elapsed().as_nanos() as u64
@@ -378,6 +386,31 @@ impl TracePlane {
         }
         s.push_str("]}");
         s
+    }
+}
+
+/// One event's latency provenance on one [`TracePlane`]
+/// ([`TracePlane::begin`]): the sampling decision taken once, carried
+/// to every stage the event crosses. [`Traced::OFF`] — an unsampled
+/// event, or a path with no plane at all — records nothing.
+#[derive(Debug, Clone, Copy)]
+pub struct Traced<'a>(Option<(&'a TracePlane, u64)>);
+
+impl Traced<'_> {
+    /// The handle of an event nobody traces.
+    pub const OFF: Traced<'static> = Traced(None);
+
+    /// Stamps the event at `stage`, now.
+    pub fn stamp(self, stage: Stage) {
+        if let Some((plane, id)) = self.0 {
+            plane.stamp(id, stage);
+        }
+    }
+
+    /// The event's trace id, for the wire; `None` when it is not
+    /// traced.
+    pub fn id(self) -> Option<u64> {
+        self.0.map(|(_, id)| id)
     }
 }
 
@@ -722,6 +755,39 @@ mod tests {
         assert!(!plane.sampled(0));
         plane.stamp(7, Stage::Tap);
         assert!(plane.collect().is_empty());
+    }
+
+    #[test]
+    fn a_handle_stamps_in_call_order_or_not_at_all() {
+        let plane = TracePlane::new("n1", "leader");
+        plane.set_sample_every(4);
+        // Unsampled, switched off, or no plane: nothing is recorded.
+        let unsampled = plane.begin("s", 3);
+        plane.set_enabled(false);
+        let off = plane.begin("s", 4);
+        plane.set_enabled(true);
+        for t in [unsampled, off, Traced::OFF] {
+            assert_eq!(t.id(), None);
+            t.stamp(Stage::Tap);
+            t.stamp(Stage::Verdict);
+        }
+        assert!(plane.collect().is_empty());
+        assert_eq!(plane.ring.recorded(), 0);
+
+        let t = plane.begin("s", 4);
+        assert_eq!(t.id(), Some(trace_id("s", 4)));
+        let order = [Stage::Tap, Stage::Seq, Stage::Ring, Stage::Apply];
+        for stage in order {
+            t.stamp(stage);
+        }
+        let stamps = plane.collect();
+        assert!(stamps.iter().all(|s| Some(s.trace) == t.id()));
+        assert!(stamps.windows(2).all(|w| w[0].t_ns <= w[1].t_ns));
+        assert_eq!(
+            stamps.iter().map(|s| s.stage).collect::<Vec<_>>(),
+            order,
+            "as called, not canonical order"
+        );
     }
 
     #[test]

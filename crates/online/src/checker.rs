@@ -225,11 +225,6 @@ impl OnlineChecker {
         self.prov.set_enabled(on);
     }
 
-    /// Whether edge provenance is being tracked.
-    pub fn provenance_enabled(&self) -> bool {
-        self.prov.enabled()
-    }
-
     /// Turns sampled per-event telemetry on (`every` ≥ 1: every Nth
     /// event is attributed phase by phase — apply span, graph-insert
     /// and cycle-materialization histograms, verdict and GC child
@@ -239,11 +234,6 @@ impl OnlineChecker {
     /// and per-event spans alone would not fit that budget.
     pub fn set_telemetry_sampling(&mut self, every: u32) {
         self.telemetry_every = every;
-    }
-
-    /// The telemetry sampling period (0 = off).
-    pub fn telemetry_sampling(&self) -> u32 {
-        self.telemetry_every
     }
 
     /// Events between the GC low watermark (the earliest begin of any

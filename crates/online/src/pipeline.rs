@@ -29,7 +29,7 @@
 use std::sync::Arc;
 
 use adya_engine::{buffering_tap, Engine, RingCloser, RingConsumer, RingProducer};
-use adya_obs::{trace::Stage, TracePlane};
+use adya_obs::{trace::Stage, TracePlane, Traced};
 
 use crate::{OnlineChecker, Verdict};
 
@@ -177,16 +177,12 @@ impl EventPipeline {
             if next.is_multiple_of(depth_every) {
                 queue_depth();
             }
-            let traced = self.trace.as_ref().and_then(|(plane, scope)| {
-                let id = plane.sample(scope, seq)?;
-                plane.stamp(id, Stage::Seq);
-                plane.stamp(id, Stage::Apply);
-                Some((plane, id))
-            });
+            let traced =
+                (self.trace.as_ref()).map_or(Traced::OFF, |(plane, scope)| plane.begin(scope, seq));
+            traced.stamp(Stage::Seq);
+            traced.stamp(Stage::Apply);
             if let Some(v) = checker.ingest(&ev) {
-                if let Some((plane, id)) = traced {
-                    plane.stamp(id, Stage::Verdict);
-                }
+                traced.stamp(Stage::Verdict);
                 on_verdict(v);
             }
         }

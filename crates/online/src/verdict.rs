@@ -8,6 +8,7 @@ use std::fmt::{Display, Write as _};
 use std::sync::OnceLock;
 
 use adya_core::{IsolationLevel, PhenomenonKind};
+use adya_graph::Dot;
 use adya_history::{ObjectId, TxnId, VersionId};
 use adya_obs::json::write_escaped;
 
@@ -121,6 +122,31 @@ impl Verdict {
     /// True when none of `level`'s proscribed phenomena have fired.
     pub fn satisfies(&self, level: IsolationLevel) -> bool {
         level.admits(|k| self.fired.contains(&k))
+    }
+
+    /// Cycle-scoped DOT for a violating verdict, drawn from its cycle
+    /// provenance and named after the phenomena that fired: each edge
+    /// carries its [`label`](CycleEdgeProv::label) and, below it, the
+    /// inducing operations. `None` when the verdict fired nothing new
+    /// or carries no cycle (provenance off, or a non-cycle phenomenon
+    /// such as G1a/G1b).
+    pub fn cycle_dot(&self) -> Option<String> {
+        let cycle = self.cycle.as_ref().filter(|c| !c.is_empty())?;
+        if self.new_fired.is_empty() {
+            return None;
+        }
+        let kinds: Vec<String> = self.new_fired.iter().map(|k| k.to_string()).collect();
+        let edges: Vec<_> = cycle
+            .iter()
+            .map(|e| {
+                let mut label = vec![e.label()];
+                if !e.via.is_empty() {
+                    label.push(&e.via);
+                }
+                (e.from, e.to, label)
+            })
+            .collect();
+        Some(Dot::of_edges(&kinds.join("_"), &edges))
     }
 
     /// Renders the verdict as a single-line JSON object (NDJSON-ready).

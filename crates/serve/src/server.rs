@@ -1,9 +1,9 @@
 //! The multi-tenant server: the accept loop, the per-connection NDJSON
 //! protocol, and the obs plane mounted on the same port.
 //!
-//! Transport follows the `ObsServer` idiom from `crates/obs`: a
-//! nonblocking listener polled against a stop flag every 25ms, one
-//! thread per connection, std only. A connection speaks either the
+//! Transport is [`adya_obs::Listener`], the accept loop `ObsServer`
+//! runs on too: one thread per connection, std only. A connection
+//! speaks either the
 //! session protocol (NDJSON control frames + event tokens) or plain
 //! HTTP — the server peeks at the first line and treats `GET …` as a
 //! scrape, so `/metrics` and `/health` work on the same address a
@@ -33,7 +33,7 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use adya_faults::{TapCrashConfig, TapCrashPlane};
-use adya_obs::{trace::Stage, TracePlane};
+use adya_obs::{trace::Stage, Listener, TracePlane};
 
 use crate::proto::{self, ClientFrame};
 use crate::replica::{LogPublisher, ReplConfig, ReplicaSink, ReplicationHub, SinkError};
@@ -168,7 +168,8 @@ struct Inner {
     /// other connections' hellos and resumes.
     recovering: Mutex<HashSet<String>>,
     tap: TapCrashPlane,
-    conns: AtomicUsize,
+    /// Connections being served, counted by the listener.
+    conns: Arc<AtomicUsize>,
     stop: AtomicBool,
     /// `true` while this node refuses client frames with `not_leader`.
     /// Cleared by a `promote` frame, never set again: promotion is a
@@ -198,8 +199,7 @@ impl Inner {
 /// The running server: the accept loop plus shared session registry.
 pub struct Server {
     inner: Arc<Inner>,
-    tcp_addr: SocketAddr,
-    accept_thread: Option<thread::JoinHandle<()>>,
+    listener: Listener,
 }
 
 impl Server {
@@ -210,7 +210,6 @@ impl Server {
         // Bind before building the hub: the advertise address handed to
         // followers defaults to the real bound address (`:0` resolved).
         let listener = TcpListener::bind(tcp)?;
-        listener.set_nonblocking(true)?;
         let tcp_addr = listener.local_addr()?;
         let trace = cfg.trace_propagate.then(|| {
             let role = if cfg.repl.follower {
@@ -245,45 +244,27 @@ impl Server {
             sessions: Mutex::new(HashMap::new()),
             recovering: Mutex::new(HashSet::new()),
             tap,
-            conns: AtomicUsize::new(0),
+            conns: Arc::default(),
             stop: AtomicBool::new(false),
             follower,
             leader_hint: Mutex::new(None),
             hub,
             trace,
         });
-        let accept_thread = {
+        let listener = {
             let inner = Arc::clone(&inner);
-            thread::Builder::new()
-                .name("serve-accept-tcp".into())
-                .spawn(move || loop {
-                    if inner.stop.load(Ordering::Relaxed) {
-                        return;
-                    }
-                    match listener.accept() {
-                        Ok((stream, _)) => spawn_conn(stream, Arc::clone(&inner)),
-                        Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                            thread::sleep(Duration::from_millis(25));
-                        }
-                        Err(_) => thread::sleep(Duration::from_millis(25)),
-                    }
-                })?
+            Listener::spawn(listener, "serve", Arc::clone(&inner.conns), move |stream| {
+                adya_obs::gauge!("serve.connections").add(1);
+                handle_conn(stream, &inner);
+                adya_obs::gauge!("serve.connections").add(-1);
+            })?
         };
-        Ok(Server {
-            inner,
-            tcp_addr,
-            accept_thread: Some(accept_thread),
-        })
+        Ok(Server { inner, listener })
     }
 
     /// The bound TCP address (real port when bound to `:0`).
     pub fn local_addr(&self) -> SocketAddr {
-        self.tcp_addr
-    }
-
-    /// Events seen by the tap crash plane (for reports).
-    pub fn tap_stats(&self) -> adya_faults::TapCrashStats {
-        self.inner.tap.stats()
+        self.listener.local_addr()
     }
 
     /// Graceful shutdown: stop accepting, let every connection send
@@ -291,9 +272,7 @@ impl Server {
     /// snapshot for every session still open. Idempotent.
     pub fn shutdown(&mut self) {
         self.inner.stop.store(true, Ordering::Relaxed);
-        if let Some(t) = self.accept_thread.take() {
-            let _ = t.join();
-        }
+        self.listener.shutdown();
         // Connections poll the stop flag at their read timeout; give
         // them a bounded window to drain.
         let deadline = Instant::now() + Duration::from_secs(5);
@@ -328,18 +307,6 @@ impl Drop for Server {
     fn drop(&mut self) {
         self.shutdown();
     }
-}
-
-fn spawn_conn(stream: TcpStream, inner: Arc<Inner>) {
-    inner.conns.fetch_add(1, Ordering::Relaxed);
-    adya_obs::gauge!("serve.connections").add(1);
-    let _ = thread::Builder::new()
-        .name("serve-conn".into())
-        .spawn(move || {
-            handle_conn(stream, &inner);
-            adya_obs::gauge!("serve.connections").add(-1);
-            inner.conns.fetch_sub(1, Ordering::Relaxed);
-        });
 }
 
 /// Serves one connection to completion.

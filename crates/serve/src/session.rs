@@ -22,7 +22,7 @@ use std::path::Path;
 use std::sync::Arc;
 
 use adya_faults::TapCrashPlane;
-use adya_obs::{labeled, trace::Stage, Counter, Gauge, TracePlane};
+use adya_obs::{labeled, trace::Stage, Counter, Gauge, TracePlane, Traced};
 use adya_online::{check_token, GcConfig, OnlineChecker, StreamParser};
 
 use crate::log::{LogConfig, RecoverError, SessionLog};
@@ -241,12 +241,10 @@ impl Session {
                     .parser
                     .parse_token(tok)
                     .expect("check_token accepted every token of the line");
-                let tid = self.trace.as_ref().and_then(|plane| {
-                    let id = plane.sample(&self.name, seq)?;
-                    plane.stamp(id, Stage::Tap);
-                    Some(id)
-                });
-                (ev, tid)
+                let traced = (self.trace.as_deref())
+                    .map_or(Traced::OFF, |plane| plane.begin(&self.name, seq));
+                traced.stamp(Stage::Tap);
+                (ev, traced)
             })
             .collect();
         // Names first: recovery re-interns before replaying events.
@@ -257,18 +255,15 @@ impl Session {
             )
             .map_err(ApplyError::Io)?;
         let mut out = Vec::new();
-        for (ev, tid) in &events {
-            let traced = self.trace.as_deref().zip(*tid);
-            if let Some((plane, id)) = traced {
-                // The serve path has no real ring/sequencer hop — the
-                // line buffer plays both roles.
-                plane.stamp(id, Stage::Ring);
-                plane.stamp(id, Stage::Seq);
-            }
-            self.log.append_traced(ev, *tid).map_err(ApplyError::Io)?;
-            if let Some((plane, id)) = traced {
-                plane.stamp(id, Stage::Log);
-            }
+        for (ev, traced) in &events {
+            // The serve path has no real ring/sequencer hop — the line
+            // buffer plays both roles.
+            traced.stamp(Stage::Ring);
+            traced.stamp(Stage::Seq);
+            self.log
+                .append_traced(ev, traced.id())
+                .map_err(ApplyError::Io)?;
+            traced.stamp(Stage::Log);
             // Tap-side crash point: the event is durable, its effects
             // are not — the exact window recovery must close.
             if tap.crash_due(ev.is_terminal()) {
@@ -276,17 +271,13 @@ impl Session {
             }
             self.m_events.inc();
             let verdict = self.checker.ingest(ev);
-            if let Some((plane, id)) = traced {
-                plane.stamp(id, Stage::Apply);
-            }
+            traced.stamp(Stage::Apply);
             if let Some(v) = verdict {
-                if let Some((plane, id)) = traced {
-                    plane.stamp(id, Stage::Verdict);
-                }
+                traced.stamp(Stage::Verdict);
                 self.verdicts += 1;
                 let line = v.to_json();
                 self.recent.push(line.clone());
-                out.push((*tid, line));
+                out.push((traced.id(), line));
                 self.m_verdicts.inc();
             }
         }
@@ -311,13 +302,7 @@ impl Session {
     /// the previous snapshot, because those verdicts were delivered
     /// before the line that triggered this one was accepted.
     pub fn snapshot(&mut self) -> std::io::Result<()> {
-        self.log.write_snapshot(
-            &self.checker,
-            &self.parser,
-            self.verdicts,
-            self.recent_base,
-            &self.recent,
-        )?;
+        self.write_snapshot_now()?;
         let keep_from = (self.last_snap_verdicts - self.recent_base) as usize;
         self.recent.drain(..keep_from);
         self.recent_base = self.last_snap_verdicts;
@@ -325,6 +310,20 @@ impl Session {
         self.m_staleness
             .set(self.checker.watermark_staleness() as i64);
         adya_obs::counter!("serve.snapshots").inc();
+        Ok(())
+    }
+
+    /// The checker, the parser and the whole live replay window, as
+    /// they are now, into a snapshot file. What to trim and which marker
+    /// to advance afterwards is the caller's.
+    fn write_snapshot_now(&mut self) -> std::io::Result<()> {
+        self.log.write_snapshot(
+            &self.checker,
+            &self.parser,
+            self.verdicts,
+            self.recent_base,
+            &self.recent,
+        )?;
         Ok(())
     }
 
@@ -369,13 +368,7 @@ impl Session {
     /// post-restart resume must still be able to re-send them.
     pub fn park(&mut self) {
         if self.closed.is_none() {
-            let wrote = self.log.write_snapshot(
-                &self.checker,
-                &self.parser,
-                self.verdicts,
-                self.recent_base,
-                &self.recent,
-            );
+            let wrote = self.write_snapshot_now();
             // Advance the trim marker only if the snapshot is actually
             // durable: advancing past a failed write would let the next
             // successful snapshot() trim the replay window beyond

@@ -14,11 +14,11 @@
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use adya_engine::{AbortReason, Engine, EngineError, Value};
+use adya_engine::{AbortReason, Engine, EngineError, TablePred};
 use crossbeam::thread;
 
 use crate::driver::RunStats;
-use crate::program::{Program, Step};
+use crate::program::{Program, Stepped};
 use crate::retry::RetryPolicy;
 
 /// Knobs for the concurrent driver.
@@ -118,15 +118,8 @@ fn run_program(
 ) -> bool {
     let mut regs = vec![0i64; program.register_count().max(1)];
     // Predicates compiled once per program run so their identity is
-    // stable across blocked retries.
-    let preds: Vec<Option<adya_engine::TablePred>> = program
-        .steps
-        .iter()
-        .map(|s| match s {
-            Step::Select { table, pred, .. } => Some(pred.compile(*table)),
-            _ => None,
-        })
-        .collect();
+    // stable across blocked retries and restarts.
+    let mut preds: Vec<Option<TablePred>> = vec![None; program.steps.len()];
     let mut retry = cfg
         .retry
         .session(cfg.seed ^ (ix as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
@@ -144,49 +137,17 @@ fn run_program(
                 return false;
             }
             ops.fetch_add(1, Ordering::Relaxed);
-            let result: Result<(), EngineError> = if pc >= program.steps.len() {
-                match engine.commit(txn) {
-                    Ok(()) => return true,
-                    Err(e) => Err(e),
-                }
-            } else {
-                match &program.steps[pc] {
-                    Step::Read { table, key, reg } => engine.read(txn, *table, *key).map(|v| {
-                        regs[*reg] = match v {
-                            Some(Value::Int(i)) => i,
-                            _ => 0,
-                        };
-                    }),
-                    Step::Write { table, key, value } => {
-                        let v = value.eval(&regs);
-                        engine.write(txn, *table, *key, Value::Int(v))
-                    }
-                    Step::Delete { table, key } => engine.delete(txn, *table, *key),
-                    Step::Select {
-                        count_reg, sum_reg, ..
-                    } => {
-                        let pred = preds[pc].as_ref().expect("select step has predicate");
-                        engine.select(txn, pred).map(|rows| {
-                            if let Some(r) = count_reg {
-                                regs[*r] = rows.len() as i64;
-                            }
-                            if let Some(r) = sum_reg {
-                                regs[*r] = rows.iter().map(|(_, v)| v.as_int().unwrap_or(0)).sum();
-                            }
-                        })
-                    }
-                    Step::Abort => {
-                        let _ = engine.abort(txn);
-                        return false;
-                    }
-                }
-            };
-            match result {
-                Ok(()) => {
+            let stepped = program.exec_step(pc, engine, txn, &mut regs, |spec, table| {
+                preds[pc].get_or_insert_with(|| spec.compile(table)).clone()
+            });
+            match stepped {
+                Ok(Stepped::Advanced) => {
                     pc += 1;
                     spins = 0;
                     retry.clear_backoff();
                 }
+                Ok(Stepped::Committed) => return true,
+                Ok(Stepped::Aborted) => return false,
                 Err(EngineError::Blocked { .. }) => {
                     blocked.fetch_add(1, Ordering::Relaxed);
                     spins += 1;

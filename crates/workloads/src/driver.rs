@@ -12,12 +12,12 @@
 
 use std::collections::HashMap;
 
-use adya_engine::{AbortReason, Engine, EngineError, TablePred, TxnId, Value};
+use adya_engine::{AbortReason, Engine, EngineError, TablePred, TxnId};
 use adya_graph::DiGraph;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::program::{PredSpec, Program, Step};
+use crate::program::{Program, Stepped};
 use crate::retry::{RetryPolicy, RetrySession};
 
 /// Driver knobs.
@@ -99,9 +99,10 @@ struct Session {
     waiting_on: Vec<TxnId>,
     retry: RetrySession,
     outcome: Option<SessionOutcome>,
-    /// Compiled predicates, cached per (step index) for pointer-stable
-    /// predicate identity across retries of the same step.
-    pred_cache: HashMap<usize, TablePred>,
+    /// Compiled predicates by step index, kept for one attempt:
+    /// pointer-stable predicate identity across retries of the same
+    /// step.
+    pred_cache: Vec<Option<TablePred>>,
 }
 
 /// Runs `programs` against `engine` under a seeded interleaving.
@@ -118,6 +119,7 @@ pub fn run_deterministic(
         .map(|(i, p)| {
             let regs = vec![0i64; p.register_count().max(1)];
             Session {
+                pred_cache: vec![None; p.steps.len()],
                 txn: engine.begin(),
                 program: p,
                 pc: 0,
@@ -128,7 +130,6 @@ pub fn run_deterministic(
                     .retry
                     .session(cfg.seed ^ (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)),
                 outcome: None,
-                pred_cache: HashMap::new(),
             }
         })
         .collect();
@@ -231,137 +232,64 @@ fn restart(engine: &dyn Engine, s: &mut Session, stats: &mut RunStats, _ix: Opti
     begin_fresh_attempt(engine, s, &AbortReason::DeadlockVictim);
 }
 
+fn give_up(s: &mut Session) {
+    s.state = SessionState::Done;
+    s.outcome = Some(SessionOutcome::GaveUp);
+}
+
 fn begin_fresh_attempt(engine: &dyn Engine, s: &mut Session, reason: &AbortReason) {
     if s.retry.should_restart(reason).is_err() {
-        s.state = SessionState::Done;
-        s.outcome = Some(SessionOutcome::GaveUp);
-        return;
+        return give_up(s);
     }
     s.txn = engine.begin();
     s.pc = 0;
     s.regs.iter_mut().for_each(|r| *r = 0);
-    s.pred_cache.clear();
+    s.pred_cache.fill(None);
     s.state = SessionState::Ready;
     s.waiting_on.clear();
 }
 
-enum Next {
-    Advanced,
-    Parked(Vec<TxnId>),
-    Restart(AbortReason),
-    Committed,
-    GaveUp,
-    AbortInjected,
-}
-
 fn step_session(engine: &dyn Engine, sessions: &mut [Session], ix: usize, stats: &mut RunStats) {
-    if !sessions[ix].retry.admit_op() {
+    let s = &mut sessions[ix];
+    if !s.retry.admit_op() {
         // Per-transaction deadline exhausted: release whatever the
         // attempt holds and give up.
-        let _ = engine.abort(sessions[ix].txn);
+        let _ = engine.abort(s.txn);
         stats.deadline_giveups += 1;
-        sessions[ix].state = SessionState::Done;
-        sessions[ix].outcome = Some(SessionOutcome::GaveUp);
+        give_up(s);
         wake_waiters(sessions, ix);
         return;
     }
     stats.ops += 1;
-    let next = exec_step(engine, &mut sessions[ix], stats);
-    match next {
-        Next::Advanced => {
-            sessions[ix].pc += 1;
-            wake_waiters(sessions, ix);
+    let (pc, cache) = (s.pc, &mut s.pred_cache);
+    let stepped = s
+        .program
+        .exec_step(pc, engine, s.txn, &mut s.regs, |spec, table| {
+            cache[pc].get_or_insert_with(|| spec.compile(table)).clone()
+        });
+    match stepped {
+        Ok(Stepped::Advanced) => s.pc += 1,
+        Ok(Stepped::Committed) => {
+            s.state = SessionState::Done;
+            s.outcome = Some(SessionOutcome::Committed);
         }
-        Next::Parked(holders) => {
-            stats.blocked += 1;
-            sessions[ix].state = SessionState::Waiting;
-            sessions[ix].waiting_on = holders;
-        }
-        Next::Restart(reason) => {
-            stats.count_abort(&reason);
-            begin_fresh_attempt(engine, &mut sessions[ix], &reason);
-            wake_waiters(sessions, ix);
-        }
-        Next::Committed => {
-            sessions[ix].state = SessionState::Done;
-            sessions[ix].outcome = Some(SessionOutcome::Committed);
-            wake_waiters(sessions, ix);
-        }
-        Next::GaveUp => {
-            sessions[ix].state = SessionState::Done;
-            sessions[ix].outcome = Some(SessionOutcome::GaveUp);
-            wake_waiters(sessions, ix);
-        }
-        Next::AbortInjected => {
+        Ok(Stepped::Aborted) => {
             stats.count_abort(&AbortReason::Requested);
-            sessions[ix].state = SessionState::Done;
-            sessions[ix].outcome = Some(SessionOutcome::GaveUp);
-            wake_waiters(sessions, ix);
+            give_up(s);
         }
+        Err(EngineError::Blocked { holders }) => {
+            stats.blocked += 1;
+            s.state = SessionState::Waiting;
+            s.waiting_on = holders;
+            return; // parked: nobody else got anywhere
+        }
+        Err(EngineError::Aborted(reason)) => {
+            stats.count_abort(&reason);
+            begin_fresh_attempt(engine, s, &reason);
+        }
+        Err(EngineError::UnknownTxn) => give_up(s),
     }
-}
-
-fn exec_step(engine: &dyn Engine, s: &mut Session, _stats: &mut RunStats) -> Next {
-    // Past the last step: commit.
-    if s.pc >= s.program.steps.len() {
-        return match engine.commit(s.txn) {
-            Ok(()) => Next::Committed,
-            Err(EngineError::Blocked { holders }) => Next::Parked(holders),
-            Err(EngineError::Aborted(reason)) => Next::Restart(reason),
-            Err(EngineError::UnknownTxn) => Next::GaveUp,
-        };
-    }
-
-    let step = s.program.steps[s.pc].clone();
-    let result: Result<(), EngineError> = match step {
-        Step::Read { table, key, reg } => engine.read(s.txn, table, key).map(|v| {
-            s.regs[reg] = match v {
-                Some(Value::Int(i)) => i,
-                _ => 0,
-            };
-        }),
-        Step::Write { table, key, value } => {
-            let v = value.eval(&s.regs);
-            engine.write(s.txn, table, key, Value::Int(v))
-        }
-        Step::Delete { table, key } => engine.delete(s.txn, table, key),
-        Step::Select {
-            table,
-            pred,
-            count_reg,
-            sum_reg,
-        } => {
-            let pc = s.pc;
-            let compiled = s
-                .pred_cache
-                .entry(pc)
-                .or_insert_with(|| compile_pred(&pred, table))
-                .clone();
-            engine.select(s.txn, &compiled).map(|rows| {
-                if let Some(r) = count_reg {
-                    s.regs[r] = rows.len() as i64;
-                }
-                if let Some(r) = sum_reg {
-                    s.regs[r] = rows.iter().map(|(_, v)| v.as_int().unwrap_or(0)).sum();
-                }
-            })
-        }
-        Step::Abort => {
-            let _ = engine.abort(s.txn);
-            return Next::AbortInjected;
-        }
-    };
-
-    match result {
-        Ok(()) => Next::Advanced,
-        Err(EngineError::Blocked { holders }) => Next::Parked(holders),
-        Err(EngineError::Aborted(reason)) => Next::Restart(reason),
-        Err(EngineError::UnknownTxn) => Next::GaveUp,
-    }
-}
-
-fn compile_pred(pred: &PredSpec, table: adya_engine::TableId) -> TablePred {
-    pred.compile(table)
+    wake_waiters(sessions, ix);
 }
 
 /// After session `ix` made progress (commit/abort/op), wake every
@@ -378,9 +306,9 @@ fn wake_waiters(sessions: &mut [Session], ix: usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::program::Expr;
+    use crate::program::{Expr, PredSpec, Step};
     use adya_core::{classify, IsolationLevel};
-    use adya_engine::{Key, LockConfig, LockingEngine, TableId};
+    use adya_engine::{Key, LockConfig, LockingEngine, TableId, Value};
 
     fn transfer(t: TableId, a: u64, b: u64, amount: i64) -> Program {
         Program::new(

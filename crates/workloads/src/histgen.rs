@@ -228,13 +228,6 @@ pub fn random_history(cfg: &HistGenConfig, seed: u64) -> History {
         .expect("generator must produce well-formed histories")
 }
 
-/// Samples `n` histories with consecutive seeds.
-pub fn random_histories(cfg: &HistGenConfig, base_seed: u64, n: usize) -> Vec<History> {
-    (0..n)
-        .map(|i| random_history(cfg, base_seed + i as u64))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -49,7 +49,7 @@ pub use generators::{
     MixedConfig, PhantomConfig,
 };
 pub use live::{run_concurrent_live, LiveConfig, LiveReport};
-pub use program::{Expr, PredSpec, Program, Step};
+pub use program::{Expr, PredSpec, Program, Step, Stepped};
 pub use retry::{GiveUpCause, RetryPolicy, RetrySession};
 pub use schemes::{families, schemes, Scheme};
 pub use zipf::Zipf;

@@ -32,7 +32,7 @@ use adya::history::parse_history_completed;
 use adya::online::{
     CheckerMonitor, EventLogReader, HealthPolicy, LogError, OnlineChecker, StreamParser, Verdict,
 };
-use adya_obs::{json::esc, trace::Stage, ObsServer, Response, TracePlane};
+use adya_obs::{json::esc, trace::Stage, ObsServer, Response, TracePlane, Traced};
 
 /// Where and how `--metrics` output is rendered.
 #[derive(Clone, Copy, PartialEq, Eq)]
@@ -496,55 +496,6 @@ impl StreamObs {
     }
 }
 
-/// Cycle-scoped DOT for one violating stream verdict, built from the
-/// verdict's cycle provenance. `None` when the verdict fired nothing
-/// new or carries no cycle (provenance off, or a non-cycle phenomenon
-/// such as G1a/G1b).
-fn stream_cycle_dot(v: &Verdict) -> Option<String> {
-    let cycle = v.cycle.as_ref()?;
-    if cycle.is_empty() || v.new_fired.is_empty() {
-        return None;
-    }
-    let name: String = v
-        .new_fired
-        .iter()
-        .map(|k| k.to_string())
-        .collect::<Vec<_>>()
-        .join("_")
-        .chars()
-        .map(|c| {
-            if c.is_alphanumeric() || c == '_' {
-                c
-            } else {
-                '_'
-            }
-        })
-        .collect();
-    let mut s = format!("digraph {name} {{\n  rankdir=LR;\n  node [shape=circle];\n");
-    let mut nodes: Vec<adya::history::TxnId> = Vec::new();
-    for e in cycle {
-        for t in [e.from, e.to] {
-            if !nodes.contains(&t) {
-                nodes.push(t);
-            }
-        }
-    }
-    for n in &nodes {
-        let _ = writeln!(s, "  \"{n}\";");
-    }
-    for e in cycle {
-        let kind = e.label();
-        let label = if e.via.is_empty() {
-            kind.to_string()
-        } else {
-            format!("{kind}\\n{}", esc(&e.via))
-        };
-        let _ = writeln!(s, "  \"{}\" -> \"{}\" [label=\"{label}\"];", e.from, e.to);
-    }
-    s.push_str("}\n");
-    Some(s)
-}
-
 /// The one owner of stdout in `--stream` mode: every verdict line,
 /// closing frame and `truncated_input` record goes through here, into
 /// a buffer in front of the locked handle.
@@ -609,7 +560,7 @@ impl VerdictOut {
     /// for one — stdout first, so the two stay in order.
     fn verdict_with_dot(&mut self, v: &Verdict, dot: bool) {
         self.verdict(v);
-        if let Some(d) = dot.then(|| stream_cycle_dot(v)).flatten() {
+        if let Some(d) = dot.then(|| v.cycle_dot()).flatten() {
             self.flush();
             emit_dot_stderr(&d);
         }
@@ -658,24 +609,20 @@ impl StreamSink {
     fn feed(&mut self, ev: adya::history::Event) {
         // In-thread ingest plays every pre-apply stage itself: arrival
         // (`tap`), line buffer (`ring`), sequencing.
-        let traced = self.plane.as_deref().and_then(|p| {
-            let id = p.sample(STREAM_TRACE_SCOPE, self.seq)?;
-            p.stamp(id, Stage::Tap);
-            p.stamp(id, Stage::Ring);
-            p.stamp(id, Stage::Seq);
-            Some((p, id))
-        });
+        let traced =
+            (self.plane.as_deref()).map_or(Traced::OFF, |p| p.begin(STREAM_TRACE_SCOPE, self.seq));
+        traced.stamp(Stage::Tap);
+        traced.stamp(Stage::Ring);
+        traced.stamp(Stage::Seq);
         self.seq += 1;
         if self.obs.delay.is_some() {
             self.out.flush(); // about to sleep
         }
         let arrived = self.obs.event_arrived();
         let v = self.checker.ingest(&ev);
-        if let Some((p, id)) = traced {
-            p.stamp(id, Stage::Apply);
-            if v.is_some() {
-                p.stamp(id, Stage::Verdict);
-            }
+        traced.stamp(Stage::Apply);
+        if v.is_some() {
+            traced.stamp(Stage::Verdict);
         }
         self.obs.event_applied(&self.checker, arrived, v.as_ref());
         if let Some(v) = v {
@@ -796,14 +743,11 @@ fn run_stream(args: &Args) -> ExitCode {
     // end them with a closing frame and a final verdict, not mid-line.
     adya_serve::shutdown::install();
     if let Some(level) = args.level {
-        let ansi = [
-            IsolationLevel::PL1,
-            IsolationLevel::PL2,
-            IsolationLevel::PL299,
-            IsolationLevel::PL3,
-        ];
-        if !ansi.contains(&level) {
-            eprintln!("adya-check: --stream verdicts cover the ANSI chain only (PL-1, PL-2, PL-2.99, PL-3), not {level}");
+        if !IsolationLevel::ANSI.contains(&level) {
+            let chain = IsolationLevel::ANSI.map(|l| l.to_string()).join(", ");
+            eprintln!(
+                "adya-check: --stream verdicts cover the ANSI chain only ({chain}), not {level}"
+            );
             return ExitCode::from(2);
         }
     }

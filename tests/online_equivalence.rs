@@ -267,6 +267,28 @@ fn stream_images_match_their_goldens() {
     }
 }
 
+/// The drawings `adya-check --stream --dot` prints are
+/// `Verdict::cycle_dot`'s and nothing else's: the same checker fed the
+/// same events in-process renders each fixture's DOT golden, no binary
+/// or pipe involved.
+#[test]
+fn stream_dots_match_their_goldens_in_process() {
+    for name in common::STREAM_FIXTURES {
+        let mut c = OnlineChecker::new();
+        c.set_provenance(true);
+        let dots: String = fixture_events(name)
+            .iter()
+            .filter_map(|e| c.ingest(e)?.cycle_dot())
+            .collect();
+        common::check_stream_golden(&format!("{name}.dot.golden"), &dots);
+        assert_eq!(
+            c.finish().cycle_dot(),
+            None,
+            "{name}: nothing fires at the end"
+        );
+    }
+}
+
 /// An image in a golden — written by an older build — restores under
 /// this one and carries on to the golden's remaining verdict lines and
 /// its final image.
