@@ -3,7 +3,6 @@
 //! every level (Figure 6: a list of proscribed phenomena) looked up in
 //! what was found. Every entry point is a few lines over [`Pass`].
 
-use std::cell::OnceCell;
 use std::fmt;
 
 use adya_graph::CycleEdge;
@@ -18,13 +17,12 @@ use crate::phenomena::{self, Phenomenon, PhenomenonKind};
 use crate::ssg::Ssg;
 use crate::usg;
 
-/// What is derived from one history: the conflicts inside the DSG,
-/// and the SSG, built when G-SIa or G-SIb is first searched for (a
-/// check of another level never pays for its start-dependency edges).
+/// What is derived from one history: the conflicts inside the DSG.
+/// The SSG is a view of the two (it stores no start-dependency edge),
+/// taken where G-SIa or G-SIb is searched for.
 struct Pass<'h> {
     h: &'h History,
     dsg: Dsg,
-    ssg: OnceCell<Ssg>,
 }
 
 impl<'h> Pass<'h> {
@@ -32,15 +30,10 @@ impl<'h> Pass<'h> {
         Pass {
             h,
             dsg: Dsg::build(h),
-            ssg: OnceCell::new(),
         }
     }
 
-    fn ssg(&self) -> &Ssg {
-        self.ssg.get_or_init(|| Ssg::build(self.h, &self.dsg))
-    }
-
-    /// The kind → detector table; each a function of `(h, dsg, ssg)`.
+    /// The kind → detector table; each a function of `(h, dsg)`.
     fn detect(&self, kind: PhenomenonKind) -> Option<Phenomenon> {
         use PhenomenonKind::*;
         adya_obs::counter!("checker.detector_runs").inc();
@@ -53,11 +46,12 @@ impl<'h> Pass<'h> {
             G2Item => phenomena::g2_item(dsg),
             G2 => phenomena::g2(dsg),
             GSingle => dsg.single_anti_cycle().map(Phenomenon::GSingle),
-            GSIa => self
-                .ssg()
+            GSIa => Ssg::build(h, dsg)
                 .interference_edge()
                 .map(|(from, to, kind)| Phenomenon::GSIa { from, to, kind }),
-            GSIb => self.ssg().missed_effects_cycle().map(Phenomenon::GSIb),
+            GSIb => Ssg::build(h, dsg)
+                .missed_effects_cycle()
+                .map(Phenomenon::GSIb),
             GCursor => phenomena::g_cursor(h, dsg),
             GMonotonic => usg::g_monotonic(h, dsg.conflicts())
                 .map(|(txn, cycle)| Phenomenon::GMonotonic { txn, cycle }),
@@ -153,8 +147,9 @@ pub fn analyze(h: &History) -> Analysis {
 /// max_scc}` and `checker.history.{txns,committed}`; one counter
 /// `checker.phenomena.<kind>` per detected phenomenon kind; plus a
 /// `checker.analyses` run counter. (The work counters
-/// `checker.conflict_derivations` and `checker.detector_runs` count
-/// process-wide, whichever entry point did the work.)
+/// `checker.conflict_derivations`, `checker.detector_runs` and
+/// `checker.construction_visits` count process-wide, whichever entry
+/// point did the work.)
 pub fn analyze_in(h: &History, reg: &Registry) -> Analysis {
     let total = reg.span("checker.phase.total_ns");
     let pass = reg.time("checker.phase.dsg_build_ns", || Pass::new(h));

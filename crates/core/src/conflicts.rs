@@ -3,7 +3,7 @@
 
 use std::fmt;
 
-use adya_history::{History, ObjectId, PredicateId, TxnId, VersionId};
+use adya_history::{Event, History, ObjectId, PredicateId, TxnId, VersionId};
 
 /// The kind of a direct conflict edge `Ti → Tj` ("Tj conflicts on
 /// Ti"), exactly the notation of Figure 2 plus the start-dependency
@@ -137,6 +137,19 @@ pub fn direct_conflicts(h: &History) -> Vec<Conflict> {
     out
 }
 
+/// The work counter of graph construction: one tick per event walked
+/// while deriving conflicts, one per start-order step of an SSG search.
+/// `tests/construction_work_bound.rs` holds it to events + conflicts.
+pub(crate) fn visits() -> &'static adya_obs::Counter {
+    adya_obs::counter!("checker.construction_visits")
+}
+
+/// The events of `txn`, each one a tick of [`visits`].
+fn walk(h: &History, txn: TxnId) -> impl Iterator<Item = &Event> {
+    let visits = visits();
+    h.events_of(txn).map(|(_, e)| e).inspect(|_| visits.inc())
+}
+
 /// `ww`: consecutive committed versions in each object's version
 /// order.
 fn write_dependencies(h: &History, out: &mut Vec<Conflict>) {
@@ -165,8 +178,8 @@ fn write_dependencies(h: &History, out: &mut Vec<Conflict>) {
 /// Ti. Reads of intermediate versions of committed transactions also
 /// read-depend on the writer (they additionally trigger G1b).
 fn item_read_dependencies(h: &History, out: &mut Vec<Conflict>) {
-    for tj in h.committed_txns().collect::<Vec<_>>() {
-        for (_, read) in h.reads_of(tj) {
+    for tj in h.committed_txns() {
+        for read in walk(h, tj).filter_map(Event::as_read) {
             let ti = read.version.txn;
             if ti.is_init() || ti == tj || !h.is_committed(ti) {
                 continue;
@@ -186,8 +199,8 @@ fn item_read_dependencies(h: &History, out: &mut Vec<Conflict>) {
 /// next committed version directly item-anti-depends… i.e. the edge
 /// runs from the reader Ti to the overwriter Tj.
 fn item_anti_dependencies(h: &History, out: &mut Vec<Conflict>) {
-    for ti in h.committed_txns().collect::<Vec<_>>() {
-        for (_, read) in h.reads_of(ti) {
+    for ti in h.committed_txns() {
+        for read in walk(h, ti).filter_map(Event::as_read) {
             let Some(anchor) = order_anchor(h, read.object, read.version) else {
                 continue; // dirty read of a never-committed version: G1a territory
             };
@@ -235,8 +248,8 @@ pub(crate) fn order_anchor(h: &History, object: ObjectId, version: VersionId) ->
 /// * **every** later match-changing version overwrites the read and
 ///   creates a predicate-anti-dependency (Definition 4).
 fn predicate_dependencies(h: &History, out: &mut Vec<Conflict>) {
-    for tj in h.committed_txns().collect::<Vec<_>>() {
-        for (_, pread) in h.predicate_reads_of(tj) {
+    for tj in h.committed_txns() {
+        for pread in walk(h, tj).filter_map(Event::as_predicate_read) {
             let pid = pread.predicate;
             for (obj, selected) in h.resolve_vset(pread) {
                 let Some(anchor) = order_anchor(h, obj, selected) else {

@@ -4,7 +4,7 @@
 use std::fmt;
 
 use adya_graph::{Cycle, DiGraph};
-use adya_history::{History, ObjectId, TxnId, VersionId};
+use adya_history::{Event, History, ObjectId, TxnId, VersionId};
 
 use crate::conflicts::DepKind;
 use crate::dsg::Dsg;
@@ -341,17 +341,15 @@ pub fn g_cursor(h: &History, dsg: &Dsg) -> Option<Phenomenon> {
     // Identify cursor-labeled reader→overwriter pairs.
     let mut labeled: Vec<(TxnId, TxnId)> = Vec::new();
     for ti in h.committed_txns() {
-        for (read_ix, r) in h.reads_of(ti) {
-            if !r.through_cursor {
+        let own: Vec<&Event> = h.events_of(ti).map(|(_, e)| e).collect();
+        for (at, e) in own.iter().enumerate() {
+            let Some(r) = e.as_read().filter(|r| r.through_cursor) else {
                 continue;
-            }
+            };
             // Ti must write the object after the cursor read, before
             // moving its cursor elsewhere.
             let mut wrote_after = false;
-            for e in &h.events()[read_ix + 1..] {
-                if e.txn() != ti {
-                    continue;
-                }
+            for e in &own[at + 1..] {
                 if let Some(w) = e.as_write() {
                     if w.object == r.object {
                         wrote_after = true;

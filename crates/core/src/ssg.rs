@@ -3,10 +3,13 @@
 //! points to it in §6 as one of the commercial levels its approach
 //! covers).
 
-use adya_graph::{Cycle, DiGraph};
+use std::cmp::Reverse;
+use std::collections::VecDeque;
+
+use adya_graph::{Cycle, CycleEdge, DiGraph, NodeIdx};
 use adya_history::{History, TxnId};
 
-use crate::conflicts::DepKind;
+use crate::conflicts::{visits, DepKind};
 use crate::dsg::Dsg;
 
 /// The SSG of a history: the DSG plus a **start-dependency** edge
@@ -17,14 +20,141 @@ use crate::dsg::Dsg;
 /// Snapshot Isolation every read/write-dependency must coincide with a
 /// start-dependency (G-SIa), and no cycle may have exactly one
 /// anti-dependency edge (G-SIb).
+///
+/// Start-dependencies are a time test, never stored edges: n serial
+/// transactions have n²/2 of them. The searches below treat node `v`'s
+/// adjacency as its DSG edges followed by one `s` edge to every
+/// transaction that begins after `v` commits, in node order.
 #[derive(Debug, Clone)]
-pub struct Ssg {
-    graph: DiGraph<TxnId, DepKind>,
+pub struct Ssg<'d> {
+    dsg: &'d DiGraph<TxnId, DepKind>,
+    /// `(begin point, commit event)` of each node, by node index.
+    spans: Vec<(usize, usize)>,
 }
 
-impl Ssg {
-    /// Builds the SSG of `h`, reusing an already-built DSG.
-    pub fn build(h: &History, dsg: &Dsg) -> Ssg {
+impl<'d> Ssg<'d> {
+    /// Builds the SSG of `h` over its already-built DSG.
+    pub fn build(h: &History, dsg: &'d Dsg) -> Ssg<'d> {
+        let dsg = dsg.graph();
+        let spans = dsg
+            .nodes()
+            .map(|&t| {
+                let info = h.txn(t).expect("committed txn exists");
+                (info.begin_point(), info.end_event)
+            })
+            .collect();
+        Ssg { dsg, spans }
+    }
+
+    /// True if there is a start-dependency `from -s-> to`: `from`
+    /// commits before `to` begins.
+    fn time_precedes(&self, from: NodeIdx, to: NodeIdx) -> bool {
+        self.spans[from.index()].1 < self.spans[to.index()].0
+    }
+
+    /// G-SIa witness: a read/write-dependency edge `Ti → Tj` **not**
+    /// accompanied by a start-dependency `Ti -s-> Tj` (i.e. Tj
+    /// depends on a transaction that had not committed before Tj
+    /// began).
+    pub fn interference_edge(&self) -> Option<(TxnId, TxnId, DepKind)> {
+        self.dsg.node_indices().find_map(|from| {
+            self.dsg
+                .successors(from)
+                .find(|&(to, kind)| kind.is_dependency() && !self.time_precedes(from, to))
+                .map(|(to, &kind)| (*self.dsg.node(from), *self.dsg.node(to), kind))
+        })
+    }
+
+    /// G-SIb witness: an SSG cycle with exactly one anti-dependency
+    /// edge (start- and read/write-dependencies on the path): the
+    /// first anti-dependency edge, in edge order, with a shortest path
+    /// back over the other kinds.
+    pub fn missed_effects_cycle(&self) -> Option<Cycle<TxnId, DepKind>> {
+        let mut latest_first: Vec<NodeIdx> = self.dsg.node_indices().collect();
+        latest_first.sort_unstable_by_key(|n| Reverse(self.spans[n.index()].0));
+        self.dsg.node_indices().find_map(|from| {
+            self.dsg
+                .successors(from)
+                .filter(|(_, kind)| kind.is_anti())
+                .find_map(|(to, &kind)| {
+                    let mut edges = vec![self.edge(from, to, kind)];
+                    edges.extend(self.path_back(&latest_first, to, from)?);
+                    Some(Cycle::from_edges(edges))
+                })
+        })
+    }
+
+    fn edge(&self, from: NodeIdx, to: NodeIdx, label: DepKind) -> CycleEdge<TxnId, DepKind> {
+        CycleEdge {
+            from: *self.dsg.node(from),
+            to: *self.dsg.node(to),
+            label,
+        }
+    }
+
+    /// Shortest path `src ⇝ dst` over dependency and start edges, by
+    /// breadth-first search in adjacency order. `latest_first` is every
+    /// node by descending begin point: whatever begins after a popped
+    /// node's commit is a prefix of it, and the part of that prefix an
+    /// earlier pop already covered was discovered then, so one cursor
+    /// moving down the array serves the whole search.
+    fn path_back(
+        &self,
+        latest_first: &[NodeIdx],
+        src: NodeIdx,
+        dst: NodeIdx,
+    ) -> Option<Vec<CycleEdge<TxnId, DepKind>>> {
+        let mut parent: Vec<Option<(NodeIdx, DepKind)>> = vec![None; self.spans.len()];
+        let mut queue = VecDeque::from([src]);
+        let mut swept = 0;
+        let mut started = Vec::new();
+        'bfs: while let Some(v) = queue.pop_front() {
+            let commit = self.spans[v.index()].1;
+            let newly = latest_first[swept..]
+                .iter()
+                .take_while(|w| self.spans[w.index()].0 > commit);
+            started.clear();
+            started.extend(newly);
+            swept += started.len();
+            visits().add(started.len() as u64);
+            started.sort_unstable();
+
+            let stored = self.dsg.successors(v).filter(|(_, kind)| !kind.is_anti());
+            let implied = started.iter().map(|&w| (w, &DepKind::StartDep));
+            for (w, &kind) in stored.chain(implied) {
+                if w != src && parent[w.index()].is_none() {
+                    parent[w.index()] = Some((v, kind));
+                    if w == dst {
+                        break 'bfs;
+                    }
+                    queue.push_back(w);
+                }
+            }
+        }
+        let mut path = Vec::new();
+        let mut cur = dst;
+        while cur != src {
+            let (prev, kind) = parent[cur.index()]?;
+            path.push(self.edge(prev, cur, kind));
+            cur = prev;
+        }
+        path.reverse();
+        Some(path)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use adya_history::{parse_history, Event};
+    use adya_workloads::histgen::{random_history, HistGenConfig};
+    use proptest::prelude::*;
+
+    /// The SSG with every start-dependency stored, as `Ssg::build` made
+    /// it before they became a time test: the reference the implicit
+    /// searches must agree with, down to which of several equally short
+    /// back-paths is reported.
+    fn materialised(h: &History, dsg: &Dsg) -> DiGraph<TxnId, DepKind> {
         let mut graph = dsg.graph().clone();
         let committed: Vec<TxnId> = h.committed_txns().collect();
         for &ti in &committed {
@@ -39,105 +169,152 @@ impl Ssg {
                 }
             }
         }
-        Ssg { graph }
+        graph
     }
 
-    /// The underlying graph.
-    pub fn graph(&self) -> &DiGraph<TxnId, DepKind> {
-        &self.graph
+    fn stored_interference_edge(g: &DiGraph<TxnId, DepKind>) -> Option<(TxnId, TxnId, DepKind)> {
+        g.edges()
+            .filter(|e| e.label.is_dependency())
+            .find(|e| !g.has_edge_where(e.from, e.to, |&k| k == DepKind::StartDep))
+            .map(|e| (*e.from, *e.to, *e.label))
     }
 
-    /// G-SIa witness: a read/write-dependency edge `Ti → Tj` **not**
-    /// accompanied by a start-dependency `Ti -s-> Tj` (i.e. Tj
-    /// depends on a transaction that had not committed before Tj
-    /// began).
-    pub fn interference_edge(&self) -> Option<(TxnId, TxnId, DepKind)> {
-        for e in self.graph.edges() {
-            if !e.label.is_dependency() {
-                continue;
+    /// `(G-SIa, G-SIb)` witnesses as printed, implicit then stored.
+    fn both(h: &History) -> [(Option<String>, Option<String>); 2] {
+        let dsg = Dsg::build(h);
+        let ssg = Ssg::build(h, &dsg);
+        let stored = materialised(h, &dsg);
+        let show = |e: Option<(TxnId, TxnId, DepKind)>| e.map(|e| format!("{e:?}"));
+        [
+            (
+                show(ssg.interference_edge()),
+                ssg.missed_effects_cycle().map(|c| c.to_string()),
+            ),
+            (
+                show(stored_interference_edge(&stored)),
+                stored
+                    .find_cycle_exactly_one(|k| k.is_anti(), |k| !k.is_anti())
+                    .map(|c| c.to_string()),
+            ),
+        ]
+    }
+
+    /// `h` with a `b` event put before the first event of every
+    /// transaction `explicit` picks.
+    fn with_begins(h: &History, explicit: impl Fn(TxnId) -> bool) -> History {
+        let mut parts = h.to_parts();
+        parts.events.clear();
+        for (ix, e) in h.events().iter().enumerate() {
+            let info = h.txn(e.txn()).expect("event of a known txn");
+            if info.first_event == ix && explicit(e.txn()) {
+                parts.events.push(Event::Begin(e.txn()));
             }
-            if !self
-                .graph
-                .has_edge_where(e.from, e.to, |&k| k == DepKind::StartDep)
-            {
-                return Some((*e.from, *e.to, *e.label));
-            }
+            parts.events.push(e.clone());
         }
-        None
+        History::from_parts(parts).expect("a begin before a first event is well-formed")
     }
 
-    /// G-SIb witness: an SSG cycle with exactly one anti-dependency
-    /// edge (start- and read/write-dependencies on the path).
-    pub fn missed_effects_cycle(&self) -> Option<Cycle<TxnId, DepKind>> {
-        self.graph
-            .find_cycle_exactly_one(|k| k.is_anti(), |k| !k.is_anti())
+    fn ssg_witnesses(input: &str) -> (Option<String>, Option<String>) {
+        let [implicit, stored] = both(&parse_history(input).unwrap());
+        assert_eq!(implicit, stored);
+        implicit
     }
 
-    /// Graphviz DOT rendering.
-    pub fn to_dot(&self, name: &str) -> String {
-        self.graph.to_dot(name)
-    }
-}
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(400))]
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use adya_history::parse_history;
-
-    fn ssg_of(input: &str) -> Ssg {
-        let h = parse_history(input).unwrap();
-        let dsg = Dsg::build(&h);
-        Ssg::build(&h, &dsg)
+        #[test]
+        fn implicit_start_edges_report_what_stored_ones_did(
+            seed in 0u64..1_000_000,
+            txns in 4usize..40,
+            objects in 2usize..6,
+            dirty in any::<bool>(),
+            shuffled in any::<bool>(),
+            window in 0usize..5,
+            begins in 0u32..3,
+        ) {
+            let cfg = HistGenConfig {
+                txns,
+                objects,
+                ops_per_txn: 3,
+                dirty_read_prob: if dirty { 0.3 } else { 0.0 },
+                abort_prob: if dirty { 0.15 } else { 0.0 },
+                shuffle_order_prob: if shuffled { 0.5 } else { 0.0 },
+                max_concurrent: window,
+                ..HistGenConfig::default()
+            };
+            let h = random_history(&cfg, seed);
+            // No `b` events, one per transaction, or one for every
+            // other transaction.
+            let h = with_begins(&h, |t| begins == 1 || (begins == 2 && t.0 % 2 == 0));
+            let [implicit, stored] = both(&h);
+            prop_assert_eq!(implicit, stored, "{}", h);
+        }
     }
 
     #[test]
-    fn start_dep_added_for_serial_txns() {
-        let ssg = ssg_of("b1 w1(x,1) c1 b2 r2(x1) c2");
-        assert!(ssg
-            .graph()
-            .has_edge_where(&TxnId(1), &TxnId(2), |&k| k == DepKind::StartDep));
+    fn serial_txns_are_start_ordered() {
+        let h = parse_history("b1 w1(x,1) c1 b2 r2(x1) c2").unwrap();
+        let dsg = Dsg::build(&h);
+        let ssg = Ssg::build(&h, &dsg);
+        let nodes: Vec<NodeIdx> = dsg.graph().node_indices().collect();
+        assert!(ssg.time_precedes(nodes[0], nodes[1]));
+        assert!(!ssg.time_precedes(nodes[1], nodes[0]));
         assert!(ssg.interference_edge().is_none());
     }
 
     #[test]
     fn concurrent_read_dependency_is_interference() {
         // T2 begins before T1 commits yet reads T1's write: G-SIa.
-        let ssg = ssg_of("b1 b2 w1(x,1) c1 r2(x1) c2");
-        let (from, to, kind) = ssg.interference_edge().expect("G-SIa");
+        let h = parse_history("b1 b2 w1(x,1) c1 r2(x1) c2").unwrap();
+        let dsg = Dsg::build(&h);
+        let (from, to, kind) = Ssg::build(&h, &dsg).interference_edge().expect("G-SIa");
         assert_eq!((from, to), (TxnId(1), TxnId(2)));
         assert!(kind.is_dependency());
     }
 
     #[test]
-    fn write_skew_is_missed_effects() {
+    fn write_skew_is_not_missed_effects() {
         // Classic SI write skew: both read both objects, each writes
         // one. Two anti-dependency edges — this is NOT G-SIb (not
         // exactly one anti edge in its only cycle), so SI admits it.
-        let ssg = ssg_of(
+        let witnesses = ssg_witnesses(
             "b1 b2 r1(xinit,5) r1(yinit,5) r2(xinit,5) r2(yinit,5) \
              w1(x,1) w2(y,1) c1 c2",
         );
-        assert!(ssg.interference_edge().is_none());
-        assert!(ssg.missed_effects_cycle().is_none());
+        assert_eq!(witnesses, (None, None));
     }
 
     #[test]
     fn single_anti_cycle_is_missed_effects() {
-        // T1 reads x_init then T2 overwrites x and commits before...
-        // make T2 also read something T1 wrote: T1 -wr-> ... simpler:
-        // T2 reads y1 (dep T1->T2), T1 read x_init overwritten by T2
-        // (anti T1->T2)? That's not a cycle. Build: T1 -rw-> T2 and
-        // T2 -s-> T1: T2 commits before T1 begins? Impossible with
-        // T1 reading before. Use dependency path back:
-        // b1 r1(xinit) c1 ; b2 w2(x) c2 gives T1 -rw-> T2 and
-        // T1 -s-> T2 (no cycle). Add T3? Simplest G-SIb: T1 -rw-> T2,
-        // T2 -s-> T1 requires c2 < b1: then T1 must read the version
-        // T2 overwrote — T1 reads x_init *after* T2 installed x2:
-        // legal in a multi-version world.
-        let h = parse_history("b2 w2(x,9) c2 b1 r1(xinit,5) c1").unwrap();
-        let dsg = Dsg::build(&h);
-        let ssg = Ssg::build(&h, &dsg);
-        let cyc = ssg.missed_effects_cycle().expect("G-SIb");
-        assert_eq!(cyc.count_labels(|k| k.is_anti()), 1);
+        // T2 commits before T1 begins (T2 -s-> T1), yet T1 reads the
+        // version T2 overwrote (T1 -rw-> T2) — legal in a multi-version
+        // world, and exactly one anti-dependency on the cycle.
+        let (_, cycle) = ssg_witnesses("b2 w2(x,9) c2 b1 r1(xinit,5) c1");
+        assert_eq!(cycle.as_deref(), Some("T1 -[rw]-> T2 -[s]-> T1"));
+    }
+
+    #[test]
+    fn a_txn_without_a_begin_event_starts_at_its_first_event() {
+        // T1 has no `b`: it begins at r1, after c2, so T2 -s-> T1 closes
+        // a cycle with T1's anti-dependency. T3 does the same reads but
+        // its `b3` precedes c2: no start edge, no cycle through it, and
+        // its read of x2 is a dependency on a concurrent transaction.
+        let (edge, cycle) =
+            ssg_witnesses("b2 w2(x,9) b3 c2 r1(xinit,5) r3(yinit,5) r3(x2) c3 c1 b4 w4(y,2) c4");
+        assert_eq!(cycle.as_deref(), Some("T1 -[rw]-> T2 -[s]-> T1"));
+        assert_eq!(
+            edge,
+            Some(format!("{:?}", (TxnId(2), TxnId(3), DepKind::ItemReadDep)))
+        );
+    }
+
+    #[test]
+    fn a_chain_of_start_edges_is_cut_short() {
+        // T2 -s-> T3 -s-> T1, and start order is transitive, so
+        // T2 -s-> T1 as well: by the time T3 is popped the sweep has
+        // already passed T1, and the witness takes the one edge.
+        let (_, cycle) = ssg_witnesses("b2 w2(x,9) c2 b3 w3(y,1) c3 b1 r1(xinit,5) c1");
+        assert_eq!(cycle.as_deref(), Some("T1 -[rw]-> T2 -[s]-> T1"));
     }
 }

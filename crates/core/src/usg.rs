@@ -25,10 +25,11 @@
 //! once order edges are present, invisible to the folded DSG when the
 //! two anti/read dependencies are the only conflicts.
 
+use std::collections::HashMap;
 use std::fmt;
 
 use adya_graph::{Cycle, DiGraph};
-use adya_history::{Event, History, TxnId, VersionId};
+use adya_history::{Event, History, ObjectId, TxnId, VersionId};
 
 use crate::conflicts::{Conflict, DepKind};
 
@@ -85,18 +86,25 @@ fn g_monotonic_for(
 ) -> Option<Cycle<UsgNode, String>> {
     let mut g: DiGraph<UsgNode, UsgEdge> = DiGraph::new();
 
-    // Order edges chain ti's read/write actions.
+    // One walk of ti's events. Order edges chain its read/write
+    // actions. To attach ti's conflicts to specific actions they are
+    // re-derived positionally: reads at their read events — by
+    // (object, version); a conflict may match several reads and
+    // attaches to each — and write-related edges at ti's last write
+    // event of the object. Conflicts between other transactions keep
+    // their folded Txn nodes.
     let mut prev: Option<usize> = None;
-    for (ix, e) in h.events().iter().enumerate() {
-        if e.txn() != ti {
-            continue;
-        }
-        let is_action = matches!(
-            e,
-            Event::Read(_) | Event::Write(_) | Event::PredicateRead(_)
-        );
-        if !is_action {
-            continue;
+    let mut last_write_of: HashMap<ObjectId, usize> = HashMap::new();
+    let mut reads_at: HashMap<(ObjectId, VersionId), Vec<usize>> = HashMap::new();
+    let mut pred_reads: Vec<usize> = Vec::new();
+    for (ix, e) in h.events_of(ti) {
+        match e {
+            Event::Read(r) => reads_at.entry((r.object, r.version)).or_default().push(ix),
+            Event::Write(w) => {
+                last_write_of.insert(w.object, ix);
+            }
+            Event::PredicateRead(_) => pred_reads.push(ix),
+            Event::Begin(_) | Event::Commit(_) | Event::Abort(_) => continue,
         }
         if let Some(p) = prev {
             g.add_edge_dedup(
@@ -109,29 +117,6 @@ fn g_monotonic_for(
         }
         prev = Some(ix);
     }
-
-    // Map each of ti's conflicts to the event it arose at. Conflicts
-    // between other transactions keep their folded Txn nodes.
-    // To attach ti's conflicts to specific actions we re-derive them
-    // positionally: reads at their read events, write-related edges at
-    // ti's last write event of the object.
-    let mut last_write_of: std::collections::HashMap<adya_history::ObjectId, usize> =
-        std::collections::HashMap::new();
-    for (ix, e) in h.events().iter().enumerate() {
-        if e.txn() == ti {
-            if let Some(w) = e.as_write() {
-                last_write_of.insert(w.object, ix);
-            }
-        }
-    }
-    // Read events of ti, by (object, version) — a conflict may match
-    // several reads; attach to each.
-    let mut reads_at: std::collections::HashMap<(adya_history::ObjectId, VersionId), Vec<usize>> =
-        Default::default();
-    for (ix, r) in h.reads_of(ti) {
-        reads_at.entry((r.object, r.version)).or_default().push(ix);
-    }
-    let pred_reads: Vec<usize> = h.predicate_reads_of(ti).map(|(ix, _)| ix).collect();
 
     for c in conflicts.iter().cloned() {
         match (c.from == ti, c.to == ti) {

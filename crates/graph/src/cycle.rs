@@ -33,6 +33,22 @@ pub struct Cycle<N, E> {
     edges: Vec<CycleEdge<N, E>>,
 }
 
+impl<N: PartialEq, E> Cycle<N, E> {
+    /// The cycle through `edges` in traversal order, for a search that
+    /// runs outside this crate.
+    ///
+    /// # Panics
+    /// If `edges` is empty or not closed.
+    pub fn from_edges(edges: Vec<CycleEdge<N, E>>) -> Self {
+        let last = edges.last().expect("a cycle has an edge");
+        assert!(
+            last.to == edges[0].from && edges.windows(2).all(|p| p[0].to == p[1].from),
+            "cycle edges must chain and close"
+        );
+        Cycle { edges }
+    }
+}
+
 impl<N, E> Cycle<N, E> {
     /// Number of edges (equal to the number of distinct nodes for a
     /// simple cycle; a self-loop has length 1).

@@ -13,8 +13,9 @@ use std::hash::Hash;
 pub struct NodeIdx(pub(crate) u32);
 
 impl NodeIdx {
+    /// Position of the node in insertion order: `0..node_count()`.
     #[inline]
-    pub(crate) fn index(self) -> usize {
+    pub fn index(self) -> usize {
         self.0 as usize
     }
 }
@@ -140,6 +141,17 @@ where
     /// Node key at `ix`.
     pub fn node(&self, ix: NodeIdx) -> &N {
         &self.nodes[ix.index()]
+    }
+
+    /// Every node index, in insertion order.
+    pub fn node_indices(&self) -> impl Iterator<Item = NodeIdx> {
+        (0..self.nodes.len() as u32).map(NodeIdx)
+    }
+
+    /// The outgoing edges of the node at `ix` as `(target, label)`, in
+    /// insertion order.
+    pub fn successors(&self, ix: NodeIdx) -> impl Iterator<Item = (NodeIdx, &E)> {
+        self.out[ix.index()].iter().map(|e| (e.to, &e.label))
     }
 
     /// True if `node` is in the graph.

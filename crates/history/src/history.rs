@@ -107,6 +107,8 @@ pub struct History {
     values: HashMap<(ObjectId, VersionId), Value>,
     /// Objects per relation, in id order.
     rel_objects: BTreeMap<RelationId, Vec<ObjectId>>,
+    /// Event positions of each transaction, ascending.
+    txn_events: HashMap<TxnId, Vec<usize>>,
 }
 
 impl History {
@@ -328,15 +330,18 @@ impl History {
         out
     }
 
+    /// The events of `txn` with their event indices, in history order
+    /// (empty for `Tinit` and unknown ids). Costs the transaction's own
+    /// events, not the history's.
+    pub fn events_of(&self, txn: TxnId) -> impl Iterator<Item = (usize, &Event)> {
+        let positions = self.txn_events.get(&txn).map_or(&[][..], Vec::as_slice);
+        positions.iter().map(|&i| (i, &self.events[i]))
+    }
+
     /// Item-read events performed by `txn`, with their event indices.
     pub fn reads_of(&self, txn: TxnId) -> impl Iterator<Item = (usize, &crate::ReadEvent)> {
-        self.events
-            .iter()
-            .enumerate()
-            .filter_map(move |(i, e)| match e {
-                Event::Read(r) if r.txn == txn => Some((i, r)),
-                _ => None,
-            })
+        self.events_of(txn)
+            .filter_map(|(i, e)| Some((i, e.as_read()?)))
     }
 
     /// Predicate-read events performed by `txn`, with their event
@@ -345,13 +350,8 @@ impl History {
         &self,
         txn: TxnId,
     ) -> impl Iterator<Item = (usize, &PredicateReadEvent)> {
-        self.events
-            .iter()
-            .enumerate()
-            .filter_map(move |(i, e)| match e {
-                Event::PredicateRead(p) if p.txn == txn => Some((i, p)),
-                _ => None,
-            })
+        self.events_of(txn)
+            .filter_map(|(i, e)| Some((i, e.as_predicate_read()?)))
     }
 
     /// Renders the history in the parser's textual notation, so that
@@ -653,12 +653,14 @@ mod validate {
         let mut txns: BTreeMap<TxnId, TxnInfo> = BTreeMap::new();
         let mut write_state: HashMap<(TxnId, ObjectId), WriteState> = HashMap::new();
         let mut final_seqs: HashMap<(TxnId, ObjectId), u32> = HashMap::new();
+        let mut txn_events: HashMap<TxnId, Vec<usize>> = HashMap::new();
 
         for (index, event) in events.iter().enumerate() {
             let txn = event.txn();
             if txn.is_init() {
                 return Err(HistoryError::InitTxnEvent { index });
             }
+            txn_events.entry(txn).or_default().push(index);
             let entry = txns.entry(txn).or_insert_with(|| TxnInfo {
                 status: TxnStatus::Aborted, // placeholder until terminal seen
                 level: levels.get(&txn).copied().unwrap_or_default(),
@@ -796,14 +798,17 @@ mod validate {
         // -- Version orders.
         let committed =
             |t: TxnId| t.is_init() || txns.get(&t).is_some_and(|i| i.status.is_committed());
+        // Committed final writers of each object, by commit order.
+        let mut writers_of: HashMap<ObjectId, Vec<(usize, TxnId, u32)>> = HashMap::new();
+        for (&(t, obj), &seq) in &final_seqs {
+            if committed(t) {
+                let end = txns[&t].end_event;
+                writers_of.entry(obj).or_default().push((end, t, seq));
+            }
+        }
         let mut version_orders: BTreeMap<ObjectId, Vec<VersionId>> = BTreeMap::new();
         for &obj in objects.keys() {
-            // Committed final writers of obj, by commit order.
-            let mut writers: Vec<(usize, TxnId, u32)> = final_seqs
-                .iter()
-                .filter(|((t, o), _)| *o == obj && committed(*t))
-                .map(|((t, _), seq)| (txns[t].end_event, *t, *seq))
-                .collect();
+            let mut writers = writers_of.remove(&obj).unwrap_or_default();
             writers.sort_unstable();
 
             let order: Vec<VersionId> = match explicit_orders.get(&obj) {
@@ -934,6 +939,7 @@ mod validate {
             final_seqs,
             values,
             rel_objects,
+            txn_events,
         })
     }
 }
