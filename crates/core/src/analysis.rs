@@ -17,9 +17,11 @@ use crate::phenomena::{self, Phenomenon, PhenomenonKind};
 use crate::ssg::Ssg;
 use crate::usg;
 
-/// What is derived from one history: the conflicts inside the DSG.
-/// The SSG is a view of the two (it stores no start-dependency edge),
-/// taken where G-SIa or G-SIb is searched for.
+/// What is derived from one history: the conflicts inside the DSG,
+/// and the DSG's one component labelling, which G2, G2-item,
+/// G-single and G-monotonic search inside. The SSG is a view of the
+/// two (it stores no start-dependency edge), taken where G-SIa or
+/// G-SIb is searched for.
 struct Pass<'h> {
     h: &'h History,
     dsg: Dsg,
@@ -53,8 +55,9 @@ impl<'h> Pass<'h> {
                 .missed_effects_cycle()
                 .map(Phenomenon::GSIb),
             GCursor => phenomena::g_cursor(h, dsg),
-            GMonotonic => usg::g_monotonic(h, dsg.conflicts())
-                .map(|(txn, cycle)| Phenomenon::GMonotonic { txn, cycle }),
+            GMonotonic => {
+                usg::g_monotonic(h, dsg).map(|(txn, cycle)| Phenomenon::GMonotonic { txn, cycle })
+            }
         }
     }
 
@@ -147,9 +150,9 @@ pub fn analyze(h: &History) -> Analysis {
 /// max_scc}` and `checker.history.{txns,committed}`; one counter
 /// `checker.phenomena.<kind>` per detected phenomenon kind; plus a
 /// `checker.analyses` run counter. (The work counters
-/// `checker.conflict_derivations`, `checker.detector_runs` and
-/// `checker.construction_visits` count process-wide, whichever entry
-/// point did the work.)
+/// `checker.conflict_derivations`, `checker.detector_runs`,
+/// `checker.construction_visits` and `checker.search_visits` count
+/// process-wide, whichever entry point did the work.)
 pub fn analyze_in(h: &History, reg: &Registry) -> Analysis {
     let total = reg.span("checker.phase.total_ns");
     let pass = reg.time("checker.phase.dsg_build_ns", || Pass::new(h));
@@ -166,9 +169,9 @@ pub fn analyze_in(h: &History, reg: &Registry) -> Analysis {
     let g = pass.dsg.graph();
     reg.gauge("checker.dsg.nodes").set(g.node_count() as i64);
     reg.gauge("checker.dsg.edges").set(g.edge_count() as i64);
-    let sccs = g.sccs();
+    let sccs = pass.dsg.component_sizes();
     reg.gauge("checker.dsg.sccs").set(sccs.len() as i64);
-    let max_scc = sccs.iter().map(Vec::len).max().unwrap_or(0);
+    let max_scc = sccs.iter().max().copied().unwrap_or(0);
     reg.gauge("checker.dsg.max_scc").set(max_scc as i64);
     reg.gauge("checker.history.txns")
         .set(h.txns().count() as i64);
@@ -211,8 +214,80 @@ impl fmt::Display for Analysis {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ssg::tests::{materialised, with_begins};
     use crate::IsolationLevel;
     use adya_history::parse_history;
+    use adya_workloads::histgen::{random_history, HistGenConfig};
+    use proptest::prelude::*;
+
+    /// The G2-item, G2, G-single, G-SIb and G-monotonic witnesses as
+    /// printed: the pass's, which search only inside components, then
+    /// those of the searches they replaced — an all-edges SCC per
+    /// detector, a back-path search per anti-dependency, the SSG with
+    /// every start edge stored, every transaction unfolded over every
+    /// conflict.
+    fn gated_and_ungated(h: &History) -> [Vec<String>; 2] {
+        use PhenomenonKind::*;
+        let pass = Pass::new(h);
+        let gated = pass.detect_each(&[G2Item, G2, GSingle, GSIb, GMonotonic]);
+        let g = pass.dsg.graph();
+        let ungated = [
+            g.find_cycle(|_| true, |k| k.is_item_anti())
+                .map(Phenomenon::G2Item),
+            g.find_cycle(|_| true, |k| k.is_anti()).map(Phenomenon::G2),
+            g.find_cycle_exactly_one(|k| k.is_anti(), |k| k.is_dependency())
+                .map(Phenomenon::GSingle),
+            materialised(h, &pass.dsg)
+                .find_cycle_exactly_one(|k| k.is_anti(), |k| !k.is_anti())
+                .map(Phenomenon::GSIb),
+            usg::tests::ungated(h, &pass.dsg)
+                .map(|(txn, cycle)| Phenomenon::GMonotonic { txn, cycle }),
+        ];
+        [
+            gated.iter().map(ToString::to_string).collect(),
+            ungated.iter().flatten().map(ToString::to_string).collect(),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(400))]
+
+        #[test]
+        fn gated_searches_report_what_ungated_ones_did(
+            seed in 0u64..1_000_000,
+            txns in 4usize..40,
+            objects in 2usize..6,
+            dirty in any::<bool>(),
+            shuffled in any::<bool>(),
+            window in 0usize..9,
+            begins in 0u32..3,
+        ) {
+            let cfg = HistGenConfig {
+                txns,
+                objects,
+                ops_per_txn: 3,
+                dirty_read_prob: if dirty { 0.3 } else { 0.0 },
+                abort_prob: if dirty { 0.15 } else { 0.0 },
+                shuffle_order_prob: if shuffled { 0.5 } else { 0.0 },
+                max_concurrent: window,
+                ..HistGenConfig::default()
+            };
+            let h = random_history(&cfg, seed);
+            // No `b` events, one per transaction, or one for every
+            // other transaction.
+            let h = with_begins(&h, |t| begins == 1 || (begins == 2 && t.0 % 2 == 0));
+            let [gated, ungated] = gated_and_ungated(&h);
+            prop_assert_eq!(gated, ungated, "{}", h);
+        }
+    }
+
+    #[test]
+    fn gated_searches_on_the_paper_histories() {
+        for (name, h) in crate::paper::all() {
+            let [gated, ungated] = gated_and_ungated(&h);
+            assert_eq!(gated, ungated, "{name}");
+        }
+    }
 
     #[test]
     fn clean_history_analysis() {

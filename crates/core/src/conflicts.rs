@@ -138,8 +138,8 @@ pub fn direct_conflicts(h: &History) -> Vec<Conflict> {
 }
 
 /// The work counter of graph construction: one tick per event walked
-/// while deriving conflicts, one per start-order step of an SSG search.
-/// `tests/construction_work_bound.rs` holds it to events + conflicts.
+/// while deriving conflicts. `tests/construction_work_bound.rs` holds
+/// it to events + conflicts.
 pub(crate) fn visits() -> &'static adya_obs::Counter {
     adya_obs::counter!("checker.construction_visits")
 }

@@ -1,6 +1,10 @@
-//! The Direct Serialization Graph (Definition 7).
+//! The Direct Serialization Graph (Definition 7), its strongly
+//! connected components, and the back-path search G2, G2-item,
+//! G-single and (over the SSG) G-SIb close their witnesses with.
 
-use adya_graph::{Cycle, DiGraph};
+use std::collections::VecDeque;
+
+use adya_graph::{Cycle, CycleEdge, DiGraph, NodeIdx};
 use adya_history::{History, TxnId};
 
 use crate::conflicts::{direct_conflicts, Conflict, DepKind};
@@ -17,6 +21,9 @@ use crate::conflicts::{direct_conflicts, Conflict, DepKind};
 pub struct Dsg {
     graph: DiGraph<TxnId, DepKind>,
     conflicts: Vec<Conflict>,
+    /// The strongly connected component of each node, by node index:
+    /// an edge lies on a cycle only if its endpoints share one.
+    components: Vec<u32>,
 }
 
 impl Dsg {
@@ -30,12 +37,39 @@ impl Dsg {
         for c in &conflicts {
             graph.add_edge_dedup(c.from, c.to, c.kind);
         }
-        Dsg { graph, conflicts }
+        let nodes: Vec<NodeIdx> = graph.node_indices().collect();
+        let components = label_components(nodes.len(), |v, out| {
+            out.extend(
+                graph
+                    .successors(nodes[v as usize])
+                    .map(|(w, _)| w.index() as u32),
+            );
+        });
+        Dsg {
+            graph,
+            conflicts,
+            components,
+        }
     }
 
     /// The underlying graph.
     pub fn graph(&self) -> &DiGraph<TxnId, DepKind> {
         &self.graph
+    }
+
+    /// The component id of each node, by node index.
+    pub(crate) fn components(&self) -> &[u32] {
+        &self.components
+    }
+
+    /// The number of nodes in each component, by component id.
+    pub(crate) fn component_sizes(&self) -> Vec<u32> {
+        let count = self.components.iter().max().map_or(0, |&c| c as usize + 1);
+        let mut sizes = vec![0; count];
+        for &c in &self.components {
+            sizes[c as usize] += 1;
+        }
+        sizes
     }
 
     /// Every direct conflict with provenance (may contain several
@@ -83,25 +117,42 @@ impl Dsg {
 
     /// A cycle with at least one anti-dependency edge (the G2 shape).
     pub fn anti_cycle(&self) -> Option<Cycle<TxnId, DepKind>> {
-        self.graph.find_cycle(|_| true, |k| k.is_anti())
+        self.cycle_through(DepKind::is_anti, |_| true)
     }
 
     /// A cycle with at least one *item* anti-dependency edge (the
     /// G2-item shape).
     pub fn item_anti_cycle(&self) -> Option<Cycle<TxnId, DepKind>> {
-        self.graph.find_cycle(|_| true, |k| k.is_item_anti())
+        self.cycle_through(DepKind::is_item_anti, |_| true)
     }
 
     /// A cycle with *exactly one* anti-dependency edge (the G-single
     /// shape of PL-2+, Adya's thesis §4.2).
     pub fn single_anti_cycle(&self) -> Option<Cycle<TxnId, DepKind>> {
-        self.graph
-            .find_cycle_exactly_one(|k| k.is_anti(), |k| k.is_dependency())
+        self.cycle_through(DepKind::is_anti, DepKind::is_dependency)
     }
 
-    /// True if the DSG is acyclic.
+    /// The first `first` edge, in edge order, that a path back over
+    /// `back` edges closes, with the shortest such path. Only an edge
+    /// inside one component can close, and only inside it is searched;
+    /// with `back` admitting every edge the first such edge closes,
+    /// which is `DiGraph::find_cycle`'s witness, and otherwise it is
+    /// `DiGraph::find_cycle_exactly_one`'s.
+    fn cycle_through(
+        &self,
+        first: impl Fn(DepKind) -> bool,
+        back: impl Fn(DepKind) -> bool,
+    ) -> Option<Cycle<TxnId, DepKind>> {
+        let mut paths = BackPaths::new(&self.graph, &self.components);
+        first_closing(&self.graph, &self.components, first, |from, to| {
+            paths.find(to, from, &back, |_, _| {})
+        })
+    }
+
+    /// True if the DSG is acyclic: every component is one node (a
+    /// conflict never runs from a transaction to itself).
     pub fn is_acyclic(&self) -> bool {
-        self.graph.is_acyclic()
+        self.component_sizes().iter().all(|&s| s == 1)
     }
 
     /// An equivalent serial order of the committed transactions, when
@@ -135,6 +186,200 @@ impl Dsg {
     /// Graphviz DOT rendering (cf. Figures 3–5).
     pub fn to_dot(&self, name: &str) -> String {
         self.graph.to_dot(name)
+    }
+}
+
+/// The work counter of the searches: one tick per edge a component
+/// labelling, a back-path search or a USG layout examines.
+/// `tests/search_work_bound.rs` holds it to events + conflicts on a
+/// history where nothing fires.
+pub(crate) fn search_visits() -> &'static adya_obs::Counter {
+    adya_obs::counter!("checker.search_visits")
+}
+
+/// Labels the strongly connected components of the graph on nodes
+/// `0..n` whose successors `successors(v, out)` appends to `out`: one
+/// id per node, equal for two nodes exactly when each reaches the
+/// other. Tarjan's algorithm, iterative so that a deep graph cannot
+/// overflow the stack; every edge is examined once.
+pub(crate) fn label_components(
+    n: usize,
+    mut successors: impl FnMut(u32, &mut Vec<u32>),
+) -> Vec<u32> {
+    const UNSEEN: u32 = u32::MAX;
+    let mut component = vec![UNSEEN; n];
+    let mut index = vec![UNSEEN; n];
+    let mut low = vec![0; n];
+    // Tarjan's stack; a node on it has an index and no component yet.
+    let mut stack = Vec::new();
+    // The depth-first path: each node with where its unexamined
+    // successors begin in `pending`.
+    let mut path: Vec<(u32, usize)> = Vec::new();
+    let mut pending = Vec::new();
+    let (mut next_index, mut next_component, mut examined) = (0, 0, 0);
+    for root in 0..n as u32 {
+        if index[root as usize] != UNSEEN {
+            continue;
+        }
+        let mut enter = Some(root);
+        loop {
+            if let Some(v) = enter.take() {
+                index[v as usize] = next_index;
+                low[v as usize] = next_index;
+                next_index += 1;
+                stack.push(v);
+                let from = pending.len();
+                successors(v, &mut pending);
+                examined += pending.len() - from;
+                path.push((v, from));
+            }
+            let Some(&(v, from)) = path.last() else {
+                break;
+            };
+            if pending.len() > from {
+                let w = pending.pop().expect("pending is longer than from") as usize;
+                if index[w] == UNSEEN {
+                    enter = Some(w as u32);
+                } else if component[w] == UNSEEN {
+                    low[v as usize] = low[v as usize].min(index[w]);
+                }
+                continue;
+            }
+            path.pop();
+            if low[v as usize] == index[v as usize] {
+                loop {
+                    let w = stack.pop().expect("v is on the stack");
+                    component[w as usize] = next_component;
+                    if w == v {
+                        break;
+                    }
+                }
+                next_component += 1;
+            }
+            if let Some(&(parent, _)) = path.last() {
+                low[parent as usize] = low[parent as usize].min(low[v as usize]);
+            }
+        }
+    }
+    search_visits().add(examined as u64);
+    component
+}
+
+/// The first edge satisfying `first`, in edge order, whose endpoints
+/// share a component and that `back_path(from, to)` closes into a
+/// cycle. An edge between two components lies on no cycle, so it is
+/// skipped without a search.
+pub(crate) fn first_closing(
+    g: &DiGraph<TxnId, DepKind>,
+    components: &[u32],
+    first: impl Fn(DepKind) -> bool,
+    mut back_path: impl FnMut(NodeIdx, NodeIdx) -> Option<Vec<CycleEdge<TxnId, DepKind>>>,
+) -> Option<Cycle<TxnId, DepKind>> {
+    g.node_indices().find_map(|from| {
+        g.successors(from)
+            .filter(|&(to, &kind)| {
+                first(kind) && components[from.index()] == components[to.index()]
+            })
+            .find_map(|(to, &kind)| {
+                let mut edges = vec![edge(g, from, to, kind)];
+                edges.extend(back_path(from, to)?);
+                Some(Cycle::from_edges(edges))
+            })
+    })
+}
+
+fn edge(
+    g: &DiGraph<TxnId, DepKind>,
+    from: NodeIdx,
+    to: NodeIdx,
+    label: DepKind,
+) -> CycleEdge<TxnId, DepKind> {
+    CycleEdge {
+        from: *g.node(from),
+        to: *g.node(to),
+        label,
+    }
+}
+
+/// Shortest back-paths inside one component, by breadth-first search
+/// in adjacency order — the parent rule of `DiGraph::find_cycle`'s, so
+/// the same path. A path between two nodes of a component never leaves
+/// it, and a node outside cannot discover one inside, so keeping the
+/// search in the component changes no parent and no queue order of the
+/// nodes that matter. The parent table is allocated once and reset
+/// where a search wrote, so a search costs its component's edges.
+pub(crate) struct BackPaths<'g> {
+    g: &'g DiGraph<TxnId, DepKind>,
+    components: &'g [u32],
+    parent: Vec<Option<(NodeIdx, DepKind)>>,
+    reached: Vec<NodeIdx>,
+    queue: VecDeque<NodeIdx>,
+    implied: Vec<NodeIdx>,
+}
+
+impl<'g> BackPaths<'g> {
+    pub(crate) fn new(g: &'g DiGraph<TxnId, DepKind>, components: &'g [u32]) -> Self {
+        BackPaths {
+            g,
+            components,
+            parent: Vec::new(),
+            reached: Vec::new(),
+            queue: VecDeque::new(),
+            implied: Vec::new(),
+        }
+    }
+
+    /// The shortest path `src ⇝ dst` over the stored edges `back`
+    /// admits, each popped node's stored edges followed by the
+    /// `implied(v, out)` successors it appends to `out` (labelled
+    /// [`DepKind::StartDep`]).
+    pub(crate) fn find(
+        &mut self,
+        src: NodeIdx,
+        dst: NodeIdx,
+        back: impl Fn(DepKind) -> bool,
+        mut implied: impl FnMut(NodeIdx, &mut Vec<NodeIdx>),
+    ) -> Option<Vec<CycleEdge<TxnId, DepKind>>> {
+        if self.parent.is_empty() {
+            self.parent = vec![None; self.g.node_count()];
+        }
+        let (inside, mut examined) = (self.components[src.index()], 0);
+        self.queue.push_back(src);
+        'bfs: while let Some(v) = self.queue.pop_front() {
+            self.implied.clear();
+            implied(v, &mut self.implied);
+            let stored = self.g.successors(v).filter(|&(_, &kind)| back(kind));
+            let implied = self.implied.iter().map(|&w| (w, &DepKind::StartDep));
+            for (w, &kind) in stored.chain(implied).inspect(|_| examined += 1) {
+                if w != src
+                    && self.components[w.index()] == inside
+                    && self.parent[w.index()].is_none()
+                {
+                    self.parent[w.index()] = Some((v, kind));
+                    self.reached.push(w);
+                    if w == dst {
+                        break 'bfs;
+                    }
+                    self.queue.push_back(w);
+                }
+            }
+        }
+        self.queue.clear();
+        search_visits().add(examined);
+        let path = self.parent[dst.index()].is_some().then(|| {
+            let mut path = Vec::new();
+            let mut cur = dst;
+            while let Some((prev, kind)) = self.parent[cur.index()] {
+                path.push(edge(self.g, prev, cur, kind));
+                cur = prev;
+            }
+            path.reverse();
+            path
+        });
+        for w in self.reached.drain(..) {
+            self.parent[w.index()] = None;
+        }
+        path
     }
 }
 

@@ -3,14 +3,11 @@
 //! points to it in §6 as one of the commercial levels its approach
 //! covers).
 
-use std::cmp::Reverse;
-use std::collections::VecDeque;
-
-use adya_graph::{Cycle, CycleEdge, DiGraph, NodeIdx};
+use adya_graph::{Cycle, DiGraph, NodeIdx};
 use adya_history::{History, TxnId};
 
-use crate::conflicts::{visits, DepKind};
-use crate::dsg::Dsg;
+use crate::conflicts::DepKind;
+use crate::dsg::{first_closing, label_components, BackPaths, Dsg};
 
 /// The SSG of a history: the DSG plus a **start-dependency** edge
 /// `Ti -s-> Tj` whenever Ti's commit time-precedes Tj's begin.
@@ -68,83 +65,72 @@ impl<'d> Ssg<'d> {
     /// G-SIb witness: an SSG cycle with exactly one anti-dependency
     /// edge (start- and read/write-dependencies on the path): the
     /// first anti-dependency edge, in edge order, with a shortest path
-    /// back over the other kinds.
+    /// back over the other kinds. Only an anti-dependency inside one
+    /// SSG component is searched from, and only inside it.
     pub fn missed_effects_cycle(&self) -> Option<Cycle<TxnId, DepKind>> {
-        let mut latest_first: Vec<NodeIdx> = self.dsg.node_indices().collect();
-        latest_first.sort_unstable_by_key(|n| Reverse(self.spans[n.index()].0));
-        self.dsg.node_indices().find_map(|from| {
-            self.dsg
-                .successors(from)
-                .filter(|(_, kind)| kind.is_anti())
-                .find_map(|(to, &kind)| {
-                    let mut edges = vec![self.edge(from, to, kind)];
-                    edges.extend(self.path_back(&latest_first, to, from)?);
-                    Some(Cycle::from_edges(edges))
-                })
+        let mut by_begin: Vec<NodeIdx> = self.dsg.node_indices().collect();
+        by_begin.sort_unstable_by_key(|n| self.spans[n.index()].0);
+        let components = self.components(&by_begin);
+        // Every node by component and, inside one, by ascending begin
+        // point. Whatever in a component begins after a popped node's
+        // commit is a suffix of its run, and the part of that suffix an
+        // earlier pop already covered was discovered then, so one
+        // cursor moving down the run serves a whole search.
+        by_begin.sort_by_key(|n| components[n.index()]);
+        let mut paths = BackPaths::new(self.dsg, &components);
+        first_closing(self.dsg, &components, DepKind::is_anti, |from, to| {
+            let inside = components[to.index()];
+            let run = by_begin.partition_point(|n| components[n.index()] < inside);
+            let mut unswept = by_begin.partition_point(|n| components[n.index()] <= inside);
+            let started = |v: NodeIdx, out: &mut Vec<NodeIdx>| {
+                let commit = self.spans[v.index()].1;
+                while unswept > run && self.spans[by_begin[unswept - 1].index()].0 > commit {
+                    unswept -= 1;
+                    out.push(by_begin[unswept]);
+                }
+                out.sort_unstable();
+            };
+            paths.find(to, from, |kind| !kind.is_anti(), started)
         })
     }
 
-    fn edge(&self, from: NodeIdx, to: NodeIdx, label: DepKind) -> CycleEdge<TxnId, DepKind> {
-        CycleEdge {
-            from: *self.dsg.node(from),
-            to: *self.dsg.node(to),
-            label,
-        }
-    }
-
-    /// Shortest path `src ⇝ dst` over dependency and start edges, by
-    /// breadth-first search in adjacency order. `latest_first` is every
-    /// node by descending begin point: whatever begins after a popped
-    /// node's commit is a prefix of it, and the part of that prefix an
-    /// earlier pop already covered was discovered then, so one cursor
-    /// moving down the array serves the whole search.
-    fn path_back(
-        &self,
-        latest_first: &[NodeIdx],
-        src: NodeIdx,
-        dst: NodeIdx,
-    ) -> Option<Vec<CycleEdge<TxnId, DepKind>>> {
-        let mut parent: Vec<Option<(NodeIdx, DepKind)>> = vec![None; self.spans.len()];
-        let mut queue = VecDeque::from([src]);
-        let mut swept = 0;
-        let mut started = Vec::new();
-        'bfs: while let Some(v) = queue.pop_front() {
-            let commit = self.spans[v.index()].1;
-            let newly = latest_first[swept..]
-                .iter()
-                .take_while(|w| self.spans[w.index()].0 > commit);
-            started.clear();
-            started.extend(newly);
-            swept += started.len();
-            visits().add(started.len() as u64);
-            started.sort_unstable();
-
-            let stored = self.dsg.successors(v).filter(|(_, kind)| !kind.is_anti());
-            let implied = started.iter().map(|&w| (w, &DepKind::StartDep));
-            for (w, &kind) in stored.chain(implied) {
-                if w != src && parent[w.index()].is_none() {
-                    parent[w.index()] = Some((v, kind));
-                    if w == dst {
-                        break 'bfs;
-                    }
-                    queue.push_back(w);
+    /// The SSG's components, by DSG node index; `by_begin` is every
+    /// node by ascending begin point. Start edges enter as a chain of
+    /// slots, one per transaction in begin order: `Ti` points to the
+    /// first slot whose transaction begins after `Ti` commits, each
+    /// slot to the next and to its own transaction. A transaction
+    /// reaches another through slots exactly when it start-precedes
+    /// it, so the components over transactions are the SSG's — for
+    /// t + m + 3t edges instead of up to t²/2.
+    fn components(&self, by_begin: &[NodeIdx]) -> Vec<u32> {
+        let nodes: Vec<NodeIdx> = self.dsg.node_indices().collect();
+        let t = nodes.len();
+        let slot = |k: usize| (t + k) as u32;
+        let mut components = label_components(2 * t, |v, out| {
+            let v = v as usize;
+            if v < t {
+                let dsg_edges = self.dsg.successors(nodes[v]);
+                out.extend(dsg_edges.map(|(w, _)| w.index() as u32));
+                let commit = self.spans[v].1;
+                let k = by_begin.partition_point(|n| self.spans[n.index()].0 <= commit);
+                if k < t {
+                    out.push(slot(k));
+                }
+            } else {
+                let k = v - t;
+                out.push(by_begin[k].index() as u32);
+                if k + 1 < t {
+                    out.push(slot(k + 1));
                 }
             }
-        }
-        let mut path = Vec::new();
-        let mut cur = dst;
-        while cur != src {
-            let (prev, kind) = parent[cur.index()]?;
-            path.push(self.edge(prev, cur, kind));
-            cur = prev;
-        }
-        path.reverse();
-        Some(path)
+        });
+        components.truncate(t);
+        components
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use adya_history::{parse_history, Event};
     use adya_workloads::histgen::{random_history, HistGenConfig};
@@ -154,7 +140,7 @@ mod tests {
     /// it before they became a time test: the reference the implicit
     /// searches must agree with, down to which of several equally short
     /// back-paths is reported.
-    fn materialised(h: &History, dsg: &Dsg) -> DiGraph<TxnId, DepKind> {
+    pub(crate) fn materialised(h: &History, dsg: &Dsg) -> DiGraph<TxnId, DepKind> {
         let mut graph = dsg.graph().clone();
         let committed: Vec<TxnId> = h.committed_txns().collect();
         for &ti in &committed {
@@ -201,7 +187,7 @@ mod tests {
 
     /// `h` with a `b` event put before the first event of every
     /// transaction `explicit` picks.
-    fn with_begins(h: &History, explicit: impl Fn(TxnId) -> bool) -> History {
+    pub(crate) fn with_begins(h: &History, explicit: impl Fn(TxnId) -> bool) -> History {
         let mut parts = h.to_parts();
         parts.events.clear();
         for (ix, e) in h.events().iter().enumerate() {
@@ -306,6 +292,22 @@ mod tests {
         assert_eq!(
             edge,
             Some(format!("{:?}", (TxnId(2), TxnId(3), DepKind::ItemReadDep)))
+        );
+    }
+
+    #[test]
+    fn a_cycle_closed_only_through_two_start_edges() {
+        // T4 commits before T1 begins and T2 before T3 begins, and the
+        // version order puts T3's x before T4's: T1 -rw-> T2 -s-> T3
+        // -ww-> T4 -s-> T1. The DSG alone is acyclic, so only the SSG's
+        // components put the anti-dependency inside one.
+        let input = "b4 w4(x,4) c4 b1 r1(yinit) b2 w2(y,2) c2 b3 w3(x,3) c3 c1 [x3 << x4]";
+        let h = parse_history(input).unwrap();
+        assert!(Dsg::build(&h).is_acyclic());
+        let (_, cycle) = ssg_witnesses(input);
+        assert_eq!(
+            cycle.as_deref(),
+            Some("T1 -[rw]-> T2 -[s]-> T3 -[ww]-> T4 -[s]-> T1")
         );
     }
 

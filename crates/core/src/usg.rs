@@ -28,10 +28,11 @@
 use std::collections::HashMap;
 use std::fmt;
 
-use adya_graph::{Cycle, DiGraph};
+use adya_graph::{Cycle, CycleEdge, DiGraph};
 use adya_history::{Event, History, ObjectId, TxnId, VersionId};
 
 use crate::conflicts::{Conflict, DepKind};
+use crate::dsg::{search_visits, Dsg};
 
 /// A node of the unfolded graph: either a whole (other) transaction or
 /// one read/write action of the unfolded transaction.
@@ -76,12 +77,12 @@ impl fmt::Display for UsgEdge {
     }
 }
 
-/// Builds USG(H, ti) and searches for a G-monotonic cycle: exactly one
-/// anti-dependency edge, from one of ti's read nodes, the rest
-/// dependency/order edges.
-fn g_monotonic_for(
+/// Builds USG(H, ti) over `conflicts` and searches for a G-monotonic
+/// cycle: exactly one anti-dependency edge, from one of ti's read
+/// nodes, the rest dependency/order edges.
+fn g_monotonic_for<'c>(
     h: &History,
-    conflicts: &[Conflict],
+    conflicts: impl IntoIterator<Item = &'c Conflict>,
     ti: TxnId,
 ) -> Option<Cycle<UsgNode, String>> {
     let mut g: DiGraph<UsgNode, UsgEdge> = DiGraph::new();
@@ -118,7 +119,9 @@ fn g_monotonic_for(
         prev = Some(ix);
     }
 
-    for c in conflicts.iter().cloned() {
+    let mut laid_out = 0;
+    for c in conflicts {
+        laid_out += 1;
         match (c.from == ti, c.to == ti) {
             (false, false) => {
                 g.add_edge_dedup(
@@ -197,6 +200,7 @@ fn g_monotonic_for(
             (true, true) => unreachable!("no self-conflicts"),
         }
     }
+    search_visits().add(laid_out);
 
     g.find_cycle_exactly_one(
         |l| *l == UsgEdge::ReadAnti,
@@ -204,12 +208,12 @@ fn g_monotonic_for(
     )
     .map(|c| {
         // Re-label into display strings for the public witness type.
-        let mut out: DiGraph<UsgNode, String> = DiGraph::new();
-        for e in c.edges() {
-            out.add_edge(e.from, e.to, e.label.to_string());
-        }
-        out.find_cycle(|_| true, |_| true)
-            .expect("relabelled cycle persists")
+        let edges = c.edges().iter().map(|e| CycleEdge {
+            from: e.from,
+            to: e.to,
+            label: e.label.to_string(),
+        });
+        Cycle::from_edges(edges.collect())
     })
 }
 
@@ -217,21 +221,74 @@ fn g_monotonic_for(
 /// committed transaction, USG(H, Ti) has a cycle with exactly one
 /// anti-dependency edge rooted at one of Ti's read nodes.
 ///
-/// `conflicts` are `h`'s ([`crate::Dsg::conflicts`]). Every unfolding
-/// lays all of them out as a graph: a clean history costs committed
-/// transactions × conflicts.
-pub fn g_monotonic(h: &History, conflicts: &[Conflict]) -> Option<(TxnId, Cycle<UsgNode, String>)> {
-    h.committed_txns()
-        .find_map(|ti| g_monotonic_for(h, conflicts, ti).map(|c| (ti, c)))
+/// Folding Ti's actions back into Ti turns such a cycle into a closed
+/// DSG walk through Ti — the anti-dependency out of Ti, dependencies
+/// back — so Ti sits in a DSG component of two or more transactions
+/// and every edge of the cycle joins two of its members. Only those
+/// transactions are unfolded, each over its component's conflicts
+/// (bucketed once): a history whose DSG is acyclic costs its
+/// transactions and nothing more. The witness is the one unfolding
+/// every conflict would give: Ti's action nodes come first either way,
+/// so the anti-dependencies are tried in the same order, and a node
+/// outside the component never discovers one inside, so the search
+/// back takes the same path.
+pub fn g_monotonic(h: &History, dsg: &Dsg) -> Option<(TxnId, Cycle<UsgNode, String>)> {
+    let (g, components) = (dsg.graph(), dsg.components());
+    let sizes = dsg.component_sizes();
+    // `(txn, component)` of every transaction in a cyclic component,
+    // by id (the DSG's node order).
+    let cyclic: Vec<(TxnId, u32)> = g
+        .node_indices()
+        .map(|n| (*g.node(n), components[n.index()]))
+        .filter(|&(_, c)| sizes[c as usize] > 1)
+        .collect();
+    if cyclic.is_empty() {
+        return None;
+    }
+    let component_of = |t: TxnId| {
+        let at = cyclic.binary_search_by_key(&t, |&(t, _)| t).ok()?;
+        Some(cyclic[at].1)
+    };
+    // Each conflict inside a cyclic component with its component, in
+    // conflict order within a component.
+    let mut inside: Vec<(u32, &Conflict)> = Vec::new();
+    for c in dsg.conflicts() {
+        if let (Some(a), Some(b)) = (component_of(c.from), component_of(c.to)) {
+            if a == b {
+                inside.push((a, c));
+            }
+        }
+    }
+    inside.sort_by_key(|&(k, _)| k);
+    cyclic.iter().find_map(|&(ti, k)| {
+        let from = inside.partition_point(|&(j, _)| j < k);
+        let to = inside.partition_point(|&(j, _)| j <= k);
+        let conflicts = inside[from..to].iter().map(|&(_, c)| c);
+        g_monotonic_for(h, conflicts, ti).map(|cycle| (ti, cycle))
+    })
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use adya_history::parse_history;
 
+    /// The search before it was gated: every committed transaction
+    /// unfolded over every conflict — the reference the gated search
+    /// must agree with, witness for witness.
+    pub(crate) fn ungated(h: &History, dsg: &Dsg) -> Option<(TxnId, Cycle<UsgNode, String>)> {
+        h.committed_txns()
+            .find_map(|ti| g_monotonic_for(h, dsg.conflicts(), ti).map(|c| (ti, c)))
+    }
+
     fn g_monotonic(h: &History) -> Option<(TxnId, Cycle<UsgNode, String>)> {
-        super::g_monotonic(h, crate::Dsg::build(h).conflicts())
+        let dsg = Dsg::build(h);
+        let gated = super::g_monotonic(h, &dsg);
+        let show = |w: &Option<(TxnId, Cycle<UsgNode, String>)>| {
+            w.as_ref().map(|(t, c)| format!("{t}: {c}"))
+        };
+        assert_eq!(show(&gated), show(&ungated(h, &dsg)));
+        gated
     }
 
     #[test]
@@ -243,6 +300,42 @@ mod tests {
         let (t, cyc) = g_monotonic(&h).expect("G-monotonic");
         assert_eq!(t, adya_history::TxnId(2));
         assert_eq!(cyc.count_labels(|l| l == "rw*"), 1);
+    }
+
+    #[test]
+    fn a_cycle_that_leaves_through_a_write_and_comes_back() {
+        // T2 reads T3's y, then the initial z that T4 overwrites, then
+        // T4's u, then writes v, which T3 reads. The only way back from
+        // T4 enters T2 after its stale read, so it leaves again through
+        // the write of v and re-enters at the read of T3's y.
+        let h = parse_history(
+            "w3(y,1) r2(y3) r2(zinit) w4(z,1) w4(u,1) c4 r2(u4) w2(v,1) c2 r3(v2) c3",
+        )
+        .unwrap();
+        let (t, cyc) = g_monotonic(&h).expect("G-monotonic");
+        assert_eq!(t, TxnId(2));
+        assert_eq!(
+            cyc.to_string(),
+            "T2@2 -[rw*]-> T4 -[wr]-> T2@6 -[order]-> T2@7 -[wr]-> T3 -[wr]-> T2@1 \
+             -[order]-> T2@2"
+        );
+    }
+
+    #[test]
+    fn an_anti_dependency_out_of_the_component_comes_first() {
+        // T1's first read is overwritten by T5, which nothing leads back
+        // from; its last one by T3, whose x it read in between.
+        let h =
+            parse_history("w3(x,1) w3(y,1) c3 r1(winit) r1(x3) r1(yinit) c1 w5(w,1) c5").unwrap();
+        let dsg = Dsg::build(&h);
+        let sizes = dsg.component_sizes();
+        assert_eq!(sizes.iter().filter(|&&s| s > 1).count(), 1, "T5 is alone");
+        let (t, cyc) = g_monotonic(&h).expect("G-monotonic");
+        assert_eq!(t, TxnId(1));
+        assert_eq!(
+            cyc.to_string(),
+            "T1@5 -[rw*]-> T3 -[wr]-> T1@4 -[order]-> T1@5"
+        );
     }
 
     #[test]

@@ -7,12 +7,10 @@
 //! row values, and completes histories by appending aborts — so tests
 //! and examples read almost exactly like the paper's histories.
 
-use std::collections::BTreeMap;
-
 use crate::error::HistoryError;
 use crate::event::{Event, PredicateReadEvent, ReadEvent, WriteEvent};
 use crate::history::{History, HistoryParts, ObjectInfo, PredicateInfo, RelationInfo};
-use crate::ids::{ObjectId, PredicateId, RelationId, TxnId, VersionId};
+use crate::ids::{IdMap, IdSet, ObjectId, PredicateId, RelationId, TxnId, VersionId};
 use crate::txn::RequestedLevel;
 use crate::value::{Value, VersionKind};
 
@@ -49,7 +47,7 @@ pub struct HistoryBuilder {
     next_predicate: u32,
     default_relation: Option<RelationId>,
     /// Latest write seq per (txn, object) so far.
-    seqs: BTreeMap<(TxnId, ObjectId), u32>,
+    seqs: IdMap<(TxnId, ObjectId), u32>,
     /// Match derivations to run at build time.
     derived: Vec<(PredicateId, MatchFn)>,
 }
@@ -398,17 +396,19 @@ impl HistoryBuilder {
     /// completion rule, §4.2) and then validates.
     pub fn build_completed(mut self) -> Result<History, HistoryError> {
         self.run_derivations();
+        // Transactions with a non-terminal event, in order of first
+        // appearance: the order the aborts are appended in.
         let mut open: Vec<TxnId> = Vec::new();
-        let mut terminated: std::collections::BTreeSet<TxnId> = Default::default();
+        let mut seen: IdSet<TxnId> = IdSet::default();
+        let mut terminated: IdSet<TxnId> = IdSet::default();
         for e in &self.parts.events {
             match e {
                 Event::Commit(t) | Event::Abort(t) => {
                     terminated.insert(*t);
                 }
                 other => {
-                    let t = other.txn();
-                    if !open.contains(&t) {
-                        open.push(t);
+                    if seen.insert(other.txn()) {
+                        open.push(other.txn());
                     }
                 }
             }
@@ -422,6 +422,9 @@ impl HistoryBuilder {
     }
 
     fn run_derivations(&mut self) {
+        if self.derived.is_empty() {
+            return;
+        }
         // Gather (object, version, value) for all visible versions.
         let mut visible: Vec<(ObjectId, VersionId, Value)> = Vec::new();
         for (&obj, info) in &self.parts.objects {
@@ -520,6 +523,27 @@ mod tests {
         b.write(t1, x, Value::Int(1));
         let h = b.build_completed().unwrap();
         assert_eq!(h.txn(t1).unwrap().status, TxnStatus::Aborted);
+    }
+
+    #[test]
+    fn completion_aborts_in_order_of_first_appearance() {
+        // Open T3, T1, T2 (first seen in that order, T3 twice) around a
+        // committed T4: the aborts follow first appearance, not ids.
+        let mut b = HistoryBuilder::new();
+        let (t1, t2, t3, t4) = (b.txn(1), b.txn(2), b.txn(3), b.txn(4));
+        let (x, y, z) = (b.object("x"), b.object("y"), b.object("z"));
+        b.write(t3, x, Value::Int(1));
+        b.write(t4, z, Value::Int(4));
+        b.write(t1, y, Value::Int(2));
+        b.write(t3, x, Value::Int(3));
+        b.commit(t4);
+        b.write(t2, z, Value::Int(5));
+        let h = b.build_completed().unwrap();
+        let tail: Vec<(bool, TxnId)> = h.events()[6..]
+            .iter()
+            .map(|e| (matches!(e, Event::Abort(_)), e.txn()))
+            .collect();
+        assert_eq!(tail, vec![(true, t3), (true, t1), (true, t2)]);
     }
 
     #[test]

@@ -5,7 +5,7 @@ use std::fmt;
 
 use crate::error::HistoryError;
 use crate::event::{Event, PredicateReadEvent};
-use crate::ids::{ObjectId, PredicateId, RelationId, TxnId, VersionId};
+use crate::ids::{IdMap, IdSet, ObjectId, PredicateId, RelationId, TxnId, VersionId};
 use crate::txn::{RequestedLevel, TxnInfo, TxnStatus};
 use crate::value::{Value, VersionKind};
 
@@ -100,15 +100,15 @@ pub struct History {
     /// version.
     version_orders: BTreeMap<ObjectId, Vec<VersionId>>,
     /// Position of each committed version within its object's order.
-    order_index: HashMap<(ObjectId, VersionId), usize>,
+    order_index: IdMap<(ObjectId, VersionId), usize>,
     /// Last write seq of each (txn, object) pair.
-    final_seqs: HashMap<(TxnId, ObjectId), u32>,
+    final_seqs: IdMap<(TxnId, ObjectId), u32>,
     /// Value of every valued version, plus preloaded init versions.
-    values: HashMap<(ObjectId, VersionId), Value>,
+    values: IdMap<(ObjectId, VersionId), Value>,
     /// Objects per relation, in id order.
     rel_objects: BTreeMap<RelationId, Vec<ObjectId>>,
     /// Event positions of each transaction, ascending.
-    txn_events: HashMap<TxnId, Vec<usize>>,
+    txn_events: IdMap<TxnId, Vec<usize>>,
 }
 
 impl History {
@@ -601,13 +601,6 @@ impl fmt::Display for History {
 mod validate {
     use super::*;
 
-    /// Per-(txn, object) running write state while scanning events.
-    #[derive(Default)]
-    struct WriteState {
-        last_seq: u32,
-        dead: bool,
-    }
-
     pub(super) fn build(parts: HistoryParts) -> Result<History, HistoryError> {
         let HistoryParts {
             events,
@@ -635,8 +628,8 @@ mod validate {
         }
 
         // -- Seed version kinds/values with init versions.
-        let mut kinds: HashMap<(ObjectId, VersionId), VersionKind> = HashMap::new();
-        let mut values: HashMap<(ObjectId, VersionId), Value> = HashMap::new();
+        let mut kinds: IdMap<(ObjectId, VersionId), VersionKind> = IdMap::default();
+        let mut values: IdMap<(ObjectId, VersionId), Value> = IdMap::default();
         for (&obj, info) in &objects {
             match &info.preload {
                 Some(v) => {
@@ -650,24 +643,37 @@ mod validate {
         }
 
         // -- Scan events: per-txn ordering, write seqs, read rules.
-        let mut txns: BTreeMap<TxnId, TxnInfo> = BTreeMap::new();
-        let mut write_state: HashMap<(TxnId, ObjectId), WriteState> = HashMap::new();
-        let mut final_seqs: HashMap<(TxnId, ObjectId), u32> = HashMap::new();
-        let mut txn_events: HashMap<TxnId, Vec<usize>> = HashMap::new();
+        // Each transaction gets a slot on first appearance; its info and
+        // event positions live at that slot until the scan is done.
+        let mut slots: IdMap<TxnId, usize> = IdMap::default();
+        let mut infos: Vec<(TxnId, TxnInfo)> = Vec::new();
+        let mut positions: Vec<Vec<usize>> = Vec::new();
+        // Last write seq of each (txn, object) pair so far, and the
+        // pairs whose last write was a delete.
+        let mut final_seqs: IdMap<(TxnId, ObjectId), u32> = IdMap::default();
+        let mut deleted: IdSet<(TxnId, ObjectId)> = IdSet::default();
 
         for (index, event) in events.iter().enumerate() {
             let txn = event.txn();
             if txn.is_init() {
                 return Err(HistoryError::InitTxnEvent { index });
             }
-            txn_events.entry(txn).or_default().push(index);
-            let entry = txns.entry(txn).or_insert_with(|| TxnInfo {
-                status: TxnStatus::Aborted, // placeholder until terminal seen
-                level: levels.get(&txn).copied().unwrap_or_default(),
-                first_event: index,
-                end_event: usize::MAX,
-                begin_event: None,
+            let slot = *slots.entry(txn).or_insert_with(|| {
+                infos.push((
+                    txn,
+                    TxnInfo {
+                        status: TxnStatus::Aborted, // placeholder until terminal seen
+                        level: levels.get(&txn).copied().unwrap_or_default(),
+                        first_event: index,
+                        end_event: usize::MAX,
+                        begin_event: None,
+                    },
+                ));
+                positions.push(Vec::new());
+                infos.len() - 1
             });
+            positions[slot].push(index);
+            let entry = &mut infos[slot].1;
             if entry.end_event != usize::MAX {
                 return Err(if event.is_terminal() {
                     HistoryError::DuplicateTerminal { txn, index }
@@ -694,24 +700,25 @@ mod validate {
                     if !objects.contains_key(&w.object) {
                         return Err(HistoryError::UnknownObject { object: w.object });
                     }
-                    let st = write_state.entry((txn, w.object)).or_default();
-                    if st.dead {
+                    if deleted.contains(&(txn, w.object)) {
                         return Err(HistoryError::WriteAfterDead {
                             txn,
                             object: w.object,
                         });
                     }
-                    if w.seq != st.last_seq + 1 {
+                    let last_seq = final_seqs.entry((txn, w.object)).or_insert(0);
+                    if w.seq != *last_seq + 1 {
                         return Err(HistoryError::NonContiguousWriteSeq {
                             txn,
                             object: w.object,
-                            expected: st.last_seq + 1,
+                            expected: *last_seq + 1,
                             got: w.seq,
                         });
                     }
-                    st.last_seq = w.seq;
-                    st.dead = w.kind == VersionKind::Dead;
-                    final_seqs.insert((txn, w.object), w.seq);
+                    *last_seq = w.seq;
+                    if w.kind == VersionKind::Dead {
+                        deleted.insert((txn, w.object));
+                    }
                     kinds.insert((w.object, w.version()), w.kind);
                     if let Some(v) = &w.value {
                         values.insert((w.object, w.version()), v.clone());
@@ -741,8 +748,8 @@ mod validate {
                         }
                     }
                     // Read-your-own-writes (§4.2, constraint 3).
-                    if let Some(st) = write_state.get(&(txn, r.object)) {
-                        let own = VersionId::new(txn, st.last_seq);
+                    if let Some(&last_seq) = final_seqs.get(&(txn, r.object)) {
+                        let own = VersionId::new(txn, last_seq);
                         if r.version != own {
                             return Err(HistoryError::ReadOwnStale {
                                 txn,
@@ -759,7 +766,7 @@ mod validate {
                             predicate: p.predicate,
                         });
                     };
-                    let mut seen: HashSet<ObjectId> = HashSet::new();
+                    let mut seen: IdSet<ObjectId> = IdSet::default();
                     for (obj, ver) in &p.vset {
                         let Some(info) = objects.get(obj) else {
                             return Err(HistoryError::UnknownObject { object: *obj });
@@ -788,25 +795,29 @@ mod validate {
             }
         }
 
-        // -- Completeness.
-        for (txn, info) in &txns {
-            if info.end_event == usize::MAX {
-                return Err(HistoryError::IncompleteTxn { txn: *txn });
-            }
+        // -- Completeness: the lowest incomplete id is the one reported.
+        if let Some(txn) = infos
+            .iter()
+            .filter(|(_, info)| info.end_event == usize::MAX)
+            .map(|&(txn, _)| txn)
+            .min()
+        {
+            return Err(HistoryError::IncompleteTxn { txn });
         }
 
         // -- Version orders.
-        let committed =
-            |t: TxnId| t.is_init() || txns.get(&t).is_some_and(|i| i.status.is_committed());
+        let info = |t: TxnId| slots.get(&t).map(|&slot| &infos[slot].1);
+        let committed = |t: TxnId| t.is_init() || info(t).is_some_and(|i| i.status.is_committed());
         // Committed final writers of each object, by commit order.
-        let mut writers_of: HashMap<ObjectId, Vec<(usize, TxnId, u32)>> = HashMap::new();
+        let mut writers_of: IdMap<ObjectId, Vec<(usize, TxnId, u32)>> = IdMap::default();
         for (&(t, obj), &seq) in &final_seqs {
             if committed(t) {
-                let end = txns[&t].end_event;
+                let end = info(t).expect("a writer has an info").end_event;
                 writers_of.entry(obj).or_default().push((end, t, seq));
             }
         }
         let mut version_orders: BTreeMap<ObjectId, Vec<VersionId>> = BTreeMap::new();
+        let mut seen: IdSet<VersionId> = IdSet::default();
         for &obj in objects.keys() {
             let mut writers = writers_of.remove(&obj).unwrap_or_default();
             writers.sort_unstable();
@@ -835,7 +846,7 @@ mod validate {
             };
 
             // Validate the (explicit or inferred) order.
-            let mut seen: HashSet<VersionId> = HashSet::new();
+            seen.clear();
             let mut dead_seen = false;
             for (pos, v) in order.iter().enumerate() {
                 if !seen.insert(*v) {
@@ -917,7 +928,7 @@ mod validate {
         }
 
         // -- Derived indexes.
-        let mut order_index = HashMap::new();
+        let mut order_index = IdMap::default();
         for (&obj, order) in &version_orders {
             for (ix, &v) in order.iter().enumerate() {
                 order_index.insert((obj, v), ix);
@@ -928,12 +939,13 @@ mod validate {
             rel_objects.entry(info.relation).or_default().push(obj);
         }
 
+        let txn_events = infos.iter().map(|&(txn, _)| txn).zip(positions).collect();
         Ok(History {
             events,
             objects,
             relations,
             predicates,
-            txns,
+            txns: infos.into_iter().collect(),
             version_orders,
             order_index,
             final_seqs,

@@ -36,6 +36,7 @@
 //! [`crate::HistoryBuilder`], which can derive match tables from
 //! arbitrary closures.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
@@ -43,7 +44,7 @@ use std::fmt;
 use crate::builder::HistoryBuilder;
 use crate::error::HistoryError;
 use crate::history::History;
-use crate::ids::{ObjectId, TxnId, VersionId};
+use crate::ids::{IdMap, ObjectId, TxnId, VersionId};
 use crate::lexer::{lex, split_version_target, LexError, Token, VersionRef};
 use crate::value::Value;
 
@@ -109,10 +110,33 @@ pub fn parse_history_completed(input: &str) -> Result<History, ParseError> {
     Parser::default().parse(input, true)
 }
 
+/// `events` without the whitespace inside parentheses, which is noise
+/// ("rp1(P: x0, y0)"), not a token boundary. Borrowed when there is
+/// none, as in most histories.
+fn compact(events: &str) -> Cow<'_, str> {
+    // Fed the characters in order, says which ones are noise.
+    let noise = || {
+        let mut depth = 0usize;
+        move |c: char| {
+            match c {
+                '(' => depth += 1,
+                ')' => depth = depth.saturating_sub(1),
+                _ => {}
+            }
+            depth > 0 && c.is_whitespace()
+        }
+    };
+    if !events.chars().any(noise()) {
+        return Cow::Borrowed(events);
+    }
+    let mut is_noise = noise();
+    Cow::Owned(events.chars().filter(|&c| !is_noise(c)).collect())
+}
+
 #[derive(Default)]
 struct Parser {
     b: HistoryBuilder,
-    objects: BTreeMap<String, ObjectId>,
+    objects: IdMap<String, ObjectId>,
     /// Declared predicates: name -> (id, lo, hi).
     preds: BTreeMap<String, (crate::ids::PredicateId, i64, i64)>,
     /// Deferred version orders: (object name, writer chain).
@@ -125,25 +149,7 @@ impl Parser {
             Some(ix) => (&input[..ix], Some(&input[ix..])),
             None => (input, None),
         };
-        // Whitespace inside parentheses is noise ("rp1(P: x0, y0)"),
-        // not a token boundary.
-        let mut compact = String::with_capacity(events_part.len());
-        let mut depth = 0usize;
-        for c in events_part.chars() {
-            match c {
-                '(' => {
-                    depth += 1;
-                    compact.push(c);
-                }
-                ')' => {
-                    depth = depth.saturating_sub(1);
-                    compact.push(c);
-                }
-                c if c.is_whitespace() && depth > 0 => {}
-                c => compact.push(c),
-            }
-        }
-        for token in compact.split_whitespace() {
+        for token in compact(events_part).split_whitespace() {
             self.parse_op(token)?;
         }
         if let Some(order) = order_part {
