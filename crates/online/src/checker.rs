@@ -484,6 +484,9 @@ impl OnlineChecker {
                 w.unsuperseded -= 1;
                 w.prune_after = w.prune_after.max(clock);
                 self.settle(p);
+                // Commit-order installs: ww edges ascend, so no write
+                // cycle closes online (why `crate::lanes` has no G0 row).
+                debug_assert!(self.txns[p].terminal_clock < self.txns[t].terminal_clock);
                 self.edge(EdgeKind::Ww, p, t, o, None);
             }
             for r in resolved.drain(..) {
@@ -774,7 +777,7 @@ impl OnlineChecker {
     // ------------------------------------------------------------------
 
     /// Freezes the checker's complete state — clocks, transaction and
-    /// object tables, all three incremental graphs, latched phenomena
+    /// object tables, the live incremental graphs, latched phenomena
     /// and GC policy — into a checksummed byte image.
     ///
     /// The round trip through [`restore`] is exact: the revived

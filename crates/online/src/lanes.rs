@@ -5,9 +5,11 @@
 //!
 //! | lane | edges admitted | the paper's wording                               | latches      |
 //! |------|----------------|---------------------------------------------------|--------------|
-//! | 0    | ww             | G0: a cycle consisting entirely of write-dependency edges | G0    |
-//! | 1    | ww, wr         | G1c: a cycle consisting entirely of dependency edges | G1c        |
-//! | 2    | ww, wr, rw     | G2: a cycle with one or more anti-dependency edges | G2-item, G2 |
+//! | 0    | ww, wr         | G1c: a cycle consisting entirely of dependency edges | G1c        |
+//! | 1    | ww, wr, rw     | G2: a cycle with one or more anti-dependency edges | G2-item, G2 |
+//!
+//! G0 (ww edges alone) has no row: commit-order installs make every ww
+//! edge ascend, so no write cycle closes online (DESIGN.md, "The lane table").
 //!
 //! [`LANES`] is that table; a [`Lane`] is one row's incremental graph
 //! with its reused results buffer, dropped once its phenomenon latches.
@@ -139,14 +141,8 @@ struct LaneSpec {
     what: &'static str,
 }
 
-/// The three filters, in replay order.
-const LANES: [LaneSpec; 3] = [
-    LaneSpec {
-        admits: &[EdgeKind::Ww],
-        needs_anti: false,
-        fires: &[PhenomenonKind::G0],
-        what: "write cycle",
-    },
+/// The two filters, in replay order.
+const LANES: [LaneSpec; 2] = [
     LaneSpec {
         admits: &[EdgeKind::Ww, EdgeKind::Wr],
         needs_anti: false,
@@ -231,11 +227,11 @@ impl LaneSpec {
     }
 }
 
-/// The lane table's state: the three graphs plus the Pearce–Kelly
+/// The lane table's state: the two graphs plus the Pearce–Kelly
 /// reorder counts of those already dropped.
 #[derive(Debug)]
 pub(crate) struct Lanes {
-    lanes: [Lane; 3],
+    lanes: [Lane; 2],
     /// Reorder counts of already-dropped graphs.
     reorders_dropped: u64,
     reorders_reported: u64,
@@ -244,14 +240,14 @@ pub(crate) struct Lanes {
 impl Default for Lanes {
     /// Every lane live and empty.
     fn default() -> Lanes {
-        Lanes::from_image([(); 3].map(|()| Some(IncrementalDag::new())), 0, 0)
+        Lanes::from_image([(); 2].map(|()| Some(IncrementalDag::new())), 0, 0)
     }
 }
 
 impl Lanes {
     /// The table as a snapshot image carries it: each lane's graph
     /// (`None` once dropped) and the two reorder counters.
-    pub(crate) fn from_image(mut dags: [Option<Dag>; 3], dropped: u64, reported: u64) -> Lanes {
+    pub(crate) fn from_image(mut dags: [Option<Dag>; 2], dropped: u64, reported: u64) -> Lanes {
         Lanes {
             lanes: std::array::from_fn(|i| Lane {
                 spec: &LANES[i],
@@ -421,7 +417,7 @@ impl Lanes {
 mod tests {
     use super::*;
     use adya_history::{ObjectId, VersionId};
-    use PhenomenonKind::{G1c, G2Item, G0, G2};
+    use PhenomenonKind::{G1c, G2Item, G2};
 
     fn edge(kind: EdgeKind, from: u32, to: u32, object: u32) -> PlannedEdge {
         PlannedEdge {
@@ -442,56 +438,48 @@ mod tests {
         /// Applied first, as an earlier commit's plan.
         setup: Vec<PlannedEdge>,
         plan: Vec<PlannedEdge>,
-        /// Everything latched afterwards, with the witness text of what
-        /// the plan (not the setup) latched.
+        /// Everything latched afterwards; for what the plan (not the
+        /// setup) latched, the witness text and the `via` chain of each
+        /// cycle edge, in witness order.
         fired: Vec<PhenomenonKind>,
-        witnesses: Vec<(PhenomenonKind, &'static str)>,
-        live: [bool; 3],
-        /// The provenance chain of each edge named, rendered.
+        witnesses: Vec<(PhenomenonKind, &'static str, Vec<&'static str>)>,
+        live: [bool; 2],
+        /// The provenance chain of each edge named, rendered, after
+        /// the plan (empty once no lane is live: the map is cleared).
         via: Vec<((u32, u32), &'static str)>,
     }
 
-    /// The lane table held to the three hand-written replays it
-    /// replaced: per plan, the latched set, the witness text, which
+    /// The lane table held to the hand-written replays it replaced
+    /// (one walk per row; the G0 row is gone, see the module docs): per
+    /// plan, the latched set, the witness text and citations, which
     /// lanes are still live and the provenance chain per edge.
     #[test]
     fn replay_latches_drops_and_cites_like_the_three_walks_did() {
         use EdgeKind::{Rw, Wr, Ww};
+        const DEP_CYCLE: &str = "dependency cycle: T2 -ww/wr-> T1, T1 -ww/wr-> T2";
         let cases = [
-            Case {
-                name: "ww closes a ww cycle",
-                setup: vec![edge(Ww, 1, 2, 0)],
-                plan: vec![edge(Ww, 2, 1, 1)],
-                // The same edge closes the cycle among ww + wr edges;
-                // among all edges the cycle holds no anti edge.
-                fired: vec![G0, G1c],
-                witnesses: vec![
-                    (G0, "write cycle: T2 -ww/wr-> T1, T1 -ww/wr-> T2"),
-                    (G1c, "dependency cycle: T2 -ww/wr-> T1, T1 -ww/wr-> T2"),
-                ],
-                live: [false, false, true],
-                via: vec![((1, 2), "ww obj0[1]"), ((2, 1), "ww obj1[2]")],
-            },
             Case {
                 name: "wr closes a dep cycle",
                 setup: vec![edge(Ww, 1, 2, 0)],
                 plan: vec![edge(Wr, 2, 1, 1)],
+                // Among all edges the same cycle holds no anti edge.
                 fired: vec![G1c],
-                witnesses: vec![(G1c, "dependency cycle: T2 -ww/wr-> T1, T1 -ww/wr-> T2")],
-                live: [true, false, true],
-                via: vec![((2, 1), "wr obj1[2]")],
+                witnesses: vec![(G1c, DEP_CYCLE, vec!["wr obj1[2]", "ww obj0[1]"])],
+                live: [false, true],
+                via: vec![((1, 2), "ww obj0[1]"), ((2, 1), "wr obj1[2]")],
             },
             Case {
                 name: "rw closes a full cycle",
                 setup: vec![edge(Wr, 1, 2, 0)],
                 plan: vec![edge(Rw, 2, 1, 1)],
                 fired: vec![G2Item, G2],
+                // An rw edge cites the overwriting version: `to`'s.
                 witnesses: vec![(
                     G2,
                     "anti-dependency cycle through T2 -rw-> T1: T2 -rw-> T1, T1 -ww/wr-> T2",
+                    vec!["rw obj1[1]", "wr obj0[1]"],
                 )],
-                live: [true, true, false],
-                // An rw edge cites the overwriting version: `to`'s.
+                live: [true, false],
                 via: vec![((2, 1), "rw obj1[1]")],
             },
             Case {
@@ -499,35 +487,38 @@ mod tests {
                 setup: vec![edge(Ww, 1, 2, 0), edge(Wr, 2, 1, 1)],
                 plan: vec![edge(Rw, 1, 2, 2)],
                 fired: vec![G1c, G2Item, G2],
+                // Fresh under its own label: recorded beside the ww
+                // step the edge already had, and cited before the last
+                // lane drops and takes the side map with it.
                 witnesses: vec![(
                     G2Item,
                     "anti-dependency edge T1 -rw-> T2 inside a dependency cycle",
+                    vec!["ww obj0[1]; rw obj2[2]"],
                 )],
-                live: [true, false, false],
-                // Recorded beside the ww step the edge already had.
-                via: vec![((1, 2), "ww obj0[1]; rw obj2[2]")],
+                live: [false, false],
+                via: vec![((1, 2), ""), ((2, 1), "")],
             },
             Case {
-                name: "the 2nd edge latches G0, the 3rd would have been a fresh ww edge",
+                name: "the 2nd edge latches G1c, the 3rd is a fresh ww edge",
                 setup: vec![edge(Ww, 1, 2, 0)],
-                plan: vec![edge(Ww, 3, 4, 1), edge(Ww, 2, 1, 2), edge(Ww, 5, 6, 3)],
-                fired: vec![G0, G1c],
-                witnesses: vec![(G0, "write cycle: T2 -ww/wr-> T1, T1 -ww/wr-> T2")],
-                live: [false, false, true],
-                // Lanes 0 and 1 are gone by the third edge; the lane
-                // still live is where it is fresh, and takes its step.
+                plan: vec![edge(Ww, 3, 4, 1), edge(Wr, 2, 1, 2), edge(Ww, 5, 6, 3)],
+                fired: vec![G1c],
+                witnesses: vec![(G1c, DEP_CYCLE, vec!["wr obj2[2]", "ww obj0[1]"])],
+                live: [false, true],
+                // Lane 0 is gone by the third edge; the lane still live
+                // is where it is fresh, and takes its step.
                 via: vec![((3, 4), "ww obj1[3]"), ((5, 6), "ww obj3[5]")],
             },
             Case {
-                name: "a duplicate edge carrying a second step",
-                setup: vec![edge(Wr, 1, 2, 0)],
-                // Known to lanes 1 and 2, fresh in lane 0: recorded
-                // once more. Then known everywhere: first steps win.
-                plan: vec![edge(Ww, 1, 2, 1), edge(Ww, 1, 2, 2)],
+                name: "a duplicate edge, then the same pair as an anti-dependency",
+                setup: vec![edge(Ww, 1, 2, 0)],
+                // Known everywhere: the first step wins. The rw edge is
+                // fresh in the one lane that admits it.
+                plan: vec![edge(Ww, 1, 2, 1), edge(Rw, 1, 2, 2)],
                 fired: vec![],
                 witnesses: vec![],
-                live: [true, true, true],
-                via: vec![((1, 2), "wr obj0[1]; ww obj1[1]")],
+                live: [true, true],
+                via: vec![((1, 2), "ww obj0[1]; rw obj2[2]")],
             },
         ];
         for case in cases {
@@ -539,15 +530,15 @@ mod tests {
             lanes.apply(&case.setup, &mut fired, &mut prov, false);
             lanes.apply(&case.plan, &mut fired, &mut prov, false);
             assert_eq!(fired.kinds(), case.fired, "{name}: latched");
-            for (k, text) in case.witnesses {
+            for (k, text, via) in case.witnesses {
                 assert_eq!(
                     fired.witness_of(k).map(String::as_str),
                     Some(text),
                     "{name}"
                 );
-                // Each cycle witness carries its edges' citations.
                 let cycle = fired.cycle_of(k).expect("provenance is on");
-                assert!(cycle.iter().all(|e| !e.via.is_empty()), "{name}: {cycle:?}");
+                let cited: Vec<&str> = cycle.iter().map(|e| e.via.as_str()).collect();
+                assert_eq!(cited, via, "{name}: citations");
             }
             let live: Vec<bool> = lanes.dags().map(|g| g.is_some()).collect();
             assert_eq!(live, case.live, "{name}: live lanes");

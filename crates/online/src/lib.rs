@@ -50,8 +50,8 @@
 //! handlers, which hold slots and report a conflict only by queueing a
 //! planned edge;
 //! `lanes` — the edge kinds and the lane table: one incremental graph
-//! per edge filter (ww; ww + wr; ww + wr + rw) under one cycle rule,
-//! which is the paper's G0 / G1c / G2; `provenance` — the operations
+//! per edge filter (ww + wr; ww + wr + rw) under one cycle rule: the
+//! paper's G1c / G2 (G0 cannot close online); `provenance` — the operations
 //! behind each live edge; `gc` — the eligibility index, the collection
 //! pass and its reference collector; `snapshot` — the checker image
 //! and the cross-checks an image must pass before it is a checker;

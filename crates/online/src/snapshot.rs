@@ -190,7 +190,9 @@ pub(crate) fn encode(c: &OnlineChecker) -> Vec<u8> {
             e.u32(id_of(r));
         }
     }
-    for g in c.lanes.dags() {
+    // The first graph slot held the G0 lane's (gone, see `crate::lanes`):
+    // always dropped, and in the layout until the format next changes.
+    for g in std::iter::once(None).chain(c.lanes.dags()) {
         match g {
             None => e.bool(false),
             Some(g) => {
@@ -247,7 +249,7 @@ pub(crate) fn decode(bytes: &[u8]) -> Result<OnlineChecker, SnapshotError> {
     c.stale_refs = counter(&mut d)?;
     let events_since_gc = counter(&mut d)?;
     c.gc = Collector::new(gc, events_since_gc, pruned_txns);
-    let reorders_dropped = counter(&mut d)?;
+    let mut reorders_dropped = counter(&mut d)?;
     let reorders_reported = counter(&mut d)?;
     c.fired.mask = d.u8()?;
     let nw = d.len()?;
@@ -453,7 +455,14 @@ pub(crate) fn decode(bytes: &[u8]) -> Result<OnlineChecker, SnapshotError> {
             *slot = Some(dec_dag(&mut d, &c.txns)?);
         }
     }
+    // An older image's G0 graph, checked like any, is dropped with its
+    // reorders counted, as a latch drops a lane.
+    let [g0, dags @ ..] = dags;
+    reorders_dropped += g0.map_or(0, |g| g.reorders());
     c.lanes = Lanes::from_image(dags, reorders_dropped, reorders_reported);
+    if !c.lanes.any_live() {
+        c.prov.clear(); // what the last lane's drop does
+    }
     if d.remaining() != 0 {
         return Err(malformed(format!(
             "{} trailing bytes after snapshot",

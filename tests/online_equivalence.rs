@@ -223,6 +223,22 @@ fn hex(bytes: &[u8]) -> String {
     bytes.iter().map(|b| format!("{b:02x}")).collect()
 }
 
+fn unhex(digits: &str) -> Vec<u8> {
+    (0..digits.len())
+        .step_by(2)
+        .map(|i| u8::from_str_radix(&digits[i..i + 2], 16).expect("hex"))
+        .collect()
+}
+
+/// Every `image@<cut> <hex>` line of an image golden, in file order.
+fn images(golden: &str) -> Vec<(&str, Vec<u8>)> {
+    golden
+        .lines()
+        .filter_map(|l| l.strip_prefix("image@")?.split_once(' '))
+        .map(|(cut, digits)| (cut, unhex(digits)))
+        .collect()
+}
+
 /// One run of a fixture at interval-1 GC, as the lines of its golden:
 /// the checker image (hex) before the events at a quarter, a half and
 /// three quarters of the stream, every verdict line in between, and
@@ -289,50 +305,102 @@ fn stream_dots_match_their_goldens_in_process() {
     }
 }
 
-/// An image in a golden — written by an older build — restores under
-/// this one and carries on to the golden's remaining verdict lines and
-/// its final image.
+/// Restores each mid-stream image in `tests/data/stream/<file>`, laid
+/// out as an image golden, and carries it on over the rest of `name`'s
+/// events: to the file's remaining verdict lines and, with
+/// `final_image`, to its final image too.
+fn continue_from_images(name: &str, file: &str, final_image: bool) {
+    let events = fixture_events(name);
+    let path = common::stream_data(file);
+    let golden = std::fs::read_to_string(&path).expect("image file");
+    let compared =
+        |l: &str| l.starts_with("verdict ") || (final_image && l.starts_with("image@end "));
+    // Each `# provenance` section is one run.
+    for run in golden.split("# provenance ").skip(1) {
+        let lines: Vec<&str> = run.lines().skip(1).collect();
+        for (at, line) in lines.iter().enumerate() {
+            let Some((cut, digits)) = line
+                .strip_prefix("image@")
+                .and_then(|l| l.split_once(' '))
+                .filter(|(cut, _)| *cut != "end")
+            else {
+                continue;
+            };
+            let cut: usize = cut.parse().expect("cut index");
+            let mut c = OnlineChecker::restore(&unhex(digits)).expect("the image restores");
+            let mut got = Vec::new();
+            for e in &events[cut..] {
+                if let Some(v) = c.ingest(e) {
+                    got.push(format!("verdict {}", v.to_json()));
+                }
+            }
+            got.push(format!("verdict {}", c.finish().to_json()));
+            got.push(format!("image@end {}", hex(&c.snapshot())));
+            got.retain(|l| compared(l));
+            let want: Vec<&str> = lines[at + 1..]
+                .iter()
+                .copied()
+                .filter(|l| compared(l))
+                .collect();
+            assert_eq!(got, want, "{file}: continuing from image@{cut}");
+        }
+    }
+}
+
+/// An image in a golden restores under this build and carries on to
+/// the golden's remaining verdict lines and its final image.
 #[test]
 fn golden_images_restore_and_continue_to_the_golden_verdicts() {
     if std::env::var_os("REGEN_GOLDEN").is_some() {
         return; // the goldens are being rewritten under this test's feet
     }
     for name in common::STREAM_FIXTURES {
-        let events = fixture_events(name);
-        let path = common::stream_data(&format!("{name}.image.golden"));
-        let golden = std::fs::read_to_string(&path).expect("image golden");
-        // Each `# provenance` section is one run.
-        for run in golden.split("# provenance ").skip(1) {
-            let lines: Vec<&str> = run.lines().skip(1).collect();
-            for (at, line) in lines.iter().enumerate() {
-                let Some((cut, digits)) = line
-                    .strip_prefix("image@")
-                    .and_then(|l| l.split_once(' '))
-                    .filter(|(cut, _)| *cut != "end")
-                else {
-                    continue;
-                };
-                let cut: usize = cut.parse().expect("cut index");
-                let image: Vec<u8> = (0..digits.len())
-                    .step_by(2)
-                    .map(|i| u8::from_str_radix(&digits[i..i + 2], 16).expect("hex"))
-                    .collect();
-                let mut c = OnlineChecker::restore(&image).expect("golden image restores");
-                let mut got = Vec::new();
-                for e in &events[cut..] {
-                    if let Some(v) = c.ingest(e) {
-                        got.push(format!("verdict {}", v.to_json()));
-                    }
-                }
-                got.push(format!("verdict {}", c.finish().to_json()));
-                got.push(format!("image@end {}", hex(&c.snapshot())));
-                let want: Vec<&str> = lines[at + 1..]
-                    .iter()
-                    .copied()
-                    .filter(|l| l.starts_with("verdict ") || l.starts_with("image@end "))
-                    .collect();
-                assert_eq!(got, want, "{name}: continuing from image@{cut}");
-            }
-        }
+        continue_from_images(name, &format!("{name}.image.golden"), true);
+    }
+}
+
+/// `dirty_hot.lane0.image` is `dirty_hot`'s image golden as the build
+/// before the G0 lane's removal wrote it: every image still carries a
+/// write-dependency graph, at the last cut the only graph left, beside
+/// a provenance map. Each restores (the graph checked, then dropped,
+/// the map cleared once no graph is left) and carries on to the same
+/// verdict lines; its final images are the old build's, so are not
+/// compared. Restored, each is the state this build reaches at the same
+/// cut: the current golden's image, but for the CRC and the two reorder
+/// counters, which still count the dropped graph's reorders.
+#[test]
+fn images_with_a_g0_graph_restore_and_continue_to_the_same_verdicts() {
+    continue_from_images("dirty_hot", "dirty_hot.lane0.image", false);
+    if std::env::var_os("REGEN_GOLDEN").is_some() {
+        return; // the current golden is being rewritten under this test's feet
+    }
+    let read = |file| std::fs::read_to_string(common::stream_data(file)).expect(file);
+    let (old_text, new_text) = (
+        read("dirty_hot.lane0.image"),
+        read("dirty_hot.image.golden"),
+    );
+    // Magic and CRC take 12 bytes; the payload opens with the clock,
+    // the GC policy and four counters (49 bytes), then the reorder
+    // counts of dropped graphs and of those already reported.
+    const DROPPED: usize = 12 + 49;
+    const REPORTED: usize = DROPPED + 8;
+    let u64_at = |b: &[u8], at: usize| u64::from_le_bytes(b[at..at + 8].try_into().unwrap());
+    let (old, new) = (images(&old_text), images(&new_text));
+    assert_eq!(old.len(), new.len());
+    for ((cut, image), (at, want)) in old.into_iter().zip(new) {
+        assert_eq!(cut, at);
+        let mut got = OnlineChecker::restore(&image)
+            .expect("the image restores")
+            .snapshot();
+        // Both counts exceed this build's by the old graph's reorders:
+        // folded into the dropped count, they are not reported twice.
+        let extra = |at| u64_at(&got, at).wrapping_sub(u64_at(&want, at));
+        assert_eq!(extra(DROPPED), extra(REPORTED), "image@{cut}: reorders");
+        got[8..12].copy_from_slice(&want[8..12]);
+        got[DROPPED..REPORTED + 8].copy_from_slice(&want[DROPPED..REPORTED + 8]);
+        assert!(
+            got == want,
+            "dirty_hot.lane0.image: image@{cut} restores to another state"
+        );
     }
 }

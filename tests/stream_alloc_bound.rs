@@ -48,8 +48,10 @@ fn allocs() -> u64 {
 #[test]
 fn ingest_allocates_per_transaction_and_rendering_not_at_all() {
     // The hot-key shape: few keys, dirty reads and aborts. The G1c and
-    // G2 lanes latch early, but lane 0 (G0) stays live, so the graph
-    // and the provenance map are inside the bound with the tables.
+    // G2 lanes latch in the warm-up, and with them gone no graph is
+    // left: the provenance map is cleared and stays empty, and a prune
+    // contracts nothing. What is measured is the tables, the parked and
+    // buffered reads and the edge plan.
     let cfg = SlidingWindow {
         keys: 16,
         slide: 1 << 40,
@@ -93,7 +95,7 @@ fn ingest_allocates_per_transaction_and_rendering_not_at_all() {
     assert_eq!(render, 0, "rendering {lines} lines into a reused buffer");
     let per_event = ingest as f64 / MEASURED as f64;
     assert!(
-        per_event <= 0.8,
+        per_event <= 0.25,
         "{ingest} allocations over {MEASURED} events = {per_event:.2} per event"
     );
     eprintln!("ingest: {per_event:.3} allocations per event; rendering: {render}");
