@@ -221,11 +221,13 @@ mod tests {
     use proptest::prelude::*;
 
     /// The G2-item, G2, G-single, G-SIb and G-monotonic witnesses as
-    /// printed: the pass's, which search only inside components, then
-    /// those of the searches they replaced — an all-edges SCC per
-    /// detector, a back-path search per anti-dependency, the SSG with
-    /// every start edge stored, every transaction unfolded over every
-    /// conflict.
+    /// printed: the pass's, which search inside the stored labelling's
+    /// components (and the SSG's), then those of a labelling per
+    /// detector over the edges its shape admits, the SSG with every
+    /// start edge stored, every transaction unfolded over every
+    /// conflict. (The graph crate's searches share the pass's kernel;
+    /// `graph/tests/proptests.rs` holds them to a naive restatement of
+    /// the witness rule.)
     fn gated_and_ungated(h: &History) -> [Vec<String>; 2] {
         use PhenomenonKind::*;
         let pass = Pass::new(h);

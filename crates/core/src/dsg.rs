@@ -1,10 +1,8 @@
-//! The Direct Serialization Graph (Definition 7), its strongly
-//! connected components, and the back-path search G2, G2-item,
-//! G-single and (over the SSG) G-SIb close their witnesses with.
+//! The Direct Serialization Graph (Definition 7) with its one
+//! strongly-connected-component labelling, inside which G2, G2-item,
+//! G-single and G-monotonic search, and the searches' work counter.
 
-use std::collections::VecDeque;
-
-use adya_graph::{Cycle, CycleEdge, DiGraph, NodeIdx};
+use adya_graph::{topo_order_of, BackPaths, Cycle, DiGraph};
 use adya_history::{History, TxnId};
 
 use crate::conflicts::{direct_conflicts, Conflict, DepKind};
@@ -37,14 +35,8 @@ impl Dsg {
         for c in &conflicts {
             graph.add_edge_dedup(c.from, c.to, c.kind);
         }
-        let nodes: Vec<NodeIdx> = graph.node_indices().collect();
-        let components = label_components(nodes.len(), |v, out| {
-            out.extend(
-                graph
-                    .successors(nodes[v as usize])
-                    .map(|(w, _)| w.index() as u32),
-            );
-        });
+        let (components, examined) = graph.components(|_| true);
+        search_visits().add(examined);
         Dsg {
             graph,
             conflicts,
@@ -133,20 +125,25 @@ impl Dsg {
     }
 
     /// The first `first` edge, in edge order, that a path back over
-    /// `back` edges closes, with the shortest such path. Only an edge
-    /// inside one component can close, and only inside it is searched;
-    /// with `back` admitting every edge the first such edge closes,
-    /// which is `DiGraph::find_cycle`'s witness, and otherwise it is
-    /// `DiGraph::find_cycle_exactly_one`'s.
+    /// `back` edges closes, with the shortest such path, searched inside
+    /// the stored labelling's components: `DiGraph::find_cycle`'s
+    /// witness when `back` admits every edge, otherwise
+    /// `DiGraph::find_cycle_exactly_one`'s, without a labelling of
+    /// its own.
     fn cycle_through(
         &self,
         first: impl Fn(DepKind) -> bool,
         back: impl Fn(DepKind) -> bool,
     ) -> Option<Cycle<TxnId, DepKind>> {
-        let mut paths = BackPaths::new(&self.graph, &self.components);
-        first_closing(&self.graph, &self.components, first, |from, to| {
-            paths.find(to, from, &back, |_, _| {})
-        })
+        let (g, components) = (&self.graph, &self.components);
+        let mut paths = BackPaths::new(g, components);
+        let cycle = g.first_closing(
+            components,
+            |&k| first(k),
+            |from, to| paths.find(to, from, |&k| back(k), |_, _| {}),
+        );
+        search_visits().add(paths.examined());
+        cycle
     }
 
     /// True if the DSG is acyclic: every component is one node (a
@@ -156,11 +153,11 @@ impl Dsg {
     }
 
     /// An equivalent serial order of the committed transactions, when
-    /// the DSG is acyclic.
+    /// the DSG is acyclic: read off the stored labelling, whose
+    /// descending ids are a topological order.
     pub fn serial_order(&self) -> Option<Vec<TxnId>> {
-        self.graph
-            .topo_order()
-            .map(|ixs| ixs.into_iter().map(|ix| *self.graph.node(ix)).collect())
+        let order = topo_order_of(&self.components)?;
+        Some(order.into_iter().map(|ix| *self.graph.node(ix)).collect())
     }
 
     /// True if `order` is an equivalent serial order: it lists every
@@ -195,192 +192,6 @@ impl Dsg {
 /// history where nothing fires.
 pub(crate) fn search_visits() -> &'static adya_obs::Counter {
     adya_obs::counter!("checker.search_visits")
-}
-
-/// Labels the strongly connected components of the graph on nodes
-/// `0..n` whose successors `successors(v, out)` appends to `out`: one
-/// id per node, equal for two nodes exactly when each reaches the
-/// other. Tarjan's algorithm, iterative so that a deep graph cannot
-/// overflow the stack; every edge is examined once.
-pub(crate) fn label_components(
-    n: usize,
-    mut successors: impl FnMut(u32, &mut Vec<u32>),
-) -> Vec<u32> {
-    const UNSEEN: u32 = u32::MAX;
-    let mut component = vec![UNSEEN; n];
-    let mut index = vec![UNSEEN; n];
-    let mut low = vec![0; n];
-    // Tarjan's stack; a node on it has an index and no component yet.
-    let mut stack = Vec::new();
-    // The depth-first path: each node with where its unexamined
-    // successors begin in `pending`.
-    let mut path: Vec<(u32, usize)> = Vec::new();
-    let mut pending = Vec::new();
-    let (mut next_index, mut next_component, mut examined) = (0, 0, 0);
-    for root in 0..n as u32 {
-        if index[root as usize] != UNSEEN {
-            continue;
-        }
-        let mut enter = Some(root);
-        loop {
-            if let Some(v) = enter.take() {
-                index[v as usize] = next_index;
-                low[v as usize] = next_index;
-                next_index += 1;
-                stack.push(v);
-                let from = pending.len();
-                successors(v, &mut pending);
-                examined += pending.len() - from;
-                path.push((v, from));
-            }
-            let Some(&(v, from)) = path.last() else {
-                break;
-            };
-            if pending.len() > from {
-                let w = pending.pop().expect("pending is longer than from") as usize;
-                if index[w] == UNSEEN {
-                    enter = Some(w as u32);
-                } else if component[w] == UNSEEN {
-                    low[v as usize] = low[v as usize].min(index[w]);
-                }
-                continue;
-            }
-            path.pop();
-            if low[v as usize] == index[v as usize] {
-                loop {
-                    let w = stack.pop().expect("v is on the stack");
-                    component[w as usize] = next_component;
-                    if w == v {
-                        break;
-                    }
-                }
-                next_component += 1;
-            }
-            if let Some(&(parent, _)) = path.last() {
-                low[parent as usize] = low[parent as usize].min(low[v as usize]);
-            }
-        }
-    }
-    search_visits().add(examined as u64);
-    component
-}
-
-/// The first edge satisfying `first`, in edge order, whose endpoints
-/// share a component and that `back_path(from, to)` closes into a
-/// cycle. An edge between two components lies on no cycle, so it is
-/// skipped without a search.
-pub(crate) fn first_closing(
-    g: &DiGraph<TxnId, DepKind>,
-    components: &[u32],
-    first: impl Fn(DepKind) -> bool,
-    mut back_path: impl FnMut(NodeIdx, NodeIdx) -> Option<Vec<CycleEdge<TxnId, DepKind>>>,
-) -> Option<Cycle<TxnId, DepKind>> {
-    g.node_indices().find_map(|from| {
-        g.successors(from)
-            .filter(|&(to, &kind)| {
-                first(kind) && components[from.index()] == components[to.index()]
-            })
-            .find_map(|(to, &kind)| {
-                let mut edges = vec![edge(g, from, to, kind)];
-                edges.extend(back_path(from, to)?);
-                Some(Cycle::from_edges(edges))
-            })
-    })
-}
-
-fn edge(
-    g: &DiGraph<TxnId, DepKind>,
-    from: NodeIdx,
-    to: NodeIdx,
-    label: DepKind,
-) -> CycleEdge<TxnId, DepKind> {
-    CycleEdge {
-        from: *g.node(from),
-        to: *g.node(to),
-        label,
-    }
-}
-
-/// Shortest back-paths inside one component, by breadth-first search
-/// in adjacency order — the parent rule of `DiGraph::find_cycle`'s, so
-/// the same path. A path between two nodes of a component never leaves
-/// it, and a node outside cannot discover one inside, so keeping the
-/// search in the component changes no parent and no queue order of the
-/// nodes that matter. The parent table is allocated once and reset
-/// where a search wrote, so a search costs its component's edges.
-pub(crate) struct BackPaths<'g> {
-    g: &'g DiGraph<TxnId, DepKind>,
-    components: &'g [u32],
-    parent: Vec<Option<(NodeIdx, DepKind)>>,
-    reached: Vec<NodeIdx>,
-    queue: VecDeque<NodeIdx>,
-    implied: Vec<NodeIdx>,
-}
-
-impl<'g> BackPaths<'g> {
-    pub(crate) fn new(g: &'g DiGraph<TxnId, DepKind>, components: &'g [u32]) -> Self {
-        BackPaths {
-            g,
-            components,
-            parent: Vec::new(),
-            reached: Vec::new(),
-            queue: VecDeque::new(),
-            implied: Vec::new(),
-        }
-    }
-
-    /// The shortest path `src ⇝ dst` over the stored edges `back`
-    /// admits, each popped node's stored edges followed by the
-    /// `implied(v, out)` successors it appends to `out` (labelled
-    /// [`DepKind::StartDep`]).
-    pub(crate) fn find(
-        &mut self,
-        src: NodeIdx,
-        dst: NodeIdx,
-        back: impl Fn(DepKind) -> bool,
-        mut implied: impl FnMut(NodeIdx, &mut Vec<NodeIdx>),
-    ) -> Option<Vec<CycleEdge<TxnId, DepKind>>> {
-        if self.parent.is_empty() {
-            self.parent = vec![None; self.g.node_count()];
-        }
-        let (inside, mut examined) = (self.components[src.index()], 0);
-        self.queue.push_back(src);
-        'bfs: while let Some(v) = self.queue.pop_front() {
-            self.implied.clear();
-            implied(v, &mut self.implied);
-            let stored = self.g.successors(v).filter(|&(_, &kind)| back(kind));
-            let implied = self.implied.iter().map(|&w| (w, &DepKind::StartDep));
-            for (w, &kind) in stored.chain(implied).inspect(|_| examined += 1) {
-                if w != src
-                    && self.components[w.index()] == inside
-                    && self.parent[w.index()].is_none()
-                {
-                    self.parent[w.index()] = Some((v, kind));
-                    self.reached.push(w);
-                    if w == dst {
-                        break 'bfs;
-                    }
-                    self.queue.push_back(w);
-                }
-            }
-        }
-        self.queue.clear();
-        search_visits().add(examined);
-        let path = self.parent[dst.index()].is_some().then(|| {
-            let mut path = Vec::new();
-            let mut cur = dst;
-            while let Some((prev, kind)) = self.parent[cur.index()] {
-                path.push(edge(self.g, prev, cur, kind));
-                cur = prev;
-            }
-            path.reverse();
-            path
-        });
-        for w in self.reached.drain(..) {
-            self.parent[w.index()] = None;
-        }
-        path
-    }
 }
 
 #[cfg(test)]

@@ -3,7 +3,7 @@
 
 use std::fmt;
 
-use adya_graph::{Cycle, DiGraph};
+use adya_graph::{Cycle, CycleEdge, DiGraph};
 use adya_history::{Event, History, ObjectId, TxnId, VersionId};
 
 use crate::conflicts::DepKind;
@@ -382,6 +382,8 @@ pub fn g_cursor(h: &History, dsg: &Dsg) -> Option<Phenomenon> {
     if labeled.is_empty() {
         return None;
     }
+    labeled.sort_unstable();
+    labeled.dedup();
     // Rebuild the DSG with labeled anti-edges distinguished so the
     // generic cycle search can require one.
     #[derive(Clone, Copy, PartialEq, Eq)]
@@ -394,7 +396,7 @@ pub fn g_cursor(h: &History, dsg: &Dsg) -> Option<Phenomenon> {
         g.add_node(*n);
     }
     for e in dsg.graph().edges() {
-        let lab = if e.label.is_item_anti() && labeled.contains(&(*e.from, *e.to)) {
+        let lab = if e.label.is_item_anti() && labeled.binary_search(&(*e.from, *e.to)).is_ok() {
             L::LabeledAnti
         } else {
             L::Plain(*e.label)
@@ -403,17 +405,15 @@ pub fn g_cursor(h: &History, dsg: &Dsg) -> Option<Phenomenon> {
     }
     let cyc = g.find_cycle(|_| true, |l| *l == L::LabeledAnti)?;
     // Report with the original kinds.
-    let mut rebuilt: DiGraph<TxnId, DepKind> = DiGraph::new();
-    for e in cyc.edges() {
-        let kind = match e.label {
+    let edges = cyc.edges().iter().map(|e| CycleEdge {
+        from: e.from,
+        to: e.to,
+        label: match e.label {
             L::LabeledAnti => DepKind::ItemAntiDep,
             L::Plain(k) => k,
-        };
-        rebuilt.add_edge(e.from, e.to, kind);
-    }
-    rebuilt
-        .find_cycle(|_| true, |_| true)
-        .map(Phenomenon::GCursor)
+        },
+    });
+    Some(Phenomenon::GCursor(Cycle::from_edges(edges.collect())))
 }
 
 #[cfg(test)]

@@ -3,11 +3,11 @@
 //! points to it in §6 as one of the commercial levels its approach
 //! covers).
 
-use adya_graph::{Cycle, DiGraph, NodeIdx};
+use adya_graph::{label_components, BackPaths, Cycle, DiGraph, NodeIdx};
 use adya_history::{History, TxnId};
 
 use crate::conflicts::DepKind;
-use crate::dsg::{first_closing, label_components, BackPaths, Dsg};
+use crate::dsg::{search_visits, Dsg};
 
 /// The SSG of a history: the DSG plus a **start-dependency** edge
 /// `Ti -s-> Tj` whenever Ti's commit time-precedes Tj's begin.
@@ -78,20 +78,25 @@ impl<'d> Ssg<'d> {
         // cursor moving down the run serves a whole search.
         by_begin.sort_by_key(|n| components[n.index()]);
         let mut paths = BackPaths::new(self.dsg, &components);
-        first_closing(self.dsg, &components, DepKind::is_anti, |from, to| {
+        let back_path = |from, to: NodeIdx| {
             let inside = components[to.index()];
             let run = by_begin.partition_point(|n| components[n.index()] < inside);
             let mut unswept = by_begin.partition_point(|n| components[n.index()] <= inside);
-            let started = |v: NodeIdx, out: &mut Vec<NodeIdx>| {
+            let started = |v: NodeIdx, out: &mut Vec<(NodeIdx, DepKind)>| {
                 let commit = self.spans[v.index()].1;
                 while unswept > run && self.spans[by_begin[unswept - 1].index()].0 > commit {
                     unswept -= 1;
-                    out.push(by_begin[unswept]);
+                    out.push((by_begin[unswept], DepKind::StartDep));
                 }
-                out.sort_unstable();
+                out.sort_unstable_by_key(|&(w, _)| w);
             };
-            paths.find(to, from, |kind| !kind.is_anti(), started)
-        })
+            paths.find(to, from, |k| !k.is_anti(), started)
+        };
+        let cycle = self
+            .dsg
+            .first_closing(&components, |k| k.is_anti(), back_path);
+        search_visits().add(paths.examined());
+        cycle
     }
 
     /// The SSG's components, by DSG node index; `by_begin` is every
@@ -106,7 +111,7 @@ impl<'d> Ssg<'d> {
         let nodes: Vec<NodeIdx> = self.dsg.node_indices().collect();
         let t = nodes.len();
         let slot = |k: usize| (t + k) as u32;
-        let mut components = label_components(2 * t, |v, out| {
+        let (mut components, examined) = label_components(2 * t, |v, out| {
             let v = v as usize;
             if v < t {
                 let dsg_edges = self.dsg.successors(nodes[v]);
@@ -124,6 +129,7 @@ impl<'d> Ssg<'d> {
                 }
             }
         });
+        search_visits().add(examined);
         components.truncate(t);
         components
     }

@@ -5,8 +5,9 @@
 //! at least one of which is drawn from set R" (G0: A = {ww}, R = any;
 //! G1c: A = {ww, wr}; G2: A = all, R = {rw}) — or, for the extension
 //! phenomena G-single / G-SIb of Adya's thesis, "a cycle with *exactly
-//! one* edge from set S". Both shapes are provided here, and both return
-//! the witnessing cycle rather than a boolean.
+//! one* edge from set S". Both shapes are one component labelling plus
+//! [`DiGraph::first_closing`] over [`BackPaths`], and both return the
+//! witnessing cycle rather than a boolean.
 
 use std::collections::VecDeque;
 use std::fmt;
@@ -107,36 +108,19 @@ where
     /// one of whose edges also satisfies `required`.
     ///
     /// Returns `None` if no such cycle exists. The returned cycle is a
-    /// shortest cycle through one qualifying edge (BFS back-path), which
-    /// keeps witnesses readable.
+    /// shortest cycle through the first qualifying edge that closes
+    /// (BFS back-path), which keeps witnesses readable.
     pub fn find_cycle(
         &self,
-        mut allowed: impl FnMut(&E) -> bool,
-        mut required: impl FnMut(&E) -> bool,
+        allowed: impl Fn(&E) -> bool,
+        required: impl Fn(&E) -> bool,
     ) -> Option<Cycle<N, E>> {
-        // Component id per node over the allowed subgraph.
-        let comps = self.sccs_filtered(&mut allowed);
-        let mut comp_of = vec![usize::MAX; self.node_count()];
-        for (ci, comp) in comps.iter().enumerate() {
-            for &n in comp {
-                comp_of[n.index()] = ci;
-            }
-        }
-        // A qualifying cycle exists iff some allowed+required edge has
-        // both endpoints in one SCC of the allowed subgraph (self-loops
-        // included: from == to trivially shares a component).
-        for (f, adj) in self.out.iter().enumerate() {
-            for e in adj {
-                if !allowed(&e.label) || !required(&e.label) {
-                    continue;
-                }
-                if comp_of[f] == comp_of[e.to.index()] {
-                    let from = NodeIdx(f as u32);
-                    return Some(self.close_cycle(from, e.to, e.label.clone(), &mut allowed));
-                }
-            }
-        }
-        None
+        let (components, _) = self.components(&allowed);
+        let mut paths = BackPaths::new(self, &components);
+        let first = |l: &E| allowed(l) && required(l);
+        self.first_closing(&components, first, |from, to| {
+            paths.find(to, from, &allowed, |_, _| {})
+        })
     }
 
     /// Finds a cycle with *exactly one* edge satisfying `special`; every
@@ -147,111 +131,145 @@ where
     /// remaining edges are dependency (and start-dependency) edges.
     pub fn find_cycle_exactly_one(
         &self,
-        mut special: impl FnMut(&E) -> bool,
-        mut path_ok: impl FnMut(&E) -> bool,
+        special: impl Fn(&E) -> bool,
+        path_ok: impl Fn(&E) -> bool,
     ) -> Option<Cycle<N, E>> {
-        for (f, adj) in self.out.iter().enumerate() {
-            for e in adj {
-                if !special(&e.label) {
-                    continue;
-                }
-                let from = NodeIdx(f as u32);
-                // Path from e.to back to `from` using only non-special
-                // path edges closes a cycle with exactly one special
-                // edge. (A special self-loop qualifies via the empty
-                // path.)
-                let mut ok = |l: &E| path_ok(l) && !special(l);
-                if let Some(path) = self.bfs_path(e.to, from, &mut ok) {
-                    let mut edges = Vec::with_capacity(path.len() + 1);
-                    edges.push(CycleEdge {
-                        from: self.node(from).clone(),
-                        to: self.node(e.to).clone(),
-                        label: e.label.clone(),
-                    });
-                    edges.extend(path);
-                    return Some(Cycle { edges });
-                }
-            }
-        }
-        None
+        let (components, _) = self.components(|l| special(l) || path_ok(l));
+        let mut paths = BackPaths::new(self, &components);
+        let back = |l: &E| path_ok(l) && !special(l);
+        self.first_closing(&components, &special, |from, to| {
+            paths.find(to, from, back, |_, _| {})
+        })
     }
 
-    /// Closes a cycle around the known in-component edge
-    /// `from --label--> to` by finding the shortest allowed path
-    /// `to ⇝ from`.
-    fn close_cycle(
+    /// The first edge satisfying `first`, in node-then-adjacency order,
+    /// whose endpoints share one of `components` and that
+    /// `back_path(from, to)` — a path `to ⇝ from` — closes into a cycle.
+    /// An edge between two components lies on no cycle over the
+    /// labelled edges, so it is skipped without a search.
+    pub fn first_closing(
         &self,
-        from: NodeIdx,
-        to: NodeIdx,
-        label: E,
-        allowed: &mut impl FnMut(&E) -> bool,
-    ) -> Cycle<N, E> {
-        let path = if from == to {
-            Vec::new()
-        } else {
-            self.bfs_path(to, from, allowed)
-                .expect("endpoints share an SCC, a path must exist")
-        };
-        let mut edges = Vec::with_capacity(path.len() + 1);
-        edges.push(CycleEdge {
+        components: &[u32],
+        first: impl Fn(&E) -> bool,
+        mut back_path: impl FnMut(NodeIdx, NodeIdx) -> Option<Vec<CycleEdge<N, E>>>,
+    ) -> Option<Cycle<N, E>> {
+        self.node_indices().find_map(|from| {
+            self.successors(from)
+                .filter(|&(to, label)| {
+                    first(label) && components[from.index()] == components[to.index()]
+                })
+                .find_map(|(to, label)| {
+                    let mut edges = vec![self.cycle_edge(from, to, label.clone())];
+                    edges.extend(back_path(from, to)?);
+                    Some(Cycle { edges })
+                })
+        })
+    }
+
+    fn cycle_edge(&self, from: NodeIdx, to: NodeIdx, label: E) -> CycleEdge<N, E> {
+        CycleEdge {
             from: self.node(from).clone(),
             to: self.node(to).clone(),
             label,
-        });
-        edges.extend(path);
-        Cycle { edges }
+        }
+    }
+}
+
+/// Shortest back-paths inside one component, by breadth-first search
+/// with parents in adjacency order. A path between two nodes of a
+/// component never leaves it, and a node outside cannot discover one
+/// inside, so keeping the search in the component changes no parent and
+/// no queue order of the nodes that matter: the path is the one a
+/// whole-graph search finds. The parent table is allocated once and
+/// reset where a search wrote, so a search costs its component's edges.
+pub struct BackPaths<'g, N, E> {
+    g: &'g DiGraph<N, E>,
+    components: &'g [u32],
+    parent: Vec<Option<(NodeIdx, E)>>,
+    reached: Vec<NodeIdx>,
+    queue: VecDeque<NodeIdx>,
+    implied: Vec<(NodeIdx, E)>,
+    examined: u64,
+}
+
+impl<'g, N, E> BackPaths<'g, N, E>
+where
+    N: Eq + Hash + Clone,
+    E: Clone,
+{
+    /// Searches of `g` bounded by `components`, a labelling over a
+    /// superset of the edges any search follows.
+    pub fn new(g: &'g DiGraph<N, E>, components: &'g [u32]) -> Self {
+        BackPaths {
+            g,
+            components,
+            parent: Vec::new(),
+            reached: Vec::new(),
+            queue: VecDeque::new(),
+            implied: Vec::new(),
+            examined: 0,
+        }
     }
 
-    /// Shortest path `src ⇝ dst` over edges satisfying `edge_ok`, as
-    /// cycle edges. `Some(vec![])` when `src == dst`.
-    fn bfs_path(
-        &self,
+    /// The shortest path `src ⇝ dst` over the stored edges `back`
+    /// admits, each popped node's stored edges followed by the
+    /// `implied(v, out)` successors it appends to `out` with their
+    /// labels. Empty when `src == dst`.
+    pub fn find(
+        &mut self,
         src: NodeIdx,
         dst: NodeIdx,
-        edge_ok: &mut impl FnMut(&E) -> bool,
+        back: impl Fn(&E) -> bool,
+        mut implied: impl FnMut(NodeIdx, &mut Vec<(NodeIdx, E)>),
     ) -> Option<Vec<CycleEdge<N, E>>> {
         if src == dst {
             return Some(Vec::new());
         }
-        // parent[n] = (prev node, edge index in prev's adjacency)
-        let mut parent: Vec<Option<(NodeIdx, usize)>> = vec![None; self.node_count()];
-        let mut queue = VecDeque::new();
-        queue.push_back(src);
-        let mut found = false;
-        'bfs: while let Some(v) = queue.pop_front() {
-            for (ei, e) in self.out[v.index()].iter().enumerate() {
-                if !edge_ok(&e.label) {
-                    continue;
-                }
-                let w = e.to;
-                if w != src && parent[w.index()].is_none() {
-                    parent[w.index()] = Some((v, ei));
+        if self.parent.is_empty() {
+            self.parent = vec![None; self.g.node_count()];
+        }
+        let inside = self.components[src.index()];
+        self.queue.push_back(src);
+        'bfs: while let Some(v) = self.queue.pop_front() {
+            self.implied.clear();
+            implied(v, &mut self.implied);
+            let stored = self.g.successors(v).filter(|&(_, label)| back(label));
+            let implied = self.implied.iter().map(|(w, label)| (*w, label));
+            for (w, label) in stored.chain(implied) {
+                self.examined += 1;
+                if w != src
+                    && self.components[w.index()] == inside
+                    && self.parent[w.index()].is_none()
+                {
+                    self.parent[w.index()] = Some((v, label.clone()));
+                    self.reached.push(w);
                     if w == dst {
-                        found = true;
                         break 'bfs;
                     }
-                    queue.push_back(w);
+                    self.queue.push_back(w);
                 }
             }
         }
-        if !found {
-            return None;
+        self.queue.clear();
+        let path = self.parent[dst.index()].is_some().then(|| {
+            let mut path = Vec::new();
+            let mut cur = dst;
+            while let Some((prev, label)) = &self.parent[cur.index()] {
+                path.push(self.g.cycle_edge(*prev, cur, label.clone()));
+                cur = *prev;
+            }
+            path.reverse();
+            path
+        });
+        for w in self.reached.drain(..) {
+            self.parent[w.index()] = None;
         }
-        // Reconstruct dst ← … ← src.
-        let mut rev = Vec::new();
-        let mut cur = dst;
-        while cur != src {
-            let (prev, ei) = parent[cur.index()].expect("on reconstructed path");
-            let e = &self.out[prev.index()][ei];
-            rev.push(CycleEdge {
-                from: self.node(prev).clone(),
-                to: self.node(cur).clone(),
-                label: e.label.clone(),
-            });
-            cur = prev;
-        }
-        rev.reverse();
-        Some(rev)
+        path
+    }
+
+    /// The edges every search so far examined.
+    pub fn examined(&self) -> u64 {
+        self.examined
     }
 }
 

@@ -11,9 +11,14 @@
 //! manager's wait-for graph:
 //!
 //! * a labelled multi-digraph [`DiGraph`] over arbitrary node keys,
-//! * Tarjan strongly-connected components ([`DiGraph::sccs`]),
-//! * constrained cycle search returning concrete witness cycles
-//!   ([`DiGraph::find_cycle`], [`DiGraph::find_cycle_exactly_one`]),
+//! * the one strongly-connected-component labelling
+//!   ([`label_components`], an iterative Tarjan; [`DiGraph::components`]
+//!   over filtered edges, and [`DiGraph::topo_order`] read off it),
+//! * the one closing-edge search: [`DiGraph::first_closing`] tries the
+//!   qualifying edges inside a component in edge order, and
+//!   [`BackPaths`] closes each with a shortest path kept inside the
+//!   component; [`DiGraph::find_cycle`] and
+//!   [`DiGraph::find_cycle_exactly_one`] are the two shapes over them,
 //! * Graphviz DOT export ([`DiGraph::to_dot`], over the one [`Dot`] writer).
 //!
 //! Cycle searches never return a bare boolean: they return a [`Cycle`]
@@ -34,7 +39,8 @@ mod dot;
 mod incremental;
 mod scc;
 
-pub use cycle::{Cycle, CycleEdge};
+pub use cycle::{BackPaths, Cycle, CycleEdge};
 pub use digraph::{DiGraph, EdgeRef, NodeIdx};
 pub use dot::Dot;
 pub use incremental::{DagParts, EdgeParts, IncrementalDag, Insert, SccInfo, SlotParts};
+pub use scc::{label_components, topo_order_of};

@@ -1,197 +1,150 @@
-//! Iterative Tarjan strongly-connected components.
+//! Strongly connected components: one iterative Tarjan, and what is
+//! read off its labelling.
 //!
-//! Phenomenon detection reduces to SCC computation over a subgraph of
-//! permitted edge kinds: a cycle of the permitted kinds exists iff some
-//! SCC restricted to those edges is non-trivial. Tarjan is implemented
-//! iteratively so deep histories (hundreds of thousands of transactions)
-//! cannot overflow the stack.
+//! Phenomenon detection reduces to components over a subgraph of
+//! permitted edge kinds: an edge lies on a cycle of the permitted kinds
+//! only if its endpoints share a component over them. Tarjan is
+//! implemented iteratively so deep histories (hundreds of thousands of
+//! transactions) cannot overflow the stack.
 
 use std::hash::Hash;
 
 use crate::digraph::{DiGraph, NodeIdx};
 
+/// Labels the strongly connected components of the graph on nodes
+/// `0..n` whose successors `successors(v, out)` appends to `out`: one
+/// id per node, equal for two nodes exactly when each reaches the
+/// other, and the number of successors examined (each edge once).
+///
+/// Successors are entered in the order they are appended, and ids are
+/// assigned in finish order, which is reverse topological: an edge
+/// between two components runs from the higher id to the lower.
+pub fn label_components(
+    n: usize,
+    mut successors: impl FnMut(u32, &mut Vec<u32>),
+) -> (Vec<u32>, u64) {
+    const UNSEEN: u32 = u32::MAX;
+    let mut component = vec![UNSEEN; n];
+    let mut index = vec![UNSEEN; n];
+    let mut low = vec![0; n];
+    // Tarjan's stack; a node on it has an index and no component yet.
+    let mut stack = Vec::new();
+    // The depth-first path: each node with where its unexamined
+    // successors begin in `pending` (last to be examined first).
+    let mut path: Vec<(u32, usize)> = Vec::new();
+    let mut pending = Vec::new();
+    let (mut next_index, mut next_component, mut examined) = (0, 0, 0);
+    for root in 0..n as u32 {
+        if index[root as usize] != UNSEEN {
+            continue;
+        }
+        let mut enter = Some(root);
+        loop {
+            if let Some(v) = enter.take() {
+                index[v as usize] = next_index;
+                low[v as usize] = next_index;
+                next_index += 1;
+                stack.push(v);
+                let from = pending.len();
+                successors(v, &mut pending);
+                examined += pending.len() - from;
+                pending[from..].reverse();
+                path.push((v, from));
+            }
+            let Some(&(v, from)) = path.last() else {
+                break;
+            };
+            if pending.len() > from {
+                let w = pending.pop().expect("pending is longer than from") as usize;
+                if index[w] == UNSEEN {
+                    enter = Some(w as u32);
+                } else if component[w] == UNSEEN {
+                    low[v as usize] = low[v as usize].min(index[w]);
+                }
+                continue;
+            }
+            path.pop();
+            if low[v as usize] == index[v as usize] {
+                loop {
+                    let w = stack.pop().expect("v is on the stack");
+                    component[w as usize] = next_component;
+                    if w == v {
+                        break;
+                    }
+                }
+                next_component += 1;
+            }
+            if let Some(&(parent, _)) = path.last() {
+                low[parent as usize] = low[parent as usize].min(low[v as usize]);
+            }
+        }
+    }
+    (component, examined as u64)
+}
+
+/// The nodes by descending component id — a topological order when
+/// every component of the labelled graph is one node without a
+/// self-loop — or `None` when some component has two nodes. (A
+/// self-loop is the caller's to rule out.)
+pub fn topo_order_of(components: &[u32]) -> Option<Vec<NodeIdx>> {
+    let n = components.len();
+    if components.iter().max().map_or(0, |&c| c as usize + 1) != n {
+        return None;
+    }
+    let mut order = vec![NodeIdx(0); n];
+    for (v, &c) in components.iter().enumerate() {
+        order[n - 1 - c as usize] = NodeIdx(v as u32);
+    }
+    Some(order)
+}
+
 impl<N, E> DiGraph<N, E>
 where
     N: Eq + Hash + Clone,
 {
-    /// Strongly-connected components over the subgraph of edges whose
-    /// label satisfies `edge_ok`.
-    ///
-    /// Returns the components in reverse topological order (Tarjan's
-    /// natural output order). Singleton components without a self-loop
-    /// are included; callers that want only *cyclic* components should
-    /// filter with [`DiGraph::scc_is_cyclic`].
-    pub fn sccs_filtered(&self, mut edge_ok: impl FnMut(&E) -> bool) -> Vec<Vec<NodeIdx>> {
-        let n = self.node_count();
-        let mut state = TarjanState::new(n);
-        for start in 0..n {
-            if state.index_of[start].is_none() {
-                state.run(self, NodeIdx(start as u32), &mut edge_ok);
-            }
-        }
-        state.components
-    }
-
-    /// Strongly-connected components over all edges.
-    pub fn sccs(&self) -> Vec<Vec<NodeIdx>> {
-        self.sccs_filtered(|_| true)
-    }
-
-    /// True if component `comp` contains a cycle using only edges whose
-    /// label satisfies `edge_ok`: either it has at least two nodes, or
-    /// its single node carries a satisfying self-loop.
-    pub fn scc_is_cyclic(&self, comp: &[NodeIdx], mut edge_ok: impl FnMut(&E) -> bool) -> bool {
-        match comp {
-            [] => false,
-            [only] => self.out[only.index()]
-                .iter()
-                .any(|e| e.to == *only && edge_ok(&e.label)),
-            _ => true,
-        }
-    }
-
-    /// True if the subgraph of edges satisfying `edge_ok` is acyclic.
-    pub fn is_acyclic_filtered(&self, mut edge_ok: impl FnMut(&E) -> bool) -> bool {
-        self.sccs_filtered(&mut edge_ok)
-            .iter()
-            .all(|c| !self.scc_is_cyclic(c, &mut edge_ok))
+    /// [`label_components`] over the edges whose label satisfies
+    /// `edge_ok`, successors in adjacency order.
+    pub fn components(&self, mut edge_ok: impl FnMut(&E) -> bool) -> (Vec<u32>, u64) {
+        label_components(self.node_count(), |v, out| {
+            let adj = self.out[v as usize].iter();
+            out.extend(adj.filter(|e| edge_ok(&e.label)).map(|e| e.to.0));
+        })
     }
 
     /// True if the whole graph is acyclic.
     pub fn is_acyclic(&self) -> bool {
-        self.is_acyclic_filtered(|_| true)
+        self.topo_order().is_some()
     }
 
     /// A topological order of the nodes, or `None` if the graph is
     /// cyclic. Useful for deriving an equivalent serial order from an
     /// acyclic DSG.
     pub fn topo_order(&self) -> Option<Vec<NodeIdx>> {
-        let comps = self.sccs();
-        let mut order = Vec::with_capacity(self.node_count());
-        for comp in comps.iter().rev() {
-            if self.scc_is_cyclic(comp, |_| true) {
-                return None;
-            }
-            order.extend_from_slice(comp);
+        let self_loop = self
+            .node_indices()
+            .any(|v| self.successors(v).any(|(w, _)| w == v));
+        if self_loop {
+            return None;
         }
-        Some(order)
-    }
-}
-
-struct TarjanState {
-    index_of: Vec<Option<u32>>,
-    lowlink: Vec<u32>,
-    on_stack: Vec<bool>,
-    stack: Vec<NodeIdx>,
-    next_index: u32,
-    components: Vec<Vec<NodeIdx>>,
-}
-
-enum Frame {
-    /// Visit `node` for the first time.
-    Enter(NodeIdx),
-    /// Resume `node` after returning from visiting `child`.
-    Resume(NodeIdx, NodeIdx),
-}
-
-impl TarjanState {
-    fn new(n: usize) -> Self {
-        TarjanState {
-            index_of: vec![None; n],
-            lowlink: vec![0; n],
-            on_stack: vec![false; n],
-            stack: Vec::new(),
-            next_index: 0,
-            components: Vec::new(),
-        }
-    }
-
-    fn run<N, E>(&mut self, g: &DiGraph<N, E>, root: NodeIdx, edge_ok: &mut impl FnMut(&E) -> bool)
-    where
-        N: Eq + Hash + Clone,
-    {
-        let mut work = vec![Frame::Enter(root)];
-        // Per-node cursor into the adjacency list, so each edge is
-        // examined once across the whole traversal.
-        let mut cursor = vec![0usize; g.node_count()];
-
-        while let Some(frame) = work.pop() {
-            let v = match frame {
-                Frame::Enter(v) => {
-                    self.index_of[v.index()] = Some(self.next_index);
-                    self.lowlink[v.index()] = self.next_index;
-                    self.next_index += 1;
-                    self.stack.push(v);
-                    self.on_stack[v.index()] = true;
-                    v
-                }
-                Frame::Resume(v, child) => {
-                    let cl = self.lowlink[child.index()];
-                    if cl < self.lowlink[v.index()] {
-                        self.lowlink[v.index()] = cl;
-                    }
-                    v
-                }
-            };
-
-            // Advance v's edge cursor, descending into unvisited children.
-            let mut descended = false;
-            while cursor[v.index()] < g.out[v.index()].len() {
-                let ei = cursor[v.index()];
-                cursor[v.index()] += 1;
-                let edge = &g.out[v.index()][ei];
-                if !edge_ok(&edge.label) {
-                    continue;
-                }
-                let w = edge.to;
-                match self.index_of[w.index()] {
-                    None => {
-                        work.push(Frame::Resume(v, w));
-                        work.push(Frame::Enter(w));
-                        descended = true;
-                        break;
-                    }
-                    Some(wi) => {
-                        if self.on_stack[w.index()] && wi < self.lowlink[v.index()] {
-                            self.lowlink[v.index()] = wi;
-                        }
-                    }
-                }
-            }
-            if descended {
-                continue;
-            }
-
-            // v is finished; if it is a root, pop its component.
-            if Some(self.lowlink[v.index()]) == self.index_of[v.index()] {
-                let mut comp = Vec::new();
-                loop {
-                    let w = self.stack.pop().expect("tarjan stack underflow");
-                    self.on_stack[w.index()] = false;
-                    comp.push(w);
-                    if w == v {
-                        break;
-                    }
-                }
-                self.components.push(comp);
-            }
-        }
+        topo_order_of(&self.components(|_| true).0)
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use super::label_components;
     use crate::DiGraph;
 
-    fn labels(g: &DiGraph<&str, u8>, comps: &[Vec<crate::NodeIdx>]) -> Vec<Vec<String>> {
-        let mut out: Vec<Vec<String>> = comps
-            .iter()
-            .map(|c| {
-                let mut v: Vec<String> = c.iter().map(|&ix| g.node(ix).to_string()).collect();
-                v.sort();
-                v
-            })
-            .collect();
+    /// Each component as its sorted node names, all sorted.
+    fn named(g: &DiGraph<&str, u8>, components: &[u32]) -> Vec<Vec<String>> {
+        let count = components.iter().max().map_or(0, |&c| c as usize + 1);
+        let mut out = vec![Vec::new(); count];
+        for ix in g.node_indices() {
+            out[components[ix.index()] as usize].push(g.node(ix).to_string());
+        }
+        for c in &mut out {
+            c.sort();
+        }
         out.sort();
         out
     }
@@ -216,9 +169,7 @@ mod tests {
         g.add_edge("a", "b", 0);
         g.add_edge("b", "a", 0);
         assert!(!g.is_acyclic());
-        let comps = g.sccs();
-        assert_eq!(comps.len(), 1);
-        assert_eq!(comps[0].len(), 2);
+        assert_eq!(named(&g, &g.components(|_| true).0), [["a", "b"]]);
     }
 
     #[test]
@@ -228,7 +179,9 @@ mod tests {
         g.add_edge("b", "c", 0);
         g.add_edge("a", "c", 0);
         assert!(g.is_acyclic());
-        assert_eq!(g.sccs().len(), 3);
+        let (components, examined) = g.components(|_| true);
+        assert_eq!(named(&g, &components).len(), 3);
+        assert_eq!(examined, 3);
     }
 
     #[test]
@@ -238,7 +191,9 @@ mod tests {
         g.add_edge("b", "a", 2);
         assert!(!g.is_acyclic());
         // Ignoring label-2 edges breaks the cycle.
-        assert!(g.is_acyclic_filtered(|&l| l == 1));
+        let (components, examined) = g.components(|&l| l == 1);
+        assert_eq!(named(&g, &components), [["a"], ["b"]]);
+        assert_eq!(examined, 1);
     }
 
     #[test]
@@ -251,10 +206,13 @@ mod tests {
         g.add_edge("c", "d", 0);
         g.add_edge("d", "e", 0);
         g.add_edge("e", "d", 0);
-        let comps = g.sccs();
-        let ls = labels(&g, &comps);
-        assert!(ls.contains(&vec!["a".to_string(), "b".to_string(), "c".to_string()]));
-        assert!(ls.contains(&vec!["d".to_string(), "e".to_string()]));
+        let (components, _) = g.components(|_| true);
+        assert_eq!(
+            named(&g, &components),
+            [vec!["a", "b", "c"], vec!["d", "e"]]
+        );
+        // Finish order: {d,e} closes first, so the bridge descends.
+        assert!(components[0] > components[3]);
     }
 
     #[test]
@@ -292,7 +250,25 @@ mod tests {
         }
         g.add_edge(200_000, 0, ());
         assert!(!g.is_acyclic());
-        let comps = g.sccs();
-        assert!(comps.iter().any(|c| c.len() == 200_001));
+        let (components, _) = g.components(|_| true);
+        assert!(components.iter().all(|&c| c == components[0]));
+    }
+
+    #[test]
+    fn a_million_roots_cost_a_million_steps() {
+        // Every node is a root of its own depth-first search: work per
+        // root, not per node, would be 10¹² steps here.
+        const N: usize = 1_000_000;
+        let (components, examined) = label_components(N, |_, _| {});
+        assert_eq!((components.len(), examined), (N, 0));
+        let mut g: DiGraph<u32, ()> = DiGraph::with_capacity(N);
+        for i in 0..N as u32 {
+            g.add_node(i);
+        }
+        assert!(g.find_cycle(|_| true, |_| true).is_none());
+        assert!(g.find_cycle_exactly_one(|_| true, |_| true).is_none());
+        assert!(g.is_acyclic());
+        let order = g.topo_order().expect("acyclic");
+        assert_eq!(order.len(), N);
     }
 }

@@ -1,7 +1,10 @@
-//! Property tests: Tarjan SCC and constrained cycle search validated
-//! against a naive O(V·E) reachability oracle on random graphs, plus
-//! batched-vs-per-edge equivalence for the incremental DAG and its
-//! parts validator never refusing a state the DAG reached.
+//! Property tests: the component labelling and constrained cycle
+//! search validated against a naive O(V·E) reachability oracle on
+//! random graphs, the searches' witnesses against a naive restatement
+//! of the witness rule, plus the incremental DAG's parts validator
+//! never refusing a state the DAG reached.
+
+use std::collections::VecDeque;
 
 use adya_graph::{DiGraph, IncrementalDag};
 use proptest::prelude::*;
@@ -14,7 +17,16 @@ fn graph_strategy() -> impl Strategy<Value = (usize, Vec<(usize, usize, bool)>)>
     })
 }
 
-fn build(n: usize, edges: &[(usize, usize, bool)]) -> DiGraph<usize, bool> {
+/// A random edge list over `n` nodes with labels `0..3`, self-loops
+/// and parallel edges included.
+fn labelled_strategy() -> impl Strategy<Value = (usize, Vec<(usize, usize, u8)>)> {
+    (1usize..12).prop_flat_map(|n| {
+        let edges = proptest::collection::vec((0..n, 0..n, 0u8..3), 0..30);
+        (Just(n), edges)
+    })
+}
+
+fn build<L: Copy>(n: usize, edges: &[(usize, usize, L)]) -> DiGraph<usize, L> {
     let mut g = DiGraph::new();
     for i in 0..n {
         g.add_node(i);
@@ -23,6 +35,50 @@ fn build(n: usize, edges: &[(usize, usize, bool)]) -> DiGraph<usize, bool> {
         g.add_edge(a, b, l);
     }
     g
+}
+
+/// A set of labels, as the searches' edge predicates pick them.
+type Pick = fn(u8) -> bool;
+
+/// The witness rule, spelled out naively: the first edge `first`
+/// admits, in node-then-adjacency order, that a fresh whole-graph BFS
+/// back over `back` edges closes (a self-loop with the empty path), the
+/// BFS assigning parents in adjacency order. Printed as `Cycle` prints.
+fn reference(
+    n: usize,
+    edges: &[(usize, usize, u8)],
+    first: impl Fn(u8) -> bool,
+    back: impl Fn(u8) -> bool,
+) -> Option<String> {
+    let adjacency = |v: usize| edges.iter().filter(move |e| e.0 == v);
+    for from in 0..n {
+        for &(_, to, label) in adjacency(from).filter(|e| first(e.2)) {
+            let mut parent: Vec<Option<(usize, u8)>> = vec![None; n];
+            let mut queue = VecDeque::from([to]);
+            while let Some(v) = queue.pop_front() {
+                for &(_, w, l) in adjacency(v).filter(|e| back(e.2)) {
+                    if w != to && parent[w].is_none() {
+                        parent[w] = Some((v, l));
+                        queue.push_back(w);
+                    }
+                }
+            }
+            if from != to && parent[from].is_none() {
+                continue;
+            }
+            let mut back_path = Vec::new();
+            let mut cur = from;
+            while cur != to {
+                let (prev, l) = parent[cur].expect("on the path");
+                back_path.push(format!("{prev} -[{l}]->"));
+                cur = prev;
+            }
+            back_path.push(format!("{from} -[{label}]->"));
+            back_path.reverse();
+            return Some(format!("{} {from}", back_path.join(" ")));
+        }
+    }
+    None
 }
 
 /// Naive reachability over a filtered edge set.
@@ -48,25 +104,55 @@ fn reach(n: usize, edges: &[(usize, usize, bool)], ok: impl Fn(bool) -> bool) ->
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(300))]
 
-    /// Two nodes share a Tarjan SCC iff they reach each other.
+    /// Two nodes share a component of the labelling over the admitted
+    /// edges iff each reaches the other over them, and every admitted
+    /// edge between two components descends in id.
     #[test]
-    fn sccs_match_mutual_reachability((n, edges) in graph_strategy()) {
+    fn sccs_match_mutual_reachability((n, edges) in graph_strategy(), all in any::<bool>()) {
         let g = build(n, &edges);
-        let r = reach(n, &edges, |_| true);
-        let comps = g.sccs();
-        let mut comp_of = vec![usize::MAX; n];
-        for (ci, comp) in comps.iter().enumerate() {
-            for &ix in comp {
-                comp_of[*g.node(ix)] = ci;
-            }
-        }
+        let r = reach(n, &edges, |l| all || l);
+        let (component, examined) = g.components(|&l| all || l);
+        let admitted = edges.iter().filter(|e| all || e.2);
+        prop_assert_eq!(examined, admitted.clone().count() as u64);
         for i in 0..n {
             for j in 0..n {
-                let same = comp_of[i] == comp_of[j];
+                let same = component[i] == component[j];
                 let mutual = i == j || (r[i][j] && r[j][i]);
                 prop_assert_eq!(same, mutual, "nodes {} and {}", i, j);
             }
         }
+        for &(a, b, _) in admitted {
+            prop_assert!(component[a] >= component[b], "{} -> {}", a, b);
+        }
+    }
+
+    /// `find_cycle` reports the reference's witness, byte for byte.
+    #[test]
+    fn find_cycle_witness_is_the_references((n, edges) in labelled_strategy(), shape in 0..3) {
+        let g = build(n, &edges);
+        let (allowed, required): (Pick, Pick) = match shape {
+            0 => (|l| l != 0, |_| true),
+            1 => (|l| l != 0, |l| l == 2),
+            _ => (|_| true, |l| l == 1),
+        };
+        let found = g.find_cycle(|&l| allowed(l), |&l| required(l));
+        let expected = reference(n, &edges, |l| allowed(l) && required(l), allowed);
+        prop_assert_eq!(found.map(|c| c.to_string()), expected);
+    }
+
+    /// `find_cycle_exactly_one` reports the reference's witness, byte
+    /// for byte.
+    #[test]
+    fn exactly_one_witness_is_the_references((n, edges) in labelled_strategy(), shape in 0..3) {
+        let g = build(n, &edges);
+        let (special, path_ok): (Pick, Pick) = match shape {
+            0 => (|l| l == 2, |l| l == 1),
+            1 => (|l| l == 2, |_| true),
+            _ => (|l| l == 0, |l| l != 1),
+        };
+        let found = g.find_cycle_exactly_one(|&l| special(l), |&l| path_ok(l));
+        let expected = reference(n, &edges, special, |l| path_ok(l) && !special(l));
+        prop_assert_eq!(found.map(|c| c.to_string()), expected);
     }
 
     /// find_cycle agrees with the oracle: a cycle over allowed edges

@@ -13,7 +13,7 @@
 use std::collections::HashMap;
 
 use adya_engine::{AbortReason, Engine, EngineError, TablePred, TxnId};
-use adya_graph::DiGraph;
+use adya_graph::{DiGraph, NodeIdx};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -198,20 +198,21 @@ fn pick_deadlock_victim(sessions: &[Session], waiting: &[usize]) -> Option<usize
         }
     }
     // Victim: the waiting session with the largest txn id that sits in
-    // a cyclic SCC.
-    let comps = g.sccs();
-    let mut victim: Option<TxnId> = None;
-    for comp in comps {
-        if !g.scc_is_cyclic(&comp, |_| true) {
-            continue;
-        }
-        for ix in comp {
-            let t = *g.node(ix);
-            if by_txn.contains_key(&t) && victim.map(|v| t > v).unwrap_or(true) {
-                victim = Some(t);
-            }
-        }
+    // a cyclic SCC — one of two or more nodes, or one with a self-loop.
+    let (components, _) = g.components(|_| true);
+    let mut sizes = vec![0u32; g.node_count()];
+    for &c in &components {
+        sizes[c as usize] += 1;
     }
+    let on_cycle = |ix: NodeIdx| {
+        sizes[components[ix.index()] as usize] > 1 || g.successors(ix).any(|(w, _)| w == ix)
+    };
+    let victim = g
+        .node_indices()
+        .filter(|&ix| on_cycle(ix))
+        .map(|ix| *g.node(ix))
+        .filter(|t| by_txn.contains_key(t))
+        .max();
     victim.and_then(|t| by_txn.get(&t).copied())
 }
 
