@@ -1,7 +1,11 @@
-//! E17 — what the live telemetry plane costs on the hot path. PR 6
-//! threads sampled spans through the checker (apply / graph-insert /
-//! verdict / GC attribution) and mirrors SLIs into a
-//! [`CheckerMonitor`] after every event; this bench measures that
+//! E17 — what the live telemetry plane costs on the hot path: what
+//! `adya-check --stream --obs-listen` runs around every event. A
+//! [`TracePlane`] samples one event in [`DEFAULT_TRACE_SAMPLE`] and
+//! stamps its stages (tap/ring/seq before ingest, apply after, verdict
+//! on emission), a [`CheckerMonitor`] counts every arrival and
+//! captures SLIs for exactly the events the plane sampled, and the
+//! checker times its phases (apply / graph insert / verdict, every GC
+//! pass) into histograms at the same cadence. This bench measures that
 //! fully-on plane against the same ingest run with telemetry off, on
 //! the E14/E16 workload.
 //!
@@ -10,40 +14,48 @@
 //! must be byte-identical (telemetry observes, never alters), and
 //! aggregate ingest overhead
 //! must stay within the 10% budget that E16 held provenance to —
-//! sampling (1 event in [`SAMPLE_EVERY`]) is what buys that headroom,
-//! since E16 showed always-on per-event bookkeeping lands near 18%.
+//! sampling is what buys that headroom, since E16 showed always-on
+//! per-event bookkeeping lands near 18%.
 
 use std::time::Instant;
 
 use adya_bench::overhead::{sizes_from_args, Labels, Sweep, OVERHEAD_REPS};
 use adya_bench::{banner, note, u64_from_args, verdict, write_report};
+use adya_obs::trace::{Stage, DEFAULT_TRACE_SAMPLE};
+use adya_obs::TracePlane;
 use adya_online::{CheckerMonitor, GcConfig, HealthPolicy, OnlineChecker};
-
-/// Telemetry sampling period under test — the same 1-in-32 the
-/// `adya-check --stream` obs plane uses.
-const SAMPLE_EVERY: u32 = 32;
 
 /// The claim the committed report's `within_budget` records.
 const CLAIM_PCT: u64 = 10;
 
 /// One timed ingest of `h`'s events with the telemetry plane `on`
-/// (sampled spans + per-event monitor SLIs) or fully off, plus the
-/// complete verdict NDJSON stream for the parity check.
+/// (stage stamps + monitor SLIs of the sampled events + the checker's
+/// sampled phase timings) or fully off, plus the complete verdict
+/// NDJSON stream for the parity check.
 fn ingest(h: &adya_history::History, on: bool) -> (u128, Vec<String>) {
     let mut c = OnlineChecker::with_gc(GcConfig::default());
-    let monitor = on.then(|| CheckerMonitor::new(HealthPolicy::default()));
+    let obs = on.then(|| {
+        let plane = TracePlane::new("bench", "leader");
+        (plane, CheckerMonitor::new(HealthPolicy::default()))
+    });
     if on {
-        c.set_telemetry_sampling(SAMPLE_EVERY);
+        c.set_telemetry_sampling(DEFAULT_TRACE_SAMPLE as u32);
     }
     let mut cur = Vec::new();
     let start = Instant::now();
-    for e in h.events() {
-        match &monitor {
-            Some(m) => {
-                let arrived = m.arrival();
+    for (seq, e) in h.events().iter().enumerate() {
+        match &obs {
+            Some((plane, m)) => {
+                let traced = plane.begin("bench", seq as u64);
+                traced.stamp(Stage::Tap);
+                traced.stamp(Stage::Ring);
+                traced.stamp(Stage::Seq);
+                let arrived = m.arrival(traced);
                 let v = c.ingest(e);
+                traced.stamp(Stage::Apply);
                 m.observe_event(&c, arrived);
                 if let Some(v) = v {
+                    traced.stamp(Stage::Verdict);
                     m.observe_verdict(&v);
                     cur.push(v.to_json());
                 }
@@ -56,7 +68,7 @@ fn ingest(h: &adya_history::History, on: bool) -> (u128, Vec<String>) {
         }
     }
     let fin = c.finish();
-    if let Some(m) = &monitor {
+    if let Some((_, m)) = &obs {
         m.observe_verdict(&fin);
     }
     cur.push(fin.to_json());
@@ -73,7 +85,8 @@ fn main() {
     let sweep = Sweep::run(Labels::TELEMETRY, &sizes_from_args(), seed, ingest);
     println!("{}", sweep.table());
     note(&format!(
-        "aggregate ingest overhead with spans+SLIs on (1-in-{SAMPLE_EVERY} sampling): {:+.1}%",
+        "aggregate ingest overhead with stamps+SLIs+phase timings on \
+         (1-in-{DEFAULT_TRACE_SAMPLE} sampling): {:+.1}%",
         sweep.overhead_pct()
     ));
 
@@ -82,7 +95,7 @@ fn main() {
         seed,
         &[
             ("reps", OVERHEAD_REPS as u64),
-            ("sample_every", u64::from(SAMPLE_EVERY)),
+            ("sample_every", DEFAULT_TRACE_SAMPLE),
         ],
         |w| sweep.report(w, Some(CLAIM_PCT)),
     );

@@ -33,7 +33,7 @@
 //! | `online_vs_batch` | E14 — one incremental pass vs a batch re-check of every committed prefix |
 //! | `chaos_soak` | E15 — isolation guarantees under injected faults |
 //! | `provenance_overhead` | E16 — edge provenance on vs off ([`overhead`]) |
-//! | `telemetry_overhead` | E17 — spans + SLIs on vs off ([`overhead`]) |
+//! | `telemetry_overhead` | E17 — stamps + SLIs + phase timings on vs off ([`overhead`]) |
 //! | `replica_failover` | E20 — leader SIGKILL, client failover: lag at kill, failover latency |
 //! | `trace_provenance` | E21 — stage stamping on vs off ([`overhead`]), plus a replicated per-stage breakdown |
 

@@ -70,7 +70,8 @@ impl Labels {
         column: "prov",
         parity: "fired_agree",
     };
-    /// E17 `telemetry_overhead`: sampled spans + monitor SLIs on vs off.
+    /// E17 `telemetry_overhead`: stage stamps + monitor SLIs + sampled
+    /// phase timings on vs off.
     pub const TELEMETRY: Labels = Labels {
         key: "telemetry",
         column: "plane",

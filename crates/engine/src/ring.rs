@@ -5,7 +5,7 @@
 //! producer (an engine's recorder tap) to the pipeline's sequencer
 //! without taking any lock: one atomic head, one atomic tail, a fixed
 //! slot array. The design is the single-producer/single-consumer
-//! classic — the same atomic-index style as `adya_obs`'s `SpanRing`
+//! classic — the same atomic-index style as `adya_obs`'s `SeqRing`
 //! seqlock, but move-based because events are owned, not `Copy`.
 //!
 //! **SPSC contract.** At most one thread pushes and at most one thread

@@ -1,6 +1,6 @@
 //! The Chrome trace-event format (JSON object form, openable in
 //! Perfetto or `chrome://tracing`): the one writer every exporter in
-//! the workspace — span dumps, merged cross-node provenance, per-
+//! the workspace — stage stamps merged per node or across nodes, per-
 //! transaction history tracks — builds its document with.
 //!
 //! One event per line inside `"traceEvents"`, every event carrying

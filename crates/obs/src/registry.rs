@@ -19,22 +19,17 @@ use parking_lot::Mutex;
 use crate::journal::{Event, Field, Journal};
 use crate::json::{esc, JsonWriter};
 use crate::metrics::{Counter, Gauge, Histogram, HistogramSnapshot};
-use crate::spans::{current_tid, pop_span, push_span, SpanRecord, SpanRing, DEFAULT_SPAN_CAPACITY};
 
 /// Default journal capacity (events retained before eviction).
 pub const DEFAULT_JOURNAL_CAPACITY: usize = 1024;
 
-/// A named collection of metrics, a journal, and a span ring.
+/// A named collection of metrics and a journal.
 pub struct Registry {
     epoch: Instant,
     counters: Mutex<BTreeMap<String, Arc<Counter>>>,
     gauges: Mutex<BTreeMap<String, Arc<Gauge>>>,
     histograms: Mutex<BTreeMap<String, Arc<Histogram>>>,
     journal: Journal,
-    spans: SpanRing,
-    /// Interned span names; a [`SpanRecord`] stores an index into this
-    /// table instead of a pointer so ring slots stay plain words.
-    span_names: Mutex<Vec<&'static str>>,
 }
 
 impl Default for Registry {
@@ -57,8 +52,6 @@ impl Registry {
             gauges: Mutex::new(BTreeMap::new()),
             histograms: Mutex::new(BTreeMap::new()),
             journal: Journal::new(capacity),
-            spans: SpanRing::new(DEFAULT_SPAN_CAPACITY),
-            span_names: Mutex::new(Vec::new()),
         }
     }
 
@@ -112,64 +105,6 @@ impl Registry {
         f()
     }
 
-    /// Interns `name` into the span-name table, returning its index.
-    /// Idempotent; call-site macros cache the result.
-    pub fn span_name_id(&self, name: &'static str) -> u32 {
-        let mut names = self.span_names.lock();
-        if let Some(i) = names.iter().position(|&n| n == name) {
-            return i as u32;
-        }
-        names.push(name);
-        (names.len() - 1) as u32
-    }
-
-    /// Starts a *structured* span: a wide event with identity and
-    /// parent/child context (thread-local nesting) that lands in the
-    /// span ring on drop, in addition to feeding the latency
-    /// histogram of the same name. Prefer the `span!` macro, which
-    /// caches the interned name and histogram handle per call site.
-    pub fn wide_span(&self, name: &'static str) -> WideSpan<'_> {
-        let id = self.span_name_id(name);
-        let hist = self.histogram(name);
-        self.wide_span_cached(id, hist)
-    }
-
-    /// [`wide_span`](Registry::wide_span) with pre-resolved handles.
-    pub fn wide_span_cached(&self, name_id: u32, hist: Arc<Histogram>) -> WideSpan<'_> {
-        let (id, parent) = push_span();
-        WideSpan {
-            reg: self,
-            hist,
-            id,
-            parent,
-            name_id,
-            t0_ns: self.now_ns(),
-            start: Instant::now(),
-        }
-    }
-
-    /// Copies out the retained span records, oldest first.
-    pub fn span_records(&self) -> Vec<SpanRecord> {
-        self.spans.collect(&self.span_names.lock())
-    }
-
-    /// Spans rotated out of (or dropped by) the bounded ring.
-    pub fn spans_dropped(&self) -> u64 {
-        self.spans.dropped()
-    }
-
-    /// Total spans ever recorded into the ring.
-    pub fn spans_recorded(&self) -> u64 {
-        self.spans.recorded()
-    }
-
-    /// Empties the span ring only (metrics and journal untouched):
-    /// the streaming `--trace-out` segment writer drains retained
-    /// spans per segment without disturbing live SLI gauges.
-    pub fn reset_spans(&self) {
-        self.spans.reset();
-    }
-
     /// Zeroes every metric in place and clears the journal. Cached
     /// handles stay valid; names stay registered.
     pub fn reset(&self) {
@@ -183,7 +118,6 @@ impl Registry {
             h.reset();
         }
         self.journal.reset();
-        self.spans.reset();
     }
 
     /// Copies out every metric value.
@@ -209,8 +143,6 @@ impl Registry {
                 .collect(),
             events_dropped: self.journal.dropped(),
             events: self.journal.events(),
-            spans_recorded: self.spans.recorded(),
-            spans_dropped: self.spans.dropped(),
         }
     }
 
@@ -218,48 +150,6 @@ impl Registry {
     /// [`Snapshot::to_json`]).
     pub fn to_json(&self) -> String {
         self.snapshot().to_json()
-    }
-}
-
-/// RAII guard returned by [`Registry::wide_span`]: a structured span
-/// with identity and parentage. On drop it deposits a wide event into
-/// the registry's span ring and records its duration into the latency
-/// histogram sharing its name.
-pub struct WideSpan<'a> {
-    reg: &'a Registry,
-    hist: Arc<Histogram>,
-    id: u64,
-    parent: u64,
-    name_id: u32,
-    t0_ns: u64,
-    start: Instant,
-}
-
-impl WideSpan<'_> {
-    /// This span's process-unique id.
-    pub fn id(&self) -> u64 {
-        self.id
-    }
-
-    /// The parent span's id (0 when root).
-    pub fn parent(&self) -> u64 {
-        self.parent
-    }
-}
-
-impl Drop for WideSpan<'_> {
-    fn drop(&mut self) {
-        let dur = self.start.elapsed().as_nanos() as u64;
-        self.reg.spans.record(
-            self.id,
-            self.parent,
-            self.name_id,
-            current_tid(),
-            self.t0_ns,
-            dur,
-        );
-        self.hist.record(dur);
-        pop_span(self.parent);
     }
 }
 
@@ -333,10 +223,6 @@ pub struct Snapshot {
     pub events_dropped: u64,
     /// Retained journal events, oldest first.
     pub events: Vec<Event>,
-    /// Total structured spans recorded into the span ring.
-    pub spans_recorded: u64,
-    /// Structured spans rotated out of the bounded span ring.
-    pub spans_dropped: u64,
 }
 
 impl Snapshot {
@@ -384,8 +270,6 @@ impl Snapshot {
         }
         w.close_object();
         w.u64_field("events_dropped", self.events_dropped);
-        w.u64_field("spans_recorded", self.spans_recorded);
-        w.u64_field("spans_dropped", self.spans_dropped);
         w.open_array(Some("events"));
         for e in &self.events {
             let mut fields = String::new();
@@ -515,26 +399,10 @@ impl Snapshot {
             let _ = writeln!(out, "{n}_sum{} {}", block(labels), h.sum);
             let _ = writeln!(out, "{n}_count{} {}", block(labels), h.count);
         }
-        for (n, source, v) in [
-            (
-                "adya_obs_events_dropped",
-                "journal events evicted by the capacity bound",
-                self.events_dropped,
-            ),
-            (
-                "adya_obs_spans_recorded",
-                "structured spans recorded into the ring",
-                self.spans_recorded,
-            ),
-            (
-                "adya_obs_spans_dropped",
-                "structured spans rotated out of the bounded ring",
-                self.spans_dropped,
-            ),
-        ] {
-            header(&mut out, &mut last, n, source, "counter");
-            let _ = writeln!(out, "{n}{} {v}", block(None));
-        }
+        let n = "adya_obs_events_dropped";
+        let source = "journal events evicted by the capacity bound";
+        header(&mut out, &mut last, n, source, "counter");
+        let _ = writeln!(out, "{n}{} {}", block(None), self.events_dropped);
         out
     }
 

@@ -1,6 +1,6 @@
-//! The lock-free bounded ring behind [`SpanRing`](crate::SpanRing) and
-//! [`StampRing`](crate::StampRing): an array of slots, each `W`
-//! payload words guarded by a sequence word (a seqlock per slot).
+//! The lock-free bounded ring behind [`StampRing`](crate::StampRing):
+//! an array of slots, each `W` payload words guarded by a sequence word
+//! (a seqlock per slot).
 //!
 //! Writers claim a ticket with one `fetch_add` and publish with a
 //! release store of the sequence; a reader that observes a torn slot
@@ -30,6 +30,9 @@ struct Slot<const W: usize> {
 pub struct SeqRing<const W: usize> {
     slots: Box<[Slot<W>]>,
     head: AtomicU64,
+    /// `head` at the last [`reset`](SeqRing::reset): what came before
+    /// was emptied, not dropped.
+    base: AtomicU64,
     /// Writes abandoned because another writer held the slot (the ring
     /// wrapped within one in-flight write) — drops, not corruption.
     contended: AtomicU64,
@@ -55,6 +58,7 @@ impl<const W: usize> SeqRing<W> {
                 })
                 .collect(),
             head: AtomicU64::new(0),
+            base: AtomicU64::new(0),
             contended: AtomicU64::new(0),
         }
     }
@@ -65,10 +69,14 @@ impl<const W: usize> SeqRing<W> {
     }
 
     /// Records no longer retrievable: overwritten by the capacity
-    /// bound or abandoned to a contended slot.
+    /// bound or abandoned to a contended slot since the last reset.
     pub fn dropped(&self) -> u64 {
-        self.recorded().saturating_sub(self.slots.len() as u64)
-            + self.contended.load(Ordering::Relaxed)
+        // Saturating: a reset between the two loads moves `base` past
+        // the `head` read here.
+        let since_reset = self
+            .recorded()
+            .saturating_sub(self.base.load(Ordering::Relaxed));
+        since_reset.saturating_sub(self.slots.len() as u64) + self.contended.load(Ordering::Relaxed)
     }
 
     /// Deposits one record. Lock-free; on the rare slot contention
@@ -120,6 +128,7 @@ impl<const W: usize> SeqRing<W> {
         for slot in self.slots.iter() {
             slot.seq.store(0, Ordering::Release);
         }
+        self.base.store(self.recorded(), Ordering::Relaxed);
         self.contended.store(0, Ordering::Relaxed);
     }
 }
@@ -144,6 +153,7 @@ mod tests {
         assert!(ring.collect().is_empty());
         ring.record([77; W]);
         assert_eq!(ring.collect(), vec![(10, [77; W])], "tickets keep counting");
+        assert_eq!(ring.dropped(), 0, "emptied is not dropped");
     }
 
     #[test]

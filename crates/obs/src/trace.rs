@@ -3,9 +3,11 @@
 //! crosses — tap → ring → sequencer → batch apply → verdict emit →
 //! durable log append → replication publish → follower ack — so "why
 //! was this verdict slow?" decomposes into per-stage deltas instead of
-//! one opaque end-to-end number.
-//!
-//! The design mirrors the span plane ([`SpanRing`](crate::SpanRing)):
+//! one opaque end-to-end number. It is the one per-event plane: the
+//! events it samples are the ones the streaming checker's monitor
+//! captures SLIs for, and `/trace` (on `adya-check --stream
+//! --obs-listen` and `adya-serve`) and streaming `--trace-out` render
+//! its stamps ([`trace_document`]).
 //!
 //! - **Stamping is lock-free.** A [`StampRing`] is a
 //!   [`SeqRing`]: writers claim a ticket with one `fetch_add` and
@@ -109,27 +111,63 @@ impl Stage {
     }
 }
 
+/// 64-bit FNV-1a over the concatenation of `parts`.
+fn fnv1a(parts: &[&[u8]]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for b in parts.iter().flat_map(|p| p.iter()) {
+        h ^= u64::from(*b);
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
 /// The trace id of event `seq` within `scope` (a session name or
 /// stream label): 64-bit FNV-1a, never zero. Both ends of a
 /// replication link derive the same id from the same durable sequence
 /// number, which is what joins their segments at merge time.
 pub fn trace_id(scope: &str, seq: u64) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut eat = |b: u8| {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    };
-    for b in scope.as_bytes() {
-        eat(*b);
+    fnv1a(&[scope.as_bytes(), &seq.to_le_bytes()]).max(1)
+}
+
+/// A short stable fingerprint of arbitrary text (64-bit FNV-1a folded
+/// to 32 bits, rendered `w` + 8 hex digits). Used as the *witness id*
+/// linking a fired phenomenon across planes: the streaming verdict,
+/// the `/health` anomaly exemplar and the forensic witness all derive
+/// their id from the same canonical cycle text, so equal ids mean the
+/// same cited evidence.
+pub fn stable_id(text: &str) -> String {
+    let h = fnv1a(&[text.as_bytes()]);
+    format!("w{:08x}", (h ^ (h >> 32)) as u32)
+}
+
+/// Canonical witness id for a phenomenon over a DSG cycle: the node
+/// sequence is rotated to begin at the smallest transaction id (a
+/// cycle has no distinguished start, and the online and forensic
+/// checkers discover the same cycle from different entry points),
+/// rendered `KIND:T<a>>T<b>>…`, and folded through [`stable_id`].
+/// Both `adya-online` verdict exemplars and `adya-forensics`
+/// witnesses derive their ids here, so a fired G1c/G2 links straight
+/// to its forensic witness when both saw the same cycle. Falls back
+/// to hashing `KIND:<detail>` for the cycle-less phenomena.
+pub fn witness_id(kind: &str, cycle_txns: &[u64], detail: &str) -> String {
+    use std::fmt::Write as _;
+    if cycle_txns.is_empty() {
+        return stable_id(&format!("{kind}:{detail}"));
     }
-    for b in seq.to_le_bytes() {
-        eat(b);
+    let pivot = cycle_txns
+        .iter()
+        .enumerate()
+        .min_by_key(|(_, &t)| t)
+        .map(|(i, _)| i)
+        .unwrap_or(0);
+    let mut sig = format!("{kind}:");
+    for i in 0..cycle_txns.len() {
+        if i > 0 {
+            sig.push('>');
+        }
+        let _ = write!(sig, "T{}", cycle_txns[(pivot + i) % cycle_txns.len()]);
     }
-    if h == 0 {
-        1
-    } else {
-        h
-    }
+    stable_id(&sig)
 }
 
 /// Renders a trace id for the wire: `t` + 16 hex digits.
@@ -186,6 +224,12 @@ impl StampRing {
     /// slot contention.
     pub fn record(&self, trace: u64, stage: Stage, t_ns: u64) {
         self.ring.record([trace, stage as u64, t_ns]);
+    }
+
+    /// Empties the ring in place; what it held is not counted as
+    /// dropped.
+    pub fn reset(&self) {
+        self.ring.reset();
     }
 
     /// Copies out every retained stamp, oldest first; torn slots are
@@ -360,32 +404,21 @@ impl TracePlane {
         self.ring.dropped()
     }
 
-    /// Renders this node's trace segment: the document `/trace` serves
-    /// and `adya-check trace-merge` joins.
-    pub fn segment_json(&self) -> String {
-        use std::fmt::Write as _;
-        let mut s = String::new();
-        let _ = write!(
-            s,
-            "{{\"node\": \"{}\", \"role\": \"{}\", \"dropped\": {}, \"stamps\": [",
-            crate::json::esc(&self.node),
-            crate::json::esc(&self.role()),
-            self.dropped()
-        );
-        for (i, st) in self.collect().iter().enumerate() {
-            if i > 0 {
-                s.push_str(", ");
-            }
-            let _ = write!(
-                s,
-                "{{\"trace\": \"{}\", \"stage\": \"{}\", \"t_ns\": {}}}",
-                fmt_trace_id(st.trace),
-                st.stage.as_str(),
-                st.t_ns
-            );
+    /// Empties the stamp ring in place: streaming `--trace-out` writes
+    /// each segment file from the stamps taken since the last one.
+    pub fn reset(&self) {
+        self.ring.reset();
+    }
+
+    /// This node's trace segment: its name, current role and retained
+    /// stamps.
+    pub fn segment(&self) -> TraceSegment {
+        TraceSegment {
+            node: self.node.clone(),
+            role: self.role(),
+            dropped: self.dropped(),
+            stamps: self.collect(),
         }
-        s.push_str("]}");
-        s
     }
 }
 
@@ -414,8 +447,8 @@ impl Traced<'_> {
     }
 }
 
-/// A parsed per-node trace segment (see
-/// [`TracePlane::segment_json`]).
+/// A per-node trace segment: what [`TracePlane::segment`] takes and
+/// [`parse_segment`] reads back.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceSegment {
     /// Node name.
@@ -428,10 +461,39 @@ pub struct TraceSegment {
     pub stamps: Vec<Stamp>,
 }
 
-/// Parses a trace segment — either the bare [`segment_json`] document
-/// or a `/trace` response that embeds one under a `"provenance"` key.
-///
-/// [`segment_json`]: TracePlane::segment_json
+impl TraceSegment {
+    /// Renders the segment as the bare JSON document
+    /// [`parse_segment`] reads.
+    pub fn to_json(&self) -> String {
+        use std::fmt::Write as _;
+        let mut s = String::new();
+        let _ = write!(
+            s,
+            "{{\"node\": \"{}\", \"role\": \"{}\", \"dropped\": {}, \"stamps\": [",
+            crate::json::esc(&self.node),
+            crate::json::esc(&self.role),
+            self.dropped
+        );
+        for (i, st) in self.stamps.iter().enumerate() {
+            if i > 0 {
+                s.push_str(", ");
+            }
+            let _ = write!(
+                s,
+                "{{\"trace\": \"{}\", \"stage\": \"{}\", \"t_ns\": {}}}",
+                fmt_trace_id(st.trace),
+                st.stage.as_str(),
+                st.t_ns
+            );
+        }
+        s.push_str("]}");
+        s
+    }
+}
+
+/// Parses a trace segment — either the bare
+/// [`TraceSegment::to_json`] document or a [`trace_document`] that
+/// embeds one under a `"provenance"` key.
 pub fn parse_segment(text: &str) -> Result<TraceSegment, String> {
     let doc = crate::json::parse(text)?;
     let seg = doc.get("provenance").unwrap_or(&doc);
@@ -458,15 +520,19 @@ pub fn parse_segment(text: &str) -> Result<TraceSegment, String> {
     })
 }
 
-/// Splices a trace segment into a Chrome-trace document as its
-/// `"provenance"` key, so one `/trace` response carries both the span
-/// view and the per-verdict stamp segment.
-pub fn attach_provenance(chrome: &str, segment: &str) -> String {
-    let trimmed = chrome.trim_end();
-    match trimmed.strip_suffix('}') {
-        Some(head) => format!("{head}, \"provenance\": {segment}}}\n"),
-        None => chrome.to_string(),
-    }
+/// The document a node's `/trace` serves and streaming `--trace-out`
+/// writes: the plane's segment rendered by [`merge_segments`] (one
+/// lane, stage slices per sampled event), with the segment itself
+/// embedded under `"provenance"` so `adya-check trace-merge` can join
+/// it with other nodes'. With no plane it is `merge_segments(&[])`.
+pub fn trace_document(plane: Option<&TracePlane>) -> String {
+    let Some(plane) = plane else {
+        return merge_segments(&[]);
+    };
+    let seg = plane.segment();
+    let chrome = merge_segments(std::slice::from_ref(&seg));
+    let head = chrome.trim_end().strip_suffix('}').expect("a JSON object");
+    format!("{head}, \"provenance\": {}}}\n", seg.to_json())
 }
 
 /// Merges per-node trace segments into one Chrome/Perfetto document:
@@ -714,7 +780,7 @@ mod tests {
         plane.stamp_at(id, Stage::Tap, 100);
         plane.stamp_at(id, Stage::Apply, 250);
         plane.stamp_at(id, Stage::Ack, 900);
-        let seg = parse_segment(&plane.segment_json()).unwrap();
+        let seg = parse_segment(&plane.segment().to_json()).unwrap();
         assert_eq!(seg.node, "n1");
         assert_eq!(seg.role, "leader");
         assert_eq!(seg.dropped, 0);
@@ -791,16 +857,71 @@ mod tests {
     }
 
     #[test]
-    fn provenance_extraction_and_attach() {
+    fn the_trace_document_renders_and_embeds_the_segment() {
         let plane = TracePlane::new("n9", "leader");
-        plane.stamp_at(3, Stage::Tap, 5);
-        let seg = plane.segment_json();
-        let chrome = crate::chrome_trace(&[], 0);
-        let merged = attach_provenance(&chrome, &seg);
-        assert!(merged.contains("process_name"), "the span view survives");
-        let parsed = parse_segment(&merged).unwrap();
-        assert_eq!(parsed.node, "n9");
-        assert_eq!(parsed.stamps.len(), 1);
+        plane.stamp_at(3, Stage::Tap, 5_000);
+        plane.stamp_at(3, Stage::Ring, 7_000);
+        let doc = trace_document(Some(&plane));
+        assert!(crate::json::parse(&doc).is_ok(), "{doc}");
+        assert!(doc.contains("\"n9 (leader)\""), "{doc}");
+        assert!(doc.contains("\"name\": \"tap->ring\""), "{doc}");
+        let parsed = parse_segment(&doc).unwrap();
+        assert_eq!(parsed, plane.segment());
+        assert_eq!(parsed.stamps.len(), 2);
+
+        // A rotation empties the ring; what comes next is all the next
+        // document holds.
+        plane.reset();
+        plane.stamp_at(4, Stage::Tap, 9_000);
+        assert_eq!(
+            parse_segment(&trace_document(Some(&plane)))
+                .unwrap()
+                .stamps
+                .len(),
+            1
+        );
+
+        // No plane: an empty merge, still a trace document.
+        let empty = trace_document(None);
+        assert_eq!(empty, merge_segments(&[]));
+        assert!(empty.contains("\"traceEvents\""), "{empty}");
+        assert!(parse_segment(&empty).is_err(), "nothing to join");
+    }
+
+    #[test]
+    fn ids_keep_their_published_values() {
+        // Trace ids travel on the wire and witness ids sit in verdict
+        // lines and the explain goldens: both are pinned.
+        assert_eq!(trace_id("t1", 32), 0xbb7d_ea51_325b_c0f6);
+        assert_eq!(stable_id("G1c:T1>T2"), "w29a9b17b");
+        // tests/data/stream/write_skew.verdicts.golden, T2's commit.
+        assert_eq!(witness_id("G2-item", &[2, 1], ""), "w15c72a0b");
+    }
+
+    #[test]
+    fn witness_ids_are_rotation_invariant() {
+        // The same cycle entered at different nodes yields one id…
+        let a = witness_id("G1c", &[3, 1, 2], "");
+        let b = witness_id("G1c", &[1, 2, 3], "");
+        let c = witness_id("G1c", &[2, 3, 1], "");
+        assert_eq!(a, b);
+        assert_eq!(b, c);
+        // …but a different cycle or kind does not.
+        assert_ne!(a, witness_id("G1c", &[1, 3, 2], ""));
+        assert_ne!(a, witness_id("G2", &[1, 2, 3], ""));
+        // Cycle-less phenomena hash the detail text.
+        assert_eq!(
+            witness_id("G1a", &[], "T2 read aborted x[1]"),
+            stable_id("G1a:T2 read aborted x[1]")
+        );
+    }
+
+    #[test]
+    fn stable_ids_are_deterministic_and_distinct() {
+        let a = stable_id("G1c:T1>T2");
+        assert_eq!(a, stable_id("G1c:T1>T2"));
+        assert_ne!(a, stable_id("G1c:T1>T3"));
+        assert!(a.starts_with('w') && a.len() == 9, "{a}");
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //! Counters must not lose increments, histograms must not lose
 //! samples, and concurrent snapshots must never observe impossible
 //! states (count inflated beyond what was recorded). The seqlock ring
-//! behind the span and stamp planes gets the same treatment at both
-//! slot widths in use.
+//! behind the stamp plane gets the same treatment, at its slot width
+//! and a wider one.
 
 use adya_obs::ring::SeqRing;
 use adya_obs::{Field, Registry};
@@ -160,5 +160,5 @@ fn ring_records_are_never_torn<const W: usize>() {
 #[test]
 fn seqlock_ring_survives_contention_at_both_slot_widths() {
     ring_records_are_never_torn::<3>(); // StampRing
-    ring_records_are_never_torn::<5>(); // SpanRing
+    ring_records_are_never_torn::<5>();
 }

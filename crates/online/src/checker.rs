@@ -181,7 +181,8 @@ pub struct OnlineChecker {
     /// provenance tracking is on.
     pub(crate) prov: Provenance,
     /// Telemetry sampling period: every Nth ingested event gets full
-    /// span/phase attribution (apply → graph insert → verdict → GC).
+    /// phase attribution (apply → graph insert → verdict; GC passes
+    /// are all timed while sampling is on).
     /// 0 (the default) disables per-event telemetry entirely; E17
     /// measures the sampled plane's ingest overhead.
     telemetry_every: u32,
@@ -226,12 +227,13 @@ impl OnlineChecker {
     }
 
     /// Turns sampled per-event telemetry on (`every` ≥ 1: every Nth
-    /// event is attributed phase by phase — apply span, graph-insert
-    /// and cycle-materialization histograms, verdict and GC child
-    /// spans — into the global obs registry) or off (`every` = 0, the
+    /// event is timed phase by phase into the global obs registry's
+    /// `online.apply_ns`, `online.graph_insert_ns`,
+    /// `online.cycle_check_ns` and `online.verdict_ns` histograms, and
+    /// every GC pass into `online.gc_ns`) or off (`every` = 0, the
     /// default). Sampling exists for the same reason provenance is
-    /// opt-in: E17 holds the fully-on plane to ≤10% ingest overhead,
-    /// and per-event spans alone would not fit that budget.
+    /// opt-in: E17 measures the fully-on plane against a 10% ingest
+    /// budget, and per-event timing alone would not fit it.
     pub fn set_telemetry_sampling(&mut self, every: u32) {
         self.telemetry_every = every;
     }
@@ -298,7 +300,7 @@ impl OnlineChecker {
             self.telemetry_countdown -= 1;
             false
         };
-        let _apply_span = self.sampled_now.then(|| adya_obs::span!("online.apply_ns"));
+        let apply_t0 = self.sampled_now.then(Instant::now);
         // The one place an event's transaction id is hashed: from
         // `enter` on, the handlers hold its slot.
         let verdict = match event {
@@ -339,6 +341,9 @@ impl OnlineChecker {
         };
         self.maybe_gc();
         self.lanes.sync_reorder_counter();
+        if let Some(t0) = apply_t0 {
+            adya_obs::histogram!("online.apply_ns").record(t0.elapsed().as_nanos() as u64);
+        }
         verdict
     }
 
@@ -440,9 +445,7 @@ impl OnlineChecker {
         self.end(t, Status::Committed);
         self.committed += 1;
 
-        let _verdict_span = self
-            .sampled_now
-            .then(|| adya_obs::span!("online.verdict_ns"));
+        let verdict_t0 = self.sampled_now.then(Instant::now);
         self.install_writes(t);
         // Both buffers go back, emptied: a commit keeps their capacity
         // for whichever transaction the slot serves next.
@@ -461,6 +464,9 @@ impl OnlineChecker {
 
         let v = self.verdict(Some(id), &Fired::kinds_in(self.fired.mask & !before));
         adya_obs::histogram!("online.verdict_latency").record(started.elapsed().as_nanos() as u64);
+        if let Some(t0) = verdict_t0 {
+            adya_obs::histogram!("online.verdict_ns").record(t0.elapsed().as_nanos() as u64);
+        }
         v
     }
 
@@ -747,8 +753,11 @@ impl OnlineChecker {
         if !self.gc.due() {
             return;
         }
-        let _gc_span = (self.telemetry_every != 0).then(|| adya_obs::span!("online.gc_ns"));
+        let t0 = (self.telemetry_every != 0).then(Instant::now);
         self.run_gc();
+        if let Some(t0) = t0 {
+            adya_obs::histogram!("online.gc_ns").record(t0.elapsed().as_nanos() as u64);
+        }
     }
 
     fn run_gc(&mut self) {

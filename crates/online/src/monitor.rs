@@ -11,13 +11,16 @@
 //! thread can then render [`CheckerMonitor::health_json`] without
 //! touching the checker.
 //!
-//! SLI capture is sampled (default 1 event in 32, the same rate the
-//! checker's spans use): the fast path is one atomic increment, and
-//! only sampled events pay for clock reads, the checker's live-set
-//! scans, and registry gauge updates. The sampling period is the
-//! plane's reporting interval — induced lag or staleness shows in
-//! `/health` within one interval. E17 holds the whole plane to ≤10%
-//! ingest overhead, which per-event capture blows by itself.
+//! SLI capture is sampled, and the monitor takes no sampling decision
+//! of its own: it captures the events the trace plane sampled
+//! ([`adya_obs::TracePlane::begin`], 1 in 32 by default), so the
+//! events whose stages are stamped are the events whose SLIs are
+//! read. The fast path is one atomic increment; only sampled events
+//! pay for clock reads, the checker's live-set scans, and registry
+//! gauge updates. The sampling period is the plane's reporting
+//! interval — induced lag or staleness shows in `/health` within one
+//! interval. E17 measures the whole plane against a 10% ingest
+//! budget, which per-event capture blows by itself.
 //!
 //! Health is a judgement, not a dump: a [`HealthPolicy`] holds the
 //! staleness and lag thresholds, and the JSON carries `healthy` plus
@@ -32,16 +35,13 @@ use std::time::Instant;
 
 use adya_core::PhenomenonKind;
 use adya_obs::json::JsonWriter;
+use adya_obs::Traced;
 
 use crate::{OnlineChecker, Verdict};
 
 /// Most exemplars retained (one per phenomenon kind at first fire
 /// covers the six online kinds with room for repeats).
 const EXEMPLAR_CAP: usize = 32;
-
-/// Default SLI sampling period: capture every 32nd event, matching
-/// the checker's span sampling.
-const DEFAULT_SAMPLE_EVERY: u64 = 32;
 
 /// Thresholds that decide when `/health` degrades to 503.
 #[derive(Debug, Clone, Copy)]
@@ -85,11 +85,6 @@ pub struct Exemplar {
 pub struct CheckerMonitor {
     start: Instant,
     policy: HealthPolicy,
-    /// Events left until the next sampled one (single-writer: only
-    /// the ingest thread calls [`CheckerMonitor::arrival`]; countdown
-    /// avoids a per-event division).
-    sample_countdown: AtomicU64,
-    sample_every: u64,
     /// Total events seen by [`CheckerMonitor::arrival`] — exact even
     /// between samples, so `/health` counts and liveness don't lag
     /// the sampling interval.
@@ -113,20 +108,11 @@ pub struct CheckerMonitor {
 }
 
 impl CheckerMonitor {
-    /// A monitor with the given health thresholds and the default
-    /// 1-in-32 SLI sampling.
+    /// A monitor with the given health thresholds.
     pub fn new(policy: HealthPolicy) -> CheckerMonitor {
-        CheckerMonitor::with_sampling(policy, DEFAULT_SAMPLE_EVERY)
-    }
-
-    /// A monitor capturing SLIs on every `sample_every`-th event
-    /// (0 is treated as 1: capture everything).
-    pub fn with_sampling(policy: HealthPolicy, sample_every: u64) -> CheckerMonitor {
         CheckerMonitor {
             start: Instant::now(),
             policy,
-            sample_countdown: AtomicU64::new(0),
-            sample_every: sample_every.max(1),
             arrivals: AtomicU64::new(0),
             last_seen_arrivals: AtomicU64::new(0),
             last_progress_ns: AtomicU64::new(0),
@@ -147,21 +133,13 @@ impl CheckerMonitor {
         self.policy
     }
 
-    /// Call before reading/applying the next event. Returns the
-    /// arrival timestamp when this event is sampled for SLI capture,
-    /// `None` on the (cheap) fast path. Pass the result straight to
-    /// [`CheckerMonitor::observe_event`] after the apply.
-    pub fn arrival(&self) -> Option<Instant> {
+    /// Call before reading/applying the next event, with its trace
+    /// handle. Returns the arrival timestamp when the plane sampled
+    /// the event, `None` on the (cheap) fast path. Pass the result
+    /// straight to [`CheckerMonitor::observe_event`] after the apply.
+    pub fn arrival(&self, traced: Traced<'_>) -> Option<Instant> {
         self.arrivals.fetch_add(1, Ordering::Relaxed);
-        let left = self.sample_countdown.load(Ordering::Relaxed);
-        if left == 0 {
-            self.sample_countdown
-                .store(self.sample_every - 1, Ordering::Relaxed);
-            Some(Instant::now())
-        } else {
-            self.sample_countdown.store(left - 1, Ordering::Relaxed);
-            None
-        }
+        traced.id().map(|_| Instant::now())
     }
 
     /// Records one applied event when it was sampled: caches the
@@ -344,7 +322,15 @@ impl CheckerMonitor {
 mod tests {
     use super::*;
     use adya_history::{Event, ReadEvent, TxnId, VersionId, WriteEvent};
+    use adya_obs::TracePlane;
     use std::time::Duration;
+
+    /// A plane sampling one event in `every`.
+    fn plane(every: u64) -> TracePlane {
+        let p = TracePlane::new("monitor-test", "checker");
+        p.set_sample_every(every);
+        p
+    }
 
     fn w(txn: u32, object: u32, seq: u32) -> Event {
         Event::Write(WriteEvent {
@@ -368,7 +354,7 @@ mod tests {
     /// Circular information flow: T1 and T2 each read the other's
     /// write, so G1c fires at T2's commit — a commit-time fire, which
     /// is what produces a verdict with `new_fired` (and an exemplar).
-    fn drive(monitor: &CheckerMonitor) -> OnlineChecker {
+    fn drive(monitor: &CheckerMonitor, plane: &TracePlane) -> OnlineChecker {
         let mut c = OnlineChecker::new();
         let evs = [
             Event::Begin(TxnId(1)),
@@ -380,8 +366,8 @@ mod tests {
             Event::Commit(TxnId(1)),
             Event::Commit(TxnId(2)),
         ];
-        for e in &evs {
-            let arrived = monitor.arrival();
+        for (seq, e) in evs.iter().enumerate() {
+            let arrived = monitor.arrival(plane.begin("s", seq as u64));
             let v = c.ingest(e);
             monitor.observe_event(&c, arrived);
             if let Some(v) = v {
@@ -396,8 +382,8 @@ mod tests {
     #[test]
     fn healthy_stream_reports_slis_and_exemplars() {
         // Sampling 1: every event captured, so the SLIs are exact.
-        let m = CheckerMonitor::with_sampling(HealthPolicy::default(), 1);
-        let c = drive(&m);
+        let m = CheckerMonitor::new(HealthPolicy::default());
+        let c = drive(&m, &plane(1));
         assert!(c.fired_kinds().contains(&PhenomenonKind::G1c));
         let health = m.health_json();
         assert!(health.contains("\"healthy\": true"), "{health}");
@@ -408,14 +394,11 @@ mod tests {
 
     #[test]
     fn staleness_threshold_degrades_health() {
-        let m = CheckerMonitor::with_sampling(
-            HealthPolicy {
-                stale_ms: 0,
-                lag_ms: 1_000,
-            },
-            1,
-        );
-        drive(&m);
+        let m = CheckerMonitor::new(HealthPolicy {
+            stale_ms: 0,
+            lag_ms: 1_000,
+        });
+        drive(&m, &plane(1));
         // Staleness is judged between scrapes: the first one latches
         // the arrival count, the next sees it unchanged.
         assert!(m.judge().is_ok(), "first scrape sees progress");
@@ -434,8 +417,13 @@ mod tests {
             lag_ms: 0,
         });
         let mut c = OnlineChecker::new();
-        let arrived = m.arrival();
-        assert!(arrived.is_some(), "first event is always sampled");
+        let p = plane(32);
+        assert!(
+            m.arrival(p.begin("s", 1)).is_none(),
+            "unsampled by the plane"
+        );
+        let arrived = m.arrival(p.begin("s", 0));
+        assert!(arrived.is_some(), "the plane samples the first event");
         std::thread::sleep(Duration::from_millis(3));
         c.ingest(&Event::Begin(TxnId(1)));
         m.observe_event(&c, arrived);
@@ -447,8 +435,9 @@ mod tests {
     #[test]
     fn exemplars_are_first_fire_per_kind() {
         let m = CheckerMonitor::new(HealthPolicy::default());
-        drive(&m);
-        drive(&m); // same phenomena again: no duplicate exemplars
+        let p = plane(32);
+        drive(&m, &p);
+        drive(&m, &p); // same phenomena again: no duplicate exemplars
         let health = m.health_json();
         assert_eq!(health.matches("\"phenomenon\": \"G1c\"").count(), 1);
     }

@@ -971,18 +971,11 @@ fn route_http(path: &str, inner: &Inner) -> adya_obs::Response {
                 .snapshot()
                 .to_prometheus_labeled(&[("node", &inner.cfg.node), ("role", role)]),
         ),
-        // The span-level Chrome trace, with this node's latency-
-        // provenance segment embedded under `"provenance"` when
-        // tracing is on — `adya-check trace-merge` joins segments
-        // from several nodes into one cross-node timeline.
-        "/trace" => {
-            let reg = adya_obs::global();
-            let chrome = adya_obs::chrome_trace(&reg.span_records(), reg.spans_dropped());
-            adya_obs::Response::json(match &inner.trace {
-                Some(plane) => adya_obs::attach_provenance(&chrome, &plane.segment_json()),
-                None => chrome,
-            })
-        }
+        // This node's stage stamps as a Chrome trace, with the segment
+        // embedded under `"provenance"` when tracing is on —
+        // `adya-check trace-merge` joins segments from several nodes
+        // into one cross-node timeline.
+        "/trace" => adya_obs::Response::json(adya_obs::trace_document(inner.trace.as_deref())),
         "/health" => {
             let draining = inner.stop.load(Ordering::Relaxed);
             // Acknowledged follower lag past --repl-lag-max is a

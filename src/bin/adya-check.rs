@@ -32,7 +32,8 @@ use adya::history::parse_history_completed;
 use adya::online::{
     CheckerMonitor, EventLogReader, HealthPolicy, LogError, OnlineChecker, StreamParser, Verdict,
 };
-use adya_obs::{json::esc, trace::Stage, ObsServer, Response, TracePlane, Traced};
+use adya_obs::trace::{Stage, DEFAULT_TRACE_SAMPLE};
+use adya_obs::{json::esc, ObsServer, Response, TracePlane, Traced};
 
 /// Where and how `--metrics` output is rendered.
 #[derive(Clone, Copy, PartialEq, Eq)]
@@ -63,10 +64,6 @@ struct Args {
     /// Tap-side fault injection: sleep this long before applying each
     /// event, inflating ingest lag (exercises the /health semantics).
     delay_event_ms: u64,
-    /// `--trace-propagate`: stamp sampled events with per-stage
-    /// latency provenance (tap → ring → seq → apply → verdict); the
-    /// `/trace` route then embeds the segment for `trace-merge`.
-    trace_propagate: bool,
 }
 
 /// Renders the analysis as a JSON object (hand-rolled: the sanctioned
@@ -170,7 +167,6 @@ fn parse_args() -> Result<Args, String> {
         obs_stale_ms: 5_000,
         obs_lag_ms: 1_000,
         delay_event_ms: 0,
-        trace_propagate: false,
     };
     let parse_ms = |flag: &str, v: Option<String>| -> Result<u64, String> {
         let v = v.ok_or_else(|| format!("{flag} needs a millisecond value"))?;
@@ -213,7 +209,6 @@ fn parse_args() -> Result<Args, String> {
                     .ok_or("--obs-listen needs an address (e.g. 127.0.0.1:0)")?;
                 args.obs_listen = Some(v);
             }
-            "--trace-propagate" => args.trace_propagate = true,
             "--obs-stale-ms" => args.obs_stale_ms = parse_ms("--obs-stale-ms", it.next())?,
             "--obs-lag-ms" => args.obs_lag_ms = parse_ms("--obs-lag-ms", it.next())?,
             "--delay-event-ms" => args.delay_event_ms = parse_ms("--delay-event-ms", it.next())?,
@@ -237,7 +232,7 @@ fn parse_args() -> Result<Args, String> {
 const USAGE: &str = "usage: adya-check [explain] [--dot] [--json] [--metrics [prom]] [--stream]
                   [--trace-out FILE] [--level PL-3]
                   [--obs-listen ADDR] [--obs-stale-ms MS] [--obs-lag-ms MS]
-                  [--delay-event-ms MS] [--trace-propagate] [FILE]
+                  [--delay-event-ms MS] [FILE]
        adya-check trace-merge FILE... [--out FILE]
 Reads a history (paper notation) from FILE or stdin and analyzes it.
   explain        forensic mode: shrink the history to a minimal
@@ -253,9 +248,10 @@ Reads a history (paper notation) from FILE or stdin and analyzes it.
                  exposition instead of the human-readable block
   --trace-out F  write the history as Chrome trace-event JSON (open in
                  Perfetto / chrome://tracing). With --stream, writes
-                 rotating trace segments F.0..F.3 of checker spans over
-                 a bounded ring instead (memory stays bounded on
-                 unbounded streams)
+                 rotating trace segments F.0..F.3 of the stage stamps
+                 (tap, ring, seq, apply, verdict) of sampled events
+                 instead (memory and disk stay bounded on unbounded
+                 streams); each also embeds its segment for trace-merge
   --stream       incremental mode: ingest events one at a time and emit
                  one NDJSON verdict line per commit plus a final line;
                  binary event logs (ADYALOG magic) are auto-detected.
@@ -272,7 +268,9 @@ Reads a history (paper notation) from FILE or stdin and analyzes it.
                  (e.g. 127.0.0.1:9464; port 0 picks one — the bound
                  address is printed to stderr). Routes: /metrics
                  (Prometheus text), /health (JSON SLIs; HTTP 503 when
-                 degraded), /trace (Chrome trace of recent spans)
+                 degraded), /trace (Chrome trace of the stage stamps of
+                 recent sampled events, embedding this node's segment
+                 under \"provenance\" for trace-merge)
   --obs-stale-ms /health degrades after this many ms without an
                  applied event (default 5000)
   --obs-lag-ms   /health degrades when ingest lag (event arrival to
@@ -280,10 +278,6 @@ Reads a history (paper notation) from FILE or stdin and analyzes it.
   --delay-event-ms
                  fault injection: sleep this long before applying each
                  event — induces ingest lag the obs plane must report
-  --trace-propagate
-                 stream only: stamp sampled events with per-stage
-                 latency provenance; /trace then embeds this node's
-                 segment under \"provenance\" for trace-merge
   trace-merge    join /trace captures from several nodes into one
                  cross-node Chrome/Perfetto timeline: each verdict's
                  provenance renders as one flow across per-node lanes
@@ -316,32 +310,31 @@ fn emit_dot_stderr(d: &str) {
     let _ = h.flush();
 }
 
-/// Telemetry sampling period used by the stream obs plane: every Nth
-/// event gets full span attribution. 32 keeps E17's measured ingest
-/// overhead inside the 10% budget that provenance (E16) was held to.
-const TELEMETRY_SAMPLE_EVERY: u32 = 32;
-
 /// Trace segments kept by the streaming `--trace-out` ring.
 const TRACE_SEGMENTS: u64 = 4;
 
-/// Events between trace segment rotations. The global span ring holds
-/// 4096 spans; at 1-in-32 sampling this rotates well before overwrite.
+/// Events between trace segment rotations. The plane's stamp ring
+/// holds 8192 stamps; at 1-in-32 sampling and at most five stamps per
+/// sampled event, 8192 events leave at most 1280, so a segment rotates
+/// well before overwrite.
 const TRACE_ROTATE_EVENTS: u64 = 8192;
 
 /// Streaming `--trace-out`: rotating Chrome-trace segments over the
-/// bounded global span ring. Long-running streams get `FILE.0` ..
+/// plane's bounded stamp ring. Long-running streams get `FILE.0` ..
 /// `FILE.3`, newest overwriting oldest — bounded memory AND bounded
 /// disk, instead of buffering the whole run like batch mode.
 struct TraceRing {
     base: String,
+    plane: Arc<TracePlane>,
     segment: u64,
     last_rotate_events: u64,
 }
 
 impl TraceRing {
-    fn new(base: String) -> TraceRing {
+    fn new(base: String, plane: Arc<TracePlane>) -> TraceRing {
         TraceRing {
             base,
+            plane,
             segment: 0,
             last_rotate_events: 0,
         }
@@ -354,30 +347,34 @@ impl TraceRing {
         }
     }
 
-    /// Drains the span ring into the next segment file. Mid-stream
-    /// rotations skip an empty ring; the final rotation (`force`)
-    /// always writes, so `--trace-out F` yields at least `F.0` even
-    /// on streams too short to sample a span.
+    /// Drains the plane's stamp ring into the next segment file.
+    /// Mid-stream rotations skip an empty ring; the final rotation
+    /// (`force`) always writes, so `--trace-out F` yields at least
+    /// `F.0` even on streams too short to sample an event.
     fn rotate(&mut self, force: bool) {
-        let reg = adya_obs::global();
-        let records = reg.span_records();
-        if records.is_empty() && !force {
+        if self.plane.collect().is_empty() && !force {
             return;
         }
         let path = format!("{}.{}", self.base, self.segment % TRACE_SEGMENTS);
-        let body = adya_obs::chrome_trace(&records, reg.spans_dropped());
-        if let Err(e) = std::fs::write(&path, body) {
+        if let Err(e) = std::fs::write(&path, adya_obs::trace_document(Some(&self.plane))) {
             eprintln!("adya-check: cannot write {path}: {e}");
         }
-        reg.reset_spans();
+        self.plane.reset();
         self.segment += 1;
     }
 }
 
-/// The live obs plane for one `--stream` run: checker monitor, HTTP
-/// endpoint, fault-injection delay, and the trace segment ring —
-/// each present only when the corresponding flag asked for it.
+/// Trace-id scope for `adya-check --stream` stage stamps.
+const STREAM_TRACE_SCOPE: &str = "stream";
+
+/// The live obs plane for one `--stream` run: the stage-stamp plane,
+/// checker monitor, HTTP endpoint, fault-injection delay, and the
+/// trace segment ring — each present only when a flag reads it.
 struct StreamObs {
+    /// Present whenever `--obs-listen` or `--trace-out` renders it.
+    /// Its sampling decision is the run's one per event: the events
+    /// it stamps are the events the monitor captures SLIs for.
+    plane: Option<Arc<TracePlane>>,
     monitor: Option<Arc<CheckerMonitor>>,
     server: Option<ObsServer>,
     delay: Option<Duration>,
@@ -386,22 +383,21 @@ struct StreamObs {
 
 impl StreamObs {
     /// Builds the plane from the flags and arms the checker's sampled
-    /// telemetry when any of it is on. `plane` is the latency-
-    /// provenance plane (`--trace-propagate`), embedded in `/trace`
-    /// responses so `trace-merge` can pick the segment up.
-    fn start(
-        args: &Args,
-        checker: &mut OnlineChecker,
-        plane: Option<Arc<TracePlane>>,
-    ) -> Result<StreamObs, String> {
+    /// phase timings when any of it is on.
+    fn start(args: &Args, checker: &mut OnlineChecker) -> Result<StreamObs, String> {
+        let on = args.obs_listen.is_some() || args.trace_out.is_some();
+        let plane = on.then(|| Arc::new(TracePlane::new("check", "leader")));
         let mut obs = StreamObs {
+            trace: (args.trace_out.clone())
+                .zip(plane.clone())
+                .map(|(base, plane)| TraceRing::new(base, plane)),
+            plane,
             monitor: None,
             server: None,
             delay: (args.delay_event_ms > 0).then(|| Duration::from_millis(args.delay_event_ms)),
-            trace: args.trace_out.clone().map(TraceRing::new),
         };
-        if args.obs_listen.is_some() || obs.trace.is_some() {
-            checker.set_telemetry_sampling(TELEMETRY_SAMPLE_EVERY);
+        if on {
+            checker.set_telemetry_sampling(DEFAULT_TRACE_SAMPLE as u32);
         }
         if let Some(addr) = &args.obs_listen {
             let monitor = Arc::new(CheckerMonitor::new(HealthPolicy {
@@ -409,7 +405,7 @@ impl StreamObs {
                 lag_ms: args.obs_lag_ms,
             }));
             let handler_monitor = Arc::clone(&monitor);
-            let handler_plane = plane.clone();
+            let handler_plane = obs.plane.clone();
             let server = ObsServer::bind(
                 addr,
                 Arc::new(move |path: &str| match path {
@@ -430,15 +426,7 @@ impl StreamObs {
                             body: body.into_bytes(),
                         }
                     }
-                    "/trace" => {
-                        let reg = adya_obs::global();
-                        let chrome =
-                            adya_obs::chrome_trace(&reg.span_records(), reg.spans_dropped());
-                        Response::json(match &handler_plane {
-                            Some(p) => adya_obs::attach_provenance(&chrome, &p.segment_json()),
-                            None => chrome,
-                        })
-                    }
+                    "/trace" => Response::json(adya_obs::trace_document(handler_plane.as_deref())),
                     _ => Response::status(404, "routes: /metrics /health /trace\n"),
                 }),
             )
@@ -454,12 +442,12 @@ impl StreamObs {
     }
 
     /// Marks one event's arrival and applies the injected tap delay.
-    /// The timestamp (present when the monitor samples this event)
+    /// The timestamp (present when the plane sampled this event)
     /// anchors the ingest-lag SLI, so the delay shows up as lag on
     /// the next sampled `/health` render — and the first event is
     /// always sampled.
-    fn event_arrived(&self) -> Option<Instant> {
-        let arrived = self.monitor.as_ref().and_then(|m| m.arrival());
+    fn event_arrived(&self, traced: Traced<'_>) -> Option<Instant> {
+        let arrived = self.monitor.as_ref().and_then(|m| m.arrival(traced));
         if let Some(d) = self.delay {
             std::thread::sleep(d);
         }
@@ -574,32 +562,23 @@ struct StreamSink {
     obs: StreamObs,
     emitted: u64,
     dot: bool,
-    /// Latency-provenance plane (`--trace-propagate`) plus the dense
-    /// event sequence its sampling keys off.
-    plane: Option<Arc<TracePlane>>,
+    /// The dense event sequence the plane's sampling keys off.
     seq: u64,
     out: VerdictOut,
 }
 
-/// Trace-id scope for `adya-check --stream` provenance.
-const STREAM_TRACE_SCOPE: &str = "stream";
-
 impl StreamSink {
     fn start(args: &Args) -> Result<StreamSink, String> {
-        let plane = args
-            .trace_propagate
-            .then(|| Arc::new(TracePlane::new("check", "leader")));
         let mut checker = OnlineChecker::new();
         // This tool exists to explain violations, so it pays for the
         // per-edge provenance the library leaves off by default.
         checker.set_provenance(true);
-        let obs = StreamObs::start(args, &mut checker, plane.clone())?;
+        let obs = StreamObs::start(args, &mut checker)?;
         Ok(StreamSink {
             checker,
             obs,
             emitted: 0,
             dot: args.dot,
-            plane,
             seq: 0,
             out: VerdictOut::new(),
         })
@@ -609,8 +588,8 @@ impl StreamSink {
     fn feed(&mut self, ev: adya::history::Event) {
         // In-thread ingest plays every pre-apply stage itself: arrival
         // (`tap`), line buffer (`ring`), sequencing.
-        let traced =
-            (self.plane.as_deref()).map_or(Traced::OFF, |p| p.begin(STREAM_TRACE_SCOPE, self.seq));
+        let traced = (self.obs.plane.as_deref())
+            .map_or(Traced::OFF, |p| p.begin(STREAM_TRACE_SCOPE, self.seq));
         traced.stamp(Stage::Tap);
         traced.stamp(Stage::Ring);
         traced.stamp(Stage::Seq);
@@ -618,7 +597,7 @@ impl StreamSink {
         if self.obs.delay.is_some() {
             self.out.flush(); // about to sleep
         }
-        let arrived = self.obs.event_arrived();
+        let arrived = self.obs.event_arrived(traced);
         let v = self.checker.ingest(&ev);
         traced.stamp(Stage::Apply);
         if v.is_some() {
@@ -926,7 +905,10 @@ fn run_trace_merge() -> ExitCode {
         match adya_obs::parse_segment(&raw) {
             Ok(seg) => segments.push(seg),
             Err(e) => {
-                eprintln!("adya-check: {f}: {e} (was the node running with --trace-propagate?)");
+                eprintln!(
+                    "adya-check: {f}: {e} (not a /trace capture or --stream --trace-out file \
+                     of a node with a trace plane?)"
+                );
                 return ExitCode::from(2);
             }
         }
@@ -957,10 +939,8 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    if !args.stream
-        && (args.obs_listen.is_some() || args.delay_event_ms > 0 || args.trace_propagate)
-    {
-        eprintln!("adya-check: --obs-listen, --delay-event-ms and --trace-propagate need --stream");
+    if !args.stream && (args.obs_listen.is_some() || args.delay_event_ms > 0) {
+        eprintln!("adya-check: --obs-listen and --delay-event-ms need --stream");
         return ExitCode::from(2);
     }
     if args.stream {

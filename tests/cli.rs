@@ -292,3 +292,88 @@ fn stream_ends_quietly_when_its_reader_goes_away() {
     assert_eq!(stderr, "", "nothing to report");
     assert_eq!(out.status.code(), Some(0));
 }
+
+/// Runs `adya-check --stream --trace-out <dir>/t` over `input` and
+/// returns the files it left in `dir`, sorted by name, with their text.
+fn stream_trace_files(dir: &str, input: &str) -> Vec<(String, String)> {
+    let dir = common::data_dir(dir);
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    let path = dir.join("input.events");
+    std::fs::write(&path, input).expect("write input");
+    let base = dir.join("t");
+    let (_, stderr, code) = run(
+        &[
+            "--stream",
+            "--trace-out",
+            base.to_str().expect("utf-8 path"),
+            path.to_str().expect("utf-8 path"),
+        ],
+        "",
+    );
+    assert_eq!(code, Some(0), "{stderr}");
+    let mut files: Vec<(String, String)> = std::fs::read_dir(&dir)
+        .expect("read scratch dir")
+        .map(|e| e.expect("dir entry").path())
+        .filter(|p| p != &path)
+        .map(|p| {
+            let name = p
+                .file_name()
+                .expect("file name")
+                .to_string_lossy()
+                .into_owned();
+            (name, std::fs::read_to_string(&p).expect("read trace file"))
+        })
+        .collect();
+    files.sort();
+    files
+}
+
+/// A trace file is a Chrome trace of stage slices that also carries
+/// its segment for `trace-merge`.
+fn assert_stage_trace(name: &str, doc: &str, slices: &[&str]) {
+    assert!(adya_obs::json::parse(doc).is_ok(), "{name}: {doc}");
+    assert!(doc.contains("\"traceEvents\""), "{name}: {doc}");
+    for slice in slices {
+        let named = format!("\"name\": \"{slice}\"");
+        assert!(
+            doc.lines()
+                .any(|l| l.contains("\"ph\": \"X\"") && l.contains(&named)),
+            "{name} has no X slice {slice}: {doc}"
+        );
+    }
+    let seg = adya_obs::parse_segment(doc).expect("the segment is embedded");
+    assert!(!seg.stamps.is_empty(), "{name}");
+}
+
+#[test]
+fn stream_trace_out_writes_stage_slices_even_for_one_commit() {
+    // Event 0 is sampled, so even a one-commit stream has stamps: b1's
+    // tap, ring, seq and apply.
+    let files = stream_trace_files("cli-trace-out-one", "b1 w1(x,1) c1\n");
+    let names: Vec<&str> = files.iter().map(|(n, _)| n.as_str()).collect();
+    assert_eq!(names, ["t.0"]);
+    assert_stage_trace(
+        "t.0",
+        &files[0].1,
+        &["tap->ring", "ring->seq", "seq->apply"],
+    );
+}
+
+#[test]
+fn stream_trace_out_keeps_four_rotating_segments() {
+    // 36 000 events: four rotations at 8 192-event boundaries plus the
+    // final one, so the fifth segment overwrites `t.0`. Three events a
+    // transaction make every third sampled event (seq 32k) a commit,
+    // so every segment has verdict stamps.
+    let mut input = String::new();
+    for t in 1..=12_000 {
+        input.push_str(&format!("b{t} w{t}(x,{t}) c{t}\n"));
+    }
+    let files = stream_trace_files("cli-trace-out-ring", &input);
+    let names: Vec<&str> = files.iter().map(|(n, _)| n.as_str()).collect();
+    assert_eq!(names, ["t.0", "t.1", "t.2", "t.3"]);
+    for (name, doc) in &files {
+        let slices = ["tap->ring", "ring->seq", "seq->apply", "apply->verdict"];
+        assert_stage_trace(name, doc, &slices);
+    }
+}
