@@ -263,6 +263,28 @@ impl OnlineChecker {
         self.txns.len()
     }
 
+    /// Whether a parser counter for `t`'s writes of `o`, restored beside
+    /// this just-restored checker, is one of a transaction it holds:
+    /// `t` wrote `o` while it ran, or after it ended — a stray, which the
+    /// image does not carry, so it is filed again here. A counter of a
+    /// `t` not held, or running again under a reused id, is an earlier
+    /// holder's.
+    pub(crate) fn adopt_counter(&mut self, t: TxnId, o: ObjectId) -> bool {
+        let Some(slot) = self.txns.lookup(t) else {
+            return false;
+        };
+        let txn = &self.txns[slot];
+        // An image lists every transaction's writes sealed, running or not.
+        if txn.writes.binary_search_by_key(&o, |w| w.object).is_ok() {
+            return true;
+        }
+        let ended = txn.status != Status::Active;
+        if ended {
+            self.gc.note_stray(t, o);
+        }
+        ended
+    }
+
     /// Transactions pruned by the GC so far.
     pub fn pruned_txns(&self) -> u64 {
         self.gc.pruned_txns()
@@ -397,7 +419,12 @@ impl OnlineChecker {
     fn on_write(&mut self, t: TxnSlot, o: ObjectId, seq: u32) {
         let txn = &mut self.txns[t];
         if txn.status != Status::Active {
-            return; // write after terminal: ill-formed, ignore
+            // A write after the terminal event: ill-formed, ignored —
+            // but a parser counted it, and must forget it with `t`.
+            if txn.write_of(o).is_none() {
+                self.gc.note_stray(self.txns.key_of(t), o);
+            }
+            return;
         }
         // Unsorted until the terminal event seals them; a run of writes
         // to one object stays one entry.

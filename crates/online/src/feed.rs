@@ -1,6 +1,7 @@
 //! Event input for the online checker: the incremental text-notation
-//! parser (`adya-check --stream` tokens) and the durable binary event
-//! log with torn-tail detection.
+//! parser (`adya-check --stream` tokens), the [`StreamFeed`] that keeps
+//! it in step with the checker its events go to, and the durable binary
+//! event log with torn-tail detection.
 //!
 //! The text parser supports the item-operation subset of the batch
 //! parser: `b1`, `c1`, `a1`, `w1(x[,v])`, `r1(x2[,v])`, `rc1(x2)`,
@@ -28,6 +29,9 @@ use adya_history::{
     VersionRef, WriteEvent,
 };
 
+use crate::checker::OnlineChecker;
+use crate::snapshot::SnapshotError;
+use crate::verdict::Verdict;
 use crate::wire::{self, FrameError, WireError};
 
 /// Streaming token parser. Stateful: it interns object names and
@@ -38,6 +42,9 @@ use crate::wire::{self, FrameError, WireError};
 /// session must persist it alongside the checker: [`snapshot`] /
 /// [`restore`] freeze it to deterministic bytes (binary log events
 /// alone cannot rebuild the name table).
+///
+/// On its own the parser never forgets a counter; a [`StreamFeed`]
+/// drops a transaction's counters when its checker prunes it.
 ///
 /// [`snapshot`]: StreamParser::snapshot
 /// [`restore`]: StreamParser::restore
@@ -75,30 +82,46 @@ impl StreamParser {
     }
 
     /// Revives a parser from [`snapshot`](StreamParser::snapshot)
-    /// bytes.
+    /// bytes. Only what `snapshot` can write is accepted — counters in
+    /// ascending (transaction, object) order, each at least 1 and
+    /// naming an interned object — so the revived parser snapshots to
+    /// the same bytes.
     pub fn restore(bytes: &[u8]) -> Result<StreamParser, WireError> {
         let mut d = wire::Dec::new(bytes);
         let n = d.len()?;
-        let mut names = Vec::with_capacity(n);
-        let mut objects = HashMap::with_capacity(n);
+        let mut p = StreamParser {
+            names: Vec::with_capacity(n),
+            objects: HashMap::with_capacity(n),
+            ..StreamParser::default()
+        };
         for i in 0..n {
             let name = d.str()?;
-            objects.insert(name.clone(), ObjectId(i as u32));
-            names.push(name);
+            p.objects.insert(name.clone(), ObjectId(i as u32));
+            p.names.push(name);
         }
         let n = d.len()?;
-        let mut last_seq = HashMap::with_capacity(n);
+        p.last_seq.reserve(n);
+        let mut prev = None;
         for _ in 0..n {
-            let txn = TxnId(d.u32()?);
-            let object = ObjectId(d.u32()?);
+            let key = (d.u32()?, d.u32()?);
             let seq = d.u32()?;
-            if object.0 as usize >= names.len() {
-                return Err(WireError::Malformed(format!(
-                    "write counter references unknown object {}",
-                    object.0
-                )));
+            let malformed = |what: &str| {
+                Err(WireError::Malformed(format!(
+                    "write counter of T{} on object {}: {what}",
+                    key.0, key.1
+                )))
+            };
+            if key.1 as usize >= p.names.len() {
+                return malformed("unknown object");
             }
-            last_seq.insert((txn, object), seq);
+            if seq == 0 {
+                return malformed("seq 0 (versions count from 1)");
+            }
+            if prev >= Some(key) {
+                return malformed("duplicate or out of order");
+            }
+            prev = Some(key);
+            p.last_seq.insert((TxnId(key.0), ObjectId(key.1)), seq);
         }
         if d.remaining() != 0 {
             return Err(WireError::Malformed(format!(
@@ -106,11 +129,12 @@ impl StreamParser {
                 d.remaining()
             )));
         }
-        Ok(StreamParser {
-            objects,
-            names,
-            last_seq,
-        })
+        Ok(p)
+    }
+
+    /// Write counters held: one per (transaction, object) written.
+    pub fn counters(&self) -> usize {
+        self.last_seq.len()
     }
 
     /// The interned name of `o` (for rendering verdicts).
@@ -134,8 +158,13 @@ impl StreamParser {
     /// `object`, as if a `w` token had been parsed. Replaying decoded
     /// log events through this keeps latest-version read resolution
     /// (`r2(x1)`) identical to the uninterrupted run.
-    pub fn note_write(&mut self, txn: TxnId, object: ObjectId, seq: u32) {
+    pub(crate) fn note_write(&mut self, txn: TxnId, object: ObjectId, seq: u32) {
         self.last_seq.insert((txn, object), seq);
+    }
+
+    /// Drops `txn`'s counter for `object`, if it has one.
+    fn forget_counter(&mut self, txn: TxnId, object: ObjectId) {
+        self.last_seq.remove(&(txn, object));
     }
 
     fn object(&mut self, name: &str) -> ObjectId {
@@ -243,6 +272,114 @@ pub fn check_token(tok: &str) -> Result<Token<'_>, String> {
         }
     }
     Ok(op)
+}
+
+/// A [`StreamParser`] and the [`OnlineChecker`] its events go to, kept
+/// in step: the parser holds a write counter only while the checker
+/// holds its transaction. When the collector prunes T, the parser drops
+/// every counter it has for T — those of writes the checker ignored,
+/// having come after T's terminal event, included — so a later
+/// transaction under T's id numbers its changes from 1, as the paper
+/// names versions (`x_{i:m}`, Tᵢ's m-th change to x, §4.1), and parser
+/// state is bounded by the live set, not by the stream.
+///
+/// Every caller that turns text into events keeps one order: [`parse`]
+/// a token, make the event durable if it logs, [`ingest`] it (which
+/// forgets what that ingest pruned), then the next token. Recovery
+/// rebuilds the same state by [`replay`]ing logged events.
+///
+/// [`parse`]: StreamFeed::parse
+/// [`ingest`]: StreamFeed::ingest
+/// [`replay`]: StreamFeed::replay
+#[derive(Debug)]
+pub struct StreamFeed {
+    parser: StreamParser,
+    /// Boxed: a checker is 1.5 kB, and a feed travels by value through
+    /// session recovery's frames — on every connection thread of a
+    /// server.
+    checker: Box<OnlineChecker>,
+}
+
+impl StreamFeed {
+    /// A fresh parser in front of `checker`.
+    pub fn new(mut checker: OnlineChecker) -> StreamFeed {
+        checker.gc.track_writes();
+        StreamFeed {
+            parser: StreamParser::new(),
+            checker: Box::new(checker),
+        }
+    }
+
+    /// Revives a feed from the images [`StreamParser::snapshot`] and
+    /// [`OnlineChecker::snapshot`] wrote at the same point of a stream.
+    /// What a parser that never forgot left in its image — counters of
+    /// transactions the checker no longer holds, or holds again under a
+    /// reused id — is dropped.
+    pub fn restore(parser: &[u8], checker: &[u8]) -> Result<StreamFeed, SnapshotError> {
+        let mut feed = StreamFeed::new(OnlineChecker::restore(checker)?);
+        feed.parser = StreamParser::restore(parser)?;
+        let checker = &mut feed.checker;
+        feed.parser
+            .last_seq
+            .retain(|&(t, o), _| checker.adopt_counter(t, o));
+        Ok(feed)
+    }
+
+    /// Parses one token ([`StreamParser::parse_token`]).
+    #[inline]
+    pub fn parse(&mut self, tok: &str) -> Result<Event, String> {
+        self.parser.parse_token(tok)
+    }
+
+    /// Feeds one event to the checker ([`OnlineChecker::ingest`]), then
+    /// forgets the counters of every transaction it pruned.
+    #[inline]
+    pub fn ingest(&mut self, event: &Event) -> Option<Verdict> {
+        let verdict = self.checker.ingest(event);
+        self.forget_pruned();
+        verdict
+    }
+
+    /// [`ingest`](Self::ingest) for an event read back from a log: the
+    /// parser counts its write as if it had parsed the token.
+    #[inline]
+    pub fn replay(&mut self, event: &Event) -> Option<Verdict> {
+        if let Event::Write(w) = event {
+            self.parser.note_write(w.txn, w.object, w.seq);
+        }
+        self.ingest(event)
+    }
+
+    /// Completes the stream ([`OnlineChecker::finish`]).
+    pub fn finish(&mut self) -> Verdict {
+        let verdict = self.checker.finish();
+        self.forget_pruned();
+        verdict
+    }
+
+    /// Interns `name` ([`StreamParser::intern`]).
+    pub fn intern(&mut self, name: &str) -> ObjectId {
+        self.parser.intern(name)
+    }
+
+    /// The parser.
+    #[inline]
+    pub fn parser(&self) -> &StreamParser {
+        &self.parser
+    }
+
+    /// The checker.
+    #[inline]
+    pub fn checker(&self) -> &OnlineChecker {
+        &self.checker
+    }
+
+    #[inline]
+    fn forget_pruned(&mut self) {
+        for (t, o) in self.checker.gc.drain_released() {
+            self.parser.forget_counter(t, o);
+        }
+    }
 }
 
 // ----------------------------------------------------------------------
@@ -674,6 +811,126 @@ mod tests {
         let mut long = bytes.clone();
         long.push(0);
         assert!(StreamParser::restore(&long).is_err());
+    }
+
+    /// Parser-image bytes: `names`, then `(txn, object, seq)` triples
+    /// in the order given.
+    fn parser_image(names: &[&str], counters: &[(u32, u32, u32)]) -> Vec<u8> {
+        let mut e = wire::Enc::new();
+        e.len(names.len());
+        for name in names {
+            e.str(name);
+        }
+        e.len(counters.len());
+        for &(t, o, seq) in counters {
+            e.u32(t);
+            e.u32(o);
+            e.u32(seq);
+        }
+        e.into_bytes()
+    }
+
+    #[test]
+    fn restore_accepts_only_what_snapshot_writes() {
+        let good = parser_image(&["x", "y"], &[(1, 0, 2), (1, 1, 1), (2, 0, 1)]);
+        let p = StreamParser::restore(&good).unwrap();
+        assert_eq!((p.counters(), p.snapshot()), (3, good));
+        for (counters, why) in [
+            (&[(1, 0, 0)][..], "seq 0"),
+            (&[(1, 0, 1), (1, 0, 2)][..], "duplicate"),
+            (&[(2, 0, 1), (1, 0, 1)][..], "out of order"),
+            (&[(1, 1, 1), (1, 0, 1)][..], "out of order"),
+            (&[(1, 2, 1)][..], "unknown object"),
+        ] {
+            let err = StreamParser::restore(&parser_image(&["x", "y"], counters)).unwrap_err();
+            assert!(
+                matches!(&err, WireError::Malformed(m) if m.contains(why)),
+                "{counters:?}: {err:?}"
+            );
+        }
+    }
+
+    /// Feeds `text` through `feed`, one token at a time.
+    fn run(feed: &mut StreamFeed, text: &str) -> Vec<Event> {
+        let mut events = Vec::new();
+        for tok in text.split_whitespace() {
+            let ev = feed.parse(tok).unwrap();
+            feed.ingest(&ev);
+            events.push(ev);
+        }
+        events
+    }
+
+    fn seq_of(ev: &Event) -> u32 {
+        match ev {
+            Event::Write(w) => w.seq,
+            Event::Read(r) => r.version.seq,
+            other => panic!("{other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_pruned_transaction_leaves_no_counter_behind() {
+        // T1 writes x twice, commits, then writes y after its commit (a
+        // write the checker ignores, which T3 reads); T2 overwrites x
+        // and writes y.
+        // With a pass per event T1 goes once T3's abort unpins it, and
+        // the next T1 numbers its writes from 1 — no counter survived,
+        // the ignored write's included.
+        let mut feed = StreamFeed::new(OnlineChecker::with_gc(crate::GcConfig {
+            enabled: true,
+            interval: 1,
+        }));
+        let events = run(
+            &mut feed,
+            "b1 w1(x) w1(x) c1 w1(y) r3(y1) b2 w2(x) w2(y) c2 a3",
+        );
+        assert_eq!(seq_of(&events[5]), 1, "r3(y1): T1's one write of y");
+        assert!(feed.checker().txns.lookup(TxnId(1)).is_none());
+        assert!(feed.checker().txns.lookup(TxnId(2)).is_some());
+        assert_eq!(feed.parser().counters(), 2, "T2's x and y only");
+        let events = run(&mut feed, "b1 r4(x1) w1(x) w1(y) r4(x1)");
+        let seqs: Vec<u32> = events[1..].iter().map(seq_of).collect();
+        assert_eq!(seqs, [1, 1, 1, 1], "T1 again: from nothing");
+
+        // A parser with no feed around it keeps counting.
+        let mut p = StreamParser::new();
+        for tok in "b1 w1(x) w1(x) c1 w1(y) b2 w2(x) w2(y) c2 b1".split_whitespace() {
+            p.parse_token(tok).unwrap();
+        }
+        assert_eq!(seq_of(&p.parse_token("w1(x)").unwrap()), 3);
+    }
+
+    #[test]
+    fn restore_drops_the_counters_of_transactions_the_checker_let_go() {
+        // What a parser that never forgot leaves in an image: a counter
+        // of the T1 the checker pruned long ago, held against the T1
+        // running now, beside T2's and T3's — x, and z, written after
+        // T3 committed.
+        let gc = crate::GcConfig {
+            enabled: true,
+            interval: 1,
+        };
+        let mut old = StreamParser::new();
+        let mut checker = OnlineChecker::with_gc(gc);
+        for tok in "b1 w1(x) c1 b2 w2(x) w2(y) c2 b3 w3(x) c3 w3(z)".split_whitespace() {
+            checker.ingest(&old.parse_token(tok).unwrap());
+        }
+        assert!(checker.txns.lookup(TxnId(1)).is_none());
+        // A new T1 begins, under which the old one's x still counts.
+        checker.ingest(&old.parse_token("b1").unwrap());
+        assert_eq!(old.counters(), 5);
+        let mut feed = StreamFeed::restore(&old.snapshot(), &checker.snapshot()).unwrap();
+        assert_eq!(feed.parser().counters(), 4, "T2's x and y, T3's x and z");
+        let events = run(&mut feed, "b1 w1(x) w1(y) w3(z)");
+        assert_eq!(seq_of(&events[1]), 1, "T1 again: from nothing");
+        assert_eq!(seq_of(&events[3]), 2, "T3 kept its count");
+        // T1 commits over T2's y and T3's x, and both go: T3's
+        // written-after-commit z with it, though the image never said
+        // it was one.
+        run(&mut feed, "c1");
+        assert!(feed.checker().txns.lookup(TxnId(3)).is_none());
+        assert_eq!(feed.parser().counters(), 2, "T1's x and y");
     }
 
     #[test]

@@ -6,14 +6,15 @@
 //! it one thing — [`Collector::settle`], wherever a counter a
 //! transaction's eligibility reads has moved — and ask one thing — a
 //! pass when one is [`Collector::due`]. What a pass visits, in which
-//! order, how a transaction leaves the tables, the graphs and the
-//! provenance map, and the index-free reference collector debug builds
-//! hold all of that to, stay in here.
+//! order, how a transaction leaves the tables, the graphs, the
+//! provenance map and (behind a `StreamFeed`) its parser's counters,
+//! and the index-free reference collector debug builds hold all of that
+//! to, stay in here.
 
 use std::collections::BTreeMap;
 use std::ops::Bound::{Excluded, Unbounded};
 
-use adya_history::TxnId;
+use adya_history::{ObjectId, TxnId};
 
 use crate::checker::{ObjectTable, Status, TxnSlot, TxnState, TxnTable};
 use crate::lanes::Lanes;
@@ -99,6 +100,20 @@ pub(crate) struct Heap<'a> {
     pub(crate) prov: &'a mut Provenance,
 }
 
+/// What a pruned transaction leaves for a parser to forget (see
+/// [`Collector::track_writes`]).
+#[derive(Debug, Default)]
+struct Released {
+    /// (transaction, object) of every write of the transactions pruned
+    /// since the last drain. Empty between events.
+    queue: Vec<(TxnId, ObjectId)>,
+    /// Per held transaction, the objects it wrote after its terminal
+    /// event and not before. Rare (an ill-formed stream), so no slot
+    /// carries room for them; never serialised — `StreamFeed::restore`
+    /// files them again from its parser's counters.
+    strays: BTreeMap<TxnId, Vec<ObjectId>>,
+}
+
 /// The garbage collector's own state.
 #[derive(Debug, Default)]
 pub(crate) struct Collector {
@@ -112,6 +127,10 @@ pub(crate) struct Collector {
     /// [`Self::settle`] wherever a counter moves, rebuilt on restore,
     /// never serialised.
     ready: BTreeMap<TxnId, TxnSlot>,
+    /// The writes of the transactions pruned since the last drain, for
+    /// a parser to forget — kept only once something drains them
+    /// ([`Self::track_writes`]). `None`, the default, keeps nothing.
+    released: Option<Released>,
     /// Test reference: collection passes scan the whole transaction
     /// table for candidates instead of walking `ready`.
     #[cfg(any(test, debug_assertions))]
@@ -143,6 +162,35 @@ impl Collector {
     /// Transactions pruned so far.
     pub(crate) fn pruned_txns(&self) -> u64 {
         self.pruned_txns
+    }
+
+    /// From now on, hands every write of a pruned transaction to
+    /// [`Self::drain_released`]: the objects it wrote while it ran
+    /// (its `writes`) and those it wrote after its terminal event
+    /// ([`Self::note_stray`]). That is how `StreamFeed`'s parser drops
+    /// a transaction's counters with the transaction.
+    pub(crate) fn track_writes(&mut self) {
+        self.released.get_or_insert_with(Released::default);
+    }
+
+    /// Files `object` as written by the held transaction `id` beyond
+    /// what its `writes` list — after its terminal event, a write the
+    /// checker ignores but a parser counted. Nothing, unless
+    /// [`Self::track_writes`] is on.
+    pub(crate) fn note_stray(&mut self, id: TxnId, object: ObjectId) {
+        if let Some(r) = &mut self.released {
+            let strays = r.strays.entry(id).or_default();
+            if !strays.contains(&object) {
+                strays.push(object);
+            }
+        }
+    }
+
+    /// The (transaction, object) writes of the transactions pruned
+    /// since the last call.
+    #[inline]
+    pub(crate) fn drain_released(&mut self) -> impl Iterator<Item = (TxnId, ObjectId)> + '_ {
+        self.released.iter_mut().flat_map(|r| r.queue.drain(..))
     }
 
     /// See `OnlineChecker::set_gc_by_scan`.
@@ -282,6 +330,12 @@ impl Collector {
                     self.settle(h.txns.key_of(next), next, &h.txns[next]);
                 }
             }
+        }
+        if let Some(r) = &mut self.released {
+            let wrote = h.txns[slot].writes.iter().map(|w| w.object);
+            r.queue.extend(wrote.map(|o| (id, o)));
+            let strays = r.strays.remove(&id).unwrap_or_default();
+            r.queue.extend(strays.into_iter().map(|o| (id, o)));
         }
         h.txns.release(slot);
         self.pruned_txns += 1;

@@ -19,7 +19,10 @@
 //! graph node is removed with reachability-preserving contraction, so
 //! pruning never loses a future cycle. Reads that reference an
 //! already-pruned version are counted in [`Verdict::stale_refs`] —
-//! verdicts are flagged, never silently weakened.
+//! verdicts are flagged, never silently weakened. Text input goes
+//! through a [`StreamFeed`], whose parser forgets a transaction's write
+//! counters when the collector prunes it, so parser state is bounded by
+//! the live set too.
 //!
 //! Scope and fidelity relative to the batch checker:
 //!
@@ -99,7 +102,8 @@ pub mod wire;
 
 pub use checker::OnlineChecker;
 pub use feed::{
-    check_token, encode_log, EventLogReader, EventLogWriter, LogError, StreamParser, LOG_MAGIC,
+    check_token, encode_log, EventLogReader, EventLogWriter, LogError, StreamFeed, StreamParser,
+    LOG_MAGIC,
 };
 pub use gc::GcConfig;
 pub use monitor::{CheckerMonitor, Exemplar, HealthPolicy};

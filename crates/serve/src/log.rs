@@ -7,7 +7,7 @@
 //! model).
 //!
 //! A segment is named by the index of its first event record. A
-//! snapshot freezes the [`OnlineChecker`] and [`StreamParser`] after
+//! snapshot freezes the [`StreamFeed`]'s checker and parser after
 //! its named record count *and remembers the exact byte offset in the
 //! open segment*, so recovery is `restore(snapshot) + replay from that
 //! byte` — no rescan of already-consumed records. Every closed segment
@@ -40,7 +40,7 @@ use std::path::Path;
 
 use adya_history::Event;
 use adya_online::{
-    wire, EventLogReader, EventLogWriter, GcConfig, OnlineChecker, StreamParser, LOG_MAGIC,
+    wire, EventLogReader, EventLogWriter, GcConfig, OnlineChecker, StreamFeed, LOG_MAGIC,
 };
 
 use crate::dir::{FileName, FsyncPolicy, SessionDir};
@@ -124,10 +124,8 @@ pub struct SessionLog {
 pub struct Recovered {
     /// The reopened, append-ready log.
     pub log: SessionLog,
-    /// Checker state as of the last durable record.
-    pub checker: OnlineChecker,
-    /// Parser state as of the last durable record.
-    pub parser: StreamParser,
+    /// Parser and checker state as of the last durable record.
+    pub feed: StreamFeed,
     /// Total durable commit verdicts.
     pub verdicts: u64,
     /// Verdict count at the snapshot replay started from.
@@ -229,8 +227,8 @@ impl SessionLog {
         self.records - self.last_snap >= self.cfg.snapshot_every
     }
 
-    /// Writes a snapshot of `checker` + `parser` (which must reflect
-    /// exactly the `records` appended so far) and compacts: every
+    /// Writes a snapshot of `feed`'s checker and parser (which must
+    /// reflect exactly the `records` appended so far) and compacts: every
     /// older snapshot and every fully-covered closed segment is
     /// deleted. Returns the number of segments removed.
     ///
@@ -241,8 +239,7 @@ impl SessionLog {
     /// triggered it never reach the client.
     pub fn write_snapshot(
         &mut self,
-        checker: &OnlineChecker,
-        parser: &StreamParser,
+        feed: &StreamFeed,
         verdicts: u64,
         window_base: u64,
         window: &[String],
@@ -252,10 +249,10 @@ impl SessionLog {
         e.u64(verdicts);
         e.u64(self.seg_start);
         e.u64(self.dir.len(FileName::Segment(self.seg_start))?);
-        let parser_bytes = parser.snapshot();
+        let parser_bytes = feed.parser().snapshot();
         e.len(parser_bytes.len());
         e.bytes(&parser_bytes);
-        let checker_bytes = checker.snapshot();
+        let checker_bytes = feed.checker().snapshot();
         e.len(checker_bytes.len());
         e.bytes(&checker_bytes);
         e.u64(window_base);
@@ -271,7 +268,7 @@ impl SessionLog {
         self.dir.put(FileName::Snapshot(self.records), &buf)?;
         self.last_snap = self.records;
         let removed = self.compact()?;
-        self.rotate_names(parser.interned() as u64)?;
+        self.rotate_names(feed.parser().interned() as u64)?;
         Ok(removed)
     }
 
@@ -369,8 +366,7 @@ impl SessionLog {
             verdicts: snap_verdicts,
             seg_start: snap_seg,
             seg_off: snap_off,
-            mut parser,
-            mut checker,
+            mut feed,
             window_base,
             window,
         } = match state {
@@ -380,11 +376,10 @@ impl SessionLog {
                 verdicts: 0,
                 seg_start: 0,
                 seg_off: LOG_MAGIC.len() as u64,
-                parser: StreamParser::new(),
-                checker: {
+                feed: {
                     let mut c = OnlineChecker::with_gc(gc);
                     c.set_provenance(provenance);
-                    c
+                    StreamFeed::new(c)
                 },
                 window_base: 0,
                 window: Vec::new(),
@@ -397,7 +392,7 @@ impl SessionLog {
         // snapshot's serialized table are skipped, and a gap between a
         // file's base and the next expected id means lost names —
         // recovery refuses to guess.
-        let mut next = parser.interned() as u64;
+        let mut next = feed.parser().interned() as u64;
         let mut open_names = None;
         for &(file, _) in &files {
             let base = match file {
@@ -426,7 +421,7 @@ impl SessionLog {
                         "name side-log gap: expected id {next}, {file} starts at {id}"
                     )));
                 }
-                let got = parser.intern(name);
+                let got = feed.intern(name);
                 if u64::from(got.0) != id {
                     return Err(RecoverError::Corrupt(format!(
                         "{file} line {j} interned as id {} (expected {id})",
@@ -472,12 +467,9 @@ impl SessionLog {
                 let ev = ev.map_err(|e| RecoverError::Corrupt(format!("{file}: {e}")))?;
                 records += 1;
                 tail_events += 1;
-                if let Some(v) = checker.ingest(&ev) {
+                if let Some(v) = feed.replay(&ev) {
                     verdicts += 1;
                     replayed.push(v.to_json());
-                }
-                if let Event::Write(w) = &ev {
-                    parser.note_write(w.txn, w.object, w.seq);
                 }
             }
         }
@@ -511,8 +503,7 @@ impl SessionLog {
                 seg_start: last_seg,
                 last_snap: snap_records,
             },
-            checker,
-            parser,
+            feed,
             verdicts,
             snap_verdicts,
             replay_base: window_base,
@@ -543,8 +534,7 @@ struct SnapState {
     verdicts: u64,
     seg_start: u64,
     seg_off: u64,
-    parser: StreamParser,
-    checker: OnlineChecker,
+    feed: StreamFeed,
     window_base: u64,
     window: Vec<String>,
 }
@@ -557,9 +547,9 @@ fn decode_snapshot(bytes: &[u8]) -> Option<SnapState> {
     let seg_start = d.u64().ok()?;
     let seg_off = d.u64().ok()?;
     let n = d.len().ok()?;
-    let parser = StreamParser::restore(d.bytes(n).ok()?).ok()?;
+    let parser = d.bytes(n).ok()?;
     let n = d.len().ok()?;
-    let checker = OnlineChecker::restore(d.bytes(n).ok()?).ok()?;
+    let feed = StreamFeed::restore(parser, d.bytes(n).ok()?).ok()?;
     let window_base = d.u64().ok()?;
     let n = d.len().ok()?;
     let mut window = Vec::with_capacity(n.min(4096));
@@ -574,8 +564,7 @@ fn decode_snapshot(bytes: &[u8]) -> Option<SnapState> {
         verdicts,
         seg_start,
         seg_off,
-        parser,
-        checker,
+        feed,
         window_base,
         window,
     })
@@ -591,8 +580,7 @@ mod tests {
 
     struct Rig {
         log: SessionLog,
-        parser: StreamParser,
-        checker: OnlineChecker,
+        feed: StreamFeed,
         verdicts: Vec<String>,
     }
 
@@ -600,8 +588,7 @@ mod tests {
         fn create(dir: &Path, cfg: LogConfig) -> Rig {
             Rig {
                 log: SessionLog::create(dir, cfg, None).unwrap(),
-                parser: StreamParser::new(),
-                checker: OnlineChecker::new(),
+                feed: StreamFeed::new(OnlineChecker::new()),
                 verdicts: Vec::new(),
             }
         }
@@ -609,16 +596,14 @@ mod tests {
         /// Mirrors `Session::apply_line`'s durability ordering.
         fn apply(&mut self, tokens: &str) {
             for tok in tokens.split_whitespace() {
-                let known = self.parser.interned();
-                let ev = self.parser.parse_token(tok).unwrap();
-                let fresh: Vec<String> = (known..self.parser.interned())
-                    .map(|i| self.parser.object_name(ObjectId(i as u32)).to_string())
-                    .collect();
-                self.log
-                    .append_names(fresh.iter().map(|s| s.as_str()))
-                    .unwrap();
+                let known = self.feed.parser().interned();
+                let ev = self.feed.parse(tok).unwrap();
+                let parser = self.feed.parser();
+                let fresh =
+                    (known..parser.interned()).map(|i| parser.object_name(ObjectId(i as u32)));
+                self.log.append_names(fresh).unwrap();
                 self.log.append(&ev).unwrap();
-                if let Some(v) = self.checker.ingest(&ev) {
+                if let Some(v) = self.feed.ingest(&ev) {
                     self.verdicts.push(v.to_json());
                 }
             }
@@ -626,13 +611,7 @@ mod tests {
 
         fn snapshot(&mut self) -> usize {
             self.log
-                .write_snapshot(
-                    &self.checker,
-                    &self.parser,
-                    self.verdicts.len() as u64,
-                    0,
-                    &self.verdicts,
-                )
+                .write_snapshot(&self.feed, self.verdicts.len() as u64, 0, &self.verdicts)
                 .unwrap()
         }
     }
@@ -742,7 +721,7 @@ mod tests {
             }
             reference.apply(txn);
         }
-        assert_eq!(rig.parser.interned(), 41);
+        assert_eq!(rig.feed.parser().interned(), 41);
 
         // Without folding, the side-log would hold all 41 names. With
         // it, exactly one file remains and it holds at most what came
@@ -764,8 +743,7 @@ mod tests {
         assert_eq!(r.verdicts, before.len() as u64);
         let mut rig2 = Rig {
             log: r.log,
-            parser: r.parser,
-            checker: r.checker,
+            feed: r.feed,
             verdicts: Vec::new(),
         };
         reference.verdicts.clear();
@@ -810,8 +788,7 @@ mod tests {
         // same verdict an uninterrupted checker would.
         let mut rig2 = Rig {
             log: r.log,
-            parser: r.parser,
-            checker: r.checker,
+            feed: r.feed,
             verdicts: Vec::new(),
         };
         let mut reference = Rig::create(&tmp("recover-ref"), cfg);
@@ -855,8 +832,7 @@ mod tests {
         // The healed log accepts appends and recovers cleanly again.
         let mut rig = Rig {
             log: r.log,
-            parser: r.parser,
-            checker: r.checker,
+            feed: r.feed,
             verdicts: Vec::new(),
         };
         rig.apply("c2");
@@ -921,8 +897,7 @@ mod tests {
         let r = SessionLog::recover(&dir, cfg, GcConfig::default(), false, None).unwrap();
         let mut rig = Rig {
             log: r.log,
-            parser: r.parser,
-            checker: r.checker,
+            feed: r.feed,
             verdicts: Vec::new(),
         };
         // Old names resolve, new ones append to the legacy file…
@@ -967,7 +942,7 @@ mod tests {
         let cfg = LogConfig::default();
         let mut rig = Rig::create(&dir, cfg);
         rig.apply("b1 w1(x,1) c1");
-        let fin = rig.checker.finish().to_json();
+        let fin = rig.feed.finish().to_json();
         rig.log.mark_closed(&fin).unwrap();
         drop(rig);
         let r = SessionLog::recover(&dir, cfg, GcConfig::default(), false, None).unwrap();

@@ -1,14 +1,16 @@
-//! One checker session: an [`OnlineChecker`] + [`StreamParser`] pair
-//! bound to a [`SessionLog`], with the durability ordering that makes
-//! resumed verdict streams byte-identical.
+//! One checker session: a [`StreamFeed`] (parser + checker) bound to a
+//! [`SessionLog`], with the durability ordering that makes resumed
+//! verdict streams byte-identical.
 //!
 //! The invariant: *an event is durable before its effects are
 //! observable.* `apply_line` checks every token of a line first (the
-//! check needs no parser state, so a bad token poisons nothing), parses
-//! the line, persists any newly interned names, then per event: append
-//! to the log, consult the tap crash plane, ingest, emit. A kill
-//! anywhere leaves the log a prefix of the applied stream, and recovery
-//! replays exactly the suffix the client never saw.
+//! check needs no parser state, so a bad token poisons nothing), then
+//! per token: parse, persist any newly interned name, append the event
+//! to the log, consult the tap crash plane, ingest, emit. A token is
+//! parsed only after the one before it was ingested, so a transaction
+//! pruned mid-line is forgotten before the next token is numbered. A
+//! kill anywhere leaves the log a prefix of the applied stream, and
+//! recovery replays exactly the suffix the client never saw.
 //!
 //! Verdict replay window: the session keeps in memory every verdict
 //! line since the last snapshot (`recent`). A resuming client that has
@@ -22,8 +24,9 @@ use std::path::Path;
 use std::sync::Arc;
 
 use adya_faults::TapCrashPlane;
+use adya_history::ObjectId;
 use adya_obs::{labeled, trace::Stage, Counter, Gauge, TracePlane, Traced};
-use adya_online::{check_token, GcConfig, OnlineChecker, StreamParser};
+use adya_online::{check_token, GcConfig, OnlineChecker, StreamFeed};
 
 use crate::log::{LogConfig, RecoverError, SessionLog};
 use crate::replica::LogPublisher;
@@ -73,8 +76,7 @@ pub enum ResumeError {
 /// A live (attached or parked) checker session.
 pub struct Session {
     name: String,
-    checker: OnlineChecker,
-    parser: StreamParser,
+    feed: StreamFeed,
     log: SessionLog,
     /// Total commit verdicts emitted over the session's life.
     verdicts: u64,
@@ -130,8 +132,7 @@ impl Session {
         let (m_events, m_verdicts, m_staleness, m_live) = Session::metrics(name);
         Ok(Session {
             name: name.to_string(),
-            checker,
-            parser: StreamParser::new(),
+            feed: StreamFeed::new(checker),
             log,
             verdicts: 0,
             recent_base: 0,
@@ -161,8 +162,7 @@ impl Session {
         adya_obs::counter!("serve.recoveries").inc();
         Ok(Session {
             name: name.to_string(),
-            checker: r.checker,
-            parser: r.parser,
+            feed: r.feed,
             log: r.log,
             verdicts: r.verdicts,
             recent_base: r.replay_base,
@@ -229,39 +229,30 @@ impl Session {
         for tok in line.split_whitespace() {
             check_token(tok).map_err(ApplyError::Parse)?;
         }
-        let known = self.parser.interned();
         // Trace ids key off the dense durable record number, so a
         // follower replaying the same records derives the same ids.
         let base = self.log.records();
-        let events: Vec<_> = line
-            .split_whitespace()
-            .zip(base..)
-            .map(|(tok, seq)| {
-                let ev = self
-                    .parser
-                    .parse_token(tok)
-                    .expect("check_token accepted every token of the line");
-                let traced = (self.trace.as_deref())
-                    .map_or(Traced::OFF, |plane| plane.begin(&self.name, seq));
-                traced.stamp(Stage::Tap);
-                (ev, traced)
-            })
-            .collect();
-        // Names first: recovery re-interns before replaying events.
-        self.log
-            .append_names(
-                (known..self.parser.interned())
-                    .map(|i| self.parser.object_name(adya_history::ObjectId(i as u32))),
-            )
-            .map_err(ApplyError::Io)?;
         let mut out = Vec::new();
-        for (ev, traced) in &events {
+        for (tok, seq) in line.split_whitespace().zip(base..) {
+            let known = self.feed.parser().interned();
+            let ev = (self.feed.parse(tok)).expect("check_token accepted every token of the line");
+            let traced =
+                (self.trace.as_deref()).map_or(Traced::OFF, |plane| plane.begin(&self.name, seq));
+            traced.stamp(Stage::Tap);
+            let parser = self.feed.parser();
+            if parser.interned() > known {
+                // Names first: recovery re-interns before replaying events.
+                let fresh = known..parser.interned();
+                self.log
+                    .append_names(fresh.map(|i| parser.object_name(ObjectId(i as u32))))
+                    .map_err(ApplyError::Io)?;
+            }
             // The serve path has no real ring/sequencer hop — the line
             // buffer plays both roles.
             traced.stamp(Stage::Ring);
             traced.stamp(Stage::Seq);
             self.log
-                .append_traced(ev, traced.id())
+                .append_traced(&ev, traced.id())
                 .map_err(ApplyError::Io)?;
             traced.stamp(Stage::Log);
             // Tap-side crash point: the event is durable, its effects
@@ -270,7 +261,7 @@ impl Session {
                 std::process::abort();
             }
             self.m_events.inc();
-            let verdict = self.checker.ingest(ev);
+            let verdict = self.feed.ingest(&ev);
             traced.stamp(Stage::Apply);
             if let Some(v) = verdict {
                 traced.stamp(Stage::Verdict);
@@ -285,8 +276,8 @@ impl Session {
             self.snapshot().map_err(ApplyError::Io)?;
         }
         self.m_staleness
-            .set(self.checker.watermark_staleness() as i64);
-        self.m_live.set(self.checker.live_txns() as i64);
+            .set(self.feed.checker().watermark_staleness() as i64);
+        self.m_live.set(self.feed.checker().live_txns() as i64);
         Ok(out)
     }
 
@@ -308,7 +299,7 @@ impl Session {
         self.recent_base = self.last_snap_verdicts;
         self.last_snap_verdicts = self.verdicts;
         self.m_staleness
-            .set(self.checker.watermark_staleness() as i64);
+            .set(self.feed.checker().watermark_staleness() as i64);
         adya_obs::counter!("serve.snapshots").inc();
         Ok(())
     }
@@ -317,13 +308,8 @@ impl Session {
     /// they are now, into a snapshot file. What to trim and which marker
     /// to advance afterwards is the caller's.
     fn write_snapshot_now(&mut self) -> std::io::Result<()> {
-        self.log.write_snapshot(
-            &self.checker,
-            &self.parser,
-            self.verdicts,
-            self.recent_base,
-            &self.recent,
-        )?;
+        self.log
+            .write_snapshot(&self.feed, self.verdicts, self.recent_base, &self.recent)?;
         Ok(())
     }
 
@@ -354,7 +340,7 @@ impl Session {
             return Ok(fin.clone());
         }
         self.snapshot()?;
-        let fin = self.checker.finish().to_json();
+        let fin = self.feed.finish().to_json();
         self.log.mark_closed(&fin)?;
         self.closed = Some(fin.clone());
         adya_obs::counter!("serve.closes").inc();
@@ -394,11 +380,11 @@ impl Session {
             self.verdicts,
             self.attached,
             self.closed.is_some(),
-            self.checker.live_txns(),
-            self.checker.watermark_staleness(),
-            self.checker.stale_refs(),
+            self.feed.checker().live_txns(),
+            self.feed.checker().watermark_staleness(),
+            self.feed.checker().stale_refs(),
         );
-        match self.checker.strongest_ansi() {
+        match self.feed.checker().strongest_ansi() {
             Some(l) => {
                 let _ = write!(s, ", \"strongest_ansi\": \"{l}\"}}");
             }

@@ -12,7 +12,7 @@ use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
 use adya_history::ObjectId;
-use adya_online::{GcConfig, OnlineChecker, StreamParser};
+use adya_online::{GcConfig, OnlineChecker, StreamFeed};
 use adya_serve::{FileName, LogConfig, SessionLog};
 use proptest::prelude::*;
 
@@ -41,34 +41,24 @@ fn token_stream(txns: u64) -> Vec<String> {
 /// durability ordering (names, then the event, snapshot on cadence).
 struct Rig {
     log: SessionLog,
-    parser: StreamParser,
-    checker: OnlineChecker,
+    feed: StreamFeed,
     verdicts: Vec<String>,
 }
 
 impl Rig {
     fn apply(&mut self, tok: &str) {
-        let known = self.parser.interned();
-        let ev = self.parser.parse_token(tok).expect("valid token");
-        let fresh: Vec<String> = (known..self.parser.interned())
-            .map(|i| self.parser.object_name(ObjectId(i as u32)).to_string())
-            .collect();
-        self.log
-            .append_names(fresh.iter().map(String::as_str))
-            .expect("append names");
+        let known = self.feed.parser().interned();
+        let ev = self.feed.parse(tok).expect("valid token");
+        let parser = self.feed.parser();
+        let fresh = (known..parser.interned()).map(|i| parser.object_name(ObjectId(i as u32)));
+        self.log.append_names(fresh).expect("append names");
         self.log.append(&ev).expect("append event");
-        if let Some(v) = self.checker.ingest(&ev) {
+        if let Some(v) = self.feed.ingest(&ev) {
             self.verdicts.push(v.to_json());
         }
         if self.log.snapshot_due() {
             self.log
-                .write_snapshot(
-                    &self.checker,
-                    &self.parser,
-                    self.verdicts.len() as u64,
-                    0,
-                    &self.verdicts,
-                )
+                .write_snapshot(&self.feed, self.verdicts.len() as u64, 0, &self.verdicts)
                 .expect("snapshot");
         }
     }
@@ -110,23 +100,22 @@ proptest! {
         let crash_at = 1 + (crash_frac as usize * (tokens.len() - 1)) / 1000;
 
         // The uninterrupted reference run.
-        let mut ref_parser = StreamParser::new();
-        let mut ref_checker = OnlineChecker::with_gc(GcConfig::default());
+        let mut reference = StreamFeed::new(OnlineChecker::with_gc(GcConfig::default()));
         let mut ref_verdicts = Vec::new();
         for tok in &tokens {
-            if let Some(v) = ref_checker.ingest(&ref_parser.parse_token(tok).expect("token")) {
+            let ev = reference.parse(tok).expect("token");
+            if let Some(v) = reference.ingest(&ev) {
                 ref_verdicts.push(v.to_json());
             }
         }
-        let ref_final = ref_checker.finish().to_json();
+        let ref_final = reference.finish().to_json();
 
         // Live run up to the crash point, then drop (kill): appends
         // reached the OS, nothing else is promised.
         let dir = tmp(&format!("{rotate}-{snapshot}-{txns}-{crash_frac}-{torn}"));
         let mut rig = Rig {
             log: SessionLog::create(&dir, cfg, None).expect("create"),
-            parser: StreamParser::new(),
-            checker: OnlineChecker::with_gc(GcConfig::default()),
+            feed: StreamFeed::new(OnlineChecker::with_gc(GcConfig::default())),
             verdicts: Vec::new(),
         };
         for tok in &tokens[..crash_at] {
@@ -164,15 +153,14 @@ proptest! {
         // verdicts and the final line must be byte-identical.
         let mut rig = Rig {
             log: r.log,
-            parser: r.parser,
-            checker: r.checker,
+            feed: r.feed,
             verdicts: ref_verdicts[..crash_verdicts].to_vec(),
         };
         for tok in &tokens[crash_at..] {
             rig.apply(tok);
         }
         prop_assert_eq!(&rig.verdicts, &ref_verdicts, "continued stream diverged");
-        prop_assert_eq!(rig.checker.finish().to_json(), ref_final, "final verdict diverged");
+        prop_assert_eq!(rig.feed.finish().to_json(), ref_final, "final verdict diverged");
 
         // And a second, clean recovery of the healed image still works.
         let records = rig.log.records();

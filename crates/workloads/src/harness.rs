@@ -11,7 +11,7 @@ use std::path::Path;
 use std::process::{Child, Command, Stdio};
 use std::time::Duration;
 
-use adya_online::{GcConfig, OnlineChecker, StreamParser};
+use adya_online::{GcConfig, OnlineChecker, StreamFeed};
 
 /// A spawned server; killed on drop so a panicking test or bench never
 /// leaks a listener.
@@ -84,14 +84,13 @@ pub fn http_get(addr: &str, path: &str) -> (u16, String) {
 /// The uninterrupted in-process reference: same tokens, same checker
 /// configuration as a server session — (verdict lines, final line).
 pub fn reference(tokens: &[String]) -> (Vec<String>, String) {
-    let mut parser = StreamParser::new();
-    let mut checker = OnlineChecker::with_gc(GcConfig::default());
+    let mut feed = StreamFeed::new(OnlineChecker::with_gc(GcConfig::default()));
     let mut verdicts = Vec::new();
     for tok in tokens {
-        let ev = parser.parse_token(tok).expect("reference tokens parse");
-        if let Some(v) = checker.ingest(&ev) {
+        let ev = feed.parse(tok).expect("reference tokens parse");
+        if let Some(v) = feed.ingest(&ev) {
             verdicts.push(v.to_json());
         }
     }
-    (verdicts, checker.finish().to_json())
+    (verdicts, feed.finish().to_json())
 }

@@ -30,7 +30,7 @@ use std::time::{Duration, Instant};
 use adya::core::{analyze, Analysis, IsolationLevel};
 use adya::history::parse_history_completed;
 use adya::online::{
-    CheckerMonitor, EventLogReader, HealthPolicy, LogError, OnlineChecker, StreamParser, Verdict,
+    CheckerMonitor, EventLogReader, HealthPolicy, LogError, OnlineChecker, StreamFeed, Verdict,
 };
 use adya_obs::trace::{Stage, DEFAULT_TRACE_SAMPLE};
 use adya_obs::{json::esc, ObsServer, Response, TracePlane, Traced};
@@ -558,7 +558,9 @@ impl VerdictOut {
 /// Where `--stream` events go: the checker, the obs plane hooked around
 /// every event, and stdout.
 struct StreamSink {
-    checker: OnlineChecker,
+    /// The checker, behind the parser text tokens go through (a binary
+    /// log's events skip it).
+    feed: StreamFeed,
     obs: StreamObs,
     emitted: u64,
     dot: bool,
@@ -575,7 +577,7 @@ impl StreamSink {
         checker.set_provenance(true);
         let obs = StreamObs::start(args, &mut checker)?;
         Ok(StreamSink {
-            checker,
+            feed: StreamFeed::new(checker),
             obs,
             emitted: 0,
             dot: args.dot,
@@ -584,8 +586,8 @@ impl StreamSink {
         })
     }
 
-    /// Feeds one parsed event and prints its commit verdict, if any.
-    fn feed(&mut self, ev: adya::history::Event) {
+    /// Applies one parsed event and prints its commit verdict, if any.
+    fn apply(&mut self, ev: adya::history::Event) {
         // In-thread ingest plays every pre-apply stage itself: arrival
         // (`tap`), line buffer (`ring`), sequencing.
         let traced = (self.obs.plane.as_deref())
@@ -598,12 +600,13 @@ impl StreamSink {
             self.out.flush(); // about to sleep
         }
         let arrived = self.obs.event_arrived(traced);
-        let v = self.checker.ingest(&ev);
+        let v = self.feed.ingest(&ev);
         traced.stamp(Stage::Apply);
         if v.is_some() {
             traced.stamp(Stage::Verdict);
         }
-        self.obs.event_applied(&self.checker, arrived, v.as_ref());
+        self.obs
+            .event_applied(self.feed.checker(), arrived, v.as_ref());
         if let Some(v) = v {
             self.emitted += 1;
             self.out.verdict_with_dot(&v, self.dot);
@@ -625,7 +628,7 @@ fn finish_truncated(
         "{{\"error\": \"truncated_input\", \"{at_field}\": {at}, \"detail\": \"{}\"}}",
         esc(detail)
     ));
-    out.verdict(&sink.checker.finish());
+    out.verdict(&sink.feed.finish());
     out.flush();
     emit_metrics_stderr(metrics);
     ExitCode::from(EXIT_TRUNCATED)
@@ -647,11 +650,11 @@ fn finish_stream(args: &Args, mut sink: StreamSink, was_shutdown: bool) -> ExitC
         sink.out.record(&adya_serve::proto::closing_frame(
             "shutdown",
             None,
-            sink.checker.events(),
+            sink.feed.checker().events(),
             sink.emitted,
         ));
     }
-    let fin = sink.checker.finish();
+    let fin = sink.feed.finish();
     sink.obs.finish(&fin);
     sink.out.verdict(&fin);
     sink.out.flush();
@@ -691,7 +694,7 @@ fn run_stream_binary(args: &Args, buf: &[u8]) -> ExitCode {
             break;
         }
         match item {
-            Ok(ev) => sink.feed(ev),
+            Ok(ev) => sink.apply(ev),
             Err(LogError::TornTail { good_len, detail }) => {
                 return finish_truncated(sink, &detail, "good_len", good_len, args.metrics);
             }
@@ -766,7 +769,6 @@ fn run_stream(args: &Args) -> ExitCode {
         raw,
     ));
 
-    let mut parser = StreamParser::new();
     let mut sink = match StreamSink::start(args) {
         Ok(s) => s,
         Err(e) => {
@@ -816,8 +818,8 @@ fn run_stream(args: &Args) -> ExitCode {
         }
         let mut toks = line.split_whitespace().peekable();
         while let Some(tok) = toks.next() {
-            match parser.parse_token(tok) {
-                Ok(ev) => sink.feed(ev),
+            match sink.feed.parse(tok) {
+                Ok(ev) => sink.apply(ev),
                 Err(msg) if toks.peek().is_some() => {
                     return fail_stream(sink, &format!("line {line_no}: {msg}"));
                 }

@@ -213,6 +213,21 @@ fn stream_verdicts_match_their_goldens() {
     }
 }
 
+#[test]
+fn a_stream_that_reuses_ids_under_2pl_is_pl3() {
+    // `reused_ids` comes from a strict-2PL generator, so every prefix is
+    // serializable; its sixteen ids only come round again. Each holder
+    // of an id numbers its writes from 1 — the parser forgets a pruned
+    // transaction's counters — so no verdict sees an intermediate read.
+    let (stdout, stderr, code) = run(&["--stream"], &common::stream_fixture("reused_ids"));
+    assert_eq!(code, Some(0), "{stderr}");
+    let last = stdout.lines().last().expect("a final verdict");
+    assert!(last.contains("\"final\": true"), "{last}");
+    for line in stdout.lines() {
+        assert!(common::is_clean_verdict(line), "{line}");
+    }
+}
+
 /// Reads one line from `from` on a helper thread, so a program that
 /// never writes it fails the test after `secs` instead of hanging it.
 fn read_line_within<R: std::io::BufRead + Send + 'static>(mut from: R, secs: u64) -> (R, String) {

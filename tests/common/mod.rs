@@ -375,6 +375,11 @@ pub fn stream_fixture(name: &str) -> String {
     std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()))
 }
 
+/// True for a verdict line that reports PL-3 with nothing fired.
+pub fn is_clean_verdict(line: &str) -> bool {
+    line.contains("\"strongest_ansi\": \"PL-3\"") && line.contains("\"fired\": []")
+}
+
 /// Compares `got` with the golden file `tests/data/stream/<file>`, or
 /// writes it under `REGEN_GOLDEN=1`.
 pub fn check_stream_golden(file: &str, got: &str) {

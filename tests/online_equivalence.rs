@@ -16,7 +16,7 @@ use std::collections::BTreeSet;
 
 use adya::core::{classify, detect_all, PhenomenonKind};
 use adya::history::Event;
-use adya::online::{GcConfig, OnlineChecker, StreamParser};
+use adya::online::{GcConfig, OnlineChecker, StreamFeed};
 use adya::workloads::histgen::{random_history, HistGenConfig};
 use proptest::prelude::*;
 
@@ -208,16 +208,29 @@ fn indexed_gc_matches_the_scanning_collector_byte_for_byte() {
     }
 }
 
-/// The events of `tests/data/stream/<name>.events`.
-fn fixture_events(name: &str) -> Vec<Event> {
-    let mut parser = StreamParser::new();
+/// The events of `tests/data/stream/<name>.events`, as a checker
+/// collecting under `gc` is fed them: which transaction a reused id
+/// names, and so how its writes are numbered, depends on what was
+/// pruned before its token.
+fn fixture_events(name: &str, gc: GcConfig) -> Vec<Event> {
+    let mut feed = StreamFeed::new(OnlineChecker::with_gc(gc));
     common::stream_fixture(name)
         .lines()
         .filter(|l| !l.trim_start().starts_with('#'))
         .flat_map(str::split_whitespace)
-        .map(|tok| parser.parse_token(tok).expect("fixture token"))
+        .map(|tok| {
+            let ev = feed.parse(tok).expect("fixture token");
+            feed.ingest(&ev);
+            ev
+        })
         .collect()
 }
+
+/// A pass after every event: the GC the image goldens run under.
+const EAGER: GcConfig = GcConfig {
+    enabled: true,
+    interval: 1,
+};
 
 fn hex(bytes: &[u8]) -> String {
     bytes.iter().map(|b| format!("{b:02x}")).collect()
@@ -244,10 +257,7 @@ fn images(golden: &str) -> Vec<(&str, Vec<u8>)> {
 /// three quarters of the stream, every verdict line in between, and
 /// the image after `finish`.
 fn image_golden_lines(events: &[Event], provenance: bool) -> Vec<String> {
-    let mut c = OnlineChecker::with_gc(GcConfig {
-        enabled: true,
-        interval: 1,
-    });
+    let mut c = OnlineChecker::with_gc(EAGER);
     c.set_provenance(provenance);
     let mut lines = vec![format!("# provenance {provenance}")];
     for (i, e) in events.iter().enumerate() {
@@ -271,7 +281,7 @@ fn image_golden_lines(events: &[Event], provenance: bool) -> Vec<String> {
 #[test]
 fn stream_images_match_their_goldens() {
     for name in common::STREAM_FIXTURES {
-        let events = fixture_events(name);
+        let events = fixture_events(name, EAGER);
         let mut text = String::new();
         for provenance in [true, false] {
             for line in image_golden_lines(&events, provenance) {
@@ -292,7 +302,7 @@ fn stream_dots_match_their_goldens_in_process() {
     for name in common::STREAM_FIXTURES {
         let mut c = OnlineChecker::new();
         c.set_provenance(true);
-        let dots: String = fixture_events(name)
+        let dots: String = fixture_events(name, GcConfig::default())
             .iter()
             .filter_map(|e| c.ingest(e)?.cycle_dot())
             .collect();
@@ -310,7 +320,7 @@ fn stream_dots_match_their_goldens_in_process() {
 /// events: to the file's remaining verdict lines and, with
 /// `final_image`, to its final image too.
 fn continue_from_images(name: &str, file: &str, final_image: bool) {
-    let events = fixture_events(name);
+    let events = fixture_events(name, EAGER);
     let path = common::stream_data(file);
     let golden = std::fs::read_to_string(&path).expect("image file");
     let compared =

@@ -1,0 +1,68 @@
+//! The bound on the stream parser's state: a `StreamFeed`'s parser
+//! keeps a write counter only while the checker holds its transaction,
+//! so however long the stream runs it holds a few counters per live
+//! transaction. Alone in this file — so alone in its process — and run
+//! in release builds by CI beside the other work bounds.
+//!
+//! The exception is the checker's, not the parser's: the watermark GC
+//! keeps everything that ended after the oldest running transaction
+//! began, so a transaction that never commits pins the watermark, and
+//! the live set — with the counters of every transaction in it — grows
+//! until that transaction ends. The bound here is relative to the peak
+//! live set for that reason.
+
+use adya::online::{OnlineChecker, StreamFeed, StreamParser};
+
+mod common;
+use common::{sliding_window_events, stream_notation, SlidingWindow};
+
+#[test]
+fn parser_counters_stay_within_a_multiple_of_the_live_set() {
+    // The hot-key shape `stream-hot` runs: few keys, dirty reads and
+    // aborts, every transaction superseded and pruned soon after it
+    // ends.
+    let cfg = SlidingWindow {
+        keys: 16,
+        slide: 1 << 40,
+        open: 8,
+        dirty: true,
+    };
+    const WARM_UP: usize = 10_000;
+    const MEASURED: usize = 200_000;
+    let text = stream_notation(&sliding_window_events(cfg, 12, WARM_UP + MEASURED));
+
+    let mut checker = OnlineChecker::new();
+    checker.set_provenance(true); // as `adya-check --stream` runs it
+    let mut feed = StreamFeed::new(checker);
+    let (mut peak_live, mut peak_counters) = (0usize, 0usize);
+    for (i, tok) in text.split_whitespace().enumerate() {
+        let event = feed.parse(tok).expect("generated tokens parse");
+        feed.ingest(&event);
+        peak_live = peak_live.max(feed.checker().live_txns());
+        if i >= WARM_UP {
+            peak_counters = peak_counters.max(feed.parser().counters());
+        }
+    }
+    // A generated transaction makes at most four writes.
+    assert!(
+        peak_counters <= 4 * peak_live,
+        "{peak_counters} counters at peak, {peak_live} transactions live at peak"
+    );
+    assert!(peak_live < 1_000, "the live set grew: {peak_live}");
+
+    // The same tokens through a parser nobody prunes for: one counter
+    // per (transaction, object) the stream ever wrote.
+    let mut alone = StreamParser::new();
+    for tok in text.split_whitespace() {
+        alone.parse_token(tok).expect("generated tokens parse");
+    }
+    assert!(
+        alone.counters() > 20 * peak_counters,
+        "{} counters without forgetting, {peak_counters} with",
+        alone.counters()
+    );
+    eprintln!(
+        "counters: {peak_counters} at peak ({peak_live} live); {} without forgetting",
+        alone.counters()
+    );
+}

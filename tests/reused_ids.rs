@@ -1,0 +1,202 @@
+//! `tests/data/stream/reused_ids.events`: a strict-2PL stream whose
+//! sixteen transaction ids come round again, most of them after their
+//! last holder was pruned. A parser that kept counting a pruned
+//! transaction's writes numbered the next holder's versions from the
+//! old count, and its reads of its own versions turned into false G1b.
+//! Here the three ways text reaches a checker — `StreamFeed` (what
+//! `adya-check --stream` runs), an `adya-serve` session, and a session
+//! recovered after a kill — agree byte for byte with the uninterrupted
+//! run, and a session snapshot written by a parser that never forgot
+//! still resumes, to the verdicts a forgetting one gives.
+
+use std::path::{Path, PathBuf};
+
+use adya::online::{wire, GcConfig, OnlineChecker, StreamFeed, StreamParser};
+use adya::serve::{FsyncPolicy, LogConfig, Session, SessionConfig, SessionLog};
+use adya_faults::{TapCrashConfig, TapCrashPlane};
+
+mod common;
+
+fn fixture_tokens() -> Vec<String> {
+    let text = common::stream_fixture("reused_ids");
+    text.split_whitespace().map(str::to_string).collect()
+}
+
+/// The uninterrupted run: the verdict lines and the final line of
+/// `tokens` through one `StreamFeed`, token by token.
+fn through_the_feed(tokens: &[String], gc: GcConfig, provenance: bool) -> (Vec<String>, String) {
+    let mut checker = OnlineChecker::with_gc(gc);
+    checker.set_provenance(provenance);
+    let mut feed = StreamFeed::new(checker);
+    let mut verdicts = Vec::new();
+    for tok in tokens {
+        let ev = feed.parse(tok).expect("fixture token");
+        if let Some(v) = feed.ingest(&ev) {
+            verdicts.push(v.to_json());
+        }
+    }
+    (verdicts, feed.finish().to_json())
+}
+
+fn session_config(gc: GcConfig, provenance: bool) -> SessionConfig {
+    SessionConfig {
+        log: LogConfig {
+            rotate_events: 32,
+            snapshot_every: 16,
+            fsync: FsyncPolicy::Never,
+        },
+        gc,
+        provenance,
+    }
+}
+
+/// Applies `line` and returns its verdict lines.
+fn apply(session: &mut Session, line: &str) -> Vec<String> {
+    let tap = TapCrashPlane::new(TapCrashConfig::default());
+    let out = session.apply_line(line, &tap).expect("apply");
+    out.into_iter().map(|(_, v)| v).collect()
+}
+
+fn fresh_dir(name: &str) -> PathBuf {
+    let dir = common::data_dir(name);
+    std::fs::create_dir_all(&dir).expect("test dir");
+    dir
+}
+
+const EAGER: GcConfig = GcConfig {
+    enabled: true,
+    interval: 1,
+};
+
+#[test]
+fn the_feed_a_session_and_a_recovered_session_agree() {
+    let tokens = fixture_tokens();
+    let (want, want_final) = through_the_feed(&tokens, EAGER, false);
+    let cfg = session_config(EAGER, false);
+
+    // The whole stream as one line, a pass after every event: a
+    // transaction pruned mid-line is forgotten before the next token is
+    // numbered.
+    let dir = fresh_dir("reused-ids-one-line");
+    let mut session = Session::create(&dir, "s", cfg, None).expect("create");
+    assert_eq!(apply(&mut session, &tokens.join(" ")), want);
+    assert_eq!(session.close().expect("close"), want_final);
+
+    // Killed after every prefix, recovered, and carried on: the replayed
+    // tail and the rest of the stream are the uninterrupted run's.
+    for cut in 0..=tokens.len() {
+        let dir = fresh_dir("reused-ids-kill");
+        let mut session = Session::create(&dir, "s", cfg, None).expect("create");
+        let mut got = apply(&mut session, &tokens[..cut].join(" "));
+        drop(session); // a kill: the log holds what was appended
+        let mut session = Session::recover(&dir, "s", cfg, None).expect("recover");
+        let (_, durable, replay) = session.resume(got.len() as u64).expect("resume");
+        assert_eq!((durable, replay.len()), (got.len() as u64, 0), "cut {cut}");
+        got.extend(apply(&mut session, &tokens[cut..].join(" ")));
+        assert_eq!(got, want, "cut {cut}");
+        assert_eq!(session.close().expect("close"), want_final, "cut {cut}");
+    }
+
+    // And `adya-check --stream` (default GC, provenance on) printed
+    // what a session so configured answers: its golden.
+    let (lines, fin) = through_the_feed(&tokens, GcConfig::default(), true);
+    let dir = fresh_dir("reused-ids-cli");
+    let cfg = session_config(GcConfig::default(), true);
+    let mut session = Session::create(&dir, "s", cfg, None).expect("create");
+    assert_eq!(apply(&mut session, &tokens.join(" ")), lines);
+    assert_eq!(session.close().expect("close"), fin);
+    let golden = std::fs::read_to_string(common::stream_data("reused_ids.verdicts.golden"))
+        .expect("verdicts golden");
+    let printed: Vec<&str> = golden.lines().collect();
+    assert_eq!(
+        printed.split_last(),
+        Some((&fin.as_str(), &lines_of(&lines)[..]))
+    );
+}
+
+fn lines_of(v: &[String]) -> Vec<&str> {
+    v.iter().map(String::as_str).collect()
+}
+
+fn copy_dir(from: &Path, to: &Path) {
+    std::fs::create_dir_all(to).expect("mkdir");
+    for entry in std::fs::read_dir(from).expect("read fixture dir") {
+        let entry = entry.expect("dir entry");
+        let target = to.join(entry.file_name());
+        if entry.file_type().expect("file type").is_dir() {
+            copy_dir(&entry.path(), &target);
+        } else {
+            std::fs::copy(entry.path(), target).expect("copy");
+        }
+    }
+}
+
+/// `reused_ids.never_forgot/s` is session `s` as a build whose parser
+/// never forgot wrote it: the first 19 lines of the stream (119 events,
+/// up to the first token the two builds number differently) under the
+/// default configuration, then a snapshot. Its parser image still
+/// counts for transactions its checker had pruned.
+#[test]
+fn a_session_written_by_a_never_forgetting_parser_resumes_to_the_forgetting_verdicts() {
+    let cfg = SessionConfig {
+        log: LogConfig {
+            rotate_events: 1 << 20,
+            snapshot_every: u64::MAX,
+            fsync: FsyncPolicy::Never,
+        },
+        ..SessionConfig::default()
+    };
+    let fixture = common::stream_data("reused_ids.never_forgot");
+    let image = std::fs::read(fixture.join("s/snap-119.snap")).expect("snapshot file");
+    let payload = wire::open(&adya::serve::log::SNAP_MAGIC, &image).expect("sealed snapshot");
+    let mut d = wire::Dec::new(payload);
+    for _ in 0..4 {
+        d.u64().expect("record, verdict and segment counts");
+    }
+    let n = d.len().expect("parser image length");
+    let parser = StreamParser::restore(d.bytes(n).expect("parser image")).expect("restores");
+
+    // It restores, and the counters of pruned transactions are gone.
+    let dir = fresh_dir("reused-ids-never-forgot");
+    copy_dir(&fixture, &dir);
+    let r = SessionLog::recover(&dir.join("s"), cfg.log, cfg.gc, cfg.provenance, None)
+        .expect("a never-forgetting parser's session recovers");
+    let kept = r.feed.parser().counters();
+    assert!(
+        kept < parser.counters(),
+        "{kept} of the image's {} counters kept",
+        parser.counters()
+    );
+    assert!(kept <= 4 * r.feed.checker().live_txns());
+    drop(r);
+
+    // Carried on, it answers what a session that forgot all along does.
+    let text = common::stream_fixture("reused_ids");
+    let lines: Vec<&str> = text.lines().collect();
+    let (head, tail) = lines.split_at(19);
+    let dir = fresh_dir("reused-ids-forgot-all-along");
+    let mut fresh = Session::create(&dir, "s", cfg, None).expect("create");
+    let mut want = Vec::new();
+    for line in head {
+        want.extend(apply(&mut fresh, line));
+    }
+    let have = want.len() as u64;
+    want.clear();
+    for line in tail {
+        want.extend(apply(&mut fresh, line));
+    }
+    let dir = fresh_dir("reused-ids-never-forgot");
+    copy_dir(&fixture, &dir);
+    let mut resumed = Session::recover(&dir, "s", cfg, None).expect("recover");
+    resumed
+        .resume(have)
+        .expect("resume where the writer left off");
+    let mut got = Vec::new();
+    for line in tail {
+        got.extend(apply(&mut resumed, line));
+    }
+    assert_eq!(got, want);
+    let fin = resumed.close().expect("close");
+    assert_eq!(fin, fresh.close().expect("close"));
+    assert!(common::is_clean_verdict(&fin), "{fin}");
+}

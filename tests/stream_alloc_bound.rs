@@ -8,7 +8,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use adya::history::Event;
-use adya::online::{OnlineChecker, StreamParser, Verdict};
+use adya::online::{OnlineChecker, StreamFeed, Verdict};
 
 mod common;
 use common::{sliding_window_events, stream_notation, SlidingWindow};
@@ -62,19 +62,19 @@ fn ingest_allocates_per_transaction_and_rendering_not_at_all() {
     const MEASURED: usize = 50_000;
     let text = stream_notation(&sliding_window_events(cfg, 11, WARM_UP + MEASURED));
 
-    let mut parser = StreamParser::new();
     let mut checker = OnlineChecker::new();
     checker.set_provenance(true); // as `adya-check --stream` runs it
+    let mut feed = StreamFeed::new(checker);
     let mut line = String::with_capacity(4096);
     let (mut ingest, mut render) = (0u64, 0u64);
     let (mut events, mut lines) = (0usize, 0usize);
     for tok in text.split_whitespace() {
-        let event: Event = parser.parse_token(tok).expect("generated tokens parse");
+        let event: Event = feed.parse(tok).expect("generated tokens parse");
         events += 1;
         let measured = events > WARM_UP;
 
         let before = allocs();
-        let verdict: Option<Verdict> = checker.ingest(&event);
+        let verdict: Option<Verdict> = feed.ingest(&event);
         if measured {
             ingest += allocs() - before;
         }

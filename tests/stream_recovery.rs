@@ -7,14 +7,18 @@ use std::path::PathBuf;
 use std::process::Command;
 
 use adya::history::Event;
-use adya::online::{encode_log, StreamParser};
+use adya::online::{encode_log, OnlineChecker, StreamFeed};
 
 const HIST: &str = "b1 w1(x,1) c1 b2 r2(x1) w2(y,2) c2 b3 r3(y2) w3(x,3) c3";
 
 fn events() -> Vec<Event> {
-    let mut p = StreamParser::new();
+    let mut feed = StreamFeed::new(OnlineChecker::new());
     HIST.split_whitespace()
-        .map(|t| p.parse_token(t).expect("fixture history parses"))
+        .map(|t| {
+            let ev = feed.parse(t).expect("fixture history parses");
+            feed.ingest(&ev);
+            ev
+        })
         .collect()
 }
 
