@@ -195,9 +195,9 @@ fn check_crash_replay(events: &[Event], seed: u64, plain: &[String]) -> bool {
 }
 
 /// Replays `events` through the *staged pipeline* — threaded feeder,
-/// tiny rings forcing backpressure — with the
-/// stream cut at seeded points: each cut closes the pipeline (the
-/// sequencer drains what the rings still buffer, exactly as on a
+/// tiny queues forcing backpressure — with the
+/// stream cut at seeded points: each cut ends the pipeline's stream
+/// (the sequencer drains what the queues still buffer, exactly as on a
 /// crash), snapshots the checker, and resumes a restored checker on a
 /// fresh pipeline. The whole verdict stream must be byte-identical to
 /// `plain`.
@@ -225,7 +225,7 @@ fn check_pipelined_replay(events: &[Event], seed: u64, plain: &[String]) -> bool
                     for (i, ev) in segment.iter().enumerate() {
                         producers[i % k].push(i as u64, ev.clone());
                     }
-                    // producers drop: rings close, sequencer drains.
+                    // producers drop: the stream ends, sequencer drains.
                 });
                 pipe.run(&mut c, |v| got.push(verdict_line(&v)));
             });
@@ -282,6 +282,9 @@ fn run_one(
         &programs,
         &ConcurrentConfig {
             threads: threads as usize,
+            // Yields, not retries: about four blocked retries at the
+            // default backoff. The fault plane aborts lock holders
+            // anyway, so a blocked session gives up its wait early.
             spin_limit: 64,
             retry: RetryPolicy {
                 max_attempts: 40,

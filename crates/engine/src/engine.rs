@@ -2,7 +2,7 @@
 
 use adya_history::{History, TxnId, Value};
 
-use crate::recorder::{EventTap, Recorder, SeqEventTap};
+use crate::recorder::{EventTap, Recorder};
 use crate::types::{Catalog, Key, OpResult, TableId, TablePred};
 
 /// A transactional engine over the shared store model.
@@ -47,24 +47,13 @@ pub trait Engine: Send + Sync {
     /// through. Decorators forward to the engine they wrap.
     fn recorder(&self) -> &Recorder;
 
-    /// Installs a streaming observer on the engine's recorder: every
-    /// subsequently recorded event (begin, read, write, commit, abort,
-    /// predicate read) is passed to `tap` in recorded order, enabling
-    /// live checking with `adya-online` while the workload runs.
+    /// Installs a streaming observer on the engine's recorder, beside
+    /// any already installed: every subsequently recorded event (begin,
+    /// read, write, commit, abort, predicate read) is passed to `tap` in
+    /// recorded order, enabling live checking with `adya-online` while
+    /// the workload runs. [`finalize`](Engine::finalize) drops it.
     fn set_event_tap(&self, tap: EventTap) {
-        self.recorder().set_tap(tap);
-    }
-
-    /// Installs a sequence-carrying streaming observer (see
-    /// [`SeqEventTap`]): like [`set_event_tap`], but each event comes
-    /// with its recorder sequence number. The pipeline's buffering tap
-    /// ([`crate::recorder::buffering_tap`]) installs through this to
-    /// shard events across its rings by sequence. Independent of the
-    /// plain tap; both may be installed at once.
-    ///
-    /// [`set_event_tap`]: Engine::set_event_tap
-    fn set_seq_event_tap(&self, tap: SeqEventTap) {
-        self.recorder().set_seq_tap(tap);
+        self.recorder().add_tap(tap);
     }
 
     /// Assembles the recorded history (completing still-active

@@ -73,8 +73,8 @@ pub use locking::{LockConfig, LockDuration, LockingEngine};
 pub use mvcc::{MvccEngine, MvccMode};
 pub use mvto::MvtoEngine;
 pub use occ::OccEngine;
-pub use recorder::{buffering_tap, EventTap, Recorder, SeqEventTap};
-pub use ring::{EventRing, RingCloser, RingConsumer, RingProducer};
+pub use recorder::{EventTap, Recorder};
+pub use ring::{EventRing, RingConsumer, RingProducer};
 pub use sgt::{CertifyLevel, SgtEngine};
 pub use types::{AbortReason, Catalog, EngineError, Key, OpResult, TableId, TablePred};
 

@@ -16,7 +16,6 @@ use adya_history::{
 };
 use parking_lot::Mutex;
 
-use crate::ring::{EventRing, RingCloser, RingConsumer};
 use crate::types::{Key, TableId, TablePred};
 
 /// Observer invoked synchronously (under the recorder lock, so taps
@@ -27,77 +26,11 @@ use crate::types::{Key, TableId, TablePred};
 /// [`adya-online`]: https://docs.rs/adya-online
 pub type EventTap = Arc<dyn Fn(&Event) + Send + Sync>;
 
-/// Observer like [`EventTap`] that also receives the event's recorder
-/// sequence number — its 0-based position in recorded order. The
-/// sequence number is the stable *event id* forensic exports key their
-/// timelines on: it survives the trip through tap → event log →
-/// replay, unlike wall-clock times.
-pub type SeqEventTap = Arc<dyn Fn(u64, &Event) + Send + Sync>;
-
-/// Builds the pipeline's buffering tap: `rings` bounded SPSC event
-/// rings of `capacity` events each, plus a [`SeqEventTap`] that fans
-/// every recorded event into ring `seq % rings` with blocking
-/// backpressure. Install the tap with
-/// [`Engine::set_seq_event_tap`](crate::Engine::set_seq_event_tap) and
-/// hand the consumers to the pipeline sequencer.
-///
-/// Sequence numbers are rebased so the first event the tap observes is
-/// pipeline sequence 0 — a recorder may already hold events (workload
-/// setup transactions, say) when the pipeline attaches, and the
-/// sequencer always starts expecting 0. Taps run under the recorder
-/// lock, so the first observed event provably has the smallest
-/// recorder sequence.
-///
-/// Sharding by sequence number (rather than by producing thread) keeps
-/// the ring assignment a pure function of the recorded stream — so
-/// equivalence tests and crash replays are reproducible — and lets the
-/// sequencer merge rings in O(1): event `seq` can only ever be at the
-/// head of ring `seq % rings`. Each ring still honors the SPSC
-/// contract: taps run under the recorder mutex (one pusher at a time,
-/// with the mutex providing the cross-thread happens-before), and the
-/// sequencer is the only popper.
-///
-/// The returned [`RingCloser`]s end the stream once the producing side
-/// is done (the tap closure owns the producer endpoints, so a driver
-/// could not reach them otherwise); dropping the tap closes the rings
-/// too.
-pub fn buffering_tap(
-    rings: usize,
-    capacity: usize,
-) -> (SeqEventTap, Vec<RingConsumer>, Vec<RingCloser>) {
-    let rings = rings.max(1);
-    let mut producers = Vec::with_capacity(rings);
-    let mut consumers = Vec::with_capacity(rings);
-    for _ in 0..rings {
-        let (p, c) = EventRing::with_capacity(capacity);
-        producers.push(p);
-        consumers.push(c);
-    }
-    let closers = producers.iter().map(|p| p.closer()).collect();
-    let k = producers.len() as u64;
-    // u64::MAX marks "no event seen yet"; a real recorder sequence can
-    // never reach it. Relaxed suffices: the recorder lock already
-    // orders tap invocations.
-    let base = std::sync::atomic::AtomicU64::new(u64::MAX);
-    let tap: SeqEventTap = Arc::new(move |seq, ev| {
-        let b = match base.load(std::sync::atomic::Ordering::Relaxed) {
-            u64::MAX => {
-                base.store(seq, std::sync::atomic::Ordering::Relaxed);
-                seq
-            }
-            b => b,
-        };
-        let rel = seq - b;
-        producers[(rel % k) as usize].push(rel, ev.clone());
-    });
-    (tap, consumers, closers)
-}
-
 #[derive(Default)]
 struct Rec {
     b: HistoryBuilder,
     next_txn: u32,
-    /// Events recorded so far; the next event's id.
+    /// Events recorded so far.
     seq: u64,
     rel_of_table: HashMap<TableId, RelationId>,
     /// Predicates are identified by the address of their shared test
@@ -108,39 +41,29 @@ struct Rec {
     /// Set by [`Recorder::finalize`]; a second finalize would build
     /// from a drained builder and silently return an empty history.
     finalized: bool,
-    /// Streaming observer; see [`EventTap`].
-    tap: Option<EventTap>,
-    /// Id-carrying streaming observer; see [`SeqEventTap`].
-    seq_tap: Option<SeqEventTap>,
+    /// Streaming observers, in installation order; see [`EventTap`].
+    taps: Vec<EventTap>,
 }
 
 impl Rec {
-    /// Delivers `ev` to the installed tap, if any.
+    /// Delivers `ev` to every installed tap.
     ///
     /// Panic-safe: a tap callback that panics is caught here (the
     /// recorder lock is held by the caller, so letting the panic
     /// unwind would leave every later engine operation racing a
     /// half-observed stream — or, with a poisoning mutex, wedge the
     /// engine entirely). The offending tap is disarmed so the engine
-    /// keeps running untapped, and the incident is counted and
+    /// keeps running without it, and the incident is counted and
     /// journaled through `adya-obs`.
     fn emit(&mut self, ev: Event) {
-        let id = self.seq;
         self.seq += 1;
-        if let Some(tap) = &self.tap {
-            let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| tap(&ev)));
-            if caught.is_err() {
-                self.tap = None;
+        self.taps.retain(|tap| {
+            let ok = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| tap(&ev))).is_ok();
+            if !ok {
                 Rec::tap_panicked();
             }
-        }
-        if let Some(tap) = &self.seq_tap {
-            let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| tap(id, &ev)));
-            if caught.is_err() {
-                self.seq_tap = None;
-                Rec::tap_panicked();
-            }
-        }
+            ok
+        });
     }
 
     fn tap_panicked() {
@@ -179,23 +102,16 @@ impl Recorder {
 
     /// Installs a streaming observer that sees every subsequent event
     /// (begins, reads, writes, commits, aborts, predicate reads) in
-    /// recorded order. Events already recorded are not replayed.
-    pub fn set_tap(&self, tap: EventTap) {
-        self.inner.lock().tap = Some(tap);
-    }
-
-    /// Installs an observer that also receives each event's recorder
-    /// sequence number (see [`SeqEventTap`]). Independent of
-    /// [`set_tap`]; both may be installed at once. Ids keep counting
-    /// from the events already recorded.
+    /// recorded order, beside any taps already installed. Events
+    /// already recorded are not replayed. [`finalize`] drops every tap,
+    /// which is how a tap that owns a stream's producer ends it.
     ///
-    /// [`set_tap`]: Recorder::set_tap
-    pub fn set_seq_tap(&self, tap: SeqEventTap) {
-        self.inner.lock().seq_tap = Some(tap);
+    /// [`finalize`]: Recorder::finalize
+    pub fn add_tap(&self, tap: EventTap) {
+        self.inner.lock().taps.push(tap);
     }
 
-    /// Number of events recorded so far — equivalently, the id the
-    /// next recorded event will get.
+    /// Number of events recorded so far.
     pub fn event_count(&self) -> u64 {
         self.inner.lock().seq
     }
@@ -337,7 +253,8 @@ impl Recorder {
 
     /// Builds the validated history. Still-running transactions are
     /// completed with aborts (the paper's completion rule), which is
-    /// what a crash at this instant would have meant.
+    /// what a crash at this instant would have meant. Every tap is
+    /// dropped: nothing is recorded after this.
     ///
     /// Panics if the recorded event stream violates the model's
     /// well-formedness rules — that would be an engine bug, and the
@@ -352,6 +269,7 @@ impl Recorder {
              so a second history would be silently empty"
         );
         r.finalized = true;
+        r.taps.clear();
         let orders = std::mem::take(&mut r.orders);
         // Rebuild the builder by value to call the consuming build.
         let mut b = std::mem::take(&mut r.b);
@@ -442,7 +360,7 @@ mod tests {
         let n = Arc::clone(&seen);
         // A tap that panics on its second event: the panic must be
         // contained, the tap disarmed, and the recorder fully usable.
-        rec.set_tap(Arc::new(move |_e| {
+        rec.add_tap(Arc::new(move |_e| {
             if n.fetch_add(1, std::sync::atomic::Ordering::SeqCst) == 1 {
                 panic!("tap exploded");
             }
@@ -462,32 +380,27 @@ mod tests {
     }
 
     #[test]
-    fn seq_tap_sees_stable_event_ids() {
+    fn taps_see_recorded_order_until_finalize_drops_them() {
         let rec = Recorder::new();
         let table = TableId(0);
         rec.register_table(table, "acct");
         let obj = rec.register_object(table, Key(1), 0);
-        let ids = Arc::new(Mutex::new(Vec::new()));
-        let sink = Arc::clone(&ids);
-        rec.set_seq_tap(Arc::new(move |id, ev| {
-            sink.lock().push((id, ev.clone()));
-        }));
-        let t1 = rec.begin_txn();
-        let v1 = rec.write(t1, obj, Value::Int(5));
-        rec.commit(t1);
-        let t2 = rec.begin_txn();
-        rec.read(t2, obj, v1);
-        rec.commit(t2);
-        assert_eq!(rec.event_count(), 6);
-        let got = ids.lock();
-        assert_eq!(got.len(), 6);
-        // Ids are the 0-based recorded order, matching the finalized
-        // history's event indices.
-        for (i, (id, _)) in got.iter().enumerate() {
-            assert_eq!(*id, i as u64);
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        for n in 0..2 {
+            let sink = Arc::clone(&seen);
+            rec.add_tap(Arc::new(move |ev| sink.lock().push((n, ev.clone()))));
         }
-        assert_eq!(got[0].1, Event::Begin(t1));
-        assert_eq!(got[5].1, Event::Commit(t2));
+        let t1 = rec.begin_txn();
+        rec.write(t1, obj, Value::Int(5));
+        rec.commit(t1);
+        assert_eq!(rec.event_count(), 3);
+        assert_eq!(
+            seen.lock()[..2],
+            [(0, Event::Begin(t1)), (1, Event::Begin(t1))]
+        );
+        assert_eq!(seen.lock()[5], (1, Event::Commit(t1)));
+        rec.finalize();
+        assert_eq!(Arc::strong_count(&seen), 1, "finalize drops every tap");
     }
 
     #[test]

@@ -124,33 +124,37 @@ impl fmt::Display for VersionId {
 
 /// Multiplicative hasher (the FxHash recipe) for the maps keyed by the
 /// ids above and by object names: small keys, no adversary, and SipHash
-/// was most of the cost of building a history.
+/// was most of the cost of building a history (and a measurable share
+/// of the streaming checker's per-edge provenance work).
 #[derive(Debug, Default, Clone, Copy)]
-pub(crate) struct IdHasher(u64);
+pub struct IdHasher(u64);
 
 impl std::hash::Hasher for IdHasher {
+    #[inline]
     fn finish(&self) -> u64 {
         self.0
     }
 
+    #[inline]
     fn write(&mut self, bytes: &[u8]) {
         for &b in bytes {
             self.write_u64(u64::from(b));
         }
     }
 
+    #[inline]
     fn write_u32(&mut self, v: u32) {
         self.write_u64(u64::from(v));
     }
 
+    #[inline]
     fn write_u64(&mut self, v: u64) {
         self.0 = (self.0.rotate_left(5) ^ v).wrapping_mul(0x517c_c1b7_2722_0a95);
     }
 }
 
 /// A hash map over [`IdHasher`].
-pub(crate) type IdMap<K, V> =
-    std::collections::HashMap<K, V, std::hash::BuildHasherDefault<IdHasher>>;
+pub type IdMap<K, V> = std::collections::HashMap<K, V, std::hash::BuildHasherDefault<IdHasher>>;
 
 /// A hash set over [`IdHasher`].
 pub(crate) type IdSet<K> = std::collections::HashSet<K, std::hash::BuildHasherDefault<IdHasher>>;

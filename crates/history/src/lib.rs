@@ -67,7 +67,7 @@ pub use builder::HistoryBuilder;
 pub use error::HistoryError;
 pub use event::{Event, PredicateReadEvent, ReadEvent, WriteEvent};
 pub use history::{History, HistoryParts, ObjectInfo, PredicateInfo, RelationInfo};
-pub use ids::{ObjectId, PredicateId, RelationId, TxnId, VersionId};
+pub use ids::{IdHasher, IdMap, ObjectId, PredicateId, RelationId, TxnId, VersionId};
 pub use lexer::{lex, split_version_target, LexError, Token, VersionRef};
 pub use parser::{parse_history, parse_history_completed, ParseError};
 pub use txn::{RequestedLevel, TxnInfo, TxnStatus};

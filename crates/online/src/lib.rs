@@ -107,6 +107,6 @@ pub use feed::{
 };
 pub use gc::GcConfig;
 pub use monitor::{CheckerMonitor, Exemplar, HealthPolicy};
-pub use pipeline::{EventPipeline, PipelineCloser, PipelineConfig, PipelineStats};
+pub use pipeline::{EventPipeline, PipelineConfig, PipelineStats};
 pub use snapshot::SnapshotError;
 pub use verdict::{CycleEdgeProv, Verdict};

@@ -1,34 +1,33 @@
-//! The staged ingest pipeline: lock-free event rings → sequencer →
+//! The staged ingest pipeline: bounded event queues → sequencer →
 //! checker.
 //!
 //! The sequential ingest path calls `Mutex<OnlineChecker>::ingest` per
 //! event, which serializes every producing engine thread on the
 //! checker's graph maintenance. The pipeline decouples the two sides:
 //!
-//! 1. **Rings** — each recorded event is pushed (under the recorder
+//! 1. **Queues** — each recorded event is pushed (under the recorder
 //!    lock, so in exact recorded order) into one of `rings` bounded
-//!    SPSC rings, sharded by sequence number
-//!    ([`adya_engine::buffering_tap`]). Producers only ever pay a ring
-//!    push; a full ring exerts backpressure.
-//! 2. **Sequencer** — the application stage drains the rings in dense
-//!    sequence order (event `seq` can only be at the head of ring
-//!    `seq % rings`, so the merge is O(1)).
+//!    queues ([`adya_engine::EventRing`], a std `sync_channel`),
+//!    sharded by sequence number. Producers only ever pay a queue
+//!    push; a full queue blocks its producer (backpressure, counted in
+//!    `pipeline.backpressure_waits`).
+//! 2. **Sequencer** — the application stage drains the queues in dense
+//!    sequence order (event `seq` can only be at the head of queue
+//!    `seq % rings`, so the merge is O(1)), blocking on the queue that
+//!    holds the next event.
 //! 3. **Application** — each event goes through
 //!    [`OnlineChecker::ingest`], the one way into the checker.
 //!
-//! The verdict stream is byte-identical to sequential ingest: events
-//! reach the checker in exactly recorded order, through the same call
-//! (pinned by the `pipeline_equivalence` proptests).
-//!
-//! Backpressure observability: `pipeline.queue_depth` (gauge, events
-//! buffered across rings, refreshed once per ring capacity of events
-//! popped and whenever the sequencer runs dry) and
-//! `pipeline.backpressure_waits` (counter, producer wait rounds on
-//! full rings).
+//! The stream ends when every producer has been dropped: a manual
+//! driver's go out of scope, or the recorder drops the attached tap at
+//! `finalize`. The verdict stream is byte-identical to sequential
+//! ingest: events reach the checker in exactly recorded order, through
+//! the same call (pinned by the `pipeline_equivalence` proptests).
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use adya_engine::{buffering_tap, Engine, RingCloser, RingConsumer, RingProducer};
+use adya_engine::{Engine, EventRing, RingConsumer, RingProducer};
 use adya_obs::{trace::Stage, TracePlane, Traced};
 
 use crate::{OnlineChecker, Verdict};
@@ -36,9 +35,9 @@ use crate::{OnlineChecker, Verdict};
 /// Shape of one ingest pipeline.
 #[derive(Debug, Clone, Copy)]
 pub struct PipelineConfig {
-    /// Number of SPSC event rings the tap shards over.
+    /// Number of bounded event queues the tap shards over.
     pub rings: usize,
-    /// Capacity of each ring, in events; a full ring blocks its
+    /// Capacity of each queue, in events; a full queue blocks its
     /// producer (backpressure).
     pub ring_capacity: usize,
 }
@@ -59,13 +58,11 @@ pub struct PipelineStats {
     pub events: u64,
 }
 
-/// The consumer half of an ingest pipeline: rings already fed by a
-/// producing tap (or by hand-stamped pushes), ready to be drained into
-/// a checker by [`run`](EventPipeline::run).
+/// The consumer half of an ingest pipeline: queues fed by a producing
+/// tap (or by hand-stamped pushes), ready to be drained into a checker
+/// by [`run`](EventPipeline::run).
 pub struct EventPipeline {
     consumers: Vec<RingConsumer>,
-    closers: Vec<RingCloser>,
-    cfg: PipelineConfig,
     /// Per-verdict trace stamping: the plane plus the trace-id scope
     /// (threaded separately from [`PipelineConfig`], which stays
     /// `Copy`). `None` = no stamping overhead beyond one branch.
@@ -73,19 +70,21 @@ pub struct EventPipeline {
 }
 
 impl EventPipeline {
-    /// Builds a pipeline and installs its buffering tap on `engine`'s
-    /// recorder. Only events recorded from this point on flow through
-    /// the pipeline (the tap rebases sequence numbers, so attaching
-    /// after setup transactions is fine).
+    /// Builds a pipeline and installs a tap on `engine`'s recorder that
+    /// numbers events from 0 and pushes event `seq` to producer
+    /// `seq % rings`. Only events recorded from this point on flow
+    /// through the pipeline, so attaching after setup transactions is
+    /// fine. The stream ends when the engine is finalized.
     pub fn attach<E: Engine + ?Sized>(engine: &E, cfg: PipelineConfig) -> EventPipeline {
-        let (tap, consumers, closers) = buffering_tap(cfg.rings, cfg.ring_capacity);
-        engine.set_seq_event_tap(tap);
-        EventPipeline {
-            consumers,
-            closers,
-            cfg,
-            trace: None,
-        }
+        let (producers, pipe) = EventPipeline::manual(cfg);
+        // Relaxed suffices: taps run under the recorder lock, which
+        // already orders their invocations.
+        let next = AtomicU64::new(0);
+        engine.set_event_tap(Arc::new(move |ev| {
+            let seq = next.fetch_add(1, Ordering::Relaxed);
+            producers[(seq % producers.len() as u64) as usize].push(seq, ev.clone());
+        }));
+        pipe
     }
 
     /// Builds a free-standing pipeline and hands back the producer
@@ -93,42 +92,14 @@ impl EventPipeline {
     /// numbers: event `seq` must be pushed to producer `seq % rings`,
     /// starting at 0. Dropping the producers ends the stream.
     pub fn manual(cfg: PipelineConfig) -> (Vec<RingProducer>, EventPipeline) {
-        let rings = cfg.rings.max(1);
-        let mut producers = Vec::with_capacity(rings);
-        let mut consumers = Vec::with_capacity(rings);
-        for _ in 0..rings {
-            let (p, c) = adya_engine::EventRing::with_capacity(cfg.ring_capacity);
-            producers.push(p);
-            consumers.push(c);
-        }
-        let closers = producers.iter().map(|p| p.closer()).collect();
-        (
-            producers,
-            EventPipeline {
-                consumers,
-                closers,
-                cfg,
-                trace: None,
-            },
-        )
-    }
-
-    /// Ends the stream: the sequencer drains what is buffered, then
-    /// [`run`](EventPipeline::run) returns. Call after the producing
-    /// side is finished (e.g. workload threads joined). Also triggered
-    /// by dropping the tap/producers.
-    pub fn close(&self) {
-        for c in &self.closers {
-            c.close();
-        }
-    }
-
-    /// A detached handle that closes this pipeline's rings, for
-    /// handing to the thread that owns the producing side.
-    pub fn closer(&self) -> PipelineCloser {
-        PipelineCloser {
-            closers: self.closers.clone(),
-        }
+        let (producers, consumers) = (0..cfg.rings.max(1))
+            .map(|_| EventRing::with_capacity(cfg.ring_capacity))
+            .unzip();
+        let pipe = EventPipeline {
+            consumers,
+            trace: None,
+        };
+        (producers, pipe)
     }
 
     /// Enables per-verdict trace stamping: sampled events (by the
@@ -141,42 +112,24 @@ impl EventPipeline {
         self.trace = Some((plane, scope.to_string()));
     }
 
-    /// The application stage: drains rings in dense sequence order,
-    /// feeds each event to [`OnlineChecker::ingest`], and invokes
-    /// `on_verdict` for every commit verdict, in order. Runs until the
-    /// stream is closed and fully drained. Typically called on a
-    /// dedicated checker thread.
+    /// The application stage: drains the queues in dense sequence
+    /// order, feeds each event to [`OnlineChecker::ingest`], and
+    /// invokes `on_verdict` for every commit verdict, in order. Runs
+    /// until every producer is dropped and the queues are drained.
+    /// Typically called on a dedicated checker thread.
     pub fn run(
         self,
         checker: &mut OnlineChecker,
         mut on_verdict: impl FnMut(Verdict),
     ) -> PipelineStats {
         let k = self.consumers.len();
-        let depth_every = self.cfg.ring_capacity.max(1) as u64;
-        let queue_depth = || {
-            let depth: usize = self.consumers.iter().map(|c| c.len()).sum();
-            adya_obs::gauge!("pipeline.queue_depth").set(depth as i64);
-        };
         let mut next = 0u64;
-        loop {
-            let ring = &self.consumers[(next as usize) % k];
-            let Some((seq, ev)) = ring.try_pop() else {
-                // Dense sequencing means event `next` lives in ring
-                // `next % k`; once that ring is closed and empty, no
-                // event ≥ next was ever pushed (pushes happen in
-                // sequence order under the recorder lock).
-                if ring.is_drained() {
-                    break;
-                }
-                queue_depth();
-                std::thread::yield_now();
-                continue;
-            };
-            debug_assert_eq!(seq, next, "ring delivered out-of-sequence event");
+        // Dense sequencing means event `next` lives in queue `next % k`;
+        // once that queue's producer is gone and it is drained, no event
+        // ≥ next was ever pushed (pushes happen in sequence order).
+        while let Some((seq, ev)) = self.consumers[(next as usize) % k].pop() {
+            debug_assert_eq!(seq, next, "queue delivered out-of-sequence event");
             next += 1;
-            if next.is_multiple_of(depth_every) {
-                queue_depth();
-            }
             let traced =
                 (self.trace.as_ref()).map_or(Traced::OFF, |(plane, scope)| plane.begin(scope, seq));
             traced.stamp(Stage::Seq);
@@ -186,29 +139,14 @@ impl EventPipeline {
                 on_verdict(v);
             }
         }
-        adya_obs::gauge!("pipeline.queue_depth").set(0);
         PipelineStats { events: next }
-    }
-}
-
-/// Close-only handle to a pipeline's rings (cloneable, thread-safe).
-#[derive(Clone)]
-pub struct PipelineCloser {
-    closers: Vec<RingCloser>,
-}
-
-impl PipelineCloser {
-    /// Ends the stream, like [`EventPipeline::close`].
-    pub fn close(&self) {
-        for c in &self.closers {
-            c.close();
-        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use adya_engine::{Key, LockConfig, LockingEngine, Value};
     use adya_history::{Event, ReadEvent, TxnId, VersionId, WriteEvent};
 
     fn sample_events() -> Vec<Event> {
@@ -247,7 +185,7 @@ mod tests {
         ]
     }
 
-    /// Pipelined ingest (threaded producer, tiny rings forcing
+    /// Pipelined ingest (threaded producer, tiny queues forcing
     /// backpressure) produces the byte-identical verdict stream of
     /// plain sequential ingest.
     #[test]
@@ -277,7 +215,7 @@ mod tests {
                 for (i, ev) in evs.into_iter().enumerate() {
                     producers[i % producers.len()].push(i as u64, ev);
                 }
-                // producers drop here → rings close
+                // producers drop here → the stream ends
             });
             let mut checker = OnlineChecker::new();
             let mut got = Vec::new();
@@ -287,5 +225,73 @@ mod tests {
             assert_eq!(stats.events, 8);
             assert_eq!(checker.fired_kinds(), vec![adya_core::PhenomenonKind::G1c]);
         }
+    }
+
+    /// One transaction on `key`: read it, overwrite it, commit.
+    fn bump(engine: &LockingEngine, table: adya_engine::TableId, key: u64, to: i64) {
+        let t = engine.begin();
+        engine.read(t, table, Key(key)).unwrap();
+        engine.write(t, table, Key(key), Value::Int(to)).unwrap();
+        engine.commit(t).unwrap();
+    }
+
+    /// An attached pipeline needs no closing call: finalizing the
+    /// engine drops its tap, which ends the stream, and the verdicts
+    /// equal a sequential replay of what a capture tap saw.
+    #[test]
+    fn attached_stream_ends_at_finalize() {
+        let engine = LockingEngine::new(LockConfig::serializable());
+        let table = engine.catalog().table("acct");
+        bump(&engine, table, 0, 0); // recorded before the pipeline attaches
+        let captured = Arc::new(std::sync::Mutex::new(Vec::new()));
+        let sink = Arc::clone(&captured);
+        engine.set_event_tap(Arc::new(move |ev| sink.lock().unwrap().push(ev.clone())));
+        let cfg = PipelineConfig {
+            rings: 3,
+            ring_capacity: 2,
+        };
+        let pipe = EventPipeline::attach(&engine, cfg);
+        let checker = std::thread::spawn(move || {
+            let mut got = Vec::new();
+            let stats = pipe.run(&mut OnlineChecker::new(), |v| got.push(v.to_json()));
+            (got, stats)
+        });
+        for i in 1..=20 {
+            bump(&engine, table, i % 3, i as i64);
+        }
+        engine.finalize();
+        let (got, stats) = checker.join().unwrap();
+        let captured = captured.lock().unwrap();
+        let mut replay = OnlineChecker::new();
+        let want: Vec<String> = captured
+            .iter()
+            .filter_map(|ev| replay.ingest(ev).map(|v| v.to_json()))
+            .collect();
+        assert_eq!(got.len(), 20);
+        assert_eq!(got, want);
+        assert_eq!(stats.events, captured.len() as u64);
+    }
+
+    /// A consumer that dies (here: `on_verdict` panics) must not wedge
+    /// the engine: the tap's pushes run under the recorder lock, and
+    /// once the queues are gone they return at once.
+    #[test]
+    fn engine_outlives_a_dead_consumer() {
+        let engine = LockingEngine::new(LockConfig::serializable());
+        let table = engine.catalog().table("acct");
+        let cfg = PipelineConfig {
+            rings: 1,
+            ring_capacity: 1,
+        };
+        let pipe = EventPipeline::attach(&engine, cfg);
+        let checker = std::thread::spawn(move || {
+            pipe.run(&mut OnlineChecker::new(), |_| panic!("verdict sink failed"))
+        });
+        bump(&engine, table, 0, 1);
+        assert!(checker.join().is_err());
+        for i in 0..10 {
+            bump(&engine, table, 0, i);
+        }
+        assert_eq!(engine.finalize().committed_txns().count(), 11);
     }
 }

@@ -7,9 +7,8 @@
 //! they never see the indexes, the chain representation or the hasher.
 
 use std::collections::hash_map::Entry;
-use std::collections::HashMap;
 
-use adya_history::{ObjectId, TxnId, VersionId};
+use adya_history::{IdMap, ObjectId, TxnId, VersionId};
 
 use crate::lanes::{EdgeKind, EdgeMask};
 use crate::verdict::CycleEdgeProv;
@@ -87,31 +86,6 @@ fn render_chain(chain: &[ProvStep]) -> String {
     s
 }
 
-/// Multiplicative hasher for the provenance maps, whose keys are one
-/// or two transaction ids — small, fixed-width, attacker-free. The
-/// std SipHash showed up as a measurable share of E16's per-edge
-/// overhead; this is the usual FxHash recipe.
-#[derive(Debug, Default)]
-struct ProvHasher(u64);
-
-impl std::hash::Hasher for ProvHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 = (self.0.rotate_left(5) ^ u64::from(b)).wrapping_mul(0x517c_c1b7_2722_0a95);
-        }
-    }
-
-    fn write_u32(&mut self, v: u32) {
-        self.0 = (self.0.rotate_left(5) ^ u64::from(v)).wrapping_mul(0x517c_c1b7_2722_0a95);
-    }
-}
-
-type ProvMap<K, V> = HashMap<K, V, std::hash::BuildHasherDefault<ProvHasher>>;
-
 /// The provenance side map. Maintained only while tracking is on and
 /// at least one cycle graph is still live; entries touching a pruned
 /// transaction are merged into contraction shortcuts, then purged.
@@ -120,12 +94,12 @@ pub(crate) struct Provenance {
     /// Master switch (off by default; see E16 for the measured
     /// overhead).
     on: bool,
-    chains: ProvMap<(TxnId, TxnId), ProvChain>,
+    chains: IdMap<(TxnId, TxnId), ProvChain>,
     /// Successors per source node of `chains` keys — lets a GC prune
     /// purge a node's entries in O(degree) instead of scanning the map.
-    prov_out: ProvMap<TxnId, Vec<TxnId>>,
+    prov_out: IdMap<TxnId, Vec<TxnId>>,
     /// Predecessors per target node of `chains` keys.
-    prov_in: ProvMap<TxnId, Vec<TxnId>>,
+    prov_in: IdMap<TxnId, Vec<TxnId>>,
 }
 
 impl Provenance {

@@ -26,7 +26,8 @@ use crate::retry::RetryPolicy;
 pub struct ConcurrentConfig {
     /// Worker threads.
     pub threads: usize,
-    /// Consecutive `Blocked` retries of one operation before the
+    /// Backoff yields one operation may spend across consecutive
+    /// `Blocked` retries (each retry counts at least one) before the
     /// session declares itself a deadlock victim and restarts.
     pub spin_limit: usize,
     /// Restart/backoff/deadline discipline per program.
@@ -150,7 +151,6 @@ fn run_program(
                 Ok(Stepped::Aborted) => return false,
                 Err(EngineError::Blocked { .. }) => {
                     blocked.fetch_add(1, Ordering::Relaxed);
-                    spins += 1;
                     if spins > cfg.spin_limit {
                         // Timeout-based deadlock victim.
                         victims.fetch_add(1, Ordering::Relaxed);
@@ -160,7 +160,9 @@ fn run_program(
                         }
                         continue 'attempt;
                     }
-                    for _ in 0..retry.backoff_spins() {
+                    let backoff = retry.backoff_spins();
+                    spins += backoff.max(1) as usize;
+                    for _ in 0..backoff {
                         std::thread::yield_now();
                     }
                 }

@@ -7,7 +7,7 @@
 //! ([`adya_online::EventPipeline`]) into an [`OnlineChecker`] on a
 //! dedicated application thread, so the commit verdict stream is
 //! produced *while* the workload runs — workload threads only ever pay
-//! a ring push on the checker's behalf, never the checker's graph
+//! a queue push on the checker's behalf, never the checker's graph
 //! maintenance.
 
 use adya_engine::Engine;
@@ -55,7 +55,6 @@ pub fn run_concurrent_live(
     cfg: &LiveConfig,
 ) -> LiveReport {
     let pipe = EventPipeline::attach(engine, cfg.pipeline);
-    let closer = pipe.closer();
     thread::scope(|scope| {
         let checker_thread = scope.spawn(move |_| {
             let mut checker = OnlineChecker::new();
@@ -64,10 +63,9 @@ pub fn run_concurrent_live(
             (checker, verdicts, pstats)
         });
         let stats = run_concurrent(engine, programs, &cfg.concurrent);
-        // All workload threads joined: nothing records events anymore,
-        // so closing here lets the sequencer drain and return.
+        // All workload threads joined; finalizing drops the pipeline's
+        // tap, which ends the stream: the sequencer drains and returns.
         let history = engine.finalize();
-        closer.close();
         let (mut checker, verdicts, pipeline) = checker_thread
             .join()
             .expect("pipeline application thread must not panic");
