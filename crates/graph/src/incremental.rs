@@ -19,12 +19,14 @@ use std::collections::{HashMap, HashSet};
 use std::hash::Hash;
 
 /// One recorded edge, kept with its *original* endpoints so witnesses
-/// can name real nodes even after components merge.
+/// can name real nodes even after components merge. With `u32` keys
+/// and a one-byte label it is 16 bytes: the slot is a `u32`, which is
+/// why a graph refuses a slot number beyond `u32::MAX`.
 #[derive(Debug, Clone, Copy)]
 struct Edge<K, L> {
     /// Slot of the other endpoint at insertion time (resolved through
     /// union-find on traversal).
-    slot: usize,
+    slot: u32,
     /// Original source key.
     src: K,
     /// Original destination key.
@@ -140,17 +142,21 @@ where
 {
     /// Checks that these parts are a state an [`IncrementalDag`] can be
     /// in, so that parts decoded from bytes nobody vouches for can be
-    /// handed to [`IncrementalDag::from_parts`]: every slot number is
-    /// in range; keys and live slots pair off one to one and the free
-    /// list is exactly the dead slots; union-find parents lead to a
-    /// root, and a root's member count is the number of keys under it;
-    /// adjacency lists sit on roots only, agree with each other and
+    /// handed to [`IncrementalDag::from_parts`]: a `u32` numbers the
+    /// slots, and every slot number is in range; keys and live slots
+    /// pair off one to one and the free list is exactly the dead slots;
+    /// union-find parents lead to a root, and a root's member count is
+    /// the number of keys under it; adjacency lists sit on roots only,
+    /// agree with each other and
     /// with `seen` edge for edge, and name their endpoints' own slots;
     /// roots' order values are distinct, below `next_ord`, and ascend
     /// along every edge between two components. One pass over the
     /// parts; the error says which rule broke.
     pub fn validate(&self) -> Result<(), String> {
         let n = self.slots.len();
+        if n as u64 > 1 << 32 {
+            return Err(format!("{n} slots, more than a u32 numbers"));
+        }
         let mut index: HashMap<K, usize> = HashMap::with_capacity(self.index.len());
         let mut keyed = vec![false; n];
         for &(k, s) in &self.index {
@@ -326,6 +332,22 @@ impl<K, L> Scratch<K, L> {
     }
 }
 
+/// `s` as an [`Edge`] holds it. A graph refuses a slot beyond
+/// `u32::MAX`: it would need that many nodes live at once.
+fn slot_number(s: usize) -> u32 {
+    u32::try_from(s).expect("an IncrementalDag numbers its slots in a u32")
+}
+
+/// Appends `e` to an adjacency list. Most nodes keep one or two edges
+/// each way, so a list's first allocation is room for exactly two;
+/// after that it grows as `Vec` does.
+fn push_edge<K, L>(list: &mut Vec<Edge<K, L>>, e: Edge<K, L>) {
+    if list.capacity() == 0 {
+        list.reserve_exact(2);
+    }
+    list.push(e);
+}
+
 /// A labelled digraph maintaining a topological order incrementally,
 /// condensing cycles, and supporting removal of singleton nodes.
 #[derive(Debug, Default)]
@@ -395,6 +417,7 @@ where
         // had, so a graph that adds and removes nodes at the same rate
         // stops allocating for them.
         let s = self.free.pop().unwrap_or_else(|| {
+            slot_number(self.slots.len()); // a slot no edge could name is refused
             self.slots.push(Slot {
                 parent: 0,
                 live: false,
@@ -445,7 +468,7 @@ where
         let mut inc = std::mem::take(&mut self.slots[s].inc);
         for e in &out {
             self.seen.remove(&(e.src, e.dst, e.label));
-            let t = self.find(e.slot);
+            let t = self.find(e.slot as usize);
             if t != s {
                 self.slots[t]
                     .inc
@@ -454,7 +477,7 @@ where
         }
         for e in &inc {
             self.seen.remove(&(e.src, e.dst, e.label));
-            let t = self.find(e.slot);
+            let t = self.find(e.slot as usize);
             if t != s {
                 self.slots[t]
                     .out
@@ -573,7 +596,7 @@ where
             scratch.edges.extend_from_slice(&self.slots[x].out);
             for i in 0..scratch.edges.len() {
                 let e = scratch.edges[i];
-                let t = self.find(e.slot);
+                let t = self.find(e.slot as usize);
                 if t == x {
                     continue;
                 }
@@ -613,7 +636,7 @@ where
             scratch.edges.extend_from_slice(&self.slots[x].inc);
             for i in 0..scratch.edges.len() {
                 let e = scratch.edges[i];
-                let t = self.find(e.slot);
+                let t = self.find(e.slot as usize);
                 if t != x && self.slots[t].ord > floor && scratch.back_set.insert(t) {
                     scratch.back.push(t);
                     scratch.stack.push(t);
@@ -642,18 +665,14 @@ where
     /// Records the edge on the representatives' adjacency lists.
     #[allow(clippy::too_many_arguments)]
     fn record(&mut self, fu: usize, fv: usize, su: usize, sv: usize, from: K, to: K, label: L) {
-        self.slots[fu].out.push(Edge {
-            slot: sv,
+        let edge = |slot| Edge {
+            slot: slot_number(slot),
             src: from,
             dst: to,
             label,
-        });
-        self.slots[fv].inc.push(Edge {
-            slot: su,
-            src: from,
-            dst: to,
-            label,
-        });
+        };
+        push_edge(&mut self.slots[fu].out, edge(sv));
+        push_edge(&mut self.slots[fv].inc, edge(su));
     }
 
     /// Merges the components on a path `fv ⇒ fu` (plus the endpoints)
@@ -691,7 +710,7 @@ where
         while let Some(x) = stack.pop() {
             let edges = self.slots[x].inc.clone();
             for e in edges {
-                let t = self.find(e.slot);
+                let t = self.find(e.slot as usize);
                 if fwd_set.contains(&t) && members.insert(t) {
                     stack.push(t);
                 }
@@ -726,7 +745,7 @@ where
             .out
             .clone()
             .into_iter()
-            .filter(|e| self.find(e.slot) == fu)
+            .filter(|e| self.find(e.slot as usize) == fu)
             .map(|e| (e.src, e.dst, e.label))
             .collect();
         SccInfo {
@@ -774,7 +793,7 @@ where
                         stack.push((x, true));
                         let edges = self.slots[x].out.clone();
                         for e in edges {
-                            let t = self.find(e.slot);
+                            let t = self.find(e.slot as usize);
                             if t != x && !state.contains_key(&t) {
                                 stack.push((t, false));
                             }
@@ -801,7 +820,9 @@ where
     /// image (see its docs for the round-trip guarantee).
     pub fn to_parts(&self) -> DagParts<K, L> {
         let flat = |es: &[Edge<K, L>]| -> Vec<EdgeParts<K, L>> {
-            es.iter().map(|e| (e.slot, e.src, e.dst, e.label)).collect()
+            es.iter()
+                .map(|e| (e.slot as usize, e.src, e.dst, e.label))
+                .collect()
         };
         let mut index: Vec<(K, usize)> = self.index.iter().map(|(&k, &s)| (k, s)).collect();
         index.sort_unstable();
@@ -836,7 +857,7 @@ where
         let unflat = |es: Vec<EdgeParts<K, L>>| -> Vec<Edge<K, L>> {
             es.into_iter()
                 .map(|(slot, src, dst, label)| Edge {
-                    slot,
+                    slot: slot_number(slot),
                     src,
                     dst,
                     label,
@@ -879,6 +900,21 @@ mod tests {
         }
         assert_eq!(g.reorders(), 0);
         assert_eq!(g.node_count(), 101);
+    }
+
+    #[test]
+    fn an_edge_is_16_bytes_and_a_list_starts_with_room_for_two() {
+        assert_eq!(std::mem::size_of::<Edge<u32, u8>>(), 16);
+        let mut g: IncrementalDag<u32, u8> = IncrementalDag::new();
+        g.add_edge(1, 2, 0);
+        let caps = |g: &IncrementalDag<u32, u8>, k: u32| {
+            let s = &g.slots[g.index[&k]];
+            (s.out.capacity(), s.inc.capacity())
+        };
+        assert_eq!((caps(&g, 1), caps(&g, 2)), ((2, 0), (0, 2)));
+        g.add_edge(1, 3, 0);
+        g.add_edge(1, 4, 0);
+        assert_eq!(caps(&g, 1).0, 4, "then it grows as Vec does");
     }
 
     #[test]

@@ -77,6 +77,8 @@ pub(crate) struct TxnState {
     pub(crate) status: Status,
     pub(crate) begin_clock: u64,
     pub(crate) terminal_clock: u64,
+    /// Its reads, buffered until its terminal event. A spare buffer
+    /// from the checker's list while it runs (see [`Spares`]).
     pub(crate) reads: Vec<BufferedRead>,
     /// What it wrote. While it runs, one entry per write in arrival
     /// order; its terminal event [seals](seal_writes) them to
@@ -84,7 +86,8 @@ pub(crate) struct TxnState {
     /// install in). Kept after that for G1a/G1b checks against
     /// late-committing readers.
     pub(crate) writes: Vec<WriteEntry>,
-    /// Committed readers waiting for this (active) writer's fate.
+    /// Committed readers waiting for this (active) writer's fate; a
+    /// spare buffer, like `reads`.
     pub(crate) pending_readers: Vec<PendingRead>,
     /// Installed versions not yet superseded by a later install.
     pub(crate) unsuperseded: u32,
@@ -141,15 +144,53 @@ fn recycled<T>(mut v: Vec<T>) -> Vec<T> {
 }
 
 impl Recycle for TxnState {
-    /// A fresh `TxnState`, but for the buffers' capacity.
+    /// A fresh `TxnState`, but for the capacity of `writes`: the other
+    /// two buffers went to the spare lists at the terminal event.
     fn recycle(&mut self) {
-        let old = std::mem::take(self);
+        let writes = recycled(std::mem::take(&mut self.writes));
         *self = TxnState {
-            reads: recycled(old.reads),
-            writes: recycled(old.writes),
-            pending_readers: recycled(old.pending_readers),
+            writes,
             ..TxnState::default()
         };
+    }
+}
+
+/// Emptied buffers of one kind, from transactions that ended, for the
+/// running ones: a transaction takes one at its first buffered read
+/// (`reads`) or its first parked reader (`pending_readers`), and hands
+/// it back at its terminal event. So a finished transaction — most of
+/// the live set on a wide key space — keeps only its `writes`, and the
+/// buffers in circulation number about the running transactions.
+#[derive(Debug)]
+pub(crate) struct Spares<T>(Vec<Vec<T>>);
+
+impl<T> Default for Spares<T> {
+    fn default() -> Self {
+        Spares(Vec::new())
+    }
+}
+
+impl<T> Spares<T> {
+    /// `buf`, given a spare buffer's room if it has none of its own.
+    fn fill(&mut self, buf: &mut Vec<T>) {
+        if buf.capacity() == 0 {
+            if let Some(spare) = self.0.pop() {
+                *buf = spare;
+            }
+        }
+    }
+
+    /// Takes back `buf`, emptied, from a transaction that just ended
+    /// while `running` others were still running. The list keeps at
+    /// most one buffer per transaction running at that terminal event
+    /// (`running` + 1), and none with more room than a recycled slot
+    /// may keep.
+    fn give(&mut self, mut buf: Vec<T>, running: usize) {
+        self.0.truncate(running + 1);
+        if self.0.len() <= running && (1..=RECYCLED_CAPACITY).contains(&buf.capacity()) {
+            buf.clear();
+            self.0.push(buf);
+        }
     }
 }
 
@@ -173,6 +214,11 @@ pub struct OnlineChecker {
     pub(crate) txns: TxnTable,
     /// The transactions still running, in no particular order.
     pub(crate) active: Vec<TxnSlot>,
+    /// Reads parked on running writers: the sum of their
+    /// `pending_readers`. Derived (set by `restore`, never serialised).
+    pub(crate) parked: usize,
+    spare_reads: Spares<BufferedRead>,
+    spare_parked: Spares<PendingRead>,
     pub(crate) objects: ObjectTable,
     /// The cycle graphs, one per edge filter.
     pub(crate) lanes: Lanes,
@@ -261,6 +307,13 @@ impl OnlineChecker {
     /// Transactions currently held in memory.
     pub fn live_txns(&self) -> usize {
         self.txns.len()
+    }
+
+    /// Nodes and edges of the two cycle graphs — G1c's, then G2's —
+    /// or `None` for one whose phenomena latched, which dropped it.
+    /// G1c's holds nothing while no read is parked on a running writer.
+    pub fn cycle_graphs(&self) -> [Option<(usize, usize)>; 2] {
+        self.lanes.sizes()
     }
 
     /// Whether a parser counter for `t`'s writes of `o`, restored beside
@@ -361,6 +414,7 @@ impl OnlineChecker {
                 None
             }
         };
+        self.lanes.shed(self.parked != 0, &mut self.prov);
         self.maybe_gc();
         self.lanes.sync_reorder_counter();
         if let Some(t0) = apply_t0 {
@@ -453,7 +507,9 @@ impl OnlineChecker {
             self.txns[w].refs += 1;
             self.settle(w); // a new pin unsettles a finished writer
         }
-        self.txns[t].reads.push(BufferedRead {
+        let reads = &mut self.txns[t].reads;
+        self.spare_reads.fill(reads);
+        reads.push(BufferedRead {
             object: o,
             version: v,
             via_predicate,
@@ -469,25 +525,28 @@ impl OnlineChecker {
         if self.txns[t].status != Status::Active {
             return self.verdict(Some(id), &[]);
         }
+        // Taken before this commit unparks its readers or parks its
+        // reads: see `Lanes::apply`.
+        let parked = self.parked != 0;
         self.end(t, Status::Committed);
         self.committed += 1;
 
         let verdict_t0 = self.sampled_now.then(Instant::now);
         self.install_writes(t);
-        // Both buffers go back, emptied: a commit keeps their capacity
-        // for whichever transaction the slot serves next.
+        // Both buffers go to the spare lists, emptied: a finished
+        // transaction keeps only its writes.
         let mut reads = std::mem::take(&mut self.txns[t].reads);
         for br in reads.drain(..) {
             self.resolve_read(t, br);
         }
-        self.txns[t].reads = reads;
+        self.spare_reads.give(reads, self.active.len());
         let mut pending = std::mem::take(&mut self.txns[t].pending_readers);
         for pr in pending.drain(..) {
             self.resolve_pending(t, pr);
         }
-        self.txns[t].pending_readers = pending;
+        self.spare_parked.give(pending, self.active.len());
         self.settle(t);
-        self.apply_edge_plan();
+        self.apply_edge_plan(parked);
 
         let v = self.verdict(Some(id), &Fired::kinds_in(self.fired.mask & !before));
         adya_obs::histogram!("online.verdict_latency").record(started.elapsed().as_nanos() as u64);
@@ -579,12 +638,14 @@ impl OnlineChecker {
         };
         let writer = &mut self.txns[w];
         if writer.status == Status::Active {
+            self.spare_parked.fill(&mut writer.pending_readers);
             writer.pending_readers.push(PendingRead {
                 reader: t,
                 object: o,
                 seq: v.seq,
                 via_predicate: br.via_predicate,
             });
+            self.parked += 1;
             self.txns[t].awaiting += 1;
             return; // the `refs` pin stays held until the writer resolves
         }
@@ -637,6 +698,7 @@ impl OnlineChecker {
 
     /// Resolves a reader parked on writer `t`, which just committed.
     fn resolve_pending(&mut self, t: TxnSlot, pr: PendingRead) {
+        self.parked -= 1;
         self.txns[pr.reader].awaiting -= 1;
         self.txns[t].refs -= 1;
         // As when the writer had committed before the reader: a read
@@ -677,11 +739,12 @@ impl OnlineChecker {
                 self.settle(w);
             }
         }
-        self.txns[t].reads = reads;
+        self.spare_reads.give(reads, self.active.len());
         // Committed readers that observed its versions read aborted
         // data: G1a now, G1b too if the version wasn't the last one.
         let mut pending = std::mem::take(&mut self.txns[t].pending_readers);
         for pr in pending.drain(..) {
+            self.parked -= 1;
             self.txns[pr.reader].awaiting -= 1;
             self.settle(pr.reader);
             self.txns[t].refs -= 1;
@@ -701,7 +764,7 @@ impl OnlineChecker {
                 None => self.stale_refs += 1, // read of a never-written version
             }
         }
-        self.txns[t].pending_readers = pending;
+        self.spare_parked.give(pending, self.active.len());
         self.settle(t);
     }
 
@@ -752,13 +815,24 @@ impl OnlineChecker {
     }
 
     /// Hands the commit's planned edges to the lane table (see
-    /// [`Lanes::apply`]).
-    fn apply_edge_plan(&mut self) {
+    /// [`Lanes::apply`]); `parked` says whether a read was parked when
+    /// the commit began.
+    fn apply_edge_plan(&mut self, parked: bool) {
         if self.plan.is_empty() {
             return;
         }
+        // With nothing parked, this commit unparked no reader, so every
+        // ww or wr edge it plans runs into it from an earlier commit.
+        let clock = |id| self.txns[self.txns.lookup(id).expect("held")].terminal_clock;
+        debug_assert!(
+            parked
+                || (self.plan.iter())
+                    .all(|e| e.kind == EdgeKind::Rw || clock(e.from) < clock(e.to)),
+            "a dependency edge against commit order with nothing parked"
+        );
         self.lanes.apply(
             &self.plan,
+            parked,
             &mut self.fired,
             &mut self.prov,
             self.sampled_now,
@@ -806,6 +880,17 @@ impl OnlineChecker {
     #[doc(hidden)]
     pub fn set_gc_by_scan(&mut self, on: bool) {
         self.gc.set_by_scan(on);
+    }
+
+    /// Makes every commit feed G1c's graph and never sheds it, as
+    /// checkers did before it was kept empty while no read is parked
+    /// (DESIGN.md, "Why G1c's graph is empty while nothing is parked").
+    /// Exists so tests can hold the shed graph to it byte for byte;
+    /// debug and test builds only.
+    #[cfg(any(test, debug_assertions))]
+    #[doc(hidden)]
+    pub fn set_g1c_eager(&mut self, on: bool) {
+        self.lanes.set_eager(on);
     }
 
     // ------------------------------------------------------------------

@@ -23,6 +23,7 @@
 
 use std::collections::HashMap;
 use std::io::Write;
+use std::sync::Arc;
 
 use adya_history::{
     lex, Event, LexError, ObjectId, ReadEvent, Token, TxnId, Value, VersionId, VersionKind,
@@ -50,8 +51,10 @@ use crate::wire::{self, FrameError, WireError};
 /// [`restore`]: StreamParser::restore
 #[derive(Debug, Default, Clone)]
 pub struct StreamParser {
-    objects: HashMap<String, ObjectId>,
-    names: Vec<String>,
+    /// Name → id. Each name is stored once, shared with `names`.
+    objects: HashMap<Arc<str>, ObjectId>,
+    /// Id → name.
+    names: Vec<Arc<str>>,
     last_seq: HashMap<(TxnId, ObjectId), u32>,
 }
 
@@ -95,8 +98,8 @@ impl StreamParser {
             ..StreamParser::default()
         };
         for i in 0..n {
-            let name = d.str()?;
-            p.objects.insert(name.clone(), ObjectId(i as u32));
+            let name: Arc<str> = d.str()?.into();
+            p.objects.insert(Arc::clone(&name), ObjectId(i as u32));
             p.names.push(name);
         }
         let n = d.len()?;
@@ -172,8 +175,9 @@ impl StreamParser {
             return o;
         }
         let o = ObjectId(self.names.len() as u32);
-        self.objects.insert(name.to_string(), o);
-        self.names.push(name.to_string());
+        let name: Arc<str> = Arc::from(name);
+        self.objects.insert(Arc::clone(&name), o);
+        self.names.push(name);
         o
     }
 

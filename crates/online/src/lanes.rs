@@ -10,6 +10,11 @@
 //!
 //! G0 (ww edges alone) has no row: commit-order installs make every ww
 //! edge ascend, so no write cycle closes online (DESIGN.md, "The lane table").
+//! For the same reason G1c's graph holds nothing while no read is parked
+//! on a running writer: only a parked read plants a ww/wr edge that runs
+//! back in commit order, so the graph is shed between events while none
+//! is, and a commit that began with none sits its plan out (DESIGN.md,
+//! "Why G1c's graph is empty while nothing is parked").
 //!
 //! [`LANES`] is that table; a [`Lane`] is one row's incremental graph
 //! with its reused results buffer, dropped once its phenomenon latches.
@@ -139,6 +144,11 @@ struct LaneSpec {
     fires: &'static [PhenomenonKind],
     /// How the witness text names the cycle.
     what: &'static str,
+    /// Whether a cycle among these edges needs a read parked on a
+    /// running writer: while none is, the lane's graph is kept empty
+    /// ([`Lanes::shed`]) and a commit that began with none plants
+    /// nothing in it ([`Lanes::apply`]).
+    parked_only: bool,
 }
 
 /// The two filters, in replay order.
@@ -148,12 +158,14 @@ const LANES: [LaneSpec; 2] = [
         needs_anti: false,
         fires: &[PhenomenonKind::G1c],
         what: "dependency cycle",
+        parked_only: true,
     },
     LaneSpec {
         admits: &[EdgeKind::Ww, EdgeKind::Wr, EdgeKind::Rw],
         needs_anti: true,
         fires: &[PhenomenonKind::G2Item, PhenomenonKind::G2],
         what: "anti-dependency cycle",
+        parked_only: false,
     },
 ];
 
@@ -183,6 +195,12 @@ fn cycle_string(witness: &[(TxnId, TxnId, EdgeMask)]) -> String {
 }
 
 impl LaneSpec {
+    /// Whether the lane takes a commit's plan, given whether a read was
+    /// parked as the commit began.
+    fn takes(&self, parked: bool) -> bool {
+        parked || !self.parked_only
+    }
+
     /// The one rule: did inserting `edge` with result `r` put a cycle
     /// — one holding an anti-dependency edge, if the row asks for it —
     /// among this lane's edges? Returns the witness text and the edges
@@ -232,9 +250,12 @@ impl LaneSpec {
 #[derive(Debug)]
 pub(crate) struct Lanes {
     lanes: [Lane; 2],
-    /// Reorder counts of already-dropped graphs.
+    /// Reorder counts of already-dropped (or shed) graphs.
     reorders_dropped: u64,
     reorders_reported: u64,
+    /// Test reference: `parked_only` lanes take every plan and are
+    /// never shed. Only debug and test builds can set it.
+    eager: bool,
 }
 
 impl Default for Lanes {
@@ -257,6 +278,38 @@ impl Lanes {
             }),
             reorders_dropped: dropped,
             reorders_reported: reported,
+            eager: false,
+        }
+    }
+
+    /// See `OnlineChecker::set_g1c_eager`.
+    #[cfg(any(test, debug_assertions))]
+    pub(crate) fn set_eager(&mut self, on: bool) {
+        self.eager = on;
+    }
+
+    /// Called between events with whether any read is parked on a
+    /// running writer: while none is, every `parked_only` lane's graph
+    /// is emptied, its reorders counted as a latch counts a dropped
+    /// graph's. No cycle such a lane can still find runs through a
+    /// transaction that has committed by now (DESIGN.md, "Why G1c's
+    /// graph is empty while nothing is parked"). If that leaves no
+    /// graph holding an edge, no chain in the provenance map can be
+    /// cited again, and it is cleared as a drop of the last lane clears
+    /// it.
+    pub(crate) fn shed(&mut self, parked: bool, prov: &mut Provenance) {
+        if parked || self.eager {
+            return;
+        }
+        let mut shed = false;
+        for lane in self.lanes.iter_mut().filter(|l| l.spec.parked_only) {
+            if let Some(g) = lane.dag.as_mut().filter(|g| g.node_count() > 0) {
+                self.reorders_dropped += std::mem::replace(g, Dag::new()).reorders();
+                shed = true;
+            }
+        }
+        if shed && self.dags().flatten().all(|g| g.edge_count() == 0) {
+            prov.clear();
         }
     }
 
@@ -270,6 +323,16 @@ impl Lanes {
         self.lanes.iter().map(|l| l.dag.as_ref())
     }
 
+    /// Nodes and edges of each lane's graph, in table order (`None`
+    /// once dropped).
+    pub(crate) fn sizes(&self) -> [Option<(usize, usize)>; 2] {
+        let mut dags = self.dags();
+        std::array::from_fn(|_| {
+            let g = dags.next().flatten()?;
+            Some((g.node_count(), g.edge_count()))
+        })
+    }
+
     /// `(reorders of dropped graphs, reorders already reported)`.
     pub(crate) fn reorder_counters(&self) -> (u64, u64) {
         (self.reorders_dropped, self.reorders_reported)
@@ -279,13 +342,20 @@ impl Lanes {
         self.lanes.iter_mut().filter_map(|l| l.dag.as_mut())
     }
 
-    /// Applies a commit's planned edges: every live lane inserts the
-    /// edges it admits into buffers it keeps from commit to commit (its
-    /// own, and the graph's Pearce–Kelly traversal buffers), so a commit
-    /// allocates for neither. Then a walk over the per-edge results
-    /// replays provenance recording and phenomenon latching in exactly
-    /// the order an edge-at-a-time path would: edge by edge in plan
-    /// order, and for each edge lane by lane in table order.
+    /// Applies a commit's planned edges. `parked` says whether any read
+    /// was parked on a running writer when the commit began; if none
+    /// was, every `parked_only` lane (G1c's) sits the plan out — its
+    /// graph is empty ([`Self::shed`]), and none of the plan's edges can
+    /// be on a cycle it will ever find (DESIGN.md, "Why G1c's graph is
+    /// empty while nothing is parked").
+    ///
+    /// Every other live lane inserts the edges it admits into buffers
+    /// it keeps from commit to commit (its own, and the graph's
+    /// Pearce–Kelly traversal buffers), so a commit allocates for
+    /// neither. Then a walk over the per-edge results replays
+    /// provenance recording and phenomenon latching in exactly the
+    /// order an edge-at-a-time path would: edge by edge in plan order,
+    /// and for each edge lane by lane in table order.
     ///
     /// Equivalence with that path: a graph's state after the inserts
     /// does not depend on what the other graphs did in between, and
@@ -296,15 +366,17 @@ impl Lanes {
     pub(crate) fn apply(
         &mut self,
         plan: &[PlannedEdge],
+        parked: bool,
         fired: &mut Fired,
         prov: &mut Provenance,
         sampled: bool,
     ) {
+        let parked = parked || self.eager;
         let insert_t0 = sampled.then(Instant::now);
         for lane in &mut self.lanes {
             lane.results.clear();
             lane.replayed = 0;
-            if let Some(g) = lane.dag.as_mut() {
+            if let Some(g) = lane.dag.as_mut().filter(|_| lane.spec.takes(parked)) {
                 let admitted = plan.iter().filter(|e| lane.spec.admits.contains(&e.kind));
                 lane.results
                     .extend(admitted.map(|e| g.add_edge(e.from, e.to, e.kind.mask())));
@@ -317,9 +389,10 @@ impl Lanes {
             let mut step = edge.cites.filter(|_| prov.enabled());
             for i in 0..self.lanes.len() {
                 let lane = &mut self.lanes[i];
-                // A lane dropped before or during this plan has nothing
-                // left to say; its remaining results are never read.
-                if lane.dag.is_none() || !lane.spec.admits.contains(&edge.kind) {
+                // A lane that sat this plan out or was dropped during it
+                // has nothing to say; its remaining results are never read.
+                let admitted = lane.spec.takes(parked) && lane.spec.admits.contains(&edge.kind);
+                if lane.dag.is_none() || !admitted {
                     continue;
                 }
                 let r = std::mem::replace(&mut lane.results[lane.replayed], Insert::Duplicate);
@@ -527,8 +600,9 @@ mod tests {
             let mut fired = Fired::default();
             let mut prov = Provenance::default();
             prov.set_enabled(true);
-            lanes.apply(&case.setup, &mut fired, &mut prov, false);
-            lanes.apply(&case.plan, &mut fired, &mut prov, false);
+            // A read parked throughout: every lane takes every plan.
+            lanes.apply(&case.setup, true, &mut fired, &mut prov, false);
+            lanes.apply(&case.plan, true, &mut fired, &mut prov, false);
             assert_eq!(fired.kinds(), case.fired, "{name}: latched");
             for (k, text, via) in case.witnesses {
                 assert_eq!(
@@ -547,5 +621,49 @@ mod tests {
                 assert_eq!(cited[0].via, text, "{name}: chain of T{a} -> T{b}");
             }
         }
+    }
+
+    /// While no read is parked G1c's graph is shed, its reorders
+    /// counted as dropped, and a plan of a commit that began with none
+    /// parked goes into G2's graph alone — which takes each fresh
+    /// edge's provenance step.
+    #[test]
+    fn with_nothing_parked_the_g1c_graph_is_shed_and_sits_plans_out() {
+        use EdgeKind::{Rw, Ww};
+        let mut lanes = Lanes::default();
+        let mut fired = Fired::default();
+        let mut prov = Provenance::default();
+        prov.set_enabled(true);
+        // T1 enters the graphs after T2, so 1 -> 2 costs a reorder.
+        let parked_plan = [edge(Ww, 2, 3, 0), edge(Ww, 1, 2, 1)];
+        lanes.apply(&parked_plan, true, &mut fired, &mut prov, false);
+        lanes.shed(true, &mut prov);
+        assert_eq!(lanes.sizes(), [Some((3, 2)), Some((3, 2))]);
+        let reorders = lanes.lanes[0].dag.as_ref().unwrap().reorders();
+        assert_eq!(reorders, 1);
+
+        lanes.shed(false, &mut prov);
+        assert_eq!(lanes.sizes(), [Some((0, 0)), Some((3, 2))]);
+        assert_eq!(lanes.reorder_counters().0, reorders);
+
+        let plan = [edge(Ww, 3, 4, 2), edge(Rw, 4, 5, 3)];
+        lanes.apply(&plan, false, &mut fired, &mut prov, false);
+        assert_eq!(lanes.sizes(), [Some((0, 0)), Some((5, 4))]);
+        let via = |a, b| {
+            prov.cycle(&[(TxnId(a), TxnId(b), EdgeMask::DEP)])[0]
+                .via
+                .clone()
+        };
+        assert_eq!(
+            (via(3, 4), via(4, 5)),
+            ("ww obj2[3]".into(), "rw obj3[5]".into())
+        );
+        assert!(fired.kinds().is_empty());
+
+        // Eager, the reference the checker's tests hold this to.
+        lanes.set_eager(true);
+        lanes.apply(&[edge(Ww, 5, 6, 4)], false, &mut fired, &mut prov, false);
+        lanes.shed(false, &mut prov);
+        assert_eq!(lanes.sizes(), [Some((2, 1)), Some((6, 5))]);
     }
 }

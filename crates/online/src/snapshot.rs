@@ -471,6 +471,10 @@ pub(crate) fn decode(bytes: &[u8]) -> Result<OnlineChecker, SnapshotError> {
     }
     cross_check(&mut c).map_err(malformed)?;
     c.gc.rebuild(&c.txns);
+    c.parked = c.txns.iter().map(|(_, _, t)| t.pending_readers.len()).sum();
+    // An image an older build wrote may hold a G1c graph with nothing
+    // parked; this build's never does between events.
+    c.lanes.shed(c.parked != 0, &mut c.prov);
     Ok(c)
 }
 

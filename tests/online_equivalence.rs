@@ -14,6 +14,8 @@
 
 use std::collections::BTreeSet;
 
+#[cfg(debug_assertions)]
+use adya::core::PhenomenonKind::G1c;
 use adya::core::{classify, detect_all, PhenomenonKind};
 use adya::history::Event;
 use adya::online::{GcConfig, OnlineChecker, StreamFeed};
@@ -369,26 +371,17 @@ fn golden_images_restore_and_continue_to_the_golden_verdicts() {
     }
 }
 
-/// `dirty_hot.lane0.image` is `dirty_hot`'s image golden as the build
-/// before the G0 lane's removal wrote it: every image still carries a
-/// write-dependency graph, at the last cut the only graph left, beside
-/// a provenance map. Each restores (the graph checked, then dropped,
-/// the map cleared once no graph is left) and carries on to the same
-/// verdict lines; its final images are the old build's, so are not
-/// compared. Restored, each is the state this build reaches at the same
-/// cut: the current golden's image, but for the CRC and the two reorder
-/// counters, which still count the dropped graph's reorders.
-#[test]
-fn images_with_a_g0_graph_restore_and_continue_to_the_same_verdicts() {
-    continue_from_images("dirty_hot", "dirty_hot.lane0.image", false);
+/// Restores every image of `tests/data/stream/<file>`, `name`'s image
+/// golden as an older build wrote it, and requires each to be the state
+/// this build reaches at the same cut: the current golden's image, but
+/// for the CRC and the two reorder counters, which still count the
+/// reorders of the graph the restore let go.
+fn restores_to_this_builds_state(name: &str, file: &str) {
     if std::env::var_os("REGEN_GOLDEN").is_some() {
         return; // the current golden is being rewritten under this test's feet
     }
-    let read = |file| std::fs::read_to_string(common::stream_data(file)).expect(file);
-    let (old_text, new_text) = (
-        read("dirty_hot.lane0.image"),
-        read("dirty_hot.image.golden"),
-    );
+    let read = |file: &str| std::fs::read_to_string(common::stream_data(file)).expect(file);
+    let (old_text, new_text) = (read(file), read(&format!("{name}.image.golden")));
     // Magic and CRC take 12 bytes; the payload opens with the clock,
     // the GC policy and four counters (49 bytes), then the reorder
     // counts of dropped graphs and of those already reported.
@@ -408,9 +401,96 @@ fn images_with_a_g0_graph_restore_and_continue_to_the_same_verdicts() {
         assert_eq!(extra(DROPPED), extra(REPORTED), "image@{cut}: reorders");
         got[8..12].copy_from_slice(&want[8..12]);
         got[DROPPED..REPORTED + 8].copy_from_slice(&want[DROPPED..REPORTED + 8]);
-        assert!(
-            got == want,
-            "dirty_hot.lane0.image: image@{cut} restores to another state"
-        );
+        assert!(got == want, "{file}: image@{cut} restores to another state");
     }
+}
+
+/// `dirty_hot.lane0.image` is `dirty_hot`'s image golden as the build
+/// before the G0 lane's removal wrote it: every image still carries a
+/// write-dependency graph, at the last cut the only graph left, beside
+/// a provenance map. Each restores (the graph checked, then dropped,
+/// the map cleared once no graph is left) and carries on to the same
+/// verdict lines; its final images are the old build's, so are not
+/// compared. Restored, each is the state this build reaches at the same
+/// cut — where nothing is parked, that is with G1c's graph shed, and
+/// the map cleared once no graph holds an edge.
+#[test]
+fn images_with_a_g0_graph_restore_and_continue_to_the_same_verdicts() {
+    continue_from_images("dirty_hot", "dirty_hot.lane0.image", false);
+    restores_to_this_builds_state("dirty_hot", "dirty_hot.lane0.image");
+}
+
+/// `clean_window.g1c.image` is `clean_window`'s image golden as the
+/// build before G1c's graph was shed wrote it: the stream is strict
+/// 2PL, so no read is ever parked, yet every image holds a G1c graph
+/// beside G2's. Each restores (the G1c graph checked, then shed) and
+/// carries on to the same verdict lines, and is, restored, the state
+/// this build reaches at the same cut.
+#[test]
+fn images_with_a_g1c_graph_and_nothing_parked_restore_to_this_builds_state() {
+    continue_from_images("clean_window", "clean_window.g1c.image", false);
+    restores_to_this_builds_state("clean_window", "clean_window.g1c.image");
+}
+
+/// G1c's graph, shed while no read is parked, held to the graph fed on
+/// every commit that it replaced (`set_g1c_eager`). Over seeded streams
+/// with rare dirty reads — a read is parked now and then, the graph is
+/// shed in between, and G1c fires late in the stream — at GC interval 1
+/// and 64, with provenance on, every verdict line and every
+/// `cycle_dot` are the same bytes, the final verdict too. The sample
+/// must hold at least 100 streams in which, under both intervals, G1c
+/// fires after the shed graph held fewer nodes than the eager one.
+#[cfg(debug_assertions)] // the eager reference exists in debug builds only
+#[test]
+fn the_g1c_graph_shed_while_nothing_is_parked_matches_the_eager_one() {
+    let cfg = HistGenConfig {
+        txns: 200,
+        objects: 4,
+        ops_per_txn: 4,
+        write_prob: 0.5,
+        dirty_read_prob: 0.01,
+        abort_prob: 0.05,
+        shuffle_order_prob: 0.0,
+        max_concurrent: 4,
+    };
+    let mut late_g1c = 0;
+    for seed in 0..440 {
+        let h = random_history(&cfg, seed);
+        let mut late_in_both = true;
+        for interval in [1, 64] {
+            let gc = GcConfig {
+                enabled: true,
+                interval,
+            };
+            let (mut lazy, mut eager) = (OnlineChecker::with_gc(gc), OnlineChecker::with_gc(gc));
+            eager.set_g1c_eager(true);
+            for c in [&mut lazy, &mut eager] {
+                c.set_provenance(true);
+            }
+            let (mut shed, mut late) = (false, false);
+            for (i, e) in h.events().iter().enumerate() {
+                let v = lazy.ingest(e);
+                late |= shed && v.as_ref().is_some_and(|v| v.new_fired.contains(&G1c));
+                assert_eq!(
+                    v.map(|v| (v.to_json(), v.cycle_dot())),
+                    eager.ingest(e).map(|v| (v.to_json(), v.cycle_dot())),
+                    "seed {seed}, interval {interval}: verdict at event {i}"
+                );
+                let nodes = |c: &OnlineChecker| c.cycle_graphs()[0].map(|(nodes, _)| nodes);
+                shed |= nodes(&lazy) < nodes(&eager);
+            }
+            assert_eq!(
+                lazy.finish().to_json(),
+                eager.finish().to_json(),
+                "seed {seed}, interval {interval}: final verdict"
+            );
+            late_in_both &= late;
+        }
+        late_g1c += usize::from(late_in_both);
+    }
+    assert!(
+        late_g1c >= 100,
+        "G1c fired after a shed in {late_g1c} streams"
+    );
+    eprintln!("G1c fired after a shed, at both GC intervals, in {late_g1c} of 440 streams");
 }
