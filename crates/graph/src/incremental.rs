@@ -35,16 +35,18 @@ struct Edge<K, L> {
     label: L,
 }
 
+/// 64 bytes with 16-byte edges: slot numbers are `u32`s, and a freed
+/// slot is one with no members rather than a flag of its own.
 #[derive(Debug)]
 struct Slot<K, L> {
     /// Union-find parent (self when representative).
-    parent: usize,
-    /// False once freed for reuse.
-    live: bool,
+    parent: u32,
+    /// Representative-only: number of original nodes condensed here
+    /// (a merged-away slot keeps its last count). Zero once freed for
+    /// reuse — the slot is live exactly while this is not zero.
+    members: u32,
     /// Representative-only: topological order value.
     ord: u64,
-    /// Representative-only: number of original nodes condensed here.
-    members: u32,
     /// Representative-only: outgoing edges of the whole component.
     out: Vec<Edge<K, L>>,
     /// Representative-only: incoming edges of the whole component.
@@ -144,7 +146,9 @@ where
     /// in, so that parts decoded from bytes nobody vouches for can be
     /// handed to [`IncrementalDag::from_parts`]: a `u32` numbers the
     /// slots, and every slot number is in range; keys and live slots
-    /// pair off one to one and the free list is exactly the dead slots;
+    /// pair off one to one and the free list is exactly the dead slots,
+    /// each left as a removal leaves it (its own parent, one member, no
+    /// edges), while a live slot has members;
     /// union-find parents lead to a root, and a root's member count is
     /// the number of keys under it; adjacency lists sit on roots only,
     /// agree with each other and
@@ -184,6 +188,14 @@ where
         }
         if self.free.len() != n - live {
             return Err(format!("{} dead slots, {} free", n - live, self.free.len()));
+        }
+        for (s, slot) in self.slots.iter().enumerate() {
+            if slot.live && slot.members == 0 {
+                return Err(format!("slot {s} is live without members"));
+            }
+            if !slot.live && (slot.parent != s || slot.members != 1) {
+                return Err(format!("slot {s} is not left as a removal leaves it"));
+            }
         }
 
         // Union-find: resolve every live slot's root, refusing parent
@@ -353,8 +365,8 @@ fn push_edge<K, L>(list: &mut Vec<Edge<K, L>>, e: Edge<K, L>) {
 #[derive(Debug, Default)]
 pub struct IncrementalDag<K, L> {
     slots: Vec<Slot<K, L>>,
-    index: HashMap<K, usize>,
-    free: Vec<usize>,
+    index: HashMap<K, u32>,
+    free: Vec<u32>,
     seen: HashSet<(K, K, L)>,
     next_ord: u64,
     reorders: u64,
@@ -406,10 +418,35 @@ where
         self.index.contains_key(&k)
     }
 
+    /// True if the edge `from → to` labelled `label` is recorded.
+    pub fn has_edge(&self, from: K, to: K, label: L) -> bool {
+        self.seen.contains(&(from, to, label))
+    }
+
+    /// The recorded edges with `k` as an endpoint, as `(src, dst,
+    /// label)`: its out-edges in adjacency order, then its in-edges.
+    /// Empty when `k` is absent. While `k` is a singleton component
+    /// these are its own lists, each edge once — what
+    /// [`remove_node`](Self::remove_node) takes out; inside a condensed
+    /// component they are the component's, where an edge between two
+    /// members sits in both.
+    pub fn edges_of(&self, k: K) -> impl Iterator<Item = (K, K, L)> + '_ {
+        let mut s = self.index.get(&k).map_or(usize::MAX, |&s| s as usize);
+        while let Some(slot) = self.slots.get(s).filter(|slot| slot.parent as usize != s) {
+            s = slot.parent as usize;
+        }
+        let slot = self.slots.get(s);
+        let out = slot.into_iter().flat_map(|slot| slot.out.iter());
+        let inc = slot.into_iter().flat_map(|slot| slot.inc.iter());
+        out.chain(inc)
+            .filter(move |e| e.src == k || e.dst == k)
+            .map(|e| (e.src, e.dst, e.label))
+    }
+
     /// Adds `k` as an isolated node (idempotent); returns its slot.
     pub fn add_node(&mut self, k: K) -> usize {
         if let Some(&s) = self.index.get(&k) {
-            return s;
+            return s as usize;
         }
         let ord = self.next_ord;
         self.next_ord += 1;
@@ -417,30 +454,30 @@ where
         // had, so a graph that adds and removes nodes at the same rate
         // stops allocating for them.
         let s = self.free.pop().unwrap_or_else(|| {
-            slot_number(self.slots.len()); // a slot no edge could name is refused
+            // A slot no edge could name is refused.
+            let s = slot_number(self.slots.len());
             self.slots.push(Slot {
-                parent: 0,
-                live: false,
-                ord: 0,
+                parent: s,
                 members: 0,
+                ord: 0,
                 out: Vec::new(),
                 inc: Vec::new(),
             });
-            self.slots.len() - 1
+            s
         });
-        let slot = &mut self.slots[s];
-        (slot.parent, slot.live, slot.ord, slot.members) = (s, true, ord, 1);
+        let slot = &mut self.slots[s as usize];
+        (slot.parent, slot.ord, slot.members) = (s, ord, 1);
         slot.out.clear();
         slot.inc.clear();
         self.index.insert(k, s);
-        s
+        s as usize
     }
 
     fn find(&mut self, mut s: usize) -> usize {
-        while self.slots[s].parent != s {
-            let p = self.slots[s].parent;
+        while self.slots[s].parent as usize != s {
+            let p = self.slots[s].parent as usize;
             self.slots[s].parent = self.slots[p].parent;
-            s = self.slots[s].parent;
+            s = self.slots[s].parent as usize;
         }
         s
     }
@@ -450,7 +487,7 @@ where
     pub fn is_removable(&mut self, k: K) -> bool {
         match self.index.get(&k).copied() {
             None => true,
-            Some(s) => self.find(s) == s && self.slots[s].members == 1,
+            Some(s) => self.find(s as usize) == s as usize && self.slots[s as usize].members == 1,
         }
     }
 
@@ -461,6 +498,7 @@ where
         let Some(&s) = self.index.get(&k) else {
             return true;
         };
+        let s = s as usize;
         if self.find(s) != s || self.slots[s].members != 1 {
             return false;
         }
@@ -486,13 +524,13 @@ where
         }
         self.index.remove(&k);
         let slot = &mut self.slots[s];
-        slot.live = false;
+        slot.members = 0;
         // Back they go, empty: the slot keeps their room for its next
         // node, and an image shows a freed slot without edges.
         out.clear();
         inc.clear();
         (slot.out, slot.inc) = (out, inc);
-        self.free.push(s);
+        self.free.push(s as u32);
         true
     }
 
@@ -525,6 +563,7 @@ where
         let Some(&s) = self.index.get(&k) else {
             return true;
         };
+        let s = s as usize;
         if self.find(s) != s || self.slots[s].members != 1 {
             return false;
         }
@@ -697,7 +736,7 @@ where
         while cur != fv {
             let e = parent_edge[&cur];
             path.push((e.src, e.dst, e.label));
-            cur = self.find(self.index[&e.src]);
+            cur = self.find(self.index[&e.src] as usize);
         }
         path.reverse();
         let mut witness = vec![(from, to, label)];
@@ -729,7 +768,7 @@ where
             if m == fu {
                 continue;
             }
-            self.slots[m].parent = fu;
+            self.slots[m].parent = slot_number(fu);
             out.append(&mut self.slots[m].out);
             inc.append(&mut self.slots[m].inc);
             total += self.slots[m].members;
@@ -758,10 +797,10 @@ where
     /// after a merge, which is rare: each merge latches a phenomenon).
     fn rebuild_order(&mut self) {
         let reps: Vec<usize> = {
-            let slots: Vec<usize> = self.index.values().copied().collect();
+            let slots: Vec<u32> = self.index.values().copied().collect();
             let mut set = HashSet::new();
             for s in slots {
-                set.insert(self.find(s));
+                set.insert(self.find(s as usize));
             }
             // Sorted so the rebuilt order is a pure function of the
             // graph, not of hash-set iteration order (determinism
@@ -824,7 +863,8 @@ where
                 .map(|e| (e.slot as usize, e.src, e.dst, e.label))
                 .collect()
         };
-        let mut index: Vec<(K, usize)> = self.index.iter().map(|(&k, &s)| (k, s)).collect();
+        let mut index: Vec<(K, usize)> =
+            self.index.iter().map(|(&k, &s)| (k, s as usize)).collect();
         index.sort_unstable();
         let mut seen: Vec<(K, K, L)> = self.seen.iter().copied().collect();
         seen.sort_unstable();
@@ -833,16 +873,17 @@ where
                 .slots
                 .iter()
                 .map(|s| SlotParts {
-                    parent: s.parent,
-                    live: s.live,
+                    parent: s.parent as usize,
+                    live: s.members != 0,
                     ord: s.ord,
-                    members: s.members,
+                    // A freed slot was a singleton when it was removed.
+                    members: s.members.max(1),
                     out: flat(&s.out),
                     inc: flat(&s.inc),
                 })
                 .collect(),
             index,
-            free: self.free.clone(),
+            free: self.free.iter().map(|&s| s as usize).collect(),
             seen,
             next_ord: self.next_ord,
             reorders: self.reorders,
@@ -850,7 +891,8 @@ where
         }
     }
 
-    /// Reconstructs a graph from a [`to_parts`] image.
+    /// Reconstructs a graph from a [`to_parts`] image — one that
+    /// [`DagParts::validate`] accepts.
     ///
     /// [`to_parts`]: IncrementalDag::to_parts
     pub fn from_parts(parts: DagParts<K, L>) -> Self {
@@ -869,16 +911,17 @@ where
                 .slots
                 .into_iter()
                 .map(|s| Slot {
-                    parent: s.parent,
-                    live: s.live,
+                    parent: slot_number(s.parent),
+                    members: if s.live { s.members } else { 0 },
                     ord: s.ord,
-                    members: s.members,
                     out: unflat(s.out),
                     inc: unflat(s.inc),
                 })
                 .collect(),
-            index: parts.index.into_iter().collect(),
-            free: parts.free,
+            index: (parts.index.into_iter())
+                .map(|(k, s)| (k, slot_number(s)))
+                .collect(),
+            free: parts.free.into_iter().map(slot_number).collect(),
             seen: parts.seen.into_iter().collect(),
             next_ord: parts.next_ord,
             reorders: parts.reorders,
@@ -903,18 +946,40 @@ mod tests {
     }
 
     #[test]
-    fn an_edge_is_16_bytes_and_a_list_starts_with_room_for_two() {
+    fn an_edge_is_16_bytes_a_slot_64_and_a_list_starts_with_room_for_two() {
         assert_eq!(std::mem::size_of::<Edge<u32, u8>>(), 16);
+        assert_eq!(std::mem::size_of::<Slot<u32, u8>>(), 64);
         let mut g: IncrementalDag<u32, u8> = IncrementalDag::new();
         g.add_edge(1, 2, 0);
         let caps = |g: &IncrementalDag<u32, u8>, k: u32| {
-            let s = &g.slots[g.index[&k]];
+            let s = &g.slots[g.index[&k] as usize];
             (s.out.capacity(), s.inc.capacity())
         };
         assert_eq!((caps(&g, 1), caps(&g, 2)), ((2, 0), (0, 2)));
         g.add_edge(1, 3, 0);
         g.add_edge(1, 4, 0);
         assert_eq!(caps(&g, 1).0, 4, "then it grows as Vec does");
+    }
+
+    #[test]
+    fn edges_of_a_node_are_its_own_lists_and_has_edge_reads_the_record() {
+        let mut g: IncrementalDag<u32, u8> = IncrementalDag::new();
+        g.add_edge(1, 2, 0);
+        g.add_edge(2, 3, 1);
+        g.add_edge(4, 2, 0);
+        g.add_edge(2, 3, 0);
+        let of = |g: &IncrementalDag<u32, u8>, k| g.edges_of(k).collect::<Vec<_>>();
+        assert_eq!(of(&g, 2), [(2, 3, 1), (2, 3, 0), (1, 2, 0), (4, 2, 0)]);
+        assert_eq!(of(&g, 9), []);
+        assert!(g.has_edge(2, 3, 1) && !g.has_edge(3, 2, 1) && !g.has_edge(1, 2, 1));
+        // Inside a component the lists are the root's: still only the
+        // edges that touch the node, an internal one from both lists.
+        g.add_edge(3, 1, 0);
+        assert_eq!(of(&g, 4), [(4, 2, 0)]);
+        let mut three = of(&g, 3);
+        three.sort_unstable();
+        three.dedup();
+        assert_eq!(three, [(2, 3, 0), (2, 3, 1), (3, 1, 0)]);
     }
 
     #[test]
@@ -1108,7 +1173,7 @@ mod tests {
         let dead = good.free[0];
         // (parts, the condensed component's root, a dead slot)
         type Damage = fn(&mut DagParts<u32, u8>, usize, usize);
-        let damage: [(&str, Damage); 9] = [
+        let damage: [(&str, Damage); 11] = [
             ("a slot number out of range", |p, _, _| p.index[0].1 = 99),
             ("a key twice", |p, _, _| p.index[1].0 = p.index[0].0),
             ("a live slot on the free list", |p, root, _| {
@@ -1132,6 +1197,13 @@ mod tests {
             }),
             ("an edge `seen` does not know", |p, _, _| {
                 p.seen.pop();
+            }),
+            (
+                "a freed slot that is not its own parent",
+                |p, root, dead| p.slots[dead].parent = root,
+            ),
+            ("a freed slot with no members", |p, _, dead| {
+                p.slots[dead].members = 0
             }),
         ];
         for (what, break_it) in damage {

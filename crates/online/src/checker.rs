@@ -72,23 +72,19 @@ pub(crate) struct WriteEntry {
     pub(crate) pos: usize,
 }
 
+/// A transaction the checker holds: what a finished one still needs.
+/// What only a running one has is on its [`Running`] record.
 #[derive(Debug, Default)]
 pub(crate) struct TxnState {
     pub(crate) status: Status,
     pub(crate) begin_clock: u64,
     pub(crate) terminal_clock: u64,
-    /// Its reads, buffered until its terminal event. A spare buffer
-    /// from the checker's list while it runs (see [`Spares`]).
-    pub(crate) reads: Vec<BufferedRead>,
     /// What it wrote. While it runs, one entry per write in arrival
     /// order; its terminal event [seals](seal_writes) them to
     /// one entry per object, sorted by object (the order commits
     /// install in). Kept after that for G1a/G1b checks against
     /// late-committing readers.
     pub(crate) writes: Vec<WriteEntry>,
-    /// Committed readers waiting for this (active) writer's fate; a
-    /// spare buffer, like `reads`.
-    pub(crate) pending_readers: Vec<PendingRead>,
     /// Installed versions not yet superseded by a later install.
     pub(crate) unsuperseded: u32,
     /// Buffered or pending reads by live transactions that reference
@@ -108,9 +104,20 @@ pub(crate) struct TxnState {
     /// version of their object — the prefix rule as a counter. Derived
     /// from the object table (rebuilt by `restore`, never serialised).
     pub(crate) behind: u32,
-    /// Where the checker's active list holds this transaction, while
-    /// it is active.
+    /// Where the checker's active list holds this transaction — and
+    /// its [`Running`] record —, while it is active.
     pub(crate) active_at: u32,
+}
+
+/// What a transaction holds only while it runs, on its entry in the
+/// active list: its buffered reads, and the committed readers parked on
+/// it. Its terminal event drains both.
+#[derive(Debug, Default)]
+pub(crate) struct Running {
+    /// Its reads, buffered until its terminal event.
+    pub(crate) reads: Vec<BufferedRead>,
+    /// Committed readers waiting for this writer's fate.
+    pub(crate) pending_readers: Vec<PendingRead>,
 }
 
 impl TxnState {
@@ -144,8 +151,7 @@ fn recycled<T>(mut v: Vec<T>) -> Vec<T> {
 }
 
 impl Recycle for TxnState {
-    /// A fresh `TxnState`, but for the capacity of `writes`: the other
-    /// two buffers went to the spare lists at the terminal event.
+    /// A fresh `TxnState`, but for the capacity of `writes`.
     fn recycle(&mut self) {
         let writes = recycled(std::mem::take(&mut self.writes));
         *self = TxnState {
@@ -155,42 +161,79 @@ impl Recycle for TxnState {
     }
 }
 
-/// Emptied buffers of one kind, from transactions that ended, for the
-/// running ones: a transaction takes one at its first buffered read
-/// (`reads`) or its first parked reader (`pending_readers`), and hands
-/// it back at its terminal event. So a finished transaction — most of
-/// the live set on a wide key space — keeps only its `writes`, and the
-/// buffers in circulation number about the running transactions.
-#[derive(Debug)]
-pub(crate) struct Spares<T>(Vec<Vec<T>>);
-
-impl<T> Default for Spares<T> {
-    fn default() -> Self {
-        Spares(Vec::new())
-    }
+/// The installers of an object's versions still held, oldest first.
+/// Nearly every object has one or two, kept inline; a third moves them
+/// all into a ring on the heap, for good: an object that had three is a
+/// hot one, which will again.
+#[derive(Debug, Default)]
+pub(crate) enum Installers {
+    #[default]
+    Empty,
+    One(TxnSlot),
+    Two(TxnSlot, TxnSlot),
+    // Boxed, so the enum is 16 bytes rather than a `VecDeque`'s 32.
+    #[allow(clippy::box_collection)]
+    Many(Box<VecDeque<TxnSlot>>),
 }
 
-impl<T> Spares<T> {
-    /// `buf`, given a spare buffer's room if it has none of its own.
-    fn fill(&mut self, buf: &mut Vec<T>) {
-        if buf.capacity() == 0 {
-            if let Some(spare) = self.0.pop() {
-                *buf = spare;
-            }
+impl Installers {
+    pub(crate) fn len(&self) -> usize {
+        match self {
+            Installers::Empty => 0,
+            Installers::One(_) => 1,
+            Installers::Two(..) => 2,
+            Installers::Many(q) => q.len(),
         }
     }
 
-    /// Takes back `buf`, emptied, from a transaction that just ended
-    /// while `running` others were still running. The list keeps at
-    /// most one buffer per transaction running at that terminal event
-    /// (`running` + 1), and none with more room than a recycled slot
-    /// may keep.
-    fn give(&mut self, mut buf: Vec<T>, running: usize) {
-        self.0.truncate(running + 1);
-        if self.0.len() <= running && (1..=RECYCLED_CAPACITY).contains(&buf.capacity()) {
-            buf.clear();
-            self.0.push(buf);
+    pub(crate) fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The installer of the `i`-th version held.
+    pub(crate) fn get(&self, i: usize) -> Option<TxnSlot> {
+        match (self, i) {
+            (Installers::One(a) | Installers::Two(a, _), 0) | (Installers::Two(_, a), 1) => {
+                Some(*a)
+            }
+            (Installers::Many(q), i) => q.get(i).copied(),
+            _ => None,
         }
+    }
+
+    pub(crate) fn front(&self) -> Option<TxnSlot> {
+        self.get(0)
+    }
+
+    pub(crate) fn back(&self) -> Option<TxnSlot> {
+        self.get(self.len().wrapping_sub(1))
+    }
+
+    pub(crate) fn iter(&self) -> impl Iterator<Item = TxnSlot> + '_ {
+        (0..self.len()).filter_map(|i| self.get(i))
+    }
+
+    pub(crate) fn push_back(&mut self, t: TxnSlot) {
+        *self = match std::mem::take(self) {
+            Installers::Empty => Installers::One(t),
+            Installers::One(a) => Installers::Two(a, t),
+            Installers::Two(a, b) => Installers::Many(Box::new(VecDeque::from([a, b, t]))),
+            Installers::Many(mut q) => {
+                q.push_back(t);
+                Installers::Many(q)
+            }
+        };
+    }
+
+    pub(crate) fn pop_front(&mut self) -> Option<TxnSlot> {
+        let (first, rest) = match std::mem::take(self) {
+            Installers::Empty => return None,
+            Installers::One(a) => (a, Installers::Empty),
+            Installers::Two(a, b) => (a, Installers::One(b)),
+            Installers::Many(mut q) => (q.pop_front()?, Installers::Many(q)),
+        };
+        *self = rest;
+        Some(first)
     }
 }
 
@@ -200,7 +243,7 @@ pub(crate) struct ObjectState {
     pub(crate) base: usize,
     /// The installers of the committed versions, in install (= commit)
     /// order. An installer's [`WriteEntry::pos`] is its place here.
-    pub(crate) entries: VecDeque<TxnSlot>,
+    pub(crate) entries: Installers,
     /// Committed readers anchored at the newest version — or, while
     /// there is none, before the first. (A superseded version anchors
     /// nobody: installing its successor resolved them all.)
@@ -214,11 +257,15 @@ pub struct OnlineChecker {
     pub(crate) txns: TxnTable,
     /// The transactions still running, in no particular order.
     pub(crate) active: Vec<TxnSlot>,
+    /// `running[i]` is `active[i]`'s [`Running`] record. Those past
+    /// `active.len()` are idle: emptied at terminal events and kept,
+    /// for their buffers' room, until a transaction begins — as many
+    /// as were ever running at once, so a first read or a first parked
+    /// reader costs no allocation at steady state.
+    pub(crate) running: Vec<Running>,
     /// Reads parked on running writers: the sum of their
     /// `pending_readers`. Derived (set by `restore`, never serialised).
     pub(crate) parked: usize,
-    spare_reads: Spares<BufferedRead>,
-    spare_parked: Spares<PendingRead>,
     pub(crate) objects: ObjectTable,
     /// The cycle graphs, one per edge filter.
     pub(crate) lanes: Lanes,
@@ -292,9 +339,9 @@ impl OnlineChecker {
         self.clock - gc::watermark(&self.active, &self.txns, self.clock)
     }
 
-    /// Approximate heap footprint of the provenance side maps, in
-    /// bytes (capacity-based, so it reflects reserved memory, not just
-    /// live entries). Zero when provenance is off.
+    /// Heap bytes the provenance map has allocated: its table as laid
+    /// out, reserved room included, and the chains that spilled to a
+    /// buffer of their own. Zero while provenance has never been on.
     pub fn provenance_bytes(&self) -> usize {
         self.prov.bytes()
     }
@@ -451,23 +498,53 @@ impl OnlineChecker {
         t
     }
 
-    /// Files `t` in the active list.
+    /// Files `t` in the active list, with an idle [`Running`] record.
     pub(crate) fn activate(&mut self, t: TxnSlot) {
-        self.txns[t].active_at = self.active.len() as u32;
+        let at = self.active.len();
+        self.txns[t].active_at = at as u32;
         self.active.push(t);
+        if self.running.len() == at {
+            self.running.push(Running::default());
+        }
     }
 
-    /// `t`'s terminal event: it leaves the active list with `status`.
-    fn end(&mut self, t: TxnSlot, status: Status) {
+    /// `t`'s running record.
+    fn running_mut(&mut self, t: TxnSlot) -> &mut Running {
+        let txn = &self.txns[t];
+        debug_assert_eq!(txn.status, Status::Active);
+        &mut self.running[txn.active_at as usize]
+    }
+
+    /// `t`'s running record, or `None` once it has ended.
+    pub(crate) fn running_of(&self, t: &TxnState) -> Option<&Running> {
+        (t.status == Status::Active).then(|| &self.running[t.active_at as usize])
+    }
+
+    /// `t`'s terminal event: it leaves the active list with `status`,
+    /// and its record goes idle. Returns where the record now is, for
+    /// the handler to drain.
+    fn end(&mut self, t: TxnSlot, status: Status) -> usize {
         let txn = &mut self.txns[t];
         seal_writes(&mut txn.writes);
         txn.status = status;
         txn.terminal_clock = self.clock;
         let at = txn.active_at as usize;
         self.active.swap_remove(at);
+        let idle = self.active.len();
+        self.running.swap(at, idle);
         if let Some(&moved) = self.active.get(at) {
             self.txns[moved].active_at = at as u32;
         }
+        idle
+    }
+
+    /// Hands an ended transaction's drained buffers back to its idle
+    /// record at `idle`, unless they grew beyond what a recycled slot
+    /// may keep.
+    fn rest(&mut self, idle: usize, reads: Vec<BufferedRead>, pending: Vec<PendingRead>) {
+        let record = &mut self.running[idle];
+        record.reads = recycled(reads);
+        record.pending_readers = recycled(pending);
     }
 
     fn on_write(&mut self, t: TxnSlot, o: ObjectId, seq: u32) {
@@ -507,9 +584,7 @@ impl OnlineChecker {
             self.txns[w].refs += 1;
             self.settle(w); // a new pin unsettles a finished writer
         }
-        let reads = &mut self.txns[t].reads;
-        self.spare_reads.fill(reads);
-        reads.push(BufferedRead {
+        self.running_mut(t).reads.push(BufferedRead {
             object: o,
             version: v,
             via_predicate,
@@ -528,23 +603,22 @@ impl OnlineChecker {
         // Taken before this commit unparks its readers or parks its
         // reads: see `Lanes::apply`.
         let parked = self.parked != 0;
-        self.end(t, Status::Committed);
+        let idle = self.end(t, Status::Committed);
         self.committed += 1;
 
         let verdict_t0 = self.sampled_now.then(Instant::now);
         self.install_writes(t);
-        // Both buffers go to the spare lists, emptied: a finished
-        // transaction keeps only its writes.
-        let mut reads = std::mem::take(&mut self.txns[t].reads);
+        // Both buffers are drained back into the idle record: a
+        // finished transaction keeps only its writes.
+        let mut reads = std::mem::take(&mut self.running[idle].reads);
         for br in reads.drain(..) {
             self.resolve_read(t, br);
         }
-        self.spare_reads.give(reads, self.active.len());
-        let mut pending = std::mem::take(&mut self.txns[t].pending_readers);
+        let mut pending = std::mem::take(&mut self.running[idle].pending_readers);
         for pr in pending.drain(..) {
             self.resolve_pending(t, pr);
         }
-        self.spare_parked.give(pending, self.active.len());
+        self.rest(idle, reads, pending);
         self.settle(t);
         self.apply_edge_plan(parked);
 
@@ -565,7 +639,7 @@ impl OnlineChecker {
             let clock = self.clock;
             let (slot, _) = self.objects.enter(o);
             let obj = &mut self.objects[slot];
-            let prev = obj.entries.back().copied();
+            let prev = obj.entries.back();
             let mut resolved = std::mem::take(&mut obj.anchored);
             obj.entries.push_back(t);
             let pos = obj.base + obj.entries.len() - 1;
@@ -614,7 +688,7 @@ impl OnlineChecker {
                 self.stale_refs += 1;
                 return;
             }
-            match obj.entries.front().copied() {
+            match obj.entries.front() {
                 Some(succ) => {
                     if succ != t {
                         self.edge(EdgeKind::Rw, t, succ, o, None);
@@ -638,8 +712,7 @@ impl OnlineChecker {
         };
         let writer = &mut self.txns[w];
         if writer.status == Status::Active {
-            self.spare_parked.fill(&mut writer.pending_readers);
-            writer.pending_readers.push(PendingRead {
+            self.running_mut(w).pending_readers.push(PendingRead {
                 reader: t,
                 object: o,
                 seq: v.seq,
@@ -685,8 +758,7 @@ impl OnlineChecker {
         };
         let obj = &mut self.objects[slot];
         let idx = pos - obj.base;
-        if idx + 1 < obj.entries.len() {
-            let succ = obj.entries[idx + 1];
+        if let Some(succ) = obj.entries.get(idx + 1) {
             if succ != t {
                 self.edge(EdgeKind::Rw, t, succ, o, None);
             }
@@ -730,19 +802,18 @@ impl OnlineChecker {
         if self.txns[t].status != Status::Active {
             return;
         }
-        self.end(t, Status::Aborted);
+        let idle = self.end(t, Status::Aborted);
         // Its own buffered reads die with it: release the writer pins.
-        let mut reads = std::mem::take(&mut self.txns[t].reads);
+        let mut reads = std::mem::take(&mut self.running[idle].reads);
         for br in reads.drain(..) {
             if let Some(w) = br.writer {
                 self.txns[w].refs -= 1;
                 self.settle(w);
             }
         }
-        self.spare_reads.give(reads, self.active.len());
         // Committed readers that observed its versions read aborted
         // data: G1a now, G1b too if the version wasn't the last one.
-        let mut pending = std::mem::take(&mut self.txns[t].pending_readers);
+        let mut pending = std::mem::take(&mut self.running[idle].pending_readers);
         for pr in pending.drain(..) {
             self.parked -= 1;
             self.txns[pr.reader].awaiting -= 1;
@@ -764,7 +835,7 @@ impl OnlineChecker {
                 None => self.stale_refs += 1, // read of a never-written version
             }
         }
-        self.spare_parked.give(pending, self.active.len());
+        self.rest(idle, reads, pending);
         self.settle(t);
     }
 
@@ -959,6 +1030,34 @@ impl OnlineChecker {
 mod tests {
     use super::*;
     use crate::testkit::{feed, r, rinit, w};
+
+    #[test]
+    fn rows_keep_no_room_a_finished_transaction_or_a_held_version_does_not_use() {
+        use std::mem::size_of;
+        // A finished transaction's row has no room for reads, an
+        // object's none for a ring while it holds two versions or
+        // fewer. Debug builds' slots carry a generation tag.
+        let tag = size_of::<TxnSlot>() - 4;
+        assert_eq!(size_of::<TxnState>(), 80);
+        assert_eq!(size_of::<Installers>(), 16 + 2 * tag);
+        assert_eq!(size_of::<ObjectState>(), 48 + 2 * tag);
+        let mut held = Installers::default();
+        let mut table = TxnTable::default();
+        let slots: Vec<TxnSlot> = (0..4).map(|i| table.enter(TxnId(i)).0).collect();
+        for &t in &slots[..2] {
+            held.push_back(t);
+        }
+        assert!(matches!(held, Installers::Two(..)), "{held:?}");
+        for &t in &slots[2..] {
+            held.push_back(t);
+        }
+        assert_eq!(
+            (held.len(), held.front(), held.back()),
+            (4, Some(slots[0]), Some(slots[3]))
+        );
+        assert_eq!(held.pop_front(), Some(slots[0]));
+        assert_eq!(held.iter().collect::<Vec<_>>(), &slots[1..]);
+    }
 
     #[test]
     fn clean_serial_history_is_pl3() {

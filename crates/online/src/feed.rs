@@ -21,12 +21,13 @@
 //! the last good record, so the caller can truncate and resume
 //! appending instead of refusing the whole file.
 
+use std::collections::hash_map::{Entry, RandomState};
 use std::collections::HashMap;
+use std::hash::BuildHasher;
 use std::io::Write;
-use std::sync::Arc;
 
 use adya_history::{
-    lex, Event, LexError, ObjectId, ReadEvent, Token, TxnId, Value, VersionId, VersionKind,
+    lex, Event, IdMap, LexError, ObjectId, ReadEvent, Token, TxnId, Value, VersionId, VersionKind,
     VersionRef, WriteEvent,
 };
 
@@ -51,11 +52,82 @@ use crate::wire::{self, FrameError, WireError};
 /// [`restore`]: StreamParser::restore
 #[derive(Debug, Default, Clone)]
 pub struct StreamParser {
-    /// Name → id. Each name is stored once, shared with `names`.
-    objects: HashMap<Arc<str>, ObjectId>,
-    /// Id → name.
-    names: Vec<Arc<str>>,
+    names: Names,
     last_seq: HashMap<(TxnId, ObjectId), u32>,
+}
+
+/// The interned object names, id ↔ name: every name once, in one byte
+/// buffer in id order, found again by its hash. Names are a peer's to
+/// choose, so the hash is keyed; two names with one hash — a 32-bit
+/// hash, so now and then — share it through the overflow map.
+#[derive(Debug, Default, Clone)]
+struct Names {
+    hasher: RandomState,
+    /// The names, back to back.
+    bytes: String,
+    /// `ends[i]`: where name `i` ends in `bytes`; it starts where name
+    /// `i - 1` ends.
+    ends: Vec<u32>,
+    /// A hash → the first id whose name has it.
+    first: IdMap<u32, ObjectId>,
+    /// A hash → the later ids whose names have it too.
+    more: IdMap<u32, Vec<ObjectId>>,
+    /// Test switch: every name hashes alike, so every name after the
+    /// first goes through the overflow map.
+    #[cfg(test)]
+    collide: bool,
+}
+
+impl Names {
+    fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    /// Name `i`.
+    fn get(&self, i: usize) -> &str {
+        let start = i.checked_sub(1).map_or(0, |p| self.ends[p] as usize);
+        &self.bytes[start..self.ends[i] as usize]
+    }
+
+    fn iter(&self) -> impl Iterator<Item = &str> {
+        (0..self.len()).map(|i| self.get(i))
+    }
+
+    fn hash(&self, name: &str) -> u32 {
+        #[cfg(test)]
+        if self.collide {
+            return 0;
+        }
+        self.hasher.hash_one(name) as u32
+    }
+
+    /// The id of `name`, whose hash is `h`, if it is interned.
+    fn find(&self, name: &str, h: u32) -> Option<ObjectId> {
+        let first = self.first.get(&h)?;
+        let more = self.more.get(&h).into_iter().flatten();
+        std::iter::once(first)
+            .chain(more)
+            .copied()
+            .find(|o| self.get(o.0 as usize) == name)
+    }
+
+    /// Interns `name`, whose hash is `h` and which is not interned yet,
+    /// under the next id.
+    fn push(&mut self, name: &str, h: u32) -> ObjectId {
+        let o = ObjectId(self.len() as u32);
+        self.bytes.push_str(name);
+        let end = u32::try_from(self.bytes.len()).expect("object names total under 4 GiB");
+        self.ends.push(end);
+        match self.first.entry(h) {
+            Entry::Vacant(e) => {
+                e.insert(o);
+            }
+            Entry::Occupied(_) => {
+                self.more.entry(h).or_default().push(o);
+            }
+        }
+        o
+    }
 }
 
 impl StreamParser {
@@ -70,7 +142,7 @@ impl StreamParser {
     pub fn snapshot(&self) -> Vec<u8> {
         let mut e = wire::Enc::new();
         e.len(self.names.len());
-        for name in &self.names {
+        for name in self.names.iter() {
             e.str(name);
         }
         let mut seqs: Vec<_> = self.last_seq.iter().collect();
@@ -85,22 +157,25 @@ impl StreamParser {
     }
 
     /// Revives a parser from [`snapshot`](StreamParser::snapshot)
-    /// bytes. Only what `snapshot` can write is accepted — counters in
-    /// ascending (transaction, object) order, each at least 1 and
-    /// naming an interned object — so the revived parser snapshots to
-    /// the same bytes.
+    /// bytes. Only what `snapshot` can write is accepted — each name
+    /// once, counters in ascending (transaction, object) order, each at
+    /// least 1 and naming an interned object — so the revived parser
+    /// snapshots to the same bytes.
     pub fn restore(bytes: &[u8]) -> Result<StreamParser, WireError> {
         let mut d = wire::Dec::new(bytes);
         let n = d.len()?;
-        let mut p = StreamParser {
-            names: Vec::with_capacity(n),
-            objects: HashMap::with_capacity(n),
-            ..StreamParser::default()
-        };
-        for i in 0..n {
-            let name: Arc<str> = d.str()?.into();
-            p.objects.insert(Arc::clone(&name), ObjectId(i as u32));
-            p.names.push(name);
+        let mut p = StreamParser::default();
+        p.names.ends.reserve(n);
+        p.names.first.reserve(n);
+        for _ in 0..n {
+            let name = d.str()?;
+            let h = p.names.hash(&name);
+            if p.names.find(&name, h).is_some() {
+                return Err(WireError::Malformed(format!(
+                    "object name {name:?} interned twice"
+                )));
+            }
+            p.names.push(&name, h);
         }
         let n = d.len()?;
         p.last_seq.reserve(n);
@@ -142,7 +217,7 @@ impl StreamParser {
 
     /// The interned name of `o` (for rendering verdicts).
     pub fn object_name(&self, o: ObjectId) -> &str {
-        &self.names[o.0 as usize]
+        self.names.get(o.0 as usize)
     }
 
     /// Number of interned object names (ids are `0..count`).
@@ -170,15 +245,14 @@ impl StreamParser {
         self.last_seq.remove(&(txn, object));
     }
 
+    /// The id of `name`, interned now if it was not: one hash of the
+    /// name either way.
     fn object(&mut self, name: &str) -> ObjectId {
-        if let Some(&o) = self.objects.get(name) {
-            return o;
+        let h = self.names.hash(name);
+        match self.names.find(name, h) {
+            Some(o) => o,
+            None => self.names.push(name, h),
         }
-        let o = ObjectId(self.names.len() as u32);
-        let name: Arc<str> = Arc::from(name);
-        self.objects.insert(Arc::clone(&name), o);
-        self.names.push(name);
-        o
     }
 
     /// Parses one whitespace-delimited token into an [`Event`]. Fails
@@ -852,6 +926,64 @@ mod tests {
                 "{counters:?}: {err:?}"
             );
         }
+        let err = StreamParser::restore(&parser_image(&["x", "y", "x"], &[])).unwrap_err();
+        assert!(matches!(&err, WireError::Malformed(m) if m.contains("twice")));
+    }
+
+    /// With every name hashed alike, every name after the first is
+    /// found through the overflow map: ids, names, counts and images
+    /// are the keyed table's on the same stream, and so is the table an
+    /// image's names are interned into.
+    #[test]
+    fn names_that_collide_intern_as_distinct_names_do() {
+        let letters = |mut i: u32| {
+            let mut name = String::from("k");
+            loop {
+                name.push(char::from(b'a' + (i % 26) as u8));
+                i /= 26;
+                if i == 0 {
+                    break name;
+                }
+            }
+        };
+        let colliding = || {
+            let mut p = StreamParser::new();
+            p.names.collide = true;
+            p
+        };
+        let (mut keyed, mut hashed_alike) = (StreamParser::new(), colliding());
+        for i in 0..300u32 {
+            let (t, a, b) = (i + 1, letters(i * 7 % 97), letters(i * 13 % 89));
+            let txn = format!("b{t} w{t}({a}) r{t}({b}init) w{t}({b}) r{t}({a}{t}) c{t}");
+            for tok in txn.split_whitespace() {
+                assert_eq!(
+                    keyed.parse_token(tok),
+                    hashed_alike.parse_token(tok),
+                    "{tok}"
+                );
+            }
+        }
+        let names = keyed.interned();
+        assert_eq!(hashed_alike.interned(), names);
+        let overflowed: usize = hashed_alike.names.more.values().map(Vec::len).sum();
+        assert_eq!((hashed_alike.names.first.len(), overflowed), (1, names - 1));
+        for o in (0..names as u32).map(ObjectId) {
+            assert_eq!(hashed_alike.object_name(o), keyed.object_name(o));
+        }
+        let image = keyed.snapshot();
+        assert_eq!(hashed_alike.snapshot(), image);
+
+        let restored = StreamParser::restore(&image).unwrap();
+        let mut again = colliding();
+        for o in (0..names as u32).map(ObjectId) {
+            assert_eq!(again.intern(restored.object_name(o)), o);
+            assert_eq!(
+                again.intern(keyed.object_name(o)),
+                o,
+                "interning is idempotent"
+            );
+        }
+        assert_eq!(again.interned(), names);
     }
 
     /// Feeds `text` through `feed`, one token at a time.

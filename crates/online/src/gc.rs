@@ -41,13 +41,10 @@ impl Default for GcConfig {
 
 /// The collector's candidate filter: `t` has had its terminal event
 /// and nothing pins it — no buffered or parked read references it and
-/// none of its own reads is parked or anchored.
+/// none of its own reads is parked or anchored. (Readers park only on
+/// running writers.)
 fn unpinned(t: &TxnState) -> bool {
-    t.status != Status::Active
-        && t.refs == 0
-        && t.awaiting == 0
-        && t.registered == 0
-        && t.pending_readers.is_empty()
+    t.status != Status::Active && t.refs == 0 && t.awaiting == 0 && t.registered == 0
 }
 
 /// The count conditions of prunability: [`unpinned`], every version
@@ -249,8 +246,19 @@ impl Collector {
 
     /// One collection: prune every settled transaction below the
     /// low watermark, repeating while progress is made (a prune can
-    /// settle a transaction the round has already passed).
+    /// settle a transaction the round has already passed). Then, if it
+    /// pruned, the provenance orphans that named a pruned transaction go
+    /// (`crate::provenance`).
     pub(crate) fn run(&mut self, h: &mut Heap<'_>) {
+        let pruned = self.pruned_txns;
+        self.collect(h);
+        if self.pruned_txns > pruned && h.prov.has_orphans() {
+            let alive = |id| h.txns.lookup(id).is_some();
+            h.prov.sweep_orphans(alive, |a, b| h.lanes.holds(a, b));
+        }
+    }
+
+    fn collect(&mut self, h: &mut Heap<'_>) {
         #[cfg(any(test, debug_assertions))]
         {
             // `ready` and `behind` against first principles: a counter
@@ -260,6 +268,16 @@ impl Collector {
                 .map(|(id, slot, _)| (id, slot))
                 .collect();
             debug_assert_eq!(self.ready, want);
+            // Every chain is a live graph's edge, or an orphan of two
+            // transactions still held.
+            let alive = |id| h.txns.lookup(id).is_some();
+            debug_assert!(
+                h.prov
+                    .edges()
+                    .all(|(a, b)| h.lanes.holds(a, b)
+                        || (h.prov.has_orphans() && alive(a) && alive(b))),
+                "a provenance chain outlived its edge"
+            );
             if self.by_scan {
                 return self.run_by_scan(h);
             }
@@ -313,8 +331,7 @@ impl Collector {
         if !heads_its_objects(h.objects, t) || !h.lanes.removable(id) {
             return false;
         }
-        let shortcuts = h.lanes.contract(id);
-        h.prov.contract(id, &shortcuts);
+        h.lanes.contract(id, h.prov);
         self.ready.remove(&id);
         if t.status == Status::Committed {
             // Aborted writes were never installed; only committed ones
@@ -325,7 +342,7 @@ impl Collector {
                 let e = obj.entries.pop_front().expect("prefix rule");
                 debug_assert_eq!(e, slot);
                 obj.base += 1;
-                if let Some(&next) = obj.entries.front() {
+                if let Some(next) = obj.entries.front() {
                     h.txns[next].behind -= 1;
                     self.settle(h.txns.key_of(next), next, &h.txns[next]);
                 }

@@ -256,6 +256,10 @@ pub(crate) struct Lanes {
     /// Test reference: `parked_only` lanes take every plan and are
     /// never shed. Only debug and test builds can set it.
     eager: bool,
+    /// A prune's contraction shortcuts and the pruned node's edges, for
+    /// the provenance map; kept from prune to prune for their room.
+    shortcuts: Vec<(TxnId, TxnId)>,
+    touching: Vec<(TxnId, TxnId)>,
 }
 
 impl Default for Lanes {
@@ -279,6 +283,8 @@ impl Lanes {
             reorders_dropped: dropped,
             reorders_reported: reported,
             eager: false,
+            shortcuts: Vec::new(),
+            touching: Vec::new(),
         }
     }
 
@@ -308,9 +314,17 @@ impl Lanes {
                 shed = true;
             }
         }
+        // G2's graph holds every edge G1c's does, so while it is live
+        // the shed leaves every chain an edge of a live graph.
         if shed && self.dags().flatten().all(|g| g.edge_count() == 0) {
             prov.clear();
         }
+    }
+
+    /// Whether a live graph holds an edge `from -> to`, of either label.
+    pub(crate) fn holds(&self, from: TxnId, to: TxnId) -> bool {
+        let labels = [EdgeMask::DEP, EdgeMask::ANTI_ITEM];
+        (self.dags().flatten()).any(|g| labels.iter().any(|&l| g.has_edge(from, to, l)))
     }
 
     /// Whether any lane still has a graph to find a cycle in.
@@ -440,12 +454,16 @@ impl Lanes {
     }
 
     /// Frees a latched lane's graph. Once every lane is gone no future
-    /// cycle can fire, so the provenance side map is dead weight.
+    /// cycle can fire, so the provenance side map is dead weight; while
+    /// one lives, the dropped graph's chains that it does not hold are
+    /// orphans (`crate::provenance`).
     fn drop_lane(&mut self, lane: usize, prov: &mut Provenance) {
         if let Some(g) = self.lanes[lane].dag.take() {
             self.reorders_dropped += g.reorders();
         }
-        if !self.any_live() {
+        if self.any_live() {
+            prov.note_orphans(|a, b| self.holds(a, b));
+        } else {
             prov.clear();
         }
     }
@@ -469,12 +487,19 @@ impl Lanes {
     }
 
     /// Removes `id` from every live graph, replacing the paths through
-    /// it by shortcut edges, and returns the distinct shortcuts in the
-    /// order the graphs reported them. Call only when
+    /// it by shortcut edges, and hands `prov` the distinct shortcuts in
+    /// the order the graphs reported them and `id`'s edges, whose chains
+    /// go with it ([`Provenance::contract`]). Call only when
     /// [`Self::removable`].
-    pub(crate) fn contract(&mut self, id: TxnId) -> Vec<(TxnId, TxnId)> {
-        let mut shortcuts: Vec<(TxnId, TxnId)> = Vec::new();
+    pub(crate) fn contract(&mut self, id: TxnId, prov: &mut Provenance) {
+        let (mut shortcuts, mut touching) = (
+            std::mem::take(&mut self.shortcuts),
+            std::mem::take(&mut self.touching),
+        );
         for g in self.live() {
+            if prov.enabled() {
+                touching.extend(g.edges_of(id).map(|(a, b, _)| (a, b)));
+            }
             let ok = g.remove_node_contract_report(id, EdgeMask::combine, |a, b, _| {
                 if !shortcuts.contains(&(a, b)) {
                     shortcuts.push((a, b));
@@ -482,7 +507,10 @@ impl Lanes {
             });
             debug_assert!(ok, "removability checked above");
         }
-        shortcuts
+        prov.contract(id, &shortcuts, &touching);
+        shortcuts.clear();
+        touching.clear();
+        (self.shortcuts, self.touching) = (shortcuts, touching);
     }
 }
 
@@ -553,7 +581,9 @@ mod tests {
                     vec!["rw obj1[1]", "wr obj0[1]"],
                 )],
                 live: [true, false],
-                via: vec![((2, 1), "rw obj1[1]")],
+                // G2's graph went with the latch; its rw chain stays, an
+                // orphan, until a prune takes one of its endpoints.
+                via: vec![((2, 1), "rw obj1[1]"), ((1, 2), "wr obj0[1]")],
             },
             Case {
                 name: "rw lands intra-component",

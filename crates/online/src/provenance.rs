@@ -1,10 +1,24 @@
 //! Edge provenance: the concrete operations behind each live DSG edge,
 //! so a violating verdict can cite them.
 //!
-//! [`Provenance`] owns the per-edge chain map and the two per-node
-//! side indexes that let a prune purge a node's entries in O(degree);
-//! callers record, contract, purge and ask for a cycle's citations —
-//! they never see the indexes, the chain representation or the hasher.
+//! [`Provenance`] owns the per-edge chain map; callers record,
+//! contract, purge and ask for a cycle's citations — they never see the
+//! chain representation or the hasher.
+//!
+//! **Every chain is an edge of a live graph, or an orphan.** A chain is
+//! filed only for an edge fresh in some lane's graph (or a contraction
+//! shortcut the graphs just inserted), so while both graphs live the
+//! edges of a pruned node — which [`crate::lanes::Lanes::contract`]
+//! walks anyway — are all the chains that name it, and the map keeps no
+//! index of its own. A latch that drops one graph while the other lives
+//! leaves *orphans*: chains of the dropped graph's edges that the other
+//! does not hold. They stay, as they always have (a later edge on the
+//! same pair extends its chain, and images carry them), until an
+//! endpoint is pruned: the collector sweeps them at the end of every
+//! pass that pruned ([`Provenance::sweep_orphans`]), which no event can
+//! tell from a purge at the prune itself. When no graph holds an edge
+//! at all the map is cleared. Debug builds assert the invariant at
+//! every collection pass.
 
 use std::collections::hash_map::Entry;
 
@@ -95,11 +109,29 @@ pub(crate) struct Provenance {
     /// overhead).
     on: bool,
     chains: IdMap<(TxnId, TxnId), ProvChain>,
-    /// Successors per source node of `chains` keys — lets a GC prune
-    /// purge a node's entries in O(degree) instead of scanning the map.
-    prov_out: IdMap<TxnId, Vec<TxnId>>,
-    /// Predecessors per target node of `chains` keys.
-    prov_in: IdMap<TxnId, Vec<TxnId>>,
+    /// Whether some chain may be an orphan (see the module docs).
+    orphans: bool,
+    /// The most `chains.capacity()` has reported: the room of its table.
+    /// hashbrown reports less while removals leave tombstones, and keeps
+    /// a table's buckets until it is dropped.
+    room: usize,
+}
+
+/// Bytes a `HashMap` with room for `capacity` entries has allocated for
+/// entries of `size` bytes aligned to `align`: hashbrown's buckets — a
+/// power of two, 8/7 of the capacity from 8 buckets on —, one control
+/// byte per bucket and one trailing 16-byte control group.
+fn table_bytes(capacity: usize, size: usize, align: usize) -> usize {
+    const GROUP: usize = 16;
+    if capacity == 0 {
+        return 0;
+    }
+    let buckets = if capacity < 8 {
+        (capacity + 1).next_power_of_two()
+    } else {
+        (capacity / 7 * 8).next_power_of_two()
+    };
+    (buckets * size).next_multiple_of(GROUP.max(align)) + buckets + GROUP
 }
 
 impl Provenance {
@@ -119,8 +151,42 @@ impl Provenance {
     /// Forgets every chain (tracking stays as it was).
     pub(crate) fn clear(&mut self) {
         self.chains.clear();
-        self.prov_out.clear();
-        self.prov_in.clear();
+        self.orphans = false;
+    }
+
+    /// Notes whether a chain is left whose edge no live graph holds —
+    /// `held` says which a graph does: after a latch dropped one graph
+    /// while the other lives, and on restore.
+    pub(crate) fn note_orphans(&mut self, held: impl Fn(TxnId, TxnId) -> bool) {
+        self.orphans = self.chains.keys().any(|&(a, b)| !held(a, b));
+    }
+
+    /// Whether some chain may be an orphan.
+    pub(crate) fn has_orphans(&self) -> bool {
+        self.orphans
+    }
+
+    /// The end of a collection pass that pruned: every orphan (a chain
+    /// whose edge `held` says no live graph holds) that names a
+    /// transaction no longer `alive` goes, as its endpoint's prune would
+    /// have taken it. The other chains are a live graph's, whose pruned
+    /// nodes' chains went with their edges. One walk of the map, while
+    /// orphans are left.
+    pub(crate) fn sweep_orphans(
+        &mut self,
+        alive: impl Fn(TxnId) -> bool,
+        held: impl Fn(TxnId, TxnId) -> bool,
+    ) {
+        let mut left = false;
+        self.chains.retain(|&(a, b), _| {
+            if held(a, b) {
+                return true;
+            }
+            let keep = alive(a) && alive(b);
+            left |= keep;
+            keep
+        });
+        self.orphans = left;
     }
 
     /// Remembers one inducing operation for the edge `from -> to`.
@@ -131,33 +197,36 @@ impl Provenance {
         match self.chains.entry((from, to)) {
             Entry::Occupied(e) => e.into_mut().push(step),
             Entry::Vacant(e) => {
-                self.prov_out.entry(from).or_default().push(to);
-                self.prov_in.entry(to).or_default().push(from);
                 e.insert(ProvChain::One(step));
+                self.room = self.room.max(self.chains.capacity());
             }
         }
     }
 
-    /// Files `steps` as the whole chain of `a -> b`, keeping the
-    /// per-node indexes in step. False, with nothing changed, when the
-    /// edge already has a chain.
+    /// Files `steps` as the whole chain of `a -> b`. False, with
+    /// nothing changed, when the edge already has a chain.
     pub(crate) fn insert(&mut self, a: TxnId, b: TxnId, steps: Vec<ProvStep>) -> bool {
         let Entry::Vacant(e) = self.chains.entry((a, b)) else {
             return false;
         };
-        self.prov_out.entry(a).or_default().push(b);
-        self.prov_in.entry(b).or_default().push(a);
         e.insert(ProvChain::from_steps(steps));
+        self.room = self.room.max(self.chains.capacity());
         true
     }
 
     /// `id` is being pruned and the graphs replaced the paths through
     /// it by `shortcuts`: each shortcut inherits the chain of both
     /// halves, so a later cycle through it can still cite concrete
-    /// operations, and then every entry touching `id` goes. Shortcut
-    /// order is deterministic (adjacency order), so the merged chains
-    /// — and with them the snapshot bytes — are too.
-    pub(crate) fn contract(&mut self, id: TxnId, shortcuts: &[(TxnId, TxnId)]) {
+    /// operations, and then the chain of every edge in `touching` — the
+    /// graphs' edges of `id`, so every chain that names it — goes.
+    /// Shortcut order is deterministic (adjacency order), so the merged
+    /// chains — and with them the snapshot bytes — are too.
+    pub(crate) fn contract(
+        &mut self,
+        id: TxnId,
+        shortcuts: &[(TxnId, TxnId)],
+        touching: &[(TxnId, TxnId)],
+    ) {
         if self.on {
             for &(a, b) in shortcuts {
                 if self.chains.contains_key(&(a, b)) {
@@ -183,23 +252,8 @@ impl Provenance {
                 }
             }
         }
-        self.purge(id);
-    }
-
-    /// Purges every entry touching `id` in O(degree), using the node
-    /// indexes instead of a full-map scan.
-    fn purge(&mut self, id: TxnId) {
-        for x in self.prov_out.remove(&id).unwrap_or_default() {
-            self.chains.remove(&(id, x));
-            if let Some(l) = self.prov_in.get_mut(&x) {
-                l.retain(|&t| t != id);
-            }
-        }
-        for x in self.prov_in.remove(&id).unwrap_or_default() {
-            self.chains.remove(&(x, id));
-            if let Some(l) = self.prov_out.get_mut(&x) {
-                l.retain(|&t| t != id);
-            }
+        for edge in touching {
+            self.chains.remove(edge);
         }
     }
 
@@ -236,29 +290,27 @@ impl Provenance {
         all
     }
 
-    /// Approximate heap footprint in bytes (capacity-based, so it
-    /// reflects reserved memory, not just live entries).
+    /// Heap bytes allocated: the map's table as hashbrown lays it out
+    /// (so reserved room, not just live entries) and the spilled
+    /// chains' buffers.
     pub(crate) fn bytes(&self) -> usize {
-        use std::mem::size_of;
-        let mut bytes =
-            self.chains.capacity() * (size_of::<(TxnId, TxnId)>() + size_of::<ProvChain>());
-        for c in self.chains.values() {
-            if let ProvChain::Many(v) = c {
-                bytes += v.capacity() * size_of::<ProvStep>();
-            }
-        }
-        for side in [&self.prov_out, &self.prov_in] {
-            bytes += side.capacity() * (size_of::<TxnId>() + size_of::<Vec<TxnId>>());
-            for v in side.values() {
-                bytes += v.capacity() * size_of::<TxnId>();
-            }
-        }
-        bytes
+        type Entry = ((TxnId, TxnId), ProvChain);
+        let table = table_bytes(
+            self.room,
+            std::mem::size_of::<Entry>(),
+            std::mem::align_of::<Entry>(),
+        );
+        let spilled = self.chains.values().map(|c| match c {
+            ProvChain::One(_) => 0,
+            ProvChain::Many(v) => v.capacity() * std::mem::size_of::<ProvStep>(),
+        });
+        table + spilled.sum::<usize>()
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use super::table_bytes;
     use crate::testkit::{feed, r, rinit, w};
     use crate::{GcConfig, OnlineChecker};
     use adya_core::PhenomenonKind;
@@ -301,6 +353,42 @@ mod tests {
         let j = fire.to_json();
         assert!(j.contains("\"cycle\": [{"), "{j}");
         assert!(j.contains("\"label\": \"rw\""), "{j}");
+    }
+
+    #[test]
+    fn table_bytes_follow_hashbrowns_layout() {
+        // Capacity → buckets: 3 → 4, 7 → 8, 14 → 16, 28 → 32.
+        assert_eq!(table_bytes(0, 32, 8), 0);
+        assert_eq!(table_bytes(3, 32, 8), 4 * 32 + 4 + 16);
+        assert_eq!(table_bytes(7, 12, 4), 96 + 8 + 16);
+        assert_eq!(table_bytes(14, 12, 4), 192 + 16 + 16);
+        assert_eq!(table_bytes(28, 32, 8), 32 * 32 + 32 + 16);
+        let mut m: std::collections::HashMap<u64, [u64; 3]> = Default::default();
+        for i in 0..1000 {
+            m.insert(i, [i; 3]);
+        }
+        // 1000 entries sit in 2048 buckets, which report room for 1792.
+        assert_eq!(m.capacity(), 1792);
+        assert_eq!(table_bytes(m.capacity(), 32, 8), 2048 * 33 + 16);
+
+        // Removals leave tombstones, and `capacity()` counts them out;
+        // the table keeps its buckets, and `bytes` counts them.
+        let mut prov = super::Provenance::default();
+        prov.set_enabled(true);
+        let step = |t| super::ProvStep {
+            kind: crate::lanes::EdgeKind::Ww,
+            object: adya_history::ObjectId(0),
+            version: adya_history::VersionId::new(TxnId(t), 1),
+        };
+        for t in 0..1792 {
+            prov.record(TxnId(t), TxnId(t + 1), step(t));
+        }
+        let full = prov.bytes();
+        assert_eq!(full, 2048 * (32 + 1) + 16);
+        let gone: Vec<_> = (0..1000).map(|t| (TxnId(t), TxnId(t + 1))).collect();
+        prov.contract(TxnId(0), &[], &gone);
+        assert!(prov.chains.capacity() < 1792);
+        assert_eq!(prov.bytes(), full);
     }
 
     #[test]

@@ -19,7 +19,8 @@ use adya_graph::{DagParts, IncrementalDag, SlotParts};
 use adya_history::{ObjectId, TxnId, VersionId};
 
 use crate::checker::{
-    seal_writes, BufferedRead, OnlineChecker, PendingRead, Status, TxnState, TxnTable, WriteEntry,
+    seal_writes, BufferedRead, OnlineChecker, PendingRead, Running, Status, TxnState, TxnTable,
+    WriteEntry,
 };
 use crate::gc::{Collector, GcConfig};
 use crate::lanes::{Dag, EdgeKind, EdgeMask, Lanes};
@@ -116,7 +117,9 @@ pub(crate) fn encode(c: &OnlineChecker) -> Vec<u8> {
     let mut txns: Vec<(TxnId, &TxnState)> = c.txns.iter().map(|(id, _, t)| (id, t)).collect();
     txns.sort_unstable_by_key(|&(id, _)| id);
     e.len(txns.len());
+    let idle = Running::default();
     for (id, t) in txns {
+        let running = c.running_of(t).unwrap_or(&idle);
         e.u32(id.0);
         e.u8(match t.status {
             Status::Active => 0,
@@ -125,8 +128,8 @@ pub(crate) fn encode(c: &OnlineChecker) -> Vec<u8> {
         });
         e.u64(t.begin_clock);
         e.u64(t.terminal_clock);
-        e.len(t.reads.len());
-        for r in &t.reads {
+        e.len(running.reads.len());
+        for r in &running.reads {
             e.u32(r.object.0);
             e.u32(r.version.txn.0);
             e.u32(r.version.seq);
@@ -148,8 +151,8 @@ pub(crate) fn encode(c: &OnlineChecker) -> Vec<u8> {
             e.u32(w.object.0);
             e.u32(w.seq);
         }
-        e.len(t.pending_readers.len());
-        for p in &t.pending_readers {
+        e.len(running.pending_readers.len());
+        for p in &running.pending_readers {
             e.u32(id_of(p.reader));
             e.u32(p.object.0);
             e.u32(p.seq);
@@ -172,7 +175,7 @@ pub(crate) fn encode(c: &OnlineChecker) -> Vec<u8> {
         // of the newest version (or that last one, while there is no
         // version) can be other than empty.
         let newest = o.entries.len().wrapping_sub(1);
-        for (i, &entry) in o.entries.iter().enumerate() {
+        for (i, entry) in o.entries.iter().enumerate() {
             e.u32(id_of(entry));
             let readers: &[_] = if i == newest { &o.anchored } else { &[] };
             e.len(readers.len());
@@ -368,13 +371,14 @@ pub(crate) fn decode(bytes: &[u8]) -> Result<OnlineChecker, SnapshotError> {
                 via_predicate: d.bool()?,
             });
         }
+        if status != Status::Active && !(reads.is_empty() && pending_readers.is_empty()) {
+            return Err(malformed(format!("{id} has ended but still holds reads")));
+        }
         let t = TxnState {
             status,
             begin_clock,
             terminal_clock,
-            reads,
             writes,
-            pending_readers,
             unsuperseded: d.u32()?,
             refs: d.u32()?,
             awaiting: d.u32()?,
@@ -389,6 +393,10 @@ pub(crate) fn decode(bytes: &[u8]) -> Result<OnlineChecker, SnapshotError> {
         c.txns[slot] = t;
         if status == Status::Active {
             c.activate(slot);
+            c.running[c.active.len() - 1] = Running {
+                reads,
+                pending_readers,
+            };
         }
     }
     if let Some((id, _, _)) = c.txns.iter().find(|(id, _, _)| !defined.contains(id)) {
@@ -470,8 +478,9 @@ pub(crate) fn decode(bytes: &[u8]) -> Result<OnlineChecker, SnapshotError> {
         )));
     }
     cross_check(&mut c).map_err(malformed)?;
+    c.prov.note_orphans(|a, b| c.lanes.holds(a, b));
     c.gc.rebuild(&c.txns);
-    c.parked = c.txns.iter().map(|(_, _, t)| t.pending_readers.len()).sum();
+    c.parked = c.running.iter().map(|r| r.pending_readers.len()).sum();
     // An image an older build wrote may hold a G1c graph with nothing
     // parked; this build's never does between events.
     c.lanes.shed(c.parked != 0, &mut c.prov);
@@ -513,15 +522,14 @@ fn cross_check(c: &mut OnlineChecker) -> Result<(), String> {
         if t.begin_clock.max(t.terminal_clock).max(t.prune_after) > c.clock {
             return Err(format!("{id} carries a clock later than the image's"));
         }
-        for w in t.reads.iter().filter_map(|r| r.writer) {
-            derived.entry(id_of(w)).or_default().refs += 1;
-        }
-        if !t.pending_readers.is_empty() && t.status != Status::Active {
-            return Err(format!("{id} has ended but still parks readers"));
-        }
-        for p in &t.pending_readers {
-            derived.entry(id_of(p.reader)).or_default().awaiting += 1;
-            derived.entry(id).or_default().refs += 1;
+        if let Some(running) = c.running_of(t) {
+            for w in running.reads.iter().filter_map(|r| r.writer) {
+                derived.entry(id_of(w)).or_default().refs += 1;
+            }
+            for p in &running.pending_readers {
+                derived.entry(id_of(p.reader)).or_default().awaiting += 1;
+                derived.entry(id).or_default().refs += 1;
+            }
         }
         if t.status == Status::Committed {
             if let Some(w) = t.writes.iter().find(|w| w.installed.is_none()) {
@@ -537,7 +545,7 @@ fn cross_check(c: &mut OnlineChecker) -> Result<(), String> {
             return Err(format!("{o} has lost more versions than were ever pruned"));
         }
         let newest = obj.entries.len().wrapping_sub(1);
-        for (i, &e) in obj.entries.iter().enumerate() {
+        for (i, e) in obj.entries.iter().enumerate() {
             let d = derived.entry(id_of(e)).or_default();
             d.behind += u32::from(i > 0);
             d.unsuperseded += u64::from(i == newest);

@@ -3,20 +3,31 @@
 //! is finished transactions whose last versions are still the newest
 //! of their keys, and each should cost its writes, its place in the
 //! tables and its node in G2's graph — no G1c graph (no read is ever
-//! parked, so no dependency cycle can close), no read buffers. Here
-//! that is ≈ 1 460 B per live transaction in a debug build, 1 380 B in
-//! release; a build that fed G1c's graph on every commit and let
-//! finished transactions keep their read buffers held ≈ 1 950 / 1 860.
-//! The allocations per event stay flat as the live set grows.
+//! parked, so no dependency cycle can close), no read buffers (those
+//! are a running transaction's, on its entry in the active list), no
+//! per-node provenance index, one copy of each object name. Here that
+//! is ≈ 1 020 B per live transaction in a debug build, 930 B in
+//! release; a build that kept running-only buffers on every transaction
+//! row, two per-node provenance indexes, each name as a shared
+//! `Arc<str>` and each object's versions in a ring of their own held
+//! ≈ 1 460 / 1 380.
+//!
+//! Beside it: what the parser's name table costs per interned name;
+//! that `OnlineChecker::provenance_bytes` is what provenance adds to
+//! the heap; and what a session shaped like `adya-serve`'s (256 keys,
+//! eight open, provenance off) holds. The allocations per event stay
+//! flat as the live set grows.
 //!
 //! Alone in this file — so alone in its process — because it installs
-//! a counting `#[global_allocator]`; CI also runs it in release, beside
-//! the other work bounds.
+//! a counting `#[global_allocator]`, and in one test, because the
+//! counters are the process's; CI also runs it in release, beside the
+//! other work bounds.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 
-use adya::online::{OnlineChecker, StreamFeed};
+use adya::history::ObjectId;
+use adya::online::{OnlineChecker, StreamFeed, StreamParser};
 
 mod common;
 use common::{sliding_window_events, stream_notation, SlidingWindow};
@@ -54,6 +65,43 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static GLOBAL: Counting = Counting;
 
+/// Debug builds' slots carry a generation tag, so their rows are wider.
+/// Each bound is this build's measurement plus less than a tenth; a
+/// build with every running-only buffer on every row, the provenance
+/// side indexes, a shared `Arc<str>` per name and a ring per object
+/// held 1 458 / 1 381 B per live transaction (debug / release), 84 B
+/// per interned name and 192 / 180 kB per session.
+const PER_TXN: f64 = if cfg!(debug_assertions) {
+    1_100.0
+} else {
+    1_020.0
+};
+const PER_NAME: f64 = 27.0;
+const PER_SESSION: f64 = if cfg!(debug_assertions) {
+    166_000.0
+} else {
+    155_000.0
+};
+
+fn held() -> i64 {
+    HELD.load(Ordering::Relaxed)
+}
+
+/// A feed over a default checker with provenance as asked.
+fn feed(provenance: bool) -> StreamFeed {
+    let mut checker = OnlineChecker::new();
+    checker.set_provenance(provenance);
+    StreamFeed::new(checker)
+}
+
+/// Feeds every token of `text` to `feed`.
+fn run(feed: &mut StreamFeed, text: &str) {
+    for tok in text.split_whitespace() {
+        let event = feed.parse(tok).expect("generated tokens parse");
+        feed.ingest(&event);
+    }
+}
+
 #[test]
 fn a_live_transaction_costs_its_writes_and_its_table_rows() {
     // `stream-wide`'s shape: a 4096-key window that moves onto fresh
@@ -67,35 +115,30 @@ fn a_live_transaction_costs_its_writes_and_its_table_rows() {
     const EVENTS: usize = 120_000;
     let text = stream_notation(&sliding_window_events(cfg, 11, EVENTS));
 
-    let before = HELD.load(Ordering::Relaxed);
-    let mut checker = OnlineChecker::new();
-    checker.set_provenance(true); // as `adya-check --stream` runs it
-    let mut feed = StreamFeed::new(checker);
+    // As `adya-check --stream` runs it: provenance on.
+    let before = held();
+    let mut wide = feed(true);
     let mut allocs = [0u64; 2];
-    let mut events = 0;
-    for tok in text.split_whitespace() {
-        let event = feed.parse(tok).expect("generated tokens parse");
+    for (i, tok) in text.split_whitespace().enumerate() {
+        let event = wide.parse(tok).expect("generated tokens parse");
         let counted = ALLOCS.load(Ordering::Relaxed);
-        feed.ingest(&event);
+        wide.ingest(&event);
         // The two halves of the stream after the first window.
-        if events >= EVENTS / 5 {
-            let half = usize::from(events >= EVENTS * 3 / 5);
-            allocs[half] += ALLOCS.load(Ordering::Relaxed) - counted;
+        if i >= EVENTS / 5 {
+            allocs[usize::from(i >= EVENTS * 3 / 5)] += ALLOCS.load(Ordering::Relaxed) - counted;
         }
-        events += 1;
         assert_eq!(
-            feed.checker().cycle_graphs()[0],
+            wide.checker().cycle_graphs()[0],
             Some((0, 0)),
-            "G1c's graph at event {events}, with no read ever parked"
+            "G1c's graph at event {i}, with no read ever parked"
         );
     }
-    assert_eq!(events, EVENTS);
-    let held = HELD.load(Ordering::Relaxed) - before;
-    let live = feed.checker().live_txns();
-    let per_txn = held as f64 / live as f64;
+    let held_on = held() - before;
+    let live = wide.checker().live_txns();
+    let per_txn = held_on as f64 / live as f64;
     let per_event = allocs.map(|a| a as f64 / (EVENTS as f64 * 2.0 / 5.0));
     eprintln!(
-        "{held} bytes held for {live} live transactions: {per_txn:.0} B each; \
+        "{held_on} bytes held for {live} live transactions: {per_txn:.0} B each; \
          allocations per event {:.3} then {:.3}",
         per_event[0], per_event[1]
     );
@@ -104,7 +147,7 @@ fn a_live_transaction_costs_its_writes_and_its_table_rows() {
         "{live} transactions live: the window must pin them"
     );
     assert!(
-        per_txn <= 1_600.0,
+        per_txn <= PER_TXN,
         "{per_txn:.0} heap bytes per live transaction"
     );
     assert!(
@@ -113,9 +156,69 @@ fn a_live_transaction_costs_its_writes_and_its_table_rows() {
         per_event[0],
         per_event[1]
     );
-    drop(feed);
+
+    // The parser's name table: each name once, in one buffer.
+    let names: Vec<String> = (0..wide.parser().interned() as u32)
+        .map(|o| wide.parser().object_name(ObjectId(o)).to_string())
+        .collect();
+    let before_names = held();
+    let mut parser = StreamParser::new();
+    for name in &names {
+        parser.intern(name);
+    }
+    let per_name = (held() - before_names) as f64 / names.len() as f64;
+    eprintln!("{} names interned: {per_name:.1} B each", names.len());
+    assert!(names.len() > 40_000, "{} names", names.len());
     assert!(
-        HELD.load(Ordering::Relaxed) - before < 1 << 16,
-        "dropping the feed gives back what it held"
+        per_name <= PER_NAME,
+        "{per_name:.1} heap bytes per interned name"
+    );
+    drop((parser, names));
+
+    // Provenance: `provenance_bytes` is what it adds to the heap.
+    let reported = wide.checker().provenance_bytes() as f64;
+    let before_off = held();
+    let mut off = feed(false);
+    run(&mut off, &text);
+    let added = (held_on - (held() - before_off)) as f64;
+    eprintln!("provenance adds {added} bytes; provenance_bytes reports {reported}");
+    assert!(
+        (reported - added).abs() <= added * 0.1,
+        "provenance_bytes reports {reported} B, provenance adds {added} B"
+    );
+    drop((wide, off));
+    assert!(
+        held() - before < 1 << 16,
+        "dropping the feeds gives back what they held"
+    );
+
+    // Sessions shaped like `adya-serve`'s: 256 keys, eight open, 1 250
+    // events each, provenance off (a session's default).
+    let session = SlidingWindow {
+        keys: 256,
+        slide: 1 << 40,
+        open: 8,
+        dirty: false,
+    };
+    let before_sessions = held();
+    let sessions: Vec<StreamFeed> = (0..8)
+        .map(|seed| {
+            let mut f = feed(false);
+            run(
+                &mut f,
+                &stream_notation(&sliding_window_events(session, seed, 1_250)),
+            );
+            f
+        })
+        .collect();
+    let per_session = (held() - before_sessions) as f64 / sessions.len() as f64;
+    let live: usize = sessions.iter().map(|f| f.checker().live_txns()).sum();
+    eprintln!(
+        "a session holds {per_session:.0} B ({} live transactions each)",
+        live / sessions.len()
+    );
+    assert!(
+        per_session <= PER_SESSION,
+        "{per_session:.0} heap bytes per session"
     );
 }

@@ -7,10 +7,14 @@
 //! `adya-check --stream` runs), an `adya-serve` session, and a session
 //! recovered after a kill — agree byte for byte with the uninterrupted
 //! run, and a session snapshot written by a parser that never forgot
-//! still resumes, to the verdicts a forgetting one gives.
+//! still resumes, to the verdicts a forgetting one gives. So do a parser
+//! image and a session directory written by a build whose parser kept
+//! each name as a shared `Arc<str>` (`clean_window.parser.image`,
+//! `clean_window.session`): the name table's layout is not in its bytes.
 
 use std::path::{Path, PathBuf};
 
+use adya::history::ObjectId;
 use adya::online::{wire, GcConfig, OnlineChecker, StreamFeed, StreamParser};
 use adya::serve::{FsyncPolicy, LogConfig, Session, SessionConfig, SessionLog};
 use adya_faults::{TapCrashConfig, TapCrashPlane};
@@ -199,4 +203,90 @@ fn a_session_written_by_a_never_forgetting_parser_resumes_to_the_forgetting_verd
     let fin = resumed.close().expect("close");
     assert_eq!(fin, fresh.close().expect("close"));
     assert!(common::is_clean_verdict(&fin), "{fin}");
+}
+
+/// `clean_window.parser.image`: an earlier build's `StreamParser` image
+/// after the first half of `clean_window`'s tokens. It restores to its
+/// own bytes, this build writes the same image at that point, and the
+/// restored parser reads the second half as one that read the whole
+/// stream does — events, names and the final image.
+#[test]
+fn a_parser_image_an_earlier_build_wrote_restores_and_parses_on_byte_for_byte() {
+    let text = common::stream_fixture("clean_window");
+    let tokens: Vec<&str> = text.split_whitespace().collect();
+    let (head, tail) = tokens.split_at(tokens.len() / 2);
+    let image = std::fs::read(common::stream_data("clean_window.parser.image")).expect("image");
+    let mut restored = StreamParser::restore(&image).expect("an earlier build's image restores");
+    assert_eq!(restored.snapshot(), image);
+    let mut straight = StreamParser::new();
+    for tok in head {
+        straight.parse_token(tok).expect("fixture tokens parse");
+    }
+    assert_eq!(straight.snapshot(), image, "this build's image of the head");
+    for tok in tail {
+        assert_eq!(
+            restored.parse_token(tok),
+            straight.parse_token(tok),
+            "{tok}"
+        );
+    }
+    assert_eq!(restored.snapshot(), straight.snapshot());
+    assert_eq!(restored.interned(), straight.interned());
+    for o in (0..straight.interned() as u32).map(ObjectId) {
+        assert_eq!(restored.object_name(o), straight.object_name(o));
+    }
+}
+
+/// `clean_window.session/s`: session `s` as an earlier build wrote it —
+/// the first 33 lines of `clean_window` (provenance on, a snapshot every
+/// 96 events), then killed, leaving a snapshot with its parser image, a
+/// segment and a names log. Recovered, its feed's parser and checker
+/// images are this build's at the same point; carried on, it answers
+/// what an uninterrupted session does.
+#[test]
+fn a_session_directory_an_earlier_build_wrote_resumes_byte_for_byte() {
+    let cfg = SessionConfig {
+        log: LogConfig {
+            rotate_events: 64,
+            snapshot_every: 96,
+            fsync: FsyncPolicy::Never,
+        },
+        gc: GcConfig::default(),
+        provenance: true,
+    };
+    let text = common::stream_fixture("clean_window");
+    let lines: Vec<&str> = text.lines().collect();
+    let (head, tail) = lines.split_at(33);
+    let fixture = common::stream_data("clean_window.session");
+
+    let mut checker = OnlineChecker::new();
+    checker.set_provenance(true);
+    let mut feed = StreamFeed::new(checker);
+    for tok in head.iter().flat_map(|l| l.split_whitespace()) {
+        let ev = feed.parse(tok).expect("fixture tokens parse");
+        feed.ingest(&ev);
+    }
+    let dir = fresh_dir("clean-window-earlier-build");
+    copy_dir(&fixture, &dir);
+    let r = SessionLog::recover(&dir.join("s"), cfg.log, cfg.gc, cfg.provenance, None)
+        .expect("an earlier build's session recovers");
+    assert_eq!(r.feed.parser().snapshot(), feed.parser().snapshot());
+    assert_eq!(r.feed.checker().snapshot(), feed.checker().snapshot());
+    drop(r);
+
+    let dir = fresh_dir("clean-window-uninterrupted");
+    let mut fresh = Session::create(&dir, "s", cfg, None).expect("create");
+    let have: usize = head.iter().map(|l| apply(&mut fresh, l).len()).sum();
+    let want: Vec<String> = tail.iter().flat_map(|l| apply(&mut fresh, l)).collect();
+    let dir = fresh_dir("clean-window-earlier-build");
+    copy_dir(&fixture, &dir);
+    let mut resumed = Session::recover(&dir, "s", cfg, None).expect("recover");
+    let (_, durable, replay) = resumed.resume(have as u64).expect("resume");
+    assert_eq!((durable, replay.len()), (have as u64, 0));
+    let got: Vec<String> = tail.iter().flat_map(|l| apply(&mut resumed, l)).collect();
+    assert_eq!(got, want);
+    assert_eq!(
+        resumed.close().expect("close"),
+        fresh.close().expect("close")
+    );
 }
