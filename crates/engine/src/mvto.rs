@@ -154,16 +154,9 @@ impl MvtoEngine {
     }
 
     /// A write arrived too late in timestamp order to be installed:
-    /// `txn` is aborted, and `why` goes to the journal.
-    fn too_late(&self, inner: &mut Inner, txn: TxnId, why: &'static str) -> OpResult<()> {
+    /// `txn` is aborted, and counted.
+    fn too_late(&self, inner: &mut Inner, txn: TxnId) -> OpResult<()> {
         adya_obs::counter!("engine.mvto.too_late_abort").inc();
-        adya_obs::global().event(
-            "engine.mvto.too_late_abort",
-            vec![
-                ("txn".into(), adya_obs::Field::from(u64::from(txn.0))),
-                ("reason".into(), adya_obs::Field::from(why)),
-            ],
-        );
         self.do_abort(inner, txn, AbortReason::ValidationFailed);
         Err(EngineError::Aborted(AbortReason::ValidationFailed))
     }
@@ -185,8 +178,7 @@ impl MvtoEngine {
         if let Some(chain) = inner.chains.get(&(table, key)) {
             if let Some(prev) = chain.visible_at(ts) {
                 if prev.writer != txn && prev.rts > ts {
-                    let why = "superseded version already read by a younger txn";
-                    return self.too_late(inner, txn, why);
+                    return self.too_late(inner, txn);
                 }
             }
         }
@@ -211,7 +203,7 @@ impl MvtoEngine {
                 .map(|c| c.versions.iter().any(|v| v.wts > ts && v.writer != txn))
                 .unwrap_or(false);
             if younger_exists {
-                return self.too_late(inner, txn, "delete behind a younger version");
+                return self.too_late(inner, txn);
             }
         }
 
@@ -226,7 +218,7 @@ impl MvtoEngine {
             // the row's unborn version, so an older insert would be a
             // phantom behind its back — too late.
             if inner.table_read_ts.get(&table).copied().unwrap_or(0) > ts {
-                return self.too_late(inner, txn, "insert behind a younger predicate scan");
+                return self.too_late(inner, txn);
             }
             let obj = rec.register_object(table, key, 0);
             inner.chains.insert(
@@ -250,8 +242,7 @@ impl MvtoEngine {
             // Includes the transaction's own delete: re-insertion is a
             // distinct object in the model, and a fresh incarnation
             // has no well-defined slot in timestamp order.
-            let why = "write after a dead version in timestamp order";
-            return self.too_late(inner, txn, why);
+            return self.too_late(inner, txn);
         }
 
         let obj = chain.object;

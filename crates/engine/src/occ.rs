@@ -178,10 +178,6 @@ impl Engine for OccEngine {
         }
         if conflict {
             adya_obs::counter!("engine.occ.validation_failed").inc();
-            adya_obs::global().event(
-                "engine.occ.validation_failed",
-                vec![("txn".into(), adya_obs::Field::from(u64::from(txn.0)))],
-            );
             let reason = AbortReason::ValidationFailed;
             inner.txns.abort(&self.recorder, txn, reason.clone());
             return Err(EngineError::Aborted(reason));
@@ -278,21 +274,16 @@ mod tests {
         let t2 = e.begin();
         e.write(t2, tbl, Key(1), Value::Int(7)).unwrap();
         e.commit(t2).unwrap();
+        let failed = adya_obs::global().counter("engine.occ.validation_failed");
+        let before = failed.get();
         assert!(matches!(
             e.commit(t1),
             Err(EngineError::Aborted(AbortReason::ValidationFailed))
         ));
-        // The failure is journaled with the victim's id, so metrics
-        // snapshots (`--metrics --json`, perf_sweep reports) can show
-        // *which* transactions lost validation, not just how many.
-        let journaled = adya_obs::global().events().iter().any(|ev| {
-            ev.name == "engine.occ.validation_failed"
-                && ev
-                    .fields
-                    .iter()
-                    .any(|(k, v)| k == "txn" && *v == adya_obs::Field::from(u64::from(t1.0)))
-        });
-        assert!(journaled, "validation failure missing from the journal");
+        // The failure is counted, so metrics snapshots (`--metrics
+        // --json`, perf_sweep reports) show how many lost validation.
+        // Tests share the process's counters: others may add too.
+        assert!(failed.get() > before, "validation failure not counted");
     }
 
     #[test]

@@ -53,28 +53,17 @@ impl Rec {
     /// unwind would leave every later engine operation racing a
     /// half-observed stream — or, with a poisoning mutex, wedge the
     /// engine entirely). The offending tap is disarmed so the engine
-    /// keeps running without it, and the incident is counted and
-    /// journaled through `adya-obs`.
+    /// keeps running without it, and the incident is counted
+    /// (`engine.tap_panics`).
     fn emit(&mut self, ev: Event) {
         self.seq += 1;
         self.taps.retain(|tap| {
             let ok = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| tap(&ev))).is_ok();
             if !ok {
-                Rec::tap_panicked();
+                adya_obs::counter!("engine.tap_panics").inc();
             }
             ok
         });
-    }
-
-    fn tap_panicked() {
-        adya_obs::counter!("engine.tap_panics").inc();
-        adya_obs::global().event(
-            "engine.tap_panic",
-            vec![(
-                "disarmed".into(),
-                adya_obs::Field::from("tap removed; engine continues untapped"),
-            )],
-        );
     }
 }
 

@@ -110,10 +110,6 @@ impl<E: Engine> FaultyEngine<E> {
             }
         }
         adya_obs::counter!("faults.crash_victims").add(n as u64);
-        adya_obs::global().event(
-            "faults.crash",
-            vec![("victims".into(), adya_obs::Field::from(n as u64))],
-        );
         n
     }
 }

@@ -48,7 +48,7 @@ impl ChromeTrace {
     /// The shared head of every event; `rest` is the phase-specific
     /// keys, already rendered.
     #[allow(clippy::too_many_arguments)] // the event's required keys
-    fn event(
+    fn emit(
         &mut self,
         ph: char,
         (pid, tid): (u64, u64),
@@ -100,7 +100,7 @@ impl ChromeTrace {
     /// `name` is `process_name`, `thread_name` or
     /// `process_sort_index`, `arg` its one argument.
     pub fn metadata(&mut self, track: (u64, u64), name: &str, arg: (&str, Arg)) {
-        self.event('M', track, None, name, 0, "", &[arg]);
+        self.emit('M', track, None, name, 0, "", &[arg]);
     }
 
     /// A complete (`"X"`) slice of `dur_us` microseconds.
@@ -114,7 +114,7 @@ impl ChromeTrace {
         args: &[(&str, Arg)],
     ) {
         let rest = format!(", \"dur\": {dur_us}");
-        self.event('X', track, cat, name, ts_us, &rest, args);
+        self.emit('X', track, cat, name, ts_us, &rest, args);
     }
 
     /// An instant (`"i"`) marker; `scope` is `'t'` (thread) or `'g'`
@@ -129,7 +129,7 @@ impl ChromeTrace {
         args: &[(&str, Arg)],
     ) {
         let rest = format!(", \"s\": \"{scope}\"");
-        self.event('i', track, cat, name, ts_us, &rest, args);
+        self.emit('i', track, cat, name, ts_us, &rest, args);
     }
 
     /// One end of a flow arrow: the start (`"s"`) when `end` is false,
@@ -149,7 +149,7 @@ impl ChromeTrace {
         } else {
             ('s', format!(", \"id\": {id}"))
         };
-        self.event(ph, track, Some(cat), name, ts_us, &rest, &[]);
+        self.emit(ph, track, Some(cat), name, ts_us, &rest, &[]);
     }
 
     /// Closes the event list, lets `trailer` add top-level keys after

@@ -2,25 +2,23 @@
 //! Adya checker, the concurrency-control engines, and the bench
 //! binaries.
 //!
-//! Three primitives:
+//! Two primitives:
 //!
 //! - **Metrics** ([`Counter`], [`Gauge`], [`Histogram`]) — lock-free
 //!   atomics on the hot path, suitable for engine inner loops;
 //!   [`SpanTimer`] times a region into a histogram, used for the
 //!   checker's per-phase timings.
-//! - **Journal** ([`Journal`], [`Event`]) — a bounded ring of
-//!   structured events for "what happened, in order" debugging.
 //! - **Stage stamps** ([`TracePlane`], [`Traced`]) — the one
 //!   per-event plane: a sampled event is stamped at each pipeline
 //!   [`Stage`] it crosses, `/trace` and streaming `--trace-out` render
 //!   the stamps ([`trace_document`]), and `adya-check trace-merge`
 //!   joins them across nodes ([`merge_segments`]).
 //!
-//! Metrics and the journal live in a [`Registry`]. Library code
-//! records against the process-wide [`global()`] registry through the
-//! `counter!` / `gauge!` / `histogram!` macros, which cache the metric
-//! handle in a per-call-site static so steady-state recording never
-//! touches the registry lock. Frontends call [`Registry::snapshot`]
+//! Metrics live in a [`Registry`]. Library code records against the
+//! process-wide [`global()`] registry through the `counter!` /
+//! `gauge!` / `histogram!` macros, which cache the metric handle in a
+//! per-call-site static so steady-state recording never touches the
+//! registry lock. Frontends call [`Registry::snapshot`]
 //! (or [`Registry::to_json`]) to export, and [`Registry::reset`] to
 //! take per-run deltas; reset zeroes metrics in place so cached
 //! handles stay valid. A [`TracePlane`] is owned by the server or
@@ -35,7 +33,6 @@
 
 pub mod chrome;
 pub mod http;
-pub mod journal;
 pub mod json;
 pub mod metrics;
 pub mod registry;
@@ -44,7 +41,6 @@ pub mod trace;
 
 pub use chrome::{Arg, ChromeTrace};
 pub use http::{Listener, ObsServer, Response};
-pub use journal::{Event, Field, Journal};
 pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot};
 pub use registry::{labeled, Registry, Snapshot, SpanTimer};
 pub use trace::{

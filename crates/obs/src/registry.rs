@@ -1,5 +1,5 @@
-//! The metrics registry: named counters/gauges/histograms plus the
-//! event journal, with snapshot and JSON export.
+//! The metrics registry: named counters/gauges/histograms, with
+//! snapshot and JSON export.
 //!
 //! Registration (name → metric) takes a short lock; recording through
 //! a returned handle is lock-free. Instrumented call sites cache the
@@ -16,20 +16,14 @@ use std::time::Instant;
 
 use parking_lot::Mutex;
 
-use crate::journal::{Event, Field, Journal};
-use crate::json::{esc, JsonWriter};
+use crate::json::JsonWriter;
 use crate::metrics::{Counter, Gauge, Histogram, HistogramSnapshot};
 
-/// Default journal capacity (events retained before eviction).
-pub const DEFAULT_JOURNAL_CAPACITY: usize = 1024;
-
-/// A named collection of metrics and a journal.
+/// A named collection of metrics.
 pub struct Registry {
-    epoch: Instant,
     counters: Mutex<BTreeMap<String, Arc<Counter>>>,
     gauges: Mutex<BTreeMap<String, Arc<Gauge>>>,
     histograms: Mutex<BTreeMap<String, Arc<Histogram>>>,
-    journal: Journal,
 }
 
 impl Default for Registry {
@@ -39,25 +33,13 @@ impl Default for Registry {
 }
 
 impl Registry {
-    /// Creates an empty registry with the default journal capacity.
+    /// Creates an empty registry.
     pub fn new() -> Registry {
-        Registry::with_journal_capacity(DEFAULT_JOURNAL_CAPACITY)
-    }
-
-    /// Creates an empty registry retaining at most `capacity` events.
-    pub fn with_journal_capacity(capacity: usize) -> Registry {
         Registry {
-            epoch: Instant::now(),
             counters: Mutex::new(BTreeMap::new()),
             gauges: Mutex::new(BTreeMap::new()),
             histograms: Mutex::new(BTreeMap::new()),
-            journal: Journal::new(capacity),
         }
-    }
-
-    /// Nanoseconds since this registry was created.
-    pub fn now_ns(&self) -> u64 {
-        self.epoch.elapsed().as_nanos() as u64
     }
 
     /// Returns (registering on first use) the counter named `name`.
@@ -78,16 +60,6 @@ impl Registry {
         Arc::clone(map.entry(name.to_string()).or_default())
     }
 
-    /// Records a journal event with typed fields.
-    pub fn event(&self, name: &str, fields: Vec<(String, Field)>) {
-        self.journal.record(self.now_ns(), name, fields);
-    }
-
-    /// The retained journal events, oldest first.
-    pub fn events(&self) -> Vec<Event> {
-        self.journal.events()
-    }
-
     /// Starts a span: a timer that records its elapsed nanoseconds
     /// into histogram `name` when dropped (or at [`SpanTimer::stop`]).
     pub fn span(&self, name: &str) -> SpanTimer {
@@ -105,8 +77,8 @@ impl Registry {
         f()
     }
 
-    /// Zeroes every metric in place and clears the journal. Cached
-    /// handles stay valid; names stay registered.
+    /// Zeroes every metric in place. Cached handles stay valid; names
+    /// stay registered.
     pub fn reset(&self) {
         for c in self.counters.lock().values() {
             c.reset();
@@ -117,7 +89,6 @@ impl Registry {
         for h in self.histograms.lock().values() {
             h.reset();
         }
-        self.journal.reset();
     }
 
     /// Copies out every metric value.
@@ -141,8 +112,6 @@ impl Registry {
                 .iter()
                 .map(|(k, v)| (k.clone(), v.snapshot()))
                 .collect(),
-            events_dropped: self.journal.dropped(),
-            events: self.journal.events(),
         }
     }
 
@@ -219,10 +188,6 @@ pub struct Snapshot {
     pub gauges: BTreeMap<String, i64>,
     /// Histogram statistics by name.
     pub histograms: BTreeMap<String, HistogramSnapshot>,
-    /// Events evicted from the journal by the capacity bound.
-    pub events_dropped: u64,
-    /// Retained journal events, oldest first.
-    pub events: Vec<Event>,
 }
 
 impl Snapshot {
@@ -269,31 +234,6 @@ impl Snapshot {
             w.close_object();
         }
         w.close_object();
-        w.u64_field("events_dropped", self.events_dropped);
-        w.open_array(Some("events"));
-        for e in &self.events {
-            let mut fields = String::new();
-            for (i, (k, v)) in e.fields.iter().enumerate() {
-                if i > 0 {
-                    fields.push_str(", ");
-                }
-                let rendered = match v {
-                    Field::U64(x) => x.to_string(),
-                    Field::I64(x) => x.to_string(),
-                    Field::F64(x) => crate::json::num_f64(*x),
-                    Field::Bool(x) => x.to_string(),
-                    Field::Str(x) => format!("\"{}\"", esc(x)),
-                };
-                fields.push_str(&format!("\"{}\": {rendered}", esc(k)));
-            }
-            w.raw_element(&format!(
-                "{{\"seq\": {}, \"t_ns\": {}, \"name\": \"{}\", \"fields\": {{{fields}}}}}",
-                e.seq,
-                e.t_ns,
-                esc(&e.name)
-            ));
-        }
-        w.close_array();
         w.close_object();
     }
 
@@ -303,8 +243,7 @@ impl Snapshot {
     /// become `_`). Counters map to `counter`, gauges to `gauge`,
     /// histograms to a `summary` with quantile labels plus
     /// `_sum`/`_count`. Label values are escaped per the exposition
-    /// spec (`\\`, `\"`, `\n`). The journal is not exported —
-    /// Prometheus scrapes numbers, not logs.
+    /// spec (`\\`, `\"`, `\n`).
     ///
     /// A registered name of the form `base{key="value"}` (see
     /// [`labeled`](crate::labeled())) renders as a labelled series of
@@ -399,10 +338,6 @@ impl Snapshot {
             let _ = writeln!(out, "{n}_sum{} {}", block(labels), h.sum);
             let _ = writeln!(out, "{n}_count{} {}", block(labels), h.count);
         }
-        let n = "adya_obs_events_dropped";
-        let source = "journal events evicted by the capacity bound";
-        header(&mut out, &mut last, n, source, "counter");
-        let _ = writeln!(out, "{n}{} {}", block(None), self.events_dropped);
         out
     }
 
@@ -454,15 +389,14 @@ mod tests {
         r.counter("a.first").inc();
         r.gauge("g").set(-5);
         r.histogram("h").record(7);
-        r.event("ev", vec![("k".into(), Field::Str("v\"q".into()))]);
+        r.counter("c.\"quoted\"").inc();
         let s = r.to_json();
         assert!(s.contains("\"a.first\": 1"));
         assert!(s.contains("\"b.second\": 2"));
         assert!(s.find("a.first").unwrap() < s.find("b.second").unwrap());
         assert!(s.contains("\"g\": -5"));
         assert!(s.contains("\"count\": 1"));
-        assert!(s.contains("\"name\": \"ev\""));
-        assert!(s.contains("\\\"q"));
+        assert!(s.contains("\"c.\\\"quoted\\\"\": 1"), "{s}");
         let unescaped_quotes = s
             .replace("\\\\", "")
             .replace("\\\"", "")
@@ -492,7 +426,6 @@ mod tests {
         );
         assert!(s.contains("checker_phase_total_ns_sum 40\n"), "{s}");
         assert!(s.contains("checker_phase_total_ns_count 2\n"), "{s}");
-        assert!(s.contains("adya_obs_events_dropped 0\n"), "{s}");
         // Every non-comment line is `name[{labels}] value`.
         for line in s.lines().filter(|l| !l.starts_with('#')) {
             let (name, value) = line.rsplit_once(' ').expect("name value");

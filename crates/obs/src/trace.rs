@@ -33,7 +33,7 @@
 //! global registry.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
@@ -254,7 +254,6 @@ impl StampRing {
 pub struct TracePlane {
     node: String,
     role: Mutex<String>,
-    enabled: AtomicBool,
     sample_every: AtomicU64,
     epoch: Instant,
     ring: StampRing,
@@ -272,7 +271,6 @@ impl std::fmt::Debug for TracePlane {
         f.debug_struct("TracePlane")
             .field("node", &self.node)
             .field("role", &self.role())
-            .field("enabled", &self.enabled.load(Ordering::Relaxed))
             .field("sample_every", &self.sample_every.load(Ordering::Relaxed))
             .finish()
     }
@@ -286,7 +284,6 @@ impl TracePlane {
         TracePlane {
             node: node.to_string(),
             role: Mutex::new(role.to_string()),
-            enabled: AtomicBool::new(true),
             sample_every: AtomicU64::new(DEFAULT_TRACE_SAMPLE),
             epoch: Instant::now(),
             ring: StampRing::new(DEFAULT_STAMP_CAPACITY),
@@ -316,16 +313,6 @@ impl TracePlane {
         *self.role.lock().unwrap() = role.to_string();
     }
 
-    /// Enables or disables stamping; disabled planes sample nothing.
-    pub fn set_enabled(&self, on: bool) {
-        self.enabled.store(on, Ordering::Relaxed);
-    }
-
-    /// `true` when stamping is on.
-    pub fn enabled(&self) -> bool {
-        self.enabled.load(Ordering::Relaxed)
-    }
-
     /// Sets the 1-in-N sampling cadence (0 is clamped to 1).
     pub fn set_sample_every(&self, n: u64) {
         self.sample_every.store(n.max(1), Ordering::Relaxed);
@@ -338,7 +325,7 @@ impl TracePlane {
 
     /// Deterministic sampling decision for dense event sequence `seq`.
     pub fn sampled(&self, seq: u64) -> bool {
-        self.enabled() && seq.is_multiple_of(self.sample_every())
+        seq.is_multiple_of(self.sample_every())
     }
 
     /// The trace id of event `seq` of `scope` ([`trace_id`]) when the
@@ -370,9 +357,6 @@ impl TracePlane {
     /// (used when the stamp point and the clock read are separated,
     /// e.g. a batch applied after its arrival times were taken).
     pub fn stamp_at(&self, trace: u64, stage: Stage, t_ns: u64) {
-        if !self.enabled() {
-            return;
-        }
         self.ring.record(trace, stage, t_ns);
         let mut w = self.window.lock().unwrap();
         if w.len() > LAST_MAP_MAX {
@@ -815,24 +799,12 @@ mod tests {
     }
 
     #[test]
-    fn disabled_planes_stamp_nothing() {
-        let plane = TracePlane::new("n1", "checker");
-        plane.set_enabled(false);
-        assert!(!plane.sampled(0));
-        plane.stamp(7, Stage::Tap);
-        assert!(plane.collect().is_empty());
-    }
-
-    #[test]
     fn a_handle_stamps_in_call_order_or_not_at_all() {
         let plane = TracePlane::new("n1", "leader");
         plane.set_sample_every(4);
-        // Unsampled, switched off, or no plane: nothing is recorded.
+        // Unsampled, or no plane: nothing is recorded.
         let unsampled = plane.begin("s", 3);
-        plane.set_enabled(false);
-        let off = plane.begin("s", 4);
-        plane.set_enabled(true);
-        for t in [unsampled, off, Traced::OFF] {
+        for t in [unsampled, Traced::OFF] {
             assert_eq!(t.id(), None);
             t.stamp(Stage::Tap);
             t.stamp(Stage::Verdict);

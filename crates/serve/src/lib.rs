@@ -35,6 +35,8 @@
 //! - [`log`] — cadence policy over it: rotation, snapshots,
 //!   compaction, recovery replay.
 //! - [`session`] — one checker session and its durability ordering.
+//! - [`verdict_log`] — a session's verdicts: count, replay window,
+//!   trim rule and place in the snapshot.
 //! - [`Server`] — the accept loop, connection protocol, obs plane.
 //! - [`proto`] — control-frame parsing and rendering.
 //! - [`replica`] — replication hub (leader side), follower sink, lag
@@ -50,6 +52,7 @@ pub mod proto;
 pub mod replica;
 pub mod session;
 pub mod shutdown;
+pub mod verdict_log;
 
 mod server;
 
@@ -59,3 +62,4 @@ pub use proto::ClientFrame;
 pub use replica::{LogPublisher, ReplConfig, ReplicaSink, ReplicationHub};
 pub use server::{ServeConfig, Server};
 pub use session::{ApplyError, ResumeError, Session, SessionConfig};
+pub use verdict_log::VerdictLog;

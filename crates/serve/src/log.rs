@@ -45,6 +45,7 @@ use adya_online::{
 
 use crate::dir::{FileName, FsyncPolicy, SessionDir};
 use crate::replica::LogPublisher;
+use crate::verdict_log::VerdictLog;
 
 /// First 8 bytes of every session snapshot container (a
 /// [`wire::seal`]ed payload).
@@ -126,22 +127,12 @@ pub struct Recovered {
     pub log: SessionLog,
     /// Parser and checker state as of the last durable record.
     pub feed: StreamFeed,
-    /// Total durable commit verdicts.
+    /// Total durable commit verdicts: `verdict_log.count()`.
     pub verdicts: u64,
-    /// Verdict count at the snapshot replay started from.
-    pub snap_verdicts: u64,
-    /// Oldest re-sendable verdict index: verdict lines with indices
-    /// `replay_base..verdicts` are in `replayed`; anything older is
-    /// gone (the client must have consumed it — the snapshot cadence
-    /// bounds the replay window). The snapshot carries the verdict
-    /// window that was live when it was written, so `replay_base`
-    /// reaches one snapshot interval *behind* the snapshot itself —
-    /// a client killed at the worst moment (snapshot written, its
-    /// triggering verdicts never delivered) can still resume.
-    pub replay_base: u64,
-    /// Verdict lines re-sendable from `replay_base`, in order: the
-    /// snapshot's stored window followed by the replayed tail.
-    pub replayed: Vec<String>,
+    /// The session's verdicts: the snapshot's window (the snapshot's
+    /// count is its mark) followed by the verdicts of the replayed
+    /// tail.
+    pub verdict_log: VerdictLog,
     /// `Some(detail)` when a torn tail was found and truncated at its
     /// exact `good_len` byte offset.
     pub truncated: Option<String>,
@@ -232,21 +223,19 @@ impl SessionLog {
     /// older snapshot and every fully-covered closed segment is
     /// deleted. Returns the number of segments removed.
     ///
-    /// `window` is the live verdict-replay window (`window_base` is
-    /// the index of its first line); it rides inside the snapshot so
-    /// recovery can re-send verdicts from *before* the snapshot —
-    /// closing the race where the snapshot lands but the verdicts that
-    /// triggered it never reach the client.
+    /// `verdicts` (the session's whole verdict log, replay window
+    /// included) rides inside the snapshot so recovery can re-send
+    /// verdicts from *before* the snapshot — closing the race where
+    /// the snapshot lands but the verdicts that triggered it never
+    /// reach the client.
     pub fn write_snapshot(
         &mut self,
         feed: &StreamFeed,
-        verdicts: u64,
-        window_base: u64,
-        window: &[String],
+        verdicts: &VerdictLog,
     ) -> io::Result<usize> {
         let mut e = wire::Enc::new();
         e.u64(self.records);
-        e.u64(verdicts);
+        verdicts.write_count(&mut e);
         e.u64(self.seg_start);
         e.u64(self.dir.len(FileName::Segment(self.seg_start))?);
         let parser_bytes = feed.parser().snapshot();
@@ -255,11 +244,7 @@ impl SessionLog {
         let checker_bytes = feed.checker().snapshot();
         e.len(checker_bytes.len());
         e.bytes(&checker_bytes);
-        e.u64(window_base);
-        e.len(window.len());
-        for line in window {
-            e.str(line);
-        }
+        verdicts.write_window(&mut e);
         let buf = wire::seal(&SNAP_MAGIC, &e.into_bytes());
 
         // The open files catch up with stable storage first, so the
@@ -363,17 +348,14 @@ impl SessionLog {
         }
         let SnapState {
             records: snap_records,
-            verdicts: snap_verdicts,
             seg_start: snap_seg,
             seg_off: snap_off,
             mut feed,
-            window_base,
-            window,
+            mut verdict_log,
         } = match state {
             Some(s) => s,
             None => SnapState {
                 records: 0,
-                verdicts: 0,
                 seg_start: 0,
                 seg_off: LOG_MAGIC.len() as u64,
                 feed: {
@@ -381,8 +363,7 @@ impl SessionLog {
                     c.set_provenance(provenance);
                     StreamFeed::new(c)
                 },
-                window_base: 0,
-                window: Vec::new(),
+                verdict_log: VerdictLog::default(),
             },
         };
 
@@ -433,8 +414,6 @@ impl SessionLog {
         }
 
         let mut records = snap_records;
-        let mut verdicts = snap_verdicts;
-        let mut replayed = window;
         let mut tail_events = 0u64;
 
         if !segs.contains(&snap_seg) {
@@ -468,8 +447,7 @@ impl SessionLog {
                 records += 1;
                 tail_events += 1;
                 if let Some(v) = feed.replay(&ev) {
-                    verdicts += 1;
-                    replayed.push(v.to_json());
+                    verdict_log.push(v.to_json());
                 }
             }
         }
@@ -504,10 +482,8 @@ impl SessionLog {
                 last_snap: snap_records,
             },
             feed,
-            verdicts,
-            snap_verdicts,
-            replay_base: window_base,
-            replayed,
+            verdicts: verdict_log.count(),
+            verdict_log,
             truncated,
             closed,
             tail_events,
@@ -531,15 +507,15 @@ fn segments_and_snapshots(files: &[(FileName, u64)]) -> (Vec<u64>, Vec<u64>) {
 
 struct SnapState {
     records: u64,
-    verdicts: u64,
     seg_start: u64,
     seg_off: u64,
     feed: StreamFeed,
-    window_base: u64,
-    window: Vec<String>,
+    verdict_log: VerdictLog,
 }
 
-/// Decodes a snapshot container; `None` when it cannot be trusted.
+/// Decodes a snapshot container; `None` when it cannot be trusted —
+/// a verdict window that does not end at the stored verdict count
+/// included.
 fn decode_snapshot(bytes: &[u8]) -> Option<SnapState> {
     let mut d = wire::Dec::new(wire::open(&SNAP_MAGIC, bytes)?);
     let records = d.u64().ok()?;
@@ -550,23 +526,16 @@ fn decode_snapshot(bytes: &[u8]) -> Option<SnapState> {
     let parser = d.bytes(n).ok()?;
     let n = d.len().ok()?;
     let feed = StreamFeed::restore(parser, d.bytes(n).ok()?).ok()?;
-    let window_base = d.u64().ok()?;
-    let n = d.len().ok()?;
-    let mut window = Vec::with_capacity(n.min(4096));
-    for _ in 0..n {
-        window.push(d.str().ok()?);
-    }
+    let verdict_log = VerdictLog::read(verdicts, &mut d)?;
     if d.remaining() != 0 {
         return None;
     }
     Some(SnapState {
         records,
-        verdicts,
         seg_start,
         seg_off,
         feed,
-        window_base,
-        window,
+        verdict_log,
     })
 }
 
@@ -610,9 +579,9 @@ mod tests {
         }
 
         fn snapshot(&mut self) -> usize {
-            self.log
-                .write_snapshot(&self.feed, self.verdicts.len() as u64, 0, &self.verdicts)
-                .unwrap()
+            let mut verdicts = VerdictLog::default();
+            self.verdicts.iter().for_each(|v| verdicts.push(v.clone()));
+            self.log.write_snapshot(&self.feed, &verdicts).unwrap()
         }
     }
 
@@ -778,8 +747,8 @@ mod tests {
         // Verdicts replayed from the tail must be byte-identical to
         // the uninterrupted run's suffix.
         assert_eq!(
-            r.replayed,
-            before[r.replay_base as usize..].to_vec(),
+            r.verdict_log.since(r.verdict_log.base()).unwrap(),
+            &before[r.verdict_log.base() as usize..],
             "resumed verdict stream diverged"
         );
 
@@ -930,8 +899,7 @@ mod tests {
         let before = rig.verdicts.clone();
         drop(rig);
         let r = SessionLog::recover(&dir, cfg, GcConfig::default(), false, None).unwrap();
-        assert_eq!(r.replay_base, 0);
-        assert_eq!(r.replayed, before);
+        assert_eq!(r.verdict_log.since(0).unwrap(), before);
         assert_eq!(r.tail_events, 9);
         fs::remove_dir_all(&dir).unwrap();
     }

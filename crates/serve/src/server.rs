@@ -91,7 +91,8 @@ struct SessionSlot {
     /// The session, present while no connection owns it.
     parked: Mutex<Option<Box<Session>>>,
     /// Cached fleet-health entry, refreshed by the owning connection
-    /// thread after every applied line and at check-in.
+    /// thread after every applied line and at check-in. Its
+    /// `attached` is this slot's checkout state, not the session's.
     health: Mutex<String>,
 }
 
@@ -100,13 +101,13 @@ impl SessionSlot {
     fn new_attached(session: &Session) -> SessionSlot {
         SessionSlot {
             parked: Mutex::new(None),
-            health: Mutex::new(session.health_entry()),
+            health: Mutex::new(session.health_entry(true)),
         }
     }
 
     /// A slot holding a parked session.
     fn new_parked(session: Box<Session>) -> SessionSlot {
-        let health = Mutex::new(session.health_entry());
+        let health = Mutex::new(session.health_entry(false));
         SessionSlot {
             parked: Mutex::new(Some(session)),
             health,
@@ -121,13 +122,13 @@ impl SessionSlot {
 
     /// Returns the session to the slot, refreshing the health cache.
     fn checkin(&self, session: Box<Session>) {
-        *self.health.lock().unwrap() = session.health_entry();
+        *self.health.lock().unwrap() = session.health_entry(false);
         *self.parked.lock().unwrap() = Some(session);
     }
 
     /// Refreshes the cached health entry for a checked-out session.
     fn refresh_health(&self, session: &Session) {
-        *self.health.lock().unwrap() = session.health_entry();
+        *self.health.lock().unwrap() = session.health_entry(true);
     }
 }
 
@@ -564,7 +565,6 @@ fn dispatch_frame(
                 inner.publisher(&name),
             ) {
                 Ok(mut s) => {
-                    s.attached = true;
                     if let Some(plane) = &inner.trace {
                         s.set_trace(Arc::clone(plane));
                     }
@@ -620,7 +620,6 @@ fn dispatch_frame(
             }
             match s.resume(have) {
                 Ok((events, verdicts, replay)) => {
-                    s.attached = true;
                     if let Some(plane) = &inner.trace {
                         s.set_trace(Arc::clone(plane));
                     }
@@ -680,7 +679,6 @@ fn dispatch_frame(
                 Ok(fin) => {
                     let name = a.session.name().to_string();
                     let (events, verdicts) = (a.session.records(), a.session.verdicts());
-                    a.session.attached = false;
                     let _ = writeln!(stream, "{fin}");
                     let _ = writeln!(
                         stream,

@@ -12,13 +12,8 @@
 //! kill anywhere leaves the log a prefix of the applied stream, and
 //! recovery replays exactly the suffix the client never saw.
 //!
-//! Verdict replay window: the session keeps in memory every verdict
-//! line since the last snapshot (`recent`). A resuming client that has
-//! consumed at least the pre-snapshot verdicts — which it must have,
-//! or it was gone for longer than a whole snapshot interval — gets the
-//! missing tail re-sent verbatim. The snapshot cadence is therefore
-//! also the replay-window bound, which is what keeps the window from
-//! growing without bound on long streams.
+//! The session's verdicts are one [`VerdictLog`]: its count, and the
+//! replay window a resuming client gets its missing tail from.
 
 use std::path::Path;
 use std::sync::Arc;
@@ -30,6 +25,7 @@ use adya_online::{check_token, GcConfig, OnlineChecker, StreamFeed};
 
 use crate::log::{LogConfig, RecoverError, SessionLog};
 use crate::replica::LogPublisher;
+use crate::verdict_log::VerdictLog;
 
 /// Checker + durability configuration shared by every session of a
 /// server.
@@ -78,19 +74,11 @@ pub struct Session {
     name: String,
     feed: StreamFeed,
     log: SessionLog,
-    /// Total commit verdicts emitted over the session's life.
-    verdicts: u64,
-    /// Verdict index of `recent[0]`.
-    recent_base: u64,
-    /// The replay window: every verdict line since the *previous*
-    /// snapshot (not just the last one — see [`Session::snapshot`]).
-    recent: Vec<String>,
-    /// Verdict count when the last snapshot was written.
-    last_snap_verdicts: u64,
+    /// Every commit verdict of the session's life, and the lines a
+    /// resuming client can still be re-sent.
+    verdicts: VerdictLog,
     /// Final verdict line once closed.
     closed: Option<String>,
-    /// A connection currently owns this session.
-    pub attached: bool,
     /// Torn-tail healing notice from recovery, reported once on the
     /// next resume.
     pub truncated: Option<String>,
@@ -134,12 +122,8 @@ impl Session {
             name: name.to_string(),
             feed: StreamFeed::new(checker),
             log,
-            verdicts: 0,
-            recent_base: 0,
-            recent: Vec::new(),
-            last_snap_verdicts: 0,
+            verdicts: VerdictLog::default(),
             closed: None,
-            attached: false,
             truncated: None,
             trace: None,
             m_events,
@@ -164,12 +148,8 @@ impl Session {
             name: name.to_string(),
             feed: r.feed,
             log: r.log,
-            verdicts: r.verdicts,
-            recent_base: r.replay_base,
-            recent: r.replayed,
-            last_snap_verdicts: r.snap_verdicts,
+            verdicts: r.verdict_log,
             closed: r.closed,
-            attached: false,
             truncated: r.truncated,
             trace: None,
             m_events,
@@ -191,7 +171,7 @@ impl Session {
 
     /// Total commit verdicts emitted.
     pub fn verdicts(&self) -> u64 {
-        self.verdicts
+        self.verdicts.count()
     }
 
     /// The final verdict line, once closed.
@@ -265,9 +245,8 @@ impl Session {
             traced.stamp(Stage::Apply);
             if let Some(v) = verdict {
                 traced.stamp(Stage::Verdict);
-                self.verdicts += 1;
                 let line = v.to_json();
-                self.recent.push(line.clone());
+                self.verdicts.push(line.clone());
                 out.push((traced.id(), line));
                 self.m_verdicts.inc();
             }
@@ -283,33 +262,14 @@ impl Session {
 
     /// Writes a snapshot now: the post-GC checker state is what lands
     /// on disk, so the watermark GC bounds both the snapshot and
-    /// (through compaction) the log. The current replay window rides
-    /// inside the snapshot, and the in-memory window is then trimmed
-    /// to start at the *previous* snapshot's verdict count — so both
-    /// the durable and live windows always reach one full snapshot
-    /// interval back. A client killed at the worst moment (this
-    /// snapshot durable, its triggering verdicts never delivered) can
-    /// therefore still resume: its verdict count cannot be older than
-    /// the previous snapshot, because those verdicts were delivered
-    /// before the line that triggered this one was accepted.
+    /// (through compaction) the log. The verdict log rides inside the
+    /// snapshot and is trimmed after it ([`VerdictLog::snapshot`]).
     pub fn snapshot(&mut self) -> std::io::Result<()> {
-        self.write_snapshot_now()?;
-        let keep_from = (self.last_snap_verdicts - self.recent_base) as usize;
-        self.recent.drain(..keep_from);
-        self.recent_base = self.last_snap_verdicts;
-        self.last_snap_verdicts = self.verdicts;
+        self.verdicts
+            .snapshot(|v| self.log.write_snapshot(&self.feed, v).map(drop))?;
         self.m_staleness
             .set(self.feed.checker().watermark_staleness() as i64);
         adya_obs::counter!("serve.snapshots").inc();
-        Ok(())
-    }
-
-    /// The checker, the parser and the whole live replay window, as
-    /// they are now, into a snapshot file. What to trim and which marker
-    /// to advance afterwards is the caller's.
-    fn write_snapshot_now(&mut self) -> std::io::Result<()> {
-        self.log
-            .write_snapshot(&self.feed, self.verdicts, self.recent_base, &self.recent)?;
         Ok(())
     }
 
@@ -319,18 +279,8 @@ impl Session {
         if let Some(fin) = &self.closed {
             return Err(ResumeError::Closed(fin.clone()));
         }
-        if have < self.recent_base {
-            return Err(ResumeError::Unrecoverable {
-                base: self.recent_base,
-            });
-        }
-        if have > self.verdicts {
-            return Err(ResumeError::Ahead {
-                durable: self.verdicts,
-            });
-        }
-        let replay = self.recent[(have - self.recent_base) as usize..].to_vec();
-        Ok((self.log.records(), self.verdicts, replay))
+        let replay = self.verdicts.since(have)?.to_vec();
+        Ok((self.log.records(), self.verdicts.count(), replay))
     }
 
     /// Closes the session: snapshot, final verdict, durable `closed`
@@ -348,27 +298,22 @@ impl Session {
     }
 
     /// Parks the session (connection gone): best-effort snapshot so a
-    /// later restart replays little. The full in-memory replay window
-    /// is stored with it and kept live — the departed client may not
-    /// have read its last verdicts, and both a live resume and a
-    /// post-restart resume must still be able to re-send them.
+    /// later restart replays little. The whole verdict log is stored
+    /// with it and kept live ([`VerdictLog::park`]) — the departed
+    /// client may not have read its last verdicts, and both a live
+    /// resume and a post-restart resume must still be able to re-send
+    /// them.
     pub fn park(&mut self) {
         if self.closed.is_none() {
-            let wrote = self.write_snapshot_now();
-            // Advance the trim marker only if the snapshot is actually
-            // durable: advancing past a failed write would let the next
-            // successful snapshot() trim the replay window beyond
-            // verdicts no snapshot ever captured, making a resume
-            // within one interval spuriously unrecoverable.
-            if wrote.is_ok() {
-                self.last_snap_verdicts = self.verdicts;
-            }
+            let _ = self
+                .verdicts
+                .park(|v| self.log.write_snapshot(&self.feed, v).map(drop));
         }
-        self.attached = false;
     }
 
-    /// One fleet-health JSON object for this session.
-    pub fn health_entry(&self) -> String {
+    /// One fleet-health JSON object for this session; `attached` says
+    /// whether a connection has it checked out.
+    pub fn health_entry(&self, attached: bool) -> String {
         use std::fmt::Write as _;
         let mut s = String::new();
         let _ = write!(
@@ -377,8 +322,8 @@ impl Session {
              \"closed\": {}, \"live_txns\": {}, \"staleness\": {}, \"stale_refs\": {}",
             adya_obs::json::esc(&self.name),
             self.log.records(),
-            self.verdicts,
-            self.attached,
+            self.verdicts.count(),
+            attached,
             self.closed.is_some(),
             self.feed.checker().live_txns(),
             self.feed.checker().watermark_staleness(),

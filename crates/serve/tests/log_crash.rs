@@ -11,9 +11,10 @@ use std::fs::{self, OpenOptions};
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
+use adya_faults::{TapCrashConfig, TapCrashPlane};
 use adya_history::ObjectId;
-use adya_online::{GcConfig, OnlineChecker, StreamFeed};
-use adya_serve::{FileName, LogConfig, SessionLog};
+use adya_online::{wire, GcConfig, OnlineChecker, StreamFeed};
+use adya_serve::{log, FileName, LogConfig, Session, SessionConfig, SessionLog, VerdictLog};
 use proptest::prelude::*;
 
 /// A deterministic, version-correct token stream: interleaved begins,
@@ -57,8 +58,10 @@ impl Rig {
             self.verdicts.push(v.to_json());
         }
         if self.log.snapshot_due() {
+            let mut verdicts = VerdictLog::default();
+            self.verdicts.iter().for_each(|v| verdicts.push(v.clone()));
             self.log
-                .write_snapshot(&self.feed, self.verdicts.len() as u64, 0, &self.verdicts)
+                .write_snapshot(&self.feed, &verdicts)
                 .expect("snapshot");
         }
     }
@@ -78,6 +81,76 @@ fn tmp(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("adya-log-crash-{tag}-{}", std::process::id()));
     let _ = fs::remove_dir_all(&dir);
     dir
+}
+
+/// A rewrite of a snapshot's verdict window: `(window_base, lines)`.
+type Rewrite = fn(u64, Vec<String>) -> (u64, Vec<String>);
+
+/// Re-seals `dir`'s one snapshot with a valid CRC after `rewrite`
+/// changed the verdict window at its end; the stored count is kept.
+fn tamper_window(dir: &Path, rewrite: Rewrite) {
+    let listing = adya_serve::dir::list(dir).expect("list session dir");
+    let (snap, _) = listing
+        .iter()
+        .find(|(f, _)| matches!(f, FileName::Snapshot(_)))
+        .expect("one snapshot");
+    let path = dir.join(snap.to_string());
+    let bytes = fs::read(&path).expect("read snapshot");
+    let mut d = wire::Dec::new(wire::open(&log::SNAP_MAGIC, &bytes).expect("sealed"));
+    let mut e = wire::Enc::new();
+    for _ in 0..4 {
+        e.u64(d.u64().unwrap()); // records, verdicts, segment, offset
+    }
+    for _ in 0..2 {
+        let n = d.len().unwrap(); // parser, checker
+        e.len(n);
+        e.bytes(d.bytes(n).unwrap());
+    }
+    let base = d.u64().unwrap();
+    let lines = (0..d.len().unwrap()).map(|_| d.str().unwrap()).collect();
+    let (base, lines) = rewrite(base, lines);
+    e.u64(base);
+    e.len(lines.len());
+    lines.iter().for_each(|l| e.str(l));
+    fs::write(&path, wire::seal(&log::SNAP_MAGIC, &e.into_bytes())).expect("re-seal");
+}
+
+/// A snapshot whose stored verdict count disagrees with its window is
+/// refused like any undecodable one: recovery, a resume and the next
+/// snapshot neither panic nor re-send anything but the session's own
+/// verdicts.
+#[test]
+fn a_snapshot_whose_count_disagrees_with_its_window_is_refused() {
+    let tap = TapCrashPlane::new(TapCrashConfig::default());
+    let cfg = SessionConfig::default();
+    let tampers: [(&str, Rewrite); 2] = [
+        ("emptied", |base, _| (base, Vec::new())),
+        ("base-above-count", |_, lines| (7, lines)),
+    ];
+    for (tag, rewrite) in tampers {
+        let data = tmp(&format!("tampered-{tag}"));
+        let mut s = Session::create(&data, "s", cfg, None).expect("create");
+        let mut want = Vec::new();
+        for i in 1..=6 {
+            for (_, line) in s
+                .apply_line(&format!("b{i} w{i}(k) c{i}"), &tap)
+                .expect("apply")
+            {
+                want.push(line);
+            }
+        }
+        assert_eq!(want.len(), 6);
+        s.snapshot().expect("snapshot");
+        drop(s);
+        tamper_window(&data.join("s"), rewrite);
+
+        let mut s = Session::recover(&data, "s", cfg, None).expect("recovers from the log");
+        let (_, verdicts, replay) = s.resume(2).expect("resumes");
+        assert_eq!(verdicts, 6, "{tag}");
+        assert_eq!(replay, want[2..], "{tag}");
+        s.snapshot().expect("snapshots again");
+        fs::remove_dir_all(&data).ok();
+    }
 }
 
 proptest! {
@@ -143,9 +216,10 @@ proptest! {
             good_len,
             "truncated at the exact good byte"
         );
+        let base = r.verdict_log.base();
         prop_assert_eq!(
-            &r.replayed[..],
-            &ref_verdicts[r.replay_base as usize..crash_verdicts],
+            r.verdict_log.since(base).expect("the whole window"),
+            &ref_verdicts[base as usize..crash_verdicts],
             "replayed verdict tail diverged from the uninterrupted run"
         );
 

@@ -14,7 +14,7 @@
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use adya_engine::{AbortReason, Engine, EngineError, TablePred};
+use adya_engine::{Engine, EngineError, TablePred};
 use crossbeam::thread;
 
 use crate::driver::RunStats;
@@ -155,7 +155,7 @@ fn run_program(
                         // Timeout-based deadlock victim.
                         victims.fetch_add(1, Ordering::Relaxed);
                         let _ = engine.abort(txn);
-                        if retry.should_restart(&AbortReason::DeadlockVictim).is_err() {
+                        if retry.should_restart().is_err() {
                             return false;
                         }
                         continue 'attempt;
@@ -172,8 +172,8 @@ fn run_program(
                 // (a crash point), not that the program asked for it.
                 // The program's own `Step::Abort` returns above without
                 // consulting the policy.
-                Err(EngineError::Aborted(reason)) => {
-                    if retry.should_restart(&reason).is_err() {
+                Err(EngineError::Aborted(_)) => {
+                    if retry.should_restart().is_err() {
                         return false;
                     }
                     continue 'attempt;

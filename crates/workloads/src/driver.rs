@@ -219,18 +219,8 @@ fn pick_deadlock_victim(sessions: &[Session], waiting: &[usize]) -> Option<usize
 fn restart(engine: &dyn Engine, s: &mut Session, stats: &mut RunStats, _ix: Option<usize>) {
     let _ = engine.abort(s.txn);
     adya_obs::counter!("engine.deadlock_victim").inc();
-    adya_obs::global().event(
-        "engine.deadlock_victim",
-        vec![
-            ("txn".into(), adya_obs::Field::from(u64::from(s.txn.0))),
-            (
-                "attempts".into(),
-                adya_obs::Field::from(s.retry.attempts() as u64),
-            ),
-        ],
-    );
     stats.count_abort(&AbortReason::DeadlockVictim);
-    begin_fresh_attempt(engine, s, &AbortReason::DeadlockVictim);
+    begin_fresh_attempt(engine, s);
 }
 
 fn give_up(s: &mut Session) {
@@ -238,8 +228,8 @@ fn give_up(s: &mut Session) {
     s.outcome = Some(SessionOutcome::GaveUp);
 }
 
-fn begin_fresh_attempt(engine: &dyn Engine, s: &mut Session, reason: &AbortReason) {
-    if s.retry.should_restart(reason).is_err() {
+fn begin_fresh_attempt(engine: &dyn Engine, s: &mut Session) {
+    if s.retry.should_restart().is_err() {
         return give_up(s);
     }
     s.txn = engine.begin();
@@ -286,7 +276,7 @@ fn step_session(engine: &dyn Engine, sessions: &mut [Session], ix: usize, stats:
         }
         Err(EngineError::Aborted(reason)) => {
             stats.count_abort(&reason);
-            begin_fresh_attempt(engine, s, &reason);
+            begin_fresh_attempt(engine, s);
         }
         Err(EngineError::UnknownTxn) => give_up(s),
     }

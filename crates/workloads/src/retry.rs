@@ -16,7 +16,6 @@
 //! mid-operation, and the bookkeeping reason the engine attaches to
 //! that race must not be confused with the program's intent.
 
-use adya_engine::AbortReason;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -125,22 +124,12 @@ impl RetrySession {
         self.streak = 0;
     }
 
-    /// An attempt died with `reason`. `Ok(())` means begin a fresh
+    /// An attempt died. `Ok(())` means begin a fresh
     /// attempt; `Err` says why the session is done instead.
-    pub fn should_restart(&mut self, reason: &AbortReason) -> Result<(), GiveUpCause> {
+    pub fn should_restart(&mut self) -> Result<(), GiveUpCause> {
         self.streak = 0;
         if self.attempts >= self.policy.max_attempts {
             adya_obs::counter!("retry.giveups").inc();
-            adya_obs::global().event(
-                "retry.giveup",
-                vec![
-                    ("reason".into(), adya_obs::Field::from(reason.to_string())),
-                    (
-                        "attempts".into(),
-                        adya_obs::Field::from(self.attempts as u64),
-                    ),
-                ],
-            );
             return Err(GiveUpCause::Attempts);
         }
         self.attempts += 1;
@@ -170,12 +159,9 @@ mod tests {
             ..Default::default()
         };
         let mut s = p.session(0);
-        assert!(s.should_restart(&AbortReason::DeadlockVictim).is_ok());
-        assert!(s.should_restart(&AbortReason::DeadlockVictim).is_ok());
-        assert_eq!(
-            s.should_restart(&AbortReason::DeadlockVictim),
-            Err(GiveUpCause::Attempts)
-        );
+        assert!(s.should_restart().is_ok());
+        assert!(s.should_restart().is_ok());
+        assert_eq!(s.should_restart(), Err(GiveUpCause::Attempts));
         assert_eq!(s.attempts(), 3);
     }
 
@@ -189,7 +175,7 @@ mod tests {
         for _ in 0..5 {
             assert!(s.admit_op());
         }
-        s.should_restart(&AbortReason::DeadlockVictim).unwrap();
+        s.should_restart().unwrap();
         assert!(!s.admit_op(), "deadline spans restarts");
     }
 
