@@ -59,7 +59,7 @@ pub(crate) struct PendingRead {
     pub(crate) via_predicate: bool,
 }
 
-/// One object a transaction wrote.
+/// One object a finished transaction wrote: 16 bytes in release builds.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct WriteEntry {
     pub(crate) object: ObjectId,
@@ -68,22 +68,32 @@ pub(crate) struct WriteEntry {
     /// The object's slot, once the commit installed the version.
     pub(crate) installed: Option<ObjSlot>,
     /// The version's absolute position (`base`-inclusive) in the
-    /// object's list; meaningful once `installed`.
-    pub(crate) pos: usize,
+    /// object's list, mod 2³² (see [`ObjectState::index_of`]);
+    /// meaningful once `installed`.
+    pub(crate) pos: u32,
 }
+
+/// One object a running transaction wrote so far, with the highest seq
+/// of its run of writes to it: 8 bytes.
+pub(crate) type RunningWrite = (ObjectId, u32);
 
 /// A transaction the checker holds: what a finished one still needs.
 /// What only a running one has is on its [`Running`] record.
 #[derive(Debug, Default)]
 pub(crate) struct TxnState {
     pub(crate) status: Status,
+    /// Whether the collector's `ready` index holds it: the index's
+    /// membership as a bit, so settling a transaction whose
+    /// eligibility did not change touches no map (see `crate::gc`).
+    /// Derived (rebuilt by `restore`, never serialised).
+    pub(crate) ready: bool,
     pub(crate) begin_clock: u64,
     pub(crate) terminal_clock: u64,
-    /// What it wrote. While it runs, one entry per write in arrival
-    /// order; its terminal event [seals](seal_writes) them to
-    /// one entry per object, sorted by object (the order commits
-    /// install in). Kept after that for G1a/G1b checks against
-    /// late-committing readers.
+    /// What it wrote, one entry per object sorted by object (the order
+    /// commits install in): empty while it runs (its writes are on its
+    /// [`Running`] record), [sealed](Self::seal) by its terminal event,
+    /// and kept after that for G1a/G1b checks against late-committing
+    /// readers.
     pub(crate) writes: Vec<WriteEntry>,
     /// Installed versions not yet superseded by a later install.
     pub(crate) unsuperseded: u32,
@@ -110,10 +120,14 @@ pub(crate) struct TxnState {
 }
 
 /// What a transaction holds only while it runs, on its entry in the
-/// active list: its buffered reads, and the committed readers parked on
-/// it. Its terminal event drains both.
+/// active list: its writes, its buffered reads, and the committed
+/// readers parked on it. Its terminal event seals the first onto its
+/// row and drains the other two.
 #[derive(Debug, Default)]
 pub(crate) struct Running {
+    /// Its writes in arrival order, a run of writes to one object as
+    /// one entry; [sealed](seal_writes) at its terminal event.
+    pub(crate) writes: Vec<RunningWrite>,
     /// Its reads, buffered until its terminal event.
     pub(crate) reads: Vec<BufferedRead>,
     /// Committed readers waiting for this writer's fate.
@@ -128,14 +142,31 @@ impl TxnState {
         let at = self.writes.binary_search_by_key(&o, |w| w.object).ok()?;
         Some(&self.writes[at])
     }
+
+    /// Files `sealed` as its writes, in the room its row has if that
+    /// is enough and in a buffer of exactly their number if not.
+    fn seal(&mut self, sealed: &[RunningWrite]) {
+        self.writes.clear();
+        if self.writes.capacity() < sealed.len() {
+            self.writes = Vec::with_capacity(sealed.len());
+        }
+        self.writes
+            .extend(sealed.iter().map(|&(object, seq)| WriteEntry {
+                object,
+                seq,
+                installed: None,
+                pos: 0,
+            }));
+    }
 }
 
-/// Sorts a transaction's writes by object and keeps, of each object's,
-/// the one with the highest seq. Done once, at the terminal event, so
-/// the order a peer writes its objects in costs a sort and no more.
-pub(crate) fn seal_writes(writes: &mut Vec<WriteEntry>) {
-    writes.sort_unstable_by_key(|w| (w.object, std::cmp::Reverse(w.seq)));
-    writes.dedup_by_key(|w| w.object);
+/// Sorts a running transaction's writes by object and keeps, of each
+/// object's, the one with the highest seq. Done once, at the terminal
+/// event, so the order a peer writes its objects in costs a sort and no
+/// more.
+pub(crate) fn seal_writes(writes: &mut Vec<RunningWrite>) {
+    writes.sort_unstable_by_key(|&(o, seq)| (o, std::cmp::Reverse(seq)));
+    writes.dedup_by_key(|w| w.0);
 }
 
 /// Most elements a recycled buffer keeps room for: one huge
@@ -163,8 +194,11 @@ impl Recycle for TxnState {
 
 /// The installers of an object's versions still held, oldest first.
 /// Nearly every object has one or two, kept inline; a third moves them
-/// all into a ring on the heap, for good: an object that had three is a
-/// hot one, which will again.
+/// all into a ring on the heap, which stays: an object that had three
+/// is a hot one, which will again. The ring shrinks as a recycled
+/// buffer does, once it holds less than a quarter of its room, so a
+/// burst of versions behind one open transaction leaves no more than
+/// [`RECYCLED_CAPACITY`] behind it.
 #[derive(Debug, Default)]
 pub(crate) enum Installers {
     #[default]
@@ -230,24 +264,118 @@ impl Installers {
             Installers::Empty => return None,
             Installers::One(a) => (a, Installers::Empty),
             Installers::Two(a, b) => (a, Installers::One(b)),
-            Installers::Many(mut q) => (q.pop_front()?, Installers::Many(q)),
+            Installers::Many(mut q) => {
+                let first = q.pop_front()?;
+                if q.capacity() > RECYCLED_CAPACITY && q.len() < q.capacity() / 4 {
+                    q.shrink_to(RECYCLED_CAPACITY.max(2 * q.len()));
+                }
+                (first, Installers::Many(q))
+            }
         };
         *self = rest;
         Some(first)
     }
+
+    /// Room for installers the ring has; zero while they are inline.
+    #[cfg(test)]
+    pub(crate) fn room(&self) -> usize {
+        match self {
+            Installers::Many(q) => q.capacity(),
+            _ => 0,
+        }
+    }
 }
 
+/// The committed readers anchored at an object's newest version. Most
+/// objects have none, one or two, kept inline; a third moves them into
+/// a buffer on the heap, which installing the next version drains and
+/// keeps as a recycled buffer is kept.
+#[derive(Debug, Default)]
+pub(crate) enum Readers {
+    #[default]
+    Empty,
+    One(TxnSlot),
+    Two([TxnSlot; 2]),
+    // Boxed, so the enum is 16 bytes rather than a `Vec`'s 24 plus a tag.
+    #[allow(clippy::box_collection)]
+    Many(Box<Vec<TxnSlot>>),
+}
+
+impl Readers {
+    pub(crate) fn as_slice(&self) -> &[TxnSlot] {
+        match self {
+            Readers::Empty => &[],
+            Readers::One(r) => std::slice::from_ref(r),
+            Readers::Two(rs) => rs,
+            Readers::Many(v) => v,
+        }
+    }
+
+    pub(crate) fn push(&mut self, r: TxnSlot) {
+        match self {
+            Readers::Empty => *self = Readers::One(r),
+            Readers::One(a) => *self = Readers::Two([*a, r]),
+            Readers::Two([a, b]) => *self = Readers::Many(Box::new(vec![*a, *b, r])),
+            Readers::Many(v) => v.push(r),
+        }
+    }
+
+    /// Empties the list. A buffer stays, for a hot object's next
+    /// readers, only while it has room for [`RECYCLED_CAPACITY`] or
+    /// fewer: a burst of readers must not leave its room on the object
+    /// for as long as the object lives.
+    pub(crate) fn drained(self) -> Readers {
+        match self {
+            Readers::Many(mut v) if v.capacity() <= RECYCLED_CAPACITY => {
+                v.clear();
+                Readers::Many(v)
+            }
+            _ => Readers::Empty,
+        }
+    }
+
+    /// Room for readers the buffer has; zero while they are inline.
+    #[cfg(test)]
+    pub(crate) fn room(&self) -> usize {
+        match self {
+            Readers::Many(v) => v.capacity(),
+            _ => 0,
+        }
+    }
+}
+
+/// An object the checker holds: 40 bytes in release builds.
+///
+/// **Positions are taken mod 2³².** A version's position is `base` plus
+/// its index in `entries`; a [`WriteEntry`] keeps it as a `u32`, and
+/// [`Self::index_of`] subtracts `base` mod 2³². That gives the index
+/// back exactly, because an object never holds 2³² versions at once:
+/// each held version pins a distinct transaction row (a transaction
+/// installs one version per object), and rows are numbered by a `u32`.
+/// `base` itself stays a `u64`, because the image carries it.
 #[derive(Debug, Default)]
 pub(crate) struct ObjectState {
     /// Number of versions pruned off the front of `entries`.
-    pub(crate) base: usize,
+    pub(crate) base: u64,
     /// The installers of the committed versions, in install (= commit)
     /// order. An installer's [`WriteEntry::pos`] is its place here.
     pub(crate) entries: Installers,
     /// Committed readers anchored at the newest version — or, while
     /// there is none, before the first. (A superseded version anchors
     /// nobody: installing its successor resolved them all.)
-    pub(crate) anchored: Vec<TxnSlot>,
+    pub(crate) anchored: Readers,
+}
+
+impl ObjectState {
+    /// The position, mod 2³², of the version at index `i` of `entries`.
+    pub(crate) fn position(&self, i: usize) -> u32 {
+        self.base.wrapping_add(i as u64) as u32
+    }
+
+    /// The index in `entries` of the version at position `pos`.
+    pub(crate) fn index_of(&self, pos: u32) -> usize {
+        pos.wrapping_sub(self.base as u32) as usize
+    }
 }
 
 /// The streaming checker. See the crate docs for scope and semantics.
@@ -374,8 +502,13 @@ impl OnlineChecker {
             return false;
         };
         let txn = &self.txns[slot];
-        // An image lists every transaction's writes sealed, running or not.
-        if txn.writes.binary_search_by_key(&o, |w| w.object).is_ok() {
+        // An image lists every transaction's writes sealed, running or
+        // not, and a running one's go onto its record in that order.
+        let wrote = match self.running_of(txn) {
+            Some(running) => running.writes.binary_search_by_key(&o, |w| w.0).is_ok(),
+            None => txn.write_of(o).is_some(),
+        };
+        if wrote {
             return true;
         }
         let ended = txn.status != Status::Active;
@@ -521,14 +654,16 @@ impl OnlineChecker {
     }
 
     /// `t`'s terminal event: it leaves the active list with `status`,
-    /// and its record goes idle. Returns where the record now is, for
-    /// the handler to drain.
+    /// its writes sealed onto its row, and its record goes idle. Returns
+    /// where the record now is, for the handler to drain.
     fn end(&mut self, t: TxnSlot, status: Status) -> usize {
         let txn = &mut self.txns[t];
-        seal_writes(&mut txn.writes);
         txn.status = status;
         txn.terminal_clock = self.clock;
         let at = txn.active_at as usize;
+        let writes = &mut self.running[at].writes;
+        seal_writes(writes);
+        txn.seal(writes);
         self.active.swap_remove(at);
         let idle = self.active.len();
         self.running.swap(at, idle);
@@ -538,17 +673,18 @@ impl OnlineChecker {
         idle
     }
 
-    /// Hands an ended transaction's drained buffers back to its idle
-    /// record at `idle`, unless they grew beyond what a recycled slot
-    /// may keep.
+    /// Empties the idle record at `idle` and hands it back an ended
+    /// transaction's drained read buffers, unless any of its buffers
+    /// grew beyond what a recycled one may keep.
     fn rest(&mut self, idle: usize, reads: Vec<BufferedRead>, pending: Vec<PendingRead>) {
         let record = &mut self.running[idle];
+        record.writes = recycled(std::mem::take(&mut record.writes));
         record.reads = recycled(reads);
         record.pending_readers = recycled(pending);
     }
 
     fn on_write(&mut self, t: TxnSlot, o: ObjectId, seq: u32) {
-        let txn = &mut self.txns[t];
+        let txn = &self.txns[t];
         if txn.status != Status::Active {
             // A write after the terminal event: ill-formed, ignored —
             // but a parser counted it, and must forget it with `t`.
@@ -559,14 +695,10 @@ impl OnlineChecker {
         }
         // Unsorted until the terminal event seals them; a run of writes
         // to one object stays one entry.
-        match txn.writes.last_mut() {
-            Some(last) if last.object == o => last.seq = last.seq.max(seq),
-            _ => txn.writes.push(WriteEntry {
-                object: o,
-                seq,
-                installed: None,
-                pos: 0,
-            }),
+        let writes = &mut self.running[txn.active_at as usize].writes;
+        match writes.last_mut() {
+            Some(last) if last.0 == o => last.1 = last.1.max(seq),
+            _ => writes.push((o, seq)),
         }
     }
 
@@ -608,8 +740,8 @@ impl OnlineChecker {
 
         let verdict_t0 = self.sampled_now.then(Instant::now);
         self.install_writes(t);
-        // Both buffers are drained back into the idle record: a
-        // finished transaction keeps only its writes.
+        // Both read buffers are drained back into the idle record: a
+        // finished transaction keeps only its sealed writes.
         let mut reads = std::mem::take(&mut self.running[idle].reads);
         for br in reads.drain(..) {
             self.resolve_read(t, br);
@@ -640,9 +772,9 @@ impl OnlineChecker {
             let (slot, _) = self.objects.enter(o);
             let obj = &mut self.objects[slot];
             let prev = obj.entries.back();
-            let mut resolved = std::mem::take(&mut obj.anchored);
+            let resolved = std::mem::take(&mut obj.anchored);
             obj.entries.push_back(t);
-            let pos = obj.base + obj.entries.len() - 1;
+            let pos = obj.position(obj.entries.len() - 1);
             let w = &mut self.txns[t].writes[at];
             (w.installed, w.pos) = (Some(slot), pos);
             if let Some(p) = prev {
@@ -655,14 +787,14 @@ impl OnlineChecker {
                 debug_assert!(self.txns[p].terminal_clock < self.txns[t].terminal_clock);
                 self.edge(EdgeKind::Ww, p, t, o, None);
             }
-            for r in resolved.drain(..) {
+            for &r in resolved.as_slice() {
                 self.txns[r].registered -= 1;
                 self.settle(r);
                 if r != t {
                     self.edge(EdgeKind::Rw, r, t, o, None);
                 }
             }
-            self.objects[slot].anchored = resolved; // emptied, capacity kept
+            self.objects[slot].anchored = resolved.drained();
             let me = &mut self.txns[t];
             me.unsuperseded += 1;
             me.behind += u32::from(prev.is_some());
@@ -757,8 +889,7 @@ impl OnlineChecker {
             return;
         };
         let obj = &mut self.objects[slot];
-        let idx = pos - obj.base;
-        if let Some(succ) = obj.entries.get(idx + 1) {
+        if let Some(succ) = obj.entries.get(obj.index_of(pos) + 1) {
             if succ != t {
                 self.edge(EdgeKind::Rw, t, succ, o, None);
             }
@@ -918,7 +1049,8 @@ impl OnlineChecker {
     /// Tells the collector that one of the counters `t`'s
     /// prunability reads has moved.
     fn settle(&mut self, t: TxnSlot) {
-        self.gc.settle(self.txns.key_of(t), t, &self.txns[t]);
+        let id = self.txns.key_of(t);
+        self.gc.settle(id, t, &mut self.txns[t]);
     }
 
     fn maybe_gc(&mut self) {
@@ -1036,11 +1168,19 @@ mod tests {
         use std::mem::size_of;
         // A finished transaction's row has no room for reads, an
         // object's none for a ring while it holds two versions or
-        // fewer. Debug builds' slots carry a generation tag.
+        // fewer, nor for a buffer while two readers or fewer are
+        // anchored. A slot's
+        // niche makes an absent one cost nothing. Debug builds' slots
+        // carry a generation tag.
         let tag = size_of::<TxnSlot>() - 4;
         assert_eq!(size_of::<TxnState>(), 80);
+        assert_eq!(size_of::<Option<TxnSlot>>(), 4 + tag);
+        assert_eq!(size_of::<WriteEntry>(), 16 + tag);
+        assert_eq!(size_of::<RunningWrite>(), 8);
         assert_eq!(size_of::<Installers>(), 16 + 2 * tag);
-        assert_eq!(size_of::<ObjectState>(), 48 + 2 * tag);
+        assert_eq!(size_of::<Readers>(), 16 + 2 * tag);
+        assert_eq!(size_of::<ObjectState>(), 40 + 4 * tag);
+        assert_eq!(size_of::<crate::provenance::ProvChain>(), 16);
         let mut held = Installers::default();
         let mut table = TxnTable::default();
         let slots: Vec<TxnSlot> = (0..4).map(|i| table.enter(TxnId(i)).0).collect();
@@ -1057,6 +1197,48 @@ mod tests {
         );
         assert_eq!(held.pop_front(), Some(slots[0]));
         assert_eq!(held.iter().collect::<Vec<_>>(), &slots[1..]);
+    }
+
+    #[test]
+    fn a_burst_leaves_an_object_no_more_room_than_a_recycled_buffer() {
+        // 100 000 committed readers anchor at an object's initial
+        // version; one install resolves them all. Then 100 000 versions
+        // of another object pile up behind one open transaction, and go
+        // once it ends. Either object lives on, holding the newest
+        // version, with room for at most `RECYCLED_CAPACITY` entries.
+        const N: u32 = 100_000;
+        let mut c = OnlineChecker::with_gc(GcConfig {
+            enabled: false,
+            interval: 1,
+        });
+        for t in 1..=N {
+            feed(&mut c, &[rinit(t, 0), Event::Commit(TxnId(t))]);
+        }
+        let x = c.objects.lookup(ObjectId(0)).unwrap();
+        assert_eq!(c.objects[x].anchored.as_slice().len(), N as usize);
+        assert!(c.objects[x].anchored.room() >= N as usize);
+        feed(&mut c, &[w(N + 1, 0, 1), Event::Commit(TxnId(N + 1))]);
+        assert!(c.objects[x].anchored.as_slice().is_empty());
+        assert!(c.objects[x].anchored.room() <= RECYCLED_CAPACITY);
+
+        let mut c = OnlineChecker::with_gc(GcConfig {
+            enabled: true,
+            interval: u64::MAX, // one pass, at `finish`
+        });
+        c.ingest(&Event::Begin(TxnId(0)));
+        for t in 1..=N {
+            feed(&mut c, &[w(t, 1, 1), Event::Commit(TxnId(t))]);
+        }
+        let y = c.objects.lookup(ObjectId(1)).unwrap();
+        assert_eq!(c.objects[y].entries.len(), N as usize);
+        assert!(c.objects[y].entries.room() >= N as usize);
+        c.finish(); // aborts T0, whose begin held every version
+        assert_eq!(c.objects[y].entries.back(), c.txns.lookup(TxnId(N)));
+        assert_eq!(
+            (c.objects[y].entries.len(), c.objects[y].base),
+            (1, u64::from(N) - 1)
+        );
+        assert!(c.objects[y].entries.room() <= RECYCLED_CAPACITY);
     }
 
     #[test]
@@ -1293,7 +1475,11 @@ mod tests {
             c.ingest(&w(2, o, 1));
         }
         let t2 = c.txns.lookup(TxnId(2)).unwrap();
-        assert_eq!(c.txns[t2].writes.len(), 2 * N as usize);
+        let running = c.running_of(&c.txns[t2]).unwrap();
+        assert_eq!(
+            (running.writes.len(), c.txns[t2].writes.len()),
+            (2 * N as usize, 0)
+        );
         // A snapshot of the running transaction lists them sealed, and
         // restoring it changes nothing about what the commit installs.
         let mut revived = OnlineChecker::restore(&c.snapshot()).unwrap();

@@ -73,7 +73,7 @@ fn heads_its_objects(objects: &ObjectTable, t: &TxnState) -> bool {
     t.status != Status::Committed
         || t.writes.iter().all(|w| {
             let obj = w.installed.expect("a commit installs every write");
-            objects[obj].base == w.pos
+            objects[obj].index_of(w.pos) == 0
         })
 }
 
@@ -199,19 +199,32 @@ impl Collector {
     /// Re-checks `id` (at `slot`, in state `t`) against [`settled`] and
     /// files it in or out of `ready`. Called wherever one of the
     /// counters `settled` reads moves, before the event ends — passes
-    /// only run between events, so that is soon enough.
-    pub(crate) fn settle(&mut self, id: TxnId, slot: TxnSlot, t: &TxnState) {
-        if settled(t) {
+    /// only run between events, so that is soon enough. The row's
+    /// [`TxnState::ready`] bit says whether `ready` holds it, so only a
+    /// change of membership touches the map.
+    pub(crate) fn settle(&mut self, id: TxnId, slot: TxnSlot, t: &mut TxnState) {
+        let want = settled(t);
+        if want == t.ready {
+            return;
+        }
+        t.ready = want;
+        if want {
             self.ready.insert(id, slot);
         } else {
             self.ready.remove(&id);
         }
     }
 
-    /// Derives `ready` from the transaction table.
-    pub(crate) fn rebuild(&mut self, txns: &TxnTable) {
-        let settled_ids = txns.iter().filter(|(_, _, t)| settled(t));
-        self.ready = settled_ids.map(|(id, slot, _)| (id, slot)).collect();
+    /// Derives `ready`, and every row's bit, from the transaction table.
+    pub(crate) fn rebuild(&mut self, txns: &mut TxnTable) {
+        let settled_ids: Vec<(TxnId, TxnSlot)> = (txns.iter())
+            .filter(|(_, _, t)| settled(t))
+            .map(|(id, slot, _)| (id, slot))
+            .collect();
+        for &(_, slot) in &settled_ids {
+            txns[slot].ready = true;
+        }
+        self.ready = settled_ids.into_iter().collect();
     }
 
     /// Counts one ingested event; true when a collection pass is due.
@@ -268,6 +281,10 @@ impl Collector {
                 .map(|(id, slot, _)| (id, slot))
                 .collect();
             debug_assert_eq!(self.ready, want);
+            debug_assert!(
+                (h.txns.iter()).all(|(id, _, t)| t.ready == self.ready.contains_key(&id)),
+                "a row's ready bit disagrees with the index"
+            );
             // Every chain is a live graph's edge, or an orphan of two
             // transactions still held.
             let alive = |id| h.txns.lookup(id).is_some();
@@ -332,7 +349,7 @@ impl Collector {
             return false;
         }
         h.lanes.contract(id, h.prov);
-        self.ready.remove(&id);
+        self.ready.remove(&id); // and `release` below clears its bit
         if t.status == Status::Committed {
             // Aborted writes were never installed; only committed ones
             // have entries to retire.
@@ -344,7 +361,8 @@ impl Collector {
                 obj.base += 1;
                 if let Some(next) = obj.entries.front() {
                     h.txns[next].behind -= 1;
-                    self.settle(h.txns.key_of(next), next, &h.txns[next]);
+                    let id = h.txns.key_of(next);
+                    self.settle(id, next, &mut h.txns[next]);
                 }
             }
         }

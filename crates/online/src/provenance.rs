@@ -50,11 +50,14 @@ impl ProvStep {
 /// operation, so the single-step case is stored inline — a heap
 /// allocation per edge key showed up as the bulk of E16's hot-path
 /// overhead. Chains only spill to a `Vec` when a second distinct
-/// operation (or a contraction merge) lands on the same edge.
+/// operation (or a contraction merge) lands on the same edge, and the
+/// `Vec` is boxed: the enum then fits in a step's 16 bytes, its tag in
+/// the niche of [`EdgeKind`], so a map entry is 24 bytes.
 #[derive(Debug, Clone, PartialEq)]
-enum ProvChain {
+pub(crate) enum ProvChain {
     One(ProvStep),
-    Many(Vec<ProvStep>),
+    #[allow(clippy::box_collection)]
+    Many(Box<Vec<ProvStep>>),
 }
 
 impl ProvChain {
@@ -70,7 +73,7 @@ impl ProvChain {
         match self {
             ProvChain::One(s) => {
                 if *s != st {
-                    *self = ProvChain::Many(vec![*s, st]);
+                    *self = ProvChain::Many(Box::new(vec![*s, st]));
                 }
             }
             ProvChain::Many(v) => {
@@ -84,7 +87,7 @@ impl ProvChain {
     fn from_steps(steps: Vec<ProvStep>) -> ProvChain {
         match steps.as_slice() {
             [one] => ProvChain::One(*one),
-            _ => ProvChain::Many(steps),
+            _ => ProvChain::Many(Box::new(steps)),
         }
     }
 }
@@ -292,7 +295,7 @@ impl Provenance {
 
     /// Heap bytes allocated: the map's table as hashbrown lays it out
     /// (so reserved room, not just live entries) and the spilled
-    /// chains' buffers.
+    /// chains' boxes and buffers.
     pub(crate) fn bytes(&self) -> usize {
         type Entry = ((TxnId, TxnId), ProvChain);
         let table = table_bytes(
@@ -302,7 +305,10 @@ impl Provenance {
         );
         let spilled = self.chains.values().map(|c| match c {
             ProvChain::One(_) => 0,
-            ProvChain::Many(v) => v.capacity() * std::mem::size_of::<ProvStep>(),
+            ProvChain::Many(v) => {
+                std::mem::size_of::<Vec<ProvStep>>()
+                    + v.capacity() * std::mem::size_of::<ProvStep>()
+            }
         });
         table + spilled.sum::<usize>()
     }
@@ -384,7 +390,7 @@ mod tests {
             prov.record(TxnId(t), TxnId(t + 1), step(t));
         }
         let full = prov.bytes();
-        assert_eq!(full, 2048 * (32 + 1) + 16);
+        assert_eq!(full, 2048 * (24 + 1) + 16);
         let gone: Vec<_> = (0..1000).map(|t| (TxnId(t), TxnId(t + 1))).collect();
         prov.contract(TxnId(0), &[], &gone);
         assert!(prov.chains.capacity() < 1792);

@@ -118,8 +118,22 @@ pub(crate) fn encode(c: &OnlineChecker) -> Vec<u8> {
     txns.sort_unstable_by_key(|&(id, _)| id);
     e.len(txns.len());
     let idle = Running::default();
+    let mut sealed = Vec::new();
     for (id, t) in txns {
-        let running = c.running_of(t).unwrap_or(&idle);
+        let running = c.running_of(t);
+        // The image lists a transaction's writes the way its terminal
+        // event will leave them, whether or not it has had one.
+        match running {
+            Some(running) => {
+                sealed.clone_from(&running.writes);
+                seal_writes(&mut sealed);
+            }
+            None => {
+                sealed.clear();
+                sealed.extend(t.writes.iter().map(|w| (w.object, w.seq)));
+            }
+        }
+        let running = running.unwrap_or(&idle);
         e.u32(id.0);
         e.u8(match t.status {
             Status::Active => 0,
@@ -136,20 +150,10 @@ pub(crate) fn encode(c: &OnlineChecker) -> Vec<u8> {
             let counted = r.writer.is_some();
             e.u8(r.via_predicate as u8 | (counted as u8) << 1 | (r.stale as u8) << 2);
         }
-        // The image lists a transaction's writes the way its terminal
-        // event will leave them, whether or not it has had one.
-        let mut sealed = Vec::new();
-        let writes = if t.status == Status::Active {
-            sealed.clone_from(&t.writes);
-            seal_writes(&mut sealed);
-            &sealed
-        } else {
-            &t.writes
-        };
-        e.len(writes.len());
-        for w in writes {
-            e.u32(w.object.0);
-            e.u32(w.seq);
+        e.len(sealed.len());
+        for &(object, seq) in &sealed {
+            e.u32(object.0);
+            e.u32(seq);
         }
         e.len(running.pending_readers.len());
         for p in &running.pending_readers {
@@ -168,7 +172,7 @@ pub(crate) fn encode(c: &OnlineChecker) -> Vec<u8> {
     e.len(objects.len());
     for (id, o) in objects {
         e.u32(id.0);
-        e.u64(o.base as u64);
+        e.u64(o.base);
         e.len(o.entries.len());
         // The image gives every version a reader list and the object
         // one more, for readers of the initial version; only the list
@@ -177,14 +181,18 @@ pub(crate) fn encode(c: &OnlineChecker) -> Vec<u8> {
         let newest = o.entries.len().wrapping_sub(1);
         for (i, entry) in o.entries.iter().enumerate() {
             e.u32(id_of(entry));
-            let readers: &[_] = if i == newest { &o.anchored } else { &[] };
+            let readers = if i == newest {
+                o.anchored.as_slice()
+            } else {
+                &[]
+            };
             e.len(readers.len());
             for &r in readers {
                 e.u32(id_of(r));
             }
         }
-        let init_readers: &[_] = if o.entries.is_empty() {
-            &o.anchored
+        let init_readers = if o.entries.is_empty() {
+            o.anchored.as_slice()
         } else {
             &[]
         };
@@ -374,6 +382,16 @@ pub(crate) fn decode(bytes: &[u8]) -> Result<OnlineChecker, SnapshotError> {
         if status != Status::Active && !(reads.is_empty() && pending_readers.is_empty()) {
             return Err(malformed(format!("{id} has ended but still holds reads")));
         }
+        // A running transaction's writes go on its record, where its
+        // terminal event will seal them from.
+        let running_writes = if status == Status::Active {
+            std::mem::take(&mut writes)
+                .into_iter()
+                .map(|w| (w.object, w.seq))
+                .collect()
+        } else {
+            Vec::new()
+        };
         let t = TxnState {
             status,
             begin_clock,
@@ -394,6 +412,7 @@ pub(crate) fn decode(bytes: &[u8]) -> Result<OnlineChecker, SnapshotError> {
         if status == Status::Active {
             c.activate(slot);
             c.running[c.active.len() - 1] = Running {
+                writes: running_writes,
                 reads,
                 pending_readers,
             };
@@ -415,9 +434,9 @@ pub(crate) fn decode(bytes: &[u8]) -> Result<OnlineChecker, SnapshotError> {
         if !fresh {
             return Err(malformed(format!("object {id} appears twice")));
         }
-        let base = counter(&mut d)? as usize;
+        let base = counter(&mut d)?;
+        c.objects[slot].base = base;
         let ne = d.len()?;
-        let mut anchored = Vec::new();
         for i in 0..ne {
             let txn = TxnId(d.u32()?);
             let installer = known(&c.txns, txn, "a version list")?;
@@ -434,7 +453,7 @@ pub(crate) fn decode(bytes: &[u8]) -> Result<OnlineChecker, SnapshotError> {
             if w.installed.replace(slot).is_some() {
                 return Err(malformed(format!("{txn} installed {id} twice")));
             }
-            w.pos = base + i;
+            w.pos = c.objects[slot].position(i);
             let nr = d.len()?;
             if nr > 0 && i + 1 != ne {
                 return Err(malformed(format!(
@@ -442,7 +461,8 @@ pub(crate) fn decode(bytes: &[u8]) -> Result<OnlineChecker, SnapshotError> {
                 )));
             }
             for _ in 0..nr {
-                anchored.push(known(&c.txns, TxnId(d.u32()?), "a version's reader list")?);
+                let reader = known(&c.txns, TxnId(d.u32()?), "a version's reader list")?;
+                c.objects[slot].anchored.push(reader);
             }
         }
         let ni = d.len()?;
@@ -452,10 +472,9 @@ pub(crate) fn decode(bytes: &[u8]) -> Result<OnlineChecker, SnapshotError> {
             )));
         }
         for _ in 0..ni {
-            anchored.push(known(&c.txns, TxnId(d.u32()?), "a version's reader list")?);
+            let reader = known(&c.txns, TxnId(d.u32()?), "a version's reader list")?;
+            c.objects[slot].anchored.push(reader);
         }
-        let obj = &mut c.objects[slot];
-        (obj.base, obj.anchored) = (base, anchored);
     }
     let mut dags = [None, None, None];
     for slot in &mut dags {
@@ -479,7 +498,7 @@ pub(crate) fn decode(bytes: &[u8]) -> Result<OnlineChecker, SnapshotError> {
     }
     cross_check(&mut c).map_err(malformed)?;
     c.prov.note_orphans(|a, b| c.lanes.holds(a, b));
-    c.gc.rebuild(&c.txns);
+    c.gc.rebuild(&mut c.txns);
     c.parked = c.running.iter().map(|r| r.pending_readers.len()).sum();
     // An image an older build wrote may hold a G1c graph with nothing
     // parked; this build's never does between events.
@@ -541,7 +560,7 @@ fn cross_check(c: &mut OnlineChecker) -> Result<(), String> {
         }
     }
     for (o, _, obj) in c.objects.iter() {
-        if obj.base as u64 > c.gc.pruned_txns() {
+        if obj.base > c.gc.pruned_txns() {
             return Err(format!("{o} has lost more versions than were ever pruned"));
         }
         let newest = obj.entries.len().wrapping_sub(1);
@@ -550,7 +569,7 @@ fn cross_check(c: &mut OnlineChecker) -> Result<(), String> {
             d.behind += u32::from(i > 0);
             d.unsuperseded += u64::from(i == newest);
         }
-        for &r in &obj.anchored {
+        for &r in obj.anchored.as_slice() {
             derived.entry(id_of(r)).or_default().registered += 1;
         }
     }
@@ -731,6 +750,74 @@ mod tests {
                 "final states diverged at cut {cut}"
             );
         }
+    }
+
+    #[test]
+    fn positions_wrap_past_two_to_the_32() {
+        // Object 0 holds T1's version, restored at position `base`. The
+        // tail anchors a reader at every version, installs its successor
+        // and, once the open T100 has ended, prunes the versions behind
+        // it — across 2³² when `base` is 2³² − 2. The verdicts are those
+        // of the same stream restored with `base` 0 (both images count
+        // as many pruned, so the lines can be equal), and the image the
+        // run ends with carries `base` on from where it started.
+        use crate::testkit::{r, rinit};
+        const BASE: u64 = (1 << 32) - 2;
+        let mut head = OnlineChecker::with_gc(GcConfig {
+            enabled: true,
+            interval: 1,
+        });
+        head.set_provenance(true);
+        feed(
+            &mut head,
+            &[
+                Event::Begin(TxnId(1)),
+                rinit(1, 0),
+                w(1, 0, 1),
+                Event::Commit(TxnId(1)),
+            ],
+        );
+        let x = ObjectId(0);
+        let image_at = |base: u64| {
+            let mut c = OnlineChecker::restore(&head.snapshot()).unwrap();
+            c.gc = Collector::new(c.gc.config(), c.gc.events_since_gc(), BASE);
+            let slot = c.objects.lookup(x).unwrap();
+            c.objects[slot].base = base;
+            c.snapshot()
+        };
+        let mut tail = vec![Event::Begin(TxnId(100))];
+        for t in 2..=12u32 {
+            let reader = 1_000 + t;
+            tail.extend([
+                r(reader, 0, t - 1, 1),
+                Event::Commit(TxnId(reader)),
+                Event::Begin(TxnId(t)),
+                r(t, 0, t - 1, 1),
+                w(t, 0, 1),
+                Event::Commit(TxnId(t)),
+            ]);
+            if t == 6 {
+                tail.push(Event::Commit(TxnId(100)));
+            }
+        }
+        let run = |image: &[u8]| {
+            let mut c = OnlineChecker::restore(image).expect("restore");
+            let mut lines: Vec<String> = feed(&mut c, &tail).iter().map(|v| v.to_json()).collect();
+            lines.push(c.finish().to_json());
+            let base = c.objects[c.objects.lookup(x).unwrap()].base;
+            (lines, base, c.snapshot())
+        };
+        let (zero, pruned, _) = run(&image_at(0));
+        let (wrapped, base, image) = run(&image_at(BASE));
+        assert_eq!(wrapped, zero);
+        assert!(BASE + pruned > 1 << 32, "only {pruned} versions pruned");
+        assert_eq!(base, BASE + pruned);
+        let revived = OnlineChecker::restore(&image).expect("re-encoded image");
+        assert_eq!(
+            revived.objects[revived.objects.lookup(x).unwrap()].base,
+            base
+        );
+        assert_eq!(revived.snapshot(), image);
     }
 
     #[test]

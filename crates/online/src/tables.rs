@@ -29,6 +29,7 @@ use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::hash::Hash;
 use std::marker::PhantomData;
+use std::num::NonZeroU32;
 use std::ops::{Index, IndexMut};
 
 /// A value that can be handed to a new owner: back to its `Default`
@@ -37,9 +38,11 @@ pub(crate) trait Recycle: Default {
     fn recycle(&mut self);
 }
 
-/// Where a value keyed by `K` lives in its [`Table`].
+/// Where a value keyed by `K` lives in its [`Table`]: the cell's
+/// index plus one, so zero is a niche and an `Option<Slot>` costs no
+/// more than a slot (4 bytes in release builds).
 pub(crate) struct Slot<K> {
-    ix: u32,
+    ix: NonZeroU32,
     #[cfg(debug_assertions)]
     gen: u32,
     key: PhantomData<fn() -> K>,
@@ -63,7 +66,7 @@ impl<K> Eq for Slot<K> {}
 
 impl<K> std::fmt::Debug for Slot<K> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "#{}", self.ix)
+        write!(f, "#{}", self.at())
     }
 }
 
@@ -94,10 +97,17 @@ impl<K, V> Default for Table<K, V> {
     }
 }
 
+impl<K> Slot<K> {
+    /// The index of the cell the slot names.
+    fn at(self) -> usize {
+        self.ix.get() as usize - 1
+    }
+}
+
 impl<K: Copy + Eq + Hash, V: Default> Table<K, V> {
     fn slot(&self, ix: u32) -> Slot<K> {
         Slot {
-            ix,
+            ix: NonZeroU32::MIN.saturating_add(ix),
             #[cfg(debug_assertions)]
             gen: self.cells[ix as usize].gen,
             key: PhantomData,
@@ -105,7 +115,7 @@ impl<K: Copy + Eq + Hash, V: Default> Table<K, V> {
     }
 
     fn cell(&self, slot: Slot<K>) -> &Cell<K, V> {
-        let cell = &self.cells[slot.ix as usize];
+        let cell = &self.cells[slot.at()];
         #[cfg(debug_assertions)]
         assert_eq!(cell.gen, slot.gen, "{slot:?} outlived the value it named");
         cell
@@ -141,7 +151,9 @@ impl<K: Copy + Eq + Hash, V: Default> Table<K, V> {
                     }
                     None => {
                         let ix = u32::try_from(self.cells.len())
-                            .expect("fewer than 2^32 values alive at once");
+                            .ok()
+                            .filter(|&ix| ix < u32::MAX)
+                            .expect("fewer than 2^32 - 1 values alive at once");
                         self.cells.push(Cell {
                             key,
                             #[cfg(debug_assertions)]
@@ -178,13 +190,13 @@ impl<K: Copy + Eq + Hash, V: Recycle> Table<K, V> {
     pub(crate) fn release(&mut self, slot: Slot<K>) {
         let key = self.key_of(slot);
         self.index.remove(&key);
-        let cell = &mut self.cells[slot.ix as usize];
+        let cell = &mut self.cells[slot.at()];
         cell.value.recycle();
         #[cfg(debug_assertions)]
         {
             cell.gen = cell.gen.wrapping_add(1);
         }
-        self.free.push(slot.ix);
+        self.free.push(slot.at() as u32);
     }
 }
 
@@ -198,7 +210,7 @@ impl<K: Copy + Eq + Hash, V: Default> Index<Slot<K>> for Table<K, V> {
 
 impl<K: Copy + Eq + Hash, V: Default> IndexMut<Slot<K>> for Table<K, V> {
     fn index_mut(&mut self, slot: Slot<K>) -> &mut V {
-        let cell = &mut self.cells[slot.ix as usize];
+        let cell = &mut self.cells[slot.at()];
         #[cfg(debug_assertions)]
         assert_eq!(cell.gen, slot.gen, "{slot:?} outlived the value it named");
         &mut cell.value

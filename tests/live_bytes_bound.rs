@@ -5,11 +5,15 @@
 //! tables and its node in G2's graph — no G1c graph (no read is ever
 //! parked, so no dependency cycle can close), no read buffers (those
 //! are a running transaction's, on its entry in the active list), no
-//! per-node provenance index, one copy of each object name. Here that
-//! is ≈ 1 020 B per live transaction in a debug build, 930 B in
-//! release; a build that kept running-only buffers on every transaction
-//! row, two per-node provenance indexes, each name as a shared
-//! `Arc<str>` and each object's versions in a ring of their own held
+//! per-node provenance index, one copy of each object name — and rows
+//! at their size: 16-byte write entries in buffers of exactly their
+//! number, an object's readers inline, 16-byte provenance chains. Here
+//! that is ≈ 866 B per live transaction in a debug build, 803 B in
+//! release; a build with 24-byte write entries in buffers grown by
+//! doubling, a reader buffer on every object and 24-byte chains held
+//! ≈ 1 016 / 934, and one that also kept running-only buffers on every
+//! transaction row, two per-node provenance indexes, each name as a
+//! shared `Arc<str>` and each object's versions in a ring of their own
 //! ≈ 1 460 / 1 380.
 //!
 //! Beside it: what the parser's name table costs per interned name;
@@ -66,21 +70,21 @@ unsafe impl GlobalAlloc for Counting {
 static GLOBAL: Counting = Counting;
 
 /// Debug builds' slots carry a generation tag, so their rows are wider.
-/// Each bound is this build's measurement plus less than a tenth; a
-/// build with every running-only buffer on every row, the provenance
+/// Each bound is this build's measurement plus less than a tenth: 866 /
+/// 803 B per live transaction (debug / release), 24.9 B per interned
+/// name and 134.6 / 127.5 kB per session. A build with 24-byte write
+/// entries, a reader buffer per object and 24-byte chains held 1 016 /
+/// 934 B per live transaction and 154 / 142 kB per session; one that
+/// also kept every running-only buffer on every row, the provenance
 /// side indexes, a shared `Arc<str>` per name and a ring per object
-/// held 1 458 / 1 381 B per live transaction (debug / release), 84 B
-/// per interned name and 192 / 180 kB per session.
-const PER_TXN: f64 = if cfg!(debug_assertions) {
-    1_100.0
-} else {
-    1_020.0
-};
+/// held 1 458 / 1 381 B per live transaction, 84 B per interned name
+/// and 192 / 180 kB per session.
+const PER_TXN: f64 = if cfg!(debug_assertions) { 950.0 } else { 880.0 };
 const PER_NAME: f64 = 27.0;
 const PER_SESSION: f64 = if cfg!(debug_assertions) {
-    166_000.0
+    148_000.0
 } else {
-    155_000.0
+    140_000.0
 };
 
 fn held() -> i64 {
