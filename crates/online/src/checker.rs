@@ -173,6 +173,14 @@ pub(crate) fn seal_writes(writes: &mut Vec<RunningWrite>) {
 /// transaction must not leave its slot holding its memory for good.
 const RECYCLED_CAPACITY: usize = 64;
 
+/// Gives back a ring's room once it holds less than a quarter of it,
+/// down to twice what it holds and no less than [`RECYCLED_CAPACITY`].
+pub(crate) fn shrink_if_sparse<T>(q: &mut VecDeque<T>) {
+    if q.capacity() > RECYCLED_CAPACITY && q.len() < q.capacity() / 4 {
+        q.shrink_to(RECYCLED_CAPACITY.max(2 * q.len()));
+    }
+}
+
 fn recycled<T>(mut v: Vec<T>) -> Vec<T> {
     v.clear();
     if v.capacity() > RECYCLED_CAPACITY {
@@ -266,9 +274,7 @@ impl Installers {
             Installers::Two(a, b) => (a, Installers::One(b)),
             Installers::Many(mut q) => {
                 let first = q.pop_front()?;
-                if q.capacity() > RECYCLED_CAPACITY && q.len() < q.capacity() / 4 {
-                    q.shrink_to(RECYCLED_CAPACITY.max(2 * q.len()));
-                }
+                shrink_if_sparse(&mut q);
                 (first, Installers::Many(q))
             }
         };
@@ -420,6 +426,11 @@ pub struct OnlineChecker {
     /// held on the checker only to reuse its allocation across
     /// commits.
     plan: Vec<PlannedEdge>,
+    /// While a commit resolves: the clock below which a finished
+    /// transaction is closed (`gc::closed`) — the watermark taken with
+    /// the committer still running, since its own reads may still
+    /// plant an anti-dependency edge. Meaningless between events.
+    commit_floor: u64,
 }
 
 impl OnlineChecker {
@@ -523,7 +534,8 @@ impl OnlineChecker {
         self.gc.pruned_txns()
     }
 
-    /// Reads that referenced a pruned or never-seen writer.
+    /// Reads that referenced a pruned or never-seen writer, or that
+    /// were retired (a version superseded before their reader began).
     pub fn stale_refs(&self) -> u64 {
         self.stale_refs
     }
@@ -735,6 +747,7 @@ impl OnlineChecker {
         // Taken before this commit unparks its readers or parks its
         // reads: see `Lanes::apply`.
         let parked = self.parked != 0;
+        self.commit_floor = gc::watermark(&self.active, &self.txns, self.clock);
         let idle = self.end(t, Status::Committed);
         self.committed += 1;
 
@@ -753,6 +766,7 @@ impl OnlineChecker {
         self.rest(idle, reads, pending);
         self.settle(t);
         self.apply_edge_plan(parked);
+        self.gc.note_commit(id, self.clock, self.lanes.peeling());
 
         let v = self.verdict(Some(id), &Fired::kinds_in(self.fired.mask & !before));
         adya_obs::histogram!("online.verdict_latency").record(started.elapsed().as_nanos() as u64);
@@ -822,7 +836,9 @@ impl OnlineChecker {
             }
             match obj.entries.front() {
                 Some(succ) => {
-                    if succ != t {
+                    if self.retired(t, succ) {
+                        self.stale_refs += 1;
+                    } else if succ != t {
                         self.edge(EdgeKind::Rw, t, succ, o, None);
                     }
                 }
@@ -879,7 +895,8 @@ impl OnlineChecker {
     /// `o`: emit the rw edge to the successor if one exists, otherwise
     /// register at the entry to await one. A `writer` that never wrote
     /// `o` — the stream's say-so, again — installed nothing to anchor
-    /// at: a stale tick.
+    /// at, and a version superseded before `t` began is
+    /// [retired](Self::retired): a stale tick either way.
     fn anchor_reader(&mut self, t: TxnSlot, o: ObjectId, writer: TxnSlot) {
         let at = self.txns[writer]
             .write_of(o)
@@ -890,13 +907,26 @@ impl OnlineChecker {
         };
         let obj = &mut self.objects[slot];
         if let Some(succ) = obj.entries.get(obj.index_of(pos) + 1) {
-            if succ != t {
+            if self.retired(t, succ) {
+                self.stale_refs += 1;
+            } else if succ != t {
                 self.edge(EdgeKind::Rw, t, succ, o, None);
             }
         } else {
             obj.anchored.push(t);
             self.txns[t].registered += 1;
         }
+    }
+
+    /// Whether reader `t`'s read of a version whose successor `succ`
+    /// installed is retired: `succ` committed before `t` began, so no
+    /// snapshot `t` could have read from holds the version. Such a read
+    /// plants no anti-dependency edge — it keeps its wr edge and its
+    /// G1a/G1b checks — and ticks `stale_refs`; that is what lets a
+    /// transaction the watermark has passed gain no in-edge
+    /// (DESIGN.md, "Watermark GC"). Never with collection off.
+    fn retired(&self, t: TxnSlot, succ: TxnSlot) -> bool {
+        self.gc.config().enabled && self.txns[succ].terminal_clock < self.txns[t].begin_clock
     }
 
     /// Resolves a reader parked on writer `t`, which just committed.
@@ -984,6 +1014,10 @@ impl OnlineChecker {
     /// final version [`EdgeKind::writer`] installed on `object`, looked
     /// up here while the slots are at hand, and only while a graph is
     /// left to cite it for.
+    ///
+    /// An edge out of a transaction that is closed and that no live
+    /// graph holds is dropped: it has no in-edge and can gain none, so
+    /// the edge is on no cycle (DESIGN.md, "Watermark GC").
     fn edge(
         &mut self,
         kind: EdgeKind,
@@ -992,6 +1026,14 @@ impl OnlineChecker {
         object: ObjectId,
         read: Option<VersionId>,
     ) {
+        let from_id = self.txns.key_of(from);
+        if self.gc.config().enabled
+            && gc::closed(&self.txns[from], self.commit_floor)
+            && self.lanes.any_live()
+            && !self.lanes.holds_node(from_id)
+        {
+            return;
+        }
         let cites = if self.prov.enabled() && self.lanes.any_live() {
             let version = read.or_else(|| {
                 let writer = kind.writer(from, to);
@@ -1010,7 +1052,7 @@ impl OnlineChecker {
         };
         self.plan.push(PlannedEdge {
             kind,
-            from: self.txns.key_of(from),
+            from: from_id,
             to: self.txns.key_of(to),
             cites,
         });
@@ -1375,6 +1417,43 @@ mod tests {
             "{:?}",
             end.fired
         );
+    }
+
+    #[test]
+    fn a_read_of_a_version_superseded_before_its_reader_began_is_retired() {
+        // T1 reads y-init, writes x and commits. T2 begins after that,
+        // reads x-init — a version T1 superseded before T2 began, as a
+        // lagging replica would serve — and writes y. Batch sees write
+        // skew (rw T1 -> T2, rw T2 -> T1). Collecting, the checker
+        // retires T2's read: a stale tick, no rw edge, no cycle. With
+        // collection off nothing retires, and G2 fires as in batch.
+        let events = [
+            Event::Begin(TxnId(1)),
+            rinit(1, 1),
+            w(1, 0, 1),
+            Event::Commit(TxnId(1)),
+            Event::Begin(TxnId(2)),
+            rinit(2, 0),
+            w(2, 1, 1),
+            Event::Commit(TxnId(2)),
+        ];
+        let mut c = OnlineChecker::new();
+        feed(&mut c, &events);
+        let end = c.finish();
+        assert_eq!((end.stale_refs, end.fired.len()), (1, 0));
+        let mut exact = OnlineChecker::with_gc(GcConfig {
+            enabled: false,
+            interval: 64,
+        });
+        feed(&mut exact, &events);
+        let end = exact.finish();
+        assert_eq!(end.stale_refs, 0);
+        assert!(end.fired.contains(&PhenomenonKind::G2Item), "{end:?}");
+        // Begun before T1 committed, the same read is no retired read.
+        let mut c = OnlineChecker::new();
+        feed(&mut c, &[Event::Begin(TxnId(2))]);
+        feed(&mut c, &events);
+        assert!(c.finish().fired.contains(&PhenomenonKind::G2Item));
     }
 
     #[test]

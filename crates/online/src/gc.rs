@@ -9,14 +9,16 @@
 //! order, how a transaction leaves the tables, the graphs, the
 //! provenance map and (behind a `StreamFeed`) its parser's counters,
 //! and the index-free reference collector debug builds hold all of that
-//! to, stay in here.
+//! to, stay in here. So does the peel: the queue of committed
+//! transactions in terminal-clock order, and the walk that takes those
+//! the watermark has closed off the graphs while they are sources.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::ops::Bound::{Excluded, Unbounded};
 
 use adya_history::{ObjectId, TxnId};
 
-use crate::checker::{ObjectTable, Status, TxnSlot, TxnState, TxnTable};
+use crate::checker::{shrink_if_sparse, ObjectTable, Status, TxnSlot, TxnState, TxnTable};
 use crate::lanes::Lanes;
 use crate::provenance::Provenance;
 
@@ -24,7 +26,10 @@ use crate::provenance::Provenance;
 #[derive(Debug, Clone, Copy)]
 pub struct GcConfig {
     /// Master switch; disabled means the checker keeps every
-    /// transaction forever (exact batch behaviour, unbounded memory).
+    /// transaction forever and retires no read: a read of a version
+    /// superseded before its reader began still plants its
+    /// anti-dependency edge, and no graph is peeled (exact batch
+    /// behaviour, unbounded memory).
     pub enabled: bool,
     /// Run a collection pass every this-many ingested events.
     pub interval: u64,
@@ -63,6 +68,17 @@ fn settled(t: &TxnState) -> bool {
 pub(crate) fn watermark(active: &[TxnSlot], txns: &TxnTable, clock: u64) -> u64 {
     let begins = active.iter().map(|&t| txns[t].begin_clock);
     begins.min().unwrap_or(clock)
+}
+
+/// Whether `t` is closed below `watermark`: it committed before every
+/// transaction still running began, so it can gain no in-edge. A read
+/// it parked would have been on a writer that began before its commit
+/// and is running still; an anti-dependency edge into it needs a reader
+/// that began before its commit, since a later one's read of a version
+/// it superseded is retired; a contraction shortcut into it needs an
+/// edge into it already (DESIGN.md, "Watermark GC").
+pub(crate) fn closed(t: &TxnState, watermark: u64) -> bool {
+    t.status == Status::Committed && t.terminal_clock < watermark
 }
 
 /// Prefix rule: only ever prune the oldest version of an object,
@@ -128,6 +144,14 @@ pub(crate) struct Collector {
     /// a parser to forget — kept only once something drains them
     /// ([`Self::track_writes`]). `None`, the default, keeps nothing.
     released: Option<Released>,
+    /// The peel's queue: (terminal clock, id) of the transactions
+    /// committed while G2's graph is live that no pass has closed yet,
+    /// in terminal-clock order. Derived state — fed by
+    /// [`Self::note_commit`], rebuilt on restore
+    /// ([`Self::rebuild_closing`]), never serialised.
+    closing: VecDeque<(u64, TxnId)>,
+    /// The peel's worklist, kept from pass to pass for its room.
+    peel_stack: Vec<TxnId>,
     /// Test reference: collection passes scan the whole transaction
     /// table for candidates instead of walking `ready`.
     #[cfg(any(test, debug_assertions))]
@@ -227,6 +251,35 @@ impl Collector {
         self.ready = settled_ids.into_iter().collect();
     }
 
+    /// Files `id`, which committed at `terminal`, in the peel's queue —
+    /// while collection is on and G2's graph is live (`peeling`).
+    pub(crate) fn note_commit(&mut self, id: TxnId, terminal: u64, peeling: bool) {
+        if self.config.enabled && peeling {
+            self.closing.push_back((terminal, id));
+        }
+    }
+
+    /// Derives the peel's queue from a restored image: the committed
+    /// transactions the watermark has not passed, and those it has that
+    /// a graph still holds. The uninterrupted queue holds the first and
+    /// some of the second, and a pass does nothing with the rest: each
+    /// is still not a source of the graphs (DESIGN.md, "Watermark GC").
+    pub(crate) fn rebuild_closing(&mut self, txns: &TxnTable, lanes: &Lanes, watermark: u64) {
+        self.closing.clear();
+        if !self.config.enabled || !lanes.peeling() {
+            return;
+        }
+        let mut queue: Vec<(u64, TxnId)> = (txns.iter())
+            .filter(|&(id, _, t)| {
+                t.status == Status::Committed
+                    && (t.terminal_clock >= watermark || lanes.holds_node(id))
+            })
+            .map(|(id, _, t)| (t.terminal_clock, id))
+            .collect();
+        queue.sort_unstable();
+        self.closing = queue.into();
+    }
+
     /// Counts one ingested event; true when a collection pass is due.
     pub(crate) fn due(&mut self) -> bool {
         if !self.config.enabled {
@@ -241,8 +294,7 @@ impl Collector {
     }
 
     #[cfg(any(test, debug_assertions))]
-    fn run_by_scan(&mut self, h: &mut Heap<'_>) {
-        let watermark = watermark(h.active, h.txns, h.clock);
+    fn run_by_scan(&mut self, h: &mut Heap<'_>, watermark: u64) {
         loop {
             let candidates: BTreeMap<TxnId, TxnSlot> = unpinned_by_scan(h.txns)
                 .map(|(id, slot, _)| (id, slot))
@@ -257,21 +309,70 @@ impl Collector {
         }
     }
 
-    /// One collection: prune every settled transaction below the
-    /// low watermark, repeating while progress is made (a prune can
-    /// settle a transaction the round has already passed). Then, if it
-    /// pruned, the provenance orphans that named a pruned transaction go
+    /// One collection: peel the transactions the watermark has closed
+    /// ([`Self::peel_closed`]), then prune every settled transaction
+    /// below it, repeating while progress is made (a prune can settle a
+    /// transaction the round has already passed). Then, if it pruned,
+    /// the provenance orphans that named a pruned transaction go
     /// (`crate::provenance`).
     pub(crate) fn run(&mut self, h: &mut Heap<'_>) {
         let pruned = self.pruned_txns;
-        self.collect(h);
+        let watermark = watermark(h.active, h.txns, h.clock);
+        self.peel_closed(h, watermark);
+        self.collect(h, watermark);
         if self.pruned_txns > pruned && h.prov.has_orphans() {
             let alive = |id| h.txns.lookup(id).is_some();
             h.prov.sweep_orphans(alive, |a, b| h.lanes.holds(a, b));
         }
     }
 
-    fn collect(&mut self, h: &mut Heap<'_>) {
+    /// Walks the queue up to `watermark`: each transaction it passes is
+    /// closed, and goes with the out-neighbours it leaves sources
+    /// ([`Self::cascade`]). While G2's graph is dropped the queue is
+    /// neither fed nor walked, and gives its room back.
+    fn peel_closed(&mut self, h: &mut Heap<'_>, watermark: u64) {
+        if !h.lanes.peeling() {
+            if self.closing.capacity() != 0 {
+                self.closing = VecDeque::new();
+            }
+            return;
+        }
+        let (mut closed, mut visited, mut peeled) = (0u64, 0u64, 0u64);
+        while let Some(&(terminal, id)) = self.closing.front() {
+            if terminal >= watermark {
+                break;
+            }
+            self.closing.pop_front();
+            closed += 1;
+            self.peel_stack.push(id);
+            let (v, p) = self.cascade(h, watermark);
+            (visited, peeled) = (visited + v, peeled + p);
+        }
+        shrink_if_sparse(&mut self.closing);
+        if closed != 0 {
+            adya_obs::counter!("online.gc_closed").add(closed);
+            count_peel(visited, peeled);
+        }
+    }
+
+    /// Pops the worklist empty: each closed transaction on it that the
+    /// graphs hold as a source leaves them, and its out-neighbours go on
+    /// the list. Returns (visits, peels).
+    fn cascade(&mut self, h: &mut Heap<'_>, watermark: u64) -> (u64, u64) {
+        let (mut visited, mut peeled) = (0, 0);
+        while let Some(id) = self.peel_stack.pop() {
+            visited += 1;
+            let slot = h.txns.lookup(id);
+            if slot.is_some_and(|s| closed(&h.txns[s], watermark))
+                && h.lanes.peel(id, h.prov, &mut self.peel_stack)
+            {
+                peeled += 1;
+            }
+        }
+        (visited, peeled)
+    }
+
+    fn collect(&mut self, h: &mut Heap<'_>, watermark: u64) {
         #[cfg(any(test, debug_assertions))]
         {
             // `ready` and `behind` against first principles: a counter
@@ -296,13 +397,12 @@ impl Collector {
                 "a provenance chain outlived its edge"
             );
             if self.by_scan {
-                return self.run_by_scan(h);
+                return self.run_by_scan(h, watermark);
             }
         }
         if self.ready.is_empty() {
             return; // nothing settled: the pass costs nothing
         }
-        let watermark = watermark(h.active, h.txns, h.clock);
         let mut visited = 0u64;
         loop {
             // A round walks `ready` in id order: pruning mutates the
@@ -348,7 +448,7 @@ impl Collector {
         if !heads_its_objects(h.objects, t) || !h.lanes.removable(id) {
             return false;
         }
-        h.lanes.contract(id, h.prov);
+        h.lanes.contract(id, h.prov, &mut self.peel_stack);
         self.ready.remove(&id); // and `release` below clears its bit
         if t.status == Status::Committed {
             // Aborted writes were never installed; only committed ones
@@ -375,7 +475,23 @@ impl Collector {
         h.txns.release(slot);
         self.pruned_txns += 1;
         adya_obs::counter!("online.gc_pruned").inc();
+        // A pruned source leaves its out-neighbours fewer in-edges, as a
+        // peeled one does; one with an in-edge leaves them shortcuts.
+        if h.lanes.peeling() {
+            let (visited, peeled) = self.cascade(h, watermark);
+            count_peel(visited, peeled);
+        } else {
+            self.peel_stack.clear();
+        }
         true
+    }
+}
+
+/// Publishes a peel's visits and peeled transactions.
+fn count_peel(visited: u64, peeled: u64) {
+    adya_obs::counter!("online.gc_peel_visited").add(visited);
+    if peeled != 0 {
+        adya_obs::counter!("online.gc_peeled").add(peeled);
     }
 }
 
@@ -410,6 +526,50 @@ mod tests {
         assert!(peak < 10, "memory not bounded: peak {peak} txns live");
         assert_eq!(end.strongest_ansi, Some(IsolationLevel::PL3));
         assert_eq!(end.stale_refs, 0);
+    }
+
+    #[test]
+    fn the_peel_keeps_g2_to_what_the_watermark_has_not_passed() {
+        // Insert-mostly: each transaction reads the last one's key and
+        // writes a key of its own, which nobody overwrites, so no
+        // transaction is ever pruned. Two stay open at a time. G2's
+        // graph keeps only the transactions the watermark has not
+        // passed, and those with an edge into them from one; without
+        // collection it holds them all.
+        let run = |gc: GcConfig| {
+            let mut c = OnlineChecker::with_gc(gc);
+            let mut peak = 0;
+            c.ingest(&Event::Begin(TxnId(1)));
+            c.ingest(&w(1, 1, 1));
+            for i in 2..=500u32 {
+                c.ingest(&Event::Begin(TxnId(i)));
+                c.ingest(&r(i, i - 1, i - 1, 1));
+                c.ingest(&w(i, i, 1));
+                let v = c.ingest(&Event::Commit(TxnId(i - 1))).unwrap();
+                assert_eq!((v.stale_refs, v.fired.len()), (0, 0));
+                peak = peak.max(c.cycle_graphs()[1].unwrap().0);
+            }
+            c.ingest(&Event::Commit(TxnId(500)));
+            let end = c.finish();
+            assert_eq!(
+                (end.stale_refs, end.fired.len(), end.pruned_txns),
+                (0, 0, 0)
+            );
+            (peak, c.cycle_graphs()[1].unwrap().0)
+        };
+        let (peak, left) = run(GcConfig {
+            enabled: true,
+            interval: 1,
+        });
+        assert!(
+            peak <= 4 && left <= 2,
+            "G2 peaked at {peak} nodes, {left} left"
+        );
+        let (peak, _) = run(GcConfig {
+            enabled: false,
+            interval: 1,
+        });
+        assert!(peak >= 490, "without collection G2 held {peak} nodes");
     }
 
     #[test]

@@ -207,6 +207,9 @@ impl LaneSpec {
     /// to cite. For the anti row a qualifying cycle appears either as a
     /// fresh component with an anti edge inside, or as an anti edge
     /// landing inside a component that dependency edges had closed.
+    /// The anti edge a fresh component's text names is its least by
+    /// (from, to): the order of `intra_edges` follows slot numbers,
+    /// which depend on what collection removed before.
     #[allow(clippy::type_complexity)]
     fn offence(
         &self,
@@ -220,7 +223,9 @@ impl LaneSpec {
                 info.witness.clone(),
             )),
             Insert::CycleFormed(info) => {
-                let (a, b, _) = info.intra_edges.iter().find(|e| e.2.has_item_anti())?;
+                let (a, b, _) = (info.intra_edges.iter())
+                    .filter(|e| e.2.has_item_anti())
+                    .min_by_key(|&&(a, b, _)| (a, b))?;
                 Some((
                     format!(
                         "{what} through T{} -rw-> T{}: {}",
@@ -489,16 +494,22 @@ impl Lanes {
     /// Removes `id` from every live graph, replacing the paths through
     /// it by shortcut edges, and hands `prov` the distinct shortcuts in
     /// the order the graphs reported them and `id`'s edges, whose chains
-    /// go with it ([`Provenance::contract`]). Call only when
-    /// [`Self::removable`].
-    pub(crate) fn contract(&mut self, id: TxnId, prov: &mut Provenance) {
+    /// go with it ([`Provenance::contract`]). Appends `id`'s
+    /// out-neighbours to `outs`, one per out-edge of each graph, for the
+    /// peel to look at. Call only when [`Self::removable`].
+    pub(crate) fn contract(&mut self, id: TxnId, prov: &mut Provenance, outs: &mut Vec<TxnId>) {
         let (mut shortcuts, mut touching) = (
             std::mem::take(&mut self.shortcuts),
             std::mem::take(&mut self.touching),
         );
         for g in self.live() {
-            if prov.enabled() {
-                touching.extend(g.edges_of(id).map(|(a, b, _)| (a, b)));
+            for (a, b, _) in g.edges_of(id) {
+                if a == id {
+                    outs.push(b);
+                }
+                if prov.enabled() {
+                    touching.push((a, b));
+                }
             }
             let ok = g.remove_node_contract_report(id, EdgeMask::combine, |a, b, _| {
                 if !shortcuts.contains(&(a, b)) {
@@ -511,6 +522,37 @@ impl Lanes {
         shortcuts.clear();
         touching.clear();
         (self.shortcuts, self.touching) = (shortcuts, touching);
+    }
+
+    /// Whether some live graph holds `id`.
+    pub(crate) fn holds_node(&self, id: TxnId) -> bool {
+        self.dags().flatten().any(|g| g.contains(id))
+    }
+
+    /// Whether the peel runs: while G2's graph is live. It takes every
+    /// plan and holds every edge G1c's does, so a source of G2's graph
+    /// is one of G1c's too, and a latch or shed of G1c's graph makes no
+    /// new source (DESIGN.md, "Watermark GC").
+    pub(crate) fn peeling(&self) -> bool {
+        (self.lanes.iter()).any(|l| !l.spec.parked_only && l.dag.is_some())
+    }
+
+    /// Peels `id`: if some live graph holds it and each that does holds
+    /// it as a source ([`IncrementalDag::is_source`]), takes it out of
+    /// them as [`Self::contract`] does — a source has no in-neighbour,
+    /// so no shortcut comes of it — and returns true.
+    pub(crate) fn peel(&mut self, id: TxnId, prov: &mut Provenance, outs: &mut Vec<TxnId>) -> bool {
+        let mut held = false;
+        for g in self.dags().flatten().filter(|g| g.contains(id)) {
+            if !g.is_source(id) {
+                return false;
+            }
+            held = true;
+        }
+        if held {
+            self.contract(id, prov, outs);
+        }
+        held
     }
 }
 

@@ -17,9 +17,15 @@
 //! every active transaction began, no buffered or pending read
 //! references it, and it is not waiting as an anchored reader. Its
 //! graph node is removed with reachability-preserving contraction, so
-//! pruning never loses a future cycle. Reads that reference an
-//! already-pruned version are counted in [`Verdict::stale_refs`] —
-//! verdicts are flagged, never silently weakened. Text input goes
+//! pruning never loses a future cycle. A read of a version superseded
+//! before its reader began is *retired*: it plants no anti-dependency
+//! edge (no snapshot-isolation, read-committed, 2PL or OCC reader makes
+//! one), so a transaction committed before every running one began can
+//! gain no in-edge, and once it is a source of the cycle graphs it
+//! leaves them (the peel). Retired reads, and reads that reference an
+//! already-pruned version, are counted in [`Verdict::stale_refs`] —
+//! verdicts are flagged, never silently weakened; with collection off
+//! nothing retires. Text input goes
 //! through a [`StreamFeed`], whose parser forgets a transaction's write
 //! counters when the collector prunes it, so parser state is bounded by
 //! the live set too.
@@ -56,7 +62,7 @@
 //! per edge filter (ww + wr; ww + wr + rw) under one cycle rule: the
 //! paper's G1c / G2 (G0 cannot close online); `provenance` — the operations
 //! behind each live edge; `gc` — the eligibility index, the collection
-//! pass and its reference collector; `snapshot` — the checker image
+//! pass and its reference collector, and the peel; `snapshot` — the checker image
 //! and the cross-checks an image must pass before it is a checker;
 //! `verdict` — [`Verdict`], its JSON and the latched phenomena.
 //!

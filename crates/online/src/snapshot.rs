@@ -503,6 +503,8 @@ pub(crate) fn decode(bytes: &[u8]) -> Result<OnlineChecker, SnapshotError> {
     // An image an older build wrote may hold a G1c graph with nothing
     // parked; this build's never does between events.
     c.lanes.shed(c.parked != 0, &mut c.prov);
+    let watermark = crate::gc::watermark(&c.active, &c.txns, c.clock);
+    c.gc.rebuild_closing(&c.txns, &c.lanes, watermark);
     Ok(c)
 }
 

@@ -106,9 +106,10 @@ pub struct Verdict {
     pub cycle: Option<Vec<CycleEdgeProv>>,
     /// Transactions pruned by the GC so far.
     pub pruned_txns: u64,
-    /// Reads that referenced an already-pruned (or never-seen) writer:
-    /// when non-zero the verdict may be weaker than a batch check of
-    /// the full history — flagged, never silent.
+    /// Reads that referenced an already-pruned (or never-seen) writer,
+    /// or a version superseded before their reader began (retired, with
+    /// collection on): when non-zero the verdict may be weaker than a
+    /// batch check of the full history — flagged, never silent.
     pub stale_refs: u64,
     /// Transactions currently held in memory.
     pub live_txns: usize,

@@ -307,6 +307,71 @@ pub fn stream_notation(events: &[Event]) -> String {
     out
 }
 
+/// How many reads of `events` a collecting streaming checker retires,
+/// worked out from the events alone: item reads by a transaction that
+/// commits, each of a version whose successor had committed before the
+/// reader began. A version's successor is the next one installed, and
+/// the checker installs at commit, its committer's writes first, so the
+/// successor of `x`'s version by W is the next committed writer of `x`
+/// after W, and of `x`'s initial version its first.
+pub fn retired_reads(events: &[Event]) -> u64 {
+    use std::collections::HashSet;
+    let mut begin: HashMap<TxnId, usize> = HashMap::new();
+    let mut committed_at: HashMap<TxnId, usize> = HashMap::new();
+    let mut ended: HashSet<TxnId> = HashSet::new();
+    let mut wrote: HashMap<TxnId, Vec<ObjectId>> = HashMap::new();
+    let mut read: HashMap<TxnId, Vec<(ObjectId, VersionId)>> = HashMap::new();
+    let mut installers: HashMap<ObjectId, Vec<TxnId>> = HashMap::new();
+    let mut retired = 0;
+    for (i, e) in events.iter().enumerate() {
+        let t = e.txn();
+        // The checker skips Tinit's events, and a predicate read of no
+        // version begins nothing.
+        if t.is_init() || matches!(e, Event::PredicateRead(p) if p.vset.is_empty()) {
+            continue;
+        }
+        let began = *begin.entry(t).or_insert(i);
+        if ended.contains(&t) {
+            continue;
+        }
+        match e {
+            Event::Write(w) => wrote.entry(t).or_default().push(w.object),
+            Event::Read(r) => read.entry(t).or_default().push((r.object, r.version)),
+            Event::Commit(_) => {
+                ended.insert(t);
+                committed_at.insert(t, i);
+                let mut objects = wrote.remove(&t).unwrap_or_default();
+                objects.sort_unstable();
+                objects.dedup();
+                for o in objects {
+                    installers.entry(o).or_default().push(t);
+                }
+                for (o, v) in read.remove(&t).unwrap_or_default() {
+                    let list = installers.get(&o).map_or(&[][..], Vec::as_slice);
+                    let successor = if v.is_init() {
+                        list.first()
+                    } else if v.txn == t {
+                        None // its own version, the newest
+                    } else {
+                        let at = list.iter().position(|&w| w == v.txn);
+                        at.and_then(|at| list.get(at + 1))
+                    };
+                    if successor.is_some_and(|s| committed_at[s] < began) {
+                        retired += 1;
+                    }
+                }
+            }
+            Event::Abort(_) => {
+                ended.insert(t);
+                wrote.remove(&t);
+                read.remove(&t);
+            }
+            _ => {}
+        }
+    }
+    retired
+}
+
 /// The streams under `tests/data/stream/` whose verdict lines and
 /// checker images are pinned by goldens.
 pub const STREAM_FIXTURES: [&str; 4] = ["write_skew", "dirty_hot", "clean_window", "reused_ids"];

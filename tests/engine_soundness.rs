@@ -5,6 +5,9 @@
 
 use adya::core::{classify, IsolationLevel};
 use adya::engine::Engine;
+use adya::online::{GcConfig, OnlineChecker};
+
+mod common;
 use adya::workloads::{
     bank_workload, hotspot_workload, mixed_workload, phantom_workload, run_deterministic, schemes,
     BankConfig, DriverConfig, HotspotConfig, MixedConfig, PhantomConfig,
@@ -197,4 +200,71 @@ fn serializable_engines_preserve_bank_invariant() {
             assert_eq!(total, 200, "{} seed {seed}", engine.name());
         }
     }
+}
+
+/// No engine that installs at commit reads a version superseded before
+/// its reader began — the read a collecting streaming checker retires
+/// (DESIGN.md, "Watermark GC"): each scheme's recorded history, streamed
+/// through a checker with a collection pass after every event, ticks no
+/// stale read, on the mixed workload with and without deletes and on
+/// the hotspot one. The SGT certifier installs a write as it happens,
+/// so its version order is write order; where two writers of a key
+/// commit in the other order, a later reader reads the write-order
+/// newest version, which the checker's commit order has superseded.
+/// Those reads tick, each once, and nothing else does.
+#[test]
+fn engine_histories_make_no_retired_read() {
+    let eager = GcConfig {
+        enabled: true,
+        interval: 1,
+    };
+    let mut sgt_retired = 0;
+    for scheme in schemes() {
+        let write_order = scheme.name.starts_with("SGT-");
+        for seed in 0..6u64 {
+            let engine = (scheme.make)();
+            let programs = if seed < 4 {
+                let delete_prob = if seed % 2 == 0 { 0.0 } else { 0.3 };
+                let cfg = MixedConfig {
+                    keys: 6,
+                    txns: 24,
+                    ops_per_txn: 4,
+                    write_ratio: 0.6,
+                    abort_prob: 0.1,
+                    delete_prob,
+                    theta: 0.9,
+                    seed,
+                };
+                mixed_workload(engine.as_ref(), &cfg).1
+            } else {
+                let cfg = HotspotConfig {
+                    keys: 4,
+                    txns: 24,
+                    theta: 1.2,
+                    reads_per_txn: 2,
+                    seed,
+                };
+                hotspot_workload(engine.as_ref(), &cfg).1
+            };
+            let driver = DriverConfig {
+                seed,
+                ..Default::default()
+            };
+            let _ = run_deterministic(engine.as_ref(), programs, &driver);
+            let h = engine.finalize();
+            let mut checker = OnlineChecker::with_gc(eager);
+            for e in h.events() {
+                checker.ingest(e);
+            }
+            let stale = checker.finish().stale_refs;
+            let retired = common::retired_reads(h.events());
+            assert_eq!(stale, retired, "{} seed {seed}:\n{h}", scheme.name);
+            if write_order {
+                sgt_retired += retired;
+            } else {
+                assert_eq!(retired, 0, "{} seed {seed}:\n{h}", scheme.name);
+            }
+        }
+    }
+    eprintln!("the SGT certifiers made {sgt_retired} retired reads");
 }

@@ -1,7 +1,8 @@
 //! The work bound of the streaming checker's watermark GC: a
 //! collection pass costs the transactions it can prune, not the ones
-//! it has to keep. Alone in this file — so alone in its process —
-//! because it reads the process-wide `online.gc_*` counters.
+//! it has to keep, and the peel costs the transactions the watermark
+//! closes and those it peels. Alone in this file — so alone in its
+//! process — because it reads the process-wide `online.gc_*` counters.
 
 use adya::online::{GcConfig, OnlineChecker};
 
@@ -39,5 +40,23 @@ fn a_gc_pass_visits_what_it_can_prune_not_the_live_set() {
     assert!(
         visited <= 8 * (pruned + passes),
         "{visited} visits for {pruned} prunes in {passes} passes ({live} live)"
+    );
+
+    // The peel walks its queue only as far as the watermark, so each
+    // transaction closes once; past that it visits the out-neighbours of
+    // what it peels (and of what a pass prunes), no other part of the
+    // live set.
+    let closed = counters.counter("online.gc_closed");
+    let peeled = counters.counter("online.gc_peeled");
+    let peel_visited = counters.counter("online.gc_peel_visited");
+    eprintln!("{closed} closed, {peeled} peeled, {peel_visited} peel visits; {visited} prune visits, {pruned} pruned");
+    assert!(
+        closed > live as u64 / 2 && peeled >= 100,
+        "the watermark must close most of the live set, and the peel take \
+         those a graph holds: {closed} closed, {peeled} peeled of {live} live"
+    );
+    assert!(
+        peel_visited <= 2 * (closed + peeled),
+        "{peel_visited} peel visits for {closed} closed and {peeled} peeled"
     );
 }

@@ -2,15 +2,17 @@
 //! held: on a clean stream over a wide key space most of the live set
 //! is finished transactions whose last versions are still the newest
 //! of their keys, and each should cost its writes, its place in the
-//! tables and its node in G2's graph — no G1c graph (no read is ever
-//! parked, so no dependency cycle can close), no read buffers (those
-//! are a running transaction's, on its entry in the active list), no
-//! per-node provenance index, one copy of each object name — and rows
-//! at their size: 16-byte write entries in buffers of exactly their
-//! number, an object's readers inline, 16-byte provenance chains. Here
-//! that is ≈ 866 B per live transaction in a debug build, 803 B in
-//! release; a build with 24-byte write entries in buffers grown by
-//! doubling, a reader buffer on every object and 24-byte chains held
+//! tables — and no node in G2's graph once the watermark has passed it
+//! (the peel), no G1c graph (no read is ever parked, so no dependency
+//! cycle can close), no read buffers (those are a running
+//! transaction's, on its entry in the active list), no per-node
+//! provenance index, one copy of each object name — and rows at their
+//! size: 16-byte write entries in buffers of exactly their number, an
+//! object's readers inline, 16-byte provenance chains. Here that is
+//! ≈ 551 B per live transaction in a debug build, 488 B in release; the
+//! build before the peel, whose G2 graph held the whole history, held
+//! ≈ 866 / 803, a build with 24-byte write entries in buffers grown by
+//! doubling, a reader buffer on every object and 24-byte chains
 //! ≈ 1 016 / 934, and one that also kept running-only buffers on every
 //! transaction row, two per-node provenance indexes, each name as a
 //! shared `Arc<str>` and each object's versions in a ring of their own
@@ -18,9 +20,13 @@
 //!
 //! Beside it: what the parser's name table costs per interned name;
 //! that `OnlineChecker::provenance_bytes` is what provenance adds to
-//! the heap; and what a session shaped like `adya-serve`'s (256 keys,
-//! eight open, provenance off) holds. The allocations per event stay
-//! flat as the live set grows.
+//! the heap, measured without collection, where G2's graph and the map
+//! hold the whole history (≈ 1.6 MB of chains; with it they hold a few
+//! hundred bytes, which the allocator's noise would swamp); what a
+//! session shaped like `adya-serve`'s (256 keys, eight open, provenance
+//! off) holds; and that G2's graph holds as many nodes at 160 k events
+//! as at 40 k (22 and 27; the build before the peel held the live set).
+//! The allocations per event stay flat as the live set grows.
 //!
 //! Alone in this file — so alone in its process — because it installs
 //! a counting `#[global_allocator]`, and in one test, because the
@@ -31,7 +37,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 
 use adya::history::ObjectId;
-use adya::online::{OnlineChecker, StreamFeed, StreamParser};
+use adya::online::{GcConfig, OnlineChecker, StreamFeed, StreamParser};
 
 mod common;
 use common::{sliding_window_events, stream_notation, SlidingWindow};
@@ -70,30 +76,42 @@ unsafe impl GlobalAlloc for Counting {
 static GLOBAL: Counting = Counting;
 
 /// Debug builds' slots carry a generation tag, so their rows are wider.
-/// Each bound is this build's measurement plus less than a tenth: 866 /
-/// 803 B per live transaction (debug / release), 24.9 B per interned
-/// name and 134.6 / 127.5 kB per session. A build with 24-byte write
+/// Each bound is this build's measurement plus less than a tenth: 551 /
+/// 488 B per live transaction (debug / release), 24.9 B per interned
+/// name and 81.2 / 74.1 kB per session (79.3 / 72.2 while a graph
+/// still handed a freed slot to its next node). The build before the
+/// peel held
+/// 866 / 803 B per live transaction and 134.6 / 127.5 kB per session;
+/// one with 24-byte write
 /// entries, a reader buffer per object and 24-byte chains held 1 016 /
 /// 934 B per live transaction and 154 / 142 kB per session; one that
 /// also kept every running-only buffer on every row, the provenance
 /// side indexes, a shared `Arc<str>` per name and a ring per object
 /// held 1 458 / 1 381 B per live transaction, 84 B per interned name
 /// and 192 / 180 kB per session.
-const PER_TXN: f64 = if cfg!(debug_assertions) { 950.0 } else { 880.0 };
+const PER_TXN: f64 = if cfg!(debug_assertions) { 600.0 } else { 530.0 };
 const PER_NAME: f64 = 27.0;
 const PER_SESSION: f64 = if cfg!(debug_assertions) {
-    148_000.0
+    87_000.0
 } else {
-    140_000.0
+    79_000.0
 };
 
 fn held() -> i64 {
     HELD.load(Ordering::Relaxed)
 }
 
-/// A feed over a default checker with provenance as asked.
-fn feed(provenance: bool) -> StreamFeed {
-    let mut checker = OnlineChecker::new();
+/// Collection off: the checker keeps every transaction, and G2's graph
+/// the whole history.
+const EXACT: GcConfig = GcConfig {
+    enabled: false,
+    interval: 64,
+};
+
+/// A feed over a checker collecting as `gc` says, with provenance as
+/// asked.
+fn feed(provenance: bool, gc: GcConfig) -> StreamFeed {
+    let mut checker = OnlineChecker::with_gc(gc);
     checker.set_provenance(provenance);
     StreamFeed::new(checker)
 }
@@ -121,7 +139,7 @@ fn a_live_transaction_costs_its_writes_and_its_table_rows() {
 
     // As `adya-check --stream` runs it: provenance on.
     let before = held();
-    let mut wide = feed(true);
+    let mut wide = feed(true, GcConfig::default());
     let mut allocs = [0u64; 2];
     for (i, tok) in text.split_whitespace().enumerate() {
         let event = wide.parse(tok).expect("generated tokens parse");
@@ -179,22 +197,35 @@ fn a_live_transaction_costs_its_writes_and_its_table_rows() {
     );
     drop((parser, names));
 
-    // Provenance: `provenance_bytes` is what it adds to the heap.
-    let reported = wide.checker().provenance_bytes() as f64;
+    drop(wide);
+    assert!(
+        held() - before < 1 << 16,
+        "dropping the feed gives back what it held"
+    );
+
+    // Provenance: `provenance_bytes` is what it adds to the heap. With
+    // collection on, the peel leaves G2's graph a score of nodes and the
+    // map a few hundred bytes, below the allocator's noise; without it
+    // the graph, and the map, hold the whole history.
+    let before_exact = held();
+    let mut on = feed(true, EXACT);
+    run(&mut on, &text);
+    let held_exact = held() - before_exact;
+    let reported = on.checker().provenance_bytes() as f64;
     let before_off = held();
-    let mut off = feed(false);
+    let mut off = feed(false, EXACT);
     run(&mut off, &text);
-    let added = (held_on - (held() - before_off)) as f64;
+    let added = (held_exact - (held() - before_off)) as f64;
     eprintln!("provenance adds {added} bytes; provenance_bytes reports {reported}");
+    assert!(
+        reported > 1e6,
+        "{reported} B of provenance without collection"
+    );
     assert!(
         (reported - added).abs() <= added * 0.1,
         "provenance_bytes reports {reported} B, provenance adds {added} B"
     );
-    drop((wide, off));
-    assert!(
-        held() - before < 1 << 16,
-        "dropping the feeds gives back what they held"
-    );
+    drop((on, off));
 
     // Sessions shaped like `adya-serve`'s: 256 keys, eight open, 1 250
     // events each, provenance off (a session's default).
@@ -207,7 +238,7 @@ fn a_live_transaction_costs_its_writes_and_its_table_rows() {
     let before_sessions = held();
     let sessions: Vec<StreamFeed> = (0..8)
         .map(|seed| {
-            let mut f = feed(false);
+            let mut f = feed(false, GcConfig::default());
             run(
                 &mut f,
                 &stream_notation(&sliding_window_events(session, seed, 1_250)),
@@ -225,4 +256,22 @@ fn a_live_transaction_costs_its_writes_and_its_table_rows() {
         per_session <= PER_SESSION,
         "{per_session:.0} heap bytes per session"
     );
+    drop(sessions);
+
+    // G2's graph does not grow with the stream: at 40 k events and at
+    // 160 k, the peel keeps it to the transactions the watermark has not
+    // passed and those with an edge into them from one it has not.
+    for events in [40_000, 160_000] {
+        let mut f = feed(true, GcConfig::default());
+        let text = stream_notation(&sliding_window_events(cfg, 11, events));
+        let mut peak = 0;
+        for tok in text.split_whitespace() {
+            let event = f.parse(tok).expect("generated tokens parse");
+            f.ingest(&event);
+            let (nodes, _) = f.checker().cycle_graphs()[1].expect("G2 never latches here");
+            peak = peak.max(nodes);
+        }
+        eprintln!("{events} events: G2's graph peaked at {peak} nodes");
+        assert!(peak <= 64, "{events} events: G2's graph held {peak} nodes");
+    }
 }

@@ -240,9 +240,13 @@ fn a_parser_image_an_earlier_build_wrote_restores_and_parses_on_byte_for_byte() 
 /// `clean_window.session/s`: session `s` as an earlier build wrote it —
 /// the first 33 lines of `clean_window` (provenance on, a snapshot every
 /// 96 events), then killed, leaving a snapshot with its parser image, a
-/// segment and a names log. Recovered, its feed's parser and checker
-/// images are this build's at the same point; carried on, it answers
-/// what an uninterrupted session does.
+/// segment and a names log. Recovered, its feed's parser image is this
+/// build's at the same point; carried on, it answers what an
+/// uninterrupted session does. Its checker image is the earlier
+/// build's, whose G2 graph still held the transactions this build peels
+/// (a sanctioned image break), so the checker image is held to this
+/// build's in a directory this build wrote and a kill left the same
+/// way.
 #[test]
 fn a_session_directory_an_earlier_build_wrote_resumes_byte_for_byte() {
     let cfg = SessionConfig {
@@ -270,6 +274,16 @@ fn a_session_directory_an_earlier_build_wrote_resumes_byte_for_byte() {
     copy_dir(&fixture, &dir);
     let r = SessionLog::recover(&dir.join("s"), cfg.log, cfg.gc, cfg.provenance, None)
         .expect("an earlier build's session recovers");
+    assert_eq!(r.feed.parser().snapshot(), feed.parser().snapshot());
+    drop(r);
+    let dir = fresh_dir("clean-window-this-build");
+    let mut killed = Session::create(&dir, "s", cfg, None).expect("create");
+    for line in head {
+        apply(&mut killed, line);
+    }
+    drop(killed); // a kill: the log holds what was appended
+    let r = SessionLog::recover(&dir.join("s"), cfg.log, cfg.gc, cfg.provenance, None)
+        .expect("this build's session recovers");
     assert_eq!(r.feed.parser().snapshot(), feed.parser().snapshot());
     assert_eq!(r.feed.checker().snapshot(), feed.checker().snapshot());
     drop(r);
