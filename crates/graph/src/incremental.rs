@@ -433,6 +433,11 @@ where
         self.index.contains_key(&k)
     }
 
+    /// The live original nodes, in no particular order.
+    pub fn nodes(&self) -> impl Iterator<Item = K> + '_ {
+        self.index.keys().copied()
+    }
+
     /// True if the edge `from → to` labelled `label` is recorded.
     pub fn has_edge(&self, from: K, to: K, label: L) -> bool {
         self.seen.contains(&(from, to, label))
@@ -495,19 +500,9 @@ where
         s
     }
 
-    /// True when `k` is absent or still a singleton component, i.e.
-    /// removable without disturbing a condensed cycle.
-    pub fn is_removable(&mut self, k: K) -> bool {
-        match self.index.get(&k).copied() {
-            None => true,
-            Some(s) => self.find(s as usize) == s as usize && self.slots[s as usize].members == 1,
-        }
-    }
-
     /// True when `k` is present, still a singleton component, and no
-    /// edge comes into it: removing it takes no path through it away,
-    /// so [`remove_node`](Self::remove_node) needs no contraction
-    /// shortcut.
+    /// edge comes into it: [`remove_node`](Self::remove_node) takes no
+    /// path through it away, so no cycle still to close loses one.
     pub fn is_source(&self, k: K) -> bool {
         self.index.get(&k).is_some_and(|&s| {
             let slot = &self.slots[s as usize];
@@ -599,63 +594,6 @@ where
             *s = renumbered[*s as usize];
         }
         self.slots = slots;
-    }
-
-    /// Removes a singleton node like [`remove_node`], but first adds a
-    /// shortcut edge `a → b` for every in-neighbour `a` and
-    /// out-neighbour `b`, labelled `combine(la, lb)`, so reachability
-    /// through the removed node — and therefore every *future* cycle
-    /// that would have passed through it — is preserved. Returns false
-    /// if the node sits inside a condensed component.
-    ///
-    /// Shortcuts can never close a cycle themselves: a path `b ⇒ a`
-    /// plus the edges `a → k → b` would have been a cycle through `k`,
-    /// contradicting `k` being a singleton in an acyclic condensation.
-    ///
-    /// `report(a, b, label)` is invoked for every shortcut edge
-    /// created, *before* the shortcut is inserted. Callers that keep
-    /// per-edge side data (e.g. edge provenance) use this to transfer
-    /// the data from the `a → k` and `k → b` edges onto the synthesized
-    /// `a → b` edge so it survives the contraction. Shortcuts are
-    /// reported in a deterministic order: in-neighbours in adjacency
-    /// order, each crossed with the out-neighbours in adjacency order.
-    ///
-    /// [`remove_node`]: IncrementalDag::remove_node
-    pub fn remove_node_contract_report(
-        &mut self,
-        k: K,
-        combine: impl Fn(L, L) -> L,
-        mut report: impl FnMut(K, K, L),
-    ) -> bool {
-        let Some(&s) = self.index.get(&k) else {
-            return true;
-        };
-        let s = s as usize;
-        if self.find(s) != s || self.slots[s].members != 1 {
-            return false;
-        }
-        let shortcuts: Vec<(K, K, L)> = {
-            let inc = self.slots[s].inc.clone();
-            let out = self.slots[s].out.clone();
-            let mut v = Vec::with_capacity(inc.len() * out.len());
-            for i in &inc {
-                for o in &out {
-                    v.push((i.src, o.dst, combine(i.label, o.label)));
-                }
-            }
-            v
-        };
-        let removed = self.remove_node(k);
-        debug_assert!(removed);
-        for (a, b, l) in shortcuts {
-            report(a, b, l);
-            let r = self.add_edge(a, b, l);
-            debug_assert!(
-                matches!(r, Insert::Added | Insert::Duplicate | Insert::Reordered),
-                "contraction shortcut must not close a cycle"
-            );
-        }
-        true
     }
 
     /// Inserts the edge `from → to` (adding missing nodes), maintaining
@@ -1086,7 +1024,6 @@ mod tests {
         }
         // Later edges between the merged nodes are intra-component.
         assert_eq!(g.add_edge(1, 2, 'c'), Insert::IntraComponent);
-        assert!(!g.is_removable(1));
     }
 
     #[test]
@@ -1133,7 +1070,6 @@ mod tests {
         let mut g: IncrementalDag<u32, char> = IncrementalDag::new();
         g.add_edge(1, 2, 'a');
         g.add_edge(2, 3, 'a');
-        assert!(g.is_removable(1));
         assert!(g.remove_node(1));
         assert_eq!(g.node_count(), 2);
         assert_eq!(g.edge_count(), 1);
@@ -1210,7 +1146,7 @@ mod tests {
         let dead = g.slots.iter().filter(|s| s.members == 0).count();
         assert_eq!(dead, g.slots.len() - g.node_count());
         assert_eq!(g.to_parts().validate(), Ok(()));
-        assert!(!g.is_removable(1000) && !g.is_source(1001));
+        assert!(!g.is_source(1000) && !g.is_source(1001));
         // The same graph, its slots left sparse.
         let mut sparse = build();
         for i in 0..290u32 {
@@ -1258,42 +1194,6 @@ mod tests {
         assert!(late.remove_node(0) && late.remove_node(9));
         assert_eq!(a, b);
         assert_eq!(a, c);
-    }
-
-    #[test]
-    fn contraction_preserves_future_cycles() {
-        let mut g: IncrementalDag<u32, u8> = IncrementalDag::new();
-        g.add_edge(1, 2, 0); // a -> k
-        g.add_edge(2, 3, 1); // k -> b (label 1 = "anti")
-        assert!(g.remove_node_contract_report(2, |a, b| a | b, |_, _, _| {}));
-        assert!(!g.contains(2));
-        // The shortcut 1 -> 3 carries the combined label, and a later
-        // back edge still closes the cycle the interior node mediated.
-        match g.add_edge(3, 1, 0) {
-            Insert::CycleFormed(info) => {
-                assert!(info.intra_edges.contains(&(1, 3, 1)));
-            }
-            other => panic!("expected cycle via shortcut, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn contraction_reports_shortcuts_in_order() {
-        let mut g: IncrementalDag<u32, u8> = IncrementalDag::new();
-        g.add_edge(1, 2, 0); // a1 -> k
-        g.add_edge(4, 2, 1); // a2 -> k
-        g.add_edge(2, 3, 1); // k -> b1
-        g.add_edge(2, 5, 0); // k -> b2
-        let mut seen = Vec::new();
-        assert!(g.remove_node_contract_report(2, |a, b| a | b, |a, b, l| seen.push((a, b, l))));
-        // in-neighbours in adjacency order, crossed with out-neighbours.
-        assert_eq!(seen, vec![(1, 3, 1), (1, 5, 0), (4, 3, 1), (4, 5, 1)]);
-        // Reported shortcuts match what was actually inserted.
-        assert_eq!(g.edge_count(), 4);
-        // Absent node: nothing reported, still "removed".
-        seen.clear();
-        assert!(g.remove_node_contract_report(99, |a, b| a | b, |a, b, l| seen.push((a, b, l))));
-        assert!(seen.is_empty());
     }
 
     #[test]

@@ -27,9 +27,9 @@
 //!
 //! For the *online* checker there is additionally [`IncrementalDag`]:
 //! Pearce–Kelly incremental topological ordering with cycle
-//! condensation and reachability-preserving node removal, so a
-//! streaming checker can detect new cycles edge-by-edge and
-//! garbage-collect settled transactions.
+//! condensation and removal of singleton nodes, so a streaming checker
+//! can detect new cycles edge-by-edge and take off the graph the
+//! sources that can no longer join one.
 
 #![warn(missing_docs)]
 

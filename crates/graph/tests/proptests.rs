@@ -196,7 +196,7 @@ proptest! {
 
     /// `DagParts::validate` refuses parts no graph can be in; it must
     /// never refuse one a graph *is* in. Any mix of inserts and
-    /// contracting removals leaves parts that validate.
+    /// removals leaves parts that validate.
     #[test]
     fn every_reachable_state_validates(
         (n, edges) in graph_strategy(),
@@ -206,7 +206,7 @@ proptest! {
         for (i, &(a, b, l)) in edges.iter().enumerate() {
             g.add_edge(a % n, b % n, l);
             for &(_, k) in removals.iter().filter(|&&(at, _)| at == i) {
-                g.remove_node_contract_report(k % n, |x, y| x | y, |_, _, _| {});
+                g.remove_node(k % n);
             }
             prop_assert_eq!(g.to_parts().validate(), Ok(()));
         }

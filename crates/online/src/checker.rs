@@ -12,7 +12,7 @@ use std::collections::VecDeque;
 use std::time::Instant;
 
 use adya_core::{IsolationLevel, PhenomenonKind};
-use adya_history::{Event, ObjectId, TxnId, VersionId};
+use adya_history::{Event, IdMap, ObjectId, TxnId, VersionId};
 
 use crate::gc::{self, Collector, GcConfig, Heap};
 use crate::lanes::{EdgeKind, Lanes, PlannedEdge};
@@ -41,12 +41,25 @@ pub(crate) struct BufferedRead {
     pub(crate) object: ObjectId,
     pub(crate) version: VersionId,
     pub(crate) via_predicate: bool,
-    /// The other transaction whose version this is, found at ingest;
-    /// the read holds a `refs` pin on it from then on.
-    pub(crate) writer: Option<TxnSlot>,
-    /// True when the writer was already pruned (or never seen) at
-    /// ingest time; resolves to a `stale_refs` tick, never an edge.
-    pub(crate) stale: bool,
+    pub(crate) source: Source,
+}
+
+/// What a buffered read's commit will ask of the version's writer.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Source {
+    /// An own or initial version.
+    Local,
+    /// A held transaction's version, found at ingest: the read holds a
+    /// `refs` pin on it from then on.
+    Held(TxnSlot),
+    /// A version whose committed writer has left the checker: the final
+    /// seq it wrote to the object, from its object's cold entry when
+    /// the read came, or from its row when it left (`crate::gc`).
+    Cold(u32),
+    /// A version whose writer had left (or was never seen) when it was
+    /// read, and no cold entry kept: resolves to a `stale_refs` tick,
+    /// never an edge.
+    Stale,
 }
 
 /// A committed reader whose read of a still-active writer's version is
@@ -65,7 +78,9 @@ pub(crate) struct WriteEntry {
     pub(crate) object: ObjectId,
     /// Last (= highest) write seq.
     pub(crate) seq: u32,
-    /// The object's slot, once the commit installed the version.
+    /// The object's slot, once the commit installed the version, until
+    /// the version is retired: `None` on a committed row is a version
+    /// the watermark has retired (see `crate::gc`).
     pub(crate) installed: Option<ObjSlot>,
     /// The version's absolute position (`base`-inclusive) in the
     /// object's list, mod 2³² (see [`ObjectState::index_of`]);
@@ -82,11 +97,11 @@ pub(crate) type RunningWrite = (ObjectId, u32);
 #[derive(Debug, Default)]
 pub(crate) struct TxnState {
     pub(crate) status: Status,
-    /// Whether the collector's `ready` index holds it: the index's
-    /// membership as a bit, so settling a transaction whose
-    /// eligibility did not change touches no map (see `crate::gc`).
-    /// Derived (rebuilt by `restore`, never serialised).
-    pub(crate) ready: bool,
+    /// Whether a collection pass has passed it: it has ended below the
+    /// watermark, and its superseded versions are retired. Derived
+    /// (every restored row starts unpassed, and the next pass passes it
+    /// again; never serialised).
+    pub(crate) passed: bool,
     pub(crate) begin_clock: u64,
     pub(crate) terminal_clock: u64,
     /// What it wrote, one entry per object sorted by object (the order
@@ -95,25 +110,17 @@ pub(crate) struct TxnState {
     /// and kept after that for G1a/G1b checks against late-committing
     /// readers.
     pub(crate) writes: Vec<WriteEntry>,
-    /// Installed versions not yet superseded by a later install.
-    pub(crate) unsuperseded: u32,
+    /// The objects at whose newest version this committed reader is
+    /// anchored, one per anchor: each will emit an rw edge when a
+    /// successor installs. Derived from the objects' reader lists by
+    /// `restore`.
+    pub(crate) anchors: Vec<ObjSlot>,
     /// Buffered or pending reads by live transactions that reference
     /// this transaction as a writer.
     pub(crate) refs: u32,
     /// This (committed) transaction's own reads parked on still-active
     /// writers.
     pub(crate) awaiting: u32,
-    /// How many version-order anchors this committed reader occupies,
-    /// each of which will emit an rw edge when a successor installs.
-    pub(crate) registered: u32,
-    /// Clock of the latest install superseding one of this
-    /// transaction's versions; prunable only once every active
-    /// transaction began after it.
-    pub(crate) prune_after: u64,
-    /// Installed versions that are not yet the oldest surviving
-    /// version of their object — the prefix rule as a counter. Derived
-    /// from the object table (rebuilt by `restore`, never serialised).
-    pub(crate) behind: u32,
     /// Where the checker's active list holds this transaction — and
     /// its [`Running`] record —, while it is active.
     pub(crate) active_at: u32,
@@ -181,7 +188,8 @@ pub(crate) fn shrink_if_sparse<T>(q: &mut VecDeque<T>) {
     }
 }
 
-fn recycled<T>(mut v: Vec<T>) -> Vec<T> {
+/// `v` emptied, keeping its room only up to [`RECYCLED_CAPACITY`].
+pub(crate) fn recycled<T>(mut v: Vec<T>) -> Vec<T> {
     v.clear();
     if v.capacity() > RECYCLED_CAPACITY {
         v = Vec::new();
@@ -190,11 +198,14 @@ fn recycled<T>(mut v: Vec<T>) -> Vec<T> {
 }
 
 impl Recycle for TxnState {
-    /// A fresh `TxnState`, but for the capacity of `writes`.
+    /// A fresh `TxnState`, but for the capacity of `writes` and
+    /// `anchors`.
     fn recycle(&mut self) {
         let writes = recycled(std::mem::take(&mut self.writes));
+        let anchors = recycled(std::mem::take(&mut self.anchors));
         *self = TxnState {
             writes,
+            anchors,
             ..TxnState::default()
         };
     }
@@ -211,6 +222,13 @@ impl Recycle for TxnState {
 pub(crate) enum Installers {
     #[default]
     Empty,
+    /// No installer held: the newest version's writer has left the
+    /// checker, and the version stays as this *cold entry* — (writer,
+    /// final seq), all a later read of it needs for its G1a/G1b checks
+    /// and to anchor at it. Installing a successor moves it to the
+    /// checker's `superseded_cold` until the watermark retires it, where
+    /// a writer that leaves while its version is superseded puts it.
+    Cold(TxnId, u32),
     One(TxnSlot),
     Two(TxnSlot, TxnSlot),
     // Boxed, so the enum is 16 bytes rather than a `VecDeque`'s 32.
@@ -221,15 +239,11 @@ pub(crate) enum Installers {
 impl Installers {
     pub(crate) fn len(&self) -> usize {
         match self {
-            Installers::Empty => 0,
+            Installers::Empty | Installers::Cold(..) => 0,
             Installers::One(_) => 1,
             Installers::Two(..) => 2,
             Installers::Many(q) => q.len(),
         }
-    }
-
-    pub(crate) fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 
     /// The installer of the `i`-th version held.
@@ -243,10 +257,6 @@ impl Installers {
         }
     }
 
-    pub(crate) fn front(&self) -> Option<TxnSlot> {
-        self.get(0)
-    }
-
     pub(crate) fn back(&self) -> Option<TxnSlot> {
         self.get(self.len().wrapping_sub(1))
     }
@@ -255,9 +265,18 @@ impl Installers {
         (0..self.len()).filter_map(|i| self.get(i))
     }
 
+    /// The cold entry, while it is the newest version.
+    pub(crate) fn cold(&self) -> Option<(TxnId, u32)> {
+        match *self {
+            Installers::Cold(w, seq) => Some((w, seq)),
+            _ => None,
+        }
+    }
+
+    /// Appends `t`, replacing a cold entry (the caller keeps it).
     pub(crate) fn push_back(&mut self, t: TxnSlot) {
         *self = match std::mem::take(self) {
-            Installers::Empty => Installers::One(t),
+            Installers::Empty | Installers::Cold(..) => Installers::One(t),
             Installers::One(a) => Installers::Two(a, t),
             Installers::Two(a, b) => Installers::Many(Box::new(VecDeque::from([a, b, t]))),
             Installers::Many(mut q) => {
@@ -269,7 +288,10 @@ impl Installers {
 
     pub(crate) fn pop_front(&mut self) -> Option<TxnSlot> {
         let (first, rest) = match std::mem::take(self) {
-            Installers::Empty => return None,
+            c @ (Installers::Empty | Installers::Cold(..)) => {
+                *self = c;
+                return None;
+            }
             Installers::One(a) => (a, Installers::Empty),
             Installers::Two(a, b) => (a, Installers::One(b)),
             Installers::Many(mut q) => {
@@ -326,6 +348,20 @@ impl Readers {
         }
     }
 
+    /// Takes one of `r`'s anchors out, keeping the others in order.
+    pub(crate) fn remove_one(&mut self, r: TxnSlot) {
+        let at = self.as_slice().iter().position(|&x| x == r);
+        let at = at.expect("an anchor is on its reader and its object");
+        match self {
+            Readers::Empty => {}
+            Readers::One(_) => *self = Readers::Empty,
+            Readers::Two(rs) => *self = Readers::One(rs[1 - at]),
+            Readers::Many(v) => {
+                v.remove(at);
+            }
+        }
+    }
+
     /// Empties the list. A buffer stays, for a hot object's next
     /// readers, only while it has room for [`RECYCLED_CAPACITY`] or
     /// fewer: a burst of readers must not leave its room on the object
@@ -361,7 +397,8 @@ impl Readers {
 /// `base` itself stays a `u64`, because the image carries it.
 #[derive(Debug, Default)]
 pub(crate) struct ObjectState {
-    /// Number of versions pruned off the front of `entries`.
+    /// Number of versions taken off the front of `entries`: retired, or
+    /// left cold by their writer.
     pub(crate) base: u64,
     /// The installers of the committed versions, in install (= commit)
     /// order. An installer's [`WriteEntry::pos`] is its place here.
@@ -378,9 +415,11 @@ impl ObjectState {
         self.base.wrapping_add(i as u64) as u32
     }
 
-    /// The index in `entries` of the version at position `pos`.
-    pub(crate) fn index_of(&self, pos: u32) -> usize {
-        pos.wrapping_sub(self.base as u32) as usize
+    /// The index in `entries` of the version at position `pos`, while
+    /// it is held there.
+    pub(crate) fn index_of(&self, pos: u32) -> Option<usize> {
+        let i = pos.wrapping_sub(self.base as u32) as usize;
+        (i < self.entries.len()).then_some(i)
     }
 }
 
@@ -401,6 +440,12 @@ pub struct OnlineChecker {
     /// `pending_readers`. Derived (set by `restore`, never serialised).
     pub(crate) parked: usize,
     pub(crate) objects: ObjectTable,
+    /// Cold entries a later install has superseded and the watermark has
+    /// not yet retired, by object — one at most, older than every
+    /// version the object holds: a reader that began before the
+    /// successor committed may still read it. Few — an object's cold
+    /// entry is on its row while it is the newest version.
+    pub(crate) superseded_cold: IdMap<ObjectId, (TxnId, u32)>,
     /// The cycle graphs, one per edge filter.
     pub(crate) lanes: Lanes,
     pub(crate) fired: Fired,
@@ -490,7 +535,10 @@ impl OnlineChecker {
         self.clock
     }
 
-    /// Transactions currently held in memory.
+    /// Transactions whose rows the checker holds: the running ones, and
+    /// the finished ones a later event may still need (see
+    /// `crate::gc`). A finished transaction that left may leave its
+    /// newest versions behind as cold entries on their objects.
     pub fn live_txns(&self) -> usize {
         self.txns.len()
     }
@@ -529,13 +577,14 @@ impl OnlineChecker {
         ended
     }
 
-    /// Transactions pruned by the GC so far.
+    /// Transactions whose rows the GC has released so far.
     pub fn pruned_txns(&self) -> u64 {
         self.gc.pruned_txns()
     }
 
-    /// Reads that referenced a pruned or never-seen writer, or that
-    /// were retired (a version superseded before their reader began).
+    /// Reads that referenced a never-seen writer or a version it never
+    /// wrote, or that were retired (a version superseded before their
+    /// reader began).
     pub fn stale_refs(&self) -> u64 {
         self.stale_refs
     }
@@ -633,7 +682,7 @@ impl OnlineChecker {
     }
 
     /// The slot of transaction `id`, which begins now if the stream has
-    /// not mentioned it before (or not since it was pruned).
+    /// not mentioned it before (or not since its row was released).
     fn enter(&mut self, id: TxnId) -> TxnSlot {
         let (t, fresh) = self.txns.enter(id);
         if fresh {
@@ -719,21 +768,19 @@ impl OnlineChecker {
             return;
         }
         let foreign = !v.is_init() && v.txn != self.txns.key_of(t);
-        let writer = if foreign {
-            self.txns.lookup(v.txn)
-        } else {
-            None
-        };
-        if let Some(w) = writer {
+        let source = if !foreign {
+            Source::Local
+        } else if let Some(w) = self.txns.lookup(v.txn) {
             self.txns[w].refs += 1;
-            self.settle(w); // a new pin unsettles a finished writer
-        }
+            Source::Held(w)
+        } else {
+            self.cold_seq(v.txn, o).map_or(Source::Stale, Source::Cold)
+        };
         self.running_mut(t).reads.push(BufferedRead {
             object: o,
             version: v,
             via_predicate,
-            writer,
-            stale: foreign && writer.is_none(),
+            source,
         });
     }
 
@@ -764,9 +811,8 @@ impl OnlineChecker {
             self.resolve_pending(t, pr);
         }
         self.rest(idle, reads, pending);
-        self.settle(t);
         self.apply_edge_plan(parked);
-        self.gc.note_commit(id, self.clock, self.lanes.peeling());
+        self.gc.note_end(id, self.clock);
 
         let v = self.verdict(Some(id), &Fired::kinds_in(self.fired.mask & !before));
         adya_obs::histogram!("online.verdict_latency").record(started.elapsed().as_nanos() as u64);
@@ -778,13 +824,18 @@ impl OnlineChecker {
 
     /// Installs `t`'s final versions in object-id order: appends the
     /// entry, adds the ww edge from the previous installer, and
-    /// resolves readers anchored at the previous tip into rw edges.
+    /// resolves readers anchored at the previous tip into rw edges. A
+    /// cold previous version has left the graphs for good, so its ww
+    /// edge, out of a closed transaction, would be dropped: it is not
+    /// planned at all.
     fn install_writes(&mut self, t: TxnSlot) {
         for at in 0..self.txns[t].writes.len() {
             let o = self.txns[t].writes[at].object;
-            let clock = self.clock;
             let (slot, _) = self.objects.enter(o);
             let obj = &mut self.objects[slot];
+            if let Some(cold) = obj.entries.cold() {
+                self.superseded_cold.insert(o, cold);
+            }
             let prev = obj.entries.back();
             let resolved = std::mem::take(&mut obj.anchored);
             obj.entries.push_back(t);
@@ -792,71 +843,34 @@ impl OnlineChecker {
             let w = &mut self.txns[t].writes[at];
             (w.installed, w.pos) = (Some(slot), pos);
             if let Some(p) = prev {
-                let w = &mut self.txns[p];
-                w.unsuperseded -= 1;
-                w.prune_after = w.prune_after.max(clock);
-                self.settle(p);
                 // Commit-order installs: ww edges ascend, so no write
                 // cycle closes online (why `crate::lanes` has no G0 row).
                 debug_assert!(self.txns[p].terminal_clock < self.txns[t].terminal_clock);
                 self.edge(EdgeKind::Ww, p, t, o, None);
             }
             for &r in resolved.as_slice() {
-                self.txns[r].registered -= 1;
-                self.settle(r);
+                let anchors = &mut self.txns[r].anchors;
+                let i = (anchors.iter()).position(|&a| a == slot);
+                anchors.swap_remove(i.expect("an anchor is on its reader and its object"));
                 if r != t {
                     self.edge(EdgeKind::Rw, r, t, o, None);
                 }
             }
             self.objects[slot].anchored = resolved.drained();
-            let me = &mut self.txns[t];
-            me.unsuperseded += 1;
-            me.behind += u32::from(prev.is_some());
         }
     }
 
     /// Resolves one buffered read of the just-committed reader `t`.
     fn resolve_read(&mut self, t: TxnSlot, br: BufferedRead) {
-        if br.stale {
-            self.stale_refs += 1;
-            return;
-        }
         let (o, v) = (br.object, br.version);
-        if v.is_init() {
-            if br.via_predicate {
-                return; // vset entries carry no edges
-            }
-            let (slot, _) = self.objects.enter(o);
-            let obj = &mut self.objects[slot];
-            if obj.base > 0 {
-                // The init version's successor was pruned; the rw edge
-                // it would anchor is unknowable.
+        let w = match br.source {
+            Source::Held(w) => w,
+            Source::Cold(final_seq) => return self.resolve_cold_read(t, br, final_seq),
+            Source::Stale => {
                 self.stale_refs += 1;
                 return;
             }
-            match obj.entries.front() {
-                Some(succ) => {
-                    if self.retired(t, succ) {
-                        self.stale_refs += 1;
-                    } else if succ != t {
-                        self.edge(EdgeKind::Rw, t, succ, o, None);
-                    }
-                }
-                None => {
-                    obj.anchored.push(t);
-                    self.txns[t].registered += 1;
-                }
-            }
-            return;
-        }
-        let Some(w) = br.writer else {
-            // Own read: no read-dependency, no G1a/G1b, but it anchors
-            // at the own entry exactly like the batch checker's
-            // `order_anchor`, so a later overwrite emits t → successor.
-            if !br.via_predicate {
-                self.anchor_reader(t, o, t);
-            }
-            return;
+            Source::Local => return self.resolve_local_read(t, br),
         };
         let writer = &mut self.txns[w];
         if writer.status == Status::Active {
@@ -872,7 +886,7 @@ impl OnlineChecker {
         }
         writer.refs -= 1;
         let (status, final_seq) = (writer.status, writer.write_of(o).map(|w| w.seq));
-        self.settle(w);
+        self.unpin(w);
         let reader = self.txns.key_of(t);
         if status == Status::Aborted {
             self.fired.aborted_read(reader, o, v, br.via_predicate);
@@ -891,30 +905,110 @@ impl OnlineChecker {
         }
     }
 
+    /// Resolves a read of an own or initial version. An initial one
+    /// anchors before its object's first version — or is retired, once
+    /// the watermark passed that version's installer; an own one anchors
+    /// at the own entry exactly like the batch checker's
+    /// `order_anchor`, so a later overwrite emits t → successor. Neither
+    /// is a read-dependency or checked for G1a/G1b, and a version-set
+    /// entry carries no edge.
+    fn resolve_local_read(&mut self, t: TxnSlot, br: BufferedRead) {
+        if br.via_predicate {
+            return;
+        }
+        let o = br.object;
+        if !br.version.is_init() {
+            self.anchor_reader(t, o, t);
+            return;
+        }
+        let (slot, _) = self.objects.enter(o);
+        if self.objects[slot].base > 0 {
+            self.stale_refs += 1;
+            return;
+        }
+        self.anchor_before(t, slot, 0);
+    }
+
+    /// Resolves a read of a version whose committed writer has left the
+    /// checker, `final_seq` the last seq it wrote to the object: no G1a;
+    /// G1b compares against `final_seq`. Its wr edge comes out of a
+    /// closed transaction no graph holds, so is on no cycle and is not
+    /// planned. The read anchors at the version while its cold entry is
+    /// there, as any other read; once the watermark has retired it, the
+    /// read is retired: a stale tick.
+    fn resolve_cold_read(&mut self, t: TxnSlot, br: BufferedRead, final_seq: u32) {
+        let (o, v) = (br.object, br.version);
+        if v.seq != final_seq {
+            let reader = self.txns.key_of(t);
+            self.fired
+                .intermediate_read(reader, o, v, final_seq, br.via_predicate);
+        }
+        if br.via_predicate {
+            return;
+        }
+        let slot = self.objects.lookup(o);
+        let cold = slot.and_then(|s| self.cold_entry(s, o));
+        match slot.filter(|_| cold.is_some_and(|c| c.0 == v.txn)) {
+            Some(slot) => self.anchor_before(t, slot, 0),
+            None => self.stale_refs += 1,
+        }
+    }
+
+    /// The final seq of the cold entry `w` left on `o` — the newest
+    /// version, or one a later install superseded that the watermark has
+    /// not retired — if `w` has left the checker.
+    pub(crate) fn cold_seq(&self, w: TxnId, o: ObjectId) -> Option<u32> {
+        if self.txns.lookup(w).is_some() {
+            return None;
+        }
+        let cold = self.cold_entry(self.objects.lookup(o)?, o);
+        cold.filter(|&(writer, _)| writer == w).map(|(_, seq)| seq)
+    }
+
+    /// The cold entry of object `o` at `slot`, if it holds one.
+    fn cold_entry(&self, slot: ObjSlot, o: ObjectId) -> Option<(TxnId, u32)> {
+        let obj = &self.objects[slot];
+        match obj.entries.cold() {
+            Some(cold) => Some(cold),
+            None if obj.base > 0 => self.superseded_cold.get(&o).copied(),
+            None => None,
+        }
+    }
+
     /// Anchors committed reader `t` at `writer`'s installed version of
-    /// `o`: emit the rw edge to the successor if one exists, otherwise
-    /// register at the entry to await one. A `writer` that never wrote
-    /// `o` — the stream's say-so, again — installed nothing to anchor
-    /// at, and a version superseded before `t` began is
-    /// [retired](Self::retired): a stale tick either way.
+    /// `o` ([`Self::anchor_before`] its successor). A `writer` that never
+    /// wrote `o` — the stream's say-so, again — installed nothing to
+    /// anchor at, and a version the watermark has retired is superseded
+    /// before `t` began: a stale tick either way.
     fn anchor_reader(&mut self, t: TxnSlot, o: ObjectId, writer: TxnSlot) {
         let at = self.txns[writer]
             .write_of(o)
             .and_then(|w| Some((w.installed?, w.pos)));
-        let Some((slot, pos)) = at else {
+        let at = at.and_then(|(slot, pos)| Some((slot, self.objects[slot].index_of(pos)?)));
+        let Some((slot, i)) = at else {
             self.stale_refs += 1;
             return;
         };
+        self.anchor_before(t, slot, i + 1);
+    }
+
+    /// Anchors committed reader `t` at the version of object `slot` whose
+    /// successor, if any, is at index `succ_at` of its installers: emit
+    /// the rw edge to that successor if one exists, otherwise register
+    /// at the newest version to await one. A version superseded before
+    /// `t` began is [retired](Self::retired): a stale tick.
+    fn anchor_before(&mut self, t: TxnSlot, slot: ObjSlot, succ_at: usize) {
         let obj = &mut self.objects[slot];
-        if let Some(succ) = obj.entries.get(obj.index_of(pos) + 1) {
+        if let Some(succ) = obj.entries.get(succ_at) {
             if self.retired(t, succ) {
                 self.stale_refs += 1;
             } else if succ != t {
+                let o = self.objects.key_of(slot);
                 self.edge(EdgeKind::Rw, t, succ, o, None);
             }
         } else {
             obj.anchored.push(t);
-            self.txns[t].registered += 1;
+            self.txns[t].anchors.push(slot);
         }
     }
 
@@ -938,7 +1032,6 @@ impl OnlineChecker {
         // of a version its writer never wrote resolves to a stale tick.
         let Some(final_seq) = self.txns[t].write_of(pr.object).map(|w| w.seq) else {
             self.stale_refs += 1;
-            self.settle(pr.reader);
             return;
         };
         // A literal, not `VersionId::new`: the seq is whatever the stream
@@ -956,7 +1049,6 @@ impl OnlineChecker {
             self.edge(EdgeKind::Wr, t, pr.reader, pr.object, Some(read));
             self.anchor_reader(pr.reader, pr.object, t);
         }
-        self.settle(pr.reader);
     }
 
     fn on_abort(&mut self, t: TxnSlot) {
@@ -967,9 +1059,9 @@ impl OnlineChecker {
         // Its own buffered reads die with it: release the writer pins.
         let mut reads = std::mem::take(&mut self.running[idle].reads);
         for br in reads.drain(..) {
-            if let Some(w) = br.writer {
+            if let Source::Held(w) = br.source {
                 self.txns[w].refs -= 1;
-                self.settle(w);
+                self.unpin(w);
             }
         }
         // Committed readers that observed its versions read aborted
@@ -978,7 +1070,6 @@ impl OnlineChecker {
         for pr in pending.drain(..) {
             self.parked -= 1;
             self.txns[pr.reader].awaiting -= 1;
-            self.settle(pr.reader);
             self.txns[t].refs -= 1;
             let reader = self.txns.key_of(pr.reader);
             let v = VersionId {
@@ -997,7 +1088,7 @@ impl OnlineChecker {
             }
         }
         self.rest(idle, reads, pending);
-        self.settle(t);
+        self.gc.note_end(self.txns.key_of(t), self.clock);
     }
 
     // ------------------------------------------------------------------
@@ -1088,11 +1179,13 @@ impl OnlineChecker {
     // Garbage collection (see `crate::gc`)
     // ------------------------------------------------------------------
 
-    /// Tells the collector that one of the counters `t`'s
-    /// prunability reads has moved.
-    fn settle(&mut self, t: TxnSlot) {
-        let id = self.txns.key_of(t);
-        self.gc.settle(id, t, &mut self.txns[t]);
+    /// A read's pin on writer `w` has gone: once none is left on a
+    /// transaction a pass has passed, the next pass tries it again.
+    fn unpin(&mut self, w: TxnSlot) {
+        let t = &self.txns[w];
+        if t.refs == 0 && t.passed {
+            self.gc.recheck(self.txns.key_of(w));
+        }
     }
 
     fn maybe_gc(&mut self) {
@@ -1110,21 +1203,13 @@ impl OnlineChecker {
         self.gc.run(&mut Heap {
             clock: self.clock,
             active: &self.active,
+            running: &mut self.running,
             txns: &mut self.txns,
             objects: &mut self.objects,
+            superseded_cold: &mut self.superseded_cold,
             lanes: &mut self.lanes,
             prov: &mut self.prov,
         });
-    }
-
-    /// Makes collection passes run the reference collector, which
-    /// keeps no index: every round scans the table for candidates and
-    /// tries each. Exists so tests can hold the indexed collector to
-    /// it byte for byte; debug and test builds only.
-    #[cfg(any(test, debug_assertions))]
-    #[doc(hidden)]
-    pub fn set_gc_by_scan(&mut self, on: bool) {
-        self.gc.set_by_scan(on);
     }
 
     /// Makes every commit feed G1c's graph and never sheds it, as
@@ -1234,7 +1319,7 @@ mod tests {
             held.push_back(t);
         }
         assert_eq!(
-            (held.len(), held.front(), held.back()),
+            (held.len(), held.get(0), held.back()),
             (4, Some(slots[0]), Some(slots[3]))
         );
         assert_eq!(held.pop_front(), Some(slots[0]));
@@ -1247,7 +1332,8 @@ mod tests {
         // version; one install resolves them all. Then 100 000 versions
         // of another object pile up behind one open transaction, and go
         // once it ends. Either object lives on, holding the newest
-        // version, with room for at most `RECYCLED_CAPACITY` entries.
+        // version (the second as a cold entry: its writer has left too),
+        // with room for at most `RECYCLED_CAPACITY` entries.
         const N: u32 = 100_000;
         let mut c = OnlineChecker::with_gc(GcConfig {
             enabled: false,
@@ -1275,11 +1361,8 @@ mod tests {
         assert_eq!(c.objects[y].entries.len(), N as usize);
         assert!(c.objects[y].entries.room() >= N as usize);
         c.finish(); // aborts T0, whose begin held every version
-        assert_eq!(c.objects[y].entries.back(), c.txns.lookup(TxnId(N)));
-        assert_eq!(
-            (c.objects[y].entries.len(), c.objects[y].base),
-            (1, u64::from(N) - 1)
-        );
+        assert_eq!(c.objects[y].entries.cold(), Some((TxnId(N), 1)));
+        assert_eq!(c.objects[y].base, u64::from(N));
         assert!(c.objects[y].entries.room() <= RECYCLED_CAPACITY);
     }
 

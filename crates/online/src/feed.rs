@@ -46,7 +46,9 @@ use crate::wire::{self, FrameError, WireError};
 /// alone cannot rebuild the name table).
 ///
 /// On its own the parser never forgets a counter; a [`StreamFeed`]
-/// drops a transaction's counters when its checker prunes it.
+/// drops a transaction's counters when its checker releases it, and
+/// reads the seq of a released writer's newest version off the
+/// checker's cold entry.
 ///
 /// [`snapshot`]: StreamParser::snapshot
 /// [`restore`]: StreamParser::restore
@@ -259,6 +261,18 @@ impl StreamParser {
     /// exactly when [`check_token`] does, and then leaves the parser as
     /// it was.
     pub fn parse_token(&mut self, tok: &str) -> Result<Event, String> {
+        self.parse_with(tok, |_, _| None)
+    }
+
+    /// [`parse_token`](Self::parse_token), with `cold(w, o)` asked for
+    /// the seq `r(o w)` names when the parser holds no counter for `w`'s
+    /// writes of `o`: a feed's checker keeps a version whose writer has
+    /// left (and whose counters went with it) as a cold entry.
+    fn parse_with(
+        &mut self,
+        tok: &str,
+        cold: impl Fn(TxnId, ObjectId) -> Option<u32>,
+    ) -> Result<Event, String> {
         Ok(match check_token(tok)? {
             Token::Begin(t) => Event::Begin(t),
             Token::Commit(t) => Event::Commit(t),
@@ -299,7 +313,8 @@ impl StreamParser {
                 let version = match version {
                     VersionRef::Init => VersionId::INIT,
                     VersionRef::Latest(w) => {
-                        let seq = self.last_seq.get(&(w, object)).copied().unwrap_or(1);
+                        let seq = self.last_seq.get(&(w, object)).copied();
+                        let seq = seq.or_else(|| cold(w, object)).unwrap_or(1);
                         VersionId::new(w, seq)
                     }
                     VersionRef::Exact(w, seq) => VersionId::new(w, seq),
@@ -354,16 +369,17 @@ pub fn check_token(tok: &str) -> Result<Token<'_>, String> {
 
 /// A [`StreamParser`] and the [`OnlineChecker`] its events go to, kept
 /// in step: the parser holds a write counter only while the checker
-/// holds its transaction. When the collector prunes T, the parser drops
+/// holds its transaction. When the collector releases T, the parser drops
 /// every counter it has for T — those of writes the checker ignored,
 /// having come after T's terminal event, included — so a later
 /// transaction under T's id numbers its changes from 1, as the paper
 /// names versions (`x_{i:m}`, Tᵢ's m-th change to x, §4.1), and parser
-/// state is bounded by the live set, not by the stream.
+/// state is bounded by the rows held, not by the stream. A later read
+/// of T's latest version of x names the seq its cold entry keeps.
 ///
 /// Every caller that turns text into events keeps one order: [`parse`]
 /// a token, make the event durable if it logs, [`ingest`] it (which
-/// forgets what that ingest pruned), then the next token. Recovery
+/// forgets what that ingest released), then the next token. Recovery
 /// rebuilds the same state by [`replay`]ing logged events.
 ///
 /// [`parse`]: StreamFeed::parse
@@ -403,14 +419,17 @@ impl StreamFeed {
         Ok(feed)
     }
 
-    /// Parses one token ([`StreamParser::parse_token`]).
+    /// Parses one token ([`StreamParser::parse_token`]); a read of the
+    /// latest version of a transaction the checker released names the
+    /// seq of the cold entry it left.
     #[inline]
     pub fn parse(&mut self, tok: &str) -> Result<Event, String> {
-        self.parser.parse_token(tok)
+        let checker = &self.checker;
+        self.parser.parse_with(tok, |w, o| checker.cold_seq(w, o))
     }
 
     /// Feeds one event to the checker ([`OnlineChecker::ingest`]), then
-    /// forgets the counters of every transaction it pruned.
+    /// forgets the counters of every transaction it released.
     #[inline]
     pub fn ingest(&mut self, event: &Event) -> Option<Verdict> {
         let verdict = self.checker.ingest(event);
@@ -1009,25 +1028,27 @@ mod tests {
     fn a_pruned_transaction_leaves_no_counter_behind() {
         // T1 writes x twice, commits, then writes y after its commit (a
         // write the checker ignores, which T3 reads); T2 overwrites x
-        // and writes y.
+        // twice and writes y.
         // With a pass per event T1 goes once T3's abort unpins it, and
-        // the next T1 numbers its writes from 1 — no counter survived,
-        // the ignored write's included.
+        // T2, closed once nothing runs, goes too: no counter survives,
+        // the ignored write's included. T2's versions stay as cold
+        // entries, so `r4(x2)` still reads T2's last write of x; the
+        // next T1 numbers its writes from 1.
         let mut feed = StreamFeed::new(OnlineChecker::with_gc(crate::GcConfig {
             enabled: true,
             interval: 1,
         }));
         let events = run(
             &mut feed,
-            "b1 w1(x) w1(x) c1 w1(y) r3(y1) b2 w2(x) w2(y) c2 a3",
+            "b1 w1(x) w1(x) c1 w1(y) r3(y1) b2 w2(x) w2(x) w2(y) c2 a3",
         );
         assert_eq!(seq_of(&events[5]), 1, "r3(y1): T1's one write of y");
         assert!(feed.checker().txns.lookup(TxnId(1)).is_none());
-        assert!(feed.checker().txns.lookup(TxnId(2)).is_some());
-        assert_eq!(feed.parser().counters(), 2, "T2's x and y only");
-        let events = run(&mut feed, "b1 r4(x1) w1(x) w1(y) r4(x1)");
+        assert!(feed.checker().txns.lookup(TxnId(2)).is_none());
+        assert_eq!(feed.parser().counters(), 0);
+        let events = run(&mut feed, "b1 r4(x2) r4(x1) w1(x) w1(y) r4(x1)");
         let seqs: Vec<u32> = events[1..].iter().map(seq_of).collect();
-        assert_eq!(seqs, [1, 1, 1, 1], "T1 again: from nothing");
+        assert_eq!(seqs, [2, 1, 1, 1, 1], "T2's cold x; T1 again: from nothing");
 
         // A parser with no feed around it keeps counting.
         let mut p = StreamParser::new();
@@ -1040,16 +1061,17 @@ mod tests {
     #[test]
     fn restore_drops_the_counters_of_transactions_the_checker_let_go() {
         // What a parser that never forgot leaves in an image: a counter
-        // of the T1 the checker pruned long ago, held against the T1
+        // of the T1 the checker released long ago, held against the T1
         // running now, beside T2's and T3's — x, and z, written after
-        // T3 committed.
+        // T3 committed. T9, open from T1's commit on, holds the
+        // watermark below T2 and T3.
         let gc = crate::GcConfig {
             enabled: true,
             interval: 1,
         };
         let mut old = StreamParser::new();
         let mut checker = OnlineChecker::with_gc(gc);
-        for tok in "b1 w1(x) c1 b2 w2(x) w2(y) c2 b3 w3(x) c3 w3(z)".split_whitespace() {
+        for tok in "b1 w1(x) c1 b9 b2 w2(x) w2(y) c2 b3 w3(x) c3 w3(z)".split_whitespace() {
             checker.ingest(&old.parse_token(tok).unwrap());
         }
         assert!(checker.txns.lookup(TxnId(1)).is_none());
@@ -1061,12 +1083,12 @@ mod tests {
         let events = run(&mut feed, "b1 w1(x) w1(y) w3(z)");
         assert_eq!(seq_of(&events[1]), 1, "T1 again: from nothing");
         assert_eq!(seq_of(&events[3]), 2, "T3 kept its count");
-        // T1 commits over T2's y and T3's x, and both go: T3's
-        // written-after-commit z with it, though the image never said
-        // it was one.
-        run(&mut feed, "c1");
+        // T1 commits over T2's y and T3's x, and once T9 ends all
+        // three go: T3's written-after-commit z with it, though the
+        // image never said it was one.
+        run(&mut feed, "c1 a9");
         assert!(feed.checker().txns.lookup(TxnId(3)).is_none());
-        assert_eq!(feed.parser().counters(), 2, "T1's x and y");
+        assert_eq!(feed.parser().counters(), 0);
     }
 
     #[test]

@@ -1,24 +1,26 @@
 //! Low-watermark garbage collection.
 //!
-//! The [`Collector`] owns the eligibility index (`ready`: exactly the
-//! transactions whose count conditions for pruning hold), the
-//! collection schedule and the pruning itself. The event handlers tell
-//! it one thing — [`Collector::settle`], wherever a counter a
-//! transaction's eligibility reads has moved — and ask one thing — a
-//! pass when one is [`Collector::due`]. What a pass visits, in which
-//! order, how a transaction leaves the tables, the graphs, the
-//! provenance map and (behind a `StreamFeed`) its parser's counters,
-//! and the index-free reference collector debug builds hold all of that
-//! to, stay in here. So does the peel: the queue of committed
-//! transactions in terminal-clock order, and the walk that takes those
-//! the watermark has closed off the graphs while they are sources.
+//! The [`Collector`] owns one queue — every transaction that has ended,
+//! in terminal-clock order — the collection schedule and the release
+//! rule. The event handlers tell it two things: that a transaction
+//! ended ([`Collector::note_end`]) and that a pin on one the queue has
+//! passed is gone ([`Collector::recheck`]); and ask one: a pass when one
+//! is [`Collector::due`]. A pass walks the queue up to the watermark.
+//! Each transaction it passes has its superseded versions retired, is
+//! peeled off the cycle graphs while it is a source (with the cascade),
+//! and leaves the tables once the release rule ([`may_leave`]) holds —
+//! with its parser's counters, behind a `StreamFeed`, and its newest
+//! versions left on their objects as cold entries. What a pass visits,
+//! in which order, and the debug-build check of the whole rule against
+//! the tables stay in here (DESIGN.md, "Watermark GC").
 
 use std::collections::{BTreeMap, VecDeque};
-use std::ops::Bound::{Excluded, Unbounded};
 
-use adya_history::{ObjectId, TxnId};
+use adya_history::{IdMap, ObjectId, TxnId};
 
-use crate::checker::{shrink_if_sparse, ObjectTable, Status, TxnSlot, TxnState, TxnTable};
+use crate::checker::{
+    shrink_if_sparse, Installers, ObjectTable, Running, Source, Status, TxnSlot, TxnState, TxnTable,
+};
 use crate::lanes::Lanes;
 use crate::provenance::Provenance;
 
@@ -44,27 +46,9 @@ impl Default for GcConfig {
     }
 }
 
-/// The collector's candidate filter: `t` has had its terminal event
-/// and nothing pins it — no buffered or parked read references it and
-/// none of its own reads is parked or anchored. (Readers park only on
-/// running writers.)
-fn unpinned(t: &TxnState) -> bool {
-    t.status != Status::Active && t.refs == 0 && t.awaiting == 0 && t.registered == 0
-}
-
-/// The count conditions of prunability: [`unpinned`], every version
-/// `t` installed has been superseded, and each is the oldest left of
-/// its object. These are exactly the conditions that move by counter
-/// updates, so [`Collector::settle`] tracks them incrementally; what
-/// is left — the watermark and removability from the graphs — is
-/// asked by `try_prune` on every visit.
-fn settled(t: &TxnState) -> bool {
-    unpinned(t) && t.unsuperseded == 0 && t.behind == 0
-}
-
 /// The GC low watermark: the earliest begin of any active
-/// transaction, else the clock. Nothing that ended or was
-/// superseded after it may be pruned yet.
+/// transaction, else the clock. Nothing that ended after it may leave
+/// yet.
 pub(crate) fn watermark(active: &[TxnSlot], txns: &TxnTable, clock: u64) -> u64 {
     let begins = active.iter().map(|&t| txns[t].begin_clock);
     begins.min().unwrap_or(clock)
@@ -75,50 +59,51 @@ pub(crate) fn watermark(active: &[TxnSlot], txns: &TxnTable, clock: u64) -> u64 
 /// it parked would have been on a writer that began before its commit
 /// and is running still; an anti-dependency edge into it needs a reader
 /// that began before its commit, since a later one's read of a version
-/// it superseded is retired; a contraction shortcut into it needs an
-/// edge into it already (DESIGN.md, "Watermark GC").
+/// it superseded is retired (DESIGN.md, "Watermark GC").
 pub(crate) fn closed(t: &TxnState, watermark: u64) -> bool {
     t.status == Status::Committed && t.terminal_clock < watermark
 }
 
-/// Prefix rule: only ever prune the oldest version of an object,
-/// so a surviving predecessor always implies its successor (the
-/// target of any future rw edge) survives. Read off the object
-/// table; `behind` is the same fact kept as a counter.
-fn heads_its_objects(objects: &ObjectTable, t: &TxnState) -> bool {
-    t.status != Status::Committed
-        || t.writes.iter().all(|w| {
-            let obj = w.installed.expect("a commit installs every write");
-            objects[obj].index_of(w.pos) == 0
-        })
+/// Whether the watermark has passed `t`: it is closed, or it aborted at
+/// or before the watermark.
+fn past(t: &TxnState, watermark: u64) -> bool {
+    closed(t, watermark) || (t.status == Status::Aborted && t.terminal_clock <= watermark)
 }
 
-/// The whole transaction table through the candidate filter: what
-/// a collector without an index starts every round with. The debug
-/// invariant check and the test reference collector are its only
-/// callers.
-#[cfg(any(test, debug_assertions))]
-fn unpinned_by_scan(txns: &TxnTable) -> impl Iterator<Item = (TxnId, TxnSlot, &TxnState)> {
-    txns.iter().filter(|(_, _, t)| unpinned(t))
+/// The release rule, spelled once: `t`, which has ended and which the
+/// watermark has passed (`passed`), leaves the tables once no live graph
+/// holds it (`held`) and none of its own reads is parked; if it
+/// aborted, once no read of its versions pins it either (their G1a
+/// checks need the row). A running reader of a committed `t`'s versions
+/// takes what its commit asks of the row, the final seq, onto its read
+/// ([`Source::Cold`]). Each version a committed `t` installed is then
+/// retired or the oldest its object holds, and stays as a cold entry,
+/// and its anchors go with it, since an rw edge out of a closed
+/// transaction is on no cycle.
+fn may_leave(t: &TxnState, passed: bool, held: bool) -> bool {
+    let pinned = t.status == Status::Aborted && t.refs != 0;
+    passed && !held && !pinned && t.awaiting == 0
 }
 
 /// What a collection pass works on: the checker's tables, and the
-/// graphs and provenance map a pruned transaction must also leave.
+/// graphs and provenance map a peeled transaction must also leave.
 pub(crate) struct Heap<'a> {
     pub(crate) clock: u64,
     pub(crate) active: &'a [TxnSlot],
+    pub(crate) running: &'a mut [Running],
     pub(crate) txns: &'a mut TxnTable,
     pub(crate) objects: &'a mut ObjectTable,
+    pub(crate) superseded_cold: &'a mut IdMap<ObjectId, (TxnId, u32)>,
     pub(crate) lanes: &'a mut Lanes,
     pub(crate) prov: &'a mut Provenance,
 }
 
-/// What a pruned transaction leaves for a parser to forget (see
+/// What a released transaction leaves for a parser to forget (see
 /// [`Collector::track_writes`]).
 #[derive(Debug, Default)]
 struct Released {
-    /// (transaction, object) of every write of the transactions pruned
-    /// since the last drain. Empty between events.
+    /// (transaction, object) of every write of the transactions
+    /// released since the last drain. Empty between events.
     queue: Vec<(TxnId, ObjectId)>,
     /// Per held transaction, the objects it wrote after its terminal
     /// event and not before. Rare (an ill-formed stream), so no slot
@@ -133,35 +118,27 @@ pub(crate) struct Collector {
     config: GcConfig,
     events_since_gc: u64,
     pruned_txns: u64,
-    /// The eligibility index: exactly the transactions for which
-    /// [`settled`] holds, in id order, each with its slot (being in
-    /// here pins it: only [`Self::try_prune`] releases a transaction,
-    /// and it takes it out first). Derived state — kept current by
-    /// [`Self::settle`] wherever a counter moves, rebuilt on restore,
-    /// never serialised.
-    ready: BTreeMap<TxnId, TxnSlot>,
-    /// The writes of the transactions pruned since the last drain, for
-    /// a parser to forget — kept only once something drains them
+    /// The writes of the transactions released since the last drain,
+    /// for a parser to forget — kept only once something drains them
     /// ([`Self::track_writes`]). `None`, the default, keeps nothing.
     released: Option<Released>,
-    /// The peel's queue: (terminal clock, id) of the transactions
-    /// committed while G2's graph is live that no pass has closed yet,
-    /// in terminal-clock order. Derived state — fed by
-    /// [`Self::note_commit`], rebuilt on restore
-    /// ([`Self::rebuild_closing`]), never serialised.
+    /// The queue: (terminal clock, id) of every transaction that has
+    /// ended and that no pass has passed yet, in terminal-clock order.
+    /// Derived state — fed by [`Self::note_end`], rebuilt on restore
+    /// ([`Self::rebuild`]), never serialised.
     closing: VecDeque<(u64, TxnId)>,
-    /// The peel's worklist, kept from pass to pass for its room.
+    /// Passed transactions the next pass tries again: the last pin on
+    /// one went. Derived, like the queue.
+    recheck: Vec<TxnId>,
+    /// The pass's worklists, kept from pass to pass for their room.
     peel_stack: Vec<TxnId>,
-    /// Test reference: collection passes scan the whole transaction
-    /// table for candidates instead of walking `ready`.
-    #[cfg(any(test, debug_assertions))]
-    by_scan: bool,
+    candidates: Vec<TxnId>,
 }
 
 impl Collector {
     /// A collector with this policy that has counted `events_since_gc`
-    /// events since its last pass and pruned `pruned_txns` so far
-    /// (zeros, unless restoring an image). The index starts empty; see
+    /// events since its last pass and released `pruned_txns` so far
+    /// (zeros, unless restoring an image). The queue starts empty; see
     /// [`Self::rebuild`].
     pub(crate) fn new(config: GcConfig, events_since_gc: u64, pruned_txns: u64) -> Collector {
         Collector {
@@ -180,12 +157,12 @@ impl Collector {
         self.events_since_gc
     }
 
-    /// Transactions pruned so far.
+    /// Transactions released so far.
     pub(crate) fn pruned_txns(&self) -> u64 {
         self.pruned_txns
     }
 
-    /// From now on, hands every write of a pruned transaction to
+    /// From now on, hands every write of a released transaction to
     /// [`Self::drain_released`]: the objects it wrote while it ran
     /// (its `writes`) and those it wrote after its terminal event
     /// ([`Self::note_stray`]). That is how `StreamFeed`'s parser drops
@@ -207,73 +184,39 @@ impl Collector {
         }
     }
 
-    /// The (transaction, object) writes of the transactions pruned
+    /// The (transaction, object) writes of the transactions released
     /// since the last call.
     #[inline]
     pub(crate) fn drain_released(&mut self) -> impl Iterator<Item = (TxnId, ObjectId)> + '_ {
         self.released.iter_mut().flat_map(|r| r.queue.drain(..))
     }
 
-    /// See `OnlineChecker::set_gc_by_scan`.
-    #[cfg(any(test, debug_assertions))]
-    pub(crate) fn set_by_scan(&mut self, on: bool) {
-        self.by_scan = on;
-    }
-
-    /// Re-checks `id` (at `slot`, in state `t`) against [`settled`] and
-    /// files it in or out of `ready`. Called wherever one of the
-    /// counters `settled` reads moves, before the event ends — passes
-    /// only run between events, so that is soon enough. The row's
-    /// [`TxnState::ready`] bit says whether `ready` holds it, so only a
-    /// change of membership touches the map.
-    pub(crate) fn settle(&mut self, id: TxnId, slot: TxnSlot, t: &mut TxnState) {
-        let want = settled(t);
-        if want == t.ready {
-            return;
-        }
-        t.ready = want;
-        if want {
-            self.ready.insert(id, slot);
-        } else {
-            self.ready.remove(&id);
-        }
-    }
-
-    /// Derives `ready`, and every row's bit, from the transaction table.
-    pub(crate) fn rebuild(&mut self, txns: &mut TxnTable) {
-        let settled_ids: Vec<(TxnId, TxnSlot)> = (txns.iter())
-            .filter(|(_, _, t)| settled(t))
-            .map(|(id, slot, _)| (id, slot))
-            .collect();
-        for &(_, slot) in &settled_ids {
-            txns[slot].ready = true;
-        }
-        self.ready = settled_ids.into_iter().collect();
-    }
-
-    /// Files `id`, which committed at `terminal`, in the peel's queue —
-    /// while collection is on and G2's graph is live (`peeling`).
-    pub(crate) fn note_commit(&mut self, id: TxnId, terminal: u64, peeling: bool) {
-        if self.config.enabled && peeling {
+    /// Files `id`, which ended at `terminal`, at the back of the queue —
+    /// terminal events come in clock order — while collection is on.
+    pub(crate) fn note_end(&mut self, id: TxnId, terminal: u64) {
+        if self.config.enabled {
             self.closing.push_back((terminal, id));
         }
     }
 
-    /// Derives the peel's queue from a restored image: the committed
-    /// transactions the watermark has not passed, and those it has that
-    /// a graph still holds. The uninterrupted queue holds the first and
-    /// some of the second, and a pass does nothing with the rest: each
-    /// is still not a source of the graphs (DESIGN.md, "Watermark GC").
-    pub(crate) fn rebuild_closing(&mut self, txns: &TxnTable, lanes: &Lanes, watermark: u64) {
+    /// The last pin on `id`, which a pass has passed, is gone: the next
+    /// pass tries it again.
+    pub(crate) fn recheck(&mut self, id: TxnId) {
+        self.recheck.push(id);
+    }
+
+    /// Derives the queue from a restored image: every transaction that
+    /// has ended, none passed. The next pass passes again those the
+    /// uninterrupted run had passed — retiring and peeling nothing new
+    /// (DESIGN.md, "Watermark GC") — and releases those it would have.
+    pub(crate) fn rebuild(&mut self, txns: &TxnTable) {
         self.closing.clear();
-        if !self.config.enabled || !lanes.peeling() {
+        self.recheck.clear();
+        if !self.config.enabled {
             return;
         }
         let mut queue: Vec<(u64, TxnId)> = (txns.iter())
-            .filter(|&(id, _, t)| {
-                t.status == Status::Committed
-                    && (t.terminal_clock >= watermark || lanes.holds_node(id))
-            })
+            .filter(|(_, _, t)| t.status != Status::Active)
             .map(|(id, _, t)| (t.terminal_clock, id))
             .collect();
         queue.sort_unstable();
@@ -293,206 +236,233 @@ impl Collector {
         true
     }
 
-    #[cfg(any(test, debug_assertions))]
-    fn run_by_scan(&mut self, h: &mut Heap<'_>, watermark: u64) {
-        loop {
-            let candidates: BTreeMap<TxnId, TxnSlot> = unpinned_by_scan(h.txns)
-                .map(|(id, slot, _)| (id, slot))
-                .collect();
-            let mut progress = false;
-            for (id, slot) in candidates {
-                progress |= self.try_prune(id, slot, watermark, h);
-            }
-            if !progress {
-                break;
-            }
-        }
-    }
-
-    /// One collection: peel the transactions the watermark has closed
-    /// ([`Self::peel_closed`]), then prune every settled transaction
-    /// below it, repeating while progress is made (a prune can settle a
-    /// transaction the round has already passed). Then, if it pruned,
-    /// the provenance orphans that named a pruned transaction go
-    /// (`crate::provenance`).
+    /// One collection: pass every transaction the queue holds below the
+    /// watermark ([`Self::pass`]), then try the release rule on each
+    /// transaction whose standing a pass, a peel or a pin may have
+    /// changed. Then, if one left, the provenance orphans that named it
+    /// go (`crate::provenance`).
     pub(crate) fn run(&mut self, h: &mut Heap<'_>) {
-        let pruned = self.pruned_txns;
+        let released = self.pruned_txns;
         let watermark = watermark(h.active, h.txns, h.clock);
-        self.peel_closed(h, watermark);
-        self.collect(h, watermark);
-        if self.pruned_txns > pruned && h.prov.has_orphans() {
+        let mut candidates = std::mem::take(&mut self.candidates);
+        candidates.append(&mut self.recheck);
+        // A latch or a shed let these nodes go without a peel: the
+        // passed ones are candidates now, the rest will be when the
+        // pass passes them. (One lookup each, which the edge insert that
+        // brought the node in paid for.)
+        let txns = &*h.txns;
+        h.lanes.take_let_go(&mut candidates, |id| {
+            txns.lookup(id).is_some_and(|s| txns[s].passed)
+        });
+        self.pass(h, watermark, &mut candidates);
+        let visited = candidates.len() as u64;
+        for id in candidates.drain(..) {
+            self.try_release(id, h);
+        }
+        self.candidates = candidates;
+        adya_obs::counter!("online.gc_visited").add(visited);
+        if self.pruned_txns > released && h.prov.has_orphans() {
             let alive = |id| h.txns.lookup(id).is_some();
             h.prov.sweep_orphans(alive, |a, b| h.lanes.holds(a, b));
         }
+        #[cfg(any(test, debug_assertions))]
+        check_the_rule(h, watermark);
     }
 
     /// Walks the queue up to `watermark`: each transaction it passes is
-    /// closed, and goes with the out-neighbours it leaves sources
-    /// ([`Self::cascade`]). While G2's graph is dropped the queue is
-    /// neither fed nor walked, and gives its room back.
-    fn peel_closed(&mut self, h: &mut Heap<'_>, watermark: u64) {
-        if !h.lanes.peeling() {
-            if self.closing.capacity() != 0 {
-                self.closing = VecDeque::new();
-            }
-            return;
-        }
-        let (mut closed, mut visited, mut peeled) = (0u64, 0u64, 0u64);
+    /// a candidate, and if it committed, the versions it superseded are
+    /// retired ([`Self::retire`]) and it goes off the graphs with the
+    /// out-neighbours it leaves sources ([`Self::cascade`]) while G2's
+    /// graph is live.
+    fn pass(&mut self, h: &mut Heap<'_>, watermark: u64, candidates: &mut Vec<TxnId>) {
+        let (mut passed, mut visited, mut peeled) = (0u64, 0u64, 0u64);
         while let Some(&(terminal, id)) = self.closing.front() {
-            if terminal >= watermark {
+            let slot = h.txns.lookup(id).expect("a queued transaction is held");
+            if !past(&h.txns[slot], watermark) {
+                debug_assert!(terminal >= watermark);
                 break;
             }
             self.closing.pop_front();
-            closed += 1;
-            self.peel_stack.push(id);
-            let (v, p) = self.cascade(h, watermark);
-            (visited, peeled) = (visited + v, peeled + p);
+            passed += 1;
+            h.txns[slot].passed = true;
+            candidates.push(id);
+            if h.txns[slot].status != Status::Committed {
+                continue;
+            }
+            self.retire(h, slot, candidates);
+            if h.lanes.peeling() {
+                self.peel_stack.push(id);
+                let (v, p) = self.cascade(h, watermark, candidates);
+                (visited, peeled) = (visited + v, peeled + p);
+            }
         }
         shrink_if_sparse(&mut self.closing);
-        if closed != 0 {
-            adya_obs::counter!("online.gc_closed").add(closed);
-            count_peel(visited, peeled);
+        if passed != 0 {
+            adya_obs::counter!("online.gc_closed").add(passed);
+            adya_obs::counter!("online.gc_peel_visited").add(visited);
+            if peeled != 0 {
+                adya_obs::counter!("online.gc_peeled").add(peeled);
+            }
+        }
+    }
+
+    /// The watermark has passed the committed transaction at `slot`:
+    /// every version it superseded, and every older one, is retired —
+    /// taken off the front of its object, its writer's entry marked
+    /// retired, and the writer a candidate again. A cold entry it
+    /// superseded goes too.
+    fn retire(&mut self, h: &mut Heap<'_>, slot: TxnSlot, candidates: &mut Vec<TxnId>) {
+        for at in 0..h.txns[slot].writes.len() {
+            let w = h.txns[slot].writes[at];
+            let Some(o) = w.installed else {
+                continue;
+            };
+            let Some(superseded) = h.objects[o].index_of(w.pos) else {
+                continue;
+            };
+            let object = h.objects.key_of(o);
+            if h.objects[o].base > 0 && !h.superseded_cold.is_empty() {
+                h.superseded_cold.remove(&object);
+            }
+            for _ in 0..superseded {
+                let obj = &mut h.objects[o];
+                let owner = obj.entries.pop_front().expect("an older version");
+                obj.base += 1;
+                let t = &mut h.txns[owner];
+                let at = t.writes.binary_search_by_key(&object, |w| w.object);
+                t.writes[at.expect("an installer wrote its object")].installed = None;
+                if t.passed {
+                    candidates.push(h.txns.key_of(owner));
+                }
+            }
         }
     }
 
     /// Pops the worklist empty: each closed transaction on it that the
-    /// graphs hold as a source leaves them, and its out-neighbours go on
-    /// the list. Returns (visits, peels).
-    fn cascade(&mut self, h: &mut Heap<'_>, watermark: u64) -> (u64, u64) {
+    /// graphs hold as a source leaves them — a candidate, once passed —
+    /// and its out-neighbours go on the list. Returns (visits, peels).
+    fn cascade(
+        &mut self,
+        h: &mut Heap<'_>,
+        watermark: u64,
+        candidates: &mut Vec<TxnId>,
+    ) -> (u64, u64) {
         let (mut visited, mut peeled) = (0, 0);
         while let Some(id) = self.peel_stack.pop() {
             visited += 1;
-            let slot = h.txns.lookup(id);
-            if slot.is_some_and(|s| closed(&h.txns[s], watermark))
-                && h.lanes.peel(id, h.prov, &mut self.peel_stack)
-            {
+            let Some(slot) = h.txns.lookup(id) else {
+                continue;
+            };
+            if closed(&h.txns[slot], watermark) && h.lanes.peel(id, h.prov, &mut self.peel_stack) {
                 peeled += 1;
+                if h.txns[slot].passed {
+                    candidates.push(id);
+                }
             }
         }
         (visited, peeled)
     }
 
-    fn collect(&mut self, h: &mut Heap<'_>, watermark: u64) {
-        #[cfg(any(test, debug_assertions))]
-        {
-            // `ready` and `behind` against first principles: a counter
-            // that moved without its settle() shows up here.
-            let want: BTreeMap<TxnId, TxnSlot> = unpinned_by_scan(h.txns)
-                .filter(|(_, _, t)| t.unsuperseded == 0 && heads_its_objects(h.objects, t))
-                .map(|(id, slot, _)| (id, slot))
-                .collect();
-            debug_assert_eq!(self.ready, want);
-            debug_assert!(
-                (h.txns.iter()).all(|(id, _, t)| t.ready == self.ready.contains_key(&id)),
-                "a row's ready bit disagrees with the index"
-            );
-            // Every chain is a live graph's edge, or an orphan of two
-            // transactions still held.
-            let alive = |id| h.txns.lookup(id).is_some();
-            debug_assert!(
-                h.prov
-                    .edges()
-                    .all(|(a, b)| h.lanes.holds(a, b)
-                        || (h.prov.has_orphans() && alive(a) && alive(b))),
-                "a provenance chain outlived its edge"
-            );
-            if self.by_scan {
-                return self.run_by_scan(h, watermark);
-            }
-        }
-        if self.ready.is_empty() {
-            return; // nothing settled: the pass costs nothing
-        }
-        let mut visited = 0u64;
-        loop {
-            // A round walks `ready` in id order: pruning mutates the
-            // incremental graphs (contraction shortcuts), so the visit
-            // order must not depend on hash-map iteration order or two
-            // runs of the same stream could diverge in graph internals
-            // — and with them the snapshot bytes and witness paths.
-            // The walk is live, not a copy: popping an object's oldest
-            // version settles the owner of the next one, which this
-            // round still visits if its id is yet to come and the next
-            // round visits if not — where the reference collector,
-            // scanning for candidates at the top of each round, meets it.
-            let mut progress = false;
-            let mut next = self.ready.first_key_value().map(|(&id, &slot)| (id, slot));
-            while let Some((id, slot)) = next {
-                visited += 1;
-                progress |= self.try_prune(id, slot, watermark, h);
-                let rest = (Excluded(id), Unbounded);
-                next = self.ready.range(rest).next().map(|(&id, &slot)| (id, slot));
-            }
-            if !progress {
-                break;
-            }
-        }
-        adya_obs::counter!("online.gc_visited").add(visited);
-    }
-
-    fn try_prune(&mut self, id: TxnId, slot: TxnSlot, watermark: u64, h: &mut Heap<'_>) -> bool {
+    /// Releases `id` if it is still held and [`may_leave`] says it may:
+    /// its versions stay on their objects as cold entries, its
+    /// anchors leave its objects' reader lists, the running reads of its
+    /// versions take its final seqs, its writes go to the parser's
+    /// queue, and its row goes.
+    fn try_release(&mut self, id: TxnId, h: &mut Heap<'_>) {
+        let Some(slot) = h.txns.lookup(id) else {
+            return; // a candidate twice over
+        };
         let t = &h.txns[slot];
-        match t.status {
-            Status::Active => return false,
-            Status::Aborted => {
-                if t.terminal_clock > watermark {
-                    return false;
-                }
-            }
-            Status::Committed => {
-                if t.unsuperseded != 0 || t.prune_after > watermark {
-                    return false;
-                }
-            }
+        if !may_leave(t, t.passed, h.lanes.holds_node(id)) {
+            return;
         }
-        if !heads_its_objects(h.objects, t) || !h.lanes.removable(id) {
-            return false;
-        }
-        h.lanes.contract(id, h.prov, &mut self.peel_stack);
-        self.ready.remove(&id); // and `release` below clears its bit
-        if t.status == Status::Committed {
-            // Aborted writes were never installed; only committed ones
-            // have entries to retire.
-            for at in 0..h.txns[slot].writes.len() {
-                let obj = h.txns[slot].writes[at].installed.expect("prefix rule");
-                let obj = &mut h.objects[obj];
-                let e = obj.entries.pop_front().expect("prefix rule");
-                debug_assert_eq!(e, slot);
+        for w in &t.writes {
+            if let Some(o) = w.installed {
+                let obj = &mut h.objects[o];
+                let front = obj.entries.pop_front();
+                debug_assert_eq!(front, Some(slot), "a passed version is the oldest held");
                 obj.base += 1;
-                if let Some(next) = obj.entries.front() {
-                    h.txns[next].behind -= 1;
-                    let id = h.txns.key_of(next);
-                    self.settle(id, next, &mut h.txns[next]);
+                if obj.entries.len() == 0 {
+                    obj.entries = Installers::Cold(id, w.seq);
+                } else {
+                    h.superseded_cold.insert(w.object, (id, w.seq));
                 }
+            }
+        }
+        for &o in &t.anchors {
+            h.objects[o].anchored.remove_one(slot);
+        }
+        if t.refs != 0 {
+            // Running readers of its versions take its final seq of the
+            // object, or a stale tick for one it never wrote.
+            let reads = h.running[..h.active.len()]
+                .iter_mut()
+                .flat_map(|r| &mut r.reads);
+            for r in reads.filter(|r| r.source == Source::Held(slot)) {
+                r.source = t
+                    .write_of(r.object)
+                    .map_or(Source::Stale, |w| Source::Cold(w.seq));
             }
         }
         if let Some(r) = &mut self.released {
-            let wrote = h.txns[slot].writes.iter().map(|w| w.object);
-            r.queue.extend(wrote.map(|o| (id, o)));
+            r.queue.extend(t.writes.iter().map(|w| (id, w.object)));
             let strays = r.strays.remove(&id).unwrap_or_default();
             r.queue.extend(strays.into_iter().map(|o| (id, o)));
         }
         h.txns.release(slot);
         self.pruned_txns += 1;
         adya_obs::counter!("online.gc_pruned").inc();
-        // A pruned source leaves its out-neighbours fewer in-edges, as a
-        // peeled one does; one with an in-edge leaves them shortcuts.
-        if h.lanes.peeling() {
-            let (visited, peeled) = self.cascade(h, watermark);
-            count_peel(visited, peeled);
-        } else {
-            self.peel_stack.clear();
-        }
-        true
     }
 }
 
-/// Publishes a peel's visits and peeled transactions.
-fn count_peel(visited: u64, peeled: u64) {
-    adya_obs::counter!("online.gc_peel_visited").add(visited);
-    if peeled != 0 {
-        adya_obs::counter!("online.gc_peeled").add(peeled);
+/// The release rule from first principles, after every pass in debug
+/// builds: a scan of the transaction table finds none the watermark has
+/// passed that the queue has not, none the rule would release, no
+/// closed source left in a graph being peeled, and no retired version
+/// left on an object — one whose successor, or a cold entry's, is
+/// closed (closure follows commit order, so the successor is the one to
+/// ask). A pass, a peel, a pop or a release that went missing shows up
+/// here.
+#[cfg(any(test, debug_assertions))]
+fn check_the_rule(h: &Heap<'_>, watermark: u64) {
+    for (id, _, t) in h.txns.iter() {
+        let held = h.lanes.holds_node(id);
+        let passed = past(t, watermark);
+        assert_eq!(t.passed, passed, "{id}: passed by the watermark");
+        assert!(!may_leave(t, passed, held), "{id} should have left");
+        assert!(
+            !(closed(t, watermark) && h.lanes.peeling() && h.lanes.peelable(id)),
+            "{id} is a closed source still in a graph"
+        );
+        for w in &t.writes {
+            let Some(o) = w.installed else {
+                continue;
+            };
+            let obj = &h.objects[o];
+            let i = obj.index_of(w.pos).expect("an installed version is held");
+            let next = obj.entries.get(i + 1);
+            let cold = i == 0 && h.superseded_cold.contains_key(&h.objects.key_of(o));
+            assert!(
+                !next.is_some_and(|n| closed(&h.txns[n], watermark)),
+                "{id}'s version of {} is retired",
+                w.object
+            );
+            assert!(
+                !(cold && closed(t, watermark)),
+                "{} keeps a cold entry {id} retired",
+                w.object
+            );
+        }
     }
+    // Every chain is a live graph's edge, or an orphan of two
+    // transactions still held.
+    let alive = |id| h.txns.lookup(id).is_some();
+    assert!(
+        h.prov
+            .edges()
+            .all(|(a, b)| h.lanes.holds(a, b) || (h.prov.has_orphans() && alive(a) && alive(b))),
+        "a provenance chain outlived its edge"
+    );
 }
 
 #[cfg(test)]
@@ -531,14 +501,15 @@ mod tests {
     #[test]
     fn the_peel_keeps_g2_to_what_the_watermark_has_not_passed() {
         // Insert-mostly: each transaction reads the last one's key and
-        // writes a key of its own, which nobody overwrites, so no
-        // transaction is ever pruned. Two stay open at a time. G2's
-        // graph keeps only the transactions the watermark has not
-        // passed, and those with an edge into them from one; without
-        // collection it holds them all.
+        // writes a key of its own, which nobody overwrites, so every
+        // version stays the newest of its key. Two stay open at a time.
+        // G2's graph keeps only the transactions the watermark has not
+        // passed, and those with an edge into them from one, and the
+        // tables only those and the running ones: the rest leave, their
+        // versions cold. Without collection both hold them all.
         let run = |gc: GcConfig| {
             let mut c = OnlineChecker::with_gc(gc);
-            let mut peak = 0;
+            let (mut peak, mut rows) = (0, 0);
             c.ingest(&Event::Begin(TxnId(1)));
             c.ingest(&w(1, 1, 1));
             for i in 2..=500u32 {
@@ -548,37 +519,128 @@ mod tests {
                 let v = c.ingest(&Event::Commit(TxnId(i - 1))).unwrap();
                 assert_eq!((v.stale_refs, v.fired.len()), (0, 0));
                 peak = peak.max(c.cycle_graphs()[1].unwrap().0);
+                rows = rows.max(c.live_txns());
             }
             c.ingest(&Event::Commit(TxnId(500)));
             let end = c.finish();
-            assert_eq!(
-                (end.stale_refs, end.fired.len(), end.pruned_txns),
-                (0, 0, 0)
-            );
-            (peak, c.cycle_graphs()[1].unwrap().0)
+            assert_eq!((end.stale_refs, end.fired.len()), (0, 0));
+            (peak, rows, c.cycle_graphs()[1].unwrap().0)
         };
-        let (peak, left) = run(GcConfig {
+        let (peak, rows, left) = run(GcConfig {
             enabled: true,
             interval: 1,
         });
         assert!(
-            peak <= 4 && left <= 2,
-            "G2 peaked at {peak} nodes, {left} left"
+            peak <= 4 && left <= 2 && rows <= 6,
+            "G2 peaked at {peak} nodes, {left} left; {rows} rows held"
         );
-        let (peak, _) = run(GcConfig {
+        let (peak, rows, _) = run(GcConfig {
             enabled: false,
             interval: 1,
         });
-        assert!(peak >= 490, "without collection G2 held {peak} nodes");
+        assert!(
+            peak >= 490 && rows >= 490,
+            "without collection G2 held {peak} nodes, the tables {rows} rows"
+        );
+    }
+
+    #[test]
+    fn an_aborted_row_a_later_reader_pins_leaves_when_the_reader_ends() {
+        // T1 aborts; T2, begun after that, reads T1's version. Once T9,
+        // open from the start, ends, the watermark passes T1 while T2's
+        // pin holds it — T2's commit needs the row for its G1a check —
+        // and T1 leaves at the first pass after T2 ends.
+        let mut c = OnlineChecker::with_gc(GcConfig {
+            enabled: true,
+            interval: 1,
+        });
+        feed(
+            &mut c,
+            &[
+                Event::Begin(TxnId(9)),
+                Event::Begin(TxnId(1)),
+                w(1, 0, 1),
+                Event::Abort(TxnId(1)),
+                Event::Begin(TxnId(2)),
+                r(2, 0, 1, 1),
+                Event::Commit(TxnId(9)),
+            ],
+        );
+        let t1 = c.txns.lookup(TxnId(1)).expect("pinned by T2's read");
+        assert!(c.txns[t1].passed);
+        let v = c.ingest(&Event::Commit(TxnId(2))).unwrap();
+        assert_eq!(v.new_fired, [adya_core::PhenomenonKind::G1a]);
+        c.ingest(&Event::Begin(TxnId(3)));
+        assert!(c.txns.lookup(TxnId(1)).is_none(), "T1 left");
+    }
+
+    /// `new_fired` of the last verdict `evs` give, with collection every
+    /// `interval` events, and with collection off.
+    fn last_new_fired(evs: &[Event], interval: u64) -> [Vec<adya_core::PhenomenonKind>; 2] {
+        [true, false].map(|enabled| {
+            let mut c = OnlineChecker::with_gc(GcConfig { enabled, interval });
+            let v = feed(&mut c, evs).pop().expect("a verdict");
+            assert!(!enabled || c.pruned_txns() > 0, "a pass ran and released");
+            v.new_fired
+        })
+    }
+
+    #[test]
+    fn a_retired_read_keeps_its_g1b_check_when_its_writer_leaves() {
+        // T1 writes x twice and commits; T2 overwrites x and commits;
+        // T3, begun after that, reads T1's first x — a retired read — and
+        // stays open while the fillers run a pass (interval 64) that
+        // passes T1, retires its version and releases it. T3's read took
+        // T1's final seq of x as T1 left, so T3's commit fires G1b, as
+        // the exact checker does.
+        let mut evs = vec![
+            Event::Begin(TxnId(1)),
+            w(1, 0, 1),
+            w(1, 0, 2),
+            Event::Commit(TxnId(1)),
+            Event::Begin(TxnId(2)),
+            w(2, 0, 1),
+            Event::Commit(TxnId(2)),
+            Event::Begin(TxnId(3)),
+            r(3, 0, 1, 1),
+        ];
+        for i in 10..34 {
+            evs.extend([Event::Begin(TxnId(i)), w(i, 1, 1), Event::Commit(TxnId(i))]);
+        }
+        evs.push(Event::Commit(TxnId(3)));
+        let g1b = vec![adya_core::PhenomenonKind::G1b];
+        assert_eq!(last_new_fired(&evs, 64), [g1b.clone(), g1b]);
+
+        // The same read made after T1 left: T9, open since before T2
+        // committed, keeps T2 unpassed, so T1's version is a superseded
+        // cold entry when T3 reads it; T9's commit lets the watermark
+        // pass T2, which retires the entry before T3 commits.
+        let evs = [
+            Event::Begin(TxnId(1)),
+            w(1, 0, 1),
+            w(1, 0, 2),
+            Event::Commit(TxnId(1)),
+            Event::Begin(TxnId(9)),
+            Event::Begin(TxnId(2)),
+            w(2, 0, 1),
+            Event::Commit(TxnId(2)),
+            Event::Begin(TxnId(3)),
+            r(3, 0, 1, 1),
+            Event::Commit(TxnId(9)),
+            Event::Begin(TxnId(4)),
+            Event::Commit(TxnId(3)),
+        ];
+        let g1b = vec![adya_core::PhenomenonKind::G1b];
+        assert_eq!(last_new_fired(&evs, 1), [g1b.clone(), g1b]);
     }
 
     #[test]
     fn parked_readers_settle_when_their_writer_ends() {
         // Committed readers parked on a still-active writer become
-        // prunable the moment the writer commits or aborts, whether
+        // free to leave the moment the writer commits or aborts, whether
         // the read was an item read or a predicate's version-set
-        // entry. With a pass after every event, the `ready` invariant
-        // check in `run_gc` sees each of those hand-overs.
+        // entry. With a pass after every event, the release rule's
+        // check sees each of those hand-overs.
         use adya_history::{PredicateId, PredicateReadEvent};
         let pread = |t: u32, o: u32, writer: u32| {
             Event::PredicateRead(PredicateReadEvent {
@@ -610,23 +672,29 @@ mod tests {
             assert_eq!(c.pruned_txns(), 0, "both readers wait for T1");
             c.ingest(&end);
             // T2 goes either way; T3 only when T1 aborted (a commit
-            // leaves it anchored at T1's version, awaiting an rw edge).
+            // plants T1 -wr-> T3, and T3 stays in G2's graph until T1,
+            // once the watermark passes it, is peeled and T3 with it).
             let aborted = matches!(end, Event::Abort(_));
             assert_eq!(c.pruned_txns(), if aborted { 2 } else { 1 });
-            // T4 goes, and with its pin released so does an aborted
-            // T1 (a committed one holds the newest version of its key).
+            // T4 goes, and with its pin released so does T1 — a
+            // committed one leaving its version as a cold entry, and
+            // T3's anchor there going with T3.
             c.ingest(&Event::Abort(TxnId(4)));
-            assert_eq!(c.pruned_txns(), if aborted { 4 } else { 2 });
+            assert_eq!(c.pruned_txns(), 4);
+            let x = c.objects.lookup(ObjectId(0));
+            let cold = (!aborted).then_some((TxnId(1), 1));
+            assert_eq!(x.and_then(|x| c.objects[x].entries.cold()), cold);
         }
     }
 
     #[test]
-    fn gc_never_loses_a_cycle_through_a_pruned_interior_node() {
+    fn an_interior_node_leaves_once_its_in_neighbours_have() {
         // T1 reads T3's y and x-init (wr T3 -> T1) and T2 overwrites x
-        // (rw T1 -> T2). T5, open since before T3 committed, reads x2,
-        // overwrites y and commits: rw T1 -> T5 releases T1's last
-        // anchor, so T1 is pruned with its paths contracted into
-        // T3 -> T2 and T3 -> T5, and no read is left stale.
+        // (rw T1 -> T2). T5, open since before T3 committed, holds the
+        // watermark below them all; it reads x2, overwrites y (rw
+        // T1 -> T5) and commits. Then all are closed: T3 leaves the
+        // graphs as a source, T1 after it, and their rows go, with no
+        // read left stale.
         let mut c = OnlineChecker::with_gc(GcConfig {
             enabled: true,
             interval: 1,
@@ -653,10 +721,7 @@ mod tests {
                 Event::Commit(TxnId(5)),
             ],
         );
-        assert!(
-            c.txns.lookup(TxnId(1)).is_none(),
-            "T1 should have been pruned"
-        );
+        assert!(c.txns.lookup(TxnId(1)).is_none(), "T1 should have left");
         assert_eq!(c.finish().stale_refs, 0);
     }
 }

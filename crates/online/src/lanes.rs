@@ -30,29 +30,24 @@ use adya_core::PhenomenonKind;
 use adya_graph::{IncrementalDag, Insert};
 use adya_history::TxnId;
 
+use crate::checker::recycled;
 use crate::provenance::{ProvStep, Provenance};
 use crate::verdict::{edge_label, Fired};
 
-/// Edge label in the incremental graphs: a tiny mask rather than a
-/// full `DepKind`, because contraction (GC shortcut edges) must be
-/// able to *combine* labels — a shortcut inherits "contains an
-/// anti-dependency" from whichever side had one.
+/// Edge label in the incremental graphs: whether the edge is an item
+/// anti-dependency — all a cycle rule asks of it (`LANES`' `needs_anti`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub(crate) struct EdgeMask(pub(crate) u8);
 
 impl EdgeMask {
     /// ww or wr — a dependency edge.
     const DEP: EdgeMask = EdgeMask(0);
-    /// rw — an item anti-dependency edge (possibly via shortcuts).
+    /// rw — an item anti-dependency edge.
     const ANTI_ITEM: EdgeMask = EdgeMask(1);
 
     /// The label with snapshot byte `bits`.
     pub(crate) fn from_bits(bits: u8) -> Option<EdgeMask> {
         (bits <= EdgeMask::ANTI_ITEM.0).then_some(EdgeMask(bits))
-    }
-
-    fn combine(a: EdgeMask, b: EdgeMask) -> EdgeMask {
-        EdgeMask(a.0 | b.0)
     }
 
     pub(crate) fn has_item_anti(self) -> bool {
@@ -261,9 +256,12 @@ pub(crate) struct Lanes {
     /// Test reference: `parked_only` lanes take every plan and are
     /// never shed. Only debug and test builds can set it.
     eager: bool,
-    /// A prune's contraction shortcuts and the pruned node's edges, for
-    /// the provenance map; kept from prune to prune for their room.
-    shortcuts: Vec<(TxnId, TxnId)>,
+    /// The nodes of the graphs a drop or a shed let go while G2's graph
+    /// was gone — nodes that left without a peel (see
+    /// [`Self::take_let_go`]).
+    let_go: Vec<TxnId>,
+    /// A peeled node's edges, for the provenance map; kept from peel to
+    /// peel for their room.
     touching: Vec<(TxnId, TxnId)>,
 }
 
@@ -288,7 +286,7 @@ impl Lanes {
             reorders_dropped: dropped,
             reorders_reported: reported,
             eager: false,
-            shortcuts: Vec::new(),
+            let_go: Vec::new(),
             touching: Vec::new(),
         }
     }
@@ -313,9 +311,14 @@ impl Lanes {
             return;
         }
         let mut shed = false;
+        let peeling = self.peeling();
         for lane in self.lanes.iter_mut().filter(|l| l.spec.parked_only) {
             if let Some(g) = lane.dag.as_mut().filter(|g| g.node_count() > 0) {
-                self.reorders_dropped += std::mem::replace(g, Dag::new()).reorders();
+                let g = std::mem::replace(g, Dag::new());
+                self.reorders_dropped += g.reorders();
+                if !peeling {
+                    self.let_go.extend(g.nodes());
+                }
                 shed = true;
             }
         }
@@ -465,6 +468,9 @@ impl Lanes {
     fn drop_lane(&mut self, lane: usize, prov: &mut Provenance) {
         if let Some(g) = self.lanes[lane].dag.take() {
             self.reorders_dropped += g.reorders();
+            if !self.peeling() {
+                self.let_go.extend(g.nodes());
+            }
         }
         if self.any_live() {
             prov.note_orphans(|a, b| self.holds(a, b));
@@ -483,47 +489,6 @@ impl Lanes {
         }
     }
 
-    /// Whether `id` can leave every live graph: never disturb a
-    /// condensed cycle component (those nodes are the evidence for
-    /// latched phenomena; the whole graph is freed when its phenomenon
-    /// latches).
-    pub(crate) fn removable(&mut self, id: TxnId) -> bool {
-        self.live().all(|g| !g.contains(id) || g.is_removable(id))
-    }
-
-    /// Removes `id` from every live graph, replacing the paths through
-    /// it by shortcut edges, and hands `prov` the distinct shortcuts in
-    /// the order the graphs reported them and `id`'s edges, whose chains
-    /// go with it ([`Provenance::contract`]). Appends `id`'s
-    /// out-neighbours to `outs`, one per out-edge of each graph, for the
-    /// peel to look at. Call only when [`Self::removable`].
-    pub(crate) fn contract(&mut self, id: TxnId, prov: &mut Provenance, outs: &mut Vec<TxnId>) {
-        let (mut shortcuts, mut touching) = (
-            std::mem::take(&mut self.shortcuts),
-            std::mem::take(&mut self.touching),
-        );
-        for g in self.live() {
-            for (a, b, _) in g.edges_of(id) {
-                if a == id {
-                    outs.push(b);
-                }
-                if prov.enabled() {
-                    touching.push((a, b));
-                }
-            }
-            let ok = g.remove_node_contract_report(id, EdgeMask::combine, |a, b, _| {
-                if !shortcuts.contains(&(a, b)) {
-                    shortcuts.push((a, b));
-                }
-            });
-            debug_assert!(ok, "removability checked above");
-        }
-        prov.contract(id, &shortcuts, &touching);
-        shortcuts.clear();
-        touching.clear();
-        (self.shortcuts, self.touching) = (shortcuts, touching);
-    }
-
     /// Whether some live graph holds `id`.
     pub(crate) fn holds_node(&self, id: TxnId) -> bool {
         self.dags().flatten().any(|g| g.contains(id))
@@ -531,28 +496,53 @@ impl Lanes {
 
     /// Whether the peel runs: while G2's graph is live. It takes every
     /// plan and holds every edge G1c's does, so a source of G2's graph
-    /// is one of G1c's too, and a latch or shed of G1c's graph makes no
-    /// new source (DESIGN.md, "Watermark GC").
+    /// is one of G1c's too, and a latch or shed of G1c's graph lets go of
+    /// no node G2's does not hold (DESIGN.md, "Watermark GC").
     pub(crate) fn peeling(&self) -> bool {
         (self.lanes.iter()).any(|l| !l.spec.parked_only && l.dag.is_some())
     }
 
-    /// Peels `id`: if some live graph holds it and each that does holds
-    /// it as a source ([`IncrementalDag::is_source`]), takes it out of
-    /// them as [`Self::contract`] does — a source has no in-neighbour,
-    /// so no shortcut comes of it — and returns true.
+    /// Appends to `into`, in id order, those for which `keep` holds of
+    /// the nodes a latch or a shed let go since the last call: G2's
+    /// graph's when it went, and G1c's each time it went while G2's was
+    /// gone. Only those leave a graph other than by [`Self::peel`].
+    pub(crate) fn take_let_go(&mut self, into: &mut Vec<TxnId>, keep: impl Fn(TxnId) -> bool) {
+        self.let_go.sort_unstable();
+        into.extend(self.let_go.drain(..).filter(|&id| keep(id)));
+        self.let_go = recycled(std::mem::take(&mut self.let_go));
+    }
+
+    /// Whether some live graph holds `id` and each that does holds it
+    /// as a source ([`IncrementalDag::is_source`]).
+    pub(crate) fn peelable(&self, id: TxnId) -> bool {
+        let mut holders = self.dags().flatten().filter(|g| g.contains(id)).peekable();
+        holders.peek().is_some() && holders.all(|g| g.is_source(id))
+    }
+
+    /// Peels `id`: if it is [peelable](Self::peelable), takes it out of
+    /// every live graph with its edges, whose chains go with it
+    /// ([`Provenance::purge`]), appends its out-neighbours to `outs`,
+    /// one per out-edge of each graph, for the peel to look at, and
+    /// returns true. A source lies on no path, so no path is lost.
     pub(crate) fn peel(&mut self, id: TxnId, prov: &mut Provenance, outs: &mut Vec<TxnId>) -> bool {
-        let mut held = false;
-        for g in self.dags().flatten().filter(|g| g.contains(id)) {
-            if !g.is_source(id) {
-                return false;
+        if !self.peelable(id) {
+            return false;
+        }
+        let mut touching = std::mem::take(&mut self.touching);
+        let on = prov.enabled();
+        for g in self.live() {
+            for (a, b, _) in g.edges_of(id) {
+                outs.push(b);
+                if on {
+                    touching.push((a, b));
+                }
             }
-            held = true;
+            g.remove_node(id);
         }
-        if held {
-            self.contract(id, prov, outs);
-        }
-        held
+        prov.purge(&touching);
+        touching.clear();
+        self.touching = touching;
+        true
     }
 }
 
@@ -624,7 +614,7 @@ mod tests {
                 )],
                 live: [true, false],
                 // G2's graph went with the latch; its rw chain stays, an
-                // orphan, until a prune takes one of its endpoints.
+                // orphan, until one of its endpoints leaves the tables.
                 via: vec![((2, 1), "rw obj1[1]"), ((1, 2), "wr obj0[1]")],
             },
             Case {

@@ -12,23 +12,23 @@
 //! offending phenomenon and a witness when a new one fires.
 //!
 //! A low-watermark garbage collector keeps memory bounded on unbounded
-//! streams: a committed transaction is pruned once no live transaction
-//! can form a *new* edge to it — its versions are superseded before
-//! every active transaction began, no buffered or pending read
-//! references it, and it is not waiting as an anchored reader. Its
-//! graph node is removed with reachability-preserving contraction, so
-//! pruning never loses a future cycle. A read of a version superseded
-//! before its reader began is *retired*: it plants no anti-dependency
-//! edge (no snapshot-isolation, read-committed, 2PL or OCC reader makes
-//! one), so a transaction committed before every running one began can
-//! gain no in-edge, and once it is a source of the cycle graphs it
-//! leaves them (the peel). Retired reads, and reads that reference an
-//! already-pruned version, are counted in [`Verdict::stale_refs`] —
-//! verdicts are flagged, never silently weakened; with collection off
-//! nothing retires. Text input goes
-//! through a [`StreamFeed`], whose parser forgets a transaction's write
-//! counters when the collector prunes it, so parser state is bounded by
-//! the live set too.
+//! streams. A read of a version superseded before its reader began is
+//! *retired*: it plants no anti-dependency edge (no snapshot-isolation,
+//! read-committed, 2PL or OCC reader makes one), so a transaction
+//! committed before every running one began — *closed* — can gain no
+//! in-edge: once it is a source of the cycle graphs it leaves them (the
+//! peel), the versions it superseded retire, and once no graph holds it
+//! its row leaves the tables. What a later read of its versions still
+//! needs — the writer and its final seq, for the G1a/G1b checks and to
+//! anchor at the version — stays on each object as a *cold entry*. A
+//! node only ever leaves a graph as a source, so no future cycle is
+//! lost. Retired reads, and reads that reference a never-seen writer,
+//! are counted in [`Verdict::stale_refs`] — verdicts are flagged, never
+//! silently weakened; with collection off nothing retires. Text input
+//! goes through a [`StreamFeed`], whose parser forgets a transaction's
+//! write counters when the collector releases it (a read of its
+//! newest version names the cold entry's seq), so parser state is
+//! bounded by the rows held too.
 //!
 //! Scope and fidelity relative to the batch checker:
 //!
@@ -61,9 +61,10 @@
 //! `lanes` — the edge kinds and the lane table: one incremental graph
 //! per edge filter (ww + wr; ww + wr + rw) under one cycle rule: the
 //! paper's G1c / G2 (G0 cannot close online); `provenance` — the operations
-//! behind each live edge; `gc` — the eligibility index, the collection
-//! pass and its reference collector, and the peel; `snapshot` — the checker image
-//! and the cross-checks an image must pass before it is a checker;
+//! behind each live edge; `gc` — the terminal-clock queue, the
+//! collection pass, the peel and the release rule; `snapshot` — the
+//! checker image and the checks an image must pass before it is a
+//! checker;
 //! `verdict` — [`Verdict`], its JSON and the latched phenomena.
 //!
 //! ```

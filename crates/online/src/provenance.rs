@@ -1,23 +1,22 @@
 //! Edge provenance: the concrete operations behind each live DSG edge,
 //! so a violating verdict can cite them.
 //!
-//! [`Provenance`] owns the per-edge chain map; callers record,
-//! contract, purge and ask for a cycle's citations — they never see the
-//! chain representation or the hasher.
+//! [`Provenance`] owns the per-edge chain map; callers record, purge
+//! and ask for a cycle's citations — they never see the chain
+//! representation or the hasher.
 //!
 //! **Every chain is an edge of a live graph, or an orphan.** A chain is
-//! filed only for an edge fresh in some lane's graph (or a contraction
-//! shortcut the graphs just inserted), so while both graphs live the
-//! edges of a pruned node — which [`crate::lanes::Lanes::contract`]
-//! walks anyway — are all the chains that name it, and the map keeps no
-//! index of its own. A latch that drops one graph while the other lives
-//! leaves *orphans*: chains of the dropped graph's edges that the other
-//! does not hold. They stay, as they always have (a later edge on the
-//! same pair extends its chain, and images carry them), until an
-//! endpoint is pruned: the collector sweeps them at the end of every
-//! pass that pruned ([`Provenance::sweep_orphans`]), which no event can
-//! tell from a purge at the prune itself. When no graph holds an edge
-//! at all the map is cleared. Debug builds assert the invariant at
+//! filed only for an edge fresh in some lane's graph, and a node leaves
+//! a graph only as a source the peel takes with its edges — which
+//! [`crate::lanes::Lanes::peel`] walks anyway — so those edges' chains
+//! are all the chains that name it, and the map keeps no index of its
+//! own. A latch that drops one graph while the other lives leaves
+//! *orphans*: chains of the dropped graph's edges that the other does
+//! not hold. They stay (a later edge on the same pair extends its
+//! chain, and images carry them) until an endpoint leaves the checker:
+//! the collector sweeps them at the end of every pass that released a
+//! transaction ([`Provenance::sweep_orphans`]). When no graph holds an
+//! edge at all the map is cleared. Debug builds assert the invariant at
 //! every collection pass.
 
 use std::collections::hash_map::Entry;
@@ -27,8 +26,8 @@ use adya_history::{IdMap, ObjectId, TxnId, VersionId};
 use crate::lanes::{EdgeKind, EdgeMask};
 use crate::verdict::CycleEdgeProv;
 
-/// Most inducing operations remembered per DSG edge. Contraction
-/// concatenates chains, so a cap keeps shortcut provenance bounded.
+/// Most inducing operations remembered per DSG edge: a pair of
+/// transactions can conflict on any number of objects.
 const PROV_CAP: usize = 8;
 
 /// One concrete operation that induced (part of) a DSG edge: the
@@ -50,7 +49,7 @@ impl ProvStep {
 /// operation, so the single-step case is stored inline — a heap
 /// allocation per edge key showed up as the bulk of E16's hot-path
 /// overhead. Chains only spill to a `Vec` when a second distinct
-/// operation (or a contraction merge) lands on the same edge, and the
+/// operation lands on the same edge, and the
 /// `Vec` is boxed: the enum then fits in a step's 16 bytes, its tag in
 /// the niche of [`EdgeKind`], so a map entry is 24 bytes.
 #[derive(Debug, Clone, PartialEq)]
@@ -104,8 +103,8 @@ fn render_chain(chain: &[ProvStep]) -> String {
 }
 
 /// The provenance side map. Maintained only while tracking is on and
-/// at least one cycle graph is still live; entries touching a pruned
-/// transaction are merged into contraction shortcuts, then purged.
+/// at least one cycle graph is still live; the entries of a peeled
+/// transaction's edges are purged with it.
 #[derive(Debug, Default)]
 pub(crate) struct Provenance {
     /// Master switch (off by default; see E16 for the measured
@@ -169,12 +168,11 @@ impl Provenance {
         self.orphans
     }
 
-    /// The end of a collection pass that pruned: every orphan (a chain
-    /// whose edge `held` says no live graph holds) that names a
-    /// transaction no longer `alive` goes, as its endpoint's prune would
-    /// have taken it. The other chains are a live graph's, whose pruned
-    /// nodes' chains went with their edges. One walk of the map, while
-    /// orphans are left.
+    /// The end of a collection pass that released a transaction: every
+    /// orphan (a chain whose edge `held` says no live graph holds) that
+    /// names a transaction no longer `alive` goes. The other chains are
+    /// a live graph's, whose peeled nodes' chains went with their edges.
+    /// One walk of the map, while orphans are left.
     pub(crate) fn sweep_orphans(
         &mut self,
         alive: impl Fn(TxnId) -> bool,
@@ -217,45 +215,10 @@ impl Provenance {
         true
     }
 
-    /// `id` is being pruned and the graphs replaced the paths through
-    /// it by `shortcuts`: each shortcut inherits the chain of both
-    /// halves, so a later cycle through it can still cite concrete
-    /// operations, and then the chain of every edge in `touching` — the
-    /// graphs' edges of `id`, so every chain that names it — goes.
-    /// Shortcut order is deterministic (adjacency order), so the merged
-    /// chains — and with them the snapshot bytes — are too.
-    pub(crate) fn contract(
-        &mut self,
-        id: TxnId,
-        shortcuts: &[(TxnId, TxnId)],
-        touching: &[(TxnId, TxnId)],
-    ) {
-        if self.on {
-            for &(a, b) in shortcuts {
-                if self.chains.contains_key(&(a, b)) {
-                    continue; // a direct edge already explains a -> b
-                }
-                let mut chain: Vec<ProvStep> = self
-                    .chains
-                    .get(&(a, id))
-                    .map(|c| c.steps().to_vec())
-                    .unwrap_or_default();
-                if let Some(tail) = self.chains.get(&(id, b)) {
-                    for st in tail.steps() {
-                        if chain.len() >= PROV_CAP {
-                            break;
-                        }
-                        if !chain.contains(st) {
-                            chain.push(*st);
-                        }
-                    }
-                }
-                if !chain.is_empty() {
-                    self.insert(a, b, chain);
-                }
-            }
-        }
-        for edge in touching {
+    /// Forgets the chains of `edges`: a peeled transaction's, which no
+    /// cycle can cite again.
+    pub(crate) fn purge(&mut self, edges: &[(TxnId, TxnId)]) {
+        for edge in edges {
             self.chains.remove(edge);
         }
     }
@@ -392,7 +355,7 @@ mod tests {
         let full = prov.bytes();
         assert_eq!(full, 2048 * (24 + 1) + 16);
         let gone: Vec<_> = (0..1000).map(|t| (TxnId(t), TxnId(t + 1))).collect();
-        prov.contract(TxnId(0), &[], &gone);
+        prov.purge(&gone);
         assert!(prov.chains.capacity() < 1792);
         assert_eq!(prov.bytes(), full);
     }
@@ -420,12 +383,12 @@ mod tests {
     }
 
     #[test]
-    fn provenance_survives_gc_contraction() {
-        // T1 -wr-> T2 -rw-> T3 with the interior read-only T2 pruned:
-        // contraction leaves a shortcut T1 -> T3 whose provenance
-        // chain concatenates both halves. A cycle closed through that
-        // shortcut later must still cite the pruned transaction's
-        // operations.
+    fn a_transaction_the_watermark_has_not_passed_stays_to_be_cited() {
+        // T1 -wr-> T2 -rw-> T3 with T2 read-only. T5, open from the
+        // start, holds the watermark below them all, so T2 stays in the
+        // graphs — a transaction leaves them only as a closed source, and
+        // no path through one is ever cut. A cycle closed through T2
+        // later cites T2's own operations.
         let mut c = OnlineChecker::with_gc(GcConfig {
             enabled: true,
             interval: 1,
@@ -449,33 +412,28 @@ mod tests {
                 Event::Begin(TxnId(6)),
                 w(6, 1, 1), // installs y[6]: releases T2's y anchor (rw T2 -> T6)
                 Event::Commit(TxnId(6)),
-                Event::Begin(TxnId(9)), // churn so the GC prunes T2
+                Event::Begin(TxnId(9)),
                 Event::Commit(TxnId(9)),
             ],
         );
-        assert!(c.pruned_txns() > 0, "T2 pruned");
+        assert_eq!(c.pruned_txns(), 0, "the watermark has passed nothing");
         // Close the loop: T5 reads x[3:1] (wr T3 -> T5) and its parked
-        // y-init read becomes rw T5 -> T1. With the shortcut
-        // T1 -> T3 the full graph now has a cycle containing an anti
-        // edge: G2-item.
+        // y-init read becomes rw T5 -> T1: a cycle through T2 holding
+        // an anti edge, G2-item.
         let vs = feed(&mut c, &[r(5, 0, 3, 1), Event::Commit(TxnId(5))]);
         let fire = vs
             .iter()
             .find(|v| v.new_fired.contains(&PhenomenonKind::G2Item))
-            .expect("cycle through the shortcut fires G2-item");
+            .expect("the cycle through T2 fires G2-item");
         let cycle = fire.cycle.as_ref().expect("provenance attached");
-        let shortcut = cycle
-            .iter()
-            .find(|e| e.from == TxnId(1) && e.to == TxnId(3))
-            .expect("witness routes through the contraction shortcut");
-        assert!(
-            shortcut.via.contains("wr obj1[1]"),
-            "pruned T2's read lost: {shortcut:?}"
-        );
-        assert!(
-            shortcut.via.contains("rw obj0[3]"),
-            "pruned T2's anti-dependency lost: {shortcut:?}"
-        );
+        let via = |a, b| {
+            let e = cycle
+                .iter()
+                .find(|e| e.from == TxnId(a) && e.to == TxnId(b));
+            e.map(|e| e.via.clone()).unwrap_or_default()
+        };
+        assert_eq!(via(1, 2), "wr obj1[1]", "{cycle:?}");
+        assert_eq!(via(2, 3), "rw obj0[3]", "{cycle:?}");
         assert_eq!(c.finish().stale_refs, 0);
     }
 }

@@ -1,4 +1,5 @@
-//! The checker image: `ADYACKP\x02`, the one owner of its bytes.
+//! The checker image: `ADYACKP\x03`, the one owner of its bytes (and
+//! the reader of `\x02` images, which earlier builds wrote).
 //!
 //! Layout: `[magic; 8][crc32(payload); 4][payload]` — not
 //! [`wire::seal`](crate::wire::seal)'s container, which also carries a
@@ -7,20 +8,21 @@
 //!
 //! [`decode`] trusts none of it. The checksum catches damage, not
 //! intent — a follower restores images a peer `put` — so after parsing
-//! it cross-checks everything the event handlers and the collector
-//! index into or subtract from: ids resolve, derived counters equal
-//! their recomputation from the tables, the graphs are states a graph
-//! can be in. A refused image is a [`SnapshotError`]; an accepted one
-//! cannot make the checker panic.
+//! it checks everything the event handlers and the collector index
+//! into: ids resolve, versions belong to the writes that installed
+//! them, the graphs are states a graph can be in; the counters the
+//! handlers subtract from are derived from the tables, never read. A
+//! refused image is a [`SnapshotError`]; an accepted one cannot make
+//! the checker panic.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 
 use adya_graph::{DagParts, IncrementalDag, SlotParts};
 use adya_history::{ObjectId, TxnId, VersionId};
 
 use crate::checker::{
-    seal_writes, BufferedRead, OnlineChecker, PendingRead, Running, Status, TxnState, TxnTable,
-    WriteEntry,
+    seal_writes, BufferedRead, Installers, OnlineChecker, PendingRead, Running, Source, Status,
+    TxnState, TxnTable, WriteEntry,
 };
 use crate::gc::{Collector, GcConfig};
 use crate::lanes::{Dag, EdgeKind, EdgeMask, Lanes};
@@ -28,10 +30,21 @@ use crate::provenance::ProvStep;
 use crate::verdict::{kind_bit, kind_from_bit, CycleEdgeProv};
 use crate::wire::{crc32, Dec, Enc, WireError};
 
-/// First 8 bytes of every checker snapshot. `\x02` added the fired
-/// cycle provenance, the provenance flag and the per-edge side map;
-/// `\x01` images are rejected as [`SnapshotError::BadMagic`].
-const SNAP_MAGIC: [u8; 8] = *b"ADYACKP\x02";
+/// First 8 bytes of every checker snapshot this build writes. `\x03`
+/// gave objects their cold entries, left out the counters a restore
+/// derives (`refs`, `awaiting`, the anchors, and the collector's
+/// `unsuperseded` and `prune_after`, which are gone) and the G0 graph's
+/// slot, always empty; each object lists its installers and then the
+/// readers anchored at its newest version.
+const SNAP_MAGIC: [u8; 8] = *b"ADYACKP\x03";
+
+/// The layout before: each transaction carried its counters, each
+/// version its own reader list (and the object one more, for readers of
+/// its initial version), and three graph slots. Still restored. `\x02`
+/// added the fired cycle provenance, the provenance flag and the
+/// per-edge side map; `\x01` images are rejected as
+/// [`SnapshotError::BadMagic`].
+const SNAP_MAGIC_V2: [u8; 8] = *b"ADYACKP\x02";
 
 /// Why [`OnlineChecker::restore`] rejected a byte image.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -147,8 +160,16 @@ pub(crate) fn encode(c: &OnlineChecker) -> Vec<u8> {
             e.u32(r.object.0);
             e.u32(r.version.txn.0);
             e.u32(r.version.seq);
-            let counted = r.writer.is_some();
-            e.u8(r.via_predicate as u8 | (counted as u8) << 1 | (r.stale as u8) << 2);
+            let flags = match r.source {
+                Source::Local => 0,
+                Source::Held(_) => 2,
+                Source::Stale => 4,
+                Source::Cold(_) => 8,
+            };
+            e.u8(r.via_predicate as u8 | flags);
+            if let Source::Cold(seq) = r.source {
+                e.u32(seq);
+            }
         }
         e.len(sealed.len());
         for &(object, seq) in &sealed {
@@ -162,10 +183,6 @@ pub(crate) fn encode(c: &OnlineChecker) -> Vec<u8> {
             e.u32(p.seq);
             e.bool(p.via_predicate);
         }
-        for v in [t.unsuperseded, t.refs, t.awaiting, t.registered] {
-            e.u32(v);
-        }
-        e.u64(t.prune_after);
     }
     let mut objects: Vec<_> = c.objects.iter().map(|(id, _, o)| (id, o)).collect();
     objects.sort_unstable_by_key(|&(id, _)| id);
@@ -173,37 +190,23 @@ pub(crate) fn encode(c: &OnlineChecker) -> Vec<u8> {
     for (id, o) in objects {
         e.u32(id.0);
         e.u64(o.base);
-        e.len(o.entries.len());
-        // The image gives every version a reader list and the object
-        // one more, for readers of the initial version; only the list
-        // of the newest version (or that last one, while there is no
-        // version) can be other than empty.
-        let newest = o.entries.len().wrapping_sub(1);
-        for (i, entry) in o.entries.iter().enumerate() {
-            e.u32(id_of(entry));
-            let readers = if i == newest {
-                o.anchored.as_slice()
-            } else {
-                &[]
-            };
-            e.len(readers.len());
-            for &r in readers {
-                e.u32(id_of(r));
-            }
+        let cold = (o.entries.cold()).or_else(|| c.superseded_cold.get(&id).copied());
+        e.bool(cold.is_some());
+        if let Some((writer, seq)) = cold {
+            e.u32(writer.0);
+            e.u32(seq);
         }
-        let init_readers = if o.entries.is_empty() {
-            o.anchored.as_slice()
-        } else {
-            &[]
-        };
-        e.len(init_readers.len());
-        for &r in init_readers {
+        e.len(o.entries.len());
+        for t in o.entries.iter() {
+            e.u32(id_of(t));
+        }
+        let readers = o.anchored.as_slice();
+        e.len(readers.len());
+        for &r in readers {
             e.u32(id_of(r));
         }
     }
-    // The first graph slot held the G0 lane's (gone, see `crate::lanes`):
-    // always dropped, and in the layout until the format next changes.
-    for g in std::iter::once(None).chain(c.lanes.dags()) {
+    for g in c.lanes.dags() {
         match g {
             None => e.bool(false),
             Some(g) => {
@@ -240,7 +243,9 @@ fn counter(d: &mut Dec<'_>) -> Result<u64, SnapshotError> {
 /// See [`OnlineChecker::restore`].
 pub(crate) fn decode(bytes: &[u8]) -> Result<OnlineChecker, SnapshotError> {
     let header = SNAP_MAGIC.len() + 4;
-    if bytes.len() < header || bytes[..SNAP_MAGIC.len()] != SNAP_MAGIC {
+    let magic = bytes.get(..SNAP_MAGIC.len());
+    let v2 = magic == Some(&SNAP_MAGIC_V2[..]);
+    if bytes.len() < header || !(v2 || magic == Some(&SNAP_MAGIC[..])) {
         return Err(SnapshotError::BadMagic);
     }
     let crc = u32::from_le_bytes(bytes[SNAP_MAGIC.len()..header].try_into().unwrap());
@@ -334,24 +339,30 @@ pub(crate) fn decode(bytes: &[u8]) -> Result<OnlineChecker, SnapshotError> {
                 seq: d.u32()?,
             };
             let flags = d.u8()?;
-            if flags > 7 {
+            if flags > if v2 { 7 } else { 15 } {
                 return Err(malformed(format!("read flags {flags}")));
             }
-            let (counted, stale) = (flags & 2 != 0, flags & 4 != 0);
-            // A read of another transaction's version either pins its
-            // writer or found none to pin; no other read does either.
+            // A read of another transaction's version pins its writer,
+            // found none to pin, or took a final seq from a writer that
+            // left (a `\x02` image has none of those); no other read does
+            // any of the three.
             let foreign = !version.is_init() && version.txn != id;
-            if (counted && stale) || (counted || stale) != foreign {
+            if (flags >> 1).count_ones() != u32::from(foreign) {
                 return Err(malformed(format!(
                     "a buffered read of {id} has impossible flags"
                 )));
             }
+            let source = match flags >> 1 {
+                0 => Source::Local,
+                1 => Source::Held(c.txns.enter(version.txn).0),
+                2 => Source::Stale,
+                _ => Source::Cold(d.u32()?),
+            };
             reads.push(BufferedRead {
                 object,
                 version,
                 via_predicate: flags & 1 != 0,
-                writer: counted.then(|| c.txns.enter(version.txn).0),
-                stale,
+                source,
             });
         }
         let nws = d.len()?;
@@ -392,17 +403,19 @@ pub(crate) fn decode(bytes: &[u8]) -> Result<OnlineChecker, SnapshotError> {
         } else {
             Vec::new()
         };
+        if v2 {
+            // The counters an earlier build carried; derived below.
+            for _ in 0..4 {
+                d.u32()?;
+            }
+            counter(&mut d)?;
+        }
         let t = TxnState {
             status,
             begin_clock,
             terminal_clock,
             writes,
-            unsuperseded: d.u32()?,
-            refs: d.u32()?,
-            awaiting: d.u32()?,
-            registered: d.u32()?,
-            prune_after: d.u64()?,
-            ..TxnState::default() // `behind`: derived by `cross_check`
+            ..TxnState::default() // the counters: derived by `derive`
         };
         if !defined.insert(id) {
             return Err(malformed(format!("transaction {id} appears twice")));
@@ -436,6 +449,16 @@ pub(crate) fn decode(bytes: &[u8]) -> Result<OnlineChecker, SnapshotError> {
         }
         let base = counter(&mut d)?;
         c.objects[slot].base = base;
+        let cold = if !v2 && d.bool()? {
+            if base == 0 {
+                return Err(malformed(format!(
+                    "{id} has a cold entry before its first version"
+                )));
+            }
+            Some((TxnId(d.u32()?), d.u32()?))
+        } else {
+            None
+        };
         let ne = d.len()?;
         for i in 0..ne {
             let txn = TxnId(d.u32()?);
@@ -454,7 +477,9 @@ pub(crate) fn decode(bytes: &[u8]) -> Result<OnlineChecker, SnapshotError> {
                 return Err(malformed(format!("{txn} installed {id} twice")));
             }
             w.pos = c.objects[slot].position(i);
-            let nr = d.len()?;
+            // An earlier build gave each version a reader list: only the
+            // newest version's could be other than empty.
+            let nr = if v2 { d.len()? } else { 0 };
             if nr > 0 && i + 1 != ne {
                 return Err(malformed(format!(
                     "a superseded version of {id} still anchors readers"
@@ -465,8 +490,17 @@ pub(crate) fn decode(bytes: &[u8]) -> Result<OnlineChecker, SnapshotError> {
                 c.objects[slot].anchored.push(reader);
             }
         }
+        match cold {
+            Some(cold) if ne == 0 => c.objects[slot].entries = Installers::Cold(cold.0, cold.1),
+            Some(cold) => {
+                c.superseded_cold.insert(id, cold);
+            }
+            None => {}
+        }
+        // The readers anchored at the newest version — or, with an
+        // earlier build's layout, at the initial one.
         let ni = d.len()?;
-        if ni > 0 && (base > 0 || ne > 0) {
+        if v2 && ni > 0 && (base > 0 || ne > 0) {
             return Err(malformed(format!(
                 "{id} has versions and readers still waiting for one"
             )));
@@ -477,12 +511,12 @@ pub(crate) fn decode(bytes: &[u8]) -> Result<OnlineChecker, SnapshotError> {
         }
     }
     let mut dags = [None, None, None];
-    for slot in &mut dags {
+    for slot in &mut dags[usize::from(!v2)..] {
         if d.bool()? {
             *slot = Some(dec_dag(&mut d, &c.txns)?);
         }
     }
-    // An older image's G0 graph, checked like any, is dropped with its
+    // An earlier image's G0 graph, checked like any, is dropped with its
     // reorders counted, as a latch drops a lane.
     let [g0, dags @ ..] = dags;
     reorders_dropped += g0.map_or(0, |g| g.reorders());
@@ -496,40 +530,24 @@ pub(crate) fn decode(bytes: &[u8]) -> Result<OnlineChecker, SnapshotError> {
             d.remaining()
         )));
     }
-    cross_check(&mut c).map_err(malformed)?;
+    derive(&mut c).map_err(malformed)?;
     c.prov.note_orphans(|a, b| c.lanes.holds(a, b));
-    c.gc.rebuild(&mut c.txns);
+    c.gc.rebuild(&c.txns);
     c.parked = c.running.iter().map(|r| r.pending_readers.len()).sum();
     // An image an older build wrote may hold a G1c graph with nothing
     // parked; this build's never does between events.
     c.lanes.shed(c.parked != 0, &mut c.prov);
-    let watermark = crate::gc::watermark(&c.active, &c.txns, c.clock);
-    c.gc.rebuild_closing(&c.txns, &c.lanes, watermark);
     Ok(c)
 }
 
-/// What the tables say a transaction's derived counters are.
-#[derive(Default)]
-struct Derived {
-    unsuperseded: u64,
-    refs: u64,
-    awaiting: u64,
-    registered: u64,
-    behind: u32,
-}
-
-/// Holds a decoded image's tables to each other, in one pass over
-/// them (that every transaction they name is in the transaction
-/// table, [`decode`] saw to when it gave the names their slots): every
-/// committed write has its place in its object's version list — and
-/// every place belongs to a committed write, which `decode` checked as
-/// it filed them; and the per-transaction counters the image carries —
-/// `unsuperseded`, `refs`, `awaiting`, `registered`, which the handlers
-/// decrement and the collector trusts — equal what the tables imply.
-/// `behind` is not in the image and is set from the same count.
-fn cross_check(c: &mut OnlineChecker) -> Result<(), String> {
-    let mut derived: HashMap<TxnId, Derived> = HashMap::with_capacity(c.txns.len());
-    let id_of = |t| c.txns.key_of(t);
+/// Holds a decoded image's tables to each other (that every
+/// transaction they name is in the transaction table, [`decode`] saw
+/// to when it gave the names their slots, and that every listed version
+/// is a committed write's) and derives from them the counters the
+/// handlers subtract from: each writer's `refs` — the buffered and
+/// parked reads of its versions —, each reader's `awaiting` and its
+/// `anchors`. A committed write no object lists is a retired version.
+fn derive(c: &mut OnlineChecker) -> Result<(), String> {
     for (a, b) in c.prov.edges() {
         for id in [a, b] {
             if c.txns.lookup(id).is_none() {
@@ -540,52 +558,25 @@ fn cross_check(c: &mut OnlineChecker) -> Result<(), String> {
         }
     }
     for (id, _, t) in c.txns.iter() {
-        if t.begin_clock.max(t.terminal_clock).max(t.prune_after) > c.clock {
+        if t.begin_clock.max(t.terminal_clock) > c.clock {
             return Err(format!("{id} carries a clock later than the image's"));
         }
-        if let Some(running) = c.running_of(t) {
-            for w in running.reads.iter().filter_map(|r| r.writer) {
-                derived.entry(id_of(w)).or_default().refs += 1;
-            }
-            for p in &running.pending_readers {
-                derived.entry(id_of(p.reader)).or_default().awaiting += 1;
-                derived.entry(id).or_default().refs += 1;
-            }
+    }
+    for (&t, running) in c.active.iter().zip(&c.running) {
+        c.txns[t].refs += running.pending_readers.len() as u32;
+        for p in &running.pending_readers {
+            c.txns[p.reader].awaiting += 1;
         }
-        if t.status == Status::Committed {
-            if let Some(w) = t.writes.iter().find(|w| w.installed.is_none()) {
-                let o = w.object;
-                return Err(format!(
-                    "{id} committed a write of {o} that {o} does not list"
-                ));
+        for r in &running.reads {
+            if let Source::Held(w) = r.source {
+                c.txns[w].refs += 1;
             }
         }
     }
-    for (o, _, obj) in c.objects.iter() {
-        if obj.base > c.gc.pruned_txns() {
-            return Err(format!("{o} has lost more versions than were ever pruned"));
-        }
-        let newest = obj.entries.len().wrapping_sub(1);
-        for (i, e) in obj.entries.iter().enumerate() {
-            let d = derived.entry(id_of(e)).or_default();
-            d.behind += u32::from(i > 0);
-            d.unsuperseded += u64::from(i == newest);
-        }
+    for (_, slot, obj) in c.objects.iter() {
         for &r in obj.anchored.as_slice() {
-            derived.entry(id_of(r)).or_default().registered += 1;
+            c.txns[r].anchors.push(slot);
         }
-    }
-    let mut behind = Vec::with_capacity(c.txns.len());
-    for (id, slot, t) in c.txns.iter() {
-        let d = derived.remove(&id).unwrap_or_default();
-        let carried = [t.unsuperseded, t.refs, t.awaiting, t.registered].map(u64::from);
-        if carried != [d.unsuperseded, d.refs, d.awaiting, d.registered] {
-            return Err(format!("{id}'s counters disagree with the tables"));
-        }
-        behind.push((slot, d.behind));
-    }
-    for (slot, behind) in behind {
-        c.txns[slot].behind = behind;
     }
     Ok(())
 }
@@ -849,13 +840,13 @@ mod tests {
     /// Every single-bit mutation (four bits of every payload byte,
     /// checksum recomputed so the image gets past it) of an image taken
     /// mid-stream — live graphs, a live provenance map, buffered and
-    /// parked reads; with the default GC nothing pruned yet, with a pass
-    /// after every event pruned prefixes and contraction shortcuts — is
-    /// either refused or restores to a checker that takes the rest of
-    /// the stream, finishes and snapshots without panicking. Debug
-    /// builds trap arithmetic overflow, so a counter the image got to
-    /// lie about shows up here too. The unmutated image carries on to
-    /// the bytes of the run it was taken from.
+    /// parked reads; with the default GC nothing released yet, with a
+    /// pass after every event retired versions, cold entries and
+    /// released rows — is either refused or restores to a checker that
+    /// takes the rest of the stream, finishes and snapshots without
+    /// panicking. Debug builds trap arithmetic overflow, so a clock or a
+    /// count the image got to lie about shows up here too. The unmutated
+    /// image carries on to the bytes of the run it was taken from.
     #[test]
     fn no_mutated_image_restores_to_a_checker_that_panics() {
         let evs = eventful_stream();

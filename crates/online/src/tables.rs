@@ -13,17 +13,19 @@
 //! everything the handlers, the collector and the snapshot codec hold
 //! after that is the slot, and following it is a `Vec` index.
 //!
-//! **The slot rule.** A slot names a *pinned* value: it may be kept
-//! only while something guarantees the value cannot be released — for a
-//! transaction, a held `refs` / `awaiting` / `registered` count, an
-//! entry not yet popped off its object's version list, membership in
-//! the collector's `ready` index or the active list. A slot never
-//! orders anything (walks that need an order use the ids: the
-//! collector's `ready`, `finish()`'s aborts, install order) and never
-//! reaches an image, a verdict or another crate. Debug builds hunt
-//! violations: every slot carries the generation of the cell it was
-//! issued for, a release bumps the cell's generation, and every
-//! dereference compares the two.
+//! **The slot rule.** A slot names a *held* value: it may be kept only
+//! where the one place that releases the value takes it out first — for
+//! a transaction, the collector's release (`gc::Collector::try_release`)
+//! takes its version off its object's list, its anchors out of their
+//! objects' reader lists and its slot out of the running reads of it,
+//! and a parked read (`awaiting`) or, for an aborted writer, a read
+//! pin (`refs`) or membership in the active list holds it back. A slot
+//! never orders anything (walks that need an order use the ids or the
+//! clock: the collector's terminal-clock queue, `finish()`'s aborts,
+//! install order) and never reaches an image, a verdict or another
+//! crate. Debug builds hunt violations: every slot carries the
+//! generation of the cell it was issued for, a release bumps the cell's
+//! generation, and every dereference compares the two.
 
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;

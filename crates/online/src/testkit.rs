@@ -40,7 +40,7 @@ pub(crate) fn feed(c: &mut OnlineChecker, evs: &[Event]) -> Vec<Verdict> {
 /// A stream exercising every state the snapshot must carry:
 /// buffered and pending reads, aborts (G1a), intermediate reads
 /// (G1b), write cycles, anti-dependencies, and enough churn for
-/// the GC to prune and contract.
+/// the GC to retire versions and release rows.
 pub(crate) fn eventful_stream() -> Vec<Event> {
     let mut evs = vec![
         Event::Begin(TxnId(1)),

@@ -39,7 +39,7 @@ pub(crate) fn kind_from_bit(b: u8) -> Option<PhenomenonKind> {
 
 /// How a cycle edge reads in witness text, verdict JSON and DOT: the
 /// incremental graphs tell dependency edges (ww, wr) from item
-/// anti-dependencies only, because contraction shortcuts merge labels.
+/// anti-dependencies only — all the cycle rules ask of an edge.
 pub(crate) fn edge_label(anti: bool) -> &'static str {
     if anti {
         "rw"
@@ -56,12 +56,10 @@ pub struct CycleEdgeProv {
     pub from: TxnId,
     /// Depending transaction.
     pub to: TxnId,
-    /// True when the edge carries an item anti-dependency (rw),
-    /// possibly via GC contraction shortcuts.
+    /// True when the edge carries an item anti-dependency (rw).
     pub anti: bool,
     /// The concrete inducing operations, rendered `kind obj[version]`
-    /// and `; `-joined; empty when provenance was disabled or the chain
-    /// ran through pruned state.
+    /// and `; `-joined; empty when provenance was disabled.
     pub via: String,
 }
 
@@ -104,14 +102,22 @@ pub struct Verdict {
     /// it. `None` when nothing new fired, the phenomenon has no cycle
     /// (G1a/G1b), or provenance tracking is disabled.
     pub cycle: Option<Vec<CycleEdgeProv>>,
-    /// Transactions pruned by the GC so far.
+    /// Transactions whose rows the GC has released so far (`pruned` in
+    /// the JSON).
     pub pruned_txns: u64,
-    /// Reads that referenced an already-pruned (or never-seen) writer,
-    /// or a version superseded before their reader began (retired, with
-    /// collection on): when non-zero the verdict may be weaker than a
-    /// batch check of the full history — flagged, never silent.
+    /// Reads that referenced a never-seen writer or a version it never
+    /// wrote, or a version superseded before their reader began
+    /// (retired, with collection on): when non-zero the verdict may be
+    /// weaker than a batch check of the full history — flagged, never
+    /// silent.
     pub stale_refs: u64,
-    /// Transactions currently held in memory.
+    /// Rows the checker holds: the running transactions, and the
+    /// finished ones a later event may still need — those the watermark
+    /// has not passed, and those a cycle graph or a read of an aborted
+    /// version still holds. A finished transaction that left keeps its
+    /// versions as cold entries on their objects, so this counts what
+    /// the checker holds, not the history; with collection off, every
+    /// transaction seen.
     pub live_txns: usize,
     /// True for the verdict returned by [`OnlineChecker::finish`].
     ///

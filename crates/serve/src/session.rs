@@ -101,6 +101,7 @@ impl Session {
             reg.counter(&l("serve.session_events")),
             reg.counter(&l("serve.session_verdicts")),
             reg.gauge(&l("sli.session_watermark_staleness")),
+            // Rows the checker holds (`OnlineChecker::live_txns`).
             reg.gauge(&l("sli.session_live_txns")),
         )
     }
@@ -312,7 +313,9 @@ impl Session {
     }
 
     /// One fleet-health JSON object for this session; `attached` says
-    /// whether a connection has it checked out.
+    /// whether a connection has it checked out. Its `live_txns` is the
+    /// rows the checker holds — the running transactions and the
+    /// finished ones the watermark has not let go, not the history.
     pub fn health_entry(&self, attached: bool) -> String {
         use std::fmt::Write as _;
         let mut s = String::new();

@@ -456,3 +456,27 @@ pub fn check_stream_golden(file: &str, got: &str) {
     let want = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
     assert_eq!(got, want, "{} drifted", path.display());
 }
+
+/// A verdict line without the two fields that say what the collector
+/// holds rather than what the history is — `pruned` (rows released)
+/// and `live_txns` (rows held) —, which a collection rule may move.
+pub fn finding_of_line(line: &str) -> String {
+    without_fields(line, &["pruned", "live_txns"])
+}
+
+/// `line` with the numbers of the fields `keys` turned into `_`.
+pub fn without_fields(line: &str, keys: &[&str]) -> String {
+    let mut out = line.to_string();
+    for key in keys {
+        let key = format!("\"{key}\": ");
+        let Some(at) = out.find(&key) else {
+            continue;
+        };
+        let digits = out[at + key.len()..]
+            .bytes()
+            .take_while(u8::is_ascii_digit)
+            .count();
+        out.replace_range(at + key.len()..at + key.len() + digits, "_");
+    }
+    out
+}

@@ -1,22 +1,18 @@
-//! What a live transaction costs the streaming checker, in heap bytes
-//! held: on a clean stream over a wide key space most of the live set
-//! is finished transactions whose last versions are still the newest
-//! of their keys, and each should cost its writes, its place in the
-//! tables — and no node in G2's graph once the watermark has passed it
-//! (the peel), no G1c graph (no read is ever parked, so no dependency
-//! cycle can close), no read buffers (those are a running
-//! transaction's, on its entry in the active list), no per-node
-//! provenance index, one copy of each object name — and rows at their
-//! size: 16-byte write entries in buffers of exactly their number, an
-//! object's readers inline, 16-byte provenance chains. Here that is
-//! ≈ 551 B per live transaction in a debug build, 488 B in release; the
-//! build before the peel, whose G2 graph held the whole history, held
-//! ≈ 866 / 803, a build with 24-byte write entries in buffers grown by
-//! doubling, a reader buffer on every object and 24-byte chains
-//! ≈ 1 016 / 934, and one that also kept running-only buffers on every
-//! transaction row, two per-node provenance indexes, each name as a
-//! shared `Arc<str>` and each object's versions in a ring of their own
-//! ≈ 1 460 / 1 380.
+//! What the streaming checker holds, in heap bytes, on a clean stream
+//! over a wide key space: its rows are the transactions the watermark
+//! has not passed — a finished transaction leaves once it has, its
+//! newest versions staying behind as 16-byte cold entries on their
+//! objects — so what grows with the stream is the objects and their
+//! names, and the bound is per interned key. Each key should cost its
+//! object row and its name, once — no node in G2's graph once the
+//! watermark has passed it (the peel), no G1c graph (no read is ever
+//! parked, so no dependency cycle can close), no transaction row, no
+//! parser counter. Here that is ≈ 133 B per interned key in a debug
+//! build, 110 B in release; the build that kept every finished
+//! transaction whose versions were still the newest held ≈ 216 B per
+//! key in release (488 B for each of 19 800 rows), and its live set
+//! grew with the stream. The rows held stay at most 512 all along, at
+//! 40 k events as at 160 k.
 //!
 //! Beside it: what the parser's name table costs per interned name;
 //! that `OnlineChecker::provenance_bytes` is what provenance adds to
@@ -26,7 +22,7 @@
 //! session shaped like `adya-serve`'s (256 keys, eight open, provenance
 //! off) holds; and that G2's graph holds as many nodes at 160 k events
 //! as at 40 k (22 and 27; the build before the peel held the live set).
-//! The allocations per event stay flat as the live set grows.
+//! The allocations per event stay flat as the stream goes on.
 //!
 //! Alone in this file — so alone in its process — because it installs
 //! a counting `#[global_allocator]`, and in one test, because the
@@ -76,25 +72,23 @@ unsafe impl GlobalAlloc for Counting {
 static GLOBAL: Counting = Counting;
 
 /// Debug builds' slots carry a generation tag, so their rows are wider.
-/// Each bound is this build's measurement plus less than a tenth: 551 /
-/// 488 B per live transaction (debug / release), 24.9 B per interned
-/// name and 81.2 / 74.1 kB per session (79.3 / 72.2 while a graph
-/// still handed a freed slot to its next node). The build before the
-/// peel held
-/// 866 / 803 B per live transaction and 134.6 / 127.5 kB per session;
-/// one with 24-byte write
-/// entries, a reader buffer per object and 24-byte chains held 1 016 /
-/// 934 B per live transaction and 154 / 142 kB per session; one that
-/// also kept every running-only buffer on every row, the provenance
-/// side indexes, a shared `Arc<str>` per name and a ring per object
-/// held 1 458 / 1 381 B per live transaction, 84 B per interned name
-/// and 192 / 180 kB per session.
-const PER_TXN: f64 = if cfg!(debug_assertions) { 600.0 } else { 530.0 };
+/// Each bound is this build's measurement plus less than a tenth: 133.4
+/// / 109.8 B per interned key (debug / release), 24.9 B per interned
+/// name and 47.1 / 41.9 kB per session (21 rows held each). The build
+/// before, which kept every finished transaction whose versions were
+/// still the newest, held 215.8 B per key in release and 81.2 / 74.1 kB
+/// per session (192 rows); the one before the peel 134.6 / 127.5 kB;
+/// one with 24-byte write entries, a reader buffer per object and
+/// 24-byte chains 154 / 142 kB; one that also kept every running-only
+/// buffer on every row, the provenance side indexes, a shared
+/// `Arc<str>` per name and a ring per object 84 B per interned name and
+/// 192 / 180 kB per session.
+const PER_KEY: f64 = if cfg!(debug_assertions) { 146.0 } else { 120.0 };
 const PER_NAME: f64 = 27.0;
 const PER_SESSION: f64 = if cfg!(debug_assertions) {
-    87_000.0
+    51_500.0
 } else {
-    79_000.0
+    46_000.0
 };
 
 fn held() -> i64 {
@@ -156,21 +150,19 @@ fn a_live_transaction_costs_its_writes_and_its_table_rows() {
         );
     }
     let held_on = held() - before;
-    let live = wide.checker().live_txns();
-    let per_txn = held_on as f64 / live as f64;
+    let keys = wide.parser().interned();
+    let per_key = held_on as f64 / keys as f64;
     let per_event = allocs.map(|a| a as f64 / (EVENTS as f64 * 2.0 / 5.0));
     eprintln!(
-        "{held_on} bytes held for {live} live transactions: {per_txn:.0} B each; \
-         allocations per event {:.3} then {:.3}",
-        per_event[0], per_event[1]
+        "{held_on} bytes held for {keys} interned keys: {per_key:.1} B each \
+         ({} rows held); allocations per event {:.3} then {:.3}",
+        wide.checker().live_txns(),
+        per_event[0],
+        per_event[1]
     );
     assert!(
-        live > 10_000,
-        "{live} transactions live: the window must pin them"
-    );
-    assert!(
-        per_txn <= PER_TXN,
-        "{per_txn:.0} heap bytes per live transaction"
+        per_key <= PER_KEY,
+        "{per_key:.1} heap bytes per interned key"
     );
     assert!(
         per_event[1] <= per_event[0] * 1.25,
@@ -264,14 +256,22 @@ fn a_live_transaction_costs_its_writes_and_its_table_rows() {
     for events in [40_000, 160_000] {
         let mut f = feed(true, GcConfig::default());
         let text = stream_notation(&sliding_window_events(cfg, 11, events));
-        let mut peak = 0;
-        for tok in text.split_whitespace() {
+        let (mut peak, mut rows) = (0, 0);
+        for (i, tok) in text.split_whitespace().enumerate() {
             let event = f.parse(tok).expect("generated tokens parse");
             f.ingest(&event);
             let (nodes, _) = f.checker().cycle_graphs()[1].expect("G2 never latches here");
             peak = peak.max(nodes);
+            if i % 1_000 == 0 {
+                let live = f.checker().live_txns();
+                assert!(
+                    live <= 512,
+                    "{events} events: {live} rows held at event {i}"
+                );
+                rows = rows.max(live);
+            }
         }
-        eprintln!("{events} events: G2's graph peaked at {peak} nodes");
+        eprintln!("{events} events: G2's graph peaked at {peak} nodes, the tables at {rows} rows");
         assert!(peak <= 64, "{events} events: G2's graph held {peak} nodes");
     }
 }

@@ -9,8 +9,9 @@
 //! orders that diverge from commit order are a batch-only concept
 //! (see `adya::online` crate docs).
 //!
-//! Below the proptests: the indexed watermark GC held, byte for byte,
-//! to the scanning collector it replaced.
+//! Below the proptests: restored checkers held to the uninterrupted
+//! run, the collecting checker held to the exact one verdict for
+//! verdict, and images earlier builds wrote.
 
 use std::collections::BTreeSet;
 
@@ -172,17 +173,15 @@ proptest! {
     }
 }
 
-/// The indexed collector against the scanning one it replaced
-/// (`set_gc_by_scan`, the old pass kept for exactly this): on
-/// sliding-window streams — clean ones, where graphs stay live and
-/// prunes contract them, and dirty ones with aborts, dirty reads and
-/// latches — every verdict line and the checker image after every
-/// commit are the same bytes. And since the index is derived state, a
-/// checker restored from any image along the way carries on to the
-/// same bytes too.
-#[cfg(debug_assertions)] // the reference collector exists in debug builds only
+/// A checker restored from its image carries on as the one it was
+/// taken from: on sliding-window streams — clean ones, where graphs
+/// stay live and the peel and the release rule work through them, and
+/// dirty ones with aborts, dirty reads and latches — a checker restored
+/// every 97 events says every later verdict line, and ends in the final
+/// image, byte for byte. The queue and the passed marks are derived
+/// state, which the first pass after a restore derives again.
 #[test]
-fn indexed_gc_matches_the_scanning_collector_byte_for_byte() {
+fn a_restored_checker_carries_on_byte_for_byte() {
     use common::{sliding_window_events, SlidingWindow};
 
     for (seed, dirty, provenance, interval) in [
@@ -200,28 +199,21 @@ fn indexed_gc_matches_the_scanning_collector_byte_for_byte() {
             dirty,
         };
         let events = sliding_window_events(cfg, seed, 1_600);
-        let gc = GcConfig {
+        let mut c = OnlineChecker::with_gc(GcConfig {
             enabled: true,
             interval,
-        };
-        let mut indexed = OnlineChecker::with_gc(gc);
-        let mut scanning = OnlineChecker::with_gc(gc);
-        scanning.set_gc_by_scan(true);
-        for c in [&mut indexed, &mut scanning] {
-            c.set_provenance(provenance);
-        }
+        });
+        c.set_provenance(provenance);
         let mut restored: Vec<OnlineChecker> = Vec::new();
         let what = format!("seed {seed} dirty {dirty} provenance {provenance} interval {interval}");
         for (i, e) in events.iter().enumerate() {
             if i % 97 == 0 {
-                restored.push(OnlineChecker::restore(&indexed.snapshot()).expect("restore"));
+                let image = c.snapshot();
+                let r = OnlineChecker::restore(&image).expect("restore");
+                assert_eq!(r.snapshot(), image, "{what}: re-image at event {i}");
+                restored.push(r);
             }
-            let line = indexed.ingest(e).map(|v| v.to_json());
-            assert_eq!(
-                line,
-                scanning.ingest(e).map(|v| v.to_json()),
-                "{what}: verdict at event {i}"
-            );
+            let line = c.ingest(e).map(|v| v.to_json());
             for r in &mut restored {
                 assert_eq!(
                     line,
@@ -229,19 +221,10 @@ fn indexed_gc_matches_the_scanning_collector_byte_for_byte() {
                     "{what}: restored checker's verdict at event {i}"
                 );
             }
-            if line.is_some() {
-                assert_eq!(
-                    indexed.snapshot(),
-                    scanning.snapshot(),
-                    "{what}: image after event {i}"
-                );
-            }
         }
-        assert!(indexed.pruned_txns() > 50, "{what}: the stream must prune");
-        let last = indexed.finish().to_json();
-        assert_eq!(last, scanning.finish().to_json(), "{what}: final verdict");
-        let image = indexed.snapshot();
-        assert_eq!(image, scanning.snapshot(), "{what}: final image");
+        assert!(c.pruned_txns() > 50, "{what}: the stream must release");
+        let last = c.finish().to_json();
+        let image = c.snapshot();
         for (n, mut r) in restored.into_iter().enumerate() {
             assert_eq!(last, r.finish().to_json(), "{what}: restore #{n}");
             assert_eq!(image, r.snapshot(), "{what}: restore #{n}'s final image");
@@ -310,6 +293,62 @@ fn witnesses_do_not_depend_on_the_collection_schedule() {
         }
     }
     assert!(cycles >= 100, "only {cycles} G2 witnesses name an edge");
+}
+
+/// Collection changes what the checker holds and nothing it finds: on
+/// the stream fixtures whose ids never come round again and on 520
+/// generated sliding-window streams, clean and dirty (none with a
+/// retired read), a checker collecting at interval 1 and one at 64 say
+/// every verdict line the exact checker (`GcConfig { enabled: false }`)
+/// says, but for `pruned` and `live_txns`. (`reused_ids` is left out:
+/// there a `b1` while the checker still holds a finished T1 continues
+/// that T1, and which rows are held is what collection decides.)
+#[test]
+fn collection_changes_no_finding() {
+    use common::{sliding_window_events, SlidingWindow};
+
+    let findings = |events: &[Event], gc: GcConfig| -> Vec<String> {
+        let mut c = OnlineChecker::with_gc(gc);
+        c.set_provenance(true);
+        let mut lines: Vec<String> = events
+            .iter()
+            .filter_map(|e| c.ingest(e))
+            .map(|v| v.to_json())
+            .collect();
+        lines.push(c.finish().to_json());
+        lines.iter().map(|l| common::finding_of_line(l)).collect()
+    };
+    let exact = GcConfig {
+        enabled: false,
+        interval: 1,
+    };
+    let mut streams: Vec<(String, Vec<Event>)> = (common::STREAM_FIXTURES.iter())
+        .filter(|&&name| name != "reused_ids")
+        .map(|&name| (name.to_string(), fixture_events(name, exact)))
+        .collect();
+    for seed in 0..520u64 {
+        let cfg = SlidingWindow {
+            keys: [6, 16, 48, 256][(seed % 4) as usize],
+            slide: [150, 400, 1 << 40][(seed / 4 % 3) as usize],
+            open: [2, 4, 8, 16][(seed / 12 % 4) as usize],
+            dirty: seed % 2 == 1,
+        };
+        streams.push((
+            format!("{cfg:?} seed {seed}"),
+            sliding_window_events(cfg, seed, 1_200),
+        ));
+    }
+    for (what, events) in &streams {
+        assert_eq!(common::retired_reads(events), 0, "{what}");
+        let want = findings(events, exact);
+        for interval in [1, 64] {
+            let gc = GcConfig {
+                enabled: true,
+                interval,
+            };
+            assert_eq!(findings(events, gc), want, "{what}, interval {interval}");
+        }
+    }
 }
 
 /// The events of `tests/data/stream/<name>.events`, as a checker
@@ -421,14 +460,22 @@ fn stream_dots_match_their_goldens_in_process() {
 
 /// Restores each mid-stream image in `tests/data/stream/<file>`, laid
 /// out as an image golden, and carries it on over the rest of `name`'s
-/// events: to the file's remaining verdict lines and, with
-/// `final_image`, to its final image too.
-fn continue_from_images(name: &str, file: &str, final_image: bool) {
+/// events: with `own` (a golden of this build), to the file's remaining
+/// verdict lines and its final image, byte for byte; else (an image an
+/// earlier build wrote) to the findings of its remaining verdict lines
+/// — every field but `pruned` and `live_txns`, which count what the
+/// collector holds ([`common::finding_of_line`]).
+fn continue_from_images(name: &str, file: &str, own: bool) {
     let events = fixture_events(name, EAGER);
     let path = common::stream_data(file);
     let golden = std::fs::read_to_string(&path).expect("image file");
-    let compared =
-        |l: &str| l.starts_with("verdict ") || (final_image && l.starts_with("image@end "));
+    let compared = |l: &str| {
+        if l.starts_with("verdict ") && !own {
+            Some(common::finding_of_line(l))
+        } else {
+            (l.starts_with("verdict ") || (own && l.starts_with("image@end "))).then(|| l.into())
+        }
+    };
     // Each `# provenance` section is one run.
     for run in golden.split("# provenance ").skip(1) {
         let lines: Vec<&str> = run.lines().skip(1).collect();
@@ -450,12 +497,8 @@ fn continue_from_images(name: &str, file: &str, final_image: bool) {
             }
             got.push(format!("verdict {}", c.finish().to_json()));
             got.push(format!("image@end {}", hex(&c.snapshot())));
-            got.retain(|l| compared(l));
-            let want: Vec<&str> = lines[at + 1..]
-                .iter()
-                .copied()
-                .filter(|l| compared(l))
-                .collect();
+            let got: Vec<String> = got.iter().filter_map(|l| compared(l)).collect();
+            let want: Vec<String> = lines[at + 1..].iter().filter_map(|l| compared(l)).collect();
             assert_eq!(got, want, "{file}: continuing from image@{cut}");
         }
     }
@@ -473,70 +516,27 @@ fn golden_images_restore_and_continue_to_the_golden_verdicts() {
     }
 }
 
-/// Restores every image of `tests/data/stream/<file>`, an image golden
-/// as an older build wrote it, and requires each to be the state this
-/// build holds at the same cut once it restores the image of
-/// `<reference>` there — the current golden's, or one written after the
-/// older build but before the last sanctioned image break —, but for the
-/// CRC and the two reorder counters, which still count the reorders of
-/// the graph the restore let go.
-fn restores_to_this_builds_state(file: &str, reference: &str) {
-    if std::env::var_os("REGEN_GOLDEN").is_some() {
-        return; // the current golden is being rewritten under this test's feet
-    }
-    let read = |file: &str| std::fs::read_to_string(common::stream_data(file)).expect(file);
-    let (old_text, new_text) = (read(file), read(reference));
-    // Magic and CRC take 12 bytes; the payload opens with the clock,
-    // the GC policy and four counters (49 bytes), then the reorder
-    // counts of dropped graphs and of those already reported.
-    const DROPPED: usize = 12 + 49;
-    const REPORTED: usize = DROPPED + 8;
-    let u64_at = |b: &[u8], at: usize| u64::from_le_bytes(b[at..at + 8].try_into().unwrap());
-    let (old, new) = (images(&old_text), images(&new_text));
-    assert_eq!(old.len(), new.len());
-    for ((cut, image), (at, want)) in old.into_iter().zip(new) {
-        assert_eq!(cut, at);
-        let want = OnlineChecker::restore(&want)
-            .expect("the reference image restores")
-            .snapshot();
-        let mut got = OnlineChecker::restore(&image)
-            .expect("the image restores")
-            .snapshot();
-        // Both counts exceed this build's by the old graph's reorders:
-        // folded into the dropped count, they are not reported twice.
-        let extra = |at| u64_at(&got, at).wrapping_sub(u64_at(&want, at));
-        assert_eq!(extra(DROPPED), extra(REPORTED), "image@{cut}: reorders");
-        got[8..12].copy_from_slice(&want[8..12]);
-        got[DROPPED..REPORTED + 8].copy_from_slice(&want[DROPPED..REPORTED + 8]);
-        assert!(got == want, "{file}: image@{cut} restores to another state");
-    }
-}
-
 /// `dirty_hot.lane0.image` is `dirty_hot`'s image golden as the build
 /// before the G0 lane's removal wrote it: every image still carries a
 /// write-dependency graph, at the last cut the only graph left, beside
-/// a provenance map. Each restores (the graph checked, then dropped,
-/// the map cleared once no graph is left) and carries on to the same
-/// verdict lines; its final images are the old build's, so are not
-/// compared. Restored, each is the state this build reaches at the same
-/// cut — where nothing is parked, that is with G1c's graph shed, and
-/// the map cleared once no graph holds an edge.
+/// a provenance map, in the `\x02` layout. Each restores (the graph
+/// checked, then dropped, the map cleared once no graph is left) and
+/// carries on to the same findings.
 #[test]
 fn images_with_a_g0_graph_restore_and_continue_to_the_same_verdicts() {
     continue_from_images("dirty_hot", "dirty_hot.lane0.image", false);
-    restores_to_this_builds_state("dirty_hot.lane0.image", "dirty_hot.image.golden");
 }
 
-/// Restores each image in `file` beside this build's golden image at
-/// the same cut of fixture `name`, and feeds both the rest of the
-/// stream at interval 1. After every event — each followed by a
-/// collection pass — the two say the same verdict line and their G1c
-/// and G2 graphs hold as many edges; by the end, as many nodes. An
-/// image an earlier build wrote with closed sources still in its graphs
-/// is this build's state once a pass has peeled them, but for a node
-/// brought in only by an edge out of a closed transaction (which this
-/// build drops): it has no edge, and leaves once the watermark passes
-/// it.
+/// Restores each image in `file`, an image golden an earlier build
+/// wrote, beside this build's golden image at the same cut of fixture
+/// `name`, and feeds both the rest of the stream at interval 1. After
+/// every event — each followed by a collection pass — the two find the
+/// same and their G1c and G2 graphs hold as many edges; by the end, as
+/// many nodes. An earlier build's image holds rows this build has let
+/// go (its next pass releases them) and graphs with closed sources
+/// still in them (its next pass peels them), but for a node brought in
+/// only by an edge out of a closed transaction (which this build drops):
+/// it has no edge, and leaves once the watermark passes it.
 fn tracks_this_builds_state(name: &str, file: &str) {
     if std::env::var_os("REGEN_GOLDEN").is_some() {
         return; // the current golden is being rewritten under this test's feet
@@ -553,11 +553,12 @@ fn tracks_this_builds_state(name: &str, file: &str) {
         };
         let mut got = OnlineChecker::restore(&image).expect("the image restores");
         let mut want = OnlineChecker::restore(&want).expect("the golden image restores");
+        let finding = |v: adya_online::Verdict| common::finding_of_line(&v.to_json());
         for (i, e) in events[cut..].iter().enumerate() {
             let (g, w) = (got.ingest(e), want.ingest(e));
             assert_eq!(
-                g.map(|v| v.to_json()),
-                w.map(|v| v.to_json()),
+                g.map(finding),
+                w.map(finding),
                 "{file}: image@{cut}, event {i}: verdict"
             );
             let [g, w] = [&got, &want].map(|c| c.cycle_graphs().map(|g| g.unwrap_or((0, 0))));
@@ -567,7 +568,7 @@ fn tracks_this_builds_state(name: &str, file: &str) {
                 "{file}: image@{cut}, event {i}: graphs {g:?}, want {w:?}"
             );
         }
-        assert_eq!(got.finish().to_json(), want.finish().to_json());
+        assert_eq!(finding(got.finish()), finding(want.finish()));
         assert_eq!(
             got.cycle_graphs(),
             want.cycle_graphs(),
@@ -579,20 +580,16 @@ fn tracks_this_builds_state(name: &str, file: &str) {
 /// `clean_window.g1c.image` is `clean_window`'s image golden as the
 /// build before G1c's graph was shed wrote it: the stream is strict
 /// 2PL, so no read is ever parked, yet every image holds a G1c graph
-/// beside G2's. Each restores (the G1c graph checked, then shed) and
-/// carries on to the same verdict lines, and is, restored, the state
-/// this build holds once it restores the image the last build before
-/// the peel wrote at the same cut (`clean_window.unpeeled.image`, that
-/// build's golden, whose G2 graph still holds every closed source):
-/// a restore sheds, and leaves the peel to the next pass. Both carry
-/// on to the same verdict lines, and after that pass hold graphs of
-/// the size this build's own golden image at the cut leads to
-/// ([`tracks_this_builds_state`]).
+/// beside G2's. `clean_window.unpeeled.image` is the golden of the last
+/// build before the peel, whose G2 graph still holds every closed
+/// source. Each image of either restores (a G1c graph checked, then
+/// shed) and carries on to the same findings, and after the next pass
+/// holds graphs of the size this build's own golden image at the cut
+/// leads to ([`tracks_this_builds_state`]).
 #[test]
 fn images_with_a_g1c_graph_and_nothing_parked_restore_to_this_builds_state() {
     continue_from_images("clean_window", "clean_window.g1c.image", false);
     continue_from_images("clean_window", "clean_window.unpeeled.image", false);
-    restores_to_this_builds_state("clean_window.g1c.image", "clean_window.unpeeled.image");
     tracks_this_builds_state("clean_window", "clean_window.g1c.image");
     tracks_this_builds_state("clean_window", "clean_window.unpeeled.image");
 }
@@ -602,7 +599,9 @@ fn images_with_a_g1c_graph_and_nothing_parked_restore_to_this_builds_state() {
 /// with rare dirty reads — a read is parked now and then, the graph is
 /// shed in between, and G1c fires late in the stream — at GC interval 1
 /// and 64, with provenance on, every verdict line and every
-/// `cycle_dot` are the same bytes, the final verdict too. The sample
+/// `cycle_dot` are the same bytes, the final verdict too, but for
+/// `pruned` and `live_txns`: a transaction leaves the tables only once
+/// no graph holds it, and the eager graph holds more. The sample
 /// must hold at least 100 streams in which, under both intervals, G1c
 /// fires after the shed graph held fewer nodes than the eager one.
 #[cfg(debug_assertions)] // the eager reference exists in debug builds only
@@ -636,17 +635,20 @@ fn the_g1c_graph_shed_while_nothing_is_parked_matches_the_eager_one() {
             for (i, e) in h.events().iter().enumerate() {
                 let v = lazy.ingest(e);
                 late |= shed && v.as_ref().is_some_and(|v| v.new_fired.contains(&G1c));
+                let finding = |v: adya_online::Verdict| {
+                    (common::finding_of_line(&v.to_json()), v.cycle_dot())
+                };
                 assert_eq!(
-                    v.map(|v| (v.to_json(), v.cycle_dot())),
-                    eager.ingest(e).map(|v| (v.to_json(), v.cycle_dot())),
+                    v.map(finding),
+                    eager.ingest(e).map(finding),
                     "seed {seed}, interval {interval}: verdict at event {i}"
                 );
                 let nodes = |c: &OnlineChecker| c.cycle_graphs()[0].map(|(nodes, _)| nodes);
                 shed |= nodes(&lazy) < nodes(&eager);
             }
             assert_eq!(
-                lazy.finish().to_json(),
-                eager.finish().to_json(),
+                common::finding_of_line(&lazy.finish().to_json()),
+                common::finding_of_line(&eager.finish().to_json()),
                 "seed {seed}, interval {interval}: final verdict"
             );
             late_in_both &= late;
