@@ -19,7 +19,7 @@ use crate::lanes::{EdgeKind, Lanes, PlannedEdge};
 use crate::provenance::{ProvStep, Provenance};
 use crate::snapshot::{self, SnapshotError};
 use crate::tables::{Recycle, Slot, Table};
-use crate::verdict::{Fired, Verdict};
+use crate::verdict::{strongest_ansi_of, Fired, Verdict, VerdictFact};
 
 pub(crate) type TxnSlot = Slot<TxnId>;
 pub(crate) type ObjSlot = Slot<ObjectId>;
@@ -596,7 +596,20 @@ impl OnlineChecker {
 
     /// Strongest ANSI-chain level the committed prefix satisfies.
     pub fn strongest_ansi(&self) -> Option<IsolationLevel> {
-        IsolationLevel::strongest_ansi(|k| self.fired.has(k))
+        strongest_ansi_of(self.fired.mask)
+    }
+
+    /// The line of the commit verdict `fact` was taken from
+    /// ([`Verdict::fact`]), byte for byte what [`Verdict::to_json`]
+    /// returned then: the witness, witness id and cycle of its first new
+    /// kind are the ones this checker latched, once, when that kind
+    /// fired — and an image carries them. `fact` must come from this
+    /// checker's stream, or from the stream of the checker it was
+    /// restored from.
+    pub fn verdict_line(&self, fact: &VerdictFact) -> String {
+        let mut s = String::with_capacity(256);
+        self.fired.write_line(fact, &mut s);
+        s
     }
 
     /// Feeds one event; returns a [`Verdict`] when the event is a
@@ -1255,28 +1268,16 @@ impl OnlineChecker {
     }
 
     fn verdict(&self, txn: Option<TxnId>, new_fired: &[PhenomenonKind]) -> Verdict {
-        let witness = new_fired
-            .first()
-            .and_then(|k| self.fired.witness_of(*k).cloned());
-        let cycle = new_fired
-            .first()
-            .and_then(|k| self.fired.cycle_of(*k).cloned());
-        let witness_id = new_fired.first().map(|k| {
-            let nodes: Vec<u64> = cycle
-                .as_deref()
-                .map(|c| c.iter().map(|e| u64::from(e.from.0)).collect())
-                .unwrap_or_default();
-            adya_obs::witness_id(&k.to_string(), &nodes, witness.as_deref().unwrap_or(""))
-        });
+        let first = new_fired.first().copied();
         Verdict {
             txn,
             committed: self.committed,
             strongest_ansi: self.strongest_ansi(),
             fired: self.fired.kinds(),
             new_fired: new_fired.to_vec(),
-            witness,
-            witness_id,
-            cycle,
+            witness: first.and_then(|k| self.fired.witness_of(k).cloned()),
+            witness_id: first.map(|k| self.fired.witness_id(k)),
+            cycle: first.and_then(|k| self.fired.cycle_of(k).cloned()),
             pruned_txns: self.gc.pruned_txns(),
             stale_refs: self.stale_refs,
             live_txns: self.txns.len(),

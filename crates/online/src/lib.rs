@@ -116,4 +116,4 @@ pub use gc::GcConfig;
 pub use monitor::{CheckerMonitor, Exemplar, HealthPolicy};
 pub use pipeline::{EventPipeline, PipelineConfig, PipelineStats};
 pub use snapshot::SnapshotError;
-pub use verdict::{CycleEdgeProv, Verdict};
+pub use verdict::{CycleEdgeProv, Verdict, VerdictFact};

@@ -1,8 +1,15 @@
 //! What the checker says: the per-commit [`Verdict`] and its one-line
-//! JSON, the latched-phenomenon record behind it, and the two small
-//! vocabularies both are written in — which phenomena the streaming
+//! JSON, the [`VerdictFact`] a commit verdict reduces to, the
+//! latched-phenomenon record behind both, and the two small
+//! vocabularies they are written in — which phenomena the streaming
 //! checker reports (with their snapshot bit) and how a cycle edge is
 //! labelled. Plain data: nothing here reads the checker's tables.
+//!
+//! A verdict line has one writer, `Line::write`: a `Verdict` renders
+//! through it, and so does a fact, with its witness, witness id and
+//! cycle taken from the latch record. That record is write-once per
+//! kind, so a fact renders to the line its verdict did for as long as
+//! the checker (or an image of it) lives.
 
 use std::fmt::{Display, Write as _};
 use std::sync::OnceLock;
@@ -35,6 +42,17 @@ pub(crate) fn kind_bit(k: PhenomenonKind) -> u8 {
 /// The kind whose latch bit is exactly `b`.
 pub(crate) fn kind_from_bit(b: u8) -> Option<PhenomenonKind> {
     ONLINE_KINDS.iter().copied().find(|&k| kind_bit(k) == b)
+}
+
+/// The latch mask of `kinds`.
+fn mask_of(kinds: &[PhenomenonKind]) -> u8 {
+    kinds.iter().fold(0, |m, &k| m | kind_bit(k))
+}
+
+/// The strongest ANSI-chain level a prefix whose latch mask is `mask`
+/// satisfies: Figure 6's rule, over the mask.
+pub(crate) fn strongest_ansi_of(mask: u8) -> Option<IsolationLevel> {
+    IsolationLevel::strongest_ansi(|k| mask & kind_bit(k) != 0)
 }
 
 /// How a cycle edge reads in witness text, verdict JSON and DOT: the
@@ -168,7 +186,111 @@ impl Verdict {
     /// allocating nothing itself: a caller writing line after line
     /// clears and reuses one buffer.
     pub fn write_json(&self, out: &mut String) {
-        let s = out;
+        Line {
+            txn: self.txn,
+            is_final: self.is_final,
+            committed: self.committed,
+            strongest_ansi: self.strongest_ansi,
+            fired: &self.fired,
+            new: &self.new_fired,
+            witness: self.witness.as_deref(),
+            witness_id: self.witness_id.as_deref(),
+            cycle: self.cycle.as_deref(),
+            pruned: self.pruned_txns,
+            stale_refs: self.stale_refs,
+            live_txns: self.live_txns as u64,
+        }
+        .write(out);
+    }
+
+    /// The facts of a commit verdict; `None` for the final one.
+    pub fn fact(&self) -> Option<VerdictFact> {
+        if self.is_final {
+            return None;
+        }
+        Some(VerdictFact {
+            txn: self.txn?.0,
+            committed: self.committed,
+            pruned: self.pruned_txns,
+            stale_refs: self.stale_refs,
+            live_txns: self.live_txns as u64,
+            fired: mask_of(&self.fired),
+            new: mask_of(&self.new_fired),
+        })
+    }
+}
+
+/// A commit verdict as fixed-size, heap-free facts: everything its line
+/// says that the checker's latch record does not. The line's
+/// `strongest_ansi` follows from `fired` by Figure 6, and its witness,
+/// witness id and cycle are those latched for the first kind in `new`
+/// — see [`OnlineChecker::verdict_line`].
+///
+/// [`OnlineChecker::verdict_line`]: crate::OnlineChecker::verdict_line
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct VerdictFact {
+    /// The committing transaction.
+    pub txn: u32,
+    /// Committed transactions in the prefix so far.
+    pub committed: u64,
+    /// `pruned` in the line.
+    pub pruned: u64,
+    /// `stale_refs` in the line.
+    pub stale_refs: u64,
+    /// `live_txns` in the line.
+    pub live_txns: u64,
+    /// Every phenomenon fired so far: bit `i` is the `i`-th kind the
+    /// streaming checker reports (G0, G1a, G1b, G1c, G2-item, G2).
+    pub fired: u8,
+    /// The phenomena that fired first at this commit, in the same bits.
+    pub new: u8,
+}
+
+impl VerdictFact {
+    /// Reads the facts back out of a commit verdict line; `None` for a
+    /// line that is not one. Whether the line is exactly what the facts
+    /// render to is the caller's question.
+    pub fn from_line(line: &str) -> Option<VerdictFact> {
+        let v = adya_obs::json::parse(line).ok()?;
+        let mask = |key: &str| {
+            v.get(key)?.as_array()?.iter().try_fold(0u8, |m, k| {
+                let name = k.as_str()?;
+                let kind = ONLINE_KINDS.iter().find(|&&o| kind_name(o) == name)?;
+                Some(m | kind_bit(*kind))
+            })
+        };
+        Some(VerdictFact {
+            txn: u32::try_from(v.u64_at("txn")?).ok()?,
+            committed: v.u64_at("committed")?,
+            pruned: v.u64_at("pruned")?,
+            stale_refs: v.u64_at("stale_refs")?,
+            live_txns: v.u64_at("live_txns")?,
+            fired: mask("fired")?,
+            new: mask("new")?,
+        })
+    }
+}
+
+/// What one verdict line says, borrowed: the input of the one writer
+/// of verdict lines.
+struct Line<'a> {
+    txn: Option<TxnId>,
+    is_final: bool,
+    committed: u64,
+    strongest_ansi: Option<IsolationLevel>,
+    fired: &'a [PhenomenonKind],
+    new: &'a [PhenomenonKind],
+    witness: Option<&'a str>,
+    witness_id: Option<&'a str>,
+    cycle: Option<&'a [CycleEdgeProv]>,
+    pruned: u64,
+    stale_refs: u64,
+    live_txns: u64,
+}
+
+impl Line<'_> {
+    /// Appends the line to `s`, allocating nothing itself.
+    fn write(&self, s: &mut String) {
         s.push_str("{\"txn\": ");
         match self.txn {
             Some(t) => push_u64(s, u64::from(t.0)),
@@ -187,10 +309,7 @@ impl Verdict {
             }
             None => s.push_str("null"),
         }
-        for (key, kinds) in [
-            (", \"fired\": [", &self.fired),
-            (", \"new\": [", &self.new_fired),
-        ] {
+        for (key, kinds) in [(", \"fired\": [", self.fired), (", \"new\": [", self.new)] {
             s.push_str(key);
             for (i, &k) in kinds.iter().enumerate() {
                 s.push_str(if i > 0 { ", \"" } else { "\"" });
@@ -200,8 +319,8 @@ impl Verdict {
             s.push(']');
         }
         let texts = [
-            (", \"witness\": ", &self.witness),
-            (", \"witness_id\": ", &self.witness_id),
+            (", \"witness\": ", self.witness),
+            (", \"witness_id\": ", self.witness_id),
         ];
         for (key, text) in texts {
             s.push_str(key);
@@ -214,7 +333,7 @@ impl Verdict {
                 None => s.push_str("null"),
             }
         }
-        match &self.cycle {
+        match self.cycle {
             Some(c) => {
                 s.push_str(", \"cycle\": [");
                 for (i, e) in c.iter().enumerate() {
@@ -237,11 +356,11 @@ impl Verdict {
             None => s.push_str(", \"cycle\": null"),
         }
         s.push_str(", \"pruned\": ");
-        push_u64(s, self.pruned_txns);
+        push_u64(s, self.pruned);
         s.push_str(", \"stale_refs\": ");
         push_u64(s, self.stale_refs);
         s.push_str(", \"live_txns\": ");
-        push_u64(s, self.live_txns as u64);
+        push_u64(s, self.live_txns);
         s.push('}');
     }
 }
@@ -276,6 +395,12 @@ fn names() -> &'static Names {
         kinds: PhenomenonKind::ALL.map(|k| k.to_string()),
         levels: IsolationLevel::ALL.map(|l| l.to_string()),
     })
+}
+
+/// What `Display` prints for `k`, rendered once.
+fn kind_name(k: PhenomenonKind) -> &'static str {
+    let i = PhenomenonKind::ALL.iter().position(|&a| a == k);
+    i.map_or("", |i| &names().kinds[i])
 }
 
 /// Appends `v`'s pre-rendered name — `names[i]` for `all[i]`.
@@ -377,6 +502,42 @@ impl Fired {
         self.cycles.iter().find(|(ck, _)| *ck == k).map(|(_, c)| c)
     }
 
+    /// The stable id of `k`'s latched witness:
+    /// [`adya_obs::witness_id`] over the cycle's transactions when one
+    /// was captured, else over the witness text.
+    pub(crate) fn witness_id(&self, k: PhenomenonKind) -> String {
+        let nodes: Vec<u64> = self
+            .cycle_of(k)
+            .map(|c| c.iter().map(|e| u64::from(e.from.0)).collect())
+            .unwrap_or_default();
+        let witness = self.witness_of(k).map_or("", String::as_str);
+        adya_obs::witness_id(kind_name(k), &nodes, witness)
+    }
+
+    /// Appends the line of the commit verdict `f` stands for: its
+    /// witness, witness id and cycle are those latched for the first
+    /// kind in `f.new`.
+    pub(crate) fn write_line(&self, f: &VerdictFact, out: &mut String) {
+        let (fired, new) = (Fired::kinds_in(f.fired), Fired::kinds_in(f.new));
+        let first = new.first().copied();
+        let witness_id = first.map(|k| self.witness_id(k));
+        Line {
+            txn: Some(TxnId(f.txn)),
+            is_final: false,
+            committed: f.committed,
+            strongest_ansi: strongest_ansi_of(f.fired),
+            fired: &fired,
+            new: &new,
+            witness: first.and_then(|k| self.witness_of(k)).map(String::as_str),
+            witness_id: witness_id.as_deref(),
+            cycle: first.and_then(|k| self.cycle_of(k)).map(Vec::as_slice),
+            pruned: f.pruned,
+            stale_refs: f.stale_refs,
+            live_txns: f.live_txns,
+        }
+        .write(out);
+    }
+
     /// The kinds whose bit is set in `mask`, in report order.
     pub(crate) fn kinds_in(mask: u8) -> Vec<PhenomenonKind> {
         ONLINE_KINDS
@@ -410,6 +571,42 @@ mod tests {
         assert!(j.contains("\"txn\": 1"));
         assert!(j.contains("\"strongest_ansi\": \"PL-3\""));
         assert!(!j.contains('\n'));
+    }
+
+    #[test]
+    fn a_fact_renders_to_its_verdicts_line_for_the_checkers_life_and_its_images() {
+        use crate::testkit::eventful_stream;
+        use crate::VerdictFact;
+        let mut c = OnlineChecker::new();
+        c.set_provenance(true);
+        // Then T42 reads T41's version, T41 aborts, and T42 reads T40's
+        // intermediate one: G1a and G1b at one commit.
+        let mut evs = eventful_stream();
+        evs.extend([
+            Event::Begin(TxnId(40)),
+            w(40, 5, 1),
+            w(40, 5, 2),
+            Event::Commit(TxnId(40)),
+            Event::Begin(TxnId(41)),
+            w(41, 6, 1),
+            Event::Begin(TxnId(42)),
+            r(42, 6, 41, 1),
+            Event::Abort(TxnId(41)),
+            r(42, 5, 40, 1),
+            Event::Commit(TxnId(42)),
+        ]);
+        let vs = feed(&mut c, &evs);
+        let firsts: Vec<_> = vs.iter().filter(|v| !v.new_fired.is_empty()).collect();
+        assert!(firsts.len() >= 3, "{firsts:#?}");
+        let restored = OnlineChecker::restore(&c.snapshot()).expect("restores");
+        for v in &vs {
+            let line = v.to_json();
+            let fact = v.fact().expect("a commit verdict");
+            assert_eq!(VerdictFact::from_line(&line), Some(fact));
+            assert_eq!(c.verdict_line(&fact), line);
+            assert_eq!(restored.verdict_line(&fact), line);
+        }
+        assert_eq!(c.finish().fact(), None, "the final verdict is no fact");
     }
 
     #[test]

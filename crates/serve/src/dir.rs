@@ -45,9 +45,9 @@ use std::fs::{self, File, OpenOptions};
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 
-use adya_online::{wire, EventLogReader, LogError, LOG_MAGIC};
+use adya_online::{EventLogReader, LogError, LOG_MAGIC};
 
-use crate::log::SNAP_MAGIC;
+use crate::log;
 use crate::replica::LogPublisher;
 
 /// Name of the scratch file every [`put`](SessionDir::put) writes
@@ -416,9 +416,9 @@ impl SessionDir {
         let mut healed = Vec::new();
         for &(file, _) in &files {
             if matches!(file, FileName::Snapshot(_)) && self.resupplied {
-                // Magic, declared length, CRC: cheap, no decoding of
-                // the checker state inside.
-                if wire::open(&SNAP_MAGIC, &self.read(file)?).is_none() {
+                // Magic (either layout), declared length, CRC: cheap,
+                // no decoding of the checker state inside.
+                if log::open_snapshot(&self.read(file)?).is_none() {
                     self.remove(file)?;
                 }
             }
@@ -488,6 +488,7 @@ fn segment_damage(buf: &[u8]) -> Option<Damage> {
 mod tests {
     use super::*;
     use adya_history::{Event, TxnId};
+    use adya_online::wire;
 
     fn tmp(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("adya-dir-{name}-{}", std::process::id()));

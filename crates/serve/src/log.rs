@@ -47,9 +47,36 @@ use crate::dir::{FileName, FsyncPolicy, SessionDir};
 use crate::replica::LogPublisher;
 use crate::verdict_log::VerdictLog;
 
-/// First 8 bytes of every session snapshot container (a
-/// [`wire::seal`]ed payload).
-pub const SNAP_MAGIC: [u8; 8] = *b"ADYASRV\x01";
+/// First 8 bytes of every session snapshot container this build writes
+/// (a [`wire::seal`]ed payload): its verdict window is fixed-width
+/// facts.
+pub const SNAP_MAGIC: [u8; 8] = *b"ADYASRV\x02";
+
+/// The magic of the snapshots earlier builds wrote, whose verdict window
+/// is the lines themselves. They still restore.
+pub const SNAP_MAGIC_LINES: [u8; 8] = *b"ADYASRV\x01";
+
+/// How a session snapshot's verdict window is written.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum SnapWindow {
+    /// [`SNAP_MAGIC`]: fixed-width facts.
+    Facts,
+    /// [`SNAP_MAGIC_LINES`]: the lines.
+    Lines,
+}
+
+/// The one place a session snapshot's magic is recognised: the window
+/// layout and the payload of a sealed container with either magic whose
+/// length and checksum hold; `None` otherwise. Cheap — nothing inside
+/// is decoded — so `SessionDir::heal` asks it too.
+pub(crate) fn open_snapshot(bytes: &[u8]) -> Option<(SnapWindow, &[u8])> {
+    [
+        (SNAP_MAGIC, SnapWindow::Facts),
+        (SNAP_MAGIC_LINES, SnapWindow::Lines),
+    ]
+    .into_iter()
+    .find_map(|(magic, window)| Some((window, wire::open(&magic, bytes)?)))
+}
 
 /// Rotation, snapshot cadence and sync policy for a [`SessionLog`].
 #[derive(Debug, Clone, Copy)]
@@ -447,7 +474,7 @@ impl SessionLog {
                 records += 1;
                 tail_events += 1;
                 if let Some(v) = feed.replay(&ev) {
-                    verdict_log.push(v.to_json());
+                    verdict_log.push(&v, feed.checker());
                 }
             }
         }
@@ -514,10 +541,11 @@ struct SnapState {
 }
 
 /// Decodes a snapshot container; `None` when it cannot be trusted —
-/// a verdict window that does not end at the stored verdict count
-/// included.
+/// a verdict window that does not end at the stored verdict count, or
+/// (`\x01`) a line its fact does not render back to, included.
 fn decode_snapshot(bytes: &[u8]) -> Option<SnapState> {
-    let mut d = wire::Dec::new(wire::open(&SNAP_MAGIC, bytes)?);
+    let (window, payload) = open_snapshot(bytes)?;
+    let mut d = wire::Dec::new(payload);
     let records = d.u64().ok()?;
     let verdicts = d.u64().ok()?;
     let seg_start = d.u64().ok()?;
@@ -526,10 +554,11 @@ fn decode_snapshot(bytes: &[u8]) -> Option<SnapState> {
     let parser = d.bytes(n).ok()?;
     let n = d.len().ok()?;
     let feed = StreamFeed::restore(parser, d.bytes(n).ok()?).ok()?;
-    let verdict_log = VerdictLog::read(verdicts, &mut d)?;
-    if d.remaining() != 0 {
-        return None;
-    }
+    // The window ends the payload: each reader refuses trailing bytes.
+    let verdict_log = match window {
+        SnapWindow::Facts => VerdictLog::read(verdicts, &mut d)?,
+        SnapWindow::Lines => VerdictLog::read_lines(verdicts, &mut d, feed.checker())?,
+    };
     Some(SnapState {
         records,
         seg_start,
@@ -551,6 +580,7 @@ mod tests {
         log: SessionLog,
         feed: StreamFeed,
         verdicts: Vec<String>,
+        window: VerdictLog,
     }
 
     impl Rig {
@@ -559,6 +589,7 @@ mod tests {
                 log: SessionLog::create(dir, cfg, None).unwrap(),
                 feed: StreamFeed::new(OnlineChecker::new()),
                 verdicts: Vec::new(),
+                window: VerdictLog::default(),
             }
         }
 
@@ -573,15 +604,14 @@ mod tests {
                 self.log.append_names(fresh).unwrap();
                 self.log.append(&ev).unwrap();
                 if let Some(v) = self.feed.ingest(&ev) {
+                    self.window.push(&v, self.feed.checker());
                     self.verdicts.push(v.to_json());
                 }
             }
         }
 
         fn snapshot(&mut self) -> usize {
-            let mut verdicts = VerdictLog::default();
-            self.verdicts.iter().for_each(|v| verdicts.push(v.clone()));
-            self.log.write_snapshot(&self.feed, &verdicts).unwrap()
+            self.log.write_snapshot(&self.feed, &self.window).unwrap()
         }
     }
 
@@ -714,6 +744,7 @@ mod tests {
             log: r.log,
             feed: r.feed,
             verdicts: Vec::new(),
+            window: VerdictLog::default(),
         };
         reference.verdicts.clear();
         let cont = format!("b99 r99(zz1) w99({},2) w99(fresh,1) c99", key(39));
@@ -747,7 +778,9 @@ mod tests {
         // Verdicts replayed from the tail must be byte-identical to
         // the uninterrupted run's suffix.
         assert_eq!(
-            r.verdict_log.since(r.verdict_log.base()).unwrap(),
+            r.verdict_log
+                .since(r.verdict_log.base(), r.feed.checker())
+                .unwrap(),
             &before[r.verdict_log.base() as usize..],
             "resumed verdict stream diverged"
         );
@@ -759,6 +792,7 @@ mod tests {
             log: r.log,
             feed: r.feed,
             verdicts: Vec::new(),
+            window: VerdictLog::default(),
         };
         let mut reference = Rig::create(&tmp("recover-ref"), cfg);
         reference.apply(NINE);
@@ -803,6 +837,7 @@ mod tests {
             log: r.log,
             feed: r.feed,
             verdicts: Vec::new(),
+            window: VerdictLog::default(),
         };
         rig.apply("c2");
         assert_eq!(rig.verdicts.len(), 1);
@@ -868,6 +903,7 @@ mod tests {
             log: r.log,
             feed: r.feed,
             verdicts: Vec::new(),
+            window: VerdictLog::default(),
         };
         // Old names resolve, new ones append to the legacy file…
         rig.apply("b3 r3(x1) w3(z,1) c3");
@@ -899,7 +935,7 @@ mod tests {
         let before = rig.verdicts.clone();
         drop(rig);
         let r = SessionLog::recover(&dir, cfg, GcConfig::default(), false, None).unwrap();
-        assert_eq!(r.verdict_log.since(0).unwrap(), before);
+        assert_eq!(r.verdict_log.since(0, r.feed.checker()).unwrap(), before);
         assert_eq!(r.tail_events, 9);
         fs::remove_dir_all(&dir).unwrap();
     }

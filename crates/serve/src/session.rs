@@ -13,7 +13,12 @@
 //! recovery replays exactly the suffix the client never saw.
 //!
 //! The session's verdicts are one [`VerdictLog`]: its count, and the
-//! replay window a resuming client gets its missing tail from.
+//! replay window a resuming client gets its missing tail from. The
+//! window holds each verdict as its 40-byte [`VerdictFact`], not its
+//! line; [`Session::resume`] renders the missing lines through the
+//! session's checker, byte for byte the ones `apply_line` returned.
+//!
+//! [`VerdictFact`]: adya_online::VerdictFact
 
 use std::path::Path;
 use std::sync::Arc;
@@ -175,6 +180,11 @@ impl Session {
         self.verdicts.count()
     }
 
+    /// The session's verdicts: their count and the replay window.
+    pub fn verdict_log(&self) -> &VerdictLog {
+        &self.verdicts
+    }
+
     /// The final verdict line, once closed.
     pub fn closed(&self) -> Option<&str> {
         self.closed.as_deref()
@@ -246,9 +256,8 @@ impl Session {
             traced.stamp(Stage::Apply);
             if let Some(v) = verdict {
                 traced.stamp(Stage::Verdict);
-                let line = v.to_json();
-                self.verdicts.push(line.clone());
-                out.push((traced.id(), line));
+                self.verdicts.push(&v, self.feed.checker());
+                out.push((traced.id(), v.to_json()));
                 self.m_verdicts.inc();
             }
         }
@@ -275,12 +284,13 @@ impl Session {
     }
 
     /// Validates a resume at `have` client-held verdicts and returns
-    /// `(records, total_verdicts, lines_to_replay)`.
+    /// `(records, total_verdicts, lines_to_replay)`, the lines rendered
+    /// from the window's facts now.
     pub fn resume(&mut self, have: u64) -> Result<(u64, u64, Vec<String>), ResumeError> {
         if let Some(fin) = &self.closed {
             return Err(ResumeError::Closed(fin.clone()));
         }
-        let replay = self.verdicts.since(have)?.to_vec();
+        let replay = self.verdicts.since(have, self.feed.checker())?;
         Ok((self.log.records(), self.verdicts.count(), replay))
     }
 
@@ -339,5 +349,56 @@ impl Session {
             None => s.push_str(", \"strongest_ansi\": null}"),
         }
         s
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::dir::FsyncPolicy;
+    use adya_faults::TapCrashConfig;
+
+    /// Fires G1a and G1b at one commit (T3 read T2's version, T2
+    /// aborted, and T1's intermediate one), G2-item and G2 at another
+    /// (write skew), and reads a writer the stream never began.
+    const DIRTY: [&str; 5] = [
+        "b1 w1(x,1) w1(x,2) c1 b2 w2(y,1) b3 r3(y2:1) a2 r3(x1:1) c3",
+        "b4 b5 r4(pinit) r5(qinit) w4(q,4) w5(p,5) c4",
+        "c5 b6 r6(z9:1) c6",
+        "b7 r7(x1:2) w7(x,7) c7",
+        "b8 r8(x7:1) c8",
+    ];
+
+    #[test]
+    fn a_resume_re_sends_the_lines_apply_line_returned_witnesses_included() {
+        let data = std::env::temp_dir().join(format!("adya-session-window-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&data);
+        let cfg = SessionConfig {
+            log: LogConfig {
+                rotate_events: 8,
+                snapshot_every: 24, // one snapshot, after the third line
+                fsync: FsyncPolicy::Never,
+            },
+            provenance: true,
+            ..SessionConfig::default()
+        };
+        let tap = TapCrashPlane::new(TapCrashConfig::default());
+        let mut s = Session::create(&data, "s", cfg, None).expect("create");
+        let mut sent = Vec::new();
+        for line in DIRTY {
+            let out = s.apply_line(line, &tap).expect("apply");
+            sent.extend(out.into_iter().map(|(_, l)| l));
+        }
+        for new in [r#""new": ["G1a", "G1b"]"#, r#""new": ["G2-item", "G2"]"#] {
+            assert!(sent.iter().any(|l| l.contains(new)), "{new}: {sent:#?}");
+        }
+        assert!(!sent.last().unwrap().contains(r#""stale_refs": 0"#));
+        assert_eq!(s.resume(0).expect("resume").2, sent);
+        assert_eq!(s.verdict_log().base(), 0);
+        drop(s); // a kill: the snapshot holds the first verdicts' facts
+
+        let mut s = Session::recover(&data, "s", cfg, None).expect("recover");
+        assert_eq!(s.resume(0).expect("resume").2, sent);
+        let _ = std::fs::remove_dir_all(&data);
     }
 }

@@ -1,9 +1,16 @@
 //! A session's verdicts, kept once: one index-ordered log whose length
-//! is the session's verdict count and whose retained lines are the ones
-//! a resuming client may still be missing.
+//! is the session's verdict count and whose retained entries are the
+//! verdicts a resuming client may still be missing.
+//!
+//! An entry is a [`VerdictFact`] — 40 bytes, no heap — not its line:
+//! a line is rendered only when it is re-sent, by the session's checker
+//! ([`OnlineChecker::verdict_line`]), whose latch record holds the
+//! one part of a line a fact does not (the first witness, witness id and
+//! cycle of each kind, written once when the kind fires). Debug builds
+//! check every push: the fact must render to the line its verdict did.
 //!
 //! The replay window reaches one full snapshot interval back. A
-//! snapshot keeps every line since the *previous* snapshot (the
+//! snapshot keeps every verdict since the *previous* snapshot (the
 //! `mark`), not just since itself: a client killed at the worst moment
 //! (this snapshot durable, its triggering verdicts never delivered)
 //! cannot hold fewer verdicts than the previous snapshot's count,
@@ -12,21 +19,30 @@
 //! on the window, which is what keeps it from growing on long streams.
 //!
 //! In a snapshot payload the count follows the record count and the
-//! window (`base`, the lines) ends the payload; decoding derives the
+//! window ends the payload: `base`, `n`, then `n` facts of
+//! [`FACT_BYTES`] each. A snapshot an earlier build wrote holds the
+//! lines themselves instead (`log::open_snapshot` tells the two
+//! apart by their magic); each is read back into its fact, and refused
+//! unless the fact renders to it byte for byte. Decoding derives the
 //! count from the window and refuses a payload whose stored count
 //! disagrees.
 
-use adya_online::wire;
+use adya_online::{wire, OnlineChecker, Verdict, VerdictFact};
 
 use crate::session::ResumeError;
 
-/// The verdict lines of one session that can still be re-sent.
+/// Bytes one fact takes in a snapshot: `txn` (u32), `committed`,
+/// `pruned`, `stale_refs`, `live_txns` (u64 each), `fired`, `new` (u8
+/// each), little-endian.
+pub const FACT_BYTES: usize = 38;
+
+/// The verdicts of one session that can still be re-sent.
 #[derive(Debug, Default, PartialEq)]
 pub struct VerdictLog {
-    /// Verdict index of `lines[0]`.
+    /// Verdict index of `facts[0]`.
     base: u64,
-    /// The re-sendable lines: verdicts `base..count()`.
-    lines: Vec<String>,
+    /// The re-sendable verdicts: `base..count()`.
+    facts: Vec<VerdictFact>,
     /// The verdict count in the last durable snapshot; never below
     /// `base`.
     mark: u64,
@@ -35,7 +51,7 @@ pub struct VerdictLog {
 impl VerdictLog {
     /// Total verdicts over the session's life.
     pub fn count(&self) -> u64 {
-        self.base + self.lines.len() as u64
+        self.base + self.facts.len() as u64
     }
 
     /// Index of the oldest verdict that can still be re-sent.
@@ -43,13 +59,26 @@ impl VerdictLog {
         self.base
     }
 
-    /// Appends the next verdict line.
-    pub fn push(&mut self, line: String) {
-        self.lines.push(line);
+    /// Heap bytes the window holds.
+    pub fn heap_bytes(&self) -> usize {
+        self.facts.capacity() * std::mem::size_of::<VerdictFact>()
     }
 
-    /// The lines a client holding `have` verdicts is missing.
-    pub fn since(&self, have: u64) -> Result<&[String], ResumeError> {
+    /// Appends commit verdict `v`, which `checker` just returned. Debug
+    /// builds check that its fact renders, through `checker`, to `v`'s
+    /// line.
+    pub fn push(&mut self, v: &Verdict, checker: &OnlineChecker) {
+        let fact = v.fact().expect("a commit verdict");
+        debug_assert_eq!(
+            checker.verdict_line(&fact),
+            v.to_json(),
+            "a verdict's fact renders to its line"
+        );
+        self.facts.push(fact);
+    }
+
+    /// The verdicts a client holding `have` is missing.
+    fn window(&self, have: u64) -> Result<&[VerdictFact], ResumeError> {
         if have < self.base {
             return Err(ResumeError::Unrecoverable { base: self.base });
         }
@@ -58,26 +87,36 @@ impl VerdictLog {
                 durable: self.count(),
             });
         }
-        Ok(&self.lines[(have - self.base) as usize..])
+        Ok(&self.facts[(have - self.base) as usize..])
+    }
+
+    /// The lines a client holding `have` verdicts is missing, rendered
+    /// by the session's `checker`.
+    pub fn since(&self, have: u64, checker: &OnlineChecker) -> Result<Vec<String>, ResumeError> {
+        Ok(self
+            .window(have)?
+            .iter()
+            .map(|f| checker.verdict_line(f))
+            .collect())
     }
 
     /// Writes a snapshot that carries this log with `write`, then
-    /// trims: the lines before the previous snapshot's count go, and
+    /// trims: the verdicts before the previous snapshot's count go, and
     /// the mark moves to the count. A failed write trims nothing.
     pub fn snapshot<E>(
         &mut self,
         write: impl FnOnce(&VerdictLog) -> Result<(), E>,
     ) -> Result<(), E> {
         write(self)?;
-        self.lines.drain(..(self.mark - self.base) as usize);
+        self.facts.drain(..(self.mark - self.base) as usize);
         self.base = self.mark;
         self.mark = self.count();
         Ok(())
     }
 
-    /// Writes a park's snapshot with `write`. Every line stays, since
-    /// the departed client may not have read them; the mark moves to
-    /// the count only if the write succeeded, because a later
+    /// Writes a park's snapshot with `write`. Every verdict stays,
+    /// since the departed client may not have read them; the mark moves
+    /// to the count only if the write succeeded, because a later
     /// snapshot trims to the mark, and a mark past every durable
     /// snapshot would make a resume within one interval spuriously
     /// unrecoverable.
@@ -95,28 +134,82 @@ impl VerdictLog {
     /// Writes the window (its place in the payload: the end).
     pub(crate) fn write_window(&self, e: &mut wire::Enc) {
         e.u64(self.base);
-        e.len(self.lines.len());
-        for line in &self.lines {
-            e.str(line);
+        e.len(self.facts.len());
+        for f in &self.facts {
+            e.u32(f.txn);
+            for n in [f.committed, f.pruned, f.stale_refs, f.live_txns] {
+                e.u64(n);
+            }
+            e.u8(f.fired);
+            e.u8(f.new);
         }
     }
 
     /// Reads the window written by [`write_window`](Self::write_window)
     /// of a snapshot whose stored count is `count`; `None` unless the
-    /// window ends exactly at `count`. The snapshot is the mark.
+    /// window ends exactly at `count` and at the end of `d`. The
+    /// snapshot is the mark.
     pub(crate) fn read(count: u64, d: &mut wire::Dec) -> Option<VerdictLog> {
+        let base = d.u64().ok()?;
+        let n = d.u64().ok()?;
+        // Before anything is reserved: the facts fill what is left.
+        if n.checked_mul(FACT_BYTES as u64) != Some(d.remaining() as u64)
+            || base.checked_add(n) != Some(count)
+        {
+            return None;
+        }
+        let mut facts = Vec::with_capacity(n as usize);
+        for _ in 0..n {
+            let txn = d.u32().ok()?;
+            let mut counts = [0u64; 4];
+            for c in &mut counts {
+                *c = d.u64().ok()?;
+            }
+            let [committed, pruned, stale_refs, live_txns] = counts;
+            facts.push(VerdictFact {
+                txn,
+                committed,
+                pruned,
+                stale_refs,
+                live_txns,
+                fired: d.u8().ok()?,
+                new: d.u8().ok()?,
+            });
+        }
+        Some(VerdictLog {
+            base,
+            facts,
+            mark: count,
+        })
+    }
+
+    /// Reads an earlier build's window — `base`, then the lines — of a
+    /// snapshot whose stored count is `count`, each line into its fact;
+    /// `None` unless every line is exactly what its fact renders to
+    /// through `checker` (the snapshot's own), and the window ends at
+    /// `count` and at the end of `d`.
+    pub(crate) fn read_lines(
+        count: u64,
+        d: &mut wire::Dec,
+        checker: &OnlineChecker,
+    ) -> Option<VerdictLog> {
         let base = d.u64().ok()?;
         let n = d.len().ok()?;
         if base.checked_add(n as u64) != Some(count) {
             return None;
         }
-        let mut lines = Vec::with_capacity(n.min(4096));
+        let mut facts = Vec::with_capacity(n.min(4096));
         for _ in 0..n {
-            lines.push(d.str().ok()?);
+            let line = d.str().ok()?;
+            let fact = VerdictFact::from_line(&line)?;
+            if checker.verdict_line(&fact) != line {
+                return None;
+            }
+            facts.push(fact);
         }
-        Some(VerdictLog {
+        (d.remaining() == 0).then_some(VerdictLog {
             base,
-            lines,
+            facts,
             mark: count,
         })
     }
@@ -125,39 +218,65 @@ impl VerdictLog {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// A fact that stands for verdict `i` alone.
+    fn fact(i: u64) -> VerdictFact {
+        VerdictFact {
+            txn: i as u32,
+            committed: i,
+            ..VerdictFact::default()
+        }
+    }
 
     fn log_of(n: u64) -> VerdictLog {
         let mut log = VerdictLog::default();
-        for i in 0..n {
-            log.push(format!("v{i}"));
-        }
+        (0..n).for_each(|i| log.facts.push(fact(i)));
         log
+    }
+
+    fn push(log: &mut VerdictLog, i: u64) {
+        log.facts.push(fact(i));
     }
 
     fn ok(_: &VerdictLog) -> Result<(), ()> {
         Ok(())
     }
 
-    fn lines(log: &VerdictLog, have: u64) -> Vec<String> {
-        log.since(have).expect("resumable").to_vec()
+    /// The `committed` of each verdict a client holding `have` misses.
+    fn missing(log: &VerdictLog, have: u64) -> Vec<u64> {
+        let window = log.window(have).expect("resumable");
+        window.iter().map(|f| f.committed).collect()
+    }
+
+    fn encode(log: &VerdictLog) -> Vec<u8> {
+        let mut e = wire::Enc::new();
+        log.write_window(&mut e);
+        e.into_bytes()
+    }
+
+    #[test]
+    fn a_fact_is_forty_bytes_in_memory() {
+        assert_eq!(std::mem::size_of::<VerdictFact>(), 40);
+        assert_eq!(encode(&log_of(1)).len(), 16 + FACT_BYTES);
     }
 
     #[test]
     fn since_answers_at_both_edges_of_the_window() {
         let mut log = log_of(3);
         log.snapshot(ok).unwrap(); // mark 3
-        log.push("v3".into());
-        log.push("v4".into());
+        push(&mut log, 3);
+        push(&mut log, 4);
         log.snapshot(ok).unwrap(); // base 3, mark 5
         assert_eq!((log.base(), log.count()), (3, 5));
-        assert_eq!(lines(&log, 3), ["v3", "v4"]);
-        assert!(lines(&log, 5).is_empty());
+        assert_eq!(missing(&log, 3), [3, 4]);
+        assert!(missing(&log, 5).is_empty());
         assert!(matches!(
-            log.since(2),
+            log.window(2),
             Err(ResumeError::Unrecoverable { base: 3 })
         ));
         assert!(matches!(
-            log.since(6),
+            log.window(6),
             Err(ResumeError::Ahead { durable: 5 })
         ));
     }
@@ -168,32 +287,32 @@ mod tests {
         log.snapshot(ok).unwrap(); // mark 2
         log.park(ok).unwrap(); // the client left at once
         assert_eq!(log.base(), 0, "a park drops nothing");
-        log.push("v2".into());
+        push(&mut log, 2);
         log.snapshot(ok).unwrap();
         assert_eq!(log.base(), 2);
-        assert_eq!(lines(&log, 2), ["v2"]);
+        assert_eq!(missing(&log, 2), [2]);
         // Verdicts before the park: its snapshot is durable, so the
         // next one trims to the park's count.
         let mut log = log_of(2);
         log.snapshot(ok).unwrap();
-        log.push("v2".into());
+        push(&mut log, 2);
         log.park(ok).unwrap(); // mark 3
-        log.push("v3".into());
+        push(&mut log, 3);
         log.snapshot(ok).unwrap();
         assert_eq!(log.base(), 3);
-        assert_eq!(lines(&log, 3), ["v3"]);
+        assert_eq!(missing(&log, 3), [3]);
     }
 
     #[test]
     fn a_failed_park_leaves_the_mark_where_it_was() {
         let mut log = log_of(2);
         log.snapshot(ok).unwrap(); // mark 2
-        log.push("v2".into());
+        push(&mut log, 2);
         assert_eq!(log.park(|_| Err("disk full")), Err("disk full"));
-        log.push("v3".into());
+        push(&mut log, 3);
         log.snapshot(ok).unwrap();
         assert_eq!(log.base(), 2, "trimmed only to the last durable count");
-        assert_eq!(lines(&log, 2), ["v2", "v3"]);
+        assert_eq!(missing(&log, 2), [2, 3]);
         // A failed snapshot trims nothing either.
         assert_eq!(log.snapshot(|_| Err(())), Err(()));
         assert_eq!(log.base(), 2);
@@ -203,16 +322,62 @@ mod tests {
     fn a_window_round_trips_and_a_disagreeing_count_is_refused() {
         let mut log = log_of(4);
         log.snapshot(ok).unwrap();
-        log.push("v4".into());
-        log.snapshot(ok).unwrap(); // base 4, one line
-        let mut e = wire::Enc::new();
-        log.write_window(&mut e);
-        let bytes = e.into_bytes();
+        push(&mut log, 4);
+        log.snapshot(ok).unwrap(); // base 4, one verdict
+        let bytes = encode(&log);
         let back = VerdictLog::read(log.count(), &mut wire::Dec::new(&bytes)).expect("decodes");
         assert_eq!((back.base(), back.count()), (4, 5));
-        assert_eq!(lines(&back, 4), ["v4"]);
+        assert_eq!(missing(&back, 4), [4]);
         for count in [0, 4, 6, u64::MAX] {
             assert_eq!(VerdictLog::read(count, &mut wire::Dec::new(&bytes)), None);
+        }
+    }
+
+    fn any_fact() -> impl Strategy<Value = VerdictFact> {
+        let count = || 0u64..u64::MAX;
+        let counts = (count(), count(), count(), count());
+        (0u32..u32::MAX, counts, 0u8..64, 0u8..64).prop_map(
+            |(txn, (committed, pruned, stale_refs, live_txns), fired, new)| VerdictFact {
+                txn,
+                committed,
+                pruned,
+                stale_refs,
+                live_txns,
+                fired,
+                new: new & fired,
+            },
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// `read(write_window(w)) == w` over random windows; and a
+        /// window cut short, a count larger than the bytes left, and
+        /// bytes after the window are each refused without a panic.
+        #[test]
+        fn a_random_window_round_trips_and_hostile_bytes_are_refused(
+            base in 0u64..1 << 40,
+            facts in proptest::collection::vec(any_fact(), 0..40),
+            cut in 1usize..FACT_BYTES * 2,
+            extra in 1u64..1 << 20,
+        ) {
+            let log = VerdictLog { base, mark: base + facts.len() as u64, facts };
+            let count = log.count();
+            let bytes = encode(&log);
+            let read = |b: &[u8], count| VerdictLog::read(count, &mut wire::Dec::new(b));
+            prop_assert_eq!(read(&bytes, count), Some(log));
+
+            let short = &bytes[..bytes.len().saturating_sub(cut).max(8)];
+            prop_assert_eq!(read(short, count), None, "a truncated window");
+            let mut long = bytes.clone();
+            long.push(0);
+            prop_assert_eq!(read(&long, count), None, "a trailing byte");
+            for n in [count - base + extra, u64::MAX / FACT_BYTES as u64 + 1, u64::MAX] {
+                let mut over = bytes.clone();
+                over[8..16].copy_from_slice(&n.to_le_bytes());
+                prop_assert_eq!(read(&over, base.wrapping_add(n)), None, "an over-long count {}", n);
+            }
         }
     }
 }

@@ -14,6 +14,7 @@ use std::path::{Path, PathBuf};
 use adya_faults::{TapCrashConfig, TapCrashPlane};
 use adya_history::ObjectId;
 use adya_online::{wire, GcConfig, OnlineChecker, StreamFeed};
+use adya_serve::verdict_log::FACT_BYTES;
 use adya_serve::{log, FileName, LogConfig, Session, SessionConfig, SessionLog, VerdictLog};
 use proptest::prelude::*;
 
@@ -44,6 +45,7 @@ struct Rig {
     log: SessionLog,
     feed: StreamFeed,
     verdicts: Vec<String>,
+    window: VerdictLog,
 }
 
 impl Rig {
@@ -55,13 +57,12 @@ impl Rig {
         self.log.append_names(fresh).expect("append names");
         self.log.append(&ev).expect("append event");
         if let Some(v) = self.feed.ingest(&ev) {
+            self.window.push(&v, self.feed.checker());
             self.verdicts.push(v.to_json());
         }
         if self.log.snapshot_due() {
-            let mut verdicts = VerdictLog::default();
-            self.verdicts.iter().for_each(|v| verdicts.push(v.clone()));
             self.log
-                .write_snapshot(&self.feed, &verdicts)
+                .write_snapshot(&self.feed, &self.window)
                 .expect("snapshot");
         }
     }
@@ -83,8 +84,9 @@ fn tmp(tag: &str) -> PathBuf {
     dir
 }
 
-/// A rewrite of a snapshot's verdict window: `(window_base, lines)`.
-type Rewrite = fn(u64, Vec<String>) -> (u64, Vec<String>);
+/// A rewrite of a snapshot's verdict window: `(window_base, facts)`,
+/// each fact its fixed-width bytes.
+type Rewrite = fn(u64, Vec<Vec<u8>>) -> (u64, Vec<Vec<u8>>);
 
 /// Re-seals `dir`'s one snapshot with a valid CRC after `rewrite`
 /// changed the verdict window at its end; the stored count is kept.
@@ -107,11 +109,13 @@ fn tamper_window(dir: &Path, rewrite: Rewrite) {
         e.bytes(d.bytes(n).unwrap());
     }
     let base = d.u64().unwrap();
-    let lines = (0..d.len().unwrap()).map(|_| d.str().unwrap()).collect();
-    let (base, lines) = rewrite(base, lines);
+    let facts = (0..d.u64().unwrap())
+        .map(|_| d.bytes(FACT_BYTES).unwrap().to_vec())
+        .collect();
+    let (base, facts) = rewrite(base, facts);
     e.u64(base);
-    e.len(lines.len());
-    lines.iter().for_each(|l| e.str(l));
+    e.len(facts.len());
+    facts.iter().for_each(|f| e.bytes(f));
     fs::write(&path, wire::seal(&log::SNAP_MAGIC, &e.into_bytes())).expect("re-seal");
 }
 
@@ -125,7 +129,7 @@ fn a_snapshot_whose_count_disagrees_with_its_window_is_refused() {
     let cfg = SessionConfig::default();
     let tampers: [(&str, Rewrite); 2] = [
         ("emptied", |base, _| (base, Vec::new())),
-        ("base-above-count", |_, lines| (7, lines)),
+        ("base-above-count", |_, facts| (7, facts)),
     ];
     for (tag, rewrite) in tampers {
         let data = tmp(&format!("tampered-{tag}"));
@@ -190,6 +194,7 @@ proptest! {
             log: SessionLog::create(&dir, cfg, None).expect("create"),
             feed: StreamFeed::new(OnlineChecker::with_gc(GcConfig::default())),
             verdicts: Vec::new(),
+            window: VerdictLog::default(),
         };
         for tok in &tokens[..crash_at] {
             rig.apply(tok);
@@ -218,7 +223,7 @@ proptest! {
         );
         let base = r.verdict_log.base();
         prop_assert_eq!(
-            r.verdict_log.since(base).expect("the whole window"),
+            r.verdict_log.since(base, r.feed.checker()).expect("the whole window"),
             &ref_verdicts[base as usize..crash_verdicts],
             "replayed verdict tail diverged from the uninterrupted run"
         );
@@ -229,6 +234,7 @@ proptest! {
             log: r.log,
             feed: r.feed,
             verdicts: ref_verdicts[..crash_verdicts].to_vec(),
+            window: r.verdict_log,
         };
         for tok in &tokens[crash_at..] {
             rig.apply(tok);

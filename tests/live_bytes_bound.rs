@@ -20,7 +20,9 @@
 //! hold the whole history (≈ 1.6 MB of chains; with it they hold a few
 //! hundred bytes, which the allocator's noise would swamp); what a
 //! session shaped like `adya-serve`'s (256 keys, eight open, provenance
-//! off) holds; and that G2's graph holds as many nodes at 160 k events
+//! off) holds, as a bare feed and as an `adya-serve` `Session` with its
+//! log and replay window (whose verdicts are 40-byte facts, not their
+//! lines); and that G2's graph holds as many nodes at 160 k events
 //! as at 40 k (22 and 27; the build before the peel held the live set).
 //! The allocations per event stay flat as the stream goes on.
 //!
@@ -34,6 +36,8 @@ use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 
 use adya::history::ObjectId;
 use adya::online::{GcConfig, OnlineChecker, StreamFeed, StreamParser};
+use adya::serve::{Session, SessionConfig};
+use adya_faults::{TapCrashConfig, TapCrashPlane};
 
 mod common;
 use common::{sliding_window_events, stream_notation, SlidingWindow};
@@ -90,6 +94,17 @@ const PER_SESSION: f64 = if cfg!(debug_assertions) {
 } else {
     46_000.0
 };
+/// An `adya-serve` `Session` of that shape, 1 250 events, its window
+/// untrimmed: 58.7 / 53.5 kB (debug / release), of which the replay
+/// window is 49.9 B per retained verdict — a 40-byte fact and the
+/// `Vec`'s slack. The build that kept each verdict's JSON line held
+/// 89.9 kB per session in release, ≈ 220 B per retained verdict.
+const PER_SERVED: f64 = if cfg!(debug_assertions) {
+    64_000.0
+} else {
+    58_500.0
+};
+const PER_WINDOW_VERDICT: f64 = 54.0;
 
 fn held() -> i64 {
     HELD.load(Ordering::Relaxed)
@@ -249,6 +264,52 @@ fn a_live_transaction_costs_its_writes_and_its_table_rows() {
         "{per_session:.0} heap bytes per session"
     );
     drop(sessions);
+
+    // `adya-serve`'s own `Session`s of that shape, one transaction per
+    // line, under the default `LogConfig`: one snapshot lands at 1 024
+    // events, so the replay window keeps every verdict (≈ 206).
+    let tap = TapCrashPlane::new(TapCrashConfig::default());
+    let data = common::data_dir("live-bytes-sessions");
+    let before_served = held();
+    let served: Vec<Session> = (0..8)
+        .map(|seed| {
+            let name = format!("s{seed}");
+            let mut s = Session::create(&data, &name, SessionConfig::default(), None)
+                .expect("create a session");
+            let text = stream_notation(&sliding_window_events(session, seed, 1_250));
+            for line in text.lines() {
+                s.apply_line(line, &tap).expect("apply a line");
+            }
+            s
+        })
+        .collect();
+    let per_served = (held() - before_served) as f64 / served.len() as f64;
+    let (window, retained) = served.iter().fold((0, 0), |(bytes, n), s| {
+        let log = s.verdict_log();
+        (bytes + log.heap_bytes(), n + log.count() - log.base())
+    });
+    let per_verdict = window as f64 / retained as f64;
+    eprintln!(
+        "a served session holds {per_served:.0} B; its replay window {per_verdict:.1} B \
+         for each of {} verdicts",
+        retained / served.len() as u64
+    );
+    assert!(
+        served
+            .iter()
+            .all(|s| s.verdict_log().base() == 0 && s.records() == 1_250),
+        "one snapshot, the window untrimmed"
+    );
+    assert!(
+        per_served <= PER_SERVED,
+        "{per_served:.0} heap bytes per served session"
+    );
+    assert!(
+        per_verdict <= PER_WINDOW_VERDICT,
+        "{per_verdict:.1} window bytes per retained verdict"
+    );
+    drop(served);
+    let _ = std::fs::remove_dir_all(&data);
 
     // G2's graph does not grow with the stream: at 40 k events and at
     // 160 k, the peel keeps it to the transactions the watermark has not

@@ -16,7 +16,10 @@ use std::path::{Path, PathBuf};
 
 use adya::history::ObjectId;
 use adya::online::{wire, GcConfig, OnlineChecker, StreamFeed, StreamParser};
-use adya::serve::{FsyncPolicy, LogConfig, Session, SessionConfig, SessionLog};
+use adya::serve::log::SNAP_MAGIC_LINES;
+use adya::serve::{
+    FsyncPolicy, LogConfig, RecoverError, Session, SessionConfig, SessionDir, SessionLog,
+};
 use adya_faults::{TapCrashConfig, TapCrashPlane};
 
 mod common;
@@ -152,7 +155,7 @@ fn a_session_written_by_a_never_forgetting_parser_resumes_to_the_forgetting_verd
     };
     let fixture = common::stream_data("reused_ids.never_forgot");
     let image = std::fs::read(fixture.join("s/snap-119.snap")).expect("snapshot file");
-    let payload = wire::open(&adya::serve::log::SNAP_MAGIC, &image).expect("sealed snapshot");
+    let payload = wire::open(&SNAP_MAGIC_LINES, &image).expect("sealed snapshot");
     let mut d = wire::Dec::new(payload);
     for _ in 0..4 {
         d.u64().expect("record, verdict and segment counts");
@@ -310,4 +313,107 @@ fn a_session_directory_an_earlier_build_wrote_resumes_byte_for_byte() {
         common::finding_of_line(&resumed.close().expect("close")),
         common::finding_of_line(&fresh.close().expect("close"))
     );
+}
+
+/// An earlier build's session snapshot (`SNAP_MAGIC_LINES`) taken apart
+/// at its verdict window: the payload before the window, the window's
+/// base, and its lines as that build wrote them.
+fn lines_window(image: &[u8]) -> (Vec<u8>, u64, Vec<String>) {
+    let payload = wire::open(&SNAP_MAGIC_LINES, image).expect("an earlier build's snapshot");
+    let mut d = wire::Dec::new(payload);
+    for _ in 0..4 {
+        d.u64().expect("record, verdict and segment counts");
+    }
+    for _ in 0..2 {
+        let n = d.len().expect("image length");
+        d.bytes(n).expect("parser and checker images");
+    }
+    let head = payload[..payload.len() - d.remaining()].to_vec();
+    let base = d.u64().expect("window base");
+    let n = d.len().expect("window length");
+    let lines = (0..n).map(|_| d.str().expect("a window line")).collect();
+    assert_eq!(d.remaining(), 0, "the window ends the payload");
+    (head, base, lines)
+}
+
+/// `lines_window`'s parts sealed again, as that build sealed them.
+fn seal_lines(head: &[u8], base: u64, lines: &[String]) -> Vec<u8> {
+    let mut e = wire::Enc::new();
+    e.bytes(head);
+    e.u64(base);
+    e.len(lines.len());
+    lines.iter().for_each(|l| e.str(l));
+    wire::seal(&SNAP_MAGIC_LINES, &e.into_bytes())
+}
+
+/// The session directories earlier builds wrote keep their verdict
+/// window as lines. This build reads each line back into its fact and
+/// keeps the fact only if it renders, through the snapshot's own
+/// checker, to the line byte for byte: a resume re-sends the window
+/// exactly as the earlier build wrote it. A line that does not render
+/// back makes the snapshot undecodable; a follower's `heal` keeps such
+/// a snapshot, since its container is sound.
+#[test]
+fn an_earlier_builds_line_window_re_sends_byte_for_byte_and_a_changed_line_is_refused() {
+    let cfg = SessionConfig {
+        log: LogConfig {
+            rotate_events: 1 << 20,
+            snapshot_every: u64::MAX,
+            fsync: FsyncPolicy::Never,
+        },
+        ..SessionConfig::default()
+    };
+    let fixtures = [
+        ("clean_window.session", "snap-193.snap"),
+        ("reused_ids.never_forgot", "snap-119.snap"),
+    ];
+    for (fixture, snap) in fixtures {
+        let image = std::fs::read(common::stream_data(fixture).join("s").join(snap)).expect("snap");
+        let (head, base, lines) = lines_window(&image);
+        assert!(!lines.is_empty(), "{fixture}: a window to re-send");
+
+        let dir = fresh_dir(&format!("lines-window-{fixture}"));
+        copy_dir(&common::stream_data(fixture), &dir);
+        let mut s = Session::recover(&dir, "s", cfg, None).expect("recovers");
+        let (_, durable, replay) = s.resume(base).expect("resume at the window's base");
+        assert_eq!(replay.len() as u64, durable - base, "{fixture}");
+        assert_eq!(
+            replay[..lines.len()],
+            lines,
+            "{fixture}: the window as written"
+        );
+        drop(s);
+
+        // A follower's heal checks the container, and keeps it.
+        let mut mirror = SessionDir::mirror(&dir.join("s"), FsyncPolicy::Never).expect("mirror");
+        mirror.heal().expect("heal");
+        let kept = std::fs::read(dir.join("s").join(snap)).expect("heal kept the snapshot");
+        assert_eq!(kept, image, "{fixture}");
+
+        // Re-sealed as written, it still restores from the snapshot;
+        // with one digit of one line changed, it does not. The digit is
+        // the level's: `strongest_ansi` follows from `fired`, so the
+        // changed line is no line its fact renders to. (A changed count
+        // is a different fact, which only the checksum guards.)
+        let at = lines.len() / 2;
+        let mut changed = lines.clone();
+        changed[at] = changed[at].replacen("\"PL-3\"", "\"PL-2\"", 1);
+        assert_ne!(changed[at], lines[at], "{fixture}: a PL-3 line");
+        for (window, decodes) in [(&lines, true), (&changed, false)] {
+            let dir = fresh_dir(&format!("lines-window-{fixture}-{decodes}"));
+            copy_dir(&common::stream_data(fixture), &dir);
+            std::fs::write(dir.join("s").join(snap), seal_lines(&head, base, window))
+                .expect("re-seal");
+            let r = SessionLog::recover(&dir.join("s"), cfg.log, cfg.gc, cfg.provenance, None);
+            // Without the snapshot, recovery replays from record 0 —
+            // or refuses a directory whose first segment and names the
+            // snapshot had covered are gone (`clean_window.session`).
+            match (r, decodes) {
+                (Ok(r), true) => assert_eq!(r.verdict_log.base(), base, "{fixture}"),
+                (Ok(r), false) => assert_eq!(r.tail_events, r.log.records(), "{fixture}"),
+                (Err(RecoverError::Corrupt(_)), false) => {}
+                (Err(e), _) => panic!("{fixture}: {e}"),
+            }
+        }
+    }
 }
