@@ -18,10 +18,11 @@
 //! sees the old bytes or the new, never a mix) and
 //! [`remove`](SessionDir::remove). Each mutation applies the node's
 //! [`FsyncPolicy`] itself and, when a [`LogPublisher`] is attached,
-//! publishes itself to the replication hub, so a follower that applies
-//! the published stream through its own `SessionDir` holds the same
-//! bytes by construction. [`SessionLog`](crate::log::SessionLog)
-//! decides *when* to mutate (rotation, snapshot horizon, compaction);
+//! tells the replication hub the session changed; the hub's senders
+//! then ship what changed from the files themselves, through a
+//! [`Pinned`] handle that reads a file's suffix.
+//! [`SessionLog`](crate::log::SessionLog) decides *when* to mutate
+//! (rotation, snapshot horizon, compaction);
 //! [`ReplicaSink`](crate::replica::ReplicaSink) decides *whether* a
 //! peer's mutation may be applied (CRC, offsets).
 //!
@@ -42,7 +43,7 @@
 
 use std::fmt;
 use std::fs::{self, File, OpenOptions};
-use std::io::{self, Write};
+use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 use adya_online::{EventLogReader, LogError, LOG_MAGIC};
@@ -178,9 +179,39 @@ pub fn list(path: &Path) -> io::Result<Vec<(FileName, u64)>> {
     Ok(out)
 }
 
-/// The whole content of `file` in the directory at `path`.
-pub fn read(path: &Path, file: FileName) -> io::Result<Vec<u8>> {
-    fs::read(path.join(file.to_string()))
+/// A session file opened for shipping: its length when opened, and a
+/// handle that keeps those bytes readable after the file is replaced
+/// or removed.
+#[derive(Debug)]
+pub struct Pinned {
+    /// The file.
+    pub file: FileName,
+    /// Its length when it was opened.
+    pub len: u64,
+    handle: File,
+}
+
+impl Pinned {
+    /// Opens `file` in the directory at `path`.
+    pub fn open(path: &Path, file: FileName) -> io::Result<Pinned> {
+        let handle = File::open(path.join(file.to_string()))?;
+        let len = handle.metadata()?.len();
+        Ok(Pinned { file, len, handle })
+    }
+
+    /// The file's length now: an append-only file may have grown.
+    pub fn len_now(&self) -> io::Result<u64> {
+        Ok(self.handle.metadata()?.len())
+    }
+
+    /// Bytes `from..to` of the file.
+    pub fn read(&self, from: u64, to: u64) -> io::Result<Vec<u8>> {
+        let mut buf = vec![0; (to - from) as usize];
+        let mut h = &self.handle;
+        h.seek(SeekFrom::Start(from))?;
+        h.read_exact(&mut buf)?;
+        Ok(buf)
+    }
 }
 
 /// An append-only file held open between appends.
@@ -250,9 +281,9 @@ impl SessionDir {
         list(&self.path)
     }
 
-    /// [`read`] from this directory.
+    /// The whole content of `file`.
     pub fn read(&self, file: FileName) -> io::Result<Vec<u8>> {
-        read(&self.path, file)
+        fs::read(self.path.join(file.to_string()))
     }
 
     /// Byte length of an append-only file: the offset the next
@@ -293,8 +324,8 @@ impl SessionDir {
 
     /// Appends `bytes` at the end of an append-only file. `records`
     /// (how many event records the bytes carry) and `trace` (the id of
-    /// a sampled record) ride along to the publisher for lag
-    /// accounting and provenance.
+    /// a sampled record) go to the publisher for lag accounting and
+    /// provenance.
     pub fn append(
         &mut self,
         file: FileName,
@@ -304,16 +335,16 @@ impl SessionDir {
     ) -> io::Result<()> {
         let fsync = self.fsync;
         let f = self.handle(file)?;
-        let off = f.len;
         f.file.write_all(bytes)?;
         f.len += bytes.len() as u64;
+        let end = f.len;
         match fsync {
             FsyncPolicy::Always => f.file.sync_data()?,
             FsyncPolicy::Interval if !self.dirty.contains(&file) => self.dirty.push(file),
             _ => {}
         }
         if let Some(p) = &self.publisher {
-            p.append(file, off, bytes, records, trace);
+            p.append(file, end, bytes.len(), records, trace);
         }
         Ok(())
     }
@@ -333,14 +364,20 @@ impl SessionDir {
         // An open handle would keep appending to the replaced inode.
         self.open.retain(|o| o.name != file);
         if let Some(p) = &self.publisher {
-            p.put(file, bytes);
+            p.put(file, bytes.len());
         }
         Ok(())
     }
 
     /// Deletes `file`; a missing file is fine (never written here, or
-    /// already removed by a replayed mutation).
+    /// already removed by a replayed mutation). An append-only file is
+    /// opened first and handed to the publisher, so a sender that has
+    /// not shipped all of it can still read it.
     pub fn remove(&mut self, file: FileName) -> io::Result<()> {
+        let last = match &self.publisher {
+            Some(_) if file.is_append() => Pinned::open(&self.path, file).ok(),
+            _ => None,
+        };
         match fs::remove_file(self.path.join(file.to_string())) {
             Ok(()) => {}
             Err(e) if e.kind() == io::ErrorKind::NotFound => {}
@@ -348,7 +385,7 @@ impl SessionDir {
         }
         self.open.retain(|o| o.name != file);
         if let Some(p) = &self.publisher {
-            p.remove(file);
+            p.remove(file, last);
         }
         Ok(())
     }

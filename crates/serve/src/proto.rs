@@ -407,17 +407,22 @@ pub fn inventory_frame(session: &str, files: &[(FileName, u64)]) -> String {
 
 /// Parses the `files` listing of an [`inventory_frame`] back into
 /// `(name, len)` pairs; file names are re-read through the grammar —
-/// the follower is a network peer too.
+/// the follower is a network peer too — and a listing that names one
+/// file twice is refused: it has no one length to ship from.
 pub fn parse_inventory(listing: &str) -> Result<Vec<(FileName, u64)>, String> {
-    let mut out = Vec::new();
+    let mut out: Vec<(FileName, u64)> = Vec::new();
     for part in listing.split(',').filter(|p| !p.is_empty()) {
         let (name, len) = part
             .rsplit_once(':')
             .ok_or_else(|| format!("inventory entry {part:?} has no ':'"))?;
         let name = replica_file(name)?;
-        let len = len
-            .parse::<u64>()
-            .map_err(|_| format!("inventory entry {part:?} has a bad length"))?;
+        let len = (len.bytes().all(|b| b.is_ascii_digit()))
+            .then(|| len.parse::<u64>().ok())
+            .flatten()
+            .ok_or_else(|| format!("inventory entry {part:?} has a bad length"))?;
+        if out.iter().any(|&(f, _)| f == name) {
+            return Err(format!("inventory names {name} twice"));
+        }
         out.push((name, len));
     }
     Ok(out)
@@ -737,28 +742,33 @@ mod tests {
         }
     }
 
+    // decode∘encode = id for both codecs is a seeded property in
+    // `tests/file_names.rs`; these are the hostile inputs.
     #[test]
-    fn hex_round_trips() {
-        for bytes in [&b""[..], b"\x00", b"\xff\x00\x7f", b"adya"] {
-            assert_eq!(decode_hex(&encode_hex(bytes)).unwrap(), bytes);
+    fn hostile_inventories_and_hex_are_refused() {
+        for hostile in [
+            // Truncated entries.
+            "seg-0.log",
+            "seg-0.log:",
+            ":5",
+            "seg-0.log:12,names",
+            // Bad lengths.
+            "seg-0.log:-1",
+            "seg-0.log:+5",
+            "seg-0.log: 5",
+            "seg-0.log:18446744073709551616",
+            // Names outside the grammar.
+            "../x:3",
+            "closed:1,evil:1",
+            // One file twice.
+            "seg-0.log:3,seg-0.log:5",
+        ] {
+            assert!(parse_inventory(hostile).is_err(), "{hostile}");
         }
-        assert_eq!(
-            decode_hex("DEADbeef").unwrap(),
-            vec![0xde, 0xad, 0xbe, 0xef]
-        );
-    }
-
-    #[test]
-    fn inventory_round_trips() {
-        let files = vec![(FileName::Segment(0), 91), (FileName::LegacyNames, 0)];
-        let frame = inventory_frame("t1", &files);
-        let reply = json::parse(&frame).unwrap();
-        assert_eq!(
-            parse_inventory(reply.str_at("files").unwrap()).unwrap(),
-            files
-        );
-        assert_eq!(parse_inventory("").unwrap(), Vec::new());
-        assert!(parse_inventory("../x:3").is_err());
-        assert!(parse_inventory("seg-0.log").is_err());
+        assert_eq!(parse_inventory(""), Ok(Vec::new()));
+        for hostile in ["a", "abc", "zz", "0g", "é", "\0", " 0"] {
+            assert!(decode_hex(hostile).is_err(), "{hostile:?}");
+        }
+        assert_eq!(decode_hex("DEADbeef"), Ok(vec![0xde, 0xad, 0xbe, 0xef]));
     }
 }

@@ -1,50 +1,54 @@
-//! The replication plane: leader-side streaming of durable session-log
-//! mutations to follower nodes, and the follower-side state machine
-//! that applies them.
+//! The replication plane: a leader ships its session directories to
+//! followers, and the follower-side state machine applies what arrives.
 //!
-//! The unit of replication is the *file mutation*, not the event: a
-//! leader's [`SessionDir`] publishes every mutation it applies —
-//! segment appends, name side-log appends, snapshot puts, compaction
-//! removes, recovery's torn-tail repairs — through a [`LogPublisher`]
-//! into the hub's bounded in-memory ring, and the follower applies
-//! them through a `SessionDir` of its own.
-//! One sender thread per follower drains the ring over the NDJSON
-//! protocol (`append`/`put`/`remove` frames, hex payloads, CRC-32
-//! verified before anything touches the follower's disk) and issues
-//! `repl_flush` durability barriers the follower acks once its own
-//! [`FsyncPolicy`] says the bytes are safe.
+//! A follower holds a byte mirror of its leader's session directories.
+//! A snapshot records the offset of the open segment it was taken at,
+//! so only *the same bytes* let [`SessionLog::recover`] work unchanged
+//! — and then a promoted follower resumes every session with the dead
+//! leader's verdicts, by the invariant that covers kill -9 restarts.
 //!
-//! Mirroring files byte-for-byte (instead of replaying events through
-//! a second checker) is what makes promotion trivial and exact: a
-//! snapshot records the byte offset of the open segment it was taken
-//! at, so the follower's directory must be *the same bytes* for
-//! [`SessionLog::recover`] to work unchanged — and when it is, the
-//! promoted follower resumes every session with a verdict stream
-//! byte-identical to the dead leader's, by the same snapshot+replay
-//! invariant that already covers kill -9 restarts.
+//! **One path.** The leader's directory is the only source: a
+//! [`LogPublisher`] only tells the hub that a session changed, and by
+//! how many records and bytes. A sender per follower walks each changed
+//! session and ships the suffix the follower lacks (`append`/`put`/
+//! `remove` frames, hex payloads, CRC-32 checked before the follower's
+//! disk is touched), knowing the follower's lengths from its inventory
+//! (`replicate`) on (re)connect and from what it shipped after. A round
+//! of walks ends with a `repl_flush` barrier, acked once the follower's
+//! [`FsyncPolicy`] has the bytes safe; idle, a sender sends one every
+//! 400 ms. The published totals a round began with become the
+//! follower's acked totals at that ack; the difference is the lag
+//! (`sli.repl_lag_*` gauges, `/health` against `--repl-lag-max`).
 //!
-//! Catch-up: on (re)connect the sender records the ring's next
-//! sequence number, asks the follower for its durable file inventory
-//! per session (`replicate`), and ships exactly the missing byte
-//! suffixes — the same segment-walk shape recovery uses. Ring
-//! mutations published while the walk ran overlap the shipped bytes;
-//! the follower's append is idempotent by offset (a replayed prefix is
-//! skipped, only the novel suffix is written), so the overlap is
-//! harmless. A sender that falls so far behind that its next sequence
-//! number was evicted from the ring simply redoes the walk.
+//! **Measure in reverse, ship in order.** The leader writes a name
+//! before the records that use it, records before the snapshot that
+//! covers them, the last snapshot before `closed`. So a walk opens
+//! (a [`Pinned`] handle) and measures a session in reverse ship order —
+//! `closed`, snapshots, segments, name logs — again if the listing moved
+//! meanwhile, and every file measured later covers what an earlier one
+//! needs. It ships in ship order: name logs whole, segments cut at their
+//! measured length, snapshots, `closed` and any file replaced since the
+//! follower's copy put whole, removes last. So a follower stopped after
+//! any frame holds a directory that recovers to a prefix. A file that
+//! compaction removes may hold bytes a follower lacks, so
+//! [`SessionDir::remove`] hands the hub an open handle on it, kept until
+//! every connected sender has walked past; a walk that ships it counts
+//! its copy as measured at the remove, so it goes out once. (A
+//! follower back from an outage starts from its inventory: a segment
+//! created and removed while it was away is gone, and its directory
+//! does not recover between the first frame past that gap and the
+//! covering snapshot.)
 //!
-//! Lag accounting: the hub tracks per-session published totals
-//! (records, bytes) and per-follower acked totals installed at every
-//! barrier; the difference is the per-session replication lag exported
-//! as `sli.repl_lag_records`/`sli.repl_lag_bytes` gauges, and the
-//! worst acknowledged lag across followers is what `/health` compares
-//! against `--repl-lag-max`.
+//! **Trace marks.** Appending a sampled record files its `(file, end
+//! offset, trace id)`, the newest `BATCH` per session; a walk ends an
+//! `append` chunk at each, so the id rides the frame, and both ends
+//! stamp `replicate` at the frame and `ack` at the barrier.
 //!
 //! [`SessionLog::recover`]: crate::log::SessionLog::recover
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::fs;
-use std::io::{self, BufRead, BufReader, Write};
+use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -60,15 +64,12 @@ use adya_obs::{
 };
 use adya_online::wire;
 
-use crate::dir::{self, FileName, FsyncPolicy, SessionDir};
-use crate::proto;
+use crate::dir::{self, FileName, FsyncPolicy, Pinned, SessionDir};
+use crate::proto::{self, ClientFrame};
 
-/// Largest payload shipped in one `append` frame during catch-up.
+/// Largest payload shipped in one `append` frame.
 const CHUNK: usize = 64 * 1024;
-/// Ring eviction thresholds: payload bytes and mutation count.
-const RING_MAX_BYTES: usize = 16 * 1024 * 1024;
-const RING_MAX_LEN: usize = 32 * 1024;
-/// Mutations drained per barrier.
+/// Trace marks kept per session: a few rounds of sampled records.
 const BATCH: usize = 256;
 /// How long a sender waits for one follower reply before declaring the
 /// connection dead. Generous: a barrier after a large catch-up may sit
@@ -100,72 +101,42 @@ pub struct Totals {
     pub bytes: u64,
 }
 
-#[derive(Debug, Clone)]
-enum MutKind {
-    Append {
-        file: FileName,
-        off: u64,
-        bytes: Arc<[u8]>,
-        records: u64,
-    },
-    Put {
-        file: FileName,
-        bytes: Arc<[u8]>,
-    },
-    Remove {
-        file: FileName,
-    },
-}
-
-#[derive(Debug, Clone)]
-struct Mutation {
-    seq: u64,
-    session: Arc<str>,
-    kind: MutKind,
-    /// Trace id of the sampled event record an append carries; set
-    /// only when the leader's trace plane propagates contexts, so a
-    /// `Some` always goes on the wire.
-    trace: Option<u64>,
-}
-
-impl Mutation {
-    fn payload_len(&self) -> usize {
-        match &self.kind {
-            MutKind::Append { bytes, .. } | MutKind::Put { bytes, .. } => bytes.len(),
-            MutKind::Remove { .. } => 0,
-        }
-    }
-
-    fn frame(&self) -> String {
-        match &self.kind {
-            MutKind::Append {
-                file, off, bytes, ..
-            } => proto::append_frame(&self.session, *file, *off, bytes, self.trace),
-            MutKind::Put { file, bytes } => proto::put_frame(&self.session, *file, bytes),
-            MutKind::Remove { file } => proto::remove_frame(&self.session, *file),
-        }
-    }
+/// What the hub knows of one session: *that* it changed, not how.
+/// Generations count the hub's mutations from 1.
+#[derive(Debug, Default)]
+struct Changes {
+    totals: Totals,
+    /// Generation of the newest mutation.
+    gen: u64,
+    /// Generation of each present file's newest put.
+    puts: HashMap<FileName, u64>,
+    /// `(file, end offset, trace id)` of the newest sampled records.
+    marks: VecDeque<(FileName, u64, u64)>,
+    /// Removed append-only files a connected sender may still need.
+    removed: Vec<(u64, Arc<Pinned>)>,
 }
 
 struct HubState {
-    ring: std::collections::VecDeque<Mutation>,
-    /// Sequence number the next published mutation gets.
-    next_seq: u64,
-    /// Sequence number of `ring.front()` (== `next_seq` when empty).
-    base_seq: u64,
-    /// Sum of ring payload bytes, for eviction.
-    ring_bytes: usize,
-    /// Per-session published totals since hub start.
-    published: HashMap<String, Totals>,
+    gen: u64,
+    sessions: HashMap<String, Changes>,
+    /// Per connected follower: the generation its last round began at.
+    links: HashMap<String, u64>,
 }
 
-enum RingRead {
-    Batch(Vec<Mutation>),
-    /// The cursor's mutations were evicted; redo the disk catch-up.
-    Evicted,
+/// What one follower connection knows of its follower: per session,
+/// every file it holds with its length, and the generation that copy
+/// was measured at (a put or remove since changed what it lacks).
+#[derive(Default)]
+struct Link {
+    mirrors: HashMap<String, (BTreeMap<FileName, u64>, u64)>,
+    /// Where the last round began; `None` before the first, which walks
+    /// every session on disk.
+    seen: Option<u64>,
+    /// Trace ids shipped since the last barrier.
+    in_flight: Vec<u64>,
 }
 
-/// Leader-side replication: the mutation ring plus one sender thread
+/// Leader-side replication: the change registry plus one sender thread
 /// per configured follower.
 pub struct ReplicationHub {
     state: Mutex<HubState>,
@@ -179,7 +150,7 @@ pub struct ReplicationHub {
     /// Per-follower totals acknowledged at its last durability barrier.
     acked: Mutex<HashMap<String, HashMap<String, Totals>>>,
     /// Leader trace plane: sender threads stamp `replicate` at frame
-    /// send and `ack` at barrier acknowledgement for traced mutations.
+    /// send and `ack` at barrier acknowledgement for traced records.
     trace: Option<Arc<TracePlane>>,
     stop: AtomicBool,
     threads: Mutex<Vec<thread::JoinHandle<()>>>,
@@ -200,11 +171,9 @@ impl ReplicationHub {
     ) -> Arc<ReplicationHub> {
         let hub = Arc::new(ReplicationHub {
             state: Mutex::new(HubState {
-                ring: std::collections::VecDeque::new(),
-                next_seq: 0,
-                base_seq: 0,
-                ring_bytes: 0,
-                published: HashMap::new(),
+                gen: 0,
+                sessions: HashMap::new(),
+                links: HashMap::new(),
             }),
             cv: Condvar::new(),
             data_dir,
@@ -265,10 +234,10 @@ impl ReplicationHub {
         let (mut rec, mut bytes) = (0u64, 0u64);
         for f in &self.followers {
             let am = acked.get(f);
-            for (s, tot) in &st.published {
+            for (s, c) in &st.sessions {
                 let a = am.and_then(|m| m.get(s)).copied().unwrap_or_default();
-                rec = rec.max(tot.records.saturating_sub(a.records));
-                bytes = bytes.max(tot.bytes.saturating_sub(a.bytes));
+                rec = rec.max(c.totals.records.saturating_sub(a.records));
+                bytes = bytes.max(c.totals.bytes.saturating_sub(a.bytes));
             }
         }
         (rec, bytes)
@@ -289,53 +258,36 @@ impl ReplicationHub {
         )
     }
 
-    fn publish(&self, session: &Arc<str>, kind: MutKind, trace: Option<u64>) {
+    /// Records a mutation of `session`: a new generation, applied to
+    /// the session's changes by `change`.
+    fn publish(&self, session: &str, change: impl FnOnce(&mut Changes, u64)) {
         let mut st = self.state.lock().unwrap();
-        let m = Mutation {
-            seq: st.next_seq,
-            session: Arc::clone(session),
-            kind,
-            trace,
-        };
-        st.next_seq += 1;
-        let t = st.published.entry(session.to_string()).or_default();
-        if let MutKind::Append { records, bytes, .. } = &m.kind {
-            t.records += records;
-            t.bytes += bytes.len() as u64;
-        } else if let MutKind::Put { bytes, .. } = &m.kind {
-            t.bytes += bytes.len() as u64;
-        }
-        st.ring_bytes += m.payload_len();
-        st.ring.push_back(m);
-        while st.ring.len() > RING_MAX_LEN || st.ring_bytes > RING_MAX_BYTES {
-            let evicted = st.ring.pop_front().expect("ring nonempty");
-            st.ring_bytes -= evicted.payload_len();
-            st.base_seq += 1;
-            adya_obs::counter!("serve.repl_ring_evictions").inc();
+        st.gen += 1;
+        let gen = st.gen;
+        let linked = !st.links.is_empty();
+        let c = st.sessions.entry(session.to_string()).or_default();
+        c.gen = gen;
+        change(c, gen);
+        if !linked {
+            c.removed.clear(); // no sender can need them
         }
         drop(st);
         self.cv.notify_all();
     }
 
-    /// Returns the batch of mutations at `cursor`, waiting briefly for
-    /// new ones; an empty batch is a heartbeat tick.
-    fn take_from(&self, cursor: u64) -> RingRead {
+    /// Records that the sender of `addr` walked everything changed
+    /// before `gen` (`None`: it disconnected), and lets go of the
+    /// removed files no connected sender still needs.
+    fn walked(&self, addr: &str, gen: Option<u64>) {
         let mut st = self.state.lock().unwrap();
-        if cursor < st.base_seq {
-            return RingRead::Evicted;
+        match gen {
+            Some(gen) => st.links.insert(addr.to_string(), gen),
+            None => st.links.remove(addr),
+        };
+        let low = st.links.values().min().copied().unwrap_or(u64::MAX);
+        for c in st.sessions.values_mut() {
+            c.removed.retain(|&(g, _)| g > low);
         }
-        if cursor >= st.next_seq {
-            let (guard, _) = self
-                .cv
-                .wait_timeout(st, Duration::from_millis(400))
-                .unwrap();
-            st = guard;
-            if cursor < st.base_seq {
-                return RingRead::Evicted;
-            }
-        }
-        let start = (cursor - st.base_seq) as usize;
-        RingRead::Batch(st.ring.iter().skip(start).take(BATCH).cloned().collect())
     }
 
     fn sender_loop(self: &Arc<ReplicationHub>, addr: &str) {
@@ -355,16 +307,12 @@ impl ReplicationHub {
             let _ = stream.set_nodelay(true);
             let _ = stream.set_read_timeout(Some(Duration::from_millis(100)));
             let _ = stream.set_write_timeout(Some(Duration::from_secs(10)));
-            let Ok(clone) = stream.try_clone() else {
-                continue;
-            };
-            let mut reader = BufReader::new(clone);
-            let mut w = stream;
             self.connected.fetch_add(1, Ordering::Relaxed);
             g_conn.set(1);
             adya_obs::gauge!("sli.repl_followers_connected")
                 .set(self.connected.load(Ordering::Relaxed) as i64);
-            let _ = self.feed(&mut w, &mut reader, addr);
+            let _ = self.feed(&mut BufReader::new(stream), addr);
+            self.walked(addr, None);
             g_conn.set(0);
             self.connected.fetch_sub(1, Ordering::Relaxed);
             adya_obs::gauge!("sli.repl_followers_connected")
@@ -373,145 +321,199 @@ impl ReplicationHub {
         }
     }
 
-    /// Drives one follower connection: hello, catch-up walk, then ring
-    /// streaming with durability barriers, until an error or stop.
-    fn feed(&self, w: &mut TcpStream, r: &mut BufReader<TcpStream>, addr: &str) -> io::Result<()> {
+    /// Drives one follower connection: hello, then rounds of walks
+    /// and barriers, until an error or stop.
+    fn feed<S: Read + Write>(&self, io: &mut BufReader<S>, addr: &str) -> io::Result<()> {
         writeln!(
-            w,
+            io.get_mut(),
             "{{\"op\": \"repl_hello\", \"node\": \"{}\", \"advertise\": \"{}\"}}",
             esc(&self.node),
             esc(&self.advertise)
         )?;
-        self.read_reply(r, "repl_hello", |reply| {
+        self.read_reply(io, "repl_hello", |reply| {
             (reply.str_at("ok") == Some("repl_hello")).then_some(())
         })?;
-        let rtt = adya_obs::global().histogram("sli.repl_ack_rtt_us");
-        // Trace ids of traced mutations sent since the last barrier:
-        // their `ack` stamp lands when that barrier is acknowledged.
-        let mut in_flight: Vec<u64> = Vec::new();
+        let mut link = Link::default();
         loop {
-            let (mut cursor, mut sent) = self.catch_up(w, r, addr)?;
-            in_flight.clear();
-            loop {
-                if self.stop.load(Ordering::Relaxed) {
-                    return Ok(());
+            if let Some(seen) = link.seen {
+                // Nothing new: the round is a heartbeat barrier.
+                let st = self.state.lock().unwrap();
+                if st.gen == seen {
+                    drop(self.cv.wait_timeout(st, Duration::from_millis(400)));
                 }
-                let batch = match self.take_from(cursor) {
-                    RingRead::Evicted => {
-                        adya_obs::counter!("serve.repl_catchups").inc();
-                        break; // redo the disk walk on this connection
-                    }
-                    RingRead::Batch(b) => b,
-                };
-                for m in &batch {
-                    writeln!(w, "{}", m.frame())?;
-                    if let (Some(plane), Some(id)) = (&self.trace, m.trace) {
-                        plane.stamp(id, Stage::Replicate);
-                        in_flight.push(id);
-                    }
-                    let t = sent.entry(m.session.to_string()).or_default();
-                    if let MutKind::Append { records, bytes, .. } = &m.kind {
-                        t.records += records;
-                        t.bytes += bytes.len() as u64;
-                    } else if let MutKind::Put { bytes, .. } = &m.kind {
-                        t.bytes += bytes.len() as u64;
-                    }
-                    cursor = m.seq + 1;
-                }
-                // Barrier (doubles as the idle heartbeat): the ack
-                // means everything sent so far is durable on the
-                // follower under its fsync policy.
-                let t0 = Instant::now();
-                self.barrier(w, r, cursor)?;
-                rtt.record(t0.elapsed().as_micros() as u64);
-                if let Some(plane) = &self.trace {
-                    for id in in_flight.drain(..) {
-                        plane.stamp(id, Stage::Ack);
-                    }
-                }
-                self.install_acked(addr, &sent);
             }
+            if self.stop.load(Ordering::Relaxed) {
+                return Ok(());
+            }
+            self.round(&mut link, io, addr)?;
         }
     }
 
-    fn barrier(&self, w: &mut TcpStream, r: &mut BufReader<TcpStream>, seq: u64) -> io::Result<()> {
-        writeln!(w, "{{\"op\": \"repl_flush\", \"seq\": {seq}}}")?;
-        self.read_reply(r, "ack", |reply| {
-            (reply.u64_at("ack") == Some(seq)).then_some(())
-        })
+    /// Walks every session changed since the link's last round — every
+    /// session on disk in a link's first — then makes it durable with a
+    /// barrier and installs the totals published when the round began
+    /// as acknowledged.
+    fn round<S: Read + Write>(
+        &self,
+        link: &mut Link,
+        io: &mut BufReader<S>,
+        addr: &str,
+    ) -> io::Result<()> {
+        let (gen, published, mut sessions) = {
+            let mut st = self.state.lock().unwrap();
+            if link.seen.is_none() {
+                // Nothing removed from now on is let go of before this
+                // link's first round is done.
+                st.links.insert(addr.to_string(), 0);
+            }
+            let changed = st
+                .sessions
+                .iter()
+                .filter(|(_, c)| link.seen.is_none_or(|seen| c.gen > seen))
+                .map(|(s, _)| s.clone())
+                .collect::<Vec<_>>();
+            let totals: HashMap<String, Totals> = st
+                .sessions
+                .iter()
+                .map(|(s, c)| (s.clone(), c.totals))
+                .collect();
+            (st.gen, totals, changed)
+        };
+        if link.seen.is_none() {
+            sessions.extend(list_sessions(&self.data_dir)?);
+        }
+        sessions.sort_unstable();
+        sessions.dedup();
+        for session in &sessions {
+            self.walk(link, session, gen, io)?;
+        }
+        // The ack means everything shipped so far is durable on the
+        // follower under its fsync policy.
+        let t0 = Instant::now();
+        writeln!(io.get_mut(), "{{\"op\": \"repl_flush\", \"seq\": {gen}}}")?;
+        self.read_reply(io, "ack", |reply| {
+            (reply.u64_at("ack") == Some(gen)).then_some(())
+        })?;
+        adya_obs::global()
+            .histogram("sli.repl_ack_rtt_us")
+            .record(t0.elapsed().as_micros() as u64);
+        if let Some(plane) = &self.trace {
+            for id in link.in_flight.drain(..) {
+                plane.stamp(id, Stage::Ack);
+            }
+        }
+        self.install_acked(addr, &published);
+        link.seen = Some(gen);
+        self.walked(addr, Some(gen));
+        Ok(())
     }
 
-    /// Ships every byte the follower's inventory says it is missing.
-    /// Returns the ring cursor to stream from plus the published
-    /// totals the walk covers (installed as the acked baseline).
-    fn catch_up(
+    /// Ships what the follower's copy of `session` lacks: measure in
+    /// reverse ship order, ship in ship order (see the module docs).
+    fn walk<S: Read + Write>(
         &self,
-        w: &mut TcpStream,
-        r: &mut BufReader<TcpStream>,
-        addr: &str,
-    ) -> io::Result<(u64, HashMap<String, Totals>)> {
-        // Recorded *before* reading any file: mutations published
-        // while the walk runs are replayed from the ring afterwards;
-        // the overlap with freshly-read file bytes is resolved by the
-        // follower's idempotent-by-offset append.
-        let (from_seq, published) = {
-            let st = self.state.lock().unwrap();
-            (st.next_seq, st.published.clone())
-        };
-        for session in list_sessions(&self.data_dir)? {
+        link: &mut Link,
+        session: &str,
+        gen: u64,
+        io: &mut BufReader<S>,
+    ) -> io::Result<()> {
+        if !link.mirrors.contains_key(session) {
+            let w = io.get_mut();
             writeln!(w, "{{\"op\": \"replicate\", \"session\": \"{session}\"}}")?;
-            let listing = self.read_reply(r, "replicate", |reply| {
+            let listing = self.read_reply(io, "replicate", |reply| {
                 (reply.str_at("ok") == Some("replicate"))
                     .then(|| reply.str_at("files").unwrap_or("").to_string())
             })?;
-            let inv: HashMap<FileName, u64> = proto::parse_inventory(&listing)
-                .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?
-                .into_iter()
-                .collect();
-            let dir = self.data_dir.join(&session);
-            let local = dir::list(&dir)?;
-            for &(file, _) in &local {
-                // The file may grow (or vanish, for snapshots racing
-                // compaction) between the listing and this read.
-                let data = match dir::read(&dir, file) {
-                    Ok(d) => d,
-                    Err(e) if e.kind() == io::ErrorKind::NotFound => continue,
-                    Err(e) => return Err(e),
-                };
-                if file.is_append() {
-                    let have = match inv.get(&file) {
-                        Some(&h) if h <= data.len() as u64 => h as usize,
-                        Some(_) => {
-                            // Follower holds more than we do: divergent
-                            // history (e.g. it outlived a wider tail).
-                            // Reship from scratch.
-                            writeln!(w, "{}", proto::remove_frame(&session, file))?;
-                            0
-                        }
-                        None => 0,
-                    };
-                    for chunk_start in (have..data.len()).step_by(CHUNK) {
-                        let chunk = &data[chunk_start..data.len().min(chunk_start + CHUNK)];
-                        let frame =
-                            proto::append_frame(&session, file, chunk_start as u64, chunk, None);
-                        writeln!(w, "{frame}")?;
-                    }
-                } else if inv.get(&file) != Some(&(data.len() as u64)) {
-                    writeln!(w, "{}", proto::put_frame(&session, file, &data))?;
-                }
-            }
-            // Files the leader compacted away while the follower was
-            // gone. Removed last, so a follower killed mid-walk never
-            // loses coverage it cannot yet replace.
-            for &file in inv.keys() {
-                if !local.iter().any(|&(f, _)| f == file) {
-                    writeln!(w, "{}", proto::remove_frame(&session, file))?;
-                }
+            let files = proto::parse_inventory(&listing)
+                .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
+            let files = files.into_iter().collect();
+            link.mirrors.insert(session.to_string(), (files, gen));
+        }
+        let (files, at) = link.mirrors.get_mut(session).expect("just inserted");
+        let w = io.get_mut();
+        let (listed, mut measured) = measure(&self.data_dir.join(session))?;
+        let (puts, marks, removed) = match self.state.lock().unwrap().sessions.get(session) {
+            Some(c) => (
+                c.puts.clone(),
+                Vec::from(c.marks.clone()),
+                c.removed.clone(),
+            ),
+            None => Default::default(),
+        };
+        // Files removed since the copy was measured, newest last: their
+        // last bytes, at their final length. A session mutates its files
+        // one at a time, so everything it published up to the newest of
+        // them happened before the listing that lacks it: the copy
+        // counts as measured there.
+        let mut measured_at = gen;
+        for (g, p) in removed {
+            if g > *at && !listed.contains(&p.file) {
+                measured_at = measured_at.max(g);
+                measured.retain(|q| q.file != p.file);
+                measured.push(p);
             }
         }
-        self.barrier(w, r, from_seq)?;
-        self.install_acked(addr, &published);
-        Ok((from_seq, published))
+        measured.sort_by_key(|p| p.file);
+        for p in &measured {
+            let have = files.get(&p.file).copied();
+            let replaced = puts.get(&p.file).is_some_and(|&g| g > *at);
+            let whole = p.file.is_names() || !listed.contains(&p.file);
+            let end = if whole { p.len_now()? } else { p.len };
+            let append_from = match have {
+                _ if replaced || !p.file.is_append() => None,
+                Some(h) => (h <= end).then_some(h),
+                None => (end > 0).then_some(0),
+            };
+            if let Some(from) = append_from {
+                self.ship_suffix(w, session, p, from..end, &marks, &mut link.in_flight)?;
+            } else if replaced || have != Some(end) {
+                writeln!(w, "{}", proto::put_frame(session, p.file, &p.read(0, end)?))?;
+            }
+            files.insert(p.file, end);
+        }
+        // Whatever the leader no longer lists — compacted away, and
+        // shipped above for the last time if it was removed since.
+        for (&file, _) in files.iter().filter(|(f, _)| !listed.contains(f)) {
+            writeln!(w, "{}", proto::remove_frame(session, file))?;
+        }
+        files.retain(|f, _| listed.contains(f));
+        *at = measured_at;
+        Ok(())
+    }
+
+    /// `append` frames for the `range` of `p`, a chunk ending at every
+    /// marked record so its trace id rides the frame.
+    fn ship_suffix(
+        &self,
+        w: &mut impl Write,
+        session: &str,
+        p: &Pinned,
+        range: std::ops::Range<u64>,
+        marks: &[(FileName, u64, u64)],
+        in_flight: &mut Vec<u64>,
+    ) -> io::Result<()> {
+        let mut marks = marks.iter().filter(|m| m.0 == p.file).peekable();
+        let mut at = range.start;
+        while at < range.end {
+            while marks.next_if(|m| m.1 <= at).is_some() {}
+            let mut end = range.end.min(at + CHUNK as u64);
+            let trace = marks.next_if(|m| m.1 <= end).map(|m| {
+                end = m.1;
+                m.2
+            });
+            let bytes = p.read(at, end)?;
+            writeln!(
+                w,
+                "{}",
+                proto::append_frame(session, p.file, at, &bytes, trace)
+            )?;
+            if let (Some(plane), Some(id)) = (&self.trace, trace) {
+                plane.stamp(id, Stage::Replicate);
+                in_flight.push(id);
+            }
+            at = end;
+        }
+        Ok(())
     }
 
     fn install_acked(&self, addr: &str, sent: &HashMap<String, Totals>) {
@@ -521,13 +523,13 @@ impl ReplicationHub {
             .insert(addr.to_string(), sent.clone());
         let st = self.state.lock().unwrap();
         let reg = adya_obs::global();
-        for (session, tot) in &st.published {
+        for (session, c) in &st.sessions {
             let a = sent.get(session).copied().unwrap_or_default();
             let labels = [("session", session.as_str()), ("follower", addr)];
             reg.gauge(&labeled("sli.repl_lag_records", &labels))
-                .set(tot.records.saturating_sub(a.records) as i64);
+                .set(c.totals.records.saturating_sub(a.records) as i64);
             reg.gauge(&labeled("sli.repl_lag_bytes", &labels))
-                .set(tot.bytes.saturating_sub(a.bytes) as i64);
+                .set(c.totals.bytes.saturating_sub(a.bytes) as i64);
         }
     }
 
@@ -538,58 +540,66 @@ impl ReplicationHub {
     /// `expected`.
     fn read_reply<T>(
         &self,
-        r: &mut BufReader<TcpStream>,
+        r: &mut impl BufRead,
         expected: &str,
         accept: impl FnOnce(&json::Value) -> Option<T>,
     ) -> io::Result<T> {
         let deadline = Instant::now() + REPLY_DEADLINE;
         let mut buf = Vec::new();
         loop {
-            match r.read_until(b'\n', &mut buf) {
-                Ok(0) if buf.is_empty() => {
-                    return Err(io::Error::new(
-                        io::ErrorKind::UnexpectedEof,
-                        "follower closed the connection",
-                    ))
-                }
-                Ok(0) => {}
-                Ok(_) if buf.ends_with(b"\n") => {
-                    let line = String::from_utf8_lossy(&buf);
-                    return json::parse(&line)
-                        .ok()
-                        .and_then(|reply| accept(&reply))
-                        .ok_or_else(|| {
-                            io::Error::new(
-                                io::ErrorKind::InvalidData,
-                                format!("follower did not {expected}: {}", line.trim()),
-                            )
-                        });
-                }
-                Ok(_) => continue,
+            let kind = match r.read_until(b'\n', &mut buf) {
+                Ok(_) if buf.ends_with(b"\n") => break,
+                // `read_until` stops short of the delimiter only at the
+                // end of the stream: no more bytes will come.
+                Ok(_) => io::ErrorKind::UnexpectedEof,
                 Err(e)
-                    if e.kind() == io::ErrorKind::WouldBlock
-                        || e.kind() == io::ErrorKind::TimedOut => {}
-                Err(e) => return Err(e),
-            }
-            if self.stop.load(Ordering::Relaxed) {
-                return Err(io::Error::new(io::ErrorKind::Interrupted, "hub stopping"));
-            }
-            if Instant::now() >= deadline {
-                return Err(io::Error::new(
-                    io::ErrorKind::TimedOut,
-                    "follower reply deadline exceeded",
-                ));
-            }
+                    if !matches!(
+                        e.kind(),
+                        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+                    ) =>
+                {
+                    return Err(e)
+                }
+                Err(_) if self.stop.load(Ordering::Relaxed) => io::ErrorKind::Interrupted,
+                Err(_) if Instant::now() >= deadline => io::ErrorKind::TimedOut,
+                Err(_) => continue,
+            };
+            return Err(io::Error::new(kind, format!("no {expected} reply: {kind}")));
         }
+        let line = String::from_utf8_lossy(&buf);
+        let reply = json::parse(&line).ok().and_then(|reply| accept(&reply));
+        reply.ok_or_else(|| {
+            let detail = format!("follower did not {expected}: {}", line.trim());
+            io::Error::new(io::ErrorKind::InvalidData, detail)
+        })
     }
 }
 
 impl Drop for ReplicationHub {
     fn drop(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        self.cv.notify_all();
-        for t in self.threads.lock().unwrap().drain(..) {
-            let _ = t.join();
+        self.stop();
+    }
+}
+
+/// Opens every file of the session directory at `path` in reverse ship
+/// order and returns the listing with the handles. A listing that
+/// changed while the files were opened is measured again.
+fn measure(path: &Path) -> io::Result<(Vec<FileName>, Vec<Arc<Pinned>>)> {
+    let listing = || -> io::Result<Vec<FileName>> {
+        Ok(dir::list(path)?.into_iter().map(|(f, _)| f).collect())
+    };
+    'measure: loop {
+        let listed = listing()?;
+        let mut measured = Vec::with_capacity(listed.len());
+        for &file in listed.iter().rev() {
+            match Pinned::open(path, file) {
+                Ok(p) => measured.push(Arc::new(p)),
+                Err(e) if e.kind() == io::ErrorKind::NotFound => continue 'measure,
+                Err(e) => return Err(e),
+            }
+        }
+        if listing()? == listed {
+            return Ok((listed, measured));
         }
     }
 }
@@ -598,23 +608,17 @@ impl Drop for ReplicationHub {
 fn list_sessions(data_dir: &Path) -> io::Result<Vec<String>> {
     let mut out = Vec::new();
     for entry in fs::read_dir(data_dir)? {
-        let entry = entry?;
-        if !entry.file_type()?.is_dir() {
-            continue;
-        }
-        let Some(name) = entry.file_name().to_str().map(str::to_string) else {
-            continue;
-        };
-        if proto::validate_session_name(&name).is_ok() {
+        let (entry, dir) = entry.and_then(|e| e.file_type().map(|t| (e, t.is_dir())))?;
+        let name = entry.file_name().to_string_lossy().into_owned();
+        if dir && proto::validate_session_name(&name).is_ok() {
             out.push(name);
         }
     }
-    out.sort();
     Ok(out)
 }
 
-/// A leader [`SessionDir`]'s handle for publishing its mutations into
-/// the hub ring.
+/// A leader [`SessionDir`]'s handle for telling the hub its session
+/// changed.
 #[derive(Clone)]
 pub struct LogPublisher {
     hub: Arc<ReplicationHub>,
@@ -628,39 +632,43 @@ impl std::fmt::Debug for LogPublisher {
 }
 
 impl LogPublisher {
-    /// Bytes appended at `off` of `file`; `records` is how many event
-    /// records they carry (0 for name side-log bytes) and `trace` the
-    /// id of a sampled event record, so the replication stages of that
-    /// event are stamped on both ends of the link.
-    pub fn append(&self, file: FileName, off: u64, bytes: &[u8], records: u64, trace: Option<u64>) {
-        self.hub.publish(
-            &self.session,
-            MutKind::Append {
-                file,
-                off,
-                bytes: Arc::from(bytes),
-                records,
-            },
-            trace,
-        );
+    /// `len` bytes appended to `file`, which now ends at `end`;
+    /// `records` is how many event records they carry (0 for name
+    /// side-log bytes) and `trace` the id of a sampled event record,
+    /// so the replication stages of that event are stamped on both
+    /// ends of the link.
+    pub fn append(&self, file: FileName, end: u64, len: usize, records: u64, trace: Option<u64>) {
+        self.hub.publish(&self.session, |c, _| {
+            c.totals.records += records;
+            c.totals.bytes += len as u64;
+            if let Some(id) = trace {
+                if c.marks.len() == BATCH {
+                    c.marks.pop_front();
+                }
+                c.marks.push_back((file, end, id));
+            }
+        });
     }
 
-    /// Whole-file replacement (snapshots, `closed`, truncation repair).
-    pub fn put(&self, file: FileName, bytes: &[u8]) {
-        self.hub.publish(
-            &self.session,
-            MutKind::Put {
-                file,
-                bytes: Arc::from(bytes),
-            },
-            None,
-        );
+    /// Whole-file replacement of `len` bytes (snapshots, `closed`,
+    /// truncation repair).
+    pub fn put(&self, file: FileName, len: usize) {
+        self.hub.publish(&self.session, |c, gen| {
+            c.totals.bytes += len as u64;
+            c.puts.insert(file, gen);
+        });
     }
 
-    /// File deleted by compaction.
-    pub fn remove(&self, file: FileName) {
-        self.hub
-            .publish(&self.session, MutKind::Remove { file }, None);
+    /// File deleted by compaction; `last` is an append-only file's
+    /// handle, opened before the delete, for the senders that have not
+    /// shipped all of it yet.
+    pub fn remove(&self, file: FileName, last: Option<Pinned>) {
+        self.hub.publish(&self.session, |c, gen| {
+            c.puts.remove(&file);
+            if let Some(p) = last {
+                c.removed.push((gen, Arc::new(p)));
+            }
+        });
     }
 }
 
@@ -682,7 +690,7 @@ impl From<io::Error> for SinkError {
 }
 
 /// Most session directories a sink holds open between barriers; one
-/// more forces an early barrier. A catch-up walk visits every session
+/// more forces an early barrier. A first round visits every session
 /// before its single `repl_flush`, and each directory holds up to two
 /// descriptors.
 const MAX_OPEN_DIRS: usize = 64;
@@ -699,6 +707,11 @@ pub struct ReplicaSink {
     /// dirty set [`flush`](ReplicaSink::flush) syncs and then lets go
     /// of, so open handles are bounded by one barrier's traffic.
     dirs: HashMap<String, SessionDir>,
+    /// This node's trace plane, when it propagates trace contexts.
+    trace: Option<Arc<TracePlane>>,
+    /// Trace ids of the `append` frames since the last barrier, which
+    /// stamps them `ack`: durable here.
+    pending_trace: Vec<u64>,
 }
 
 impl ReplicaSink {
@@ -708,6 +721,77 @@ impl ReplicaSink {
             data_dir,
             fsync,
             dirs: HashMap::new(),
+            trace: None,
+            pending_trace: Vec::new(),
+        }
+    }
+
+    /// The same sink stamping traced appends into `trace`.
+    pub fn with_trace(self, trace: Option<Arc<TracePlane>>) -> ReplicaSink {
+        ReplicaSink { trace, ..self }
+    }
+
+    /// Applies one frame of the replication vocabulary and returns the
+    /// line to answer with, if any. `Err` is the answer to send before
+    /// ending the connection: this node can no longer promise
+    /// durability on it.
+    pub fn handle(&mut self, frame: ClientFrame) -> Result<Option<String>, String> {
+        let applied = match frame {
+            ClientFrame::ReplHello { node, .. } => {
+                adya_obs::counter!("serve.repl_hellos").inc();
+                let node = esc(&node);
+                Ok(Some(format!(
+                    "{{\"ok\": \"repl_hello\", \"node\": \"{node}\"}}"
+                )))
+            }
+            ClientFrame::Replicate { session } => (self.inventory(&session))
+                .map(|files| Some(proto::inventory_frame(&session, &files)))
+                .map_err(SinkError::Io),
+            // No reply: durability is acknowledged at the next barrier.
+            // A reject makes the leader reconnect and walk again from
+            // the real inventory.
+            ClientFrame::ReplAppend {
+                session,
+                file,
+                off,
+                crc,
+                data,
+                trace,
+            } => self.append(&session, &file, off, crc, &data).map(|()| {
+                // Ids key off the durable record number, so both nodes
+                // agree on them.
+                if let (Some(plane), Some(id)) = (&self.trace, trace) {
+                    plane.stamp(id, Stage::Replicate);
+                    self.pending_trace.push(id);
+                }
+                None
+            }),
+            ClientFrame::ReplPut {
+                session,
+                file,
+                crc,
+                data,
+            } => self.put(&session, &file, crc, &data).map(|()| None),
+            ClientFrame::ReplRemove { session, file } => {
+                self.remove(&session, &file).map(|()| None)
+            }
+            ClientFrame::ReplFlush { seq } => self.flush().map_err(SinkError::Io).map(|()| {
+                if let Some(plane) = &self.trace {
+                    for id in self.pending_trace.drain(..) {
+                        plane.stamp(id, Stage::Ack);
+                    }
+                }
+                Some(proto::ack_frame(seq))
+            }),
+            _ => Err(SinkError::Reject("not a replication frame".into())),
+        };
+        match applied {
+            Ok(reply) => Ok(reply),
+            Err(SinkError::Reject(detail)) => Ok(Some(proto::error_frame("repl_reject", &detail))),
+            Err(SinkError::Io(e)) => Err(proto::error_frame(
+                "io",
+                &format!("replica disk failure: {e}"),
+            )),
         }
     }
 
@@ -775,10 +859,9 @@ impl ReplicaSink {
 
     /// Applies one `remove`; a missing file is fine (never shipped, or
     /// already removed by a replayed frame).
-    pub fn remove(&mut self, session: &str, file: &str) -> io::Result<()> {
-        let file = proto::replica_file(file)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e))?;
-        self.dir(session)?.remove(file)
+    pub fn remove(&mut self, session: &str, file: &str) -> Result<(), SinkError> {
+        let file = proto::replica_file(file).map_err(SinkError::Reject)?;
+        Ok(self.dir(session)?.remove(file)?)
     }
 
     /// Durability barrier: make everything since the last barrier as
@@ -805,6 +888,8 @@ fn checked(file: &str, crc: u32, data: &[u8]) -> Result<FileName, SinkError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::Cell;
+    use std::net::TcpListener;
 
     fn tmp(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("adya-replica-{name}-{}", std::process::id()));
@@ -954,7 +1039,7 @@ mod tests {
         let dir = tmp("sink-bound");
         let mut sink = ReplicaSink::new(dir.clone(), FsyncPolicy::Interval);
         let sessions = MAX_OPEN_DIRS + 6;
-        // Two passes, as a catch-up walk followed by ring replay would.
+        // Two passes, as two rounds of walks would.
         for (off, chunk) in [(0, &b"abc"[..]), (3, b"def")] {
             for i in 0..sessions {
                 sink.append(
@@ -993,35 +1078,86 @@ mod tests {
         v
     }
 
-    /// Applies everything published since `cursor` through `sink`, the
-    /// way a follower connection would, barrier included.
-    fn drain(hub: &ReplicationHub, cursor: &mut u64, sink: &mut ReplicaSink) {
-        while *cursor < hub.state.lock().unwrap().next_seq {
-            let RingRead::Batch(batch) = hub.take_from(*cursor) else {
-                panic!("nothing may be evicted in this test");
-            };
-            for m in batch {
-                match &m.kind {
-                    MutKind::Append {
-                        file, off, bytes, ..
-                    } => sink
-                        .append(
-                            &m.session,
-                            &file.to_string(),
-                            *off,
-                            wire::crc32(bytes),
-                            bytes,
-                        )
-                        .unwrap(),
-                    MutKind::Put { file, bytes } => sink
-                        .put(&m.session, &file.to_string(), wire::crc32(bytes), bytes)
-                        .unwrap(),
-                    MutKind::Remove { file } => sink.remove(&m.session, &file.to_string()).unwrap(),
-                }
-                *cursor = m.seq + 1;
-            }
+    /// An in-process follower link: each line the sender writes is
+    /// handed to `sink`, its answer queued for the sender to read, and
+    /// then `step` runs — the leader going on between frames. After
+    /// `budget` frames the link breaks, as a stopped follower's does.
+    struct Loopback<'a> {
+        sink: &'a mut ReplicaSink,
+        budget: &'a mut usize,
+        step: &'a mut dyn FnMut(),
+        line: Vec<u8>,
+        frames: Vec<String>,
+        replies: VecDeque<u8>,
+    }
+
+    impl Read for Loopback<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            self.replies.read(buf)
         }
-        sink.flush().unwrap();
+    }
+
+    impl Write for Loopback<'_> {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            for &b in buf {
+                if b != b'\n' {
+                    self.line.push(b);
+                    continue;
+                }
+                *self.budget = self
+                    .budget
+                    .checked_sub(1)
+                    .ok_or(io::ErrorKind::BrokenPipe)?;
+                let line = String::from_utf8(std::mem::take(&mut self.line)).unwrap();
+                if let Some(reply) = self
+                    .sink
+                    .handle(proto::parse_frame(&line).unwrap())
+                    .unwrap()
+                {
+                    self.replies.extend(reply.bytes().chain([b'\n']));
+                }
+                self.frames.push(line);
+                (self.step)();
+            }
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// One round of the real sender over a [`Loopback`]: the frames it
+    /// wrote.
+    fn walk(
+        hub: &ReplicationHub,
+        link: &mut Link,
+        sink: &mut ReplicaSink,
+        budget: &mut usize,
+        step: &mut dyn FnMut(),
+    ) -> io::Result<Vec<String>> {
+        let (line, frames, replies) = (Vec::new(), Vec::new(), VecDeque::new());
+        let mut io = BufReader::new(Loopback {
+            sink,
+            budget,
+            step,
+            line,
+            frames,
+            replies,
+        });
+        hub.round(link, &mut io, "loopback")?;
+        Ok(io.into_inner().frames)
+    }
+
+    /// [`walk`] with nothing happening between frames.
+    fn ship(hub: &ReplicationHub, link: &mut Link, sink: &mut ReplicaSink) -> Vec<String> {
+        walk(hub, link, sink, &mut { usize::MAX }, &mut || {}).unwrap()
+    }
+
+    fn quiet_hub(data_dir: PathBuf, trace: Option<Arc<TracePlane>>) -> Arc<ReplicationHub> {
+        // No sender threads: the test is the follower link.
+        let addr = "127.0.0.1:0".to_string();
+        ReplicationHub::start(data_dir, Vec::new(), addr, "test".into(), None, trace)
     }
 
     /// Appends the same garbage to the same file on both nodes: the
@@ -1042,78 +1178,103 @@ mod tests {
         use crate::session::{Session, SessionConfig};
         let root = tmp("mirror");
         let (leader, follower) = (root.join("leader"), root.join("follower"));
-        let hub = ReplicationHub::start(
-            leader.clone(),
-            Vec::new(), // no sender threads: the test is the follower link
-            "127.0.0.1:0".into(),
-            "test".into(),
-            None,
-            None,
-        );
+        let hub = quiet_hub(leader.clone(), None);
         let mut sink = ReplicaSink::new(follower.clone(), FsyncPolicy::Interval);
-        let mut cursor = 0;
+        let mut link = Link::default();
         let mut cfg = SessionConfig::default();
         cfg.log.rotate_events = 4;
         cfg.log.snapshot_every = u64::MAX; // snapshots are explicit below
         let tap = adya_faults::TapCrashPlane::new(Default::default());
-        let names = |dir: &Path| -> Vec<String> {
-            dir_bytes(&dir.join("s1"))
-                .into_iter()
-                .map(|(n, _)| n)
-                .collect()
-        };
-        let mut check = |what: &str, sink: &mut ReplicaSink| {
-            drain(&hub, &mut cursor, sink);
+        // Ships, and checks the mirror and the leader's file names.
+        let mut check = |what: &str, sink: &mut ReplicaSink, want: &str| {
+            ship(&hub, &mut link, sink);
+            let leader = dir_bytes(&leader.join("s1"));
             assert_eq!(
                 dir_bytes(&follower.join("s1")),
-                dir_bytes(&leader.join("s1")),
-                "directories diverged after {what}"
+                leader,
+                "mirror differs after {what}"
             );
+            let names: Vec<&str> = leader.iter().map(|(n, _)| n.as_str()).collect();
+            assert_eq!(names.join(" "), want, "{what}");
         };
 
         let mut s = Session::create(&leader, "s1", cfg, Some(hub.publisher("s1"))).unwrap();
-        check("create", &mut sink);
-        s.apply_line("b1 w1(x,1) c1 b2 w2(y,1) c2 b3 r3(x1) c3", &tap)
-            .unwrap();
-        check("segment rotation", &mut sink);
-        assert_eq!(
-            names(&leader),
-            ["names-0.log", "seg-0.log", "seg-4.log", "seg-8.log"]
+        check("create", &mut sink, "names-0.log seg-0.log");
+        let line = "b1 w1(x,1) c1 b2 w2(y,1) c2 b3 r3(x1) c3";
+        s.apply_line(line, &tap).unwrap();
+        check(
+            "rotation",
+            &mut sink,
+            "names-0.log seg-0.log seg-4.log seg-8.log",
         );
-
         s.snapshot().unwrap();
-        check("snapshot + compaction", &mut sink);
-        assert_eq!(names(&leader), ["names-2.log", "seg-8.log", "snap-9.snap"]);
-
+        check("compaction", &mut sink, "names-2.log seg-8.log snap-9.snap");
         s.apply_line("b4 w4(z,1) w4(q,1) c4", &tap).unwrap();
         s.snapshot().unwrap();
-        check("name-log rotation", &mut sink);
-        assert_eq!(
-            names(&leader),
-            ["names-4.log", "seg-12.log", "snap-13.snap"]
+        check(
+            "name-log rotation",
+            &mut sink,
+            "names-4.log seg-12.log snap-13.snap",
         );
 
         // Kill mid-append: a torn record and a torn name line, which the
         // follower mirrored too. Recovery must cut both on both nodes.
         s.apply_line("b5 w5(k,1)", &tap).unwrap();
-        check("the appends before the kill", &mut sink);
+        check(
+            "the appends before the kill",
+            &mut sink,
+            "names-4.log seg-12.log snap-13.snap",
+        );
         drop(s);
         let roots = [leader.as_path(), follower.as_path()];
         tear(roots, FileName::Segment(12), &[40, 0, 0, 0, 0xde, 0xad]);
         tear(roots, FileName::Names(4), b"half-a-na");
         let mut s = Session::recover(&leader, "s1", cfg, Some(hub.publisher("s1"))).unwrap();
         assert!(s.truncated.take().is_some_and(|d| d.contains("seg-12.log")));
-        check("recovery of torn tails", &mut sink);
+        check("recovery", &mut sink, "names-4.log seg-12.log snap-13.snap");
         assert_eq!(fs::read(leader.join("s1/names-4.log")).unwrap(), b"k\n");
 
         s.apply_line("c5", &tap).unwrap();
         s.close().unwrap();
-        check("close", &mut sink);
-        assert_eq!(
-            names(&leader),
-            ["closed", "names-5.log", "seg-16.log", "snap-16.snap"]
+        check(
+            "close",
+            &mut sink,
+            "closed names-5.log seg-16.log snap-16.snap",
         );
-        hub.stop();
+        fs::remove_dir_all(&root).unwrap();
+    }
+
+    #[test]
+    fn a_file_compacted_away_after_its_round_began_is_shipped_once() {
+        use crate::session::{Session, SessionConfig};
+        let root = tmp("removed-once");
+        let (leader, follower) = (root.join("leader"), root.join("follower"));
+        let hub = quiet_hub(leader.clone(), None);
+        let mut sink = ReplicaSink::new(follower.clone(), FsyncPolicy::Never);
+        let mut link = Link::default();
+        let mut cfg = SessionConfig::default();
+        (cfg.log.rotate_events, cfg.log.snapshot_every) = (4, u64::MAX);
+        let tap = adya_faults::TapCrashPlane::new(Default::default());
+        let open = |s: &str| Session::create(&leader, s, cfg, Some(hub.publisher(s))).unwrap();
+        let (mut a, mut b) = (open("a"), open("b"));
+        b.apply_line("b1 w1(x,1) c1 b2", &tap).unwrap();
+        ship(&hub, &mut link, &mut sink);
+        // `a` is walked first; after its first frame `b` rotates, snapshots
+        // and compacts, before `b` is measured in the same round. The
+        // files it removes are shipped in that round and never again.
+        a.apply_line("b1", &tap).unwrap();
+        b.apply_line("w2(y,2)", &tap).unwrap();
+        let mut first = true;
+        let mut step = || {
+            if std::mem::take(&mut first) {
+                b.apply_line("c2 b3 c3", &tap).unwrap();
+                b.snapshot().unwrap();
+            }
+        };
+        walk(&hub, &mut link, &mut sink, &mut { usize::MAX }, &mut step).unwrap();
+        let again = ship(&hub, &mut link, &mut sink);
+        assert_eq!(again.len(), 1, "only the barrier: {again:?}");
+        assert_eq!(dir_bytes(&follower.join("b")), dir_bytes(&leader.join("b")));
         fs::remove_dir_all(&root).unwrap();
     }
 
@@ -1123,16 +1284,9 @@ mod tests {
         use adya_history::{Event, TxnId};
         let root = tmp("closed-damage");
         let (leader, follower) = (root.join("leader"), root.join("follower"));
-        let hub = ReplicationHub::start(
-            leader.clone(),
-            Vec::new(),
-            "127.0.0.1:0".into(),
-            "test".into(),
-            None,
-            None,
-        );
+        let hub = quiet_hub(leader.clone(), None);
         let mut sink = ReplicaSink::new(follower.clone(), FsyncPolicy::Never);
-        let mut cursor = 0;
+        let mut link = Link::default();
         let cfg = LogConfig {
             rotate_events: 4,
             snapshot_every: u64::MAX,
@@ -1144,7 +1298,7 @@ mod tests {
             log.append(&Event::Begin(TxnId(t))).unwrap();
         }
         drop(log);
-        drain(&hub, &mut cursor, &mut sink);
+        ship(&hub, &mut link, &mut sink);
         let intact = dir_bytes(&follower.join("s1"));
         assert_eq!(dir_bytes(&leader.join("s1")), intact);
 
@@ -1157,7 +1311,7 @@ mod tests {
         fs::write(&seg0, &bytes).unwrap();
         let damaged = dir_bytes(&leader.join("s1"));
 
-        let published = hub.state.lock().unwrap().next_seq;
+        let published = hub.state.lock().unwrap().gen;
         let Err(e) = SessionLog::recover(
             &leader.join("s1"),
             cfg,
@@ -1172,14 +1326,10 @@ mod tests {
             "{e}"
         );
         assert_eq!(dir_bytes(&leader.join("s1")), damaged, "leader bytes cut");
-        assert_eq!(
-            hub.state.lock().unwrap().next_seq,
-            published,
-            "a refused recovery publishes nothing"
-        );
-        drain(&hub, &mut cursor, &mut sink);
+        let now = hub.state.lock().unwrap().gen;
+        assert_eq!(now, published, "a refused recovery publishes nothing");
+        ship(&hub, &mut link, &mut sink);
         assert_eq!(dir_bytes(&follower.join("s1")), intact);
-        hub.stop();
         fs::remove_dir_all(&root).unwrap();
     }
 
@@ -1237,89 +1387,157 @@ mod tests {
         fs::remove_dir_all(&root).unwrap();
     }
 
+    /// The crash test's leader: one step per entry — a token, or
+    /// `snapshot` for a snapshot with its compaction. Names are
+    /// interned two steps in a row, by writes whose versions later
+    /// transactions read: a follower that holds such a write but not
+    /// its name interns the name afresh on resume, and the read turns
+    /// stale in its verdicts.
+    const SCRIPT: &str = "b1 w1(x,1) c1 \
+        b2 w2(y,2) w2(z,2) r2(x1) c2 b3 r3(y2) w3(q,3) w3(u,3) r3(z2) c3 snapshot \
+        b4 r4(q3) w4(v,4) w4(s,4) r4(u3) c4 b5 r5(v4) w5(t,5) w5(p,5) r5(s4) c5 snapshot \
+        b6 r6(t5) w6(m,6) w6(n,6) r6(p5) c6 b7 r7(m6) r7(n6) w7(x,7) c7";
+
     #[test]
-    fn hub_ring_streams_evicts_and_accounts_lag() {
-        let dir = tmp("hub-ring");
-        let hub = ReplicationHub::start(
-            dir.clone(),
-            Vec::new(), // no sender threads: drive the ring directly
-            "127.0.0.1:0".into(),
-            "test".into(),
-            Some(0),
-            None,
-        );
-        let p = hub.publisher("s1");
-        p.append(FileName::Segment(0), 0, b"abcd", 1, None);
-        p.put(FileName::Snapshot(4), b"snap");
-        p.remove(FileName::Segment(0));
-        match hub.take_from(0) {
-            RingRead::Batch(b) => {
-                assert_eq!(b.len(), 3);
-                assert!(b[0].frame().contains("\"op\": \"append\""));
-                assert!(b[1].frame().contains("\"op\": \"put\""));
-                assert!(b[2].frame().contains("\"op\": \"remove\""));
-                assert_eq!((b[0].seq, b[1].seq, b[2].seq), (0, 1, 2));
+    fn a_follower_stopped_after_any_frame_recovers_a_prefix_of_the_leaders_verdicts() {
+        use crate::session::{Session, SessionConfig};
+        let root = tmp("crash-walk");
+        let mut cfg = SessionConfig::default();
+        (cfg.log.rotate_events, cfg.log.snapshot_every) = (4, u64::MAX);
+        cfg.log.fsync = FsyncPolicy::Never;
+        let tap = adya_faults::TapCrashPlane::new(Default::default());
+        let script: Vec<&str> = SCRIPT.split_whitespace().collect();
+        let tokens: Vec<&str> = script
+            .iter()
+            .copied()
+            .filter(|&t| t != "snapshot")
+            .collect();
+        let verdicts = |s: &mut Session, tokens: &[&str]| -> Vec<String> {
+            let lines = tokens.iter().map(|t| s.apply_line(t, &tap).unwrap());
+            lines.flatten().map(|(_, v)| v).collect()
+        };
+        let mut reference = Session::create(&root.join("reference"), "s1", cfg, None).unwrap();
+        let want = verdicts(&mut reference, &tokens);
+
+        // `lead` tokens are written before the walk starts, so that each
+        // step lands at every place in a round: after a barrier, before
+        // a measurement, between a name log's frame and a segment's.
+        for lead in 3..7 {
+            for k in 0.. {
+                let at = root.join(format!("{lead}-{k}"));
+                let (leader, follower) = (at.join("leader"), at.join("follower"));
+                let hub = quiet_hub(leader.clone(), None);
+                let mut sink = ReplicaSink::new(follower.clone(), FsyncPolicy::Never);
+                let mut link = Link::default();
+                let mut s = Session::create(&leader, "s1", cfg, Some(hub.publisher("s1"))).unwrap();
+                s.apply_line(&script[..lead].join(" "), &tap).unwrap();
+                ship(&hub, &mut link, &mut sink);
+
+                // Rounds until the script is done and a round ships
+                // nothing, or the follower stops after its `k`th frame.
+                let (next, mut budget) = (Cell::new(lead), k);
+                let mut step = || match script.get(next.replace(next.get() + 1)) {
+                    Some(&"snapshot") => s.snapshot().unwrap(),
+                    Some(token) => drop(s.apply_line(token, &tap).unwrap()),
+                    None => {}
+                };
+                let complete = loop {
+                    match walk(&hub, &mut link, &mut sink, &mut budget, &mut step) {
+                        Err(_) => break false,
+                        Ok(frames) if frames.len() == 1 && next.get() > script.len() => break true,
+                        Ok(_) => {}
+                    }
+                };
+                drop(sink);
+                let (lbytes, fbytes) = (
+                    dir_bytes(&leader.join("s1")),
+                    dir_bytes(&follower.join("s1")),
+                );
+                assert!(!complete || lbytes == fbytes, "lead {lead}: mirror differs");
+
+                let stopped = format!("lead {lead}, stopped after {k} frames");
+                let healer = SessionDir::mirror(&follower.join("s1"), FsyncPolicy::Never);
+                healer.unwrap().heal().unwrap();
+                let mut f = Session::recover(&follower, "s1", cfg, None)
+                    .unwrap_or_else(|e| panic!("{stopped}: {e}"));
+                let base = f.verdict_log().base();
+                let (records, count, window) = f.resume(base).unwrap();
+                let count = count as usize;
+                assert_eq!(window, want[base as usize..count], "replay, {stopped}");
+                let rest = verdicts(&mut f, &tokens[records as usize..]);
+                assert_eq!(rest, want[count..], "resumed, {stopped}");
+                fs::remove_dir_all(&at).unwrap();
+                if complete {
+                    break;
+                }
             }
-            RingRead::Evicted => panic!("nothing evicted yet"),
         }
-        // With no follower configured there is no lag to report…
-        assert_eq!(hub.lag_summary(), (0, 0));
-        // …but published totals accumulated.
-        let st = hub.state.lock().unwrap();
-        assert_eq!(
-            st.published["s1"],
-            Totals {
-                records: 1,
-                bytes: 8
-            }
-        );
-        drop(st);
-        // Force eviction past the ring bound.
-        for _ in 0..(RING_MAX_LEN + 10) {
-            p.append(FileName::Segment(0), 0, b"x", 0, None);
-        }
-        assert!(matches!(hub.take_from(0), RingRead::Evicted));
-        hub.stop();
-        fs::remove_dir_all(&dir).unwrap();
+        fs::remove_dir_all(&root).unwrap();
     }
 
     #[test]
     fn traced_appends_carry_their_id_on_the_wire() {
-        let dir = tmp("hub-trace");
-        let hub = ReplicationHub::start(
-            dir.clone(),
-            Vec::new(),
-            "127.0.0.1:0".into(),
-            "test".into(),
-            None,
-            Some(Arc::new(TracePlane::new("test", "leader"))),
+        use crate::log::{LogConfig, SessionLog};
+        use adya_history::{Event, TxnId};
+        let root = tmp("walk-trace");
+        let plane = Arc::new(TracePlane::new("test", "leader"));
+        let hub = quiet_hub(root.join("leader"), Some(plane));
+        let publisher = Some(hub.publisher("s1"));
+        let mut log = SessionLog::create(&root.join("leader/s1"), LogConfig::default(), publisher);
+        let (log, id) = (log.as_mut().unwrap(), adya_obs::trace_id("s1", 1));
+        log.append(&Event::Begin(TxnId(1))).unwrap();
+        log.append_traced(&Event::Begin(TxnId(2)), Some(id))
+            .unwrap();
+        log.append(&Event::Begin(TxnId(3))).unwrap();
+        let mut sink = ReplicaSink::new(root.join("follower"), FsyncPolicy::Never);
+        let frames = ship(&hub, &mut Link::default(), &mut sink);
+        // The chunk ending at the traced record carries its id; the one
+        // after it, untraced, carries none.
+        let appends: Vec<_> = frames.iter().filter(|f| f.contains("append")).collect();
+        assert_eq!(appends.len(), 2, "{appends:?}");
+        let ids = appends.iter().map(|f| match proto::parse_frame(f) {
+            Ok(ClientFrame::ReplAppend { trace, .. }) => trace,
+            other => panic!("parsed as {other:?}"),
+        });
+        assert_eq!(ids.collect::<Vec<_>>(), [Some(id), None]);
+        let wire_id = format!("\"trace\": \"{}\"", adya_obs::fmt_trace_id(id));
+        assert!(appends[0].contains(&wire_id), "{}", appends[0]);
+        assert_eq!(
+            dir_bytes(&root.join("follower/s1")),
+            dir_bytes(&root.join("leader/s1"))
         );
-        let p = hub.publisher("s1");
-        let id = adya_obs::trace_id("s1", 32);
-        p.append(FileName::Segment(0), 8, b"rec", 1, Some(id));
-        p.append(FileName::Segment(0), 11, b"rec", 1, None); // untraced
-        match hub.take_from(0) {
-            RingRead::Batch(b) => {
-                let wire_id = format!("\"trace\": \"{}\"", adya_obs::fmt_trace_id(id));
-                assert!(b[0].frame().contains(&wire_id), "{}", b[0].frame());
-                assert!(!b[1].frame().contains("trace"), "{}", b[1].frame());
-                // The annotated frame still parses, id intact.
-                match proto::parse_frame(&b[0].frame()).unwrap() {
-                    crate::proto::ClientFrame::ReplAppend { trace, .. } => {
-                        assert_eq!(trace, Some(id));
-                    }
-                    other => panic!("parsed as {other:?}"),
-                }
-            }
-            RingRead::Evicted => panic!("nothing evicted"),
-        }
-        hub.stop();
-        fs::remove_dir_all(&dir).unwrap();
+        fs::remove_dir_all(&root).unwrap();
     }
 
     #[test]
-    fn disconnected_follower_counts_published_work_as_lag() {
+    fn a_reply_cut_off_by_the_followers_close_fails_at_once() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let stream = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        // A line without its newline, then the close.
+        listener
+            .accept()
+            .unwrap()
+            .0
+            .write_all(b"{\"ack\": 1}")
+            .unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_millis(100)))
+            .unwrap();
+        let hub = quiet_hub(std::env::temp_dir(), None);
+        let t0 = Instant::now();
+        let reply = hub.read_reply(&mut BufReader::new(stream), "ack", |_| Some(()));
+        assert_eq!(reply.unwrap_err().kind(), io::ErrorKind::UnexpectedEof);
+        assert!(
+            t0.elapsed() < Duration::from_millis(500),
+            "{:?}",
+            t0.elapsed()
+        );
+    }
+
+    #[test]
+    fn published_work_is_lag_only_for_a_configured_follower() {
         let dir = tmp("hub-lag");
+        let quiet = quiet_hub(dir.clone(), None);
         let hub = ReplicationHub::start(
             dir.clone(),
             vec!["127.0.0.1:1".into()], // reserved port: never connects
@@ -1329,10 +1547,22 @@ mod tests {
             None,
         );
         assert!(!hub.unhealthy(), "no published work, no lag");
-        hub.publisher("s1")
-            .append(FileName::Segment(0), 0, b"abcdef", 2, None);
-        let (rec, bytes) = hub.lag_summary();
-        assert_eq!((rec, bytes), (2, 6));
+        for h in [&quiet, &hub] {
+            let p = h.publisher("s1");
+            p.append(FileName::Segment(0), 6, 6, 2, None);
+            p.put(FileName::Snapshot(2), 4);
+            p.remove(FileName::Segment(0), None);
+            // Appends and puts add to the published totals; a put is
+            // filed for the senders, a remove takes nothing away.
+            let st = h.state.lock().unwrap();
+            let (totals, puts) = (st.sessions["s1"].totals, &st.sessions["s1"].puts);
+            assert_eq!((totals.records, totals.bytes, st.gen), (2, 10, 3));
+            assert_eq!(Vec::from_iter(puts.clone()), [(FileName::Snapshot(2), 2)]);
+        }
+        // With no follower configured there is no lag to report; a
+        // follower that never acked lags by everything published.
+        assert_eq!(quiet.lag_summary(), (0, 0));
+        assert_eq!(hub.lag_summary(), (2, 10));
         assert!(hub.unhealthy(), "lag 2 > max 0");
         let health = hub.health_json();
         assert!(health.contains("\"max_lag_records\": 2"), "{health}");

@@ -33,10 +33,10 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use adya_faults::{TapCrashConfig, TapCrashPlane};
-use adya_obs::{trace::Stage, Listener, TracePlane};
+use adya_obs::{Listener, TracePlane};
 
 use crate::proto::{self, ClientFrame};
-use crate::replica::{LogPublisher, ReplConfig, ReplicaSink, ReplicationHub, SinkError};
+use crate::replica::{LogPublisher, ReplConfig, ReplicaSink, ReplicationHub};
 use crate::session::{ApplyError, ResumeError, Session, SessionConfig};
 
 /// Server-wide configuration.
@@ -152,12 +152,6 @@ struct ConnState {
     /// (`"trace": "on"` in its hello/resume). Honored only when the
     /// server itself runs with `--trace-propagate`.
     client_trace: bool,
-    /// Follower side: trace ids carried by `append` frames since the
-    /// last `repl_flush` barrier; the barrier's fsync stamps them
-    /// `ack` — the moment the write became durable here, which is
-    /// what the leader's own `ack` stamp (barrier reply received)
-    /// brackets from the other side.
-    pending_trace: Vec<u64>,
 }
 
 struct Inner {
@@ -715,158 +709,36 @@ fn dispatch_frame(
             let _ = writeln!(stream, "{{\"ok\": \"promote\"}}");
             LineOutcome::Continue
         }
-        ClientFrame::ReplHello { node, advertise } => {
-            if !inner.follower.load(Ordering::Relaxed) {
-                let _ = writeln!(
-                    stream,
-                    "{}",
-                    proto::error_frame("not_follower", "this node is a leader")
-                );
-                return LineOutcome::Continue;
-            }
-            if let Some(addr) = advertise {
-                *inner.leader_hint.lock().unwrap() = Some(addr);
-            }
-            conn.sink = Some(ReplicaSink::new(
-                inner.cfg.data_dir.clone(),
-                inner.cfg.session.log.fsync,
-            ));
-            adya_obs::counter!("serve.repl_hellos").inc();
-            let _ = writeln!(
-                stream,
-                "{{\"ok\": \"repl_hello\", \"node\": \"{}\"}}",
-                adya_obs::json::esc(&node)
-            );
-            LineOutcome::Continue
-        }
-        ClientFrame::Replicate { session } => {
-            let Some(sink) = conn.sink.as_mut() else {
-                return not_replicating(stream);
-            };
-            match sink.inventory(&session) {
-                Ok(files) => {
-                    let _ = writeln!(stream, "{}", proto::inventory_frame(&session, &files));
-                    LineOutcome::Continue
-                }
-                Err(e) => {
+        // The replication vocabulary: this connection is a leader's
+        // sender, and the sink answers for this node.
+        repl => {
+            if let ClientFrame::ReplHello { advertise, .. } = &repl {
+                if !inner.follower.load(Ordering::Relaxed) {
                     let _ = writeln!(
                         stream,
                         "{}",
-                        proto::error_frame("io", &format!("inventory failed: {e}"))
+                        proto::error_frame("not_follower", "this node is a leader")
                     );
-                    LineOutcome::End
+                    return LineOutcome::Continue;
                 }
+                if let Some(addr) = advertise {
+                    *inner.leader_hint.lock().unwrap() = Some(addr.clone());
+                }
+                let sink =
+                    ReplicaSink::new(inner.cfg.data_dir.clone(), inner.cfg.session.log.fsync);
+                conn.sink = Some(sink.with_trace(inner.trace.clone()));
             }
-        }
-        ClientFrame::ReplAppend {
-            session,
-            file,
-            off,
-            crc,
-            data,
-            trace,
-        } => {
-            let Some(sink) = conn.sink.as_mut() else {
-                return not_replicating(stream);
+            let not_replicating =
+                || proto::error_frame("not_replicating", "send a repl_hello frame first");
+            let (line, outcome) = match conn.sink.as_mut().map(|sink| sink.handle(repl)) {
+                None => (Some(not_replicating()), LineOutcome::Continue),
+                Some(Ok(reply)) => (reply, LineOutcome::Continue),
+                Some(Err(line)) => (Some(line), LineOutcome::End),
             };
-            // No per-mutation reply: durability is acknowledged at the
-            // next `repl_flush` barrier. A reject makes the leader
-            // reconnect and redo catch-up from the real inventory.
-            match sink.append(&session, &file, off, crc, &data) {
-                Ok(()) => {
-                    // The leader sampled this record: stamp its
-                    // arrival here and remember it for the barrier's
-                    // `ack` stamp. Ids key off the durable record
-                    // number, so both nodes agree on them.
-                    if let (Some(plane), Some(id)) = (&inner.trace, trace) {
-                        plane.stamp(id, Stage::Replicate);
-                        conn.pending_trace.push(id);
-                    }
-                    LineOutcome::Continue
-                }
-                Err(SinkError::Reject(detail)) => {
-                    let _ = writeln!(stream, "{}", proto::error_frame("repl_reject", &detail));
-                    LineOutcome::Continue
-                }
-                Err(SinkError::Io(e)) => {
-                    let _ = writeln!(
-                        stream,
-                        "{}",
-                        proto::error_frame("io", &format!("replica append failed: {e}"))
-                    );
-                    LineOutcome::End
-                }
+            if let Some(line) = line {
+                let _ = writeln!(stream, "{line}");
             }
-        }
-        ClientFrame::ReplPut {
-            session,
-            file,
-            crc,
-            data,
-        } => {
-            let Some(sink) = conn.sink.as_mut() else {
-                return not_replicating(stream);
-            };
-            match sink.put(&session, &file, crc, &data) {
-                Ok(()) => LineOutcome::Continue,
-                Err(SinkError::Reject(detail)) => {
-                    let _ = writeln!(stream, "{}", proto::error_frame("repl_reject", &detail));
-                    LineOutcome::Continue
-                }
-                Err(SinkError::Io(e)) => {
-                    let _ = writeln!(
-                        stream,
-                        "{}",
-                        proto::error_frame("io", &format!("replica put failed: {e}"))
-                    );
-                    LineOutcome::End
-                }
-            }
-        }
-        ClientFrame::ReplRemove { session, file } => {
-            let Some(sink) = conn.sink.as_mut() else {
-                return not_replicating(stream);
-            };
-            match sink.remove(&session, &file) {
-                Ok(()) => LineOutcome::Continue,
-                Err(e) => {
-                    let _ = writeln!(
-                        stream,
-                        "{}",
-                        proto::error_frame("io", &format!("replica remove failed: {e}"))
-                    );
-                    LineOutcome::End
-                }
-            }
-        }
-        ClientFrame::ReplFlush { seq } => {
-            let Some(sink) = conn.sink.as_mut() else {
-                return not_replicating(stream);
-            };
-            match sink.flush() {
-                Ok(()) => {
-                    // Everything since the last barrier is durable on
-                    // this replica: stamp the follower-side `ack`.
-                    if let Some(plane) = &inner.trace {
-                        for id in conn.pending_trace.drain(..) {
-                            plane.stamp(id, Stage::Ack);
-                        }
-                    } else {
-                        conn.pending_trace.clear();
-                    }
-                    let _ = writeln!(stream, "{}", proto::ack_frame(seq));
-                    let _ = stream.flush();
-                    LineOutcome::Continue
-                }
-                Err(e) => {
-                    let _ = writeln!(
-                        stream,
-                        "{}",
-                        proto::error_frame("io", &format!("replica fsync failed: {e}"))
-                    );
-                    LineOutcome::End
-                }
-            }
+            outcome
         }
     }
 }
@@ -883,17 +755,6 @@ fn attached_guard(conn: &ConnState, stream: &mut TcpStream) -> bool {
         return true;
     }
     false
-}
-
-/// Rejects a replication mutation on a connection that never sent
-/// `repl_hello`.
-fn not_replicating(stream: &mut TcpStream) -> LineOutcome {
-    let _ = writeln!(
-        stream,
-        "{}",
-        proto::error_frame("not_replicating", "send a repl_hello frame first")
-    );
-    LineOutcome::Continue
 }
 
 /// Finds `name` in the registry, or recovers it from disk and

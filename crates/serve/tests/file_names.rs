@@ -2,9 +2,11 @@
 //! [`FileName`] prints to a string that reads back as itself, and a
 //! string is accepted only when it is exactly what its reading prints —
 //! so no two spellings ever name one file, whichever path (recovery,
-//! compaction, replication frames, inventories) reads them.
+//! compaction, replication frames, inventories) reads them. The
+//! replication codecs built on it round-trip too: a follower's
+//! inventory listing and the hex payloads of `append`/`put` frames.
 
-use adya_serve::FileName;
+use adya_serve::{proto, FileName};
 use proptest::prelude::*;
 
 fn file_name() -> impl Strategy<Value = FileName> {
@@ -69,8 +71,23 @@ proptest! {
     }
 
     #[test]
+    fn inventories_round_trip(files in proptest::collection::vec((file_name(), 0u64..u64::MAX), 0..8)) {
+        let mut files = files;
+        files.sort_unstable();
+        files.dedup_by_key(|f| f.0);
+        let reply = adya_obs::json::parse(&proto::inventory_frame("t", &files)).unwrap();
+        prop_assert_eq!(proto::parse_inventory(reply.str_at("files").unwrap()), Ok(files));
+    }
+
+    #[test]
+    fn hex_round_trips(bytes in proptest::collection::vec((0u16..256).prop_map(|b| b as u8), 0..96)) {
+        prop_assert_eq!(proto::decode_hex(&proto::encode_hex(&bytes)), Ok(bytes));
+    }
+
+    #[test]
     fn arbitrary_strings_never_panic(chars in proptest::collection::vec(any::<char>(), 0..24)) {
         let s: String = chars.into_iter().collect();
+        let _ = (proto::parse_inventory(&s), proto::decode_hex(&s));
         if let Some(f) = FileName::parse(&s) {
             prop_assert_eq!(f.to_string(), s);
         }
