@@ -50,10 +50,10 @@ fn ingest(h: &adya_history::History, on: bool) -> (u128, Vec<String>) {
                 traced.stamp(Stage::Tap);
                 traced.stamp(Stage::Ring);
                 traced.stamp(Stage::Seq);
-                let arrived = m.arrival(traced);
+                m.arrival();
                 let v = c.ingest(e);
                 traced.stamp(Stage::Apply);
-                m.observe_event(&c, arrived);
+                m.observe_event(&c, traced);
                 if let Some(v) = v {
                     traced.stamp(Stage::Verdict);
                     m.observe_verdict(&v);

@@ -2,14 +2,14 @@
 //! parallel ingest pipeline.
 //!
 //! An [`EventRing`] carries `(seq, Event)` pairs from an event producer
-//! (an engine's recorder tap) to the pipeline's sequencer. It is a
+//! (the thread driving the pipeline) to the pipeline's sequencer. It is a
 //! `std::sync::mpsc::sync_channel` under the names the pipeline and the
 //! ledger use: a measured push+pop costs about what the hand-rolled
 //! lock-free ring it replaced did, without a slot protocol of our own.
 //!
 //! Backpressure: a push into a full queue counts one
 //! `pipeline.backpressure_waits` and blocks until the consumer frees a
-//! slot, which stalls the producing engine thread — exactly the flow
+//! slot, which stalls the producing thread — exactly the flow
 //! control a bounded pipeline wants.
 //!
 //! The stream ends when its producer is dropped: the consumer drains

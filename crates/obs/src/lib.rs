@@ -36,7 +36,6 @@ pub mod http;
 pub mod json;
 pub mod metrics;
 pub mod registry;
-pub mod ring;
 pub mod trace;
 
 pub use chrome::{Arg, ChromeTrace};
@@ -45,7 +44,7 @@ pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot};
 pub use registry::{labeled, Registry, Snapshot, SpanTimer};
 pub use trace::{
     fmt_trace_id, merge_segments, parse_segment, parse_trace_id, stable_id, trace_document,
-    trace_id, witness_id, Stage, Stamp, StampRing, TracePlane, TraceSegment, Traced,
+    trace_id, witness_id, Stage, Stamp, TracePlane, TraceSegment, Traced,
 };
 
 use std::sync::OnceLock;

@@ -9,10 +9,11 @@
 //! --obs-listen` and `adya-serve`) and streaming `--trace-out` render
 //! its stamps ([`trace_document`]).
 //!
-//! - **Stamping is lock-free.** A [`StampRing`] is a
-//!   [`SeqRing`]: writers claim a ticket with one `fetch_add` and
-//!   publish with a release store. A torn slot is skipped by readers
-//!   and counted as dropped.
+//! - **Stamping takes the plane's one lock.** A stamp goes into a
+//!   bounded buffer (the newest [`DEFAULT_STAMP_CAPACITY`]; what it
+//!   overwrites is counted as dropped) under the same mutex that keeps
+//!   each trace's first and latest times, so a reader copies whole
+//!   stamps, oldest first.
 //! - **Sampling is deterministic.** One in `sample_every` events by
 //!   dense sequence number, so the leader and a follower replaying the
 //!   same durable stream pick the *same* events, and the trace id —
@@ -32,18 +33,17 @@
 //! latency histograms (`trace.stage_ns{stage=…}`) aggregate into the
 //! global registry.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use crate::metrics::Histogram;
-use crate::ring::SeqRing;
 
 /// Default 1-in-N sampling cadence for trace stamping.
 pub const DEFAULT_TRACE_SAMPLE: u64 = 32;
 
-/// Default stamp-ring capacity (stamps retained before overwrite).
+/// Stamps a plane retains before it overwrites the oldest.
 pub const DEFAULT_STAMP_CAPACITY: usize = 8192;
 
 /// Bound on the per-trace first/last bookkeeping map; crossing it
@@ -104,10 +104,6 @@ impl Stage {
     /// Parses a wire/export name back into a stage.
     pub fn parse(s: &str) -> Option<Stage> {
         Stage::ALL.into_iter().find(|st| st.as_str() == s)
-    }
-
-    fn from_u8(v: u64) -> Option<Stage> {
-        Stage::ALL.get(v as usize).copied()
     }
 }
 
@@ -195,71 +191,27 @@ pub struct Stamp {
     pub t_ns: u64,
 }
 
-/// The lock-free bounded stamp ring: a typed view over a three-word
-/// [`SeqRing`] — (trace, stage, t_ns) per record.
-#[derive(Debug)]
-pub struct StampRing {
-    ring: SeqRing<3>,
-}
-
-impl StampRing {
-    /// A ring retaining at most `capacity` stamps.
-    pub fn new(capacity: usize) -> StampRing {
-        StampRing {
-            ring: SeqRing::new(capacity),
-        }
-    }
-
-    /// Total stamps ever recorded (including overwritten ones).
-    pub fn recorded(&self) -> u64 {
-        self.ring.recorded()
-    }
-
-    /// Stamps no longer retrievable (overwritten or contended away).
-    pub fn dropped(&self) -> u64 {
-        self.ring.dropped()
-    }
-
-    /// Deposits one stamp; lock-free, dropped (never torn) on the rare
-    /// slot contention.
-    pub fn record(&self, trace: u64, stage: Stage, t_ns: u64) {
-        self.ring.record([trace, stage as u64, t_ns]);
-    }
-
-    /// Empties the ring in place; what it held is not counted as
-    /// dropped.
-    pub fn reset(&self) {
-        self.ring.reset();
-    }
-
-    /// Copies out every retained stamp, oldest first; torn slots are
-    /// skipped.
-    pub fn collect(&self) -> Vec<Stamp> {
-        self.ring
-            .collect()
-            .into_iter()
-            .filter_map(|(_, [trace, stage, t_ns])| {
-                Some(Stamp {
-                    trace,
-                    stage: Stage::from_u8(stage)?,
-                    t_ns,
-                })
-            })
-            .collect()
-    }
+/// What a stamp updates, behind a [`TracePlane`]'s one lock.
+#[derive(Debug, Default)]
+struct Stamps {
+    /// The newest [`DEFAULT_STAMP_CAPACITY`] stamps, oldest first.
+    kept: VecDeque<Stamp>,
+    /// Stamps overwritten since the last reset.
+    dropped: u64,
+    /// Per-trace `(first, last)` stamp times, for stage deltas,
+    /// end-to-end latency and [`Traced::span_ns`]. Bounded by
+    /// [`LAST_MAP_MAX`].
+    window: HashMap<u64, (u64, u64)>,
 }
 
 /// One node's tracing plane: sampling policy, monotonic epoch, the
-/// stamp ring, and the per-stage latency histograms it feeds.
+/// retained stamps, and the per-stage latency histograms it feeds.
 pub struct TracePlane {
     node: String,
     role: Mutex<String>,
     sample_every: AtomicU64,
     epoch: Instant,
-    ring: StampRing,
-    /// Per-trace `(first, last)` stamp times, for stage deltas and
-    /// end-to-end latency. Bounded by [`LAST_MAP_MAX`].
-    window: Mutex<HashMap<u64, (u64, u64)>>,
+    stamps: Mutex<Stamps>,
     /// `trace.stage_ns{stage=…}` histograms, indexed by stage.
     stage_ns: [Arc<Histogram>; 8],
     /// Tap→ack latency of traces that reached `Ack` on this node.
@@ -286,8 +238,7 @@ impl TracePlane {
             role: Mutex::new(role.to_string()),
             sample_every: AtomicU64::new(DEFAULT_TRACE_SAMPLE),
             epoch: Instant::now(),
-            ring: StampRing::new(DEFAULT_STAMP_CAPACITY),
-            window: Mutex::new(HashMap::new()),
+            stamps: Mutex::default(),
             stage_ns: std::array::from_fn(|i| {
                 reg.histogram(&crate::labeled(
                     "trace.stage_ns",
@@ -357,12 +308,16 @@ impl TracePlane {
     /// (used when the stamp point and the clock read are separated,
     /// e.g. a batch applied after its arrival times were taken).
     pub fn stamp_at(&self, trace: u64, stage: Stage, t_ns: u64) {
-        self.ring.record(trace, stage, t_ns);
-        let mut w = self.window.lock().unwrap();
-        if w.len() > LAST_MAP_MAX {
-            w.clear();
+        let mut s = self.stamps.lock().unwrap();
+        if s.kept.len() == DEFAULT_STAMP_CAPACITY {
+            s.kept.pop_front();
+            s.dropped += 1;
         }
-        match w.entry(trace) {
+        s.kept.push_back(Stamp { trace, stage, t_ns });
+        if s.window.len() > LAST_MAP_MAX {
+            s.window.clear();
+        }
+        match s.window.entry(trace) {
             std::collections::hash_map::Entry::Occupied(mut e) => {
                 let (first, last) = *e.get();
                 self.stage_ns[stage as usize].record(t_ns.saturating_sub(last));
@@ -378,30 +333,44 @@ impl TracePlane {
         }
     }
 
+    /// Nanoseconds between `trace`'s first and latest stamps, `None`
+    /// when the plane holds no times for it.
+    fn span_ns(&self, trace: u64) -> Option<u64> {
+        let s = self.stamps.lock().unwrap();
+        s.window.get(&trace).map(|(first, last)| last - first)
+    }
+
     /// Every retained stamp, oldest first.
     pub fn collect(&self) -> Vec<Stamp> {
-        self.ring.collect()
+        self.stamps.lock().unwrap().kept.iter().copied().collect()
     }
 
-    /// Stamps lost to the ring bound.
+    /// Stamps overwritten since the last [`reset`](TracePlane::reset).
     pub fn dropped(&self) -> u64 {
-        self.ring.dropped()
+        self.stamps.lock().unwrap().dropped
     }
 
-    /// Empties the stamp ring in place: streaming `--trace-out` writes
-    /// each segment file from the stamps taken since the last one.
+    /// Empties the retained stamps; what they held is not counted as
+    /// dropped. Streaming `--trace-out` writes each segment file from
+    /// the stamps taken since the last one.
     pub fn reset(&self) {
-        self.ring.reset();
+        let mut s = self.stamps.lock().unwrap();
+        s.kept.clear();
+        s.dropped = 0;
     }
 
     /// This node's trace segment: its name, current role and retained
     /// stamps.
     pub fn segment(&self) -> TraceSegment {
+        let (dropped, stamps) = {
+            let s = self.stamps.lock().unwrap();
+            (s.dropped, s.kept.iter().copied().collect())
+        };
         TraceSegment {
             node: self.node.clone(),
             role: self.role(),
-            dropped: self.dropped(),
-            stamps: self.collect(),
+            dropped,
+            stamps,
         }
     }
 }
@@ -429,6 +398,12 @@ impl Traced<'_> {
     pub fn id(self) -> Option<u64> {
         self.0.map(|(_, id)| id)
     }
+
+    /// Nanoseconds between the event's first and latest stamps on its
+    /// plane; `None` when it is not traced.
+    pub fn span_ns(self) -> Option<u64> {
+        self.0.and_then(|(plane, id)| plane.span_ns(id))
+    }
 }
 
 /// A per-node trace segment: what [`TracePlane::segment`] takes and
@@ -439,7 +414,7 @@ pub struct TraceSegment {
     pub node: String,
     /// Role lane at export time.
     pub role: String,
-    /// Stamps the ring had already rotated out.
+    /// Stamps the plane had already overwritten.
     pub dropped: u64,
     /// Retained stamps, oldest first.
     pub stamps: Vec<Stamp>,
@@ -745,14 +720,19 @@ mod tests {
 
     #[test]
     fn ring_keeps_newest_and_counts_drops() {
-        let ring = StampRing::new(4);
-        for i in 0..10u64 {
-            ring.record(i + 1, Stage::Tap, i * 100);
+        let plane = TracePlane::new("n1", "leader");
+        let made = DEFAULT_STAMP_CAPACITY as u64 + 6;
+        for i in 0..made {
+            plane.stamp_at(i + 1, Stage::Tap, i * 100);
         }
-        let got = ring.collect();
-        assert_eq!(got.len(), 4);
-        assert_eq!(got.last().unwrap().trace, 10);
-        assert_eq!(ring.dropped(), 6);
+        let got = plane.collect();
+        assert_eq!(got.len(), DEFAULT_STAMP_CAPACITY);
+        assert_eq!(got.first().unwrap().trace, 7, "the oldest six went");
+        assert_eq!(got.last().unwrap().trace, made);
+        assert_eq!(plane.dropped(), 6);
+        plane.reset();
+        assert!(plane.collect().is_empty());
+        assert_eq!(plane.dropped(), 0, "emptied is not dropped");
     }
 
     #[test]
@@ -810,7 +790,7 @@ mod tests {
             t.stamp(Stage::Verdict);
         }
         assert!(plane.collect().is_empty());
-        assert_eq!(plane.ring.recorded(), 0);
+        assert_eq!(plane.dropped(), 0);
 
         let t = plane.begin("s", 4);
         assert_eq!(t.id(), Some(trace_id("s", 4)));
@@ -841,7 +821,7 @@ mod tests {
         assert_eq!(parsed, plane.segment());
         assert_eq!(parsed.stamps.len(), 2);
 
-        // A rotation empties the ring; what comes next is all the next
+        // A rotation empties the plane; what comes next is all the next
         // document holds.
         plane.reset();
         plane.stamp_at(4, Stage::Tap, 9_000);

@@ -2,12 +2,11 @@
 //! handles while a reader thread takes snapshots.
 //! Counters must not lose increments, histograms must not lose
 //! samples, and concurrent snapshots must never observe impossible
-//! states (count inflated beyond what was recorded). The seqlock ring
-//! behind the stamp plane gets the same treatment, at its slot width
-//! and a wider one.
+//! states (count inflated beyond what was recorded). The stamp plane
+//! gets the same treatment: writers past its bound, a reader collecting.
 
-use adya_obs::ring::SeqRing;
-use adya_obs::Registry;
+use adya_obs::trace::{Stage, Stamp, DEFAULT_STAMP_CAPACITY};
+use adya_obs::{Registry, TracePlane};
 
 const THREADS: usize = 8;
 const ITERS: u64 = 10_000;
@@ -91,48 +90,55 @@ fn reset_during_recording_never_corrupts() {
     assert_eq!(snap.histogram("reset.h").unwrap().count, 0);
 }
 
-/// Writers racing each other around a ring much smaller than their
-/// output while a reader keeps collecting: every record a reader ever
-/// sees must be one some writer produced whole. Each word of a record
-/// is derived from its first word, so a slot stitched together from
-/// two writes cannot pass.
-fn ring_records_are_never_torn<const W: usize>() {
+/// Writer `t`'s `i`-th stamp: stage and time are derived from the
+/// trace id, so a stamp stitched together from two cannot pass.
+fn stamp_of(t: u64, i: u64) -> Stamp {
+    let trace = t * 1_000_000 + i + 1;
+    Stamp {
+        trace,
+        stage: Stage::ALL[(trace % 8) as usize],
+        t_ns: trace * 3,
+    }
+}
+
+/// Each writer's stamps appear in the order it made them.
+fn assert_whole_and_oldest_first(got: &[Stamp]) {
+    let mut last = [0u64; 4];
+    for st in got {
+        let (t, i) = (st.trace / 1_000_000, st.trace % 1_000_000 - 1);
+        assert_eq!(*st, stamp_of(t, i), "a torn stamp");
+        assert!(i >= last[t as usize], "writer {t}'s stamps out of order");
+        last[t as usize] = i + 1;
+    }
+}
+
+#[test]
+fn stamp_plane_survives_contention_past_its_bound() {
     const WRITERS: u64 = 4;
-    const PER_WRITER: u64 = 1_000;
-    let record = |id: u64| -> [u64; W] { std::array::from_fn(|k| id.wrapping_mul(k as u64 + 1)) };
-    let ring = SeqRing::<W>::new(64);
+    const PER_WRITER: u64 = 3_000;
+    assert!(WRITERS * PER_WRITER > DEFAULT_STAMP_CAPACITY as u64);
+    let plane = TracePlane::new("stress", "leader");
     crossbeam::thread::scope(|s| {
         for t in 0..WRITERS {
-            let ring = &ring;
+            let plane = &plane;
             s.spawn(move |_| {
                 for i in 0..PER_WRITER {
-                    ring.record(record(t * 10_000 + i + 1));
+                    let st = stamp_of(t, i);
+                    plane.stamp_at(st.trace, st.stage, st.t_ns);
                 }
             });
         }
-        let ring = &ring;
+        let plane = &plane;
         s.spawn(move |_| {
             for _ in 0..50 {
-                for (_, words) in ring.collect() {
-                    assert_eq!(words, record(words[0]), "torn slot, W = {W}");
-                }
+                assert_whole_and_oldest_first(&plane.collect());
                 std::thread::yield_now();
             }
         });
     })
-    .expect("no panics in ring threads");
-    let got = ring.collect();
-    assert!(!got.is_empty() && got.len() <= 64, "W = {W}: {}", got.len());
-    assert!(got.windows(2).all(|w| w[0].0 < w[1].0), "oldest first");
-    for (_, words) in &got {
-        assert_eq!(*words, record(words[0]), "torn slot, W = {W}");
-    }
-    assert_eq!(ring.recorded(), WRITERS * PER_WRITER);
-    assert!(ring.dropped() >= WRITERS * PER_WRITER - 64);
-}
-
-#[test]
-fn seqlock_ring_survives_contention_at_both_slot_widths() {
-    ring_records_are_never_torn::<3>(); // StampRing
-    ring_records_are_never_torn::<5>();
+    .expect("no panics in stamp threads");
+    let got = plane.collect();
+    assert_eq!(got.len(), DEFAULT_STAMP_CAPACITY);
+    assert_whole_and_oldest_first(&got);
+    assert_eq!(got.len() as u64 + plane.dropped(), WRITERS * PER_WRITER);
 }

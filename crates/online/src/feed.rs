@@ -11,7 +11,7 @@
 //! x2]`) are batch-only concepts — the online checker assumes install
 //! order = commit order — and are rejected with a clear error.
 //!
-//! The binary log ([`EventLogWriter`] / [`EventLogReader`]) is the
+//! The binary log ([`encode_record`] / [`EventLogReader`]) is the
 //! crash-safe on-disk form: a magic header followed by
 //! length-prefixed, CRC-32-checksummed records ([`wire::frame`]), one
 //! [`Event`] each. A
@@ -24,7 +24,6 @@
 use std::collections::hash_map::{Entry, RandomState};
 use std::collections::HashMap;
 use std::hash::BuildHasher;
-use std::io::Write;
 
 use adya_history::{
     lex, Event, IdMap, LexError, ObjectId, ReadEvent, Token, TxnId, Value, VersionId, VersionKind,
@@ -357,6 +356,18 @@ pub fn check_token(tok: &str) -> Result<Token<'_>, String> {
             format!("{tok:?}: bad read target {target:?}")
         }
     })?;
+    // T_init installs every object's initial version (§4.1); a history
+    // names it only through `xinit`, never as an event's transaction.
+    let (Token::Begin(txn)
+    | Token::Commit(txn)
+    | Token::Abort(txn)
+    | Token::Write { txn, .. }
+    | Token::Read { txn, .. }) = &op;
+    if txn.is_init() {
+        return Err(format!(
+            "{tok:?}: Tinit may not appear as an explicit event"
+        ));
+    }
     if let Token::Write { target, .. } = &op {
         if target.chars().any(|c| c.is_ascii_digit()) {
             return Err(format!(
@@ -526,50 +537,13 @@ impl std::fmt::Display for LogError {
 
 impl std::error::Error for LogError {}
 
-/// Appends framed events to any [`Write`] sink.
-///
-/// Each record is one [`wire::frame`] around a [`wire::encode_event`]
-/// payload. The writer does not buffer: every record reaches the sink
-/// in a single `write_all`, and call sites that need durability decide
-/// when to flush/sync.
-#[derive(Debug)]
-pub struct EventLogWriter<W: Write> {
-    sink: W,
-    /// The record most recently appended (reused across appends).
-    rec: Vec<u8>,
-}
-
-impl<W: Write> EventLogWriter<W> {
-    /// Starts a fresh log on `sink`, writing the magic header.
-    pub fn create(mut sink: W) -> std::io::Result<EventLogWriter<W>> {
-        sink.write_all(&LOG_MAGIC)?;
-        Ok(EventLogWriter::append_to(sink))
-    }
-
-    /// Resumes appending to a sink already positioned at the end of an
-    /// intact log (no header is written).
-    pub fn append_to(sink: W) -> EventLogWriter<W> {
-        EventLogWriter {
-            sink,
-            rec: Vec::new(),
-        }
-    }
-
-    /// Appends one event record and hands back the exact bytes it
-    /// wrote, so a caller mirroring the log elsewhere (replication)
-    /// never has to re-derive the framing.
-    pub fn append(&mut self, ev: &Event) -> std::io::Result<&[u8]> {
-        self.rec.clear();
-        wire::frame(&mut self.rec, &wire::encode_event(ev));
-        self.sink.write_all(&self.rec)?;
-        Ok(&self.rec)
-    }
-
-    /// Flushes and returns the underlying sink.
-    pub fn into_inner(mut self) -> std::io::Result<W> {
-        self.sink.flush()?;
-        Ok(self.sink)
-    }
+/// Appends one event record to `out`: a [`wire::frame`] around the
+/// event's [`wire::encode_event`] payload. The segment format's one
+/// encoder — [`encode_log`] and `adya-serve`'s session log both call
+/// it, and the caller decides where the bytes go and when they are
+/// flushed or synced.
+pub fn encode_record(out: &mut Vec<u8>, ev: &Event) {
+    wire::frame(out, &wire::encode_event(ev));
 }
 
 /// Iterates the records of an in-memory binary event log.
@@ -704,11 +678,11 @@ impl<'a> EventLogReader<'a> {
 
 /// Encodes `events` as a complete binary log in memory.
 pub fn encode_log(events: &[Event]) -> Vec<u8> {
-    let mut w = EventLogWriter::create(Vec::new()).expect("Vec<u8> writes are infallible");
+    let mut out = LOG_MAGIC.to_vec();
     for ev in events {
-        w.append(ev).expect("Vec<u8> writes are infallible");
+        encode_record(&mut out, ev);
     }
-    w.into_inner().expect("Vec<u8> flush is infallible")
+    out
 }
 
 #[cfg(test)]
@@ -763,6 +737,35 @@ mod tests {
         assert!(p.parse_token("rp1(P: x0)").is_err());
         assert!(p.parse_token("[x1 << x2]").is_err());
         assert!(p.parse_token("zzz").is_err());
+    }
+
+    #[test]
+    fn refuses_events_of_tinit_but_reads_its_versions() {
+        for tok in [
+            "b4294967295",
+            "c4294967295",
+            "a4294967295",
+            "w4294967295(x,1)",
+            "r4294967295(x1)",
+            "rc4294967295(xinit)",
+        ] {
+            let err = check_token(tok).unwrap_err();
+            assert!(
+                err.ends_with("Tinit may not appear as an explicit event"),
+                "{tok}: {err}"
+            );
+        }
+        let mut p = StreamParser::new();
+        for tok in ["r1(x4294967295)", "r1(xinit)"] {
+            match p.parse_token(tok).unwrap() {
+                Event::Read(re) => assert_eq!(re.version, VersionId::INIT, "{tok}"),
+                other => panic!("{other:?}"),
+            }
+        }
+        assert_eq!(
+            p.parse_token("b4294967294").unwrap(),
+            Event::Begin(TxnId(u32::MAX - 1))
+        );
     }
 
     #[test]
@@ -851,8 +854,7 @@ mod tests {
         }
         // Truncating at good_len and appending again yields a clean log.
         let mut healed = buf[..last_start].to_vec();
-        let mut w = EventLogWriter::append_to(&mut healed);
-        w.append(&Event::Commit(TxnId(9))).unwrap();
+        encode_record(&mut healed, &Event::Commit(TxnId(9)));
         let (got, err) = drain(&healed);
         assert_eq!(err, None);
         assert_eq!(got.last(), Some(&Event::Commit(TxnId(9))));

@@ -44,7 +44,7 @@
 //!   aborted/intermediate reads.
 //!
 //! Crash recovery: events can be persisted in a checksummed binary log
-//! ([`EventLogWriter`]) whose reader distinguishes a torn tail (the
+//! ([`encode_record`]) whose reader distinguishes a torn tail (the
 //! writer died mid-append; truncate and resume) from mid-file
 //! corruption, and the checker itself can be frozen to bytes with
 //! [`OnlineChecker::snapshot`] and revived with
@@ -109,7 +109,7 @@ pub mod wire;
 
 pub use checker::OnlineChecker;
 pub use feed::{
-    check_token, encode_log, EventLogReader, EventLogWriter, LogError, StreamFeed, StreamParser,
+    check_token, encode_log, encode_record, EventLogReader, LogError, StreamFeed, StreamParser,
     LOG_MAGIC,
 };
 pub use gc::GcConfig;

@@ -16,8 +16,10 @@
 //! ([`adya_obs::TracePlane::begin`], 1 in 32 by default), so the
 //! events whose stages are stamped are the events whose SLIs are
 //! read. The fast path is one atomic increment; only sampled events
-//! pay for clock reads, the checker's live-set scans, and registry
-//! gauge updates. The sampling period is the plane's reporting
+//! pay for the checker's live-set scans and registry gauge updates.
+//! The monitor reads no clock on the ingest side: a sampled event's
+//! ingest lag is the span of its stamps on the plane, from `tap` to the
+//! latest. The sampling period is the plane's reporting
 //! interval — induced lag or staleness shows in `/health` within one
 //! interval. E17 measures the whole plane against a 10% ingest
 //! budget, which per-event capture blows by itself.
@@ -49,7 +51,7 @@ pub struct HealthPolicy {
     /// Degraded when no event has been applied for this many
     /// milliseconds (after at least one was).
     pub stale_ms: u64,
-    /// Degraded when the last sampled ingest lag (arrival → applied)
+    /// Degraded when the last sampled ingest lag (tap → applied)
     /// exceeds this many milliseconds.
     pub lag_ms: u64,
 }
@@ -95,7 +97,7 @@ pub struct CheckerMonitor {
     /// arrival count advance.
     last_progress_ns: AtomicU64,
     commits: AtomicU64,
-    /// Last sampled ingest lag (arrival → applied), nanoseconds.
+    /// Last sampled ingest lag (tap → applied), nanoseconds.
     lag_ns: AtomicU64,
     live_txns: AtomicI64,
     watermark_staleness: AtomicU64,
@@ -133,25 +135,22 @@ impl CheckerMonitor {
         self.policy
     }
 
-    /// Call before reading/applying the next event, with its trace
-    /// handle. Returns the arrival timestamp when the plane sampled
-    /// the event, `None` on the (cheap) fast path. Pass the result
-    /// straight to [`CheckerMonitor::observe_event`] after the apply.
-    pub fn arrival(&self, traced: Traced<'_>) -> Option<Instant> {
+    /// Call before applying the next event: counts it.
+    pub fn arrival(&self) {
         self.arrivals.fetch_add(1, Ordering::Relaxed);
-        traced.id().map(|_| Instant::now())
     }
 
-    /// Records one applied event when it was sampled: caches the
+    /// Records one applied event when the plane sampled it: caches the
     /// checker's SLIs and mirrors them into the global registry as
-    /// `sli.*` gauges. `arrived` is [`CheckerMonitor::arrival`]'s
-    /// timestamp from just before the event was read off the input;
-    /// the gap to now is the ingest lag (which a tap-side fault delay
-    /// inflates — that is how `/health` sees induced lag within one
-    /// sampling interval).
-    pub fn observe_event(&self, checker: &OnlineChecker, arrived: Option<Instant>) {
-        let Some(arrived) = arrived else { return };
-        let lag_ns = arrived.elapsed().as_nanos() as u64;
+    /// `sli.*` gauges. The ingest lag is the span of `traced`'s stamps,
+    /// from its first (`tap`, before the event was applied) to its
+    /// latest (`apply`, or a commit's `verdict` when the caller stamps
+    /// that first). A tap-side fault delay inflates it, which is how
+    /// `/health` sees induced lag within one sampling interval.
+    pub fn observe_event(&self, checker: &OnlineChecker, traced: Traced<'_>) {
+        let Some(lag_ns) = traced.span_ns() else {
+            return;
+        };
         let live = checker.live_txns() as i64;
         let staleness = checker.watermark_staleness();
         let prov = checker.provenance_bytes() as u64;
@@ -322,7 +321,7 @@ impl CheckerMonitor {
 mod tests {
     use super::*;
     use adya_history::{Event, ReadEvent, TxnId, VersionId, WriteEvent};
-    use adya_obs::TracePlane;
+    use adya_obs::{trace::Stage, TracePlane};
     use std::time::Duration;
 
     /// A plane sampling one event in `every`.
@@ -367,9 +366,12 @@ mod tests {
             Event::Commit(TxnId(2)),
         ];
         for (seq, e) in evs.iter().enumerate() {
-            let arrived = monitor.arrival(plane.begin("s", seq as u64));
+            let traced = plane.begin("s", seq as u64);
+            traced.stamp(Stage::Tap);
+            monitor.arrival();
             let v = c.ingest(e);
-            monitor.observe_event(&c, arrived);
+            traced.stamp(Stage::Apply);
+            monitor.observe_event(&c, traced);
             if let Some(v) = v {
                 monitor.observe_verdict(&v);
             }
@@ -418,15 +420,15 @@ mod tests {
         });
         let mut c = OnlineChecker::new();
         let p = plane(32);
-        assert!(
-            m.arrival(p.begin("s", 1)).is_none(),
-            "unsampled by the plane"
-        );
-        let arrived = m.arrival(p.begin("s", 0));
-        assert!(arrived.is_some(), "the plane samples the first event");
+        assert_eq!(p.begin("s", 1).span_ns(), None, "unsampled by the plane");
+        let traced = p.begin("s", 0);
+        assert!(traced.id().is_some(), "the plane samples the first event");
+        traced.stamp(Stage::Tap);
+        m.arrival();
         std::thread::sleep(Duration::from_millis(3));
         c.ingest(&Event::Begin(TxnId(1)));
-        m.observe_event(&c, arrived);
+        traced.stamp(Stage::Apply);
+        m.observe_event(&c, traced);
         assert!(m.lag_ms() >= 3);
         assert!(m.judge().is_err());
         assert!(m.health_json().contains("lagging:"));

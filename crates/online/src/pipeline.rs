@@ -5,11 +5,11 @@
 //! event, which serializes every producing engine thread on the
 //! checker's graph maintenance. The pipeline decouples the two sides:
 //!
-//! 1. **Queues** — each recorded event is pushed (under the recorder
-//!    lock, so in exact recorded order) into one of `rings` bounded
-//!    queues ([`adya_engine::EventRing`], a std `sync_channel`),
-//!    sharded by sequence number. Producers only ever pay a queue
-//!    push; a full queue blocks its producer (backpressure, counted in
+//! 1. **Queues** — the driver numbers its events densely from 0 and
+//!    pushes event `seq` into queue `seq % rings` of `rings` bounded
+//!    queues ([`adya_engine::EventRing`], a std `sync_channel`).
+//!    Producers only ever pay a queue push; a full queue blocks its
+//!    producer (backpressure, counted in
 //!    `pipeline.backpressure_waits`).
 //! 2. **Sequencer** — the application stage drains the queues in dense
 //!    sequence order (event `seq` can only be at the head of queue
@@ -18,16 +18,14 @@
 //! 3. **Application** — each event goes through
 //!    [`OnlineChecker::ingest`], the one way into the checker.
 //!
-//! The stream ends when every producer has been dropped: a manual
-//! driver's go out of scope, or the recorder drops the attached tap at
-//! `finalize`. The verdict stream is byte-identical to sequential
-//! ingest: events reach the checker in exactly recorded order, through
-//! the same call (pinned by the `pipeline_equivalence` proptests).
+//! The stream ends when the driver drops its producers. The verdict
+//! stream is byte-identical to sequential ingest: events reach the
+//! checker in exactly sequence order, through the same call (pinned by
+//! the `pipeline_equivalence` proptests).
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use adya_engine::{Engine, EventRing, RingConsumer, RingProducer};
+use adya_engine::{EventRing, RingConsumer, RingProducer};
 use adya_obs::{trace::Stage, TracePlane, Traced};
 
 use crate::{OnlineChecker, Verdict};
@@ -35,7 +33,7 @@ use crate::{OnlineChecker, Verdict};
 /// Shape of one ingest pipeline.
 #[derive(Debug, Clone, Copy)]
 pub struct PipelineConfig {
-    /// Number of bounded event queues the tap shards over.
+    /// Number of bounded event queues the producers shard over.
     pub rings: usize,
     /// Capacity of each queue, in events; a full queue blocks its
     /// producer (backpressure).
@@ -58,9 +56,9 @@ pub struct PipelineStats {
     pub events: u64,
 }
 
-/// The consumer half of an ingest pipeline: queues fed by a producing
-/// tap (or by hand-stamped pushes), ready to be drained into a checker
-/// by [`run`](EventPipeline::run).
+/// The consumer half of an ingest pipeline: queues fed by the
+/// producers [`manual`](EventPipeline::manual) hands out, ready to be
+/// drained into a checker by [`run`](EventPipeline::run).
 pub struct EventPipeline {
     consumers: Vec<RingConsumer>,
     /// Per-verdict trace stamping: the plane plus the trace-id scope
@@ -70,27 +68,9 @@ pub struct EventPipeline {
 }
 
 impl EventPipeline {
-    /// Builds a pipeline and installs a tap on `engine`'s recorder that
-    /// numbers events from 0 and pushes event `seq` to producer
-    /// `seq % rings`. Only events recorded from this point on flow
-    /// through the pipeline, so attaching after setup transactions is
-    /// fine. The stream ends when the engine is finalized.
-    pub fn attach<E: Engine + ?Sized>(engine: &E, cfg: PipelineConfig) -> EventPipeline {
-        let (producers, pipe) = EventPipeline::manual(cfg);
-        // Relaxed suffices: taps run under the recorder lock, which
-        // already orders their invocations.
-        let next = AtomicU64::new(0);
-        engine.set_event_tap(Arc::new(move |ev| {
-            let seq = next.fetch_add(1, Ordering::Relaxed);
-            producers[(seq % producers.len() as u64) as usize].push(seq, ev.clone());
-        }));
-        pipe
-    }
-
-    /// Builds a free-standing pipeline and hands back the producer
-    /// endpoints, for drivers that stamp their own dense sequence
-    /// numbers: event `seq` must be pushed to producer `seq % rings`,
-    /// starting at 0. Dropping the producers ends the stream.
+    /// Builds a pipeline and hands back its producer endpoints: event
+    /// `seq` must be pushed to producer `seq % rings`, starting at 0.
+    /// Dropping the producers ends the stream.
     pub fn manual(cfg: PipelineConfig) -> (Vec<RingProducer>, EventPipeline) {
         let (producers, consumers) = (0..cfg.rings.max(1))
             .map(|_| EventRing::with_capacity(cfg.ring_capacity))
@@ -146,7 +126,6 @@ impl EventPipeline {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use adya_engine::{Key, LockConfig, LockingEngine, Value};
     use adya_history::{Event, ReadEvent, TxnId, VersionId, WriteEvent};
 
     fn sample_events() -> Vec<Event> {
@@ -225,73 +204,5 @@ mod tests {
             assert_eq!(stats.events, 8);
             assert_eq!(checker.fired_kinds(), vec![adya_core::PhenomenonKind::G1c]);
         }
-    }
-
-    /// One transaction on `key`: read it, overwrite it, commit.
-    fn bump(engine: &LockingEngine, table: adya_engine::TableId, key: u64, to: i64) {
-        let t = engine.begin();
-        engine.read(t, table, Key(key)).unwrap();
-        engine.write(t, table, Key(key), Value::Int(to)).unwrap();
-        engine.commit(t).unwrap();
-    }
-
-    /// An attached pipeline needs no closing call: finalizing the
-    /// engine drops its tap, which ends the stream, and the verdicts
-    /// equal a sequential replay of what a capture tap saw.
-    #[test]
-    fn attached_stream_ends_at_finalize() {
-        let engine = LockingEngine::new(LockConfig::serializable());
-        let table = engine.catalog().table("acct");
-        bump(&engine, table, 0, 0); // recorded before the pipeline attaches
-        let captured = Arc::new(std::sync::Mutex::new(Vec::new()));
-        let sink = Arc::clone(&captured);
-        engine.set_event_tap(Arc::new(move |ev| sink.lock().unwrap().push(ev.clone())));
-        let cfg = PipelineConfig {
-            rings: 3,
-            ring_capacity: 2,
-        };
-        let pipe = EventPipeline::attach(&engine, cfg);
-        let checker = std::thread::spawn(move || {
-            let mut got = Vec::new();
-            let stats = pipe.run(&mut OnlineChecker::new(), |v| got.push(v.to_json()));
-            (got, stats)
-        });
-        for i in 1..=20 {
-            bump(&engine, table, i % 3, i as i64);
-        }
-        engine.finalize();
-        let (got, stats) = checker.join().unwrap();
-        let captured = captured.lock().unwrap();
-        let mut replay = OnlineChecker::new();
-        let want: Vec<String> = captured
-            .iter()
-            .filter_map(|ev| replay.ingest(ev).map(|v| v.to_json()))
-            .collect();
-        assert_eq!(got.len(), 20);
-        assert_eq!(got, want);
-        assert_eq!(stats.events, captured.len() as u64);
-    }
-
-    /// A consumer that dies (here: `on_verdict` panics) must not wedge
-    /// the engine: the tap's pushes run under the recorder lock, and
-    /// once the queues are gone they return at once.
-    #[test]
-    fn engine_outlives_a_dead_consumer() {
-        let engine = LockingEngine::new(LockConfig::serializable());
-        let table = engine.catalog().table("acct");
-        let cfg = PipelineConfig {
-            rings: 1,
-            ring_capacity: 1,
-        };
-        let pipe = EventPipeline::attach(&engine, cfg);
-        let checker = std::thread::spawn(move || {
-            pipe.run(&mut OnlineChecker::new(), |_| panic!("verdict sink failed"))
-        });
-        bump(&engine, table, 0, 1);
-        assert!(checker.join().is_err());
-        for i in 0..10 {
-            bump(&engine, table, 0, i);
-        }
-        assert_eq!(engine.finalize().committed_txns().count(), 11);
     }
 }

@@ -1,5 +1,5 @@
 //! Low-level byte codec shared by the durable event log
-//! ([`EventLogWriter`](crate::EventLogWriter)), the checker's
+//! ([`encode_record`](crate::encode_record)), the checker's
 //! crash/restore snapshots and the session store of `adya-serve`:
 //! field encoders, event payloads, and the one definition of the
 //! checksummed [`frame`] / [`seal`]ed-container layouts.

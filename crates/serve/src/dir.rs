@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! <data>/<session>/
-//!   seg-0.log        events 0..      (EventLogWriter format)
+//!   seg-0.log        events 0..      (encode_record format)
 //!   seg-4096.log     events 4096..   (rotated every rotate_events)
 //!   snap-6000.snap   checker+parser state after event 6000
 //!   names-17.log     interned object names from id 17, one per line

@@ -40,7 +40,7 @@ use std::path::Path;
 
 use adya_history::Event;
 use adya_online::{
-    wire, EventLogReader, EventLogWriter, GcConfig, OnlineChecker, StreamFeed, LOG_MAGIC,
+    encode_record, wire, EventLogReader, GcConfig, OnlineChecker, StreamFeed, LOG_MAGIC,
 };
 
 use crate::dir::{FileName, FsyncPolicy, SessionDir};
@@ -132,10 +132,10 @@ impl From<io::Error> for RecoverError {
 pub struct SessionLog {
     dir: SessionDir,
     cfg: LogConfig,
-    /// Frames event records — the segment format's one writer. Its
-    /// sink discards: the bytes it hands back reach the disk (and the
-    /// replication hub) through `dir`.
-    encoder: EventLogWriter<io::Sink>,
+    /// The record being appended ([`encode_record`]), reused across
+    /// appends; its bytes reach the disk (and the replication hub)
+    /// through `dir`.
+    rec: Vec<u8>,
     /// The open name side-log (a legacy `names.log` until its first
     /// rotation).
     names: FileName,
@@ -186,7 +186,7 @@ impl SessionLog {
         Ok(SessionLog {
             dir,
             cfg,
-            encoder: EventLogWriter::append_to(io::sink()),
+            rec: Vec::new(),
             names: FileName::Names(0),
             records: 0,
             seg_start: 0,
@@ -228,9 +228,10 @@ impl SessionLog {
     /// (sampled events only): the replication mutation for this record
     /// then propagates the id to followers.
     pub fn append_traced(&mut self, ev: &Event, trace: Option<u64>) -> io::Result<()> {
-        let rec = self.encoder.append(ev)?;
+        self.rec.clear();
+        encode_record(&mut self.rec, ev);
         self.dir
-            .append(FileName::Segment(self.seg_start), rec, 1, trace)?;
+            .append(FileName::Segment(self.seg_start), &self.rec, 1, trace)?;
         self.records += 1;
         if self.records - self.seg_start >= self.cfg.rotate_events {
             self.seg_start = self.records;
@@ -502,7 +503,7 @@ impl SessionLog {
             log: SessionLog {
                 dir,
                 cfg,
-                encoder: EventLogWriter::append_to(io::sink()),
+                rec: Vec::new(),
                 names,
                 records,
                 seg_start: last_seg,

@@ -401,4 +401,25 @@ mod tests {
         assert_eq!(s.resume(0).expect("resume").2, sent);
         let _ = std::fs::remove_dir_all(&data);
     }
+
+    #[test]
+    fn a_line_naming_tinit_is_refused_and_logs_nothing() {
+        let data = std::env::temp_dir().join(format!("adya-session-tinit-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&data);
+        let tap = TapCrashPlane::new(TapCrashConfig::default());
+        let mut s = Session::create(&data, "s", SessionConfig::default(), None).expect("create");
+        s.apply_line("b1 w1(x,1) c1", &tap).expect("apply");
+        let before = s.resume(0).expect("resume");
+        for line in ["b4294967295 w4294967295(x,1) c4294967295", "b2 c4294967295"] {
+            match s.apply_line(line, &tap) {
+                Err(ApplyError::Parse(msg)) => assert!(
+                    msg.contains("Tinit may not appear as an explicit event"),
+                    "{msg}"
+                ),
+                other => panic!("{line}: {other:?}"),
+            }
+        }
+        assert_eq!(s.resume(0).expect("resume"), before, "nothing logged");
+        let _ = std::fs::remove_dir_all(&data);
+    }
 }

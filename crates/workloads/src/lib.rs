@@ -35,7 +35,6 @@ mod driver;
 mod generators;
 pub mod harness;
 pub mod histgen;
-mod live;
 mod program;
 mod retry;
 mod schemes;
@@ -48,7 +47,6 @@ pub use generators::{
     bank_workload, hotspot_workload, mixed_workload, phantom_workload, BankConfig, HotspotConfig,
     MixedConfig, PhantomConfig,
 };
-pub use live::{run_concurrent_live, LiveConfig, LiveReport};
 pub use program::{Expr, PredSpec, Program, Step, Stepped};
 pub use retry::{GiveUpCause, RetryPolicy, RetrySession};
 pub use schemes::{families, schemes, Scheme};

@@ -25,7 +25,7 @@ use std::fmt::Write as _;
 use std::io::{BufRead as _, Read as _, Write as _};
 use std::process::ExitCode;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use adya::core::{analyze, Analysis, IsolationLevel};
 use adya::history::parse_history_completed;
@@ -441,35 +441,28 @@ impl StreamObs {
         Ok(obs)
     }
 
-    /// Marks one event's arrival and applies the injected tap delay.
-    /// The timestamp (present when the plane sampled this event)
-    /// anchors the ingest-lag SLI, so the delay shows up as lag on
-    /// the next sampled `/health` render — and the first event is
-    /// always sampled.
-    fn event_arrived(&self, traced: Traced<'_>) -> Option<Instant> {
-        let arrived = self.monitor.as_ref().and_then(|m| m.arrival(traced));
+    /// Counts one event's arrival and applies the injected tap delay.
+    /// The delay falls between the event's `tap` and `apply` stamps,
+    /// the span the ingest-lag SLI reads, so it shows up as lag on the
+    /// next sampled `/health` render — and the first event is always
+    /// sampled.
+    fn event_arrived(&self) {
+        if let Some(m) = &self.monitor {
+            m.arrival();
+        }
         if let Some(d) = self.delay {
             std::thread::sleep(d);
         }
-        arrived
     }
 
     /// Records one applied event (and its verdict, when the event was
-    /// a commit) into the monitor, and rotates the trace ring.
-    fn event_applied(
-        &mut self,
-        checker: &OnlineChecker,
-        arrived: Option<Instant>,
-        v: Option<&Verdict>,
-    ) {
+    /// a commit) into the monitor.
+    fn event_applied(&self, checker: &OnlineChecker, traced: Traced<'_>, v: Option<&Verdict>) {
         if let Some(m) = &self.monitor {
-            m.observe_event(checker, arrived);
+            m.observe_event(checker, traced);
             if let Some(v) = v {
                 m.observe_verdict(v);
             }
-        }
-        if let Some(tr) = &mut self.trace {
-            tr.maybe_rotate(checker.events());
         }
     }
 
@@ -599,14 +592,17 @@ impl StreamSink {
         if self.obs.delay.is_some() {
             self.out.flush(); // about to sleep
         }
-        let arrived = self.obs.event_arrived(traced);
+        self.obs.event_arrived();
         let v = self.feed.ingest(&ev);
         traced.stamp(Stage::Apply);
         if v.is_some() {
             traced.stamp(Stage::Verdict);
         }
         self.obs
-            .event_applied(self.feed.checker(), arrived, v.as_ref());
+            .event_applied(self.feed.checker(), traced, v.as_ref());
+        if let Some(tr) = &mut self.obs.trace {
+            tr.maybe_rotate(self.feed.checker().events());
+        }
         if let Some(v) = v {
             self.emitted += 1;
             self.out.verdict_with_dot(&v, self.dot);

@@ -228,6 +228,28 @@ fn a_stream_that_reuses_ids_under_2pl_is_pl3() {
     }
 }
 
+#[test]
+fn a_stream_refuses_an_event_of_tinit_as_batch_does() {
+    // T_init installs the initial versions (§4.1); no event may name it.
+    // Mid-stream, the refusal is a hard error after what came before.
+    let input = "b1 w1(x,1) c1\nb4294967295 w4294967295(x,1) c4294967295\nb2 r2(x1) c2\n";
+    let (stdout, stderr, code) = run(&["--stream"], input);
+    assert_eq!(code, Some(2), "{stdout}");
+    assert!(
+        stderr.contains("line 2: \"b4294967295\": Tinit may not appear as an explicit event"),
+        "{stderr}"
+    );
+    assert_eq!(stdout.lines().count(), 1, "T1's verdict only: {stdout}");
+    assert!(stdout.contains("\"txn\": 1"), "{stdout}");
+    // Batch refuses the same history with the same words.
+    let (_, stderr, code) = run(&[], input);
+    assert_eq!(code, Some(2));
+    assert!(
+        stderr.contains("Tinit may not appear as an explicit event"),
+        "{stderr}"
+    );
+}
+
 /// Reads one line from `from` on a helper thread, so a program that
 /// never writes it fails the test after `secs` instead of hanging it.
 fn read_line_within<R: std::io::BufRead + Send + 'static>(mut from: R, secs: u64) -> (R, String) {

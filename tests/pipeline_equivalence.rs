@@ -1,14 +1,13 @@
 //! The pipeline determinism contract, end to end: for every engine,
-//! running a threaded workload with the staged ingest pipeline
-//! attached must produce a verdict stream *byte-identical* to feeding
-//! the same recorded events through a sequential per-event checker.
+//! the stream a threaded workload recorded, pushed through the staged
+//! ingest pipeline from a producer thread, must produce a verdict
+//! stream *byte-identical* to feeding the same events through a
+//! sequential per-event checker.
 //!
 //! The threaded schedule itself is nondeterministic — that is the
-//! point. A plain [`EventTap`] capturing the recorded stream is
-//! installed at the same stream position where the pipeline attaches,
-//! so whatever interleaving the OS produced, both observers saw the
-//! identical event sequence; the property under test is that rings +
-//! sequencer add nothing and lose nothing.
+//! point. A plain [`EventTap`] captures whatever interleaving the OS
+//! produced; the property under test is that rings + sequencer add
+//! nothing and lose nothing.
 //!
 //! [`EventTap`]: adya::engine::EventTap
 
@@ -16,15 +15,14 @@ use std::sync::{Arc, Mutex};
 
 use adya::engine::Engine;
 use adya::history::Event;
-use adya::online::{OnlineChecker, PipelineConfig};
-use adya::workloads::{
-    families, mixed_workload, run_concurrent_live, ConcurrentConfig, LiveConfig, MixedConfig,
-};
+use adya::online::{EventPipeline, OnlineChecker, PipelineConfig};
+use adya::workloads::{families, mixed_workload, run_concurrent, ConcurrentConfig, MixedConfig};
 use proptest::prelude::*;
 
-/// Runs one threaded workload on `engine` with both observers
-/// installed and asserts the pipelined verdict stream equals the
-/// sequential replay of the captured stream, byte for byte.
+/// Runs one threaded workload on `engine` with a capture tap
+/// installed, pushes the captured stream through a `pipeline`-shaped
+/// pipeline, and asserts its verdict stream equals the sequential
+/// ingest of the same stream, byte for byte.
 fn assert_pipelined_matches_sequential(
     name: &str,
     engine: Box<dyn Engine>,
@@ -45,40 +43,49 @@ fn assert_pipelined_matches_sequential(
             seed,
         },
     );
-    // Capture tap installed at the pipeline's attach position: both
-    // see the identical event suffix, whatever the schedule was.
     let captured: Arc<Mutex<Vec<Event>>> = Arc::new(Mutex::new(Vec::new()));
     let sink = Arc::clone(&captured);
     engine.set_event_tap(Arc::new(move |ev| sink.lock().unwrap().push(ev.clone())));
-    let report = run_concurrent_live(
+    let stats = run_concurrent(
         &engine,
         &programs,
-        &LiveConfig {
-            concurrent: ConcurrentConfig {
-                threads,
-                seed,
-                ..Default::default()
-            },
-            pipeline,
+        &ConcurrentConfig {
+            threads,
+            seed,
+            ..Default::default()
         },
     );
+    engine.finalize();
+    let events = std::mem::take(&mut *captured.lock().unwrap());
+
     let mut seq = OnlineChecker::new();
-    let mut want = Vec::new();
-    for ev in captured.lock().unwrap().iter() {
-        if let Some(v) = seq.ingest(ev) {
-            want.push(v.to_json());
+    let want: Vec<String> = (events.iter())
+        .filter_map(|ev| seq.ingest(ev).map(|v| v.to_json()))
+        .collect();
+
+    let (producers, pipe) = EventPipeline::manual(pipeline);
+    let sent = events.len() as u64;
+    let producer = std::thread::spawn(move || {
+        for (i, ev) in events.into_iter().enumerate() {
+            producers[i % producers.len()].push(i as u64, ev);
         }
-    }
-    let got: Vec<String> = report.verdicts.iter().map(|v| v.to_json()).collect();
-    assert_eq!(got, want, "[{name}] live verdict stream diverged");
+        // The producers drop here: the stream ends.
+    });
+    let mut checker = OnlineChecker::new();
+    let mut got = Vec::new();
+    let applied = pipe.run(&mut checker, |v| got.push(v.to_json()));
+    producer.join().expect("the producer thread must not panic");
+
+    assert_eq!(got, want, "[{name}] pipelined verdict stream diverged");
     assert_eq!(
-        report.verdict.to_json(),
+        checker.finish().to_json(),
         seq.finish().to_json(),
         "[{name}] closing verdict diverged"
     );
+    assert_eq!(applied.events, sent, "[{name}] every event applied");
     assert_eq!(
-        report.verdicts.len(),
-        report.stats.committed,
+        got.len(),
+        stats.committed,
         "[{name}] one verdict per driver commit"
     );
 }
