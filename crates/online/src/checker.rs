@@ -12,9 +12,10 @@ use std::collections::VecDeque;
 use std::time::Instant;
 
 use adya_core::{IsolationLevel, PhenomenonKind};
-use adya_history::{Event, IdMap, ObjectId, TxnId, VersionId};
+use adya_history::{Event, ObjectId, TxnId, VersionId};
 
 use crate::gc::{self, Collector, GcConfig, Heap};
+use crate::keys::Keys;
 use crate::lanes::{EdgeKind, Lanes, PlannedEdge};
 use crate::provenance::{ProvStep, Provenance};
 use crate::snapshot::{self, SnapshotError};
@@ -24,7 +25,6 @@ use crate::verdict::{strongest_ansi_of, Fired, Verdict, VerdictFact};
 pub(crate) type TxnSlot = Slot<TxnId>;
 pub(crate) type ObjSlot = Slot<ObjectId>;
 pub(crate) type TxnTable = Table<TxnId, TxnState>;
-pub(crate) type ObjectTable = Table<ObjectId, ObjectState>;
 
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub(crate) enum Status {
@@ -83,7 +83,7 @@ pub(crate) struct WriteEntry {
     /// the watermark has retired (see `crate::gc`).
     pub(crate) installed: Option<ObjSlot>,
     /// The version's absolute position (`base`-inclusive) in the
-    /// object's list, mod 2³² (see [`ObjectState::index_of`]);
+    /// object's list, mod 2³² (see [`ObjectState::index_of`](crate::keys::ObjectState::index_of));
     /// meaningful once `installed`.
     pub(crate) pos: u32,
 }
@@ -178,7 +178,7 @@ pub(crate) fn seal_writes(writes: &mut Vec<RunningWrite>) {
 
 /// Most elements a recycled buffer keeps room for: one huge
 /// transaction must not leave its slot holding its memory for good.
-const RECYCLED_CAPACITY: usize = 64;
+pub(crate) const RECYCLED_CAPACITY: usize = 64;
 
 /// Gives back a ring's room once it holds less than a quarter of it,
 /// down to twice what it holds and no less than [`RECYCLED_CAPACITY`].
@@ -211,218 +211,6 @@ impl Recycle for TxnState {
     }
 }
 
-/// The installers of an object's versions still held, oldest first.
-/// Nearly every object has one or two, kept inline; a third moves them
-/// all into a ring on the heap, which stays: an object that had three
-/// is a hot one, which will again. The ring shrinks as a recycled
-/// buffer does, once it holds less than a quarter of its room, so a
-/// burst of versions behind one open transaction leaves no more than
-/// [`RECYCLED_CAPACITY`] behind it.
-#[derive(Debug, Default)]
-pub(crate) enum Installers {
-    #[default]
-    Empty,
-    /// No installer held: the newest version's writer has left the
-    /// checker, and the version stays as this *cold entry* — (writer,
-    /// final seq), all a later read of it needs for its G1a/G1b checks
-    /// and to anchor at it. Installing a successor moves it to the
-    /// checker's `superseded_cold` until the watermark retires it, where
-    /// a writer that leaves while its version is superseded puts it.
-    Cold(TxnId, u32),
-    One(TxnSlot),
-    Two(TxnSlot, TxnSlot),
-    // Boxed, so the enum is 16 bytes rather than a `VecDeque`'s 32.
-    #[allow(clippy::box_collection)]
-    Many(Box<VecDeque<TxnSlot>>),
-}
-
-impl Installers {
-    pub(crate) fn len(&self) -> usize {
-        match self {
-            Installers::Empty | Installers::Cold(..) => 0,
-            Installers::One(_) => 1,
-            Installers::Two(..) => 2,
-            Installers::Many(q) => q.len(),
-        }
-    }
-
-    /// The installer of the `i`-th version held.
-    pub(crate) fn get(&self, i: usize) -> Option<TxnSlot> {
-        match (self, i) {
-            (Installers::One(a) | Installers::Two(a, _), 0) | (Installers::Two(_, a), 1) => {
-                Some(*a)
-            }
-            (Installers::Many(q), i) => q.get(i).copied(),
-            _ => None,
-        }
-    }
-
-    pub(crate) fn back(&self) -> Option<TxnSlot> {
-        self.get(self.len().wrapping_sub(1))
-    }
-
-    pub(crate) fn iter(&self) -> impl Iterator<Item = TxnSlot> + '_ {
-        (0..self.len()).filter_map(|i| self.get(i))
-    }
-
-    /// The cold entry, while it is the newest version.
-    pub(crate) fn cold(&self) -> Option<(TxnId, u32)> {
-        match *self {
-            Installers::Cold(w, seq) => Some((w, seq)),
-            _ => None,
-        }
-    }
-
-    /// Appends `t`, replacing a cold entry (the caller keeps it).
-    pub(crate) fn push_back(&mut self, t: TxnSlot) {
-        *self = match std::mem::take(self) {
-            Installers::Empty | Installers::Cold(..) => Installers::One(t),
-            Installers::One(a) => Installers::Two(a, t),
-            Installers::Two(a, b) => Installers::Many(Box::new(VecDeque::from([a, b, t]))),
-            Installers::Many(mut q) => {
-                q.push_back(t);
-                Installers::Many(q)
-            }
-        };
-    }
-
-    pub(crate) fn pop_front(&mut self) -> Option<TxnSlot> {
-        let (first, rest) = match std::mem::take(self) {
-            c @ (Installers::Empty | Installers::Cold(..)) => {
-                *self = c;
-                return None;
-            }
-            Installers::One(a) => (a, Installers::Empty),
-            Installers::Two(a, b) => (a, Installers::One(b)),
-            Installers::Many(mut q) => {
-                let first = q.pop_front()?;
-                shrink_if_sparse(&mut q);
-                (first, Installers::Many(q))
-            }
-        };
-        *self = rest;
-        Some(first)
-    }
-
-    /// Room for installers the ring has; zero while they are inline.
-    #[cfg(test)]
-    pub(crate) fn room(&self) -> usize {
-        match self {
-            Installers::Many(q) => q.capacity(),
-            _ => 0,
-        }
-    }
-}
-
-/// The committed readers anchored at an object's newest version. Most
-/// objects have none, one or two, kept inline; a third moves them into
-/// a buffer on the heap, which installing the next version drains and
-/// keeps as a recycled buffer is kept.
-#[derive(Debug, Default)]
-pub(crate) enum Readers {
-    #[default]
-    Empty,
-    One(TxnSlot),
-    Two([TxnSlot; 2]),
-    // Boxed, so the enum is 16 bytes rather than a `Vec`'s 24 plus a tag.
-    #[allow(clippy::box_collection)]
-    Many(Box<Vec<TxnSlot>>),
-}
-
-impl Readers {
-    pub(crate) fn as_slice(&self) -> &[TxnSlot] {
-        match self {
-            Readers::Empty => &[],
-            Readers::One(r) => std::slice::from_ref(r),
-            Readers::Two(rs) => rs,
-            Readers::Many(v) => v,
-        }
-    }
-
-    pub(crate) fn push(&mut self, r: TxnSlot) {
-        match self {
-            Readers::Empty => *self = Readers::One(r),
-            Readers::One(a) => *self = Readers::Two([*a, r]),
-            Readers::Two([a, b]) => *self = Readers::Many(Box::new(vec![*a, *b, r])),
-            Readers::Many(v) => v.push(r),
-        }
-    }
-
-    /// Takes one of `r`'s anchors out, keeping the others in order.
-    pub(crate) fn remove_one(&mut self, r: TxnSlot) {
-        let at = self.as_slice().iter().position(|&x| x == r);
-        let at = at.expect("an anchor is on its reader and its object");
-        match self {
-            Readers::Empty => {}
-            Readers::One(_) => *self = Readers::Empty,
-            Readers::Two(rs) => *self = Readers::One(rs[1 - at]),
-            Readers::Many(v) => {
-                v.remove(at);
-            }
-        }
-    }
-
-    /// Empties the list. A buffer stays, for a hot object's next
-    /// readers, only while it has room for [`RECYCLED_CAPACITY`] or
-    /// fewer: a burst of readers must not leave its room on the object
-    /// for as long as the object lives.
-    pub(crate) fn drained(self) -> Readers {
-        match self {
-            Readers::Many(mut v) if v.capacity() <= RECYCLED_CAPACITY => {
-                v.clear();
-                Readers::Many(v)
-            }
-            _ => Readers::Empty,
-        }
-    }
-
-    /// Room for readers the buffer has; zero while they are inline.
-    #[cfg(test)]
-    pub(crate) fn room(&self) -> usize {
-        match self {
-            Readers::Many(v) => v.capacity(),
-            _ => 0,
-        }
-    }
-}
-
-/// An object the checker holds: 40 bytes in release builds.
-///
-/// **Positions are taken mod 2³².** A version's position is `base` plus
-/// its index in `entries`; a [`WriteEntry`] keeps it as a `u32`, and
-/// [`Self::index_of`] subtracts `base` mod 2³². That gives the index
-/// back exactly, because an object never holds 2³² versions at once:
-/// each held version pins a distinct transaction row (a transaction
-/// installs one version per object), and rows are numbered by a `u32`.
-/// `base` itself stays a `u64`, because the image carries it.
-#[derive(Debug, Default)]
-pub(crate) struct ObjectState {
-    /// Number of versions taken off the front of `entries`: retired, or
-    /// left cold by their writer.
-    pub(crate) base: u64,
-    /// The installers of the committed versions, in install (= commit)
-    /// order. An installer's [`WriteEntry::pos`] is its place here.
-    pub(crate) entries: Installers,
-    /// Committed readers anchored at the newest version — or, while
-    /// there is none, before the first. (A superseded version anchors
-    /// nobody: installing its successor resolved them all.)
-    pub(crate) anchored: Readers,
-}
-
-impl ObjectState {
-    /// The position, mod 2³², of the version at index `i` of `entries`.
-    pub(crate) fn position(&self, i: usize) -> u32 {
-        self.base.wrapping_add(i as u64) as u32
-    }
-
-    /// The index in `entries` of the version at position `pos`, while
-    /// it is held there.
-    pub(crate) fn index_of(&self, pos: u32) -> Option<usize> {
-        let i = pos.wrapping_sub(self.base as u32) as usize;
-        (i < self.entries.len()).then_some(i)
-    }
-}
-
 /// The streaming checker. See the crate docs for scope and semantics.
 #[derive(Debug, Default)]
 pub struct OnlineChecker {
@@ -439,13 +227,8 @@ pub struct OnlineChecker {
     /// Reads parked on running writers: the sum of their
     /// `pending_readers`. Derived (set by `restore`, never serialised).
     pub(crate) parked: usize,
-    pub(crate) objects: ObjectTable,
-    /// Cold entries a later install has superseded and the watermark has
-    /// not yet retired, by object — one at most, older than every
-    /// version the object holds: a reader that began before the
-    /// successor committed may still read it. Few — an object's cold
-    /// entry is on its row while it is the newest version.
-    pub(crate) superseded_cold: IdMap<ObjectId, (TxnId, u32)>,
+    /// The object table: a row per object id the stream has mentioned.
+    pub(crate) objects: Keys,
     /// The cycle graphs, one per edge filter.
     pub(crate) lanes: Lanes,
     pub(crate) fired: Fired,
@@ -638,11 +421,13 @@ impl OnlineChecker {
                 None
             }
             Event::Write(w) => {
+                self.objects.number(w.object);
                 let t = self.enter(w.txn);
                 self.on_write(t, w.object, w.seq);
                 None
             }
             Event::Read(r) => {
+                self.objects.number(r.object);
                 let t = self.enter(r.txn);
                 self.on_read(t, r.object, r.version, false);
                 None
@@ -651,6 +436,9 @@ impl OnlineChecker {
                 // One over an empty version set has never begun its
                 // transaction, and still does not.
                 if !p.vset.is_empty() {
+                    for &(o, _) in &p.vset {
+                        self.objects.number(o);
+                    }
                     let t = self.enter(p.txn);
                     for &(o, v) in &p.vset {
                         self.on_read(t, o, v, true);
@@ -847,7 +635,7 @@ impl OnlineChecker {
             let (slot, _) = self.objects.enter(o);
             let obj = &mut self.objects[slot];
             if let Some(cold) = obj.entries.cold() {
-                self.superseded_cold.insert(o, cold);
+                obj.superseded = Some(cold);
             }
             let prev = obj.entries.back();
             let resolved = std::mem::take(&mut obj.anchored);
@@ -934,12 +722,11 @@ impl OnlineChecker {
             self.anchor_reader(t, o, t);
             return;
         }
-        let (slot, _) = self.objects.enter(o);
-        if self.objects[slot].base > 0 {
+        if self.objects.base(o) > 0 {
             self.stale_refs += 1;
             return;
         }
-        self.anchor_before(t, slot, 0);
+        self.anchor_at_front(t, o);
     }
 
     /// Resolves a read of a version whose committed writer has left the
@@ -959,12 +746,21 @@ impl OnlineChecker {
         if br.via_predicate {
             return;
         }
-        let slot = self.objects.lookup(o);
-        let cold = slot.and_then(|s| self.cold_entry(s, o));
-        match slot.filter(|_| cold.is_some_and(|c| c.0 == v.txn)) {
-            Some(slot) => self.anchor_before(t, slot, 0),
-            None => self.stale_refs += 1,
+        if self.objects.cold(o).is_some_and(|c| c.0 == v.txn) {
+            self.anchor_at_front(t, o);
+        } else {
+            self.stale_refs += 1;
         }
+    }
+
+    /// Anchors committed reader `t` at the oldest version `o` still has
+    /// — its initial version, or its cold entry: [`Self::anchor_before`]
+    /// the first installer held. The object enters the table, and
+    /// stays hot only while something holds it.
+    fn anchor_at_front(&mut self, t: TxnSlot, o: ObjectId) {
+        let (slot, _) = self.objects.enter(o);
+        self.anchor_before(t, slot, 0);
+        self.objects.settle(slot);
     }
 
     /// The final seq of the cold entry `w` left on `o` — the newest
@@ -974,18 +770,8 @@ impl OnlineChecker {
         if self.txns.lookup(w).is_some() {
             return None;
         }
-        let cold = self.cold_entry(self.objects.lookup(o)?, o);
+        let cold = self.objects.cold(o);
         cold.filter(|&(writer, _)| writer == w).map(|(_, seq)| seq)
-    }
-
-    /// The cold entry of object `o` at `slot`, if it holds one.
-    fn cold_entry(&self, slot: ObjSlot, o: ObjectId) -> Option<(TxnId, u32)> {
-        let obj = &self.objects[slot];
-        match obj.entries.cold() {
-            Some(cold) => Some(cold),
-            None if obj.base > 0 => self.superseded_cold.get(&o).copied(),
-            None => None,
-        }
     }
 
     /// Anchors committed reader `t` at `writer`'s installed version of
@@ -1219,7 +1005,6 @@ impl OnlineChecker {
             running: &mut self.running,
             txns: &mut self.txns,
             objects: &mut self.objects,
-            superseded_cold: &mut self.superseded_cold,
             lanes: &mut self.lanes,
             prov: &mut self.prov,
         });
@@ -1264,7 +1049,7 @@ impl OnlineChecker {
     ///
     /// [`snapshot`]: OnlineChecker::snapshot
     pub fn restore(bytes: &[u8]) -> Result<OnlineChecker, SnapshotError> {
-        snapshot::decode(bytes)
+        snapshot::decode(bytes, None)
     }
 
     fn verdict(&self, txn: Option<TxnId>, new_fired: &[PhenomenonKind]) -> Verdict {
@@ -1289,6 +1074,7 @@ impl OnlineChecker {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::keys::{Installers, ObjectState, Readers};
     use crate::testkit::{feed, r, rinit, w};
 
     #[test]
@@ -1307,7 +1093,7 @@ mod tests {
         assert_eq!(size_of::<RunningWrite>(), 8);
         assert_eq!(size_of::<Installers>(), 16 + 2 * tag);
         assert_eq!(size_of::<Readers>(), 16 + 2 * tag);
-        assert_eq!(size_of::<ObjectState>(), 40 + 4 * tag);
+        assert_eq!(size_of::<ObjectState>(), 56 + 4 * tag);
         assert_eq!(size_of::<crate::provenance::ProvChain>(), 16);
         let mut held = Installers::default();
         let mut table = TxnTable::default();
@@ -1333,8 +1119,9 @@ mod tests {
         // version; one install resolves them all. Then 100 000 versions
         // of another object pile up behind one open transaction, and go
         // once it ends. Either object lives on, holding the newest
-        // version (the second as a cold entry: its writer has left too),
-        // with room for at most `RECYCLED_CAPACITY` entries.
+        // version, the first with room for at most `RECYCLED_CAPACITY`
+        // entries, the second as a cold row (its writer has left too, so
+        // nothing holds it) with no ring at all.
         const N: u32 = 100_000;
         let mut c = OnlineChecker::with_gc(GcConfig {
             enabled: false,
@@ -1362,9 +1149,9 @@ mod tests {
         assert_eq!(c.objects[y].entries.len(), N as usize);
         assert!(c.objects[y].entries.room() >= N as usize);
         c.finish(); // aborts T0, whose begin held every version
-        assert_eq!(c.objects[y].entries.cold(), Some((TxnId(N), 1)));
-        assert_eq!(c.objects[y].base, u64::from(N));
-        assert!(c.objects[y].entries.room() <= RECYCLED_CAPACITY);
+        assert_eq!(c.objects.cold(ObjectId(1)), Some((TxnId(N), 1)));
+        assert_eq!(c.objects.base(ObjectId(1)), u64::from(N));
+        assert_eq!(c.objects.lookup(ObjectId(1)), None);
     }
 
     #[test]
@@ -1588,7 +1375,8 @@ mod tests {
         }
         assert_eq!(verdicts[1].committed, 2);
         assert!(c.txns.slots() <= 2, "{} transaction slots", c.txns.slots());
-        assert_eq!(c.objects.slots(), 1);
+        assert_eq!(c.objects.hot_slots(), 1);
+        assert_eq!(c.objects.rows(), (1, true));
 
         // And a long run of ever-larger ids reuses the slots the pruned
         // ones gave back.

@@ -21,17 +21,18 @@
 //! the last good record, so the caller can truncate and resume
 //! appending instead of refusing the whole file.
 
-use std::collections::hash_map::{Entry, RandomState};
+use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
 use std::hash::BuildHasher;
 
 use adya_history::{
-    lex, Event, IdMap, LexError, ObjectId, ReadEvent, Token, TxnId, Value, VersionId, VersionKind,
+    lex, Event, LexError, ObjectId, ReadEvent, Token, TxnId, Value, VersionId, VersionKind,
     VersionRef, WriteEvent,
 };
 
 use crate::checker::OnlineChecker;
-use crate::snapshot::SnapshotError;
+use crate::snapshot::{self, SnapshotError};
+use crate::tables::OpenIndex;
 use crate::verdict::Verdict;
 use crate::wire::{self, FrameError, WireError};
 
@@ -58,9 +59,9 @@ pub struct StreamParser {
 }
 
 /// The interned object names, id ↔ name: every name once, in one byte
-/// buffer in id order, found again by its hash. Names are a peer's to
-/// choose, so the hash is keyed; two names with one hash — a 32-bit
-/// hash, so now and then — share it through the overflow map.
+/// buffer in id order, found again through an open-addressed index of
+/// ids by the name's hash. Names are a peer's to choose, so the hash is
+/// keyed; names whose hashes collide probe on to the next slot.
 #[derive(Debug, Default, Clone)]
 struct Names {
     hasher: RandomState,
@@ -69,12 +70,10 @@ struct Names {
     /// `ends[i]`: where name `i` ends in `bytes`; it starts where name
     /// `i - 1` ends.
     ends: Vec<u32>,
-    /// A hash → the first id whose name has it.
-    first: IdMap<u32, ObjectId>,
-    /// A hash → the later ids whose names have it too.
-    more: IdMap<u32, Vec<ObjectId>>,
+    /// The ids, by their names' hashes.
+    index: OpenIndex,
     /// Test switch: every name hashes alike, so every name after the
-    /// first goes through the overflow map.
+    /// first probes past all the ones before it.
     #[cfg(test)]
     collide: bool,
 }
@@ -94,39 +93,39 @@ impl Names {
         (0..self.len()).map(|i| self.get(i))
     }
 
-    fn hash(&self, name: &str) -> u32 {
+    fn hash(&self, name: &str) -> u64 {
         #[cfg(test)]
         if self.collide {
             return 0;
         }
-        self.hasher.hash_one(name) as u32
+        self.hasher.hash_one(name)
     }
 
     /// The id of `name`, whose hash is `h`, if it is interned.
-    fn find(&self, name: &str, h: u32) -> Option<ObjectId> {
-        let first = self.first.get(&h)?;
-        let more = self.more.get(&h).into_iter().flatten();
-        std::iter::once(first)
-            .chain(more)
-            .copied()
-            .find(|o| self.get(o.0 as usize) == name)
+    fn find(&self, name: &str, h: u64) -> Option<ObjectId> {
+        let o = self.index.find(h, |o| self.get(o as usize) == name);
+        o.map(ObjectId)
     }
 
     /// Interns `name`, whose hash is `h` and which is not interned yet,
     /// under the next id.
-    fn push(&mut self, name: &str, h: u32) -> ObjectId {
+    fn push(&mut self, name: &str, h: u64) -> ObjectId {
         let o = ObjectId(self.len() as u32);
         self.bytes.push_str(name);
         let end = u32::try_from(self.bytes.len()).expect("object names total under 4 GiB");
         self.ends.push(end);
-        match self.first.entry(h) {
-            Entry::Vacant(e) => {
-                e.insert(o);
+        let (bytes, ends, hasher) = (&self.bytes, &self.ends, &self.hasher);
+        #[cfg(test)]
+        let collide = self.collide;
+        let hash = |o: u32| {
+            #[cfg(test)]
+            if collide {
+                return 0;
             }
-            Entry::Occupied(_) => {
-                self.more.entry(h).or_default().push(o);
-            }
-        }
+            let start = o.checked_sub(1).map_or(0, |p| ends[p as usize] as usize);
+            hasher.hash_one(&bytes[start..ends[o as usize] as usize])
+        };
+        self.index.insert(h, o.0, hash);
         o
     }
 }
@@ -167,7 +166,7 @@ impl StreamParser {
         let n = d.len()?;
         let mut p = StreamParser::default();
         p.names.ends.reserve(n);
-        p.names.first.reserve(n);
+        p.names.index.reserve(n);
         for _ in 0..n {
             let name = d.str()?;
             let h = p.names.hash(&name);
@@ -416,13 +415,18 @@ impl StreamFeed {
     }
 
     /// Revives a feed from the images [`StreamParser::snapshot`] and
-    /// [`OnlineChecker::snapshot`] wrote at the same point of a stream.
+    /// [`OnlineChecker::snapshot`] wrote at the same point of a stream;
+    /// a checker image that names an object the parser image has not
+    /// interned is refused.
     /// What a parser that never forgot left in its image — counters of
     /// transactions the checker no longer holds, or holds again under a
     /// reused id — is dropped.
     pub fn restore(parser: &[u8], checker: &[u8]) -> Result<StreamFeed, SnapshotError> {
-        let mut feed = StreamFeed::new(OnlineChecker::restore(checker)?);
-        feed.parser = StreamParser::restore(parser)?;
+        let parser = StreamParser::restore(parser);
+        // A bad parser image is reported after a bad checker image.
+        let names = parser.as_ref().ok().map(StreamParser::interned);
+        let mut feed = StreamFeed::new(snapshot::decode(checker, names)?);
+        feed.parser = parser?;
         let checker = &mut feed.checker;
         feed.parser
             .last_seq
@@ -951,8 +955,8 @@ mod tests {
         assert!(matches!(&err, WireError::Malformed(m) if m.contains("twice")));
     }
 
-    /// With every name hashed alike, every name after the first is
-    /// found through the overflow map: ids, names, counts and images
+    /// With every name hashed alike, every name after the first probes
+    /// past all the ones before it: ids, names, counts and images
     /// are the keyed table's on the same stream, and so is the table an
     /// image's names are interned into.
     #[test]
@@ -986,8 +990,8 @@ mod tests {
         }
         let names = keyed.interned();
         assert_eq!(hashed_alike.interned(), names);
-        let overflowed: usize = hashed_alike.names.more.values().map(Vec::len).sum();
-        assert_eq!((hashed_alike.names.first.len(), overflowed), (1, names - 1));
+        let displaced = hashed_alike.names.index.displacement(|_| 0);
+        assert_eq!(displaced, names * (names - 1) / 2);
         for o in (0..names as u32).map(ObjectId) {
             assert_eq!(hashed_alike.object_name(o), keyed.object_name(o));
         }

@@ -16,11 +16,10 @@
 
 use std::collections::{BTreeMap, VecDeque};
 
-use adya_history::{IdMap, ObjectId, TxnId};
+use adya_history::{ObjectId, TxnId};
 
-use crate::checker::{
-    shrink_if_sparse, Installers, ObjectTable, Running, Source, Status, TxnSlot, TxnState, TxnTable,
-};
+use crate::checker::{shrink_if_sparse, Running, Source, Status, TxnSlot, TxnState, TxnTable};
+use crate::keys::{Installers, Keys};
 use crate::lanes::Lanes;
 use crate::provenance::Provenance;
 
@@ -92,8 +91,7 @@ pub(crate) struct Heap<'a> {
     pub(crate) active: &'a [TxnSlot],
     pub(crate) running: &'a mut [Running],
     pub(crate) txns: &'a mut TxnTable,
-    pub(crate) objects: &'a mut ObjectTable,
-    pub(crate) superseded_cold: &'a mut IdMap<ObjectId, (TxnId, u32)>,
+    pub(crate) objects: &'a mut Keys,
     pub(crate) lanes: &'a mut Lanes,
     pub(crate) prov: &'a mut Provenance,
 }
@@ -321,9 +319,7 @@ impl Collector {
                 continue;
             };
             let object = h.objects.key_of(o);
-            if h.objects[o].base > 0 && !h.superseded_cold.is_empty() {
-                h.superseded_cold.remove(&object);
-            }
+            h.objects[o].superseded = None;
             for _ in 0..superseded {
                 let obj = &mut h.objects[o];
                 let owner = obj.entries.pop_front().expect("an older version");
@@ -385,12 +381,14 @@ impl Collector {
                 if obj.entries.len() == 0 {
                     obj.entries = Installers::Cold(id, w.seq);
                 } else {
-                    h.superseded_cold.insert(w.object, (id, w.seq));
+                    obj.superseded = Some((id, w.seq));
                 }
+                h.objects.settle(o);
             }
         }
         for &o in &t.anchors {
             h.objects[o].anchored.remove_one(slot);
+            h.objects.settle(o);
         }
         if t.refs != 0 {
             // Running readers of its versions take its final seq of the
@@ -441,7 +439,7 @@ fn check_the_rule(h: &Heap<'_>, watermark: u64) {
             let obj = &h.objects[o];
             let i = obj.index_of(w.pos).expect("an installed version is held");
             let next = obj.entries.get(i + 1);
-            let cold = i == 0 && h.superseded_cold.contains_key(&h.objects.key_of(o));
+            let cold = i == 0 && obj.superseded.is_some();
             assert!(
                 !next.is_some_and(|n| closed(&h.txns[n], watermark)),
                 "{id}'s version of {} is retired",
@@ -681,9 +679,9 @@ mod tests {
             // T3's anchor there going with T3.
             c.ingest(&Event::Abort(TxnId(4)));
             assert_eq!(c.pruned_txns(), 4);
-            let x = c.objects.lookup(ObjectId(0));
             let cold = (!aborted).then_some((TxnId(1), 1));
-            assert_eq!(x.and_then(|x| c.objects[x].entries.cold()), cold);
+            assert_eq!(c.objects.cold(ObjectId(0)), cold);
+            assert_eq!(c.objects.lookup(ObjectId(0)), None, "nothing holds x");
         }
     }
 

@@ -51,13 +51,15 @@
 //! [`OnlineChecker::restore`] — the restored checker continues the
 //! stream with verdicts byte-identical to an uninterrupted run.
 //!
-//! Inside, the checker is seven private modules, each the single owner
+//! Inside, the checker is eight private modules, each the single owner
 //! of what it names (DESIGN.md, "Streaming checker: modules and owners"):
-//! `tables` — the one place a transaction or an object is found by
-//! hash: an id → slot map over a slab, consulted once per id an event
-//! names; `checker` — the transaction and object states and the event
-//! handlers, which hold slots and report a conflict only by queueing a
-//! planned edge;
+//! `tables` — chunked storage and slots, the one place a transaction is
+//! found by hash (once per id an event names), and the open-addressed
+//! index names and renumbered objects are found through; `keys` — the
+//! object table: a 16-byte row per object id, hot state only while
+//! something holds the object; `checker` — the transaction states and
+//! the event handlers, which hold slots and report a conflict only by
+//! queueing a planned edge;
 //! `lanes` — the edge kinds and the lane table: one incremental graph
 //! per edge filter (ww + wr; ww + wr + rw) under one cycle rule: the
 //! paper's G1c / G2 (G0 cannot close online); `provenance` — the operations
@@ -96,6 +98,7 @@
 mod checker;
 mod feed;
 mod gc;
+mod keys;
 mod lanes;
 pub mod monitor;
 pub mod pipeline;

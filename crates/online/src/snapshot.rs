@@ -21,10 +21,11 @@ use adya_graph::{DagParts, IncrementalDag, SlotParts};
 use adya_history::{ObjectId, TxnId, VersionId};
 
 use crate::checker::{
-    seal_writes, BufferedRead, Installers, OnlineChecker, PendingRead, Running, Source, Status,
-    TxnState, TxnTable, WriteEntry,
+    seal_writes, BufferedRead, OnlineChecker, PendingRead, Running, Source, Status, TxnState,
+    TxnTable, WriteEntry,
 };
 use crate::gc::{Collector, GcConfig};
+use crate::keys::Installers;
 use crate::lanes::{Dag, EdgeKind, EdgeMask, Lanes};
 use crate::provenance::ProvStep;
 use crate::verdict::{kind_bit, kind_from_bit, CycleEdgeProv};
@@ -184,23 +185,24 @@ pub(crate) fn encode(c: &OnlineChecker) -> Vec<u8> {
             e.bool(p.via_predicate);
         }
     }
-    let mut objects: Vec<_> = c.objects.iter().map(|(id, _, o)| (id, o)).collect();
-    objects.sort_unstable_by_key(|&(id, _)| id);
-    e.len(objects.len());
-    for (id, o) in objects {
-        e.u32(id.0);
+    // Rows are indexed by id: walking them is id order.
+    e.len(c.objects.len());
+    for o in c.objects.in_id_order() {
+        e.u32(o.id.0);
         e.u64(o.base);
-        let cold = (o.entries.cold()).or_else(|| c.superseded_cold.get(&id).copied());
-        e.bool(cold.is_some());
-        if let Some((writer, seq)) = cold {
+        e.bool(o.cold.is_some());
+        if let Some((writer, seq)) = o.cold {
             e.u32(writer.0);
             e.u32(seq);
         }
-        e.len(o.entries.len());
-        for t in o.entries.iter() {
+        let (entries, readers) = match o.hot {
+            Some(st) => (st.entries.len(), st.anchored.as_slice()),
+            None => (0, &[][..]),
+        };
+        e.len(entries);
+        for t in o.hot.iter().flat_map(|st| st.entries.iter()) {
             e.u32(id_of(t));
         }
-        let readers = o.anchored.as_slice();
         e.len(readers.len());
         for &r in readers {
             e.u32(id_of(r));
@@ -240,8 +242,23 @@ fn counter(d: &mut Dec<'_>) -> Result<u64, SnapshotError> {
     Ok(v)
 }
 
-/// See [`OnlineChecker::restore`].
-pub(crate) fn decode(bytes: &[u8]) -> Result<OnlineChecker, SnapshotError> {
+/// An object id off the image: with `names`, one of the ids a parser
+/// restored beside the checker has interned.
+fn object(d: &mut Dec<'_>, names: Option<usize>) -> Result<ObjectId, SnapshotError> {
+    let o = ObjectId(d.u32()?);
+    match names {
+        Some(n) if o.0 as usize >= n => Err(malformed(format!(
+            "object {} is beyond the {n} names interned",
+            o.0
+        ))),
+        _ => Ok(o),
+    }
+}
+
+/// See [`OnlineChecker::restore`]. With `names`, the image is restored
+/// beside a parser that has interned that many names (`StreamFeed`),
+/// and must name no other object: rows stay indexed by id.
+pub(crate) fn decode(bytes: &[u8], names: Option<usize>) -> Result<OnlineChecker, SnapshotError> {
     let header = SNAP_MAGIC.len() + 4;
     let magic = bytes.get(..SNAP_MAGIC.len());
     let v2 = magic == Some(&SNAP_MAGIC_V2[..]);
@@ -255,6 +272,9 @@ pub(crate) fn decode(bytes: &[u8]) -> Result<OnlineChecker, SnapshotError> {
     }
     let mut d = Dec::new(payload);
     let mut c = OnlineChecker::default();
+    if let Some(n) = names {
+        c.objects.number_dense(n);
+    }
     c.clock = counter(&mut d)?;
     let gc = GcConfig {
         enabled: d.bool()?,
@@ -304,7 +324,7 @@ pub(crate) fn decode(bytes: &[u8]) -> Result<OnlineChecker, SnapshotError> {
                 .ok_or_else(|| malformed(format!("prov step kind {code}")))?;
             chain.push(ProvStep {
                 kind,
-                object: ObjectId(d.u32()?),
+                object: object(&mut d, names)?,
                 version: VersionId {
                     txn: TxnId(d.u32()?),
                     seq: d.u32()?,
@@ -333,7 +353,7 @@ pub(crate) fn decode(bytes: &[u8]) -> Result<OnlineChecker, SnapshotError> {
         let nr = d.len()?;
         let mut reads = Vec::with_capacity(nr);
         for _ in 0..nr {
-            let object = ObjectId(d.u32()?);
+            let object = object(&mut d, names)?;
             let version = VersionId {
                 txn: TxnId(d.u32()?),
                 seq: d.u32()?,
@@ -368,7 +388,7 @@ pub(crate) fn decode(bytes: &[u8]) -> Result<OnlineChecker, SnapshotError> {
         let nws = d.len()?;
         let mut writes: Vec<WriteEntry> = Vec::with_capacity(nws);
         for _ in 0..nws {
-            let object = ObjectId(d.u32()?);
+            let object = object(&mut d, names)?;
             let seq = d.u32()?;
             if writes.last().is_some_and(|w| w.object >= object) {
                 return Err(malformed(format!("{id}'s writes are out of order")));
@@ -385,7 +405,7 @@ pub(crate) fn decode(bytes: &[u8]) -> Result<OnlineChecker, SnapshotError> {
         for _ in 0..np {
             pending_readers.push(PendingRead {
                 reader: c.txns.enter(TxnId(d.u32()?)).0,
-                object: ObjectId(d.u32()?),
+                object: object(&mut d, names)?,
                 seq: d.u32()?,
                 via_predicate: d.bool()?,
             });
@@ -442,7 +462,7 @@ pub(crate) fn decode(bytes: &[u8]) -> Result<OnlineChecker, SnapshotError> {
     };
     let no = d.len()?;
     for _ in 0..no {
-        let id = ObjectId(d.u32()?);
+        let id = object(&mut d, names)?;
         let (slot, fresh) = c.objects.enter(id);
         if !fresh {
             return Err(malformed(format!("object {id} appears twice")));
@@ -492,9 +512,7 @@ pub(crate) fn decode(bytes: &[u8]) -> Result<OnlineChecker, SnapshotError> {
         }
         match cold {
             Some(cold) if ne == 0 => c.objects[slot].entries = Installers::Cold(cold.0, cold.1),
-            Some(cold) => {
-                c.superseded_cold.insert(id, cold);
-            }
+            Some(cold) => c.objects[slot].superseded = Some(cold),
             None => {}
         }
         // The readers anchored at the newest version — or, with an
@@ -509,6 +527,7 @@ pub(crate) fn decode(bytes: &[u8]) -> Result<OnlineChecker, SnapshotError> {
             let reader = known(&c.txns, TxnId(d.u32()?), "a version's reader list")?;
             c.objects[slot].anchored.push(reader);
         }
+        c.objects.settle(slot);
     }
     let mut dags = [None, None, None];
     for slot in &mut dags[usize::from(!v2)..] {
@@ -573,7 +592,7 @@ fn derive(c: &mut OnlineChecker) -> Result<(), String> {
             }
         }
     }
-    for (_, slot, obj) in c.objects.iter() {
+    for (slot, obj) in c.objects.hot() {
         for &r in obj.anchored.as_slice() {
             c.txns[r].anchors.push(slot);
         }

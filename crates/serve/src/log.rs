@@ -38,7 +38,7 @@
 use std::io;
 use std::path::Path;
 
-use adya_history::Event;
+use adya_history::{Event, ObjectId};
 use adya_online::{
     encode_record, wire, EventLogReader, GcConfig, OnlineChecker, StreamFeed, LOG_MAGIC,
 };
@@ -402,6 +402,11 @@ impl SessionLog {
         // file's base and the next expected id means lost names —
         // recovery refuses to guess.
         let mut next = feed.parser().interned() as u64;
+        // Ids the session ever interned: its name logs number them
+        // densely from 0, each file from its base, even where a file
+        // compacted away took its names into a snapshot recovery could
+        // not use.
+        let mut named = next;
         let mut open_names = None;
         for &(file, _) in &files {
             let base = match file {
@@ -420,6 +425,7 @@ impl SessionLog {
             }
             let text = std::str::from_utf8(&bytes)
                 .map_err(|_| RecoverError::Corrupt(format!("{file} is not UTF-8")))?;
+            named = named.max(base + text.lines().count() as u64);
             for (j, name) in text.lines().enumerate() {
                 let id = base + j as u64;
                 if id < next {
@@ -472,6 +478,12 @@ impl SessionLog {
                 // The open segment's torn tail is healed by now: any
                 // damage left is mid-file or in a closed segment.
                 let ev = ev.map_err(|e| RecoverError::Corrupt(format!("{file}: {e}")))?;
+                // Names are logged before the events that use them.
+                if let Some(o) = objects_of(&ev).find(|o| u64::from(o.0) >= named) {
+                    return Err(RecoverError::Corrupt(format!(
+                        "{file}: record {records} names {o}, which no name log interned"
+                    )));
+                }
                 records += 1;
                 tail_events += 1;
                 if let Some(v) = feed.replay(&ev) {
@@ -517,6 +529,17 @@ impl SessionLog {
             tail_events,
         })
     }
+}
+
+/// The objects `ev` names.
+fn objects_of(ev: &Event) -> impl Iterator<Item = ObjectId> + '_ {
+    let one = match ev {
+        Event::Write(w) => Some(w.object),
+        Event::Read(r) => Some(r.object),
+        _ => None,
+    };
+    let vset = ev.as_predicate_read().into_iter().flat_map(|p| &p.vset);
+    one.into_iter().chain(vset.map(|&(o, _)| o))
 }
 
 /// Segment starts and snapshot record counts in a directory listing,

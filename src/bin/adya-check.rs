@@ -712,10 +712,10 @@ fn has_tokens(line: &str) -> bool {
 /// checker, emitting one NDJSON verdict per commit and a final summary
 /// line (`"final": true`). Metrics go to stderr so stdout stays pure
 /// NDJSON. Binary event logs are detected by their magic and handed to
-/// [`run_stream_binary`]; a malformed token with nothing but
-/// whitespace/comments after it is treated as a torn tail (the input
-/// was cut mid-write), reported as a `truncated_input` record with
-/// exit 3 rather than a hard parse error.
+/// [`run_stream_binary`]; an [unfinished](unfinished) token with
+/// nothing but whitespace/comments after it is treated as a torn tail
+/// (the input was cut mid-write), reported as a `truncated_input`
+/// record with exit 3 rather than a hard parse error.
 fn run_stream(args: &Args) -> ExitCode {
     // Streaming runs can be long-lived sidecars; SIGTERM/ctrl-c must
     // end them with a closing frame and a final verdict, not mid-line.
@@ -816,7 +816,7 @@ fn run_stream(args: &Args) -> ExitCode {
         while let Some(tok) = toks.next() {
             match sink.feed.parse(tok) {
                 Ok(ev) => sink.apply(ev),
-                Err(msg) if toks.peek().is_some() => {
+                Err(msg) if toks.peek().is_some() || !unfinished(tok) => {
                     return fail_stream(sink, &format!("line {line_no}: {msg}"));
                 }
                 Err(msg) => damage = Some((line_no, msg)),
@@ -827,6 +827,23 @@ fn run_stream(args: &Args) -> ExitCode {
         return finish_truncated(sink, &msg, "line", line_no, args.metrics);
     }
     finish_stream(args, sink, was_shutdown)
+}
+
+/// Whether a token the parser refused can be the cut-off start of one
+/// it would read: `b`, `w12`, `r2(x`, an operation and a transaction
+/// number so far, or a call not closed yet. A token refused for what it
+/// means (`[x1]`, `rp1(…)`, `c4294967295`), or one no more bytes could
+/// mend (`zzz`, `w1()`), is damage wherever it stands.
+fn unfinished(tok: &str) -> bool {
+    if tok.starts_with("rp") {
+        return false; // a predicate read, refused whole
+    }
+    let Some(rest) = ["rc", "r", "w"].iter().find_map(|p| tok.strip_prefix(p)) else {
+        return matches!(tok, "b" | "c" | "a");
+    };
+    let (txn, call) = rest.split_at(rest.find('(').unwrap_or(rest.len()));
+    let txn_so_far = (txn.is_empty() && call.is_empty()) || txn.parse::<u32>().is_ok();
+    txn_so_far && !call.ends_with(')')
 }
 
 /// `explain` mode: shrink the history to a minimal sub-history per

@@ -264,6 +264,27 @@ fn read_line_within<R: std::io::BufRead + Send + 'static>(mut from: R, secs: u64
 }
 
 #[test]
+fn stream_refuses_a_last_token_for_what_it_means_not_as_a_torn_tail() {
+    // Complete tokens the streaming parser refuses — an explicit version
+    // order, a predicate read, an event of Tinit — are damage even as
+    // the input's last token: exit 2, no `truncated_input`.
+    for last in ["[x1]", "rp1(P:x1)", "c4294967295"] {
+        let (out, err, code) = run(&["--stream"], &format!("b1 w1(x,1) c1 {last}\n"));
+        assert_eq!(code, Some(2), "{last}: {out}{err}");
+        assert!(!out.contains("truncated_input"), "{last}: {out}");
+        assert!(err.contains(last), "{last}: {err}");
+    }
+}
+
+#[test]
+fn stream_calls_a_cut_off_last_token_a_torn_tail() {
+    let (out, _, code) = run(&["--stream"], "b1 w1(x,1) c1 b2 w2(x,");
+    assert_eq!(code, Some(3), "{out}");
+    assert!(out.contains("\"error\": \"truncated_input\""), "{out}");
+    assert!(out.contains("\"final\": true"), "{out}");
+}
+
+#[test]
 fn stream_flushes_verdicts_before_waiting_for_input() {
     // A live pipe: each verdict must be readable while stdin is still
     // open and the checker is blocked reading it — the sink's "flush

@@ -1,18 +1,24 @@
 //! What the streaming checker holds, in heap bytes, on a clean stream
 //! over a wide key space: its rows are the transactions the watermark
 //! has not passed — a finished transaction leaves once it has, its
-//! newest versions staying behind as 16-byte cold entries on their
-//! objects — so what grows with the stream is the objects and their
-//! names, and the bound is per interned key. Each key should cost its
-//! object row and its name, once — no node in G2's graph once the
+//! newest versions staying behind as cold entries in their objects'
+//! rows — so what grows with the stream is the objects and their names,
+//! and the bound is per interned key. Each key should cost its row in
+//! the key table and its name, once — no node in G2's graph once the
 //! watermark has passed it (the peel), no G1c graph (no read is ever
 //! parked, so no dependency cycle can close), no transaction row, no
-//! parser counter. Here that is ≈ 133 B per interned key in a debug
-//! build, 110 B in release; the build that kept every finished
-//! transaction whose versions were still the newest held ≈ 216 B per
-//! key in release (488 B for each of 19 800 rows), and its live set
-//! grew with the stream. The rows held stay at most 512 all along, at
-//! 40 k events as at 160 k.
+//! parser counter, no hot object state once nothing holds the object.
+//! Here that is ≈ 38 B per interned key, debug or release: a 16-byte
+//! row in a fixed-size chunk, ≈ 19 B of name (its bytes, its end
+//! offset, its slot in the name index) and a share of the rows held.
+//! The build whose object table was a keyed hash map over a slab of
+//! 40-byte object states, beside a superseded-entry map and a name
+//! table with two hash maps, held ≈ 133 B per key in a debug build and
+//! 110 B in release; the one that kept every finished transaction
+//! whose versions were still the newest ≈ 216 B per key in release
+//! (488 B for each of 19 800 rows), and its live set grew with the
+//! stream. The rows held stay at most 512 all along, at 40 k events as
+//! at 160 k.
 //!
 //! Beside it: what the parser's name table costs per interned name;
 //! that `OnlineChecker::provenance_bytes` is what provenance adds to
@@ -76,33 +82,37 @@ unsafe impl GlobalAlloc for Counting {
 static GLOBAL: Counting = Counting;
 
 /// Debug builds' slots carry a generation tag, so their rows are wider.
-/// Each bound is this build's measurement plus less than a tenth: 133.4
-/// / 109.8 B per interned key (debug / release), 24.9 B per interned
-/// name and 47.1 / 41.9 kB per session (21 rows held each). The build
-/// before, which kept every finished transaction whose versions were
-/// still the newest, held 215.8 B per key in release and 81.2 / 74.1 kB
-/// per session (192 rows); the one before the peel 134.6 / 127.5 kB;
-/// one with 24-byte write entries, a reader buffer per object and
+/// Each bound is this build's measurement plus less than a tenth: 37.7
+/// / 37.3 B per interned key (debug / release), 19.0 B per interned
+/// name and 38.3 / 35.1 kB per session (21 rows held each). The build
+/// before, whose objects were found by a keyed hash over a slab of
+/// 40-byte states and whose names by two hash maps, held 133.4 / 109.8
+/// B per key, 24.9 B per name and 47.1 / 41.9 kB per session; the one
+/// before that, which kept every finished transaction whose versions
+/// were still the newest, 215.8 B per key in release and 81.2 / 74.1
+/// kB per session (192 rows); the one before the peel 134.6 / 127.5
+/// kB; one with 24-byte write entries, a reader buffer per object and
 /// 24-byte chains 154 / 142 kB; one that also kept every running-only
 /// buffer on every row, the provenance side indexes, a shared
 /// `Arc<str>` per name and a ring per object 84 B per interned name and
 /// 192 / 180 kB per session.
-const PER_KEY: f64 = if cfg!(debug_assertions) { 146.0 } else { 120.0 };
-const PER_NAME: f64 = 27.0;
+const PER_KEY: f64 = if cfg!(debug_assertions) { 41.0 } else { 40.0 };
+const PER_NAME: f64 = 20.5;
 const PER_SESSION: f64 = if cfg!(debug_assertions) {
-    51_500.0
+    42_000.0
 } else {
-    46_000.0
+    38_500.0
 };
 /// An `adya-serve` `Session` of that shape, 1 250 events, its window
-/// untrimmed: 58.7 / 53.5 kB (debug / release), of which the replay
-/// window is 49.9 B per retained verdict — a 40-byte fact and the
-/// `Vec`'s slack. The build that kept each verdict's JSON line held
-/// 89.9 kB per session in release, ≈ 220 B per retained verdict.
+/// untrimmed: 49.8 / 46.5 kB (debug / release; 58.7 / 53.5 kB before
+/// the key table), of which the replay window is 49.9 B per retained
+/// verdict — a 40-byte fact and the `Vec`'s slack. The build that kept
+/// each verdict's JSON line held 89.9 kB per session in release, ≈ 220
+/// B per retained verdict.
 const PER_SERVED: f64 = if cfg!(debug_assertions) {
-    64_000.0
+    54_500.0
 } else {
-    58_500.0
+    51_000.0
 };
 const PER_WINDOW_VERDICT: f64 = 54.0;
 

@@ -104,3 +104,51 @@ fn garbage_before_more_input_is_a_hard_error() {
     assert_eq!(code, 2, "damage followed by more input is not a torn tail");
     assert!(err.contains("zzz"), "stderr: {err}");
 }
+
+/// A binary log's object ids are whatever its writer chose: the largest
+/// there is, beside a small one, gets the verdicts it always got — the
+/// same bytes as the build whose object table was a hash map — and its
+/// witness names it.
+#[test]
+fn a_binary_log_naming_the_largest_object_id_gets_its_verdicts() {
+    use adya::history::{ObjectId, ReadEvent, TxnId, VersionId, VersionKind, WriteEvent};
+    const BIG: ObjectId = ObjectId(u32::MAX - 1);
+    let w = |txn, object, seq| {
+        Event::Write(WriteEvent {
+            txn: TxnId(txn),
+            object,
+            seq,
+            kind: VersionKind::Visible,
+            value: None,
+        })
+    };
+    let r = |txn, object, writer, seq| {
+        Event::Read(ReadEvent {
+            txn: TxnId(txn),
+            object,
+            version: VersionId::new(TxnId(writer), seq),
+            through_cursor: false,
+        })
+    };
+    let events = [
+        Event::Begin(TxnId(1)),
+        w(1, BIG, 1),
+        w(1, ObjectId(0), 1),
+        w(1, BIG, 2),
+        Event::Commit(TxnId(1)),
+        Event::Begin(TxnId(2)),
+        r(2, BIG, 1, 1),
+        r(2, ObjectId(0), 1, 1),
+        w(2, BIG, 1),
+        Event::Commit(TxnId(2)),
+    ];
+    let (out, err, code) = run_stream("sr_big_ids.log", &encode_log(&events));
+    assert_eq!((code, err.as_str()), (0, ""));
+    assert_eq!(out, BIG_IDS_VERDICTS);
+}
+
+const BIG_IDS_VERDICTS: &str = concat!(
+    "{\"txn\": 1, \"final\": false, \"committed\": 1, \"strongest_ansi\": \"PL-3\", \"fired\": [], \"new\": [], \"witness\": null, \"witness_id\": null, \"cycle\": null, \"pruned\": 0, \"stale_refs\": 0, \"live_txns\": 1}\n",
+    "{\"txn\": 2, \"final\": false, \"committed\": 2, \"strongest_ansi\": \"PL-1\", \"fired\": [\"G1b\"], \"new\": [\"G1b\"], \"witness\": \"T2 read intermediate version obj4294967294[1] of T1 (final seq 2)\", \"witness_id\": \"wcf71fb87\", \"cycle\": null, \"pruned\": 0, \"stale_refs\": 0, \"live_txns\": 2}\n",
+    "{\"txn\": null, \"final\": true, \"committed\": 2, \"strongest_ansi\": \"PL-1\", \"fired\": [\"G1b\"], \"new\": [], \"witness\": null, \"witness_id\": null, \"cycle\": null, \"pruned\": 1, \"stale_refs\": 0, \"live_txns\": 1}\n",
+);
