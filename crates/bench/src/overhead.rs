@@ -4,12 +4,13 @@
 //! One skeleton, written once. For each history size, generate one
 //! [`overhead_history`] and ingest it under both configurations,
 //! best-of-[`OVERHEAD_REPS`] per side (the usual min-of-N noise
-//! filter); the two sides must produce equal outputs (the feature
-//! observes, never alters); the aggregate cost over all sizes is held
-//! to a budget. An experiment supplies its [`Labels`] and an
-//! `ingest(&History, on) -> (nanoseconds, output)` closure that runs
-//! one repetition and times it itself, so setup and teardown stay
-//! outside the clock.
+//! filter), on and off alternating repetition by repetition so a box
+//! that changes speed mid-sweep slows both sides alike; the two sides
+//! must produce equal outputs (the feature observes, never alters); the
+//! aggregate cost over all sizes is held to a budget. An experiment
+//! supplies its [`Labels`] and an `ingest(&History, on) -> (nanoseconds,
+//! output)` closure that runs one repetition and times it itself, so
+//! setup and teardown stay outside the clock.
 
 use adya_history::History;
 use adya_obs::json::JsonWriter;
@@ -112,30 +113,27 @@ pub struct Sweep {
 
 impl Sweep {
     /// Runs the sweep: per size, one history from `seed`, the best of
-    /// [`OVERHEAD_REPS`] repetitions of `ingest` per side, and the
-    /// equality of the two sides' last outputs.
+    /// [`OVERHEAD_REPS`] repetitions of `ingest` per side — each
+    /// repetition one run on, then one off — and the equality of the
+    /// two sides' last outputs.
     pub fn run<P: PartialEq>(
         labels: Labels,
         sizes: &[usize],
         seed: u64,
         mut ingest: impl FnMut(&History, bool) -> (u128, P),
     ) -> Sweep {
-        let mut side = |h: &History, on: bool| {
-            let mut best = u128::MAX;
-            let mut last = None;
-            for _ in 0..OVERHEAD_REPS {
-                let (ns, out) = ingest(h, on);
-                best = best.min(ns);
-                last = Some(out);
-            }
-            (best, last)
-        };
         let rows = sizes
             .iter()
             .map(|&txns| {
                 let h = overhead_history(txns, seed);
-                let (on_ns, on_out) = side(&h, true);
-                let (off_ns, off_out) = side(&h, false);
+                let (mut on_ns, mut off_ns) = (u128::MAX, u128::MAX);
+                let (mut on_out, mut off_out) = (None, None);
+                for _ in 0..OVERHEAD_REPS {
+                    let (ns, out) = ingest(&h, true);
+                    (on_ns, on_out) = (on_ns.min(ns), Some(out));
+                    let (ns, out) = ingest(&h, false);
+                    (off_ns, off_out) = (off_ns.min(ns), Some(out));
+                }
                 Row {
                     txns,
                     events: h.events().len(),
@@ -262,14 +260,17 @@ mod tests {
 
     #[test]
     fn best_of_keeps_the_fastest_repetition_per_side() {
-        let mut calls = 0u128;
+        let mut sides = Vec::new();
         let s = Sweep::run(LABELS, &[4], 1, |_, on| {
-            calls += 1;
+            sides.push(on);
             // Each side's repetitions get slower; the first is kept.
-            (if on { 2_000 } else { 1_000 } + calls, ())
+            (if on { 2_000 } else { 1_000 } + sides.len() as u128, ())
         });
-        assert_eq!(calls, 2 * OVERHEAD_REPS as u128);
-        assert_eq!(s.totals(), (2_001, 1_001 + OVERHEAD_REPS as u128));
+        // On and off alternate, on first: a box that changes speed
+        // mid-sweep slows both sides alike.
+        let alternating: Vec<bool> = (0..2 * OVERHEAD_REPS).map(|i| i % 2 == 0).collect();
+        assert_eq!(sides, alternating);
+        assert_eq!(s.totals(), (2_001, 1_002));
     }
 
     fn keys(v: &Value) -> Vec<&str> {

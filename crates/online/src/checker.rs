@@ -2,7 +2,8 @@
 //! the event handlers that keep them — buffering reads until their
 //! reader's fate is known, installing versions at commit, parking
 //! reads on writers still running. A handler's findings leave it two
-//! ways only: G1a/G1b latch directly, and every DSG edge goes through
+//! ways only: a read's G1a/G1b latch through its one judgement,
+//! [`OnlineChecker::judge`], and every DSG edge goes through
 //! [`OnlineChecker::edge`] onto the commit's plan, which the lane table
 //! ([`crate::lanes`]) turns into cycle checks. Pruning is the
 //! collector's ([`crate::gc`]), the byte image the snapshot codec's
@@ -607,10 +608,7 @@ impl OnlineChecker {
         for br in reads.drain(..) {
             self.resolve_read(t, br);
         }
-        let mut pending = std::mem::take(&mut self.running[idle].pending_readers);
-        for pr in pending.drain(..) {
-            self.resolve_pending(t, pr);
-        }
+        let pending = self.resolve_pending(t, idle);
         self.rest(idle, reads, pending);
         self.apply_edge_plan(parked);
         self.gc.note_end(id, self.clock);
@@ -634,9 +632,6 @@ impl OnlineChecker {
             let o = self.txns[t].writes[at].object;
             let (slot, _) = self.objects.enter(o);
             let obj = &mut self.objects[slot];
-            if let Some(cold) = obj.entries.cold() {
-                obj.superseded = Some(cold);
-            }
             let prev = obj.entries.back();
             let resolved = std::mem::take(&mut obj.anchored);
             obj.entries.push_back(t);
@@ -686,24 +681,59 @@ impl OnlineChecker {
             return; // the `refs` pin stays held until the writer resolves
         }
         writer.refs -= 1;
-        let (status, final_seq) = (writer.status, writer.write_of(o).map(|w| w.seq));
         self.unpin(w);
-        let reader = self.txns.key_of(t);
-        if status == Status::Aborted {
-            self.fired.aborted_read(reader, o, v, br.via_predicate);
-        }
-        let Some(final_seq) = final_seq else {
-            self.stale_refs += 1; // read of a never-written version
-            return;
-        };
-        if v.seq != final_seq {
-            self.fired
-                .intermediate_read(reader, o, v, final_seq, br.via_predicate);
-        }
-        if status == Status::Committed && !br.via_predicate {
+        self.resolve_ended(t, w, o, v, br.via_predicate);
+    }
+
+    /// Resolves committed reader `t`'s read of `v` of `o` once its
+    /// writer `w`, still held, has ended: [judged](Self::judge) against
+    /// `w`'s fate, and, if `w` committed the version and the read is no
+    /// version-set entry, the wr edge and the anchor at it follow.
+    fn resolve_ended(
+        &mut self,
+        t: TxnSlot,
+        w: TxnSlot,
+        o: ObjectId,
+        v: VersionId,
+        via_predicate: bool,
+    ) {
+        let writer = &self.txns[w];
+        let (status, final_seq) = (writer.status, writer.write_of(o).map(|w| w.seq));
+        let stands = self.judge(t, o, v, via_predicate, status, final_seq);
+        if stands && status == Status::Committed && !via_predicate {
             self.edge(EdgeKind::Wr, w, t, o, Some(v));
             self.anchor_reader(t, o, w);
         }
+    }
+
+    /// The one judgement of committed reader `t`'s read of `v` of `o`
+    /// once the writer's fate is known — the `status` it ended with,
+    /// and the last seq it wrote to `o` (`None`: it never wrote `o`):
+    /// G1a if it aborted; then a read of a version its writer never
+    /// wrote is a stale tick; otherwise G1b, unless `v` is the final
+    /// version. Returns whether the writer wrote `o`: the read stands.
+    fn judge(
+        &mut self,
+        t: TxnSlot,
+        o: ObjectId,
+        v: VersionId,
+        via_predicate: bool,
+        status: Status,
+        final_seq: Option<u32>,
+    ) -> bool {
+        let reader = self.txns.key_of(t);
+        if status == Status::Aborted {
+            self.fired.aborted_read(reader, o, v, via_predicate);
+        }
+        let Some(final_seq) = final_seq else {
+            self.stale_refs += 1;
+            return false;
+        };
+        if v.seq != final_seq {
+            self.fired
+                .intermediate_read(reader, o, v, final_seq, via_predicate);
+        }
+        true
     }
 
     /// Resolves a read of an own or initial version. An initial one
@@ -737,13 +767,9 @@ impl OnlineChecker {
     /// there, as any other read; once the watermark has retired it, the
     /// read is retired: a stale tick.
     fn resolve_cold_read(&mut self, t: TxnSlot, br: BufferedRead, final_seq: u32) {
-        let (o, v) = (br.object, br.version);
-        if v.seq != final_seq {
-            let reader = self.txns.key_of(t);
-            self.fired
-                .intermediate_read(reader, o, v, final_seq, br.via_predicate);
-        }
-        if br.via_predicate {
+        let (o, v, via) = (br.object, br.version, br.via_predicate);
+        self.judge(t, o, v, via, Status::Committed, Some(final_seq));
+        if via {
             return;
         }
         if self.objects.cold(o).is_some_and(|c| c.0 == v.txn) {
@@ -822,32 +848,25 @@ impl OnlineChecker {
         self.gc.config().enabled && self.txns[succ].terminal_clock < self.txns[t].begin_clock
     }
 
-    /// Resolves a reader parked on writer `t`, which just committed.
-    fn resolve_pending(&mut self, t: TxnSlot, pr: PendingRead) {
-        self.parked -= 1;
-        self.txns[pr.reader].awaiting -= 1;
-        self.txns[t].refs -= 1;
-        // As when the writer had committed before the reader: a read
-        // of a version its writer never wrote resolves to a stale tick.
-        let Some(final_seq) = self.txns[t].write_of(pr.object).map(|w| w.seq) else {
-            self.stale_refs += 1;
-            return;
-        };
-        // A literal, not `VersionId::new`: the seq is whatever the stream
-        // said, and `new` asserts it is at least 1.
-        let read = VersionId {
-            txn: self.txns.key_of(t),
-            seq: pr.seq,
-        };
-        if pr.seq != final_seq {
-            let reader = self.txns.key_of(pr.reader);
-            self.fired
-                .intermediate_read(reader, pr.object, read, final_seq, pr.via_predicate);
+    /// Resolves the readers parked on writer `t`, which just ended —
+    /// committed or aborted — as if `t` had ended before each reader
+    /// committed, and hands back the drained buffer of `t`'s record at
+    /// `idle`.
+    fn resolve_pending(&mut self, t: TxnSlot, idle: usize) -> Vec<PendingRead> {
+        let mut pending = std::mem::take(&mut self.running[idle].pending_readers);
+        for pr in pending.drain(..) {
+            self.parked -= 1;
+            self.txns[pr.reader].awaiting -= 1;
+            self.txns[t].refs -= 1;
+            // A literal, not `VersionId::new`: the seq is whatever the
+            // stream said, and `new` asserts it is at least 1.
+            let read = VersionId {
+                txn: self.txns.key_of(t),
+                seq: pr.seq,
+            };
+            self.resolve_ended(pr.reader, t, pr.object, read, pr.via_predicate);
         }
-        if !pr.via_predicate {
-            self.edge(EdgeKind::Wr, t, pr.reader, pr.object, Some(read));
-            self.anchor_reader(pr.reader, pr.object, t);
-        }
+        pending
     }
 
     fn on_abort(&mut self, t: TxnSlot) {
@@ -865,27 +884,7 @@ impl OnlineChecker {
         }
         // Committed readers that observed its versions read aborted
         // data: G1a now, G1b too if the version wasn't the last one.
-        let mut pending = std::mem::take(&mut self.running[idle].pending_readers);
-        for pr in pending.drain(..) {
-            self.parked -= 1;
-            self.txns[pr.reader].awaiting -= 1;
-            self.txns[t].refs -= 1;
-            let reader = self.txns.key_of(pr.reader);
-            let v = VersionId {
-                txn: self.txns.key_of(t),
-                seq: pr.seq,
-            };
-            self.fired
-                .aborted_read(reader, pr.object, v, pr.via_predicate);
-            match self.txns[t].write_of(pr.object).map(|w| w.seq) {
-                Some(fs) if fs != pr.seq => {
-                    self.fired
-                        .intermediate_read(reader, pr.object, v, fs, pr.via_predicate)
-                }
-                Some(_) => {}
-                None => self.stale_refs += 1, // read of a never-written version
-            }
-        }
+        let pending = self.resolve_pending(t, idle);
         self.rest(idle, reads, pending);
         self.gc.note_end(self.txns.key_of(t), self.clock);
     }

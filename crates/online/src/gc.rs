@@ -19,7 +19,7 @@ use std::collections::{BTreeMap, VecDeque};
 use adya_history::{ObjectId, TxnId};
 
 use crate::checker::{shrink_if_sparse, Running, Source, Status, TxnSlot, TxnState, TxnTable};
-use crate::keys::{Installers, Keys};
+use crate::keys::Keys;
 use crate::lanes::Lanes;
 use crate::provenance::Provenance;
 
@@ -319,7 +319,7 @@ impl Collector {
                 continue;
             };
             let object = h.objects.key_of(o);
-            h.objects[o].superseded = None;
+            h.objects[o].cold = None;
             for _ in 0..superseded {
                 let obj = &mut h.objects[o];
                 let owner = obj.entries.pop_front().expect("an older version");
@@ -378,11 +378,7 @@ impl Collector {
                 let front = obj.entries.pop_front();
                 debug_assert_eq!(front, Some(slot), "a passed version is the oldest held");
                 obj.base += 1;
-                if obj.entries.len() == 0 {
-                    obj.entries = Installers::Cold(id, w.seq);
-                } else {
-                    obj.superseded = Some((id, w.seq));
-                }
+                obj.cold = Some((id, w.seq));
                 h.objects.settle(o);
             }
         }
@@ -439,7 +435,7 @@ fn check_the_rule(h: &Heap<'_>, watermark: u64) {
             let obj = &h.objects[o];
             let i = obj.index_of(w.pos).expect("an installed version is held");
             let next = obj.entries.get(i + 1);
-            let cold = i == 0 && obj.superseded.is_some();
+            let cold = i == 0 && obj.cold.is_some();
             assert!(
                 !next.is_some_and(|n| closed(&h.txns[n], watermark)),
                 "{id}'s version of {} is retired",

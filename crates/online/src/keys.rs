@@ -14,14 +14,14 @@
 //! A row is *cold* — its newest version's writer and final seq, and the
 //! count of versions taken off its front — or *empty*, unless something
 //! holds the object: a version whose installer the checker still holds,
-//! a committed reader anchored at its newest version, or a cold entry a
-//! later install superseded. Then it is *hot*: its [`ObjectState`] sits
-//! in a [`Slab`] cell, and the row names the cell's slot, which the
-//! installers' write entries and the readers' anchors keep. Whoever
-//! takes the last of those away calls [`Keys::settle`], which turns the
-//! row cold again and frees the cell. A row stays *unseen* — not in the
-//! table, as far as the image and the handlers are concerned — until a
-//! handler enters it (an install, or a read that must anchor).
+//! or a committed reader anchored at its newest version. Then it is
+//! *hot*: its [`ObjectState`] sits in a [`Slab`] cell, and the row
+//! names the cell's slot, which the installers' write entries and the
+//! readers' anchors keep. Whoever takes the last of those away calls
+//! [`Keys::settle`], which turns the row cold again and frees the cell.
+//! A row stays *unseen* — not in the table, as far as the image and the
+//! handlers are concerned — until a handler enters it (an install, or a
+//! read that must anchor).
 
 use std::collections::hash_map::RandomState;
 use std::collections::VecDeque;
@@ -172,7 +172,7 @@ impl Keys {
         if let Row::Cold { writer, seq, base } = row {
             let st = &mut self.hot[slot];
             st.base = base.into();
-            st.entries = Installers::Cold(writer, seq);
+            st.cold = Some((writer, seq));
         }
         self.rows[r] = Row::Hot(slot);
         let fresh = matches!(row, Row::Unseen);
@@ -182,16 +182,15 @@ impl Keys {
 
     /// Turns `slot`'s row cold (or empty) and frees the cell, if
     /// nothing holds the object any more: no installer, no anchored
-    /// reader, no superseded cold entry — and a `base` a cold row has
-    /// room for.
+    /// reader — and a `base` a cold row has room for.
     pub(crate) fn settle(&mut self, slot: ObjSlot) {
         let st = &self.hot[slot];
-        if !st.anchored.as_slice().is_empty() || st.superseded.is_some() {
+        if st.entries.len() != 0 || !st.anchored.as_slice().is_empty() {
             return;
         }
-        let row = match (st.entries.cold(), u32::try_from(st.base)) {
+        let row = match (st.cold, u32::try_from(st.base)) {
             (Some((writer, seq)), Ok(base)) => Row::Cold { writer, seq, base },
-            (None, Ok(0)) if st.entries.len() == 0 => Row::Empty,
+            (None, Ok(0)) => Row::Empty,
             _ => return,
         };
         let r = self
@@ -206,7 +205,7 @@ impl Keys {
     pub(crate) fn cold(&self, o: ObjectId) -> Option<(TxnId, u32)> {
         match self.rows[self.find(o)?] {
             Row::Cold { writer, seq, .. } => Some((writer, seq)),
-            Row::Hot(slot) => self.hot[slot].cold(),
+            Row::Hot(slot) => self.hot[slot].cold,
             Row::Unseen | Row::Empty => None,
         }
     }
@@ -236,7 +235,7 @@ impl Keys {
             Row::Cold { writer, seq, base } => (base.into(), Some((writer, seq)), None),
             Row::Hot(slot) => {
                 let st = &self.hot[slot];
-                (st.base, st.cold(), Some(st))
+                (st.base, st.cold, Some(st))
             }
         };
         Some(KeyView {
@@ -308,14 +307,6 @@ impl IndexMut<ObjSlot> for Keys {
 pub(crate) enum Installers {
     #[default]
     Empty,
-    /// No installer held: the newest version's writer has left the
-    /// checker, and the version stays as this *cold entry* — (writer,
-    /// final seq), all a later read of it needs for its G1a/G1b checks
-    /// and to anchor at it, as on a cold [`Row`]. Installing a successor
-    /// moves it to [`ObjectState::superseded`] until the watermark
-    /// retires it, where a writer that leaves while its version is
-    /// superseded puts it.
-    Cold(TxnId, u32),
     One(TxnSlot),
     Two(TxnSlot, TxnSlot),
     // Boxed, so the enum is 16 bytes rather than a `VecDeque`'s 32.
@@ -326,7 +317,7 @@ pub(crate) enum Installers {
 impl Installers {
     pub(crate) fn len(&self) -> usize {
         match self {
-            Installers::Empty | Installers::Cold(..) => 0,
+            Installers::Empty => 0,
             Installers::One(_) => 1,
             Installers::Two(..) => 2,
             Installers::Many(q) => q.len(),
@@ -352,18 +343,9 @@ impl Installers {
         (0..self.len()).filter_map(|i| self.get(i))
     }
 
-    /// The cold entry, while it is the newest version.
-    pub(crate) fn cold(&self) -> Option<(TxnId, u32)> {
-        match *self {
-            Installers::Cold(w, seq) => Some((w, seq)),
-            _ => None,
-        }
-    }
-
-    /// Appends `t`, replacing a cold entry (the caller keeps it).
     pub(crate) fn push_back(&mut self, t: TxnSlot) {
         *self = match std::mem::take(self) {
-            Installers::Empty | Installers::Cold(..) => Installers::One(t),
+            Installers::Empty => Installers::One(t),
             Installers::One(a) => Installers::Two(a, t),
             Installers::Two(a, b) => Installers::Many(Box::new(VecDeque::from([a, b, t]))),
             Installers::Many(mut q) => {
@@ -375,10 +357,7 @@ impl Installers {
 
     pub(crate) fn pop_front(&mut self) -> Option<TxnSlot> {
         let (first, rest) = match std::mem::take(self) {
-            c @ (Installers::Empty | Installers::Cold(..)) => {
-                *self = c;
-                return None;
-            }
+            Installers::Empty => return None,
             Installers::One(a) => (a, Installers::Empty),
             Installers::Two(a, b) => (a, Installers::One(b)),
             Installers::Many(mut q) => {
@@ -495,11 +474,14 @@ pub(crate) struct ObjectState {
     /// there is none, before the first. (A superseded version anchors
     /// nobody: installing its successor resolved them all.)
     pub(crate) anchored: Readers,
-    /// The cold entry a later install superseded and the watermark has
-    /// not yet retired — older than every version the object holds: a
-    /// reader that began before the successor committed may still read
-    /// it.
-    pub(crate) superseded: Option<(TxnId, u32)>,
+    /// The *cold entry*: (writer, final seq) of a version whose writer
+    /// has left the checker — all a later read of it needs for its
+    /// G1a/G1b checks and to anchor at it, as on a cold [`Row`]. While
+    /// `entries` is empty it is the newest version; while an installer
+    /// is held it is the version the first one superseded, older than
+    /// every version held, until the watermark retires it: a reader
+    /// that began before the successor committed may still read it.
+    pub(crate) cold: Option<(TxnId, u32)>,
 }
 
 impl Recycle for ObjectState {
@@ -524,11 +506,6 @@ impl Recycle for ObjectState {
 }
 
 impl ObjectState {
-    /// The cold entry: the newest version's, or a superseded one.
-    pub(crate) fn cold(&self) -> Option<(TxnId, u32)> {
-        self.entries.cold().or(self.superseded)
-    }
-
     /// The position, mod 2³², of the version at index `i` of `entries`.
     pub(crate) fn position(&self, i: usize) -> u32 {
         self.base.wrapping_add(i as u64) as u32
@@ -546,9 +523,12 @@ impl ObjectState {
 mod tests {
     use super::*;
 
+    /// (id, base, cold entry) of an object.
+    type Listed = (u32, u64, Option<(TxnId, u32)>);
+
     /// What the image reads off every object, in the order it lists
     /// them.
-    fn listed(keys: &Keys) -> Vec<(u32, u64, Option<(TxnId, u32)>)> {
+    fn listed(keys: &Keys) -> Vec<Listed> {
         keys.in_id_order()
             .map(|k| (k.id.0, k.base, k.cold))
             .collect()
@@ -561,7 +541,7 @@ mod tests {
         let (slot, fresh) = keys.enter(ObjectId(0));
         assert!(fresh);
         keys[slot].base = 3;
-        keys[slot].entries = Installers::Cold(TxnId(7), 2);
+        keys[slot].cold = Some((TxnId(7), 2));
         keys.settle(slot);
         assert_eq!(keys.lookup(ObjectId(0)), None, "cold: the cell is free");
         assert_eq!(keys.cold(ObjectId(0)), Some((TxnId(7), 2)));
@@ -570,7 +550,7 @@ mod tests {
         // cell the first state left.
         let (again, fresh) = keys.enter(ObjectId(0));
         assert!(!fresh);
-        assert_eq!(keys[again].entries.cold(), Some((TxnId(7), 2)));
+        assert_eq!(keys[again].cold, Some((TxnId(7), 2)));
         assert_eq!((keys.hot_slots(), keys.len()), (1, 1));
         // A base a cold row has no room for keeps the state hot.
         keys[again].base = u64::from(u32::MAX) + 1;
@@ -595,7 +575,7 @@ mod tests {
             for (i, o) in [ObjectId(2), BIG, ObjectId(0)].into_iter().enumerate() {
                 let (slot, _) = keys.enter(o);
                 keys[slot].base = i as u64 + 1;
-                keys[slot].entries = Installers::Cold(TxnId(i as u32 + 1), 1);
+                keys[slot].cold = Some((TxnId(i as u32 + 1), 1));
                 keys.settle(slot);
             }
             keys

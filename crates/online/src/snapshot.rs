@@ -25,7 +25,6 @@ use crate::checker::{
     TxnTable, WriteEntry,
 };
 use crate::gc::{Collector, GcConfig};
-use crate::keys::Installers;
 use crate::lanes::{Dag, EdgeKind, EdgeMask, Lanes};
 use crate::provenance::ProvStep;
 use crate::verdict::{kind_bit, kind_from_bit, CycleEdgeProv};
@@ -469,16 +468,14 @@ pub(crate) fn decode(bytes: &[u8], names: Option<usize>) -> Result<OnlineChecker
         }
         let base = counter(&mut d)?;
         c.objects[slot].base = base;
-        let cold = if !v2 && d.bool()? {
+        if !v2 && d.bool()? {
             if base == 0 {
                 return Err(malformed(format!(
                     "{id} has a cold entry before its first version"
                 )));
             }
-            Some((TxnId(d.u32()?), d.u32()?))
-        } else {
-            None
-        };
+            c.objects[slot].cold = Some((TxnId(d.u32()?), d.u32()?));
+        }
         let ne = d.len()?;
         for i in 0..ne {
             let txn = TxnId(d.u32()?);
@@ -509,11 +506,6 @@ pub(crate) fn decode(bytes: &[u8], names: Option<usize>) -> Result<OnlineChecker
                 let reader = known(&c.txns, TxnId(d.u32()?), "a version's reader list")?;
                 c.objects[slot].anchored.push(reader);
             }
-        }
-        match cold {
-            Some(cold) if ne == 0 => c.objects[slot].entries = Installers::Cold(cold.0, cold.1),
-            Some(cold) => c.objects[slot].superseded = Some(cold),
-            None => {}
         }
         // The readers anchored at the newest version — or, with an
         // earlier build's layout, at the initial one.

@@ -18,7 +18,7 @@
 //! the bytes the log retains.
 //!
 //! The name side-log exists because the binary event log stores
-//! resolved [`ObjectId`](adya_history::ObjectId)s: replaying the tail
+//! resolved [`ObjectId`]s: replaying the tail
 //! rebuilds the parser's write counters, but the name→id interning
 //! that future *text* tokens depend on has to be persisted separately.
 //! It is folded into compaction: each `names-<base>.log` holds the
@@ -445,6 +445,15 @@ impl SessionLog {
                 }
                 next += 1;
             }
+        }
+
+        // Ids whose names went with a compacted name log into a
+        // snapshot recovery refused: the records replayed below still
+        // name them, so each takes a placeholder no token can spell (a
+        // token never holds whitespace), and no new name takes its id.
+        for id in next..named {
+            let got = feed.intern(&format!("lost name {id}"));
+            debug_assert_eq!(u64::from(got.0), id);
         }
 
         let mut records = snap_records;

@@ -157,6 +157,39 @@ fn a_snapshot_whose_count_disagrees_with_its_window_is_refused() {
     }
 }
 
+/// Recovery that refuses every snapshot, after compaction took the
+/// older name logs, replays records naming objects whose names it no
+/// longer has: a name a later token brings in gets an id of its own,
+/// not one of theirs. Here the replayed `k` is object 0, with T1..T6's
+/// versions; were `m` given 0 too, T7's read of `m`'s initial version
+/// would be a read of a version T1 superseded before T7 began — a
+/// retired read, a stale tick — rather than of a fresh object's.
+#[test]
+fn a_recovery_that_lost_its_names_gives_a_new_name_an_id_of_its_own() {
+    let tap = TapCrashPlane::new(TapCrashConfig::default());
+    let cfg = SessionConfig::default();
+    let data = tmp("lost-names");
+    let mut s = Session::create(&data, "s", cfg, None).expect("create");
+    for i in 1..=6 {
+        s.apply_line(&format!("b{i} w{i}(k) c{i}"), &tap)
+            .expect("apply");
+    }
+    s.snapshot().expect("snapshot");
+    drop(s);
+    tamper_window(&data.join("s"), |base, _| (base, Vec::new()));
+
+    let mut s = Session::recover(&data, "s", cfg, None).expect("recovers from the log");
+    let lines = s
+        .apply_line("b7 r7(minit) w7(m) c7", &tap)
+        .expect("apply after recovery");
+    let [(_, c7)] = &lines[..] else {
+        panic!("one verdict: {lines:?}")
+    };
+    assert!(c7.contains("\"txn\": 7,"), "{c7}");
+    assert!(c7.contains("\"stale_refs\": 0,"), "{c7}");
+    fs::remove_dir_all(&data).ok();
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 

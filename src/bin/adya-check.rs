@@ -712,7 +712,7 @@ fn has_tokens(line: &str) -> bool {
 /// checker, emitting one NDJSON verdict per commit and a final summary
 /// line (`"final": true`). Metrics go to stderr so stdout stays pure
 /// NDJSON. Binary event logs are detected by their magic and handed to
-/// [`run_stream_binary`]; an [unfinished](unfinished) token with
+/// [`run_stream_binary`]; an [unfinished] token with
 /// nothing but whitespace/comments after it is treated as a torn tail
 /// (the input was cut mid-write), reported as a `truncated_input`
 /// record with exit 3 rather than a hard parse error.

@@ -191,6 +191,8 @@ fn a_restored_checker_carries_on_byte_for_byte() {
         (4, true, false, 1),
         (5, false, true, 64),
         (6, true, true, 1),
+        (7, true, true, 7),
+        (8, false, false, 7),
     ] {
         let cfg = SlidingWindow {
             keys: 24,
@@ -250,8 +252,7 @@ fn finding(v: &adya_online::Verdict) -> String {
 
 /// A witness does not depend on when collection passes run or what
 /// they peel: over dirty sliding-window streams (no retired read among
-/// them), a checker collecting at interval 1 and one at interval 64
-/// find, verdict for verdict, what the exact checker finds — the same
+/// them), checkers collecting at intervals 1, 7 and 64 find, verdict for verdict, what the exact checker finds — the same
 /// phenomena, witness text, named anti-dependency edge, cycle and
 /// provenance. A merged cycle's edges sit in an order that depends on
 /// the graph's slot numbering, so the edge a G2 witness names "through"
@@ -284,7 +285,7 @@ fn witnesses_do_not_depend_on_the_collection_schedule() {
         };
         let exact = run(false, 1);
         cycles += exact.iter().filter(|f| f.contains(" through T")).count();
-        for interval in [1, 64] {
+        for interval in [1, 7, 64] {
             assert_eq!(
                 run(true, interval),
                 exact,
@@ -298,7 +299,7 @@ fn witnesses_do_not_depend_on_the_collection_schedule() {
 /// Collection changes what the checker holds and nothing it finds: on
 /// the stream fixtures whose ids never come round again and on 520
 /// generated sliding-window streams, clean and dirty (none with a
-/// retired read), a checker collecting at interval 1 and one at 64 say
+/// retired read), checkers collecting at intervals 1, 7 and 64 say
 /// every verdict line the exact checker (`GcConfig { enabled: false }`)
 /// says, but for `pruned` and `live_txns`. (`reused_ids` is left out:
 /// there a `b1` while the checker still holds a finished T1 continues
@@ -341,7 +342,7 @@ fn collection_changes_no_finding() {
     for (what, events) in &streams {
         assert_eq!(common::retired_reads(events), 0, "{what}");
         let want = findings(events, exact);
-        for interval in [1, 64] {
+        for interval in [1, 7, 64] {
             let gc = GcConfig {
                 enabled: true,
                 interval,
