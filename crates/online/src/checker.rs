@@ -336,29 +336,18 @@ impl OnlineChecker {
 
     /// Whether a parser counter for `t`'s writes of `o`, restored beside
     /// this just-restored checker, is one of a transaction it holds:
-    /// `t` wrote `o` while it ran, or after it ended — a stray, which the
-    /// image does not carry, so it is filed again here. A counter of a
-    /// `t` not held, or running again under a reused id, is an earlier
-    /// holder's.
-    pub(crate) fn adopt_counter(&mut self, t: TxnId, o: ObjectId) -> bool {
+    /// `t` has ended — whatever it wrote, before its terminal event or
+    /// after — or runs and wrote `o`. A counter of a `t` not held, or
+    /// running again under a reused id and not yet writing `o`, is an
+    /// earlier holder's.
+    pub(crate) fn adopt_counter(&self, t: TxnId, o: ObjectId) -> bool {
         let Some(slot) = self.txns.lookup(t) else {
             return false;
         };
-        let txn = &self.txns[slot];
         // An image lists every transaction's writes sealed, running or
         // not, and a running one's go onto its record in that order.
-        let wrote = match self.running_of(txn) {
-            Some(running) => running.writes.binary_search_by_key(&o, |w| w.0).is_ok(),
-            None => txn.write_of(o).is_some(),
-        };
-        if wrote {
-            return true;
-        }
-        let ended = txn.status != Status::Active;
-        if ended {
-            self.gc.note_stray(t, o);
-        }
-        ended
+        self.running_of(&self.txns[slot])
+            .is_none_or(|running| running.writes.binary_search_by_key(&o, |w| w.0).is_ok())
     }
 
     /// Transactions whose rows the GC has released so far.
@@ -549,12 +538,7 @@ impl OnlineChecker {
     fn on_write(&mut self, t: TxnSlot, o: ObjectId, seq: u32) {
         let txn = &self.txns[t];
         if txn.status != Status::Active {
-            // A write after the terminal event: ill-formed, ignored —
-            // but a parser counted it, and must forget it with `t`.
-            if txn.write_of(o).is_none() {
-                self.gc.note_stray(self.txns.key_of(t), o);
-            }
-            return;
+            return; // a write after the terminal event: ill-formed, ignored
         }
         // Unsorted until the terminal event seals them; a run of writes
         // to one object stays one entry.

@@ -22,7 +22,7 @@
 //! appending instead of refusing the whole file.
 
 use std::collections::hash_map::RandomState;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::hash::BuildHasher;
 
 use adya_history::{
@@ -45,9 +45,10 @@ use crate::wire::{self, FrameError, WireError};
 /// [`restore`] freeze it to deterministic bytes (binary log events
 /// alone cannot rebuild the name table).
 ///
-/// On its own the parser never forgets a counter; a [`StreamFeed`]
-/// drops a transaction's counters when its checker releases it, and
-/// reads the seq of a released writer's newest version off the
+/// The counters are kept by transaction, so one transaction's leave in
+/// one removal. On its own the parser never forgets a counter; a
+/// [`StreamFeed`] drops a transaction's when its checker releases it,
+/// and reads the seq of a released writer's newest version off the
 /// checker's cold entry.
 ///
 /// [`snapshot`]: StreamParser::snapshot
@@ -55,7 +56,9 @@ use crate::wire::{self, FrameError, WireError};
 #[derive(Debug, Default, Clone)]
 pub struct StreamParser {
     names: Names,
-    last_seq: HashMap<(TxnId, ObjectId), u32>,
+    /// Each transaction's write counters, by object. A transaction is
+    /// here only with a counter.
+    last_seq: HashMap<TxnId, BTreeMap<ObjectId, u32>>,
 }
 
 /// The interned object names, id ↔ name: every name once, in one byte
@@ -145,13 +148,15 @@ impl StreamParser {
         for name in self.names.iter() {
             e.str(name);
         }
-        let mut seqs: Vec<_> = self.last_seq.iter().collect();
-        seqs.sort_by_key(|((t, o), _)| (t.0, o.0));
-        e.len(seqs.len());
-        for ((txn, object), seq) in seqs {
-            e.u32(txn.0);
-            e.u32(object.0);
-            e.u32(*seq);
+        let mut txns: Vec<_> = self.last_seq.iter().collect();
+        txns.sort_unstable_by_key(|&(t, _)| t);
+        e.len(self.counters());
+        for (txn, seqs) in txns {
+            for (object, seq) in seqs {
+                e.u32(txn.0);
+                e.u32(object.0);
+                e.u32(*seq);
+            }
         }
         e.into_bytes()
     }
@@ -178,7 +183,6 @@ impl StreamParser {
             p.names.push(&name, h);
         }
         let n = d.len()?;
-        p.last_seq.reserve(n);
         let mut prev = None;
         for _ in 0..n {
             let key = (d.u32()?, d.u32()?);
@@ -199,7 +203,7 @@ impl StreamParser {
                 return malformed("duplicate or out of order");
             }
             prev = Some(key);
-            p.last_seq.insert((TxnId(key.0), ObjectId(key.1)), seq);
+            p.note_write(TxnId(key.0), ObjectId(key.1), seq);
         }
         if d.remaining() != 0 {
             return Err(WireError::Malformed(format!(
@@ -212,7 +216,7 @@ impl StreamParser {
 
     /// Write counters held: one per (transaction, object) written.
     pub fn counters(&self) -> usize {
-        self.last_seq.len()
+        self.last_seq.values().map(BTreeMap::len).sum()
     }
 
     /// The interned name of `o` (for rendering verdicts).
@@ -237,12 +241,12 @@ impl StreamParser {
     /// log events through this keeps latest-version read resolution
     /// (`r2(x1)`) identical to the uninterrupted run.
     pub(crate) fn note_write(&mut self, txn: TxnId, object: ObjectId, seq: u32) {
-        self.last_seq.insert((txn, object), seq);
+        self.last_seq.entry(txn).or_default().insert(object, seq);
     }
 
-    /// Drops `txn`'s counter for `object`, if it has one.
-    fn forget_counter(&mut self, txn: TxnId, object: ObjectId) {
-        self.last_seq.remove(&(txn, object));
+    /// Drops every counter of `txn`.
+    fn forget_txn(&mut self, txn: TxnId) {
+        self.last_seq.remove(&txn);
     }
 
     /// The id of `name`, interned now if it was not: one hash of the
@@ -277,7 +281,8 @@ impl StreamParser {
             Token::Abort(t) => Event::Abort(t),
             Token::Write { txn, target, value } => {
                 let object = self.object(target);
-                let seq = self.last_seq.entry((txn, object)).or_insert(0);
+                let seqs = self.last_seq.entry(txn).or_default();
+                let seq = seqs.entry(object).or_insert(0);
                 *seq += 1;
                 let seq = *seq;
                 let (kind, value) = match value {
@@ -311,7 +316,7 @@ impl StreamParser {
                 let version = match version {
                     VersionRef::Init => VersionId::INIT,
                     VersionRef::Latest(w) => {
-                        let seq = self.last_seq.get(&(w, object)).copied();
+                        let seq = self.last_seq.get(&w).and_then(|s| s.get(&object)).copied();
                         let seq = seq.or_else(|| cold(w, object)).unwrap_or(1);
                         VersionId::new(w, seq)
                     }
@@ -379,9 +384,10 @@ pub fn check_token(tok: &str) -> Result<Token<'_>, String> {
 
 /// A [`StreamParser`] and the [`OnlineChecker`] its events go to, kept
 /// in step: the parser holds a write counter only while the checker
-/// holds its transaction. When the collector releases T, the parser drops
-/// every counter it has for T — those of writes the checker ignored,
-/// having come after T's terminal event, included — so a later
+/// holds its transaction. The checker reports one fact, the ids of the
+/// transactions it released; for each such T the parser drops every
+/// counter it has for T in one removal — those of writes the checker
+/// ignored, having come after T's terminal event, included — so a later
 /// transaction under T's id numbers its changes from 1, as the paper
 /// names versions (`x_{i:m}`, Tᵢ's m-th change to x, §4.1), and parser
 /// state is bounded by the rows held, not by the stream. A later read
@@ -407,7 +413,7 @@ pub struct StreamFeed {
 impl StreamFeed {
     /// A fresh parser in front of `checker`.
     pub fn new(mut checker: OnlineChecker) -> StreamFeed {
-        checker.gc.track_writes();
+        checker.gc.track_releases();
         StreamFeed {
             parser: StreamParser::new(),
             checker: Box::new(checker),
@@ -427,10 +433,11 @@ impl StreamFeed {
         let names = parser.as_ref().ok().map(StreamParser::interned);
         let mut feed = StreamFeed::new(snapshot::decode(checker, names)?);
         feed.parser = parser?;
-        let checker = &mut feed.checker;
-        feed.parser
-            .last_seq
-            .retain(|&(t, o), _| checker.adopt_counter(t, o));
+        let checker = &feed.checker;
+        feed.parser.last_seq.retain(|&t, seqs| {
+            seqs.retain(|&o, _| checker.adopt_counter(t, o));
+            !seqs.is_empty()
+        });
         Ok(feed)
     }
 
@@ -486,10 +493,12 @@ impl StreamFeed {
         &self.checker
     }
 
+    /// Drops the counters of every transaction the checker released
+    /// since the last call.
     #[inline]
     fn forget_pruned(&mut self) {
-        for (t, o) in self.checker.gc.drain_released() {
-            self.parser.forget_counter(t, o);
+        for t in self.checker.gc.drain_released() {
+            self.parser.forget_txn(t);
         }
     }
 }
@@ -1095,6 +1104,56 @@ mod tests {
         run(&mut feed, "c1 a9");
         assert!(feed.checker().txns.lookup(TxnId(3)).is_none());
         assert_eq!(feed.parser().counters(), 0);
+    }
+
+    /// Every transaction `feed`'s parser holds a counter for, its
+    /// checker holds.
+    fn assert_counters_held(feed: &StreamFeed, at: &str) {
+        for t in feed.parser.last_seq.keys() {
+            let held = feed.checker.txns.lookup(*t).is_some();
+            assert!(held, "{at}: a counter of {t:?}, which the checker let go");
+        }
+    }
+
+    #[test]
+    fn the_parser_holds_counters_only_of_transactions_the_checker_holds() {
+        // Ids 1..=5 over and over, each transaction writing after its
+        // commit too (ill-formed writes the checker ignores), and T9
+        // open from the start for a while, holding the watermark.
+        let mut reused = String::from("b9 w9(x) ");
+        for i in 0..120u32 {
+            let t = i % 5 + 1;
+            let prev = (i + 4) % 5 + 1;
+            reused.push_str(&format!("b{t} r{t}(x{prev}) w{t}(x) w{t}(y) "));
+            if i % 7 == 3 {
+                reused.push_str(&format!("a{t} w{t}(v) "));
+            } else {
+                reused.push_str(&format!("c{t} w{t}(z) w{t}(x) "));
+            }
+            if i == 40 {
+                reused.push_str("c9 ");
+            }
+        }
+        let reused = run(&mut StreamFeed::new(OnlineChecker::new()), &reused);
+        for interval in [1, 64] {
+            let gc = crate::GcConfig {
+                enabled: true,
+                interval,
+            };
+            for (name, evs) in [
+                ("eventful", crate::testkit::eventful_stream()),
+                ("reused", reused.clone()),
+            ] {
+                let mut feed = StreamFeed::new(OnlineChecker::with_gc(gc));
+                for (i, ev) in evs.iter().enumerate() {
+                    feed.replay(ev);
+                    assert_counters_held(&feed, &format!("{name} @{interval}, event {i}"));
+                }
+                feed.finish();
+                assert_counters_held(&feed, &format!("{name} @{interval}, finished"));
+                assert!(feed.checker().pruned_txns() > 0, "{name} @{interval}");
+            }
+        }
     }
 
     #[test]

@@ -8,15 +8,17 @@
 //! is [`Collector::due`]. A pass walks the queue up to the watermark.
 //! Each transaction it passes has its superseded versions retired, is
 //! peeled off the cycle graphs while it is a source (with the cascade),
-//! and leaves the tables once the release rule ([`may_leave`]) holds —
-//! with its parser's counters, behind a `StreamFeed`, and its newest
-//! versions left on their objects as cold entries. What a pass visits,
-//! in which order, and the debug-build check of the whole rule against
-//! the tables stay in here (DESIGN.md, "Watermark GC").
+//! and leaves the tables once the release rule ([`may_leave`]) holds,
+//! its newest versions left on their objects as cold entries. Behind a
+//! `StreamFeed`, the collector also lists the ids it released, and the
+//! feed's parser forgets every counter of each one; the collector knows
+//! nothing of those counters. What a pass visits, in which order, and
+//! the debug-build check of the whole rule against the tables stay in
+//! here (DESIGN.md, "Watermark GC").
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
-use adya_history::{ObjectId, TxnId};
+use adya_history::TxnId;
 
 use crate::checker::{shrink_if_sparse, Running, Source, Status, TxnSlot, TxnState, TxnTable};
 use crate::keys::Keys;
@@ -96,30 +98,16 @@ pub(crate) struct Heap<'a> {
     pub(crate) prov: &'a mut Provenance,
 }
 
-/// What a released transaction leaves for a parser to forget (see
-/// [`Collector::track_writes`]).
-#[derive(Debug, Default)]
-struct Released {
-    /// (transaction, object) of every write of the transactions
-    /// released since the last drain. Empty between events.
-    queue: Vec<(TxnId, ObjectId)>,
-    /// Per held transaction, the objects it wrote after its terminal
-    /// event and not before. Rare (an ill-formed stream), so no slot
-    /// carries room for them; never serialised — `StreamFeed::restore`
-    /// files them again from its parser's counters.
-    strays: BTreeMap<TxnId, Vec<ObjectId>>,
-}
-
 /// The garbage collector's own state.
 #[derive(Debug, Default)]
 pub(crate) struct Collector {
     config: GcConfig,
     events_since_gc: u64,
     pruned_txns: u64,
-    /// The writes of the transactions released since the last drain,
-    /// for a parser to forget — kept only once something drains them
-    /// ([`Self::track_writes`]). `None`, the default, keeps nothing.
-    released: Option<Released>,
+    /// The ids of the transactions released since the last drain, for
+    /// a parser to forget — kept only once something drains them
+    /// ([`Self::track_releases`]). `None`, the default, keeps nothing.
+    released: Option<Vec<TxnId>>,
     /// The queue: (terminal clock, id) of every transaction that has
     /// ended and that no pass has passed yet, in terminal-clock order.
     /// Derived state — fed by [`Self::note_end`], rebuilt on restore
@@ -160,33 +148,17 @@ impl Collector {
         self.pruned_txns
     }
 
-    /// From now on, hands every write of a released transaction to
-    /// [`Self::drain_released`]: the objects it wrote while it ran
-    /// (its `writes`) and those it wrote after its terminal event
-    /// ([`Self::note_stray`]). That is how `StreamFeed`'s parser drops
+    /// From now on, hands the id of every released transaction to
+    /// [`Self::drain_released`]. That is how `StreamFeed`'s parser drops
     /// a transaction's counters with the transaction.
-    pub(crate) fn track_writes(&mut self) {
-        self.released.get_or_insert_with(Released::default);
+    pub(crate) fn track_releases(&mut self) {
+        self.released.get_or_insert_with(Vec::new);
     }
 
-    /// Files `object` as written by the held transaction `id` beyond
-    /// what its `writes` list — after its terminal event, a write the
-    /// checker ignores but a parser counted. Nothing, unless
-    /// [`Self::track_writes`] is on.
-    pub(crate) fn note_stray(&mut self, id: TxnId, object: ObjectId) {
-        if let Some(r) = &mut self.released {
-            let strays = r.strays.entry(id).or_default();
-            if !strays.contains(&object) {
-                strays.push(object);
-            }
-        }
-    }
-
-    /// The (transaction, object) writes of the transactions released
-    /// since the last call.
+    /// The ids of the transactions released since the last call.
     #[inline]
-    pub(crate) fn drain_released(&mut self) -> impl Iterator<Item = (TxnId, ObjectId)> + '_ {
-        self.released.iter_mut().flat_map(|r| r.queue.drain(..))
+    pub(crate) fn drain_released(&mut self) -> impl Iterator<Item = TxnId> + '_ {
+        self.released.iter_mut().flat_map(|r| r.drain(..))
     }
 
     /// Files `id`, which ended at `terminal`, at the back of the queue —
@@ -362,8 +334,8 @@ impl Collector {
     /// Releases `id` if it is still held and [`may_leave`] says it may:
     /// its versions stay on their objects as cold entries, its
     /// anchors leave its objects' reader lists, the running reads of its
-    /// versions take its final seqs, its writes go to the parser's
-    /// queue, and its row goes.
+    /// versions take its final seqs, its id goes on the list a feed
+    /// drains, and its row goes.
     fn try_release(&mut self, id: TxnId, h: &mut Heap<'_>) {
         let Some(slot) = h.txns.lookup(id) else {
             return; // a candidate twice over
@@ -399,9 +371,7 @@ impl Collector {
             }
         }
         if let Some(r) = &mut self.released {
-            r.queue.extend(t.writes.iter().map(|w| (id, w.object)));
-            let strays = r.strays.remove(&id).unwrap_or_default();
-            r.queue.extend(strays.into_iter().map(|o| (id, o)));
+            r.push(id);
         }
         h.txns.release(slot);
         self.pruned_txns += 1;

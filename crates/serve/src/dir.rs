@@ -10,6 +10,11 @@
 //!   closed           final verdict line, present once closed
 //! ```
 //!
+//! A snapshot starts a new name log at the next id; the older name logs
+//! stay while `seg-0.log` does, since a recovery that refuses every
+//! snapshot replays from record 0 and needs every name, and go with the
+//! first snapshot after it (`SessionLog`'s cadence).
+//!
 //! [`FileName`] is that grammar — nothing else in the workspace spells
 //! or parses a session file name — and [`SessionDir`] is the only code
 //! that touches the files. It changes them in exactly three ways

@@ -24,11 +24,14 @@
 //! It is folded into compaction: each `names-<base>.log` holds the
 //! names of ids `base..`, and because a snapshot's serialized parser
 //! already carries every name interned before it, the side-log rotates
-//! to a fresh empty `names-<interned>.log` at snapshot time and the
-//! older files are deleted — a session that cycles object names
-//! forever keeps at most one snapshot interval of names on disk.
-//! (Legacy `names.log` files are read as `base = 0` and migrate to the
-//! rotated scheme at their first snapshot.)
+//! to a fresh empty `names-<interned>.log` at snapshot time. The older
+//! files are deleted by the first snapshot whose compaction has taken
+//! `seg-0` — until then recovery may have to replay from record 0
+//! without a snapshot, and needs every name — so a session that cycles
+//! object names forever keeps, past its first segment, at most one
+//! snapshot interval of names on disk. (Legacy `names.log` files are
+//! read as `base = 0` and migrate to the rotated scheme with the
+//! others.)
 //!
 //! Under the default [`FsyncPolicy::Interval`] the snapshot is the
 //! durability barrier: the open segment and name log are synced just
@@ -309,23 +312,27 @@ impl SessionLog {
 
     /// Folds the name side-log into compaction: the snapshot that just
     /// landed serializes a parser that already knows every name
-    /// interned so far (`interned`), so everything the side-log holds
-    /// is redundant — rotate to a fresh empty `names-<interned>.log`
-    /// and delete the older files. This is what bounds the side-log
-    /// for sessions that cycle object names forever: at most one
-    /// snapshot interval of names is ever on disk.
+    /// interned so far (`interned`), so the side-log rotates to a fresh
+    /// empty `names-<interned>.log`. The older files go once `seg-0`
+    /// has: until then a recovery that refuses every snapshot replays
+    /// the log from record 0, and needs every name it used. This is
+    /// what bounds the side-log for sessions that cycle object names
+    /// forever: past the first segment, at most one snapshot interval
+    /// of names is ever on disk.
     fn rotate_names(&mut self, interned: u64) -> io::Result<()> {
-        if self.dir.len(self.names)? == 0 {
-            return Ok(()); // nothing interned since the last rotation
+        let files = self.dir.list()?;
+        if self.dir.len(self.names)? != 0 {
+            self.names = FileName::Names(interned);
+            self.dir.put(self.names, b"")?;
         }
-        let fresh = FileName::Names(interned);
-        self.dir.put(fresh, b"")?;
-        for (old, _) in self.dir.list()? {
-            if old.is_names() && old != fresh {
+        if files.iter().any(|&(f, _)| f == FileName::Segment(0)) {
+            return Ok(());
+        }
+        for (old, _) in files {
+            if old.is_names() && old != self.names {
                 self.dir.remove(old)?;
             }
         }
-        self.names = fresh;
         Ok(())
     }
 
@@ -917,10 +924,10 @@ mod tests {
     }
 
     #[test]
-    fn legacy_names_log_recovers_and_migrates_at_its_first_snapshot() {
+    fn legacy_names_log_recovers_and_migrates_once_seg_0_is_gone() {
         let dir = tmp("legacy-names");
         let cfg = LogConfig {
-            rotate_events: u64::MAX,
+            rotate_events: 12,
             snapshot_every: u64::MAX,
             ..LogConfig::default()
         };
@@ -946,11 +953,21 @@ mod tests {
         reference.verdicts.clear();
         reference.apply("b3 r3(x1) w3(z,1) c3");
         assert_eq!(rig.verdicts, reference.verdicts);
-        // …until the first snapshot folds it into the rotated scheme.
+        // …until a snapshot rotates it; it stays while seg-0 does (a
+        // recovery that refused the snapshot would replay from record
+        // 0)…
         rig.snapshot();
         assert_eq!(
             files(&dir),
-            vec!["names-3.log", "seg-0.log", "snap-10.snap"]
+            vec!["names-3.log", "names.log", "seg-0.log", "snap-10.snap"]
+        );
+        // …and goes with the snapshot whose compaction takes seg-0, one
+        // that interned nothing new included.
+        rig.apply("b4 w4(x,2) c4"); // records 10..13, rotation at 12
+        rig.snapshot();
+        assert_eq!(
+            files(&dir),
+            vec!["names-3.log", "seg-12.log", "snap-13.snap"]
         );
         fs::remove_dir_all(&dir).unwrap();
     }

@@ -157,13 +157,48 @@ fn a_snapshot_whose_count_disagrees_with_its_window_is_refused() {
     }
 }
 
-/// Recovery that refuses every snapshot, after compaction took the
-/// older name logs, replays records naming objects whose names it no
-/// longer has: a name a later token brings in gets an id of its own,
-/// not one of theirs. Here the replayed `k` is object 0, with T1..T6's
-/// versions; were `m` given 0 too, T7's read of `m`'s initial version
-/// would be a read of a version T1 superseded before T7 began — a
-/// retired read, a stale tick — rather than of a fresh object's.
+/// A snapshot rotates the name log, but the older one stays while
+/// `seg-0` does: recovery that refuses every snapshot replays from
+/// record 0, and still knows `k`. So T8 reads T6's `k` — the version
+/// the uninterrupted session reads — not a version T6 never wrote of a
+/// new object (a stale tick, where the older name log went with the
+/// snapshot).
+#[test]
+fn a_refused_snapshot_leaves_recovery_its_names() {
+    let tap = TapCrashPlane::new(TapCrashConfig::default());
+    let cfg = SessionConfig::default();
+    let data = tmp("kept-names");
+    let mut s = Session::create(&data, "s", cfg, None).expect("create");
+    for i in 1..=6 {
+        s.apply_line(&format!("b{i} w{i}(k) c{i}"), &tap)
+            .expect("apply");
+    }
+    s.snapshot().expect("snapshot");
+    drop(s);
+    tamper_window(&data.join("s"), |base, _| (base, Vec::new()));
+
+    let mut s = Session::recover(&data, "s", cfg, None).expect("recovers from the log");
+    let lines = s
+        .apply_line("b8 r8(k6) c8", &tap)
+        .expect("apply after recovery");
+    let [(_, c8)] = &lines[..] else {
+        panic!("one verdict: {lines:?}")
+    };
+    assert!(c8.contains("\"txn\": 8,"), "{c8}");
+    assert!(c8.contains("\"stale_refs\": 0,"), "{c8}");
+    let names = data.join("s").join("names-0.log");
+    assert!(names.exists(), "kept beside seg-0");
+    fs::remove_dir_all(&data).ok();
+}
+
+/// Recovery that refuses every snapshot, in a directory whose older
+/// name log an earlier build deleted with the snapshot, replays records
+/// naming objects whose names it no longer has: a name a later token
+/// brings in gets an id of its own, not one of theirs. Here the
+/// replayed `k` is object 0, with T1..T6's versions; were `m` given 0
+/// too, T7's read of `m`'s initial version would be a read of a version
+/// T1 superseded before T7 began — a retired read, a stale tick —
+/// rather than of a fresh object's.
 #[test]
 fn a_recovery_that_lost_its_names_gives_a_new_name_an_id_of_its_own() {
     let tap = TapCrashPlane::new(TapCrashConfig::default());
@@ -176,6 +211,9 @@ fn a_recovery_that_lost_its_names_gives_a_new_name_an_id_of_its_own() {
     }
     s.snapshot().expect("snapshot");
     drop(s);
+    // What an earlier build left: the older name log went with the
+    // snapshot, though `seg-0` stayed.
+    fs::remove_file(data.join("s").join("names-0.log")).expect("the older name log");
     tamper_window(&data.join("s"), |base, _| (base, Vec::new()));
 
     let mut s = Session::recover(&data, "s", cfg, None).expect("recovers from the log");
