@@ -108,6 +108,63 @@ pub struct SlotParts<K, L> {
     pub inc: Vec<EdgeParts<K, L>>,
 }
 
+/// One slot of an [`IncrementalDag`]'s table as [`SlotParts`] states
+/// it, read in place rather than copied out
+/// ([`IncrementalDag::slot_views`]).
+#[derive(Debug, Clone, Copy)]
+pub struct SlotView<'a, K, L>(&'a Slot<K, L>);
+
+impl<'a, K: Copy, L: Copy> SlotView<'a, K, L> {
+    /// [`SlotParts::parent`].
+    pub fn parent(self) -> usize {
+        self.0.parent as usize
+    }
+
+    /// [`SlotParts::live`].
+    pub fn live(self) -> bool {
+        self.0.members != 0
+    }
+
+    /// [`SlotParts::ord`].
+    pub fn ord(self) -> u64 {
+        self.0.ord
+    }
+
+    /// [`SlotParts::members`]. A freed slot was a singleton when it
+    /// was removed.
+    pub fn members(self) -> u32 {
+        self.0.members.max(1)
+    }
+
+    /// [`SlotParts::out`].
+    pub fn out(self) -> impl ExactSizeIterator<Item = EdgeParts<K, L>> + 'a {
+        flat(&self.0.out)
+    }
+
+    /// [`SlotParts::inc`].
+    pub fn inc(self) -> impl ExactSizeIterator<Item = EdgeParts<K, L>> + 'a {
+        flat(&self.0.inc)
+    }
+
+    /// The slot, copied out.
+    pub fn to_parts(self) -> SlotParts<K, L> {
+        SlotParts {
+            parent: self.parent(),
+            live: self.live(),
+            ord: self.ord(),
+            members: self.members(),
+            out: self.out().collect(),
+            inc: self.inc().collect(),
+        }
+    }
+}
+
+fn flat<K: Copy, L: Copy>(
+    es: &[Edge<K, L>],
+) -> impl ExactSizeIterator<Item = EdgeParts<K, L>> + '_ {
+    es.iter().map(|e| (e.slot as usize, e.src, e.dst, e.label))
+}
+
 /// A flattened, plain-data image of an [`IncrementalDag`]'s *exact*
 /// state — slot table, union-find structure, free list, dedup set and
 /// counters — produced by [`IncrementalDag::to_parts`] and consumed by
@@ -865,40 +922,48 @@ where
     /// Flattens the graph's exact internal state into a [`DagParts`]
     /// image (see its docs for the round-trip guarantee).
     pub fn to_parts(&self) -> DagParts<K, L> {
-        let flat = |es: &[Edge<K, L>]| -> Vec<EdgeParts<K, L>> {
-            es.iter()
-                .map(|e| (e.slot as usize, e.src, e.dst, e.label))
-                .collect()
-        };
-        let mut index: Vec<(K, usize)> =
-            self.index.iter().map(|(&k, &s)| (k, s as usize)).collect();
-        index.sort_unstable();
-        let mut seen: Vec<(K, K, L)> = self.seen.iter().copied().collect();
-        seen.sort_unstable();
         DagParts {
-            slots: self
-                .slots
-                .iter()
-                .map(|s| SlotParts {
-                    parent: s.parent as usize,
-                    live: s.members != 0,
-                    ord: s.ord,
-                    // A freed slot was a singleton when it was removed.
-                    members: s.members.max(1),
-                    out: flat(&s.out),
-                    inc: flat(&s.inc),
-                })
-                .collect(),
-            index,
-            free: (self.slots.iter().enumerate())
-                .filter(|(_, slot)| slot.members == 0)
-                .map(|(s, _)| s)
-                .collect(),
-            seen,
+            slots: self.slot_views().map(SlotView::to_parts).collect(),
+            index: self.sorted_index(),
+            free: self.free_slots().collect(),
+            seen: self.sorted_edges(),
             next_ord: self.next_ord,
             reorders: self.reorders,
             merges: self.merges,
         }
+    }
+
+    /// [`DagParts::slots`], borrowed: the slot table in order.
+    pub fn slot_views(&self) -> impl ExactSizeIterator<Item = SlotView<'_, K, L>> {
+        self.slots.iter().map(SlotView)
+    }
+
+    /// [`DagParts::index`]: key → slot, sorted by key.
+    pub fn sorted_index(&self) -> Vec<(K, usize)> {
+        let mut index: Vec<(K, usize)> =
+            self.index.iter().map(|(&k, &s)| (k, s as usize)).collect();
+        index.sort_unstable();
+        index
+    }
+
+    /// [`DagParts::free`]: the freed slots, ascending.
+    pub fn free_slots(&self) -> impl Iterator<Item = usize> + '_ {
+        self.slot_views()
+            .enumerate()
+            .filter(|(_, slot)| !slot.live())
+            .map(|(s, _)| s)
+    }
+
+    /// [`DagParts::seen`]: the distinct recorded edges, sorted.
+    pub fn sorted_edges(&self) -> Vec<(K, K, L)> {
+        let mut seen: Vec<(K, K, L)> = self.seen.iter().copied().collect();
+        seen.sort_unstable();
+        seen
+    }
+
+    /// [`DagParts::next_ord`]: the next topological order value.
+    pub fn next_ord(&self) -> u64 {
+        self.next_ord
     }
 
     /// Reconstructs a graph from a [`to_parts`] image — one that

@@ -42,5 +42,5 @@ mod scc;
 pub use cycle::{BackPaths, Cycle, CycleEdge};
 pub use digraph::{DiGraph, EdgeRef, NodeIdx};
 pub use dot::Dot;
-pub use incremental::{DagParts, EdgeParts, IncrementalDag, Insert, SccInfo, SlotParts};
+pub use incremental::{DagParts, EdgeParts, IncrementalDag, Insert, SccInfo, SlotParts, SlotView};
 pub use scc::{label_components, topo_order_of};

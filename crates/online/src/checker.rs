@@ -22,6 +22,7 @@ use crate::provenance::{ProvStep, Provenance};
 use crate::snapshot::{self, SnapshotError};
 use crate::tables::{Recycle, Slot, Table};
 use crate::verdict::{strongest_ansi_of, Fired, Verdict, VerdictFact};
+use crate::wire::{Enc, Sink};
 
 pub(crate) type TxnSlot = Slot<TxnId>;
 pub(crate) type ObjSlot = Slot<ObjectId>;
@@ -1022,7 +1023,16 @@ impl OnlineChecker {
     ///
     /// [`restore`]: OnlineChecker::restore
     pub fn snapshot(&self) -> Vec<u8> {
-        snapshot::encode(self)
+        let mut e = Enc::new();
+        self.snapshot_into(&mut e);
+        e.into_bytes()
+    }
+
+    /// Writes the [`snapshot`](OnlineChecker::snapshot) image into `e`,
+    /// in place: through a [`ByteCount`](crate::wire::ByteCount), its
+    /// length.
+    pub fn snapshot_into<S: Sink>(&self, e: &mut Enc<S>) {
+        snapshot::encode(self, e);
     }
 
     /// Revives a checker from [`snapshot`] bytes. The image is not

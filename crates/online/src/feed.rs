@@ -144,6 +144,13 @@ impl StreamParser {
     /// produce equal bytes, so snapshots can prove state equality.
     pub fn snapshot(&self) -> Vec<u8> {
         let mut e = wire::Enc::new();
+        self.snapshot_into(&mut e);
+        e.into_bytes()
+    }
+
+    /// Writes the [`snapshot`](StreamParser::snapshot) image into `e`,
+    /// in place: through a [`ByteCount`](wire::ByteCount), its length.
+    pub fn snapshot_into<S: wire::Sink>(&self, e: &mut wire::Enc<S>) {
         e.len(self.names.len());
         for name in self.names.iter() {
             e.str(name);
@@ -158,7 +165,6 @@ impl StreamParser {
                 e.u32(*seq);
             }
         }
-        e.into_bytes()
     }
 
     /// Revives a parser from [`snapshot`](StreamParser::snapshot)
@@ -568,6 +574,10 @@ pub fn encode_record(out: &mut Vec<u8>, ev: &Event) {
 pub struct EventLogReader<'a> {
     buf: &'a [u8],
     pos: usize,
+    /// Log bytes between the header and `buf[LOG_MAGIC.len()]` that
+    /// were never read ([`open_tail`](EventLogReader::open_tail)): what
+    /// an offset in `buf` is short of the same offset in the log.
+    skipped: usize,
     failed: bool,
 }
 
@@ -580,32 +590,43 @@ impl<'a> EventLogReader<'a> {
         Ok(EventLogReader {
             buf,
             pos: LOG_MAGIC.len(),
+            skipped: 0,
             failed: false,
         })
     }
 
-    /// Opens `buf` positioned at `offset` — a byte offset previously
-    /// reported by [`offset`](EventLogReader::offset) or by
-    /// [`LogError::TornTail::good_len`] — so recovery resumes exactly
-    /// where a prior scan stopped instead of re-reading the segment
-    /// from the top. `offset` must land on a record boundary inside
-    /// the log (at minimum the magic header, at most the buffer end).
+    /// Opens a log of `len` bytes at `offset` — a byte offset
+    /// previously reported by [`offset`](EventLogReader::offset) or by
+    /// [`LogError::TornTail::good_len`] — from `buf`, the log's header
+    /// followed by its bytes from `offset` on: recovery resumes exactly
+    /// where a prior scan stopped without reading the records before
+    /// it again. `offset` must land on a record boundary inside the log
+    /// (at minimum the magic header, at most `len`). Offsets, reported
+    /// and taken, are the whole log's.
     ///
     /// [`LogError::TornTail::good_len`]: LogError::TornTail
-    pub fn open_at(buf: &'a [u8], offset: usize) -> Result<EventLogReader<'a>, LogError> {
+    pub fn open_tail(
+        buf: &'a [u8],
+        offset: usize,
+        len: usize,
+    ) -> Result<EventLogReader<'a>, LogError> {
         let reader = EventLogReader::open(buf)?;
-        if offset < LOG_MAGIC.len() || offset > buf.len() {
+        if offset < LOG_MAGIC.len() || offset > len {
             return Err(LogError::Corrupt {
                 offset,
                 detail: format!(
-                    "resume offset outside the log (header {}, len {})",
-                    LOG_MAGIC.len(),
-                    buf.len()
+                    "resume offset outside the log (header {}, len {len})",
+                    LOG_MAGIC.len()
                 ),
             });
         }
+        debug_assert_eq!(
+            buf.len() - LOG_MAGIC.len(),
+            len - offset,
+            "a tail not of this log"
+        );
         Ok(EventLogReader {
-            pos: offset,
+            skipped: offset - LOG_MAGIC.len(),
             ..reader
         })
     }
@@ -619,13 +640,13 @@ impl<'a> EventLogReader<'a> {
     /// Byte offset of the next unread record (= length of the intact
     /// prefix once iteration finishes cleanly).
     pub fn offset(&self) -> usize {
-        self.pos
+        self.skipped + self.pos
     }
 
     fn torn(&mut self, detail: String) -> LogError {
         self.failed = true;
         LogError::TornTail {
-            good_len: self.pos,
+            good_len: self.offset(),
             detail,
         }
     }
@@ -660,12 +681,12 @@ impl<'a> EventLogReader<'a> {
                 self.failed = true;
                 return Some(Err(if rest.len() == wire::FRAME_HEADER + len {
                     LogError::TornTail {
-                        good_len: start,
+                        good_len: self.offset(),
                         detail: "final record failed its checksum".into(),
                     }
                 } else {
                     LogError::Corrupt {
-                        offset: start,
+                        offset: self.offset(),
                         detail: "record failed its checksum".into(),
                     }
                 }));
@@ -681,7 +702,7 @@ impl<'a> EventLogReader<'a> {
             Err(WireError::Malformed(m)) => {
                 self.failed = true;
                 Some(Err(LogError::Corrupt {
-                    offset: start,
+                    offset: self.offset(),
                     detail: m,
                 }))
             }
@@ -1156,8 +1177,13 @@ mod tests {
         }
     }
 
+    /// The log's header and its bytes from `at` on.
+    fn tail_of(log: &[u8], at: usize) -> Vec<u8> {
+        [&log[..LOG_MAGIC.len()], &log[at..]].concat()
+    }
+
     #[test]
-    fn open_at_resumes_a_scan_without_rescanning() {
+    fn open_tail_resumes_a_scan_without_rescanning() {
         let evs = sample_events();
         let buf = encode_log(&evs);
         // First pass: read two records, note the offset.
@@ -1165,13 +1191,15 @@ mod tests {
         r.next().unwrap().unwrap();
         r.next().unwrap().unwrap();
         let mid = r.offset();
-        // Second pass resumes exactly there.
-        let mut r2 = EventLogReader::open_at(&buf, mid).unwrap();
+        // Second pass resumes exactly there, from the tail alone.
+        let tail = tail_of(&buf, mid);
+        let mut r2 = EventLogReader::open_tail(&tail, mid, buf.len()).unwrap();
         let mut rest = Vec::new();
         while let Some(item) = r2.next() {
             rest.push(item.unwrap());
         }
         assert_eq!(rest, evs[2..]);
+        assert_eq!(r2.offset(), buf.len());
         // A torn tail's good_len is a valid resume point: the resumed
         // reader immediately reports the same torn tail.
         let torn = &buf[..buf.len() - 3];
@@ -1181,19 +1209,53 @@ mod tests {
             other => panic!("{other:?}"),
         };
         assert_eq!(prefix.len(), evs.len() - 1);
-        let mut r3 = EventLogReader::open_at(torn, good_len).unwrap();
+        let tail = tail_of(torn, good_len);
+        let mut r3 = EventLogReader::open_tail(&tail, good_len, torn.len()).unwrap();
         match r3.next().unwrap() {
             Err(LogError::TornTail { good_len: g, .. }) => assert_eq!(g, good_len),
             other => panic!("{other:?}"),
         }
         // Out-of-range offsets are refused.
-        assert!(EventLogReader::open_at(&buf, 2).is_err());
-        assert!(EventLogReader::open_at(&buf, buf.len() + 1).is_err());
+        let head = &buf[..LOG_MAGIC.len()];
+        assert!(EventLogReader::open_tail(head, 2, buf.len()).is_err());
+        assert!(EventLogReader::open_tail(head, buf.len() + 1, buf.len()).is_err());
         // At exactly the end the reader is cleanly exhausted.
-        assert!(EventLogReader::open_at(&buf, buf.len())
+        assert!(EventLogReader::open_tail(head, buf.len(), buf.len())
             .unwrap()
             .next()
             .is_none());
+    }
+
+    /// Every item and every offset a tail reader reports, damage
+    /// included, is the one a reader over the whole log reports once
+    /// it has read up to the same offset.
+    #[test]
+    fn a_tail_reader_reports_the_whole_logs_offsets() {
+        let buf = encode_log(&sample_events());
+        let mut r = EventLogReader::open(&buf).unwrap();
+        r.next().unwrap().unwrap();
+        let mid = r.offset();
+        let mut corrupt = buf.clone();
+        corrupt[mid + 9] ^= 1; // the second record's payload
+        let torn = &buf[..buf.len() - 3];
+        for log in [&buf[..], torn, &corrupt[..]] {
+            for at in [LOG_MAGIC.len(), mid] {
+                let mut whole = EventLogReader::open(log).unwrap();
+                while whole.offset() < at {
+                    whole.next().unwrap().unwrap();
+                }
+                let tail = tail_of(log, at);
+                let mut part = EventLogReader::open_tail(&tail, at, log.len()).unwrap();
+                loop {
+                    assert_eq!(part.offset(), whole.offset());
+                    let (a, b) = (part.next(), whole.next());
+                    assert_eq!(a, b);
+                    if a.is_none() {
+                        break;
+                    }
+                }
+            }
+        }
     }
 
     #[test]

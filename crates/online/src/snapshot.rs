@@ -17,7 +17,7 @@
 
 use std::collections::HashSet;
 
-use adya_graph::{DagParts, IncrementalDag, SlotParts};
+use adya_graph::{DagParts, EdgeParts, IncrementalDag, SlotParts};
 use adya_history::{ObjectId, TxnId, VersionId};
 
 use crate::checker::{
@@ -28,7 +28,7 @@ use crate::gc::{Collector, GcConfig};
 use crate::lanes::{Dag, EdgeKind, EdgeMask, Lanes};
 use crate::provenance::ProvStep;
 use crate::verdict::{kind_bit, kind_from_bit, CycleEdgeProv};
-use crate::wire::{crc32, Dec, Enc, WireError};
+use crate::wire::{crc32, Dec, Enc, Sink, WireError};
 
 /// First 8 bytes of every checker snapshot this build writes. `\x03`
 /// gave objects their cold entries, left out the counters a restore
@@ -75,9 +75,13 @@ impl std::fmt::Display for SnapshotError {
 
 impl std::error::Error for SnapshotError {}
 
-/// See [`OnlineChecker::snapshot`].
-pub(crate) fn encode(c: &OnlineChecker) -> Vec<u8> {
-    let mut e = Enc::new();
+/// See [`OnlineChecker::snapshot_into`].
+pub(crate) fn encode<S: Sink>(c: &OnlineChecker, e: &mut Enc<S>) {
+    e.bytes(&SNAP_MAGIC);
+    e.crc_prefixed(|e| encode_payload(c, e));
+}
+
+fn encode_payload<S: Sink>(c: &OnlineChecker, e: &mut Enc<S>) {
     e.u64(c.clock);
     let gc = c.gc.config();
     e.bool(gc.enabled);
@@ -212,16 +216,10 @@ pub(crate) fn encode(c: &OnlineChecker) -> Vec<u8> {
             None => e.bool(false),
             Some(g) => {
                 e.bool(true);
-                enc_dag(&mut e, g);
+                enc_dag(e, g);
             }
         }
     }
-    let payload = e.into_bytes();
-    let mut out = Vec::with_capacity(SNAP_MAGIC.len() + 4 + payload.len());
-    out.extend_from_slice(&SNAP_MAGIC);
-    out.extend_from_slice(&crc32(&payload).to_le_bytes());
-    out.extend_from_slice(&payload);
-    out
 }
 
 fn malformed(what: impl Into<String>) -> SnapshotError {
@@ -592,42 +590,52 @@ fn derive(c: &mut OnlineChecker) -> Result<(), String> {
     Ok(())
 }
 
-fn enc_dag(e: &mut Enc, g: &Dag) {
-    let p = g.to_parts();
-    e.len(p.slots.len());
-    for s in &p.slots {
-        e.u64(s.parent as u64);
-        e.bool(s.live);
-        e.u64(s.ord);
-        e.u32(s.members);
-        for edges in [&s.out, &s.inc] {
-            e.len(edges.len());
-            for &(slot, src, dst, label) in edges {
-                e.u64(slot as u64);
-                e.u32(src.0);
-                e.u32(dst.0);
-                e.u8(label.0);
-            }
-        }
+/// [`IncrementalDag::to_parts`]'s image, read off the graph in place:
+/// no copy of its slot table.
+fn enc_dag<S: Sink>(e: &mut Enc<S>, g: &Dag) {
+    let slots = g.slot_views();
+    e.len(slots.len());
+    for s in slots {
+        e.u64(s.parent() as u64);
+        e.bool(s.live());
+        e.u64(s.ord());
+        e.u32(s.members());
+        enc_edges(e, s.out());
+        enc_edges(e, s.inc());
     }
-    e.len(p.index.len());
-    for &(k, s) in &p.index {
+    let index = g.sorted_index();
+    e.len(index.len());
+    for &(k, s) in &index {
         e.u32(k.0);
         e.u64(s as u64);
     }
-    e.len(p.free.len());
-    for &s in &p.free {
+    e.len(g.free_slots().count());
+    for s in g.free_slots() {
         e.u64(s as u64);
     }
-    e.len(p.seen.len());
-    for &(a, b, l) in &p.seen {
+    let seen = g.sorted_edges();
+    e.len(seen.len());
+    for &(a, b, l) in &seen {
         e.u32(a.0);
         e.u32(b.0);
         e.u8(l.0);
     }
-    e.u64(p.next_ord);
-    e.u64(p.reorders);
-    e.u64(p.merges);
+    e.u64(g.next_ord());
+    e.u64(g.reorders());
+    e.u64(g.merges());
+}
+
+fn enc_edges<S: Sink>(
+    e: &mut Enc<S>,
+    edges: impl ExactSizeIterator<Item = EdgeParts<TxnId, EdgeMask>>,
+) {
+    e.len(edges.len());
+    for (slot, src, dst, label) in edges {
+        e.u64(slot as u64);
+        e.u32(src.0);
+        e.u32(dst.0);
+        e.u8(label.0);
+    }
 }
 
 fn dec_label(d: &mut Dec<'_>) -> Result<EdgeMask, SnapshotError> {

@@ -133,10 +133,65 @@ impl fmt::Display for WireError {
 
 impl std::error::Error for WireError {}
 
-/// Byte-string encoder (append-only).
+/// Where an [`Enc`] puts its bytes: a buffer (`Vec<u8>`), or a
+/// [`ByteCount`] that only counts them — the sizing pass that lets an
+/// image be encoded once, into a buffer of exactly its size.
+pub trait Sink {
+    /// Appends `bytes`.
+    fn put(&mut self, bytes: &[u8]);
+    /// Bytes put so far.
+    fn written(&self) -> usize;
+    /// Overwrites bytes put earlier, from `at` on.
+    fn patch(&mut self, at: usize, bytes: &[u8]);
+    /// CRC-32 of the bytes put from `at` on.
+    fn crc_from(&self, at: usize) -> u32;
+}
+
+impl Sink for Vec<u8> {
+    fn put(&mut self, bytes: &[u8]) {
+        self.extend_from_slice(bytes);
+    }
+
+    fn written(&self) -> usize {
+        self.len()
+    }
+
+    fn patch(&mut self, at: usize, bytes: &[u8]) {
+        self[at..at + bytes.len()].copy_from_slice(bytes);
+    }
+
+    fn crc_from(&self, at: usize) -> u32 {
+        crc32(&self[at..])
+    }
+}
+
+/// A [`Sink`] that keeps nothing: how many bytes an encoding takes.
+/// Its patches are lost and its checksums are 0, which changes no
+/// length.
 #[derive(Debug, Default)]
-pub struct Enc {
-    buf: Vec<u8>,
+pub struct ByteCount(usize);
+
+impl Sink for ByteCount {
+    fn put(&mut self, bytes: &[u8]) {
+        self.0 += bytes.len();
+    }
+
+    fn written(&self) -> usize {
+        self.0
+    }
+
+    fn patch(&mut self, _: usize, _: &[u8]) {}
+
+    fn crc_from(&self, _: usize) -> u32 {
+        0
+    }
+}
+
+/// Byte-string encoder (append-only) over a [`Sink`]: a `Vec<u8>`
+/// unless said otherwise.
+#[derive(Debug, Default)]
+pub struct Enc<S = Vec<u8>> {
+    buf: S,
 }
 
 impl Enc {
@@ -145,29 +200,43 @@ impl Enc {
         Enc::default()
     }
 
+    /// An empty encoder whose buffer has room for `bytes`.
+    pub fn with_capacity(bytes: usize) -> Enc {
+        Enc {
+            buf: Vec::with_capacity(bytes),
+        }
+    }
+
     /// Consumes the encoder, returning the bytes.
     pub fn into_bytes(self) -> Vec<u8> {
         self.buf
     }
+}
+
+impl<S: Sink> Enc<S> {
+    /// Bytes written so far.
+    pub fn written(&self) -> usize {
+        self.buf.written()
+    }
 
     /// Appends one byte.
     pub fn u8(&mut self, v: u8) {
-        self.buf.push(v);
+        self.buf.put(&[v]);
     }
 
     /// Appends a little-endian u32.
     pub fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
+        self.buf.put(&v.to_le_bytes());
     }
 
     /// Appends a little-endian u64.
     pub fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
+        self.buf.put(&v.to_le_bytes());
     }
 
     /// Appends a little-endian i64.
     pub fn i64(&mut self, v: i64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
+        self.buf.put(&v.to_le_bytes());
     }
 
     /// Appends a bool as one byte.
@@ -183,13 +252,49 @@ impl Enc {
     /// Appends a length-prefixed UTF-8 string.
     pub fn str(&mut self, s: &str) {
         self.len(s.len());
-        self.buf.extend_from_slice(s.as_bytes());
+        self.buf.put(s.as_bytes());
     }
 
     /// Appends raw bytes (write a length first — e.g. [`Enc::len`] —
     /// if the decoder needs to find the end).
     pub fn bytes(&mut self, b: &[u8]) {
-        self.buf.extend_from_slice(b);
+        self.buf.put(b);
+    }
+
+    /// Appends what `body` writes behind its length as a u64
+    /// ([`Enc::len`]), patched in once `body` is done: what
+    /// `e.len(b.len()); e.bytes(&b)` writes, without the bytes `b`.
+    pub fn len_prefixed(&mut self, body: impl FnOnce(&mut Self)) {
+        let at = self.written();
+        self.u64(0);
+        body(self);
+        let len = (self.written() - at - 8) as u64;
+        self.buf.patch(at, &len.to_le_bytes());
+    }
+
+    /// Appends what `body` writes behind its CRC-32, patched in once
+    /// `body` is done.
+    pub fn crc_prefixed(&mut self, body: impl FnOnce(&mut Self)) {
+        let at = self.written();
+        self.u32(0);
+        body(self);
+        let crc = self.buf.crc_from(at + 4);
+        self.buf.patch(at, &crc.to_le_bytes());
+    }
+
+    /// Appends `[magic]` and a [`frame`] around what `body` writes, its
+    /// length and CRC-32 patched in once `body` is done: the bytes
+    /// [`seal`] makes of the same payload, without the payload's copy.
+    pub fn sealed(&mut self, magic: &[u8; 8], body: impl FnOnce(&mut Self)) {
+        self.bytes(magic);
+        let at = self.written();
+        self.bytes(&[0; FRAME_HEADER]);
+        body(self);
+        let len = self.written() - at - FRAME_HEADER;
+        let len = u32::try_from(len).expect("frame payloads stay far below 4 GiB");
+        let crc = self.buf.crc_from(at + FRAME_HEADER);
+        self.buf.patch(at, &len.to_le_bytes());
+        self.buf.patch(at + 4, &crc.to_le_bytes());
     }
 }
 
@@ -518,6 +623,43 @@ mod tests {
         let sealed = seal(b"ADYASRV\x01", b"adya");
         assert_eq!(hex(&sealed), "414459415352560104000000f7bf482961647961");
         assert_eq!(open(b"ADYASRV\x01", &sealed), Some(&b"adya"[..]));
+    }
+
+    /// What the in-place writers lay out is what the nested copies do,
+    /// and a [`ByteCount`] running the same encoder counts its length.
+    #[test]
+    fn in_place_layouts_are_the_nested_ones() {
+        fn image<S: Sink>(e: &mut Enc<S>) {
+            e.sealed(b"ADYASRV\x02", |e| {
+                e.u64(7);
+                e.len_prefixed(|e| e.str("parser"));
+                e.len_prefixed(|e| {
+                    e.bytes(b"MAGIC!!!");
+                    e.crc_prefixed(|e| e.u32(0xfeed));
+                });
+                e.len_prefixed(|_| {});
+                e.u8(1);
+            });
+        }
+        let mut e = Enc::new();
+        image(&mut e);
+        let mut count = Enc::<ByteCount>::default();
+        image(&mut count);
+        assert_eq!(count.written(), e.written());
+
+        let mut parser = Enc::new();
+        parser.str("parser");
+        let parser = parser.into_bytes();
+        let body = 0xfeed_u32.to_le_bytes();
+        let checker = [&b"MAGIC!!!"[..], &crc32(&body).to_le_bytes(), &body].concat();
+        let mut payload = Enc::new();
+        payload.u64(7);
+        for part in [&parser[..], &checker, &[]] {
+            payload.len(part.len());
+            payload.bytes(part);
+        }
+        payload.u8(1);
+        assert_eq!(e.into_bytes(), seal(b"ADYASRV\x02", &payload.into_bytes()));
     }
 
     #[test]

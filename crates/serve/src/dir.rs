@@ -291,6 +291,24 @@ impl SessionDir {
         fs::read(self.path.join(file.to_string()))
     }
 
+    /// A segment's header ([`LOG_MAGIC`]'s length of bytes) followed by
+    /// its bytes from `from` on, and the file's length: what a reader
+    /// resuming at `from` needs, without the records between. (Past the
+    /// end, the tail is empty.)
+    pub fn read_tail(&self, file: FileName, from: u64) -> io::Result<(Vec<u8>, u64)> {
+        let head = LOG_MAGIC.len() as u64;
+        let mut f = File::open(self.path.join(file.to_string()))?;
+        let len = f.metadata()?.len();
+        let from = from.max(head);
+        let mut buf = Vec::with_capacity((head + len.saturating_sub(from)) as usize);
+        (&f).take(head).read_to_end(&mut buf)?;
+        if from <= len {
+            f.seek(SeekFrom::Start(from))?;
+            f.read_to_end(&mut buf)?;
+        }
+        Ok((buf, len))
+    }
+
     /// Byte length of an append-only file: the offset the next
     /// [`append`](SessionDir::append) to it lands at. An absent file
     /// is created empty.
@@ -644,6 +662,22 @@ mod tests {
         dir.sync().unwrap(); // a dirty file compacted away is fine
         assert_eq!(dir.len(seg).unwrap(), 0);
         assert!(!path.join(TMP).exists());
+        fs::remove_dir_all(&path).unwrap();
+    }
+
+    #[test]
+    fn a_tail_read_skips_what_lies_between_the_head_and_the_offset() {
+        let path = tmp("tail");
+        let mut dir = SessionDir::create(&path, FsyncPolicy::Never, None).unwrap();
+        let seg = FileName::Segment(0);
+        dir.append(seg, b"HEADER--record-1|record-2|", 0, None)
+            .unwrap();
+        let tail = |from| dir.read_tail(seg, from).unwrap();
+        assert_eq!(tail(17), (b"HEADER--record-2|".to_vec(), 26));
+        assert_eq!(tail(8), (b"HEADER--record-1|record-2|".to_vec(), 26));
+        assert_eq!(tail(26), (b"HEADER--".to_vec(), 26));
+        assert_eq!(tail(40), (b"HEADER--".to_vec(), 26), "past the end");
+        assert_eq!(tail(u64::MAX), (b"HEADER--".to_vec(), 26), "no seek");
         fs::remove_dir_all(&path).unwrap();
     }
 

@@ -264,19 +264,23 @@ impl SessionLog {
         feed: &StreamFeed,
         verdicts: &VerdictLog,
     ) -> io::Result<usize> {
-        let mut e = wire::Enc::new();
-        e.u64(self.records);
-        verdicts.write_count(&mut e);
-        e.u64(self.seg_start);
-        e.u64(self.dir.len(FileName::Segment(self.seg_start))?);
-        let parser_bytes = feed.parser().snapshot();
-        e.len(parser_bytes.len());
-        e.bytes(&parser_bytes);
-        let checker_bytes = feed.checker().snapshot();
-        e.len(checker_bytes.len());
-        e.bytes(&checker_bytes);
-        verdicts.write_window(&mut e);
-        let buf = wire::seal(&SNAP_MAGIC, &e.into_bytes());
+        // Sized first, then written into a buffer of exactly that size:
+        // the image is allocated once, and no part of it is copied.
+        let at = Horizon {
+            records: self.records,
+            seg_start: self.seg_start,
+            seg_off: self.dir.len(FileName::Segment(self.seg_start))?,
+        };
+        let mut size = wire::Enc::<wire::ByteCount>::default();
+        write_image(&mut size, at, feed, verdicts);
+        let mut e = wire::Enc::with_capacity(size.written());
+        write_image(&mut e, at, feed, verdicts);
+        debug_assert_eq!(
+            e.written(),
+            size.written(),
+            "the sizing pass and the image disagree"
+        );
+        let buf = e.into_bytes();
 
         // The open files catch up with stable storage first, so the
         // snapshot never outlives log bytes it claims to cover.
@@ -382,17 +386,22 @@ impl SessionLog {
             }
         }
         let SnapState {
-            records: snap_records,
-            seg_start: snap_seg,
-            seg_off: snap_off,
+            at:
+                Horizon {
+                    records: snap_records,
+                    seg_start: snap_seg,
+                    seg_off: snap_off,
+                },
             mut feed,
             mut verdict_log,
         } = match state {
             Some(s) => s,
             None => SnapState {
-                records: 0,
-                seg_start: 0,
-                seg_off: LOG_MAGIC.len() as u64,
+                at: Horizon {
+                    records: 0,
+                    seg_start: 0,
+                    seg_off: LOG_MAGIC.len() as u64,
+                },
                 feed: {
                     let mut c = OnlineChecker::with_gc(gc);
                     c.set_provenance(provenance);
@@ -478,15 +487,21 @@ impl SessionLog {
                 continue; // fully covered by the snapshot
             }
             let file = FileName::Segment(start);
-            let buf = dir.read(file)?;
+            // `heal` has checked every record of the snapshot's segment:
+            // only its header and the records after the snapshot are
+            // read again.
+            let buf;
             let mut reader = if start == snap_seg {
-                EventLogReader::open_at(&buf, snap_off as usize)
+                let len;
+                (buf, len) = dir.read_tail(file, snap_off)?;
+                EventLogReader::open_tail(&buf, snap_off as usize, len as usize)
             } else {
                 if start != records {
                     return Err(RecoverError::Corrupt(format!(
                         "segment chain broken: {file} but {records} records replayed"
                     )));
                 }
+                buf = dir.read(file)?;
                 EventLogReader::open(&buf)
             }
             .map_err(|e| RecoverError::Corrupt(format!("{file}: {e}")))?;
@@ -572,10 +587,39 @@ fn segments_and_snapshots(files: &[(FileName, u64)]) -> (Vec<u64>, Vec<u64>) {
     (segs, snaps)
 }
 
-struct SnapState {
+/// Where a snapshot's log replay resumes: after `records` records, at
+/// byte `seg_off` of the segment that starts at record `seg_start`.
+#[derive(Clone, Copy)]
+struct Horizon {
     records: u64,
     seg_start: u64,
     seg_off: u64,
+}
+
+/// A session snapshot's image, written in place: [`SNAP_MAGIC`] and a
+/// frame around `records`, the verdict count, `seg_start`, `seg_off`,
+/// the parser's and the checker's images each behind its length, and
+/// the verdict window — the bytes `wire::seal` makes of the same
+/// payload built from the parts' own images.
+fn write_image<S: wire::Sink>(
+    e: &mut wire::Enc<S>,
+    at: Horizon,
+    feed: &StreamFeed,
+    verdicts: &VerdictLog,
+) {
+    e.sealed(&SNAP_MAGIC, |e| {
+        e.u64(at.records);
+        verdicts.write_count(e);
+        e.u64(at.seg_start);
+        e.u64(at.seg_off);
+        e.len_prefixed(|e| feed.parser().snapshot_into(e));
+        e.len_prefixed(|e| feed.checker().snapshot_into(e));
+        verdicts.write_window(e);
+    });
+}
+
+struct SnapState {
+    at: Horizon,
     feed: StreamFeed,
     verdict_log: VerdictLog,
 }
@@ -588,8 +632,11 @@ fn decode_snapshot(bytes: &[u8]) -> Option<SnapState> {
     let mut d = wire::Dec::new(payload);
     let records = d.u64().ok()?;
     let verdicts = d.u64().ok()?;
-    let seg_start = d.u64().ok()?;
-    let seg_off = d.u64().ok()?;
+    let at = Horizon {
+        records,
+        seg_start: d.u64().ok()?,
+        seg_off: d.u64().ok()?,
+    };
     let n = d.len().ok()?;
     let parser = d.bytes(n).ok()?;
     let n = d.len().ok()?;
@@ -600,9 +647,7 @@ fn decode_snapshot(bytes: &[u8]) -> Option<SnapState> {
         SnapWindow::Lines => VerdictLog::read_lines(verdicts, &mut d, feed.checker())?,
     };
     Some(SnapState {
-        records,
-        seg_start,
-        seg_off,
+        at,
         feed,
         verdict_log,
     })
@@ -653,6 +698,102 @@ mod tests {
         fn snapshot(&mut self) -> usize {
             self.log.write_snapshot(&self.feed, &self.window).unwrap()
         }
+
+        /// A `Session`'s snapshot (`park`: its park's), checked against
+        /// [`nested_image`] of the state it freezes.
+        fn checked_snapshot(&mut self, park: bool) {
+            let want = nested_image(&mut self.log, &self.feed, &self.window);
+            let (log, feed) = (&mut self.log, &self.feed);
+            let write = |v: &VerdictLog| log.write_snapshot(feed, v).map(drop);
+            if park {
+                self.window.park(write).unwrap();
+            } else {
+                self.window.snapshot(write).unwrap();
+            }
+            let file = FileName::Snapshot(self.log.records());
+            let got = self.log.dir.read(file).unwrap();
+            assert!(got == want, "{file} is not the nested layout's image");
+        }
+    }
+
+    /// A session snapshot as the build before wrote it: the parser's
+    /// and the checker's images made on their own, copied behind their
+    /// lengths into a payload, which `wire::seal` copies again.
+    fn nested_image(log: &mut SessionLog, feed: &StreamFeed, verdicts: &VerdictLog) -> Vec<u8> {
+        let mut e = wire::Enc::new();
+        e.u64(log.records);
+        verdicts.write_count(&mut e);
+        e.u64(log.seg_start);
+        e.u64(log.dir.len(FileName::Segment(log.seg_start)).unwrap());
+        for part in [feed.parser().snapshot(), feed.checker().snapshot()] {
+            e.len(part.len());
+            e.bytes(&part);
+        }
+        verdicts.write_window(&mut e);
+        wire::seal(&SNAP_MAGIC, &e.into_bytes())
+    }
+
+    /// A seeded stream over twelve keys, lines of one to six tokens, up
+    /// to four transactions open: each reads the newest committed
+    /// version of a key (or, `dirty`, another open transaction's write)
+    /// and writes keys at most once each; `dirty` streams abort one
+    /// transaction in four.
+    fn generated(seed: u64, dirty: bool, txns: u32) -> Vec<String> {
+        let mut x = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        let mut next = move |n: usize| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            (x % n as u64) as usize
+        };
+        let key = |k: usize| format!("k{}", (b'a' + k as u8) as char);
+        let mut committed: Vec<Option<u32>> = vec![None; 12];
+        // Open transactions and the keys each has written.
+        let mut open: Vec<(u32, Vec<usize>)> = Vec::new();
+        let (mut began, mut tokens) = (0, Vec::new());
+        while began < txns || !open.is_empty() {
+            if began < txns && (open.len() < 2 || (open.len() < 4 && next(3) == 0)) {
+                began += 1;
+                tokens.push(format!("b{began}"));
+                open.push((began, Vec::new()));
+                continue;
+            }
+            let i = next(open.len());
+            let t = open[i].0;
+            let k = next(12);
+            match next(8) {
+                0..=2 => {
+                    let dirty_from = open.iter().find(|(w, ks)| *w != t && ks.contains(&k));
+                    let from = match dirty_from {
+                        Some(&(w, _)) if dirty => Some(w),
+                        _ => committed[k],
+                    };
+                    tokens.push(match from {
+                        Some(w) => format!("r{t}({}{w})", key(k)),
+                        None => format!("r{t}({}init)", key(k)),
+                    });
+                }
+                3..=5 if !open[i].1.contains(&k) => {
+                    tokens.push(format!("w{t}({},{})", key(k), next(100)));
+                    open[i].1.push(k);
+                }
+                _ => {
+                    let (t, ks) = open.swap_remove(i);
+                    if dirty && next(4) == 0 {
+                        tokens.push(format!("a{t}"));
+                    } else {
+                        tokens.push(format!("c{t}"));
+                        ks.into_iter().for_each(|k| committed[k] = Some(t));
+                    }
+                }
+            }
+        }
+        let mut lines = Vec::new();
+        while !tokens.is_empty() {
+            let n = (1 + next(6)).min(tokens.len());
+            lines.push(tokens.drain(..n).collect::<Vec<_>>().join(" "));
+        }
+        lines
     }
 
     fn files(dir: &Path) -> Vec<String> {
@@ -672,6 +813,60 @@ mod tests {
     }
 
     const NINE: &str = "b1 w1(x,1) c1 b2 w2(y,1) c2 b3 r3(x1) c3";
+
+    /// Every snapshot a session takes — on the cadence, at a park, and
+    /// straight after a recovery and on after it — is the image the
+    /// nested copies made, byte for byte, on clean and dirty streams
+    /// with provenance on and off.
+    #[test]
+    fn snapshots_are_the_nested_layouts_image() {
+        let cfg = LogConfig {
+            rotate_events: 96,
+            snapshot_every: 40,
+            ..LogConfig::default()
+        };
+        for (dirty, provenance) in [(false, false), (false, true), (true, false), (true, true)] {
+            let dir = tmp(&format!("nested-{dirty}-{provenance}"));
+            let lines = generated(3 + dirty as u64, dirty, 240);
+            let (before, after) = lines.split_at(lines.len() / 2);
+            let mut checker = OnlineChecker::new();
+            checker.set_provenance(provenance);
+            let mut rig = Rig {
+                feed: StreamFeed::new(checker),
+                ..Rig::create(&dir, cfg)
+            };
+            let mut taken = 0;
+            for line in before {
+                rig.apply(line);
+                if rig.log.snapshot_due() {
+                    rig.checked_snapshot(false);
+                    taken += 1;
+                }
+            }
+            rig.checked_snapshot(true);
+            let aborted_reads = rig.verdicts.iter().any(|v| v.contains("\"G1a\""));
+            assert_eq!(aborted_reads, dirty, "G1a fires on the dirty stream alone");
+            drop(rig);
+
+            let r = SessionLog::recover(&dir, cfg, GcConfig::default(), provenance, None).unwrap();
+            let mut rig = Rig {
+                log: r.log,
+                feed: r.feed,
+                verdicts: Vec::new(),
+                window: r.verdict_log,
+            };
+            rig.checked_snapshot(false);
+            for line in after {
+                rig.apply(line);
+                if rig.log.snapshot_due() {
+                    rig.checked_snapshot(false);
+                    taken += 1;
+                }
+            }
+            assert!(taken >= 12, "{taken} snapshots on the cadence");
+            fs::remove_dir_all(&dir).unwrap();
+        }
+    }
 
     #[test]
     fn rotation_starts_a_new_segment_on_the_record_cadence() {
@@ -886,6 +1081,36 @@ mod tests {
         assert_eq!(r.log.records(), 6);
         assert!(r.truncated.is_none());
         fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A snapshot whose resume offset lies outside its segment — the
+    /// checksum holds, the offset does not — is refused as corrupt,
+    /// however far out the offset points.
+    #[test]
+    fn a_resume_offset_past_the_segment_is_corrupt() {
+        let cfg = LogConfig {
+            rotate_events: u64::MAX,
+            snapshot_every: u64::MAX,
+            ..LogConfig::default()
+        };
+        for off in [1_000, u64::MAX] {
+            let dir = tmp(&format!("offset-{off}"));
+            let mut rig = Rig::create(&dir, cfg);
+            rig.apply(NINE);
+            rig.snapshot();
+            drop(rig);
+            let path = dir.join(FileName::Snapshot(9).to_string());
+            let bytes = fs::read(&path).unwrap();
+            let mut payload = wire::open(&SNAP_MAGIC, &bytes).unwrap().to_vec();
+            payload[24..32].copy_from_slice(&off.to_le_bytes()); // seg_off
+            fs::write(&path, wire::seal(&SNAP_MAGIC, &payload)).unwrap();
+            match SessionLog::recover(&dir, cfg, GcConfig::default(), false, None) {
+                Err(RecoverError::Corrupt(m)) => assert!(m.contains("resume offset"), "{m}"),
+                Err(e) => panic!("{e}"),
+                Ok(_) => panic!("recovered from offset {off}"),
+            }
+            fs::remove_dir_all(&dir).unwrap();
+        }
     }
 
     #[test]

@@ -127,12 +127,12 @@ impl VerdictLog {
     }
 
     /// Writes the count (its place in the payload: after `records`).
-    pub(crate) fn write_count(&self, e: &mut wire::Enc) {
+    pub(crate) fn write_count<S: wire::Sink>(&self, e: &mut wire::Enc<S>) {
         e.u64(self.count());
     }
 
     /// Writes the window (its place in the payload: the end).
-    pub(crate) fn write_window(&self, e: &mut wire::Enc) {
+    pub(crate) fn write_window<S: wire::Sink>(&self, e: &mut wire::Enc<S>) {
         e.u64(self.base);
         e.len(self.facts.len());
         for f in &self.facts {

@@ -1,0 +1,119 @@
+//! What one session snapshot allocates: its image, once. An
+//! `adya-serve` `Session` shaped like the ledger's memory pass (256
+//! keys, eight open, 1 250 events, one transaction a line), clean and
+//! dirty, takes one `Session::snapshot()` here, and a counting
+//! allocator reads what that call asked the heap for: in total at most
+//! 1.5× the image's bytes, and no single allocation larger than the
+//! image. Here that is 1.13× (clean) and 1.17× (dirty), the largest
+//! allocation the image itself. The build that nested the parser's and
+//! the checker's images inside a doubling payload and copied it once
+//! more to seal it asked for 5.9× and 6.2×, its largest allocation 1.3×
+//! and 1.4× the image — and a connection thread's allocator arena keeps
+//! that high-water mark as resident memory.
+//!
+//! Alone in this file — so alone in its process — because it installs
+//! a counting `#[global_allocator]`; its counters are per thread, so
+//! the tests here do not count each other's allocations.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+use adya::serve::{FileName, Session, SessionConfig};
+use adya_faults::{TapCrashConfig, TapCrashPlane};
+
+mod common;
+use common::{sliding_window_events, stream_notation, SlidingWindow};
+
+struct Counting;
+
+thread_local! {
+    // `const`-initialised and without a destructor: reading them never
+    // allocates, so the allocator may.
+    /// Bytes asked for, by allocations and reallocations alike.
+    static BYTES: Cell<usize> = const { Cell::new(0) };
+    /// The largest single allocation (or reallocation).
+    static LARGEST: Cell<usize> = const { Cell::new(0) };
+}
+
+fn count(size: usize) {
+    BYTES.with(|b| b.set(b.get() + size));
+    LARGEST.with(|l| l.set(l.get().max(size)));
+}
+
+// SAFETY: every call goes straight to `System`, which upholds the
+// `GlobalAlloc` contract; the counters touch no allocator state.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count(layout.size());
+        // SAFETY: the caller's contract, passed on unchanged.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: the caller's contract, passed on unchanged.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count(new_size);
+        // SAFETY: the caller's contract, passed on unchanged.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// The bytes asked for and the largest allocation since the last call.
+fn take() -> (usize, usize) {
+    (BYTES.with(|b| b.replace(0)), LARGEST.with(|l| l.replace(0)))
+}
+
+/// At most this many bytes asked for per byte of image.
+const PER_IMAGE_BYTE: f64 = 1.5;
+
+fn one_snapshot_allocates_its_image_once(dirty: bool) {
+    let shape = SlidingWindow {
+        keys: 256,
+        slide: 1 << 40,
+        open: 8,
+        dirty,
+    };
+    let tap = TapCrashPlane::new(TapCrashConfig::default());
+    let data = common::data_dir(&format!("snapshot-alloc-{dirty}"));
+    let mut s = Session::create(&data, "s", SessionConfig::default(), None).expect("create");
+    let text = stream_notation(&sliding_window_events(shape, 11, 1_250));
+    for line in text.lines() {
+        s.apply_line(line, &tap).expect("apply a line");
+    }
+    take();
+    s.snapshot().expect("snapshot");
+    let (bytes, largest) = take();
+    let snap = data
+        .join("s")
+        .join(FileName::Snapshot(s.records()).to_string());
+    let image = std::fs::metadata(&snap).expect("the snapshot landed").len() as usize;
+    eprintln!(
+        "dirty {dirty}: a {image} B image; the snapshot asked for {bytes} B ({:.2}×), \
+         the largest allocation {largest} B ({:.2}×)",
+        bytes as f64 / image as f64,
+        largest as f64 / image as f64
+    );
+    assert!(
+        bytes as f64 <= PER_IMAGE_BYTE * image as f64,
+        "{bytes} B asked for around a {image} B image"
+    );
+    assert_eq!(largest, image, "the largest allocation is not the image");
+    drop(s);
+    let _ = std::fs::remove_dir_all(&data);
+}
+
+#[test]
+fn a_clean_sessions_snapshot_allocates_its_image_once() {
+    one_snapshot_allocates_its_image_once(false);
+}
+
+#[test]
+fn a_dirty_sessions_snapshot_allocates_its_image_once() {
+    one_snapshot_allocates_its_image_once(true);
+}
