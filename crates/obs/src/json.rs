@@ -7,19 +7,19 @@
 use std::fmt::Write as _;
 
 /// Appends `s` to `out`, escaped for inclusion in a JSON string
-/// literal. Allocates only when `out` has to grow.
-pub fn write_escaped(out: &mut String, s: &str) {
+/// literal. Allocates only when `out` has to grow. `out` may be any
+/// [`fmt::Write`](std::fmt::Write), a sink that only counts bytes
+/// included; an error it returns is dropped (a `String` returns none).
+pub fn write_escaped<W: std::fmt::Write + ?Sized>(out: &mut W, s: &str) {
     for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
+        let _ = match c {
+            '"' => out.write_str("\\\""),
+            '\\' => out.write_str("\\\\"),
+            '\n' => out.write_str("\\n"),
+            '\t' => out.write_str("\\t"),
+            c if (c as u32) < 0x20 => write!(out, "\\u{:04x}", c as u32),
+            c => out.write_char(c),
+        };
     }
 }
 

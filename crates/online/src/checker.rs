@@ -10,6 +10,7 @@
 //! ([`crate::snapshot`]).
 
 use std::collections::VecDeque;
+use std::fmt;
 use std::time::Instant;
 
 use adya_core::{IsolationLevel, PhenomenonKind};
@@ -231,8 +232,10 @@ pub struct OnlineChecker {
     pub(crate) parked: usize,
     /// The object table: a row per object id the stream has mentioned.
     pub(crate) objects: Keys,
-    /// The cycle graphs, one per edge filter.
-    pub(crate) lanes: Lanes,
+    /// The cycle graphs, one per edge filter. Boxed: the lane table is
+    /// most of a checker's inline bytes, and a checker is built and
+    /// moved on every connection thread of a server.
+    pub(crate) lanes: Box<Lanes>,
     pub(crate) fired: Fired,
     /// The concrete operations behind each live DSG edge, while
     /// provenance tracking is on.
@@ -382,8 +385,22 @@ impl OnlineChecker {
     /// restored from.
     pub fn verdict_line(&self, fact: &VerdictFact) -> String {
         let mut s = String::with_capacity(256);
-        self.fired.write_line(fact, &mut s);
+        self.write_verdict_line(fact, &mut s)
+            .expect("a String takes any write");
         s
+    }
+
+    /// Appends [`verdict_line`](Self::verdict_line)'s line for `fact` to
+    /// `out`, allocating nothing itself but the witness id of a line
+    /// that fired something new. Through a [`fmt::Write`] that only
+    /// counts bytes, this measures the line: a caller re-sending many
+    /// renders them into one buffer of its exact size.
+    pub fn write_verdict_line<W: fmt::Write + ?Sized>(
+        &self,
+        fact: &VerdictFact,
+        out: &mut W,
+    ) -> fmt::Result {
+        self.fired.write_line(fact, out)
     }
 
     /// Feeds one event; returns a [`Verdict`] when the event is a
@@ -1069,6 +1086,17 @@ mod tests {
     use super::*;
     use crate::keys::{Installers, ObjectState, Readers};
     use crate::testkit::{feed, r, rinit, w};
+
+    #[test]
+    fn a_checker_keeps_its_lane_table_off_the_stack() {
+        // A server builds, restores and moves a checker on every
+        // connection thread, and a thread's stack keeps the deepest
+        // frame it ever used. With the lane table inline a checker was
+        // 1 544 bytes and recovery's frames were over 4 kB each; boxed,
+        // it is under 600. A new inline field must not undo that.
+        let size = std::mem::size_of::<OnlineChecker>();
+        assert!(size <= 640, "an OnlineChecker is {size} bytes");
+    }
 
     #[test]
     fn rows_keep_no_room_a_finished_transaction_or_a_held_version_does_not_use() {

@@ -410,9 +410,9 @@ pub fn check_token(tok: &str) -> Result<Token<'_>, String> {
 #[derive(Debug)]
 pub struct StreamFeed {
     parser: StreamParser,
-    /// Boxed: a checker is 1.5 kB, and a feed travels by value through
-    /// session recovery's frames — on every connection thread of a
-    /// server.
+    /// Boxed: a checker is about 600 bytes even with its lane table
+    /// boxed, and a feed travels by value through session recovery's
+    /// frames — on every connection thread of a server.
     checker: Box<OnlineChecker>,
 }
 

@@ -268,27 +268,35 @@ pub(crate) struct Lanes {
 impl Default for Lanes {
     /// Every lane live and empty.
     fn default() -> Lanes {
-        Lanes::from_image([(); 2].map(|()| Some(IncrementalDag::new())), 0, 0)
-    }
-}
-
-impl Lanes {
-    /// The table as a snapshot image carries it: each lane's graph
-    /// (`None` once dropped) and the two reorder counters.
-    pub(crate) fn from_image(mut dags: [Option<Dag>; 2], dropped: u64, reported: u64) -> Lanes {
+        let lane = |spec| Lane {
+            spec,
+            dag: Some(IncrementalDag::new()),
+            results: Vec::new(),
+            replayed: 0,
+        };
         Lanes {
-            lanes: std::array::from_fn(|i| Lane {
-                spec: &LANES[i],
-                dag: dags[i].take(),
-                results: Vec::new(),
-                replayed: 0,
-            }),
-            reorders_dropped: dropped,
-            reorders_reported: reported,
+            lanes: [lane(&LANES[0]), lane(&LANES[1])],
+            reorders_dropped: 0,
+            reorders_reported: 0,
             eager: false,
             let_go: Vec::new(),
             touching: Vec::new(),
         }
+    }
+}
+
+impl Lanes {
+    /// Each lane's graph, in table order, for a snapshot image to fill
+    /// in place: `None` once dropped.
+    pub(crate) fn dags_mut(&mut self) -> impl Iterator<Item = &mut Option<Dag>> {
+        self.lanes.iter_mut().map(|l| &mut l.dag)
+    }
+
+    /// Sets the two reorder counters a snapshot image carries; see
+    /// [`Self::reorder_counters`].
+    pub(crate) fn set_reorder_counters(&mut self, dropped: u64, reported: u64) {
+        self.reorders_dropped = dropped;
+        self.reorders_reported = reported;
     }
 
     /// See `OnlineChecker::set_g1c_eager`.

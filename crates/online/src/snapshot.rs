@@ -25,7 +25,7 @@ use crate::checker::{
     TxnTable, WriteEntry,
 };
 use crate::gc::{Collector, GcConfig};
-use crate::lanes::{Dag, EdgeKind, EdgeMask, Lanes};
+use crate::lanes::{Dag, EdgeKind, EdgeMask};
 use crate::provenance::ProvStep;
 use crate::verdict::{kind_bit, kind_from_bit, CycleEdgeProv};
 use crate::wire::{crc32, Dec, Enc, Sink, WireError};
@@ -519,17 +519,21 @@ pub(crate) fn decode(bytes: &[u8], names: Option<usize>) -> Result<OnlineChecker
         }
         c.objects.settle(slot);
     }
-    let mut dags = [None, None, None];
-    for slot in &mut dags[usize::from(!v2)..] {
-        if d.bool()? {
-            *slot = Some(dec_dag(&mut d, &c.txns)?);
-        }
-    }
     // An earlier image's G0 graph, checked like any, is dropped with its
     // reorders counted, as a latch drops a lane.
-    let [g0, dags @ ..] = dags;
-    reorders_dropped += g0.map_or(0, |g| g.reorders());
-    c.lanes = Lanes::from_image(dags, reorders_dropped, reorders_reported);
+    if v2 && d.bool()? {
+        reorders_dropped += dec_dag(&mut d, &c.txns)?.reorders();
+    }
+    // The others go straight into the checker's boxed lane table.
+    for slot in c.lanes.dags_mut() {
+        *slot = if d.bool()? {
+            Some(dec_dag(&mut d, &c.txns)?)
+        } else {
+            None
+        };
+    }
+    c.lanes
+        .set_reorder_counters(reorders_dropped, reorders_reported);
     if !c.lanes.any_live() {
         c.prov.clear(); // what the last lane's drop does
     }

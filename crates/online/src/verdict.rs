@@ -11,7 +11,7 @@
 //! kind, so a fact renders to the line its verdict did for as long as
 //! the checker (or an image of it) lives.
 
-use std::fmt::{Display, Write as _};
+use std::fmt::{self, Display};
 use std::sync::OnceLock;
 
 use adya_core::{IsolationLevel, PhenomenonKind};
@@ -200,7 +200,8 @@ impl Verdict {
             stale_refs: self.stale_refs,
             live_txns: self.live_txns as u64,
         }
-        .write(out);
+        .write(out)
+        .expect("a String takes any write");
     }
 
     /// The facts of a commit verdict; `None` for the final one.
@@ -289,85 +290,87 @@ struct Line<'a> {
 }
 
 impl Line<'_> {
-    /// Appends the line to `s`, allocating nothing itself.
-    fn write(&self, s: &mut String) {
-        s.push_str("{\"txn\": ");
+    /// Appends the line to `s`, allocating nothing itself. `s` may be
+    /// a sink that only counts bytes ([`fmt::Write`]); a `String`
+    /// returns no error.
+    fn write<W: fmt::Write + ?Sized>(&self, s: &mut W) -> fmt::Result {
+        s.write_str("{\"txn\": ")?;
         match self.txn {
-            Some(t) => push_u64(s, u64::from(t.0)),
-            None => s.push_str("null"),
+            Some(t) => push_u64(s, u64::from(t.0))?,
+            None => s.write_str("null")?,
         }
-        s.push_str(", \"final\": ");
-        s.push_str(if self.is_final { "true" } else { "false" });
-        s.push_str(", \"committed\": ");
-        push_u64(s, self.committed);
-        s.push_str(", \"strongest_ansi\": ");
+        s.write_str(", \"final\": ")?;
+        s.write_str(if self.is_final { "true" } else { "false" })?;
+        s.write_str(", \"committed\": ")?;
+        push_u64(s, self.committed)?;
+        s.write_str(", \"strongest_ansi\": ")?;
         match self.strongest_ansi {
             Some(l) => {
-                s.push('"');
-                push_name(s, &IsolationLevel::ALL, &names().levels, l);
-                s.push('"');
+                s.write_char('"')?;
+                push_name(s, &IsolationLevel::ALL, &names().levels, l)?;
+                s.write_char('"')?;
             }
-            None => s.push_str("null"),
+            None => s.write_str("null")?,
         }
         for (key, kinds) in [(", \"fired\": [", self.fired), (", \"new\": [", self.new)] {
-            s.push_str(key);
+            s.write_str(key)?;
             for (i, &k) in kinds.iter().enumerate() {
-                s.push_str(if i > 0 { ", \"" } else { "\"" });
-                push_name(s, &PhenomenonKind::ALL, &names().kinds, k);
-                s.push('"');
+                s.write_str(if i > 0 { ", \"" } else { "\"" })?;
+                push_name(s, &PhenomenonKind::ALL, &names().kinds, k)?;
+                s.write_char('"')?;
             }
-            s.push(']');
+            s.write_char(']')?;
         }
         let texts = [
             (", \"witness\": ", self.witness),
             (", \"witness_id\": ", self.witness_id),
         ];
         for (key, text) in texts {
-            s.push_str(key);
+            s.write_str(key)?;
             match text {
                 Some(t) => {
-                    s.push('"');
+                    s.write_char('"')?;
                     write_escaped(s, t);
-                    s.push('"');
+                    s.write_char('"')?;
                 }
-                None => s.push_str("null"),
+                None => s.write_str("null")?,
             }
         }
         match self.cycle {
             Some(c) => {
-                s.push_str(", \"cycle\": [");
+                s.write_str(", \"cycle\": [")?;
                 for (i, e) in c.iter().enumerate() {
-                    s.push_str(if i > 0 {
+                    s.write_str(if i > 0 {
                         ", {\"from\": "
                     } else {
                         "{\"from\": "
-                    });
-                    push_u64(s, u64::from(e.from.0));
-                    s.push_str(", \"to\": ");
-                    push_u64(s, u64::from(e.to.0));
-                    s.push_str(", \"label\": \"");
-                    s.push_str(e.label());
-                    s.push_str("\", \"via\": \"");
+                    })?;
+                    push_u64(s, u64::from(e.from.0))?;
+                    s.write_str(", \"to\": ")?;
+                    push_u64(s, u64::from(e.to.0))?;
+                    s.write_str(", \"label\": \"")?;
+                    s.write_str(e.label())?;
+                    s.write_str("\", \"via\": \"")?;
                     write_escaped(s, &e.via);
-                    s.push_str("\"}");
+                    s.write_str("\"}")?;
                 }
-                s.push(']');
+                s.write_char(']')?;
             }
-            None => s.push_str(", \"cycle\": null"),
+            None => s.write_str(", \"cycle\": null")?,
         }
-        s.push_str(", \"pruned\": ");
-        push_u64(s, self.pruned);
-        s.push_str(", \"stale_refs\": ");
-        push_u64(s, self.stale_refs);
-        s.push_str(", \"live_txns\": ");
-        push_u64(s, self.live_txns);
-        s.push('}');
+        s.write_str(", \"pruned\": ")?;
+        push_u64(s, self.pruned)?;
+        s.write_str(", \"stale_refs\": ")?;
+        push_u64(s, self.stale_refs)?;
+        s.write_str(", \"live_txns\": ")?;
+        push_u64(s, self.live_txns)?;
+        s.write_char('}')
     }
 }
 
 /// Appends `n` in decimal. (`write!` costs a formatter per number, and
 /// a verdict line carries five.)
-fn push_u64(s: &mut String, mut n: u64) {
+fn push_u64<W: fmt::Write + ?Sized>(s: &mut W, mut n: u64) -> fmt::Result {
     let mut digits = [0u8; 20];
     let mut at = digits.len();
     loop {
@@ -378,7 +381,7 @@ fn push_u64(s: &mut String, mut n: u64) {
             break;
         }
     }
-    s.push_str(std::str::from_utf8(&digits[at..]).expect("ASCII digits"));
+    s.write_str(std::str::from_utf8(&digits[at..]).expect("ASCII digits"))
 }
 
 /// What `Display` prints for every phenomenon kind and level, rendered
@@ -404,12 +407,15 @@ fn kind_name(k: PhenomenonKind) -> &'static str {
 }
 
 /// Appends `v`'s pre-rendered name — `names[i]` for `all[i]`.
-fn push_name<T: Copy + PartialEq + Display>(s: &mut String, all: &[T], names: &[String], v: T) {
+fn push_name<W: fmt::Write + ?Sized, T: Copy + PartialEq + Display>(
+    s: &mut W,
+    all: &[T],
+    names: &[String],
+    v: T,
+) -> fmt::Result {
     match all.iter().position(|&a| a == v) {
-        Some(i) => s.push_str(&names[i]),
-        None => {
-            let _ = write!(s, "{v}");
-        }
+        Some(i) => s.write_str(&names[i]),
+        None => write!(s, "{v}"),
     }
 }
 
@@ -418,6 +424,22 @@ fn via_note(via_predicate: bool) -> &'static str {
         " (via predicate)"
     } else {
         ""
+    }
+}
+
+/// Some of the kinds the streaming checker reports, in report order,
+/// held inline: a verdict line re-rendered from its fact allocates no
+/// list of them.
+pub(crate) struct Kinds {
+    kinds: [PhenomenonKind; ONLINE_KINDS.len()],
+    len: usize,
+}
+
+impl std::ops::Deref for Kinds {
+    type Target = [PhenomenonKind];
+
+    fn deref(&self) -> &[PhenomenonKind] {
+        &self.kinds[..self.len]
     }
 }
 
@@ -514,10 +536,14 @@ impl Fired {
         adya_obs::witness_id(kind_name(k), &nodes, witness)
     }
 
-    /// Appends the line of the commit verdict `f` stands for: its
-    /// witness, witness id and cycle are those latched for the first
-    /// kind in `f.new`.
-    pub(crate) fn write_line(&self, f: &VerdictFact, out: &mut String) {
+    /// Appends the line of the commit verdict `f` stands for to `out`
+    /// (or counts its bytes, see [`Line::write`]): its witness, witness
+    /// id and cycle are those latched for the first kind in `f.new`.
+    pub(crate) fn write_line<W: fmt::Write + ?Sized>(
+        &self,
+        f: &VerdictFact,
+        out: &mut W,
+    ) -> fmt::Result {
         let (fired, new) = (Fired::kinds_in(f.fired), Fired::kinds_in(f.new));
         let first = new.first().copied();
         let witness_id = first.map(|k| self.witness_id(k));
@@ -535,20 +561,26 @@ impl Fired {
             stale_refs: f.stale_refs,
             live_txns: f.live_txns,
         }
-        .write(out);
+        .write(out)
     }
 
     /// The kinds whose bit is set in `mask`, in report order.
-    pub(crate) fn kinds_in(mask: u8) -> Vec<PhenomenonKind> {
-        ONLINE_KINDS
-            .iter()
-            .copied()
-            .filter(|&k| mask & kind_bit(k) != 0)
-            .collect()
+    pub(crate) fn kinds_in(mask: u8) -> Kinds {
+        let mut kinds = Kinds {
+            kinds: ONLINE_KINDS,
+            len: 0,
+        };
+        for k in ONLINE_KINDS {
+            if mask & kind_bit(k) != 0 {
+                kinds.kinds[kinds.len] = k;
+                kinds.len += 1;
+            }
+        }
+        kinds
     }
 
     pub(crate) fn kinds(&self) -> Vec<PhenomenonKind> {
-        Fired::kinds_in(self.mask)
+        Fired::kinds_in(self.mask).to_vec()
     }
 }
 

@@ -441,7 +441,8 @@ impl SessionDir {
     /// kind was open for appending, so damage anywhere else — an older
     /// file, or mid-file — is not a torn write: it may sit over
     /// acknowledged records and is left, bytes untouched, for recovery
-    /// to refuse. Each cut is a [`put`](SessionDir::put) of the intact
+    /// to refuse. The older files are not even read: nothing in them can
+    /// be cut. Each cut is a [`put`](SessionDir::put) of the intact
     /// prefix, so it is published like any other mutation — a peer
     /// holding the torn bytes must drop them too, or later appends
     /// would land after garbage.
@@ -482,7 +483,7 @@ impl SessionDir {
                     self.remove(file)?;
                 }
             }
-            if !file.is_append() {
+            if !file.is_append() || !(self.resupplied || writable.contains(&Some(file))) {
                 continue;
             }
             let bytes = self.read(file)?;
@@ -496,7 +497,7 @@ impl SessionDir {
                 segment_damage(&bytes)
             };
             let Some(d) = damage else { continue };
-            if self.resupplied || (d.torn && writable.contains(&Some(file))) {
+            if self.resupplied || d.torn {
                 self.put(file, &bytes[..d.good])?;
                 healed.push(Healed {
                     file,

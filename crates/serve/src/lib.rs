@@ -62,4 +62,4 @@ pub use proto::ClientFrame;
 pub use replica::{LogPublisher, ReplConfig, ReplicaSink, ReplicationHub};
 pub use server::{ServeConfig, Server};
 pub use session::{ApplyError, ResumeError, Session, SessionConfig};
-pub use verdict_log::VerdictLog;
+pub use verdict_log::{Replay, VerdictLog};

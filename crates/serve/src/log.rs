@@ -487,9 +487,9 @@ impl SessionLog {
                 continue; // fully covered by the snapshot
             }
             let file = FileName::Segment(start);
-            // `heal` has checked every record of the snapshot's segment:
-            // only its header and the records after the snapshot are
-            // read again.
+            // The snapshot holds what its segment's records before
+            // `snap_off` did: only the header and the records after it
+            // are read.
             let buf;
             let mut reader = if start == snap_seg {
                 let len;
@@ -1012,11 +1012,12 @@ mod tests {
         assert!(r.closed.is_none());
         // Verdicts replayed from the tail must be byte-identical to
         // the uninterrupted run's suffix.
+        let base = r.verdict_log.base();
         assert_eq!(
             r.verdict_log
-                .since(r.verdict_log.base(), r.feed.checker())
+                .reply(base, r.feed.checker(), |_| String::new())
                 .unwrap(),
-            &before[r.verdict_log.base() as usize..],
+            before[base as usize..],
             "resumed verdict stream diverged"
         );
 
@@ -1210,7 +1211,8 @@ mod tests {
         let before = rig.verdicts.clone();
         drop(rig);
         let r = SessionLog::recover(&dir, cfg, GcConfig::default(), false, None).unwrap();
-        assert_eq!(r.verdict_log.since(0, r.feed.checker()).unwrap(), before);
+        let reply = r.verdict_log.reply(0, r.feed.checker(), |_| String::new());
+        assert_eq!(reply.unwrap(), before);
         assert_eq!(r.tail_events, 9);
         fs::remove_dir_all(&dir).unwrap();
     }

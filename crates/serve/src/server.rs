@@ -613,7 +613,7 @@ fn dispatch_frame(
                 let _ = writeln!(stream, "{}", proto::error_frame("truncated_input", &detail));
             }
             match s.resume(have) {
-                Ok((events, verdicts, replay)) => {
+                Ok((_, _, reply)) => {
                     if let Some(plane) = &inner.trace {
                         s.set_trace(Arc::clone(plane));
                     }
@@ -626,15 +626,9 @@ fn dispatch_frame(
                     // behind Nagle until the client acknowledges the one
                     // before, and whether that is at once or on the
                     // client's 40 ms delayed-ACK timer depends on how its
-                    // reads race these writes.
-                    let mut reply =
-                        proto::ok_frame("resume", &name, events, verdicts, replay.len() as u64);
-                    reply.push('\n');
-                    for v in replay {
-                        reply.push_str(&v);
-                        reply.push('\n');
-                    }
-                    let _ = stream.write_all(reply.as_bytes());
+                    // reads race these writes. The session rendered both
+                    // into one buffer.
+                    let _ = stream.write_all(reply.text().as_bytes());
                     LineOutcome::Continue
                 }
                 Err(e) => {

@@ -16,7 +16,8 @@
 //! replay window a resuming client gets its missing tail from. The
 //! window holds each verdict as its 40-byte [`VerdictFact`], not its
 //! line; [`Session::resume`] renders the missing lines through the
-//! session's checker, byte for byte the ones `apply_line` returned.
+//! session's checker, byte for byte the ones `apply_line` returned,
+//! into one reply behind its ack.
 //!
 //! [`VerdictFact`]: adya_online::VerdictFact
 
@@ -29,8 +30,9 @@ use adya_obs::{labeled, trace::Stage, Counter, Gauge, TracePlane, Traced};
 use adya_online::{check_token, GcConfig, OnlineChecker, StreamFeed};
 
 use crate::log::{LogConfig, RecoverError, SessionLog};
+use crate::proto;
 use crate::replica::LogPublisher;
-use crate::verdict_log::VerdictLog;
+use crate::verdict_log::{Replay, VerdictLog};
 
 /// Checker + durability configuration shared by every session of a
 /// server.
@@ -284,14 +286,17 @@ impl Session {
     }
 
     /// Validates a resume at `have` client-held verdicts and returns
-    /// `(records, total_verdicts, lines_to_replay)`, the lines rendered
-    /// from the window's facts now.
-    pub fn resume(&mut self, have: u64) -> Result<(u64, u64, Vec<String>), ResumeError> {
+    /// `(records, total_verdicts, reply)`: the reply is the `resume`
+    /// ack, then every line the client is missing, rendered from the
+    /// window's facts now into one buffer ([`VerdictLog::reply`]).
+    pub fn resume(&mut self, have: u64) -> Result<(u64, u64, Replay), ResumeError> {
         if let Some(fin) = &self.closed {
             return Err(ResumeError::Closed(fin.clone()));
         }
-        let replay = self.verdicts.since(have, self.feed.checker())?;
-        Ok((self.log.records(), self.verdicts.count(), replay))
+        let (records, count) = (self.log.records(), self.verdicts.count());
+        let ack = |replay| proto::ok_frame("resume", &self.name, records, count, replay);
+        let reply = self.verdicts.reply(have, self.feed.checker(), ack)?;
+        Ok((records, count, reply))
     }
 
     /// Closes the session: snapshot, final verdict, durable `closed`
@@ -393,12 +398,20 @@ mod tests {
             assert!(sent.iter().any(|l| l.contains(new)), "{new}: {sent:#?}");
         }
         assert!(!sent.last().unwrap().contains(r#""stale_refs": 0"#));
-        assert_eq!(s.resume(0).expect("resume").2, sent);
+        let (_, count, reply) = s.resume(0).expect("resume");
+        assert_eq!(reply.lines().collect::<Vec<_>>(), sent);
+        let ack = proto::ok_frame("resume", "s", s.records(), count, sent.len() as u64);
+        assert_eq!(
+            reply.text().lines().next(),
+            Some(&*ack),
+            "the ack goes first"
+        );
         assert_eq!(s.verdict_log().base(), 0);
         drop(s); // a kill: the snapshot holds the first verdicts' facts
 
         let mut s = Session::recover(&data, "s", cfg, None).expect("recover");
-        assert_eq!(s.resume(0).expect("resume").2, sent);
+        let reply = s.resume(0).expect("resume").2;
+        assert_eq!(reply.lines().collect::<Vec<_>>(), sent);
         let _ = std::fs::remove_dir_all(&data);
     }
 
@@ -409,7 +422,7 @@ mod tests {
         let tap = TapCrashPlane::new(TapCrashConfig::default());
         let mut s = Session::create(&data, "s", SessionConfig::default(), None).expect("create");
         s.apply_line("b1 w1(x,1) c1", &tap).expect("apply");
-        let before = s.resume(0).expect("resume");
+        let before = s.resume(0).expect("resume").2.text().to_string();
         for line in ["b4294967295 w4294967295(x,1) c4294967295", "b2 c4294967295"] {
             match s.apply_line(line, &tap) {
                 Err(ApplyError::Parse(msg)) => assert!(
@@ -419,7 +432,8 @@ mod tests {
                 other => panic!("{line}: {other:?}"),
             }
         }
-        assert_eq!(s.resume(0).expect("resume"), before, "nothing logged");
+        let after = s.resume(0).expect("resume").2;
+        assert_eq!(after.text(), before, "nothing logged");
         let _ = std::fs::remove_dir_all(&data);
     }
 }

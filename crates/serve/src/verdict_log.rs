@@ -4,10 +4,12 @@
 //!
 //! An entry is a [`VerdictFact`] — 40 bytes, no heap — not its line:
 //! a line is rendered only when it is re-sent, by the session's checker
-//! ([`OnlineChecker::verdict_line`]), whose latch record holds the
+//! ([`OnlineChecker::write_verdict_line`]), whose latch record holds the
 //! one part of a line a fact does not (the first witness, witness id and
-//! cycle of each kind, written once when the kind fires). Debug builds
-//! check every push: the fact must render to the line its verdict did.
+//! cycle of each kind, written once when the kind fires). A resume's
+//! lines are rendered straight into its one reply buffer
+//! ([`VerdictLog::reply`]). Debug builds check every push: the fact
+//! must render to the line its verdict did.
 //!
 //! The replay window reaches one full snapshot interval back. A
 //! snapshot keeps every verdict since the *previous* snapshot (the
@@ -27,6 +29,8 @@
 //! count from the window and refuses a payload whose stored count
 //! disagrees.
 
+use std::fmt;
+
 use adya_online::{wire, OnlineChecker, Verdict, VerdictFact};
 
 use crate::session::ResumeError;
@@ -35,6 +39,63 @@ use crate::session::ResumeError;
 /// `pruned`, `stale_refs`, `live_txns` (u64 each), `fired`, `new` (u8
 /// each), little-endian.
 pub const FACT_BYTES: usize = 38;
+
+/// A resume's reply, one buffer: the ack line, then the line of every
+/// verdict the client is missing, in order, each line ended by a
+/// newline — what a server writes in one go.
+#[derive(Debug)]
+pub struct Replay {
+    text: String,
+    /// Where the verdict lines start: past the ack's newline.
+    lines_at: usize,
+    /// How many verdict lines.
+    len: usize,
+}
+
+impl Replay {
+    /// The whole reply, ack first.
+    pub fn text(&self) -> &str {
+        &self.text
+    }
+
+    /// The verdict lines, without their newlines.
+    pub fn lines(&self) -> std::str::Lines<'_> {
+        self.text[self.lines_at..].lines()
+    }
+
+    /// How many verdict lines the reply re-sends.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether the reply re-sends no verdict.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+}
+
+/// A reply equals the verdict lines it re-sends, in order.
+impl<S: AsRef<str>> PartialEq<[S]> for Replay {
+    fn eq(&self, lines: &[S]) -> bool {
+        self.len == lines.len() && self.lines().eq(lines.iter().map(AsRef::as_ref))
+    }
+}
+
+impl<S: AsRef<str>> PartialEq<Vec<S>> for Replay {
+    fn eq(&self, lines: &Vec<S>) -> bool {
+        *self == lines[..]
+    }
+}
+
+/// A [`fmt::Write`] that only counts the bytes it is given.
+struct Measure(usize);
+
+impl fmt::Write for Measure {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.0 += s.len();
+        Ok(())
+    }
+}
 
 /// The verdicts of one session that can still be re-sent.
 #[derive(Debug, Default, PartialEq)]
@@ -90,14 +151,37 @@ impl VerdictLog {
         Ok(&self.facts[(have - self.base) as usize..])
     }
 
-    /// The lines a client holding `have` verdicts is missing, rendered
-    /// by the session's `checker`.
-    pub fn since(&self, have: u64, checker: &OnlineChecker) -> Result<Vec<String>, ResumeError> {
-        Ok(self
-            .window(have)?
-            .iter()
-            .map(|f| checker.verdict_line(f))
-            .collect())
+    /// The reply to a client holding `have` verdicts, rendered once, into
+    /// one buffer of its exact size: the line `ack` returns for the
+    /// number of verdicts the client is missing, then each of their
+    /// lines, rendered by the session's `checker`. One writer runs
+    /// twice over the window: into a [`Measure`], then into the buffer.
+    pub fn reply(
+        &self,
+        have: u64,
+        checker: &OnlineChecker,
+        ack: impl FnOnce(u64) -> String,
+    ) -> Result<Replay, ResumeError> {
+        let facts = self.window(have)?;
+        let ack = ack(facts.len() as u64);
+        let write = |out: &mut dyn fmt::Write| -> fmt::Result {
+            writeln!(out, "{ack}")?;
+            for f in facts {
+                checker.write_verdict_line(f, out)?;
+                out.write_char('\n')?;
+            }
+            Ok(())
+        };
+        let mut len = Measure(0);
+        write(&mut len).expect("a Measure takes any write");
+        let mut text = String::with_capacity(len.0);
+        write(&mut text).expect("a String takes any write");
+        debug_assert_eq!(text.len(), len.0, "measured and written replies differ");
+        Ok(Replay {
+            text,
+            lines_at: ack.len() + 1,
+            len: facts.len(),
+        })
     }
 
     /// Writes a snapshot that carries this log with `write`, then

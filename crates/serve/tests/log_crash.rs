@@ -13,9 +13,12 @@ use std::path::{Path, PathBuf};
 
 use adya_faults::{TapCrashConfig, TapCrashPlane};
 use adya_history::ObjectId;
-use adya_online::{wire, GcConfig, OnlineChecker, StreamFeed};
+use adya_online::{wire, GcConfig, OnlineChecker, StreamFeed, LOG_MAGIC};
 use adya_serve::verdict_log::FACT_BYTES;
-use adya_serve::{log, FileName, LogConfig, Session, SessionConfig, SessionLog, VerdictLog};
+use adya_serve::{
+    log, FileName, FsyncPolicy, LogConfig, RecoverError, Session, SessionConfig, SessionLog,
+    VerdictLog,
+};
 use proptest::prelude::*;
 
 /// A deterministic, version-correct token stream: interleaved begins,
@@ -228,6 +231,43 @@ fn a_recovery_that_lost_its_names_gives_a_new_name_an_id_of_its_own() {
     fs::remove_dir_all(&data).ok();
 }
 
+/// Mid-file damage in a closed segment is no torn write: a leader's heal
+/// neither cuts nor reads the file, so it keeps every byte, and
+/// recovery, which replays that segment, refuses the session.
+#[test]
+fn mid_file_damage_in_a_closed_segment_is_left_and_refused() {
+    let tap = TapCrashPlane::new(TapCrashConfig::default());
+    let cfg = SessionConfig {
+        log: LogConfig {
+            rotate_events: 8,
+            snapshot_every: u64::MAX,
+            fsync: FsyncPolicy::Never,
+        },
+        ..SessionConfig::default()
+    };
+    let data = tmp("closed-damage");
+    let mut s = Session::create(&data, "s", cfg, None).expect("create");
+    for i in 1..=6 {
+        s.apply_line(&format!("b{i} w{i}(k) c{i}"), &tap)
+            .expect("apply");
+    }
+    drop(s); // a kill
+    let seg = data.join("s").join("seg-0.log");
+    assert_ne!(open_segment(&data.join("s")), seg, "seg-0 is closed");
+    let mut bytes = fs::read(&seg).expect("seg-0");
+    let mid = (LOG_MAGIC.len() + bytes.len()) / 2;
+    bytes[mid] ^= 0xff;
+    fs::write(&seg, &bytes).expect("damage seg-0");
+
+    match Session::recover(&data, "s", cfg, None) {
+        Err(RecoverError::Corrupt(detail)) => assert!(detail.contains("seg-0.log"), "{detail}"),
+        Err(e) => panic!("refused for the wrong reason: {e}"),
+        Ok(_) => panic!("a damaged closed segment recovered"),
+    }
+    assert_eq!(fs::read(&seg).expect("seg-0"), bytes, "left byte for byte");
+    fs::remove_dir_all(&data).ok();
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -293,8 +333,10 @@ proptest! {
             "truncated at the exact good byte"
         );
         let base = r.verdict_log.base();
+        let window = r.verdict_log.reply(base, r.feed.checker(), |_| String::new());
+        let window = window.expect("the whole window");
         prop_assert_eq!(
-            r.verdict_log.since(base, r.feed.checker()).expect("the whole window"),
+            window.lines().collect::<Vec<_>>(),
             &ref_verdicts[base as usize..crash_verdicts],
             "replayed verdict tail diverged from the uninterrupted run"
         );

@@ -378,7 +378,7 @@ fn an_earlier_builds_line_window_re_sends_byte_for_byte_and_a_changed_line_is_re
         let (_, durable, replay) = s.resume(base).expect("resume at the window's base");
         assert_eq!(replay.len() as u64, durable - base, "{fixture}");
         assert_eq!(
-            replay[..lines.len()],
+            replay.lines().take(lines.len()).collect::<Vec<_>>(),
             lines,
             "{fixture}: the window as written"
         );
