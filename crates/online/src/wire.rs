@@ -167,9 +167,17 @@ impl Sink for Vec<u8> {
 
 /// A [`Sink`] that keeps nothing: how many bytes an encoding takes.
 /// Its patches are lost and its checksums are 0, which changes no
-/// length.
+/// length. As a [`fmt::Write`] it counts text the same way: how long a
+/// rendering is, before it is written into a buffer of that size.
 #[derive(Debug, Default)]
 pub struct ByteCount(usize);
+
+impl fmt::Write for ByteCount {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.0 += s.len();
+        Ok(())
+    }
+}
 
 impl Sink for ByteCount {
     fn put(&mut self, bytes: &[u8]) {

@@ -17,32 +17,32 @@
 //!
 //! [`FileName`] is that grammar — nothing else in the workspace spells
 //! or parses a session file name — and [`SessionDir`] is the only code
-//! that touches the files. It changes them in exactly three ways
-//! (healing included): [`append`](SessionDir::append) at the end of a
-//! file, [`put`](SessionDir::put) of a whole file (tmp + rename, so a reader
-//! sees the old bytes or the new, never a mix) and
-//! [`remove`](SessionDir::remove). Each mutation applies the node's
-//! [`FsyncPolicy`] itself and, when a [`LogPublisher`] is attached,
-//! tells the replication hub the session changed; the hub's senders
-//! then ship what changed from the files themselves, through a
-//! [`Pinned`] handle that reads a file's suffix.
+//! that touches the files. It changes them in exactly three ways:
+//! [`append`](SessionDir::append) at the end of a file,
+//! [`put`](SessionDir::put) of a whole file (tmp + rename, so a reader
+//! sees the old bytes or the new, never a mix; a [`cut`](SessionDir::cut)
+//! to an intact prefix is one) and [`remove`](SessionDir::remove). Each
+//! mutation applies the node's [`FsyncPolicy`] itself and, when a
+//! [`LogPublisher`] is attached, tells the replication hub the session
+//! changed; the hub's senders then ship what changed from the files
+//! themselves, through a [`Pinned`] handle that reads a file's suffix.
 //! [`SessionLog`](crate::log::SessionLog) decides *when* to mutate
-//! (rotation, snapshot horizon, compaction);
-//! [`ReplicaSink`](crate::replica::ReplicaSink) decides *whether* a
-//! peer's mutation may be applied (CRC, offsets).
+//! (rotation, snapshot horizon, compaction) and what a leader's
+//! recovery may cut; [`ReplicaSink`](crate::replica::ReplicaSink)
+//! decides *whether* a peer's mutation may be applied (CRC, offsets),
+//! and [`heal`](SessionDir::heal)s its mirror.
 //!
 //! Durability model: appends go straight to the OS (no userspace
 //! buffering), so a killed *process* loses at most the record being
-//! written — the torn tail [`heal`](SessionDir::heal) truncates at the
-//! exact intact byte. Surviving an *OS* crash is what the policy
-//! tunes: `always` fsyncs every append (window: the in-flight record);
-//! the default `interval` fsyncs appended files at each
-//! [`sync`](SessionDir::sync) barrier — a leader's snapshot, a
-//! follower's `repl_flush` — (window: everything since the last
-//! barrier); `never` syncs nothing. Whole-file puts (snapshots, which
-//! license deleting log segments, and the `closed` marker) are synced
-//! before the rename that makes them current unless the policy is
-//! `never`.
+//! written — the torn tail recovery cuts at the exact intact byte.
+//! Surviving an *OS* crash is what the policy tunes: `always` fsyncs
+//! every append (window: the in-flight record); the default `interval`
+//! fsyncs appended files at each [`sync`](SessionDir::sync) barrier — a
+//! leader's snapshot, a follower's `repl_flush` — (window: everything
+//! since the last barrier); `never` syncs nothing. Whole-file puts
+//! (snapshots, which license deleting log segments, and the `closed`
+//! marker) are synced before the rename that makes them current unless
+//! the policy is `never`.
 //!
 //! [`LogPublisher`]: crate::replica::LogPublisher
 
@@ -51,7 +51,7 @@ use std::fs::{self, File, OpenOptions};
 use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
-use adya_online::{EventLogReader, LogError, LOG_MAGIC};
+use adya_online::{EventLogReader, LOG_MAGIC};
 
 use crate::log;
 use crate::replica::LogPublisher;
@@ -158,30 +158,37 @@ impl fmt::Display for FileName {
     }
 }
 
-/// One truncation [`SessionDir::heal`] made.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Healed {
-    /// The file that had a torn tail.
-    pub file: FileName,
-    /// Its length now: the intact prefix.
-    pub good_len: u64,
-    /// What was wrong with the bytes after it.
-    pub detail: String,
-}
-
 /// Every session file present in the directory at `path` with its byte
 /// length, in ship order. Entries outside the [`FileName`] grammar are
 /// not session files and are not listed.
 pub fn list(path: &Path) -> io::Result<Vec<(FileName, u64)>> {
+    scan(path, false)
+}
+
+/// [`list`], deleting on the way (`sweep`) every stray `*.tmp` file: a
+/// put's scratch that a kill left before its rename.
+fn scan(path: &Path, sweep: bool) -> io::Result<Vec<(FileName, u64)>> {
     let mut out = Vec::new();
     for entry in fs::read_dir(path)? {
         let entry = entry?;
-        if let Some(file) = entry.file_name().to_str().and_then(FileName::parse) {
-            out.push((file, entry.metadata()?.len()));
+        let name = entry.file_name();
+        let Some(name) = name.to_str() else { continue };
+        match FileName::parse(name) {
+            Some(file) => out.push((file, entry.metadata()?.len())),
+            None if sweep && name.ends_with(".tmp") => {
+                let _ = fs::remove_file(entry.path());
+            }
+            None => {}
         }
     }
     out.sort_unstable();
     Ok(out)
+}
+
+/// Length of a name log's intact prefix: its bytes through the last
+/// newline. A writer killed mid-append leaves a partial final line.
+pub(crate) fn whole_lines(names: &[u8]) -> usize {
+    names.iter().rposition(|&b| b == b'\n').map_or(0, |i| i + 1)
 }
 
 /// A session file opened for shipping: its length when opened, and a
@@ -233,9 +240,6 @@ pub struct SessionDir {
     path: PathBuf,
     fsync: FsyncPolicy,
     publisher: Option<LogPublisher>,
-    /// A peer re-ships whatever this directory lacks (a follower's
-    /// mirror), so [`heal`](SessionDir::heal) may cut at any damage.
-    resupplied: bool,
     /// Append handles: at most one name side-log and one segment, the
     /// newest of each that was appended to.
     open: Vec<OpenFile>,
@@ -251,7 +255,6 @@ impl SessionDir {
             path: path.to_path_buf(),
             fsync,
             publisher,
-            resupplied: false,
             open: Vec::new(),
             dirty: Vec::new(),
         }
@@ -275,15 +278,19 @@ impl SessionDir {
     /// whatever [`heal`](SessionDir::heal) cuts away.
     pub fn mirror(path: &Path, fsync: FsyncPolicy) -> io::Result<SessionDir> {
         fs::create_dir_all(path)?;
-        Ok(SessionDir {
-            resupplied: true,
-            ..SessionDir::at(path, fsync, None)
-        })
+        Ok(SessionDir::at(path, fsync, None))
     }
 
     /// [`list`] of this directory.
     pub fn list(&self) -> io::Result<Vec<(FileName, u64)>> {
         list(&self.path)
+    }
+
+    /// [`list`] of this directory, in the same pass deleting every
+    /// stray `*.tmp` file a killed [`put`](SessionDir::put) left: what a
+    /// recovery or a [`heal`](SessionDir::heal) starts from.
+    pub(crate) fn sweep(&mut self) -> io::Result<Vec<(FileName, u64)>> {
+        scan(&self.path, true)
     }
 
     /// The whole content of `file`.
@@ -433,116 +440,63 @@ impl SessionDir {
         Ok(())
     }
 
-    /// Repairs what a kill -9 of the writing process leaves behind:
-    /// a torn final record of the newest segment is cut at the last
-    /// intact record, a torn final line of the newest name log at the
-    /// last newline, stray tmp files are deleted. (A put is atomic, so
-    /// whole-file puts are never torn.) Only the newest file of each
-    /// kind was open for appending, so damage anywhere else — an older
-    /// file, or mid-file — is not a torn write: it may sit over
-    /// acknowledged records and is left, bytes untouched, for recovery
-    /// to refuse. The older files are not even read: nothing in them can
-    /// be cut. Each cut is a [`put`](SessionDir::put) of the intact
-    /// prefix, so it is published like any other mutation — a peer
-    /// holding the torn bytes must drop them too, or later appends
-    /// would land after garbage.
+    /// Cuts `file` to its first `len` bytes: a [`put`](SessionDir::put)
+    /// of that prefix, read back from the file, so a [`Pinned`] reader
+    /// sees the old bytes or the new, never a mix, and a peer holding
+    /// the cut bytes drops them too, or later appends would land after
+    /// them.
+    pub fn cut(&mut self, file: FileName, len: u64) -> io::Result<()> {
+        let mut prefix = vec![0; len as usize];
+        File::open(self.path.join(file.to_string()))?.read_exact(&mut prefix)?;
+        self.put(file, &prefix)
+    }
+
+    /// Repairs a follower's [`mirror`](SessionDir::mirror): every
+    /// append-only file is cut at its first undecodable byte (a bad or
+    /// partial header cuts to nothing), a snapshot whose container does
+    /// not validate is deleted and stray tmp files are swept — after
+    /// which every listed length is a safe append offset. Its leader
+    /// re-ships whatever was cut, so a mirror need not tell a torn write
+    /// from damage over acknowledged records. A leader must, and its
+    /// repair is [`SessionLog::recover`](crate::log::SessionLog::recover)'s.
     ///
-    /// A [`mirror`](SessionDir::mirror) need not be that careful: its
-    /// leader re-ships from whatever length is left, so every
-    /// append-only file is cut at its first undecodable byte (a bad
-    /// header cuts to nothing) and a snapshot whose container does not
-    /// validate is deleted — after which every listed length is a safe
-    /// append offset.
-    ///
-    /// Idempotent; returns the cuts made.
-    pub fn heal(&mut self) -> io::Result<Vec<Healed>> {
-        self.open.clear(); // lengths are about to change under them
-        for entry in fs::read_dir(&self.path)? {
-            let entry = entry?;
-            if entry
-                .file_name()
-                .to_str()
-                .is_some_and(|n| n.ends_with(".tmp"))
-            {
-                let _ = fs::remove_file(entry.path());
-            }
-        }
-        let files = self.list()?;
-        // Ship order puts the newest file of each kind last.
-        let newest = |names: bool| {
-            let mut all = files.iter().map(|&(f, _)| f);
-            all.rfind(|f| f.is_append() && f.is_names() == names)
-        };
-        let writable = [newest(true), newest(false)];
+    /// Idempotent; returns each file cut, with its length now.
+    pub fn heal(&mut self) -> io::Result<Vec<(FileName, u64)>> {
         let mut healed = Vec::new();
-        for &(file, _) in &files {
-            if matches!(file, FileName::Snapshot(_)) && self.resupplied {
+        for (file, _) in self.sweep()? {
+            if matches!(file, FileName::Snapshot(_)) {
                 // Magic (either layout), declared length, CRC: cheap,
                 // no decoding of the checker state inside.
                 if log::open_snapshot(&self.read(file)?).is_none() {
                     self.remove(file)?;
                 }
+                continue;
             }
-            if !file.is_append() || !(self.resupplied || writable.contains(&Some(file))) {
+            if !file.is_append() {
                 continue;
             }
             let bytes = self.read(file)?;
-            let damage = if file.is_names() {
-                bytes.last().is_some_and(|&b| b != b'\n').then(|| Damage {
-                    good: bytes.iter().rposition(|&b| b == b'\n').map_or(0, |i| i + 1),
-                    torn: true,
-                    detail: "partial final name line".to_string(),
-                })
+            let good = if file.is_names() {
+                whole_lines(&bytes)
             } else {
-                segment_damage(&bytes)
-            };
-            let Some(d) = damage else { continue };
-            if self.resupplied || d.torn {
-                self.put(file, &bytes[..d.good])?;
-                healed.push(Healed {
-                    file,
-                    good_len: d.good as u64,
-                    detail: d.detail,
-                });
+                decodable(&bytes)
+            } as u64;
+            if good < bytes.len() as u64 {
+                self.cut(file, good)?;
+                healed.push((file, good));
             }
         }
         Ok(healed)
     }
 }
 
-/// Why a file does not decode end to end.
-struct Damage {
-    /// Length of the prefix that does.
-    good: usize,
-    /// The damage is confined to the final record or line, as a writer
-    /// killed mid-append leaves it.
-    torn: bool,
-    detail: String,
-}
-
-/// Where a segment stops decoding; `None` when it is intact (or empty:
-/// nothing to cut).
-fn segment_damage(buf: &[u8]) -> Option<Damage> {
-    let Ok(mut reader) = EventLogReader::open(buf) else {
-        // Killed inside the 8-byte header write, if what is there is a
-        // prefix of it.
-        let torn = LOG_MAGIC.starts_with(buf);
-        let detail = if torn { "partial" } else { "bad" };
-        return (!buf.is_empty()).then(|| Damage {
-            good: 0,
-            torn,
-            detail: format!("{detail} log header"),
-        });
+/// Length of a segment's prefix that decodes: 0 without a whole header.
+fn decodable(segment: &[u8]) -> usize {
+    let Ok(mut reader) = EventLogReader::open(segment) else {
+        return 0;
     };
-    loop {
-        let (good, torn, detail) = match reader.next()? {
-            Ok(_) => continue,
-            Err(LogError::TornTail { good_len, detail }) => (good_len, true, detail),
-            Err(LogError::Corrupt { offset, detail }) => (offset, false, detail),
-            Err(LogError::BadMagic) => unreachable!("the header was read by open"),
-        };
-        return Some(Damage { good, torn, detail });
-    }
+    while let Some(Ok(_)) = reader.next() {}
+    reader.offset()
 }
 
 #[cfg(test)]
@@ -657,6 +611,12 @@ mod tests {
         dir.append(seg, b"c", 0, None).unwrap();
         dir.sync().unwrap();
         assert_eq!(dir.read(seg).unwrap(), b"abc");
+        // A cut keeps a prefix the file holds, and appends resume at it.
+        dir.cut(seg, 2).unwrap();
+        let e = dir.cut(seg, 3).unwrap_err();
+        assert_eq!(e.kind(), io::ErrorKind::UnexpectedEof);
+        dir.append(seg, b"d", 0, None).unwrap();
+        assert_eq!(dir.read(seg).unwrap(), b"abd");
         // Removal is idempotent and forgets the handle too.
         dir.remove(seg).unwrap();
         dir.remove(seg).unwrap();
@@ -684,7 +644,8 @@ mod tests {
 
     /// One directory holding every kind of damage: mid-file corruption
     /// and a torn tail in closed segments, a partial header in the
-    /// open one, a torn line in both an older and the open name log.
+    /// open one, a torn line in both an older and the open name log, an
+    /// undecodable snapshot and a stray tmp file.
     fn damaged(path: &Path) -> (Vec<u8>, Vec<u8>) {
         fs::create_dir_all(path).unwrap();
         let log = adya_online::encode_log(&[Event::Begin(TxnId(1)), Event::Commit(TxnId(1))]);
@@ -705,62 +666,14 @@ mod tests {
     }
 
     #[test]
-    fn heal_cuts_only_what_a_killed_writer_left_and_is_idempotent() {
-        let path = tmp("heal");
-        let (log, corrupt) = damaged(&path);
-        let mut torn = log;
-        torn.extend_from_slice(&[9, 0, 0, 0, 1, 2]);
-        let mut dir = SessionDir::at(&path, FsyncPolicy::Never, None);
-
-        let healed = dir.heal().unwrap();
-        assert_eq!(
-            healed
-                .iter()
-                .map(|h| (h.file, h.good_len))
-                .collect::<Vec<_>>(),
-            vec![(FileName::Names(2), 4), (FileName::Segment(4), 0)]
-        );
-        let after = snapshot(&path);
-        let names: Vec<&str> = after.iter().map(|(n, _)| n.as_str()).collect();
-        assert_eq!(
-            names,
-            [
-                "closed",
-                "names-0.log",
-                "names-2.log",
-                "seg-0.log",
-                "seg-2.log",
-                "seg-4.log",
-                "snap-1.snap"
-            ]
-        );
-        // Files no writer had open keep every byte, damaged or not.
-        assert_eq!(fs::read(path.join("seg-0.log")).unwrap(), corrupt);
-        assert_eq!(fs::read(path.join("seg-2.log")).unwrap(), torn);
-        assert_eq!(
-            fs::read(path.join("names-0.log")).unwrap(),
-            b"x\npartial-nam"
-        );
-        assert_eq!(fs::read(path.join("names-2.log")).unwrap(), b"y\nz\n");
-
-        assert_eq!(dir.heal().unwrap(), Vec::new());
-        assert_eq!(snapshot(&path), after);
-        fs::remove_dir_all(&path).unwrap();
-    }
-
-    #[test]
     fn a_mirror_heals_down_to_what_its_leader_can_append_to() {
         let path = tmp("heal-mirror");
         let (log, corrupt) = damaged(&path);
         fs::write(path.join("seg-6.log"), b"BADMAGIC and more").unwrap();
         let mut dir = SessionDir::mirror(&path, FsyncPolicy::Never).unwrap();
 
-        let healed = dir.heal().unwrap();
         assert_eq!(
-            healed
-                .iter()
-                .map(|h| (h.file, h.good_len))
-                .collect::<Vec<_>>(),
+            dir.heal().unwrap(),
             vec![
                 (FileName::Names(0), 2),
                 (FileName::Names(2), 4),

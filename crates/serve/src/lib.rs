@@ -30,10 +30,9 @@
 //!
 //! Module map:
 //! - [`dir`] — the session directory: file-name grammar, the three
-//!   mutations (each synced and replicated by construction), torn-tail
-//!   healing.
+//!   mutations (each synced and replicated by construction), mirror healing.
 //! - [`log`] — cadence policy over it: rotation, snapshots,
-//!   compaction, recovery replay.
+//!   compaction, recovery replay and repair.
 //! - [`session`] — one checker session and its durability ordering.
 //! - [`verdict_log`] — a session's verdicts: count, replay window,
 //!   trim rule and place in the snapshot.

@@ -2,9 +2,8 @@
 //! periodic whole-session snapshots, with compaction keyed off the
 //! snapshot horizon — the *cadence policy* over a
 //! [`SessionDir`], which owns the file layout, the three ways a file
-//! changes, their sync policy and their replication (see
-//! [`dir`](crate::dir) for the directory diagram and durability
-//! model).
+//! changes, their sync policy and their replication (see [`dir`] for
+//! the directory diagram and durability model).
 //!
 //! A segment is named by the index of its first event record. A
 //! snapshot freezes the [`StreamFeed`]'s checker and parser after
@@ -43,10 +42,10 @@ use std::path::Path;
 
 use adya_history::{Event, ObjectId};
 use adya_online::{
-    encode_record, wire, EventLogReader, GcConfig, OnlineChecker, StreamFeed, LOG_MAGIC,
+    encode_record, wire, EventLogReader, GcConfig, LogError, OnlineChecker, StreamFeed, LOG_MAGIC,
 };
 
-use crate::dir::{FileName, FsyncPolicy, SessionDir};
+use crate::dir::{self, FileName, FsyncPolicy, SessionDir};
 use crate::replica::LogPublisher;
 use crate::verdict_log::VerdictLog;
 
@@ -71,7 +70,7 @@ pub(crate) enum SnapWindow {
 /// The one place a session snapshot's magic is recognised: the window
 /// layout and the payload of a sealed container with either magic whose
 /// length and checksum hold; `None` otherwise. Cheap — nothing inside
-/// is decoded — so `SessionDir::heal` asks it too.
+/// is decoded — so a mirror's `SessionDir::heal` asks it too.
 pub(crate) fn open_snapshot(bytes: &[u8]) -> Option<(SnapWindow, &[u8])> {
     [
         (SNAP_MAGIC, SnapWindow::Facts),
@@ -163,8 +162,9 @@ pub struct Recovered {
     /// count is its mark) followed by the verdicts of the replayed
     /// tail.
     pub verdict_log: VerdictLog,
-    /// `Some(detail)` when a torn tail was found and truncated at its
-    /// exact `good_len` byte offset.
+    /// `Some(detail)` when the open segment was mended: a torn tail
+    /// truncated at its exact `good_len` byte offset, or a header whose
+    /// write a kill cut short written whole.
     pub truncated: Option<String>,
     /// The final verdict line when the session was closed in a
     /// previous life.
@@ -346,12 +346,22 @@ impl SessionLog {
         self.dir.put(FileName::Closed, final_line.as_bytes())
     }
 
-    /// Reopens a session directory: torn tails healed, newest valid
-    /// snapshot restored, then replay of the log tail from the
-    /// snapshot's exact byte offset. The revived checker/parser
-    /// continue the stream with verdicts byte-identical to an
-    /// uninterrupted run (the `adya-online` snapshot invariant, now
-    /// per-session).
+    /// Reopens a session directory: newest valid snapshot restored, then
+    /// replay of the log tail from the snapshot's exact byte offset. The
+    /// revived checker/parser continue the stream with verdicts
+    /// byte-identical to an uninterrupted run (the `adya-online`
+    /// snapshot invariant, now per-session).
+    ///
+    /// It is also the one repair of a leader's directory. A writer
+    /// killed mid-append tore at most the newest name log and segment,
+    /// and never made its torn record durable (the client re-sends it),
+    /// so recovery mends, in the bytes it reads anyway: a partial final
+    /// name line, a torn final record (cut at its exact `good_len`), and
+    /// a segment holding a strict prefix of [`LOG_MAGIC`] — killed in a
+    /// rotation's header write, it holds no records and gets the rest.
+    /// Damage anywhere else may sit over acknowledged records and is
+    /// refused. The mends are made once nothing was, so a refused
+    /// recovery cuts and publishes nothing (it sweeps only tmp files).
     pub fn recover(
         dir: &Path,
         cfg: LogConfig,
@@ -360,22 +370,16 @@ impl SessionLog {
         repl: Option<LogPublisher>,
     ) -> Result<Recovered, RecoverError> {
         let mut dir = SessionDir::at(dir, cfg.fsync, repl);
-        // The writer may have died mid-append. Its torn record was
-        // never durable — the client re-sends that token — so the
-        // tail is cut at the exact intact-prefix byte and appends
-        // resume there.
-        let truncated = dir
-            .heal()?
-            .into_iter()
-            .find(|h| matches!(h.file, FileName::Segment(_)))
-            .map(|h| format!("{} truncated to {} bytes: {}", h.file, h.good_len, h.detail));
-        let files = dir.list()?;
+        let files = dir.sweep()?;
         let (segs, snaps) = segments_and_snapshots(&files);
         let Some(&last_seg) = segs.last() else {
             return Err(RecoverError::Corrupt(
                 "no log segments (not a session directory)".into(),
             ));
         };
+        // The newest base is last.
+        let open_names = files.iter().map(|&(f, _)| f).rfind(|f| f.is_names());
+        let (mut mends, mut truncated) = (Vec::new(), None);
 
         // Newest decodable snapshot wins; damaged ones are skipped.
         let mut state = None;
@@ -423,21 +427,23 @@ impl SessionLog {
         // compacted away took its names into a snapshot recovery could
         // not use.
         let mut named = next;
-        let mut open_names = None;
         for &(file, _) in &files {
             let base = match file {
                 FileName::LegacyNames => 0,
                 FileName::Names(base) => base,
                 _ => continue,
             };
-            open_names = Some(file); // the newest base is last
-            let bytes = dir.read(file)?;
-            // The open file's torn line is healed by now: a partial
-            // line left is in a file no writer had open.
-            if bytes.last().is_some_and(|&b| b != b'\n') {
-                return Err(RecoverError::Corrupt(format!(
-                    "{file}: partial final name line"
-                )));
+            let mut bytes = dir.read(file)?;
+            let good = dir::whole_lines(&bytes);
+            if good < bytes.len() {
+                // Only the newest name log had a writer.
+                if Some(file) != open_names {
+                    return Err(RecoverError::Corrupt(format!(
+                        "{file}: partial final name line"
+                    )));
+                }
+                bytes.truncate(good);
+                mends.push(Mend::Cut(file, good as u64));
             }
             let text = std::str::from_utf8(&bytes)
                 .map_err(|_| RecoverError::Corrupt(format!("{file} is not UTF-8")))?;
@@ -482,33 +488,45 @@ impl SessionLog {
             )));
         }
 
+        let header = LOG_MAGIC.len() as u64;
         for &start in &segs {
             if start < snap_seg {
                 continue; // fully covered by the snapshot
             }
             let file = FileName::Segment(start);
-            // The snapshot holds what its segment's records before
-            // `snap_off` did: only the header and the records after it
-            // are read.
-            let buf;
-            let mut reader = if start == snap_seg {
-                let len;
-                (buf, len) = dir.read_tail(file, snap_off)?;
-                EventLogReader::open_tail(&buf, snap_off as usize, len as usize)
-            } else {
-                if start != records {
-                    return Err(RecoverError::Corrupt(format!(
-                        "segment chain broken: {file} but {records} records replayed"
-                    )));
-                }
-                buf = dir.read(file)?;
-                EventLogReader::open(&buf)
+            if start != snap_seg && start != records {
+                return Err(RecoverError::Corrupt(format!(
+                    "segment chain broken: {file} but {records} records replayed"
+                )));
             }
-            .map_err(|e| RecoverError::Corrupt(format!("{file}: {e}")))?;
+            // The snapshot holds what its segment's records before
+            // `snap_off` did: of that segment only the header and the
+            // records after it are read, of any later one all of it.
+            let from = if start == snap_seg { snap_off } else { header };
+            let (buf, len) = dir.read_tail(file, from)?;
+            let corrupt = |e: LogError| RecoverError::Corrupt(format!("{file}: {e}"));
+            let open = start == last_seg;
+            // A header write cut short, in a segment no snapshot claims
+            // bytes of (`buf` is then the whole file).
+            if open && from == header && len < header && LOG_MAGIC.starts_with(&buf) {
+                truncated = Some(format!(
+                    "{file} held {len} of its {header} header bytes; header restored"
+                ));
+                mends.push(Mend::Header(file, len as usize));
+                continue;
+            }
+            let mut reader =
+                EventLogReader::open_tail(&buf, from as usize, len as usize).map_err(corrupt)?;
             while let Some(ev) = reader.next() {
-                // The open segment's torn tail is healed by now: any
-                // damage left is mid-file or in a closed segment.
-                let ev = ev.map_err(|e| RecoverError::Corrupt(format!("{file}: {e}")))?;
+                let ev = match ev {
+                    Ok(ev) => ev,
+                    Err(LogError::TornTail { good_len, detail }) if open => {
+                        truncated = Some(format!("{file} truncated to {good_len} bytes: {detail}"));
+                        mends.push(Mend::Cut(file, good_len as u64));
+                        break;
+                    }
+                    Err(e) => return Err(corrupt(e)),
+                };
                 // Names are logged before the events that use them.
                 if let Some(o) = objects_of(&ev).find(|o| u64::from(o.0) >= named) {
                     return Err(RecoverError::Corrupt(format!(
@@ -523,17 +541,6 @@ impl SessionLog {
             }
         }
 
-        // The open names file is the newest-base side log; a directory
-        // that predates name rotation may have none beyond the legacy
-        // `names.log`, and a fresh post-rotation directory may have an
-        // empty one — create the file if the listing found nothing.
-        let names = match open_names {
-            Some(found) => found,
-            None => {
-                dir.put(FileName::Names(next), b"")?;
-                FileName::Names(next)
-            }
-        };
         let closed = match dir.read(FileName::Closed) {
             Ok(bytes) => Some(
                 String::from_utf8(bytes)
@@ -541,6 +548,22 @@ impl SessionLog {
             ),
             Err(e) if e.kind() == io::ErrorKind::NotFound => None,
             Err(e) => return Err(e.into()),
+        };
+
+        // Nothing was refused.
+        for mend in mends {
+            match mend {
+                Mend::Cut(file, len) => dir.cut(file, len)?,
+                Mend::Header(file, have) => dir.append(file, &LOG_MAGIC[have..], 0, None)?,
+            }
+        }
+        // No name log listed (a kill inside `create`): one is started.
+        let names = match open_names {
+            Some(found) => found,
+            None => {
+                dir.put(FileName::Names(next), b"")?;
+                FileName::Names(next)
+            }
         };
         Ok(Recovered {
             log: SessionLog {
@@ -560,6 +583,14 @@ impl SessionLog {
             tail_events,
         })
     }
+}
+
+/// What [`SessionLog::recover`] mends in a file a killed writer had open.
+enum Mend {
+    /// Cut to its intact prefix, of this many bytes.
+    Cut(FileName, u64),
+    /// This many bytes of a header written: the rest is appended.
+    Header(FileName, usize),
 }
 
 /// The objects `ev` names.
@@ -1082,6 +1113,108 @@ mod tests {
         assert_eq!(r.log.records(), 6);
         assert!(r.truncated.is_none());
         fs::remove_dir_all(&dir).unwrap();
+    }
+
+    fn contents(dir: &Path) -> Vec<(String, Vec<u8>)> {
+        let read = |name: String| {
+            let bytes = fs::read(dir.join(&name)).unwrap();
+            (name, bytes)
+        };
+        files(dir).into_iter().map(read).collect()
+    }
+
+    /// What a leader's recovery mends is only what a writer killed
+    /// mid-append can have left in the files it had open: a partial
+    /// final line of the newest name log, and here the open segment's
+    /// partial header (`torn_tail_is_truncated_at_the_exact_good_byte`
+    /// has its torn record). It sweeps a stray tmp file, and leaves an
+    /// undecodable snapshot and the `closed` marker as they are; a second
+    /// recovery mends nothing. Damage in a file no writer had open —
+    /// mid-file in a closed segment, a torn closed segment, a partial
+    /// line in an older name log — is refused, and a refused recovery
+    /// leaves every byte of every session file, the open files' tears
+    /// included.
+    #[test]
+    fn recovery_mends_only_what_a_killed_writer_left_and_is_idempotent() {
+        let cfg = LogConfig {
+            rotate_events: 2,
+            snapshot_every: u64::MAX,
+            ..LogConfig::default()
+        };
+        let recover = |dir: &Path| SessionLog::recover(dir, cfg, GcConfig::default(), false, None);
+        let damaged = |tag: &str| {
+            let dir = tmp(&format!("mend-{tag}"));
+            let mut rig = Rig::create(&dir, cfg);
+            rig.apply("b1 w1(x,1) c1 b2 w2(y,1) c2"); // seg-0, 2, 4 closed; seg-6 open
+            drop(rig);
+            fs::write(dir.join("names-2.log"), b"z\nhal").unwrap();
+            fs::write(dir.join("seg-6.log"), &LOG_MAGIC[..3]).unwrap();
+            fs::write(dir.join("snap-1.snap"), b"not a sealed container").unwrap();
+            fs::write(dir.join("closed"), b"no newline").unwrap();
+            let before = contents(&dir);
+            fs::write(dir.join(".put.tmp"), b"stray").unwrap();
+            (dir, before)
+        };
+
+        let (dir, before) = damaged("kill");
+        let r = recover(&dir).unwrap();
+        assert_eq!(r.log.records(), 6);
+        assert_eq!(r.closed.as_deref(), Some("no newline"));
+        assert!(r.truncated.is_some_and(|d| d.contains("seg-6.log")));
+        drop(r.log);
+        let mended: Vec<_> = before
+            .iter()
+            .cloned()
+            .map(|(name, bytes)| match name.as_str() {
+                "names-2.log" => (name, b"z\n".to_vec()),
+                "seg-6.log" => (name, LOG_MAGIC.to_vec()),
+                _ => (name, bytes),
+            })
+            .collect();
+        assert_eq!(contents(&dir), mended);
+        assert!(
+            !dir.join(".put.tmp").exists(),
+            "the stray tmp file is swept"
+        );
+        let again = recover(&dir).unwrap();
+        assert!(again.truncated.is_none());
+        assert_eq!(contents(&dir), mended);
+        fs::remove_dir_all(&dir).unwrap();
+
+        type Damage = fn(&Path);
+        let refused: [(&str, Damage); 3] = [
+            ("seg-0.log", |dir| {
+                let path = dir.join("seg-0.log");
+                let mut bytes = fs::read(&path).unwrap();
+                bytes[LOG_MAGIC.len() + wire::FRAME_HEADER] ^= 0xff;
+                fs::write(&path, bytes).unwrap();
+            }),
+            ("seg-2.log", |dir| {
+                let path = dir.join("seg-2.log");
+                let mut f = OpenOptions::new().append(true).open(path).unwrap();
+                f.write_all(&[9, 0, 0, 0, 1, 2]).unwrap();
+            }),
+            ("names-0.log", |dir| {
+                let path = dir.join("names-0.log");
+                let mut f = OpenOptions::new().append(true).open(path).unwrap();
+                f.write_all(b"partial-nam").unwrap();
+            }),
+        ];
+        for (file, damage) in refused {
+            let (dir, _) = damaged(file);
+            damage(&dir);
+            let before = contents(&dir)
+                .into_iter()
+                .filter(|(n, _)| n != ".put.tmp")
+                .collect::<Vec<_>>();
+            match recover(&dir) {
+                Err(RecoverError::Corrupt(m)) => assert!(m.contains(file), "{m}"),
+                Err(e) => panic!("{file}: refused for the wrong reason: {e}"),
+                Ok(_) => panic!("{file}: recovered"),
+            }
+            assert_eq!(contents(&dir), before, "{file}: a refused recovery cut");
+            fs::remove_dir_all(&dir).unwrap();
+        }
     }
 
     /// A snapshot whose resume offset lies outside its segment — the

@@ -1278,59 +1278,73 @@ mod tests {
         fs::remove_dir_all(&root).unwrap();
     }
 
+    /// A refused recovery changes nothing: damage in a closed segment
+    /// is refused with every leader byte left in place, nothing is
+    /// published, and the follower keeps its intact copy — also when
+    /// the open segment has a torn tail that a recovery that succeeded
+    /// would have cut.
     #[test]
     fn damage_in_a_closed_segment_is_refused_with_every_byte_left_in_place() {
         use crate::log::{LogConfig, RecoverError, SessionLog};
         use adya_history::{Event, TxnId};
-        let root = tmp("closed-damage");
-        let (leader, follower) = (root.join("leader"), root.join("follower"));
-        let hub = quiet_hub(leader.clone(), None);
-        let mut sink = ReplicaSink::new(follower.clone(), FsyncPolicy::Never);
-        let mut link = Link::default();
-        let cfg = LogConfig {
-            rotate_events: 4,
-            snapshot_every: u64::MAX,
-            ..LogConfig::default()
-        };
-        let mut log =
-            SessionLog::create(&leader.join("s1"), cfg, Some(hub.publisher("s1"))).unwrap();
-        for t in 1..=10 {
-            log.append(&Event::Begin(TxnId(t))).unwrap();
+        for torn_open in [false, true] {
+            let root = tmp(&format!("closed-damage-{torn_open}"));
+            let (leader, follower) = (root.join("leader"), root.join("follower"));
+            let hub = quiet_hub(leader.clone(), None);
+            let mut sink = ReplicaSink::new(follower.clone(), FsyncPolicy::Never);
+            let mut link = Link::default();
+            let cfg = LogConfig {
+                rotate_events: 4,
+                snapshot_every: u64::MAX,
+                ..LogConfig::default()
+            };
+            let mut log =
+                SessionLog::create(&leader.join("s1"), cfg, Some(hub.publisher("s1"))).unwrap();
+            for t in 1..=10 {
+                log.append(&Event::Begin(TxnId(t))).unwrap();
+            }
+            drop(log);
+            ship(&hub, &mut link, &mut sink);
+            let intact = dir_bytes(&follower.join("s1"));
+            assert_eq!(dir_bytes(&leader.join("s1")), intact);
+
+            // The last byte of closed seg-0.log flips: its final record —
+            // an acknowledged one — fails its checksum exactly as a torn
+            // append would, in a file no writer had open.
+            let seg0 = leader.join("s1/seg-0.log");
+            let mut bytes = fs::read(&seg0).unwrap();
+            *bytes.last_mut().unwrap() ^= 0xff;
+            fs::write(&seg0, &bytes).unwrap();
+            if torn_open {
+                // And a kill mid-append tore the open segment's last record.
+                let seg8 = fs::OpenOptions::new()
+                    .append(true)
+                    .open(leader.join("s1/seg-8.log"));
+                seg8.unwrap().write_all(&[40, 0, 0, 0, 0xde, 0xad]).unwrap();
+            }
+            let damaged = dir_bytes(&leader.join("s1"));
+
+            let published = hub.state.lock().unwrap().gen;
+            let Err(e) = SessionLog::recover(
+                &leader.join("s1"),
+                cfg,
+                adya_online::GcConfig::default(),
+                false,
+                Some(hub.publisher("s1")),
+            ) else {
+                panic!("recovery must refuse a damaged closed segment");
+            };
+            assert!(
+                matches!(&e, RecoverError::Corrupt(m) if m.contains("seg-0.log")),
+                "{e}"
+            );
+            assert_eq!(dir_bytes(&leader.join("s1")), damaged, "leader bytes cut");
+            let now = hub.state.lock().unwrap().gen;
+            assert_eq!(now, published, "a refused recovery publishes nothing");
+            ship(&hub, &mut link, &mut sink);
+            assert_eq!(dir_bytes(&follower.join("s1")), intact);
+            fs::remove_dir_all(&root).unwrap();
         }
-        drop(log);
-        ship(&hub, &mut link, &mut sink);
-        let intact = dir_bytes(&follower.join("s1"));
-        assert_eq!(dir_bytes(&leader.join("s1")), intact);
-
-        // The last byte of closed seg-0.log flips: its final record —
-        // an acknowledged one — fails its checksum exactly as a torn
-        // append would, in a file no writer had open.
-        let seg0 = leader.join("s1/seg-0.log");
-        let mut bytes = fs::read(&seg0).unwrap();
-        *bytes.last_mut().unwrap() ^= 0xff;
-        fs::write(&seg0, &bytes).unwrap();
-        let damaged = dir_bytes(&leader.join("s1"));
-
-        let published = hub.state.lock().unwrap().gen;
-        let Err(e) = SessionLog::recover(
-            &leader.join("s1"),
-            cfg,
-            adya_online::GcConfig::default(),
-            false,
-            Some(hub.publisher("s1")),
-        ) else {
-            panic!("recovery must refuse a damaged closed segment");
-        };
-        assert!(
-            matches!(&e, RecoverError::Corrupt(m) if m.contains("seg-0.log")),
-            "{e}"
-        );
-        assert_eq!(dir_bytes(&leader.join("s1")), damaged, "leader bytes cut");
-        let now = hub.state.lock().unwrap().gen;
-        assert_eq!(now, published, "a refused recovery publishes nothing");
-        ship(&hub, &mut link, &mut sink);
-        assert_eq!(dir_bytes(&follower.join("s1")), intact);
-        fs::remove_dir_all(&root).unwrap();
     }
 
     #[test]

@@ -606,9 +606,9 @@ fn dispatch_frame(
                 );
                 return LineOutcome::Continue;
             };
-            // A torn tail healed during recovery is reported with the
-            // adya-check truncated_input vocabulary, then the resume
-            // proceeds — the log was truncated at the exact good byte.
+            // Recovery's repair of the open segment (a torn tail cut, a
+            // cut-short header restored) is reported with the adya-check
+            // truncated_input vocabulary; then the resume proceeds.
             if let Some(detail) = s.truncated.take() {
                 let _ = writeln!(stream, "{}", proto::error_frame("truncated_input", &detail));
             }

@@ -86,8 +86,8 @@ pub struct Session {
     verdicts: VerdictLog,
     /// Final verdict line once closed.
     closed: Option<String>,
-    /// Torn-tail healing notice from recovery, reported once on the
-    /// next resume.
+    /// Notice of recovery's repair of the open segment, reported once
+    /// on the next resume.
     pub truncated: Option<String>,
     /// Per-verdict latency provenance: sampled events (by dense
     /// durable record number) are stamped through every stage of

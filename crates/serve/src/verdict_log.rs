@@ -87,16 +87,6 @@ impl<S: AsRef<str>> PartialEq<Vec<S>> for Replay {
     }
 }
 
-/// A [`fmt::Write`] that only counts the bytes it is given.
-struct Measure(usize);
-
-impl fmt::Write for Measure {
-    fn write_str(&mut self, s: &str) -> fmt::Result {
-        self.0 += s.len();
-        Ok(())
-    }
-}
-
 /// The verdicts of one session that can still be re-sent.
 #[derive(Debug, Default, PartialEq)]
 pub struct VerdictLog {
@@ -155,7 +145,8 @@ impl VerdictLog {
     /// one buffer of its exact size: the line `ack` returns for the
     /// number of verdicts the client is missing, then each of their
     /// lines, rendered by the session's `checker`. One writer runs
-    /// twice over the window: into a [`Measure`], then into the buffer.
+    /// twice over the window: into a [`wire::ByteCount`], then into the
+    /// buffer.
     pub fn reply(
         &self,
         have: u64,
@@ -172,11 +163,12 @@ impl VerdictLog {
             }
             Ok(())
         };
-        let mut len = Measure(0);
-        write(&mut len).expect("a Measure takes any write");
-        let mut text = String::with_capacity(len.0);
+        let mut count = wire::ByteCount::default();
+        write(&mut count).expect("a ByteCount takes any write");
+        let len = wire::Sink::written(&count);
+        let mut text = String::with_capacity(len);
         write(&mut text).expect("a String takes any write");
-        debug_assert_eq!(text.len(), len.0, "measured and written replies differ");
+        debug_assert_eq!(text.len(), len, "measured and written replies differ");
         Ok(Replay {
             text,
             lines_at: ack.len() + 1,

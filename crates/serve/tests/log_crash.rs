@@ -1,11 +1,12 @@
 //! Seeded crash-point property test of [`SessionLog`]: a random token
 //! stream under random (small) rotation and snapshot cadences is cut
 //! at a random point — optionally with a torn partial record appended,
-//! the disk image a kill -9 mid-append leaves — and recovery must
+//! or right after a rotation with the new segment's header cut short:
+//! the disk images a kill -9 mid-append leaves — and recovery must
 //! round-trip: exact record count, replayed verdict tail byte-identical
 //! to the uninterrupted run, the torn tail truncated at its exact good
-//! byte, and the continued stream (including a second recovery)
-//! indistinguishable from one that never crashed.
+//! byte (the header written whole), and the continued stream (including
+//! a second recovery) indistinguishable from one that never crashed.
 
 use std::fs::{self, OpenOptions};
 use std::io::Write as _;
@@ -52,7 +53,28 @@ struct Rig {
 }
 
 impl Rig {
+    fn create(dir: &Path, cfg: LogConfig) -> Rig {
+        Rig {
+            log: SessionLog::create(dir, cfg, None).expect("create"),
+            feed: StreamFeed::new(OnlineChecker::with_gc(GcConfig::default())),
+            verdicts: Vec::new(),
+            window: VerdictLog::default(),
+        }
+    }
+
+    /// One token, and the snapshot its cadence asks for.
     fn apply(&mut self, tok: &str) {
+        self.append(tok);
+        if self.log.snapshot_due() {
+            self.log
+                .write_snapshot(&self.feed, &self.window)
+                .expect("snapshot");
+        }
+    }
+
+    /// One token, up to the snapshot: where a kill inside the append
+    /// leaves the session.
+    fn append(&mut self, tok: &str) {
         let known = self.feed.parser().interned();
         let ev = self.feed.parse(tok).expect("valid token");
         let parser = self.feed.parser();
@@ -62,11 +84,6 @@ impl Rig {
         if let Some(v) = self.feed.ingest(&ev) {
             self.window.push(&v, self.feed.checker());
             self.verdicts.push(v.to_json());
-        }
-        if self.log.snapshot_due() {
-            self.log
-                .write_snapshot(&self.feed, &self.window)
-                .expect("snapshot");
         }
     }
 }
@@ -231,9 +248,10 @@ fn a_recovery_that_lost_its_names_gives_a_new_name_an_id_of_its_own() {
     fs::remove_dir_all(&data).ok();
 }
 
-/// Mid-file damage in a closed segment is no torn write: a leader's heal
-/// neither cuts nor reads the file, so it keeps every byte, and
-/// recovery, which replays that segment, refuses the session.
+/// Mid-file damage in a closed segment is no torn write: no writer had
+/// the file open, so recovery, which replays that segment, refuses the
+/// session, and a refused recovery cuts nothing: the file keeps every
+/// byte.
 #[test]
 fn mid_file_damage_in_a_closed_segment_is_left_and_refused() {
     let tap = TapCrashPlane::new(TapCrashConfig::default());
@@ -268,6 +286,56 @@ fn mid_file_damage_in_a_closed_segment_is_left_and_refused() {
     fs::remove_dir_all(&data).ok();
 }
 
+/// A kill inside a rotation's header write leaves the new segment with
+/// none or part of its 8-byte header. It holds no records: recovery
+/// writes the header whole, replays the four records of `seg-0`, and
+/// the session goes on in `seg-4` — through a second recovery too.
+#[test]
+fn a_kill_inside_a_rotations_header_write_recovers() {
+    let cfg = LogConfig {
+        rotate_events: 4,
+        snapshot_every: u64::MAX,
+        fsync: FsyncPolicy::Never,
+    };
+    for written in [0, 3] {
+        let dir = tmp(&format!("rotation-header-{written}"));
+        let mut rig = Rig::create(&dir, cfg);
+        for tok in ["b1", "w1(k,1)", "c1", "b2"] {
+            rig.apply(tok);
+        }
+        drop(rig);
+        let seg = dir.join("seg-4.log");
+        assert_eq!(fs::read(&seg).expect("seg-4"), LOG_MAGIC, "rotated");
+        fs::write(&seg, &LOG_MAGIC[..written]).expect("cut the header short");
+
+        let r = SessionLog::recover(&dir, cfg, GcConfig::default(), false, None)
+            .unwrap_or_else(|e| panic!("{written} header bytes: {e}"));
+        assert_eq!(r.log.records(), 4);
+        let notice = r.truncated.as_deref().expect("the repair is reported");
+        assert!(notice.contains("seg-4.log"), "{notice}");
+        assert_eq!(fs::read(&seg).expect("seg-4"), LOG_MAGIC, "header restored");
+
+        let mut rig = Rig {
+            log: r.log,
+            feed: r.feed,
+            verdicts: Vec::new(),
+            window: r.verdict_log,
+        };
+        rig.apply("w2(k,2)");
+        drop(rig);
+        let r = SessionLog::recover(&dir, cfg, GcConfig::default(), false, None)
+            .expect("second recovery");
+        assert_eq!(r.log.records(), 5);
+        assert_eq!(
+            r.log.open_segment_records(),
+            1,
+            "the fifth record is in seg-4"
+        );
+        assert!(r.truncated.is_none(), "nothing left to mend");
+        fs::remove_dir_all(&dir).ok();
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -278,6 +346,7 @@ proptest! {
         txns in 4u64..24,
         crash_frac in 0u64..1000,
         torn in 0usize..8,
+        header in 0u64..32,
     ) {
         let cfg = LogConfig {
             rotate_events: rotate,
@@ -285,7 +354,16 @@ proptest! {
             ..LogConfig::default()
         };
         let tokens = token_stream(txns);
-        let crash_at = 1 + (crash_frac as usize * (tokens.len() - 1)) / 1000;
+        let mut crash_at = 1 + (crash_frac as usize * (tokens.len() - 1)) / 1000;
+        // In a quarter of the cases the kill comes inside the header write of the
+        // rotation that the last record before it started (one token is
+        // one record), so the snapshot its cadence asked for is never
+        // taken, and the torn tail is that header, `header` bytes of it.
+        let header = (header < 8).then_some(header);
+        if header.is_some() {
+            crash_at = crash_at.max(rotate as usize) / rotate as usize * rotate as usize;
+        }
+        let torn = if header.is_some() { 0 } else { torn };
 
         // The uninterrupted reference run.
         let mut reference = StreamFeed::new(OnlineChecker::with_gc(GcConfig::default()));
@@ -300,37 +378,44 @@ proptest! {
 
         // Live run up to the crash point, then drop (kill): appends
         // reached the OS, nothing else is promised.
-        let dir = tmp(&format!("{rotate}-{snapshot}-{txns}-{crash_frac}-{torn}"));
-        let mut rig = Rig {
-            log: SessionLog::create(&dir, cfg, None).expect("create"),
-            feed: StreamFeed::new(OnlineChecker::with_gc(GcConfig::default())),
-            verdicts: Vec::new(),
-            window: VerdictLog::default(),
-        };
-        for tok in &tokens[..crash_at] {
+        let dir = tmp(&format!("{rotate}-{snapshot}-{txns}-{crash_frac}-{torn}-{header:?}"));
+        let mut rig = Rig::create(&dir, cfg);
+        for tok in &tokens[..crash_at - 1] {
             rig.apply(tok);
+        }
+        if header.is_some() {
+            rig.append(&tokens[crash_at - 1]);
+        } else {
+            rig.apply(&tokens[crash_at - 1]);
         }
         let crash_verdicts = rig.verdicts.len();
         drop(rig);
 
         // A kill mid-append leaves a torn partial record: any 1..8
         // trailing bytes cannot form a complete [len][crc] header, so
-        // the reader reports a torn tail, never corruption.
+        // the reader reports a torn tail, never corruption. A kill
+        // inside a rotation's header write leaves 0..8 of its bytes.
         let seg = open_segment(&dir);
         let good_len = fs::metadata(&seg).expect("seg meta").len();
         if torn > 0 {
             let mut f = OpenOptions::new().append(true).open(&seg).expect("open seg");
             f.write_all(&vec![0xFF; torn]).expect("tear");
         }
+        if let Some(written) = header {
+            prop_assert_eq!(good_len, LOG_MAGIC.len() as u64, "a rotation just happened");
+            let f = OpenOptions::new().write(true).open(&seg).expect("open seg");
+            f.set_len(written).expect("cut the header short");
+        }
 
         let r = SessionLog::recover(&dir, cfg, GcConfig::default(), false, None)
             .expect("recovery must succeed");
         prop_assert_eq!(r.log.records(), crash_at as u64, "exact record count");
-        prop_assert_eq!(r.truncated.is_some(), torn > 0, "torn tail reported iff torn");
+        let mended = torn > 0 || header.is_some();
+        prop_assert_eq!(r.truncated.is_some(), mended, "a repair reported iff one was made");
         prop_assert_eq!(
             fs::metadata(&seg).expect("seg meta").len(),
             good_len,
-            "truncated at the exact good byte"
+            "truncated at the exact good byte, or the header restored"
         );
         let base = r.verdict_log.base();
         let window = r.verdict_log.reply(base, r.feed.checker(), |_| String::new());

@@ -1,5 +1,6 @@
-//! What one session snapshot allocates: its image, once; and what one
-//! resume allocates: its reply, once. An `adya-serve` `Session` shaped
+//! What one session snapshot allocates: its image, once; what one
+//! recovery reads: its open segment, once; and what one resume
+//! allocates: its reply, once. An `adya-serve` `Session` shaped
 //! like the ledger's memory pass (256 keys, eight open, 1 250 events,
 //! one transaction a line), clean and dirty, takes one
 //! `Session::snapshot()` here, and a counting allocator reads what that
@@ -12,7 +13,17 @@
 //! connection thread's allocator arena keeps that high-water mark as
 //! resident memory.
 //!
-//! The same session, killed and recovered, then takes one
+//! The same session is killed, and its `Session::recover` counted: no
+//! allocation as large as its open segment, which recovery reads once,
+//! the header and the records after the snapshot's offset. Here the
+//! largest is the snapshot image it reads, 19 147 B (clean) and
+//! 19 729 B (dirty) beside a 25 872 B and a 25 876 B segment, and the
+//! whole recovery asks for ≈ 106 and ≈ 102 kB. The build that healed
+//! the directory before recovering it read the open segment whole
+//! first: its largest allocation was the segment, and it asked for
+//! ≈ 132 and ≈ 129 kB (release builds both).
+//!
+//! The recovered session then takes one
 //! `Session::resume(0)` over its whole replay window: at most 1.5× the
 //! reply's bytes in total, in a handful of allocations — the reply, its
 //! ack, and the witness ids of the few lines that fired something new.
@@ -28,7 +39,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use adya::serve::{FileName, Session, SessionConfig};
+use adya::serve::{dir, FileName, Session, SessionConfig};
 use adya_faults::{TapCrashConfig, TapCrashPlane};
 
 mod common;
@@ -163,7 +174,21 @@ fn one_resume_allocates_its_reply_once(dirty: bool) {
         sent.extend(out.into_iter().map(|(_, line)| line));
     }
     drop(s); // a kill
+    let files = dir::list(&data.join("s")).expect("list the session");
+    let len = |want: fn(&FileName) -> bool| files.iter().find(|(f, _)| want(f)).unwrap().1;
+    let segment = len(|f| matches!(f, FileName::Segment(0))) as usize;
+    let image = len(|f| matches!(f, FileName::Snapshot(_))) as usize;
+    take();
     let mut s = Session::recover(&data, "s", SessionConfig::default(), None).expect("recover");
+    let (bytes, largest, _) = take();
+    eprintln!(
+        "dirty {dirty}: recovering a {segment} B open segment and a {image} B snapshot asked \
+         for {bytes} B, the largest allocation {largest} B"
+    );
+    assert!(
+        largest < segment,
+        "a {largest} B allocation: recovery read the {segment} B open segment whole"
+    );
     assert_eq!(s.verdict_log().base(), 0, "the window holds every verdict");
     take();
     let (_, count, reply) = s.resume(0).expect("resume");
