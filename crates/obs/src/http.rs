@@ -14,10 +14,13 @@
 //! `BufRead`/`Write` pair: `adya-serve` answers scrapes on its service
 //! port through the same code, so there is one reason-phrase table,
 //! one size limit and one deadline in the workspace. The transport half
-//! is [`Listener`], the accept loop under both servers.
+//! is [`Listener`], the accept loop under both servers: it sleeps inside
+//! a blocking `accept`, takes each connection the moment it arrives,
+//! and is woken for shutdown by a connection of its own — no poll
+//! timer stands between a client and its first reply.
 
 use std::io::{self, BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread;
@@ -75,15 +78,21 @@ impl Response {
 /// response. Runs on the per-connection thread.
 pub type Handler = Arc<dyn Fn(&str) -> Response + Send + Sync>;
 
-/// How often a quiet accept loop looks at its stop flag: the longest a
-/// new connection waits to be accepted, and a shutdown to be noticed.
-const ACCEPT_POLL: Duration = Duration::from_millis(25);
+/// How long an accept loop waits after `accept` itself failed (out of
+/// descriptors, a connection aborted before it was taken) before it
+/// tries again. A quiet socket costs nothing: the loop sleeps inside
+/// `accept` until a connection, or [`Listener::shutdown`]'s own, arrives.
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(5);
 
-/// The one accept loop: a thread taking connections off a nonblocking
-/// listener until told to stop, handing each to its own thread.
-/// Dropping the listener (or calling [`Listener::shutdown`]) stops and
-/// joins the loop; connection threads are detached and end on their own
-/// terms.
+/// How long [`Listener::shutdown`] waits for its wake-up connection to
+/// be taken by the kernel.
+const WAKE_TIMEOUT: Duration = Duration::from_secs(1);
+
+/// The one accept loop: a thread blocked in `accept` on a listening
+/// socket, handing each connection to its own thread until told to
+/// stop. Dropping the listener (or calling [`Listener::shutdown`])
+/// stops and joins the loop; connection threads are detached and end on
+/// their own terms.
 #[derive(Debug)]
 pub struct Listener {
     addr: SocketAddr,
@@ -93,44 +102,47 @@ pub struct Listener {
 
 impl Listener {
     /// Starts accepting on `listener`: every connection runs `serve` on
-    /// a thread named `<name>-conn`. The loop polls, so shutdown never
-    /// hangs on a quiet socket. `live` counts the connections whose
-    /// `serve` has not returned yet, for a caller that waits for them
-    /// or reports them.
+    /// a thread named `<name>-conn`. A connection is taken the moment it
+    /// arrives; shutdown wakes the blocked `accept` with a connection of
+    /// its own. `live` counts the connections whose `serve` has not
+    /// returned yet, for a caller that waits for them or reports them.
     pub fn spawn(
         listener: TcpListener,
         name: &str,
         live: Arc<AtomicUsize>,
         serve: impl Fn(TcpStream) + Send + Sync + 'static,
     ) -> io::Result<Listener> {
-        listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
         let stop = Arc::new(AtomicBool::new(false));
         let (stopped, serve) = (Arc::clone(&stop), Arc::new(serve));
         let conn_name = format!("{name}-conn");
         let accept_thread = thread::Builder::new()
             .name(format!("{name}-accept"))
-            .spawn(move || {
-                while !stopped.load(Ordering::Relaxed) {
-                    let Ok((stream, _)) = listener.accept() else {
-                        // Nobody there (`WouldBlock`), or a transient
-                        // failure: look again after the poll.
-                        thread::sleep(ACCEPT_POLL);
-                        continue;
-                    };
-                    // Counted before its thread exists, so a shutdown
-                    // that has joined this loop sees every connection.
-                    live.fetch_add(1, Ordering::Relaxed);
-                    let (done, serve) = (Arc::clone(&live), Arc::clone(&serve));
-                    let spawned = thread::Builder::new()
-                        .name(conn_name.clone())
-                        .spawn(move || {
-                            serve(stream);
-                            done.fetch_sub(1, Ordering::Relaxed);
-                        });
-                    if spawned.is_err() {
-                        live.fetch_sub(1, Ordering::Relaxed);
-                    }
+            .spawn(move || loop {
+                let accepted = listener.accept();
+                // Whatever woke the loop after a stop — the shutdown's
+                // own connection or a late client — is dropped unserved.
+                if stopped.load(Ordering::Acquire) {
+                    break;
+                }
+                let Ok((stream, _)) = accepted else {
+                    // A failing `accept` (EMFILE, ECONNABORTED, …) would
+                    // fail again at once: back off before the next.
+                    thread::sleep(ACCEPT_BACKOFF);
+                    continue;
+                };
+                // Counted before its thread exists, so a shutdown
+                // that has joined this loop sees every connection.
+                live.fetch_add(1, Ordering::Relaxed);
+                let (done, serve) = (Arc::clone(&live), Arc::clone(&serve));
+                let spawned = thread::Builder::new()
+                    .name(conn_name.clone())
+                    .spawn(move || {
+                        serve(stream);
+                        done.fetch_sub(1, Ordering::Relaxed);
+                    });
+                if spawned.is_err() {
+                    live.fetch_sub(1, Ordering::Relaxed);
                 }
             })?;
         Ok(Listener {
@@ -146,12 +158,35 @@ impl Listener {
     }
 
     /// Stops the accept loop and joins it. Idempotent.
+    ///
+    /// The loop is woken by one connection to its own port (to the
+    /// loopback address of the same family when bound to an unspecified
+    /// one). Should that connection fail — the process out of
+    /// descriptors, say — while the loop still sleeps in `accept`, the
+    /// loop is left to end at the next connection it takes rather than
+    /// hang the caller; its socket stays open until then.
     pub fn shutdown(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(t) = self.accept_thread.take() {
-            let _ = t.join();
+        let Some(accept_thread) = self.accept_thread.take() else {
+            return;
+        };
+        // Release, paired with the loop's Acquire load: the flag is set
+        // before the connection that wakes the loop is made.
+        self.stop.store(true, Ordering::Release);
+        let woken = TcpStream::connect_timeout(&wake_addr(self.addr), WAKE_TIMEOUT).is_ok();
+        if woken || accept_thread.is_finished() {
+            let _ = accept_thread.join();
         }
     }
+}
+
+/// Where a connection reaches a listener bound to `addr`.
+fn wake_addr(addr: SocketAddr) -> SocketAddr {
+    let ip = match addr.ip() {
+        IpAddr::V4(ip) if ip.is_unspecified() => IpAddr::V4(Ipv4Addr::LOCALHOST),
+        IpAddr::V6(ip) if ip.is_unspecified() => IpAddr::V6(Ipv6Addr::LOCALHOST),
+        ip => ip,
+    };
+    SocketAddr::new(ip, addr.port())
 }
 
 impl Drop for Listener {
@@ -582,5 +617,95 @@ mod tests {
         // Connecting after shutdown either fails outright or gets no
         // response; either way the accept thread is gone.
         let _ = TcpStream::connect(addr);
+    }
+
+    /// Behind a 25 ms accept poll these round trips take over a second;
+    /// taken as they arrive, they take a few milliseconds.
+    #[test]
+    fn sequential_connections_wait_for_no_poll() {
+        let server = ObsServer::bind("127.0.0.1:0", test_handler()).unwrap();
+        let addr = server.local_addr();
+        let t0 = Instant::now();
+        for _ in 0..40 {
+            let out = request(addr, "GET /health HTTP/1.1\r\n\r\n");
+            assert!(out.starts_with("HTTP/1.1 200"), "{out}");
+        }
+        let took = t0.elapsed();
+        assert!(
+            took < Duration::from_millis(500),
+            "40 round trips took {took:?}"
+        );
+    }
+
+    /// How long a listener may take to stop: under [`WAKE_TIMEOUT`], so
+    /// a wake-up connection that had to be waited out fails the test.
+    const STOP_BOUND: Duration = Duration::from_millis(500);
+
+    /// Starts a listener on `bind` whose connections read until their
+    /// peer closes, with one client connected and idle when
+    /// `idle_client`, and stops it through `shutdown()` and then through
+    /// `Drop`: each within [`STOP_BOUND`], after which nothing listens
+    /// at the address and the idle connection is still being served.
+    fn stops_promptly(bind: SocketAddr, idle_client: bool) {
+        for by_drop in [false, true] {
+            let live = Arc::new(AtomicUsize::new(0));
+            let serve = |mut s: TcpStream| {
+                let _ = io::copy(&mut s, &mut io::sink());
+            };
+            let listener = TcpListener::bind(bind).unwrap();
+            let mut listener = Listener::spawn(listener, "test", Arc::clone(&live), serve).unwrap();
+            let addr = wake_addr(listener.local_addr());
+            let client = idle_client.then(|| {
+                let client = TcpStream::connect(addr).unwrap();
+                let deadline = Instant::now() + Duration::from_secs(5);
+                while live.load(Ordering::Relaxed) == 0 {
+                    assert!(
+                        Instant::now() < deadline,
+                        "the idle client was never served"
+                    );
+                    thread::sleep(Duration::from_millis(1));
+                }
+                client
+            });
+            let t0 = Instant::now();
+            if by_drop {
+                drop(listener);
+            } else {
+                listener.shutdown();
+            }
+            let took = t0.elapsed();
+            assert!(
+                took < STOP_BOUND,
+                "{bind} (drop: {by_drop}) took {took:?} to stop"
+            );
+            assert!(
+                TcpStream::connect(addr).is_err(),
+                "{addr} still accepts after its listener stopped"
+            );
+            // The wake-up connection was dropped unserved; the idle one
+            // is the only connection still counted.
+            assert_eq!(live.load(Ordering::Relaxed), usize::from(idle_client));
+            drop(client);
+        }
+    }
+
+    #[test]
+    fn a_listener_on_an_unspecified_address_stops() {
+        stops_promptly("0.0.0.0:0".parse().unwrap(), false);
+    }
+
+    #[test]
+    fn a_listener_on_ipv6_loopback_stops() {
+        let bind: SocketAddr = "[::1]:0".parse().unwrap();
+        if TcpListener::bind(bind).is_err() {
+            eprintln!("no IPv6 loopback here: skipped");
+            return;
+        }
+        stops_promptly(bind, false);
+    }
+
+    #[test]
+    fn a_listener_with_an_idle_client_stops() {
+        stops_promptly("127.0.0.1:0".parse().unwrap(), true);
     }
 }

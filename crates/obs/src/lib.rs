@@ -25,6 +25,12 @@
 //! stream that stamps it; only its per-stage latency histograms go to
 //! the global registry.
 //!
+//! The HTTP endpoint ([`ObsServer`], `/metrics`, `/health`, `/trace`)
+//! runs on [`Listener`], the one accept loop in the workspace, which
+//! `adya-serve` shares: a thread blocked in `accept` that takes each
+//! connection as it arrives and is woken for shutdown by a connection
+//! of its own, so no poll timer sits in front of a scrape or a client.
+//!
 //! JSON export is hand-rolled ([`json::JsonWriter`], and over it the
 //! one Chrome trace-event writer, [`ChromeTrace`]) — the sanctioned
 //! dependency set has no serializer and the shapes here are small.

@@ -212,6 +212,9 @@ impl ReplicationHub {
     /// Stops every sender thread and joins them. Idempotent.
     pub fn stop(&self) {
         self.stop.store(true, Ordering::Relaxed);
+        // Taking the lock orders the store before any waiter's check of
+        // it: one that checked first is waiting by now and is notified.
+        drop(self.state.lock().unwrap());
         self.cv.notify_all();
         let mut threads = self.threads.lock().unwrap();
         for t in threads.drain(..) {
@@ -300,7 +303,7 @@ impl ReplicationHub {
                 Ok(s) => s,
                 Err(_) => {
                     adya_obs::counter!("serve.repl_connect_failures").inc();
-                    thread::sleep(Duration::from_millis(250));
+                    self.pause(Duration::from_millis(250));
                     continue;
                 }
             };
@@ -317,8 +320,17 @@ impl ReplicationHub {
             self.connected.fetch_sub(1, Ordering::Relaxed);
             adya_obs::gauge!("sli.repl_followers_connected")
                 .set(self.connected.load(Ordering::Relaxed) as i64);
-            thread::sleep(Duration::from_millis(200));
+            self.pause(Duration::from_millis(200));
         }
+    }
+
+    /// Waits `pause` before a reconnect, or until [`ReplicationHub::stop`],
+    /// whichever comes first. Publishes notify the same condvar; they do
+    /// not shorten the wait.
+    fn pause(&self, pause: Duration) {
+        let st = self.state.lock().unwrap();
+        let running = |_: &mut HubState| !self.stop.load(Ordering::Relaxed);
+        drop(self.cv.wait_timeout_while(st, pause, running));
     }
 
     /// Drives one follower connection: hello, then rounds of walks
@@ -338,7 +350,7 @@ impl ReplicationHub {
             if let Some(seen) = link.seen {
                 // Nothing new: the round is a heartbeat barrier.
                 let st = self.state.lock().unwrap();
-                if st.gen == seen {
+                if st.gen == seen && !self.stop.load(Ordering::Relaxed) {
                     drop(self.cv.wait_timeout(st, Duration::from_millis(400)));
                 }
             }
@@ -1581,6 +1593,36 @@ mod tests {
         let health = hub.health_json();
         assert!(health.contains("\"max_lag_records\": 2"), "{health}");
         hub.stop();
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A sender waiting out its reconnect pause (250 ms after a refused
+    /// connect) ends it the moment the hub stops.
+    #[test]
+    fn a_stop_ends_the_reconnect_pause() {
+        let dir = tmp("hub-stop");
+        let failures = adya_obs::counter!("serve.repl_connect_failures");
+        let before = failures.get();
+        let hub = ReplicationHub::start(
+            dir.clone(),
+            vec!["127.0.0.1:1".into()], // reserved port: never connects
+            "127.0.0.1:0".into(),
+            "test".into(),
+            None,
+            None,
+        );
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while failures.get() == before {
+            assert!(
+                Instant::now() < deadline,
+                "the sender never tried to connect"
+            );
+            thread::sleep(Duration::from_millis(1));
+        }
+        let t0 = Instant::now();
+        hub.stop();
+        let took = t0.elapsed();
+        assert!(took < Duration::from_millis(100), "stop took {took:?}");
         fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -2,9 +2,10 @@
 //! protocol, and the obs plane mounted on the same port.
 //!
 //! Transport is [`adya_obs::Listener`], the accept loop `ObsServer`
-//! runs on too: one thread per connection, std only. A connection
-//! speaks either the
-//! session protocol (NDJSON control frames + event tokens) or plain
+//! runs on too: one thread per connection, std only, each connection
+//! taken the moment it arrives (the loop blocks in `accept`; shutdown
+//! wakes it with a connection of its own). A connection speaks either
+//! the session protocol (NDJSON control frames + event tokens) or plain
 //! HTTP — the server peeks at the first line and treats `GET …` as a
 //! scrape, so `/metrics` and `/health` work on the same address a
 //! client streams events to.
