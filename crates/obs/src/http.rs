@@ -17,7 +17,8 @@
 //! is [`Listener`], the accept loop under both servers: it sleeps inside
 //! a blocking `accept`, takes each connection the moment it arrives,
 //! and is woken for shutdown by a connection of its own — no poll
-//! timer stands between a client and its first reply.
+//! timer stands between a client and its first reply. Beside them sits
+//! [`write_line`], the one way an NDJSON line goes onto a socket.
 
 use std::io::{self, BufRead, BufReader, Write};
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
@@ -374,18 +375,35 @@ fn route_request(request_line: &str, route: impl FnOnce(&str) -> Response) -> Re
     route(path)
 }
 
+/// Writes the whole response, head and body, in one `write_all`: a
+/// head and a body written apart are two segments on a socket.
 fn write_response(writer: &mut impl Write, r: &Response) {
-    let head = format!(
+    let mut bytes = format!(
         "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
         r.status,
         r.reason(),
         r.content_type,
         r.body.len()
-    );
-    if writer.write_all(head.as_bytes()).is_ok() {
-        let _ = writer.write_all(&r.body);
-    }
+    )
+    .into_bytes();
+    bytes.extend_from_slice(&r.body);
+    let _ = writer.write_all(&bytes);
     let _ = writer.flush();
+}
+
+/// Writes `line` and its newline in one `write_all`: the one way a
+/// line goes onto a socket in the workspace (`adya-serve`'s replies
+/// and replication frames, `ServeClient`'s frames). `writeln!` on a
+/// bare stream is two writes, the newline alone in the second; with
+/// Nagle on, that second waits for the peer's delayed ACK (≈ 40 ms on
+/// Linux), and with it off it is a segment and a wake-up of its own.
+/// The newline is pushed onto `line`'s own buffer and popped again
+/// before returning, so nothing outlives the call.
+pub fn write_line(writer: &mut (impl Write + ?Sized), line: &mut String) -> io::Result<()> {
+    line.push('\n');
+    let wrote = writer.write_all(line.as_bytes());
+    line.pop();
+    wrote
 }
 
 #[cfg(test)]

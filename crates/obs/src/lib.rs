@@ -45,7 +45,7 @@ pub mod registry;
 pub mod trace;
 
 pub use chrome::{Arg, ChromeTrace};
-pub use http::{Listener, ObsServer, Response};
+pub use http::{write_line, Listener, ObsServer, Response};
 pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot};
 pub use registry::{labeled, Registry, Snapshot, SpanTimer};
 pub use trace::{

@@ -60,7 +60,7 @@ use adya_obs::{
     json::{self, esc},
     labeled,
     trace::Stage,
-    TracePlane,
+    write_line, TracePlane,
 };
 use adya_online::wire;
 
@@ -336,12 +336,12 @@ impl ReplicationHub {
     /// Drives one follower connection: hello, then rounds of walks
     /// and barriers, until an error or stop.
     fn feed<S: Read + Write>(&self, io: &mut BufReader<S>, addr: &str) -> io::Result<()> {
-        writeln!(
-            io.get_mut(),
+        let mut hello = format!(
             "{{\"op\": \"repl_hello\", \"node\": \"{}\", \"advertise\": \"{}\"}}",
             esc(&self.node),
             esc(&self.advertise)
-        )?;
+        );
+        write_line(io.get_mut(), &mut hello)?;
         self.read_reply(io, "repl_hello", |reply| {
             (reply.str_at("ok") == Some("repl_hello")).then_some(())
         })?;
@@ -402,7 +402,8 @@ impl ReplicationHub {
         // The ack means everything shipped so far is durable on the
         // follower under its fsync policy.
         let t0 = Instant::now();
-        writeln!(io.get_mut(), "{{\"op\": \"repl_flush\", \"seq\": {gen}}}")?;
+        let mut flush = format!("{{\"op\": \"repl_flush\", \"seq\": {gen}}}");
+        write_line(io.get_mut(), &mut flush)?;
         self.read_reply(io, "ack", |reply| {
             (reply.u64_at("ack") == Some(gen)).then_some(())
         })?;
@@ -431,7 +432,8 @@ impl ReplicationHub {
     ) -> io::Result<()> {
         if !link.mirrors.contains_key(session) {
             let w = io.get_mut();
-            writeln!(w, "{{\"op\": \"replicate\", \"session\": \"{session}\"}}")?;
+            let mut replicate = format!("{{\"op\": \"replicate\", \"session\": \"{session}\"}}");
+            write_line(w, &mut replicate)?;
             let listing = self.read_reply(io, "replicate", |reply| {
                 (reply.str_at("ok") == Some("replicate"))
                     .then(|| reply.str_at("files").unwrap_or("").to_string())
@@ -479,14 +481,14 @@ impl ReplicationHub {
             if let Some(from) = append_from {
                 self.ship_suffix(w, session, p, from..end, &marks, &mut link.in_flight)?;
             } else if replaced || have != Some(end) {
-                writeln!(w, "{}", proto::put_frame(session, p.file, &p.read(0, end)?))?;
+                write_line(w, &mut proto::put_frame(session, p.file, &p.read(0, end)?))?;
             }
             files.insert(p.file, end);
         }
         // Whatever the leader no longer lists — compacted away, and
         // shipped above for the last time if it was removed since.
         for (&file, _) in files.iter().filter(|(f, _)| !listed.contains(f)) {
-            writeln!(w, "{}", proto::remove_frame(session, file))?;
+            write_line(w, &mut proto::remove_frame(session, file))?;
         }
         files.retain(|f, _| listed.contains(f));
         *at = measured_at;
@@ -514,10 +516,9 @@ impl ReplicationHub {
                 m.2
             });
             let bytes = p.read(at, end)?;
-            writeln!(
+            write_line(
                 w,
-                "{}",
-                proto::append_frame(session, p.file, at, &bytes, trace)
+                &mut proto::append_frame(session, p.file, at, &bytes, trace),
             )?;
             if let (Some(plane), Some(id)) = (&self.trace, trace) {
                 plane.stamp(id, Stage::Replicate);

@@ -34,7 +34,7 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use adya_faults::{TapCrashConfig, TapCrashPlane};
-use adya_obs::{Listener, TracePlane};
+use adya_obs::{write_line, Listener, TracePlane};
 
 use crate::proto::{self, ClientFrame};
 use crate::replica::{LogPublisher, ReplConfig, ReplicaSink, ReplicationHub};
@@ -308,8 +308,11 @@ impl Drop for Server {
 /// Serves one connection to completion.
 fn handle_conn(mut stream: TcpStream, inner: &Inner) {
     // The 100 ms read timeout is the stop-flag and idle-deadline poll.
+    // Nagle off: every line leaves in one write (`write_line`), and one
+    // held back for the peer's delayed ACK would cost ≈ 40 ms a reply.
     if stream
-        .set_read_timeout(Some(Duration::from_millis(100)))
+        .set_nodelay(true)
+        .and_then(|()| stream.set_read_timeout(Some(Duration::from_millis(100))))
         .and_then(|()| stream.set_write_timeout(Some(Duration::from_secs(5))))
         .is_err()
     {
@@ -387,12 +390,10 @@ fn handle_conn(mut stream: TcpStream, inner: &Inner) {
         ),
         None => (None, 0, 0),
     };
-    let _ = writeln!(
-        stream,
-        "{}",
-        proto::closing_frame(why_closing, name.as_deref(), events, verdicts)
+    let _ = write_line(
+        &mut stream,
+        &mut proto::closing_frame(why_closing, name.as_deref(), events, verdicts),
     );
-    let _ = stream.flush();
     detach(&mut conn.attached);
 }
 
@@ -421,10 +422,9 @@ fn dispatch_bytes(
         Ok(line) => dispatch_line(line, stream, conn, inner, reader),
         Err(_) => {
             adya_obs::counter!("serve.parse_errors").inc();
-            let _ = writeln!(
+            let _ = write_line(
                 stream,
-                "{}",
-                proto::error_frame("parse", "line is not valid UTF-8")
+                &mut proto::error_frame("parse", "line is not valid UTF-8"),
             );
             LineOutcome::Continue
         }
@@ -459,10 +459,9 @@ fn dispatch_line(
     // whole apply — log, crash plane, checker application —
     // runs with no lock held.
     let Some(a) = conn.attached.as_mut() else {
-        let _ = writeln!(
+        let _ = write_line(
             stream,
-            "{}",
-            proto::error_frame("not_attached", "send a hello or resume frame first")
+            &mut proto::error_frame("not_attached", "send a hello or resume frame first"),
         );
         return LineOutcome::Continue;
     };
@@ -470,21 +469,9 @@ fn dispatch_line(
     a.slot.refresh_health(&a.session);
     match result {
         Ok(verdicts) => {
-            // Wire-only annotation: the canonical verdict bytes are
-            // prefixed with the trace id for opted-in clients; the
-            // durable log and replay window never see the prefix.
             let annotate = conn.client_trace && inner.trace.is_some();
             for (tid, v) in verdicts {
-                let wrote = match tid {
-                    Some(id) if annotate => writeln!(
-                        stream,
-                        "{{\"trace\": \"{}\", {}",
-                        adya_obs::fmt_trace_id(id),
-                        &v[1..]
-                    ),
-                    _ => writeln!(stream, "{v}"),
-                };
-                if wrote.is_err() {
+                if write_verdict(stream, tid.filter(|_| annotate), v).is_err() {
                     return LineOutcome::End;
                 }
             }
@@ -492,22 +479,35 @@ fn dispatch_line(
         }
         Err(ApplyError::Parse(detail)) => {
             adya_obs::counter!("serve.parse_errors").inc();
-            let _ = writeln!(stream, "{}", proto::error_frame("parse", &detail));
+            let _ = write_line(stream, &mut proto::error_frame("parse", &detail));
             LineOutcome::Continue
         }
         Err(ApplyError::Closed(fin)) => {
-            let _ = writeln!(stream, "{}", proto::error_frame("session_closed", &fin));
+            let _ = write_line(stream, &mut proto::error_frame("session_closed", &fin));
             LineOutcome::Continue
         }
         Err(ApplyError::Io(e)) => {
-            let _ = writeln!(
+            let _ = write_line(
                 stream,
-                "{}",
-                proto::error_frame("io", &format!("durability failure: {e}"))
+                &mut proto::error_frame("io", &format!("durability failure: {e}")),
             );
             LineOutcome::End
         }
     }
+}
+
+/// Writes one verdict line. Wire-only annotation: for a client that
+/// opted in, the canonical verdict bytes are prefixed with the event's
+/// `trace` id; the durable log and replay window never see the prefix.
+fn write_verdict(w: &mut impl Write, trace: Option<u64>, mut v: String) -> io::Result<()> {
+    if let Some(id) = trace {
+        v = format!(
+            "{{\"trace\": \"{}\", {}",
+            adya_obs::fmt_trace_id(id),
+            &v[1..]
+        );
+    }
+    write_line(w, &mut v)
 }
 
 fn dispatch_frame(
@@ -519,7 +519,7 @@ fn dispatch_frame(
     let frame = match proto::parse_frame(line) {
         Ok(f) => f,
         Err(detail) => {
-            let _ = writeln!(stream, "{}", proto::error_frame("bad_frame", &detail));
+            let _ = write_line(stream, &mut proto::error_frame("bad_frame", &detail));
             return LineOutcome::Continue;
         }
     };
@@ -533,7 +533,7 @@ fn dispatch_frame(
         )
     {
         let hint = inner.leader_hint.lock().unwrap().clone();
-        let _ = writeln!(stream, "{}", proto::not_leader_frame(hint.as_deref()));
+        let _ = write_line(stream, &mut proto::not_leader_frame(hint.as_deref()));
         return LineOutcome::Continue;
     }
     match frame {
@@ -546,10 +546,9 @@ fn dispatch_frame(
             }
             let mut sessions = inner.sessions.lock().unwrap();
             if sessions.contains_key(&name) || inner.cfg.data_dir.join(&name).exists() {
-                let _ = writeln!(
+                let _ = write_line(
                     stream,
-                    "{}",
-                    proto::error_frame("session_exists", "use resume to re-attach")
+                    &mut proto::error_frame("session_exists", "use resume to re-attach"),
                 );
                 return LineOutcome::Continue;
             }
@@ -573,14 +572,13 @@ fn dispatch_frame(
                         slot,
                         session: Box::new(s),
                     });
-                    let _ = writeln!(stream, "{}", proto::ok_frame("hello", &name, 0, 0, 0));
+                    let _ = write_line(stream, &mut proto::ok_frame("hello", &name, 0, 0, 0));
                     LineOutcome::Continue
                 }
                 Err(e) => {
-                    let _ = writeln!(
+                    let _ = write_line(
                         stream,
-                        "{}",
-                        proto::error_frame("io", &format!("cannot create session: {e}"))
+                        &mut proto::error_frame("io", &format!("cannot create session: {e}")),
                     );
                     LineOutcome::Continue
                 }
@@ -600,10 +598,9 @@ fn dispatch_frame(
             // Checking the session out is the attachment claim: if the
             // slot is empty another connection owns it right now.
             let Some(mut s) = slot.checkout() else {
-                let _ = writeln!(
+                let _ = write_line(
                     stream,
-                    "{}",
-                    proto::error_frame("session_busy", "another connection owns this session")
+                    &mut proto::error_frame("session_busy", "another connection owns this session"),
                 );
                 return LineOutcome::Continue;
             };
@@ -611,7 +608,7 @@ fn dispatch_frame(
             // cut-short header restored) is reported with the adya-check
             // truncated_input vocabulary; then the resume proceeds.
             if let Some(detail) = s.truncated.take() {
-                let _ = writeln!(stream, "{}", proto::error_frame("truncated_input", &detail));
+                let _ = write_line(stream, &mut proto::error_frame("truncated_input", &detail));
             }
             match s.resume(have) {
                 Ok((_, _, reply)) => {
@@ -622,18 +619,15 @@ fn dispatch_frame(
                     slot.refresh_health(&s);
                     conn.attached = Some(Attached { slot, session: s });
                     adya_obs::counter!("serve.resumes").inc();
-                    // The ack and the whole replay leave in one write. A
-                    // line at a time, every line after the first sits
-                    // behind Nagle until the client acknowledges the one
-                    // before, and whether that is at once or on the
-                    // client's 40 ms delayed-ACK timer depends on how its
-                    // reads race these writes. The session rendered both
-                    // into one buffer.
+                    // The ack and the whole replay leave in one write:
+                    // the session rendered both, newlines included, into
+                    // one buffer, so a replay costs one syscall and the
+                    // segments its bytes fill, not a write per line.
                     let _ = stream.write_all(reply.text().as_bytes());
                     LineOutcome::Continue
                 }
                 Err(e) => {
-                    let frame = match e {
+                    let mut frame = match e {
                         ResumeError::Closed(fin) => proto::error_frame("session_closed", &fin),
                         ResumeError::Unrecoverable { base } => proto::error_frame(
                             "verdicts_unrecoverable",
@@ -647,7 +641,7 @@ fn dispatch_frame(
                             proto::verdicts_ahead_frame(have, durable)
                         }
                     };
-                    let _ = writeln!(stream, "{frame}");
+                    let _ = write_line(stream, &mut frame);
                     // A refused resume mutated nothing worth snapshotting:
                     // return the session to the slot without parking.
                     slot.checkin(s);
@@ -657,33 +651,29 @@ fn dispatch_frame(
         }
         ClientFrame::Close => {
             let Some(a) = conn.attached.as_mut() else {
-                let _ = writeln!(
+                let _ = write_line(
                     stream,
-                    "{}",
-                    proto::error_frame("not_attached", "nothing to close")
+                    &mut proto::error_frame("not_attached", "nothing to close"),
                 );
                 return LineOutcome::Continue;
             };
             match a.session.close() {
-                Ok(fin) => {
+                Ok(mut fin) => {
                     let name = a.session.name().to_string();
                     let (events, verdicts) = (a.session.records(), a.session.verdicts());
-                    let _ = writeln!(stream, "{fin}");
-                    let _ = writeln!(
+                    let _ = write_line(stream, &mut fin);
+                    let _ = write_line(
                         stream,
-                        "{}",
-                        proto::closing_frame("close", Some(&name), events, verdicts)
+                        &mut proto::closing_frame("close", Some(&name), events, verdicts),
                     );
-                    let _ = stream.flush();
                     let a = conn.attached.take().expect("attached checked above");
                     a.slot.checkin(a.session);
                     LineOutcome::End
                 }
                 Err(e) => {
-                    let _ = writeln!(
+                    let _ = write_line(
                         stream,
-                        "{}",
-                        proto::error_frame("io", &format!("close failed: {e}"))
+                        &mut proto::error_frame("io", &format!("close failed: {e}")),
                     );
                     LineOutcome::End
                 }
@@ -701,7 +691,7 @@ fn dispatch_frame(
                 }
                 adya_obs::counter!("serve.promotions").inc();
             }
-            let _ = writeln!(stream, "{{\"ok\": \"promote\"}}");
+            let _ = write_line(stream, &mut "{\"ok\": \"promote\"}".to_string());
             LineOutcome::Continue
         }
         // The replication vocabulary: this connection is a leader's
@@ -709,10 +699,9 @@ fn dispatch_frame(
         repl => {
             if let ClientFrame::ReplHello { advertise, .. } = &repl {
                 if !inner.follower.load(Ordering::Relaxed) {
-                    let _ = writeln!(
+                    let _ = write_line(
                         stream,
-                        "{}",
-                        proto::error_frame("not_follower", "this node is a leader")
+                        &mut proto::error_frame("not_follower", "this node is a leader"),
                     );
                     return LineOutcome::Continue;
                 }
@@ -730,8 +719,8 @@ fn dispatch_frame(
                 Some(Ok(reply)) => (reply, LineOutcome::Continue),
                 Some(Err(line)) => (Some(line), LineOutcome::End),
             };
-            if let Some(line) = line {
-                let _ = writeln!(stream, "{line}");
+            if let Some(mut line) = line {
+                let _ = write_line(stream, &mut line);
             }
             outcome
         }
@@ -742,10 +731,9 @@ fn dispatch_frame(
 /// already owns a session (one session per connection).
 fn attached_guard(conn: &ConnState, stream: &mut TcpStream) -> bool {
     if conn.attached.is_some() {
-        let _ = writeln!(
+        let _ = write_line(
             stream,
-            "{}",
-            proto::error_frame("already_attached", "one session per connection")
+            &mut proto::error_frame("already_attached", "one session per connection"),
         );
         return true;
     }
@@ -769,14 +757,13 @@ fn lookup_or_recover(
         return Some(Arc::clone(s));
     }
     if !inner.cfg.data_dir.join(name).is_dir() {
-        let _ = writeln!(stream, "{}", proto::error_frame("unknown_session", name));
+        let _ = write_line(stream, &mut proto::error_frame("unknown_session", name));
         return None;
     }
     if !inner.recovering.lock().unwrap().insert(name.to_string()) {
-        let _ = writeln!(
+        let _ = write_line(
             stream,
-            "{}",
-            proto::error_frame("session_busy", "recovery in progress")
+            &mut proto::error_frame("session_busy", "recovery in progress"),
         );
         return None;
     }
@@ -801,7 +788,7 @@ fn lookup_or_recover(
             Some(slot)
         }
         Err(e) => {
-            let _ = writeln!(stream, "{}", proto::error_frame("corrupt", &e.to_string()));
+            let _ = write_line(stream, &mut proto::error_frame("corrupt", &e.to_string()));
             None
         }
     };
@@ -879,4 +866,72 @@ fn fleet_health(inner: &Inner, draining: bool, lagging: bool) -> String {
         entries.join(", "),
         inner.conns.load(Ordering::Relaxed),
     )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A `Write` that counts its `write` calls and keeps their bytes.
+    #[derive(Default)]
+    struct Counting {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for Counting {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// The bytes `writeln!` makes of `args`: what a line must read
+    /// on the wire.
+    fn writeln_bytes(args: std::fmt::Arguments) -> Vec<u8> {
+        let mut out = Vec::new();
+        writeln!(out, "{args}").unwrap();
+        out
+    }
+
+    #[test]
+    fn every_line_leaves_in_one_write_with_the_bytes_writeln_made() {
+        let v = r#"{"txn": 3, "verdict": "ok", "level": "PL-3"}"#;
+        let id = 0x0123_4567_89ab_cdef;
+        let mut lines = Vec::new();
+        for (kind, mut frame) in [
+            ("ok", proto::ok_frame("resume", "s", 40, 7, 2)),
+            ("error", proto::error_frame("parse", "bad token \"x\"")),
+            ("closing", proto::closing_frame("close", Some("s"), 40, 7)),
+            ("ack", proto::ack_frame(9)),
+        ] {
+            let want = writeln_bytes(format_args!("{frame}"));
+            let (mut w, before) = (Counting::default(), frame.clone());
+            write_line(&mut w, &mut frame).unwrap();
+            assert_eq!(frame, before, "{kind}: the line is handed back as it came");
+            lines.push((kind, w, want));
+        }
+        let annotated = writeln_bytes(format_args!(
+            "{{\"trace\": \"{}\", {}",
+            adya_obs::fmt_trace_id(id),
+            &v[1..]
+        ));
+        for (kind, trace, want) in [
+            ("verdict", None, writeln_bytes(format_args!("{v}"))),
+            ("annotated verdict", Some(id), annotated),
+        ] {
+            let mut w = Counting::default();
+            write_verdict(&mut w, trace, v.to_string()).unwrap();
+            lines.push((kind, w, want));
+        }
+        for (kind, w, want) in lines {
+            assert_eq!(w.writes, 1, "{kind} went out in {} writes", w.writes);
+            assert_eq!(w.bytes, want, "{kind}");
+        }
+    }
 }

@@ -28,11 +28,12 @@
 //! suffix, and checker determinism regenerates the lost verdicts
 //! byte-identically.
 
-use std::io::{self, BufRead, BufReader, Write};
+use std::io::{self, BufRead, BufReader};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
 use adya_obs::json::{self, Value};
+use adya_obs::write_line;
 
 use crate::retry::RetryPolicy;
 
@@ -156,7 +157,7 @@ impl ServeClient {
         let mut redirects = 0;
         loop {
             client.connect()?;
-            client.send_frame(&format!(
+            client.send_frame(format!(
                 "{{\"op\": \"hello\", \"session\": \"{session}\"{opt_in}}}"
             ))?;
             let ack = client.read_line()?;
@@ -203,15 +204,15 @@ impl ServeClient {
     }
 
     fn conn_mut(&mut self) -> io::Result<&mut (TcpStream, BufReader<TcpStream>)> {
-        self.conn
-            .as_mut()
-            .ok_or_else(|| io::Error::new(io::ErrorKind::NotConnected, "not connected"))
+        self.conn.as_mut().ok_or_else(not_connected)
     }
 
-    fn send_frame(&mut self, frame: &str) -> io::Result<()> {
+    /// Sends one frame, its newline in the same write (`write_line`):
+    /// a frame and its newline written apart are two segments and two
+    /// wake-ups of the server's connection thread.
+    fn send_frame(&mut self, mut frame: String) -> io::Result<()> {
         let (stream, _) = self.conn_mut()?;
-        stream.write_all(frame.as_bytes())?;
-        stream.write_all(b"\n")
+        write_line(stream, &mut frame)
     }
 
     fn read_line(&mut self) -> io::Result<String> {
@@ -255,14 +256,21 @@ impl ServeClient {
     ///
     /// [`resume`]: ServeClient::resume
     pub fn send_token(&mut self, tok: &str) -> Result<(), ClientError> {
-        self.tokens.push(tok.to_string());
-        self.push_token_to_wire(tok.to_string())
+        // The ledger's copy is the one the wire push writes from; the
+        // byte to spare is the newline it goes out with.
+        let mut owned = String::with_capacity(tok.len() + 1);
+        owned.push_str(tok);
+        self.tokens.push(owned);
+        self.push_token_to_wire(self.tokens.len() - 1)
     }
 
-    fn push_token_to_wire(&mut self, tok: String) -> Result<(), ClientError> {
-        let is_commit = is_commit_token(&tok);
+    /// Sends ledger token `i` and, for a commit, reads its verdict.
+    fn push_token_to_wire(&mut self, i: usize) -> Result<(), ClientError> {
+        let is_commit = is_commit_token(&self.tokens[i]);
         let sent_at = (self.trace && is_commit).then(Instant::now);
-        self.send_frame(&tok)?;
+        // Borrowed field by field: the ledger's token is written in place.
+        let (stream, _) = self.conn.as_mut().ok_or_else(not_connected)?;
+        write_line(stream, &mut self.tokens[i])?;
         if is_commit {
             let mut line = self.read_line()?;
             if line.starts_with("{\"error\"") {
@@ -355,7 +363,7 @@ impl ServeClient {
 
     /// Promotes the node on the other end of the open connection.
     fn promote(&mut self) -> Result<(), ClientError> {
-        self.send_frame("{\"op\": \"promote\"}")?;
+        self.send_frame("{\"op\": \"promote\"}".to_string())?;
         let ack = self.read_line()?;
         if frame(&ack).str_at("ok") != Some("promote") {
             return Err(server_error(ack));
@@ -372,7 +380,7 @@ impl ServeClient {
         } else {
             ""
         };
-        self.send_frame(&format!(
+        self.send_frame(format!(
             "{{\"op\": \"resume\", \"session\": \"{}\", \"verdicts\": {}{opt_in}}}",
             self.session,
             self.verdicts.len()
@@ -398,11 +406,9 @@ impl ServeClient {
             let line = self.read_line()?;
             self.verdicts.push(line);
         }
-        // Re-send everything the server never logged (cloned one at a
-        // time: the wire push borrows self mutably).
+        // Re-send everything the server never logged.
         for i in durable..self.tokens.len() {
-            let tok = self.tokens[i].clone();
-            self.push_token_to_wire(tok)?;
+            self.push_token_to_wire(i)?;
         }
         Ok(())
     }
@@ -410,7 +416,7 @@ impl ServeClient {
     /// Closes the session; returns the final (`"final": true`) verdict
     /// line. The `closing` frame is consumed and verified.
     pub fn close(mut self) -> Result<String, ClientError> {
-        self.send_frame("{\"op\": \"close\"}")?;
+        self.send_frame("{\"op\": \"close\"}".to_string())?;
         let fin = self.read_line()?;
         if fin.starts_with("{\"error\"") {
             return Err(server_error(fin));
@@ -421,6 +427,10 @@ impl ServeClient {
         }
         Ok(fin)
     }
+}
+
+fn not_connected() -> io::Error {
+    io::Error::new(io::ErrorKind::NotConnected, "not connected")
 }
 
 fn server_error(line: String) -> ClientError {

@@ -756,14 +756,12 @@ fn a_long_line_applies_like_its_tokens_one_per_line() {
 }
 
 #[test]
-#[ignore = "open bug (ROADMAP, un-timer item): accepted TCP connections do not set TCP_NODELAY"]
 fn a_verdict_does_not_wait_out_nagle() {
-    // The server answers a commit with more than one small write. On
-    // an accepted socket left with Nagle on, every write after the
-    // first is held until the client's delayed ACK (≈ 40 ms on Linux),
-    // so each verdict costs a timer, not the work. The fix is
-    // `set_nodelay(true)` where `server.rs` sets a TCP connection's
-    // timeouts; this test passes with it and is its acceptance check.
+    // A line written in two parts on a socket with Nagle on has its
+    // second part held until the peer's delayed ACK (≈ 40 ms on Linux),
+    // so each verdict would cost a timer, not the work. The server sets
+    // `TCP_NODELAY` on every accepted connection and writes each line
+    // in one write, and `ServeClient` sends each token in one.
     let data = data_dir("serve-nodelay");
     let (_server, addr) = spawn_server(&data, "127.0.0.1:0", &[]);
     let mut client = ServeClient::hello(&addr, "latency").expect("hello");
@@ -783,4 +781,45 @@ fn a_verdict_does_not_wait_out_nagle() {
         median < Duration::from_millis(10),
         "median commit→verdict {median:?} over loopback: {rtts:?}"
     );
+}
+
+#[test]
+fn error_frames_and_verdicts_do_not_wait_out_nagle_on_a_raw_socket() {
+    // The same check with no `ServeClient` in the way: each request
+    // leaves in one write, so only the server's replies are timed.
+    let data = data_dir("serve-nodelay-raw");
+    let (_server, addr) = spawn_server(&data, "127.0.0.1:0", &[]);
+    let (mut s, mut r) = connect(&addr);
+    s.set_nodelay(true).expect("nodelay");
+    let mut round_trip = |line: String| {
+        let sent = Instant::now();
+        s.write_all(format!("{line}\n").as_bytes()).expect("send");
+        let mut reply = String::new();
+        r.read_line(&mut reply).expect("reply");
+        (sent.elapsed(), reply)
+    };
+    let (_, ack) = round_trip(r#"{"op": "hello", "session": "raw"}"#.to_string());
+    assert!(ack.starts_with(r#"{"ok": "hello""#), "{ack}");
+    let refused: Vec<Duration> = (1..=50)
+        .map(|t| {
+            let (rtt, reply) = round_trip(format!("b{t} w{t}(x,{t}) w{t}("));
+            assert!(reply.starts_with(r#"{"error": "parse""#), "{reply}");
+            rtt
+        })
+        .collect();
+    let verdicts: Vec<Duration> = (1..=50)
+        .map(|t| {
+            let (rtt, reply) = round_trip(format!("b{t} w{t}(x,{t}) c{t}"));
+            assert!(reply.starts_with(r#"{"txn": "#), "{reply}");
+            rtt
+        })
+        .collect();
+    for (what, mut rtts) in [("error frame", refused), ("verdict", verdicts)] {
+        rtts.sort();
+        let median = rtts[rtts.len() / 2];
+        assert!(
+            median < Duration::from_millis(10),
+            "median line→{what} {median:?} over loopback: {rtts:?}"
+        );
+    }
 }
