@@ -5,11 +5,9 @@
 
 use std::fmt;
 
-use adya_graph::CycleEdge;
-use adya_history::{History, TxnId};
+use adya_history::History;
 use adya_obs::Registry;
 
-use crate::conflicts::{Conflict, DepKind};
 use crate::dsg::Dsg;
 use crate::levels::{IsolationLevel, LevelCheck, LevelReport};
 use crate::mixing::MixingReport;
@@ -104,26 +102,6 @@ pub struct Analysis {
     pub levels: LevelReport,
     /// Definition 9 on the recorded per-transaction levels.
     pub mixing: MixingReport,
-}
-
-impl Analysis {
-    /// Per-edge provenance of `p`'s DSG witness cycle: each cycle edge
-    /// paired with the direct conflicts that induced it (one per
-    /// object/predicate, in deterministic order). Empty for the
-    /// non-cycle phenomena (G1a, G1b, G-SIa, G-monotonic).
-    pub fn cycle_provenance<'a>(
-        &'a self,
-        p: &'a Phenomenon,
-    ) -> Vec<(&'a CycleEdge<TxnId, DepKind>, Vec<&'a Conflict>)> {
-        match p.cycle() {
-            Some(c) => c
-                .edges()
-                .iter()
-                .map(|e| (e, self.dsg.provenance(e.from, e.to, e.label)))
-                .collect(),
-            None => Vec::new(),
-        }
-    }
 }
 
 /// Analyzes `h` fully.
@@ -309,35 +287,5 @@ mod tests {
         let a = analyze(&h);
         assert!(!a.phenomena.is_empty());
         assert!(a.to_string().contains("G1a"));
-    }
-
-    #[test]
-    fn cycle_provenance_cites_conflicts_per_edge() {
-        // H_wcycle (§5.1): every G0 edge must map back to a ww
-        // conflict on a concrete object/version.
-        let h =
-            parse_history("w1(x,2) w2(x,5) w2(y,5) c2 w1(y,8) c1 [x1 << x2, y2 << y1]").unwrap();
-        let a = analyze(&h);
-        let g0 = a
-            .phenomena
-            .iter()
-            .find(|p| p.kind() == crate::PhenomenonKind::G0)
-            .expect("G0 present");
-        let prov = a.cycle_provenance(g0);
-        assert_eq!(prov.len(), 2);
-        for (edge, conflicts) in &prov {
-            assert!(!conflicts.is_empty(), "edge {edge:?} has no provenance");
-            for c in conflicts {
-                assert_eq!(c.from, edge.from);
-                assert_eq!(c.to, edge.to);
-                assert!(c.object.is_some() && c.version.is_some());
-            }
-        }
-        // Non-cycle phenomena have no DSG cycle provenance.
-        let h2 = parse_history("w1(x,1) r2(x1) a1 c2").unwrap();
-        let a2 = analyze(&h2);
-        let g1a = &a2.phenomena[0];
-        assert!(g1a.cycle().is_none());
-        assert!(a2.cycle_provenance(g1a).is_empty());
     }
 }

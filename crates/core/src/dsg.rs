@@ -88,15 +88,6 @@ impl Dsg {
             .collect()
     }
 
-    /// The conflicts behind every `from → to` edge regardless of kind,
-    /// in deterministic order.
-    pub fn edge_provenance(&self, from: TxnId, to: TxnId) -> Vec<&Conflict> {
-        self.conflicts
-            .iter()
-            .filter(|c| c.from == from && c.to == to)
-            .collect()
-    }
-
     /// A cycle of only write-dependency edges (the G0 shape).
     pub fn write_cycle(&self) -> Option<Cycle<TxnId, DepKind>> {
         self.graph.find_cycle(|k| k.is_write_dep(), |_| true)
@@ -277,7 +268,6 @@ mod tests {
         assert!(dsg
             .provenance(TxnId(2), TxnId(1), DepKind::ItemReadDep)
             .is_empty());
-        assert_eq!(dsg.edge_provenance(TxnId(1), TxnId(2)).len(), 2);
     }
 
     #[test]

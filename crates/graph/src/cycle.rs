@@ -77,11 +77,6 @@ impl<N, E> Cycle<N, E> {
     pub fn count_labels(&self, mut pred: impl FnMut(&E) -> bool) -> usize {
         self.edges.iter().filter(|e| pred(&e.label)).count()
     }
-
-    /// True if any edge label satisfies `pred`.
-    pub fn any_label(&self, pred: impl FnMut(&E) -> bool) -> bool {
-        self.count_labels(pred) > 0
-    }
 }
 
 impl<N: fmt::Display, E: fmt::Display> fmt::Display for Cycle<N, E> {
@@ -313,7 +308,6 @@ mod tests {
         g.add_edge("b", "a", "rw");
         let c = g.find_cycle(|_| true, |&l| l == "rw").expect("rw cycle");
         assert_closed(&c);
-        assert!(c.any_label(|&l| l == "rw"));
     }
 
     #[test]

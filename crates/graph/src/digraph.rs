@@ -154,11 +154,6 @@ where
         self.out[ix.index()].iter().map(|e| (e.to, &e.label))
     }
 
-    /// True if `node` is in the graph.
-    pub fn contains_node(&self, node: &N) -> bool {
-        self.index.contains_key(node)
-    }
-
     /// Iterates over all node keys in insertion order.
     pub fn nodes(&self) -> impl Iterator<Item = &N> {
         self.nodes.iter()
@@ -259,8 +254,6 @@ mod tests {
         g.add_edge("a", "b", 1);
         assert_eq!(g.node_count(), 2);
         assert_eq!(g.edge_count(), 1);
-        assert!(g.contains_node(&"a"));
-        assert!(g.contains_node(&"b"));
     }
 
     #[test]

@@ -66,16 +66,6 @@ pub struct PredicateReadEvent {
     pub vset: Vec<(ObjectId, VersionId)>,
 }
 
-impl PredicateReadEvent {
-    /// The explicit version selected for `object`, if listed.
-    pub fn vset_entry(&self, object: ObjectId) -> Option<VersionId> {
-        self.vset
-            .iter()
-            .find(|(o, _)| *o == object)
-            .map(|(_, v)| *v)
-    }
-}
-
 /// One event of a history.
 ///
 /// The paper's histories are partial orders; this crate represents a
@@ -234,17 +224,6 @@ mod tests {
             value: Some(Value::Int(9)),
         };
         assert_eq!(w.version(), VersionId::new(TxnId(3), 2));
-    }
-
-    #[test]
-    fn vset_entry_lookup() {
-        let e = PredicateReadEvent {
-            txn: TxnId(1),
-            predicate: PredicateId(0),
-            vset: vec![(ObjectId(0), VersionId::INIT)],
-        };
-        assert_eq!(e.vset_entry(ObjectId(0)), Some(VersionId::INIT));
-        assert_eq!(e.vset_entry(ObjectId(1)), None);
     }
 
     #[test]

@@ -30,15 +30,6 @@ pub fn esc(s: &str) -> String {
     out
 }
 
-/// Emits a finite float (JSON has no NaN/Inf; those become `null`).
-pub fn num_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
-    }
-}
-
 /// An indentation-aware JSON object/array builder for the export
 /// paths. Not general-purpose: keys are emitted in call order and the
 /// caller is responsible for calling `open_*`/`close_*` in pairs.
@@ -484,12 +475,5 @@ mod tests {
         w.close_array();
         w.close_object();
         assert!(w.finish().contains("\"empty\": []"));
-    }
-
-    #[test]
-    fn non_finite_floats_become_null() {
-        assert_eq!(num_f64(1.5), "1.5");
-        assert_eq!(num_f64(f64::NAN), "null");
-        assert_eq!(num_f64(f64::INFINITY), "null");
     }
 }

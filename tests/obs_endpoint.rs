@@ -76,6 +76,17 @@ fn induced_lag_degrades_health_to_503() {
 }
 
 #[test]
+fn an_idle_stream_degrades_health_to_503_past_the_stale_threshold() {
+    // One transaction, then nothing while stdin stays open: 50 ms
+    // after the last applied event `/health` calls the stream stale.
+    let (_child, addr) = spawn_streaming(&["--obs-stale-ms", "50"], "w1(x,1) c1\n");
+    let (status, health) = poll_until(&addr, "/health", |b| b.contains("stale:"));
+    assert_eq!(status, 503, "{health}");
+    assert!(health.contains("\"healthy\": false"), "{health}");
+    assert!(health.contains("\"stale_ms\": 50"), "{health}");
+}
+
+#[test]
 fn fired_phenomenon_shows_as_witness_exemplar() {
     // The G1c fixture: circular information flow, fires at c2.
     let (_child, addr) = spawn_streaming(&[], "w1(x,1) w2(y,2) r1(y2) r2(x1) c1 c2\n");

@@ -18,7 +18,7 @@ use std::collections::BTreeSet;
 #[cfg(debug_assertions)]
 use adya::core::PhenomenonKind::G1c;
 use adya::core::{classify, detect_all, PhenomenonKind};
-use adya::history::Event;
+use adya::history::{Event, ObjectId, ReadEvent, TxnId, VersionId};
 use adya::online::{GcConfig, OnlineChecker, StreamFeed};
 use adya::workloads::histgen::{random_history, HistGenConfig};
 use proptest::prelude::*;
@@ -297,9 +297,12 @@ fn witnesses_do_not_depend_on_the_collection_schedule() {
 }
 
 /// Collection changes what the checker holds and nothing it finds: on
-/// the stream fixtures whose ids never come round again and on 520
+/// the stream fixtures whose ids never come round again, on 520
 /// generated sliding-window streams, clean and dirty (none with a
-/// retired read), checkers collecting at intervals 1, 7 and 64 say
+/// retired read), and on 25 of them again with one reader open from
+/// the first event to after the last, which pins the watermark
+/// (`gc_work_bound`'s `stream-pinned`), checkers collecting at
+/// intervals 1, 7 and 64 say
 /// every verdict line the exact checker (`GcConfig { enabled: false }`)
 /// says, but for `pruned` and `live_txns`. (`reused_ids` is left out:
 /// there a `b1` while the checker still holds a finished T1 continues
@@ -334,10 +337,23 @@ fn collection_changes_no_finding() {
             open: [2, 4, 8, 16][(seed / 12 % 4) as usize],
             dirty: seed % 2 == 1,
         };
-        streams.push((
-            format!("{cfg:?} seed {seed}"),
-            sliding_window_events(cfg, seed, 1_200),
-        ));
+        let events = sliding_window_events(cfg, seed, 1_200);
+        if seed % 21 == 0 {
+            let pinned = TxnId(4_000_000_000);
+            let mut held = vec![
+                Event::Begin(pinned),
+                Event::Read(ReadEvent {
+                    txn: pinned,
+                    object: ObjectId(0),
+                    version: VersionId::INIT,
+                    through_cursor: false,
+                }),
+            ];
+            held.extend(events.iter().cloned());
+            held.push(Event::Commit(pinned));
+            streams.push((format!("{cfg:?} seed {seed}, pinned"), held));
+        }
+        streams.push((format!("{cfg:?} seed {seed}"), events));
     }
     for (what, events) in &streams {
         assert_eq!(common::retired_reads(events), 0, "{what}");
