@@ -40,4 +40,4 @@ mod tap;
 
 pub use engine::FaultyEngine;
 pub use plane::{Decision, FaultConfig, FaultPlane, FaultStats, Site, SITES};
-pub use tap::{TapCrashConfig, TapCrashPlane, TapCrashStats};
+pub use tap::{TapCrashConfig, TapCrashPlane};

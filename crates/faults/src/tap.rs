@@ -16,31 +16,16 @@
 //! advances once per non-commit event observed, and the decision for
 //! the k-th such event is pure in the configuration — no seed needed,
 //! because unlike the probabilistic plane this one is an exact
-//! schedule (`crash_at` for one-shot test kill points, `crash_every`
-//! for recurring soak pressure).
+//! schedule: `crash_at`, one kill point.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Crash schedule for a [`TapCrashPlane`]. `None` everywhere = never
-/// crash.
+/// Crash schedule for a [`TapCrashPlane`]. `None` = never crash.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct TapCrashConfig {
     /// Crash immediately before applying the Nth non-commit event
     /// (1-based), once.
     pub crash_at: Option<u64>,
-    /// Crash before every Nth non-commit event, repeatedly.
-    pub crash_every: Option<u64>,
-}
-
-/// Counters for a [`TapCrashPlane`], for reports.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct TapCrashStats {
-    /// Non-commit events observed (the crash clock).
-    pub events: u64,
-    /// Commit/abort events passed through without advancing the clock.
-    pub terminals: u64,
-    /// Crash points reached.
-    pub crashes: u64,
 }
 
 /// A deterministic crash clock for the ingest tap. Shared (`Arc`)
@@ -50,8 +35,6 @@ pub struct TapCrashStats {
 pub struct TapCrashPlane {
     cfg: TapCrashConfig,
     events: AtomicU64,
-    terminals: AtomicU64,
-    crashes: AtomicU64,
 }
 
 impl TapCrashPlane {
@@ -63,40 +46,20 @@ impl TapCrashPlane {
         }
     }
 
-    /// The configuration this plane runs.
-    pub fn config(&self) -> &TapCrashConfig {
-        &self.cfg
-    }
-
     /// Advances the crash clock for one ingested event; true when the
     /// tap must crash *before applying* it. `is_terminal` events
     /// (commit/abort — the engine-side plane's territory) never crash
     /// and do not advance the clock.
     pub fn crash_due(&self, is_terminal: bool) -> bool {
         if is_terminal {
-            self.terminals.fetch_add(1, Ordering::Relaxed);
             return false;
         }
         let n = self.events.fetch_add(1, Ordering::Relaxed) + 1;
-        let due = self.cfg.crash_at == Some(n)
-            || self
-                .cfg
-                .crash_every
-                .is_some_and(|every| every > 0 && n.is_multiple_of(every));
+        let due = self.cfg.crash_at == Some(n);
         if due {
-            self.crashes.fetch_add(1, Ordering::Relaxed);
             adya_obs::counter!("faults.tap_crashes").inc();
         }
         due
-    }
-
-    /// Counter values so far.
-    pub fn stats(&self) -> TapCrashStats {
-        TapCrashStats {
-            events: self.events.load(Ordering::Relaxed),
-            terminals: self.terminals.load(Ordering::Relaxed),
-            crashes: self.crashes.load(Ordering::Relaxed),
-        }
     }
 }
 
@@ -106,46 +69,24 @@ mod tests {
 
     #[test]
     fn one_shot_crash_at_fires_exactly_once() {
-        let p = TapCrashPlane::new(TapCrashConfig {
-            crash_at: Some(3),
-            crash_every: None,
-        });
+        let p = TapCrashPlane::new(TapCrashConfig { crash_at: Some(3) });
         let fired: Vec<bool> = (0..6).map(|_| p.crash_due(false)).collect();
         assert_eq!(fired, vec![false, false, true, false, false, false]);
-        assert_eq!(p.stats().crashes, 1);
     }
 
     #[test]
     fn terminals_pass_through_without_advancing_the_clock() {
-        let p = TapCrashPlane::new(TapCrashConfig {
-            crash_at: Some(2),
-            crash_every: None,
-        });
+        let p = TapCrashPlane::new(TapCrashConfig { crash_at: Some(2) });
         assert!(!p.crash_due(false)); // event 1
         assert!(!p.crash_due(true)); // commit: not counted
         assert!(!p.crash_due(true)); // abort: not counted
         assert!(p.crash_due(false)); // event 2: crash point
-        let s = p.stats();
-        assert_eq!((s.events, s.terminals, s.crashes), (2, 2, 1));
-    }
-
-    #[test]
-    fn recurring_crash_every_matches_the_engine_clock_shape() {
-        let p = TapCrashPlane::new(TapCrashConfig {
-            crash_at: None,
-            crash_every: Some(4),
-        });
-        let fired: Vec<bool> = (0..8).map(|_| p.crash_due(false)).collect();
-        assert_eq!(
-            fired,
-            vec![false, false, false, true, false, false, false, true]
-        );
+        assert!(!p.crash_due(false)); // event 3: once only
     }
 
     #[test]
     fn default_plane_never_crashes() {
         let p = TapCrashPlane::default();
         assert!((0..100).all(|_| !p.crash_due(false)));
-        assert_eq!(p.stats().crashes, 0);
     }
 }

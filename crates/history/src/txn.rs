@@ -61,12 +61,6 @@ impl RequestedLevel {
         RequestedLevel::PL299,
         RequestedLevel::PL3,
     ];
-
-    /// True if `self` is at least as strong as `other` (PL-1 < PL-2 <
-    /// PL-2.99 < PL-3).
-    pub fn at_least(self, other: RequestedLevel) -> bool {
-        self >= other
-    }
 }
 
 impl fmt::Display for RequestedLevel {
@@ -113,13 +107,14 @@ mod tests {
 
     #[test]
     fn level_ordering_matches_lattice() {
+        // `core::mixing` compares requested levels with `>=`.
         use RequestedLevel::*;
-        assert!(PL3.at_least(PL299));
-        assert!(PL299.at_least(PL2));
-        assert!(PL2.at_least(PL1));
-        assert!(PL1.at_least(PL1));
-        assert!(!PL1.at_least(PL2));
-        assert!(!PL299.at_least(PL3));
+        assert!(PL3 >= PL299);
+        assert!(PL299 >= PL2);
+        assert!(PL2 >= PL1);
+        assert!(PL1 >= PL1);
+        assert!(PL1 < PL2);
+        assert!(PL299 < PL3);
     }
 
     #[test]

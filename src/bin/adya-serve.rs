@@ -112,7 +112,6 @@ fn parse_args() -> Result<Args, String> {
             "--crash-at-event" => {
                 cfg.tap = TapCrashConfig {
                     crash_at: Some(parse_u64(&need(&mut it, "--crash-at-event")?)?),
-                    crash_every: None,
                 }
             }
             "--fsync" => cfg.session.log.fsync = FsyncPolicy::parse(&need(&mut it, "--fsync")?)?,

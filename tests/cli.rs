@@ -45,6 +45,18 @@ fn level_gate_fails_on_violation() {
     let (stdout, _, code) = run(&["--level", "PL-2"], h);
     assert_eq!(code, Some(0));
     assert!(stdout.contains("PL-2: SATISFIED"));
+    // A stream is gated the same way: its write skew fires G2-item at
+    // the second commit, so the final verdict's strongest level is PL-2.
+    let skew = common::stream_data("write_skew.events");
+    let skew = skew.to_str().expect("utf-8 path");
+    for (level, want) in [("PL-3", 1), ("PL-2", 0)] {
+        let (stdout, stderr, code) = run(&["--stream", "--level", level, skew], "");
+        assert_eq!(code, Some(want), "--stream --level {level}: {stderr}");
+        let last = stdout.lines().last().expect("a final verdict");
+        assert!(last.contains("\"final\": true"), "{last}");
+        assert!(last.contains("\"strongest_ansi\": \"PL-2\""), "{last}");
+        assert!(last.contains("\"G2-item\""), "{last}");
+    }
 }
 
 #[test]
@@ -54,6 +66,28 @@ fn dot_output_and_comments() {
     assert_eq!(code, Some(0));
     assert!(stdout.contains("digraph history"));
     assert!(stdout.contains("T1") && stdout.contains("T2"));
+    // `--trace-out` writes the history as a Chrome trace: metadata,
+    // one lane of spans per transaction, the fired phenomena as instants.
+    let dir = common::data_dir("cli-batch-trace-out");
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    let out = dir.join("skew.trace.json");
+    let hist = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/data/read_skew.hist");
+    let (_, stderr, code) = run(
+        &["--trace-out", out.to_str().expect("utf-8 path"), hist],
+        "",
+    );
+    assert_eq!(code, Some(0), "{stderr}");
+    let trace = std::fs::read_to_string(&out).expect("read the trace");
+    assert!(adya_obs::json::parse(&trace).is_ok(), "{trace}");
+    for key in [
+        "traceEvents",
+        "\"ph\": \"M\"",
+        "\"ph\": \"X\"",
+        "\"ph\": \"i\"",
+        "thread_name",
+    ] {
+        assert!(trace.contains(key), "the trace lacks {key}: {trace}");
+    }
 }
 
 #[test]
@@ -195,6 +229,16 @@ fn paper_history_reports_match_their_goldens() {
         }
     }
     assert_eq!(seen, 11, "one history per entry of core::paper::all()");
+    // `explain`'s narratives of the paper's G0, G1c and G2 (read skew)
+    // histories, blank line between, as the binary prints them.
+    let data = dir.parent().expect("tests/data");
+    for name in ["g0_write_cycle", "g1c_cycle", "read_skew"] {
+        let hist = data.join(format!("{name}.hist"));
+        let (stdout, stderr, code) = run(&["explain", hist.to_str().expect("utf-8 path")], "");
+        assert_eq!(code, Some(0), "{name}: {stderr}");
+        let want = std::fs::read_to_string(data.join(format!("{name}.golden"))).expect("golden");
+        assert_eq!(stdout, want, "{name}.golden drifted");
+    }
 }
 
 #[test]
@@ -210,6 +254,10 @@ fn stream_verdicts_match_their_goldens() {
         assert_eq!(code, Some(0), "{name}: {stderr}");
         common::check_stream_golden(&format!("{name}.verdicts.golden"), &stdout);
         common::check_stream_golden(&format!("{name}.dot.golden"), &stderr);
+        // Without `--dot`, stdout is the same and stderr is empty.
+        let (plain, stderr, code) = run(&["--stream"], &input);
+        assert_eq!((code, stderr.as_str()), (Some(0), ""), "{name}");
+        common::check_stream_golden(&format!("{name}.verdicts.golden"), &plain);
     }
 }
 

@@ -68,6 +68,8 @@ struct Grep {
     except: &'static [&'static str],
     /// The last piece ends a word: no letter, digit or `_` follows it.
     word_end: bool,
+    /// The last piece ends the line, but for trailing spaces.
+    line_end: bool,
     /// No `/` comes before the first piece (no comment holds it).
     no_slash_before: bool,
     /// Only spaces lie between the pieces.
@@ -90,6 +92,7 @@ const GREP: Grep = Grep {
     paths: &[],
     except: &[],
     word_end: false,
+    line_end: false,
     no_slash_before: false,
     spaces_between: false,
 };
@@ -131,6 +134,7 @@ const CRATES_SRC_TESTS: &[&str] = &["crates", "src", "tests"];
 const SERVE: &[&str] = &["crates/serve/src"];
 const ONLINE: &[&str] = &["crates/online/src"];
 const ENGINE: &[&str] = &["crates/engine/src"];
+const CI: &[&str] = &[".github/workflows/ci.yml"];
 
 static RULES: &[Rule] = &[
     // Formats.
@@ -1194,7 +1198,7 @@ static RULES: &[Rule] = &[
         name: "work-bound-list",
         why: "every tests/*_bound.rs runs alone in its process, in release, in CI's \
               \"Work bounds (release)\" step, and that step runs nothing else",
-        greps: &[grep(&[&["--test "]], &[".github/workflows/ci.yml"])],
+        greps: &[grep(&[&["--test "]], CI)],
         scope: Scope::Block("      - name: Work bounds (release)", "      - name:"),
         limit: Limit::EveryBoundTest,
         fixture: &[
@@ -1207,6 +1211,37 @@ static RULES: &[Rule] = &[
             ("tests/kept_bound.rs", ""),
             ("tests/new_bound.rs", ""),
         ],
+        ..NONE
+    },
+    Rule {
+        name: "ci-runs-no-copy-of-tier-1",
+        why: "a CI step runs what tier-1 cannot: the root suite runs once, in \"Test \
+              (workspace)\", and no step starts a binary or inline Python to assert again \
+              what a test asserts",
+        greps: &[
+            Grep {
+                line_end: true,
+                ..grep(&[&["run: cargo test -q"]], CI)
+            },
+            grep(
+                &[
+                    &["target/", "/adya-check"],
+                    &["target/", "/adya-serve"],
+                    &["python3 -"],
+                ],
+                CI,
+            ),
+        ],
+        fixture: &[(
+            ".github/workflows/ci.yml",
+            r#"      - name: Serve smoke (hello -> verdicts -> /health -> kill -9 -> resume replay parity)
+        run: |
+          ./target/release/adya-serve --data serve-data --listen 127.0.0.1:7611 2> serve.stderr &
+          pid=$!
+          for i in $(seq 1 50); do grep -q 'listening on' serve.stderr && break; sleep 0.1; done
+          python3 - <<'EOF'
+"#,
+        )],
         ..NONE
     },
 ];
@@ -1290,11 +1325,12 @@ impl Grep {
     /// Whether `pieces` appear in order in `line` from `from`.
     fn fits(&self, line: &str, from: usize, pieces: &[&str], first: bool) -> bool {
         let Some((piece, rest)) = pieces.split_first() else {
-            return !self.word_end
-                || !line[from..]
-                    .chars()
-                    .next()
-                    .is_some_and(|c| c.is_alphanumeric() || c == '_');
+            let after = &line[from..];
+            let word = after
+                .chars()
+                .next()
+                .is_some_and(|c| c.is_alphanumeric() || c == '_');
+            return !(self.word_end && word) && (!self.line_end || after.trim_end().is_empty());
         };
         starts(line, piece, from).any(|at| {
             let gap_ok = if first {
@@ -1433,6 +1469,22 @@ fn every_rule_trips_on_its_fixture() {
             rule.name
         );
     }
+}
+
+#[test]
+fn only_a_bare_cargo_test_runs_the_root_suite_again() {
+    let rule = RULES
+        .iter()
+        .find(|r| r.name == "ci-runs-no-copy-of-tier-1")
+        .unwrap();
+    let ci = |run: &str| -> Tree {
+        let step = format!("      - name: Test\n        run: {run}\n");
+        Tree::from([(".github/workflows/ci.yml".to_string(), step)])
+    };
+    assert!(rule.check(&ci("cargo test -q")).is_err());
+    assert!(rule.check(&ci("cargo test -q  ")).is_err());
+    assert!(rule.check(&ci("cargo test -q --test design_rules")).is_ok());
+    assert!(rule.check(&ci("cargo test --workspace -q")).is_ok());
 }
 
 #[test]

@@ -97,49 +97,12 @@ fn every_cycle_edge_cites_concrete_operations() {
     }
 }
 
-/// A string-aware structural scan: balanced braces/brackets outside
-/// string literals, no trailing comma before a closer. Not a full
-/// parser (CI runs one), but enough to catch a broken writer.
-fn assert_balanced_json(s: &str) {
-    let mut depth: i64 = 0;
-    let mut in_str = false;
-    let mut esc = false;
-    let mut prev_nonspace = ' ';
-    for ch in s.chars() {
-        if in_str {
-            if esc {
-                esc = false;
-            } else if ch == '\\' {
-                esc = true;
-            } else if ch == '"' {
-                in_str = false;
-            }
-            continue;
-        }
-        match ch {
-            '"' => in_str = true,
-            '{' | '[' => depth += 1,
-            '}' | ']' => {
-                assert_ne!(prev_nonspace, ',', "trailing comma before {ch}");
-                depth -= 1;
-                assert!(depth >= 0, "unbalanced closer");
-            }
-            _ => {}
-        }
-        if !ch.is_whitespace() {
-            prev_nonspace = ch;
-        }
-    }
-    assert!(!in_str, "unterminated string");
-    assert_eq!(depth, 0, "unbalanced trace JSON");
-}
-
 #[test]
 fn trace_export_is_wellformed_and_complete() {
     let h = fixture("read_skew");
     let a = analyze(&h);
     let t = trace_json(&h, Some(&a));
-    assert_balanced_json(&t);
+    assert!(adya_obs::json::parse(&t).is_ok(), "{t}");
     assert!(t.contains("\"traceEvents\""), "{t}");
     // One metadata record and one lane of spans per transaction.
     for needle in ["\"ph\": \"M\"", "\"ph\": \"X\"", "\"ph\": \"i\""] {

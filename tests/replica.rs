@@ -1,7 +1,8 @@
 //! End-to-end tests of the `adya-serve` replication plane: a leader
-//! streams every durable log byte to a follower; kill -9'ing the
-//! leader mid-stream fails clients over to the promoted follower with
-//! byte-identical verdict streams; a follower kill -9'd mid-catch-up
+//! streams every durable log byte to a follower, which refuses
+//! sessions until it is promoted; kill -9'ing the leader mid-stream
+//! fails clients over to the promoted follower with byte-identical
+//! verdict streams; a follower kill -9'd mid-catch-up
 //! reconnects and drains its lag to zero; and the leader's `/health`
 //! degrades to 503 when acknowledged follower lag exceeds
 //! `--repl-lag-max`.
@@ -69,6 +70,15 @@ fn leader_sigkill_fails_over_to_promoted_follower_byte_identically() {
     }
 
     barrier.wait();
+    // Until it is promoted, the follower refuses a session's frames.
+    let mut s = TcpStream::connect(&faddr).expect("connect follower");
+    s.set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("read timeout");
+    s.write_all(b"{\"op\": \"resume\", \"session\": \"tenant-0\", \"verdicts\": 0}\n")
+        .expect("resume");
+    let mut line = String::new();
+    BufReader::new(s).read_line(&mut line).expect("refusal");
+    assert!(line.contains("\"error\": \"not_leader\""), "{line}");
     drop(leader); // SIGKILL mid-stream — no flush, no goodbye
     barrier.wait();
 
